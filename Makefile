@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale bench-scale-1m bench-scale-10m bench-matrix bench-revocation bench-slo bench-risk bench-pressure bench ci
+.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale bench-scale-1m bench-scale-10m bench-matrix bench-revocation bench-slo bench-risk bench-pressure bench-e2e bench-compare bench ci
 
 build:
 	$(GO) build ./...
@@ -114,6 +114,18 @@ bench-risk:
 # run's wall clock is strictly lower (BENCH_pressure.json).
 bench-pressure:
 	$(GO) run ./cmd/benchreport -pressure 100000 -pressureout BENCH_pressure.json
+
+# The repo's one end-to-end benchmark (BENCHMARK.json, bench/README.md):
+# a full session — four workloads, timed repeats then traced passes —
+# written to BENCH_e2e.json; every repeat is checked against
+# bench/golden.json.
+bench-e2e:
+	$(GO) run ./bench -out BENCH_e2e.json
+
+# Medians, quartiles and deltas of that session against the checked-in
+# dev-box session; exits 1 when a metric is worse by more than its bound.
+bench-compare:
+	$(GO) run ./bench -compare bench/baseline.json BENCH_e2e.json
 
 # The full reproduction benchmark suite (all figures).
 bench:

@@ -469,8 +469,7 @@ func BenchmarkDeflationRunReference10k(b *testing.B) {
 }
 
 // 100k fixture: a heavy-tail trace at the cloud-scale target, sized by
-// the cheap peak-demand bound (the packing replay of the full baseline
-// bound would dwarf the run being measured).
+// the peak-demand bound.
 var (
 	hundredKOnce sync.Once
 	hundredKTr   *trace.AzureTrace

@@ -87,7 +87,6 @@ package clustersim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"vmdeflate/internal/mechanism"
@@ -478,124 +477,6 @@ type Result struct {
 	SLOViolationsByPriority map[int]float64
 }
 
-// BaselineServerCount returns the paper's "minimum cluster size capable
-// of running all VMs without any preemptions or admission-controlled
-// rejections": starting from the peak-aggregate-demand lower bound, the
-// count grows until a full-allocation bin-packing replay of the trace
-// admits every VM (fragmentation can push the answer above the
-// aggregate bound). It fails if any single VM exceeds a server.
-func BaselineServerCount(tr *trace.AzureTrace, serverCap resources.Vector) (int, error) {
-	evs := buildEvents(tr)
-	lb, err := peakLowerBound(evs, serverCap)
-	if err != nil {
-		return 0, err
-	}
-	// Fragmentation can exceed the aggregate bound, but not without
-	// limit; 4x is a generous safety margin that turns a logic error
-	// into a diagnosable failure instead of an unbounded search.
-	for n := lb; n <= 4*lb+4; n++ {
-		if fullAllocationFeasible(evs, n, serverCap) {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("clustersim: no feasible packing within %d servers", 4*lb+4)
-}
-
-// PeakServerLowerBound returns the aggregate-demand lower bound on the
-// cluster size: the peak concurrent committed demand divided by the
-// server capacity, per dimension. It is the cheap O(N log N) part of
-// BaselineServerCount — without the bin-packing feasibility replay that
-// the full bound runs — and is the right cluster-sizing knob for
-// 100k-VM-scale benchmarks, where the packing replay would dwarf the
-// simulation being measured.
-func PeakServerLowerBound(tr *trace.AzureTrace, serverCap resources.Vector) (int, error) {
-	return peakLowerBound(buildEvents(tr), serverCap)
-}
-
-// peakLowerBound is the shared core of the two bounds above, taking a
-// prebuilt event list so BaselineServerCount sorts the trace only once.
-func peakLowerBound(evs []event, serverCap resources.Vector) (int, error) {
-	var cur, peak resources.Vector
-	for _, e := range evs {
-		size := vmSize(e.vm)
-		if e.arrival {
-			if !size.FitsIn(serverCap) {
-				return 0, fmt.Errorf("clustersim: VM %s (%v) exceeds server capacity %v",
-					e.vm.ID, size, serverCap)
-			}
-			cur = cur.Add(size)
-			peak = peak.Max(cur)
-		} else {
-			cur = cur.Sub(size)
-		}
-	}
-	return serversForPeak(peak, serverCap), nil
-}
-
-// serversForPeak converts a peak committed-demand vector into the
-// per-dimension server-count lower bound. Shared by the eager and
-// streamed bounds so both round identically.
-func serversForPeak(peak, serverCap resources.Vector) int {
-	lb := 1
-	for _, k := range resources.Kinds {
-		if serverCap.Get(k) <= 0 {
-			continue
-		}
-		need := int(math.Ceil(peak.Get(k) / serverCap.Get(k)))
-		if need > lb {
-			lb = need
-		}
-	}
-	return lb
-}
-
-// fullAllocationFeasible replays the trace at full allocations on n
-// servers with tightest-fit placement (minimise the chosen server's
-// leftover dominant share) and reports whether every VM fits. Tightest
-// fit keeps large servers whole so big VMs stay placeable — the right
-// objective for a feasibility bound, as opposed to the load-balancing
-// objective used for live deflation-aware placement.
-func fullAllocationFeasible(evs []event, n int, serverCap resources.Vector) bool {
-	free := make([]resources.Vector, n)
-	for i := range free {
-		free[i] = serverCap
-	}
-	where := make(map[string]int, len(evs)/2)
-	for _, e := range evs {
-		size := vmSize(e.vm)
-		if !e.arrival {
-			if s, ok := where[e.vm.ID]; ok {
-				free[s] = free[s].Add(size)
-				delete(where, e.vm.ID)
-			}
-			continue
-		}
-		best := tightestFit(free, size, serverCap)
-		if best < 0 {
-			return false
-		}
-		free[best] = free[best].Sub(size)
-		where[e.vm.ID] = best
-	}
-	return true
-}
-
-// tightestFit returns the index of the fitting server whose leftover
-// dominant share would be smallest, or -1 if none fits.
-func tightestFit(free []resources.Vector, size, serverCap resources.Vector) int {
-	best, bestLeft := -1, math.Inf(1)
-	for i := range free {
-		if !size.FitsIn(free[i]) {
-			continue
-		}
-		left := free[i].Sub(size).DominantShare(serverCap)
-		if left < bestLeft {
-			best, bestLeft = i, left
-		}
-	}
-	return best
-}
-
 func vmSize(vm *trace.VMRecord) resources.Vector {
 	return resources.CPUMem(float64(vm.Cores), vm.MemoryMB)
 }
@@ -639,14 +520,15 @@ func partitionPlan(cfg Config, nServers int) []int {
 		return lvl
 	}
 	for _, e := range buildEvents(cfg.Trace) {
-		lvl := levelOf(e.vm)
+		vm := cfg.Trace.VMs[e.idx]
+		lvl := levelOf(vm)
 		if e.arrival {
-			current[lvl] += float64(e.vm.Cores)
+			current[lvl] += float64(vm.Cores)
 			if current[lvl] > demand[lvl] {
 				demand[lvl] = current[lvl]
 			}
 		} else {
-			current[lvl] -= float64(e.vm.Cores)
+			current[lvl] -= float64(vm.Cores)
 		}
 	}
 	return allocatePools(out, demand, nServers, levels)

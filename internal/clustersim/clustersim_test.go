@@ -256,10 +256,10 @@ func TestBuildEventsOrdering(t *testing.T) {
 		t.Fatalf("events = %d", len(evs))
 	}
 	// At t=100, a's departure precedes b's arrival.
-	if evs[1].arrival || evs[1].vm.ID != "a" {
+	if evs[1].arrival || evs[1].idx != 0 {
 		t.Errorf("event[1] = %+v, want a's departure", evs[1])
 	}
-	if !evs[2].arrival || evs[2].vm.ID != "b" {
+	if !evs[2].arrival || evs[2].idx != 1 {
 		t.Errorf("event[2] = %+v, want b's arrival", evs[2])
 	}
 }

@@ -126,9 +126,9 @@ type Engine struct {
 const minShardedSample = 128
 
 // NewEngine validates cfg, resolves the baseline cluster size and
-// prepares a run. The expensive BaselineServerCount bound is computed
-// here (once) unless cfg.BaselineServers pins it, which sweeps do so
-// that every grid point sees an identically sized cluster.
+// prepares a run. The BaselineServerCount bound is computed here unless
+// cfg.BaselineServers pins it, which sweeps do so that every grid point
+// shares one sizing pass and sees an identically sized cluster.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -144,7 +144,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if base <= 0 {
 		var err error
 		if cfg.Stream != nil {
-			base, err = streamBaselineServerCount(cfg.Stream, e.geo, cfg.ServerCapacity)
+			base, _, err = sizeFleet(streamEvents(cfg.Stream, e.geo), cfg.ServerCapacity)
 		} else {
 			base, err = BaselineServerCount(cfg.Trace, cfg.ServerCapacity)
 		}

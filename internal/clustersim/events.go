@@ -164,30 +164,30 @@ func newArrivalQueue(tr *trace.AzureTrace, useHeap bool) eventQueue {
 	return q
 }
 
-// event is a flattened arrival/departure pair, used by the feasibility
-// replays (BaselineServerCount) that scan the same trace many times and
-// therefore want one sorted slice rather than a consumable queue.
+// event is a flattened arrival/departure pair: idx is the VM's row in
+// tr.VMs. Fleet sizing and the partition planner walk the whole trace
+// in order and therefore want one sorted slice rather than a consumable
+// queue.
 type event struct {
 	at      float64
 	arrival bool
-	vm      *trace.VMRecord
+	idx     int32
 }
 
 // buildEvents materialises and sorts the full arrival/departure
-// sequence. Simulation runs use an eventQueue instead; this remains for
-// the multi-pass feasibility bound and the partition planner on eager
-// traces (streamed runs use streamGeometry's merge walk, which replays
-// this exact order without materialising the event slice).
+// sequence of an eager trace in (time, departures-first, trace index)
+// order. Simulation runs use an eventQueue instead; streamed traces use
+// streamGeometry's merge walk, which replays this exact order without
+// materialising the event slice.
 func buildEvents(tr *trace.AzureTrace) []event {
 	evs := make([]event, 0, 2*len(tr.VMs))
-	for _, vm := range tr.VMs {
-		evs = append(evs, event{at: vm.Start, arrival: true, vm: vm})
-		evs = append(evs, event{at: vm.End, arrival: false, vm: vm})
+	for i, vm := range tr.VMs {
+		evs = append(evs, event{at: vm.Start, arrival: true, idx: int32(i)})
+		evs = append(evs, event{at: vm.End, arrival: false, idx: int32(i)})
 	}
-	// slices.SortStableFunc instantiates for the concrete element type —
-	// no reflect-based swapper — which matters at 1M VMs where this sort
-	// covers 2M events. Same comparator, same stable order as before.
-	slices.SortStableFunc(evs, func(a, b event) int {
+	// The trace index makes the order total, so the unstable sort is
+	// deterministic.
+	slices.SortFunc(evs, func(a, b event) int {
 		switch {
 		case a.at < b.at:
 			return -1
@@ -200,7 +200,7 @@ func buildEvents(tr *trace.AzureTrace) []event {
 		case a.arrival && !b.arrival:
 			return 1
 		default:
-			return 0
+			return int(a.idx) - int(b.idx)
 		}
 	})
 	return evs

@@ -1,11 +1,9 @@
 package clustersim
 
 import (
-	"fmt"
 	"sort"
 
 	"vmdeflate/internal/policy"
-	"vmdeflate/internal/resources"
 	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
 )
@@ -98,95 +96,6 @@ func (g *streamGeometry) forEachEvent(fn func(idx int32, arrival bool) bool) {
 			j++
 		}
 	}
-}
-
-// vmSizeParams is vmSize for a streamed parameter record.
-func vmSizeParams(p trace.VMParams) resources.Vector {
-	return resources.CPUMem(float64(p.Cores), p.MemoryMB)
-}
-
-// PeakServerLowerBoundStream is PeakServerLowerBound for a streamed
-// trace: identical accumulation order, identical result, O(N) compact
-// memory instead of the materialised trace plus its event slice.
-func PeakServerLowerBoundStream(s *trace.Stream, serverCap resources.Vector) (int, error) {
-	return streamPeakLowerBound(s, newStreamGeometry(s), serverCap)
-}
-
-func streamPeakLowerBound(s *trace.Stream, g *streamGeometry, serverCap resources.Vector) (int, error) {
-	var cur, peak resources.Vector
-	var err error
-	g.forEachEvent(func(idx int32, arrival bool) bool {
-		p := s.Params(int(idx))
-		size := vmSizeParams(p)
-		if arrival {
-			if !size.FitsIn(serverCap) {
-				err = fmt.Errorf("clustersim: VM %s (%v) exceeds server capacity %v",
-					p.ID(), size, serverCap)
-				return false
-			}
-			cur = cur.Add(size)
-			peak = peak.Max(cur)
-		} else {
-			cur = cur.Sub(size)
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	return serversForPeak(peak, serverCap), nil
-}
-
-// BaselineServerCountStream is BaselineServerCount for a streamed
-// trace: the same lower bound plus the same tightest-fit feasibility
-// replay, with a flat int32 placement column instead of the per-replay
-// name map.
-func BaselineServerCountStream(s *trace.Stream, serverCap resources.Vector) (int, error) {
-	return streamBaselineServerCount(s, newStreamGeometry(s), serverCap)
-}
-
-func streamBaselineServerCount(s *trace.Stream, g *streamGeometry, serverCap resources.Vector) (int, error) {
-	lb, err := streamPeakLowerBound(s, g, serverCap)
-	if err != nil {
-		return 0, err
-	}
-	where := make([]int32, s.Len())
-	for n := lb; n <= 4*lb+4; n++ {
-		if streamFullAllocationFeasible(s, g, n, serverCap, where) {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("clustersim: no feasible packing within %d servers", 4*lb+4)
-}
-
-func streamFullAllocationFeasible(s *trace.Stream, g *streamGeometry, n int, serverCap resources.Vector, where []int32) bool {
-	free := make([]resources.Vector, n)
-	for i := range free {
-		free[i] = serverCap
-	}
-	for i := range where {
-		where[i] = -1
-	}
-	ok := true
-	g.forEachEvent(func(idx int32, arrival bool) bool {
-		size := vmSizeParams(s.Params(int(idx)))
-		if !arrival {
-			if sv := where[idx]; sv >= 0 {
-				free[sv] = free[sv].Add(size)
-				where[idx] = -1
-			}
-			return true
-		}
-		best := tightestFit(free, size, serverCap)
-		if best < 0 {
-			ok = false
-			return false
-		}
-		free[best] = free[best].Sub(size)
-		where[idx] = int32(best)
-		return true
-	})
-	return ok
 }
 
 // partitionPlanStream is partitionPlan over a streamed trace: the same

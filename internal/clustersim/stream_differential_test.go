@@ -99,7 +99,7 @@ func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 
 // TestStreamedBaselineSizingMatchesEager: with BaselineServers unset,
 // the streamed engine derives the cluster size through the geometry
-// merge walk (streamBaselineServerCount) and must land on the same
+// merge walk (sizeFleet over streamEvents) and must land on the same
 // count — and the same Result — as the eager bound.
 func TestStreamedBaselineSizingMatchesEager(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{
