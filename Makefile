@@ -24,9 +24,12 @@ race:
 # and the revocation churn suite: the phase workers, batch commits,
 # parallel dirty sync, capacity-shock evacuations, the risk-aware
 # (hazard-banded + headroom-gated) placement paths and the engines
-# driving them — a fast, explicit signal beside the full `race` run.
+# driving them, plus the layers under the sharded sample pass — the
+# hypervisor's concurrent offered-load writes against view reads and the
+# capacity index's in-place re-key — a fast, explicit signal beside the
+# full `race` run.
 race-placement:
-	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure' ./internal/cluster ./internal/clustersim
+	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|Rekey' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -36,8 +39,9 @@ bench-smoke:
 # Zero-allocation gate: the steady-state PlaceOn/Reinflate policy pass,
 # the partitioned batch-propose pass (risk-blind AND hazard-banded with
 # the headroom gate active), the SLO-metered sample pass (closed-form
-# queueing math included) AND the calendar event queue's steady-state
-# churn must all report 0 allocs/op, or the build fails. The awk gate
+# queueing math included), the calendar event queue's steady-state
+# churn, a host's load writes followed by a deflatable-view read AND the
+# capacity index's re-key must all report 0 allocs/op, or the build fails. The awk gate
 # names each required benchmark explicitly (matching on the name with
 # its -GOMAXPROCS suffix stripped), so a renamed or silently skipped
 # benchmark fails the build instead of shrinking the gate. The
@@ -45,15 +49,18 @@ bench-smoke:
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|ProposeSteadyState|RiskProposeSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkProposeSteadyState"]; \
 			want["BenchmarkRiskProposeSteadyState"]; want["BenchmarkPressureScan"]; \
-			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"] } \
+			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
+			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkUpsertRekeySteadyState"] } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; \
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + index re-key steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager (sharded across all cores), reported to

@@ -72,44 +72,57 @@ func priorityOf(name string) uint64 {
 // lock.
 type Index struct {
 	root *node
-	keys map[string]float64
+	// nodes finds an entry's treap node by name. The node carries the
+	// entry's current key and its name-derived priority, and belongs to
+	// this Index alone, so a re-key can reuse it.
+	nodes map[string]*node
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{keys: make(map[string]float64)}
+	return &Index{nodes: make(map[string]*node)}
 }
 
 // Len returns the number of entries.
-func (ix *Index) Len() int { return len(ix.keys) }
+func (ix *Index) Len() int { return len(ix.nodes) }
 
 // Key returns the entry's current key and whether it is present.
 func (ix *Index) Key(name string) (float64, bool) {
-	k, ok := ix.keys[name]
-	return k, ok
+	nd, ok := ix.nodes[name]
+	if !ok {
+		return 0, false
+	}
+	return nd.key, true
 }
 
 // Upsert inserts the entry or moves it to a new key. A same-key upsert
-// is a no-op.
+// is a no-op. Moving an existing entry re-keys in place: its node is
+// detached and re-inserted under the new key with its priority intact,
+// so a re-key allocates nothing and does not re-hash the name. The tree
+// shape stays a pure function of the entry set either way.
 func (ix *Index) Upsert(name string, key float64) {
-	if old, ok := ix.keys[name]; ok {
-		if old == key {
-			return
-		}
-		ix.root = remove(ix.root, old, name)
+	nd, ok := ix.nodes[name]
+	switch {
+	case !ok:
+		nd = &node{key: key, name: name, prio: priorityOf(name)}
+		ix.nodes[name] = nd
+	case nd.key == key:
+		return
+	default:
+		ix.root = remove(ix.root, nd.key, name)
+		nd.key, nd.left, nd.right = key, nil, nil
 	}
-	ix.keys[name] = key
-	ix.root = insert(ix.root, &node{key: key, name: name, prio: priorityOf(name)})
+	ix.root = insert(ix.root, nd)
 }
 
 // Delete removes the entry if present.
 func (ix *Index) Delete(name string) {
-	old, ok := ix.keys[name]
+	nd, ok := ix.nodes[name]
 	if !ok {
 		return
 	}
-	delete(ix.keys, name)
-	ix.root = remove(ix.root, old, name)
+	delete(ix.nodes, name)
+	ix.root = remove(ix.root, nd.key, name)
 }
 
 // AscendFrom visits entries with key >= lower in ascending (key, name)
@@ -241,7 +254,10 @@ func insert(root, nd *node) *node {
 	return root
 }
 
-// remove deletes the (key, name) node by rotating it down to a leaf.
+// remove unlinks the (key, name) node by rotating it down until it has
+// at most one child, which takes its place. The node itself is left
+// untouched (it still points at that child), so a caller that re-inserts
+// it clears its links first.
 func remove(root *node, key float64, name string) *node {
 	if root == nil {
 		return nil

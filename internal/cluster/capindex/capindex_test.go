@@ -2,6 +2,7 @@ package capindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -330,5 +331,115 @@ func TestDeleteReinsertMatchesRebuilt(t *testing.T) {
 	}
 	if !structEqual(ix.root, rev.root) {
 		t.Fatal("reverse-order rebuild diverged: treap shape depends on insertion order")
+	}
+}
+
+// TestRekeyInPlaceKeepsCanonicalTree pins what Upsert's in-place re-key
+// must not change: the churned index reuses each entry's node across key
+// moves, yet stays node-for-node the tree a fresh Index builds from the
+// final entry set, so every query — ascending first-fit, the merged
+// MinFitting, the descending iterator — answers exactly as the rebuilt
+// index does. The sequence is mostly re-keys, with inserts and deletes
+// mixed in so reused nodes sit next to fresh ones.
+func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ix := New()
+	model := refModel{}
+	for op := 0; op < 4000; op++ {
+		name := fmt.Sprintf("node-%03d", rng.Intn(90))
+		if rng.Intn(10) == 0 {
+			ix.Delete(name)
+			delete(model, name)
+		} else {
+			before := ix.nodes[name]
+			key := float64(rng.Intn(60)) / 60 // collisions on purpose
+			ix.Upsert(name, key)
+			model[name] = key
+			if before != nil && ix.nodes[name] != before {
+				t.Fatalf("op %d: re-key of %s replaced its node", op, name)
+			}
+		}
+		if op%131 != 0 {
+			continue
+		}
+		rebuilt := New()
+		for _, e := range model.sorted() {
+			rebuilt.Upsert(e.name, e.key)
+		}
+		if !structEqual(ix.root, rebuilt.root) {
+			t.Fatalf("op %d: re-keyed treap is not the canonical tree of its entry set", op)
+		}
+		if ix.Len() != len(model) {
+			t.Fatalf("op %d: Len = %d, want %d", op, ix.Len(), len(model))
+		}
+		for n, k := range model {
+			if got, ok := ix.Key(n); !ok || got != k {
+				t.Fatalf("op %d: Key(%s) = %v %v, want %v", op, n, got, ok, k)
+			}
+		}
+		fits := func(n string) bool { return n[len(n)-1]%3 != 0 }
+		for _, lower := range []float64{0, 0.25, 0.5, 0.9} {
+			gn, gk, gok := ix.FirstFitting(lower, fits)
+			wn, wk, wok := rebuilt.FirstFitting(lower, fits)
+			if gn != wn || gk != wk || gok != wok {
+				t.Fatalf("op %d: FirstFitting(%v) = %q %v %v, rebuilt answers %q %v %v", op, lower, gn, gk, gok, wn, wk, wok)
+			}
+			gn, gk, gok = MinFitting([]*Index{ix, nil}, []float64{lower, 0}, fits)
+			if gn != wn || gk != wk || gok != wok {
+				t.Fatalf("op %d: MinFitting(%v) = %q %v %v, rebuilt answers %q %v %v", op, lower, gn, gk, gok, wn, wk, wok)
+			}
+		}
+		var got, want DescIter
+		got.Reset(ix)
+		want.Reset(rebuilt)
+		for {
+			gn, gk, gok := got.Peek()
+			wn, wk, wok := want.Peek()
+			if gn != wn || gk != wk || gok != wok {
+				t.Fatalf("op %d: DescIter diverged: %q %v %v, rebuilt %q %v %v", op, gn, gk, gok, wn, wk, wok)
+			}
+			if !gok {
+				break
+			}
+			got.Next()
+			want.Next()
+		}
+	}
+}
+
+// rekeyIndex is the steady state of a dirty sync: s servers indexed,
+// and a stream of key moves that never repeats a server's previous key
+// (golden-ratio steps), so every Upsert is a real re-key.
+func rekeyIndex(s int) (rekey func(i int)) {
+	ix := New()
+	names := make([]string, s)
+	for i := range names {
+		names[i] = fmt.Sprintf("node-%03d", i)
+		ix.Upsert(names[i], float64(i)/float64(s))
+	}
+	return func(i int) {
+		ix.Upsert(names[i%s], math.Mod(float64(i+1)*0.6180339887498949, 1))
+	}
+}
+
+// TestRekeyZeroAllocs is the work-counter half of the in-place re-key:
+// moving an existing entry allocates nothing.
+func TestRekeyZeroAllocs(t *testing.T) {
+	rekey := rekeyIndex(200)
+	i := 0
+	if got := testing.AllocsPerRun(1000, func() { rekey(i); i++ }); got != 0 {
+		t.Errorf("re-key allocates %.1f allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkUpsertRekeySteadyState is the re-key `make bench-allocs`
+// gates at 0 allocs/op: one of the two index upserts every dirty server
+// costs per sync.
+func BenchmarkUpsertRekeySteadyState(b *testing.B) {
+	rekey := rekeyIndex(655)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rekey(i)
 	}
 }

@@ -22,7 +22,10 @@
 //
 // Hypervisor aggregate-change callbacks mark servers dirty; each query
 // first refreshes only the dirty servers, so neither pass ever re-walks
-// a clean server's domains. Config.ReferencePlacement retains the
+// a clean server's domains. Both keys depend on lifecycle, allocation
+// and capacity only — an offered-load write (Domain.SetOfferedLoad)
+// fires no callback and dirties no server; policy passes read loads
+// through the host's deflatable view. Config.ReferencePlacement retains the
 // brute-force linear-scan path, and Config.FullPressureScan the linear
 // indexed pressure scan; all paths implement the identical selection
 // rule and the differential test suite asserts they place bit-for-bit

@@ -241,3 +241,47 @@ func BenchmarkProposeSteadyState(b *testing.B) {
 		proposeOnce(m, dcs)
 	}
 }
+
+// TestLoadWritesLeaveNothingDirty is the cluster half of the
+// read-through rule: a sample-style pass that rewrites every resident's
+// offered load marks no server dirty in any partition, so the dirty sync
+// at the head of the next PlaceVMs drains nothing and refreshes nothing —
+// only the server that placement then mutates is dirty afterwards.
+func TestLoadWritesLeaveNothingDirty(t *testing.T) {
+	for _, partitions := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			m, dcs := proposeSteadyState(t, partitions)
+			defer m.Close()
+			m.Stats() // sync: every server clean, every index key current
+
+			for round := 1; round <= 2; round++ {
+				for _, s := range m.Servers() {
+					for i, d := range s.Host.Domains() {
+						d.SetOfferedLoad(float64(round) + float64(i))
+					}
+				}
+			}
+			for _, p := range m.parts {
+				if n := p.dirty.Len(); n != 0 {
+					t.Fatalf("partition %d: load writes marked %d servers dirty, want 0", p.id, n)
+				}
+			}
+
+			pls := m.PlaceVMs(dcs[:1], nil) // probe-a fits without deflation
+			if pls[0].Err != nil {
+				t.Fatal(pls[0].Err)
+			}
+			dirty := 0
+			for _, p := range m.parts {
+				// names is what the last sync drained for this partition.
+				if len(p.names) != 0 {
+					t.Errorf("partition %d: PlaceVMs after load writes refreshed %v, want no refresh", p.id, p.names)
+				}
+				dirty += p.dirty.Len()
+			}
+			if dirty != 1 {
+				t.Errorf("%d servers dirty after one placement, want exactly the placed one", dirty)
+			}
+		})
+	}
+}

@@ -107,9 +107,10 @@ import (
 // plans against — and accumulates violation time, a slowdown histogram
 // and per-priority violation seconds into the Result. The engine also
 // publishes each VM's sampled load to its domain
-// (Domain.SetOfferedLoad), which is what makes the latency-aware policy
-// load-sensitive; without an SLOConfig loads stay zero and runs are
-// bit-for-bit identical to pre-SLO builds.
+// (Domain.SetOfferedLoad: one atomic store that dirties no server), which
+// is what makes the latency-aware policy load-sensitive; without an
+// SLOConfig loads stay zero and runs are bit-for-bit identical to
+// pre-SLO builds.
 type SLOConfig struct {
 	// Curve maps deflation to retained performance for the effective
 	// service rate. The zero value means the worst-case linear curve.

@@ -116,6 +116,13 @@ type Engine struct {
 	dcBuf   []hypervisor.DomainConfig
 	prioBuf []float64
 	plBuf   []cluster.Placement
+
+	// afterSample, when set, runs after every sample pass, once its load
+	// writes are done. Nothing outside the tests sets it: the SLO
+	// differential suite uses it to put back the rule the engine ran
+	// under before offered loads became read-through (every load write
+	// invalidates its host), and proves results identical without it.
+	afterSample func()
 }
 
 // minShardedSample is the running-set size below which the sample pass
@@ -324,6 +331,9 @@ func (e *Engine) runDeflation() (*Result, error) {
 				e.sampleTime += time.Since(t0)
 			} else {
 				e.samplePass(ev.at)
+			}
+			if e.afterSample != nil {
+				e.afterSample()
 			}
 			if next := ev.at + trace.SampleInterval; next <= e.horizon {
 				e.queue.push(simEvent{at: next, kind: evSample})

@@ -75,6 +75,82 @@ func TestSLOEngineMatchesAcrossShardsAndPartitions(t *testing.T) {
 	}
 }
 
+// invalidateOnLoadWrite is the load-write oracle: it restores, from the
+// test side, the rule the engine ran under before offered loads became a
+// read-through column of the deflatable view — every load write
+// invalidates the written domain's host, so the next arrival re-derives
+// the aggregates, view and index keys of every server the sample pass
+// touched. Re-storing a host's own capacity is the exported mutation
+// that invalidates and changes nothing.
+func invalidateOnLoadWrite(t *testing.T, e *Engine) {
+	e.afterSample = func() {
+		for _, vt := range e.runList {
+			if !vt.domain.Deflatable() {
+				continue // sampleVM writes no load for on-demand VMs
+			}
+			h := vt.domain.Host()
+			if err := h.SetCapacity(h.Capacity()); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// TestLoadWriteSyncMatchesFullInvalidation proves that a load write
+// needs no invalidation: across scenarios, seeds, both policies that a
+// metered run compares, calm and shocked fleets, and sequential and
+// sharded sample passes, the run whose sample pass dirties nothing is
+// byte-identical to the run where every load write invalidates its host.
+func TestLoadWriteSyncMatchesFullInvalidation(t *testing.T) {
+	slo := &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}
+	policies := []policy.Policy{
+		policy.Proportional{},
+		policy.LatencyAware{Curve: slo.Curve, MaxSlowdown: slo.MaxSlowdown},
+	}
+	for _, kind := range []trace.Scenario{trace.ScenarioBursty, trace.ScenarioDiurnal} {
+		for seed := int64(1); seed <= 4; seed++ {
+			// 1200 VMs keep the running set above minShardedSample, so
+			// Shards=4 really writes loads from four goroutines.
+			tr, err := trace.GenerateScenario(trace.ScenarioConfig{
+				Kind: kind, NumVMs: 1200, Duration: 86400, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range policies {
+				for _, shocked := range []bool{false, true} {
+					for _, shards := range []int{1, 4} {
+						cfg := Config{Trace: tr, Policy: pol, Overcommit: 0.5, SLO: slo, Shards: shards}
+						if shocked {
+							cfg.ShockConfig = testShockConfig(seed)
+						}
+						name := fmt.Sprintf("%v/seed=%d/%s/shocks=%v/shards=%d", kind, seed, pol.Name(), shocked, shards)
+						got, err := Run(cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if got.SLOSampleSeconds == 0 || (shocked && got.Revocations == 0) {
+							t.Fatalf("%s: degenerate run: %+v", name, *got)
+						}
+						e, err := NewEngine(cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						invalidateOnLoadWrite(t, e)
+						want, err := e.Run()
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: run diverged from the invalidate-on-load-write oracle:\ngot  %+v\nwant %+v", name, *got, *want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSLOMetricsPopulated sanity-checks the accounting identities on a
 // metered run: rate = violations/samples, the per-priority map covers
 // every level and sums to the total, and the p99 proxy is a plausible

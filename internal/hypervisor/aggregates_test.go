@@ -249,4 +249,9 @@ func TestFloorHelpers(t *testing.T) {
 	if d.Floor() != d.Config().Floor() {
 		t.Error("Domain.Floor disagrees with DomainConfig.Floor")
 	}
+	// The floor is derived once, at Define; Domain.Floor only reads it.
+	d.floor = resources.New(3, 3, 3, 3)
+	if d.Floor() != d.floor {
+		t.Error("Domain.Floor re-derived the floor instead of reading the value computed at Define")
+	}
 }

@@ -118,8 +118,8 @@ func (c *DomainConfig) validate() error {
 	if c.Deflatable && (c.Priority < 0 || c.Priority > 1) {
 		return fmt.Errorf("%w: domain %s priority %g outside (0,1]", ErrInvalid, c.Name, c.Priority)
 	}
-	if c.Load < 0 {
-		return fmt.Errorf("%w: domain %s negative offered load %g", ErrInvalid, c.Name, c.Load)
+	if c.Load < 0 || math.IsNaN(c.Load) || math.IsInf(c.Load, 0) {
+		return fmt.Errorf("%w: domain %s offered load %g is negative or not finite", ErrInvalid, c.Name, c.Load)
 	}
 	return nil
 }
@@ -179,15 +179,19 @@ type Host struct {
 	// Derived-state cache: the aggregates plus the deflatable VM-state
 	// view (the policy-shaped picture of the host's running deflatable
 	// domains, in name order, that the cluster layer's PlaceOn/Reinflate
-	// policy passes consume). Both are stale-flagged together by every
-	// mutation that can move an allocation or lifecycle state, and both
-	// are rebuilt by ONE name-order walk that reads each domain through
-	// a single lock acquisition — so a reinflation pass that needs the
-	// aggregates and then the view costs one walk, not two. cacheMu
-	// orders rebuilds and guards the cached values; the lock order is
-	// cacheMu -> mu -> Domain.mu, and invalidation takes none of them
-	// (atomic flag + leaf callback), so mutators that already hold mu or
-	// a Domain lock can invalidate without deadlock.
+	// policy passes consume). Aggregates, free share and the index keys
+	// the cluster layer derives from them depend on lifecycle, allocation
+	// and capacity only: both caches are stale-flagged together by every
+	// mutation that can move one of those three, and both are rebuilt by
+	// ONE name-order walk that reads each domain through a single lock
+	// acquisition — so a reinflation pass that needs the aggregates and
+	// then the view costs one walk, not two. The view's Load column is
+	// not cached at all: it is read through from the domains at every
+	// AppendDeflatableView, so an offered-load write dirties nothing.
+	// cacheMu orders rebuilds and guards the cached values; the lock
+	// order is cacheMu -> mu -> Domain.mu, and invalidation takes none of
+	// them (atomic flag + leaf callback), so mutators that already hold
+	// mu or a Domain lock can invalidate without deadlock.
 	cacheMu      sync.Mutex
 	cacheValid   bool
 	cacheDirty   atomic.Bool
@@ -258,14 +262,15 @@ func (h *Host) SetCapacity(v resources.Vector) error {
 }
 
 // OnAggregateChange registers fn to be called when a mutation (any
-// define/undefine, lifecycle transition, limit change or hotplug)
-// invalidates the host's clean aggregate cache. Notifications are
-// edge-triggered: while the cache is already stale further mutations
-// are coalesced into the pending notification, and the next
-// Aggregates()/AppendDeflatableView() read re-arms the edge — exactly
-// the contract a dirty-set consumer needs, at one callback per dirty
-// episode instead of one per mutation. The callback may fire while host
-// or domain locks are held, so it must only record dirtiness —
+// define/undefine, lifecycle transition, limit change, hotplug or
+// capacity resize — never an offered-load write, which moves no
+// aggregate) invalidates the host's clean aggregate cache.
+// Notifications are edge-triggered: while the cache is already stale
+// further mutations are coalesced into the pending notification, and
+// the next Aggregates()/AppendDeflatableView() read re-arms the edge —
+// exactly the contract a dirty-set consumer needs, at one callback per
+// dirty episode instead of one per mutation. The callback may fire while
+// host or domain locks are held, so it must only record dirtiness —
 // typically marking the host in a cluster-level dirty set — and must
 // not call back into Host or Domain methods. Passing nil unregisters.
 func (h *Host) OnAggregateChange(fn func()) {
@@ -306,10 +311,11 @@ func (h *Host) Aggregates() Aggregates {
 }
 
 // refreshCacheLocked rebuilds the aggregates and the deflatable VM-state
-// view in one name-order walk — the fixed iteration order that keeps the
-// float summations reproducible — if a mutation happened since the last
-// read. Each domain is read through a single snapshot (one lock
-// acquisition) shared by both derivations. Called with cacheMu held.
+// view (every column but Load) in one name-order walk — the fixed
+// iteration order that keeps the float summations reproducible — if a
+// mutation happened since the last read. Each domain is read through a
+// single snapshot (one lock acquisition) shared by both derivations.
+// Called with cacheMu held.
 func (h *Host) refreshCacheLocked() {
 	if !h.cacheDirty.Swap(false) && h.cacheValid {
 		return
@@ -322,7 +328,7 @@ func (h *Host) refreshCacheLocked() {
 	h.viewDoms = h.viewDoms[:0]
 	for _, d := range h.cacheScratch {
 		a.Committed = a.Committed.Add(d.cfg.Size)
-		state, alloc, load := d.snapshot()
+		state, alloc := d.snapshot()
 		if state != Running {
 			continue
 		}
@@ -331,18 +337,16 @@ func (h *Host) refreshCacheLocked() {
 		if !d.cfg.Deflatable {
 			continue
 		}
-		floor := d.Floor()
-		a.DeflatableReserve = a.DeflatableReserve.Add(alloc.Sub(floor).ClampNonNegative())
+		a.DeflatableReserve = a.DeflatableReserve.Add(alloc.Sub(d.floor).ClampNonNegative())
 		if alloc.DeflationFraction(d.cfg.Size) > 0 {
 			a.Deflated++
 		}
 		h.viewStates = append(h.viewStates, policy.VMState{
 			Name:     d.cfg.Name,
 			Max:      d.cfg.Size,
-			Min:      floor,
+			Min:      d.floor,
 			Priority: d.cfg.Priority,
 			Current:  alloc,
-			Load:     load,
 		})
 		h.viewDoms = append(h.viewDoms, d)
 	}
@@ -354,21 +358,28 @@ func (h *Host) refreshCacheLocked() {
 // running deflatable domains — one policy.VMState plus the matching
 // *Domain per VM, in name order — to states and domains, and returns the
 // extended slices. The cache is rebuilt (one name-order walk into reused
-// buffers) only if a mutation happened since the last read, so a
-// steady-state policy pass costs one memcpy instead of a Domains() walk
-// that re-takes every domain lock and re-derives every floor. Callers
-// own the destination slices; passing buffers they reuse across passes
-// makes the whole read allocation-free.
+// buffers) only if a lifecycle, allocation or capacity mutation happened
+// since the last read, so a steady-state policy pass costs one memcpy
+// plus one lock-free load read per appended domain instead of a
+// Domains() walk that re-takes every domain lock. The Load column is the
+// read-through part: it is filled from the appended domains' live
+// offered loads, which is why SetOfferedLoad invalidates nothing.
+// Callers own the destination slices; passing buffers they reuse across
+// passes makes the whole read allocation-free.
 //
-// The appended states are a snapshot: a subsequent allocation or
-// lifecycle mutation invalidates the cache but not slices already handed
-// out, exactly like Aggregates().
+// The appended states are a snapshot: a subsequent mutation invalidates
+// the cache, and a subsequent load write shows in the next read, but
+// neither touches slices already handed out, exactly like Aggregates().
 func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) ([]policy.VMState, []*Domain) {
+	sbase, dbase := len(states), len(domains)
 	h.cacheMu.Lock()
 	h.refreshCacheLocked()
 	states = append(states, h.viewStates...)
 	domains = append(domains, h.viewDoms...)
 	h.cacheMu.Unlock()
+	for i, d := range domains[dbase:] {
+		states[sbase+i].Load = d.OfferedLoad()
+	}
 	return states, domains
 }
 
@@ -399,11 +410,12 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	d := &Domain{
 		host:  h,
 		cfg:   cfg,
+		floor: cfg.Floor(),
 		state: Defined,
 		guest: guest,
 		cg:    cg,
-		load:  cfg.Load,
 	}
+	d.load.Store(math.Float64bits(cfg.Load))
 	h.domains[cfg.Name] = d
 	i := sort.Search(len(h.order), func(i int) bool { return h.order[i].cfg.Name >= cfg.Name })
 	h.order = append(h.order, nil)
@@ -489,6 +501,10 @@ func (h *Host) Overcommit() float64 {
 type Domain struct {
 	host *Host
 	cfg  DomainConfig
+	// floor is cfg.Floor(), derived once at Define: the configuration is
+	// immutable, and the refresh walk and the policies read the floor of
+	// every resident on every pass.
+	floor resources.Vector
 
 	mu    sync.Mutex
 	state DomainState
@@ -505,8 +521,10 @@ type Domain struct {
 	allocCache resources.Vector
 
 	// load is the offered request load (cores) last reported through
-	// SetOfferedLoad, seeded from DomainConfig.Load. Guarded by mu.
-	load float64
+	// SetOfferedLoad, seeded from DomainConfig.Load, stored as its
+	// Float64bits so the sample pass's writes and the view's read-through
+	// need no lock.
+	load atomic.Uint64
 
 	// deflatedBy records the most recent mechanism label ("transparent",
 	// "explicit", "hybrid") for observability.
@@ -569,8 +587,9 @@ func (d *Domain) MinAllocation() resources.Vector { return d.cfg.MinAllocation }
 // Floor returns the domain's deflation floor: its configured minimum
 // allocation, or DefaultFloor capped by the nominal size when none is
 // set. This is the single definition shared by the cluster policies and
-// the host's deflatable-reserve aggregate.
-func (d *Domain) Floor() resources.Vector { return d.cfg.Floor() }
+// the host's deflatable-reserve aggregate; it is computed at Define and
+// only read here.
+func (d *Domain) Floor() resources.Vector { return d.floor }
 
 // Deflatable reports whether the domain may be deflated.
 func (d *Domain) Deflatable() bool { return d.cfg.Deflatable }
@@ -587,41 +606,34 @@ func (d *Domain) Allocation() resources.Vector {
 	return d.allocationLocked()
 }
 
-// snapshot returns the domain's lifecycle state, current allocation and
-// offered load through one lock acquisition — the combined read the
-// host's cache rebuild walk uses so it pays one domain lock per domain
-// instead of one per accessor.
-func (d *Domain) snapshot() (DomainState, resources.Vector, float64) {
+// snapshot returns the domain's lifecycle state and current allocation
+// through one lock acquisition — the combined read the host's cache
+// rebuild walk uses so it pays one domain lock per domain instead of one
+// per accessor.
+func (d *Domain) snapshot() (DomainState, resources.Vector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.state, d.allocationLocked(), d.load
+	return d.state, d.allocationLocked()
 }
 
 // OfferedLoad returns the domain's current offered request load (cores).
 func (d *Domain) OfferedLoad() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.load
+	return math.Float64frombits(d.load.Load())
 }
 
 // SetOfferedLoad reports the domain's current offered request load in
 // cores (core-seconds of demand per second), as metered by whatever is
 // watching the VM's request stream. Latency-aware policies read it from
-// the host's deflatable view. Negative values clamp to zero. The
-// aggregate cache is invalidated only when the value actually changes,
-// so re-reporting a steady load between policy passes stays O(1) and
-// keeps the host's clean-cache fast path intact.
+// the host's deflatable view. Negative and non-finite (NaN, ±Inf) values
+// clamp to zero. A load moves no aggregate, no free share and no index
+// key, so the write is one atomic store: it does not invalidate the
+// host's cache, fires no OnAggregateChange edge, and the next
+// AppendDeflatableView reads the new value through.
 func (d *Domain) SetOfferedLoad(v float64) {
-	if v < 0 {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
 	}
-	d.mu.Lock()
-	changed := d.load != v
-	d.load = v
-	d.mu.Unlock()
-	if changed {
-		d.host.invalidateAggregates()
-	}
+	d.load.Store(math.Float64bits(v))
 }
 
 func (d *Domain) allocationLocked() resources.Vector {

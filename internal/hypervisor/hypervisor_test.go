@@ -2,12 +2,13 @@ package hypervisor
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"vmdeflate/internal/resources"
 )
 
-func testHost(t *testing.T) *Host {
+func testHost(t testing.TB) *Host {
 	t.Helper()
 	h, err := NewHost(HostConfig{
 		Name:     "node-0",
@@ -19,7 +20,7 @@ func testHost(t *testing.T) *Host {
 	return h
 }
 
-func defineRunning(t *testing.T, h *Host, name string, cores, memMB float64) *Domain {
+func defineRunning(t testing.TB, h *Host, name string, cores, memMB float64) *Domain {
 	t.Helper()
 	d, err := h.Define(DomainConfig{
 		Name:       name,
@@ -61,6 +62,43 @@ func TestDefineValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := h.Define(cfg); err == nil {
 			t.Errorf("case %d should fail: %+v", i, cfg)
+		}
+	}
+}
+
+// TestOfferedLoadRejectsNonFinite covers both doors an offered load
+// comes in through: Define refuses a negative or non-finite
+// DomainConfig.Load with ErrInvalid, and SetOfferedLoad clamps the same
+// values to zero, so no NaN or Inf can reach a latency-aware policy's
+// sort keys or the PS model.
+func TestOfferedLoadRejectsNonFinite(t *testing.T) {
+	h := testHost(t)
+	d := defineRunning(t, h, "live", 4, 8192)
+	cases := []struct {
+		name    string
+		load    float64
+		invalid bool // Define fails, SetOfferedLoad stores 0
+	}{
+		{"zero", 0, false},
+		{"positive", 2.5, false},
+		{"negative", -1, true},
+		{"NaN", math.NaN(), true},
+		{"+Inf", math.Inf(1), true},
+		{"-Inf", math.Inf(-1), true},
+	}
+	for _, c := range cases {
+		_, err := h.Define(DomainConfig{Name: "cfg-" + c.name, Size: resources.New(1, 1024, 0, 0), Load: c.load})
+		if c.invalid != errors.Is(err, ErrInvalid) {
+			t.Errorf("Define with load %s: err = %v, want ErrInvalid: %v", c.name, err, c.invalid)
+		}
+		want := c.load
+		if c.invalid {
+			want = 0
+		}
+		d.SetOfferedLoad(1) // so a clamp to zero is visible
+		d.SetOfferedLoad(c.load)
+		if got := d.OfferedLoad(); got != want {
+			t.Errorf("SetOfferedLoad(%s): OfferedLoad = %g, want %g", c.name, got, want)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package hypervisor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vmdeflate/internal/policy"
@@ -25,6 +27,7 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 			Min:      d.Floor(),
 			Priority: d.Priority(),
 			Current:  d.Allocation(),
+			Load:     d.OfferedLoad(),
 		})
 		doms = append(doms, d)
 	}
@@ -55,7 +58,10 @@ func checkView(t *testing.T, h *Host, op string) {
 // start / limit / hotplug / clear / shutdown / undefine sequence, the
 // cached per-host VM-state view must equal a fresh Domains() walk
 // exactly — the invariant that lets PlaceOn and Reinflate consume the
-// cache instead of rebuilding policy.VMState slices per pass.
+// cache instead of rebuilding policy.VMState slices per pass. Offered
+// loads are written throughout (seeded at define, rewritten at random):
+// they invalidate nothing, so the view's Load column must come out right
+// by read-through alone.
 func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := testHost(t)
@@ -64,7 +70,15 @@ func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 
 	for op := 0; op < 3000; op++ {
 		var opName string
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(12); {
+		case k >= 10 && len(live) > 0: // offered-load write, any lifecycle state
+			name := live[rng.Intn(len(live))]
+			d, err := h.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetOfferedLoad(8 * rng.Float64())
+			opName = "load " + name
 		case k <= 2 || len(live) == 0: // define + maybe start
 			name := fmt.Sprintf("vm-%04d", next)
 			next++
@@ -73,6 +87,7 @@ func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 				Size:       resources.New(float64(1+rng.Intn(16)), float64(1024*(1+rng.Intn(16))), 0, 0),
 				Deflatable: rng.Intn(3) != 0,
 				Priority:   0.25 * float64(1+rng.Intn(4)),
+				Load:       float64(rng.Intn(3)),
 			}
 			if rng.Intn(4) == 0 {
 				cfg.MinAllocation = cfg.Size.Scale(0.25)
@@ -185,5 +200,124 @@ func TestDeflatableViewAppendSemantics(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("steady-state view read allocates %.1f allocs/op, want 0", got)
+	}
+}
+
+// TestLoadWriteFiresNoAggregateChange pins the read-through rule: an
+// offered load moves no aggregate, so writing one to every resident of
+// a clean host fires no OnAggregateChange edge and leaves the cached
+// aggregates valid, and the very next view read still returns the new
+// loads.
+func TestLoadWriteFiresNoAggregateChange(t *testing.T) {
+	h := testHost(t)
+	var doms []*Domain
+	for i := 0; i < 8; i++ {
+		doms = append(doms, defineRunning(t, h, fmt.Sprintf("vm-%d", i), 4, 8192))
+	}
+	before := h.Aggregates() // clean cache: the next invalidation would be an edge
+	fires := 0
+	h.OnAggregateChange(func() { fires++ })
+	for round := 1; round <= 3; round++ {
+		for i, d := range doms {
+			d.SetOfferedLoad(float64(round) + float64(i)/8)
+		}
+		if fires != 0 {
+			t.Fatalf("round %d: load writes fired %d aggregate-change callbacks, want 0", round, fires)
+		}
+		if h.cacheDirty.Load() {
+			t.Fatalf("round %d: load writes marked the host cache stale", round)
+		}
+		states, got := h.AppendDeflatableView(nil, nil)
+		if len(states) != len(doms) {
+			t.Fatalf("view has %d domains, want %d", len(states), len(doms))
+		}
+		for i, d := range doms { // names vm-0..vm-7 are already in name order
+			if want := float64(round) + float64(i)/8; got[i] != d || states[i].Load != want {
+				t.Errorf("round %d: view[%d] = %s load %g, want %s load %g",
+					round, i, states[i].Name, states[i].Load, d.Name(), want)
+			}
+		}
+	}
+	if h.Aggregates() != before {
+		t.Error("load writes moved the aggregates")
+	}
+}
+
+// TestOfferedLoadConcurrentWritesAndViewReads is the sharded sample
+// pass in miniature, for the race detector: four goroutines rewrite the
+// loads of disjoint residents while a fifth reads the view and a limit
+// change forces rebuild walks in between. Every load a read returns must
+// be one its writer stored, and the read after the writers finish must
+// return each one's last.
+func TestOfferedLoadConcurrentWritesAndViewReads(t *testing.T) {
+	h := testHost(t)
+	const writers, perWriter, rounds = 4, 4, 200
+	doms := make([]*Domain, writers*perWriter)
+	for i := range doms {
+		doms[i] = defineRunning(t, h, fmt.Sprintf("vm-%02d", i), 2, 4096)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(chunk []*Domain) {
+			defer wg.Done()
+			for r := 1; r <= rounds; r++ {
+				for _, d := range chunk {
+					d.SetOfferedLoad(float64(r))
+				}
+			}
+		}(doms[w*perWriter : (w+1)*perWriter])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var states []policy.VMState
+		var view []*Domain
+		for r := 0; r < rounds; r++ {
+			if err := doms[0].SetCPUShares(1 + float64(r%2)); err != nil {
+				t.Error(err)
+			}
+			states, view = h.AppendDeflatableView(states[:0], view[:0])
+			for _, st := range states {
+				if st.Load != math.Trunc(st.Load) || st.Load < 0 || st.Load > rounds {
+					t.Errorf("view read a load nobody wrote: %s = %g", st.Name, st.Load)
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	states, _ := h.AppendDeflatableView(nil, nil)
+	if len(states) != len(doms) {
+		t.Fatalf("view has %d domains, want %d", len(states), len(doms))
+	}
+	for _, st := range states {
+		if st.Load != rounds {
+			t.Errorf("%s: final load %g, want %d", st.Name, st.Load, rounds)
+		}
+	}
+}
+
+// BenchmarkLoadWriteViewSteadyState is one server's share of an SLO
+// sample followed by a policy pass: every resident's offered load is
+// rewritten, then the deflatable view is read into reused buffers. With
+// loads read through there is no rebuild walk in between, and
+// `make bench-allocs` requires 0 allocs/op.
+func BenchmarkLoadWriteViewSteadyState(b *testing.B) {
+	h := testHost(b)
+	doms := make([]*Domain, 8)
+	for i := range doms {
+		doms[i] = defineRunning(b, h, fmt.Sprintf("vm-%d", i), 4, 8192)
+	}
+	states, view := h.AppendDeflatableView(nil, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for i, d := range doms {
+			d.SetOfferedLoad(float64(n%7) + float64(i)/8)
+		}
+		states, view = h.AppendDeflatableView(states[:0], view[:0])
+	}
+	if len(states) != len(doms) || states[0].Load != view[0].OfferedLoad() {
+		b.Fatalf("view lost the written loads: %d states, load %g", len(states), states[0].Load)
 	}
 }
