@@ -26,10 +26,12 @@ race:
 # (hazard-banded + headroom-gated) placement paths and the engines
 # driving them, plus the layers under the sharded sample pass — the
 # hypervisor's concurrent offered-load writes against view reads and the
-# capacity index's in-place re-key — a fast, explicit signal beside the
+# capacity index's in-place re-key — and what concurrent engines share:
+# the trace's build-once P95 column, the lock-free notify.Bus publish and
+# the sample pass's scheme billing — a fast, explicit signal beside the
 # full `race` run.
 race-placement:
-	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|Rekey' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex
+	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|Rekey|P95Column|Publish|Billing' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -40,8 +42,9 @@ bench-smoke:
 # the partitioned batch-propose pass (risk-blind AND hazard-banded with
 # the headroom gate active), the SLO-metered sample pass (closed-form
 # queueing math included), the calendar event queue's steady-state
-# churn, a host's load writes followed by a deflatable-view read AND the
-# capacity index's re-key must all report 0 allocs/op, or the build fails. The awk gate
+# churn, a host's load writes followed by a deflatable-view read, the
+# capacity index's re-key AND notify.Bus.Publish must all report 0
+# allocs/op, or the build fails. The awk gate
 # names each required benchmark explicitly (matching on the name with
 # its -GOMAXPROCS suffix stripped), so a renamed or silently skipped
 # benchmark fails the build instead of shrinking the gate. The
@@ -51,16 +54,18 @@ bench-allocs:
 	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkProposeSteadyState"]; \
 			want["BenchmarkRiskProposeSteadyState"]; want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
-			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkUpsertRekeySteadyState"] } \
+			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkUpsertRekeySteadyState"]; \
+			want["BenchmarkPublishSteadyState"] } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; \
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + index re-key steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + index re-key + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager (sharded across all cores), reported to

@@ -200,7 +200,9 @@ type PhaseTimings struct {
 // Config parameterises one simulation run.
 type Config struct {
 	// Trace supplies VM arrivals, sizes, classes and utilisation. The
-	// trace is treated as immutable: concurrent engines may share one.
+	// trace is treated as immutable: concurrent engines may share one,
+	// and with it the P95 column the first run derives from it (a run
+	// that finds VMs added or dropped since then returns an error).
 	// Exactly one of Trace and Stream must be set.
 	Trace *trace.AzureTrace
 	// Stream supplies the same trace lazily: per-VM parameters are
@@ -494,8 +496,10 @@ func Run(cfg Config) (*Result, error) {
 
 // partitionPlan assigns servers to priority pools proportionally to the
 // trace's committed demand per pool ("the size of the different pools
-// can be based on the typical workload mix", Section 5.2.1).
-func partitionPlan(cfg Config, nServers int) []int {
+// can be based on the typical workload mix", Section 5.2.1). p95 is the
+// trace's row-indexed P95 column: each interactive VM's pool is looked
+// up on its arrival and again on its departure.
+func partitionPlan(cfg Config, p95 []float64, nServers int) []int {
 	out := make([]int, nServers)
 	if !cfg.Partitioned {
 		return out // all zeros; ignored when partitioning is off
@@ -506,10 +510,10 @@ func partitionPlan(cfg Config, nServers int) []int {
 	// peaks and deflate even when the cluster as a whole has slack.
 	demand := make([]float64, levels)
 	current := make([]float64, levels)
-	levelOf := func(vm *trace.VMRecord) int {
+	levelOf := func(vm *trace.VMRecord, vmP95 float64) int {
 		lvl := levels - 1 // on-demand pool
 		if vm.Class == trace.Interactive {
-			p := policy.PriorityFromP95(vm.P95(), levels)
+			p := policy.PriorityFromP95(vmP95, levels)
 			lvl = int(p*float64(levels)) - 1
 			if lvl < 0 {
 				lvl = 0
@@ -522,7 +526,7 @@ func partitionPlan(cfg Config, nServers int) []int {
 	}
 	for _, e := range buildEvents(cfg.Trace) {
 		vm := cfg.Trace.VMs[e.idx]
-		lvl := levelOf(vm)
+		lvl := levelOf(vm, p95[e.idx])
 		if e.arrival {
 			current[lvl] += float64(vm.Cores)
 			if current[lvl] > demand[lvl] {

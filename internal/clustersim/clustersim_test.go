@@ -1,10 +1,12 @@
 package clustersim
 
 import (
+	"strings"
 	"testing"
 
 	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/policy"
+	"vmdeflate/internal/pricing"
 	"vmdeflate/internal/resources"
 	"vmdeflate/internal/trace"
 )
@@ -187,6 +189,68 @@ func TestRevenueSchemes(t *testing.T) {
 	// <= nominal size).
 	if al > st*1.0001 {
 		t.Errorf("allocation revenue %v should not exceed static %v", al, st)
+	}
+}
+
+// perVMFee is a pricing scheme the engine has no name for: a flat fee
+// per VM-hour whatever the VM's size, priority or allocation.
+type perVMFee struct{ fee float64 }
+
+func (perVMFee) Name() string { return "per-vm" }
+
+func (s perVMFee) Rate(resources.Vector, float64, resources.Vector) float64 { return s.fee }
+
+// TestSampleBillingUsesConfiguredSchemes: the 5-minute sample pass must
+// bill through Scheme.Rate like admission does. It used to switch on the
+// three default scheme names with 0.2 hard-coded, so a configured
+// discount held only until a VM's first sample and any other scheme
+// billed nothing after it. Without overcommitment nothing deflates, so
+// every scheme's revenue is its undeflated rate times the VM-hours.
+func TestSampleBillingUsesConfiguredSchemes(t *testing.T) {
+	tr := testTrace(300)
+	res, err := Run(Config{Trace: tr, PricingSchemes: []pricing.Scheme{
+		pricing.Static{Discount: 0.5},
+		pricing.Allocation{Discount: 0.5},
+		perVMFee{fee: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected != 0 || res.ReclamationAttempts != 0 {
+		t.Fatalf("test premise broken: rejected %d, reclamation attempts %d on an un-overcommitted fleet", res.Rejected, res.ReclamationAttempts)
+	}
+	var hours float64
+	for _, vm := range tr.VMs {
+		if vm.Class == trace.Interactive {
+			hours += vm.Lifetime() / 3600
+		}
+	}
+	for scheme, want := range map[string]float64{
+		"static":     0.5 * res.OnDemandRevenue,
+		"allocation": 0.5 * res.OnDemandRevenue,
+		"per-vm":     3 * hours,
+	} {
+		if got := res.Revenue[scheme]; !almostEq(got, want) {
+			t.Errorf("Revenue[%s] = %v, want %v", scheme, got, want)
+		}
+	}
+}
+
+// TestRunRejectsTraceChangedAfterFirstRun: the P95 column is derived
+// once per trace, so a VM appended after a run has read it has no row;
+// both engines must say so instead of indexing past the column.
+func TestRunRejectsTraceChangedAfterFirstRun(t *testing.T) {
+	for _, mode := range []Mode{ModeDeflation, ModePreemption} {
+		tr := testTrace(50)
+		if _, err := Run(Config{Trace: tr, Mode: mode}); err != nil {
+			t.Fatal(err)
+		}
+		extra := *tr.VMs[0]
+		extra.ID = "late"
+		tr.VMs = append(tr.VMs, &extra)
+		if _, err := Run(Config{Trace: tr, Mode: mode}); err == nil || !strings.Contains(err.Error(), "immutable") {
+			t.Errorf("mode %d: err = %v, want one naming the immutability rule", mode, err)
+		}
 	}
 }
 

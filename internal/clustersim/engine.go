@@ -66,6 +66,11 @@ type Engine struct {
 	res     *Result
 	horizon float64
 
+	// p95 is the eager trace's row-indexed P95 column (nil on streamed
+	// runs), fetched once per run: arrivals and the partition planner
+	// read p95[row] instead of sorting the VM's series.
+	p95 []float64
+
 	// Streamed-trace state (nil/zero on eager runs). geo carries the
 	// compact sizing view between NewEngine and setupDeflation and is
 	// released before the event loop; synth/utilBuf serve admission-time
@@ -178,6 +183,23 @@ func (e *Engine) Run() (*Result, error) {
 	return e.runDeflation()
 }
 
+// loadP95 fetches the eager trace's P95 column for this run (streamed
+// runs have none). The column is derived once per trace and shared
+// read-only by every engine over it, so a trace whose VM list changed
+// after an earlier run no longer lines up with it; that is reported
+// here rather than as an index panic mid-run.
+func (e *Engine) loadP95() error {
+	tr := e.cfg.Trace
+	if tr == nil {
+		return nil
+	}
+	e.p95 = tr.P95Column()
+	if len(e.p95) != len(tr.VMs) {
+		return fmt.Errorf("clustersim: trace has %d VMs but its P95 column was derived for %d: a trace is immutable once a run has read it", len(tr.VMs), len(e.p95))
+	}
+	return nil
+}
+
 // setupDeflation builds the deflation-mode run state: the cluster
 // manager with its provisioned servers, the event queue seeded with the
 // trace and the shock schedule, and the metric accumulators. Split from
@@ -185,6 +207,9 @@ func (e *Engine) Run() (*Result, error) {
 // up and drive individual passes. The caller owns e.mgr.Close().
 func (e *Engine) setupDeflation() error {
 	cfg := e.cfg
+	if err := e.loadP95(); err != nil {
+		return err
+	}
 	mgrCfg := cluster.Config{
 		Policy:              cfg.Policy,
 		Mechanism:           cfg.Mechanism,
@@ -205,7 +230,7 @@ func (e *Engine) setupDeflation() error {
 	if cfg.Stream != nil {
 		partitions = partitionPlanStream(cfg, cfg.Stream, e.geo, e.nServers)
 	} else {
-		partitions = partitionPlan(cfg, e.nServers)
+		partitions = partitionPlan(cfg, e.p95, e.nServers)
 	}
 
 	// Portfolio typing and the analytic hazard model. Both are pure
@@ -688,7 +713,7 @@ func (e *Engine) samplePass(at float64) {
 			hist = e.sloHists[0]
 		}
 		for _, vt := range e.runList {
-			sampleVM(vt, at, e.cfg, hist)
+			sampleVM(vt, at, &e.cfg, hist)
 		}
 		return
 	}
@@ -707,7 +732,7 @@ func (e *Engine) samplePass(at float64) {
 		go func(chunk []*vmTracking, hist []uint64) {
 			defer wg.Done()
 			for _, vt := range chunk {
-				sampleVM(vt, at, e.cfg, hist)
+				sampleVM(vt, at, &e.cfg, hist)
 			}
 		}(e.runList[lo:hi], hist)
 	}
@@ -735,7 +760,7 @@ func (e *Engine) dropRunning(id string, vt *vmTracking) {
 // closeVM settles a VM's meters and folds its demand integrals into the
 // run accumulators.
 func (e *Engine) closeVM(vt *vmTracking, at float64) {
-	finishVM(vt, at, e.res, e.cfg)
+	finishVM(vt, at, e.res, &e.cfg)
 	e.demandTotal += vt.demand
 	e.lostTotal += vt.lost
 	if e.cfg.SLO != nil {
@@ -757,7 +782,7 @@ func (e *Engine) closeVM(vt *vmTracking, at float64) {
 // with, before any later commit of the same batch deflated it — which
 // is exactly what the one-at-a-time engine observed.
 func (e *Engine) handleArrivals(evs []simEvent) {
-	cfg := e.cfg
+	cfg := &e.cfg
 	streamed := cfg.Stream != nil
 	dcs := e.dcBuf[:0]
 	prios := e.prioBuf[:0]
@@ -788,7 +813,8 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 			// nothing downstream reads an on-demand VM's p95-derived prio
 			// (no meters, no SLO samples), so skip the synthesis.
 		default:
-			prio = policy.PriorityFromP95(vm.P95(), cfg.PriorityLevels)
+			// ev.seq is the VM's trace row on eager runs.
+			prio = policy.PriorityFromP95(e.p95[ev.seq], cfg.PriorityLevels)
 			dc.Priority = prio
 			if !deflatable {
 				dc.Priority = 0
@@ -856,13 +882,14 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 // closed-form PS model — pure float math, so the pass stays
 // allocation-free — and publishes the load to the domain for the
 // latency-aware policy's next pass.
-func sampleVM(vt *vmTracking, at float64, cfg Config, hist []uint64) {
+func sampleVM(vt *vmTracking, at float64, cfg *Config, hist []uint64) {
 	if !vt.domain.Deflatable() {
 		return
 	}
 	util := vmUtil(vt, at)
-	maxCores := vt.domain.MaxSize().Get(resources.CPU)
-	allocCores := vt.domain.Allocation().Get(resources.CPU)
+	size, alloc := vt.domain.MaxSize(), vt.domain.Allocation()
+	maxCores := size.Get(resources.CPU)
+	allocCores := alloc.Get(resources.CPU)
 	demand := util / 100 * maxCores * trace.SampleInterval
 	vt.demand += demand
 	if over := util/100*maxCores - allocCores; over > 0 {
@@ -886,16 +913,7 @@ func sampleVM(vt *vmTracking, at float64, cfg Config, hist []uint64) {
 		hist[idx]++
 	}
 	for i := range vt.meters {
-		var rate float64
-		switch cfg.PricingSchemes[i].Name() {
-		case "static":
-			rate = 0.2 * maxCores
-		case "priority":
-			rate = vt.prio * maxCores
-		case "allocation":
-			rate = 0.2 * allocCores
-		}
-		vt.meters[i].Observe(at/3600, rate)
+		vt.meters[i].Observe(at/3600, cfg.PricingSchemes[i].Rate(size, vt.prio, alloc))
 	}
 }
 
@@ -916,7 +934,7 @@ func vmUtil(vt *vmTracking, at float64) float64 {
 // additionally split by quantised priority level, and the VM's
 // on-demand-equivalent bill (cores × hours at rate 1) accumulates so
 // the run can report the paper's customer cost-savings fraction.
-func finishVM(vt *vmTracking, at float64, res *Result, cfg Config) {
+func finishVM(vt *vmTracking, at float64, res *Result, cfg *Config) {
 	for i := range vt.meters {
 		name := cfg.PricingSchemes[i].Name()
 		rev := vt.meters[i].Close(at / 3600)

@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"slices"
 	"sort"
 
 	"vmdeflate/internal/policy"
@@ -35,8 +36,15 @@ type pVM struct {
 // deflation engine: departures enter the queue only for admitted VMs,
 // and a preempted or shock-killed VM's stale departure event is ignored
 // because the VM is no longer in the running set.
+//
+// Residents are also kept per server, in admission order, so the
+// eviction search and the kill lists read only the server they concern
+// and every float fold over them is ordered by simulation state.
 func (e *Engine) runPreemption() (*Result, error) {
 	cfg := e.cfg
+	if err := e.loadP95(); err != nil {
+		return nil, err
+	}
 	free := make([]resources.Vector, e.nServers)
 	curCap := make([]resources.Vector, e.nServers)
 	revoked := make([]bool, e.nServers)
@@ -45,6 +53,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 		curCap[i] = cfg.ServerCapacity
 	}
 	running := map[string]*pVM{}
+	resident := make([][]*pVM, e.nServers)
 	res := &Result{Servers: e.nServers, Revenue: map[string]float64{}}
 	var demandTotal, lostTotal float64
 
@@ -60,51 +69,24 @@ func (e *Engine) runPreemption() (*Result, error) {
 		return true
 	}
 
-	evict := func(need resources.Vector, server int, now float64) bool {
-		var victims []*pVM
-		for _, vm := range running {
-			if vm.lowPri && vm.server == server {
-				victims = append(victims, vm)
-			}
-		}
-		sort.Slice(victims, func(i, j int) bool {
-			if victims[i].prio != victims[j].prio {
-				return victims[i].prio < victims[j].prio
-			}
-			return victims[i].rec.ID < victims[j].rec.ID
-		})
-		for _, v := range victims {
-			if need.FitsIn(free[server]) {
-				break
-			}
-			free[server] = free[server].Add(v.size)
-			delete(running, v.rec.ID)
-			res.Preemptions++
-			lostTotal += remainingDemand(v.rec, now)
-		}
-		return need.FitsIn(free[server])
-	}
-
-	// shockKill removes one VM the provider's capacity shock destroyed:
-	// unlike evict it is not an admission preemption, so it counts in
-	// ShockKills, and only low-priority demand feeds the loss ratio
-	// (the deflation engine charges its shock kills the same remaining
-	// demand, so the cross-engine loss comparison is apples to apples).
-	shockKill := func(vm *pVM, now float64) {
+	// leave takes vm off its server: capacity returns, and it drops out
+	// of the running set and (order-preserving) the resident list.
+	leave := func(vm *pVM) {
 		free[vm.server] = free[vm.server].Add(vm.size)
 		delete(running, vm.rec.ID)
-		res.ShockKills++
-		if vm.lowPri {
-			lostTotal += remainingDemand(vm.rec, now)
-		}
+		r := resident[vm.server]
+		i := slices.Index(r, vm)
+		resident[vm.server] = slices.Delete(r, i, i+1)
 	}
 
-	// victimsOn lists server i's residents lowest (priority, ID) first —
-	// the deterministic kill order shocks use.
-	victimsOn := func(i int) []*pVM {
+	// victimsOn lists server i's residents — only the low-priority ones
+	// when lowPriOnly — lowest (priority, ID) first: the deterministic
+	// kill order of evictions and shocks. The list is a copy, so callers
+	// may kill as they walk it.
+	victimsOn := func(i int, lowPriOnly bool) []*pVM {
 		var v []*pVM
-		for _, vm := range running {
-			if vm.server == i {
+		for _, vm := range resident[i] {
+			if vm.lowPri || !lowPriOnly {
 				v = append(v, vm)
 			}
 		}
@@ -117,6 +99,31 @@ func (e *Engine) runPreemption() (*Result, error) {
 		return v
 	}
 
+	evict := func(need resources.Vector, server int, now float64) bool {
+		for _, v := range victimsOn(server, true) {
+			if need.FitsIn(free[server]) {
+				break
+			}
+			leave(v)
+			res.Preemptions++
+			lostTotal += remainingDemand(v.rec, now)
+		}
+		return need.FitsIn(free[server])
+	}
+
+	// shockKill removes one VM the provider's capacity shock destroyed:
+	// unlike evict it is not an admission preemption, so it counts in
+	// ShockKills, and only low-priority demand feeds the loss ratio
+	// (the deflation engine charges its shock kills the same remaining
+	// demand, so the cross-engine loss comparison is apples to apples).
+	shockKill := func(vm *pVM, now float64) {
+		leave(vm)
+		res.ShockKills++
+		if vm.lowPri {
+			lostTotal += remainingDemand(vm.rec, now)
+		}
+	}
+
 	// bestEvictionServer picks the server where free space plus
 	// evictable low-priority allocation best covers `need`.
 	bestEvictionServer := func(need resources.Vector) int {
@@ -126,8 +133,8 @@ func (e *Engine) runPreemption() (*Result, error) {
 				continue
 			}
 			avail := free[i]
-			for _, vm := range running {
-				if vm.lowPri && vm.server == i {
+			for _, vm := range resident[i] {
+				if vm.lowPri {
 					avail = avail.Add(vm.size)
 				}
 			}
@@ -153,8 +160,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			if !ok {
 				continue // already preempted or shock-killed
 			}
-			free[vm.server] = free[vm.server].Add(vm.size)
-			delete(running, ev.vm.ID)
+			leave(vm)
 			continue
 		case evRevoke:
 			// Today's transient server disappearing: every resident
@@ -166,7 +172,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			}
 			revoked[i] = true
 			res.Revocations++
-			for _, vm := range victimsOn(i) {
+			for _, vm := range victimsOn(i, false) {
 				shockKill(vm, ev.at)
 			}
 			free[i] = resources.Vector{} // nothing fits a revoked server
@@ -191,7 +197,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			free[i] = free[i].Add(newCap.Sub(curCap[i]))
 			curCap[i] = newCap
 			res.Resizes++
-			for _, vm := range victimsOn(i) {
+			for _, vm := range victimsOn(i, false) {
 				if free[i].CheckNonNegative() == nil {
 					break
 				}
@@ -204,7 +210,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			rec:    ev.vm,
 			size:   vmSize(ev.vm),
 			lowPri: ev.vm.Class == trace.Interactive,
-			prio:   policy.PriorityFromP95(ev.vm.P95(), cfg.PriorityLevels),
+			prio:   policy.PriorityFromP95(e.p95[ev.seq], cfg.PriorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.
@@ -212,6 +218,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 		}
 		admit := func() {
 			running[ev.vm.ID] = vm
+			resident[vm.server] = append(resident[vm.server], vm)
 			queue.push(simEvent{at: ev.vm.End, kind: evDeparture, vm: ev.vm, seq: ev.seq})
 		}
 		if place(vm) {

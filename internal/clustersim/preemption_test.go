@@ -2,6 +2,7 @@ package clustersim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -57,6 +58,44 @@ func TestPreemptionBaselineUnderParallelEngineConfig(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestPreemptionRepeatableOnFractionalSizes: with memory sizes that are
+// not exactly representable sums, the order in which a server's
+// evictable residents are folded into its available capacity decides
+// the low bits of the fit score, and through it which server is
+// evicted from. That order is admission order, a function of simulation
+// state, so repeated runs must be identical. (Integral sizes, as the
+// synthetic generators draw, are exact in any order and cannot show
+// this.)
+func TestPreemptionRepeatableOnFractionalSizes(t *testing.T) {
+	tr := fractionalTrace(8, 1500)
+	rng := rand.New(rand.NewSource(8))
+	for i, vm := range tr.VMs {
+		if i%2 == 1 {
+			vm.Class = trace.DelayInsensitive // on-demand: may preempt
+		}
+		for n := int(vm.Lifetime() / trace.SampleInterval); n > 0; n-- {
+			vm.CPUUtil = append(vm.CPUUtil, rng.Float64()*100)
+		}
+	}
+	cfg := Config{Trace: tr, Mode: ModePreemption, Overcommit: 0.6}
+	first, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Preemptions == 0 {
+		t.Fatal("test premise broken: the baseline preempted nothing")
+	}
+	for i := 1; i < 20; i++ {
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d diverged from the first:\ngot   %+v\nfirst %+v", i, *got, *first)
 		}
 	}
 }

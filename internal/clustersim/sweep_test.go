@@ -40,6 +40,39 @@ func TestSweepGridParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSweepGridPointsMatchStandaloneRuns: the engines of a sweep share
+// one trace and the P95 column derived from it; sharing must be
+// invisible. Every grid point — all six strategies, so the partition
+// planner and the preemption baseline read the column too — equals a
+// standalone Run over a fresh AzureTrace around the same records, whose
+// column is cold.
+func TestSweepGridPointsMatchStandaloneRuns(t *testing.T) {
+	tr := testTrace(250)
+	ocs := []float64{0, 40, 70}
+	opts := Options{Workers: 2, SLO: &SLOConfig{MaxSlowdown: 2}}
+	grid, err := SweepGrid(tr, Strategies, ocs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := BaselineServerCount(tr, DefaultServerCapacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, strategy := range Strategies {
+		for pi, pct := range ocs {
+			cfg := strategyConfig(&trace.AzureTrace{VMs: tr.VMs}, strategy, baseline, pct/100)
+			applySLO(&cfg, opts.SLO)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sweepPoint(pct, res); !reflect.DeepEqual(grid[si].Points[pi], want) {
+				t.Errorf("%s @ %g%%: shared-trace sweep point differs from a standalone run:\ngot  %+v\nwant %+v", strategy, pct, grid[si].Points[pi], want)
+			}
+		}
+	}
+}
+
 func dump(rs []*SweepResult) []SweepResult {
 	out := make([]SweepResult, len(rs))
 	for i, r := range rs {

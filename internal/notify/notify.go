@@ -7,7 +7,9 @@
 package notify
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vmdeflate/internal/resources"
 )
@@ -49,61 +51,68 @@ type Event struct {
 type Subscriber func(Event)
 
 // Bus fans events out to subscribers. The zero value is ready to use.
+//
+// The subscriber list is copy-on-write: Subscribe and cancel build a new
+// slice under mu and swap it in, so Publish — which a traced run calls
+// once per allocation change, from every engine of a sweep at once — is
+// one atomic load plus the calls, with no lock and no allocation.
 type Bus struct {
-	mu   sync.RWMutex
-	subs map[int]Subscriber
+	mu   sync.Mutex // serialises Subscribe and cancel
+	subs atomic.Pointer[[]subscription]
 	next int
 
-	// Delivered counts events fanned out (for tests/metrics).
-	delivered int
+	// delivered counts events fanned out (for tests/metrics).
+	delivered atomic.Int64
 }
 
-// Subscribe registers fn and returns an unsubscribe function.
+// subscription is one registered subscriber; id is what its cancel
+// function removes.
+type subscription struct {
+	id int
+	fn Subscriber
+}
+
+func (b *Bus) snapshot() []subscription {
+	if p := b.subs.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Subscribe registers fn after every current subscriber and returns an
+// unsubscribe function.
 func (b *Bus) Subscribe(fn Subscriber) (cancel func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.subs == nil {
-		b.subs = make(map[int]Subscriber)
-	}
 	id := b.next
 	b.next++
-	b.subs[id] = fn
+	subs := append(slices.Clone(b.snapshot()), subscription{id, fn})
+	b.subs.Store(&subs)
 	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		delete(b.subs, id)
+		subs := slices.DeleteFunc(slices.Clone(b.snapshot()), func(s subscription) bool { return s.id == id })
+		b.subs.Store(&subs)
 	}
 }
 
-// Publish fans ev out to all subscribers.
+// Publish fans ev out to all subscribers, in subscription order. It
+// delivers to the list as it stood when the call began: a subscriber
+// cancelled while a Publish is in flight may still receive that event,
+// and none after it.
 func (b *Bus) Publish(ev Event) {
-	b.mu.RLock()
-	subs := make([]Subscriber, 0, len(b.subs))
-	for _, s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.RUnlock()
+	subs := b.snapshot()
 	for _, s := range subs {
-		s(ev)
+		s.fn(ev)
 	}
-	b.mu.Lock()
-	b.delivered += len(subs)
-	b.mu.Unlock()
+	b.delivered.Add(int64(len(subs)))
 }
 
 // Delivered returns the number of subscriber deliveries so far.
-func (b *Bus) Delivered() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.delivered
-}
+func (b *Bus) Delivered() int { return int(b.delivered.Load()) }
 
 // Subscribers returns the current subscriber count.
-func (b *Bus) Subscribers() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs)
-}
+func (b *Bus) Subscribers() int { return len(b.snapshot()) }
 
 // Classify derives the event kind from an allocation change: any
 // dimension shrinking means Deflated; otherwise Reinflated.

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -151,5 +153,82 @@ func TestDurationMemoised(t *testing.T) {
 	}
 	if got := tr.Duration(); got != want {
 		t.Fatalf("second Duration = %v, want %v", got, want)
+	}
+}
+
+// checkP95Column holds the column to VMRecord.P95 bit for bit (NaN on
+// both sides for an empty series).
+func checkP95Column(t *testing.T, name string, tr *AzureTrace) {
+	t.Helper()
+	col := tr.P95Column()
+	if len(col) != len(tr.VMs) {
+		t.Fatalf("%s: column has %d rows, trace %d", name, len(col), len(tr.VMs))
+	}
+	for i, vm := range tr.VMs {
+		if want := vm.P95(); math.Float64bits(col[i]) != math.Float64bits(want) {
+			t.Errorf("%s: row %d = %v, VMRecord.P95 = %v", name, i, col[i], want)
+		}
+	}
+}
+
+// TestP95ColumnMatchesRecordP95: the derived column is VMRecord.P95 row
+// by row on every generator, on a trace read back from CSV, and on the
+// degenerate series (one sample, none).
+func TestP95ColumnMatchesRecordP95(t *testing.T) {
+	for name, s := range testStreams(t, 300) {
+		checkP95Column(t, name, s.Materialize())
+	}
+
+	var buf bytes.Buffer
+	if err := WriteAzureCSV(&buf, testStreams(t, 40)["azure"].Materialize()); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := ReadAzureCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkP95Column(t, "csv", csv)
+
+	edge := &AzureTrace{VMs: []*VMRecord{
+		{ID: "one", Cores: 1, End: 300, CPUUtil: []float64{42.5}},
+		{ID: "none", Cores: 1},
+		{ID: "unsorted", Cores: 1, End: 900, CPUUtil: []float64{90, 10, 50}},
+	}}
+	checkP95Column(t, "edge", edge)
+	if col := edge.P95Column(); col[0] != 42.5 || !math.IsNaN(col[1]) {
+		t.Errorf("edge column = %v, want [42.5 NaN ...]", col)
+	}
+	if got := edge.VMs[2].CPUUtil; !reflect.DeepEqual(got, []float64{90, 10, 50}) {
+		t.Errorf("building the column reordered a record's series: %v", got)
+	}
+	checkP95Column(t, "empty", &AzureTrace{})
+}
+
+// TestP95ColumnBuiltOnce pins the work count: each record's series is
+// sorted exactly once per trace however many goroutines read the column
+// and however often, and every read returns the same backing array.
+// Run under -race by `make race-placement`.
+func TestP95ColumnBuiltOnce(t *testing.T) {
+	tr := testStreams(t, 300)["bursty"].Materialize()
+	cols := make([][]float64, 8)
+	var wg sync.WaitGroup
+	for g := range cols {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				cols[g] = tr.P95Column()
+			}
+			tr.ByPeak() // reads the column too
+		}()
+	}
+	wg.Wait()
+	if tr.p95Sorts != len(tr.VMs) {
+		t.Errorf("%d series sorts for %d VMs, want one each", tr.p95Sorts, len(tr.VMs))
+	}
+	for g, col := range cols {
+		if &col[0] != &cols[0][0] {
+			t.Errorf("goroutine %d read a different backing array", g)
+		}
 	}
 }

@@ -15,6 +15,7 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"vmdeflate/internal/stats"
@@ -196,13 +197,22 @@ func Peak(p95 float64) PeakClass {
 }
 
 // AzureTrace is a collection of VM records. Traces are treated as
-// immutable once built; callers that mutate VMs after the first
-// Duration call get stale cached values.
+// immutable once built: what depends on the trace alone — the horizon
+// (Duration) and the row-indexed P95 column (P95Column) — is derived on
+// first use and cached, so callers that append, drop or edit VMs after
+// the first Duration or P95Column call get stale cached values.
+// Concurrent readers may share one trace.
 type AzureTrace struct {
 	VMs []*VMRecord
 
 	durOnce sync.Once
 	dur     float64
+
+	p95Once sync.Once
+	p95     []float64
+	// p95Sorts counts the series sorted while building p95; the tests pin
+	// it to len(VMs) however many readers asked.
+	p95Sorts int
 }
 
 // ByClass partitions the trace's VMs by workload class.
@@ -226,8 +236,10 @@ func (t *AzureTrace) BySize() map[SizeClass][]*VMRecord {
 // ByPeak partitions the trace's VMs by p95 utilisation bucket.
 func (t *AzureTrace) ByPeak() map[PeakClass][]*VMRecord {
 	m := make(map[PeakClass][]*VMRecord)
-	for _, vm := range t.VMs {
-		m[Peak(vm.P95())] = append(m[Peak(vm.P95())], vm)
+	p95 := t.P95Column()
+	for i, vm := range t.VMs {
+		c := Peak(p95[i])
+		m[c] = append(m[c], vm)
 	}
 	return m
 }
@@ -245,6 +257,26 @@ func (t *AzureTrace) Duration() float64 {
 		}
 	})
 	return t.dur
+}
+
+// P95Column returns every record's P95, indexed by trace row: the value
+// VMRecord.P95 computes, bit for bit (NaN for an empty series). The
+// column is built once — one sort per record through a single reused
+// buffer — and cached like Duration, so every engine of a sweep over
+// this trace reads the same slice instead of copying and sorting a
+// VM's series at each of its arrivals. Callers must not modify it.
+func (t *AzureTrace) P95Column() []float64 {
+	t.p95Once.Do(func() {
+		t.p95 = make([]float64, len(t.VMs))
+		var buf []float64
+		for i, vm := range t.VMs {
+			buf = append(buf[:0], vm.CPUUtil...)
+			sort.Float64s(buf)
+			t.p95Sorts++
+			t.p95[i] = stats.PercentileSorted(buf, 95)
+		}
+	})
+	return t.p95
 }
 
 // ContainerRecord is one container's row in an Alibaba-style trace. All
