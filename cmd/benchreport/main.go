@@ -9,8 +9,9 @@
 //	benchreport -quick     # smaller traces / shorter runs
 //	benchreport -scale 50000                 # cloud-scale single-run smoke
 //	benchreport -scale 50000 -scaleout BENCH_scale.json
-//	benchreport -scale 1000000               # the 1M-VM point (sharded + partitioned)
-//	benchreport -scale 100000 -shards 1 -partitions 1   # force a sequential run
+//	benchreport -scale 1000000               # the 1M-VM point (sharded sample pass)
+//	benchreport -scale 100000 -shards 1      # force a sequential run
+//	benchreport -scale 100000 -partitions 0  # placement partitioned across all cores
 //	benchreport -scale 50000 -scenario bursty           # a different workload shape
 //	benchreport -scale 50000 -shocks poisson -scaleout BENCH_revocation.json
 //	                                # revocation churn: transient servers revoked and
@@ -38,11 +39,12 @@
 //
 // The -scale mode runs one deflation-mode simulation at the given VM
 // count through the capacity-indexed manager — with the sample/
-// reinflation passes sharded and arrival placement partitioned across
-// all cores by default (results are invariant to both counts) — and
-// writes a small JSON report (wall time, arrivals/s, admission counts,
-// peak heap, per-phase wall times) for CI to archive, so the perf
-// trajectory is tracked PR-over-PR. With -stream the trace is never
+// reinflation passes sharded across all cores by default and arrival
+// placement sequential unless -partitions says otherwise, as in
+// deflationsim (results are invariant to both counts) — and writes a
+// small JSON report (wall time, arrivals/s, admission counts, peak heap,
+// per-phase wall times) for CI to archive, so the perf trajectory is
+// tracked PR-over-PR. With -stream the trace is never
 // materialised: VM parameters generate at arrival and utilisation
 // synthesizes through per-VM cursors, the identical-results guarantee
 // being pinned by the streamed differential suite.
@@ -974,7 +976,7 @@ func main() {
 	scale := flag.Int("scale", 0, "run only the cloud-scale single-run smoke at this VM count")
 	scaleOut := flag.String("scaleout", "BENCH_scale.json", "where -scale writes its JSON report")
 	shards := flag.Int("shards", 0, "intra-run shard count for -scale (0 = all cores, 1 = sequential)")
-	partitions := flag.Int("partitions", 0, "placement partitions for -scale (0 = all cores, 1 = sequential)")
+	partitions := flag.Int("partitions", 1, "placement partitions for -scale (0 = all cores, 1 = sequential, the default: every measured point has lost to it)")
 	scenario := flag.String("scenario", "heavytail", "scenario for -scale: azure, diurnal, bursty or heavytail")
 	shocks := flag.String("shocks", "none", "capacity-shock scenario for -scale: none, poisson, diurnal or rack")
 	slo := flag.Int("slo", 0, "run only the SLO frontier smoke (proportional vs latency-aware) at this VM count")

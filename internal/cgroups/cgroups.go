@@ -9,28 +9,23 @@ package cgroups
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"vmdeflate/internal/resources"
 )
 
-// Errors returned by the hierarchy.
-var (
-	ErrExists   = errors.New("cgroups: group already exists")
-	ErrNotFound = errors.New("cgroups: group not found")
-	ErrInvalid  = errors.New("cgroups: invalid limit")
-)
+// ErrInvalid reports a limit no controller accepts.
+var ErrInvalid = errors.New("cgroups: invalid limit")
 
 // Unlimited marks a controller with no limit set.
 const Unlimited = -1.0
 
 // Group is one cgroup holding a single VM. Limits use the same units as
 // resources.Vector: cores, MB, MB/s, Mbit/s. A negative limit means
-// unlimited (the controller is not engaged).
+// unlimited (the controller is not engaged). The zero value is a group
+// with no controller engaged, ready to use, so the owning domain embeds
+// it by value.
 type Group struct {
-	name string
-
 	mu     sync.Mutex
 	limits resources.Vector
 	set    [resources.NumKinds]bool
@@ -38,9 +33,6 @@ type Group struct {
 	// usage is the most recently reported consumption, for accounting.
 	usage resources.Vector
 }
-
-// Name returns the group's path-like name.
-func (g *Group) Name() string { return g.name }
 
 // SetLimit engages the controller for kind k at the given value.
 // A zero CPU or memory limit is rejected: freezing a VM entirely is
@@ -53,6 +45,28 @@ func (g *Group) SetLimit(k resources.Kind, v float64) error {
 	defer g.mu.Unlock()
 	g.limits[k] = v
 	g.set[k] = true
+	return nil
+}
+
+// SetLimits is the batched SetLimit a deflation mechanism issues per
+// target: it engages every controller whose component of v is positive
+// in one critical section. Zero components leave their controller as it
+// is (the mechanisms' "no target on this dimension"); a negative
+// component rejects the whole write, leaving every controller untouched.
+func (g *Group) SetLimits(v resources.Vector) error {
+	for i, x := range v {
+		if x < 0 {
+			return fmt.Errorf("%w: %s=%g", ErrInvalid, resources.Kind(i), x)
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i, x := range v {
+		if x > 0 {
+			g.limits[i] = x
+			g.set[i] = true
+		}
+	}
 	return nil
 }
 
@@ -126,68 +140,4 @@ func (g *Group) Throttled() [resources.NumKinds]bool {
 		out[i] = g.set[i] && g.usage[i] >= g.limits[i]*0.99
 	}
 	return out
-}
-
-// Hierarchy is a flat namespace of groups, one per VM, owned by a host.
-type Hierarchy struct {
-	mu     sync.Mutex
-	groups map[string]*Group
-}
-
-// NewHierarchy creates an empty hierarchy.
-func NewHierarchy() *Hierarchy {
-	return &Hierarchy{groups: make(map[string]*Group)}
-}
-
-// Create adds a group.
-func (h *Hierarchy) Create(name string) (*Group, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.groups[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrExists, name)
-	}
-	g := &Group{name: name}
-	h.groups[name] = g
-	return g, nil
-}
-
-// Lookup finds a group by name.
-func (h *Hierarchy) Lookup(name string) (*Group, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	g, ok := h.groups[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return g, nil
-}
-
-// Remove deletes a group.
-func (h *Hierarchy) Remove(name string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.groups[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	delete(h.groups, name)
-	return nil
-}
-
-// Names returns all group names in sorted order.
-func (h *Hierarchy) Names() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.groups))
-	for n := range h.groups {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of groups.
-func (h *Hierarchy) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.groups)
 }

@@ -8,49 +8,8 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-func TestHierarchyCreateLookupRemove(t *testing.T) {
-	h := NewHierarchy()
-	g, err := h.Create("machine/vm-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Name() != "machine/vm-1" {
-		t.Errorf("Name = %q", g.Name())
-	}
-	if _, err := h.Create("machine/vm-1"); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate create err = %v", err)
-	}
-	got, err := h.Lookup("machine/vm-1")
-	if err != nil || got != g {
-		t.Errorf("Lookup = %v, %v", got, err)
-	}
-	if _, err := h.Lookup("nope"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing lookup err = %v", err)
-	}
-	if err := h.Remove("machine/vm-1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Remove("machine/vm-1"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double remove err = %v", err)
-	}
-}
-
-func TestHierarchyNames(t *testing.T) {
-	h := NewHierarchy()
-	h.Create("b")
-	h.Create("a")
-	h.Create("c")
-	names := h.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Errorf("Names = %v", names)
-	}
-	if h.Len() != 3 {
-		t.Errorf("Len = %d", h.Len())
-	}
-}
-
 func TestLimits(t *testing.T) {
-	g := &Group{name: "vm"}
+	g := &Group{}
 	if _, ok := g.Limit(resources.CPU); ok {
 		t.Error("no limit should be engaged initially")
 	}
@@ -73,8 +32,46 @@ func TestLimits(t *testing.T) {
 	}
 }
 
+// TestSetLimitsBatched: the batched write engages exactly the
+// controllers the single setter would for each positive component,
+// leaves zero components' controllers as they were, and a negative
+// component rejects the whole vector without touching any controller.
+func TestSetLimitsBatched(t *testing.T) {
+	batched, single := &Group{}, &Group{}
+	for _, g := range []*Group{batched, single} {
+		g.SetLimit(resources.NetBW, 700) // survives a zero component
+	}
+	v := resources.New(2.5, 4096, 50, 0)
+	if err := batched.SetLimits(v); err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range v {
+		if x > 0 {
+			if err := single.SetLimit(resources.Kind(i), x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, want := batched.Limits(), single.Limits(); got != want {
+		t.Errorf("batched limits = %v, single setters = %v", got, want)
+	}
+	if got := batched.Limits(); got != resources.New(2.5, 4096, 50, 700) {
+		t.Errorf("limits = %v", got)
+	}
+	before := batched.Limits()
+	if err := batched.SetLimits(resources.New(1, -1, 10, 10)); !errors.Is(err, ErrInvalid) {
+		t.Errorf("negative component err = %v", err)
+	}
+	if got := batched.Limits(); got != before {
+		t.Errorf("rejected write moved limits: %v -> %v", before, got)
+	}
+	if err := (&Group{}).SetLimits(resources.Vector{}); err != nil {
+		t.Errorf("all-zero vector err = %v", err)
+	}
+}
+
 func TestLimitsVector(t *testing.T) {
-	g := &Group{name: "vm"}
+	g := &Group{}
 	g.SetLimit(resources.CPU, 2)
 	l := g.Limits()
 	if l[resources.CPU] != 2 {
@@ -88,7 +85,7 @@ func TestLimitsVector(t *testing.T) {
 }
 
 func TestEffective(t *testing.T) {
-	g := &Group{name: "vm"}
+	g := &Group{}
 	nominal := resources.New(8, 16384, 100, 1000)
 	if got := g.Effective(nominal); got != nominal {
 		t.Errorf("unengaged effective = %v", got)
@@ -108,7 +105,7 @@ func TestEffective(t *testing.T) {
 }
 
 func TestUsageAndThrottled(t *testing.T) {
-	g := &Group{name: "vm"}
+	g := &Group{}
 	g.SetLimit(resources.CPU, 4)
 	g.ReportUsage(resources.New(3.96, 1000, 0, 0))
 	th := g.Throttled()
@@ -128,8 +125,7 @@ func TestUsageAndThrottled(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	h := NewHierarchy()
-	g, _ := h.Create("vm")
+	g := &Group{}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -140,7 +136,7 @@ func TestConcurrentAccess(t *testing.T) {
 				g.Effective(resources.New(8, 8192, 0, 0))
 				g.ReportUsage(resources.New(float64(j), 0, 0, 0))
 				g.Limits()
-				h.Names()
+				g.SetLimits(resources.New(float64(i+1), 4096, 0, 0))
 			}
 		}(i)
 	}

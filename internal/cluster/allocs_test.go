@@ -59,9 +59,8 @@ func policyPassCycle(tb testing.TB, s *Server, cfg Config) {
 
 // TestPolicyPassSteadyStateZeroAllocs is the allocation-regression
 // guard for the placement hot path: once the per-server scratch arena
-// and the host's cached VM-state view are warm, the PlaceOn deflation
-// pass and Reinflate must perform zero heap allocations, for every
-// policy. (Full PlaceOn additionally defines and starts a domain, which
+// is warm, the PlaceOn deflation pass and Reinflate must perform zero
+// heap allocations, for every policy. (Full PlaceOn additionally defines and starts a domain, which
 // allocates by nature; the policy pass is the part that runs once per
 // pressured arrival and departure at cloud scale.)
 func TestPolicyPassSteadyStateZeroAllocs(t *testing.T) {
@@ -118,5 +117,38 @@ func BenchmarkPolicyPassSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		policyPassCycle(b, s, cfg)
+	}
+}
+
+// TestPlaceRemovePairAllocatesOneDomain pins the per-VM allocation
+// budget of the manager's churn path: on a populated manager in steady
+// state, admitting a VM under pressure (dirty sync, pressure descent,
+// policy pass, launch) and removing it again (teardown, reinflation
+// pass) allocates one object — the hypervisor.Domain, which carries its
+// guest, cgroup and accounting row — and nothing per call on either
+// path.
+func TestPlaceRemovePairAllocatesOneDomain(t *testing.T) {
+	m := newTestManager(t, 4, Config{})
+	for i := 0; i < 16; i++ { // four 12-core residents fill each 48-core server
+		if _, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("resident-%02d", i), 12, 24576, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dc := deflatableVM("churn", 8, 16384, 0.5) // fits nowhere without deflation
+	pair := func() {
+		if _, _, err := m.PlaceVM(dc); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RemoveVM(dc.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair() // warm the arenas, the placement map and the host's row table
+	before := m.DeflationEvents()
+	if got := testing.AllocsPerRun(200, pair); got > 1 {
+		t.Errorf("PlaceVM + RemoveVM allocates %.1f objects per pair, want at most 1 (the Domain)", got)
+	}
+	if m.DeflationEvents() == before {
+		t.Error("the pair never deflated a resident: the policy-pass path was not exercised")
 	}
 }

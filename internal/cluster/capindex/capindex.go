@@ -4,41 +4,28 @@
 //
 // # Architecture
 //
-// The package provides two pieces, both deliberately ignorant of the
-// cluster types that use them:
-//
-//   - Index — an ordered set of servers keyed by (key, name), where key
-//     is the server's dominant free share (max over dimensions of
-//     free/capacity). It is a treap whose heap priorities are derived
-//     deterministically from the server name (FNV-1a), so the tree shape
-//     — and therefore iteration cost — depends only on the inserted set,
-//     never on insertion order or a random source. AscendFrom iterates
-//     entries in ascending (key, name) order starting at a key lower
-//     bound, pruning whole subtrees below the bound; a tightest-fit
-//     surplus query visits the fitting server with the smallest free
-//     share first.
-//   - DirtySet — a mutex-guarded set of server names whose cached state
-//     is stale. Host aggregate-change callbacks only Mark (a leaf lock,
-//     safe to take while hypervisor locks are held); the manager Drains
-//     the set — in sorted name order, so downstream float arithmetic
-//     stays deterministic — and refreshes index keys and cached
-//     availability vectors for exactly the dirty servers.
+// The package provides Index, deliberately ignorant of the cluster types
+// that use it: an ordered set of servers keyed by (key, name), where key
+// is the server's dominant free share (max over dimensions of
+// free/capacity). It is a treap whose heap priorities are derived
+// deterministically from the server name (FNV-1a), so the tree shape —
+// and therefore iteration cost — depends only on the inserted set, never
+// on insertion order or a random source. AscendFrom iterates entries in
+// ascending (key, name) order starting at a key lower bound, pruning
+// whole subtrees below the bound; a tightest-fit surplus query visits
+// the fitting server with the smallest free share first. Which servers'
+// keys are stale is the cluster manager's business (its per-partition
+// dirty lists, cluster/partition.go).
 //
 // # Determinism invariants
 //
 // Ties on key are broken by name everywhere (Less, AscendFrom, Min), so
 // an index query returns the same server as a brute-force linear scan
 // that applies the same (key, name) minimisation — the property the
-// cluster package's differential suite asserts bit-for-bit. Drain
-// returns names sorted so that delta updates to cluster-wide totals are
-// applied in one fixed order regardless of callback arrival order.
+// cluster package's differential suite asserts bit-for-bit.
 package capindex
 
-import (
-	"hash/fnv"
-	"sort"
-	"sync"
-)
+import "hash/fnv"
 
 // node is one treap node: BST-ordered by (key, name), heap-ordered by
 // prio.
@@ -316,59 +303,4 @@ func ascend(n *node, lower float64, visit func(string, float64) bool) bool {
 	// Everything in the left subtree is <= this node, so when the node is
 	// below the bound only the right subtree can still qualify.
 	return ascend(n.right, lower, visit)
-}
-
-// DirtySet collects the names of servers whose cached aggregates are
-// stale. Mark is safe to call from hypervisor aggregate-change callbacks
-// (it takes only the set's own mutex, a leaf in the lock order); Drain
-// empties the set and returns the names sorted, so refresh work — and
-// any float arithmetic it performs — happens in one deterministic order.
-type DirtySet struct {
-	mu    sync.Mutex
-	names map[string]struct{}
-	// buf is the reusable drain buffer: the set has a single consumer
-	// (the cluster manager, under its own lock), so Drain can hand back
-	// the same backing array every time and the per-query refresh stays
-	// allocation-free between bursts of churn.
-	buf []string
-}
-
-// NewDirtySet returns an empty set.
-func NewDirtySet() *DirtySet {
-	return &DirtySet{names: make(map[string]struct{})}
-}
-
-// Mark adds name to the set.
-func (s *DirtySet) Mark(name string) {
-	s.mu.Lock()
-	s.names[name] = struct{}{}
-	s.mu.Unlock()
-}
-
-// Len returns the number of marked names.
-func (s *DirtySet) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.names)
-}
-
-// Drain removes and returns all marked names in sorted order. It returns
-// nil when nothing is dirty, so hot paths can skip refresh work without
-// allocating. The returned slice is backed by the set's reusable buffer
-// and is valid only until the next Drain.
-func (s *DirtySet) Drain() []string {
-	s.mu.Lock()
-	if len(s.names) == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	out := s.buf[:0]
-	for n := range s.names {
-		out = append(out, n)
-	}
-	s.buf = out
-	clear(s.names)
-	s.mu.Unlock()
-	sort.Strings(out)
-	return out
 }

@@ -259,25 +259,6 @@ func TestDescIterEmpty(t *testing.T) {
 	}
 }
 
-func TestDirtySet(t *testing.T) {
-	s := NewDirtySet()
-	if got := s.Drain(); got != nil {
-		t.Fatalf("drain of empty set = %v", got)
-	}
-	s.Mark("b")
-	s.Mark("a")
-	s.Mark("b") // dedup
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if got := s.Drain(); fmt.Sprint(got) != "[a b]" {
-		t.Fatalf("drain = %v, want sorted [a b]", got)
-	}
-	if s.Len() != 0 {
-		t.Fatal("drain should empty the set")
-	}
-}
-
 // structEqual compares two treaps node by node — shape included.
 func structEqual(a, b *node) bool {
 	if a == nil || b == nil {

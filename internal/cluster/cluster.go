@@ -32,7 +32,7 @@
 // identically.
 //
 // With Config.PlacementPartitions > 1 the servers are split across
-// placement partitions, each owning its own indexes, dirty set and
+// placement partitions, each owning its own indexes, dirty list and
 // scratch arenas, and batch placements (PlaceVMs) run a parallel
 // propose / serial commit protocol whose results are bit-for-bit
 // identical at any partition count — see partition.go for the protocol
@@ -54,12 +54,15 @@ import (
 )
 
 // applyAndNotify applies target to d via cfg.Mechanism and publishes an
-// allocation-change event when a bus is configured. When buf is non-nil
-// the event is appended there instead of published — the parallel
-// reinflation path buffers per-server events and publishes them merged
-// in deterministic server order after its barrier.
-func applyAndNotify(s *Server, cfg Config, d *hypervisor.Domain, target resources.Vector, buf *[]notify.Event) error {
-	old := d.Allocation()
+// allocation-change event when a bus is configured. old is d's
+// allocation before the write: the Current column of the deflatable view
+// the pass read, which nothing but this call moves within the pass — so
+// the event is built from the view and from what Apply returns, with no
+// further locked read of the domain. When buf is non-nil the event is
+// appended there instead of published — the parallel reinflation path
+// buffers per-server events and publishes them merged in deterministic
+// server order after its barrier.
+func applyAndNotify(s *Server, cfg Config, d *hypervisor.Domain, old, target resources.Vector, buf *[]notify.Event) error {
 	got, err := cfg.Mechanism.Apply(d, target)
 	if err != nil {
 		return err
@@ -71,8 +74,8 @@ func applyAndNotify(s *Server, cfg Config, d *hypervisor.Domain, target resource
 			Kind:              notify.Classify(old, got),
 			Old:               old,
 			New:               got,
-			DeflationFraction: d.DeflationFraction(),
-			Mechanism:         d.DeflatedBy(),
+			DeflationFraction: got.DeflationFraction(d.MaxSize()),
+			Mechanism:         cfg.Mechanism.Name(),
 		}
 		if buf != nil {
 			*buf = append(*buf, ev)
@@ -144,7 +147,7 @@ type Config struct {
 	ReinflateShards int
 	// PlacementPartitions splits the servers across this many placement
 	// partitions (round-robin by add order), each owning its own
-	// capacity-index treaps, dirty set and propose arenas. Batch
+	// capacity-index treaps, dirty list and propose arenas. Batch
 	// placements (PlaceVMs) then propose in parallel across partitions
 	// and commit serially in input order — see partition.go. 0 or 1
 	// keeps the fully sequential engine. Placement results, counters and
@@ -240,6 +243,13 @@ type Server struct {
 	// lock.
 	reserveFrac float64
 	reserve     resources.Vector
+	// queued says the server already sits in its placement partition's
+	// dirty list; guarded by that partition's dirtyMu.
+	queued bool
+	// removeEpoch is the Manager.removeEpoch of the last RemoveVMs call
+	// that took a VM off this server — that call's "already in the
+	// affected list" mark. Guarded by the Manager's lock.
+	removeEpoch uint64
 
 	// Cached placement state, refreshed by the owning Manager's dirty
 	// sync (syncDirtyLocked) and read only under the Manager's lock.
@@ -251,7 +261,7 @@ type Server struct {
 	avail     resources.Vector      // the Section 5.2 availability vector
 
 	// scratch is the server's policy-pass arena: the VM-state/domain
-	// buffers PlaceOn and Reinflate fill from the host's cached view,
+	// buffers PlaceOn and Reinflate fill from the host's deflatable view,
 	// plus the policy.Scratch the water-filling solvers run in. One
 	// arena per server means concurrent passes on distinct servers
 	// (parallel reinflation shards) never contend, and steady-state
@@ -281,7 +291,7 @@ type Manager struct {
 	placements map[string]*Server
 
 	// Placement partitions: each owns, for its round-robin share of the
-	// servers, the per-priority-pool capacity indexes, the dirty set fed
+	// servers, the per-priority-pool capacity indexes, the dirty list fed
 	// by its hosts' aggregate-change callbacks, and the propose/sync
 	// arenas of the parallel batch engine (partition.go). Always at
 	// least one.
@@ -289,7 +299,7 @@ type Manager struct {
 
 	// Cluster-wide totals for O(1) Stats: capacity is exact (updated on
 	// AddServer); committed and allocated are delta-maintained from the
-	// per-server aggregate refreshes, applied in the dirty set's sorted
+	// per-server aggregate refreshes, applied in the dirty lists' sorted
 	// drain order so they stay deterministic.
 	totCapacity  resources.Vector
 	totCommitted resources.Vector
@@ -330,6 +340,7 @@ type Manager struct {
 	cands         candList
 	affected      []*Server
 	reinflateErrs []error
+	removeEpoch   uint64 // RemoveVMs call counter (Server.removeEpoch)
 
 	// Pruned pressure-scan arenas (pressure.go), used only under mu:
 	// the descending bound-index iterators (one per group index, inner
@@ -485,7 +496,6 @@ func NewManager(cfg Config) *Manager {
 			indexes: make(map[int]*capindex.Index),
 			bounds:  make(map[int]*capindex.Index),
 			maxCap:  make(map[int]resources.Vector),
-			dirty:   capindex.NewDirtySet(),
 		}
 	}
 	return m
@@ -565,8 +575,8 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	}
 	// The callback only records dirtiness; the next query refreshes the
 	// server's index key, cached availability and the cluster totals.
-	h.OnAggregateChange(func() { pp.dirty.Mark(name) })
-	pp.dirty.Mark(name)
+	h.OnAggregateChange(func() { pp.markDirty(s) })
+	pp.markDirty(s)
 	return s, nil
 }
 
@@ -999,7 +1009,7 @@ const newcomerName = "\x00newcomer"
 
 // deflateFor is PlaceOn's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
-// initial allocation. The pass reads the host's cached VM-state view
+// initial allocation. The pass reads the host's deflatable VM-state view
 // and runs the policy through the server's scratch arena, then applies
 // targets in the view's name order — so steady-state calls perform zero
 // heap allocations and notification delivery is deterministic.
@@ -1011,7 +1021,7 @@ func deflateFor(s *Server, cfg Config, dc hypervisor.DomainConfig) (resources.Ve
 		return dc.Size, 0, nil
 	}
 
-	// Collect deflatable VMs from the host's cached view; the newcomer
+	// Collect deflatable VMs from the host's view; the newcomer
 	// joins the pool if it is itself deflatable ("a new incoming VM ...
 	// can thus start its execution in a deflated mode", Section 5.1.1).
 	sc := &s.scratch
@@ -1037,11 +1047,11 @@ func deflateFor(s *Server, cfg Config, dc hypervisor.DomainConfig) (resources.Ve
 	// Apply deflation to resident VMs, in the view's name order.
 	deflations := 0
 	for i := 0; i < nResident; i++ {
-		d := sc.doms[i]
-		if res.Targets[i].DeflationFraction(d.Allocation()) > 1e-9 {
+		cur := sc.vms[i].Current
+		if res.Targets[i].DeflationFraction(cur) > 1e-9 {
 			deflations++
 		}
-		if err := applyAndNotify(s, cfg, d, res.Targets[i], nil); err != nil {
+		if err := applyAndNotify(s, cfg, sc.doms[i], cur, res.Targets[i], nil); err != nil {
 			return resources.Vector{}, deflations, err
 		}
 	}
@@ -1104,40 +1114,23 @@ func (m *Manager) RemoveVM(name string) error {
 func (m *Manager) RemoveVMs(names ...string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Servers touched by this call carry its epoch: a stamp compare per
+	// name instead of a per-call set.
+	m.removeEpoch++
 	affected := m.affected[:0]
-	seen := map[*Server]bool{}
-	remove := func(name string) error {
-		s, ok := m.placements[name]
-		if !ok {
-			return fmt.Errorf("%w: VM %s", ErrNotFound, name)
-		}
-		d, err := s.Host.Lookup(name)
-		if err != nil {
-			return err
-		}
-		if d.State() == hypervisor.Running {
-			if err := d.Shutdown(); err != nil {
-				return err
-			}
-		}
-		if err := s.Host.Undefine(name); err != nil {
-			return err
-		}
-		delete(m.placements, name)
-		if !seen[s] {
-			seen[s] = true
-			affected = append(affected, s)
-		}
-		return nil
-	}
 	var firstErr error
 	for _, name := range names {
-		if err := remove(name); err != nil {
+		s, err := m.removeOneLocked(name)
+		if err != nil {
 			// Stop removing, but fall through to reinflation: servers
 			// whose VMs already left must not keep their survivors
 			// deflated just because a later name in the batch was bad.
 			firstErr = err
 			break
+		}
+		if s.removeEpoch != m.removeEpoch {
+			s.removeEpoch = m.removeEpoch
+			affected = append(affected, s)
 		}
 	}
 	m.affected = affected
@@ -1147,33 +1140,71 @@ func (m *Manager) RemoveVMs(names ...string) error {
 	return firstErr
 }
 
+// removeOneLocked tears one placed VM down and returns the server it
+// left.
+func (m *Manager) removeOneLocked(name string) (*Server, error) {
+	s, ok := m.placements[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: VM %s", ErrNotFound, name)
+	}
+	d, err := s.Host.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return s, m.teardownLocked(s, d)
+}
+
+// teardownLocked stops and undefines d on s and forgets its placement —
+// the departure half shared by RemoveVMs and the displacement of a
+// capacity shock's evacuees.
+func (m *Manager) teardownLocked(s *Server, d *hypervisor.Domain) error {
+	if d.State() == hypervisor.Running {
+		if err := d.Shutdown(); err != nil {
+			return err
+		}
+	}
+	if err := s.Host.Undefine(d.Name()); err != nil {
+		return err
+	}
+	delete(m.placements, d.Name())
+	return nil
+}
+
 // reinflateAffected runs one reinflation pass per affected server.
 // Sequentially the servers are processed in first-touched order; with
-// ReinflateShards > 1 server i goes to worker i % shards, every worker
-// joins a barrier, and buffered notification events are then published
-// in the same first-touched server order (events within one server are
-// already in name order). Per-server passes touch only their own host
-// and scratch arena, so the resulting allocations — and the error
-// reported, always the first in server order — are bit-for-bit
-// identical at any shard count.
+// ReinflateShards > 1 the passes fan out (reinflateSharded). Per-server
+// passes touch only their own host and scratch arena, so the resulting
+// allocations — and the error reported, always the first in server
+// order — are bit-for-bit identical at any shard count.
 func (m *Manager) reinflateAffected(affected []*Server) error {
-	if m.cfg.CollectTimings && len(affected) > 0 {
-		t0 := time.Now()
-		defer func() { m.reinflateTime += time.Since(t0) }()
+	var t0 time.Time
+	timed := m.cfg.CollectTimings && len(affected) > 0
+	if timed {
+		t0 = time.Now()
 	}
-	shards := m.cfg.ReinflateShards
-	if shards > len(affected) {
-		shards = len(affected)
-	}
-	if shards <= 1 {
-		var firstErr error
+	var firstErr error
+	if shards := min(m.cfg.ReinflateShards, len(affected)); shards > 1 {
+		firstErr = m.reinflateSharded(affected, shards)
+	} else {
 		for _, s := range affected {
-			if err := Reinflate(s, m.cfg); err != nil && firstErr == nil {
+			if err := reinflate(s, m.cfg, nil); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
-		return firstErr
 	}
+	if timed {
+		m.reinflateTime += time.Since(t0)
+	}
+	return firstErr
+}
+
+// reinflateSharded is the parallel form of reinflateAffected: server i
+// goes to worker i % shards, every worker joins a barrier, and buffered
+// notification events are then published in the same first-touched
+// server order the sequential path uses (events within one server are
+// already in name order). It is its own function so that what the
+// workers capture escapes to the heap only on calls that fan out.
+func (m *Manager) reinflateSharded(affected []*Server, shards int) error {
 	errs := m.reinflateErrs[:0]
 	for range affected {
 		errs = append(errs, nil)
@@ -1223,7 +1254,7 @@ func Reinflate(s *Server, cfg Config) error {
 }
 
 // reinflate is the reinflation policy pass. Like deflateFor it consumes
-// the host's cached VM-state view through the server's scratch arena
+// the host's deflatable VM-state view through the server's scratch arena
 // and applies targets in name order, so steady-state calls are
 // allocation-free. A non-nil events buffer receives the notification
 // events instead of the bus (the parallel batch path).
@@ -1247,7 +1278,7 @@ func reinflate(s *Server, cfg Config, events *[]notify.Event) error {
 		return err
 	}
 	for i := range sc.doms {
-		if err := applyAndNotify(s, cfg, sc.doms[i], res.Targets[i], events); err != nil {
+		if err := applyAndNotify(s, cfg, sc.doms[i], sc.vms[i].Current, res.Targets[i], events); err != nil {
 			return err
 		}
 	}

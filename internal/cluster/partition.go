@@ -5,7 +5,7 @@
 // Config.PlacementPartitions placement partitions (orthogonal to the
 // paper's priority pools, which remain a property of each server). Each
 // partition owns, for its servers only: one capacity-index treap per
-// priority pool, the dirty set fed by its hosts' aggregate-change
+// priority pool, the dirty list fed by its hosts' aggregate-change
 // callbacks, and the scratch arenas the propose phases write into — so
 // partitions never share mutable state and a batch's propose work fans
 // out across a small pool of phase workers without locks.
@@ -40,6 +40,9 @@ package cluster
 
 import (
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"vmdeflate/internal/cluster/capindex"
@@ -49,9 +52,9 @@ import (
 
 // placePartition is one placement partition: a slice of the cluster's
 // servers plus everything the partition owns for them — per-pool
-// capacity indexes, the dirty set, and the propose/sync arenas. All
-// fields are touched only under the manager's lock or by the single
-// phase worker the dispatcher hands this partition to.
+// capacity indexes, the dirty list, and the propose/sync arenas. All
+// fields but the dirty list are touched only under the manager's lock or
+// by the single phase worker the dispatcher hands this partition to.
 type placePartition struct {
 	id      int
 	servers []*Server // in AddServer order (ascending Server.gidx)
@@ -59,7 +62,15 @@ type placePartition struct {
 	indexes map[int]*capindex.Index  // per priority pool, this partition's servers only
 	bounds  map[int]*capindex.Index  // fitness-bound twin of indexes (pressure.go)
 	maxCap  map[int]resources.Vector // per-pool component-wise max capacity
-	dirty   *capindex.DirtySet       // fed by this partition's hosts' callbacks
+
+	// dirty lists the servers whose cached placement state is stale, each
+	// at most once (Server.queued). Host aggregate-change callbacks append
+	// under dirtyMu — a leaf lock, safe to take with the host's lock held
+	// — and the manager's dirty sync drains. Dirtiness is tracked by
+	// handle, so a drain costs O(servers dirty now), whatever the largest
+	// burst the list ever held.
+	dirtyMu sync.Mutex
+	dirty   []*Server
 
 	// Propose arena, valid for the current batch.
 	surplus []*Server // per-VM surplus bid (nil: none in this partition)
@@ -70,11 +81,42 @@ type placePartition struct {
 	bandIdx []*capindex.Index
 	bandLow []float64
 
-	// Sync arenas: the drained dirty names (sorted) and the per-server
-	// aggregate deltas the serial fold applies to the cluster totals.
-	names  []string
-	deltaC []resources.Vector
-	deltaA []resources.Vector
+	// Sync arenas: the drained dirty servers (in name order) and the
+	// per-server aggregate deltas the serial fold applies to the cluster
+	// totals.
+	drained []*Server
+	deltaC  []resources.Vector
+	deltaA  []resources.Vector
+}
+
+// markDirty queues s for the next dirty sync. It is what a host's
+// aggregate-change callback does, so it only records.
+func (p *placePartition) markDirty(s *Server) {
+	p.dirtyMu.Lock()
+	if !s.queued {
+		s.queued = true
+		p.dirty = append(p.dirty, s)
+	}
+	p.dirtyMu.Unlock()
+}
+
+// drainDirty moves the queued servers into p.drained, sorted by name so
+// refresh work — and the float arithmetic of the delta fold — happens in
+// one deterministic order regardless of callback arrival order, and
+// returns how many there are. The two slices swap backing arrays, so
+// steady-state drains allocate nothing; p.drained is valid until the
+// next drain.
+func (p *placePartition) drainDirty() int {
+	p.dirtyMu.Lock()
+	p.drained, p.dirty = p.dirty, p.drained[:0]
+	for _, s := range p.drained {
+		s.queued = false
+	}
+	p.dirtyMu.Unlock()
+	slices.SortFunc(p.drained, func(a, b *Server) int {
+		return strings.Compare(a.Host.Name(), b.Host.Name())
+	})
+	return len(p.drained)
 }
 
 // Worker phases. The dispatcher writes the phase before the channel
@@ -225,8 +267,7 @@ func (m *Manager) Close() {
 func (m *Manager) syncDirtyLocked() {
 	total := 0
 	for _, p := range m.parts {
-		p.names = p.dirty.Drain()
-		total += len(p.names)
+		total += p.drainDirty()
 	}
 	if total == 0 {
 		return
@@ -249,8 +290,8 @@ func (m *Manager) syncDirtyLocked() {
 func (p *placePartition) refresh(m *Manager) {
 	p.deltaC = p.deltaC[:0]
 	p.deltaA = p.deltaA[:0]
-	for _, name := range p.names {
-		s := m.byName[name]
+	for _, s := range p.drained {
+		name := s.Host.Name()
 		agg := s.Host.Aggregates()
 		p.deltaC = append(p.deltaC, agg.Committed.Sub(s.agg.Committed))
 		p.deltaA = append(p.deltaA, agg.Allocated.Sub(s.agg.Allocated))
@@ -275,8 +316,8 @@ func (p *placePartition) refresh(m *Manager) {
 
 // foldDeltasLocked applies the partitions' recorded aggregate deltas to
 // the cluster totals in globally sorted server-name order: each
-// partition's drained list is already sorted and the partitions' name
-// sets are disjoint, so a k-way head merge visits names in exactly the
+// partition's drained list is already sorted and the partitions' server
+// sets are disjoint, so a k-way head merge visits servers in exactly the
 // order one global sorted drain would have.
 func (m *Manager) foldDeltasLocked() {
 	heads := grow(m.foldHeads, len(m.parts))
@@ -287,10 +328,10 @@ func (m *Manager) foldDeltasLocked() {
 	for {
 		best := -1
 		for pi, p := range m.parts {
-			if heads[pi] >= len(p.names) {
+			if heads[pi] >= len(p.drained) {
 				continue
 			}
-			if best < 0 || p.names[heads[pi]] < m.parts[best].names[heads[best]] {
+			if best < 0 || p.drained[heads[pi]].Host.Name() < m.parts[best].drained[heads[best]].Host.Name() {
 				best = pi
 			}
 		}
@@ -510,7 +551,7 @@ func (m *Manager) touchedInPoolLocked(pool int) bool {
 
 // commitOneLocked commits VM i: the same decision placeSequentialLocked
 // makes, resolved from the batch proposals when they are still exact
-// and re-proposed live on conflict. Called with the dirty set drained.
+// and re-proposed live on conflict. Called with the dirty lists drained.
 func (m *Manager) commitOneLocked(i int, dc hypervisor.DomainConfig) Placement {
 	if m.riskRejectLocked(dc) { // same gate, same live totals, as the sequential path
 		m.rejections++

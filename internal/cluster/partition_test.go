@@ -262,7 +262,7 @@ func TestLoadWritesLeaveNothingDirty(t *testing.T) {
 				}
 			}
 			for _, p := range m.parts {
-				if n := p.dirty.Len(); n != 0 {
+				if n := len(p.dirty); n != 0 {
 					t.Fatalf("partition %d: load writes marked %d servers dirty, want 0", p.id, n)
 				}
 			}
@@ -273,11 +273,11 @@ func TestLoadWritesLeaveNothingDirty(t *testing.T) {
 			}
 			dirty := 0
 			for _, p := range m.parts {
-				// names is what the last sync drained for this partition.
-				if len(p.names) != 0 {
-					t.Errorf("partition %d: PlaceVMs after load writes refreshed %v, want no refresh", p.id, p.names)
+				// drained is what the last sync drained for this partition.
+				if len(p.drained) != 0 {
+					t.Errorf("partition %d: PlaceVMs after load writes refreshed %d servers, want no refresh", p.id, len(p.drained))
 				}
-				dirty += p.dirty.Len()
+				dirty += len(p.dirty)
 			}
 			if dirty != 1 {
 				t.Errorf("%d servers dirty after one placement, want exactly the placed one", dirty)

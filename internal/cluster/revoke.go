@@ -158,7 +158,7 @@ func (m *Manager) RestoreServer(name string) error {
 	m.revokedCount--
 	m.totCapacity = m.totCapacity.Add(s.Host.Capacity())
 	m.reserve = m.reserve.Add(s.reserve)
-	m.partitionFor(s).dirty.Mark(name)
+	m.partitionFor(s).markDirty(s)
 	return nil
 }
 
@@ -222,15 +222,9 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 // displaceLocked tears one resident down from its (about to be revoked
 // or shrunk) server and queues it for the relocation batch.
 func (m *Manager) displaceLocked(s *Server, d *hypervisor.Domain, dc hypervisor.DomainConfig) error {
-	if d.State() == hypervisor.Running {
-		if err := d.Shutdown(); err != nil {
-			return err
-		}
-	}
-	if err := s.Host.Undefine(dc.Name); err != nil {
+	if err := m.teardownLocked(s, d); err != nil {
 		return err
 	}
-	delete(m.placements, dc.Name)
 	m.evacDCs = append(m.evacDCs, dc)
 	return nil
 }
@@ -309,7 +303,7 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 		if err != nil {
 			target = sc.doms[i].Floor()
 		}
-		if aerr := applyAndNotify(s, m.cfg, sc.doms[i], target, nil); aerr != nil {
+		if aerr := applyAndNotify(s, m.cfg, sc.doms[i], sc.vms[i].Current, target, nil); aerr != nil {
 			return aerr
 		}
 	}

@@ -875,9 +875,9 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 
 // sampleVM accumulates demand/loss, SLO state and allocation-based
 // billing at one 5-minute boundary. It touches only vt's own state (and
-// reads its domain through that domain's lock; hist belongs to this
-// VM's shard alone), which is what makes the sharded sample pass safe
-// and shard-count-invariant. With cfg.SLO set it additionally maps the
+// reads its domain's allocation under the host's lock; hist belongs to
+// this VM's shard alone), which is what makes the sharded sample pass
+// safe and shard-count-invariant. With cfg.SLO set it additionally maps the
 // offered load and current allocation to a request slowdown through the
 // closed-form PS model — pure float math, so the pass stays
 // allocation-free — and publishes the load to the domain for the

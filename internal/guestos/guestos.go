@@ -72,19 +72,32 @@ type GuestOS struct {
 // New boots a guest with all configured resources online. RSS starts at a
 // minimal kernel footprint; applications grow it via Touch/SetRSS.
 func New(cfg Config) (*GuestOS, error) {
+	g := new(GuestOS)
+	if err := g.Boot(cfg); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Boot is New in place: it (re)initialises g as a freshly booted guest of
+// the given configuration, so an owner that embeds the GuestOS by value
+// — the hypervisor's Domain — pays no separate allocation for it. On
+// error g is left untouched.
+func (g *GuestOS) Boot(cfg Config) error {
 	cfg.applyDefaults()
 	if cfg.VCPUs < cfg.MinVCPUs {
-		return nil, fmt.Errorf("%w: %d vCPUs < minimum %d", ErrInvalid, cfg.VCPUs, cfg.MinVCPUs)
+		return fmt.Errorf("%w: %d vCPUs < minimum %d", ErrInvalid, cfg.VCPUs, cfg.MinVCPUs)
 	}
 	if cfg.MemoryMB < cfg.ReserveMB {
-		return nil, fmt.Errorf("%w: %g MB memory < reserve %g MB", ErrInvalid, cfg.MemoryMB, cfg.ReserveMB)
+		return fmt.Errorf("%w: %g MB memory < reserve %g MB", ErrInvalid, cfg.MemoryMB, cfg.ReserveMB)
 	}
-	return &GuestOS{
+	*g = GuestOS{
 		cfg:         cfg,
 		onlineVCPUs: cfg.VCPUs,
 		pluggedMB:   cfg.MemoryMB,
 		rssMB:       cfg.ReserveMB,
-	}, nil
+	}
+	return nil
 }
 
 // Config returns the guest's configuration.

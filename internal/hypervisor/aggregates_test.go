@@ -40,29 +40,57 @@ func checkAggregates(t *testing.T, h *Host, op string) {
 	}
 }
 
-// TestAggregatesMatchFreshRecompute is the cache-coherence property
-// test: after every operation of a long randomized define / start /
-// limit / hotplug / clear / shutdown / undefine sequence, the cached
-// aggregates must equal a fresh name-order recomputation exactly — the
-// invariant that lets the cluster layer treat cached reads and fresh
-// walks as interchangeable, bit for bit.
-func TestAggregatesMatchFreshRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// hostChurn drives one host through a long randomized define / start /
+// limit / hotplug / clear / shutdown / undefine / resize sequence, with
+// offered-load writes throughout, and calls check after every operation.
+// It exercises what the host's row table adds over a plain sorted list:
+// names are drawn out of order, so most defines insert mid-order; a
+// share of defines re-use a previously undefined name, so freed row
+// slots are recycled under a name that sorts elsewhere than the slot's
+// last tenant; limit writes go through the single setters and the
+// batched SetLimits alike; and SetCapacity is interleaved, which must
+// invalidate like any other mutation.
+func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op string)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	h := testHost(t)
-	var live []string
-	next := 0
+	base := h.Capacity()
+	var live, retired []string
+	isLive := map[string]bool{}
+	defines, maxLive := 0, 0
 
 	for op := 0; op < 3000; op++ {
 		var opName string
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(13); {
+		case k >= 11 && len(live) > 0: // offered-load write, any lifecycle state
+			name := live[rng.Intn(len(live))]
+			d, err := h.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetOfferedLoad(8 * rng.Float64())
+			opName = "load " + name
+		case k == 10: // the provider resizes the server under its residents
+			if err := h.SetCapacity(base.Scale(0.5 + rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+			opName = "resize"
 		case k <= 2 || len(live) == 0: // define + maybe start
-			name := fmt.Sprintf("vm-%04d", next)
-			next++
+			var name string
+			if len(retired) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(retired))
+				name = retired[i]
+				retired = append(retired[:i], retired[i+1:]...)
+			}
+			for name == "" || isLive[name] {
+				name = fmt.Sprintf("vm-%04d", rng.Intn(10000))
+			}
 			cfg := DomainConfig{
 				Name:       name,
 				Size:       resources.New(float64(1+rng.Intn(16)), float64(1024*(1+rng.Intn(16))), 0, 0),
 				Deflatable: rng.Intn(3) != 0,
 				Priority:   0.25 * float64(1+rng.Intn(4)),
+				Load:       float64(rng.Intn(3)),
 			}
 			if rng.Intn(4) == 0 {
 				cfg.MinAllocation = cfg.Size.Scale(0.25)
@@ -77,6 +105,9 @@ func TestAggregatesMatchFreshRecompute(t *testing.T) {
 				}
 			}
 			live = append(live, name)
+			isLive[name] = true
+			defines++
+			maxLive = max(maxLive, len(live))
 			opName = "define " + name
 		case k <= 5: // transparent limit change / clear
 			name := live[rng.Intn(len(live))]
@@ -84,11 +115,17 @@ func TestAggregatesMatchFreshRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rng.Intn(5) == 0 {
+			frac := 0.3 + 0.7*rng.Float64()
+			switch rng.Intn(5) {
+			case 0:
 				d.ClearTransparentLimits()
 				opName = "clear " + name
-			} else {
-				frac := 0.3 + 0.7*rng.Float64()
+			case 1, 2:
+				if _, err := d.SetLimits(d.MaxSize().Scale(frac), "transparent"); err != nil {
+					t.Fatal(err)
+				}
+				opName = "limits " + name
+			default:
 				d.SetCPUShares(d.MaxSize().Get(resources.CPU) * frac)
 				d.SetMemoryLimit(d.MaxSize().Get(resources.Memory) * frac)
 				opName = "limit " + name
@@ -133,10 +170,31 @@ func TestAggregatesMatchFreshRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)
+			delete(isLive, name)
+			retired = append(retired, name)
 			opName = "undefine " + name
 		}
-		checkAggregates(t, h, opName)
+		check(t, h, opName)
+		checkRows(t, h, opName)
 	}
+	// A slot is appended only when the free list is empty, so the table is
+	// as long as the largest population ever resident, not as the number
+	// of defines.
+	if len(h.rows) != maxLive || len(h.free)+len(h.order) != len(h.rows) {
+		t.Errorf("row table: %d rows (%d free + %d live), want %d = peak population", len(h.rows), len(h.free), len(h.order), maxLive)
+	}
+	if defines <= maxLive {
+		t.Errorf("churn recycled no row slot: %d defines, peak population %d", defines, maxLive)
+	}
+}
+
+// TestAggregatesMatchFreshRecompute is the cache-coherence property
+// test: after every operation of the hostChurn sequence, the cached
+// aggregates must equal a fresh name-order recomputation exactly — the
+// invariant that lets the cluster layer treat cached reads and fresh
+// walks as interchangeable, bit for bit.
+func TestAggregatesMatchFreshRecompute(t *testing.T) {
+	hostChurn(t, 7, checkAggregates)
 }
 
 // TestAggregatesConvenienceAccessors keeps Committed/Allocated/Available

@@ -10,6 +10,21 @@
 // HotplugVCPUs / HotplugMemory for explicit deflation. A Domain's
 // Effective() vector — the resources the applications inside actually
 // get — is the single point of truth consumed by the performance models.
+//
+// # Lock model
+//
+// One mutex per Host, Host.mu, guards the host and every mutable field
+// of every domain resident on it: lifecycle state, guest and cgroup
+// state, the mechanism label, and the host's row table — the per-resident
+// accounting columns (size, floor, priority, allocation, running,
+// deflatable) that the aggregate and view walks read as contiguous
+// host-owned memory. A Domain has no lock of its own; its mutators take
+// its host's lock, write the resident's row at mutation time and
+// invalidate the cached aggregates, and OnAggregateChange callbacks
+// always run under that lock. The lock order is Host.mu -> Group.mu (the
+// cgroup's own leaf lock). Two things stay outside it: Capacity(), an
+// atomic load, and the offered load, a per-domain atomic that moves no
+// aggregate.
 package hypervisor
 
 import (
@@ -157,54 +172,64 @@ type Aggregates struct {
 	Deflated int
 }
 
-// Host is one simulated physical server running a KVM hypervisor.
+// row is one resident's accounting state as the host's walks read it:
+// the immutable columns copied from the configuration at Define, and the
+// mutable ones (allocation, running) written by the Domain mutators at
+// mutation time. Rows live in Host.rows, so a walk touches contiguous
+// host-owned memory, takes no further lock and dereferences no Domain.
+type row struct {
+	name     string
+	size     resources.Vector // cfg.Size
+	floor    resources.Vector // cfg.Floor()
+	alloc    resources.Vector // current allocation (see Domain.derive)
+	priority float64
+	dom      *Domain
+	// deflated is alloc.DeflationFraction(size) > 0 — the Aggregates.Deflated
+	// predicate, evaluated when alloc is written instead of at every visit.
+	deflated   bool
+	running    bool
+	deflatable bool
+}
+
+// Host is one simulated physical server running a KVM hypervisor. It
+// owns its residents' accounting state: mu guards every field below it
+// and every mutable field of the host's domains (see the package
+// comment for the lock model).
 type Host struct {
-	cfg     HostConfig
-	cgroups *cgroups.Hierarchy
+	cfg HostConfig
 	// capacity is the host's current physical capacity. It starts at
 	// cfg.Capacity and moves only through SetCapacity (the transient
 	// server shrank or was restored); an atomic pointer to an immutable
 	// vector keeps the hot-path Capacity() reads lock-free.
 	capacity atomic.Pointer[resources.Vector]
-	mu       sync.Mutex
-	domains  map[string]*Domain
-	// order holds the domains sorted by name. Keeping it materialised
-	// (rather than sorting in Domains()) makes the aggregate recompute
-	// below iterate in a fixed order, which keeps float summations like
-	// Allocated() bit-for-bit reproducible — map iteration order would
-	// perturb the low bits run to run and break the simulator's
-	// determinism guarantee.
-	order []*Domain
 
-	// Derived-state cache: the aggregates plus the deflatable VM-state
-	// view (the policy-shaped picture of the host's running deflatable
-	// domains, in name order, that the cluster layer's PlaceOn/Reinflate
-	// policy passes consume). Aggregates, free share and the index keys
-	// the cluster layer derives from them depend on lifecycle, allocation
-	// and capacity only: both caches are stale-flagged together by every
-	// mutation that can move one of those three, and both are rebuilt by
-	// ONE name-order walk that reads each domain through a single lock
-	// acquisition — so a reinflation pass that needs the aggregates and
-	// then the view costs one walk, not two. The view's Load column is
-	// not cached at all: it is read through from the domains at every
-	// AppendDeflatableView, so an offered-load write dirties nothing.
-	// cacheMu orders rebuilds and guards the cached values; the lock
-	// order is cacheMu -> mu -> Domain.mu, and invalidation takes none of
-	// them (atomic flag + leaf callback), so mutators that already hold
-	// mu or a Domain lock can invalidate without deadlock.
-	cacheMu      sync.Mutex
-	cacheValid   bool
-	cacheDirty   atomic.Bool
-	agg          Aggregates
-	viewStates   []policy.VMState
-	viewDoms     []*Domain
-	cacheScratch []*Domain // reusable order snapshot for the rebuild walk
+	mu      sync.Mutex
+	domains map[string]*Domain
+	// rows is the row table: one slot per resident, stable for the
+	// resident's lifetime (Domain.slot), recycled through free after
+	// Undefine. order holds the live slots sorted by resident name.
+	// Keeping it materialised makes the walks below iterate in a fixed
+	// order, which keeps float summations like Allocated() bit-for-bit
+	// reproducible — map iteration order would perturb the low bits run
+	// to run and break the simulator's determinism guarantee.
+	rows  []row
+	free  []int32
+	order []int32
 
-	// onChange, when set, is called after every aggregate invalidation.
-	// It may run while host or domain locks are held: implementations
-	// must only record dirtiness (e.g. add the host to a dirty set) and
-	// never call back into Host or Domain methods.
-	cbMu     sync.Mutex
+	// agg caches the aggregates; clean says the cache is current.
+	// Aggregates, free share and the index keys the cluster layer derives
+	// from them depend on lifecycle, allocation and capacity only: every
+	// mutation that can move one of those three clears clean
+	// (invalidateLocked), and the next Aggregates() read re-derives agg
+	// by one name-order walk over the rows. A fresh host is clean: the
+	// zero Aggregates is what an empty host has.
+	clean bool
+	agg   Aggregates
+
+	// onChange, when set, is called on every clean-to-stale edge, with mu
+	// held: implementations must only record dirtiness (e.g. queue the
+	// host in a dirty list) and never call back into Host or Domain
+	// methods.
 	onChange func()
 }
 
@@ -221,8 +246,8 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	}
 	h := &Host{
 		cfg:     cfg,
-		cgroups: cgroups.NewHierarchy(),
 		domains: make(map[string]*Domain),
+		clean:   true,
 	}
 	c := cfg.Capacity
 	h.capacity.Store(&c)
@@ -256,8 +281,10 @@ func (h *Host) SetCapacity(v resources.Vector) error {
 	if v.IsZero() {
 		return fmt.Errorf("%w: host %s resized to zero capacity", ErrInvalid, h.cfg.Name)
 	}
+	h.mu.Lock()
 	h.capacity.Store(&v)
-	h.invalidateAggregates()
+	h.invalidateLocked()
+	h.mu.Unlock()
 	return nil
 }
 
@@ -267,35 +294,32 @@ func (h *Host) SetCapacity(v resources.Vector) error {
 // aggregate) invalidates the host's clean aggregate cache.
 // Notifications are edge-triggered: while the cache is already stale
 // further mutations are coalesced into the pending notification, and
-// the next Aggregates()/AppendDeflatableView() read re-arms the edge —
-// exactly the contract a dirty-set consumer needs, at one callback per
-// dirty episode instead of one per mutation. The callback may fire while
-// host or domain locks are held, so it must only record dirtiness —
-// typically marking the host in a cluster-level dirty set — and must
-// not call back into Host or Domain methods. Passing nil unregisters.
+// the next Aggregates() read re-arms the edge — exactly the contract a
+// dirty-set consumer needs, at one callback per dirty episode instead of
+// one per mutation. The callback always runs with the host's lock held,
+// so it must only record dirtiness — typically queueing the host in a
+// cluster-level dirty list — and must not call back into Host or Domain
+// methods. Passing nil unregisters.
 func (h *Host) OnAggregateChange(fn func()) {
-	h.cbMu.Lock()
+	h.mu.Lock()
 	h.onChange = fn
-	h.cbMu.Unlock()
+	h.mu.Unlock()
 }
 
-// invalidateAggregates flags the derived-state cache stale and, on the
-// clean-to-stale edge, notifies the registered callback. It takes no
-// host or domain locks, so any mutator may call it regardless of what
-// it already holds. The edge trigger is sound for dirty-set consumers:
-// a skipped notification means the cache has been continuously stale
-// since the last notification, so the consumer's dirty mark is still
-// pending (the mark is only consumed together with the cache refresh
-// that re-arms the edge).
-func (h *Host) invalidateAggregates() {
-	if h.cacheDirty.Swap(true) {
+// invalidateLocked flags the aggregate cache stale and, on the
+// clean-to-stale edge, notifies the registered callback. The edge
+// trigger is sound for dirty-set consumers: a skipped notification means
+// the cache has been continuously stale since the last notification, so
+// the consumer's dirty mark is still pending (the mark is only consumed
+// together with the Aggregates() read that re-arms the edge). Called
+// with mu held.
+func (h *Host) invalidateLocked() {
+	if !h.clean {
 		return // already stale: notification still pending downstream
 	}
-	h.cbMu.Lock()
-	fn := h.onChange
-	h.cbMu.Unlock()
-	if fn != nil {
-		fn()
+	h.clean = false
+	if h.onChange != nil {
+		h.onChange()
 	}
 }
 
@@ -304,88 +328,98 @@ func (h *Host) invalidateAggregates() {
 // read. Between mutations this is O(1), which is what makes per-arrival
 // cluster scans affordable at scale.
 func (h *Host) Aggregates() Aggregates {
-	h.cacheMu.Lock()
-	defer h.cacheMu.Unlock()
-	h.refreshCacheLocked()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.clean {
+		h.refreshLocked()
+	}
 	return h.agg
 }
 
-// refreshCacheLocked rebuilds the aggregates and the deflatable VM-state
-// view (every column but Load) in one name-order walk — the fixed
-// iteration order that keeps the float summations reproducible — if a
-// mutation happened since the last read. Each domain is read through a
-// single snapshot (one lock acquisition) shared by both derivations.
-// Called with cacheMu held.
-func (h *Host) refreshCacheLocked() {
-	if !h.cacheDirty.Swap(false) && h.cacheValid {
-		return
-	}
-	h.mu.Lock()
-	h.cacheScratch = append(h.cacheScratch[:0], h.order...)
-	h.mu.Unlock()
+// refreshLocked re-derives the aggregates by one name-order walk over
+// the row table — the fixed iteration order that keeps the float
+// summations reproducible. The sums are spelled out per dimension: the
+// same float operations in the same order as Vector.Add and
+// Add(Sub(floor).ClampNonNegative()), without the by-value vector
+// copies, which cost more than the arithmetic. Called with mu held.
+func (h *Host) refreshLocked() {
 	var a Aggregates
-	h.viewStates = h.viewStates[:0]
-	h.viewDoms = h.viewDoms[:0]
-	for _, d := range h.cacheScratch {
-		a.Committed = a.Committed.Add(d.cfg.Size)
-		state, alloc := d.snapshot()
-		if state != Running {
+	rows := h.rows
+	for _, slot := range h.order {
+		r := &rows[slot]
+		for k, v := range r.size {
+			a.Committed[k] += v
+		}
+		if !r.running {
 			continue
 		}
 		a.Running++
-		a.Allocated = a.Allocated.Add(alloc)
-		if !d.cfg.Deflatable {
+		for k, v := range r.alloc {
+			a.Allocated[k] += v
+		}
+		if !r.deflatable {
 			continue
 		}
-		a.DeflatableReserve = a.DeflatableReserve.Add(alloc.Sub(d.floor).ClampNonNegative())
-		if alloc.DeflationFraction(d.cfg.Size) > 0 {
+		for k, v := range r.alloc {
+			v -= r.floor[k]
+			if v < 0 {
+				v = 0
+			}
+			a.DeflatableReserve[k] += v
+		}
+		if r.deflated {
 			a.Deflated++
 		}
-		h.viewStates = append(h.viewStates, policy.VMState{
-			Name:     d.cfg.Name,
-			Max:      d.cfg.Size,
-			Min:      d.floor,
-			Priority: d.cfg.Priority,
-			Current:  alloc,
-		})
-		h.viewDoms = append(h.viewDoms, d)
 	}
 	h.agg = a
-	h.cacheValid = true
+	h.clean = true
 }
 
-// AppendDeflatableView appends the host's cached policy view of its
-// running deflatable domains — one policy.VMState plus the matching
-// *Domain per VM, in name order — to states and domains, and returns the
-// extended slices. The cache is rebuilt (one name-order walk into reused
-// buffers) only if a lifecycle, allocation or capacity mutation happened
-// since the last read, so a steady-state policy pass costs one memcpy
-// plus one lock-free load read per appended domain instead of a
-// Domains() walk that re-takes every domain lock. The Load column is the
-// read-through part: it is filled from the appended domains' live
-// offered loads, which is why SetOfferedLoad invalidates nothing.
-// Callers own the destination slices; passing buffers they reuse across
-// passes makes the whole read allocation-free.
+// AppendDeflatableView appends the host's policy view of its running
+// deflatable domains — one policy.VMState plus the matching *Domain per
+// VM, in name order — to states and domains, and returns the extended
+// slices. It is one walk over the row table under the host's lock
+// followed by one lock-free load read per appended domain: the Load
+// column is read through from the domains' live offered loads, which is
+// why SetOfferedLoad invalidates nothing. Callers own the destination
+// slices; passing buffers they reuse across passes makes the whole read
+// allocation-free.
 //
-// The appended states are a snapshot: a subsequent mutation invalidates
-// the cache, and a subsequent load write shows in the next read, but
-// neither touches slices already handed out, exactly like Aggregates().
+// The appended states are a snapshot: a subsequent mutation or load
+// write shows in the next read, but touches no slice already handed out,
+// exactly like Aggregates().
 func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) ([]policy.VMState, []*Domain) {
 	sbase, dbase := len(states), len(domains)
-	h.cacheMu.Lock()
-	h.refreshCacheLocked()
-	states = append(states, h.viewStates...)
-	domains = append(domains, h.viewDoms...)
-	h.cacheMu.Unlock()
+	h.mu.Lock()
+	rows := h.rows
+	for _, slot := range h.order {
+		r := &rows[slot]
+		if !r.running || !r.deflatable {
+			continue
+		}
+		states = append(states, policy.VMState{})
+		st := &states[len(states)-1]
+		st.Name, st.Max, st.Min, st.Priority, st.Current = r.name, r.size, r.floor, r.priority, r.alloc
+		domains = append(domains, r.dom)
+	}
+	h.mu.Unlock()
 	for i, d := range domains[dbase:] {
 		states[sbase+i].Load = d.OfferedLoad()
 	}
 	return states, domains
 }
 
+// searchLocked returns the position in order of the first resident
+// whose name is >= name.
+func (h *Host) searchLocked(name string) int {
+	return sort.Search(len(h.order), func(i int) bool { return h.rows[h.order[i]].name >= name })
+}
+
 // Define creates a domain. Defining does not reserve physical resources:
 // like a real IaaS hypervisor, the host permits overcommitment, which is
-// exactly what deflation exists to manage.
+// exactly what deflation exists to manage. The domain is one allocation:
+// its guest OS and cgroup are initialised in place inside it, and its
+// accounting row takes a recycled slot of the host's row table.
 func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -395,33 +429,40 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if _, ok := h.domains[cfg.Name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Name)
 	}
-	cg, err := h.cgroups.Create("machine/" + cfg.Name)
-	if err != nil {
-		return nil, err
-	}
-	guest, err := guestos.New(guestos.Config{
-		VCPUs:    int(math.Round(cfg.Size.Get(resources.CPU))),
-		MemoryMB: cfg.Size.Get(resources.Memory),
-	})
-	if err != nil {
-		h.cgroups.Remove(cg.Name())
-		return nil, err
-	}
 	d := &Domain{
 		host:  h,
 		cfg:   cfg,
 		floor: cfg.Floor(),
 		state: Defined,
-		guest: guest,
-		cg:    cg,
+	}
+	if err := d.guest.Boot(guestos.Config{
+		VCPUs:    int(math.Round(cfg.Size.Get(resources.CPU))),
+		MemoryMB: cfg.Size.Get(resources.Memory),
+	}); err != nil {
+		return nil, err
 	}
 	d.load.Store(math.Float64bits(cfg.Load))
+	if n := len(h.free); n > 0 {
+		d.slot, h.free = h.free[n-1], h.free[:n-1]
+	} else {
+		d.slot = int32(len(h.rows))
+		h.rows = append(h.rows, row{})
+	}
+	h.rows[d.slot] = row{
+		name:       cfg.Name,
+		size:       cfg.Size,
+		floor:      d.floor,
+		priority:   cfg.Priority,
+		dom:        d,
+		deflatable: cfg.Deflatable,
+	}
+	h.rows[d.slot].setAlloc(d.derive())
 	h.domains[cfg.Name] = d
-	i := sort.Search(len(h.order), func(i int) bool { return h.order[i].cfg.Name >= cfg.Name })
-	h.order = append(h.order, nil)
+	i := h.searchLocked(cfg.Name)
+	h.order = append(h.order, 0)
 	copy(h.order[i+1:], h.order[i:])
-	h.order[i] = d
-	h.invalidateAggregates()
+	h.order[i] = d.slot
+	h.invalidateLocked()
 	return d, nil
 }
 
@@ -441,11 +482,15 @@ func (h *Host) Domains() []*Domain {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]*Domain, len(h.order))
-	copy(out, h.order)
+	for i, slot := range h.order {
+		out[i] = h.rows[slot].dom
+	}
 	return out
 }
 
-// Undefine removes a stopped domain from the host.
+// Undefine removes a stopped domain from the host. Its row slot returns
+// to the free list; the Domain value stays readable (it answers from its
+// own guest and cgroup state) but no longer belongs to any host walk.
 func (h *Host) Undefine(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -453,17 +498,16 @@ func (h *Host) Undefine(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	d.mu.Lock()
-	st := d.state
-	d.mu.Unlock()
-	if st == Running {
+	if d.state == Running {
 		return fmt.Errorf("%w: cannot undefine running domain %s", ErrState, name)
 	}
-	h.cgroups.Remove(d.cg.Name())
 	delete(h.domains, name)
-	i := sort.Search(len(h.order), func(i int) bool { return h.order[i].cfg.Name >= name })
+	i := h.searchLocked(name)
 	h.order = append(h.order[:i], h.order[i+1:]...)
-	h.invalidateAggregates()
+	h.rows[d.slot] = row{}
+	h.free = append(h.free, d.slot)
+	d.slot = -1
+	h.invalidateLocked()
 	return nil
 }
 
@@ -497,28 +541,26 @@ func (h *Host) Overcommit() float64 {
 	return oc - 1
 }
 
-// Domain is one VM resident on a Host.
+// Domain is one VM resident on a Host. It is a single allocation — the
+// guest OS and the cgroup live inside it — and it has no lock of its
+// own: every mutable field below is guarded by the host's mu, and every
+// mutation that can move the allocation goes through a Domain method,
+// which writes the resident's row in the host's table at mutation time
+// (the cgroup and the guest's hotplug state are never driven from
+// outside).
 type Domain struct {
 	host *Host
 	cfg  DomainConfig
 	// floor is cfg.Floor(), derived once at Define: the configuration is
-	// immutable, and the refresh walk and the policies read the floor of
-	// every resident on every pass.
+	// immutable, and the policies read the floor of every resident on
+	// every pass.
 	floor resources.Vector
 
-	mu    sync.Mutex
+	// slot indexes the domain's row in host.rows; -1 once undefined.
+	slot  int32
 	state DomainState
-	guest *guestos.GuestOS
-	cg    *cgroups.Group
-
-	// allocValid/allocCache memoise the derived allocation vector, which
-	// every aggregation walk, policy pass and sample read re-reads many
-	// times between mutations. Every mutation that can move the
-	// allocation — cgroup limit changes and hotplug — clears the flag
-	// (all such mutations route through Domain methods; the cgroup and
-	// guest are never driven directly). Guarded by mu.
-	allocValid bool
-	allocCache resources.Vector
+	guest guestos.GuestOS
+	cg    cgroups.Group
 
 	// load is the offered request load (cores) last reported through
 	// SetOfferedLoad, seeded from DomainConfig.Load, stored as its
@@ -529,6 +571,55 @@ type Domain struct {
 	// deflatedBy records the most recent mechanism label ("transparent",
 	// "explicit", "hybrid") for observability.
 	deflatedBy string
+}
+
+// setAlloc writes the row's allocation column and the Deflated predicate
+// that depends on it.
+func (r *row) setAlloc(v resources.Vector) {
+	r.alloc = v
+	r.deflated = v.DeflationFraction(r.size) > 0
+}
+
+// derive computes the domain's allocation from first principles: the
+// nominal size capped by explicit hotplug state (online vCPUs, plugged
+// memory) and then by every engaged cgroup limit. Called with the
+// host's mu held.
+func (d *Domain) derive() resources.Vector {
+	plugged := d.cfg.Size.
+		With(resources.CPU, float64(d.guest.OnlineVCPUs())).
+		With(resources.Memory, d.guest.PluggedMemoryMB())
+	return d.cg.Effective(plugged)
+}
+
+// reallocLocked re-derives the allocation after a limit or hotplug
+// change, writes it to the domain's row and invalidates the host's
+// aggregate cache. Called with the host's mu held.
+func (d *Domain) reallocLocked() resources.Vector {
+	a := d.derive()
+	if d.slot >= 0 {
+		d.host.rows[d.slot].setAlloc(a)
+	}
+	d.host.invalidateLocked()
+	return a
+}
+
+// allocLocked reads the allocation column (an undefined domain has no
+// row and answers from its own state). Called with the host's mu held.
+func (d *Domain) allocLocked() resources.Vector {
+	if d.slot < 0 {
+		return d.derive()
+	}
+	return d.host.rows[d.slot].alloc
+}
+
+// setStateLocked moves the lifecycle state, mirrors it into the row's
+// running column and invalidates. Called with the host's mu held.
+func (d *Domain) setStateLocked(s DomainState) {
+	d.state = s
+	if d.slot >= 0 {
+		d.host.rows[d.slot].running = s == Running
+	}
+	d.host.invalidateLocked()
 }
 
 // Name returns the domain name.
@@ -542,39 +633,34 @@ func (d *Domain) Host() *Host { return d.host }
 
 // Guest exposes the simulated guest OS (used by mechanisms and by the
 // application models to install memory footprints).
-func (d *Domain) Guest() *guestos.GuestOS { return d.guest }
-
-// Cgroup exposes the domain's control group.
-func (d *Domain) Cgroup() *cgroups.Group { return d.cg }
+func (d *Domain) Guest() *guestos.GuestOS { return &d.guest }
 
 // State returns the domain's lifecycle state.
 func (d *Domain) State() DomainState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	return d.state
 }
 
 // Start transitions Defined/Shutoff -> Running.
 func (d *Domain) Start() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	if d.state == Running {
 		return fmt.Errorf("%w: %s already running", ErrState, d.cfg.Name)
 	}
-	d.state = Running
-	d.host.invalidateAggregates()
+	d.setStateLocked(Running)
 	return nil
 }
 
 // Shutdown transitions Running -> Shutoff.
 func (d *Domain) Shutdown() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	if d.state != Running {
 		return fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
 	}
-	d.state = Shutoff
-	d.host.invalidateAggregates()
+	d.setStateLocked(Shutoff)
 	return nil
 }
 
@@ -599,21 +685,13 @@ func (d *Domain) Priority() float64 { return d.cfg.Priority }
 
 // Allocation returns the domain's current allocation: the nominal size
 // capped by both explicit hotplug state and transparent cgroup limits.
-// This is the vector the cluster policies account against.
+// This is the vector the cluster policies account against. It is a read
+// of the domain's row under the host's lock; the row is written by
+// whichever mutation last moved the allocation.
 func (d *Domain) Allocation() resources.Vector {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.allocationLocked()
-}
-
-// snapshot returns the domain's lifecycle state and current allocation
-// through one lock acquisition — the combined read the host's cache
-// rebuild walk uses so it pays one domain lock per domain instead of one
-// per accessor.
-func (d *Domain) snapshot() (DomainState, resources.Vector) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state, d.allocationLocked()
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
+	return d.allocLocked()
 }
 
 // OfferedLoad returns the domain's current offered request load (cores).
@@ -626,25 +704,14 @@ func (d *Domain) OfferedLoad() float64 {
 // watching the VM's request stream. Latency-aware policies read it from
 // the host's deflatable view. Negative and non-finite (NaN, ±Inf) values
 // clamp to zero. A load moves no aggregate, no free share and no index
-// key, so the write is one atomic store: it does not invalidate the
-// host's cache, fires no OnAggregateChange edge, and the next
-// AppendDeflatableView reads the new value through.
+// key, so the write is one atomic store: it takes no lock, does not
+// invalidate the host's cache, fires no OnAggregateChange edge, and the
+// next AppendDeflatableView reads the new value through.
 func (d *Domain) SetOfferedLoad(v float64) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
 	}
 	d.load.Store(math.Float64bits(v))
-}
-
-func (d *Domain) allocationLocked() resources.Vector {
-	if !d.allocValid {
-		plugged := d.cfg.Size.
-			With(resources.CPU, float64(d.guest.OnlineVCPUs())).
-			With(resources.Memory, d.guest.PluggedMemoryMB())
-		d.allocCache = d.cg.Effective(plugged)
-		d.allocValid = true
-	}
-	return d.allocCache
 }
 
 // Effective is an alias of Allocation emphasising that this is what the
@@ -659,18 +726,37 @@ func (d *Domain) DeflationFraction() float64 {
 
 // --- Transparent deflation knobs (cgroup-backed, Section 4.2) ---
 
-// setLimit engages one cgroup controller and invalidates the domain's
-// allocation memo and the host's aggregate cache (a limit change can
-// move the effective allocation).
+// setLimit engages one cgroup controller, re-derives the domain's
+// allocation and invalidates the host's aggregate cache (a limit change
+// can move the effective allocation).
 func (d *Domain) setLimit(k resources.Kind, v float64) error {
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	if err := d.cg.SetLimit(k, v); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.allocValid = false
-	d.mu.Unlock()
-	d.host.invalidateAggregates()
+	d.reallocLocked()
 	return nil
+}
+
+// SetLimits is the batched form of the four setters below that a
+// deflation mechanism issues per target, in one critical section: every
+// positive component of limits engages its cgroup controller at that
+// value (zero components leave their controller as it is; a negative one
+// rejects the whole write), label is recorded as by SetDeflatedBy, and
+// the allocation the domain ends up with is returned — derived, like
+// Allocation, from the plugged resources capped by every engaged limit.
+func (d *Domain) SetLimits(limits resources.Vector, label string) (resources.Vector, error) {
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
+	if err := d.cg.SetLimits(limits); err != nil {
+		return resources.Vector{}, err
+	}
+	d.deflatedBy = label
+	if limits.IsZero() { // nothing engaged: nothing moved, nothing to invalidate
+		return d.allocLocked(), nil
+	}
+	return d.reallocLocked(), nil
 }
 
 // SetCPUShares caps the domain's CPU consumption at cores physical cores
@@ -701,72 +787,52 @@ func (d *Domain) SetNetLimit(mbps float64) error {
 // ClearTransparentLimits removes all cgroup caps (full reinflation of the
 // transparent dimension).
 func (d *Domain) ClearTransparentLimits() {
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	for _, k := range resources.Kinds {
 		d.cg.ClearLimit(k)
 	}
-	d.mu.Lock()
-	d.allocValid = false
-	d.mu.Unlock()
-	d.host.invalidateAggregates()
+	d.reallocLocked()
 }
 
 // --- Explicit deflation knobs (agent-based hotplug, Section 4.3) ---
 
-// HotUnplugVCPUs asks the guest to offline n vCPUs. Partial success is
-// normal; the returned count is what the guest actually released.
-func (d *Domain) HotUnplugVCPUs(n int) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// hotplug runs one guest hotplug operation on a running domain and
+// re-derives the allocation from what the guest actually did.
+func hotplug[T int | float64](d *Domain, n T, op func(*guestos.GuestOS, T) (T, error)) (T, error) {
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	if d.state != Running {
 		return 0, fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
 	}
-	n, err := d.guest.UnplugVCPUs(n)
-	d.allocValid = false
-	d.host.invalidateAggregates()
+	n, err := op(&d.guest, n)
+	d.reallocLocked()
 	return n, err
+}
+
+// HotUnplugVCPUs asks the guest to offline n vCPUs. Partial success is
+// normal; the returned count is what the guest actually released.
+func (d *Domain) HotUnplugVCPUs(n int) (int, error) {
+	return hotplug(d, n, (*guestos.GuestOS).UnplugVCPUs)
 }
 
 // HotPlugVCPUs asks the guest to online n vCPUs (bounded by the domain's
 // configured vCPU count).
 func (d *Domain) HotPlugVCPUs(n int) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return 0, fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
-	}
-	n, err := d.guest.PlugVCPUs(n)
-	d.allocValid = false
-	d.host.invalidateAggregates()
-	return n, err
+	return hotplug(d, n, (*guestos.GuestOS).PlugVCPUs)
 }
 
 // HotUnplugMemory asks the guest to release up to mb of memory. The guest
 // enforces its safety threshold (never below RSS) and block granularity;
 // the returned amount is what was actually unplugged.
 func (d *Domain) HotUnplugMemory(mb float64) (float64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return 0, fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
-	}
-	mb, err := d.guest.UnplugMemory(mb)
-	d.allocValid = false
-	d.host.invalidateAggregates()
-	return mb, err
+	return hotplug(d, mb, (*guestos.GuestOS).UnplugMemory)
 }
 
 // HotPlugMemory returns memory to the guest (bounded by the domain's
 // configured size).
 func (d *Domain) HotPlugMemory(mb float64) (float64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state != Running {
-		return 0, fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
-	}
-	mb, err := d.guest.PlugMemory(mb)
-	d.allocValid = false
-	d.host.invalidateAggregates()
-	return mb, err
+	return hotplug(d, mb, (*guestos.GuestOS).PlugMemory)
 }
 
 // --- Performance-relevant introspection ---
@@ -776,8 +842,8 @@ func (d *Domain) HotPlugMemory(mb float64) (float64, error) {
 // is the penalty transparent deflation pays that explicit deflation
 // avoids (Section 4.4, Figure 14).
 func (d *Domain) SwapPressure() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	limit, ok := d.cg.Limit(resources.Memory)
 	if !ok {
 		return 0
@@ -788,22 +854,21 @@ func (d *Domain) SwapPressure() float64 {
 // CacheLoss returns the fraction of guest page cache sacrificed to the
 // current effective memory allocation.
 func (d *Domain) CacheLoss() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	eff := d.allocationLocked()
-	return d.guest.CacheLoss(eff.Get(resources.Memory))
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
+	return d.guest.CacheLoss(d.allocLocked().Get(resources.Memory))
 }
 
 // SetDeflatedBy records which mechanism last acted on the domain.
 func (d *Domain) SetDeflatedBy(mechanism string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	d.deflatedBy = mechanism
 }
 
 // DeflatedBy returns the mechanism label recorded by SetDeflatedBy.
 func (d *Domain) DeflatedBy() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
 	return d.deflatedBy
 }

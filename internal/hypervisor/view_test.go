@@ -3,7 +3,6 @@ package hypervisor
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 )
 
 // freshView rebuilds the deflatable VM-state view from scratch through
-// the public Domains() walk — the oracle the cached view must match
+// the public Domains() walk — the oracle the host's view must match
 // bit-for-bit after any operation sequence.
 func freshView(h *Host) ([]policy.VMState, []*Domain) {
 	var states []policy.VMState
@@ -44,7 +43,7 @@ func checkView(t *testing.T, h *Host, op string) {
 	}
 	for i := range wantStates {
 		if gotStates[i] != wantStates[i] {
-			t.Fatalf("after %s: cached view[%d] diverged:\n got %+v\nwant %+v",
+			t.Fatalf("after %s: view[%d] diverged:\n got %+v\nwant %+v",
 				op, i, gotStates[i], wantStates[i])
 		}
 		if gotDoms[i] != wantDoms[i] {
@@ -53,115 +52,16 @@ func checkView(t *testing.T, h *Host, op string) {
 	}
 }
 
-// TestDeflatableViewMatchesFreshWalk is the view-cache coherence
-// property test: after every operation of a long randomized define /
-// start / limit / hotplug / clear / shutdown / undefine sequence, the
-// cached per-host VM-state view must equal a fresh Domains() walk
-// exactly — the invariant that lets PlaceOn and Reinflate consume the
-// cache instead of rebuilding policy.VMState slices per pass. Offered
-// loads are written throughout (seeded at define, rewritten at random):
-// they invalidate nothing, so the view's Load column must come out right
-// by read-through alone.
+// TestDeflatableViewMatchesFreshWalk is the view coherence property
+// test: after every operation of the hostChurn sequence, the host's
+// VM-state view — read from its row table — must equal a fresh Domains()
+// walk through the public accessors exactly, the invariant that lets
+// PlaceOn and Reinflate consume the view instead of rebuilding
+// policy.VMState slices per pass. Offered loads are written throughout
+// (seeded at define, rewritten at random): they invalidate nothing, so
+// the view's Load column must come out right by read-through alone.
 func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	h := testHost(t)
-	var live []string
-	next := 0
-
-	for op := 0; op < 3000; op++ {
-		var opName string
-		switch k := rng.Intn(12); {
-		case k >= 10 && len(live) > 0: // offered-load write, any lifecycle state
-			name := live[rng.Intn(len(live))]
-			d, err := h.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.SetOfferedLoad(8 * rng.Float64())
-			opName = "load " + name
-		case k <= 2 || len(live) == 0: // define + maybe start
-			name := fmt.Sprintf("vm-%04d", next)
-			next++
-			cfg := DomainConfig{
-				Name:       name,
-				Size:       resources.New(float64(1+rng.Intn(16)), float64(1024*(1+rng.Intn(16))), 0, 0),
-				Deflatable: rng.Intn(3) != 0,
-				Priority:   0.25 * float64(1+rng.Intn(4)),
-				Load:       float64(rng.Intn(3)),
-			}
-			if rng.Intn(4) == 0 {
-				cfg.MinAllocation = cfg.Size.Scale(0.25)
-			}
-			d, err := h.Define(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(5) != 0 {
-				if err := d.Start(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			live = append(live, name)
-			opName = "define " + name
-		case k <= 5: // transparent limit change / clear
-			name := live[rng.Intn(len(live))]
-			d, err := h.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(5) == 0 {
-				d.ClearTransparentLimits()
-				opName = "clear " + name
-			} else {
-				frac := 0.3 + 0.7*rng.Float64()
-				d.SetCPUShares(d.MaxSize().Get(resources.CPU) * frac)
-				d.SetMemoryLimit(d.MaxSize().Get(resources.Memory) * frac)
-				opName = "limit " + name
-			}
-		case k <= 7: // hotplug churn (only running domains accept it)
-			name := live[rng.Intn(len(live))]
-			d, err := h.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(2) == 0 {
-				d.HotUnplugVCPUs(1 + rng.Intn(4))
-				d.HotUnplugMemory(float64(512 * (1 + rng.Intn(4))))
-			} else {
-				d.HotPlugVCPUs(1 + rng.Intn(4))
-				d.HotPlugMemory(float64(512 * (1 + rng.Intn(4))))
-			}
-			opName = "hotplug " + name
-		case k == 8: // lifecycle flip
-			name := live[rng.Intn(len(live))]
-			d, err := h.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.State() == Running {
-				d.Shutdown()
-			} else {
-				d.Start()
-			}
-			opName = "flip " + name
-		default: // undefine (stopping first if needed)
-			i := rng.Intn(len(live))
-			name := live[i]
-			d, err := h.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.State() == Running {
-				d.Shutdown()
-			}
-			if err := h.Undefine(name); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-			opName = "undefine " + name
-		}
-		checkView(t, h, opName)
-	}
+	hostChurn(t, 11, checkView)
 }
 
 // TestDeflatableViewAppendSemantics checks the append contract: the
@@ -224,7 +124,7 @@ func TestLoadWriteFiresNoAggregateChange(t *testing.T) {
 		if fires != 0 {
 			t.Fatalf("round %d: load writes fired %d aggregate-change callbacks, want 0", round, fires)
 		}
-		if h.cacheDirty.Load() {
+		if !h.clean {
 			t.Fatalf("round %d: load writes marked the host cache stale", round)
 		}
 		states, got := h.AppendDeflatableView(nil, nil)

@@ -68,24 +68,7 @@ func (Transparent) Apply(d *hypervisor.Domain, target resources.Vector) (resourc
 	if err != nil {
 		return resources.Vector{}, err
 	}
-	if err := d.SetCPUShares(t.Get(resources.CPU)); err != nil {
-		return resources.Vector{}, err
-	}
-	if err := d.SetMemoryLimit(t.Get(resources.Memory)); err != nil {
-		return resources.Vector{}, err
-	}
-	if v := t.Get(resources.DiskBW); v > 0 {
-		if err := d.SetDiskLimit(v); err != nil {
-			return resources.Vector{}, err
-		}
-	}
-	if v := t.Get(resources.NetBW); v > 0 {
-		if err := d.SetNetLimit(v); err != nil {
-			return resources.Vector{}, err
-		}
-	}
-	d.SetDeflatedBy("transparent")
-	return d.Effective(), nil
+	return d.SetLimits(t, "transparent")
 }
 
 // Explicit implements Section 4.3: deflation via guest-visible hot
@@ -111,19 +94,9 @@ func (Explicit) Apply(d *hypervisor.Domain, target resources.Vector) (resources.
 	if err := applyMemoryHotplug(d, t.Get(resources.Memory)); err != nil {
 		return resources.Vector{}, err
 	}
-	// I/O: transparent throttling (explicit unplug is unsafe).
-	if v := t.Get(resources.DiskBW); v > 0 {
-		if err := d.SetDiskLimit(v); err != nil {
-			return resources.Vector{}, err
-		}
-	}
-	if v := t.Get(resources.NetBW); v > 0 {
-		if err := d.SetNetLimit(v); err != nil {
-			return resources.Vector{}, err
-		}
-	}
-	d.SetDeflatedBy("explicit")
-	return d.Effective(), nil
+	// I/O: transparent throttling (explicit unplug is unsafe). Zeroed CPU
+	// and memory components leave those cgroup controllers alone.
+	return d.SetLimits(t.With(resources.CPU, 0).With(resources.Memory, 0), "explicit")
 }
 
 // applyCPUHotplug moves the online vCPU count toward ceil(targetCores).
@@ -192,36 +165,21 @@ func (Hybrid) Apply(d *hypervisor.Domain, target resources.Vector) (resources.Ve
 	if err := applyCPUHotplug(d, t.Get(resources.CPU)); err != nil {
 		return resources.Vector{}, err
 	}
-	if err := d.SetCPUShares(t.Get(resources.CPU)); err != nil {
-		return resources.Vector{}, err
-	}
 
 	// Memory: hotplug down to max(RSS threshold, target); the memory
 	// cgroup covers any remaining distance (possibly into swap, but only
 	// for the portion hotplug could not reach).
-	targetMB := t.Get(resources.Memory)
 	hpThreshold := d.Guest().RSSMB()
-	hotplugVal := math.Max(hpThreshold, targetMB)
+	hotplugVal := math.Max(hpThreshold, t.Get(resources.Memory))
 	if err := applyMemoryHotplug(d, hotplugVal); err != nil {
 		return resources.Vector{}, err
 	}
-	if err := d.SetMemoryLimit(targetMB); err != nil {
-		return resources.Vector{}, err
-	}
 
-	// I/O is transparent in all mechanisms.
-	if v := t.Get(resources.DiskBW); v > 0 {
-		if err := d.SetDiskLimit(v); err != nil {
-			return resources.Vector{}, err
-		}
-	}
-	if v := t.Get(resources.NetBW); v > 0 {
-		if err := d.SetNetLimit(v); err != nil {
-			return resources.Vector{}, err
-		}
-	}
-	d.SetDeflatedBy("hybrid")
-	return d.Effective(), nil
+	// deflate_multiplexing: one batched cgroup write takes CPU and memory
+	// the rest of the way and throttles I/O (transparent in all
+	// mechanisms). Hotplug never reads a cgroup limit, so issuing the
+	// limits after both hotplug steps changes nothing.
+	return d.SetLimits(t, "hybrid")
 }
 
 // ByName returns the mechanism with the given name.

@@ -3,6 +3,7 @@ package mechanism
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -319,5 +320,84 @@ func TestQuickMechanismBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// applySingleSetters is Apply as it was before the batched
+// Domain.SetLimits: the same clamp and hotplug steps, then one
+// single-controller setter per positive target dimension, the label,
+// and a final allocation read. Kept as the oracle the batched form is
+// held to.
+func applySingleSetters(m Mechanism, d *hypervisor.Domain, target resources.Vector) (resources.Vector, error) {
+	t, err := clampTarget(d, target)
+	if err != nil {
+		return resources.Vector{}, err
+	}
+	cpu, mem := t.Get(resources.CPU), t.Get(resources.Memory)
+	switch m.Name() {
+	case "transparent":
+		err = errors.Join(d.SetCPUShares(cpu), d.SetMemoryLimit(mem))
+	case "explicit":
+		err = errors.Join(applyCPUHotplug(d, cpu), applyMemoryHotplug(d, mem))
+	case "hybrid":
+		err = errors.Join(applyCPUHotplug(d, cpu), d.SetCPUShares(cpu),
+			applyMemoryHotplug(d, math.Max(d.Guest().RSSMB(), mem)), d.SetMemoryLimit(mem))
+	}
+	if err != nil {
+		return resources.Vector{}, err
+	}
+	if v := t.Get(resources.DiskBW); v > 0 {
+		if err := d.SetDiskLimit(v); err != nil {
+			return resources.Vector{}, err
+		}
+	}
+	if v := t.Get(resources.NetBW); v > 0 {
+		if err := d.SetNetLimit(v); err != nil {
+			return resources.Vector{}, err
+		}
+	}
+	d.SetDeflatedBy(m.Name())
+	return d.Effective(), nil
+}
+
+// TestApplyMatchesSingleSetters drives twin domains through the same
+// random deflate / reinflate target sequence — zero disk and network
+// components included, which Apply must leave unthrottled — one through
+// each mechanism's Apply and one through the single-setter oracle, and
+// requires the same achieved allocation, label, guest hotplug state and
+// memory-limit penalties after every step.
+func TestApplyMatchesSingleSetters(t *testing.T) {
+	for _, m := range []Mechanism{Transparent{}, Explicit{}, Hybrid{}} {
+		t.Run(m.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			batched, single := newDomain(t, 8, 16384), newDomain(t, 8, 16384)
+			for _, d := range []*hypervisor.Domain{batched, single} {
+				d.Guest().SetWorkload(3000, 2000)
+			}
+			for step := 0; step < 400; step++ {
+				target := batched.MaxSize().Scale(0.02 + rng.Float64())
+				if rng.Intn(2) == 0 {
+					target = target.With(resources.DiskBW, 0)
+				}
+				if rng.Intn(2) == 0 {
+					target = target.With(resources.NetBW, 0)
+				}
+				got, err := m.Apply(batched, target)
+				want, werr := applySingleSetters(m, single, target)
+				if err != nil || werr != nil {
+					t.Fatalf("step %d target %v: Apply err %v, oracle err %v", step, target, err, werr)
+				}
+				if got != want || batched.Allocation() != single.Allocation() {
+					t.Fatalf("step %d target %v: Apply achieved %v (allocation %v), single setters %v (allocation %v)",
+						step, target, got, batched.Allocation(), want, single.Allocation())
+				}
+				if batched.DeflatedBy() != single.DeflatedBy() ||
+					batched.SwapPressure() != single.SwapPressure() || batched.CacheLoss() != single.CacheLoss() ||
+					batched.Guest().OnlineVCPUs() != single.Guest().OnlineVCPUs() ||
+					batched.Guest().PluggedMemoryMB() != single.Guest().PluggedMemoryMB() {
+					t.Fatalf("step %d target %v: domain state diverged from the single-setter path", step, target)
+				}
+			}
+		})
 	}
 }
