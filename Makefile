@@ -28,12 +28,14 @@ race:
 # its readers under the single host lock, the batched limit write, the
 # hypervisor's concurrent offered-load writes against view reads, the
 # partitions' dirty lists, the events built from the view and the
-# capacity index's in-place re-key — and what concurrent engines share:
-# the trace's build-once P95 column, the lock-free notify.Bus publish and
-# the sample pass's scheme billing — a fast, explicit signal beside the
-# full `race` run.
+# capacity index's in-place re-key and payload-reading surplus probe —
+# and what concurrent engines share: the trace's build-once P95 column,
+# the lock-free notify.Bus publish and the sample pass's scheme billing
+# over the metering table (the sharded pass slices the table and its
+# meter column into matching chunks) — a fast, explicit signal beside
+# the full `race` run.
 race-placement:
-	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -46,29 +48,30 @@ bench-smoke:
 # queueing math included), the calendar event queue's steady-state
 # churn, a host's load writes followed by a deflatable-view read, a
 # host's refresh walk after a limit write, the capacity index's re-key
-# AND notify.Bus.Publish must all report 0 allocs/op, or the build
-# fails. The awk gate names each required benchmark explicitly (matching
-# on the name with its -GOMAXPROCS suffix stripped), so a renamed or
-# silently skipped benchmark fails the build instead of shrinking the
-# gate. The benchmark output is kept in BENCH_allocs.txt for CI to
-# archive.
+# and its surplus probe AND notify.Bus.Publish must all report 0
+# allocs/op, or the build fails. The awk gate names each required
+# benchmark explicitly (matching on the name with its -GOMAXPROCS suffix
+# stripped), so a renamed or silently skipped benchmark fails the build
+# instead of shrinking the gate. The benchmark output is kept in
+# BENCH_allocs.txt for CI to archive.
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|ProposeSteadyState|RiskProposeSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
-	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkProposeSteadyState"]; \
 			want["BenchmarkRiskProposeSteadyState"]; want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
 			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkRefreshWalkSteadyState"]; \
-			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkPublishSteadyState"] } \
+			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkSurplusProbeSteadyState"]; \
+			want["BenchmarkPublishSteadyState"] } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; \
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + refresh walk + index re-key + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager (sample pass sharded across all cores,

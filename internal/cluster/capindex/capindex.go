@@ -17,6 +17,15 @@
 // keys are stale is the cluster manager's business (its per-partition
 // dirty lists, cluster/partition.go).
 //
+// An entry may carry a payload: one resources.Vector, stored with
+// UpsertFree, which the surplus index uses for its server's free
+// capacity. FirstFitting and MinFitting take the demand and test it
+// against the payload of the node the walk is standing on, so a probe
+// costs no callback and no lookup outside the tree. The payload is the
+// only thing the package knows about what it indexes — it is still
+// ignorant of cluster types — and an index that never stores one (the
+// pressure path's bound index) pays 32 idle bytes per entry.
+//
 // # Determinism invariants
 //
 // Ties on key are broken by name everywhere (Less, AscendFrom, Min), so
@@ -25,15 +34,22 @@
 // cluster package's differential suite asserts bit-for-bit.
 package capindex
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+
+	"vmdeflate/internal/resources"
+)
 
 // node is one treap node: BST-ordered by (key, name), heap-ordered by
-// prio.
+// prio. free is the entry's payload (zero unless UpsertFree stored one).
+// What a surplus probe reads — key, payload, children — comes first, so
+// a visit stays within the node's leading 56 bytes.
 type node struct {
 	key         float64
-	name        string
-	prio        uint64
+	free        resources.Vector
 	left, right *node
+	prio        uint64
+	name        string
 }
 
 // less orders entries by (key, name) ascending — the tightest-fit scan
@@ -82,24 +98,37 @@ func (ix *Index) Key(name string) (float64, bool) {
 	return nd.key, true
 }
 
-// Upsert inserts the entry or moves it to a new key. A same-key upsert
-// is a no-op. Moving an existing entry re-keys in place: its node is
-// detached and re-inserted under the new key with its priority intact,
-// so a re-key allocates nothing and does not re-hash the name. The tree
-// shape stays a pure function of the entry set either way.
+// Upsert inserts the entry or moves it to a new key, leaving its
+// payload as it was. A same-key upsert is a no-op. Moving an existing
+// entry re-keys in place: its node is detached and re-inserted under the
+// new key with its priority intact, so a re-key allocates nothing and
+// does not re-hash the name. The tree shape stays a pure function of the
+// entry set either way.
 func (ix *Index) Upsert(name string, key float64) {
+	ix.upsert(name, key)
+}
+
+// UpsertFree is Upsert that also stores the entry's payload. The
+// payload is stored even when the key did not move: a server's free
+// vector can change while its dominant share does not.
+func (ix *Index) UpsertFree(name string, key float64, free resources.Vector) {
+	ix.upsert(name, key).free = free
+}
+
+func (ix *Index) upsert(name string, key float64) *node {
 	nd, ok := ix.nodes[name]
 	switch {
 	case !ok:
 		nd = &node{key: key, name: name, prio: priorityOf(name)}
 		ix.nodes[name] = nd
 	case nd.key == key:
-		return
+		return nd
 	default:
 		ix.root = remove(ix.root, nd.key, name)
 		nd.key, nd.left, nd.right = key, nil, nil
 	}
 	ix.root = insert(ix.root, nd)
+	return nd
 }
 
 // Delete removes the entry if present.
@@ -120,19 +149,15 @@ func (ix *Index) AscendFrom(lower float64, visit func(name string, key float64) 
 }
 
 // FirstFitting returns the first entry in ascending (key, name) order
-// with key >= lower that satisfies fits — the tightest-fit query one
-// index answers for its own servers. The partitioned placement engine
-// gives each placement partition its own Index; MinFitting merges their
-// answers.
-func (ix *Index) FirstFitting(lower float64, fits func(name string) bool) (name string, key float64, ok bool) {
-	ix.AscendFrom(lower, func(n string, k float64) bool {
-		if fits(n) {
-			name, key, ok = n, k, true
-			return false
-		}
-		return true
-	})
-	return name, key, ok
+// with key >= lower whose payload can hold size (size.FitsIn) — the
+// tightest-fit query one index answers for its own servers. The
+// partitioned placement engine gives each placement partition its own
+// Index; MinFitting merges their answers.
+func (ix *Index) FirstFitting(lower float64, size resources.Vector) (name string, key float64, ok bool) {
+	if nd := firstFitting(ix.root, lower, &size); nd != nil {
+		return nd.name, nd.key, true
+	}
+	return "", 0, false
 }
 
 // MinFitting is the merged best-of-partitions query: each index answers
@@ -142,7 +167,7 @@ func (ix *Index) FirstFitting(lower float64, fits func(name string) bool) (name 
 // single combined index would have returned, because each partition's
 // first fitting entry is its minimum fitting entry and the (key, name)
 // order is a total order over disjoint name sets.
-func MinFitting(indexes []*Index, lowers []float64, fits func(name string) bool) (string, float64, bool) {
+func MinFitting(indexes []*Index, lowers []float64, size resources.Vector) (string, float64, bool) {
 	var (
 		bestName string
 		bestKey  float64
@@ -152,12 +177,12 @@ func MinFitting(indexes []*Index, lowers []float64, fits func(name string) bool)
 		if ix == nil {
 			continue
 		}
-		n, k, ok := ix.FirstFitting(lowers[i], fits)
-		if !ok {
+		nd := firstFitting(ix.root, lowers[i], &size)
+		if nd == nil {
 			continue
 		}
-		if !found || less(k, n, bestKey, bestName) {
-			bestName, bestKey, found = n, k, true
+		if !found || less(nd.key, nd.name, bestKey, bestName) {
+			bestName, bestKey, found = nd.name, nd.key, true
 		}
 	}
 	return bestName, bestKey, found
@@ -303,4 +328,24 @@ func ascend(n *node, lower float64, visit func(string, float64) bool) bool {
 	// Everything in the left subtree is <= this node, so when the node is
 	// below the bound only the right subtree can still qualify.
 	return ascend(n.right, lower, visit)
+}
+
+// firstFitting is ascend specialised to the surplus probe: the same
+// in-order walk with the same pruning, stopping at the first in-range
+// node whose payload holds size. The probe visits every near-miss ahead
+// of the fit (about a hundred per lookup on a packed fleet), which is
+// why it reads the node it stands on instead of calling out.
+func firstFitting(n *node, lower float64, size *resources.Vector) *node {
+	for n != nil {
+		if n.key >= lower {
+			if nd := firstFitting(n.left, lower, size); nd != nil {
+				return nd
+			}
+			if size.FitsIn(n.free) {
+				return n
+			}
+		}
+		n = n.right
+	}
+	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"vmdeflate/internal/resources"
 )
 
 // refEntry mirrors one index entry in the flat reference model.
@@ -139,31 +141,33 @@ func TestIndexMatchesReferenceModel(t *testing.T) {
 }
 
 // TestFirstFitting pins the per-index tightest-fit query: first entry
-// in (key, name) order at or above the bound that passes the filter.
+// in (key, name) order at or above the bound whose payload holds the
+// demand.
 func TestFirstFitting(t *testing.T) {
-	ix := New()
-	ix.Upsert("a", 0.2)
-	ix.Upsert("b", 0.4)
-	ix.Upsert("c", 0.4)
-	ix.Upsert("d", 0.9)
-	fits := func(allowed ...string) func(string) bool {
-		return func(n string) bool {
+	// fits builds the index with a payload that holds the unit demand on
+	// exactly the allowed entries.
+	fits := func(allowed ...string) *Index {
+		ix := New()
+		for _, e := range []refEntry{{"a", 0.2}, {"b", 0.4}, {"c", 0.4}, {"d", 0.9}} {
+			var free resources.Vector
 			for _, a := range allowed {
-				if n == a {
-					return true
+				if e.name == a {
+					free = resources.Uniform(1)
 				}
 			}
-			return false
+			ix.UpsertFree(e.name, e.key, free)
 		}
+		return ix
 	}
-	if n, k, ok := ix.FirstFitting(0, fits("b", "c", "d")); !ok || n != "b" || k != 0.4 {
+	size := resources.Uniform(1)
+	if n, k, ok := fits("b", "c", "d").FirstFitting(0, size); !ok || n != "b" || k != 0.4 {
 		t.Fatalf("FirstFitting = %q %v %v, want b 0.4 true", n, k, ok)
 	}
 	// The bound prunes below; name breaks the 0.4 tie.
-	if n, _, ok := ix.FirstFitting(0.41, fits("a", "b", "c", "d")); !ok || n != "d" {
+	if n, _, ok := fits("a", "b", "c", "d").FirstFitting(0.41, size); !ok || n != "d" {
 		t.Fatalf("FirstFitting above bound = %q %v, want d", n, ok)
 	}
-	if _, _, ok := ix.FirstFitting(0, fits()); ok {
+	if _, _, ok := fits().FirstFitting(0, size); ok {
 		t.Fatal("FirstFitting with nothing fitting should miss")
 	}
 }
@@ -180,15 +184,14 @@ func TestMinFitting(t *testing.T) {
 		ixs[i] = New()
 	}
 	combined := New()
-	keyOf := map[string]float64{}
 	for i := 0; i < 90; i++ {
 		name := fmt.Sprintf("node-%03d", i)
 		key := float64(rng.Intn(20)) / 20 // deliberate cross-partition ties
-		ixs[i%parts].Upsert(name, key)
-		combined.Upsert(name, key)
-		keyOf[name] = key
+		// The payload holds the unit demand exactly where key >= 0.3.
+		ixs[i%parts].UpsertFree(name, key, resources.Uniform(key+0.7))
+		combined.UpsertFree(name, key, resources.Uniform(key+0.7))
 	}
-	fits := func(n string) bool { return keyOf[n] >= 0.3 }
+	fits := resources.Uniform(1)
 	for trial := 0; trial < 50; trial++ {
 		lower := rng.Float64()
 		for i := range lowers {
@@ -334,7 +337,7 @@ func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 		} else {
 			before := ix.nodes[name]
 			key := float64(rng.Intn(60)) / 60 // collisions on purpose
-			ix.Upsert(name, key)
+			ix.UpsertFree(name, key, suffixFree(name))
 			model[name] = key
 			if before != nil && ix.nodes[name] != before {
 				t.Fatalf("op %d: re-key of %s replaced its node", op, name)
@@ -345,7 +348,7 @@ func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 		}
 		rebuilt := New()
 		for _, e := range model.sorted() {
-			rebuilt.Upsert(e.name, e.key)
+			rebuilt.UpsertFree(e.name, e.key, suffixFree(e.name))
 		}
 		if !structEqual(ix.root, rebuilt.root) {
 			t.Fatalf("op %d: re-keyed treap is not the canonical tree of its entry set", op)
@@ -358,7 +361,7 @@ func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 				t.Fatalf("op %d: Key(%s) = %v %v, want %v", op, n, got, ok, k)
 			}
 		}
-		fits := func(n string) bool { return n[len(n)-1]%3 != 0 }
+		fits := resources.Uniform(1)
 		for _, lower := range []float64{0, 0.25, 0.5, 0.9} {
 			gn, gk, gok := ix.FirstFitting(lower, fits)
 			wn, wk, wok := rebuilt.FirstFitting(lower, fits)
@@ -386,6 +389,15 @@ func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 			want.Next()
 		}
 	}
+}
+
+// suffixFree is a payload that holds the unit demand on two names in
+// three, chosen by the name's last byte.
+func suffixFree(name string) resources.Vector {
+	if name[len(name)-1]%3 != 0 {
+		return resources.Uniform(1)
+	}
+	return resources.Vector{}
 }
 
 // rekeyIndex is the steady state of a dirty sync: s servers indexed,
@@ -422,5 +434,134 @@ func BenchmarkUpsertRekeySteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rekey(i)
+	}
+}
+
+// TestFittingProbesMatchLinearScan is the property the surplus path
+// leans on: the size-taking FirstFitting / MinFitting return exactly the
+// entry a linear scan in (key, name) order finds first — over random
+// inserts, re-keys, payload-only updates at an unchanged key (a server
+// whose free vector moved while its dominant share did not) and deletes,
+// with payloads and demands drawn so that most probes pass near-misses
+// that fit in one dimension only.
+func TestFittingProbesMatchLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const parts = 3
+	type entry struct {
+		key  float64
+		free resources.Vector
+	}
+	ixs := make([]*Index, parts)
+	for i := range ixs {
+		ixs[i] = New()
+	}
+	model := map[string]entry{}
+	partOf := func(name string) int { return int(name[len(name)-1]) % parts }
+	randFree := func() resources.Vector {
+		return resources.CPUMem(float64(rng.Intn(9)), float64(rng.Intn(9))*1024)
+	}
+	for op := 0; op < 6000; op++ {
+		name := fmt.Sprintf("node-%03d", rng.Intn(120))
+		ix := ixs[partOf(name)]
+		old, present := model[name]
+		switch r := rng.Intn(10); {
+		case r == 0:
+			ix.Delete(name)
+			delete(model, name)
+		case r <= 2 && present: // same key, new payload
+			e := entry{old.key, randFree()}
+			ix.UpsertFree(name, e.key, e.free)
+			model[name] = e
+		case r == 3 && present: // re-key alone: the payload must survive
+			e := entry{float64(rng.Intn(30)) / 30, old.free}
+			ix.Upsert(name, e.key)
+			model[name] = e
+		default:
+			e := entry{float64(rng.Intn(30)) / 30, randFree()}
+			ix.UpsertFree(name, e.key, e.free)
+			model[name] = e
+		}
+		if op%7 != 0 {
+			continue
+		}
+		size := resources.CPUMem(float64(1+rng.Intn(8)), float64(1+rng.Intn(8))*1024)
+		lowers := make([]float64, parts)
+		for i := range lowers {
+			lowers[i] = float64(rng.Intn(31)) / 30
+		}
+		// The oracle: per partition, and merged, the (key, name) minimum
+		// among in-range entries whose payload holds the demand.
+		var want [parts + 1]struct {
+			name string
+			key  float64
+			ok   bool
+		}
+		for n, e := range model {
+			p := partOf(n)
+			if e.key < lowers[p] || !size.FitsIn(e.free) {
+				continue
+			}
+			for _, w := range []int{p, parts} {
+				if !want[w].ok || less(e.key, n, want[w].key, want[w].name) {
+					want[w].name, want[w].key, want[w].ok = n, e.key, true
+				}
+			}
+		}
+		for p, ix := range ixs {
+			n, k, ok := ix.FirstFitting(lowers[p], size)
+			if n != want[p].name || k != want[p].key || ok != want[p].ok {
+				t.Fatalf("op %d: partition %d FirstFitting(%v, %v) = %q %v %v, linear scan finds %+v", op, p, lowers[p], size, n, k, ok, want[p])
+			}
+		}
+		n, k, ok := MinFitting(ixs, lowers, size)
+		if n != want[parts].name || k != want[parts].key || ok != want[parts].ok {
+			t.Fatalf("op %d: MinFitting(%v, %v) = %q %v %v, linear scan finds %+v", op, lowers, size, n, k, ok, want[parts])
+		}
+	}
+}
+
+// surplusProbe is the steady state of a surplus lookup on a packed
+// fleet: s servers indexed by free share, and a demand that about a
+// tenth of them — the ones the walk meets first — miss by one dimension.
+func surplusProbe(s int) (probe func() (string, bool)) {
+	ix := New()
+	for i := 0; i < s; i++ {
+		share := float64(i) / float64(s)
+		free := resources.CPUMem(48*share, 131072*share)
+		if i < s/2+s/10 {
+			free = resources.CPUMem(48*share, 1024) // near-miss: cores fit, memory does not
+		}
+		ix.UpsertFree(fmt.Sprintf("node-%04d", i), share, free)
+	}
+	size := resources.CPUMem(24, 65536)
+	return func() (string, bool) {
+		name, _, ok := ix.FirstFitting(0.5, size)
+		return name, ok
+	}
+}
+
+// TestSurplusProbeZeroAllocs: a probe allocates nothing and lands on the
+// first entry past the near-misses.
+func TestSurplusProbeZeroAllocs(t *testing.T) {
+	probe := surplusProbe(1000)
+	if name, ok := probe(); !ok || name != "node-0600" {
+		t.Fatalf("probe = %q %v, want node-0600 (100 near-misses ahead of it)", name, ok)
+	}
+	if got := testing.AllocsPerRun(1000, func() { probe() }); got != 0 {
+		t.Errorf("surplus probe allocates %.1f allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkSurplusProbeSteadyState is the surplus lookup `make
+// bench-allocs` gates at 0 allocs/op: one FirstFitting over 1,000
+// entries that passes 100 near-misses before its fit.
+func BenchmarkSurplusProbeSteadyState(b *testing.B) {
+	probe := surplusProbe(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := probe(); !ok {
+			b.Fatal("probe missed")
+		}
 	}
 }

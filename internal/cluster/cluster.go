@@ -896,9 +896,6 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 		}
 		return best
 	}
-	fits := func(n string) bool {
-		return size.FitsIn(m.byName[n].free)
-	}
 	if banded {
 		// Bands ascending, first band with any fit wins: the global
 		// (band, free share, name) minimum, since each band's MinFitting
@@ -915,7 +912,7 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 				ixs, lows = append(ixs, ix), append(lows, lower)
 			}
 			m.mfIdx, m.mfLow = ixs, lows
-			if name, _, ok := capindex.MinFitting(ixs, lows, fits); ok {
+			if name, _, ok := capindex.MinFitting(ixs, lows, size); ok {
 				return m.byName[name]
 			}
 		}
@@ -938,7 +935,7 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 		}
 	}
 	m.mfIdx, m.mfLow = ixs, lows
-	name, _, ok := capindex.MinFitting(ixs, lows, fits)
+	name, _, ok := capindex.MinFitting(ixs, lows, size)
 	if !ok {
 		return nil
 	}
@@ -964,9 +961,7 @@ func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 	for _, p := range m.parts {
 		for key, ix := range p.indexes {
 			lower := size.DominantShare(p.maxCap[key]) - fitMargin
-			if _, _, ok := ix.FirstFitting(lower, func(n string) bool {
-				return size.FitsIn(m.byName[n].free)
-			}); ok {
+			if _, _, ok := ix.FirstFitting(lower, size); ok {
 				return true
 			}
 		}

@@ -308,7 +308,9 @@ func (p *placePartition) refresh(m *Manager) {
 			p.indexes[key].Delete(name)
 			p.bounds[key].Delete(name)
 		} else {
-			p.indexes[key].Upsert(name, s.freeShare)
+			// The surplus entry carries s.free, the vector its probes
+			// test: this is the one place s.free is written.
+			p.indexes[key].UpsertFree(name, s.freeShare, s.free)
 			p.bounds[key].Upsert(name, boundKey(s.avail))
 		}
 	}
@@ -355,9 +357,7 @@ func (p *placePartition) surplusKey(m *Manager, key int, size resources.Vector) 
 		return nil
 	}
 	lower := size.DominantShare(p.maxCap[key]) - fitMargin
-	name, _, ok := ix.FirstFitting(lower, func(n string) bool {
-		return size.FitsIn(m.byName[n].free)
-	})
+	name, _, ok := ix.FirstFitting(lower, size)
 	if !ok {
 		return nil
 	}
@@ -394,9 +394,7 @@ func (p *placePartition) surplusLocal(m *Manager, pool int, size resources.Vecto
 		ixs, lows = append(ixs, ix), append(lows, lower)
 	}
 	p.bandIdx, p.bandLow = ixs, lows
-	name, _, ok := capindex.MinFitting(ixs, lows, func(n string) bool {
-		return size.FitsIn(m.byName[n].free)
-	})
+	name, _, ok := capindex.MinFitting(ixs, lows, size)
 	if !ok {
 		return nil
 	}

@@ -36,7 +36,7 @@ func sloSteadyEngine(tb testing.TB, nVMs int) *Engine {
 		evs[i] = simEvent{at: 0, kind: evArrival, vm: vm, seq: i}
 	}
 	e.handleArrivals(evs)
-	if len(e.runList) == 0 {
+	if len(e.tbl) == 0 {
 		tb.Fatal("no VMs admitted; sample pass would measure nothing")
 	}
 	return e

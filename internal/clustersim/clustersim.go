@@ -7,17 +7,23 @@
 //
 // The package is layered as three cooperating pieces:
 //
-//   - events.go — the event core: a container/heap-backed pending-event
-//     queue with typed sample/departure/arrival events and a stable
-//     (time, kind, trace-index) total order. Departures are scheduled
-//     lazily when a VM is admitted and sample events reschedule
-//     themselves, so a run never materialises and sorts the whole
-//     trace's event list up front.
+//   - events.go — the event core: a pending-event queue with typed
+//     sample/departure/shock/arrival events and a stable (time, kind,
+//     trace-row) total order. Arrivals stay latent in the trace — eager
+//     or streamed, one intake (streamQueue) delivers them from a
+//     pre-sorted arrival-order column as the run reaches them —
+//     departures are scheduled lazily when a VM is admitted and sample
+//     events reschedule themselves, so the queue holds what is live,
+//     never the whole trace's event list.
 //   - engine.go — the Engine: one self-contained run. It owns every
-//     piece of mutable state (cluster manager, running set, queue,
+//     piece of mutable state (cluster manager, metering table, queue,
 //     metric accumulators), which makes independent runs share-nothing
-//     and therefore safe to execute concurrently. Placements flow
-//     through the manager's incremental capacity index
+//     and therefore safe to execute concurrently. The trace row is its
+//     only VM handle: events carry it, evacuation outcomes return it,
+//     and one int32 per row maps it to the VM's row of a dense by-value
+//     table that holds the running deflatable VMs (on-demand VMs are
+//     metered for nothing and get no row). Placements flow through the
+//     manager's incremental capacity index
 //     (internal/cluster/capindex), and runs of same-timestamp
 //     departures are coalesced into one batched removal so each
 //     affected server reinflates once per instant instead of once per
@@ -34,15 +40,17 @@
 // within one run, for the single giant traces (100k-1M VMs) a sweep
 // cannot split. Servers and their resident VMs are partitioned across
 // shards per timestamp batch with an event-time barrier: at one event
-// time, the sample metering pass fans the running set out across shards
-// (each VM's meters are touched by exactly one shard), and a
-// same-instant departure batch reinflates its affected servers on up to
-// Shards workers (each server's policy pass runs on exactly one worker,
-// against only that server's state). Determinism holds at any shard
-// count because no floating-point accumulation crosses shards: per-VM
-// and per-server results are computed in isolation and merged in a
-// canonical order — demand/loss integrals per VM then summed in
-// departure (time, trace-index) order, notification events published in
+// time, the sample metering pass splits the metering table and its
+// meter column into matching contiguous chunks, one per shard (each
+// row, its domain's load and its meters are touched by exactly one
+// shard), and a same-instant departure batch reinflates its affected
+// servers on up to Shards workers (each server's policy pass runs on
+// exactly one worker, against only that server's state). Determinism
+// holds at any shard count — and whatever order swap-removes have left
+// the table in — because no floating-point accumulation crosses rows or
+// shards: per-VM and per-server results are computed in isolation and
+// merged in a canonical order — demand/loss integrals per VM then summed
+// in departure (time, trace-row) order, notification events published in
 // (time, first-touched server, VM name) order — so sharded == sequential
 // == reference placement bit for bit, proven by the differential suite.
 //

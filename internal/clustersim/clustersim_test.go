@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -200,38 +201,101 @@ func (perVMFee) Name() string { return "per-vm" }
 
 func (s perVMFee) Rate(resources.Vector, float64, resources.Vector) float64 { return s.fee }
 
+// perCoreFee is a second scheme the engine has no name for: a flat fee
+// per nominal core-hour, so its revenue is fee x OnDemandRevenue.
+type perCoreFee struct{ fee float64 }
+
+func (perCoreFee) Name() string { return "per-core" }
+
+func (s perCoreFee) Rate(size resources.Vector, _ float64, _ resources.Vector) float64 {
+	return s.fee * size.Get(resources.CPU)
+}
+
 // TestSampleBillingUsesConfiguredSchemes: the 5-minute sample pass must
 // bill through Scheme.Rate like admission does. It used to switch on the
 // three default scheme names with 0.2 hard-coded, so a configured
 // discount held only until a VM's first sample and any other scheme
 // billed nothing after it. Without overcommitment nothing deflates, so
-// every scheme's revenue is its undeflated rate times the VM-hours.
+// every scheme's revenue is its undeflated rate times the VM-hours. The
+// meters are a flat column with len(PricingSchemes) entries per table
+// row, so the scheme count varies too — none, three, five — and each
+// runs with the sequential and the sharded sample pass, which must agree
+// bit for bit.
 func TestSampleBillingUsesConfiguredSchemes(t *testing.T) {
-	tr := testTrace(300)
-	res, err := Run(Config{Trace: tr, PricingSchemes: []pricing.Scheme{
-		pricing.Static{Discount: 0.5},
-		pricing.Allocation{Discount: 0.5},
-		perVMFee{fee: 3},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rejected != 0 || res.ReclamationAttempts != 0 {
-		t.Fatalf("test premise broken: rejected %d, reclamation attempts %d on an un-overcommitted fleet", res.Rejected, res.ReclamationAttempts)
-	}
+	tr := testTrace(1500)
 	var hours float64
 	for _, vm := range tr.VMs {
 		if vm.Class == trace.Interactive {
 			hours += vm.Lifetime() / 3600
 		}
 	}
-	for scheme, want := range map[string]float64{
-		"static":     0.5 * res.OnDemandRevenue,
-		"allocation": 0.5 * res.OnDemandRevenue,
-		"per-vm":     3 * hours,
-	} {
-		if got := res.Revenue[scheme]; !almostEq(got, want) {
-			t.Errorf("Revenue[%s] = %v, want %v", scheme, got, want)
+	cases := map[string][]pricing.Scheme{
+		"none": {},
+		"three": {
+			pricing.Static{Discount: 0.5},
+			pricing.Allocation{Discount: 0.5},
+			perVMFee{fee: 3},
+		},
+		"five": {
+			perVMFee{fee: 3},
+			pricing.Priority{},
+			pricing.Allocation{Discount: 0.5},
+			perCoreFee{fee: 7},
+			pricing.Static{Discount: 0.5},
+		},
+	}
+	for name, schemes := range cases {
+		var seq *Result
+		for _, shards := range []int{1, 4} {
+			e, err := NewEngine(Config{Trace: tr, PricingSchemes: schemes, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peakRows := 0
+			e.afterSample = func() {
+				checkTable(t, e)
+				peakRows = max(peakRows, len(e.tbl))
+			}
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rejected != 0 || res.ReclamationAttempts != 0 || peakRows < minShardedSample {
+				t.Fatalf("%s: test premise broken: rejected %d, reclamation attempts %d on an un-overcommitted fleet, table peaked at %d rows (sharding starts at %d)",
+					name, res.Rejected, res.ReclamationAttempts, peakRows, minShardedSample)
+			}
+			if shards == 1 {
+				seq = res
+			} else if !reflect.DeepEqual(res, seq) {
+				t.Fatalf("%s: sharded billing diverged from sequential:\ngot %+v\nseq %+v", name, *res, *seq)
+			}
+			if len(res.Revenue) != len(schemes) || len(res.CostSavings) != len(schemes) {
+				t.Errorf("%s: Revenue has %d schemes, CostSavings %d, want %d", name, len(res.Revenue), len(res.CostSavings), len(schemes))
+			}
+			if res.OnDemandRevenue <= 0 {
+				t.Errorf("%s: OnDemandRevenue = %v, want the deflatable VMs' core-hours whatever is metered", name, res.OnDemandRevenue)
+			}
+			want := map[string]float64{
+				"static":     0.5 * res.OnDemandRevenue,
+				"allocation": 0.5 * res.OnDemandRevenue,
+				"per-vm":     3 * hours,
+				"per-core":   7 * res.OnDemandRevenue,
+			}
+			for _, s := range schemes {
+				got := res.Revenue[s.Name()]
+				if w, ok := want[s.Name()]; ok && !almostEq(got, w) {
+					t.Errorf("%s: Revenue[%s] = %v, want %v", name, s.Name(), got, w)
+				}
+			}
+			if _, ok := res.Revenue["priority"]; ok {
+				var byLevel float64
+				for _, v := range res.RevenueByPriority {
+					byLevel += v
+				}
+				if got := res.Revenue["priority"]; got <= 0 || got > res.OnDemandRevenue || !almostEq(byLevel, got) {
+					t.Errorf("%s: Revenue[priority] = %v (by level %v), want within (0, %v]", name, got, byLevel, res.OnDemandRevenue)
+				}
+			}
 		}
 	}
 }

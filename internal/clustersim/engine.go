@@ -1,9 +1,11 @@
 package clustersim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,37 +20,48 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// vmTracking is the engine's per-VM accounting record.
+// vmTracking is one row of the engine's metering table: everything a
+// sample, a relocation or a close reads about one running deflatable VM,
+// held by value so the sample pass walks contiguous memory and never
+// chases a pointer to learn what it is standing on. On-demand VMs have
+// no row: nothing is metered for them (no demand, no billing, no SLO
+// samples), so all the engine keeps is their slotOf sentinel.
 type vmTracking struct {
-	rec    *trace.VMRecord
+	// rec is the row's own copy of the trace record — series header,
+	// start, end, cores — so vmUtil is VMRecord.UtilAt over memory the
+	// row owns. On streamed runs the series is nil and cur reads it.
+	rec    trace.VMRecord
+	size   resources.Vector // == domain.MaxSize()
 	domain *hypervisor.Domain
-	// meters is position-indexed by Config.PricingSchemes (nil for
-	// on-demand VMs). A flat slice instead of the old name-keyed map:
-	// one admission used to allocate a map plus one Meter per scheme;
-	// now it is a single slice allocation, and the per-sample walk is an
-	// index loop instead of a map range.
-	meters []pricing.Meter
+	// cur reads this VM's utilisation incrementally on streamed runs
+	// (nil on eager runs, where rec.CPUUtil is materialised). Cursors
+	// are recycled through the engine's free list when the VM closes.
+	cur    *trace.UtilCursor
+	prio   float64
 	admitT float64 // admission time, for the on-demand-equivalent bill
 	demand float64 // integrated demand (core-seconds)
 	lost   float64 // integrated demand above allocation
-	prio   float64
 	// sloViol/sloSamples count this VM's SLO-violating and total metered
 	// samples (Config.SLO runs only). Integer per-VM counters folded at
 	// close time keep the accumulation exact and shard-order-free.
 	sloViol    uint32
 	sloSamples uint32
-	// idx is the VM's position in the engine's running list (swap-remove
-	// bookkeeping for the sharded sample pass).
-	idx int
-	// cur reads this VM's utilisation incrementally on streamed runs
-	// (nil on eager runs, where rec.CPUUtil is materialised). Cursors
-	// are recycled through the engine's free list when the VM closes.
-	cur *trace.UtilCursor
+	// row is the VM's trace row: the back-pointer into slotOf that a
+	// swap-remove needs to re-point the row it moved.
+	row int32
 }
 
+// slotOf sentinels: a trace row that is not running (never admitted,
+// rejected, departed or shock-killed), and one running as an on-demand
+// VM, which the manager hosts but the engine meters nothing for.
+const (
+	slotNone     int32 = -1
+	slotOnDemand int32 = -2
+)
+
 // Engine executes one simulation run. It owns every piece of mutable
-// run state — the cluster manager, the pending-event queue, the running
-// set and all metric accumulators — so concurrently executing engines
+// run state — the cluster manager, the pending-event queue, the metering
+// table and all metric accumulators — so concurrently executing engines
 // share nothing (a shared *trace.AzureTrace is read-only) and a sweep
 // worker pool can run one engine per grid point without coordination.
 //
@@ -61,10 +74,21 @@ type Engine struct {
 	// Deflation-mode state.
 	mgr     *cluster.Manager
 	queue   eventQueue
-	running map[string]*vmTracking
-	runList []*vmTracking // the running set as a slice, for sharded sampling
 	res     *Result
 	horizon float64
+
+	// The metering table. The trace row is the engine's only VM handle:
+	// arrival and departure events carry it (simEvent.seq), evacuation
+	// outcomes return it (DomainConfig.Tag), and slotOf — one int32 per
+	// trace row — maps it to the VM's row of tbl, or to a sentinel. tbl
+	// holds the running deflatable VMs by value, dense (a close
+	// swap-removes), and meters is its billing column: tbl[i]'s meters
+	// are meters[i*k:(i+1)*k], k = len(cfg.PricingSchemes), in scheme
+	// order. The sharded sample pass hands each shard a contiguous chunk
+	// of both.
+	tbl    []vmTracking
+	meters []pricing.Meter
+	slotOf []int32
 
 	// p95 is the eager trace's row-indexed P95 column (nil on streamed
 	// runs), fetched once per run: arrivals and the partition planner
@@ -117,10 +141,12 @@ type Engine struct {
 	sloViolByLevel []uint64
 	sloSampleCount uint64
 
-	// Arrival-batch scratch, reused across handleArrivals calls.
+	// Batch scratch, reused across handleArrivals calls (and, for names,
+	// the departure and revocation batches).
 	dcBuf   []hypervisor.DomainConfig
 	prioBuf []float64
 	plBuf   []cluster.Placement
+	names   []string
 
 	// afterSample, when set, runs after every sample pass, once its load
 	// writes are done. Nothing outside the tests sets it: the SLO
@@ -130,7 +156,7 @@ type Engine struct {
 	afterSample func()
 }
 
-// minShardedSample is the running-set size below which the sample pass
+// minShardedSample is the table size below which the sample pass
 // stays sequential: spawning shard goroutines for a handful of VMs
 // costs more than it saves. The threshold depends only on simulation
 // state, never on timing, so it cannot affect results (per-VM sampling
@@ -296,27 +322,34 @@ func (e *Engine) setupDeflation() error {
 		}
 		e.sloViolByLevel = make([]uint64, cfg.PriorityLevels)
 	}
-	e.running = map[string]*vmTracking{}
+	// Arrivals stay latent in the trace for both intakes: the queue
+	// holds departures, samples and shocks for the currently running VMs
+	// only (the heap oracle is the exception — see newArrivalQueue).
+	var rows int
 	if cfg.Stream != nil {
-		// The live-set queue holds departures, samples and shocks for
-		// the currently running VMs only; arrivals stay latent in the
-		// stream. Size the calendar for a modest live set — it resizes
-		// itself as the population moves.
 		var inner eventQueue
 		if cfg.useHeapQueue {
 			inner = &heapQueue{}
 		} else {
-			inner = newCalendarQueue(1024, e.geo.maxEnd)
+			inner = newCalendarQueue(liveSetHint, e.geo.maxEnd)
 		}
-		e.queue = newStreamQueue(cfg.Stream, e.geo.byStart, inner)
+		e.queue = newStreamQueue(cfg.Stream, nil, e.geo.byStart, inner)
 		e.horizon = e.geo.maxEnd
 		e.synth = trace.NewSeriesSynth()
+		rows = cfg.Stream.Len()
 		// Release the geometry: the queue owns byStart, and the other
 		// four columns (~32 bytes/VM) are dead weight through the run.
 		e.geo = nil
 	} else {
 		e.queue = newArrivalQueue(cfg.Trace, cfg.useHeapQueue)
 		e.horizon = cfg.Trace.Duration()
+		rows = len(cfg.Trace.VMs)
+	}
+	// 4 bytes per trace row, allocated only now that the geometry is
+	// gone.
+	e.slotOf = make([]int32, rows)
+	for i := range e.slotOf {
+		e.slotOf[i] = slotNone
 	}
 	if trace.SampleInterval <= e.horizon {
 		e.queue.push(simEvent{at: trace.SampleInterval, kind: evSample})
@@ -334,18 +367,23 @@ func (e *Engine) setupDeflation() error {
 // out across shards inside the per-timestamp barrier (see the package
 // comment's sharding section).
 func (e *Engine) runDeflation() (*Result, error) {
-	cfg := e.cfg
 	if err := e.setupDeflation(); err != nil {
 		return nil, err
 	}
 	defer e.mgr.Close() // stop the partition phase workers with the run
+	if err := e.eventLoop(); err != nil {
+		return nil, err
+	}
+	return e.foldResult(), nil
+}
 
-	// Reusable scratch for departure batching, so the hot loop does not
+// eventLoop drains the queue setupDeflation seeded. Split from setup and
+// from the result fold so white-box tests can stand between them.
+func (e *Engine) eventLoop() error {
+	cfg := &e.cfg
+	// Reusable scratch for event batching, so the hot loop does not
 	// allocate per event.
-	var (
-		batch []simEvent
-		names []string
-	)
+	var batch []simEvent
 	for !e.queue.empty() {
 		ev := e.queue.pop()
 		switch ev.kind {
@@ -409,7 +447,7 @@ func (e *Engine) runDeflation() (*Result, error) {
 				}
 				batch = append(batch, e.queue.pop())
 			}
-			names = names[:0]
+			names := e.names[:0]
 			for _, rev := range batch {
 				i := rev.shock.Server
 				if e.revoked[i] {
@@ -419,11 +457,12 @@ func (e *Engine) runDeflation() (*Result, error) {
 				e.outStart[i] = rev.at
 				names = append(names, e.serverNames[i])
 			}
+			e.names = names
 			if len(names) > 0 {
 				e.res.Revocations += len(names)
 				out, err := e.mgr.RevokeServers(names...)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				e.applyEvacuation(out, ev.at)
 			}
@@ -437,7 +476,7 @@ func (e *Engine) runDeflation() (*Result, error) {
 					e.outAccum[i] += end - e.outStart[i]
 				}
 				if err := e.mgr.RestoreServer(e.serverNames[i]); err != nil {
-					return nil, err
+					return err
 				}
 				e.res.Restorations++
 			}
@@ -450,7 +489,7 @@ func (e *Engine) runDeflation() (*Result, error) {
 				}
 				out, err := e.mgr.ResizeServer(e.serverNames[i], capacity.Scale(ev.shock.Scale))
 				if err != nil {
-					return nil, err
+					return err
 				}
 				e.res.Resizes++
 				e.applyEvacuation(out, ev.at)
@@ -470,40 +509,58 @@ func (e *Engine) runDeflation() (*Result, error) {
 				}
 				batch = append(batch, e.queue.pop())
 			}
-			names = names[:0]
-			for _, dev := range batch {
-				// Departures are scheduled only on admission and a VM
-				// leaves the running set only here, so the lookup cannot
-				// miss; it stays as a guard against future schedulers
-				// (e.g. preemption-style early removal) rather than a
-				// crash.
-				vt, ok := e.running[dev.vm.ID]
-				if !ok {
-					continue
-				}
-				e.closeVM(vt, dev.at)
-				e.dropRunning(dev.vm.ID, vt)
-				names = append(names, dev.vm.ID)
-			}
-			if len(names) > 0 {
-				if err := e.mgr.RemoveVMs(names...); err != nil {
-					return nil, err
-				}
+			if err := e.handleDepartures(batch); err != nil {
+				return err
 			}
 		}
 	}
 	// Defensively close any VM that somehow outlived its departure
-	// event, in sorted order so accumulator arithmetic stays
+	// event, in (ID, trace row) order so accumulator arithmetic stays
 	// deterministic.
-	ids := make([]string, 0, len(e.running))
-	for id := range e.running {
-		ids = append(ids, id)
+	if len(e.tbl) > 0 {
+		left := make([]int32, len(e.tbl))
+		for i := range left {
+			left[i] = int32(i)
+		}
+		slices.SortFunc(left, func(a, b int32) int {
+			return cmp.Or(strings.Compare(e.tbl[a].rec.ID, e.tbl[b].rec.ID), cmp.Compare(e.tbl[a].row, e.tbl[b].row))
+		})
+		for _, slot := range left {
+			e.closeVM(slot, e.horizon)
+		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		e.closeVM(e.running[id], e.horizon)
-	}
+	return nil
+}
 
+// handleDepartures closes one same-timestamp batch of departing VMs and
+// removes them from the manager in one call. A departure resolves
+// through its trace row: slotOf says whether the VM is still running —
+// a shock-killed VM's queued departure finds slotNone and is skipped,
+// whoever has reused its ID since — and where its table row is.
+func (e *Engine) handleDepartures(evs []simEvent) error {
+	names := e.names[:0]
+	for _, dev := range evs {
+		slot := e.slotOf[dev.seq]
+		if slot == slotNone {
+			continue
+		}
+		if slot >= 0 {
+			e.closeVM(slot, dev.at)
+			e.dropRow(slot)
+		}
+		e.slotOf[dev.seq] = slotNone
+		names = append(names, dev.vm.ID)
+	}
+	e.names = names
+	if len(names) == 0 {
+		return nil
+	}
+	return e.mgr.RemoveVMs(names...)
+}
+
+// foldResult converts the run's accumulators into the Result.
+func (e *Engine) foldResult() *Result {
+	cfg := &e.cfg
 	e.res.ReclamationFailures = e.mgr.Rejections()
 	e.res.RiskRejections = e.mgr.RiskRejections()
 	e.res.PressuredArrivals, e.res.PressureScored, e.res.PressurePruned = e.mgr.PressureStats()
@@ -541,7 +598,7 @@ func (e *Engine) runDeflation() (*Result, error) {
 		cfg.Timings.Reinflate += pt.Reinflate
 		cfg.Timings.Sample += e.sampleTime
 	}
-	return e.res, nil
+	return e.res
 }
 
 // sloHistBuckets and sloHistScale shape the slowdown histogram: bucket i
@@ -654,7 +711,7 @@ func remainingDemand(rec *trace.VMRecord, t float64) float64 {
 // forms charge a killed VM identically.
 func (e *Engine) remainingDemandOf(vt *vmTracking, t float64) float64 {
 	if vt.cur == nil {
-		return remainingDemand(vt.rec, t)
+		return remainingDemand(&vt.rec, t)
 	}
 	var d float64
 	for ts := t; ts < vt.rec.End; ts += trace.SampleInterval {
@@ -664,60 +721,67 @@ func (e *Engine) remainingDemandOf(vt *vmTracking, t float64) float64 {
 }
 
 // applyEvacuation folds one capacity shock's evacuation outcome into
-// the run state: relocated VMs swap to their new domains (and re-meter
+// the run state. Each displaced configuration carries its trace row in
+// Tag, so an evacuee resolves through slotOf like a departure does:
+// relocated VMs swap to their new domains (and re-meter
 // allocation-based billing at the relocation allocation), killed VMs
 // are settled and dropped at the shock instant — their already-queued
 // departure events become stale and are skipped by the departure
-// batch's running-set guard. A killed deflatable VM's never-served
+// batch's slotNone guard. A killed deflatable VM's never-served
 // future demand is charged to both the demand and loss integrals,
 // exactly as the preemption baseline charges its shock kills, so the
 // two modes' ThroughputLoss stays comparable under shocks.
 func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 	for i := range out.VMs {
-		name := out.VMs[i].Name
-		vt, ok := e.running[name]
-		if !ok {
+		row := out.VMs[i].Tag
+		slot := e.slotOf[row]
+		if slot == slotNone {
 			continue
 		}
 		pl := out.Placements[i]
 		if pl.Err != nil {
 			e.res.ShockKills++
-			if out.VMs[i].Deflatable {
+			if slot >= 0 {
+				vt := &e.tbl[slot]
 				rem := e.remainingDemandOf(vt, at)
 				vt.demand += rem
 				vt.lost += rem
+				e.closeVM(slot, at)
+				e.dropRow(slot)
 			}
-			e.closeVM(vt, at)
-			e.dropRunning(name, vt)
+			e.slotOf[row] = slotNone
 			continue
 		}
 		e.res.Evacuations++
 		e.res.DisplacedDowntime += e.cfg.EvacuationDowntime
+		if slot < 0 {
+			continue // on-demand: the manager holds its new domain
+		}
+		vt := &e.tbl[slot]
 		vt.domain = pl.Domain
-		for j := range vt.meters {
-			s := e.cfg.PricingSchemes[j]
-			vt.meters[j].Observe(at/3600, s.Rate(out.VMs[i].Size, vt.prio, pl.Initial))
+		meters := e.metersOf(slot)
+		for j := range meters {
+			meters[j].Observe(at/3600, e.cfg.PricingSchemes[j].Rate(vt.size, vt.prio, pl.Initial))
 		}
 	}
 }
 
-// samplePass meters every running VM at one 5-minute boundary. Each
-// sampleVM call reads and writes only its own VM's record, domain and
-// meters, so with Shards > 1 the running list is split into contiguous
-// chunks sampled concurrently — no cross-VM float accumulation exists
-// to reorder, which is why the shard count cannot change any result.
+// samplePass meters every running deflatable VM at one 5-minute
+// boundary. Each sampleVM call reads and writes only its own table row,
+// domain and meters, so with Shards > 1 the table and its meter column
+// are split into matching contiguous chunks sampled concurrently — no
+// cross-VM float accumulation exists to reorder, which is why neither
+// the shard count nor the table's order can change any result.
 func (e *Engine) samplePass(at float64) {
-	if e.shards <= 1 || len(e.runList) < minShardedSample {
+	n, k := len(e.tbl), len(e.cfg.PricingSchemes)
+	if e.shards <= 1 || n < minShardedSample {
 		var hist []uint64
 		if e.sloHists != nil {
 			hist = e.sloHists[0]
 		}
-		for _, vt := range e.runList {
-			sampleVM(vt, at, &e.cfg, hist)
-		}
+		sampleRows(e.tbl, e.meters, at, &e.cfg, hist)
 		return
 	}
-	n := len(e.runList)
 	var wg sync.WaitGroup
 	for w := 0; w < e.shards; w++ {
 		lo, hi := w*n/e.shards, (w+1)*n/e.shards
@@ -729,38 +793,62 @@ func (e *Engine) samplePass(at float64) {
 			hist = e.sloHists[w]
 		}
 		wg.Add(1)
-		go func(chunk []*vmTracking, hist []uint64) {
+		go func(rows []vmTracking, meters []pricing.Meter, hist []uint64) {
 			defer wg.Done()
-			for _, vt := range chunk {
-				sampleVM(vt, at, &e.cfg, hist)
-			}
-		}(e.runList[lo:hi], hist)
+			sampleRows(rows, meters, at, &e.cfg, hist)
+		}(e.tbl[lo:hi], e.meters[lo*k:hi*k], hist)
 	}
 	wg.Wait()
 }
 
-// addRunning and dropRunning keep the running map and the sharded
-// sample pass's slice in sync; dropRunning swap-removes, which reorders
-// the list but sampling is per-VM isolated so order never matters.
-func (e *Engine) addRunning(id string, vt *vmTracking) {
-	vt.idx = len(e.runList)
-	e.runList = append(e.runList, vt)
-	e.running[id] = vt
+// sampleRows samples a chunk of the table with its chunk of the meter
+// column (len(meters) == len(rows)*k).
+func sampleRows(rows []vmTracking, meters []pricing.Meter, at float64, cfg *Config, hist []uint64) {
+	k := len(cfg.PricingSchemes)
+	for i := range rows {
+		sampleVM(&rows[i], meters[i*k:(i+1)*k], at, cfg, hist)
+	}
 }
 
-func (e *Engine) dropRunning(id string, vt *vmTracking) {
-	last := len(e.runList) - 1
-	moved := e.runList[last]
-	e.runList[vt.idx] = moved
-	moved.idx = vt.idx
-	e.runList = e.runList[:last]
-	delete(e.running, id)
+// metersOf returns table row slot's slice of the meter column.
+func (e *Engine) metersOf(slot int32) []pricing.Meter {
+	k := len(e.cfg.PricingSchemes)
+	return e.meters[int(slot)*k : (int(slot)+1)*k]
 }
 
-// closeVM settles a VM's meters and folds its demand integrals into the
-// run accumulators.
-func (e *Engine) closeVM(vt *vmTracking, at float64) {
-	finishVM(vt, at, e.res, &e.cfg)
+// addRow appends a table row (with k zero meters) for trace row
+// vt.row and returns its slot; dropRow swap-removes one, moving the
+// last row and its meters into the hole and re-pointing that row's
+// slotOf entry. The swap reorders the table, but sampling is per-VM
+// isolated so order never matters.
+func (e *Engine) addRow(vt vmTracking) int32 {
+	slot := int32(len(e.tbl))
+	e.tbl = append(e.tbl, vt)
+	for range e.cfg.PricingSchemes {
+		e.meters = append(e.meters, pricing.Meter{})
+	}
+	e.slotOf[vt.row] = slot
+	return slot
+}
+
+func (e *Engine) dropRow(slot int32) {
+	last := int32(len(e.tbl) - 1)
+	e.slotOf[e.tbl[slot].row] = slotNone
+	if slot != last {
+		e.tbl[slot] = e.tbl[last]
+		copy(e.metersOf(slot), e.metersOf(last))
+		e.slotOf[e.tbl[slot].row] = slot
+	}
+	e.tbl[last] = vmTracking{} // drop the domain/cursor/series pointers for the GC
+	e.tbl = e.tbl[:last]
+	e.meters = e.meters[:int(last)*len(e.cfg.PricingSchemes)]
+}
+
+// closeVM settles table row slot's meters and folds its demand
+// integrals into the run accumulators. The row stays until dropRow.
+func (e *Engine) closeVM(slot int32, at float64) {
+	vt := &e.tbl[slot]
+	finishVM(vt, e.metersOf(slot), at, e.res, &e.cfg)
 	e.demandTotal += vt.demand
 	e.lostTotal += vt.lost
 	if e.cfg.SLO != nil {
@@ -794,6 +882,7 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 			Name:       vm.ID,
 			Size:       vmSize(vm),
 			Deflatable: deflatable,
+			Tag:        int32(ev.seq), // the trace row, back in evacuation outcomes
 		}
 		switch {
 		case streamed && deflatable:
@@ -847,47 +936,43 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 		}
 		e.res.Admitted++
 		vm := ev.vm
-		vt := &vmTracking{rec: vm, domain: pl.Domain, admitT: ev.at, prio: prios[i]}
-		if dcs[i].Deflatable {
-			e.res.DeflatableAdmitted++
-			vt.meters = make([]pricing.Meter, len(cfg.PricingSchemes))
-			for j, s := range cfg.PricingSchemes {
-				vt.meters[j].Observe(ev.at/3600, s.Rate(dcs[i].Size, prios[i], pl.Initial))
-			}
+		e.queue.push(simEvent{at: vm.End, kind: evDeparture, vm: vm, seq: ev.seq})
+		if !dcs[i].Deflatable {
+			e.slotOf[ev.seq] = slotOnDemand
+			continue
 		}
+		e.res.DeflatableAdmitted++
+		vt := vmTracking{rec: *vm, size: dcs[i].Size, domain: pl.Domain, admitT: ev.at, prio: prios[i], row: int32(ev.seq)}
 		if streamed {
 			// Bind a utilisation cursor for the VM's lifetime, recycled
 			// through the free list so steady-state churn allocates
 			// nothing.
-			var cur *trace.UtilCursor
 			if n := len(e.cursorFree); n > 0 {
-				cur, e.cursorFree = e.cursorFree[n-1], e.cursorFree[:n-1]
+				vt.cur, e.cursorFree = e.cursorFree[n-1], e.cursorFree[:n-1]
 			} else {
-				cur = trace.NewUtilCursor()
+				vt.cur = trace.NewUtilCursor()
 			}
-			cur.Reset(cfg.Stream.Params(ev.seq))
-			vt.cur = cur
+			vt.cur.Reset(cfg.Stream.Params(ev.seq))
 		}
-		e.addRunning(vm.ID, vt)
-		e.queue.push(simEvent{at: vm.End, kind: evDeparture, vm: vm, seq: ev.seq})
+		meters := e.metersOf(e.addRow(vt))
+		for j, s := range cfg.PricingSchemes {
+			meters[j].Observe(ev.at/3600, s.Rate(dcs[i].Size, prios[i], pl.Initial))
+		}
 	}
 }
 
 // sampleVM accumulates demand/loss, SLO state and allocation-based
-// billing at one 5-minute boundary. It touches only vt's own state (and
-// reads its domain's allocation under the host's lock; hist belongs to
-// this VM's shard alone), which is what makes the sharded sample pass
-// safe and shard-count-invariant. With cfg.SLO set it additionally maps the
-// offered load and current allocation to a request slowdown through the
-// closed-form PS model — pure float math, so the pass stays
-// allocation-free — and publishes the load to the domain for the
-// latency-aware policy's next pass.
-func sampleVM(vt *vmTracking, at float64, cfg *Config, hist []uint64) {
-	if !vt.domain.Deflatable() {
-		return
-	}
+// billing at one 5-minute boundary. It touches only vt's own row and
+// meters (and reads its domain's allocation under the host's lock; hist
+// belongs to this VM's shard alone), which is what makes the sharded
+// sample pass safe and shard-count-invariant. With cfg.SLO set it
+// additionally maps the offered load and current allocation to a
+// request slowdown through the closed-form PS model — pure float math,
+// so the pass stays allocation-free — and publishes the load to the
+// domain for the latency-aware policy's next pass.
+func sampleVM(vt *vmTracking, meters []pricing.Meter, at float64, cfg *Config, hist []uint64) {
 	util := vmUtil(vt, at)
-	size, alloc := vt.domain.MaxSize(), vt.domain.Allocation()
+	size, alloc := vt.size, vt.domain.Allocation()
 	maxCores := size.Get(resources.CPU)
 	allocCores := alloc.Get(resources.CPU)
 	demand := util / 100 * maxCores * trace.SampleInterval
@@ -912,16 +997,17 @@ func sampleVM(vt *vmTracking, at float64, cfg *Config, hist []uint64) {
 		}
 		hist[idx]++
 	}
-	for i := range vt.meters {
-		vt.meters[i].Observe(at/3600, cfg.PricingSchemes[i].Rate(size, vt.prio, alloc))
+	for i := range meters {
+		meters[i].Observe(at/3600, cfg.PricingSchemes[i].Rate(size, vt.prio, alloc))
 	}
 }
 
 // vmUtil reads a tracked VM's utilisation at time t: through the
 // streamed cursor when one is bound (samples advance monotonically, so
-// the cursor's forward reads are O(1) amortised), else from the
-// materialised series. The two produce identical bits — the cursor
-// replays the same generator from the same per-VM seed.
+// the cursor's forward reads are O(1) amortised), else from the row's
+// copy of the materialised series header. The two produce identical
+// bits — the cursor replays the same generator from the same per-VM
+// seed.
 func vmUtil(vt *vmTracking, at float64) float64 {
 	if vt.cur != nil {
 		return vt.cur.At(at)
@@ -929,23 +1015,21 @@ func vmUtil(vt *vmTracking, at float64) float64 {
 	return vt.rec.UtilAt(at)
 }
 
-// finishVM settles a departing (or shock-killed) VM's billing: each
-// scheme's meter closes into Revenue, the "priority" scheme is
-// additionally split by quantised priority level, and the VM's
+// finishVM settles a departing (or shock-killed) deflatable VM's
+// billing: each scheme's meter closes into Revenue, the "priority"
+// scheme is additionally split by quantised priority level, and the VM's
 // on-demand-equivalent bill (cores × hours at rate 1) accumulates so
 // the run can report the paper's customer cost-savings fraction.
-func finishVM(vt *vmTracking, at float64, res *Result, cfg *Config) {
-	for i := range vt.meters {
+func finishVM(vt *vmTracking, meters []pricing.Meter, at float64, res *Result, cfg *Config) {
+	for i := range meters {
 		name := cfg.PricingSchemes[i].Name()
-		rev := vt.meters[i].Close(at / 3600)
+		rev := meters[i].Close(at / 3600)
 		res.Revenue[name] += rev
 		if name == "priority" {
 			res.RevenueByPriority[priorityLevel(vt.prio, cfg.PriorityLevels)] += rev
 		}
 	}
-	if vt.meters != nil {
-		res.OnDemandRevenue += float64(vt.rec.Cores) * (at - vt.admitT) / 3600
-	}
+	res.OnDemandRevenue += float64(vt.rec.Cores) * (at - vt.admitT) / 3600
 }
 
 // priorityLevel maps a quantised priority pi = (level+1)/n back to its

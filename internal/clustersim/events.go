@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 
@@ -89,8 +90,8 @@ func eventLess(a, b simEvent) bool {
 // in (time, kind, seq) order. Two interchangeable implementations
 // exist — heapQueue (container/heap, the original and the property-test
 // reference) and calendarQueue (O(1) amortized, the default) — plus
-// streamQueue, which overlays lazily generated arrivals on a live-set
-// queue for streamed traces. Unlike the pre-queue approach —
+// streamQueue, which overlays the trace's latent arrivals on a live-set
+// queue for both intakes. Unlike the pre-queue approach —
 // materialise 2N events in one slice and sort it per run — all of them
 // admit lazily scheduled events (departures are only scheduled for VMs
 // that were actually admitted, samples reschedule themselves), so a
@@ -143,11 +144,15 @@ func (q *heapQueue) peek() simEvent { return q.evs[0] }
 
 func (q *heapQueue) empty() bool { return len(q.evs) == 0 }
 
-// newArrivalQueue seeds a queue with one arrival per trace VM.
-// Departure events are scheduled by the engine when (and only when) a
-// VM is admitted, and the first sample event is scheduled by the run
-// loop. useHeap selects the reference heap implementation instead of
-// the calendar queue.
+// newArrivalQueue is the eager trace's event queue. Arrivals stay
+// latent in the trace — a streamQueue over the arrival order and a
+// live-set calendar, the same intake a streamed run uses — so the ring
+// holds what is live, not N pre-pushed events. Departure events are
+// scheduled by the engine when (and only when) a VM is admitted, and
+// the first sample event is scheduled by the run loop. useHeap selects
+// the reference instead: every arrival pushed up front into one flat
+// binary heap, which makes the queue differential overlay + calendar
+// against a single heap.
 func newArrivalQueue(tr *trace.AzureTrace, useHeap bool) eventQueue {
 	if useHeap {
 		q := &heapQueue{evs: make([]simEvent, 0, len(tr.VMs))}
@@ -157,11 +162,23 @@ func newArrivalQueue(tr *trace.AzureTrace, useHeap bool) eventQueue {
 		heap.Init(q)
 		return q
 	}
-	q := newCalendarQueue(len(tr.VMs), tr.Duration())
-	for i, vm := range tr.VMs {
-		q.push(simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: i})
+	return newStreamQueue(nil, tr.VMs, arrivalOrder(tr), newCalendarQueue(liveSetHint, tr.Duration()))
+}
+
+// arrivalOrder returns the trace's rows sorted by (Start, row): the
+// order eventLess gives arrivals. It is built per run, not cached on the
+// trace — the queue chunks and releases it as the run consumes it.
+func arrivalOrder(tr *trace.AzureTrace) []int32 {
+	order := make([]int32, len(tr.VMs))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	return q
+	// The row makes the order total, so the unstable sort is
+	// deterministic.
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(tr.VMs[a].Start, tr.VMs[b].Start), cmp.Compare(a, b))
+	})
+	return order
 }
 
 // event is a flattened arrival/departure pair: idx is the VM's row in

@@ -1,6 +1,8 @@
 package clustersim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"vmdeflate/internal/trace"
@@ -182,5 +184,121 @@ func TestEngineMatchesLegacySliceReplay(t *testing.T) {
 	}
 	if got.Admitted+got.Rejected != got.Arrivals {
 		t.Errorf("admission bookkeeping: %d + %d != %d", got.Admitted, got.Rejected, got.Arrivals)
+	}
+}
+
+// TestArrivalOverlayMatchesHeap holds the eager intake — latent arrivals
+// overlaid on a live-set calendar — to the flat pre-pushed heap, event
+// for event, on traces whose rows are shuffled out of start order, tie
+// on start and include zero-lifetime VMs. Both queues are driven the way
+// the engine drives them: every delivered arrival schedules its
+// departure, so a zero-lifetime VM's departure has to cut in ahead of
+// the arrivals still latent at its instant.
+func TestArrivalOverlayMatchesHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(300)
+		tr := &trace.AzureTrace{VMs: make([]*trace.VMRecord, n)}
+		for i := range tr.VMs {
+			start := float64(rng.Intn(12)) * 150 // few distinct instants: ties
+			life := float64(rng.Intn(4)) * 150   // a quarter live zero seconds
+			tr.VMs[i] = &trace.VMRecord{ID: fmt.Sprintf("vm-%d", i), Start: start, End: start + life}
+		}
+		drive := func(q eventQueue) []simEvent {
+			q.push(simEvent{at: 300, kind: evSample})
+			var out []simEvent
+			for !q.empty() {
+				if peeked := q.peek(); peeked != q.peek() {
+					t.Fatalf("trial %d: peek is not stable", trial)
+				}
+				ev := q.pop()
+				out = append(out, ev)
+				if ev.kind == evArrival {
+					q.push(simEvent{at: ev.vm.End, kind: evDeparture, vm: ev.vm, seq: ev.seq})
+				}
+			}
+			return out
+		}
+		got, want := drive(newArrivalQueue(tr, false)), drive(newArrivalQueue(tr, true))
+		if len(got) != 2*n+1 || len(want) != 2*n+1 {
+			t.Fatalf("trial %d: delivered %d / %d events, want %d", trial, len(got), len(want), 2*n+1)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: event %d = %+v, heap delivers %+v", trial, i, got[i], want[i])
+			}
+			if i > 0 && got[i].at < got[i-1].at {
+				t.Fatalf("trial %d: event %d = %+v delivered after %+v", trial, i, got[i], got[i-1])
+			}
+		}
+	}
+}
+
+// sizedQueue counts what an eventQueue holds and remembers the peak.
+type sizedQueue struct {
+	eventQueue
+	size, peak int
+}
+
+func (q *sizedQueue) push(e simEvent) {
+	q.eventQueue.push(e)
+	if q.size++; q.size > q.peak {
+		q.peak = q.size
+	}
+}
+
+func (q *sizedQueue) pop() simEvent {
+	q.size--
+	return q.eventQueue.pop()
+}
+
+// TestLiveSetQueuePeak is the work count of the merged intake: on an
+// eager run the calendar never holds more than the live VMs' departures,
+// the shock schedule and one sample — where pre-pushing the arrivals
+// started it at one event per trace VM.
+func TestLiveSetQueuePeak(t *testing.T) {
+	tr, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioHeavyTail, NumVMs: 20000, Duration: 86400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(Config{Trace: tr, Overcommit: 0.5, ShockConfig: testShockConfig(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.setupDeflation(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.mgr.Close()
+	// The seeded calendar holds the shock schedule and the first sample.
+	overlay := e.queue.(*streamQueue)
+	cal := overlay.inner.(*calendarQueue)
+	shocks := cal.size - 1
+	counted := &sizedQueue{eventQueue: cal, size: cal.size, peak: cal.size}
+	overlay.inner = counted
+	if err := e.eventLoop(); err != nil {
+		t.Fatal(err)
+	}
+	res := e.foldResult()
+	if shocks == 0 || res.Revocations == 0 || res.Admitted < len(tr.VMs)/2 {
+		t.Fatalf("vacuous run: %d shock events, %d revocations, %d of %d admitted", shocks, res.Revocations, res.Admitted, len(tr.VMs))
+	}
+	// Peak concurrency of the trace bounds the departures pending at any
+	// instant (a shock-killed VM's stale departure included).
+	live, peakLive := 0, 0
+	for _, ev := range buildEvents(tr) {
+		if !ev.arrival {
+			live--
+		} else if live++; live > peakLive {
+			peakLive = live
+		}
+	}
+	if bound := peakLive + shocks + 1; counted.peak > bound {
+		t.Errorf("live-set queue peaked at %d events; %d live VMs + %d shock events + 1 sample = %d", counted.peak, peakLive, shocks, bound)
+	}
+	if counted.peak >= len(tr.VMs)/2 {
+		t.Errorf("live-set queue peaked at %d events on a %d-VM trace: arrivals are being queued", counted.peak, len(tr.VMs))
+	}
+	if counted.size != 0 {
+		t.Errorf("%d events left after the run", counted.size)
 	}
 }

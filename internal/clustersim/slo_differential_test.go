@@ -84,7 +84,7 @@ func TestSLOEngineMatchesAcrossShardsAndPartitions(t *testing.T) {
 // that invalidates and changes nothing.
 func invalidateOnLoadWrite(t *testing.T, e *Engine) {
 	e.afterSample = func() {
-		for _, vt := range e.runList {
+		for _, vt := range e.tbl {
 			if !vt.domain.Deflatable() {
 				continue // sampleVM writes no load for on-demand VMs
 			}

@@ -151,28 +151,40 @@ func partitionPlanStream(cfg Config, s *trace.Stream, g *streamGeometry, nServer
 // progresses instead of pinning 4 bytes per trace VM to the end.
 const streamChunkShift = 20
 
-// streamQueue is the eventQueue of a streamed run: arrivals come from
-// the pre-sorted arrival order, materialised one VM at a time as the
-// simulation reaches them, while departures, samples and shocks live in
-// a conventional inner queue sized to the live set. The arrival order
-// is held in chunks whose consumed prefix is freed incrementally, so
-// peak queue memory is the unconsumed arrival suffix plus O(live
-// events) — never the 10M-deep event set an eager seed would build.
+// liveSetHint is the calendar size hint of a live-set queue. It holds
+// departures, samples and shocks for the currently running VMs only, so
+// a modest ring is right whatever the trace length — it resizes itself
+// as the population moves.
+const liveSetHint = 1024
+
+// streamQueue is the one arrival intake, for streamed and eager traces
+// alike: arrivals stay latent in the trace and are delivered from a
+// pre-sorted arrival-order column (rows by (Start, row) — eventLess
+// restricted to arrivals), one record at a time as the simulation
+// reaches them, while departures, samples and shocks live in a
+// conventional inner queue sized to the live set. A streamed trace
+// materialises the record from the row's parameters; an eager one
+// already holds it. The arrival order is held in chunks whose consumed
+// prefix is freed incrementally, so peak queue memory is the unconsumed
+// arrival suffix plus O(live events) — never the N-deep event set a
+// pre-pushed seed would build.
 type streamQueue struct {
+	// Exactly one of s and vms is set: where record(row) comes from.
 	s      *trace.Stream
+	vms    []*trace.VMRecord
 	chunks [][]int32 // arrival order; consumed chunks are nilled
-	next   int       // next unmaterialised absolute position
+	next   int       // next undelivered absolute position
 	total  int
 	headOK bool
-	head   simEvent // materialised next arrival
+	head   simEvent // the next arrival, record resolved
 	inner  eventQueue
 }
 
-// newStreamQueue copies byStart (the geometry's arrival order column)
-// into releasable chunks; the caller's slice can then be dropped with
-// the rest of the geometry.
-func newStreamQueue(s *trace.Stream, byStart []int32, inner eventQueue) *streamQueue {
-	q := &streamQueue{s: s, total: len(byStart), inner: inner}
+// newStreamQueue copies byStart (the arrival order column) into
+// releasable chunks; the caller's slice can then be dropped. Arrivals
+// read their records from s (streamed) or vms (eager).
+func newStreamQueue(s *trace.Stream, vms []*trace.VMRecord, byStart []int32, inner eventQueue) *streamQueue {
+	q := &streamQueue{s: s, vms: vms, total: len(byStart), inner: inner}
 	const chunk = 1 << streamChunkShift
 	for off := 0; off < len(byStart); off += chunk {
 		end := off + chunk
@@ -186,9 +198,17 @@ func newStreamQueue(s *trace.Stream, byStart []int32, inner eventQueue) *streamQ
 	return q
 }
 
+// record resolves a trace row to its VM record.
+func (q *streamQueue) record(row int) *trace.VMRecord {
+	if q.s != nil {
+		return materializeVM(q.s.Params(row))
+	}
+	return q.vms[row]
+}
+
 // materializeVM builds the streamed form of a VMRecord: metadata only,
 // CPUUtil left nil. The engine reads utilisation through a UtilCursor
-// instead — sampleVM and remainingDemandOf dispatch on vt.cur — so the
+// instead — vmUtil and remainingDemandOf dispatch on vt.cur — so the
 // nil slice is never consulted.
 func materializeVM(p trace.VMParams) *trace.VMRecord {
 	return &trace.VMRecord{
@@ -201,8 +221,8 @@ func materializeVM(p trace.VMParams) *trace.VMRecord {
 	}
 }
 
-// ensureHead materialises the next pending arrival, if any, releasing
-// each arrival-order chunk as the scan leaves it.
+// ensureHead resolves the next pending arrival, if any, releasing each
+// arrival-order chunk as the scan leaves it.
 func (q *streamQueue) ensureHead() {
 	if q.headOK || q.next >= q.total {
 		return
@@ -214,8 +234,8 @@ func (q *streamQueue) ensureHead() {
 	if q.next&mask == 0 || q.next >= q.total {
 		q.chunks[c] = nil
 	}
-	p := q.s.Params(int(idx))
-	q.head = simEvent{at: p.Start, kind: evArrival, vm: materializeVM(p), seq: int(idx)}
+	vm := q.record(int(idx))
+	q.head = simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: int(idx)}
 	q.headOK = true
 }
 
@@ -225,7 +245,7 @@ func (q *streamQueue) empty() bool {
 
 func (q *streamQueue) push(e simEvent) {
 	// The engine never schedules arrivals — they exist only in the
-	// stream — so everything pushed belongs to the live-set queue.
+	// trace — so everything pushed belongs to the live-set queue.
 	q.inner.push(e)
 }
 

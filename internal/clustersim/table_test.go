@@ -1,0 +1,296 @@
+package clustersim
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"vmdeflate/internal/perfmodel"
+	"vmdeflate/internal/policy"
+	"vmdeflate/internal/pricing"
+	"vmdeflate/internal/trace"
+)
+
+// checkTable audits the metering table against the manager it shadows,
+// between two events: every row's slotOf back-pointer, that the row is
+// what its domain says it is (deflatable, same name, same size, tagged
+// with the row's trace row), the meter column's length, and the other
+// direction — every deflatable resident of the manager has exactly its
+// row, every on-demand resident sits at the on-demand sentinel, and no
+// other trace row claims to be running.
+func checkTable(t *testing.T, e *Engine) {
+	t.Helper()
+	if k := len(e.cfg.PricingSchemes); len(e.meters) != len(e.tbl)*k {
+		t.Fatalf("meter column holds %d meters for %d rows of %d schemes", len(e.meters), len(e.tbl), k)
+	}
+	for i := range e.tbl {
+		vt := &e.tbl[i]
+		switch {
+		case e.slotOf[vt.row] != int32(i):
+			t.Fatalf("tbl[%d] is trace row %d, but slotOf[%d] = %d", i, vt.row, vt.row, e.slotOf[vt.row])
+		case !vt.domain.Deflatable():
+			t.Fatalf("tbl[%d] (%s) holds an on-demand domain", i, vt.rec.ID)
+		case vt.domain.Name() != vt.rec.ID:
+			t.Fatalf("tbl[%d] is %s but its domain is %s", i, vt.rec.ID, vt.domain.Name())
+		case vt.size != vt.domain.MaxSize():
+			t.Fatalf("tbl[%d] (%s) size %v, domain size %v", i, vt.rec.ID, vt.size, vt.domain.MaxSize())
+		case vt.domain.Config().Tag != vt.row:
+			t.Fatalf("tbl[%d] (%s) is trace row %d, its domain is tagged %d", i, vt.rec.ID, vt.row, vt.domain.Config().Tag)
+		case (vt.cur != nil) != (e.cfg.Stream != nil):
+			t.Fatalf("tbl[%d] (%s): cursor bound = %v on a run with stream = %v", i, vt.rec.ID, vt.cur != nil, e.cfg.Stream != nil)
+		}
+	}
+	deflatable, onDemand := 0, 0
+	for _, s := range e.mgr.Servers() {
+		for _, d := range s.Host.Domains() {
+			slot := e.slotOf[d.Config().Tag]
+			if !d.Deflatable() {
+				onDemand++
+				if slot != slotOnDemand {
+					t.Fatalf("on-demand resident %s (row %d) has slot %d, want the on-demand sentinel", d.Name(), d.Config().Tag, slot)
+				}
+				continue
+			}
+			deflatable++
+			if slot < 0 || e.tbl[slot].domain != d {
+				t.Fatalf("deflatable resident %s (row %d) has slot %d, which does not hold its domain", d.Name(), d.Config().Tag, slot)
+			}
+		}
+	}
+	if deflatable != len(e.tbl) {
+		t.Fatalf("table has %d rows, the manager %d deflatable residents", len(e.tbl), deflatable)
+	}
+	rows, sentinels := 0, 0
+	for _, slot := range e.slotOf {
+		switch {
+		case slot >= 0:
+			rows++
+		case slot == slotOnDemand:
+			sentinels++
+		}
+	}
+	if rows != len(e.tbl) || sentinels != onDemand {
+		t.Fatalf("slotOf marks %d rows and %d on-demand VMs running; table has %d rows, manager %d on-demand residents",
+			rows, sentinels, len(e.tbl), onDemand)
+	}
+}
+
+// runChecked runs cfg with checkTable after every sample pass and
+// reports how many passes it audited.
+func runChecked(t *testing.T, cfg Config) (*Result, int) {
+	t.Helper()
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audits := 0
+	e.afterSample = func() {
+		checkTable(t, e)
+		audits++
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, audits
+}
+
+// TestMeteringTableInvariants audits the table mid-run on the
+// configurations the differential, revocation, SLO, risk and stream
+// suites drive — built by those suites' own helpers — at sequential and
+// sharded sample passes, and holds each audited run to the unaudited
+// one.
+func TestMeteringTableInvariants(t *testing.T) {
+	tr := testTrace(400)
+	bursty, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 1200, Duration: 86400, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := trace.NewStream(trace.ScenarioConfig{Kind: trace.ScenarioHeavyTail, NumVMs: 600, Duration: 86400, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tr.Duration()
+	cases := map[string]Config{
+		"differential": {Trace: tr, Policy: policy.Proportional{}, Overcommit: 0.6},
+		"partitioned":  {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Partitioned: true, PlacementPartitions: 3},
+		"revocation":   {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)},
+		"explicit shocks": {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Shocks: []trace.CapacityShock{
+			{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 0},
+			{At: 0.3 * h, Kind: trace.ShockResize, Server: 1, Scale: 0.4},
+			{At: 0.5 * h, Kind: trace.ShockRestore, Server: 0},
+			{At: 0.5 * h, Kind: trace.ShockRevoke, Server: 2},
+			{At: 0.6 * h, Kind: trace.ShockResize, Server: 1, Scale: 1},
+		}},
+		"slo":         sloTestConfig(bursty, 0.5),
+		"slo shocked": {Trace: bursty, Policy: policy.Proportional{}, Overcommit: 0.5, SLO: &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}, ShockConfig: testShockConfig(4)},
+		"risk":        riskConfig(tr),
+		"zero schemes": {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, PricingSchemes: []pricing.Scheme{},
+			ShockConfig: testShockConfig(11)},
+		"stream":         {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.5},
+		"stream shocked": {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.4, Partitioned: true, SLO: &SLOConfig{}, ShockConfig: testShockConfig(11)},
+	}
+	for name, base := range cases {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				cfg := base
+				cfg.Shards = shards
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, audits := runChecked(t, cfg)
+				if audits == 0 || got.DeflatableAdmitted == 0 || got.Admitted == got.DeflatableAdmitted {
+					t.Fatalf("vacuous run: %d audits, %d admitted, %d of them deflatable", audits, got.Admitted, got.DeflatableAdmitted)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("audited run diverged:\ngot  %+v\nwant %+v", *got, *want)
+				}
+			})
+		}
+	}
+}
+
+// TestIDReuseAfterShockKill: a killed VM's queued departure must not
+// touch a later VM that reuses its ID (legal in a CSV trace once the
+// lifetimes are disjoint). Departures used to resolve by name, so the
+// second "x" was closed and removed at the dead one's end time; by trace
+// row the stale departure finds nothing and "x" runs to its own end.
+func TestIDReuseAfterShockKill(t *testing.T) {
+	util := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 50
+		}
+		return s
+	}
+	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
+		{ID: "x", Class: trace.Interactive, Cores: 2, MemoryMB: 2048, Start: 0, End: 6000, CPUUtil: util(20)},
+		{ID: "x", Class: trace.Interactive, Cores: 2, MemoryMB: 2048, Start: 3000, End: 12000, CPUUtil: util(30)},
+	}}
+	e, err := NewEngine(Config{
+		Trace:           tr,
+		BaselineServers: 1,
+		Shocks: []trace.CapacityShock{
+			{At: 1500, Kind: trace.ShockRevoke, Server: 0}, // the only server: row 0 dies
+			{At: 2400, Kind: trace.ShockRestore, Server: 0},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkTable holds the manager to the table at every sample, so a
+	// premature RemoveVMs of row 1 would fail there too.
+	row1Samples := 0
+	e.afterSample = func() {
+		checkTable(t, e)
+		if e.slotOf[1] >= 0 {
+			row1Samples++
+		}
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Servers != 1 || res.Admitted != 2 || res.Rejected != 0 || res.ShockKills != 1 {
+		t.Fatalf("premise broken: %d servers, %d admitted, %d rejected, %d shock kills (want 1, 2, 0, 1)",
+			res.Servers, res.Admitted, res.Rejected, res.ShockKills)
+	}
+	// Samples at 3300, 3600, ..., 12000 (a sample precedes the departure
+	// it shares an instant with); only the first 10 come before row 0's
+	// stale departure at 6000.
+	if row1Samples != 30 {
+		t.Errorf("row 1 was sampled %d times, want 30: it must run to its own end", row1Samples)
+	}
+	// Row 0 bills 0..1500, row 1 its whole 3000..12000: 2 cores each.
+	if want := 2 * (1500.0 + 9000.0) / 3600; !almostEq(res.OnDemandRevenue, want) {
+		t.Errorf("OnDemandRevenue = %v core-hours, want %v (row 1 metered to its own end)", res.OnDemandRevenue, want)
+	}
+}
+
+// TestSamplePassVisitsOnlyMeteredVMs pins the work count the table
+// exists for: a sample pass visits the running deflatable VMs and
+// nothing else, so visits summed over the run equal the samples metered.
+// With a tracking record for every running VM, on-demand included, the
+// same run made 19,547 visits.
+func TestSamplePassVisitsOnlyMeteredVMs(t *testing.T) {
+	tr, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 400, Duration: 86400, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(sloTestConfig(tr, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits := 0
+	e.afterSample = func() { visits += len(e.tbl) }
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metered := int(res.SLOSampleSeconds / trace.SampleInterval); visits != metered {
+		t.Errorf("sample passes visited %d rows, metered %d samples", visits, metered)
+	}
+	const want = 11033
+	if visits != want {
+		t.Errorf("sample passes visited %d rows, want %d", visits, want)
+	}
+}
+
+// TestArrivalDeparturePairAllocatesOneDomain: on a warm eager engine
+// admitting one VM and closing it again allocates the manager's Domain
+// and nothing else — no tracking record, no meter slice, no queue
+// growth — whether the VM gets a table row (deflatable) or only a
+// sentinel (on-demand).
+func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
+	tr := testTrace(300)
+	e, err := NewEngine(Config{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.setupDeflation(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.mgr.Close()
+	// Warm: a resident population, and a queue holding only what the
+	// pairs below push.
+	var resident []simEvent
+	rowOf := map[trace.VMClass]int{}
+	for i, vm := range tr.VMs {
+		if i%4 == 0 {
+			resident = append(resident, simEvent{at: 0, kind: evArrival, vm: vm, seq: i})
+		} else {
+			rowOf[vm.Class] = i
+		}
+	}
+	e.handleArrivals(resident)
+	if len(e.tbl) == 0 || e.res.Rejected != 0 {
+		t.Fatalf("warm-up admitted %d rows, rejected %d", len(e.tbl), e.res.Rejected)
+	}
+	e.queue = newCalendarQueue(liveSetHint, e.horizon)
+	for _, class := range []trace.VMClass{trace.Interactive, trace.DelayInsensitive} {
+		row, ok := rowOf[class]
+		if !ok {
+			t.Fatalf("trace has no spare %v VM", class)
+		}
+		arrival := []simEvent{{at: 0, kind: evArrival, vm: tr.VMs[row], seq: row}}
+		departure := make([]simEvent, 1)
+		pair := func() {
+			e.handleArrivals(arrival)
+			departure[0] = e.queue.pop()
+			if err := e.handleDepartures(departure); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pair() // warm the table, meter column and scratch capacity
+		rows, admitted := len(e.tbl), e.res.Admitted
+		if got := testing.AllocsPerRun(200, pair); got > 1 {
+			t.Errorf("%v arrival + departure allocates %.1f objects, want at most the Domain", class, got)
+		}
+		if len(e.tbl) != rows || e.res.Admitted != admitted+201 || !e.queue.empty() {
+			t.Fatalf("%v pairs left %d rows (want %d), %d admissions (want %d), queue empty = %v",
+				class, len(e.tbl), rows, e.res.Admitted-admitted, 201, e.queue.empty())
+		}
+		checkTable(t, e)
+	}
+}

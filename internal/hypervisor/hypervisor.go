@@ -100,6 +100,13 @@ type DomainConfig struct {
 	Size resources.Vector
 	// Deflatable marks low-priority VMs whose resources may be reclaimed.
 	Deflatable bool
+	// Tag is an opaque caller handle. Nothing in this package or in the
+	// cluster manager reads it; Config returns it with the rest, so the
+	// displaced configurations of cluster.Evacuation.VMs carry it back
+	// and a caller can resolve an evacuee without hashing its name (the
+	// simulator stores the VM's trace row). It sits in the padding after
+	// Deflatable: a Domain is no larger for it.
+	Tag int32
 	// Priority pi in (0,1] — higher priority means lower deflation
 	// tolerance (Section 5.1.2). Ignored for non-deflatable VMs.
 	Priority float64

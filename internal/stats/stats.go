@@ -52,6 +52,102 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// PercentileSelect returns Percentile(xs, p), bit for bit, without the
+// copy and without the full sort: the interpolation reads two adjacent
+// order statistics, so it selects the lower one in place (quickselect)
+// and takes the minimum of what the partition left above it for the
+// upper. xs is reordered. A sample holding a NaN is sorted instead:
+// selection's comparisons do not reproduce where sort.Float64s puts one.
+func PercentileSelect(xs []float64, p float64) float64 {
+	n := len(xs)
+	for _, x := range xs {
+		if x != x {
+			sort.Float64s(xs)
+			return PercentileSorted(xs, p)
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	// The rank arithmetic below is PercentileSorted's, operation for
+	// operation.
+	rank := 0.0
+	switch {
+	case n == 1 || p <= 0:
+	case p >= 100:
+		rank = float64(n - 1)
+	default:
+		rank = p / 100 * float64(n-1)
+	}
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	selectKth(xs, lo)
+	if lo == hi {
+		return xs[lo]
+	}
+	// Everything past lo is >= xs[lo]; the next order statistic is the
+	// least of it.
+	next := xs[hi]
+	for _, x := range xs[hi+1:] {
+		if x < next {
+			next = x
+		}
+	}
+	frac := rank - float64(lo)
+	return xs[lo]*(1-frac) + next*frac
+}
+
+// selectKth reorders xs so that xs[k] is its k-th smallest element, no
+// element before k is greater and none after it is smaller: Hoare's
+// quickselect with a median-of-three pivot, finishing ranges of a dozen
+// elements by insertion sort. xs must hold no NaN.
+func selectKth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for hi-lo >= 12 {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		// xs[lo] <= pivot <= xs[hi] bounds both scans.
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] <= pivot <= xs[i..hi], and anything between j and i
+		// equals the pivot and is in its final place.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
 // Mean returns the arithmetic mean, or NaN for an empty sample.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

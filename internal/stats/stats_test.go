@@ -310,3 +310,103 @@ func TestPercentileSortedAgainstSortSearch(t *testing.T) {
 		t.Errorf("median = %v, want %v", got, xs[128])
 	}
 }
+
+// TestPercentileSelectMatchesPercentile holds the selection to the
+// sort-based oracle bit for bit: random, heavily tied, ascending,
+// descending and constant samples of every size below 300, at the
+// percentiles that hit both ends, an exact rank and interpolated ones.
+// A sample with a NaN must agree too (it takes the sort path).
+func TestPercentileSelectMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	shapes := map[string]func(n int) []float64{
+		"random": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.Float64() * 100
+			}
+			return xs
+		},
+		"tied": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(rng.Intn(4))
+			}
+			return xs
+		},
+		"ascending": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i) / 3
+			}
+			return xs
+		},
+		"descending": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n-i) / 3
+			}
+			return xs
+		},
+		"constant": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 42.5
+			}
+			return xs
+		},
+		"nan": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.Float64()
+			}
+			if n > 0 {
+				xs[rng.Intn(n)] = math.NaN()
+			}
+			return xs
+		},
+	}
+	for name, gen := range shapes {
+		for n := 0; n < 300; n++ {
+			xs := gen(n)
+			for _, p := range []float64{0, 5, 33.3, 50, 95, 99, 100} {
+				want := Percentile(xs, p)
+				got := PercentileSelect(append([]float64(nil), xs...), p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s n=%d p=%v: PercentileSelect = %v, Percentile = %v", name, n, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectKthPartitions pins what PercentileSelect's successor scan
+// relies on: after selectKth nothing before k is greater than xs[k] and
+// nothing after it is smaller, and xs is still the same multiset.
+func TestSelectKthPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(400)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(1 + rng.Intn(50)))
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		k := rng.Intn(n)
+		selectKth(xs, k)
+		if xs[k] != sorted[k] {
+			t.Fatalf("trial %d: xs[%d] = %v, want %v", trial, k, xs[k], sorted[k])
+		}
+		for i, x := range xs {
+			if (i < k && x > xs[k]) || (i > k && x < xs[k]) {
+				t.Fatalf("trial %d: xs[%d] = %v on the wrong side of xs[%d] = %v", trial, i, x, k, xs[k])
+			}
+		}
+		sort.Float64s(xs)
+		for i := range xs {
+			if xs[i] != sorted[i] {
+				t.Fatalf("trial %d: selection changed the multiset", trial)
+			}
+		}
+	}
+}

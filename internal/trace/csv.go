@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -41,7 +42,9 @@ func WriteAzureCSV(w io.Writer, t *AzureTrace) error {
 	return cw.Error()
 }
 
-// ReadAzureCSV parses a trace written by WriteAzureCSV.
+// ReadAzureCSV parses a trace written by WriteAzureCSV. Every row is
+// validated (see VMRecord.validate): a file with a row the simulator
+// cannot hold returns a line-numbered error, not a trace.
 func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(azureHeader)
@@ -85,12 +88,46 @@ func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: azure line %d util: %w", line, err)
 		}
-		t.VMs = append(t.VMs, &VMRecord{
+		vm := &VMRecord{
 			ID: row[0], Class: class, Cores: cores, MemoryMB: mem,
 			Start: start, End: end, CPUUtil: util,
-		})
+		}
+		if err := vm.validate(); err != nil {
+			return nil, fmt.Errorf("trace: azure line %d: %w", line, err)
+		}
+		t.VMs = append(t.VMs, vm)
 	}
 	return t, nil
+}
+
+// validate rejects a parsed row a run cannot hold: the simulator sorts
+// rows by start, hashes event times into calendar buckets
+// (int64(at/width)) and defines a domain of the row's size, so a
+// non-finite or negative time, a lifetime that ends before it starts, a
+// VM smaller than one core or without memory, or a utilisation sample
+// that is not a finite non-negative number would produce a wrong answer
+// or a panic instead of an error. A zero-lifetime VM (end == start) is
+// legal.
+func (r *VMRecord) validate() error {
+	finiteNonNeg := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) } // false for NaN
+	switch {
+	case !finiteNonNeg(r.Start):
+		return fmt.Errorf("start %g is negative or not finite", r.Start)
+	case !finiteNonNeg(r.End):
+		return fmt.Errorf("end %g is negative or not finite", r.End)
+	case r.End < r.Start:
+		return fmt.Errorf("end %g precedes start %g", r.End, r.Start)
+	case r.Cores < 1:
+		return fmt.Errorf("cores %d, want at least 1", r.Cores)
+	case !(r.MemoryMB > 0) || math.IsInf(r.MemoryMB, 1):
+		return fmt.Errorf("memory %g MB is not a positive finite size", r.MemoryMB)
+	}
+	for i, u := range r.CPUUtil {
+		if !finiteNonNeg(u) {
+			return fmt.Errorf("util sample %d is %g, negative or not finite", i, u)
+		}
+	}
+	return nil
 }
 
 // Alibaba trace CSV layout: one row per container,

@@ -15,7 +15,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"vmdeflate/internal/stats"
@@ -210,7 +209,7 @@ type AzureTrace struct {
 
 	p95Once sync.Once
 	p95     []float64
-	// p95Sorts counts the series sorted while building p95; the tests pin
+	// p95Sorts counts the series ordered while building p95; the tests pin
 	// it to len(VMs) however many readers asked.
 	p95Sorts int
 }
@@ -261,19 +260,20 @@ func (t *AzureTrace) Duration() float64 {
 
 // P95Column returns every record's P95, indexed by trace row: the value
 // VMRecord.P95 computes, bit for bit (NaN for an empty series). The
-// column is built once — one sort per record through a single reused
-// buffer — and cached like Duration, so every engine of a sweep over
-// this trace reads the same slice instead of copying and sorting a
-// VM's series at each of its arrivals. Callers must not modify it.
+// column is built once — one selection per record through a single
+// reused buffer (stats.PercentileSelect: the two order statistics the
+// percentile reads, not a full sort) — and cached like Duration, so
+// every engine of a sweep over this trace reads the same slice instead
+// of copying and sorting a VM's series at each of its arrivals. Callers
+// must not modify it.
 func (t *AzureTrace) P95Column() []float64 {
 	t.p95Once.Do(func() {
 		t.p95 = make([]float64, len(t.VMs))
 		var buf []float64
 		for i, vm := range t.VMs {
 			buf = append(buf[:0], vm.CPUUtil...)
-			sort.Float64s(buf)
 			t.p95Sorts++
-			t.p95[i] = stats.PercentileSorted(buf, 95)
+			t.p95[i] = stats.PercentileSelect(buf, 95)
 		}
 	})
 	return t.p95

@@ -386,3 +386,67 @@ func TestEmptySeriesRoundTrip(t *testing.T) {
 		t.Error("empty series should survive round trip")
 	}
 }
+
+// TestReadAzureCSVRejectsUnholdableRows: every row a run cannot hold —
+// its arrival order is a sort on start and its calendar computes
+// int64(at/width) — is a line-numbered error, not a trace. One case per
+// rule; the row sits on line 3 behind a good one.
+func TestReadAzureCSVRejectsUnholdableRows(t *testing.T) {
+	const head = "id,class,cores,memory_mb,start,end,cpu_util\nok,interactive,1,1024,0,300,10\n"
+	cases := map[string]string{
+		"NaN start":        "v,interactive,1,1024,NaN,300,10",
+		"+Inf start":       "v,interactive,1,1024,+Inf,300,10",
+		"negative start":   "v,interactive,1,1024,-1,300,10",
+		"NaN end":          "v,interactive,1,1024,0,NaN,10",
+		"+Inf end":         "v,interactive,1,1024,0,Inf,10",
+		"-Inf end":         "v,interactive,1,1024,0,-Inf,10",
+		"negative end":     "v,interactive,1,1024,0,-300,10",
+		"end before start": "v,interactive,1,1024,600,300,10",
+		"zero cores":       "v,interactive,0,1024,0,300,10",
+		"negative cores":   "v,interactive,-2,1024,0,300,10",
+		"zero memory":      "v,interactive,1,0,0,300,10",
+		"negative memory":  "v,interactive,1,-5,0,300,10",
+		"NaN memory":       "v,interactive,1,NaN,0,300,10",
+		"Inf memory":       "v,interactive,1,Inf,0,300,10",
+		"NaN sample":       "v,interactive,1,1024,0,600,10;NaN",
+		"Inf sample":       "v,interactive,1,1024,0,600,Inf;10",
+		"negative sample":  "v,interactive,1,1024,0,600,10;-0.5",
+	}
+	for name, row := range cases {
+		tr, err := ReadAzureCSV(strings.NewReader(head + row + "\n"))
+		if err == nil {
+			t.Errorf("%s: read a %d-VM trace, want an error", name, len(tr.VMs))
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: error %q does not name line 3", name, err)
+		}
+	}
+	// What stays legal: a zero-lifetime VM and an empty series.
+	tr, err := ReadAzureCSV(strings.NewReader(head + "z,unknown,2,512.5,300,300,\n"))
+	if err != nil || len(tr.VMs) != 2 {
+		t.Fatalf("zero-lifetime row: trace %v, err %v", tr, err)
+	}
+}
+
+// TestScenarioCSVRoundTrips: the validation rejects nothing the named
+// generators produce.
+func TestScenarioCSVRoundTrips(t *testing.T) {
+	for _, kind := range Scenarios() {
+		orig, err := GenerateScenario(ScenarioConfig{Kind: kind, NumVMs: 300, Duration: 86400, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteAzureCSV(&buf, orig); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAzureCSV(&buf)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if len(got.VMs) != len(orig.VMs) {
+			t.Fatalf("%v: round trip read %d of %d VMs", kind, len(got.VMs), len(orig.VMs))
+		}
+	}
+}
