@@ -20,22 +20,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused race shard over the partitioned propose/commit placement path
-# and the revocation churn suite: the phase workers, batch commits,
-# parallel dirty sync, capacity-shock evacuations, the risk-aware
-# (hazard-banded + headroom-gated) placement paths and the engines
-# driving them, plus the layers under them — one host's mutators against
-# its readers under the single host lock, the batched limit write, the
-# hypervisor's concurrent offered-load writes against view reads, the
-# partitions' dirty lists, the events built from the view and the
-# capacity index's in-place re-key and payload-reading surplus probe —
-# and what concurrent engines share: the trace's build-once P95 column,
-# the lock-free notify.Bus publish and the sample pass's scheme billing
-# over the metering table (the sharded pass slices the table and its
-# meter column into matching chunks) — a fast, explicit signal beside
-# the full `race` run.
+# Focused race shard over placement batches and the revocation churn
+# suite: capacity-shock evacuations, the risk-aware (hazard-banded +
+# headroom-gated) placement paths and the engines driving them, plus the
+# layers under them — one host's mutators against its readers under the
+# single host lock, the batched limit write, the hypervisor's concurrent
+# offered-load writes against view reads, the manager's dirty list, the
+# events built from the view and the capacity index's in-place re-key
+# and payload-reading surplus probe — and what concurrent engines
+# share: the trace's build-once P95 column, the lock-free notify.Bus
+# publish and the sample pass's scheme billing over the metering table
+# (the sharded pass slices the table and its meter column into matching
+# chunks) — a fast, explicit signal beside the full `race` run.
 race-placement:
-	$(GO) test -race -run 'Partition|PlaceVMs|Propose|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -43,10 +41,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Sweep10k' -benchtime 1x .
 
 # Zero-allocation gate: the steady-state PlaceOn/Reinflate policy pass,
-# the partitioned batch-propose pass (risk-blind AND hazard-banded with
-# the headroom gate active), the SLO-metered sample pass (closed-form
-# queueing math included), the calendar event queue's steady-state
-# churn, a host's load writes followed by a deflatable-view read, a
+# the placement decision (risk-blind AND hazard-banded with the headroom
+# gate active), the pruned pressure scan, the SLO-metered sample pass
+# (closed-form queueing math included), the calendar event queue's
+# steady-state churn, a host's load writes followed by a deflatable-view read, a
 # host's refresh walk after a limit write, the capacity index's re-key
 # and its surplus probe AND notify.Bus.Publish must all report 0
 # allocs/op, or the build fails. The awk gate names each required
@@ -55,13 +53,13 @@ bench-smoke:
 # instead of shrinking the gate. The benchmark output is kept in
 # BENCH_allocs.txt for CI to archive.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|ProposeSteadyState|RiskProposeSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|RiskDecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
-	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkProposeSteadyState"]; \
-			want["BenchmarkRiskProposeSteadyState"]; want["BenchmarkPressureScan"]; \
+	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
+			want["BenchmarkRiskDecideSteadyState"]; want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
 			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkRefreshWalkSteadyState"]; \
 			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkSurplusProbeSteadyState"]; \
@@ -71,7 +69,7 @@ bench-allocs:
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + propose (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager (sample pass sharded across all cores,
@@ -94,8 +92,8 @@ bench-scale-1m:
 bench-scale-10m:
 	$(GO) run ./cmd/benchreport -scale 10000000 -stream -scaleout BENCH_scale_10m.json
 
-# Measured multi-core matrix: GOMAXPROCS x shards x partitions with
-# per-phase wall times (propose/commit/sample/reinflate) and peak heap,
+# Measured multi-core matrix: GOMAXPROCS x sample-pass shards with
+# per-phase wall times (commit/sample/reinflate) and peak heap,
 # plus aggregate throughput from concurrent share-nothing runs. Fails
 # on machines with >= 4 cores unless aggregate throughput scales.
 bench-matrix:

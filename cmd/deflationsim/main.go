@@ -25,9 +25,9 @@
 //	                                # streamed trace: VM parameters generate at
 //	                                # arrival, utilisation synthesizes on demand —
 //	                                # O(live VMs) resident memory, same results
-//	deflationsim -vms 1000000 -shards 0 -partitions 0 -oc 50 -strategies proportional
-//	                                # one giant run: sample/reinflation shards and
-//	                                # propose/commit placement partitions on all cores
+//	deflationsim -vms 1000000 -shards 0 -oc 50 -strategies proportional
+//	                                # one giant run: its sample pass sharded
+//	                                # across all cores
 package main
 
 import (
@@ -56,8 +56,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "synthetic trace seed")
 	replicates := flag.Int("replicates", 1, "independently seeded traces to average over (synthetic only)")
 	workers := flag.Int("workers", 0, "sweep worker-pool size (0 = all cores)")
-	shards := flag.Int("shards", 1, "intra-run shard count per simulation (0 = all cores, 1 = sequential); results are shard-count-invariant")
-	partitions := flag.Int("partitions", 1, "placement partitions per simulation: parallel propose/commit arrival placement (0 = all cores, 1 = sequential); results are partition-count-invariant")
+	shards := flag.Int("shards", 1, "sample-pass shard count per simulation (0 = all cores, 1 = sequential); results are shard-count-invariant")
 	ocList := flag.String("oc", "0,10,20,30,40,50,60,70", "overcommitment percentages")
 	strategies := flag.String("strategies", strings.Join(clustersim.Strategies, ","),
 		"comma-separated strategies")
@@ -103,10 +102,7 @@ func main() {
 	if *shards <= 0 {
 		*shards = runtime.GOMAXPROCS(0)
 	}
-	if *partitions <= 0 {
-		*partitions = runtime.GOMAXPROCS(0)
-	}
-	opts := clustersim.Options{Workers: *workers, Shards: *shards, PlacementPartitions: *partitions}
+	opts := clustersim.Options{Workers: *workers, Shards: *shards}
 	sloOn := *sloMax > 0
 	if sloOn {
 		slo := &clustersim.SLOConfig{MaxSlowdown: *sloMax}

@@ -14,8 +14,8 @@
 // ascending (key, name) order starting at a key lower bound, pruning
 // whole subtrees below the bound; a tightest-fit surplus query visits
 // the fitting server with the smallest free share first. Which servers'
-// keys are stale is the cluster manager's business (its per-partition
-// dirty lists, cluster/partition.go).
+// keys are stale is the cluster manager's business (its dirty list,
+// cluster/dirty.go).
 //
 // An entry may carry a payload: one resources.Vector, stored with
 // UpsertFree, which the surplus index uses for its server's free
@@ -150,9 +150,9 @@ func (ix *Index) AscendFrom(lower float64, visit func(name string, key float64) 
 
 // FirstFitting returns the first entry in ascending (key, name) order
 // with key >= lower whose payload can hold size (size.FitsIn) — the
-// tightest-fit query one index answers for its own servers. The
-// partitioned placement engine gives each placement partition its own
-// Index; MinFitting merges their answers.
+// tightest-fit query one index answers for its own servers. The cluster
+// manager keeps one Index per (priority pool, hazard band); MinFitting
+// merges several of their answers.
 func (ix *Index) FirstFitting(lower float64, size resources.Vector) (name string, key float64, ok bool) {
 	if nd := firstFitting(ix.root, lower, &size); nd != nil {
 		return nd.name, nd.key, true
@@ -160,13 +160,14 @@ func (ix *Index) FirstFitting(lower float64, size resources.Vector) (name string
 	return "", 0, false
 }
 
-// MinFitting is the merged best-of-partitions query: each index answers
-// FirstFitting for its own entries (with its own lower bound, so every
-// partition prunes by its own largest capacity), and the global winner
-// is the minimum (key, name) across partitions — exactly the entry a
-// single combined index would have returned, because each partition's
-// first fitting entry is its minimum fitting entry and the (key, name)
-// order is a total order over disjoint name sets.
+// MinFitting is the merged best-of-indexes query — the band-blind
+// surplus lookup across a pool's hazard-band indexes: each index
+// answers FirstFitting for its own entries (with its own lower bound,
+// so every index prunes by its own largest capacity), and the global
+// winner is the minimum (key, name) across them — exactly the entry a
+// single combined index would have returned, because each index's first
+// fitting entry is its minimum fitting entry and the (key, name) order
+// is a total order over disjoint name sets.
 func MinFitting(indexes []*Index, lowers []float64, size resources.Vector) (string, float64, bool) {
 	var (
 		bestName string

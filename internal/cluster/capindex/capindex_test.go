@@ -172,9 +172,9 @@ func TestFirstFitting(t *testing.T) {
 	}
 }
 
-// TestMinFitting pins the merged best-of-partitions query: the global
-// (key, name) minimum across per-partition answers, each with its own
-// lower bound, equal to what one combined index would return.
+// TestMinFitting pins the merged best-of-indexes query: the global
+// (key, name) minimum across per-index answers, each with its own lower
+// bound, equal to what one combined index would return.
 func TestMinFitting(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const parts = 3

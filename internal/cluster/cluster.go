@@ -7,8 +7,9 @@
 //
 // # Placement at scale
 //
-// The manager keeps two incremental indexes (capindex) per priority
-// partition, maintained together under one dirty-flag discipline:
+// The manager keeps two incremental indexes (capindex) per (priority
+// pool, hazard band), maintained together under one dirty-flag
+// discipline (dirty.go):
 //
 //   - the surplus index, keyed by dominant free share, answering the
 //     tightest-fit "who can host this with no deflation" query in
@@ -31,12 +32,9 @@
 // rule and the differential test suite asserts they place bit-for-bit
 // identically.
 //
-// With Config.PlacementPartitions > 1 the servers are split across
-// placement partitions, each owning its own indexes, dirty list and
-// scratch arenas, and batch placements (PlaceVMs) run a parallel
-// propose / serial commit protocol whose results are bit-for-bit
-// identical at any partition count — see partition.go for the protocol
-// and its invariants.
+// Placement is sequential, as in the paper's centralized controller:
+// PlaceVMs decides and commits one VM at a time, in input order, each
+// against the state every earlier decision left.
 package cluster
 
 import (
@@ -58,17 +56,14 @@ import (
 // allocation before the write: the Current column of the deflatable view
 // the pass read, which nothing but this call moves within the pass — so
 // the event is built from the view and from what Apply returns, with no
-// further locked read of the domain. When buf is non-nil the event is
-// appended there instead of published — the parallel reinflation path
-// buffers per-server events and publishes them merged in deterministic
-// server order after its barrier.
-func applyAndNotify(s *Server, cfg Config, d *hypervisor.Domain, old, target resources.Vector, buf *[]notify.Event) error {
+// further locked read of the domain.
+func applyAndNotify(s *Server, cfg Config, d *hypervisor.Domain, old, target resources.Vector) error {
 	got, err := cfg.Mechanism.Apply(d, target)
 	if err != nil {
 		return err
 	}
 	if cfg.Notify != nil && got != old {
-		ev := notify.Event{
+		cfg.Notify.Publish(notify.Event{
 			VM:                d.Name(),
 			Server:            s.Host.Name(),
 			Kind:              notify.Classify(old, got),
@@ -76,12 +71,7 @@ func applyAndNotify(s *Server, cfg Config, d *hypervisor.Domain, old, target res
 			New:               got,
 			DeflationFraction: got.DeflationFraction(d.MaxSize()),
 			Mechanism:         cfg.Mechanism.Name(),
-		}
-		if buf != nil {
-			*buf = append(*buf, ev)
-		} else {
-			cfg.Notify.Publish(ev)
-		}
+		})
 	}
 	return nil
 }
@@ -137,27 +127,8 @@ type Config struct {
 	// identically; the flag exists for differential testing and for
 	// measuring what the pruning buys (make bench-pressure).
 	FullPressureScan bool
-	// ReinflateShards caps how many goroutines a RemoveVMs batch may use
-	// to reinflate its affected servers. 0 or 1 keeps reinflation
-	// strictly sequential. Per-server reinflation reads and writes only
-	// that server's host state, so the results are bit-for-bit identical
-	// at any shard count; notification events are buffered per server
-	// and published in the same deterministic first-touched server order
-	// the sequential path uses.
-	ReinflateShards int
-	// PlacementPartitions splits the servers across this many placement
-	// partitions (round-robin by add order), each owning its own
-	// capacity-index treaps, dirty list and propose arenas. Batch
-	// placements (PlaceVMs) then propose in parallel across partitions
-	// and commit serially in input order — see partition.go. 0 or 1
-	// keeps the fully sequential engine. Placement results, counters and
-	// notifications are bit-for-bit identical at any partition count
-	// (guarded by the differential suites); the knob trades propose
-	// parallelism against per-batch barrier overhead. Forced to 1 when
-	// ReferencePlacement is set.
-	PlacementPartitions int
 	// CollectTimings accumulates per-phase wall times
-	// (propose/commit/reinflate), readable through
+	// (commit/reinflate), readable through
 	// Manager.PhaseTimings. Off by default: the clock reads sit on the
 	// per-batch paths, and benchmarks should not pay for them unasked.
 	// Timing collection never influences any placement outcome.
@@ -222,12 +193,12 @@ type Server struct {
 	// partitioning is disabled.
 	Partition int
 	// gidx is the server's add order within its Manager — the canonical
-	// tie-break for equal-fitness candidates, stable across placement
-	// partition counts. Zero for standalone servers.
+	// tie-break for equal-fitness candidates. Zero for standalone
+	// servers.
 	gidx int
 	// revoked marks a server the provider took away (RevokeServers): it
-	// stays registered — keeping gidx and partition membership stable —
-	// but leaves the capacity indexes and is skipped by every candidate
+	// stays registered — keeping gidx and pool membership stable — but
+	// leaves the capacity indexes and is skipped by every candidate
 	// scan until RestoreServer clears the flag. Guarded by the Manager's
 	// lock like the cached fields below.
 	revoked bool
@@ -243,8 +214,8 @@ type Server struct {
 	// lock.
 	reserveFrac float64
 	reserve     resources.Vector
-	// queued says the server already sits in its placement partition's
-	// dirty list; guarded by that partition's dirtyMu.
+	// queued says the server already sits in the manager's dirty list;
+	// guarded by Manager.dirtyMu.
 	queued bool
 	// removeEpoch is the Manager.removeEpoch of the last RemoveVMs call
 	// that took a VM off this server — that call's "already in the
@@ -262,22 +233,19 @@ type Server struct {
 
 	// scratch is the server's policy-pass arena: the VM-state/domain
 	// buffers PlaceOn and Reinflate fill from the host's deflatable view,
-	// plus the policy.Scratch the water-filling solvers run in. One
-	// arena per server means concurrent passes on distinct servers
-	// (parallel reinflation shards) never contend, and steady-state
-	// passes never allocate. Guarded by whatever serialises passes on
-	// this server: the Manager's lock, or the shard assignment that
-	// gives each server to exactly one worker.
+	// plus the policy.Scratch the water-filling solvers run in, so
+	// steady-state passes never allocate. Guarded by whatever serialises
+	// passes on this server: the Manager's lock, or the one caller a
+	// standalone server has.
 	scratch serverScratch
 }
 
 // serverScratch holds the reusable buffers for one server's policy
 // passes.
 type serverScratch struct {
-	vms    []policy.VMState
-	doms   []*hypervisor.Domain
-	ps     policy.Scratch
-	events []notify.Event // parallel-reinflation event buffer
+	vms  []policy.VMState
+	doms []*hypervisor.Domain
+	ps   policy.Scratch
 }
 
 // Manager is the centralized cluster manager. All methods are safe for
@@ -290,16 +258,28 @@ type Manager struct {
 	byName     map[string]*Server
 	placements map[string]*Server
 
-	// Placement partitions: each owns, for its round-robin share of the
-	// servers, the per-priority-pool capacity indexes, the dirty list fed
-	// by its hosts' aggregate-change callbacks, and the propose/sync
-	// arenas of the parallel batch engine (partition.go). Always at
-	// least one.
-	parts []*placePartition
+	// Capacity indexes per (priority pool, hazard band) key (poolKey):
+	// the surplus index keyed by dominant free share, its bound-keyed
+	// pressure twin (pressure.go), and the component-wise max capacity
+	// that gives each index scan its lower bound.
+	indexes map[int]*capindex.Index
+	bounds  map[int]*capindex.Index
+	maxCap  map[int]resources.Vector
+
+	// dirty lists the servers whose cached placement state is stale, each
+	// at most once (Server.queued), and drained is what the last sync
+	// took off it (dirty.go). Host aggregate-change callbacks append
+	// under dirtyMu — a leaf lock, safe to take with a host's lock held
+	// and with or without mu — and the dirty sync drains. Dirtiness is
+	// tracked by handle, so a drain costs O(servers dirty now), whatever
+	// the largest burst the list ever held.
+	dirtyMu sync.Mutex
+	dirty   []*Server
+	drained []*Server
 
 	// Cluster-wide totals for O(1) Stats: capacity is exact (updated on
 	// AddServer); committed and allocated are delta-maintained from the
-	// per-server aggregate refreshes, applied in the dirty lists' sorted
+	// per-server aggregate refreshes, applied in the dirty list's sorted
 	// drain order so they stay deterministic.
 	totCapacity  resources.Vector
 	totCommitted resources.Vector
@@ -334,13 +314,12 @@ type Manager struct {
 	evacDCs      []hypervisor.DomainConfig
 
 	// cands is the reusable under-pressure candidate buffer of the
-	// full-scan path; affected and reinflateErrs are the RemoveVMs batch
-	// buffers. All are used only under mu, so reusing them keeps the hot
-	// paths allocation-free in steady state.
-	cands         candList
-	affected      []*Server
-	reinflateErrs []error
-	removeEpoch   uint64 // RemoveVMs call counter (Server.removeEpoch)
+	// full-scan path; affected is the RemoveVMs batch buffer. Both are
+	// used only under mu, so reusing them keeps the hot paths
+	// allocation-free in steady state.
+	cands       candList
+	affected    []*Server
+	removeEpoch uint64 // RemoveVMs call counter (Server.removeEpoch)
 
 	// Pruned pressure-scan arenas (pressure.go), used only under mu:
 	// the descending bound-index iterators (one per group index, inner
@@ -354,43 +333,24 @@ type Manager struct {
 	// how many arrivals fell through to the under-pressure ranking, how
 	// many servers had their exact fitness computed, and how many the
 	// bound/fit pruning skipped. pressuredArrivals is invariant across
-	// scan modes and partition/shard counts; scored and pruned are
-	// partition-invariant but differ between the pruned and full-scan
-	// modes by construction.
+	// scan modes; scored and pruned differ between the pruned and
+	// full-scan modes by construction.
 	pressuredArrivals int
 	pressureScored    int
 	pressurePruned    int
 
-	// Batch-placement state, reused across PlaceVMs calls and touched
-	// only under mu (the propose arenas live on the partitions). The
-	// touched set tracks servers mutated by earlier commits of the
-	// current batch — the conflict signal for proposal validation.
-	one         [1]hypervisor.DomainConfig
-	results     []Placement
-	batchDCs    []hypervisor.DomainConfig
-	batchPools  []int
-	batchBanded []bool
-	touched     map[*Server]bool
-	touchedList []*Server
-	foldHeads   []int
-	mfIdx       []*capindex.Index
-	mfLow       []float64
-
-	// Phase worker pool (partition.go): lazily spawned when there is
-	// more than one partition, stopped by Close. phase is the
-	// dispatcher-to-worker argument, ordered by the work channel.
-	phase  int
-	workCh chan int
-	wg     sync.WaitGroup
-	closed bool
+	// Placement scratch, reused across calls and touched only under mu:
+	// PlaceVM's one-VM batch, the batch results, and the band-blind
+	// surplus lookup's index and lower-bound lists.
+	one     [1]hypervisor.DomainConfig
+	results []Placement
+	mfIdx   []*capindex.Index
+	mfLow   []float64
 
 	// Per-phase wall-time accumulators (Config.CollectTimings), written
 	// under mu by the placement/reinflation paths. surplusTime and
-	// pressureTime are serial sub-phases included within commitTime —
-	// the surplus candidate queries and under-pressure scans of the
-	// sequential and commit paths (the parallel propose phase's surplus
-	// work is measured as proposeTime and never double-booked here).
-	proposeTime   time.Duration
+	// pressureTime are sub-phases included within commitTime: the
+	// surplus candidate queries and the under-pressure scans.
 	commitTime    time.Duration
 	surplusTime   time.Duration
 	pressureTime  time.Duration
@@ -398,15 +358,11 @@ type Manager struct {
 }
 
 // PhaseTimings is the per-phase wall-time breakdown a manager
-// accumulates when Config.CollectTimings is set: the parallel propose
-// phase, the serial commit walk (all serial placement time, on the
-// single-partition path as much as the batch engine), and the
-// reinflation passes. Surplus and Pressure attribute the commit time
-// further — the surplus candidate queries and the under-pressure scans
-// — and are included within Commit, not additional to it, so artifacts
-// compare like with like across partition counts.
+// accumulates when Config.CollectTimings is set: placement (Commit) and
+// the reinflation passes. Surplus and Pressure attribute the placement
+// time further — the surplus candidate queries and the under-pressure
+// scans — and are included within Commit, not additional to it.
 type PhaseTimings struct {
-	Propose   time.Duration
 	Commit    time.Duration
 	Surplus   time.Duration
 	Pressure  time.Duration
@@ -419,7 +375,6 @@ func (m *Manager) PhaseTimings() PhaseTimings {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return PhaseTimings{
-		Propose:   m.proposeTime,
 		Commit:    m.commitTime,
 		Surplus:   m.surplusTime,
 		Pressure:  m.pressureTime,
@@ -430,10 +385,10 @@ func (m *Manager) PhaseTimings() PhaseTimings {
 // PressureStats returns the under-pressure scan counters: how many
 // placements fell through to the pressure ranking, how many servers had
 // their exact fitness computed, and how many the bound/fit pruning
-// skipped without scoring. Arrivals is invariant across scan modes and
-// partition/shard counts; scored and pruned are partition-invariant but
-// differ between the pruned descent and the full-scan/reference modes
-// (a full scan scores every pool server and prunes none).
+// skipped without scoring. Arrivals is invariant across scan modes;
+// scored and pruned differ between the pruned descent and the
+// full-scan/reference modes (a full scan scores every pool server and
+// prunes none).
 func (m *Manager) PressureStats() (arrivals, scored, pruned int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -475,34 +430,28 @@ func (m *Manager) HeadroomReserve() resources.Vector {
 // NewManager creates a manager with the given configuration.
 func NewManager(cfg Config) *Manager {
 	cfg.applyDefaults()
-	nParts := cfg.PlacementPartitions
-	if nParts < 1 || cfg.ReferencePlacement {
-		nParts = 1
-	}
 	nBands := 1
 	if cfg.Risk != nil {
 		nBands = cfg.Risk.MaxBands
 	}
-	m := &Manager{
+	return &Manager{
 		cfg:        cfg,
 		byName:     make(map[string]*Server),
 		placements: make(map[string]*Server),
-		parts:      make([]*placePartition, nParts),
+		indexes:    make(map[int]*capindex.Index),
+		bounds:     make(map[int]*capindex.Index),
+		maxCap:     make(map[int]resources.Vector),
 		nBands:     nBands,
 	}
-	for i := range m.parts {
-		m.parts[i] = &placePartition{
-			id:      i,
-			indexes: make(map[int]*capindex.Index),
-			bounds:  make(map[int]*capindex.Index),
-			maxCap:  make(map[int]resources.Vector),
-		}
-	}
-	return m
 }
 
 // Config returns the manager's configuration.
 func (m *Manager) Config() Config { return m.cfg }
+
+// Close does nothing: a Manager holds no goroutine or other resource
+// that outlives a call. It is kept so that existing callers (the bench
+// package's replay driver) still build.
+func (m *Manager) Close() {}
 
 // AddServer registers a new physical server. When partitioning is
 // enabled, partition assigns its pool; pass 0..PriorityLevels-1.
@@ -555,19 +504,15 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	if band >= m.nBands {
 		band = m.nBands - 1
 	}
-	// Round-robin placement-partition assignment by add order: balanced,
-	// stable, and independent of anything the run computes.
-	pp := m.parts[len(m.servers)%len(m.parts)]
 	s := &Server{Host: h, Partition: partition, gidx: len(m.servers), band: band, reserveFrac: spec.ReserveFraction}
 	m.servers = append(m.servers, s)
 	m.byName[name] = s
-	pp.servers = append(pp.servers, s)
 	key := m.poolKey(partition, band)
-	if pp.indexes[key] == nil {
-		pp.indexes[key] = capindex.New()
-		pp.bounds[key] = capindex.New()
+	if m.indexes[key] == nil {
+		m.indexes[key] = capindex.New()
+		m.bounds[key] = capindex.New()
 	}
-	pp.maxCap[key] = pp.maxCap[key].Max(capacity)
+	m.maxCap[key] = m.maxCap[key].Max(capacity)
 	m.totCapacity = m.totCapacity.Add(capacity)
 	if s.reserveFrac > 0 {
 		s.reserve = capacity.Scale(s.reserveFrac)
@@ -575,8 +520,8 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	}
 	// The callback only records dirtiness; the next query refreshes the
 	// server's index key, cached availability and the cluster totals.
-	h.OnAggregateChange(func() { pp.markDirty(s) })
-	pp.markDirty(s)
+	h.OnAggregateChange(func() { m.markDirty(s) })
+	m.markDirty(s)
 	return s, nil
 }
 
@@ -609,7 +554,7 @@ func (m *Manager) banded(dc hypervisor.DomainConfig) bool {
 // bypass the gate — the reserve exists precisely so they can land —
 // and so do the high-priority and non-deflatable VMs the reserve
 // protects. Reads only the canonical delta-maintained totals, so the
-// decision is bit-identical at any shard or partition count.
+// decision is bit-identical on every placement path.
 func (m *Manager) riskRejectLocked(dc hypervisor.DomainConfig) bool {
 	if m.cfg.Risk == nil || m.evacuating || m.reserve.IsZero() {
 		return false
@@ -692,8 +637,8 @@ func availabilityFrom(total resources.Vector, agg hypervisor.Aggregates) resourc
 // eps/capacity, far less than this margin.
 const fitMargin = 1e-7
 
-// errExists and errNoCapacity build the placement error values; one
-// definition keeps the sequential and batch paths' errors identical.
+// errExists, errNoCapacity and errHeadroom build the placement error
+// values.
 func errExists(name string) error {
 	return fmt.Errorf("%w: VM %s", ErrExists, name)
 }
@@ -712,14 +657,14 @@ type Placement struct {
 	Server *Server
 	Err    error
 	// Initial is the domain's allocation right after its own launch,
-	// before any later commit of the same batch could deflate it — what
-	// a caller placing VMs one at a time would have read back
-	// immediately. Zero when Err is set.
+	// before any later VM of the same batch could deflate it — what a
+	// caller placing VMs one at a time would have read back immediately.
+	// Zero when Err is set.
 	Initial resources.Vector
 	// NeedsReclaim records whether, at the moment this VM's placement
-	// was decided (after every earlier commit of its batch), no server
-	// could host it without deflation — the signal the simulation engine
-	// counts as a reclamation attempt.
+	// was decided (after every earlier VM of its batch was placed), no
+	// server could host it without deflation — the signal the simulation
+	// engine counts as a reclamation attempt.
 	NeedsReclaim bool
 }
 
@@ -746,16 +691,9 @@ func (m *Manager) PlaceVM(dc hypervisor.DomainConfig) (*hypervisor.Domain, *Serv
 }
 
 // PlaceVMs places a batch of VMs exactly as if PlaceVM had been called
-// for each in order — placements, counters, errors and notifications
-// are bit-for-bit identical at any Config.PlacementPartitions — but
-// with the proposal work fanned out across the placement partitions:
-// every partition proposes, side-effect-free and in parallel, its
-// surplus bid (and, for VMs with no surplus anywhere, its
-// under-pressure fitness ranking) for every VM of the batch; a serial
-// commit pass then walks the VMs in input order, validates each winning
-// bid against what earlier commits of the batch consumed, and
-// re-proposes only on conflict. The simulation engine feeds it the
-// same-timestamp arrival batches of a trace.
+// for each in order, under one acquisition of the manager's lock. The
+// simulation engine feeds it the same-timestamp arrival batches of a
+// trace, and evacuations their relocation batches.
 //
 // Results are appended to out (which may be nil) and the extended slice
 // is returned, so a caller owns its results — the Manager stays safe
@@ -767,6 +705,68 @@ func (m *Manager) PlaceVMs(dcs []hypervisor.DomainConfig, out []Placement) []Pla
 	defer m.mu.Unlock()
 	m.placeAllLocked(dcs)
 	return append(out, m.results...)
+}
+
+// placeAllLocked fills m.results for dcs, placing them one at a time in
+// input order.
+func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
+	var t0 time.Time
+	if m.cfg.CollectTimings {
+		t0 = time.Now()
+	}
+	if cap(m.results) < len(dcs) {
+		m.results = make([]Placement, 0, len(dcs))
+	}
+	m.results = m.results[:0]
+	for _, dc := range dcs {
+		m.results = append(m.results, m.placeOneLocked(dc))
+	}
+	if m.cfg.CollectTimings {
+		// Commit is the whole placement time; the surplus/pressure
+		// sub-timers (accumulated inside placeOneLocked) attribute it
+		// further.
+		m.commitTime += time.Since(t0)
+	}
+}
+
+// placeOneLocked is the placement decision and its commit for one VM:
+// the three-step protocol of PlaceVM at the live state.
+func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
+	m.syncDirtyLocked()
+	if m.riskRejectLocked(dc) {
+		m.rejections++
+		m.riskRejections++
+		return Placement{Err: errHeadroom(dc)}
+	}
+	best := m.surplusCandidateTimedLocked(m.PartitionOf(dc), dc.Size, m.banded(dc))
+	// A surplus candidate in the VM's own pool already proves some
+	// server fits without deflation; only its absence needs the
+	// cross-pool existence scan.
+	out := Placement{NeedsReclaim: best == nil && !m.anyFitsLocked(dc.Size)}
+	if _, ok := m.placements[dc.Name]; ok {
+		out.Err = errExists(dc.Name)
+		return out
+	}
+	if best != nil {
+		d, deflations, err := PlaceOn(best, m.cfg, dc)
+		if err == nil {
+			m.deflationEvents += deflations
+			m.placements[dc.Name] = best
+			out.Domain, out.Server = d, best
+			out.Initial = d.Allocation()
+			return out
+		}
+	}
+	if d, s, ok := m.pressureLiveLocked(dc, best); ok {
+		out.Domain, out.Server = d, s
+		out.Initial = d.Allocation()
+		return out
+	}
+	if !m.evacuating { // relocation failures are not admission rejections
+		m.rejections++
+	}
+	out.Err = errNoCapacity(dc)
+	return out
 }
 
 // reserveMargin pads the feasibility pre-filter so it can only skip
@@ -794,6 +794,15 @@ func cannotReclaim(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vect
 	return false
 }
 
+// newcomerRange is the newcomer's own deflatable range, which joins
+// every server's maximum reclaim in the feasibility pre-filter.
+func newcomerRange(dc hypervisor.DomainConfig) resources.Vector {
+	if !dc.Deflatable {
+		return resources.Vector{}
+	}
+	return dc.Size.Sub(dc.Floor()).ClampNonNegative()
+}
+
 // tryPlaceLocked attempts one under-pressure placement, recording the
 // bookkeeping on success. Infeasible servers — where even deflating
 // every resident to its floor plus the newcomer's own range cannot
@@ -816,9 +825,7 @@ func (m *Manager) tryPlaceLocked(s *Server, dc hypervisor.DomainConfig, ncRange 
 }
 
 // cand is one under-pressure placement candidate. idx is the server's
-// manager-wide add order (Server.gidx) — a partition-independent total
-// order, which is what lets commitPressureLocked merge per-partition
-// rankings into exactly the sequential (fitness desc, idx asc) visit
+// manager-wide add order (Server.gidx), the tie-break of the candidate
 // order; do not replace it with a positional index. The strict total
 // order also means sorting with any algorithm yields the
 // stable-descending ranking, without the reflection-based swapper
@@ -834,31 +841,34 @@ type cand struct {
 	band int
 }
 
+// candBefore is the strict total pressure order: hazard band ascending,
+// then fitness descending, then server add-index ascending. Candidates
+// for non-banded VMs always carry band 0, so for them the order is the
+// historical (fitness, idx) pair.
+func candBefore(a, b cand) bool {
+	if a.band != b.band {
+		return a.band < b.band
+	}
+	if a.fitness != b.fitness {
+		return a.fitness > b.fitness
+	}
+	return a.idx < b.idx
+}
+
 type candList []cand
 
 func (c candList) Len() int      { return len(c) }
 func (c candList) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
 
-// Less delegates to candBefore so the sort order and the partitioned
-// engine's merge order share one definition — they must stay
-// bit-identical or partitioned placement diverges from sequential.
+// Less delegates to candBefore so the full scan's sort and the pruned
+// descent's heap share one definition — they must stay bit-identical or
+// the two scan modes diverge.
 func (c candList) Less(i, j int) bool { return candBefore(c[i], c[j]) }
 
-// surplusCandidateLocked returns the tightest-fit server that can host
-// size without any deflation — the server with the smallest (dominant
-// free share, name) among those whose free vector fits size, or the
-// smallest (hazard band, free share, name) for banded VMs — or nil.
-// The indexed path asks every placement partition's ordered index for
-// its first fitting entry (ascending from a partition-local
-// demand-share lower bound, so each scan inspects O(log S) plus however
-// many near-full servers fit on the dominant dimension but not the
-// others) and takes the minimum across partitions; the reference path
-// scans every server and applies the identical minimisation.
 // surplusCandidateTimedLocked is surplusCandidateLocked under the
-// surplus sub-phase timer: the serial placement paths (sequential and
-// commit) call through it so BENCH artifacts can attribute commit time
-// to the surplus query vs the pressure scan. Timing never changes the
-// candidate returned.
+// surplus sub-phase timer, so BENCH artifacts can attribute placement
+// time to the surplus query vs the pressure scan. Timing never changes
+// the candidate returned.
 func (m *Manager) surplusCandidateTimedLocked(pool int, size resources.Vector, banded bool) *Server {
 	if !m.cfg.CollectTimings {
 		return m.surplusCandidateLocked(pool, size, banded)
@@ -869,6 +879,15 @@ func (m *Manager) surplusCandidateTimedLocked(pool int, size resources.Vector, b
 	return s
 }
 
+// surplusCandidateLocked returns the tightest-fit server that can host
+// size without any deflation — the server with the smallest (dominant
+// free share, name) among those whose free vector fits size, or the
+// smallest (hazard band, free share, name) for banded VMs — or nil.
+// The indexed path asks the pool's ordered indexes for their first
+// fitting entry (ascending from a demand-share lower bound, so each scan
+// inspects O(log S) plus however many near-full servers fit on the
+// dominant dimension but not the others); the reference path scans
+// every server and applies the identical minimisation.
 func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded bool) *Server {
 	if m.cfg.ReferencePlacement {
 		var best *Server
@@ -897,42 +916,30 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 		return best
 	}
 	if banded {
-		// Bands ascending, first band with any fit wins: the global
-		// (band, free share, name) minimum, since each band's MinFitting
-		// is that band's (free share, name) minimum across partitions.
+		// Bands ascending, first band with any fit wins: the
+		// (band, free share, name) minimum.
 		for band := 0; band < m.nBands; band++ {
 			key := m.poolKey(pool, band)
-			ixs, lows := m.mfIdx[:0], m.mfLow[:0]
-			for _, p := range m.parts {
-				ix := p.indexes[key]
-				var lower float64
-				if ix != nil {
-					lower = size.DominantShare(p.maxCap[key]) - fitMargin
+			if ix := m.indexes[key]; ix != nil {
+				if name, _, ok := ix.FirstFitting(m.fitLower(key, size), size); ok {
+					return m.byName[name]
 				}
-				ixs, lows = append(ixs, ix), append(lows, lower)
-			}
-			m.mfIdx, m.mfLow = ixs, lows
-			if name, _, ok := capindex.MinFitting(ixs, lows, size); ok {
-				return m.byName[name]
 			}
 		}
 		return nil
 	}
-	// Any fitting server's free share is at least the demand's dominant
-	// share of its index's largest capacity (minus float fuzz), so each
-	// index prunes everything below its own bound. All of the pool's
-	// band indexes join one MinFitting: band-blind (free share, name).
+	// Band-blind: all of the pool's band indexes join one MinFitting,
+	// each pruning below its own bound, for the (free share, name)
+	// minimum across them.
 	ixs, lows := m.mfIdx[:0], m.mfLow[:0]
-	for _, p := range m.parts {
-		for band := 0; band < m.nBands; band++ {
-			key := m.poolKey(pool, band)
-			ix := p.indexes[key]
-			var lower float64
-			if ix != nil {
-				lower = size.DominantShare(p.maxCap[key]) - fitMargin
-			}
-			ixs, lows = append(ixs, ix), append(lows, lower)
+	for band := 0; band < m.nBands; band++ {
+		key := m.poolKey(pool, band)
+		ix := m.indexes[key]
+		var lower float64
+		if ix != nil {
+			lower = m.fitLower(key, size)
 		}
+		ixs, lows = append(ixs, ix), append(lows, lower)
 	}
 	m.mfIdx, m.mfLow = ixs, lows
 	name, _, ok := capindex.MinFitting(ixs, lows, size)
@@ -942,10 +949,17 @@ func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded
 	return m.byName[name]
 }
 
+// fitLower is the lower bound a surplus scan of index key starts from:
+// any server that fits size has a free share at least the demand's
+// dominant share of the index's largest capacity, minus float fuzz.
+func (m *Manager) fitLower(key int, size resources.Vector) float64 {
+	return size.DominantShare(m.maxCap[key]) - fitMargin
+}
+
 // anyFitsLocked reports whether any server in the cluster (regardless
 // of priority pool or hazard band) can host size with no deflation,
-// from the live partition indexes. Order-independent: it is an
-// existence check, so the random map iteration is fine.
+// from the live indexes. Order-independent: it is an existence check,
+// so the random map iteration is fine.
 func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 	if m.cfg.ReferencePlacement {
 		for _, s := range m.servers {
@@ -958,12 +972,9 @@ func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 		}
 		return false
 	}
-	for _, p := range m.parts {
-		for key, ix := range p.indexes {
-			lower := size.DominantShare(p.maxCap[key]) - fitMargin
-			if _, _, ok := ix.FirstFitting(lower, size); ok {
-				return true
-			}
+	for key, ix := range m.indexes {
+		if _, _, ok := ix.FirstFitting(m.fitLower(key, size), size); ok {
+			return true
 		}
 	}
 	return false
@@ -971,9 +982,9 @@ func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 
 // FitsWithoutDeflation reports whether any server in the cluster
 // (regardless of priority pool) can host size with no deflation. With
-// the capacity indexes the check is O(partitions × pools × log S)
-// instead of a full scan. Batch placements report the same signal
-// per VM through Placement.NeedsReclaim.
+// the capacity indexes the check is O(pools × bands × log S) instead of
+// a full scan. Batch placements report the same signal per VM through
+// Placement.NeedsReclaim.
 func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1046,7 +1057,7 @@ func deflateFor(s *Server, cfg Config, dc hypervisor.DomainConfig) (resources.Ve
 		if res.Targets[i].DeflationFraction(cur) > 1e-9 {
 			deflations++
 		}
-		if err := applyAndNotify(s, cfg, sc.doms[i], cur, res.Targets[i], nil); err != nil {
+		if err := applyAndNotify(s, cfg, sc.doms[i], cur, res.Targets[i]); err != nil {
 			return resources.Vector{}, deflations, err
 		}
 	}
@@ -1103,9 +1114,7 @@ func (m *Manager) RemoveVM(name string) error {
 // coalesce simultaneous departures, which turns k same-instant
 // departures from one server into one policy pass instead of k. Servers
 // reinflate in the order they are first touched by names, so the result
-// is deterministic for a deterministic name order; with
-// Config.ReinflateShards > 1 the per-server passes run in parallel (see
-// reinflateAffected), which changes only the wall clock.
+// is deterministic for a deterministic name order.
 func (m *Manager) RemoveVMs(names ...string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -1165,12 +1174,8 @@ func (m *Manager) teardownLocked(s *Server, d *hypervisor.Domain) error {
 	return nil
 }
 
-// reinflateAffected runs one reinflation pass per affected server.
-// Sequentially the servers are processed in first-touched order; with
-// ReinflateShards > 1 the passes fan out (reinflateSharded). Per-server
-// passes touch only their own host and scratch arena, so the resulting
-// allocations — and the error reported, always the first in server
-// order — are bit-for-bit identical at any shard count.
+// reinflateAffected runs one reinflation pass per affected server, in
+// first-touched order, and reports the first error.
 func (m *Manager) reinflateAffected(affected []*Server) error {
 	var t0 time.Time
 	timed := m.cfg.CollectTimings && len(affected) > 0
@@ -1178,64 +1183,15 @@ func (m *Manager) reinflateAffected(affected []*Server) error {
 		t0 = time.Now()
 	}
 	var firstErr error
-	if shards := min(m.cfg.ReinflateShards, len(affected)); shards > 1 {
-		firstErr = m.reinflateSharded(affected, shards)
-	} else {
-		for _, s := range affected {
-			if err := reinflate(s, m.cfg, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, s := range affected {
+		if err := reinflate(s, m.cfg); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if timed {
 		m.reinflateTime += time.Since(t0)
 	}
 	return firstErr
-}
-
-// reinflateSharded is the parallel form of reinflateAffected: server i
-// goes to worker i % shards, every worker joins a barrier, and buffered
-// notification events are then published in the same first-touched
-// server order the sequential path uses (events within one server are
-// already in name order). It is its own function so that what the
-// workers capture escapes to the heap only on calls that fan out.
-func (m *Manager) reinflateSharded(affected []*Server, shards int) error {
-	errs := m.reinflateErrs[:0]
-	for range affected {
-		errs = append(errs, nil)
-	}
-	m.reinflateErrs = errs
-	buffer := m.cfg.Notify != nil
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(affected); i += shards {
-				s := affected[i]
-				if buffer {
-					s.scratch.events = s.scratch.events[:0]
-					errs[i] = reinflate(s, m.cfg, &s.scratch.events)
-				} else {
-					errs[i] = reinflate(s, m.cfg, nil)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if buffer {
-		for _, s := range affected {
-			for _, ev := range s.scratch.events {
-				m.cfg.Notify.Publish(ev)
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Reinflate redistributes free capacity to deflated VMs on s ("run the
@@ -1245,15 +1201,14 @@ func (m *Manager) reinflateSharded(affected []*Server, shards int) error {
 // nothing on the server is deflated, without walking its domains.
 func Reinflate(s *Server, cfg Config) error {
 	cfg.applyDefaults()
-	return reinflate(s, cfg, nil)
+	return reinflate(s, cfg)
 }
 
 // reinflate is the reinflation policy pass. Like deflateFor it consumes
 // the host's deflatable VM-state view through the server's scratch arena
 // and applies targets in name order, so steady-state calls are
-// allocation-free. A non-nil events buffer receives the notification
-// events instead of the bus (the parallel batch path).
-func reinflate(s *Server, cfg Config, events *[]notify.Event) error {
+// allocation-free.
+func reinflate(s *Server, cfg Config) error {
 	agg := s.Host.Aggregates()
 	if agg.Deflated == 0 {
 		return nil
@@ -1273,7 +1228,7 @@ func reinflate(s *Server, cfg Config, events *[]notify.Event) error {
 		return err
 	}
 	for i := range sc.doms {
-		if err := applyAndNotify(s, cfg, sc.doms[i], sc.vms[i].Current, res.Targets[i], events); err != nil {
+		if err := applyAndNotify(s, cfg, sc.doms[i], sc.vms[i].Current, res.Targets[i]); err != nil {
 			return err
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/mechanism"
-	"vmdeflate/internal/notify"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
 )
@@ -356,68 +355,6 @@ func TestDeterministicPolicyIntegration(t *testing.T) {
 	// Deterministic: low deflated to priority*max = 10 cores.
 	if got := low.Allocation().Get(resources.CPU); got > 10.001 {
 		t.Errorf("deterministic deflation = %v, want 10", got)
-	}
-}
-
-// Parallel reinflation (ReinflateShards > 1) must be invisible in the
-// results: after an identical placement/batched-removal history, every
-// surviving VM's allocation matches the sequential manager bit for bit,
-// and the notification stream arrives in the identical order.
-func TestParallelReinflationMatchesSequential(t *testing.T) {
-	run := func(shards int) (map[string]resources.Vector, []string) {
-		var bus notify.Bus
-		var events []string
-		bus.Subscribe(func(ev notify.Event) { events = append(events, ev.VM) })
-		m := NewManager(Config{Policy: policy.Priority{}, ReinflateShards: shards, Notify: &bus})
-		for i := 0; i < 4; i++ {
-			if _, err := m.AddServer(fmt.Sprintf("node-%d", i), serverCap(), 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var placed []string
-		for i := 0; i < 32; i++ {
-			name := fmt.Sprintf("vm-%02d", i)
-			prio := []float64{0.25, 0.5, 0.75, 1.0}[i%4]
-			if _, _, err := m.PlaceVM(deflatableVM(name, float64(8+(i%3)*8), 16384, prio)); err == nil {
-				placed = append(placed, name)
-			}
-		}
-		// Batched removal touching many servers at once — the shape the
-		// sharded engine's same-instant departure batches produce.
-		batch := placed[:len(placed)/2]
-		if err := m.RemoveVMs(batch...); err != nil {
-			t.Fatal(err)
-		}
-		allocs := map[string]resources.Vector{}
-		for _, name := range placed[len(placed)/2:] {
-			d, _, err := m.LookupVM(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allocs[name] = d.Allocation()
-		}
-		return allocs, events
-	}
-
-	seqAllocs, seqEvents := run(1)
-	for _, shards := range []int{2, 4, 8} {
-		parAllocs, parEvents := run(shards)
-		if len(parAllocs) != len(seqAllocs) {
-			t.Fatalf("shards=%d: %d survivors vs %d", shards, len(parAllocs), len(seqAllocs))
-		}
-		for name, want := range seqAllocs {
-			if got := parAllocs[name]; got != want {
-				t.Errorf("shards=%d: %s allocation %v, want %v", shards, name, got, want)
-			}
-		}
-		if len(parEvents) != len(seqEvents) {
-			t.Fatalf("shards=%d: %d events vs %d", shards, len(parEvents), len(seqEvents))
-		}
-		for i := range seqEvents {
-			if parEvents[i] != seqEvents[i] {
-				t.Fatalf("shards=%d: event order diverged at %d: %v vs %v", shards, i, parEvents, seqEvents)
-			}
-		}
 	}
 }
 

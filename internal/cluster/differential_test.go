@@ -175,34 +175,6 @@ func TestIndexedPlacementMatchesReferencePartitioned(t *testing.T) {
 	}, 12, 400)
 }
 
-// TestPlacementPartitionsMatchReference drives the one-VM-at-a-time
-// churn through the propose/commit engine (PlaceVM routes through a
-// single-VM batch when PlacementPartitions > 1): every placement is a
-// parallel propose across partitions plus one commit, and must still
-// match the brute-force reference bit for bit.
-func TestPlacementPartitionsMatchReference(t *testing.T) {
-	for _, partitions := range []int{2, 5} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			runDifferentialChurn(t, 31, Config{
-				Policy:              policy.Proportional{},
-				PlacementPartitions: partitions,
-			}, 12, 400)
-		})
-	}
-}
-
-// TestPlacementPartitionsMatchReferencePriorityPools combines placement
-// partitions with priority-partitioned pools, so every propose/commit
-// round filters candidates by pool across partition boundaries.
-func TestPlacementPartitionsMatchReferencePriorityPools(t *testing.T) {
-	runDifferentialChurn(t, 41, Config{
-		Policy:              policy.Priority{},
-		PartitionByPriority: true,
-		PriorityLevels:      4,
-		PlacementPartitions: 3,
-	}, 12, 400)
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

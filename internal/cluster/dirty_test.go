@@ -32,11 +32,10 @@ func TestDirtyListDrainsSortedAndDeduplicated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := m.parts[0]
-	if n := p.drainDirty(); n != 3 || p.drained[0].Host.Name() != "a" || p.drained[1].Host.Name() != "b" || p.drained[2].Host.Name() != "c" {
+	if n := m.drainDirty(); n != 3 || m.drained[0].Host.Name() != "a" || m.drained[1].Host.Name() != "b" || m.drained[2].Host.Name() != "c" {
 		t.Fatalf("provisioning drain = %d servers, want a b c in name order", n)
 	}
-	if n := p.drainDirty(); n != 0 {
+	if n := m.drainDirty(); n != 0 {
 		t.Fatalf("drain of an empty list = %d", n)
 	}
 
@@ -49,14 +48,14 @@ func TestDirtyListDrainsSortedAndDeduplicated(t *testing.T) {
 	define("b", "vm-1") // clean host -> edge -> mark b
 	define("a", "vm-2")
 	define("b", "vm-3") // host b is already stale: coalesced, and b is queued once
-	p.markDirty(m.byName["b"])
-	if len(p.dirty) != 2 {
-		t.Fatalf("%d servers queued, want 2 (b marked three times, a once)", len(p.dirty))
+	m.markDirty(m.byName["b"])
+	if len(m.dirty) != 2 {
+		t.Fatalf("%d servers queued, want 2 (b marked three times, a once)", len(m.dirty))
 	}
-	if n := p.drainDirty(); n != 2 || p.drained[0].Host.Name() != "a" || p.drained[1].Host.Name() != "b" {
+	if n := m.drainDirty(); n != 2 || m.drained[0].Host.Name() != "a" || m.drained[1].Host.Name() != "b" {
 		t.Fatalf("drain = %d servers, want [a b]", n)
 	}
-	if len(p.dirty) != 0 {
+	if len(m.dirty) != 0 {
 		t.Fatal("drain should empty the list")
 	}
 	for _, s := range m.servers {
@@ -64,8 +63,8 @@ func TestDirtyListDrainsSortedAndDeduplicated(t *testing.T) {
 			t.Errorf("%s still flagged queued after the drain", s.Host.Name())
 		}
 	}
-	p.markDirty(m.byName["b"])
-	if n := p.drainDirty(); n != 1 || p.drained[0] != m.byName["b"] {
+	m.markDirty(m.byName["b"])
+	if n := m.drainDirty(); n != 1 || m.drained[0] != m.byName["b"] {
 		t.Fatalf("re-mark after drain: drained %d", n)
 	}
 }
@@ -78,10 +77,10 @@ func TestDirtyListDrainsSortedAndDeduplicated(t *testing.T) {
 // manager's.
 func TestDirtyDrainAfterBurstZeroAllocs(t *testing.T) {
 	m := provisioned(t, 10000)
-	p, s := m.parts[0], m.servers[4321]
+	s := m.servers[4321]
 	got := testing.AllocsPerRun(200, func() {
-		p.markDirty(s)
-		if n := p.drainDirty(); n != 1 || p.drained[0] != s {
+		m.markDirty(s)
+		if n := m.drainDirty(); n != 1 || m.drained[0] != s {
 			t.Fatalf("drained %d servers, want the one marked", n)
 		}
 	})
@@ -99,12 +98,12 @@ func BenchmarkDirtyDrain(b *testing.B) {
 	for _, n := range []int{1, 10000} {
 		b.Run(fmt.Sprintf("burst=%d", n), func(b *testing.B) {
 			m := provisioned(b, n)
-			p, s := m.parts[0], m.servers[n/2]
+			s := m.servers[n/2]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.markDirty(s)
-				p.drainDirty()
+				m.markDirty(s)
+				m.drainDirty()
 			}
 		})
 	}

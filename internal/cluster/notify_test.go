@@ -141,14 +141,12 @@ func TestEventsMatchLockedDomainReads(t *testing.T) {
 	configs := []Config{
 		{},
 		{Mechanism: mechanism.Hybrid{}, Policy: policy.Priority{}},
-		{ReinflateShards: 4, PlacementPartitions: 2}, // buffered events, published after the barrier
 	}
 	for ci, cfg := range configs {
 		t.Run(fmt.Sprintf("config=%d", ci), func(t *testing.T) {
 			var bus notify.Bus
 			cfg.Notify = &bus
 			m := newTestManager(t, 6, cfg)
-			defer m.Close()
 			hosts := map[string]*hypervisor.Host{}
 			for _, s := range m.Servers() {
 				hosts[s.Host.Name()] = s.Host

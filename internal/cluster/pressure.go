@@ -10,8 +10,8 @@
 //
 // # The bound index
 //
-// Each placement partition maintains, beside its surplus index, a
-// pressure index per (priority pool, hazard band): the same treap keyed
+// Beside each surplus index the manager maintains a pressure index per
+// (priority pool, hazard band): the same treap keyed
 // by boundKey(avail) = |avail|·(1+slack). For non-negative vectors the
 // Cauchy–Schwarz inequality gives
 //
@@ -30,7 +30,7 @@
 //
 // The scan walks the group's bound indexes in descending (key, name)
 // order — loosest bound first — through reusable iterators, one per
-// (partition, band-key) index. Each expanded server is first checked
+// band-key index. Each expanded server is first checked
 // against the shared feasibility pre-filter (cannotReclaim — the exact
 // expressions tryPlaceLocked uses, so skipping is provably safe), then
 // scored exactly and pushed on a min-heap ordered by candBefore. A
@@ -44,8 +44,7 @@
 //
 // Expansion always picks the iterator whose head is the maximum
 // (key, name) across the group — the order a single merged index would
-// produce — so the number of servers scored (and therefore the
-// scored/pruned counters) is identical at any partition count.
+// produce.
 //
 // Banded VMs exhaust band groups in ascending band order (candBefore
 // ranks band first, so band b's worst candidate precedes band b+1's
@@ -189,8 +188,8 @@ func (m *Manager) pressurePrunedLocked(dc hypervisor.DomainConfig, best *Server)
 
 // pressureScanGroupLocked runs one group's best-first descent, trying
 // placement on each yielded candidate in exact candBefore order. The
-// group is every (partition × key) bound index for the given keys; all
-// its candidates carry candBand. Also settles the group's metering:
+// group is the bound index of every given key; all its candidates carry
+// candBand. Also settles the group's metering:
 // every indexed server that never had its fitness computed — excluded
 // by the bound, the feasibility pre-filter, or an earlier candidate
 // succeeding — counts as pruned.
@@ -201,18 +200,16 @@ func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Serv
 	n := 0
 	eligible := 0
 	for _, key := range keys {
-		for _, p := range m.parts {
-			ix := p.bounds[key]
-			if ix == nil || ix.Len() == 0 {
-				continue
-			}
-			if n == len(m.pressIters) {
-				m.pressIters = append(m.pressIters, capindex.DescIter{})
-			}
-			m.pressIters[n].Reset(ix)
-			eligible += ix.Len()
-			n++
+		ix := m.bounds[key]
+		if ix == nil || ix.Len() == 0 {
+			continue
 		}
+		if n == len(m.pressIters) {
+			m.pressIters = append(m.pressIters, capindex.DescIter{})
+		}
+		m.pressIters[n].Reset(ix)
+		eligible += ix.Len()
+		n++
 	}
 	iters := m.pressIters[:n]
 	scored0 := m.pressureScored
@@ -226,8 +223,7 @@ func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Serv
 	for {
 		// The loosest remaining bound — and, on bound ties, the largest
 		// name: the (key, name)-descending head a single merged index
-		// would expose next, which keeps the expansion sequence (and the
-		// scored count) invariant across partition counts.
+		// would expose next.
 		expand := -1
 		var maxKey float64
 		var maxName string

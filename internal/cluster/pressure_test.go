@@ -18,9 +18,9 @@ import (
 // then fails the real policy pass — the scan visits the entire cluster
 // in exact candBefore order and returns empty-handed, leaving the
 // cluster byte-identical for the next iteration.
-func pressureScanSteadyState(tb testing.TB, partitions int) (*Manager, hypervisor.DomainConfig) {
+func pressureScanSteadyState(tb testing.TB) (*Manager, hypervisor.DomainConfig) {
 	tb.Helper()
-	m := NewManager(Config{Policy: policy.Proportional{}, PlacementPartitions: partitions})
+	m := NewManager(Config{Policy: policy.Proportional{}})
 	for i := 0; i < 8; i++ {
 		if _, err := m.AddServer(fmt.Sprintf("node-%03d", i), resources.CPUMem(48, 131072), 0); err != nil {
 			tb.Fatal(err)
@@ -54,7 +54,7 @@ func pressureScanSteadyState(tb testing.TB, partitions int) (*Manager, hyperviso
 	return m, probe
 }
 
-// pressureScanOnce is one steady-state scan: the dirty sync a commit
+// pressureScanOnce is one steady-state scan: the dirty sync a placement
 // would run (a no-op here) plus the full bound-pruned descent.
 func pressureScanOnce(tb testing.TB, m *Manager, probe hypervisor.DomainConfig) {
 	m.mu.Lock()
@@ -69,26 +69,20 @@ func pressureScanOnce(tb testing.TB, m *Manager, probe hypervisor.DomainConfig) 
 // TestPressureScanZeroAllocs is the allocation-regression guard for the
 // bound-pruned under-pressure scan: once the iterator stacks and the
 // candidate heap are warm, a full-cluster descent — every server
-// expanded, scored and tried — must perform zero heap allocations, at
-// one partition and several.
+// expanded, scored and tried — must perform zero heap allocations.
 func TestPressureScanZeroAllocs(t *testing.T) {
-	for _, partitions := range []int{1, 4} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			m, probe := pressureScanSteadyState(t, partitions)
-			defer m.Close()
-			pressureScanOnce(t, m, probe) // warm the iterator and heap arenas
-			arr0, scored0, _ := m.PressureStats()
-			if arr0 == 0 || scored0 != len(m.Servers()) {
-				t.Fatalf("warmup scored %d servers over %d scans, want a full %d-server descent",
-					scored0, arr0, len(m.Servers()))
-			}
-			got := testing.AllocsPerRun(200, func() {
-				pressureScanOnce(t, m, probe)
-			})
-			if got != 0 {
-				t.Errorf("steady-state pressure scan allocates %.1f allocs/op, want 0", got)
-			}
-		})
+	m, probe := pressureScanSteadyState(t)
+	pressureScanOnce(t, m, probe) // warm the iterator and heap arenas
+	arr0, scored0, _ := m.PressureStats()
+	if arr0 == 0 || scored0 != len(m.Servers()) {
+		t.Fatalf("warmup scored %d servers over %d scans, want a full %d-server descent",
+			scored0, arr0, len(m.Servers()))
+	}
+	got := testing.AllocsPerRun(200, func() {
+		pressureScanOnce(t, m, probe)
+	})
+	if got != 0 {
+		t.Errorf("steady-state pressure scan allocates %.1f allocs/op, want 0", got)
 	}
 }
 
@@ -98,8 +92,7 @@ func TestPressureScanZeroAllocs(t *testing.T) {
 // bound admitted, every server scored and tried — which is the cost a
 // pressured arrival pays when the cluster truly has no room.
 func BenchmarkPressureScan(b *testing.B) {
-	m, probe := pressureScanSteadyState(b, 4)
-	defer m.Close()
+	m, probe := pressureScanSteadyState(b)
 	pressureScanOnce(b, m, probe)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,10 +10,8 @@
 //     residents are relocated onto survivors, deflating those survivors
 //     through the ordinary placement policy passes.
 //  2. Evacuate what deflation cannot hold. Displaced VMs form one
-//     relocation batch that flows through the same propose/commit
-//     PlaceVMs machinery as trace arrivals — so evacuation scales with
-//     the placement partitions and is bit-for-bit identical at any
-//     partition count.
+//     relocation batch that flows through the same PlaceVMs placement
+//     as trace arrivals, one VM at a time in evacuation order.
 //  3. Kill only as a last resort. A displaced VM whose relocation fails
 //     (no server can host it even after maximal deflation) is reported
 //     in the Evacuation outcome; deciding what that means (a shock
@@ -24,10 +22,9 @@
 //   - Evacuation batch ordering: displaced VMs enter the relocation
 //     batch in (input server order, then domain name order) for
 //     revocations, and in (priority ascending, name ascending) victim
-//     order for resize displacement. The batch commits in that order —
-//     the same strict order at any shard or partition count.
+//     order for resize displacement. The batch is placed in that order.
 //   - A revoked server keeps its Server identity, its add-order gidx
-//     and its partition membership; it is only removed from the
+//     and its pool membership; it is only removed from the
 //     capacity indexes and skipped by every candidate scan, so the
 //     (fitness, add-index) and (free share, name) total orders over the
 //     remaining servers are unchanged.
@@ -72,12 +69,6 @@ type Evacuation struct {
 // other Server field it is maintained under its Manager's lock;
 // standalone servers are never revoked.
 func (s *Server) Revoked() bool { return s.revoked }
-
-// partitionFor returns the placement partition that owns s — the
-// round-robin-by-add-order assignment AddServer made.
-func (m *Manager) partitionFor(s *Server) *placePartition {
-	return m.parts[s.gidx%len(m.parts)]
-}
 
 // RevokeServer revokes one server; see RevokeServers.
 func (m *Manager) RevokeServer(name string) (Evacuation, error) {
@@ -129,9 +120,9 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 		}
 		s.revoked = true
 		m.revokedCount++
-		pp, key := m.partitionFor(s), m.poolKey(s.Partition, s.band)
-		pp.indexes[key].Delete(name)
-		pp.bounds[key].Delete(name)
+		key := m.poolKey(s.Partition, s.band)
+		m.indexes[key].Delete(name)
+		m.bounds[key].Delete(name)
 		m.totCapacity = m.totCapacity.Sub(s.Host.Capacity())
 		// An out-of-service server's risk is realised, not forecast: its
 		// headroom contribution leaves the reserve with its capacity.
@@ -141,8 +132,8 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 }
 
 // RestoreServer returns a revoked server to service at its current
-// capacity. The server re-enters its partition's capacity index on the
-// next dirty sync, making its capacity visible to subsequent
+// capacity. The server re-enters its pool's capacity index on the next
+// dirty sync, making its capacity visible to subsequent
 // placements; nothing is migrated back proactively.
 func (m *Manager) RestoreServer(name string) error {
 	m.mu.Lock()
@@ -158,7 +149,7 @@ func (m *Manager) RestoreServer(name string) error {
 	m.revokedCount--
 	m.totCapacity = m.totCapacity.Add(s.Host.Capacity())
 	m.reserve = m.reserve.Add(s.reserve)
-	m.partitionFor(s).markDirty(s)
+	m.markDirty(s)
 	return nil
 }
 
@@ -197,17 +188,16 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 		m.reserve = m.reserve.Add(s.reserve)
 	}
 	// maxCap stays a component-wise upper bound over every capacity the
-	// partition's pool has seen: after a shrink it over-estimates, which
-	// only loosens the index scans' lower bound (more entries inspected,
-	// same answer) — correctness never depends on it being tight.
-	pp := m.partitionFor(s)
+	// index has seen: after a shrink it over-estimates, which only
+	// loosens the index scans' lower bound (more entries inspected, same
+	// answer) — correctness never depends on it being tight.
 	key := m.poolKey(s.Partition, s.band)
-	pp.maxCap[key] = pp.maxCap[key].Max(capacity)
+	m.maxCap[key] = m.maxCap[key].Max(capacity)
 
 	if s.Host.Allocated().FitsIn(capacity) {
 		// Grow / slack restore: run the freed capacity back into the
 		// residents ("run the proportional deflation backwards").
-		return Evacuation{}, reinflate(s, m.cfg, nil)
+		return Evacuation{}, reinflate(s, m.cfg)
 	}
 	m.evacDCs = m.evacDCs[:0]
 	if err := m.displaceForShrinkLocked(s, capacity); err != nil {
@@ -303,18 +293,16 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 		if err != nil {
 			target = sc.doms[i].Floor()
 		}
-		if aerr := applyAndNotify(s, m.cfg, sc.doms[i], sc.vms[i].Current, target, nil); aerr != nil {
+		if aerr := applyAndNotify(s, m.cfg, sc.doms[i], sc.vms[i].Current, target); aerr != nil {
 			return aerr
 		}
 	}
 	return nil
 }
 
-// evacuateLocked relocates the queued displaced VMs as one batch
-// through the propose/commit placement engine and assembles the
-// Evacuation outcome. The batch commits in evacuation order, so the
-// result is bit-for-bit identical at any placement-partition count;
-// rejections inside the batch are not counted as admission failures.
+// evacuateLocked relocates the queued displaced VMs as one batch,
+// placed in evacuation order, and assembles the Evacuation outcome.
+// Rejections inside the batch are not counted as admission failures.
 func (m *Manager) evacuateLocked() Evacuation {
 	var out Evacuation
 	if len(m.evacDCs) == 0 {

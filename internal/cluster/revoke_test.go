@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
@@ -14,7 +13,6 @@ import (
 
 func TestRevokeServerEvacuatesVMs(t *testing.T) {
 	m := newTestManager(t, 3, Config{})
-	defer m.Close()
 	var placedOn *Server
 	for i := 0; i < 4; i++ {
 		_, s, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%d", i), 8, 16384, 0.5))
@@ -90,7 +88,6 @@ func TestRevokeServerEvacuatesVMs(t *testing.T) {
 
 func TestRevokeRestoreLifecycleErrors(t *testing.T) {
 	m := newTestManager(t, 2, Config{})
-	defer m.Close()
 	if _, err := m.RevokeServer("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("revoke unknown server err = %v", err)
 	}
@@ -124,7 +121,6 @@ func TestRevokeKillsWhenNoCapacity(t *testing.T) {
 	// Two servers, both filled with on-demand VMs that cannot deflate:
 	// revoking one leaves nowhere for its residents to go.
 	m := newTestManager(t, 2, Config{})
-	defer m.Close()
 	for i := 0; i < 2; i++ {
 		if _, _, err := m.PlaceVM(onDemandVM(fmt.Sprintf("od-%d", i), 48, 131072)); err != nil {
 			t.Fatal(err)
@@ -156,7 +152,6 @@ func TestResizeServerShrinkDeflates(t *testing.T) {
 	// One server, deflatable residents filling most of it: a moderate
 	// shrink must be absorbed purely by deflation — nothing displaced.
 	m := newTestManager(t, 1, Config{})
-	defer m.Close()
 	for i := 0; i < 3; i++ {
 		if _, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%d", i), 12, 32768, 0.5)); err != nil {
 			t.Fatal(err)
@@ -194,7 +189,6 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 	// displaced VMs must land on the second server, lowest priority
 	// first.
 	m := newTestManager(t, 2, Config{})
-	defer m.Close()
 	// Two residents with explicit QoS floors of 8 cores each: the shrunk
 	// capacity (10 cores) can hold one floor but not both, so exactly
 	// one VM must be displaced even at maximal deflation.
@@ -234,13 +228,27 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 // differential guarantee under capacity shocks: an identical randomized
 // sequence of placements, removals, revocations, restorations and
 // resizes must produce identical placements, evacuation outcomes,
-// counters and stats on the reference manager and on indexed managers
-// at several placement-partition counts.
+// counters and stats on the reference manager and on the indexed
+// manager in both pressure-scan modes — under the priority policy, the
+// proportional policy, priority-partitioned pools and the risk-aware
+// banded fleet, whose evacuations re-place through the pool filter and
+// the hazard bands.
 func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runRevocationChurn(t, seed, Config{Policy: policy.Priority{}}, 12, 160)
-		})
+	cases := []struct {
+		prefix string
+		cfg    Config
+	}{
+		{"", Config{Policy: policy.Priority{}}},
+		{"proportional/", Config{Policy: policy.Proportional{}}},
+		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true, PriorityLevels: 4}},
+		{"risk/", Config{Policy: policy.Priority{}, Risk: &RiskConfig{HighPriority: 0.75, MaxBands: 4}}},
+	}
+	for _, tc := range cases {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("%sseed=%d", tc.prefix, seed), func(t *testing.T) {
+				runRevocationChurn(t, seed, tc.cfg, 12, 160)
+			})
+		}
 	}
 }
 
@@ -290,44 +298,18 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 	refCfg := cfg
 	refCfg.ReferencePlacement = true
 	engines = append(engines, churnEngine{"reference", NewManager(refCfg)})
-	// Both scan modes at every partition count: pruned descent (default)
-	// and the retained full linear scan, all against the reference.
-	for _, parts := range []int{1, 3, 8} {
-		pcfg := cfg
-		pcfg.PlacementPartitions = parts
-		engines = append(engines, churnEngine{fmt.Sprintf("pruned/partitions=%d", parts), NewManager(pcfg)})
-		fcfg := pcfg
-		fcfg.FullPressureScan = true
-		engines = append(engines, churnEngine{fmt.Sprintf("fullscan/partitions=%d", parts), NewManager(fcfg)})
-	}
+	// Both scan modes: pruned descent (default) and the retained full
+	// linear scan, both against the reference.
+	fcfg := cfg
+	fcfg.FullPressureScan = true
+	engines = append(engines, churnEngine{"pruned", NewManager(cfg)}, churnEngine{"fullscan", NewManager(fcfg)})
 	for i := 0; i < nServers; i++ {
 		for _, e := range engines {
-			if _, err := e.m.AddServer(fmt.Sprintf("node-%03d", i), serverCap(), 0); err != nil {
+			if _, err := e.m.AddServerSpec(churnSpec(i, e.m)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	defer func() {
-		for _, e := range engines {
-			e.m.Close()
-		}
-	}()
-
-	evacString := func(out Evacuation, err error) string {
-		if err != nil {
-			return fmt.Sprintf("err=%v", err)
-		}
-		s := fmt.Sprintf("evac=%d killed=%d:", out.Evacuated, out.Killed)
-		for i, pl := range out.Placements {
-			if pl.Err != nil {
-				s += fmt.Sprintf(" %s->killed", out.VMs[i].Name)
-			} else {
-				s += fmt.Sprintf(" %s->%s", out.VMs[i].Name, pl.Server.Host.Name())
-			}
-		}
-		return s
-	}
-
 	rng := rand.New(rand.NewSource(seed))
 	revoked := make([]bool, nServers)
 	nRevoked := 0
@@ -360,7 +342,7 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 						}
 					}
 				}
-				return "revoke " + evacString(out, err)
+				return "revoke " + describeEvacuation(out, err)
 			}
 		case r < 4 && nRevoked > 0: // restore one
 			i := rng.Intn(nServers)
@@ -394,7 +376,7 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 						}
 					}
 				}
-				return fmt.Sprintf("resize %s %.2f ", name, scale) + evacString(out, err)
+				return fmt.Sprintf("resize %s %.2f ", name, scale) + describeEvacuation(out, err)
 			}
 		case r < 9 && len(placed) > 0: // departure batch
 			k := 1 + rng.Intn(3)
@@ -470,9 +452,12 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 	}
 
 	// Pressure-scan meter invariants across the whole churn: arrivals
-	// are mode-invariant; scored/pruned are partition-invariant within
-	// each scan mode; the full-scan engines score exactly what the
-	// reference scores and prune nothing.
+	// are mode-invariant; the full-scan engine scores exactly what the
+	// reference scores and prunes nothing; the pruned engine's scored
+	// plus pruned is the reference's eligible total. With risk on, a
+	// banded descent stops at the first band group that places, so the
+	// later bands it never visits are neither scored nor pruned and the
+	// sum may only fall short of the total.
 	refArr, refScored, refPruned := engines[0].m.PressureStats()
 	if refPruned != 0 {
 		t.Fatalf("reference pruned %d servers, want 0", refPruned)
@@ -483,25 +468,50 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 		if arr != refArr {
 			t.Fatalf("%s: %d pressured arrivals, reference %d", e.label, arr, refArr)
 		}
-		if strings.HasPrefix(e.label, "fullscan") {
+		if e.label == "fullscan" {
 			if scored != refScored || pruned != 0 {
 				t.Fatalf("%s: scored/pruned = %d/%d, reference full scan %d/0",
 					e.label, scored, pruned, refScored)
 			}
 			continue
 		}
-		if out.scored == 0 && out.pruned == 0 {
-			out.scored, out.pruned = scored, pruned
-		} else if scored != out.scored || pruned != out.pruned {
-			t.Fatalf("%s: scored/pruned = %d/%d, other pruned engines %d/%d",
-				e.label, scored, pruned, out.scored, out.pruned)
-		}
-		if scored+pruned != refScored {
+		out.scored, out.pruned = scored, pruned
+		if scored+pruned > refScored || (cfg.Risk == nil && scored+pruned != refScored) {
 			t.Fatalf("%s: scored+pruned = %d, want the reference's eligible total %d",
 				e.label, scored+pruned, refScored)
 		}
 	}
 	return out
+}
+
+// churnSpec provisions server i of a churn suite's fleet: riskSpec's
+// banded, reserving fleet when risk is on, otherwise a plain server in
+// pool i mod PriorityLevels.
+func churnSpec(i int, m *Manager) ServerSpec {
+	if m.Config().Risk != nil {
+		return riskSpec(i, m)
+	}
+	return ServerSpec{
+		Name:      fmt.Sprintf("node-%03d", i),
+		Capacity:  serverCap(),
+		Partition: i % max(1, m.Config().PriorityLevels),
+	}
+}
+
+// describeEvacuation renders a capacity-shock outcome comparably.
+func describeEvacuation(out Evacuation, err error) string {
+	if err != nil {
+		return fmt.Sprintf("err=%v", err)
+	}
+	s := fmt.Sprintf("evac=%d killed=%d:", out.Evacuated, out.Killed)
+	for i, pl := range out.Placements {
+		if pl.Err != nil {
+			s += fmt.Sprintf(" %s->killed", out.VMs[i].Name)
+		} else {
+			s += fmt.Sprintf(" %s->%s", out.VMs[i].Name, pl.Server.Host.Name())
+		}
+	}
+	return s
 }
 
 func compareEngineStats(t *testing.T, op int, ref *Manager, others []churnEngine) {
@@ -516,31 +526,4 @@ func compareEngineStats(t *testing.T, op int, ref *Manager, others []churnEngine
 			t.Fatalf("op %d: counters diverged (%s)", op, o.label)
 		}
 	}
-}
-
-// TestManagerCloseIdempotent: Close must be safe to call repeatedly and
-// must leave the manager fully usable (phases run inline) — revocation
-// teardown paths call it more than once.
-func TestManagerCloseIdempotent(t *testing.T) {
-	m := newTestManager(t, 4, Config{PlacementPartitions: 4})
-	// Force the worker pool to spin up, then close it twice.
-	if _, _, err := m.PlaceVM(deflatableVM("vm-0", 4, 8192, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	m.Close() // must not panic (double channel close) or deadlock
-	// Still fully usable after Close: batches run inline.
-	pls := m.PlaceVMs([]hypervisor.DomainConfig{
-		deflatableVM("vm-1", 4, 8192, 0.5),
-		deflatableVM("vm-2", 4, 8192, 0.5),
-	}, nil)
-	for _, pl := range pls {
-		if pl.Err != nil {
-			t.Fatalf("placement after Close failed: %v", pl.Err)
-		}
-	}
-	if _, err := m.RevokeServer("node-0"); err != nil {
-		t.Fatalf("revocation after Close failed: %v", err)
-	}
-	m.Close() // and Close again after more work
 }

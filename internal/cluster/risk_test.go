@@ -28,8 +28,8 @@ func riskSpec(i int, m *Manager) ServerSpec {
 // risk-aware paths: with hazard bands, headroom reserves and the
 // shock-aware admission gate all active, the indexed engine must match
 // the brute-force reference bit for bit — server choices, rejection
-// classes and every counter — across placement-partition counts and
-// priority-partitioned pools.
+// classes and every counter — with and without priority-partitioned
+// pools, and with the banded pressure ranking on the full linear scan.
 func TestRiskChurnMatchesReference(t *testing.T) {
 	risk := &RiskConfig{HighPriority: 0.75, MaxBands: 4}
 	cases := []struct {
@@ -37,14 +37,12 @@ func TestRiskChurnMatchesReference(t *testing.T) {
 		cfg  Config
 	}{
 		{"sequential", Config{Policy: policy.Priority{}, Risk: risk}},
-		{"partitions=2", Config{Policy: policy.Priority{}, Risk: risk, PlacementPartitions: 2}},
-		{"partitions=5", Config{Policy: policy.Priority{}, Risk: risk, PlacementPartitions: 5}},
-		{"pools+partitions=3", Config{
+		{"fullscan", Config{Policy: policy.Priority{}, Risk: risk, FullPressureScan: true}},
+		{"pools", Config{
 			Policy:              policy.Priority{},
 			Risk:                risk,
 			PartitionByPriority: true,
 			PriorityLevels:      4,
-			PlacementPartitions: 3,
 		}},
 	}
 	for _, tc := range cases {
@@ -107,15 +105,15 @@ func TestBandedOrderPrefersLowHazard(t *testing.T) {
 // capacity stop admitting low-priority VMs once free capacity dips to
 // the reserve, the rejection carries both ErrHeadroom and
 // ErrNoCapacity, high-priority and on-demand VMs bypass the gate, and
-// the whole trajectory is identical on the sequential, batch and
-// reference engines.
+// the whole trajectory is identical on the indexed engine in both
+// pressure-scan modes and on the reference engine.
 func TestHeadroomGateWithholdsLowPriority(t *testing.T) {
 	variants := []struct {
 		name string
 		cfg  Config
 	}{
 		{"sequential", Config{Risk: &RiskConfig{}}},
-		{"partitions=3", Config{Risk: &RiskConfig{}, PlacementPartitions: 3}},
+		{"fullscan", Config{Risk: &RiskConfig{}, FullPressureScan: true}},
 		{"reference", Config{Risk: &RiskConfig{}, ReferencePlacement: true}},
 	}
 	for _, v := range variants {
@@ -210,17 +208,16 @@ func TestHeadroomGateLiftsDuringEvacuation(t *testing.T) {
 	}
 }
 
-// riskProposeSteadyState is proposeSteadyState on a risk-on manager:
+// riskDecideSteadyState is decideSteadyState on a risk-on manager:
 // bands cycle across the fleet, every server reserves headroom, and the
-// probe batch hits the banded surplus scan (high-priority), the legacy
-// surplus scan (low-priority) and the banded pressure ranking
-// (on-demand giant) every round.
-func riskProposeSteadyState(tb testing.TB, partitions int) (*Manager, []hypervisor.DomainConfig) {
+// probes hit the risk gate, the banded surplus scan (high-priority), the
+// band-blind surplus scan (low-priority) and, for the on-demand giant,
+// a banded miss every round.
+func riskDecideSteadyState(tb testing.TB) (*Manager, []hypervisor.DomainConfig) {
 	tb.Helper()
 	m := NewManager(Config{
-		Policy:              policy.Proportional{},
-		PlacementPartitions: partitions,
-		Risk:                &RiskConfig{},
+		Policy: policy.Proportional{},
+		Risk:   &RiskConfig{},
 	})
 	for i := 0; i < 8; i++ {
 		spec := ServerSpec{
@@ -252,40 +249,29 @@ func riskProposeSteadyState(tb testing.TB, partitions int) (*Manager, []hypervis
 	return m, dcs
 }
 
-// TestRiskProposeSteadyStateZeroAllocs extends the propose-pass
-// allocation gate to the hazard-aware candidate scan: with bands and
-// reserves active, the banded surplus walk (first fitting band across
-// partitions) and the banded pressure ranking must stay allocation-free
-// once the arenas are warm.
-func TestRiskProposeSteadyStateZeroAllocs(t *testing.T) {
-	for _, partitions := range []int{1, 4} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			m, dcs := riskProposeSteadyState(t, partitions)
-			defer m.Close()
-			proposeOnce(m, dcs) // warm the arenas and spawn the workers
-			got := testing.AllocsPerRun(200, func() {
-				proposeOnce(m, dcs)
-			})
-			if got != 0 {
-				t.Errorf("risk-on steady-state propose pass allocates %.1f allocs/op, want 0", got)
-			}
-		})
+// TestRiskDecideSteadyStateZeroAllocs extends the placement-decision
+// allocation gate to the hazard-aware paths: with bands and reserves
+// active, the risk gate and the banded surplus walk must stay
+// allocation-free once the arenas are warm.
+func TestRiskDecideSteadyStateZeroAllocs(t *testing.T) {
+	m, dcs := riskDecideSteadyState(t)
+	decideOnce(m, dcs) // warm the arenas
+	if got := testing.AllocsPerRun(200, func() { decideOnce(m, dcs) }); got != 0 {
+		t.Errorf("risk-on steady-state placement decision allocates %.1f allocs/op, want 0", got)
 	}
 }
 
-// BenchmarkRiskProposeSteadyState is the hazard-aware scan's entry in
-// the Makefile's bench-allocs gate: `-benchmem` must report 0 allocs/op
-// or the build fails. ns/op is the per-batch propose latency a
-// risk-aware partitioned run pays at every arrival instant; compare
-// against BenchmarkProposeSteadyState for the cost of banding.
-func BenchmarkRiskProposeSteadyState(b *testing.B) {
-	m, dcs := riskProposeSteadyState(b, 4)
-	defer m.Close()
-	proposeOnce(m, dcs)
+// BenchmarkRiskDecideSteadyState is the hazard-aware decision's entry
+// in the Makefile's bench-allocs gate: `-benchmem` must report
+// 0 allocs/op or the build fails. Compare its ns/op against
+// BenchmarkDecideSteadyState for the cost of banding.
+func BenchmarkRiskDecideSteadyState(b *testing.B) {
+	m, dcs := riskDecideSteadyState(b)
+	decideOnce(m, dcs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proposeOnce(m, dcs)
+		decideOnce(m, dcs)
 	}
 }
 

@@ -58,7 +58,6 @@ func samplePassCycle(e *Engine, i int) {
 // shard goroutines, which inherently allocate.
 func TestSamplePassSLOZeroAllocs(t *testing.T) {
 	e := sloSteadyEngine(t, 600)
-	defer e.mgr.Close()
 	samplePassCycle(e, 0) // warm
 	i := 1
 	got := testing.AllocsPerRun(100, func() {
@@ -76,7 +75,6 @@ func TestSamplePassSLOZeroAllocs(t *testing.T) {
 // paid every 5 simulated minutes.
 func BenchmarkSamplePassSLOSteadyState(b *testing.B) {
 	e := sloSteadyEngine(b, 600)
-	defer e.mgr.Close()
 	samplePassCycle(e, 0)
 	b.ReportAllocs()
 	b.ResetTimer()

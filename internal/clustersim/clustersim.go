@@ -38,37 +38,20 @@
 //
 // The sweep layer parallelises across runs; Config.Shards parallelises
 // within one run, for the single giant traces (100k-1M VMs) a sweep
-// cannot split. Servers and their resident VMs are partitioned across
-// shards per timestamp batch with an event-time barrier: at one event
-// time, the sample metering pass splits the metering table and its
-// meter column into matching contiguous chunks, one per shard (each
-// row, its domain's load and its meters are touched by exactly one
-// shard), and a same-instant departure batch reinflates its affected
-// servers on up to Shards workers (each server's policy pass runs on
-// exactly one worker, against only that server's state). Determinism
-// holds at any shard count — and whatever order swap-removes have left
-// the table in — because no floating-point accumulation crosses rows or
-// shards: per-VM and per-server results are computed in isolation and
-// merged in a canonical order — demand/loss integrals per VM then summed
-// in departure (time, trace-row) order, notification events published in
-// (time, first-touched server, VM name) order — so sharded == sequential
-// == reference placement bit for bit, proven by the differential suite.
-//
-// # Partitioned arrival placement
-//
-// Arrival placement — where each decision reads the capacity state
-// every previous decision wrote — cannot shard the same way; it
-// parallelises through Config.PlacementPartitions instead. The engine
-// coalesces same-timestamp arrival runs (beside the existing departure
-// batches) and hands each batch to the cluster manager's
-// propose/commit engine: every placement partition proposes its best
-// candidates for every VM of the batch in parallel and
-// side-effect-free, and a serial commit pass walks the VMs in trace
-// order, validating each winning bid against what earlier commits
-// consumed and re-proposing only on conflict (see
-// internal/cluster/partition.go). Commit order equals trace order, so
-// partitioned == sequential == reference placement bit for bit at any
-// partition count — also proven by the differential suite.
+// cannot split — but only its sample metering pass, which at one event
+// time splits the metering table and its meter column into matching
+// contiguous chunks, one per shard (each row, its domain's load and its
+// meters are touched by exactly one shard), behind an event-time
+// barrier. Everything else in a run is sequential: arrivals are placed
+// one at a time in trace order, each against the state every earlier
+// decision left, and departures reinflate their servers one after
+// another. Determinism holds at any shard count — and whatever order
+// swap-removes have left the table in — because no floating-point
+// accumulation crosses rows or shards: per-VM results are computed in
+// isolation and merged in a canonical order (demand/loss integrals per
+// VM, then summed in departure (time, trace-row) order), so sharded ==
+// sequential == reference placement bit for bit, proven by the
+// differential suite.
 //
 // VM records from an Azure-like trace (or one of the synthetic
 // scenario generators in internal/trace: diurnal, bursty/flash-crowd,
@@ -95,6 +78,7 @@ package clustersim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"vmdeflate/internal/mechanism"
@@ -186,21 +170,15 @@ const (
 // compared with reflect.DeepEqual by the differential suites and wall
 // times are the one legitimately nondeterministic output.
 type PhaseTimings struct {
-	// Propose and Commit split the arrival-placement batches: the
-	// parallel side-effect-free proposal phase versus the serial
-	// trace-order commit (with a single partition, all placement time
-	// counts as Commit).
-	Propose time.Duration
-	Commit  time.Duration
+	// Commit is the arrival and evacuation placement time.
+	Commit time.Duration
 	// Sample is the per-interval metering pass over the running set.
 	Sample time.Duration
 	// Reinflate is the departure/evacuation-driven reinflation passes.
 	Reinflate time.Duration
-	// Surplus and Pressure further attribute the serial placement work
-	// inside Commit: the live surplus-index lookups and the
-	// under-pressure candidate scans. Both are subsets of Commit (and,
-	// with a single partition, of the whole placement time booked
-	// there), not additional wall time.
+	// Surplus and Pressure further attribute the placement work inside
+	// Commit: the surplus-index lookups and the under-pressure candidate
+	// scans. Both are subsets of Commit, not additional wall time.
 	Surplus  time.Duration
 	Pressure time.Duration
 }
@@ -259,27 +237,14 @@ type Config struct {
 	// the pressure-scan meters (guarded by the differential suite); the
 	// flag exists for that comparison and for the bench-pressure gate.
 	FullPressureScan bool
-	// Shards parallelises one run across up to this many goroutines:
-	// the per-VM sample metering pass is partitioned across shards, and
-	// the per-server reinflation passes of a same-instant departure
-	// batch fan out through the cluster manager's ReinflateShards. Both
-	// kinds of work are per-VM / per-server isolated and merge their
-	// side effects in a canonical order (see package comment), so the
-	// Result is bit-for-bit identical at any shard count — guarded by
-	// the differential suite. 0 or 1 means fully sequential. Shards
-	// multiply under the sweep layer's worker pool; use them for one
-	// giant run, not inside a saturated sweep.
+	// Shards splits one run's per-VM sample metering pass across up to
+	// this many goroutines. Per-VM work is isolated and merges its side
+	// effects in a canonical order (see package comment), so the Result
+	// is bit-for-bit identical at any shard count — guarded by the
+	// differential suite. 0 or 1 means fully sequential. Shards multiply
+	// under the sweep layer's worker pool; use them for one giant run,
+	// not inside a saturated sweep.
 	Shards int
-	// PlacementPartitions parallelises the one path Shards cannot: the
-	// arrival placement decisions. The cluster manager splits its
-	// servers across this many placement partitions; same-timestamp
-	// arrival batches are placed through the manager's propose/commit
-	// engine, where every partition proposes its best candidate for
-	// every VM in parallel and a serial commit walks the batch in trace
-	// order, re-proposing only on conflict. The Result is bit-for-bit
-	// identical at any partition count (guarded by the differential
-	// suite). 0 or 1 keeps the sequential placement engine.
-	PlacementPartitions int
 	// Shocks is an explicit capacity-shock schedule: revocations,
 	// restorations and resizes of specific servers by provisioning
 	// index. Shocks addressing servers beyond the run's provisioned
@@ -322,7 +287,7 @@ type Config struct {
 	// zero). Nil keeps risk-blind placement.
 	Risk *RiskOptions
 	// Timings, when set, receives the run's per-phase wall times
-	// (propose/commit/sample/reinflate). Collection adds two clock
+	// (commit/sample/reinflate). Collection adds two clock
 	// reads per timed section and is off when nil; it never influences
 	// any simulated outcome.
 	Timings *PhaseTimings
@@ -364,6 +329,11 @@ func (c *Config) applyDefaults() error {
 	if c.ServerCapacity.IsZero() {
 		c.ServerCapacity = DefaultServerCapacity()
 	}
+	for _, k := range resources.Kinds {
+		if v := c.ServerCapacity.Get(k); !finiteNonNegative(v) {
+			return fmt.Errorf("clustersim: server capacity %v on %v is not a finite non-negative amount", v, k)
+		}
+	}
 	if c.PricingSchemes == nil {
 		c.PricingSchemes = []pricing.Scheme{
 			pricing.Static{Discount: 0.2},
@@ -371,10 +341,13 @@ func (c *Config) applyDefaults() error {
 			pricing.Allocation{Discount: 0.2},
 		}
 	}
-	if c.Overcommit < 0 {
-		return fmt.Errorf("clustersim: negative overcommit")
+	if !finiteNonNegative(c.Overcommit) {
+		return fmt.Errorf("clustersim: overcommit %v is not a finite non-negative fraction", c.Overcommit)
 	}
-	if c.EvacuationDowntime <= 0 {
+	if !finiteNonNegative(c.EvacuationDowntime) {
+		return fmt.Errorf("clustersim: evacuation downtime %v is not a finite non-negative duration", c.EvacuationDowntime)
+	}
+	if c.EvacuationDowntime == 0 {
 		c.EvacuationDowntime = 30
 	}
 	if c.SLO != nil {
@@ -390,11 +363,19 @@ func (c *Config) applyDefaults() error {
 		c.SLO = &slo
 	}
 	for _, t := range c.Portfolio {
-		if t.Fraction < 0 || t.CapacityScale < 0 || t.PriceFactor < 0 || t.ShockRateScale < 0 {
-			return fmt.Errorf("clustersim: negative ServerType field in portfolio (%q)", t.Name)
+		for _, v := range []float64{t.Fraction, t.CapacityScale, t.PriceFactor, t.ShockRateScale} {
+			if !finiteNonNegative(v) {
+				return fmt.Errorf("clustersim: portfolio type %q has field value %v, want finite and non-negative", t.Name, v)
+			}
 		}
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether v is a finite number >= 0. NaN
+// fails every comparison, so a bare `v < 0` check lets it through.
+func finiteNonNegative(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1)
 }
 
 // Result summarises one run.

@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,23 +26,20 @@ func testTrace(nVMs int) *trace.AzureTrace {
 // zero-lifetime VM (End == Start, possible only in hand-written CSV
 // traces) must free its capacity before later arrivals at the same
 // instant are placed — the one-at-a-time engine's behavior, which the
-// batch coalescing must split to preserve — and the outcome must not
-// depend on the partition count.
+// batch coalescing must split to preserve.
 func TestZeroLifetimeVMFreesCapacityForSameInstantArrivals(t *testing.T) {
 	util := []float64{50, 50}
 	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
 		{ID: "vm-a", Class: trace.Unknown, Cores: 48, MemoryMB: 131072, Start: 0, End: 0, CPUUtil: util},
 		{ID: "vm-b", Class: trace.Unknown, Cores: 48, MemoryMB: 131072, Start: 0, End: 3600, CPUUtil: util},
 	}}
-	for _, partitions := range []int{0, 3} {
-		res, err := Run(Config{Trace: tr, BaselineServers: 1, PlacementPartitions: partitions})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Admitted != 2 || res.Rejected != 0 {
-			t.Fatalf("partitions=%d: admitted %d rejected %d; want the zero-lifetime VM's capacity freed for the same-instant arrival (2 admitted)",
-				partitions, res.Admitted, res.Rejected)
-		}
+	res, err := Run(Config{Trace: tr, BaselineServers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Admitted != 2 || res.Rejected != 0 {
+		t.Fatalf("admitted %d rejected %d; want the zero-lifetime VM's capacity freed for the same-instant arrival (2 admitted)",
+			res.Admitted, res.Rejected)
 	}
 }
 
@@ -68,12 +66,40 @@ func TestBaselineServerCount(t *testing.T) {
 	}
 }
 
+// TestRunValidation: configurations a run cannot honour are errors. NaN
+// fails every comparison, so a bare `< 0` check lets it through: a NaN
+// or +Inf overcommit ran on a one-server fleet, a NaN evacuation
+// downtime reached DisplacedDowntime, a NaN or negative server capacity
+// was provisioned as given, and a NaN portfolio fraction panicked while
+// the fleet was apportioned.
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Error("empty trace should fail")
+	tr := testTrace(200)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"empty trace", Config{}},
+		{"negative overcommit", Config{Trace: tr, Overcommit: -0.5}},
+		{"NaN overcommit", Config{Trace: tr, Overcommit: nan}},
+		{"+Inf overcommit", Config{Trace: tr, Overcommit: inf}},
+		{"NaN evacuation downtime", Config{Trace: tr, EvacuationDowntime: nan}},
+		{"+Inf evacuation downtime", Config{Trace: tr, EvacuationDowntime: inf}},
+		{"negative evacuation downtime", Config{Trace: tr, EvacuationDowntime: -30}},
+		{"NaN server CPU", Config{Trace: tr, ServerCapacity: resources.CPUMem(nan, 131072)}},
+		{"negative server memory", Config{Trace: tr, ServerCapacity: resources.CPUMem(48, -1)}},
+		{"+Inf server CPU", Config{Trace: tr, ServerCapacity: resources.CPUMem(inf, 131072)}},
+		{"NaN portfolio fraction", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", Fraction: nan}, {Name: "b", Fraction: 1}}}},
+		{"+Inf portfolio capacity scale", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", CapacityScale: inf}}}},
+		{"NaN portfolio price factor", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", PriceFactor: nan}}}},
+		{"negative portfolio shock rate", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", ShockRateScale: -1}}}},
 	}
-	if _, err := Run(Config{Trace: testTrace(10), Overcommit: -0.5}); err == nil {
-		t.Error("negative overcommit should fail")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if res, err := Run(c.cfg); err == nil {
+				t.Fatalf("want an error, got a run on %d servers (%d admitted, %d rejected)", res.Servers, res.Admitted, res.Rejected)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // scores only what the bounds cannot exclude. Every other field —
 // including PressuredArrivals, which is mode-invariant — must still
 // match bit-for-bit, so cross-mode comparisons go through this helper
-// and same-mode comparisons (shards, partitions, streaming) stay raw.
+// and same-mode comparisons (shards, streaming) stay raw.
 func normalizeScanMeters(r *Result) *Result {
 	c := *r
 	c.PressureScored = 0
@@ -65,9 +65,59 @@ func TestIndexedEngineMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIndexedEngineMatchesReferenceAcrossPolicies runs the same
+// differential under the priority and deterministic policies, whose
+// per-server passes deflate differently from proportional and so leave
+// the indexed lookup different surplus to find, with the retained full
+// pressure scan as a third engine.
+func TestIndexedEngineMatchesReferenceAcrossPolicies(t *testing.T) {
+	scenarios := []trace.Scenario{
+		trace.ScenarioDiurnal, trace.ScenarioBursty, trace.ScenarioHeavyTail,
+	}
+	for _, pol := range []policy.Policy{policy.Priority{}, policy.Deterministic{}} {
+		for _, kind := range scenarios {
+			for _, seed := range []int64{1, 2} {
+				for _, oc := range []float64{0.3, 0.6} {
+					name := fmt.Sprintf("%s/%v/seed=%d/oc=%v", pol.Name(), kind, seed, oc)
+					t.Run(name, func(t *testing.T) {
+						tr, err := trace.GenerateScenario(trace.ScenarioConfig{
+							Kind: kind, NumVMs: 400, Duration: 86400, Seed: seed,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg := Config{Trace: tr, Policy: pol, Overcommit: oc}
+						idx, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fullCfg := cfg
+						fullCfg.FullPressureScan = true
+						full, err := Run(fullCfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cfg.ReferencePlacement = true
+						ref, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(normalizeScanMeters(idx), normalizeScanMeters(ref)) {
+							t.Fatalf("indexed run diverged from reference:\nindexed   %+v\nreference %+v", *idx, *ref)
+						}
+						if !reflect.DeepEqual(normalizeScanMeters(full), normalizeScanMeters(ref)) {
+							t.Fatalf("full-scan run diverged from reference:\nfull      %+v\nreference %+v", *full, *ref)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestShardedEngineMatchesSequentialAndReference is the sharded-engine
-// determinism guarantee: one run partitioned across any number of
-// shards must produce a Result — every admission count, failure
+// determinism guarantee: one run split across any number of shards
+// must produce a Result — every admission count, failure
 // probability, throughput-loss integral and revenue float — bit-for-bit
 // identical to the fully sequential engine AND to the brute-force
 // reference placement path, across scenarios, seeds and shard counts
@@ -117,109 +167,34 @@ func TestShardedEngineMatchesSequentialAndReference(t *testing.T) {
 	}
 }
 
-// TestPartitionedEngineMatchesSequentialAndReference is the
-// propose/commit determinism guarantee: a run whose arrival placements
-// go through the partitioned engine — parallel per-partition proposals,
-// serial commits in trace order, re-proposal on conflict — must produce
-// a Result bit-for-bit identical to the sequential indexed engine AND
-// to the brute-force reference path, across scenarios, seeds and
-// partition counts (including partitions=1 and counts exceeding the
-// server count).
-func TestPartitionedEngineMatchesSequentialAndReference(t *testing.T) {
-	scenarios := []trace.Scenario{
-		trace.ScenarioDiurnal, trace.ScenarioBursty, trace.ScenarioHeavyTail,
-	}
-	partitionCounts := []int{1, 2, 3, 8, 64}
-	for _, kind := range scenarios {
-		for _, seed := range []int64{1, 2} {
-			tr, err := trace.GenerateScenario(trace.ScenarioConfig{
-				Kind: kind, NumVMs: 400, Duration: 86400, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := Config{Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5}
-			seq, err := Run(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refCfg := base
-			refCfg.ReferencePlacement = true
-			ref, err := Run(refCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-				t.Fatalf("%v/seed=%d: sequential diverged from reference:\nseq %+v\nref %+v", kind, seed, *seq, *ref)
-			}
-			for _, parts := range partitionCounts {
-				name := fmt.Sprintf("%v/seed=%d/partitions=%d", kind, seed, parts)
-				t.Run(name, func(t *testing.T) {
-					cfg := base
-					cfg.PlacementPartitions = parts
-					got, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, seq) {
-						t.Fatalf("partitioned run diverged from sequential:\npartitioned %+v\nsequential  %+v", *got, *seq)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestPartitionedEngineMatchesSequentialShardedPools covers the full
-// parallel stack at once: placement partitions on top of intra-run
-// shards (sample pass + departure-batch reinflation) with
-// priority-partitioned pools, against the plain sequential engine.
-func TestPartitionedEngineMatchesSequentialShardedPools(t *testing.T) {
-	tr := testTrace(400)
-	base := Config{Trace: tr, Policy: policy.Priority{}, Partitioned: true, Overcommit: 0.5}
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{2, 5} {
-		cfg := base
-		cfg.Shards = 4
-		cfg.PlacementPartitions = parts
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("partitions=%d: sharded+partitioned run diverged:\ngot %+v\nseq %+v", parts, *got, *seq)
-		}
-	}
-}
-
 // TestShardedEngineMatchesSequentialPartitioned covers sharding with
-// priority-partitioned pools and the deterministic policy — the
-// combination where per-server passes differ most between servers.
+// priority-partitioned pools under the deterministic policy — the
+// combination where per-server passes differ most between servers — and
+// under the priority policy.
 func TestShardedEngineMatchesSequentialPartitioned(t *testing.T) {
 	tr := testTrace(400)
-	base := Config{Trace: tr, Policy: policy.Deterministic{}, Partitioned: true, Overcommit: 0.5}
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 8} {
-		cfg := base
-		cfg.Shards = shards
-		got, err := Run(cfg)
+	for _, pol := range []policy.Policy{policy.Deterministic{}, policy.Priority{}} {
+		base := Config{Trace: tr, Policy: pol, Partitioned: true, Overcommit: 0.5}
+		seq, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("shards=%d: partitioned sharded run diverged:\nsharded    %+v\nsequential %+v", shards, *got, *seq)
+		for _, shards := range []int{2, 8} {
+			cfg := base
+			cfg.Shards = shards
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, seq) {
+				t.Fatalf("%s/shards=%d: partitioned sharded run diverged:\nsharded    %+v\nsequential %+v", pol.Name(), shards, *got, *seq)
+			}
 		}
 	}
 }
 
 // TestIndexedEngineMatchesReferencePartitioned covers the
-// priority-partitioned pools, where the index is split per partition.
+// priority-partitioned pools, where the index is split per pool.
 func TestIndexedEngineMatchesReferencePartitioned(t *testing.T) {
 	tr := testTrace(400)
 	cfg := Config{Trace: tr, Policy: policy.Priority{}, Partitioned: true, Overcommit: 0.5}
@@ -241,11 +216,10 @@ func TestIndexedEngineMatchesReferencePartitioned(t *testing.T) {
 // pressure-index tentpole: the bound-pruned under-pressure descent must
 // produce Results bit-for-bit identical to the retained full linear
 // scan (FullPressureScan) and to the brute-force reference path, across
-// every synthetic scenario plus shocked and risk/portfolio workloads,
-// and across shard counts {1,4} × placement-partition counts {1,3,8} in
-// BOTH scan modes. The workloads must actually exercise the machinery —
-// pressured arrivals AND a nonzero prune count — or the suite is
-// vacuous.
+// every synthetic scenario plus deterministic-policy, shocked and
+// risk/portfolio workloads, and across shard counts {1,4} in BOTH scan
+// modes. The workloads must actually exercise the machinery — pressured
+// arrivals AND a nonzero prune count — or the suite is vacuous.
 func TestPressurePruningDifferential(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -253,6 +227,9 @@ func TestPressurePruningDifferential(t *testing.T) {
 	}{
 		{"diurnal", func() Config {
 			return Config{Trace: testTrace(400), Policy: policy.Priority{}, Overcommit: 0.5}
+		}},
+		{"diurnal-deterministic", func() Config {
+			return Config{Trace: testTrace(400), Policy: policy.Deterministic{}, Overcommit: 0.5}
 		}},
 		{"bursty", func() Config {
 			tr, err := trace.GenerateScenario(trace.ScenarioConfig{
@@ -322,31 +299,27 @@ func TestPressurePruningDifferential(t *testing.T) {
 				t.Fatalf("full scan diverged from reference:\nfull %+v\nref  %+v", *full, *ref)
 			}
 			for _, shards := range []int{1, 4} {
-				for _, parts := range []int{1, 3, 8} {
-					name := fmt.Sprintf("shards=%d/partitions=%d", shards, parts)
-					t.Run(name, func(t *testing.T) {
-						cfg := base
-						cfg.Shards = shards
-						cfg.PlacementPartitions = parts
-						got, err := Run(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						// Raw comparison: the pruned meters themselves are
-						// partition- and shard-invariant.
-						if !reflect.DeepEqual(got, pruned) {
-							t.Fatalf("pruned run diverged from sequential:\ngot %+v\nseq %+v", *got, *pruned)
-						}
-						cfg.FullPressureScan = true
-						gotFull, err := Run(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(gotFull, full) {
-							t.Fatalf("full-scan run diverged from sequential full scan:\ngot %+v\nseq %+v", *gotFull, *full)
-						}
-					})
-				}
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					cfg := base
+					cfg.Shards = shards
+					got, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Raw comparison: the pruned meters themselves are
+					// shard-invariant.
+					if !reflect.DeepEqual(got, pruned) {
+						t.Fatalf("pruned run diverged from sequential:\ngot %+v\nseq %+v", *got, *pruned)
+					}
+					cfg.FullPressureScan = true
+					gotFull, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotFull, full) {
+						t.Fatalf("full-scan run diverged from sequential full scan:\ngot %+v\nseq %+v", *gotFull, *full)
+					}
+				})
 			}
 		})
 	}

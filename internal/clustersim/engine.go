@@ -230,7 +230,7 @@ func (e *Engine) loadP95() error {
 // manager with its provisioned servers, the event queue seeded with the
 // trace and the shock schedule, and the metric accumulators. Split from
 // the event loop so white-box benchmarks can stand a populated cluster
-// up and drive individual passes. The caller owns e.mgr.Close().
+// up and drive individual passes.
 func (e *Engine) setupDeflation() error {
 	cfg := e.cfg
 	if err := e.loadP95(); err != nil {
@@ -244,8 +244,6 @@ func (e *Engine) setupDeflation() error {
 		Notify:              cfg.Notify,
 		ReferencePlacement:  cfg.ReferencePlacement,
 		FullPressureScan:    cfg.FullPressureScan,
-		ReinflateShards:     e.shards,
-		PlacementPartitions: cfg.PlacementPartitions,
 		CollectTimings:      cfg.Timings != nil,
 	}
 	if cfg.Risk != nil {
@@ -309,7 +307,6 @@ func (e *Engine) setupDeflation() error {
 			}
 		}
 		if _, err := e.mgr.AddServerSpec(spec); err != nil {
-			e.mgr.Close()
 			return err
 		}
 	}
@@ -363,14 +360,12 @@ func (e *Engine) setupDeflation() error {
 // survivors, and self-rescheduling sample events meter demand, loss and
 // revenue every trace.SampleInterval. At equal timestamps the queue
 // delivers samples, then departures, then arrivals (see eventKind).
-// With Shards > 1 the sample pass and departure-batch reinflations fan
-// out across shards inside the per-timestamp barrier (see the package
-// comment's sharding section).
+// With Shards > 1 the sample pass fans out across shards inside the
+// per-timestamp barrier (see the package comment's sharding section).
 func (e *Engine) runDeflation() (*Result, error) {
 	if err := e.setupDeflation(); err != nil {
 		return nil, err
 	}
-	defer e.mgr.Close() // stop the partition phase workers with the run
 	if err := e.eventLoop(); err != nil {
 		return nil, err
 	}
@@ -403,13 +398,12 @@ func (e *Engine) eventLoop() error {
 			}
 		case evArrival:
 			// Coalesce the run of arrivals sharing this timestamp into one
-			// batch for the manager's propose/commit placement engine. The
-			// queue's (time, kind, seq) order guarantees the batch is
-			// exactly the simultaneous arrivals, in trace order — the
-			// canonical commit order, so results are identical at any
-			// partition count (and to placing them one at a time). One
-			// exception preserves the departures-before-arrivals invariant
-			// of eventKind: a zero-lifetime VM (End == arrival instant,
+			// PlaceVMs batch. The queue's (time, kind, seq) order
+			// guarantees the batch is exactly the simultaneous arrivals,
+			// in trace order — the order the manager places them in, one
+			// at a time. One exception preserves the
+			// departures-before-arrivals invariant of eventKind: a
+			// zero-lifetime VM (End == arrival instant,
 			// possible in hand-written CSV traces; the synthetic
 			// generators clip lifetimes to >= SampleInterval) departs at
 			// this same instant, and that departure must free its capacity
@@ -436,8 +430,8 @@ func (e *Engine) eventLoop() error {
 			// Coalesce the run of revocations sharing this timestamp —
 			// a rack-sized correlated shock — into ONE multi-server
 			// revocation, so every displaced VM across the whole shock
-			// relocates through a single batch of the propose/commit
-			// engine, in (server order, VM name) evacuation order.
+			// relocates through a single placement batch, in (server
+			// order, VM name) evacuation order.
 			batch = batch[:0]
 			batch = append(batch, ev)
 			for !e.queue.empty() {
@@ -591,7 +585,6 @@ func (e *Engine) foldResult() *Result {
 	}
 	if cfg.Timings != nil {
 		pt := e.mgr.PhaseTimings()
-		cfg.Timings.Propose += pt.Propose
 		cfg.Timings.Commit += pt.Commit
 		cfg.Timings.Surplus += pt.Surplus
 		cfg.Timings.Pressure += pt.Pressure
@@ -862,13 +855,11 @@ func (e *Engine) closeVM(slot int32, at float64) {
 }
 
 // handleArrivals admits one same-timestamp batch of VMs through the
-// manager's batch placement (propose in parallel across placement
-// partitions, commit serially in trace order — identical to placing
-// them one at a time), scheduling departures only for placements that
-// succeed (rejected VMs leave no residue in the queue). Admission-time
-// billing reads Placement.Initial — the allocation the VM launched
-// with, before any later commit of the same batch deflated it — which
-// is exactly what the one-at-a-time engine observed.
+// manager's batch placement (one at a time, in trace order), scheduling
+// departures only for placements that succeed (rejected VMs leave no
+// residue in the queue). Admission-time billing reads
+// Placement.Initial — the allocation the VM launched with, before any
+// later VM of the same batch deflated it.
 func (e *Engine) handleArrivals(evs []simEvent) {
 	cfg := &e.cfg
 	streamed := cfg.Stream != nil

@@ -268,7 +268,6 @@ func TestLiveSetQueuePeak(t *testing.T) {
 	if err := e.setupDeflation(); err != nil {
 		t.Fatal(err)
 	}
-	defer e.mgr.Close()
 	// The seeded calendar holds the shock schedule and the first sample.
 	overlay := e.queue.(*streamQueue)
 	cal := overlay.inner.(*calendarQueue)

@@ -11,15 +11,13 @@ import (
 )
 
 // TestPreemptionBaselineUnderParallelEngineConfig is the differential
-// guarantee for preemption.go under the fully parallel engine
-// configuration: one trace is run (a) in preemption mode and (b) in
-// deflation mode, each sequentially and with intra-run shards plus
-// placement partitions enabled, and every Result must be bit-for-bit
-// identical to its sequential twin. The deflation leg exercises the
-// sharded sample pass, the batched departures and the partitioned
-// arrival batches; the preemption leg proves the baseline is untouched
-// by (and insensitive to) the parallelism knobs it deliberately does
-// not use. The trace is sized so the baseline actually preempts —
+// guarantee for preemption.go under the parallel engine configuration:
+// one trace is run (a) in preemption mode and (b) in deflation mode,
+// each sequentially and with intra-run shards, and every Result must be
+// bit-for-bit identical to its sequential twin. The deflation leg
+// exercises the sharded sample pass; the preemption leg proves the
+// baseline is untouched by (and insensitive to) the shard knob it
+// deliberately does not use. The trace is sized so the baseline actually preempts —
 // otherwise the test would pass vacuously.
 func TestPreemptionBaselineUnderParallelEngineConfig(t *testing.T) {
 	tr, err := trace.GenerateScenario(trace.ScenarioConfig{
@@ -43,21 +41,17 @@ func TestPreemptionBaselineUnderParallelEngineConfig(t *testing.T) {
 			}
 		}
 		for _, shards := range []int{2, 8} {
-			for _, parts := range []int{2, 8} {
-				name := fmt.Sprintf("mode=%d/shards=%d/partitions=%d", mode, shards, parts)
-				t.Run(name, func(t *testing.T) {
-					cfg := base
-					cfg.Shards = shards
-					cfg.PlacementPartitions = parts
-					got, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, seq) {
-						t.Fatalf("parallel-config run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("mode=%d/shards=%d", mode, shards), func(t *testing.T) {
+				cfg := base
+				cfg.Shards = shards
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, seq) {
+					t.Fatalf("parallel-config run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
+				}
+			})
 		}
 	}
 }

@@ -77,41 +77,47 @@ const minAwareRevenueShare = 0.7
 // TestRiskDifferential is the acceptance guarantee for the risk
 // tentpole: a portfolio fleet with hazard-banded placement and the
 // headroom admission gate active must produce bit-for-bit identical
-// results across shard counts {1,4} x placement-partition counts
-// {1,3,8} and against the brute-force reference path — and the run
+// results across shard counts {1,4} and against the brute-force
+// reference path — and the run
 // must actually exercise the new machinery (revocations AND headroom
-// rejections), or the suite is vacuous.
+// rejections), or the suite is vacuous. It runs on one fleet and on
+// priority-partitioned pools, where every band index is split per pool.
 func TestRiskDifferential(t *testing.T) {
 	tr := testTrace(400)
-	base := riskConfig(tr)
-	seq, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Revocations == 0 {
-		t.Fatal("no revocations — the differential is vacuous")
-	}
-	if seq.RiskRejections == 0 {
-		t.Fatal("headroom gate never fired — the differential is vacuous")
-	}
-	if seq.RiskRejections > seq.Rejected {
-		t.Fatalf("RiskRejections %d exceeds Rejected %d", seq.RiskRejections, seq.Rejected)
-	}
-	refCfg := base
-	refCfg.ReferencePlacement = true
-	ref, err := Run(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-		t.Fatalf("sequential diverged from reference:\nseq %+v\nref %+v", *seq, *ref)
-	}
-	for _, shards := range []int{1, 4} {
-		for _, parts := range []int{1, 3, 8} {
-			t.Run(fmt.Sprintf("shards=%d/partitions=%d", shards, parts), func(t *testing.T) {
+	pooled := riskConfig(tr)
+	pooled.Partitioned = true
+	variants := []struct {
+		prefix string
+		base   Config
+	}{{"", riskConfig(tr)}, {"pools/", pooled}}
+	for _, v := range variants {
+		base := v.base
+		seq, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Revocations == 0 {
+			t.Fatalf("%sno revocations — the differential is vacuous", v.prefix)
+		}
+		if seq.RiskRejections == 0 {
+			t.Fatalf("%sheadroom gate never fired — the differential is vacuous", v.prefix)
+		}
+		if seq.RiskRejections > seq.Rejected {
+			t.Fatalf("%sRiskRejections %d exceeds Rejected %d", v.prefix, seq.RiskRejections, seq.Rejected)
+		}
+		refCfg := base
+		refCfg.ReferencePlacement = true
+		ref, err := Run(refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
+			t.Fatalf("%ssequential diverged from reference:\nseq %+v\nref %+v", v.prefix, *seq, *ref)
+		}
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%sshards=%d", v.prefix, shards), func(t *testing.T) {
 				cfg := base
 				cfg.Shards = shards
-				cfg.PlacementPartitions = parts
 				got, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -185,7 +191,6 @@ func TestPortfolioShapesSchedule(t *testing.T) {
 	if err := eng.setupDeflation(); err != nil {
 		t.Fatal(err)
 	}
-	defer eng.mgr.Close()
 	assign := portfolioAssign(cfg.Portfolio, eng.nServers)
 	sc := *cfg.ShockConfig
 	sc.Duration = 2 * 86400
@@ -215,8 +220,9 @@ func TestPortfolioShapesSchedule(t *testing.T) {
 // with an in-flight evacuation, plus a restore+re-revoke of the same
 // server at one instant (two back-to-back outages, not a dropped one).
 // The restore must free its capacity before the same-instant
-// revocation's evacuation places into it, on every engine
-// configuration, bit for bit.
+// revocation's evacuation places into it, identically on the indexed
+// and reference engines, in both pressure-scan modes and at any shard
+// count.
 func TestSameInstantRestoreRevokeRace(t *testing.T) {
 	tr := testTrace(350)
 	h := tr.Duration()
@@ -255,16 +261,24 @@ func TestSameInstantRestoreRevokeRace(t *testing.T) {
 	if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
 		t.Fatalf("sequential diverged from reference:\nseq %+v\nref %+v", *seq, *ref)
 	}
-	for _, parts := range []int{1, 3, 8} {
-		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := base
-			cfg.PlacementPartitions = parts
+			cfg.Shards = shards
 			got, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, seq) {
-				t.Fatalf("raced run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
+				t.Fatalf("sharded run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
+			}
+			cfg.FullPressureScan = true
+			full, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(normalizeScanMeters(full), normalizeScanMeters(ref)) {
+				t.Fatalf("full-scan run diverged from reference:\nfull %+v\nref  %+v", *full, *ref)
 			}
 		})
 	}

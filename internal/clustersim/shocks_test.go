@@ -82,11 +82,11 @@ func TestRevocationRunsProcessShocks(t *testing.T) {
 
 // TestRevocationDifferential is the acceptance guarantee of the
 // transient-server refactor: under revocation churn, runs are
-// bit-for-bit identical across shard counts {1,4} × placement-partition
-// counts {1,3,8} and against the brute-force reference placement path,
+// bit-for-bit identical across shard counts {1,4} and against the
+// brute-force reference placement path,
 // across scenarios and shock schedules.
 func TestRevocationDifferential(t *testing.T) {
-	scenarios := []trace.Scenario{trace.ScenarioDiurnal, trace.ScenarioHeavyTail}
+	scenarios := []trace.Scenario{trace.ScenarioDiurnal, trace.ScenarioBursty, trace.ScenarioHeavyTail}
 	shockKinds := []trace.ShockScenario{trace.ShockPoisson, trace.ShockRack}
 	for _, kind := range scenarios {
 		for _, shockKind := range shockKinds {
@@ -116,21 +116,18 @@ func TestRevocationDifferential(t *testing.T) {
 				t.Fatalf("%v/%v: sequential diverged from reference:\nseq %+v\nref %+v", kind, shockKind, *seq, *ref)
 			}
 			for _, shards := range []int{1, 4} {
-				for _, parts := range []int{1, 3, 8} {
-					name := fmt.Sprintf("%v/%v/shards=%d/partitions=%d", kind, shockKind, shards, parts)
-					t.Run(name, func(t *testing.T) {
-						cfg := base
-						cfg.Shards = shards
-						cfg.PlacementPartitions = parts
-						got, err := Run(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, seq) {
-							t.Fatalf("shocked run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-						}
-					})
-				}
+				name := fmt.Sprintf("%v/%v/shards=%d", kind, shockKind, shards)
+				t.Run(name, func(t *testing.T) {
+					cfg := base
+					cfg.Shards = shards
+					got, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, seq) {
+						t.Fatalf("shocked run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
+					}
+				})
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // sloTestConfig builds a latency-policy + SLO-metered run, the
 // configuration whose new accumulators (violation counters, per-shard
 // histograms, load publication) the differential suite must prove
-// shard- and partition-invariant.
+// shard-invariant.
 func sloTestConfig(tr *trace.AzureTrace, oc float64) Config {
 	slo := &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}
 	return Config{
@@ -24,15 +24,15 @@ func sloTestConfig(tr *trace.AzureTrace, oc float64) Config {
 	}
 }
 
-// TestSLOEngineMatchesAcrossShardsAndPartitions is the determinism
+// TestSLOEngineMatchesAcrossShards is the determinism
 // guarantee for the SLO path: the per-VM queueing math runs inside the
 // sharded sample pass and its partials (integer violation counters,
 // per-shard histograms) merge in canonical order, so every SLO metric —
 // violation seconds, rate, p99 proxy, the per-priority map — must be
-// bit-for-bit identical at any shard × placement-partition combination,
-// and identical to the brute-force reference placement path.
-func TestSLOEngineMatchesAcrossShardsAndPartitions(t *testing.T) {
-	for _, kind := range []trace.Scenario{trace.ScenarioBursty, trace.ScenarioDiurnal} {
+// bit-for-bit identical at any shard count, and identical to the
+// brute-force reference placement path.
+func TestSLOEngineMatchesAcrossShards(t *testing.T) {
+	for _, kind := range []trace.Scenario{trace.ScenarioBursty, trace.ScenarioDiurnal, trace.ScenarioHeavyTail} {
 		tr, err := trace.GenerateScenario(trace.ScenarioConfig{
 			Kind: kind, NumVMs: 400, Duration: 86400, Seed: 3,
 		})
@@ -57,20 +57,17 @@ func TestSLOEngineMatchesAcrossShardsAndPartitions(t *testing.T) {
 			t.Fatalf("%v: SLO run diverged from reference placement:\nseq %+v\nref %+v", kind, *seq, *ref)
 		}
 		for _, shards := range []int{1, 4} {
-			for _, parts := range []int{1, 3, 8} {
-				t.Run(fmt.Sprintf("%v/shards=%d/partitions=%d", kind, shards, parts), func(t *testing.T) {
-					cfg := base
-					cfg.Shards = shards
-					cfg.PlacementPartitions = parts
-					got, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, seq) {
-						t.Fatalf("SLO run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%v/shards=%d", kind, shards), func(t *testing.T) {
+				cfg := base
+				cfg.Shards = shards
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, seq) {
+					t.Fatalf("SLO run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
+				}
+			})
 		}
 	}
 }

@@ -139,11 +139,6 @@ type Options struct {
 	// against wall clock; leave it 0 (sequential runs) unless the grid
 	// has fewer points than cores.
 	Shards int
-	// PlacementPartitions is passed through to every run's
-	// Config.PlacementPartitions: the arrival-placement propose/commit
-	// parallelism. Results are partition-count-invariant; like Shards,
-	// leave it 0 unless the grid has fewer points than cores.
-	PlacementPartitions int
 	// ShockConfig, when set, is passed through to every run's
 	// Config.ShockConfig: each grid point replays the capacity-shock
 	// schedule generated for its own cluster size, so the deflation
@@ -304,7 +299,6 @@ func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overc
 		cfg.Stream = s
 		cfg.Notify = opts.Notify
 		cfg.Shards = opts.Shards
-		cfg.PlacementPartitions = opts.PlacementPartitions
 		cfg.ShockConfig = opts.ShockConfig
 		cfg.Portfolio = opts.Portfolio
 		cfg.Risk = opts.Risk
@@ -389,7 +383,6 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 		cfg := strategyConfig(traces[r], strategy, baselines[r], pct/100)
 		cfg.Notify = opts.Notify
 		cfg.Shards = opts.Shards
-		cfg.PlacementPartitions = opts.PlacementPartitions
 		cfg.ShockConfig = opts.ShockConfig
 		cfg.Portfolio = opts.Portfolio
 		cfg.Risk = opts.Risk

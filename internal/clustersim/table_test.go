@@ -113,7 +113,7 @@ func TestMeteringTableInvariants(t *testing.T) {
 	h := tr.Duration()
 	cases := map[string]Config{
 		"differential": {Trace: tr, Policy: policy.Proportional{}, Overcommit: 0.6},
-		"partitioned":  {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Partitioned: true, PlacementPartitions: 3},
+		"partitioned":  {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Partitioned: true},
 		"revocation":   {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)},
 		"explicit shocks": {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Shocks: []trace.CapacityShock{
 			{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 0},
@@ -251,7 +251,6 @@ func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
 	if err := e.setupDeflation(); err != nil {
 		t.Fatal(err)
 	}
-	defer e.mgr.Close()
 	// Warm: a resident population, and a queue holding only what the
 	// pairs below push.
 	var resident []simEvent
