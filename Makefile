@@ -30,17 +30,16 @@ race:
 # and payload-reading surplus probe — and what concurrent engines
 # share: the trace's build-once P95 column, the lock-free notify.Bus
 # publish and the sample pass's scheme billing over the metering table
-# (the sharded pass slices the table and its meter column into matching
-# chunks) — a fast, explicit signal beside the full `race` run.
+# — a fast, explicit signal beside the full `race` run.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Sharded|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Sweep10k' -benchtime 1x .
 
-# Zero-allocation gate: the steady-state PlaceOn/Reinflate policy pass,
+# Zero-allocation gate: the steady-state deflate/reinflate policy pass,
 # the placement decision (risk-blind AND hazard-banded with the headroom
 # gate active), the pruned pressure scan, the SLO-metered sample pass
 # (closed-form queueing math included), the calendar event queue's
@@ -72,14 +71,13 @@ bench-allocs:
 		print "OK: policy + placement decision (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
-# capacity-indexed manager (sample pass sharded across all cores,
-# placement sequential), reported to
+# capacity-indexed manager, on one goroutine, reported to
 # BENCH_scale.json so the perf trajectory is tracked PR-over-PR.
 bench-scale:
 	$(GO) run ./cmd/benchreport -scale 50000 -scaleout BENCH_scale.json
 
 # The 1M-VM point: an order of magnitude past the CI smoke, for
-# measuring the zero-alloc + sharded engine at full cloud scale.
+# measuring the zero-alloc engine at full cloud scale.
 bench-scale-1m:
 	$(GO) run ./cmd/benchreport -scale 1000000 -scaleout BENCH_scale_1m.json
 
@@ -92,10 +90,10 @@ bench-scale-1m:
 bench-scale-10m:
 	$(GO) run ./cmd/benchreport -scale 10000000 -stream -scaleout BENCH_scale_10m.json
 
-# Measured multi-core matrix: GOMAXPROCS x sample-pass shards with
-# per-phase wall times (commit/sample/reinflate) and peak heap,
-# plus aggregate throughput from concurrent share-nothing runs. Fails
-# on machines with >= 4 cores unless aggregate throughput scales.
+# Measured multi-core matrix: aggregate throughput and peak heap of
+# GOMAXPROCS concurrent share-nothing runs at each GOMAXPROCS up to the
+# core count. Fails on machines with >= 4 cores unless aggregate
+# throughput scales.
 bench-matrix:
 	$(GO) run ./cmd/benchreport -matrix 100000 -matrixout BENCH_matrix.json
 

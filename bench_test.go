@@ -7,7 +7,6 @@ package vmdeflate
 // EXPERIMENTS.md records paper-vs-measured for every series.
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -512,24 +511,6 @@ func BenchmarkDeflationRun100k(b *testing.B) {
 		admitted = res.Admitted
 	}
 	b.ReportMetric(float64(admitted), "admitted")
-}
-
-// BenchmarkDeflationRun100kSharded is the identical run partitioned
-// across GOMAXPROCS shards (sample metering and departure-batch
-// reinflation fan out inside per-timestamp barriers). Results are
-// bit-for-bit those of the sequential run — guarded by
-// TestShardedEngineMatchesSequentialAndReference — so the ratio to
-// BenchmarkDeflationRun100k is pure intra-run parallelism.
-func BenchmarkDeflationRun100kSharded(b *testing.B) {
-	tr, base := hundredKFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := clustersim.Run(clustersim.Config{
-			Trace: tr, Overcommit: 0.5, BaselineServers: base, Shards: runtime.GOMAXPROCS(0),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkScenarioBursty10k exercises the engine on the flash-crowd

@@ -9,8 +9,7 @@
 //	benchreport -quick     # smaller traces / shorter runs
 //	benchreport -scale 50000                 # cloud-scale single-run smoke
 //	benchreport -scale 50000 -scaleout BENCH_scale.json
-//	benchreport -scale 1000000               # the 1M-VM point (sharded sample pass)
-//	benchreport -scale 100000 -shards 1      # force a sequential run
+//	benchreport -scale 1000000               # the 1M-VM point
 //	benchreport -scale 50000 -scenario bursty           # a different workload shape
 //	benchreport -scale 50000 -shocks poisson -scaleout BENCH_revocation.json
 //	                                # revocation churn: transient servers revoked and
@@ -22,8 +21,8 @@
 //	                                # artifact; gates peak heap >= 3.5x below what
 //	                                # the eager generator would allocate)
 //	benchreport -matrix 100000 -matrixout BENCH_matrix.json
-//	                                # measured multi-core matrix: GOMAXPROCS x
-//	                                # shards with per-phase wall times
+//	                                # multi-core matrix: aggregate throughput of
+//	                                # GOMAXPROCS concurrent share-nothing runs
 //	benchreport -risk 4000 -riskout BENCH_risk.json
 //	                                # revocation-risk frontier: portfolio server
 //	                                # mixes run risk-blind vs risk-aware (hazard-
@@ -37,9 +36,7 @@
 //	                                # artifact)
 //
 // The -scale mode runs one deflation-mode simulation at the given VM
-// count through the capacity-indexed manager — with the sample pass
-// sharded across all cores by default (results are invariant to the
-// shard count) — and writes a
+// count through the capacity-indexed manager and writes a
 // small JSON report (wall time, arrivals/s, admission counts, peak heap,
 // per-phase wall times) for CI to archive, so the perf trajectory is
 // tracked PR-over-PR. With -stream the trace is never
@@ -75,7 +72,6 @@ type scaleReport struct {
 	Shocks        string             `json:"shocks,omitempty"`
 	Servers       int                `json:"servers"`
 	Overcommit    float64            `json:"overcommit"`
-	Shards        int                `json:"shards"`
 	GoMaxProcs    int                `json:"gomaxprocs"`
 	WallSeconds   float64            `json:"wall_seconds"`
 	TraceSeconds  float64            `json:"trace_gen_seconds"`
@@ -182,23 +178,17 @@ func phaseSeconds(pt clustersim.PhaseTimings) map[string]float64 {
 
 // runScale executes the cloud-scale single-run smoke: one trace of n
 // VMs of the named scenario, cluster sized by the cheap peak-demand
-// bound, one indexed deflation run with the sample pass sharded across
-// `shards` goroutines (0 = all cores; the Result is identical at any
-// shard count), report written as JSON.
-func runScale(n, shards int, scenario, shocks string, seed int64, outPath string, streamed bool) {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+// bound, one indexed deflation run, report written as JSON.
+func runScale(n int, scenario, shocks string, seed int64, outPath string, streamed bool) {
 	mode := "eager"
 	if streamed {
 		mode = "streamed"
 	}
-	fmt.Printf("== scale smoke: %d-VM single deflation run (%s trace, %d shards, shocks: %s)\n",
-		n, mode, shards, shocks)
+	fmt.Printf("== scale smoke: %d-VM single deflation run (%s trace, shocks: %s)\n",
+		n, mode, shocks)
 	var timings clustersim.PhaseTimings
 	cfg := clustersim.Config{
 		Overcommit: 0.5,
-		Shards:     shards,
 		Timings:    &timings,
 	}
 	t0 := time.Now()
@@ -271,7 +261,6 @@ func runScale(n, shards int, scenario, shocks string, seed int64, outPath string
 		Scenario:      scenario,
 		Servers:       res.Servers,
 		Overcommit:    0.5,
-		Shards:        shards,
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		WallSeconds:   wall.Seconds(),
 		TraceSeconds:  genDur.Seconds(),
@@ -335,7 +324,6 @@ type pressureReport struct {
 	Scenario          string  `json:"scenario"`
 	Servers           int     `json:"servers"`
 	Overcommit        float64 `json:"overcommit"`
-	Shards            int     `json:"shards"`
 	GoMaxProcs        int     `json:"gomaxprocs"`
 	Admitted          int     `json:"admitted"`
 	Rejected          int     `json:"rejected"`
@@ -361,9 +349,7 @@ type pressureReport struct {
 // once the scan meters — the only fields *defined* to differ between
 // scan strategies — are zeroed, (b) the differential is non-vacuous
 // (pressured arrivals occurred and the bound index actually pruned),
-// and (c) the pruned run's wall clock is strictly lower. Both runs are
-// sequential (shards = 1) so the wall-clock comparison measures the
-// scan algorithms, not scheduler noise.
+// and (c) the pruned run's wall clock is strictly lower.
 func runPressure(n int, scenario string, seed int64, outPath string) {
 	const overcommit = 0.75
 	fmt.Printf("== pressure gate: %d-VM %s run at %.0f%% overcommit, bound-pruned vs full linear scan\n",
@@ -381,7 +367,6 @@ func runPressure(n int, scenario string, seed int64, outPath string) {
 		t0 := time.Now()
 		res, err := clustersim.Run(clustersim.Config{
 			Trace: tr, Overcommit: overcommit, BaselineServers: base,
-			Shards:           1,
 			FullPressureScan: full,
 			Timings:          &timings,
 		})
@@ -405,7 +390,7 @@ func runPressure(n int, scenario string, seed int64, outPath string) {
 
 	rep := pressureReport{
 		VMs: n, Scenario: scenario, Servers: pruned.Servers,
-		Overcommit: overcommit, Shards: 1,
+		Overcommit:        overcommit,
 		GoMaxProcs:        runtime.GOMAXPROCS(0),
 		Admitted:          pruned.Admitted,
 		Rejected:          pruned.Rejected,
@@ -450,23 +435,16 @@ func runPressure(n int, scenario string, seed int64, outPath string) {
 	}
 }
 
-// matrixPoint is one grid point of BENCH_matrix.json. Intra points run
-// ONE simulation with its sample-pass shards set to the core budget —
-// measuring how far a single run's internal parallelism scales.
-// Aggregate points run `gomaxprocs` independent share-nothing
-// sequential simulations concurrently (the sweep pattern) — measuring
-// machine throughput, which is the axis that must scale with cores
-// regardless of single-run barrier costs.
+// matrixPoint is one grid point of BENCH_matrix.json: `gomaxprocs`
+// independent share-nothing simulations run concurrently (the sweep
+// pattern), measuring machine throughput — the axis that must scale
+// with cores, since a run itself is one goroutine.
 type matrixPoint struct {
-	GoMaxProcs    int                `json:"gomaxprocs"`
-	Mode          string             `json:"mode"` // "intra" or "aggregate"
-	Shards        int                `json:"shards"`
-	Runs          int                `json:"runs"`
-	WallSeconds   float64            `json:"wall_seconds"`
-	ArrivalsPerS  float64            `json:"arrivals_per_sec"`
-	Speedup       float64            `json:"speedup_vs_1core"`
-	PeakHeapBytes uint64             `json:"peak_heap_bytes"`
-	PhaseSeconds  map[string]float64 `json:"phase_seconds,omitempty"`
+	GoMaxProcs    int     `json:"gomaxprocs"`
+	WallSeconds   float64 `json:"wall_seconds"`
+	ArrivalsPerS  float64 `json:"arrivals_per_sec"`
+	Speedup       float64 `json:"speedup_vs_1core"`
+	PeakHeapBytes uint64  `json:"peak_heap_bytes"`
 }
 
 // matrixReport is the BENCH_matrix.json schema.
@@ -480,13 +458,10 @@ type matrixReport struct {
 }
 
 // runMatrix measures the multi-core scaling matrix: for each GOMAXPROCS
-// in {1, 2, 4, ... NumCPU}, one intra-parallel run (shards = cores,
-// with per-phase wall times) and one aggregate point (cores
-// concurrent sequential runs over the shared stream). All runs share
-// one Stream — traces are pure functions of (config, index), so the
-// shared read-only stream is what makes n concurrent runs cheap. Exits
-// non-zero if aggregate throughput fails to scale on a >= 4 core
-// machine.
+// g in {1, 2, 4, ... NumCPU}, g concurrent runs over one shared Stream —
+// traces are pure functions of (config, index), so the shared read-only
+// stream is what makes g concurrent runs cheap. Exits non-zero if
+// aggregate throughput fails to scale on a >= 4 core machine.
 func runMatrix(n int, scenario string, seed int64, outPath string) {
 	ncpu := runtime.NumCPU()
 	fmt.Printf("== multi-core matrix: %d-VM %s runs at GOMAXPROCS 1..%d\n", n, scenario, ncpu)
@@ -509,41 +484,11 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 	}
 	rep := matrixReport{VMs: n, Scenario: scenario, NumCPU: ncpu, Streamed: true}
 	t0 := time.Now()
-	var intraBase, aggBase float64 // 1-core arrivals/s baselines
+	var base1 float64 // 1-core arrivals/s baseline
 	for _, g := range gmps {
 		runtime.GOMAXPROCS(g)
-
-		// Intra: one run, internal parallelism set to the core budget.
-		var timings clustersim.PhaseTimings
 		hw := watchHeap()
 		t1 := time.Now()
-		res, err := clustersim.Run(clustersim.Config{
-			Stream: s, Overcommit: 0.5, BaselineServers: base,
-			Shards: g, Timings: &timings,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		wall := time.Since(t1)
-		pt := matrixPoint{
-			GoMaxProcs: g, Mode: "intra", Shards: g, Runs: 1,
-			WallSeconds:   wall.Seconds(),
-			ArrivalsPerS:  float64(res.Arrivals) / wall.Seconds(),
-			PeakHeapBytes: hw.Stop(),
-			PhaseSeconds:  phaseSeconds(timings),
-		}
-		if intraBase == 0 {
-			intraBase = pt.ArrivalsPerS
-		}
-		pt.Speedup = pt.ArrivalsPerS / intraBase
-		rep.Points = append(rep.Points, pt)
-		fmt.Printf("gmp=%2d intra     %8.0f arrivals/s  speedup %.2fx  (commit %.2fs sample %.2fs reinflate %.2fs)\n",
-			g, pt.ArrivalsPerS, pt.Speedup, timings.Commit.Seconds(),
-			timings.Sample.Seconds(), timings.Reinflate.Seconds())
-
-		// Aggregate: g share-nothing sequential runs, concurrently.
-		hw = watchHeap()
-		t1 = time.Now()
 		errCh := make(chan error, g)
 		arrivals := 0
 		resCh := make(chan int, g)
@@ -551,7 +496,6 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 			go func() {
 				r, err := clustersim.Run(clustersim.Config{
 					Stream: s, Overcommit: 0.5, BaselineServers: base,
-					Shards: 1,
 				})
 				if err != nil {
 					errCh <- err
@@ -568,20 +512,20 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 				arrivals += a
 			}
 		}
-		wall = time.Since(t1)
-		apt := matrixPoint{
-			GoMaxProcs: g, Mode: "aggregate", Shards: 1, Runs: g,
+		wall := time.Since(t1)
+		pt := matrixPoint{
+			GoMaxProcs:    g,
 			WallSeconds:   wall.Seconds(),
 			ArrivalsPerS:  float64(arrivals) / wall.Seconds(),
 			PeakHeapBytes: hw.Stop(),
 		}
-		if aggBase == 0 {
-			aggBase = apt.ArrivalsPerS
+		if base1 == 0 {
+			base1 = pt.ArrivalsPerS
 		}
-		apt.Speedup = apt.ArrivalsPerS / aggBase
-		rep.Points = append(rep.Points, apt)
-		fmt.Printf("gmp=%2d aggregate %8.0f arrivals/s  speedup %.2fx  (%d concurrent sequential runs)\n",
-			g, apt.ArrivalsPerS, apt.Speedup, g)
+		pt.Speedup = pt.ArrivalsPerS / base1
+		rep.Points = append(rep.Points, pt)
+		fmt.Printf("gmp=%2d %8.0f arrivals/s  speedup %.2fx  (%d concurrent runs)\n",
+			g, pt.ArrivalsPerS, pt.Speedup, g)
 	}
 	rep.WallSeconds = time.Since(t0).Seconds()
 	out, err := json.MarshalIndent(rep, "", "  ")
@@ -595,13 +539,11 @@ func runMatrix(n int, scenario string, seed int64, outPath string) {
 	fmt.Printf("matrix: %d points in %s (report: %s)\n",
 		len(rep.Points), time.Duration(rep.WallSeconds*float64(time.Second)).Round(time.Millisecond), outPath)
 	// The scaling gate: on a multi-core machine, aggregate throughput
-	// must improve with cores. (Intra speedup is reported, not gated: a
-	// single run's event loop is serial by nature and only its phases
-	// parallelise.)
+	// must improve with cores.
 	if ncpu >= 4 {
 		best := 1.0
 		for _, p := range rep.Points {
-			if p.Mode == "aggregate" && p.GoMaxProcs >= 4 && p.Speedup > best {
+			if p.GoMaxProcs >= 4 && p.Speedup > best {
 				best = p.Speedup
 			}
 		}
@@ -656,7 +598,7 @@ type sloReport struct {
 // deficit events where every policy is driven near the deflation
 // floors, so individual shocked points carry placement noise; the calm
 // frontier is where the policies actually plan, and is gated strictly.)
-func runSLO(n, shards int, scenario string, seed int64, outPath string) {
+func runSLO(n int, scenario string, seed int64, outPath string) {
 	fmt.Printf("== SLO frontier smoke: %d-VM %s trace, proportional vs latency-aware\n", n, scenario)
 	hw := watchHeap()
 	t0 := time.Now()
@@ -675,7 +617,6 @@ func runSLO(n, shards int, scenario string, seed int64, outPath string) {
 	for _, shocks := range []string{"none", "poisson"} {
 		opts := clustersim.Options{
 			BaselineServers: base,
-			Shards:          shards,
 			SLO:             &clustersim.SLOConfig{MaxSlowdown: rep.MaxSlowdown},
 		}
 		if shocks != "none" {
@@ -823,7 +764,7 @@ const riskHeadroomScale = 0.5
 // the portfolio's fleet cost falls monotonically as the spot share
 // grows — the cost-savings vs shock-kill frontier the paper's
 // transient-server economics rest on.
-func runRisk(n, shards int, scenario string, seed int64, outPath string) {
+func runRisk(n int, scenario string, seed int64, outPath string) {
 	fmt.Printf("== risk frontier smoke: %d-VM %s trace, risk-blind vs risk-aware across portfolio mixes\n", n, scenario)
 	hw := watchHeap()
 	t0 := time.Now()
@@ -858,7 +799,6 @@ func runRisk(n, shards int, scenario string, seed int64, outPath string) {
 		}
 		opts := clustersim.Options{
 			BaselineServers: base,
-			Shards:          shards,
 			ShockConfig:     &trace.ShockConfig{Kind: trace.ShockRack, RatePerDay: 2, OutageMean: 2 * 3600, Seed: seed},
 			SLO:             &clustersim.SLOConfig{MaxSlowdown: 2},
 			Portfolio:       portfolio,
@@ -961,7 +901,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	scale := flag.Int("scale", 0, "run only the cloud-scale single-run smoke at this VM count")
 	scaleOut := flag.String("scaleout", "BENCH_scale.json", "where -scale writes its JSON report")
-	shards := flag.Int("shards", 0, "sample-pass shard count for -scale (0 = all cores, 1 = sequential)")
 	scenario := flag.String("scenario", "heavytail", "scenario for -scale: azure, diurnal, bursty or heavytail")
 	shocks := flag.String("shocks", "none", "capacity-shock scenario for -scale: none, poisson, diurnal or rack")
 	slo := flag.Int("slo", 0, "run only the SLO frontier smoke (proportional vs latency-aware) at this VM count")
@@ -980,7 +919,7 @@ func main() {
 		return
 	}
 	if *scale > 0 {
-		runScale(*scale, *shards, *scenario, *shocks, *seed, *scaleOut, *stream)
+		runScale(*scale, *scenario, *shocks, *seed, *scaleOut, *stream)
 		return
 	}
 	if *slo > 0 {
@@ -993,11 +932,11 @@ func main() {
 				scn = *scenario
 			}
 		})
-		runSLO(*slo, *shards, scn, *seed, *sloOut)
+		runSLO(*slo, scn, *seed, *sloOut)
 		return
 	}
 	if *risk > 0 {
-		runRisk(*risk, *shards, *scenario, *seed, *riskOut)
+		runRisk(*risk, *scenario, *seed, *riskOut)
 		return
 	}
 	if *pressure > 0 {

@@ -25,9 +25,6 @@
 //	                                # streamed trace: VM parameters generate at
 //	                                # arrival, utilisation synthesizes on demand —
 //	                                # O(live VMs) resident memory, same results
-//	deflationsim -vms 1000000 -shards 0 -oc 50 -strategies proportional
-//	                                # one giant run: its sample pass sharded
-//	                                # across all cores
 package main
 
 import (
@@ -56,7 +53,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "synthetic trace seed")
 	replicates := flag.Int("replicates", 1, "independently seeded traces to average over (synthetic only)")
 	workers := flag.Int("workers", 0, "sweep worker-pool size (0 = all cores)")
-	shards := flag.Int("shards", 1, "sample-pass shard count per simulation (0 = all cores, 1 = sequential); results are shard-count-invariant")
 	ocList := flag.String("oc", "0,10,20,30,40,50,60,70", "overcommitment percentages")
 	strategies := flag.String("strategies", strings.Join(clustersim.Strategies, ","),
 		"comma-separated strategies")
@@ -99,10 +95,7 @@ func main() {
 
 	strats := splitStrategies(*strategies)
 	ocs := parseFloats(*ocList)
-	if *shards <= 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-	opts := clustersim.Options{Workers: *workers, Shards: *shards}
+	opts := clustersim.Options{Workers: *workers}
 	sloOn := *sloMax > 0
 	if sloOn {
 		slo := &clustersim.SLOConfig{MaxSlowdown: *sloMax}

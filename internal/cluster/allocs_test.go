@@ -10,20 +10,17 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// steadyStateServer builds a standalone server (the noded shape: no
-// manager) filled to capacity with deflatable residents, so that every
-// deflateFor/Reinflate cycle exercises a full policy pass.
-func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, Config) {
+// steadyStateServer builds a one-server manager filled to capacity with
+// deflatable residents, so that every deflateFor/reinflate cycle
+// exercises a full policy pass. It returns the server and the manager's
+// normalised config, which the passes read.
+func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, *Config) {
 	tb.Helper()
-	h, err := hypervisor.NewHost(hypervisor.HostConfig{
-		Name:     "node-0",
-		Capacity: resources.CPUMem(48, 131072),
-	})
+	m := NewManager(Config{Policy: pol, Mechanism: mechanism.Transparent{}})
+	s, err := m.AddServer("node-0", resources.CPUMem(48, 131072), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := &Server{Host: h, Partition: -1}
-	cfg := Config{Policy: pol, Mechanism: mechanism.Transparent{}}.WithDefaults()
 	for i := 0; i < 6; i++ {
 		dc := hypervisor.DomainConfig{
 			Name:       fmt.Sprintf("resident-%d", i),
@@ -34,35 +31,36 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, Config) {
 			// per-VM safe fractions (ignored by the other policies).
 			Load: []float64{0, 2, 5, 7}[i%4],
 		}
-		if _, _, err := PlaceOn(s, cfg, dc); err != nil {
+		if _, _, err := m.PlaceVM(dc); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return s, cfg
+	return s, &m.cfg
 }
 
 // policyPassCycle is one steady-state hot-path iteration: the deflation
 // policy pass that would make room for a 16-core on-demand arrival
-// (deflateFor — everything PlaceOn does except defining the domain,
-// which inherently allocates), followed by the reinflation pass a
-// departure would trigger. The server returns to its initial state, so
-// the cycle can repeat indefinitely.
-func policyPassCycle(tb testing.TB, s *Server, cfg Config) {
+// (deflateFor — everything a placement does on its server except
+// defining the domain, which inherently allocates), followed by the
+// reinflation pass a departure would trigger. The server returns to its
+// initial state, so the cycle can repeat indefinitely.
+func policyPassCycle(tb testing.TB, s *Server, cfg *Config) {
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
 	if _, _, err := deflateFor(s, cfg, od); err != nil {
 		tb.Fatal(err)
 	}
-	if err := Reinflate(s, cfg); err != nil {
+	if err := reinflate(s, cfg); err != nil {
 		tb.Fatal(err)
 	}
 }
 
 // TestPolicyPassSteadyStateZeroAllocs is the allocation-regression
 // guard for the placement hot path: once the per-server scratch arena
-// is warm, the PlaceOn deflation pass and Reinflate must perform zero
-// heap allocations, for every policy. (Full PlaceOn additionally defines and starts a domain, which
-// allocates by nature; the policy pass is the part that runs once per
-// pressured arrival and departure at cloud scale.)
+// is warm, the deflation pass and reinflate must perform zero heap
+// allocations, for every policy. (A full placement additionally defines
+// and starts a domain, which allocates by nature; the policy pass is
+// the part that runs once per pressured arrival and departure at cloud
+// scale.)
 func TestPolicyPassSteadyStateZeroAllocs(t *testing.T) {
 	for _, pol := range []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}} {
 		t.Run(pol.Name(), func(t *testing.T) {
@@ -72,14 +70,14 @@ func TestPolicyPassSteadyStateZeroAllocs(t *testing.T) {
 				policyPassCycle(t, s, cfg)
 			})
 			if got != 0 {
-				t.Errorf("steady-state PlaceOn/Reinflate policy pass allocates %.1f allocs/op, want 0", got)
+				t.Errorf("steady-state deflate/reinflate policy pass allocates %.1f allocs/op, want 0", got)
 			}
 		})
 	}
 }
 
 // TestReinflateAloneZeroAllocs pins the departure path by itself: with
-// residents deflated, a single Reinflate (including its early-exit
+// residents deflated, a single reinflate (including its early-exit
 // aggregate read) must not allocate.
 func TestReinflateAloneZeroAllocs(t *testing.T) {
 	s, cfg := steadyStateServer(t, policy.Proportional{})
@@ -90,14 +88,14 @@ func TestReinflateAloneZeroAllocs(t *testing.T) {
 	// First reinflation returns everyone to full; subsequent calls hit
 	// the Deflated==0 early exit. Both must be allocation-free.
 	if got := testing.AllocsPerRun(1, func() {
-		if err := Reinflate(s, cfg); err != nil {
+		if err := reinflate(s, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("full reinflation pass allocates %.1f allocs/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		if err := Reinflate(s, cfg); err != nil {
+		if err := reinflate(s, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {

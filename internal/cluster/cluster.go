@@ -34,7 +34,10 @@
 //
 // Placement is sequential, as in the paper's centralized controller:
 // PlaceVMs decides and commits one VM at a time, in input order, each
-// against the state every earlier decision left.
+// against the state every earlier decision left. The Manager is the one
+// placer: the per-server steps it runs (the policy pass that makes room,
+// the launch, reinflation) are unexported and run under its lock, on
+// the configuration NewManager normalised once.
 package cluster
 
 import (
@@ -57,7 +60,7 @@ import (
 // the pass read, which nothing but this call moves within the pass — so
 // the event is built from the view and from what Apply returns, with no
 // further locked read of the domain.
-func applyAndNotify(s *Server, cfg Config, d *hypervisor.Domain, old, target resources.Vector) error {
+func applyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, target resources.Vector) error {
 	got, err := cfg.Mechanism.Apply(d, target)
 	if err != nil {
 		return err
@@ -164,10 +167,9 @@ func (c *Config) applyDefaults() {
 	if c.PriorityLevels <= 0 {
 		c.PriorityLevels = 4
 	}
-	// Clone Risk only when a default is actually missing: applyDefaults
-	// runs on every PlaceOn call, and a normalised config (NewManager
-	// normalises once) must not allocate on the placement hot path.
-	if c.Risk != nil && (c.Risk.HighPriority <= 0 || c.Risk.MaxBands <= 0) {
+	// Clone Risk before defaulting so a caller-shared RiskConfig is never
+	// mutated.
+	if c.Risk != nil {
 		r := *c.Risk
 		if r.HighPriority <= 0 {
 			r.HighPriority = 0.75
@@ -179,13 +181,6 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// WithDefaults returns a copy of c with unset fields filled in
-// (proportional policy, transparent mechanism, 4 priority levels).
-func (c Config) WithDefaults() Config {
-	c.applyDefaults()
-	return c
-}
-
 // Server is one managed physical server.
 type Server struct {
 	Host *hypervisor.Host
@@ -193,8 +188,7 @@ type Server struct {
 	// partitioning is disabled.
 	Partition int
 	// gidx is the server's add order within its Manager — the canonical
-	// tie-break for equal-fitness candidates. Zero for standalone
-	// servers.
+	// tie-break for equal-fitness candidates.
 	gidx int
 	// revoked marks a server the provider took away (RevokeServers): it
 	// stays registered — keeping gidx and pool membership stable — but
@@ -224,19 +218,15 @@ type Server struct {
 
 	// Cached placement state, refreshed by the owning Manager's dirty
 	// sync (syncDirtyLocked) and read only under the Manager's lock.
-	// Servers constructed standalone (e.g. the per-node daemon wrapping
-	// one Server for PlaceOn/Reinflate) never populate these.
 	agg       hypervisor.Aggregates // aggregates at last sync, for delta totals
 	free      resources.Vector      // capacity - allocated
 	freeShare float64               // free.DominantShare(capacity): the index key
 	avail     resources.Vector      // the Section 5.2 availability vector
 
 	// scratch is the server's policy-pass arena: the VM-state/domain
-	// buffers PlaceOn and Reinflate fill from the host's deflatable view,
-	// plus the policy.Scratch the water-filling solvers run in, so
-	// steady-state passes never allocate. Guarded by whatever serialises
-	// passes on this server: the Manager's lock, or the one caller a
-	// standalone server has.
+	// buffers deflateFor and reinflate fill from the host's deflatable
+	// view, plus the policy.Scratch the water-filling solvers run in, so
+	// steady-state passes never allocate. Guarded by the Manager's lock.
 	scratch serverScratch
 }
 
@@ -610,12 +600,12 @@ func Fitness(demand, avail resources.Vector) float64 {
 	return avail.Dot(demand) / nd
 }
 
-// Availability computes the paper's placement availability vector:
+// availability computes the paper's placement availability vector:
 // A_j = Total_j - Used_j + deflatable_j/(1 + overcommit_j), where
 // deflatable_j is the total resource reclaimable from deflatable VMs and
 // overcommit_j discounts servers that are already squeezed. It reads the
 // host's cached aggregates, so between allocation changes it is O(1).
-func Availability(s *Server) resources.Vector {
+func availability(s *Server) resources.Vector {
 	return availabilityFrom(s.Host.Capacity(), s.Host.Aggregates())
 }
 
@@ -748,10 +738,7 @@ func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 		return out
 	}
 	if best != nil {
-		d, deflations, err := PlaceOn(best, m.cfg, dc)
-		if err == nil {
-			m.deflationEvents += deflations
-			m.placements[dc.Name] = best
+		if d, err := m.placeOnLocked(best, dc); err == nil {
 			out.Domain, out.Server = d, best
 			out.Initial = d.Allocation()
 			return out
@@ -815,12 +802,10 @@ func (m *Manager) tryPlaceLocked(s *Server, dc hypervisor.DomainConfig, ncRange 
 	if cannotReclaim(s, dc, ncRange) {
 		return nil, nil, false
 	}
-	d, deflations, err := PlaceOn(s, m.cfg, dc)
+	d, err := m.placeOnLocked(s, dc)
 	if err != nil {
 		return nil, nil, false
 	}
-	m.deflationEvents += deflations
-	m.placements[dc.Name] = s
 	return d, s, true
 }
 
@@ -992,20 +977,23 @@ func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
 	return m.anyFitsLocked(size)
 }
 
-// PlaceOn attempts placement on one server, implementing steps 2 and 3
-// of the placement protocol: the server computes the deflation needed to
-// host dc and, if feasible, applies it and launches the VM. It returns
-// the new domain and how many resident VMs were deflated. PlaceOn is
-// used both by the in-process Manager and by the per-server local
-// controller daemon (cmd/noded).
-func PlaceOn(s *Server, cfg Config, dc hypervisor.DomainConfig) (*hypervisor.Domain, int, error) {
-	cfg.applyDefaults()
-	initial, deflations, err := deflateFor(s, cfg, dc)
+// placeOnLocked attempts placement on one server, implementing steps 2
+// and 3 of the placement protocol: the server computes the deflation
+// needed to host dc and, if feasible, applies it and launches the VM. On
+// success it records the placement and the deflation count and returns
+// the new domain.
+func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervisor.Domain, error) {
+	initial, deflations, err := deflateFor(s, &m.cfg, dc)
 	if err != nil {
-		return nil, deflations, err // insufficient: caller tries the next server
+		return nil, err // insufficient: caller tries the next server
 	}
-	d, err := launch(s, cfg, dc, initial)
-	return d, deflations, err
+	d, err := launch(s, &m.cfg, dc, initial)
+	if err != nil {
+		return nil, err
+	}
+	m.deflationEvents += deflations
+	m.placements[dc.Name] = s
+	return d, nil
 }
 
 // newcomerName is the placeholder under which a deflatable newcomer
@@ -1013,13 +1001,14 @@ func PlaceOn(s *Server, cfg Config, dc hypervisor.DomainConfig) (*hypervisor.Dom
 // with a real domain name.
 const newcomerName = "\x00newcomer"
 
-// deflateFor is PlaceOn's policy pass: it computes and applies the
+// deflateFor is placeOnLocked's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
-// initial allocation. The pass reads the host's deflatable VM-state view
-// and runs the policy through the server's scratch arena, then applies
-// targets in the view's name order — so steady-state calls perform zero
-// heap allocations and notification delivery is deterministic.
-func deflateFor(s *Server, cfg Config, dc hypervisor.DomainConfig) (resources.Vector, int, error) {
+// initial allocation and how many residents it deflated. The pass reads
+// the host's deflatable VM-state view and runs the policy through the
+// server's scratch arena, then applies targets in the view's name order
+// — so steady-state calls perform zero heap allocations and
+// notification delivery is deterministic.
+func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.Vector, int, error) {
 	free := s.Host.Capacity().Sub(s.Host.Allocated())
 	need := dc.Size.Sub(free).ClampNonNegative()
 	if need.IsZero() {
@@ -1069,7 +1058,7 @@ func deflateFor(s *Server, cfg Config, dc hypervisor.DomainConfig) (resources.Ve
 }
 
 // launch defines, starts and initially sizes the new domain.
-func launch(s *Server, cfg Config, dc hypervisor.DomainConfig, initial resources.Vector) (*hypervisor.Domain, error) {
+func launch(s *Server, cfg *Config, dc hypervisor.DomainConfig, initial resources.Vector) (*hypervisor.Domain, error) {
 	d, err := s.Host.Define(dc)
 	if err != nil {
 		return nil, err
@@ -1184,7 +1173,7 @@ func (m *Manager) reinflateAffected(affected []*Server) error {
 	}
 	var firstErr error
 	for _, s := range affected {
-		if err := reinflate(s, m.cfg); err != nil && firstErr == nil {
+		if err := reinflate(s, &m.cfg); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -1194,21 +1183,14 @@ func (m *Manager) reinflateAffected(affected []*Server) error {
 	return firstErr
 }
 
-// Reinflate redistributes free capacity to deflated VMs on s ("run the
-// proportional deflation backwards", Section 5.1.3). Like PlaceOn it is
-// shared between the in-process Manager and the local controller daemon.
-// The host's cached Deflated count short-circuits the common case where
-// nothing on the server is deflated, without walking its domains.
-func Reinflate(s *Server, cfg Config) error {
-	cfg.applyDefaults()
-	return reinflate(s, cfg)
-}
-
-// reinflate is the reinflation policy pass. Like deflateFor it consumes
-// the host's deflatable VM-state view through the server's scratch arena
-// and applies targets in name order, so steady-state calls are
-// allocation-free.
-func reinflate(s *Server, cfg Config) error {
+// reinflate redistributes free capacity to deflated VMs on s ("run the
+// proportional deflation backwards", Section 5.1.3). The host's cached
+// Deflated count short-circuits the common case where nothing on the
+// server is deflated, without walking its domains. Like deflateFor it
+// consumes the host's deflatable VM-state view through the server's
+// scratch arena and applies targets in name order, so steady-state calls
+// are allocation-free.
+func reinflate(s *Server, cfg *Config) error {
 	agg := s.Host.Aggregates()
 	if agg.Deflated == 0 {
 		return nil

@@ -307,13 +307,13 @@ func TestAvailabilityVector(t *testing.T) {
 	m := newTestManager(t, 1, Config{})
 	s := m.Servers()[0]
 	// Empty server: availability = capacity.
-	if got := Availability(s); got != serverCap() {
+	if got := availability(s); got != serverCap() {
 		t.Errorf("empty availability = %v", got)
 	}
 	if _, _, err := m.PlaceVM(deflatableVM("a", 24, 65536, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	got := Availability(s)
+	got := availability(s)
 	// free = 24 cores; deflatable adds back most of a's 24 cores.
 	if got.Get(resources.CPU) < 24 {
 		t.Errorf("availability should include deflatable resources: %v", got)

@@ -121,7 +121,7 @@ func (m *Manager) pressureFullLocked(dc hypervisor.DomainConfig, best *Server) (
 		}
 		avail := s.avail
 		if m.cfg.ReferencePlacement {
-			avail = Availability(s)
+			avail = availability(s)
 		}
 		b := 0
 		if banded {

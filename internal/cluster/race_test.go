@@ -13,8 +13,8 @@ import (
 // goroutines placing, inspecting and removing disjoint VM sets, with a
 // shared notification bus attached. It exists for the race detector
 // (`go test -race`): the manager's placement map, counters and bus
-// fan-out must all be safe under concurrent cluster churn, which is how
-// the parallel sweep engine and the REST daemons drive it.
+// fan-out must all be safe under concurrent cluster churn, as the
+// Manager's contract promises for every method.
 func TestManagerConcurrentPlaceRemove(t *testing.T) {
 	bus := &notify.Bus{}
 	var delivered sync.Map

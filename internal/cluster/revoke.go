@@ -66,8 +66,7 @@ type Evacuation struct {
 }
 
 // Revoked reports whether the server is currently revoked. Like every
-// other Server field it is maintained under its Manager's lock;
-// standalone servers are never revoked.
+// other Server field it is maintained under its Manager's lock.
 func (s *Server) Revoked() bool { return s.revoked }
 
 // RevokeServer revokes one server; see RevokeServers.
@@ -197,7 +196,7 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 	if s.Host.Allocated().FitsIn(capacity) {
 		// Grow / slack restore: run the freed capacity back into the
 		// residents ("run the proportional deflation backwards").
-		return Evacuation{}, reinflate(s, m.cfg)
+		return Evacuation{}, reinflate(s, &m.cfg)
 	}
 	m.evacDCs = m.evacDCs[:0]
 	if err := m.displaceForShrinkLocked(s, capacity); err != nil {
@@ -293,7 +292,7 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 		if err != nil {
 			target = sc.doms[i].Floor()
 		}
-		if aerr := applyAndNotify(s, m.cfg, sc.doms[i], sc.vms[i].Current, target); aerr != nil {
+		if aerr := applyAndNotify(s, &m.cfg, sc.doms[i], sc.vms[i].Current, target); aerr != nil {
 			return aerr
 		}
 	}

@@ -54,8 +54,7 @@ func samplePassCycle(e *Engine, i int) {
 // the SLO-metered sample pass: closed-form queueing math, histogram
 // updates and load publication must all be allocation-free once warm,
 // since this path runs once per VM per 5-minute boundary at 1M-VM
-// scale. Measured on the sequential path — the sharded pass spawns its
-// shard goroutines, which inherently allocate.
+// scale.
 func TestSamplePassSLOZeroAllocs(t *testing.T) {
 	e := sloSteadyEngine(t, 600)
 	samplePassCycle(e, 0) // warm

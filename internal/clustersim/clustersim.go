@@ -34,24 +34,19 @@
 //     the same results as a sequential sweep because each point runs in
 //     its own Engine and all randomness is seeded per run.
 //
-// # Sharded single runs
+// # One goroutine per run
 //
-// The sweep layer parallelises across runs; Config.Shards parallelises
-// within one run, for the single giant traces (100k-1M VMs) a sweep
-// cannot split — but only its sample metering pass, which at one event
-// time splits the metering table and its meter column into matching
-// contiguous chunks, one per shard (each row, its domain's load and its
-// meters are touched by exactly one shard), behind an event-time
-// barrier. Everything else in a run is sequential: arrivals are placed
-// one at a time in trace order, each against the state every earlier
-// decision left, and departures reinflate their servers one after
-// another. Determinism holds at any shard count — and whatever order
-// swap-removes have left the table in — because no floating-point
-// accumulation crosses rows or shards: per-VM results are computed in
-// isolation and merged in a canonical order (demand/loss integrals per
-// VM, then summed in departure (time, trace-row) order), so sharded ==
-// sequential == reference placement bit for bit, proven by the
-// differential suite.
+// The sweep's worker pool is the only parallelism: a run itself is
+// sequential. Arrivals are placed one at a time in trace order, each
+// against the state every earlier decision left, departures reinflate
+// their servers one after another, and the sample pass meters the
+// table row by row. Results do not depend on the order swap-removes
+// have left the table in, because no floating-point accumulation
+// crosses rows: per-VM results are computed in isolation and merged in
+// a canonical order (demand/loss integrals per VM, then summed in
+// departure (time, trace-row) order), and the SLO counters are
+// integers. The indexed placer equals the reference placement bit for
+// bit, proven by the differential suite.
 //
 // VM records from an Azure-like trace (or one of the synthetic
 // scenario generators in internal/trace: diurnal, bursty/flash-crowd,
@@ -237,14 +232,6 @@ type Config struct {
 	// the pressure-scan meters (guarded by the differential suite); the
 	// flag exists for that comparison and for the bench-pressure gate.
 	FullPressureScan bool
-	// Shards splits one run's per-VM sample metering pass across up to
-	// this many goroutines. Per-VM work is isolated and merges its side
-	// effects in a canonical order (see package comment), so the Result
-	// is bit-for-bit identical at any shard count — guarded by the
-	// differential suite. 0 or 1 means fully sequential. Shards multiply
-	// under the sweep layer's worker pool; use them for one giant run,
-	// not inside a saturated sweep.
-	Shards int
 	// Shocks is an explicit capacity-shock schedule: revocations,
 	// restorations and resizes of specific servers by provisioning
 	// index. Shocks addressing servers beyond the run's provisioned

@@ -2,7 +2,6 @@ package clustersim
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -244,9 +243,8 @@ func (s perCoreFee) Rate(size resources.Vector, _ float64, _ resources.Vector) f
 // billed nothing after it. Without overcommitment nothing deflates, so
 // every scheme's revenue is its undeflated rate times the VM-hours. The
 // meters are a flat column with len(PricingSchemes) entries per table
-// row, so the scheme count varies too — none, three, five — and each
-// runs with the sequential and the sharded sample pass, which must agree
-// bit for bit.
+// row, so the scheme count varies too — none, three, five — with the
+// table audited at every sample.
 func TestSampleBillingUsesConfiguredSchemes(t *testing.T) {
 	tr := testTrace(1500)
 	var hours float64
@@ -271,35 +269,25 @@ func TestSampleBillingUsesConfiguredSchemes(t *testing.T) {
 		},
 	}
 	for name, schemes := range cases {
-		var seq *Result
-		for _, shards := range []int{1, 4} {
-			e, err := NewEngine(Config{Trace: tr, PricingSchemes: schemes, Shards: shards})
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine(Config{Trace: tr, PricingSchemes: schemes})
 			if err != nil {
 				t.Fatal(err)
 			}
-			peakRows := 0
-			e.afterSample = func() {
-				checkTable(t, e)
-				peakRows = max(peakRows, len(e.tbl))
-			}
+			e.afterSample = func() { checkTable(t, e) }
 			res, err := e.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Rejected != 0 || res.ReclamationAttempts != 0 || peakRows < minShardedSample {
-				t.Fatalf("%s: test premise broken: rejected %d, reclamation attempts %d on an un-overcommitted fleet, table peaked at %d rows (sharding starts at %d)",
-					name, res.Rejected, res.ReclamationAttempts, peakRows, minShardedSample)
-			}
-			if shards == 1 {
-				seq = res
-			} else if !reflect.DeepEqual(res, seq) {
-				t.Fatalf("%s: sharded billing diverged from sequential:\ngot %+v\nseq %+v", name, *res, *seq)
+			if res.Rejected != 0 || res.ReclamationAttempts != 0 {
+				t.Fatalf("test premise broken: rejected %d, reclamation attempts %d on an un-overcommitted fleet",
+					res.Rejected, res.ReclamationAttempts)
 			}
 			if len(res.Revenue) != len(schemes) || len(res.CostSavings) != len(schemes) {
-				t.Errorf("%s: Revenue has %d schemes, CostSavings %d, want %d", name, len(res.Revenue), len(res.CostSavings), len(schemes))
+				t.Errorf("Revenue has %d schemes, CostSavings %d, want %d", len(res.Revenue), len(res.CostSavings), len(schemes))
 			}
 			if res.OnDemandRevenue <= 0 {
-				t.Errorf("%s: OnDemandRevenue = %v, want the deflatable VMs' core-hours whatever is metered", name, res.OnDemandRevenue)
+				t.Errorf("OnDemandRevenue = %v, want the deflatable VMs' core-hours whatever is metered", res.OnDemandRevenue)
 			}
 			want := map[string]float64{
 				"static":     0.5 * res.OnDemandRevenue,
@@ -310,7 +298,7 @@ func TestSampleBillingUsesConfiguredSchemes(t *testing.T) {
 			for _, s := range schemes {
 				got := res.Revenue[s.Name()]
 				if w, ok := want[s.Name()]; ok && !almostEq(got, w) {
-					t.Errorf("%s: Revenue[%s] = %v, want %v", name, s.Name(), got, w)
+					t.Errorf("Revenue[%s] = %v, want %v", s.Name(), got, w)
 				}
 			}
 			if _, ok := res.Revenue["priority"]; ok {
@@ -319,10 +307,10 @@ func TestSampleBillingUsesConfiguredSchemes(t *testing.T) {
 					byLevel += v
 				}
 				if got := res.Revenue["priority"]; got <= 0 || got > res.OnDemandRevenue || !almostEq(byLevel, got) {
-					t.Errorf("%s: Revenue[priority] = %v (by level %v), want within (0, %v]", name, got, byLevel, res.OnDemandRevenue)
+					t.Errorf("Revenue[priority] = %v (by level %v), want within (0, %v]", got, byLevel, res.OnDemandRevenue)
 				}
 			}
-		}
+		})
 	}
 }
 

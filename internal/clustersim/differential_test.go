@@ -16,12 +16,51 @@ import (
 // scores only what the bounds cannot exclude. Every other field —
 // including PressuredArrivals, which is mode-invariant — must still
 // match bit-for-bit, so cross-mode comparisons go through this helper
-// and same-mode comparisons (shards, streaming) stay raw.
+// and same-mode comparisons (event queue, streaming) stay raw.
 func normalizeScanMeters(r *Result) *Result {
 	c := *r
 	c.PressureScored = 0
 	c.PressurePruned = 0
 	return &c
+}
+
+// oracleModes are the retained oracles a differential suite runs each
+// configuration under: the brute-force reference placement, the linear
+// pressure scan and the binary-heap event queue. The two placement
+// oracles meter the pressure scan differently (scan says so); the heap
+// queue must match raw.
+var oracleModes = []struct {
+	name string
+	set  func(*Config)
+	scan bool
+}{
+	{"reference", func(c *Config) { c.ReferencePlacement = true }, true},
+	{"fullscan", func(c *Config) { c.FullPressureScan = true }, true},
+	{"heapqueue", func(c *Config) { c.useHeapQueue = true }, false},
+}
+
+// runOracleModes runs base under every oracle mode, each as a subtest
+// named prefix+mode, and holds each run to want — the default indexed,
+// pruned, calendar-queue run of base.
+func runOracleModes(t *testing.T, prefix string, base Config, want *Result) {
+	t.Helper()
+	for _, m := range oracleModes {
+		t.Run(prefix+m.name, func(t *testing.T) {
+			cfg := base
+			m.set(&cfg)
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, w := got, want
+			if m.scan {
+				g, w = normalizeScanMeters(got), normalizeScanMeters(want)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s run diverged from the default engine:\ngot  %+v\nwant %+v", m.name, *got, *want)
+			}
+		})
+	}
 }
 
 // TestIndexedEngineMatchesReference is the end-to-end differential
@@ -115,18 +154,15 @@ func TestIndexedEngineMatchesReferenceAcrossPolicies(t *testing.T) {
 	}
 }
 
-// TestShardedEngineMatchesSequentialAndReference is the sharded-engine
-// determinism guarantee: one run split across any number of shards
-// must produce a Result — every admission count, failure
-// probability, throughput-loss integral and revenue float — bit-for-bit
-// identical to the fully sequential engine AND to the brute-force
-// reference placement path, across scenarios, seeds and shard counts
-// (including shards exceeding GOMAXPROCS).
-func TestShardedEngineMatchesSequentialAndReference(t *testing.T) {
+// TestEngineMatchesOraclesAcrossScenarios is the determinism guarantee
+// at the overcommitment the benchmarks run: under the priority policy at
+// 50 %, every scenario and seed must produce a Result — every admission
+// count, failure probability, throughput-loss integral and revenue
+// float — bit-for-bit identical under each retained oracle.
+func TestEngineMatchesOraclesAcrossScenarios(t *testing.T) {
 	scenarios := []trace.Scenario{
 		trace.ScenarioDiurnal, trace.ScenarioBursty, trace.ScenarioHeavyTail,
 	}
-	shardCounts := []int{2, 4, 16}
 	for _, kind := range scenarios {
 		for _, seed := range []int64{1, 2} {
 			tr, err := trace.GenerateScenario(trace.ScenarioConfig{
@@ -136,60 +172,27 @@ func TestShardedEngineMatchesSequentialAndReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := Config{Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5}
-			seq, err := Run(base)
+			want, err := Run(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refCfg := base
-			refCfg.ReferencePlacement = true
-			ref, err := Run(refCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-				t.Fatalf("%v/seed=%d: sequential diverged from reference:\nseq %+v\nref %+v", kind, seed, *seq, *ref)
-			}
-			for _, shards := range shardCounts {
-				name := fmt.Sprintf("%v/seed=%d/shards=%d", kind, seed, shards)
-				t.Run(name, func(t *testing.T) {
-					cfg := base
-					cfg.Shards = shards
-					got, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, seq) {
-						t.Fatalf("sharded run diverged from sequential:\nsharded    %+v\nsequential %+v", *got, *seq)
-					}
-				})
-			}
+			runOracleModes(t, fmt.Sprintf("%v/seed=%d/", kind, seed), base, want)
 		}
 	}
 }
 
-// TestShardedEngineMatchesSequentialPartitioned covers sharding with
-// priority-partitioned pools under the deterministic policy — the
-// combination where per-server passes differ most between servers — and
-// under the priority policy.
-func TestShardedEngineMatchesSequentialPartitioned(t *testing.T) {
+// TestPartitionedEngineMatchesOracles covers priority-partitioned pools
+// under the deterministic policy — the combination where per-server
+// passes differ most between servers — and under the priority policy.
+func TestPartitionedEngineMatchesOracles(t *testing.T) {
 	tr := testTrace(400)
 	for _, pol := range []policy.Policy{policy.Deterministic{}, policy.Priority{}} {
 		base := Config{Trace: tr, Policy: pol, Partitioned: true, Overcommit: 0.5}
-		seq, err := Run(base)
+		want, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{2, 8} {
-			cfg := base
-			cfg.Shards = shards
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, seq) {
-				t.Fatalf("%s/shards=%d: partitioned sharded run diverged:\nsharded    %+v\nsequential %+v", pol.Name(), shards, *got, *seq)
-			}
-		}
+		runOracleModes(t, pol.Name()+"/", base, want)
 	}
 }
 
@@ -217,9 +220,10 @@ func TestIndexedEngineMatchesReferencePartitioned(t *testing.T) {
 // produce Results bit-for-bit identical to the retained full linear
 // scan (FullPressureScan) and to the brute-force reference path, across
 // every synthetic scenario plus deterministic-policy, shocked and
-// risk/portfolio workloads, and across shard counts {1,4} in BOTH scan
-// modes. The workloads must actually exercise the machinery — pressured
-// arrivals AND a nonzero prune count — or the suite is vacuous.
+// risk/portfolio workloads, and on the binary-heap event queue in BOTH
+// scan modes. The workloads must actually exercise the machinery —
+// pressured arrivals AND a nonzero prune count — or the suite is
+// vacuous.
 func TestPressurePruningDifferential(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -298,26 +302,23 @@ func TestPressurePruningDifferential(t *testing.T) {
 			if !reflect.DeepEqual(normalizeScanMeters(full), normalizeScanMeters(ref)) {
 				t.Fatalf("full scan diverged from reference:\nfull %+v\nref  %+v", *full, *ref)
 			}
-			for _, shards := range []int{1, 4} {
-				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// Raw comparisons: each scan mode's meters are invariant
+			// under the event queue.
+			for _, scan := range []struct {
+				name string
+				full bool
+				want *Result
+			}{{"pruned", false, pruned}, {"fullscan", true, full}} {
+				t.Run(scan.name+"/heapqueue", func(t *testing.T) {
 					cfg := base
-					cfg.Shards = shards
+					cfg.FullPressureScan = scan.full
+					cfg.useHeapQueue = true
 					got, err := Run(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Raw comparison: the pruned meters themselves are
-					// shard-invariant.
-					if !reflect.DeepEqual(got, pruned) {
-						t.Fatalf("pruned run diverged from sequential:\ngot %+v\nseq %+v", *got, *pruned)
-					}
-					cfg.FullPressureScan = true
-					gotFull, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(gotFull, full) {
-						t.Fatalf("full-scan run diverged from sequential full scan:\ngot %+v\nseq %+v", *gotFull, *full)
+					if !reflect.DeepEqual(got, scan.want) {
+						t.Fatalf("heap-queue run diverged from the calendar queue:\ngot  %+v\nwant %+v", *got, *scan.want)
 					}
 				})
 			}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"vmdeflate/internal/cluster"
@@ -41,11 +40,6 @@ type vmTracking struct {
 	admitT float64 // admission time, for the on-demand-equivalent bill
 	demand float64 // integrated demand (core-seconds)
 	lost   float64 // integrated demand above allocation
-	// sloViol/sloSamples count this VM's SLO-violating and total metered
-	// samples (Config.SLO runs only). Integer per-VM counters folded at
-	// close time keep the accumulation exact and shard-order-free.
-	sloViol    uint32
-	sloSamples uint32
 	// row is the VM's trace row: the back-pointer into slotOf that a
 	// swap-remove needs to re-point the row it moved.
 	row int32
@@ -69,7 +63,6 @@ const (
 type Engine struct {
 	cfg      Config
 	nServers int
-	shards   int
 
 	// Deflation-mode state.
 	mgr     *cluster.Manager
@@ -84,8 +77,7 @@ type Engine struct {
 	// holds the running deflatable VMs by value, dense (a close
 	// swap-removes), and meters is its billing column: tbl[i]'s meters
 	// are meters[i*k:(i+1)*k], k = len(cfg.PricingSchemes), in scheme
-	// order. The sharded sample pass hands each shard a contiguous chunk
-	// of both.
+	// order.
 	tbl    []vmTracking
 	meters []pricing.Meter
 	slotOf []int32
@@ -131,13 +123,12 @@ type Engine struct {
 	demandTotal float64
 	lostTotal   float64
 
-	// SLO accumulators (nil unless cfg.SLO is set). sloHists is one
-	// slowdown histogram per shard — the sharded sample pass increments
-	// only its own shard's buckets, and the integer merge at run end is
-	// order-exact, so the shard count cannot perturb the distribution.
-	// sloViolByLevel counts violating samples per quantised priority
-	// level, folded per VM in canonical close order.
-	sloHists       [][]uint64
+	// SLO accumulators (nil/zero unless cfg.SLO is set), all integer
+	// counts bumped by the sample pass, so their totals do not depend on
+	// the order the table is walked in: the slowdown histogram, the
+	// violating samples per quantised priority level and the metered
+	// samples.
+	sloHist        []uint64
 	sloViolByLevel []uint64
 	sloSampleCount uint64
 
@@ -155,13 +146,6 @@ type Engine struct {
 	// invalidates its host), and proves results identical without it.
 	afterSample func()
 }
-
-// minShardedSample is the table size below which the sample pass
-// stays sequential: spawning shard goroutines for a handful of VMs
-// costs more than it saves. The threshold depends only on simulation
-// state, never on timing, so it cannot affect results (per-VM sampling
-// is order-independent either way).
-const minShardedSample = 128
 
 // NewEngine validates cfg, resolves the baseline cluster size and
 // prepares a run. The BaselineServerCount bound is computed here unless
@@ -193,10 +177,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.nServers = int(math.Ceil(float64(base) / (1 + cfg.Overcommit)))
 	if e.nServers < 1 {
 		e.nServers = 1
-	}
-	e.shards = cfg.Shards
-	if e.shards < 1 {
-		e.shards = 1
 	}
 	return e, nil
 }
@@ -313,10 +293,7 @@ func (e *Engine) setupDeflation() error {
 
 	e.res = &Result{Servers: e.nServers, Revenue: map[string]float64{}, RevenueByPriority: map[int]float64{}}
 	if cfg.SLO != nil {
-		e.sloHists = make([][]uint64, e.shards)
-		for i := range e.sloHists {
-			e.sloHists[i] = make([]uint64, sloHistBuckets)
-		}
+		e.sloHist = make([]uint64, sloHistBuckets)
 		e.sloViolByLevel = make([]uint64, cfg.PriorityLevels)
 	}
 	// Arrivals stay latent in the trace for both intakes: the queue
@@ -360,8 +337,6 @@ func (e *Engine) setupDeflation() error {
 // survivors, and self-rescheduling sample events meter demand, loss and
 // revenue every trace.SampleInterval. At equal timestamps the queue
 // delivers samples, then departures, then arrivals (see eventKind).
-// With Shards > 1 the sample pass fans out across shards inside the
-// per-timestamp barrier (see the package comment's sharding section).
 func (e *Engine) runDeflation() (*Result, error) {
 	if err := e.setupDeflation(); err != nil {
 		return nil, err
@@ -607,12 +582,12 @@ const (
 	sloSlowdownCap = 1e6
 )
 
-// finishSLO folds the integer SLO accumulators into the Result: all
-// merging is integer summation (exact at any shard count), converted to
-// seconds and rates only at the very end. The p99 proxy is the upper
-// edge of the first histogram bucket at or past the 99th percentile,
-// compared in integers (cum*100 >= total*99) so no division order can
-// flip a boundary sample.
+// finishSLO folds the integer SLO accumulators into the Result,
+// converted to seconds and rates only at the very end. The p99 proxy is
+// the upper edge of the first histogram bucket at or past the 99th
+// percentile, compared in integers (cum*100 >= total*99) so no division
+// order can flip a boundary sample; every metered sample lands in one
+// bucket, so the histogram's total is the sample count.
 func (e *Engine) finishSLO() {
 	res := e.res
 	res.SLOViolationsByPriority = make(map[int]float64, len(e.sloViolByLevel))
@@ -621,26 +596,15 @@ func (e *Engine) finishSLO() {
 		res.SLOViolationsByPriority[lvl] = float64(n) * trace.SampleInterval
 		viol += n
 	}
+	total := e.sloSampleCount
 	res.SLOViolationSeconds = float64(viol) * trace.SampleInterval
-	res.SLOSampleSeconds = float64(e.sloSampleCount) * trace.SampleInterval
-	if e.sloSampleCount > 0 {
-		res.SLOViolationRate = float64(viol) / float64(e.sloSampleCount)
-	}
-	merged := e.sloHists[0]
-	for _, h := range e.sloHists[1:] {
-		for i, v := range h {
-			merged[i] += v
-		}
-	}
-	var total uint64
-	for _, v := range merged {
-		total += v
-	}
+	res.SLOSampleSeconds = float64(total) * trace.SampleInterval
 	if total == 0 {
 		return
 	}
+	res.SLOViolationRate = float64(viol) / float64(total)
 	var cum uint64
-	for i, v := range merged {
+	for i, v := range e.sloHist {
 		cum += v
 		if cum*100 >= total*99 {
 			res.SLOLatencyP99 = 1 + float64(i+1)/sloHistScale
@@ -760,46 +724,14 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 }
 
 // samplePass meters every running deflatable VM at one 5-minute
-// boundary. Each sampleVM call reads and writes only its own table row,
-// domain and meters, so with Shards > 1 the table and its meter column
-// are split into matching contiguous chunks sampled concurrently — no
-// cross-VM float accumulation exists to reorder, which is why neither
-// the shard count nor the table's order can change any result.
+// boundary, in table order. Each sampleVM call writes floats only into
+// its own table row, domain and meters, and bumps integer SLO counters,
+// so the order swap-removes have left the table in cannot change any
+// result.
 func (e *Engine) samplePass(at float64) {
-	n, k := len(e.tbl), len(e.cfg.PricingSchemes)
-	if e.shards <= 1 || n < minShardedSample {
-		var hist []uint64
-		if e.sloHists != nil {
-			hist = e.sloHists[0]
-		}
-		sampleRows(e.tbl, e.meters, at, &e.cfg, hist)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < e.shards; w++ {
-		lo, hi := w*n/e.shards, (w+1)*n/e.shards
-		if lo == hi {
-			continue
-		}
-		var hist []uint64
-		if e.sloHists != nil {
-			hist = e.sloHists[w]
-		}
-		wg.Add(1)
-		go func(rows []vmTracking, meters []pricing.Meter, hist []uint64) {
-			defer wg.Done()
-			sampleRows(rows, meters, at, &e.cfg, hist)
-		}(e.tbl[lo:hi], e.meters[lo*k:hi*k], hist)
-	}
-	wg.Wait()
-}
-
-// sampleRows samples a chunk of the table with its chunk of the meter
-// column (len(meters) == len(rows)*k).
-func sampleRows(rows []vmTracking, meters []pricing.Meter, at float64, cfg *Config, hist []uint64) {
-	k := len(cfg.PricingSchemes)
-	for i := range rows {
-		sampleVM(&rows[i], meters[i*k:(i+1)*k], at, cfg, hist)
+	k := len(e.cfg.PricingSchemes)
+	for i := range e.tbl {
+		e.sampleVM(&e.tbl[i], e.meters[i*k:(i+1)*k], at)
 	}
 }
 
@@ -844,10 +776,6 @@ func (e *Engine) closeVM(slot int32, at float64) {
 	finishVM(vt, e.metersOf(slot), at, e.res, &e.cfg)
 	e.demandTotal += vt.demand
 	e.lostTotal += vt.lost
-	if e.cfg.SLO != nil {
-		e.sloViolByLevel[priorityLevel(vt.prio, e.cfg.PriorityLevels)] += uint64(vt.sloViol)
-		e.sloSampleCount += uint64(vt.sloSamples)
-	}
 	if vt.cur != nil {
 		e.cursorFree = append(e.cursorFree, vt.cur)
 		vt.cur = nil
@@ -953,15 +881,15 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 }
 
 // sampleVM accumulates demand/loss, SLO state and allocation-based
-// billing at one 5-minute boundary. It touches only vt's own row and
-// meters (and reads its domain's allocation under the host's lock; hist
-// belongs to this VM's shard alone), which is what makes the sharded
-// sample pass safe and shard-count-invariant. With cfg.SLO set it
-// additionally maps the offered load and current allocation to a
-// request slowdown through the closed-form PS model — pure float math,
-// so the pass stays allocation-free — and publishes the load to the
-// domain for the latency-aware policy's next pass.
-func sampleVM(vt *vmTracking, meters []pricing.Meter, at float64, cfg *Config, hist []uint64) {
+// billing at one 5-minute boundary. Its float writes go only to vt's own
+// row and meters (it reads the domain's allocation under the host's
+// lock). With cfg.SLO set it additionally maps the offered load and
+// current allocation to a request slowdown through the closed-form PS
+// model — pure float math, so the pass stays allocation-free — counts
+// the sample into the run's integer SLO accumulators, and publishes the
+// load to the domain for the latency-aware policy's next pass.
+func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
+	cfg := &e.cfg
 	util := vmUtil(vt, at)
 	size, alloc := vt.size, vt.domain.Allocation()
 	maxCores := size.Get(resources.CPU)
@@ -976,9 +904,9 @@ func sampleVM(vt *vmTracking, meters []pricing.Meter, at float64, cfg *Config, h
 		vt.domain.SetOfferedLoad(load)
 		effCap := cfg.SLO.Curve.EffectiveCapacity(maxCores, allocCores)
 		s := queueing.PSSlowdownRatio(load, maxCores, effCap, sloSlowdownCap)
-		vt.sloSamples++
+		e.sloSampleCount++
 		if s > cfg.SLO.MaxSlowdown+1e-9 {
-			vt.sloViol++
+			e.sloViolByLevel[priorityLevel(vt.prio, cfg.PriorityLevels)]++
 		}
 		idx := int((s - 1) * sloHistScale)
 		if idx < 0 {
@@ -986,7 +914,7 @@ func sampleVM(vt *vmTracking, meters []pricing.Meter, at float64, cfg *Config, h
 		} else if idx >= sloHistBuckets {
 			idx = sloHistBuckets - 1
 		}
-		hist[idx]++
+		e.sloHist[idx]++
 	}
 	for i := range meters {
 		meters[i].Observe(at/3600, cfg.PricingSchemes[i].Rate(size, vt.prio, alloc))

@@ -10,16 +10,14 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// TestPreemptionBaselineUnderParallelEngineConfig is the differential
-// guarantee for preemption.go under the parallel engine configuration:
-// one trace is run (a) in preemption mode and (b) in deflation mode,
-// each sequentially and with intra-run shards, and every Result must be
-// bit-for-bit identical to its sequential twin. The deflation leg
-// exercises the sharded sample pass; the preemption leg proves the
-// baseline is untouched by (and insensitive to) the shard knob it
-// deliberately does not use. The trace is sized so the baseline actually preempts —
-// otherwise the test would pass vacuously.
-func TestPreemptionBaselineUnderParallelEngineConfig(t *testing.T) {
+// TestPreemptionBaselineUnderOracleModes is the differential guarantee
+// for preemption.go beside the deflation engine: one trace is run in
+// preemption mode and in deflation mode, each under every retained
+// oracle, and every Result must equal its default run bit for bit. The
+// preemption loop ignores the two placement oracles and must prove it;
+// the heap queue drives both loops. The trace is sized so the baseline
+// actually preempts — otherwise the test would pass vacuously.
+func TestPreemptionBaselineUnderOracleModes(t *testing.T) {
 	tr, err := trace.GenerateScenario(trace.ScenarioConfig{
 		Kind: trace.ScenarioDiurnal, NumVMs: 500, Duration: 86400, Seed: 3,
 	})
@@ -28,31 +26,19 @@ func TestPreemptionBaselineUnderParallelEngineConfig(t *testing.T) {
 	}
 	for _, mode := range []Mode{ModePreemption, ModeDeflation} {
 		base := Config{Trace: tr, Mode: mode, Policy: policy.Priority{}, Overcommit: 0.6}
-		seq, err := Run(base)
+		want, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if mode == ModePreemption {
-			if seq.Preemptions == 0 {
+			if want.Preemptions == 0 {
 				t.Fatal("baseline run preempted nothing; the differential is vacuous")
 			}
-			if seq.FailureProbability <= 0 {
+			if want.FailureProbability <= 0 {
 				t.Fatal("baseline failure probability is zero under pressure")
 			}
 		}
-		for _, shards := range []int{2, 8} {
-			t.Run(fmt.Sprintf("mode=%d/shards=%d", mode, shards), func(t *testing.T) {
-				cfg := base
-				cfg.Shards = shards
-				got, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("parallel-config run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-				}
-			})
-		}
+		runOracleModes(t, fmt.Sprintf("mode=%d/", mode), base, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package clustersim
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -77,8 +76,8 @@ const minAwareRevenueShare = 0.7
 // TestRiskDifferential is the acceptance guarantee for the risk
 // tentpole: a portfolio fleet with hazard-banded placement and the
 // headroom admission gate active must produce bit-for-bit identical
-// results across shard counts {1,4} and against the brute-force
-// reference path — and the run
+// results under every retained oracle (reference placement, full
+// pressure scan, heap event queue) — and the run
 // must actually exercise the new machinery (revocations AND headroom
 // rejections), or the suite is vacuous. It runs on one fleet and on
 // priority-partitioned pools, where every band index is split per pool.
@@ -91,42 +90,20 @@ func TestRiskDifferential(t *testing.T) {
 		base   Config
 	}{{"", riskConfig(tr)}, {"pools/", pooled}}
 	for _, v := range variants {
-		base := v.base
-		seq, err := Run(base)
+		want, err := Run(v.base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq.Revocations == 0 {
+		if want.Revocations == 0 {
 			t.Fatalf("%sno revocations — the differential is vacuous", v.prefix)
 		}
-		if seq.RiskRejections == 0 {
+		if want.RiskRejections == 0 {
 			t.Fatalf("%sheadroom gate never fired — the differential is vacuous", v.prefix)
 		}
-		if seq.RiskRejections > seq.Rejected {
-			t.Fatalf("%sRiskRejections %d exceeds Rejected %d", v.prefix, seq.RiskRejections, seq.Rejected)
+		if want.RiskRejections > want.Rejected {
+			t.Fatalf("%sRiskRejections %d exceeds Rejected %d", v.prefix, want.RiskRejections, want.Rejected)
 		}
-		refCfg := base
-		refCfg.ReferencePlacement = true
-		ref, err := Run(refCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-			t.Fatalf("%ssequential diverged from reference:\nseq %+v\nref %+v", v.prefix, *seq, *ref)
-		}
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%sshards=%d", v.prefix, shards), func(t *testing.T) {
-				cfg := base
-				cfg.Shards = shards
-				got, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("risk run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-				}
-			})
-		}
+		runOracleModes(t, v.prefix, v.base, want)
 	}
 }
 
@@ -221,8 +198,7 @@ func TestPortfolioShapesSchedule(t *testing.T) {
 // server at one instant (two back-to-back outages, not a dropped one).
 // The restore must free its capacity before the same-instant
 // revocation's evacuation places into it, identically on the indexed
-// and reference engines, in both pressure-scan modes and at any shard
-// count.
+// engine and under every retained oracle.
 func TestSameInstantRestoreRevokeRace(t *testing.T) {
 	tr := testTrace(350)
 	h := tr.Duration()
@@ -241,47 +217,18 @@ func TestSameInstantRestoreRevokeRace(t *testing.T) {
 		{At: 0.9 * h, Kind: trace.ShockRestore, Server: 2},
 	}
 	base := Config{Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Shocks: shocks}
-	seq, err := Run(base)
+	want, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Revocations != 4 || seq.Restorations != 4 {
+	if want.Revocations != 4 || want.Restorations != 4 {
 		t.Fatalf("processed %d revocations / %d restorations, want 4 / 4 (re-revoke replayed as a second outage)",
-			seq.Revocations, seq.Restorations)
+			want.Revocations, want.Restorations)
 	}
-	if seq.Evacuations == 0 {
+	if want.Evacuations == 0 {
 		t.Fatal("schedule displaced nobody — the race is vacuous")
 	}
-	refCfg := base
-	refCfg.ReferencePlacement = true
-	ref, err := Run(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-		t.Fatalf("sequential diverged from reference:\nseq %+v\nref %+v", *seq, *ref)
-	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := base
-			cfg.Shards = shards
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, seq) {
-				t.Fatalf("sharded run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-			}
-			cfg.FullPressureScan = true
-			full, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(normalizeScanMeters(full), normalizeScanMeters(ref)) {
-				t.Fatalf("full-scan run diverged from reference:\nfull %+v\nref  %+v", *full, *ref)
-			}
-		})
-	}
+	runOracleModes(t, "", base, want)
 }
 
 // TestRiskSweepThreadsThrough: the sweep layer passes portfolio and

@@ -3,7 +3,6 @@ package clustersim
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"vmdeflate/internal/policy"
@@ -82,9 +81,9 @@ func TestRevocationRunsProcessShocks(t *testing.T) {
 
 // TestRevocationDifferential is the acceptance guarantee of the
 // transient-server refactor: under revocation churn, runs are
-// bit-for-bit identical across shard counts {1,4} and against the
-// brute-force reference placement path,
-// across scenarios and shock schedules.
+// bit-for-bit identical under every retained oracle (reference
+// placement, full pressure scan, heap event queue), across scenarios and
+// shock schedules.
 func TestRevocationDifferential(t *testing.T) {
 	scenarios := []trace.Scenario{trace.ScenarioDiurnal, trace.ScenarioBursty, trace.ScenarioHeavyTail}
 	shockKinds := []trace.ShockScenario{trace.ShockPoisson, trace.ShockRack}
@@ -99,36 +98,14 @@ func TestRevocationDifferential(t *testing.T) {
 			sc := testShockConfig(7)
 			sc.Kind = shockKind
 			base := Config{Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: sc}
-			seq, err := Run(base)
+			want, err := Run(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq.Revocations == 0 {
+			if want.Revocations == 0 {
 				t.Fatalf("%v/%v: shock schedule produced no revocations — the suite is vacuous", kind, shockKind)
 			}
-			refCfg := base
-			refCfg.ReferencePlacement = true
-			ref, err := Run(refCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-				t.Fatalf("%v/%v: sequential diverged from reference:\nseq %+v\nref %+v", kind, shockKind, *seq, *ref)
-			}
-			for _, shards := range []int{1, 4} {
-				name := fmt.Sprintf("%v/%v/shards=%d", kind, shockKind, shards)
-				t.Run(name, func(t *testing.T) {
-					cfg := base
-					cfg.Shards = shards
-					got, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, seq) {
-						t.Fatalf("shocked run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-					}
-				})
-			}
+			runOracleModes(t, fmt.Sprintf("%v/%v/", kind, shockKind), base, want)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // sloTestConfig builds a latency-policy + SLO-metered run, the
-// configuration whose new accumulators (violation counters, per-shard
-// histograms, load publication) the differential suite must prove
-// shard-invariant.
+// configuration whose accumulators (violation counters, the slowdown
+// histogram, load publication) the differential suite must prove
+// invariant under every oracle.
 func sloTestConfig(tr *trace.AzureTrace, oc float64) Config {
 	slo := &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}
 	return Config{
@@ -24,14 +24,11 @@ func sloTestConfig(tr *trace.AzureTrace, oc float64) Config {
 	}
 }
 
-// TestSLOEngineMatchesAcrossShards is the determinism
-// guarantee for the SLO path: the per-VM queueing math runs inside the
-// sharded sample pass and its partials (integer violation counters,
-// per-shard histograms) merge in canonical order, so every SLO metric —
-// violation seconds, rate, p99 proxy, the per-priority map — must be
-// bit-for-bit identical at any shard count, and identical to the
-// brute-force reference placement path.
-func TestSLOEngineMatchesAcrossShards(t *testing.T) {
+// TestSLOEngineMatchesOracles is the determinism guarantee for the SLO
+// path: every SLO metric — violation seconds, rate, p99 proxy, the
+// per-priority map — must be bit-for-bit identical under every retained
+// oracle (reference placement, full pressure scan, heap event queue).
+func TestSLOEngineMatchesOracles(t *testing.T) {
 	for _, kind := range []trace.Scenario{trace.ScenarioBursty, trace.ScenarioDiurnal, trace.ScenarioHeavyTail} {
 		tr, err := trace.GenerateScenario(trace.ScenarioConfig{
 			Kind: kind, NumVMs: 400, Duration: 86400, Seed: 3,
@@ -40,35 +37,14 @@ func TestSLOEngineMatchesAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := sloTestConfig(tr, 0.5)
-		seq, err := Run(base)
+		want, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq.SLOSampleSeconds == 0 {
+		if want.SLOSampleSeconds == 0 {
 			t.Fatalf("%v: degenerate run, no SLO samples metered", kind)
 		}
-		refCfg := base
-		refCfg.ReferencePlacement = true
-		ref, err := Run(refCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(normalizeScanMeters(seq), normalizeScanMeters(ref)) {
-			t.Fatalf("%v: SLO run diverged from reference placement:\nseq %+v\nref %+v", kind, *seq, *ref)
-		}
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/shards=%d", kind, shards), func(t *testing.T) {
-				cfg := base
-				cfg.Shards = shards
-				got, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("SLO run diverged from sequential:\ngot %+v\nseq %+v", *got, *seq)
-				}
-			})
-		}
+		runOracleModes(t, fmt.Sprintf("%v/", kind), base, want)
 	}
 }
 
@@ -95,9 +71,9 @@ func invalidateOnLoadWrite(t *testing.T, e *Engine) {
 
 // TestLoadWriteSyncMatchesFullInvalidation proves that a load write
 // needs no invalidation: across scenarios, seeds, both policies that a
-// metered run compares, calm and shocked fleets, and sequential and
-// sharded sample passes, the run whose sample pass dirties nothing is
-// byte-identical to the run where every load write invalidates its host.
+// metered run compares, and calm and shocked fleets, the run whose
+// sample pass dirties nothing is byte-identical to the run where every
+// load write invalidates its host.
 func TestLoadWriteSyncMatchesFullInvalidation(t *testing.T) {
 	slo := &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}
 	policies := []policy.Policy{
@@ -106,8 +82,6 @@ func TestLoadWriteSyncMatchesFullInvalidation(t *testing.T) {
 	}
 	for _, kind := range []trace.Scenario{trace.ScenarioBursty, trace.ScenarioDiurnal} {
 		for seed := int64(1); seed <= 4; seed++ {
-			// 1200 VMs keep the running set above minShardedSample, so
-			// Shards=4 really writes loads from four goroutines.
 			tr, err := trace.GenerateScenario(trace.ScenarioConfig{
 				Kind: kind, NumVMs: 1200, Duration: 86400, Seed: seed,
 			})
@@ -116,31 +90,29 @@ func TestLoadWriteSyncMatchesFullInvalidation(t *testing.T) {
 			}
 			for _, pol := range policies {
 				for _, shocked := range []bool{false, true} {
-					for _, shards := range []int{1, 4} {
-						cfg := Config{Trace: tr, Policy: pol, Overcommit: 0.5, SLO: slo, Shards: shards}
-						if shocked {
-							cfg.ShockConfig = testShockConfig(seed)
-						}
-						name := fmt.Sprintf("%v/seed=%d/%s/shocks=%v/shards=%d", kind, seed, pol.Name(), shocked, shards)
-						got, err := Run(cfg)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if got.SLOSampleSeconds == 0 || (shocked && got.Revocations == 0) {
-							t.Fatalf("%s: degenerate run: %+v", name, *got)
-						}
-						e, err := NewEngine(cfg)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						invalidateOnLoadWrite(t, e)
-						want, err := e.Run()
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: run diverged from the invalidate-on-load-write oracle:\ngot  %+v\nwant %+v", name, *got, *want)
-						}
+					cfg := Config{Trace: tr, Policy: pol, Overcommit: 0.5, SLO: slo}
+					if shocked {
+						cfg.ShockConfig = testShockConfig(seed)
+					}
+					name := fmt.Sprintf("%v/seed=%d/%s/shocks=%v", kind, seed, pol.Name(), shocked)
+					got, err := Run(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got.SLOSampleSeconds == 0 || (shocked && got.Revocations == 0) {
+						t.Fatalf("%s: degenerate run: %+v", name, *got)
+					}
+					e, err := NewEngine(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					invalidateOnLoadWrite(t, e)
+					want, err := e.Run()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: run diverged from the invalidate-on-load-write oracle:\ngot  %+v\nwant %+v", name, *got, *want)
 					}
 				}
 			}

@@ -14,7 +14,8 @@ import (
 // arrival, utilisation synthesized through cursors, arrivals never
 // materialised into the queue — produces a Result bit-for-bit identical
 // to running the materialised form of the same stream, across all four
-// scenarios, seeds, and shard counts.
+// scenarios, seeds, and both event queues (the calendar queue and the
+// binary-heap oracle, on each side).
 func TestStreamedEngineMatchesEager(t *testing.T) {
 	for _, kind := range trace.Scenarios() {
 		for _, seed := range []int64{1, 2} {
@@ -24,13 +25,13 @@ func TestStreamedEngineMatchesEager(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := s.Materialize()
-			for _, shards := range []int{1, 4} {
-				name := fmt.Sprintf("%v/seed=%d/shards=%d", kind, seed, shards)
+			for _, queue := range []string{"calendar", "heapqueue"} {
+				name := fmt.Sprintf("%v/seed=%d/%s", kind, seed, queue)
 				t.Run(name, func(t *testing.T) {
 					base := Config{
-						Policy:     policy.Priority{},
-						Overcommit: 0.5,
-						Shards:     shards,
+						Policy:       policy.Priority{},
+						Overcommit:   0.5,
+						useHeapQueue: queue == "heapqueue",
 					}
 					eagerCfg := base
 					eagerCfg.Trace = tr
@@ -55,9 +56,9 @@ func TestStreamedEngineMatchesEager(t *testing.T) {
 
 // TestStreamedEngineMatchesEagerFullFeatures drives the whole surface
 // at once — priority partitioning, SLO metering, Poisson capacity
-// shocks (revocations force evacuation and remaining-demand kills) and
-// sharded sampling — and still requires
-// bit-for-bit Result equality between the streamed and eager forms.
+// shocks (revocations force evacuation and remaining-demand kills) —
+// and still requires bit-for-bit Result equality between the streamed
+// and eager forms.
 func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{
 		Kind: trace.ScenarioBursty, NumVMs: 500, Duration: 2 * 86400, Seed: 3,
@@ -70,7 +71,6 @@ func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 		Policy:      policy.Priority{},
 		Partitioned: true,
 		Overcommit:  0.4,
-		Shards:      4,
 		SLO:         &SLOConfig{},
 		ShockConfig: testShockConfig(11),
 	}

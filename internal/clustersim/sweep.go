@@ -133,12 +133,6 @@ type Options struct {
 	// bus fans out concurrently from all workers; subscribers must be
 	// thread-safe.
 	Notify *notify.Bus
-	// Shards is passed through to every run's Config.Shards: intra-run
-	// parallelism on top of the pool's across-run parallelism. Results
-	// are shard-count-invariant, so this only trades scheduling overhead
-	// against wall clock; leave it 0 (sequential runs) unless the grid
-	// has fewer points than cores.
-	Shards int
 	// ShockConfig, when set, is passed through to every run's
 	// Config.ShockConfig: each grid point replays the capacity-shock
 	// schedule generated for its own cluster size, so the deflation
@@ -298,7 +292,6 @@ func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overc
 		cfg := strategyConfig(tr, strategy, baseline, pct/100)
 		cfg.Stream = s
 		cfg.Notify = opts.Notify
-		cfg.Shards = opts.Shards
 		cfg.ShockConfig = opts.ShockConfig
 		cfg.Portfolio = opts.Portfolio
 		cfg.Risk = opts.Risk
@@ -382,7 +375,6 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 		strategy, pct := strategies[rest/nOC], overcommitPcts[rest%nOC]
 		cfg := strategyConfig(traces[r], strategy, baselines[r], pct/100)
 		cfg.Notify = opts.Notify
-		cfg.Shards = opts.Shards
 		cfg.ShockConfig = opts.ShockConfig
 		cfg.Portfolio = opts.Portfolio
 		cfg.Risk = opts.Risk

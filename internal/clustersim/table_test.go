@@ -1,7 +1,6 @@
 package clustersim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -97,9 +96,9 @@ func runChecked(t *testing.T, cfg Config) (*Result, int) {
 
 // TestMeteringTableInvariants audits the table mid-run on the
 // configurations the differential, revocation, SLO, risk and stream
-// suites drive — built by those suites' own helpers — at sequential and
-// sharded sample passes, and holds each audited run to the unaudited
-// one.
+// suites drive — built by those suites' own helpers — under the indexed
+// placer and the brute-force reference placement, and holds each
+// audited run to the unaudited one.
 func TestMeteringTableInvariants(t *testing.T) {
 	tr := testTrace(400)
 	bursty, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 1200, Duration: 86400, Seed: 3})
@@ -131,10 +130,10 @@ func TestMeteringTableInvariants(t *testing.T) {
 		"stream shocked": {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.4, Partitioned: true, SLO: &SLOConfig{}, ShockConfig: testShockConfig(11)},
 	}
 	for name, base := range cases {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+		for _, placer := range []string{"indexed", "reference"} {
+			t.Run(name+"/"+placer, func(t *testing.T) {
 				cfg := base
-				cfg.Shards = shards
+				cfg.ReferencePlacement = placer == "reference"
 				want, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)

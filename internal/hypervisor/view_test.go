@@ -56,10 +56,11 @@ func checkView(t *testing.T, h *Host, op string) {
 // test: after every operation of the hostChurn sequence, the host's
 // VM-state view — read from its row table — must equal a fresh Domains()
 // walk through the public accessors exactly, the invariant that lets
-// PlaceOn and Reinflate consume the view instead of rebuilding
-// policy.VMState slices per pass. Offered loads are written throughout
-// (seeded at define, rewritten at random): they invalidate nothing, so
-// the view's Load column must come out right by read-through alone.
+// the cluster's deflation and reinflation passes consume the view
+// instead of rebuilding policy.VMState slices per pass. Offered loads
+// are written throughout (seeded at define, rewritten at random): they
+// invalidate nothing, so the view's Load column must come out right by
+// read-through alone.
 func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
 	hostChurn(t, 11, checkView)
 }
@@ -143,8 +144,8 @@ func TestLoadWriteFiresNoAggregateChange(t *testing.T) {
 	}
 }
 
-// TestOfferedLoadConcurrentWritesAndViewReads is the sharded sample
-// pass in miniature, for the race detector: four goroutines rewrite the
+// TestOfferedLoadConcurrentWritesAndViewReads holds SetOfferedLoad to
+// its lock-free contract, for the race detector: four goroutines rewrite the
 // loads of disjoint residents while a fifth reads the view and a limit
 // change forces rebuild walks in between. Every load a read returns must
 // be one its writer stored, and the read after the writers finish must

@@ -1,7 +1,7 @@
 package queueing
 
 // Closed-form processor-sharing latency model. The cluster simulator's
-// sharded sample pass needs per-VM latency at every 5-minute boundary
+// sample pass needs per-VM latency at every 5-minute boundary
 // for up to a million VMs; simulating a PSStation per VM there would
 // blow both the wall clock and the zero-allocation gate, so the hot
 // path uses the steady-state M/G/1-PS sojourn formula the station

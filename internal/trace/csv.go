@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -43,8 +45,9 @@ func WriteAzureCSV(w io.Writer, t *AzureTrace) error {
 }
 
 // ReadAzureCSV parses a trace written by WriteAzureCSV. Every row is
-// validated (see VMRecord.validate): a file with a row the simulator
-// cannot hold returns a line-numbered error, not a trace.
+// validated (see VMRecord.validate), and so is every pair of rows that
+// share an ID (see checkLiveIDs): a file with a row the simulator cannot
+// hold returns a line-numbered error, not a trace.
 func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(azureHeader)
@@ -97,7 +100,45 @@ func ReadAzureCSV(r io.Reader) (*AzureTrace, error) {
 		}
 		t.VMs = append(t.VMs, vm)
 	}
+	if err := checkLiveIDs(t.VMs); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// checkLiveIDs rejects two rows that share an ID and are live at once:
+// the cluster manager keys running VMs by ID, so the second would be
+// counted as an admission rejection instead of running. Lifetimes are
+// half-open, [Start, End): rows that only touch (one ends where the
+// next starts) are legal, because departures precede arrivals at one
+// instant, and a zero-lifetime row is live at no instant. Row i is
+// file line i+2, after the header.
+func checkLiveIDs(vms []*VMRecord) error {
+	rows := make([]int, 0, len(vms))
+	for i, vm := range vms {
+		if vm.End > vm.Start {
+			rows = append(rows, i)
+		}
+	}
+	slices.SortFunc(rows, func(a, b int) int {
+		return cmp.Or(strings.Compare(vms[a].ID, vms[b].ID), cmp.Compare(vms[a].Start, vms[b].Start), cmp.Compare(a, b))
+	})
+	live := -1 // of the current ID's rows started so far, the one ending last
+	for _, i := range rows {
+		if live < 0 || vms[i].ID != vms[live].ID {
+			live = i
+			continue
+		}
+		if vms[i].Start < vms[live].End {
+			a, b := min(live, i), max(live, i)
+			return fmt.Errorf("trace: azure line %d: VM %q is live in [%g, %g) and so is line %d's in [%g, %g), but a running VM's ID must be unique",
+				b+2, vms[i].ID, vms[b].Start, vms[b].End, a+2, vms[a].Start, vms[a].End)
+		}
+		if vms[i].End > vms[live].End {
+			live = i
+		}
+	}
+	return nil
 }
 
 // validate rejects a parsed row a run cannot hold: the simulator sorts

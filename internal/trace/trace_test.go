@@ -344,15 +344,17 @@ func TestAlibabaCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// azureCSVMalformed are files ReadAzureCSV cannot parse at all.
+var azureCSVMalformed = []string{
+	"",
+	"bad,header\n",
+	"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,badclass,1,1024,0,300,10\n",
+	"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,interactive,notanint,1024,0,300,10\n",
+	"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,interactive,1,1024,0,300,10;x\n",
+}
+
 func TestReadAzureCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"bad,header\n",
-		"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,badclass,1,1024,0,300,10\n",
-		"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,interactive,notanint,1024,0,300,10\n",
-		"id,class,cores,memory_mb,start,end,cpu_util\nvm-1,interactive,1,1024,0,300,10;x\n",
-	}
-	for i, in := range cases {
+	for i, in := range azureCSVMalformed {
 		if _, err := ReadAzureCSV(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
@@ -387,33 +389,41 @@ func TestEmptySeriesRoundTrip(t *testing.T) {
 	}
 }
 
+// unholdableHead is a header and one good row (line 2, an "ok" VM live
+// in [0, 300)); each unholdableRows entry appended to it is line 3 and
+// breaks one rule.
+const unholdableHead = "id,class,cores,memory_mb,start,end,cpu_util\nok,interactive,1,1024,0,300,10\n"
+
+var unholdableRows = map[string]string{
+	"NaN start":        "v,interactive,1,1024,NaN,300,10",
+	"+Inf start":       "v,interactive,1,1024,+Inf,300,10",
+	"negative start":   "v,interactive,1,1024,-1,300,10",
+	"NaN end":          "v,interactive,1,1024,0,NaN,10",
+	"+Inf end":         "v,interactive,1,1024,0,Inf,10",
+	"-Inf end":         "v,interactive,1,1024,0,-Inf,10",
+	"negative end":     "v,interactive,1,1024,0,-300,10",
+	"end before start": "v,interactive,1,1024,600,300,10",
+	"zero cores":       "v,interactive,0,1024,0,300,10",
+	"negative cores":   "v,interactive,-2,1024,0,300,10",
+	"zero memory":      "v,interactive,1,0,0,300,10",
+	"negative memory":  "v,interactive,1,-5,0,300,10",
+	"NaN memory":       "v,interactive,1,NaN,0,300,10",
+	"Inf memory":       "v,interactive,1,Inf,0,300,10",
+	"NaN sample":       "v,interactive,1,1024,0,600,10;NaN",
+	"Inf sample":       "v,interactive,1,1024,0,600,Inf;10",
+	"negative sample":  "v,interactive,1,1024,0,600,10;-0.5",
+	// The name-keyed manager would count the second "ok" as a
+	// rejection while the first still runs.
+	"ID live twice": "ok,delay-insensitive,2,2048,100,400,10",
+}
+
 // TestReadAzureCSVRejectsUnholdableRows: every row a run cannot hold —
 // its arrival order is a sort on start and its calendar computes
 // int64(at/width) — is a line-numbered error, not a trace. One case per
 // rule; the row sits on line 3 behind a good one.
 func TestReadAzureCSVRejectsUnholdableRows(t *testing.T) {
-	const head = "id,class,cores,memory_mb,start,end,cpu_util\nok,interactive,1,1024,0,300,10\n"
-	cases := map[string]string{
-		"NaN start":        "v,interactive,1,1024,NaN,300,10",
-		"+Inf start":       "v,interactive,1,1024,+Inf,300,10",
-		"negative start":   "v,interactive,1,1024,-1,300,10",
-		"NaN end":          "v,interactive,1,1024,0,NaN,10",
-		"+Inf end":         "v,interactive,1,1024,0,Inf,10",
-		"-Inf end":         "v,interactive,1,1024,0,-Inf,10",
-		"negative end":     "v,interactive,1,1024,0,-300,10",
-		"end before start": "v,interactive,1,1024,600,300,10",
-		"zero cores":       "v,interactive,0,1024,0,300,10",
-		"negative cores":   "v,interactive,-2,1024,0,300,10",
-		"zero memory":      "v,interactive,1,0,0,300,10",
-		"negative memory":  "v,interactive,1,-5,0,300,10",
-		"NaN memory":       "v,interactive,1,NaN,0,300,10",
-		"Inf memory":       "v,interactive,1,Inf,0,300,10",
-		"NaN sample":       "v,interactive,1,1024,0,600,10;NaN",
-		"Inf sample":       "v,interactive,1,1024,0,600,Inf;10",
-		"negative sample":  "v,interactive,1,1024,0,600,10;-0.5",
-	}
-	for name, row := range cases {
-		tr, err := ReadAzureCSV(strings.NewReader(head + row + "\n"))
+	for name, row := range unholdableRows {
+		tr, err := ReadAzureCSV(strings.NewReader(unholdableHead + row + "\n"))
 		if err == nil {
 			t.Errorf("%s: read a %d-VM trace, want an error", name, len(tr.VMs))
 			continue
@@ -423,9 +433,26 @@ func TestReadAzureCSVRejectsUnholdableRows(t *testing.T) {
 		}
 	}
 	// What stays legal: a zero-lifetime VM and an empty series.
-	tr, err := ReadAzureCSV(strings.NewReader(head + "z,unknown,2,512.5,300,300,\n"))
+	tr, err := ReadAzureCSV(strings.NewReader(unholdableHead + "z,unknown,2,512.5,300,300,\n"))
 	if err != nil || len(tr.VMs) != 2 {
 		t.Fatalf("zero-lifetime row: trace %v, err %v", tr, err)
+	}
+	// An ID live twice is named by both of its lines, whichever comes
+	// first in the file; reuse after a departure (lifetimes that touch)
+	// and a zero-lifetime row inside another's lifetime stay legal.
+	_, err = ReadAzureCSV(strings.NewReader(unholdableHead +
+		"vm-a,interactive,2,2048,600,3600,10\n" +
+		"vm-b,interactive,2,2048,0,600,10\n" +
+		"vm-a,interactive,2,2048,0,7200,10\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 5") || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("ID live twice on lines 3 and 5: err %v, want one naming both lines", err)
+	}
+	tr, err = ReadAzureCSV(strings.NewReader(unholdableHead +
+		"ok,interactive,1,1024,300,900,10\n" +
+		"ok,interactive,1,1024,500,500,\n" +
+		"ok,interactive,1,1024,900,1200,10\n"))
+	if err != nil || len(tr.VMs) != 4 {
+		t.Fatalf("touching and zero-lifetime reuse of an ID: trace %v, err %v", tr, err)
 	}
 }
 

@@ -24,8 +24,7 @@
 //
 // This root package is a facade over the implementation packages in
 // internal/; it exposes everything a downstream user needs to build and
-// operate deflatable-VM clusters, simulated or real (the REST control
-// plane in cmd/clusterd and cmd/noded is built from the same pieces).
+// operate simulated deflatable-VM clusters.
 package vmdeflate
 
 import (
