@@ -5,16 +5,22 @@
 //
 // # Architecture
 //
-// The package is layered as three cooperating pieces:
+// The package is layered as four cooperating pieces:
 //
+//   - rows.go — the row source: everything a run reads about a VM,
+//     addressed by trace row, through one of two adapters (an eager
+//     AzureTrace or a trace.Stream), plus the geometry built from it —
+//     rows sorted by start and by end — whose merge walk drives fleet
+//     sizing (sizing.go) and the pool planner. Nothing outside the
+//     adapter choice asks which kind of trace a run has.
 //   - events.go — the event core: a pending-event queue with typed
 //     sample/departure/shock/arrival events and a stable (time, kind,
-//     trace-row) total order. Arrivals stay latent in the trace — eager
-//     or streamed, one intake (streamQueue) delivers them from a
-//     pre-sorted arrival-order column as the run reaches them —
-//     departures are scheduled lazily when a VM is admitted and sample
-//     events reschedule themselves, so the queue holds what is live,
-//     never the whole trace's event list.
+//     trace-row) total order. Arrivals stay latent in the trace — one
+//     intake (streamQueue) delivers them from the geometry's
+//     arrival-order column as the run reaches them — departures are
+//     scheduled lazily when a VM is admitted and sample events
+//     reschedule themselves, so the queue holds what is live, never the
+//     whole trace's event list.
 //   - engine.go — the Engine: one self-contained run. It owns every
 //     piece of mutable state (cluster manager, metering table, queue,
 //     metric accumulators), which makes independent runs share-nothing
@@ -187,15 +193,18 @@ type Config struct {
 	// Exactly one of Trace and Stream must be set.
 	Trace *trace.AzureTrace
 	// Stream supplies the same trace lazily: per-VM parameters are
-	// generated when the simulation reaches each arrival and
-	// utilisation samples are synthesized on demand through per-VM
-	// cursors, so resident memory is O(live VMs) instead of O(trace).
-	// Results are bit-for-bit identical to running the materialised
-	// form of the same stream through Trace (guarded by the streamed
-	// differential suite). A Stream is immutable: concurrent engines
-	// may share one. Streamed runs support deflation mode only; the
-	// preemption baseline needs whole-trace lookahead and keeps the
-	// eager API.
+	// generated when the run asks about a row, P95s are synthesized at
+	// admission and utilisation samples through per-VM cursors, so
+	// resident memory is O(live VMs) plus a setup-time geometry of a
+	// few words per VM, instead of O(trace). Trace and Stream are the
+	// two adapters of one row source: sizing, the pool planner, the
+	// arrival queue and admission read both the same way, so results
+	// are bit-for-bit identical to running the materialised form of the
+	// same stream through Trace (guarded by the adapter-agreement test
+	// and the streamed differential suite). A Stream is immutable:
+	// concurrent engines may share one. Streamed runs support deflation
+	// mode only: the preemption baseline reads each VM's utilisation
+	// off its materialised series.
 	Stream *trace.Stream
 	// Mode selects deflation or the preemption baseline.
 	Mode Mode
@@ -299,7 +308,7 @@ func (c *Config) applyDefaults() error {
 			return fmt.Errorf("clustersim: empty trace")
 		}
 		if c.Mode == ModePreemption {
-			return fmt.Errorf("clustersim: preemption mode requires an eager Trace (whole-trace lookahead)")
+			return fmt.Errorf("clustersim: preemption mode requires an eager Trace (it reads utilisation off each record's series)")
 		}
 	case c.Trace == nil || len(c.Trace.VMs) == 0:
 		return fmt.Errorf("clustersim: empty trace")
@@ -354,6 +363,20 @@ func (c *Config) applyDefaults() error {
 			if !finiteNonNegative(v) {
 				return fmt.Errorf("clustersim: portfolio type %q has field value %v, want finite and non-negative", t.Name, v)
 			}
+		}
+	}
+	for i, sh := range c.Shocks {
+		if !finiteNonNegative(sh.At) {
+			return fmt.Errorf("clustersim: shock %d at %v, want a finite non-negative time", i, sh.At)
+		}
+		switch sh.Kind {
+		case trace.ShockRevoke, trace.ShockRestore:
+		case trace.ShockResize:
+			if !finiteNonNegative(sh.Scale) || sh.Scale == 0 {
+				return fmt.Errorf("clustersim: shock %d resizes to scale %v, want finite and positive", i, sh.Scale)
+			}
+		default:
+			return fmt.Errorf("clustersim: shock %d has unknown kind %v", i, sh.Kind)
 		}
 	}
 	return nil
@@ -470,55 +493,51 @@ func Run(cfg Config) (*Result, error) {
 	return e.Run()
 }
 
-// partitionPlan assigns servers to priority pools proportionally to the
+// poolPlan assigns servers to priority pools proportionally to the
 // trace's committed demand per pool ("the size of the different pools
-// can be based on the typical workload mix", Section 5.2.1). p95 is the
-// trace's row-indexed P95 column: each interactive VM's pool is looked
-// up on its arrival and again on its departure.
-func partitionPlan(cfg Config, p95 []float64, nServers int) []int {
+// can be based on the typical workload mix", Section 5.2.1). Each VM's
+// pool is fixed once from its class and P95, then the geometry walk
+// accounts its cores on arrival and departure.
+func poolPlan(cfg *Config, src *rowSource, nServers int) []int {
 	out := make([]int, nServers)
 	if !cfg.Partitioned {
 		return out // all zeros; ignored when partitioning is off
 	}
 	levels := cfg.PriorityLevels
+	lvlOf := make([]int32, src.len())
+	for row := range lvlOf {
+		lvl := levels - 1 // on-demand pool
+		if src.class(row) == trace.Interactive {
+			p95, _ := src.util(row)
+			p := policy.PriorityFromP95(p95, levels)
+			lvl = min(max(int(p*float64(levels))-1, 0), levels-1)
+		}
+		lvlOf[row] = int32(lvl)
+	}
 	// Size pools by *peak concurrent* demand per level, not total
 	// VM-hours: pools sized on averages run out of room at their own
 	// peaks and deflate even when the cluster as a whole has slack.
 	demand := make([]float64, levels)
 	current := make([]float64, levels)
-	levelOf := func(vm *trace.VMRecord, vmP95 float64) int {
-		lvl := levels - 1 // on-demand pool
-		if vm.Class == trace.Interactive {
-			p := policy.PriorityFromP95(vmP95, levels)
-			lvl = int(p*float64(levels)) - 1
-			if lvl < 0 {
-				lvl = 0
-			}
-			if lvl >= levels {
-				lvl = levels - 1
-			}
-		}
-		return lvl
-	}
-	for _, e := range buildEvents(cfg.Trace) {
-		vm := cfg.Trace.VMs[e.idx]
-		lvl := levelOf(vm, p95[e.idx])
-		if e.arrival {
-			current[lvl] += float64(vm.Cores)
+	g := src.geometry()
+	g.walk(func(row int32, arrival bool) bool {
+		lvl := lvlOf[row]
+		if arrival {
+			current[lvl] += float64(g.cores[row])
 			if current[lvl] > demand[lvl] {
 				demand[lvl] = current[lvl]
 			}
 		} else {
-			current[lvl] -= float64(vm.Cores)
+			current[lvl] -= float64(g.cores[row])
 		}
-	}
+		return true
+	})
 	return allocatePools(out, demand, nServers, levels)
 }
 
 // allocatePools fills out with per-server pool assignments sized
 // proportionally to the per-level peak demand: largest-remainder
-// allocation with at least one server per non-empty pool. Shared by the
-// eager and streamed partition planners.
+// allocation with at least one server per non-empty pool.
 func allocatePools(out []int, demand []float64, nServers, levels int) []int {
 	var total float64
 	for _, d := range demand {

@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -70,35 +71,69 @@ func TestBaselineServerCount(t *testing.T) {
 // or +Inf overcommit ran on a one-server fleet, a NaN evacuation
 // downtime reached DisplacedDowntime, a NaN or negative server capacity
 // was provisioned as given, and a NaN portfolio fraction panicked while
-// the fleet was apportioned.
+// the fleet was apportioned. An explicit shock schedule is checked entry
+// by entry, naming the bad one: a NaN or +Inf resize scale crashed the
+// capacity index, a revocation at +Inf was popped first and at NaN at
+// an undefined instant, one at a negative time billed a negative
+// outage, a non-positive scale failed deep in the run, and an unknown
+// kind was dropped silently. Every case fails in both modes.
 func TestRunValidation(t *testing.T) {
 	tr := testTrace(200)
 	nan, inf := math.NaN(), math.Inf(1)
+	// shocks is a schedule whose second entry is bad.
+	shocks := func(bad trace.CapacityShock) Config {
+		return Config{Trace: tr, Overcommit: 0.3, Shocks: []trace.CapacityShock{
+			{At: 3600, Kind: trace.ShockRevoke, Server: 1},
+			bad,
+			{At: 7200, Kind: trace.ShockRestore, Server: 1},
+		}}
+	}
 	cases := []struct {
 		name string
 		cfg  Config
+		want string // in the error text, when set
 	}{
-		{"empty trace", Config{}},
-		{"negative overcommit", Config{Trace: tr, Overcommit: -0.5}},
-		{"NaN overcommit", Config{Trace: tr, Overcommit: nan}},
-		{"+Inf overcommit", Config{Trace: tr, Overcommit: inf}},
-		{"NaN evacuation downtime", Config{Trace: tr, EvacuationDowntime: nan}},
-		{"+Inf evacuation downtime", Config{Trace: tr, EvacuationDowntime: inf}},
-		{"negative evacuation downtime", Config{Trace: tr, EvacuationDowntime: -30}},
-		{"NaN server CPU", Config{Trace: tr, ServerCapacity: resources.CPUMem(nan, 131072)}},
-		{"negative server memory", Config{Trace: tr, ServerCapacity: resources.CPUMem(48, -1)}},
-		{"+Inf server CPU", Config{Trace: tr, ServerCapacity: resources.CPUMem(inf, 131072)}},
-		{"NaN portfolio fraction", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", Fraction: nan}, {Name: "b", Fraction: 1}}}},
-		{"+Inf portfolio capacity scale", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", CapacityScale: inf}}}},
-		{"NaN portfolio price factor", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", PriceFactor: nan}}}},
-		{"negative portfolio shock rate", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", ShockRateScale: -1}}}},
+		{"empty trace", Config{}, ""},
+		{"negative overcommit", Config{Trace: tr, Overcommit: -0.5}, ""},
+		{"NaN overcommit", Config{Trace: tr, Overcommit: nan}, ""},
+		{"+Inf overcommit", Config{Trace: tr, Overcommit: inf}, ""},
+		{"NaN evacuation downtime", Config{Trace: tr, EvacuationDowntime: nan}, ""},
+		{"+Inf evacuation downtime", Config{Trace: tr, EvacuationDowntime: inf}, ""},
+		{"negative evacuation downtime", Config{Trace: tr, EvacuationDowntime: -30}, ""},
+		{"NaN server CPU", Config{Trace: tr, ServerCapacity: resources.CPUMem(nan, 131072)}, ""},
+		{"negative server memory", Config{Trace: tr, ServerCapacity: resources.CPUMem(48, -1)}, ""},
+		{"+Inf server CPU", Config{Trace: tr, ServerCapacity: resources.CPUMem(inf, 131072)}, ""},
+		{"NaN portfolio fraction", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", Fraction: nan}, {Name: "b", Fraction: 1}}}, ""},
+		{"+Inf portfolio capacity scale", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", CapacityScale: inf}}}, ""},
+		{"NaN portfolio price factor", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", PriceFactor: nan}}}, ""},
+		{"negative portfolio shock rate", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", ShockRateScale: -1}}}, ""},
+		{"NaN resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: nan}), "shock 1"},
+		{"+Inf resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: inf}), "shock 1"},
+		{"negative resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: -0.5}), "shock 1"},
+		{"zero resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize}), "shock 1"},
+		{"shock at +Inf", shocks(trace.CapacityShock{At: inf, Kind: trace.ShockRevoke}), "shock 1"},
+		{"shock at NaN", shocks(trace.CapacityShock{At: nan, Kind: trace.ShockRevoke}), "shock 1"},
+		{"shock at a negative time", shocks(trace.CapacityShock{At: -5000, Kind: trace.ShockRevoke}), "shock 1"},
+		{"unknown shock kind", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockKind(7)}), "shock 1"},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if res, err := Run(c.cfg); err == nil {
-				t.Fatalf("want an error, got a run on %d servers (%d admitted, %d rejected)", res.Servers, res.Admitted, res.Rejected)
-			}
-		})
+		for _, mode := range []Mode{ModeDeflation, ModePreemption} {
+			t.Run(fmt.Sprintf("%s/mode=%d", c.name, mode), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Mode = mode
+				res, err := Run(cfg)
+				if err == nil {
+					t.Fatalf("want an error, got a run on %d servers (%d admitted, %d rejected)", res.Servers, res.Admitted, res.Rejected)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("err = %v, want one naming %q", err, c.want)
+				}
+			})
+		}
+	}
+	// The schedule around each bad entry is valid on its own.
+	if _, err := Run(shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Server: 2, Scale: 0.5})); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -388,20 +423,24 @@ func TestVMSizeVector(t *testing.T) {
 	}
 }
 
-func TestBuildEventsOrdering(t *testing.T) {
+// TestGeometryWalkOrdering: at t=100, a's departure precedes b's
+// arrival, and a zero-lifetime VM departs before it arrives.
+func TestGeometryWalkOrdering(t *testing.T) {
 	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
 		{ID: "a", Cores: 1, MemoryMB: 1024, Start: 0, End: 100},
 		{ID: "b", Cores: 1, MemoryMB: 1024, Start: 100, End: 200},
+		{ID: "z", Cores: 1, MemoryMB: 1024, Start: 100, End: 100},
 	}}
-	evs := buildEvents(tr)
-	if len(evs) != 4 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	// At t=100, a's departure precedes b's arrival.
-	if evs[1].arrival || evs[1].idx != 0 {
-		t.Errorf("event[1] = %+v, want a's departure", evs[1])
-	}
-	if !evs[2].arrival || evs[2].idx != 1 {
-		t.Errorf("event[2] = %+v, want b's arrival", evs[2])
+	var got []string
+	newRowSource(tr, nil).geometry().walk(func(row int32, arrival bool) bool {
+		sign := "-"
+		if arrival {
+			sign = "+"
+		}
+		got = append(got, sign+tr.VMs[row].ID)
+		return true
+	})
+	if want := "+a -a -z +b +z -b"; strings.Join(got, " ") != want {
+		t.Errorf("walk = %s, want %s", strings.Join(got, " "), want)
 	}
 }

@@ -2,6 +2,7 @@ package clustersim
 
 import (
 	"cmp"
+	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -15,7 +16,6 @@ import (
 	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/resources"
 	"vmdeflate/internal/risk"
-	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
 )
 
@@ -33,8 +33,8 @@ type vmTracking struct {
 	size   resources.Vector // == domain.MaxSize()
 	domain *hypervisor.Domain
 	// cur reads this VM's utilisation incrementally on streamed runs
-	// (nil on eager runs, where rec.CPUUtil is materialised). Cursors
-	// are recycled through the engine's free list when the VM closes.
+	// (nil on eager runs, where rec.CPUUtil is materialised). The row
+	// source binds it at admission and takes it back when the VM closes.
 	cur    *trace.UtilCursor
 	prio   float64
 	admitT float64 // admission time, for the on-demand-equivalent bill
@@ -82,21 +82,9 @@ type Engine struct {
 	meters []pricing.Meter
 	slotOf []int32
 
-	// p95 is the eager trace's row-indexed P95 column (nil on streamed
-	// runs), fetched once per run: arrivals and the partition planner
-	// read p95[row] instead of sorting the VM's series.
-	p95 []float64
-
-	// Streamed-trace state (nil/zero on eager runs). geo carries the
-	// compact sizing view between NewEngine and setupDeflation and is
-	// released before the event loop; synth/utilBuf serve admission-time
-	// P95 synthesis; cursorFree recycles utilisation cursors (with their
-	// embedded RNG state) across VM lifetimes — the per-run arena that
-	// keeps steady-state churn allocation-light.
-	geo        *streamGeometry
-	synth      *trace.SeriesSynth
-	utilBuf    []float64
-	cursorFree []*trace.UtilCursor
+	// src is the run's trace, addressed by row: everything the run reads
+	// about a VM it reads here or in the record the queue delivers.
+	src *rowSource
 
 	// sampleTime accumulates the sample passes' wall time when
 	// cfg.Timings is set.
@@ -155,22 +143,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg}
-	if cfg.Stream != nil {
-		// One Params pass builds the compact geometry every sizing and
-		// planning step below shares; it is released before the event
-		// loop starts (setupDeflation keeps only the arrival order).
-		e.geo = newStreamGeometry(cfg.Stream)
-	}
+	e := &Engine{cfg: cfg, src: newRowSource(cfg.Trace, cfg.Stream)}
 	base := cfg.BaselineServers
 	if base <= 0 {
+		// Sizing is the geometry's first need; the run reuses it.
 		var err error
-		if cfg.Stream != nil {
-			base, _, err = sizeFleet(streamEvents(cfg.Stream, e.geo), cfg.ServerCapacity)
-		} else {
-			base, err = BaselineServerCount(cfg.Trace, cfg.ServerCapacity)
-		}
-		if err != nil {
+		if base, _, err = sizeFleet(e.src, cfg.ServerCapacity); err != nil {
 			return nil, err
 		}
 	}
@@ -189,21 +167,31 @@ func (e *Engine) Run() (*Result, error) {
 	return e.runDeflation()
 }
 
-// loadP95 fetches the eager trace's P95 column for this run (streamed
-// runs have none). The column is derived once per trace and shared
-// read-only by every engine over it, so a trace whose VM list changed
-// after an earlier run no longer lines up with it; that is reported
-// here rather than as an index panic mid-run.
-func (e *Engine) loadP95() error {
-	tr := e.cfg.Trace
-	if tr == nil {
-		return nil
+// openQueue builds the run's event queue over the row source's arrival
+// order and sets the horizon, the trace's last departure. Arrivals stay
+// latent in the trace: a streamQueue delivers them from the
+// arrival-order column over a live-set calendar, so the ring holds what
+// is live, not N pre-pushed events. Departure events are scheduled when
+// (and only when) a VM is admitted, samples by the run loop. The heap
+// oracle (cfg.useHeapQueue) instead pushes every arrival up front into
+// one flat binary heap, for both adapters, which makes the queue
+// differential overlay + calendar against a single heap. Either way the
+// geometry is released: the queue owns what it needs of it.
+func (e *Engine) openQueue() eventQueue {
+	src := e.src
+	g := src.geometry()
+	src.geo = nil
+	e.horizon = g.maxEnd
+	if !e.cfg.useHeapQueue {
+		return newStreamQueue(src.rowAdapter, g.byStart, newCalendarQueue(liveSetHint, g.maxEnd))
 	}
-	e.p95 = tr.P95Column()
-	if len(e.p95) != len(tr.VMs) {
-		return fmt.Errorf("clustersim: trace has %d VMs but its P95 column was derived for %d: a trace is immutable once a run has read it", len(tr.VMs), len(e.p95))
+	q := &heapQueue{evs: make([]simEvent, 0, src.len())}
+	for row := range src.len() {
+		vm := src.record(row)
+		q.evs = append(q.evs, simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: row})
 	}
-	return nil
+	heap.Init(q)
+	return q
 }
 
 // setupDeflation builds the deflation-mode run state: the cluster
@@ -213,7 +201,7 @@ func (e *Engine) loadP95() error {
 // up and drive individual passes.
 func (e *Engine) setupDeflation() error {
 	cfg := e.cfg
-	if err := e.loadP95(); err != nil {
+	if err := e.src.open(); err != nil {
 		return err
 	}
 	mgrCfg := cluster.Config{
@@ -230,12 +218,7 @@ func (e *Engine) setupDeflation() error {
 		mgrCfg.Risk = &cluster.RiskConfig{HighPriority: cfg.Risk.HighPriority, MaxBands: cfg.Risk.Bands}
 	}
 	e.mgr = cluster.NewManager(mgrCfg)
-	var partitions []int
-	if cfg.Stream != nil {
-		partitions = partitionPlanStream(cfg, cfg.Stream, e.geo, e.nServers)
-	} else {
-		partitions = partitionPlan(cfg, e.p95, e.nServers)
-	}
+	pools := poolPlan(&cfg, e.src, e.nServers)
 
 	// Portfolio typing and the analytic hazard model. Both are pure
 	// functions of config and server count, so every engine over the
@@ -279,7 +262,7 @@ func (e *Engine) setupDeflation() error {
 			price = orOne(cfg.Portfolio[typeOf[i]].PriceFactor)
 		}
 		e.costRate[i] = price * capacity.Get(resources.CPU)
-		spec := cluster.ServerSpec{Name: e.serverNames[i], Capacity: capacity, Partition: partitions[i]}
+		spec := cluster.ServerSpec{Name: e.serverNames[i], Capacity: capacity, Partition: pools[i]}
 		if model != nil {
 			spec.Band = model.Band(i, bands)
 			if f := model.OutageFraction(i) * headroom; f > 0 {
@@ -296,32 +279,10 @@ func (e *Engine) setupDeflation() error {
 		e.sloHist = make([]uint64, sloHistBuckets)
 		e.sloViolByLevel = make([]uint64, cfg.PriorityLevels)
 	}
-	// Arrivals stay latent in the trace for both intakes: the queue
-	// holds departures, samples and shocks for the currently running VMs
-	// only (the heap oracle is the exception — see newArrivalQueue).
-	var rows int
-	if cfg.Stream != nil {
-		var inner eventQueue
-		if cfg.useHeapQueue {
-			inner = &heapQueue{}
-		} else {
-			inner = newCalendarQueue(liveSetHint, e.geo.maxEnd)
-		}
-		e.queue = newStreamQueue(cfg.Stream, nil, e.geo.byStart, inner)
-		e.horizon = e.geo.maxEnd
-		e.synth = trace.NewSeriesSynth()
-		rows = cfg.Stream.Len()
-		// Release the geometry: the queue owns byStart, and the other
-		// four columns (~32 bytes/VM) are dead weight through the run.
-		e.geo = nil
-	} else {
-		e.queue = newArrivalQueue(cfg.Trace, cfg.useHeapQueue)
-		e.horizon = cfg.Trace.Duration()
-		rows = len(cfg.Trace.VMs)
-	}
+	e.queue = e.openQueue()
 	// 4 bytes per trace row, allocated only now that the geometry is
 	// gone.
-	e.slotOf = make([]int32, rows)
+	e.slotOf = make([]int32, e.src.len())
 	for i := range e.slotOf {
 		e.slotOf[i] = slotNone
 	}
@@ -617,8 +578,10 @@ func (e *Engine) finishSLO() {
 // Config.Shocks list when given, otherwise a schedule generated for
 // this run's own server count from Config.ShockConfig. Shocks
 // addressing servers beyond the provisioned count are dropped, so one
-// schedule replays against any cluster size.
+// schedule replays against any cluster size. Every kind is known:
+// applyDefaults rejects an explicit entry of any other.
 func (e *Engine) pushShocks(q eventQueue) {
+	kindOf := [...]eventKind{trace.ShockRevoke: evRevoke, trace.ShockRestore: evRestore, trace.ShockResize: evResize}
 	shocks := e.cfg.Shocks
 	if shocks == nil && e.cfg.ShockConfig != nil {
 		sc := *e.cfg.ShockConfig
@@ -635,44 +598,19 @@ func (e *Engine) pushShocks(q eventQueue) {
 		if sh.Server < 0 || sh.Server >= e.nServers {
 			continue
 		}
-		var kind eventKind
-		switch sh.Kind {
-		case trace.ShockRevoke:
-			kind = evRevoke
-		case trace.ShockRestore:
-			kind = evRestore
-		case trace.ShockResize:
-			kind = evResize
-		default:
-			continue
-		}
-		q.push(simEvent{at: sh.At, kind: kind, shock: sh, seq: i})
+		q.push(simEvent{at: sh.At, kind: kindOf[sh.Kind], shock: sh, seq: i})
 	}
 }
 
 // remainingDemand integrates a VM's CPU demand (core-seconds) from
-// time t to its natural end: the demand a kill destroys. Shared by the
-// preemption baseline and the deflation engine's shock kills so both
-// charge a destroyed VM identically.
-func remainingDemand(rec *trace.VMRecord, t float64) float64 {
+// time t to its natural end: the demand a kill destroys, read like every
+// other utilisation sample (vmUtil). Shared by the preemption baseline
+// and the deflation engine's shock kills so both charge a destroyed VM
+// identically, whichever adapter the run reads.
+func remainingDemand(rec *trace.VMRecord, cur *trace.UtilCursor, t float64) float64 {
 	var d float64
 	for ts := t; ts < rec.End; ts += trace.SampleInterval {
-		d += rec.UtilAt(ts) / 100 * float64(rec.Cores) * trace.SampleInterval
-	}
-	return d
-}
-
-// remainingDemandOf is remainingDemand for a tracked VM, reading
-// utilisation through the streamed cursor when one is bound. The cursor
-// produces the same sample bits as the materialised series, so both
-// forms charge a killed VM identically.
-func (e *Engine) remainingDemandOf(vt *vmTracking, t float64) float64 {
-	if vt.cur == nil {
-		return remainingDemand(&vt.rec, t)
-	}
-	var d float64
-	for ts := t; ts < vt.rec.End; ts += trace.SampleInterval {
-		d += vt.cur.At(ts) / 100 * float64(vt.rec.Cores) * trace.SampleInterval
+		d += vmUtil(rec, cur, ts) / 100 * float64(rec.Cores) * trace.SampleInterval
 	}
 	return d
 }
@@ -700,7 +638,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 			e.res.ShockKills++
 			if slot >= 0 {
 				vt := &e.tbl[slot]
-				rem := e.remainingDemandOf(vt, at)
+				rem := remainingDemand(&vt.rec, vt.cur, at)
 				vt.demand += rem
 				vt.lost += rem
 				e.closeVM(slot, at)
@@ -777,7 +715,7 @@ func (e *Engine) closeVM(slot int32, at float64) {
 	e.demandTotal += vt.demand
 	e.lostTotal += vt.lost
 	if vt.cur != nil {
-		e.cursorFree = append(e.cursorFree, vt.cur)
+		e.src.release(vt.cur)
 		vt.cur = nil
 	}
 }
@@ -790,7 +728,6 @@ func (e *Engine) closeVM(slot int32, at float64) {
 // later VM of the same batch deflated it.
 func (e *Engine) handleArrivals(evs []simEvent) {
 	cfg := &e.cfg
-	streamed := cfg.Stream != nil
 	dcs := e.dcBuf[:0]
 	prios := e.prioBuf[:0]
 	for _, ev := range evs {
@@ -803,34 +740,16 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 			Deflatable: deflatable,
 			Tag:        int32(ev.seq), // the trace row, back in evacuation outcomes
 		}
-		switch {
-		case streamed && deflatable:
-			// The record carries no materialised series; synthesize it
-			// once into the reusable buffer for the P95 the priority
-			// quantises, reading the admission-instant load off sample 0
-			// (ev.at is exactly vm.Start). Same bits as the eager reads.
-			p := cfg.Stream.Params(ev.seq)
-			e.utilBuf = e.synth.Append(p, e.utilBuf[:0])
-			prio = policy.PriorityFromP95(stats.Percentile(e.utilBuf, 95), cfg.PriorityLevels)
+		// An on-demand VM's priority stays 0: nothing reads a
+		// P95-derived priority for it (no meters, no SLO samples).
+		if deflatable {
+			p95, atStart := e.src.util(ev.seq)
+			prio = policy.PriorityFromP95(p95, cfg.PriorityLevels)
 			dc.Priority = prio
 			if cfg.SLO != nil {
-				dc.Load = e.utilBuf[0] / 100 * float64(vm.Cores)
-			}
-		case streamed:
-			// On-demand VM: priority is forced to 0 below either way, and
-			// nothing downstream reads an on-demand VM's p95-derived prio
-			// (no meters, no SLO samples), so skip the synthesis.
-		default:
-			// ev.seq is the VM's trace row on eager runs.
-			prio = policy.PriorityFromP95(e.p95[ev.seq], cfg.PriorityLevels)
-			dc.Priority = prio
-			if !deflatable {
-				dc.Priority = 0
-			}
-			if deflatable && cfg.SLO != nil {
 				// Seed the admission-time offered load so the VM's own
 				// admission pass (and any deflation it triggers) sees it.
-				dc.Load = vm.UtilAt(ev.at) / 100 * float64(vm.Cores)
+				dc.Load = atStart / 100 * float64(vm.Cores)
 			}
 		}
 		dcs = append(dcs, dc)
@@ -861,18 +780,8 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 			continue
 		}
 		e.res.DeflatableAdmitted++
-		vt := vmTracking{rec: *vm, size: dcs[i].Size, domain: pl.Domain, admitT: ev.at, prio: prios[i], row: int32(ev.seq)}
-		if streamed {
-			// Bind a utilisation cursor for the VM's lifetime, recycled
-			// through the free list so steady-state churn allocates
-			// nothing.
-			if n := len(e.cursorFree); n > 0 {
-				vt.cur, e.cursorFree = e.cursorFree[n-1], e.cursorFree[:n-1]
-			} else {
-				vt.cur = trace.NewUtilCursor()
-			}
-			vt.cur.Reset(cfg.Stream.Params(ev.seq))
-		}
+		vt := vmTracking{rec: *vm, size: dcs[i].Size, domain: pl.Domain, cur: e.src.cursor(ev.seq),
+			admitT: ev.at, prio: prios[i], row: int32(ev.seq)}
 		meters := e.metersOf(e.addRow(vt))
 		for j, s := range cfg.PricingSchemes {
 			meters[j].Observe(ev.at/3600, s.Rate(dcs[i].Size, prios[i], pl.Initial))
@@ -890,7 +799,7 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 // load to the domain for the latency-aware policy's next pass.
 func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 	cfg := &e.cfg
-	util := vmUtil(vt, at)
+	util := vmUtil(&vt.rec, vt.cur, at)
 	size, alloc := vt.size, vt.domain.Allocation()
 	maxCores := size.Get(resources.CPU)
 	allocCores := alloc.Get(resources.CPU)
@@ -921,17 +830,16 @@ func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 	}
 }
 
-// vmUtil reads a tracked VM's utilisation at time t: through the
-// streamed cursor when one is bound (samples advance monotonically, so
-// the cursor's forward reads are O(1) amortised), else from the row's
-// copy of the materialised series header. The two produce identical
-// bits — the cursor replays the same generator from the same per-VM
-// seed.
-func vmUtil(vt *vmTracking, at float64) float64 {
-	if vt.cur != nil {
-		return vt.cur.At(at)
+// vmUtil reads a VM's utilisation at time t: through the streamed
+// cursor when one is bound (samples advance monotonically, so the
+// cursor's forward reads are O(1) amortised), else from the record's
+// materialised series. The two produce identical bits — the cursor
+// replays the same generator from the same per-VM seed.
+func vmUtil(rec *trace.VMRecord, cur *trace.UtilCursor, at float64) float64 {
+	if cur != nil {
+		return cur.At(at)
 	}
-	return vt.rec.UtilAt(at)
+	return rec.UtilAt(at)
 }
 
 // finishVM settles a departing (or shock-killed) deflatable VM's

@@ -1,9 +1,7 @@
 package clustersim
 
 import (
-	"cmp"
 	"container/heap"
-	"slices"
 
 	"vmdeflate/internal/trace"
 )
@@ -91,7 +89,7 @@ func eventLess(a, b simEvent) bool {
 // exist — heapQueue (container/heap, the original and the property-test
 // reference) and calendarQueue (O(1) amortized, the default) — plus
 // streamQueue, which overlays the trace's latent arrivals on a live-set
-// queue for both intakes. Unlike the pre-queue approach —
+// queue for both adapters. Unlike the pre-queue approach —
 // materialise 2N events in one slice and sort it per run — all of them
 // admit lazily scheduled events (departures are only scheduled for VMs
 // that were actually admitted, samples reschedule themselves), so a
@@ -144,81 +142,101 @@ func (q *heapQueue) peek() simEvent { return q.evs[0] }
 
 func (q *heapQueue) empty() bool { return len(q.evs) == 0 }
 
-// newArrivalQueue is the eager trace's event queue. Arrivals stay
-// latent in the trace — a streamQueue over the arrival order and a
-// live-set calendar, the same intake a streamed run uses — so the ring
-// holds what is live, not N pre-pushed events. Departure events are
-// scheduled by the engine when (and only when) a VM is admitted, and
-// the first sample event is scheduled by the run loop. useHeap selects
-// the reference instead: every arrival pushed up front into one flat
-// binary heap, which makes the queue differential overlay + calendar
-// against a single heap.
-func newArrivalQueue(tr *trace.AzureTrace, useHeap bool) eventQueue {
-	if useHeap {
-		q := &heapQueue{evs: make([]simEvent, 0, len(tr.VMs))}
-		for i, vm := range tr.VMs {
-			q.evs = append(q.evs, simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: i})
+// streamChunkShift sizes the arrival-order chunks: 1<<20 arrivals
+// (4 MB of int32) per chunk, released as soon as the scan moves past
+// them, so the retained arrival column shrinks toward zero as the run
+// progresses instead of pinning 4 bytes per trace VM to the end.
+const streamChunkShift = 20
+
+// liveSetHint is the calendar size hint of a live-set queue. It holds
+// departures, samples and shocks for the currently running VMs only, so
+// a modest ring is right whatever the trace length — it resizes itself
+// as the population moves.
+const liveSetHint = 1024
+
+// streamQueue is the one arrival intake: arrivals stay latent in the
+// trace and are delivered from a pre-sorted arrival-order column (rows
+// by (Start, row) — eventLess restricted to arrivals), one record at a
+// time as the simulation reaches them, while departures, samples and
+// shocks live in a conventional inner queue sized to the live set. The
+// arrival order is held in chunks whose consumed prefix is freed
+// incrementally, so peak queue memory is the unconsumed arrival suffix
+// plus O(live events) — never the N-deep event set a pre-pushed seed
+// would build.
+type streamQueue struct {
+	src    rowAdapter // resolves a row to the record delivered
+	chunks [][]int32  // arrival order; consumed chunks are nilled
+	next   int        // next undelivered absolute position
+	total  int
+	headOK bool
+	head   simEvent // the next arrival, record resolved
+	inner  eventQueue
+}
+
+// newStreamQueue copies byStart (the arrival order column) into
+// releasable chunks; the caller's slice can then be dropped.
+func newStreamQueue(src rowAdapter, byStart []int32, inner eventQueue) *streamQueue {
+	q := &streamQueue{src: src, total: len(byStart), inner: inner}
+	const chunk = 1 << streamChunkShift
+	for off := 0; off < len(byStart); off += chunk {
+		end := off + chunk
+		if end > len(byStart) {
+			end = len(byStart)
 		}
-		heap.Init(q)
-		return q
+		c := make([]int32, end-off)
+		copy(c, byStart[off:end])
+		q.chunks = append(q.chunks, c)
 	}
-	return newStreamQueue(nil, tr.VMs, arrivalOrder(tr), newCalendarQueue(liveSetHint, tr.Duration()))
+	return q
 }
 
-// arrivalOrder returns the trace's rows sorted by (Start, row): the
-// order eventLess gives arrivals. It is built per run, not cached on the
-// trace — the queue chunks and releases it as the run consumes it.
-func arrivalOrder(tr *trace.AzureTrace) []int32 {
-	order := make([]int32, len(tr.VMs))
-	for i := range order {
-		order[i] = int32(i)
+// ensureHead resolves the next pending arrival, if any, releasing each
+// arrival-order chunk as the scan leaves it.
+func (q *streamQueue) ensureHead() {
+	if q.headOK || q.next >= q.total {
+		return
 	}
-	// The row makes the order total, so the unstable sort is
-	// deterministic.
-	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(tr.VMs[a].Start, tr.VMs[b].Start), cmp.Compare(a, b))
-	})
-	return order
+	const mask = 1<<streamChunkShift - 1
+	c := q.next >> streamChunkShift
+	idx := q.chunks[c][q.next&mask]
+	q.next++
+	if q.next&mask == 0 || q.next >= q.total {
+		q.chunks[c] = nil
+	}
+	vm := q.src.record(int(idx))
+	q.head = simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: int(idx)}
+	q.headOK = true
 }
 
-// event is a flattened arrival/departure pair: idx is the VM's row in
-// tr.VMs. Fleet sizing and the partition planner walk the whole trace
-// in order and therefore want one sorted slice rather than a consumable
-// queue.
-type event struct {
-	at      float64
-	arrival bool
-	idx     int32
+func (q *streamQueue) empty() bool {
+	return !q.headOK && q.next >= q.total && q.inner.empty()
 }
 
-// buildEvents materialises and sorts the full arrival/departure
-// sequence of an eager trace in (time, departures-first, trace index)
-// order. Simulation runs use an eventQueue instead; streamed traces use
-// streamGeometry's merge walk, which replays this exact order without
-// materialising the event slice.
-func buildEvents(tr *trace.AzureTrace) []event {
-	evs := make([]event, 0, 2*len(tr.VMs))
-	for i, vm := range tr.VMs {
-		evs = append(evs, event{at: vm.Start, arrival: true, idx: int32(i)})
-		evs = append(evs, event{at: vm.End, arrival: false, idx: int32(i)})
+func (q *streamQueue) push(e simEvent) {
+	// The engine never schedules arrivals — they exist only in the
+	// trace — so everything pushed belongs to the live-set queue.
+	q.inner.push(e)
+}
+
+func (q *streamQueue) peek() simEvent {
+	q.ensureHead()
+	if !q.headOK {
+		return q.inner.peek()
 	}
-	// The trace index makes the order total, so the unstable sort is
-	// deterministic.
-	slices.SortFunc(evs, func(a, b event) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		// Departures before arrivals at the same instant free capacity
-		// for the newcomers.
-		case !a.arrival && b.arrival:
-			return -1
-		case a.arrival && !b.arrival:
-			return 1
-		default:
-			return int(a.idx) - int(b.idx)
-		}
-	})
-	return evs
+	if q.inner.empty() || eventLess(q.head, q.inner.peek()) {
+		return q.head
+	}
+	return q.inner.peek()
+}
+
+func (q *streamQueue) pop() simEvent {
+	q.ensureHead()
+	if !q.headOK {
+		return q.inner.pop()
+	}
+	if q.inner.empty() || eventLess(q.head, q.inner.peek()) {
+		q.headOK = false
+		return q.head
+	}
+	return q.inner.pop()
 }

@@ -129,7 +129,14 @@ func TestEventQueueOrdering(t *testing.T) {
 	}
 }
 
-func TestNewArrivalQueue(t *testing.T) {
+// arrivalQueue is the event queue a run over tr opens: the latent
+// arrival overlay, or with useHeap the flat heap oracle.
+func arrivalQueue(tr *trace.AzureTrace, useHeap bool) eventQueue {
+	e := &Engine{cfg: Config{useHeapQueue: useHeap}, src: newRowSource(tr, nil)}
+	return e.openQueue()
+}
+
+func TestArrivalQueue(t *testing.T) {
 	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
 		{ID: "late", Start: 500, End: 600},
 		{ID: "tied-b", Start: 100, End: 300},
@@ -137,7 +144,7 @@ func TestNewArrivalQueue(t *testing.T) {
 		{ID: "early", Start: 0, End: 200},
 	}}
 	for _, useHeap := range []bool{false, true} {
-		got := popAll(newArrivalQueue(tr, useHeap))
+		got := popAll(arrivalQueue(tr, useHeap))
 		wantIDs := []string{"early", "tied-b", "tied-c", "late"}
 		if len(got) != len(wantIDs) {
 			t.Fatalf("useHeap=%v: events = %d, want %d", useHeap, len(got), len(wantIDs))
@@ -160,9 +167,9 @@ func TestNewArrivalQueue(t *testing.T) {
 
 // TestEngineMatchesLegacySliceReplay replays a trace through the heap
 // engine and through a reference slice-based loop (the pre-refactor
-// algorithm, reconstructed from buildEvents) and requires identical
-// admission bookkeeping — the engine refactor must not change what the
-// simulator computes.
+// algorithm, reconstructed from the stable event sort) and requires
+// identical admission bookkeeping — the engine refactor must not change
+// what the simulator computes.
 func TestEngineMatchesLegacySliceReplay(t *testing.T) {
 	tr := testTrace(250)
 	got, err := Run(Config{Trace: tr, Overcommit: 0.4})
@@ -172,9 +179,9 @@ func TestEngineMatchesLegacySliceReplay(t *testing.T) {
 	// The legacy loop's observable ordering: all events sorted by
 	// (time, departures-first), samples drained before each event.
 	// The heap delivers exactly that order, so bookkeeping totals
-	// must line up with a straight recount from buildEvents.
+	// must line up with a straight recount from the stable sort.
 	arrivals := 0
-	for _, e := range buildEvents(tr) {
+	for _, e := range referenceEvents(tr) {
 		if e.arrival {
 			arrivals++
 		}
@@ -219,7 +226,7 @@ func TestArrivalOverlayMatchesHeap(t *testing.T) {
 			}
 			return out
 		}
-		got, want := drive(newArrivalQueue(tr, false)), drive(newArrivalQueue(tr, true))
+		got, want := drive(arrivalQueue(tr, false)), drive(arrivalQueue(tr, true))
 		if len(got) != 2*n+1 || len(want) != 2*n+1 {
 			t.Fatalf("trial %d: delivered %d / %d events, want %d", trial, len(got), len(want), 2*n+1)
 		}
@@ -284,7 +291,7 @@ func TestLiveSetQueuePeak(t *testing.T) {
 	// Peak concurrency of the trace bounds the departures pending at any
 	// instant (a shock-killed VM's stale departure included).
 	live, peakLive := 0, 0
-	for _, ev := range buildEvents(tr) {
+	for _, ev := range referenceEvents(tr) {
 		if !ev.arrival {
 			live--
 		} else if live++; live > peakLive {

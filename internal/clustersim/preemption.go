@@ -42,7 +42,7 @@ type pVM struct {
 // and every float fold over them is ordered by simulation state.
 func (e *Engine) runPreemption() (*Result, error) {
 	cfg := e.cfg
-	if err := e.loadP95(); err != nil {
+	if err := e.src.open(); err != nil {
 		return nil, err
 	}
 	free := make([]resources.Vector, e.nServers)
@@ -106,7 +106,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			}
 			leave(v)
 			res.Preemptions++
-			lostTotal += remainingDemand(v.rec, now)
+			lostTotal += remainingDemand(v.rec, nil, now)
 		}
 		return need.FitsIn(free[server])
 	}
@@ -120,7 +120,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 		leave(vm)
 		res.ShockKills++
 		if vm.lowPri {
-			lostTotal += remainingDemand(vm.rec, now)
+			lostTotal += remainingDemand(vm.rec, nil, now)
 		}
 	}
 
@@ -149,8 +149,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 		return best
 	}
 
-	queue := newArrivalQueue(cfg.Trace, cfg.useHeapQueue)
-	e.horizon = cfg.Trace.Duration() // pushShocks defaults a generated schedule to it
+	queue := e.openQueue() // and the horizon, which pushShocks defaults a generated schedule to
 	e.pushShocks(queue)
 	for !queue.empty() {
 		ev := queue.pop()
@@ -206,15 +205,16 @@ func (e *Engine) runPreemption() (*Result, error) {
 			continue
 		}
 		res.Arrivals++
+		p95, _ := e.src.util(ev.seq)
 		vm := &pVM{
 			rec:    ev.vm,
 			size:   vmSize(ev.vm),
 			lowPri: ev.vm.Class == trace.Interactive,
-			prio:   policy.PriorityFromP95(e.p95[ev.seq], cfg.PriorityLevels),
+			prio:   policy.PriorityFromP95(p95, cfg.PriorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.
-			demandTotal += remainingDemand(ev.vm, ev.vm.Start)
+			demandTotal += remainingDemand(ev.vm, nil, ev.vm.Start)
 		}
 		admit := func() {
 			running[ev.vm.ID] = vm

@@ -8,46 +8,6 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// eventSource is what sizing needs from a trace, eager or streamed: the
-// row count, a walk over arrivals and departures in (time,
-// departures-first, trace index) order giving each VM's trace row and
-// full-allocation size, and a VM's ID for error text.
-type eventSource struct {
-	numVMs int
-	walk   func(fn func(idx int32, arrival bool, size resources.Vector) bool)
-	vmID   func(idx int32) string
-}
-
-func eagerEvents(tr *trace.AzureTrace) eventSource {
-	evs := buildEvents(tr)
-	return eventSource{
-		numVMs: len(tr.VMs),
-		walk: func(fn func(int32, bool, resources.Vector) bool) {
-			for _, e := range evs {
-				if !fn(e.idx, e.arrival, vmSize(tr.VMs[e.idx])) {
-					return
-				}
-			}
-		},
-		vmID: func(idx int32) string { return tr.VMs[idx].ID },
-	}
-}
-
-// streamEvents regenerates each VM's parameters as the geometry's merge
-// walk reaches it, so nothing per-VM is materialised.
-func streamEvents(s *trace.Stream, g *streamGeometry) eventSource {
-	return eventSource{
-		numVMs: s.Len(),
-		walk: func(fn func(int32, bool, resources.Vector) bool) {
-			g.forEachEvent(func(idx int32, arrival bool) bool {
-				p := s.Params(int(idx))
-				return fn(idx, arrival, resources.CPUMem(float64(p.Cores), p.MemoryMB))
-			})
-		},
-		vmID: func(idx int32) string { return s.Params(int(idx)).ID() },
-	}
-}
-
 // BaselineServerCount returns the paper's "minimum cluster size capable
 // of running all VMs without any preemptions or admission-controlled
 // rejections": the smallest fleet, at or above the peak-aggregate-demand
@@ -55,14 +15,14 @@ func streamEvents(s *trace.Stream, g *streamGeometry) eventSource {
 // trace admits every VM (fragmentation can push the answer above the
 // aggregate bound). It fails if any single VM exceeds a server.
 func BaselineServerCount(tr *trace.AzureTrace, serverCap resources.Vector) (int, error) {
-	n, _, err := sizeFleet(eagerEvents(tr), serverCap)
+	n, _, err := sizeFleet(newRowSource(tr, nil), serverCap)
 	return n, err
 }
 
 // BaselineServerCountStream is BaselineServerCount for a streamed
 // trace: same event order, same result, without materialising it.
 func BaselineServerCountStream(s *trace.Stream, serverCap resources.Vector) (int, error) {
-	n, _, err := sizeFleet(streamEvents(s, newStreamGeometry(s)), serverCap)
+	n, _, err := sizeFleet(newRowSource(nil, s), serverCap)
 	return n, err
 }
 
@@ -73,27 +33,28 @@ func BaselineServerCountStream(s *trace.Stream, serverCap resources.Vector) (int
 // by the servers fragmentation costs. The scale benchmarks pin this
 // bound as their baseline.
 func PeakServerLowerBound(tr *trace.AzureTrace, serverCap resources.Vector) (int, error) {
-	return peakLowerBound(eagerEvents(tr), serverCap)
+	return peakLowerBound(newRowSource(tr, nil), serverCap)
 }
 
 // PeakServerLowerBoundStream is PeakServerLowerBound for a streamed
 // trace: identical accumulation order, identical result, O(N) compact
-// memory instead of the materialised trace plus its event slice.
+// memory instead of the materialised trace.
 func PeakServerLowerBoundStream(s *trace.Stream, serverCap resources.Vector) (int, error) {
-	return peakLowerBound(streamEvents(s, newStreamGeometry(s)), serverCap)
+	return peakLowerBound(newRowSource(nil, s), serverCap)
 }
 
-func peakLowerBound(src eventSource, serverCap resources.Vector) (int, error) {
+func peakLowerBound(src *rowSource, serverCap resources.Vector) (int, error) {
 	var cur, peak resources.Vector
 	var err error
-	src.walk(func(idx int32, arrival bool, size resources.Vector) bool {
+	src.geometry().walk(func(row int32, arrival bool) bool {
+		size := src.size(int(row))
 		if !arrival {
 			cur = cur.Sub(size)
 			return true
 		}
 		if !size.FitsIn(serverCap) {
 			err = fmt.Errorf("clustersim: VM %s (%v) exceeds server capacity %v",
-				src.vmID(idx), size, serverCap)
+				src.id(int(row)), size, serverCap)
 			return false
 		}
 		cur = cur.Add(size)
@@ -120,7 +81,7 @@ func peakLowerBound(src eventSource, serverCap resources.Vector) (int, error) {
 // bound, but not without limit; 4x is a generous safety margin that
 // turns a logic error into a diagnosable failure. scans is the number
 // of tightestFit calls made, a hardware-independent work count.
-func sizeFleet(src eventSource, serverCap resources.Vector) (n, scans int, err error) {
+func sizeFleet(src *rowSource, serverCap resources.Vector) (n, scans int, err error) {
 	lb, err := peakLowerBound(src, serverCap)
 	if err != nil {
 		return 0, 0, err
@@ -143,40 +104,43 @@ func sizeFleet(src eventSource, serverCap resources.Vector) (n, scans int, err e
 // tightestFit's strict "<" on ties. The replay on n+1 servers therefore
 // equals the replay on n servers up to n's first miss and puts that
 // arrival on server n — exactly the state appending produces — and by
-// induction the final count is the smallest n with no miss. (The
-// premise free <= serverCap is exact for integral sizes; for fractional
-// ones departures may leave it an ulp high, which the differential test
-// against the per-candidate search covers.)
+// induction the final count is the smallest n with no miss. The premise
+// free <= serverCap is kept exact by clamping at each departure: with
+// fractional sizes, round-off can leave a server that has emptied an ulp
+// above capacity, a replay on more servers then prefers a truly empty
+// one, and the two replays part (FuzzSizeFleet's ulp-high-empty-server
+// seed is such a trace).
 //
 // where is the placement column, indexed by trace row, so duplicate VM
 // IDs in an imported trace cannot alias one another.
-func packFleet(src eventSource, start, limit int, serverCap resources.Vector) (n, scans int, err error) {
+func packFleet(src *rowSource, start, limit int, serverCap resources.Vector) (n, scans int, err error) {
 	free := make([]resources.Vector, start)
 	for i := range free {
 		free[i] = serverCap
 	}
-	where := make([]int32, src.numVMs)
+	where := make([]int32, src.len())
 	for i := range where {
 		where[i] = -1
 	}
-	src.walk(func(idx int32, arrival bool, size resources.Vector) bool {
+	src.geometry().walk(func(row int32, arrival bool) bool {
 		if !arrival {
 			// A zero-lifetime VM departs before it arrives and then
 			// stays: there is nothing to free yet.
-			if sv := where[idx]; sv >= 0 {
-				free[sv] = free[sv].Add(size)
-				where[idx] = -1
+			if sv := where[row]; sv >= 0 {
+				free[sv] = free[sv].Add(src.size(int(row))).Min(serverCap)
+				where[row] = -1
 			}
 			return true
 		}
 		scans++
+		size := src.size(int(row))
 		best := tightestFit(free, size, serverCap)
 		if best < 0 {
 			best = len(free)
 			free = append(free, serverCap)
 		}
 		free[best] = free[best].Sub(size)
-		where[idx] = int32(best)
+		where[row] = int32(best)
 		return len(free) <= limit
 	})
 	if len(free) > limit {

@@ -12,9 +12,11 @@ import (
 )
 
 // The reference for fleet sizing: the per-candidate search the
-// single-pass packFleet replaced, kept here verbatim — its own stable
-// event sort, its name-keyed placement map, one whole-trace replay per
-// candidate server count.
+// single-pass packFleet replaced — its own stable event sort, its own
+// placement map, one whole-trace replay per candidate server count. Two
+// things changed since it was the production path: the map is keyed by
+// record, so repeated IDs cannot alias, and a departure clamps free
+// capacity as packFleet does.
 
 type referenceEvent struct {
 	at      float64
@@ -50,13 +52,16 @@ func fullAllocationFeasible(evs []referenceEvent, n int, serverCap resources.Vec
 	for i := range free {
 		free[i] = serverCap
 	}
-	where := make(map[string]int, len(evs)/2)
+	// Keyed by record, not ID, so repeated IDs cannot alias.
+	where := make(map[*trace.VMRecord]int, len(evs)/2)
 	for _, e := range evs {
 		size := vmSize(e.vm)
 		if !e.arrival {
-			if s, ok := where[e.vm.ID]; ok {
-				free[s] = free[s].Add(size)
-				delete(where, e.vm.ID)
+			if s, ok := where[e.vm]; ok {
+				// Clamped like packFleet's replay: no server frees more than
+				// its capacity, whatever the round-off.
+				free[s] = free[s].Add(size).Min(serverCap)
+				delete(where, e.vm)
 			}
 			continue
 		}
@@ -65,27 +70,31 @@ func fullAllocationFeasible(evs []referenceEvent, n int, serverCap resources.Vec
 			return false
 		}
 		free[best] = free[best].Sub(size)
-		where[e.vm.ID] = best
+		where[e.vm] = best
 	}
 	return true
 }
 
 // referenceServerCount is the candidate search; it also reports how
-// many candidates it replayed.
-func referenceServerCount(t *testing.T, tr *trace.AzureTrace, serverCap resources.Vector) (n, candidates int) {
-	t.Helper()
+// many candidates it replayed. Like sizeFleet it fails on a VM larger
+// than a server and when no candidate up to 4x the peak bound packs.
+func referenceServerCount(tr *trace.AzureTrace, serverCap resources.Vector) (n, candidates int, err error) {
+	for _, vm := range tr.VMs {
+		if !vmSize(vm).FitsIn(serverCap) {
+			return 0, 0, fmt.Errorf("reference search: VM %s exceeds a server", vm.ID)
+		}
+	}
 	lb, err := PeakServerLowerBound(tr, serverCap)
 	if err != nil {
-		t.Fatal(err)
+		return 0, 0, err
 	}
 	evs := referenceEvents(tr)
 	for n := lb; n <= 4*lb+4; n++ {
 		if fullAllocationFeasible(evs, n, serverCap) {
-			return n, n - lb + 1
+			return n, n - lb + 1, nil
 		}
 	}
-	t.Fatalf("reference search: no feasible packing within %d servers", 4*lb+4)
-	return 0, 0
+	return 0, 0, fmt.Errorf("reference search: no feasible packing within %d servers", 4*lb+4)
 }
 
 func TestSizingOnePassMatchesCandidateSearch(t *testing.T) {
@@ -105,7 +114,10 @@ func TestSizingOnePassMatchesCandidateSearch(t *testing.T) {
 						t.Fatal(err)
 					}
 					tr := s.Materialize()
-					want, candidates := referenceServerCount(t, tr, capacity)
+					want, candidates, err := referenceServerCount(tr, capacity)
+					if err != nil {
+						t.Fatal(err)
+					}
 					grew += candidates - 1
 					eager, err := BaselineServerCount(tr, capacity)
 					if err != nil {
@@ -149,7 +161,10 @@ func TestSizingOnePassMatchesCandidateSearchFractionalMemory(t *testing.T) {
 	grew := 0
 	for seed := int64(1); seed <= 40; seed++ {
 		tr := fractionalTrace(seed, 1500)
-		want, candidates := referenceServerCount(t, tr, capacity)
+		want, candidates, err := referenceServerCount(tr, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
 		grew += candidates - 1
 		got, err := BaselineServerCount(tr, capacity)
 		if err != nil {
@@ -164,21 +179,43 @@ func TestSizingOnePassMatchesCandidateSearchFractionalMemory(t *testing.T) {
 	}
 }
 
-// TestBuildEventsMatchesStableSort pins buildEvents' (time,
-// departures-first, trace index) total order to the stable sort it
-// replaced, on traces dense with time ties and zero-lifetime VMs.
-func TestBuildEventsMatchesStableSort(t *testing.T) {
+// walkOrder lists a geometry walk's events as (record, arrival) pairs
+// in the shape referenceEvents produces.
+func walkOrder(src *rowSource, vms []*trace.VMRecord) []referenceEvent {
+	var out []referenceEvent
+	src.geometry().walk(func(row int32, arrival bool) bool {
+		vm := vms[row]
+		at := vm.End
+		if arrival {
+			at = vm.Start
+		}
+		out = append(out, referenceEvent{at: at, arrival: arrival, vm: vm})
+		return true
+	})
+	return out
+}
+
+// TestGeometryWalkMatchesStableSort pins the geometry walk's (time,
+// departures-first, trace row) total order to the stable sort it
+// replaced, on traces dense with time ties and zero-lifetime VMs, and on
+// the streamed adapter of every scenario.
+func TestGeometryWalkMatchesStableSort(t *testing.T) {
+	check := func(name string, src *rowSource, tr *trace.AzureTrace) {
+		t.Helper()
+		if got, want := walkOrder(src, tr.VMs), referenceEvents(tr); !slices.Equal(got, want) {
+			t.Fatalf("%s: walk delivered %d events in another order than the %d the stable sort gives", name, len(got), len(want))
+		}
+	}
 	for seed := int64(1); seed <= 5; seed++ {
 		tr := fractionalTrace(seed, 800)
-		got, want := buildEvents(tr), referenceEvents(tr)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d events, want %d", seed, len(got), len(want))
+		check(fmt.Sprintf("fractional seed %d", seed), newRowSource(tr, nil), tr)
+	}
+	for _, kind := range trace.Scenarios() {
+		s, err := trace.NewStream(trace.ScenarioConfig{Kind: kind, NumVMs: 600, Duration: 86400, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i].at != want[i].at || got[i].arrival != want[i].arrival || tr.VMs[got[i].idx] != want[i].vm {
-				t.Fatalf("seed %d: event %d = %+v, want %+v", seed, i, got[i], want[i])
-			}
-		}
+		check(string(kind)+" streamed", newRowSource(nil, s), s.Materialize())
 	}
 }
 
@@ -225,15 +262,10 @@ func TestSizingWorkCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]eventSource{
-		"eager":    eagerEvents(tr),
-		"streamed": streamEvents(s, newStreamGeometry(s)),
+	for name, src := range map[string]*rowSource{
+		"eager":    newRowSource(tr, nil),
+		"streamed": newRowSource(nil, s),
 	} {
-		walks, walk := 0, src.walk
-		src.walk = func(fn func(int32, bool, resources.Vector) bool) {
-			walks++
-			walk(fn)
-		}
 		n, scans, err := sizeFleet(src, capacity)
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +273,7 @@ func TestSizingWorkCounters(t *testing.T) {
 		if n <= lb {
 			t.Fatalf("%s: test premise broken: sized to %d, peak bound %d, so a candidate search would also replay once", name, n, lb)
 		}
-		if walks != 2 || scans != len(tr.VMs) {
+		if walks := src.geo.walks; walks != 2 || scans != len(tr.VMs) {
 			t.Errorf("%s: %d trace walks and %d scans, want 2 and %d", name, walks, scans, len(tr.VMs))
 		}
 	}
@@ -270,11 +302,11 @@ func TestSizingEdgeCases(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			tr.VMs = append(tr.VMs, &trace.VMRecord{ID: fmt.Sprintf("vm-%d", i), Cores: 48, MemoryMB: 131072, Start: 0, End: 600})
 		}
-		_, _, err := packFleet(eagerEvents(tr), 1, 2, capacity)
+		_, _, err := packFleet(newRowSource(tr, nil), 1, 2, capacity)
 		if err == nil || !strings.Contains(err.Error(), "no feasible packing within 2 servers") {
 			t.Errorf("err = %v, want the no-feasible-packing error", err)
 		}
-		if n, _, err := packFleet(eagerEvents(tr), 1, 3, capacity); n != 3 || err != nil {
+		if n, _, err := packFleet(newRowSource(tr, nil), 1, 3, capacity); n != 3 || err != nil {
 			t.Errorf("limit 3: sized to %d, %v; want 3, nil", n, err)
 		}
 	})

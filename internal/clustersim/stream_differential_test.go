@@ -95,9 +95,9 @@ func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 }
 
 // TestStreamedBaselineSizingMatchesEager: with BaselineServers unset,
-// the streamed engine derives the cluster size through the geometry
-// merge walk (sizeFleet over streamEvents) and must land on the same
-// count — and the same Result — as the eager bound.
+// the streamed engine derives the cluster size through the streamed
+// adapter's geometry walk and must land on the same count — and the
+// same Result — as the eager bound.
 func TestStreamedBaselineSizingMatchesEager(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{
 		Kind: trace.ScenarioHeavyTail, NumVMs: 300, Duration: 86400, Seed: 5,

@@ -273,12 +273,7 @@ func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overc
 	baseline := opts.BaselineServers
 	if baseline <= 0 {
 		var err error
-		if s != nil {
-			baseline, err = BaselineServerCountStream(s, DefaultServerCapacity())
-		} else {
-			baseline, err = BaselineServerCount(tr, DefaultServerCapacity())
-		}
-		if err != nil {
+		if baseline, _, err = sizeFleet(newRowSource(tr, s), DefaultServerCapacity()); err != nil {
 			return nil, err
 		}
 	}

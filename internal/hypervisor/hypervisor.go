@@ -245,11 +245,8 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("%w: empty host name", ErrInvalid)
 	}
-	if err := cfg.Capacity.CheckNonNegative(); err != nil {
+	if err := checkCapacity(cfg.Name, cfg.Capacity); err != nil {
 		return nil, err
-	}
-	if cfg.Capacity.IsZero() {
-		return nil, fmt.Errorf("%w: host %s has no capacity", ErrInvalid, cfg.Name)
 	}
 	h := &Host{
 		cfg:     cfg,
@@ -259,6 +256,21 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	c := cfg.Capacity
 	h.capacity.Store(&c)
 	return h, nil
+}
+
+// checkCapacity rejects a host capacity that is empty or has a
+// negative, NaN or +Inf component. NaN fails every comparison, so a bare
+// `< 0` check lets it through into the aggregates and index keys.
+func checkCapacity(host string, v resources.Vector) error {
+	for _, k := range resources.Kinds {
+		if x := v.Get(k); !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("%w: host %s capacity %v=%g is not a finite non-negative amount", ErrInvalid, host, k, x)
+		}
+	}
+	if v.IsZero() {
+		return fmt.Errorf("%w: host %s has no capacity", ErrInvalid, host)
+	}
+	return nil
 }
 
 // Name returns the host's name.
@@ -282,11 +294,8 @@ func (h *Host) BaseCapacity() resources.Vector { return h.cfg.Capacity }
 // residents into the new capacity is the cluster layer's job
 // (deflation-first, then evacuation).
 func (h *Host) SetCapacity(v resources.Vector) error {
-	if err := v.CheckNonNegative(); err != nil {
+	if err := checkCapacity(h.cfg.Name, v); err != nil {
 		return err
-	}
-	if v.IsZero() {
-		return fmt.Errorf("%w: host %s resized to zero capacity", ErrInvalid, h.cfg.Name)
 	}
 	h.mu.Lock()
 	h.capacity.Store(&v)

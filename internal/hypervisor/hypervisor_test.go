@@ -37,15 +37,27 @@ func defineRunning(t testing.TB, h *Host, name string, cores, memMB float64) *Do
 	return d
 }
 
+// badCapacities are host capacities no server can have: empty, or with
+// a negative, NaN or +Inf component. A NaN or +Inf one used to pass the
+// `< 0` check and reach the aggregates and index keys.
+var badCapacities = map[string]resources.Vector{
+	"zero":            {},
+	"negative CPU":    resources.New(-1, 1024, 0, 0),
+	"NaN CPU":         resources.New(math.NaN(), 1024, 0, 0),
+	"+Inf memory":     resources.New(8, math.Inf(1), 0, 0),
+	"NaN network":     resources.New(8, 1024, 0, math.NaN()),
+	"-Inf disk":       resources.New(8, 1024, math.Inf(-1), 0),
+	"+Inf everywhere": resources.Uniform(math.Inf(1)),
+}
+
 func TestNewHostValidation(t *testing.T) {
 	if _, err := NewHost(HostConfig{Name: "", Capacity: resources.New(1, 1, 1, 1)}); err == nil {
 		t.Error("empty name should fail")
 	}
-	if _, err := NewHost(HostConfig{Name: "h"}); err == nil {
-		t.Error("zero capacity should fail")
-	}
-	if _, err := NewHost(HostConfig{Name: "h", Capacity: resources.New(-1, 1, 1, 1)}); err == nil {
-		t.Error("negative capacity should fail")
+	for name, c := range badCapacities {
+		if _, err := NewHost(HostConfig{Name: "h", Capacity: c}); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s capacity %v: err = %v, want ErrInvalid", name, c, err)
+		}
 	}
 }
 

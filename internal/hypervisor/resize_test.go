@@ -1,9 +1,8 @@
 package hypervisor
 
 import (
+	"errors"
 	"testing"
-
-	"vmdeflate/internal/resources"
 )
 
 // TestSetCapacityResize: capacity moves, the base stays, and the
@@ -54,13 +53,12 @@ func TestSetCapacityResize(t *testing.T) {
 func TestSetCapacityValidation(t *testing.T) {
 	h := testHost(t)
 	before := h.Capacity()
-	if err := h.SetCapacity(resources.Vector{}); err == nil {
-		t.Fatal("zero capacity accepted")
-	}
-	if err := h.SetCapacity(resources.New(-1, 1024, 0, 0)); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	if h.Capacity() != before {
-		t.Fatalf("failed resize moved capacity to %v", h.Capacity())
+	for name, c := range badCapacities {
+		if err := h.SetCapacity(c); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s capacity %v: err = %v, want ErrInvalid", name, c, err)
+		}
+		if h.Capacity() != before {
+			t.Fatalf("failed %s resize moved capacity to %v", name, h.Capacity())
+		}
 	}
 }
