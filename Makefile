@@ -30,9 +30,11 @@ race:
 # and payload-reading surplus probe — and what concurrent engines
 # share: the trace's build-once P95 column, the lock-free notify.Bus
 # publish and the sample pass's scheme billing over the metering table
-# — a fast, explicit signal beside the full `race` run.
+# — plus every engine run under the cluster package's test-side
+# placement oracles (the oracle hook is read by concurrent sweep
+# workers) — a fast, explicit signal beside the full `race` run.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -122,13 +124,15 @@ bench-slo:
 bench-risk:
 	$(GO) run ./cmd/benchreport -risk 4000 -riskout BENCH_risk.json
 
-# Pressure-index differential perf gate: a high-overcommit 100k-VM run
+# Pressure-index gate, by work count: a high-overcommit 100k-VM run
 # (pressure scans dominate) executed twice — bound-pruned descent vs
-# the retained full linear scan — on one trace. Fails unless the two
-# runs' results are identical (up to the scan meters) AND the pruned
-# run's wall clock is strictly lower (BENCH_pressure.json).
+# the test-side full linear scan — on one trace. Fails unless the two
+# runs' results are identical (up to the scan meters), the meters add
+# up, and the descent prunes at least the pinned share of the servers
+# the full scan scores. The counts are deterministic: no clock, so the
+# gate reads the same on any runner.
 bench-pressure:
-	$(GO) run ./cmd/benchreport -pressure 100000 -pressureout BENCH_pressure.json
+	$(GO) test -count=1 -run '^TestPressureGatePrunesWork$$' -v ./internal/cluster
 
 # The repo's one end-to-end benchmark (BENCHMARK.json, bench/README.md):
 # a full session — four workloads, timed repeats then traced passes —

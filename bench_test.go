@@ -451,22 +451,6 @@ func BenchmarkDeflationRun10k(b *testing.B) {
 	b.ReportMetric(fail, "failprob@50%OC")
 }
 
-// BenchmarkDeflationRunReference10k is the identical run through the
-// retained brute-force reference path: the indexed/reference ratio is
-// the capacity index's direct speedup, with every other PR change held
-// constant.
-func BenchmarkDeflationRunReference10k(b *testing.B) {
-	tr, base := sweepFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := clustersim.Run(clustersim.Config{
-			Trace: tr, Overcommit: 0.5, BaselineServers: base, ReferencePlacement: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // 100k fixture: a heavy-tail trace at the cloud-scale target, sized by
 // the peak-demand bound.
 var (

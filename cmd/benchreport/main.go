@@ -53,7 +53,6 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -83,12 +82,10 @@ type scaleReport struct {
 	// Pressure-scan accounting: how many arrivals fell through the
 	// surplus pass into the under-pressure descent, how many servers
 	// that descent actually scored, and how many the bound index let it
-	// skip. PruneRatio = pruned / (scored + pruned) — the fraction of
-	// eligible-server visits the index saved.
+	// skip.
 	PressuredArrivals int     `json:"pressured_arrivals"`
 	PressureScored    int     `json:"pressure_scored"`
 	PressurePruned    int     `json:"pressure_pruned"`
-	PruneRatio        float64 `json:"pressure_prune_ratio"`
 	Revocations       int     `json:"revocations,omitempty"`
 	Evacuations       int     `json:"evacuations,omitempty"`
 	ShockKills        int     `json:"shock_kills,omitempty"`
@@ -273,7 +270,6 @@ func runScale(n int, scenario, shocks string, seed int64, outPath string, stream
 		PressuredArrivals: res.PressuredArrivals,
 		PressureScored:    res.PressureScored,
 		PressurePruned:    res.PressurePruned,
-		PruneRatio:        pruneRatio(res.PressureScored, res.PressurePruned),
 	}
 	if streamed {
 		rep.Streamed = true
@@ -303,135 +299,6 @@ func runScale(n int, scenario, shocks string, seed int64, outPath string, stream
 	if streamed && n >= streamGateMinVMs && rep.EagerToPeak < streamGateRatio {
 		log.Fatalf("streamed peak heap %.0f MB is only %.1fx below the eager trace estimate %.0f MB (want >= %.1fx)",
 			float64(rep.PeakHeapBytes)/1e6, rep.EagerToPeak, float64(eagerEst)/1e6, streamGateRatio)
-	}
-}
-
-// pruneRatio is the fraction of eligible-server visits the pressure
-// bound index saved: pruned / (scored + pruned), 0 when no pressured
-// arrival ever scanned.
-func pruneRatio(scored, pruned int) float64 {
-	if scored+pruned == 0 {
-		return 0
-	}
-	return float64(pruned) / float64(scored+pruned)
-}
-
-// pressureReport is the BENCH_pressure.json schema: one high-overcommit
-// trace run twice — bound-pruned descent (the default) against the
-// retained full linear scan — with the differential and the speedup.
-type pressureReport struct {
-	VMs               int     `json:"vms"`
-	Scenario          string  `json:"scenario"`
-	Servers           int     `json:"servers"`
-	Overcommit        float64 `json:"overcommit"`
-	GoMaxProcs        int     `json:"gomaxprocs"`
-	Admitted          int     `json:"admitted"`
-	Rejected          int     `json:"rejected"`
-	PressuredArrivals int     `json:"pressured_arrivals"`
-	PressureScored    int     `json:"pressure_scored"`
-	PressurePruned    int     `json:"pressure_pruned"`
-	PruneRatio        float64 `json:"pressure_prune_ratio"`
-	FullScored        int     `json:"fullscan_scored"`
-	PrunedWallSec     float64 `json:"pruned_wall_seconds"`
-	FullWallSec       float64 `json:"fullscan_wall_seconds"`
-	PrunedPressureSec float64 `json:"pruned_pressure_seconds"`
-	FullPressureSec   float64 `json:"fullscan_pressure_seconds"`
-	WallSpeedup       float64 `json:"wall_speedup"`
-	PressureSpeedup   float64 `json:"pressure_speedup"`
-	ResultsIdentical  bool    `json:"results_identical"`
-}
-
-// runPressure executes the pressure-index differential perf gate: one
-// heavytail trace at an overcommitment high enough that most arrivals
-// fall through the surplus pass into the under-pressure descent, run
-// twice on identical configs except for FullPressureScan. The process
-// exits non-zero unless (a) the two Results are bit-for-bit identical
-// once the scan meters — the only fields *defined* to differ between
-// scan strategies — are zeroed, (b) the differential is non-vacuous
-// (pressured arrivals occurred and the bound index actually pruned),
-// and (c) the pruned run's wall clock is strictly lower.
-func runPressure(n int, scenario string, seed int64, outPath string) {
-	const overcommit = 0.75
-	fmt.Printf("== pressure gate: %d-VM %s run at %.0f%% overcommit, bound-pruned vs full linear scan\n",
-		n, scenario, overcommit*100)
-	tr, err := trace.GenerateNamed(scenario, n, 3*86400, seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	base, err := clustersim.PeakServerLowerBound(tr, clustersim.DefaultServerCapacity())
-	if err != nil {
-		log.Fatal(err)
-	}
-	run := func(full bool) (*clustersim.Result, time.Duration, clustersim.PhaseTimings) {
-		var timings clustersim.PhaseTimings
-		t0 := time.Now()
-		res, err := clustersim.Run(clustersim.Config{
-			Trace: tr, Overcommit: overcommit, BaselineServers: base,
-			FullPressureScan: full,
-			Timings:          &timings,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res, time.Since(t0), timings
-	}
-	pruned, prunedWall, prunedPT := run(false)
-	full, fullWall, fullPT := run(true)
-
-	// The scan meters are the one part of Result that legitimately
-	// differs between strategies; everything else must match exactly.
-	normalize := func(r *clustersim.Result) clustersim.Result {
-		c := *r
-		c.PressureScored, c.PressurePruned = 0, 0
-		return c
-	}
-	np, nf := normalize(pruned), normalize(full)
-	identical := reflect.DeepEqual(np, nf)
-
-	rep := pressureReport{
-		VMs: n, Scenario: scenario, Servers: pruned.Servers,
-		Overcommit:        overcommit,
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-		Admitted:          pruned.Admitted,
-		Rejected:          pruned.Rejected,
-		PressuredArrivals: pruned.PressuredArrivals,
-		PressureScored:    pruned.PressureScored,
-		PressurePruned:    pruned.PressurePruned,
-		PruneRatio:        pruneRatio(pruned.PressureScored, pruned.PressurePruned),
-		FullScored:        full.PressureScored,
-		PrunedWallSec:     prunedWall.Seconds(),
-		FullWallSec:       fullWall.Seconds(),
-		PrunedPressureSec: prunedPT.Pressure.Seconds(),
-		FullPressureSec:   fullPT.Pressure.Seconds(),
-		WallSpeedup:       fullWall.Seconds() / prunedWall.Seconds(),
-		PressureSpeedup:   fullPT.Pressure.Seconds() / prunedPT.Pressure.Seconds(),
-		ResultsIdentical:  identical,
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s", out)
-	fmt.Printf("pressure gate: %d pressured arrivals, prune ratio %.3f, wall %.2fs pruned vs %.2fs full (%.2fx), pressure phase %.2fs vs %.2fs (%.2fx)\n",
-		rep.PressuredArrivals, rep.PruneRatio, rep.PrunedWallSec, rep.FullWallSec, rep.WallSpeedup,
-		rep.PrunedPressureSec, rep.FullPressureSec, rep.PressureSpeedup)
-	if !identical {
-		log.Fatalf("pruned and full-scan Results diverged beyond the scan meters:\npruned %+v\nfull   %+v", np, nf)
-	}
-	if pruned.PressuredArrivals == 0 || pruned.PressurePruned == 0 {
-		log.Fatalf("differential is vacuous: %d pressured arrivals, %d pruned — raise the overcommit",
-			pruned.PressuredArrivals, pruned.PressurePruned)
-	}
-	if pruned.PressureScored+pruned.PressurePruned != full.PressureScored {
-		log.Fatalf("meter invariant broken: pruned scored+pruned = %d, full scan scored %d",
-			pruned.PressureScored+pruned.PressurePruned, full.PressureScored)
-	}
-	if prunedWall >= fullWall {
-		log.Fatalf("bound-pruned run was not faster: %.2fs pruned vs %.2fs full scan", rep.PrunedWallSec, rep.FullWallSec)
 	}
 }
 
@@ -910,8 +777,6 @@ func main() {
 	matrixOut := flag.String("matrixout", "BENCH_matrix.json", "where -matrix writes its JSON report")
 	risk := flag.Int("risk", 0, "run only the revocation-risk frontier smoke (risk-blind vs risk-aware portfolio mixes) at this VM count")
 	riskOut := flag.String("riskout", "BENCH_risk.json", "where -risk writes its JSON report")
-	pressure := flag.Int("pressure", 0, "run only the pressure-index differential perf gate (bound-pruned vs full linear scan) at this VM count")
-	pressureOut := flag.String("pressureout", "BENCH_pressure.json", "where -pressure writes its JSON report")
 	flag.Parse()
 
 	if *matrix > 0 {
@@ -937,10 +802,6 @@ func main() {
 	}
 	if *risk > 0 {
 		runRisk(*risk, *scenario, *seed, *riskOut)
-		return
-	}
-	if *pressure > 0 {
-		runPressure(*pressure, *scenario, *seed, *pressureOut)
 		return
 	}
 

@@ -80,9 +80,7 @@ func TestPlaceVMsMatchesPlaceVMLoopAndReference(t *testing.T) {
 // placeVMsChurn runs one seed of the batch / loop / reference churn on a
 // six-server fleet provisioned by churnSpec.
 func placeVMsChurn(t *testing.T, seed int64, cfg Config) {
-	refCfg := cfg
-	refCfg.ReferencePlacement = true
-	batch, loop, ref := NewManager(cfg), NewManager(cfg), NewManager(refCfg)
+	batch, loop, ref := NewManager(cfg), NewManager(cfg), newOracleManager(cfg, "reference")
 	ms := []*Manager{batch, loop, ref}
 	for i := 0; i < 6; i++ {
 		for _, m := range ms {

@@ -26,11 +26,10 @@
 // a clean server's domains. Both keys depend on lifecycle, allocation
 // and capacity only — an offered-load write (Domain.SetOfferedLoad)
 // fires no callback and dirties no server; policy passes read loads
-// through the host's deflatable view. Config.ReferencePlacement retains the
-// brute-force linear-scan path, and Config.FullPressureScan the linear
-// indexed pressure scan; all paths implement the identical selection
-// rule and the differential test suite asserts they place bit-for-bit
-// identically.
+// through the host's deflatable view. The brute-force linear scans the
+// indexes replace live on in the package's tests as oracles
+// (placementOracle): they implement the identical selection rule, and
+// the differential suites assert both place bit-for-bit identically.
 //
 // Placement is sequential, as in the paper's centralized controller:
 // PlaceVMs decides and commits one VM at a time, in input order, each
@@ -116,20 +115,6 @@ type Config struct {
 	// (Figure 1's notification to the application manager / load
 	// balancer).
 	Notify *notify.Bus
-	// ReferencePlacement selects the retained brute-force placement path
-	// — linear scans over every server — instead of the capacity index.
-	// Both paths implement the identical selection rule and produce
-	// bit-for-bit identical placements; the flag exists for differential
-	// testing and for measuring what the index buys.
-	ReferencePlacement bool
-	// FullPressureScan keeps the linear indexed under-pressure scan —
-	// every pool server scored from its cached availability vector —
-	// instead of the bound-pruned best-first descent over the pressure
-	// index. Both paths realize the identical strict candidate order
-	// (band asc, fitness desc, add-index asc) and place bit-for-bit
-	// identically; the flag exists for differential testing and for
-	// measuring what the pruning buys (make bench-pressure).
-	FullPressureScan bool
 	// CollectTimings accumulates per-phase wall times
 	// (commit/reinflate), readable through
 	// Manager.PhaseTimings. Off by default: the clock reads sit on the
@@ -238,12 +223,27 @@ type serverScratch struct {
 	ps   policy.Scratch
 }
 
+// placementOracle answers a Manager's three placement queries — the
+// surplus candidate, the existence check and the under-pressure
+// placement — in place of its indexes. The implementations are the
+// brute-force scans the indexed paths are proven against, and they live
+// in the package's tests: defaultOracle, which NewManager copies into
+// every Manager, is nil in every shipped build.
+type placementOracle interface {
+	surplus(m *Manager, pool int, size resources.Vector, banded bool) *Server
+	anyFits(m *Manager, size resources.Vector) bool
+	pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool)
+}
+
+var defaultOracle placementOracle
+
 // Manager is the centralized cluster manager. All methods are safe for
 // concurrent use: every mutation and counter read happens under mu
 // (per-Host state is additionally guarded by the Host's own lock).
 type Manager struct {
 	mu         sync.Mutex
 	cfg        Config
+	oracle     placementOracle // nil outside tests: the indexes answer
 	servers    []*Server
 	byName     map[string]*Server
 	placements map[string]*Server
@@ -303,11 +303,8 @@ type Manager struct {
 	evacuating   bool
 	evacDCs      []hypervisor.DomainConfig
 
-	// cands is the reusable under-pressure candidate buffer of the
-	// full-scan path; affected is the RemoveVMs batch buffer. Both are
-	// used only under mu, so reusing them keeps the hot paths
-	// allocation-free in steady state.
-	cands       candList
+	// affected is the RemoveVMs batch buffer, used only under mu, so
+	// reusing it keeps removals allocation-free in steady state.
 	affected    []*Server
 	removeEpoch uint64 // RemoveVMs call counter (Server.removeEpoch)
 
@@ -323,8 +320,8 @@ type Manager struct {
 	// how many arrivals fell through to the under-pressure ranking, how
 	// many servers had their exact fitness computed, and how many the
 	// bound/fit pruning skipped. pressuredArrivals is invariant across
-	// scan modes; scored and pruned differ between the pruned and
-	// full-scan modes by construction.
+	// scan modes; scored and pruned differ between the pruned descent
+	// and a test-side oracle's full scan by construction.
 	pressuredArrivals int
 	pressureScored    int
 	pressurePruned    int
@@ -377,7 +374,7 @@ func (m *Manager) PhaseTimings() PhaseTimings {
 // their exact fitness computed, and how many the bound/fit pruning
 // skipped without scoring. Arrivals is invariant across scan modes;
 // scored and pruned differ between the pruned descent and the
-// full-scan/reference modes (a full scan scores every pool server and
+// test-side full-scan oracles (a full scan scores every pool server and
 // prunes none).
 func (m *Manager) PressureStats() (arrivals, scored, pruned int) {
 	m.mu.Lock()
@@ -426,6 +423,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	return &Manager{
 		cfg:        cfg,
+		oracle:     defaultOracle,
 		byName:     make(map[string]*Server),
 		placements: make(map[string]*Server),
 		indexes:    make(map[int]*capindex.Index),
@@ -600,18 +598,13 @@ func Fitness(demand, avail resources.Vector) float64 {
 	return avail.Dot(demand) / nd
 }
 
-// availability computes the paper's placement availability vector:
-// A_j = Total_j - Used_j + deflatable_j/(1 + overcommit_j), where
-// deflatable_j is the total resource reclaimable from deflatable VMs and
-// overcommit_j discounts servers that are already squeezed. It reads the
-// host's cached aggregates, so between allocation changes it is O(1).
-func availability(s *Server) resources.Vector {
-	return availabilityFrom(s.Host.Capacity(), s.Host.Aggregates())
-}
-
-// availabilityFrom is the availability formula over an aggregate
-// snapshot — the one definition shared by the cached per-server vector
-// and the fresh reads of the reference path, so the two are bit-equal.
+// availabilityFrom computes the paper's placement availability vector
+// over an aggregate snapshot: A_j = Total_j - Used_j +
+// deflatable_j/(1 + overcommit_j), where deflatable_j is the total
+// resource reclaimable from deflatable VMs and overcommit_j discounts
+// servers that are already squeezed. The one definition shared by the
+// cached per-server vector and the reference oracle's fresh reads, so
+// the two are bit-equal.
 func availabilityFrom(total resources.Vector, agg hypervisor.Aggregates) resources.Vector {
 	oc := 0.0
 	if c := agg.Committed.DominantShare(total); c > 1 {
@@ -722,6 +715,11 @@ func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
 // placeOneLocked is the placement decision and its commit for one VM:
 // the three-step protocol of PlaceVM at the live state.
 func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
+	// A live name is a caller error, not an admission decision: it is
+	// reported before the headroom gate could count it as a rejection.
+	if _, ok := m.placements[dc.Name]; ok {
+		return Placement{Err: errExists(dc.Name)}
+	}
 	m.syncDirtyLocked()
 	if m.riskRejectLocked(dc) {
 		m.rejections++
@@ -733,10 +731,6 @@ func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 	// server fits without deflation; only its absence needs the
 	// cross-pool existence scan.
 	out := Placement{NeedsReclaim: best == nil && !m.anyFitsLocked(dc.Size)}
-	if _, ok := m.placements[dc.Name]; ok {
-		out.Err = errExists(dc.Name)
-		return out
-	}
 	if best != nil {
 		if d, err := m.placeOnLocked(best, dc); err == nil {
 			out.Domain, out.Server = d, best
@@ -842,14 +836,6 @@ func candBefore(a, b cand) bool {
 
 type candList []cand
 
-func (c candList) Len() int      { return len(c) }
-func (c candList) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-
-// Less delegates to candBefore so the full scan's sort and the pruned
-// descent's heap share one definition — they must stay bit-identical or
-// the two scan modes diverge.
-func (c candList) Less(i, j int) bool { return candBefore(c[i], c[j]) }
-
 // surplusCandidateTimedLocked is surplusCandidateLocked under the
 // surplus sub-phase timer, so BENCH artifacts can attribute placement
 // time to the surplus query vs the pressure scan. Timing never changes
@@ -868,38 +854,18 @@ func (m *Manager) surplusCandidateTimedLocked(pool int, size resources.Vector, b
 // size without any deflation — the server with the smallest (dominant
 // free share, name) among those whose free vector fits size, or the
 // smallest (hazard band, free share, name) for banded VMs — or nil.
-// The indexed path asks the pool's ordered indexes for their first
-// fitting entry (ascending from a demand-share lower bound, so each scan
-// inspects O(log S) plus however many near-full servers fit on the
-// dominant dimension but not the others); the reference path scans
-// every server and applies the identical minimisation.
 func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded bool) *Server {
-	if m.cfg.ReferencePlacement {
-		var best *Server
-		bestKey := 0.0
-		bestBand := 0
-		for _, s := range m.servers {
-			if s.revoked || (pool >= 0 && s.Partition != pool) {
-				continue
-			}
-			total := s.Host.Capacity()
-			free := total.Sub(s.Host.Aggregates().Allocated)
-			if !size.FitsIn(free) {
-				continue
-			}
-			key := free.DominantShare(total)
-			b := 0
-			if banded {
-				b = s.band
-			}
-			better := best == nil || b < bestBand ||
-				(b == bestBand && (key < bestKey || (key == bestKey && s.Host.Name() < best.Host.Name())))
-			if better {
-				best, bestKey, bestBand = s, key, b
-			}
-		}
-		return best
+	if m.oracle != nil {
+		return m.oracle.surplus(m, pool, size, banded)
 	}
+	return m.surplusIndexedLocked(pool, size, banded)
+}
+
+// surplusIndexedLocked asks the pool's ordered indexes for their first
+// fitting entry, ascending from a demand-share lower bound, so each
+// scan inspects O(log S) plus however many near-full servers fit on the
+// dominant dimension but not the others.
+func (m *Manager) surplusIndexedLocked(pool int, size resources.Vector, banded bool) *Server {
 	if banded {
 		// Bands ascending, first band with any fit wins: the
 		// (band, free share, name) minimum.
@@ -942,21 +908,18 @@ func (m *Manager) fitLower(key int, size resources.Vector) float64 {
 }
 
 // anyFitsLocked reports whether any server in the cluster (regardless
-// of priority pool or hazard band) can host size with no deflation,
-// from the live indexes. Order-independent: it is an existence check,
-// so the random map iteration is fine.
+// of priority pool or hazard band) can host size with no deflation.
 func (m *Manager) anyFitsLocked(size resources.Vector) bool {
-	if m.cfg.ReferencePlacement {
-		for _, s := range m.servers {
-			if s.revoked {
-				continue
-			}
-			if size.FitsIn(s.Host.Capacity().Sub(s.Host.Aggregates().Allocated)) {
-				return true
-			}
-		}
-		return false
+	if m.oracle != nil {
+		return m.oracle.anyFits(m, size)
 	}
+	return m.anyFitsIndexedLocked(size)
+}
+
+// anyFitsIndexedLocked is anyFitsLocked from the live indexes.
+// Order-independent: it is an existence check, so the random map
+// iteration is fine.
+func (m *Manager) anyFitsIndexedLocked(size resources.Vector) bool {
 	for key, ix := range m.indexes {
 		if _, _, ok := ix.FirstFitting(m.fitLower(key, size), size); ok {
 			return true

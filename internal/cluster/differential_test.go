@@ -21,21 +21,18 @@ type churnStep func(m *Manager) string
 // the bit-for-bit placement-identity guarantee of the capacity index.
 func runDifferentialChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int) {
 	t.Helper()
-	runDifferentialChurnSpecs(t, seed, cfg, nServers, nOps, nil)
+	runDifferentialChurnSpecs(t, seed, cfg, "", nServers, nOps, nil)
 }
 
 // runDifferentialChurnSpecs is runDifferentialChurn with custom server
 // provisioning: specFor(i) supplies server i's full ServerSpec (bands,
 // reserve fractions), so the risk suites can churn heterogeneous
-// fleets. A nil specFor provisions the legacy homogeneous fleet.
-func runDifferentialChurnSpecs(t *testing.T, seed int64, cfg Config, nServers, nOps int, specFor func(i int, m *Manager) ServerSpec) {
+// fleets. A nil specFor provisions the legacy homogeneous fleet. The
+// manager held to the reference runs under oracle ("" for the shipped
+// indexed paths).
+func runDifferentialChurnSpecs(t *testing.T, seed int64, cfg Config, oracle string, nServers, nOps int, specFor func(i int, m *Manager) ServerSpec) {
 	t.Helper()
-	refCfg := cfg
-	refCfg.ReferencePlacement = true
-	idxCfg := cfg
-	idxCfg.ReferencePlacement = false
-
-	managers := []*Manager{NewManager(idxCfg), NewManager(refCfg)}
+	managers := []*Manager{newOracleManager(cfg, oracle), newOracleManager(cfg, "reference")}
 	for i := 0; i < nServers; i++ {
 		for _, m := range managers {
 			spec := ServerSpec{

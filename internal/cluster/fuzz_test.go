@@ -33,7 +33,7 @@ func (r *opReader) next(n int) int {
 // operation sequence — PlaceVMs batches of 1–16 (names repeated inside a
 // batch or already live included), RemoveVMs, RevokeServers,
 // RestoreServer, ResizeServer and SetOfferedLoad — and runs it against
-// an indexed, a FullPressureScan and a ReferencePlacement manager. Every
+// an indexed manager and the "fullscan" and "reference" oracles. Every
 // step's outcome must read the same on all three, and compareManagers
 // must hold after it. The seeds are the churn suites' seeds, so
 // `go test` runs them; `go test -fuzz FuzzPlacementOps` searches on.
@@ -72,11 +72,11 @@ func runPlacementOps(t *testing.T, r *opReader) {
 	if riskOn {
 		cfg.Risk = &RiskConfig{}
 	}
-	full, ref := cfg, cfg
-	full.FullPressureScan = true
-	ref.ReferencePlacement = true
-	ms := []*Manager{NewManager(cfg), NewManager(full), NewManager(ref)}
-	labels := []string{"indexed", "fullscan", "reference"}
+	labels := []string{"", "fullscan", "reference"}
+	ms := make([]*Manager, len(labels))
+	for i, oracle := range labels {
+		ms[i] = newOracleManager(cfg, oracle)
+	}
 
 	nServers := 3 + r.next(6)
 	server := func() string { return fmt.Sprintf("node-%d", r.next(nServers)) }

@@ -1,0 +1,146 @@
+package cluster
+
+import (
+	"sort"
+
+	"vmdeflate/internal/hypervisor"
+	"vmdeflate/internal/resources"
+)
+
+// The placement oracles: the brute-force scans the capacity indexes and
+// the bound-pruned pressure descent replaced, kept here as the
+// references the differential suites hold the shipped paths to. A
+// Manager runs one when its oracle field is set — by newOracleManager
+// inside the package, through UseOracle (export_test.go) for whole
+// engine runs.
+//
+//   - "reference" answers all three queries by linear scans over every
+//     server, reading each host's aggregates fresh rather than the
+//     manager's cached placement state.
+//   - "fullscan" keeps the indexed surplus and existence queries and
+//     replaces only the pruned descent with the linear pressure scan
+//     over the cached availability vectors.
+var oracles = map[string]placementOracle{
+	"reference": scanOracle{fresh: true},
+	"fullscan":  scanOracle{},
+}
+
+// newOracleManager builds a manager whose placement queries the named
+// oracle answers; "" builds a shipped, indexed one.
+func newOracleManager(cfg Config, oracle string) *Manager {
+	m := NewManager(cfg)
+	m.oracle = oracles[oracle]
+	return m
+}
+
+// scanOracle is both oracles: fresh selects the reference one.
+type scanOracle struct{ fresh bool }
+
+// surplus is the brute-force tightest fit: the smallest (band, dominant
+// free share, name) among the pool's servers whose free vector fits.
+func (o scanOracle) surplus(m *Manager, pool int, size resources.Vector, banded bool) *Server {
+	if !o.fresh {
+		return m.surplusIndexedLocked(pool, size, banded)
+	}
+	var best *Server
+	bestKey := 0.0
+	bestBand := 0
+	for _, s := range m.servers {
+		if s.revoked || (pool >= 0 && s.Partition != pool) {
+			continue
+		}
+		total := s.Host.Capacity()
+		free := total.Sub(s.Host.Aggregates().Allocated)
+		if !size.FitsIn(free) {
+			continue
+		}
+		key := free.DominantShare(total)
+		b := 0
+		if banded {
+			b = s.band
+		}
+		better := best == nil || b < bestBand ||
+			(b == bestBand && (key < bestKey || (key == bestKey && s.Host.Name() < best.Host.Name())))
+		if better {
+			best, bestKey, bestBand = s, key, b
+		}
+	}
+	return best
+}
+
+// anyFits is the brute-force existence scan over every in-service
+// server, whatever its pool or band.
+func (o scanOracle) anyFits(m *Manager, size resources.Vector) bool {
+	if !o.fresh {
+		return m.anyFitsIndexedLocked(size)
+	}
+	for _, s := range m.servers {
+		if !s.revoked && size.FitsIn(s.Host.Capacity().Sub(s.Host.Aggregates().Allocated)) {
+			return true
+		}
+	}
+	return false
+}
+
+// pressure is the linear under-pressure ranking: score every pool server
+// (from cached availability, or fresh reads for the reference oracle),
+// argmax-first with the sort deferred until the argmax cannot absorb the
+// VM.
+func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool) {
+	pool := m.PartitionOf(dc)
+	banded := m.banded(dc)
+	var cands candList
+	for _, s := range m.servers {
+		if s.revoked || (pool >= 0 && s.Partition != pool) {
+			continue
+		}
+		avail := s.avail
+		if o.fresh {
+			avail = availability(s)
+		}
+		b := 0
+		if banded {
+			b = s.band
+		}
+		cands = append(cands, cand{s, Fitness(dc.Size, avail), s.gidx, b})
+	}
+	m.pressureScored += len(cands) // the full scan scores everyone, prunes none
+
+	ncRange := newcomerRange(dc)
+	first := -1
+	for i := range cands {
+		if first < 0 || candBefore(cands[i], cands[first]) {
+			first = i
+		}
+	}
+	if first < 0 {
+		return nil, nil, false
+	}
+	if cands[first].s != best {
+		if d, s, ok := m.tryPlaceLocked(cands[first].s, dc, ncRange); ok {
+			return d, s, true
+		}
+	}
+	sort.Sort(cands)
+	for rank, c := range cands {
+		if c.s == best || rank == 0 {
+			continue // already tried above (argmax == rank 0)
+		}
+		if d, s, ok := m.tryPlaceLocked(c.s, dc, ncRange); ok {
+			return d, s, true
+		}
+	}
+	return nil, nil, false
+}
+
+// availability is the availability vector from the host's aggregates
+// as they stand now, not from the manager's cached copy.
+func availability(s *Server) resources.Vector {
+	return availabilityFrom(s.Host.Capacity(), s.Host.Aggregates())
+}
+
+// candList's sort.Interface delegates to candBefore, so the full scan's
+// sort and the pruned descent's heap share one order definition.
+func (c candList) Len() int           { return len(c) }
+func (c candList) Swap(i, j int)      { c[i], c[j] = c[j], c[i] }
+func (c candList) Less(i, j int) bool { return candBefore(c[i], c[j]) }

@@ -6,7 +6,8 @@
 // demand — O(servers) per pressured arrival, and at cloud scale the
 // whole runtime (the 10M-VM run spent ~90% of its wall clock here).
 // This file makes the selection sub-linear while staying bit-for-bit
-// identical to that full scan.
+// identical to that full scan, which survives only test-side
+// (oracle_test.go) as the differential oracle the descent is held to.
 //
 // # The bound index
 //
@@ -54,7 +55,6 @@
 package cluster
 
 import (
-	"sort"
 	"time"
 
 	"vmdeflate/internal/cluster/capindex"
@@ -79,11 +79,11 @@ func boundKey(avail resources.Vector) float64 {
 // pool's servers by the §5.2 deflation-aware fitness and deflate
 // residents on the best server that can absorb the newcomer. best,
 // when non-nil, is the surplus candidate that already failed and is
-// skipped. Routes to the bound-pruned descent, or to the linear scan
-// under Config.ReferencePlacement / Config.FullPressureScan — all
-// realizing the identical strict candidate order. Also the one place
-// the pressured-arrival counter and pressure sub-phase timer live, so
-// every mode meters identically.
+// skipped. Routes to the bound-pruned descent, or to the test-side
+// oracle's linear scan when one is set — both realizing the identical
+// strict candidate order. Also the one place the pressured-arrival
+// counter and pressure sub-phase timer live, so every mode meters
+// identically.
 func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool) {
 	m.pressuredArrivals++
 	var t0 time.Time
@@ -95,8 +95,8 @@ func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server) (
 		s  *Server
 		ok bool
 	)
-	if m.cfg.ReferencePlacement || m.cfg.FullPressureScan {
-		d, s, ok = m.pressureFullLocked(dc, best)
+	if m.oracle != nil {
+		d, s, ok = m.oracle.pressure(m, dc, best)
 	} else {
 		d, s, ok = m.pressurePrunedLocked(dc, best)
 	}
@@ -104,58 +104,6 @@ func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server) (
 		m.pressureTime += time.Since(t0)
 	}
 	return d, s, ok
-}
-
-// pressureFullLocked is the retained linear ranking: score every pool
-// server (from cached availability, or fresh reads under
-// ReferencePlacement), argmax-first with the sort deferred until the
-// argmax cannot absorb the VM. The differential oracle the pruned
-// descent is proven against.
-func (m *Manager) pressureFullLocked(dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool) {
-	pool := m.PartitionOf(dc)
-	banded := m.banded(dc)
-	cands := m.cands[:0]
-	for _, s := range m.servers {
-		if s.revoked || (pool >= 0 && s.Partition != pool) {
-			continue
-		}
-		avail := s.avail
-		if m.cfg.ReferencePlacement {
-			avail = availability(s)
-		}
-		b := 0
-		if banded {
-			b = s.band
-		}
-		cands = append(cands, cand{s, Fitness(dc.Size, avail), s.gidx, b})
-	}
-	m.cands = cands
-	m.pressureScored += len(cands) // the full scan scores everyone, prunes none
-
-	ncRange := newcomerRange(dc)
-	first := -1
-	for i := range cands {
-		if first < 0 || candBefore(cands[i], cands[first]) {
-			first = i
-		}
-	}
-	if first >= 0 && cands[first].s != best {
-		if d, s, ok := m.tryPlaceLocked(cands[first].s, dc, ncRange); ok {
-			return d, s, true
-		}
-	}
-	if first >= 0 {
-		sort.Sort(&m.cands)
-		for rank, c := range m.cands {
-			if c.s == best || rank == 0 {
-				continue // already tried above (argmax == rank 0)
-			}
-			if d, s, ok := m.tryPlaceLocked(c.s, dc, ncRange); ok {
-				return d, s, true
-			}
-		}
-	}
-	return nil, nil, false
 }
 
 // pressurePrunedLocked is the bound-pruned descent: band groups in

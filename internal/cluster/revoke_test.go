@@ -294,15 +294,13 @@ type churnOutcome struct {
 
 func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int) churnOutcome {
 	t.Helper()
-	var engines []churnEngine
-	refCfg := cfg
-	refCfg.ReferencePlacement = true
-	engines = append(engines, churnEngine{"reference", NewManager(refCfg)})
-	// Both scan modes: pruned descent (default) and the retained full
+	// Both scan modes: pruned descent (the shipped path) and the full
 	// linear scan, both against the reference.
-	fcfg := cfg
-	fcfg.FullPressureScan = true
-	engines = append(engines, churnEngine{"pruned", NewManager(cfg)}, churnEngine{"fullscan", NewManager(fcfg)})
+	engines := []churnEngine{
+		{"reference", newOracleManager(cfg, "reference")},
+		{"pruned", NewManager(cfg)},
+		{"fullscan", newOracleManager(cfg, "fullscan")},
+	}
 	for i := 0; i < nServers; i++ {
 		for _, e := range engines {
 			if _, err := e.m.AddServerSpec(churnSpec(i, e.m)); err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"testing"
@@ -33,22 +34,23 @@ func riskSpec(i int, m *Manager) ServerSpec {
 func TestRiskChurnMatchesReference(t *testing.T) {
 	risk := &RiskConfig{HighPriority: 0.75, MaxBands: 4}
 	cases := []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		oracle string
 	}{
-		{"sequential", Config{Policy: policy.Priority{}, Risk: risk}},
-		{"fullscan", Config{Policy: policy.Priority{}, Risk: risk, FullPressureScan: true}},
+		{"sequential", Config{Policy: policy.Priority{}, Risk: risk}, ""},
+		{"fullscan", Config{Policy: policy.Priority{}, Risk: risk}, "fullscan"},
 		{"pools", Config{
 			Policy:              policy.Priority{},
 			Risk:                risk,
 			PartitionByPriority: true,
 			PriorityLevels:      4,
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []int64{5, 17} {
-				runDifferentialChurnSpecs(t, seed, tc.cfg, 12, 400, riskSpec)
+				runDifferentialChurnSpecs(t, seed, tc.cfg, tc.oracle, 12, 400, riskSpec)
 			}
 		})
 	}
@@ -108,17 +110,10 @@ func TestBandedOrderPrefersLowHazard(t *testing.T) {
 // the whole trajectory is identical on the indexed engine in both
 // pressure-scan modes and on the reference engine.
 func TestHeadroomGateWithholdsLowPriority(t *testing.T) {
-	variants := []struct {
-		name string
-		cfg  Config
-	}{
-		{"sequential", Config{Risk: &RiskConfig{}}},
-		{"fullscan", Config{Risk: &RiskConfig{}, FullPressureScan: true}},
-		{"reference", Config{Risk: &RiskConfig{}, ReferencePlacement: true}},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			m := NewManager(v.cfg)
+	for _, oracle := range []string{"", "fullscan", "reference"} {
+		name := cmp.Or(oracle, "sequential")
+		t.Run(name, func(t *testing.T) {
+			m := newOracleManager(Config{Risk: &RiskConfig{}}, oracle)
 			for i := 0; i < 2; i++ {
 				spec := ServerSpec{
 					Name:            fmt.Sprintf("node-%d", i),

@@ -8,10 +8,10 @@ package clustersim
 // sifting a millions-deep heap.
 //
 // The ordering contract is exactly eventLess — the strict (time, kind,
-// seq) total order — so the calendar substitutes for heapQueue without
-// perturbing one result bit; the randomized property test in
-// calendar_test.go and the engine-level differential suite both pit the
-// two against each other.
+// seq) total order — so the calendar substitutes for the binary heap
+// without perturbing one result bit; the randomized property test and
+// FuzzCalendarQueue in calendar_test.go and the engine-level
+// differential suites pit it against the test-side heapQueue.
 //
 // Layout: an event with time at lives in bucket int64(at/width) & mask.
 // The scan position curAbs is an absolute (un-masked) bucket index;

@@ -1,8 +1,11 @@
 package clustersim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"vmdeflate/internal/trace"
 )
 
 // TestCalendarQueueMatchesHeapRandomized is the randomized differential
@@ -68,6 +71,84 @@ func TestCalendarQueueMatchesHeapRandomized(t *testing.T) {
 			t.Fatalf("seed %d: calendar not empty after drain", seed)
 		}
 	}
+}
+
+// FuzzCalendarQueue holds the run queue — a trace's latent arrivals
+// overlaid by a streamQueue on a live-set calendarQueue, as openQueue
+// builds it — to the heapQueue oracle holding the same arrivals up
+// front. Both take one decoded operation sequence and must agree on
+// every empty, peek and pop, compared by (at, kind, seq). The first
+// byte sizes a trace of 1–15 rows, two bytes each: a start on a
+// 300-second grid, so arrivals tie, and a lifetime of 0–3 slots, which
+// sets the horizon. The rest are operations: a push of any kind, at an
+// instant on a 150-second grid that collides with the arrivals' or past
+// the horizon, with a seq from a small range, so equal seqs repeat
+// within and across kinds and rows; a pop; or a peek.
+//
+//	go test -run '^$' -fuzz FuzzCalendarQueue -fuzztime 15s -fuzzminimizetime 200x ./internal/clustersim
+func FuzzCalendarQueue(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 1, 0, 1, 1, 2, 0, 4, 0, 5, 1, 2, 2, 3, 0, 4, 5, 2, 2, 2, 2, 2, 2})
+	f.Add([]byte{8, 0, 0, 0, 0, 1, 3, 2, 1, 2, 2, 3, 0, 4, 1, 4, 2, 0, 0x80, 5, 7, 1, 0xff, 0, 7, 0, 6, 3, 7, 2, 3, 2, 2, 2, 2})
+	kinds := []eventKind{evSample, evDeparture, evRestore, evRevoke, evResize, evArrival}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		tr := &trace.AzureTrace{}
+		for n := 1 + next()%15; len(tr.VMs) < n; {
+			start := float64(next()%8) * 300
+			tr.VMs = append(tr.VMs, &trace.VMRecord{
+				ID:    fmt.Sprintf("vm-%d", len(tr.VMs)),
+				Start: start,
+				End:   start + float64(next()%4)*300,
+			})
+		}
+		horizon := tr.Duration()
+		q, oracle := arrivalQueue(tr, false), arrivalQueue(tr, true)
+		same := func(op int, what string, got, want simEvent) {
+			if got.at != want.at || got.kind != want.kind || got.seq != want.seq {
+				t.Fatalf("op %d: %s (%g, %v, %d), heap (%g, %v, %d)", op, what, got.at, got.kind, got.seq, want.at, want.kind, want.seq)
+			}
+		}
+		for op := 0; len(data) > 0; op++ {
+			if q.empty() != oracle.empty() {
+				t.Fatalf("op %d: empty() = %v, heap %v", op, q.empty(), oracle.empty())
+			}
+			switch next() % 4 {
+			case 0, 1:
+				at := float64(next()%16) * 150
+				if b := next(); b >= 0x80 {
+					at = horizon + float64(b-0x7f)*1e4
+				}
+				e := simEvent{at: at, kind: kinds[next()%len(kinds)], seq: next() % 8}
+				q.push(e)
+				oracle.push(e)
+			case 2:
+				if !oracle.empty() {
+					same(op, "pop", q.pop(), oracle.pop())
+				}
+			case 3:
+				if !oracle.empty() {
+					same(op, "peek", q.peek(), oracle.peek())
+				}
+			}
+		}
+		for op := 0; !oracle.empty(); op++ {
+			if q.empty() {
+				t.Fatalf("drain %d: queue empty, heap holds %d", op, len(oracle.(*heapQueue).evs))
+			}
+			same(op, "drain pop", q.pop(), oracle.pop())
+		}
+		if !q.empty() {
+			t.Fatal("queue holds events after the heap drained")
+		}
+	})
 }
 
 // TestCalendarQueueResizeCycle drives the population through growth and

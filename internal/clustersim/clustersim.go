@@ -230,17 +230,6 @@ type Config struct {
 	// the cluster manager makes during the run. The bus is safe to
 	// share between concurrently running engines.
 	Notify *notify.Bus
-	// ReferencePlacement runs the cluster manager's retained brute-force
-	// placement path instead of its capacity index. Results are
-	// bit-for-bit identical (guarded by the differential test suite);
-	// the flag exists for that comparison and for benchmarks.
-	ReferencePlacement bool
-	// FullPressureScan keeps the indexed surplus path but replaces the
-	// bound-pruned under-pressure descent with the retained linear scan
-	// over every pool server. Results are bit-for-bit identical up to
-	// the pressure-scan meters (guarded by the differential suite); the
-	// flag exists for that comparison and for the bench-pressure gate.
-	FullPressureScan bool
 	// Shocks is an explicit capacity-shock schedule: revocations,
 	// restorations and resizes of specific servers by provisioning
 	// index. Shocks addressing servers beyond the run's provisioned
@@ -287,11 +276,6 @@ type Config struct {
 	// reads per timed section and is off when nil; it never influences
 	// any simulated outcome.
 	Timings *PhaseTimings
-	// useHeapQueue forces the reference container/heap event queue
-	// instead of the calendar queue. Results are identical either way
-	// (the queues implement one total order); the knob exists so the
-	// differential tests can prove exactly that through full runs.
-	useHeapQueue bool
 }
 
 // DefaultServerCapacity is the paper's server: 48 CPUs, 128 GB RAM.
@@ -410,10 +394,11 @@ type Result struct {
 	// whose exact fitness was computed across those scans and
 	// PressurePruned counts indexed servers the bound-pruned descent
 	// excluded without scoring — by the fitness bound, the feasibility
-	// pre-filter, or an earlier candidate succeeding. The full-scan
-	// modes (ReferencePlacement, FullPressureScan) score every pool
-	// server and prune none, so differential suites comparing across
-	// modes zero Scored/Pruned before reflect.DeepEqual.
+	// pre-filter, or an earlier candidate succeeding. The cluster
+	// package's test-side placement oracles scan linearly — they score
+	// every pool server and prune none — so differential suites
+	// comparing against them zero Scored/Pruned before
+	// reflect.DeepEqual.
 	PressuredArrivals int
 	PressureScored    int
 	PressurePruned    int

@@ -2,7 +2,7 @@ package clustersim
 
 import (
 	"cmp"
-	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -167,31 +167,28 @@ func (e *Engine) Run() (*Result, error) {
 	return e.runDeflation()
 }
 
+// newOracleQueue, when set, builds every run's event queue in place of
+// the streamed intake over a calendar: the test-side binary-heap oracle
+// the differential suites hold the calendar to. Nil in every shipped
+// build.
+var newOracleQueue func(src *rowSource) eventQueue
+
 // openQueue builds the run's event queue over the row source's arrival
 // order and sets the horizon, the trace's last departure. Arrivals stay
 // latent in the trace: a streamQueue delivers them from the
 // arrival-order column over a live-set calendar, so the ring holds what
 // is live, not N pre-pushed events. Departure events are scheduled when
-// (and only when) a VM is admitted, samples by the run loop. The heap
-// oracle (cfg.useHeapQueue) instead pushes every arrival up front into
-// one flat binary heap, for both adapters, which makes the queue
-// differential overlay + calendar against a single heap. Either way the
-// geometry is released: the queue owns what it needs of it.
+// (and only when) a VM is admitted, samples by the run loop. Either way
+// the geometry is released: the queue owns what it needs of it.
 func (e *Engine) openQueue() eventQueue {
 	src := e.src
 	g := src.geometry()
 	src.geo = nil
 	e.horizon = g.maxEnd
-	if !e.cfg.useHeapQueue {
-		return newStreamQueue(src.rowAdapter, g.byStart, newCalendarQueue(liveSetHint, g.maxEnd))
+	if newOracleQueue != nil {
+		return newOracleQueue(src)
 	}
-	q := &heapQueue{evs: make([]simEvent, 0, src.len())}
-	for row := range src.len() {
-		vm := src.record(row)
-		q.evs = append(q.evs, simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: row})
-	}
-	heap.Init(q)
-	return q
+	return newStreamQueue(src.rowAdapter, g.byStart, newCalendarQueue(liveSetHint, g.maxEnd))
 }
 
 // setupDeflation builds the deflation-mode run state: the cluster
@@ -210,8 +207,6 @@ func (e *Engine) setupDeflation() error {
 		PartitionByPriority: cfg.Partitioned,
 		PriorityLevels:      cfg.PriorityLevels,
 		Notify:              cfg.Notify,
-		ReferencePlacement:  cfg.ReferencePlacement,
-		FullPressureScan:    cfg.FullPressureScan,
 		CollectTimings:      cfg.Timings != nil,
 	}
 	if cfg.Risk != nil {
@@ -361,7 +356,9 @@ func (e *Engine) eventLoop() error {
 					}
 				}
 			}
-			e.handleArrivals(batch)
+			if err := e.handleArrivals(batch); err != nil {
+				return err
+			}
 		case evRevoke:
 			// Coalesce the run of revocations sharing this timestamp —
 			// a rack-sized correlated shock — into ONE multi-server
@@ -725,8 +722,10 @@ func (e *Engine) closeVM(slot int32, at float64) {
 // departures only for placements that succeed (rejected VMs leave no
 // residue in the queue). Admission-time billing reads
 // Placement.Initial — the allocation the VM launched with, before any
-// later VM of the same batch deflated it.
-func (e *Engine) handleArrivals(evs []simEvent) {
+// later VM of the same batch deflated it. An arrival whose ID is still
+// running fails the run: the manager is keyed by name and cannot hold
+// both.
+func (e *Engine) handleArrivals(evs []simEvent) error {
 	cfg := &e.cfg
 	dcs := e.dcBuf[:0]
 	prios := e.prioBuf[:0]
@@ -769,6 +768,9 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 			e.res.ReclamationAttempts++
 		}
 		if pl.Err != nil {
+			if errors.Is(pl.Err, cluster.ErrExists) {
+				return errLiveTwice(ev.vm.ID, ev.seq)
+			}
 			e.res.Rejected++
 			continue
 		}
@@ -787,6 +789,13 @@ func (e *Engine) handleArrivals(evs []simEvent) {
 			meters[j].Observe(ev.at/3600, s.Rate(dcs[i].Size, prios[i], pl.Initial))
 		}
 	}
+	return nil
+}
+
+// errLiveTwice reports an arrival whose VM ID is still running from an
+// earlier trace row.
+func errLiveTwice(id string, row int) error {
+	return fmt.Errorf("clustersim: trace row %d: VM ID %q arrives while an earlier row with that ID is still running", row, id)
 }
 
 // sampleVM accumulates demand/loss, SLO state and allocation-based

@@ -1,10 +1,6 @@
 package clustersim
 
-import (
-	"container/heap"
-
-	"vmdeflate/internal/trace"
-)
+import "vmdeflate/internal/trace"
 
 // eventKind orders simultaneous events. Samples fire first so metering
 // observes the population as it stood through the preceding interval;
@@ -85,11 +81,10 @@ func eventLess(a, b simEvent) bool {
 }
 
 // eventQueue is the pending-event set: push schedules, pop/peek deliver
-// in (time, kind, seq) order. Two interchangeable implementations
-// exist — heapQueue (container/heap, the original and the property-test
-// reference) and calendarQueue (O(1) amortized, the default) — plus
-// streamQueue, which overlays the trace's latent arrivals on a live-set
-// queue for both adapters. Unlike the pre-queue approach —
+// in (time, kind, seq) order. calendarQueue (O(1) amortized) is the
+// live-set queue, and streamQueue overlays the trace's latent arrivals
+// on it for both adapters; the binary heap they replaced lives on in the
+// tests as their oracle (heapqueue_test.go). Unlike the pre-queue approach —
 // materialise 2N events in one slice and sort it per run — all of them
 // admit lazily scheduled events (departures are only scheduled for VMs
 // that were actually admitted, samples reschedule themselves), so a
@@ -107,40 +102,6 @@ type eventQueue interface {
 	// empty reports whether any events remain.
 	empty() bool
 }
-
-// heapQueue is the container/heap-backed eventQueue: O(log n) push/pop.
-// It remains as the differential reference for calendarQueue (see
-// Config.useHeapQueue and the randomized property test) — any ordering
-// bug in the calendar shows up as a bit-level divergence against it.
-type heapQueue struct {
-	evs []simEvent
-}
-
-// Len, Less, Swap, Push and Pop implement heap.Interface; the ordering
-// is eventLess.
-func (q *heapQueue) Len() int { return len(q.evs) }
-
-func (q *heapQueue) Less(i, j int) bool { return eventLess(q.evs[i], q.evs[j]) }
-
-func (q *heapQueue) Swap(i, j int) { q.evs[i], q.evs[j] = q.evs[j], q.evs[i] }
-
-func (q *heapQueue) Push(x any) { q.evs = append(q.evs, x.(simEvent)) }
-
-func (q *heapQueue) Pop() any {
-	old := q.evs
-	n := len(old)
-	e := old[n-1]
-	q.evs = old[:n-1]
-	return e
-}
-
-func (q *heapQueue) push(e simEvent) { heap.Push(q, e) }
-
-func (q *heapQueue) pop() simEvent { return heap.Pop(q).(simEvent) }
-
-func (q *heapQueue) peek() simEvent { return q.evs[0] }
-
-func (q *heapQueue) empty() bool { return len(q.evs) == 0 }
 
 // streamChunkShift sizes the arrival-order chunks: 1<<20 arrivals
 // (4 MB of int32) per chunk, released as soon as the scan moves past

@@ -132,8 +132,11 @@ func TestEventQueueOrdering(t *testing.T) {
 // arrivalQueue is the event queue a run over tr opens: the latent
 // arrival overlay, or with useHeap the flat heap oracle.
 func arrivalQueue(tr *trace.AzureTrace, useHeap bool) eventQueue {
-	e := &Engine{cfg: Config{useHeapQueue: useHeap}, src: newRowSource(tr, nil)}
-	return e.openQueue()
+	src := newRowSource(tr, nil)
+	if useHeap {
+		return newHeapQueue(src)
+	}
+	return (&Engine{src: src}).openQueue()
 }
 
 func TestArrivalQueue(t *testing.T) {

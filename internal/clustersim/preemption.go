@@ -156,8 +156,8 @@ func (e *Engine) runPreemption() (*Result, error) {
 		switch ev.kind {
 		case evDeparture:
 			vm, ok := running[ev.vm.ID]
-			if !ok {
-				continue // already preempted or shock-killed
+			if !ok || vm.rec != ev.vm {
+				continue // already preempted or shock-killed, its ID maybe reused
 			}
 			leave(vm)
 			continue
@@ -203,6 +203,9 @@ func (e *Engine) runPreemption() (*Result, error) {
 				shockKill(vm, ev.at)
 			}
 			continue
+		}
+		if _, ok := running[ev.vm.ID]; ok {
+			return nil, errLiveTwice(ev.vm.ID, ev.seq)
 		}
 		res.Arrivals++
 		p95, _ := e.src.util(ev.seq)

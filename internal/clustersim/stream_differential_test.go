@@ -28,11 +28,10 @@ func TestStreamedEngineMatchesEager(t *testing.T) {
 			for _, queue := range []string{"calendar", "heapqueue"} {
 				name := fmt.Sprintf("%v/seed=%d/%s", kind, seed, queue)
 				t.Run(name, func(t *testing.T) {
-					base := Config{
-						Policy:       policy.Priority{},
-						Overcommit:   0.5,
-						useHeapQueue: queue == "heapqueue",
+					if queue == "heapqueue" {
+						useHeapQueue(t)
 					}
+					base := Config{Policy: policy.Priority{}, Overcommit: 0.5}
 					eagerCfg := base
 					eagerCfg.Trace = tr
 					eager, err := Run(eagerCfg)
@@ -141,14 +140,7 @@ func TestCalendarQueueMatchesHeapFullRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.useHeapQueue = true
-		hp, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cal, hp) {
-			t.Fatalf("%s: calendar run diverged from heap:\ncalendar %+v\nheap     %+v", mode, *cal, *hp)
-		}
+		runOracleModes(t, mode+"/", cfg, cal)
 	}
 }
 

@@ -1,7 +1,9 @@
 package clustersim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vmdeflate/internal/perfmodel"
@@ -96,9 +98,9 @@ func runChecked(t *testing.T, cfg Config) (*Result, int) {
 
 // TestMeteringTableInvariants audits the table mid-run on the
 // configurations the differential, revocation, SLO, risk and stream
-// suites drive — built by those suites' own helpers — under the indexed
-// placer and the brute-force reference placement, and holds each
-// audited run to the unaudited one.
+// suites drive — built by those suites' own helpers — on the calendar
+// queue and on the binary-heap oracle, and holds each audited run to the
+// unaudited one.
 func TestMeteringTableInvariants(t *testing.T) {
 	tr := testTrace(400)
 	bursty, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 1200, Duration: 86400, Seed: 3})
@@ -130,10 +132,12 @@ func TestMeteringTableInvariants(t *testing.T) {
 		"stream shocked": {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.4, Partitioned: true, SLO: &SLOConfig{}, ShockConfig: testShockConfig(11)},
 	}
 	for name, base := range cases {
-		for _, placer := range []string{"indexed", "reference"} {
-			t.Run(name+"/"+placer, func(t *testing.T) {
+		for _, queue := range []string{"calendar", "heapqueue"} {
+			t.Run(name+"/"+queue, func(t *testing.T) {
+				if queue == "heapqueue" {
+					useHeapQueue(t)
+				}
 				cfg := base
-				cfg.ReferencePlacement = placer == "reference"
 				want, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -207,6 +211,65 @@ func TestIDReuseAfterShockKill(t *testing.T) {
 	}
 }
 
+// TestIDLiveTwiceFailsRun: a trace built in code can carry an ID that
+// arrives while an earlier row with it still runs, which ReadAzureCSV
+// rejects at load. The name-keyed manager cannot hold both, so the run
+// fails naming the ID and the arriving row — in deflation mode, where
+// the placement used to be counted as Rejected, and in preemption mode,
+// where the second VM used to overwrite the first in the running set
+// (the first's departure then took the second off its server and the
+// first's capacity leaked).
+func TestIDLiveTwiceFailsRun(t *testing.T) {
+	util := []float64{50, 50, 50, 50}
+	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
+		{ID: "a", Class: trace.Interactive, Cores: 2, MemoryMB: 2048, Start: 0, End: 1200, CPUUtil: util},
+		{ID: "x", Class: trace.Interactive, Cores: 2, MemoryMB: 2048, Start: 0, End: 1200, CPUUtil: util},
+		{ID: "x", Class: trace.DelayInsensitive, Cores: 2, MemoryMB: 2048, Start: 600, End: 1800, CPUUtil: util},
+	}}
+	for _, mode := range []Mode{ModeDeflation, ModePreemption} {
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			res, err := Run(Config{Trace: tr, Mode: mode, BaselineServers: 1})
+			if err == nil {
+				t.Fatalf("run succeeded (%d admitted, %d rejected), want an error for ID \"x\" live twice", res.Admitted, res.Rejected)
+			}
+			for _, want := range []string{`"x"`, "trace row 2"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPreemptionIDReuseAfterShockKill is TestIDReuseAfterShockKill on the
+// preemption baseline: row 0's stale departure must not take row 1,
+// which reused its ID, off the server. A full-server VM arriving in
+// between then finds row 1 still there and is rejected.
+func TestPreemptionIDReuseAfterShockKill(t *testing.T) {
+	util := make([]float64, 40)
+	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
+		{ID: "x", Class: trace.Interactive, Cores: 2, MemoryMB: 2048, Start: 0, End: 6000, CPUUtil: util},
+		{ID: "x", Class: trace.Interactive, Cores: 2, MemoryMB: 2048, Start: 3000, End: 12000, CPUUtil: util},
+		{ID: "big", Class: trace.Interactive, Cores: 48, MemoryMB: 131072, Start: 7000, End: 9000, CPUUtil: util},
+	}}
+	res, err := Run(Config{
+		Trace:           tr,
+		Mode:            ModePreemption,
+		BaselineServers: 1,
+		Shocks: []trace.CapacityShock{
+			{At: 1500, Kind: trace.ShockRevoke, Server: 0}, // the only server: row 0 dies
+			{At: 2400, Kind: trace.ShockRestore, Server: 0},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ShockKills != 1 || res.Admitted != 2 || res.Rejected != 1 {
+		t.Fatalf("%d shock kills, %d admitted, %d rejected; want 1, 2, 1 (row 1 still holds its cores when big arrives)",
+			res.ShockKills, res.Admitted, res.Rejected)
+	}
+}
+
 // TestSamplePassVisitsOnlyMeteredVMs pins the work count the table
 // exists for: a sample pass visits the running deflatable VMs and
 // nothing else, so visits summed over the run equal the samples metered.
@@ -261,7 +324,9 @@ func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
 			rowOf[vm.Class] = i
 		}
 	}
-	e.handleArrivals(resident)
+	if err := e.handleArrivals(resident); err != nil {
+		t.Fatal(err)
+	}
 	if len(e.tbl) == 0 || e.res.Rejected != 0 {
 		t.Fatalf("warm-up admitted %d rows, rejected %d", len(e.tbl), e.res.Rejected)
 	}
@@ -274,7 +339,9 @@ func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
 		arrival := []simEvent{{at: 0, kind: evArrival, vm: tr.VMs[row], seq: row}}
 		departure := make([]simEvent, 1)
 		pair := func() {
-			e.handleArrivals(arrival)
+			if err := e.handleArrivals(arrival); err != nil {
+				t.Fatal(err)
+			}
 			departure[0] = e.queue.pop()
 			if err := e.handleDepartures(departure); err != nil {
 				t.Fatal(err)
