@@ -105,24 +105,26 @@ bench-matrix:
 bench-revocation:
 	$(GO) run ./cmd/benchreport -scale 50000 -shocks poisson -scaleout BENCH_revocation.json
 
-# SLO frontier smoke: the 50k-VM bursty run comparing proportional
-# against latency-aware deflation on SLO violations at matched admitted
-# load, across overcommitment points and under revocation shocks
-# (BENCH_slo.json). Fails if latency-aware does not dominate: strictly
-# fewer violation-seconds at every calm overcommitment point, and a
-# majority of points plus the net total under revocation shocks.
+# SLO frontier test, verbose: a 20k-VM bursty trace comparing
+# proportional against latency-aware deflation on SLO violations at
+# matched admitted load, across overcommitment points and under
+# revocation shocks. Fails if latency-aware does not dominate: no fewer
+# admissions and strictly fewer violation-seconds at every calm
+# overcommitment point, and a majority of points plus the net total
+# under revocation shocks.
 bench-slo:
-	$(GO) run ./cmd/benchreport -slo 50000 -sloout BENCH_slo.json
+	$(GO) test -count=1 -run '^TestSLOFrontierLatencyDominates$$' -v ./internal/clustersim
 
-# Revocation-risk frontier smoke: portfolio server mixes (sweeping the
-# cheap revocation-heavy spot slice) run risk-blind vs risk-aware —
-# hazard-banded placement plus forecast-headroom admission — under rack
-# shocks (BENCH_risk.json). Fails unless risk-aware strictly cuts
-# displaced downtime and SLO violation-seconds on every mix at
-# near-equal admitted revenue, cuts shock kills fleet-wide, and fleet
-# cost falls monotonically as the spot share grows.
+# Revocation-risk frontier test, verbose: portfolio server mixes
+# (sweeping the cheap revocation-heavy spot slice) run risk-blind vs
+# risk-aware — hazard-banded placement plus forecast-headroom admission
+# — under rack shocks on 4k heavy-tail VMs. Fails unless risk-aware
+# strictly cuts displaced downtime and SLO violation-seconds on every
+# mix at near-equal admitted revenue, cuts shock kills fleet-wide, fleet
+# cost is equal blind vs aware at every point and falls as the spot
+# share grows.
 bench-risk:
-	$(GO) run ./cmd/benchreport -risk 4000 -riskout BENCH_risk.json
+	$(GO) test -count=1 -run '^TestRiskFrontier$$' -v ./internal/clustersim
 
 # Pressure-index gate, by work count: a high-overcommit 100k-VM run
 # (pressure scans dominate) executed twice — bound-pruned descent vs

@@ -4,7 +4,8 @@ package vmdeflate
 // regenerates its figure's data series and attaches the figure's
 // headline quantity as a custom metric (b.ReportMetric), so
 // `go test -bench=. -benchmem` doubles as the reproduction harness.
-// EXPERIMENTS.md records paper-vs-measured for every series.
+// The figures whose conclusions are pinned have claim tests in
+// figures_test.go.
 
 import (
 	"sync"

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"vmdeflate/internal/cluster/capindex"
 	"vmdeflate/internal/hypervisor"
@@ -115,12 +114,6 @@ type Config struct {
 	// (Figure 1's notification to the application manager / load
 	// balancer).
 	Notify *notify.Bus
-	// CollectTimings accumulates per-phase wall times
-	// (commit/reinflate), readable through
-	// Manager.PhaseTimings. Off by default: the clock reads sit on the
-	// per-batch paths, and benchmarks should not pay for them unasked.
-	// Timing collection never influences any placement outcome.
-	CollectTimings bool
 	// Risk, when set, turns on the revocation-risk machinery: servers
 	// carry a hazard band and a headroom reserve fraction
 	// (AddServerSpec), admission withholds capacity that forecast
@@ -333,40 +326,6 @@ type Manager struct {
 	results []Placement
 	mfIdx   []*capindex.Index
 	mfLow   []float64
-
-	// Per-phase wall-time accumulators (Config.CollectTimings), written
-	// under mu by the placement/reinflation paths. surplusTime and
-	// pressureTime are sub-phases included within commitTime: the
-	// surplus candidate queries and the under-pressure scans.
-	commitTime    time.Duration
-	surplusTime   time.Duration
-	pressureTime  time.Duration
-	reinflateTime time.Duration
-}
-
-// PhaseTimings is the per-phase wall-time breakdown a manager
-// accumulates when Config.CollectTimings is set: placement (Commit) and
-// the reinflation passes. Surplus and Pressure attribute the placement
-// time further — the surplus candidate queries and the under-pressure
-// scans — and are included within Commit, not additional to it.
-type PhaseTimings struct {
-	Commit    time.Duration
-	Surplus   time.Duration
-	Pressure  time.Duration
-	Reinflate time.Duration
-}
-
-// PhaseTimings returns the accumulated phase timings (zero unless
-// Config.CollectTimings is set).
-func (m *Manager) PhaseTimings() PhaseTimings {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return PhaseTimings{
-		Commit:    m.commitTime,
-		Surplus:   m.surplusTime,
-		Pressure:  m.pressureTime,
-		Reinflate: m.reinflateTime,
-	}
 }
 
 // PressureStats returns the under-pressure scan counters: how many
@@ -693,22 +652,12 @@ func (m *Manager) PlaceVMs(dcs []hypervisor.DomainConfig, out []Placement) []Pla
 // placeAllLocked fills m.results for dcs, placing them one at a time in
 // input order.
 func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
-	var t0 time.Time
-	if m.cfg.CollectTimings {
-		t0 = time.Now()
-	}
 	if cap(m.results) < len(dcs) {
 		m.results = make([]Placement, 0, len(dcs))
 	}
 	m.results = m.results[:0]
 	for _, dc := range dcs {
 		m.results = append(m.results, m.placeOneLocked(dc))
-	}
-	if m.cfg.CollectTimings {
-		// Commit is the whole placement time; the surplus/pressure
-		// sub-timers (accumulated inside placeOneLocked) attribute it
-		// further.
-		m.commitTime += time.Since(t0)
 	}
 }
 
@@ -726,7 +675,7 @@ func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 		m.riskRejections++
 		return Placement{Err: errHeadroom(dc)}
 	}
-	best := m.surplusCandidateTimedLocked(m.PartitionOf(dc), dc.Size, m.banded(dc))
+	best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size, m.banded(dc))
 	// A surplus candidate in the VM's own pool already proves some
 	// server fits without deflation; only its absence needs the
 	// cross-pool existence scan.
@@ -835,20 +784,6 @@ func candBefore(a, b cand) bool {
 }
 
 type candList []cand
-
-// surplusCandidateTimedLocked is surplusCandidateLocked under the
-// surplus sub-phase timer, so BENCH artifacts can attribute placement
-// time to the surplus query vs the pressure scan. Timing never changes
-// the candidate returned.
-func (m *Manager) surplusCandidateTimedLocked(pool int, size resources.Vector, banded bool) *Server {
-	if !m.cfg.CollectTimings {
-		return m.surplusCandidateLocked(pool, size, banded)
-	}
-	t0 := time.Now()
-	s := m.surplusCandidateLocked(pool, size, banded)
-	m.surplusTime += time.Since(t0)
-	return s
-}
 
 // surplusCandidateLocked returns the tightest-fit server that can host
 // size without any deflation — the server with the smallest (dominant
@@ -1129,19 +1064,11 @@ func (m *Manager) teardownLocked(s *Server, d *hypervisor.Domain) error {
 // reinflateAffected runs one reinflation pass per affected server, in
 // first-touched order, and reports the first error.
 func (m *Manager) reinflateAffected(affected []*Server) error {
-	var t0 time.Time
-	timed := m.cfg.CollectTimings && len(affected) > 0
-	if timed {
-		t0 = time.Now()
-	}
 	var firstErr error
 	for _, s := range affected {
 		if err := reinflate(s, &m.cfg); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	if timed {
-		m.reinflateTime += time.Since(t0)
 	}
 	return firstErr
 }

@@ -55,8 +55,6 @@
 package cluster
 
 import (
-	"time"
-
 	"vmdeflate/internal/cluster/capindex"
 	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/resources"
@@ -82,28 +80,13 @@ func boundKey(avail resources.Vector) float64 {
 // skipped. Routes to the bound-pruned descent, or to the test-side
 // oracle's linear scan when one is set — both realizing the identical
 // strict candidate order. Also the one place the pressured-arrival
-// counter and pressure sub-phase timer live, so every mode meters
-// identically.
+// counter lives, so every mode meters identically.
 func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool) {
 	m.pressuredArrivals++
-	var t0 time.Time
-	if m.cfg.CollectTimings {
-		t0 = time.Now()
-	}
-	var (
-		d  *hypervisor.Domain
-		s  *Server
-		ok bool
-	)
 	if m.oracle != nil {
-		d, s, ok = m.oracle.pressure(m, dc, best)
-	} else {
-		d, s, ok = m.pressurePrunedLocked(dc, best)
+		return m.oracle.pressure(m, dc, best)
 	}
-	if m.cfg.CollectTimings {
-		m.pressureTime += time.Since(t0)
-	}
-	return d, s, ok
+	return m.pressurePrunedLocked(dc, best)
 }
 
 // pressurePrunedLocked is the bound-pruned descent: band groups in

@@ -80,7 +80,6 @@ package clustersim
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/notify"
@@ -164,25 +163,6 @@ const (
 	// killed to make room under pressure (today's transient servers).
 	ModePreemption
 )
-
-// PhaseTimings breaks one run's wall time down by engine phase. All
-// fields are cumulative across the run. Timings live here — reached
-// through Config.Timings — rather than in Result, because Result is
-// compared with reflect.DeepEqual by the differential suites and wall
-// times are the one legitimately nondeterministic output.
-type PhaseTimings struct {
-	// Commit is the arrival and evacuation placement time.
-	Commit time.Duration
-	// Sample is the per-interval metering pass over the running set.
-	Sample time.Duration
-	// Reinflate is the departure/evacuation-driven reinflation passes.
-	Reinflate time.Duration
-	// Surplus and Pressure further attribute the placement work inside
-	// Commit: the surplus-index lookups and the under-pressure candidate
-	// scans. Both are subsets of Commit, not additional wall time.
-	Surplus  time.Duration
-	Pressure time.Duration
-}
 
 // Config parameterises one simulation run.
 type Config struct {
@@ -271,11 +251,6 @@ type Config struct {
 	// Shocks list carries no rate parameters, so bands and reserves stay
 	// zero). Nil keeps risk-blind placement.
 	Risk *RiskOptions
-	// Timings, when set, receives the run's per-phase wall times
-	// (commit/sample/reinflate). Collection adds two clock
-	// reads per timed section and is off when nil; it never influences
-	// any simulated outcome.
-	Timings *PhaseTimings
 }
 
 // DefaultServerCapacity is the paper's server: 48 CPUs, 128 GB RAM.

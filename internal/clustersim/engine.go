@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"time"
 
 	"vmdeflate/internal/cluster"
 	"vmdeflate/internal/hypervisor"
@@ -85,10 +84,6 @@ type Engine struct {
 	// src is the run's trace, addressed by row: everything the run reads
 	// about a VM it reads here or in the record the queue delivers.
 	src *rowSource
-
-	// sampleTime accumulates the sample passes' wall time when
-	// cfg.Timings is set.
-	sampleTime time.Duration
 
 	// Capacity-shock state: the provisioned servers' names (shock
 	// events address servers by index) and which of them are currently
@@ -207,7 +202,6 @@ func (e *Engine) setupDeflation() error {
 		PartitionByPriority: cfg.Partitioned,
 		PriorityLevels:      cfg.PriorityLevels,
 		Notify:              cfg.Notify,
-		CollectTimings:      cfg.Timings != nil,
 	}
 	if cfg.Risk != nil {
 		mgrCfg.Risk = &cluster.RiskConfig{HighPriority: cfg.Risk.HighPriority, MaxBands: cfg.Risk.Bands}
@@ -314,13 +308,7 @@ func (e *Engine) eventLoop() error {
 		ev := e.queue.pop()
 		switch ev.kind {
 		case evSample:
-			if cfg.Timings != nil {
-				t0 := time.Now()
-				e.samplePass(ev.at)
-				e.sampleTime += time.Since(t0)
-			} else {
-				e.samplePass(ev.at)
-			}
+			e.samplePass(ev.at)
 			if e.afterSample != nil {
 				e.afterSample()
 			}
@@ -515,14 +503,6 @@ func (e *Engine) foldResult() *Result {
 	}
 	if cfg.SLO != nil {
 		e.finishSLO()
-	}
-	if cfg.Timings != nil {
-		pt := e.mgr.PhaseTimings()
-		cfg.Timings.Commit += pt.Commit
-		cfg.Timings.Surplus += pt.Surplus
-		cfg.Timings.Pressure += pt.Pressure
-		cfg.Timings.Reinflate += pt.Reinflate
-		cfg.Timings.Sample += e.sampleTime
 	}
 	return e.res
 }

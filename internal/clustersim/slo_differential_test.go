@@ -176,6 +176,58 @@ func TestNoSLOLeavesResultUntouched(t *testing.T) {
 	}
 }
 
+// TestSLOFrontierLatencyDominates is the SLO frontier claim: on a
+// 20k-VM bursty trace, SLO-metered at MaxSlowdown 2, latency-aware
+// deflation dominates proportional — no fewer admissions and strictly
+// fewer violation-seconds — at every calm overcommitment point. Under
+// Poisson revocation shocks it must dominate at a majority of points and
+// accrue fewer violation-seconds in total: shock transients drive every
+// policy to the deflation floors, so single shocked points carry
+// placement noise, while the calm frontier is where the policies plan.
+// `make bench-slo` runs it verbosely.
+func TestSLOFrontierLatencyDominates(t *testing.T) {
+	tr, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 20000, Duration: 3 * 86400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := PeakServerLowerBound(tr, DefaultServerCapacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ocs := []float64{30, 50, 60}
+	for _, shocked := range []bool{false, true} {
+		opts := Options{BaselineServers: base, SLO: &SLOConfig{MaxSlowdown: 2}}
+		if shocked {
+			opts.ShockConfig = &trace.ShockConfig{Kind: trace.ShockPoisson, RatePerDay: 1, OutageMean: 2 * 3600, Seed: 1}
+		}
+		results, err := SweepGrid(tr, []string{StrategyProportional, StrategyLatency}, ocs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dominated := 0
+		var propNet, latNet float64
+		for i, oc := range ocs {
+			p, l := results[0].Points[i], results[1].Points[i]
+			dominates := l.Admitted >= p.Admitted && l.SLOViolationSeconds < p.SLOViolationSeconds
+			t.Logf("oc=%2.0f%% shocks=%-5v admitted %d/%d  viol-sec %.0f/%.0f  p99 %.2f/%.2f  dominates=%v",
+				oc, shocked, l.Admitted, p.Admitted, l.SLOViolationSeconds, p.SLOViolationSeconds,
+				l.SLOLatencyP99, p.SLOLatencyP99, dominates)
+			if dominates {
+				dominated++
+			} else if !shocked {
+				t.Errorf("oc=%g%% calm: latency-aware (admitted %d, %.0f viol-sec) does not dominate proportional (%d, %.0f)",
+					oc, l.Admitted, l.SLOViolationSeconds, p.Admitted, p.SLOViolationSeconds)
+			}
+			propNet += p.SLOViolationSeconds
+			latNet += l.SLOViolationSeconds
+		}
+		if shocked && (2*dominated < len(ocs) || latNet >= propNet) {
+			t.Errorf("shocked: latency-aware dominates %d/%d points, net viol-sec %.0f vs proportional %.0f",
+				dominated, len(ocs), latNet, propNet)
+		}
+	}
+}
+
 func almostEq(a, b float64) bool {
 	d := a - b
 	if d < 0 {

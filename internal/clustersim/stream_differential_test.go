@@ -193,29 +193,3 @@ func TestStreamConfigValidation(t *testing.T) {
 		t.Error("neither Trace nor Stream: want error")
 	}
 }
-
-// TestStreamedTimingsPopulated: a streamed run with Timings wired
-// reports nonzero phase wall time without perturbing the Result.
-func TestStreamedTimingsPopulated(t *testing.T) {
-	s, err := trace.NewStream(trace.ScenarioConfig{
-		Kind: trace.ScenarioAzure, NumVMs: 300, Duration: 86400, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Run(Config{Stream: s, Overcommit: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pt PhaseTimings
-	timed, err := Run(Config{Stream: s, Overcommit: 0.5, Timings: &pt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, timed) {
-		t.Fatalf("timing collection changed the Result:\nplain %+v\ntimed %+v", *plain, *timed)
-	}
-	if pt.Commit <= 0 || pt.Sample <= 0 {
-		t.Fatalf("expected nonzero commit/sample timings, got %+v", pt)
-	}
-}

@@ -185,7 +185,7 @@ func NetworkFeasibility(tr *trace.AlibabaTrace, levels []float64) (Table, error)
 }
 
 // FormatTable renders a table as aligned text rows (deflation%, then the
-// five-number summary), for the CLI tools and EXPERIMENTS.md.
+// five-number summary), for the CLI tools.
 func FormatTable(t Table) string {
 	s := fmt.Sprintf("# %s\n%10s %8s %8s %8s %8s %8s %8s\n",
 		t.Name, "defl%", "min", "q1", "median", "q3", "max", "mean")

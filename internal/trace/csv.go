@@ -150,7 +150,6 @@ func checkLiveIDs(vms []*VMRecord) error {
 // or a panic instead of an error. A zero-lifetime VM (end == start) is
 // legal.
 func (r *VMRecord) validate() error {
-	finiteNonNeg := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) } // false for NaN
 	switch {
 	case !finiteNonNeg(r.Start):
 		return fmt.Errorf("start %g is negative or not finite", r.Start)
@@ -163,9 +162,23 @@ func (r *VMRecord) validate() error {
 	case !(r.MemoryMB > 0) || math.IsInf(r.MemoryMB, 1):
 		return fmt.Errorf("memory %g MB is not a positive finite size", r.MemoryMB)
 	}
-	for i, u := range r.CPUUtil {
+	if err := checkSamples(r.CPUUtil); err != nil {
+		return fmt.Errorf("util %w", err)
+	}
+	return nil
+}
+
+// finiteNonNeg reports whether x is a finite non-negative number (false
+// for NaN).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// checkSamples rejects a utilisation series holding a sample that is
+// not a finite non-negative number: a percentile or mean over it would
+// drop or be dragged by the sample instead of failing.
+func checkSamples(xs []float64) error {
+	for i, u := range xs {
 		if !finiteNonNeg(u) {
-			return fmt.Errorf("util sample %d is %g, negative or not finite", i, u)
+			return fmt.Errorf("sample %d is %g, negative or not finite", i, u)
 		}
 	}
 	return nil
@@ -202,7 +215,10 @@ func WriteAlibabaCSV(w io.Writer, t *AlibabaTrace) error {
 	return cw.Error()
 }
 
-// ReadAlibabaCSV parses a trace written by WriteAlibabaCSV.
+// ReadAlibabaCSV parses a trace written by WriteAlibabaCSV. Every sample
+// must be a finite non-negative number, the rule VMRecord.validate
+// applies to Azure utilisation: a file holding any other returns an
+// error naming its line, column and sample index, not a trace.
 func ReadAlibabaCSV(r io.Reader) (*AlibabaTrace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(alibabaHeader)
@@ -225,6 +241,9 @@ func ReadAlibabaCSV(r io.Reader) (*AlibabaTrace, error) {
 		c := &ContainerRecord{ID: row[0]}
 		for i, dst := range []*[]float64{&c.CPUUtil, &c.MemUtil, &c.MemBWUtil, &c.DiskUtil, &c.NetUtil} {
 			s, err := splitSeries(row[i+1])
+			if err == nil {
+				err = checkSamples(s)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("trace: alibaba line %d col %s: %w", line, alibabaHeader[i+1], err)
 			}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"testing"
 )
@@ -71,6 +72,56 @@ func FuzzReadAzureCSV(f *testing.F) {
 					t.Fatalf("row %d sample %d round-tripped to %g, want %g (from %g)", i, k, got.CPUUtil[k], six, u)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadAlibabaCSV holds the Alibaba CSV loader to its contract on
+// arbitrary input: it never panics; every sample of a trace it returns
+// is a finite non-negative number; and, since WriteAlibabaCSV keeps six
+// significant digits, writing the trace, reading that back and writing
+// again reproduces the first write byte for byte.
+//
+//	go test -run '^$' -fuzz FuzzReadAlibabaCSV -fuzztime 15s -fuzzminimizetime 200x ./internal/trace
+func FuzzReadAlibabaCSV(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte(alibabaGoodHead + "z,0,0;0,,0,0\n"))
+	for _, tc := range alibabaBadRows {
+		f.Add([]byte(alibabaGoodHead + tc.row + "\n"))
+	}
+	var buf bytes.Buffer
+	if err := WriteAlibabaCSV(&buf, GenerateAlibaba(AlibabaConfig{NumContainers: 6, Samples: 12, Seed: 1})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadAlibabaCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, c := range tr.Containers {
+			for _, series := range [][]float64{c.CPUUtil, c.MemUtil, c.MemBWUtil, c.DiskUtil, c.NetUtil} {
+				for k, u := range series {
+					if math.IsNaN(u) || math.IsInf(u, 0) || u < 0 {
+						t.Fatalf("container %d loaded sample %d = %g", i, k, u)
+					}
+				}
+			}
+		}
+		var first bytes.Buffer
+		if err := WriteAlibabaCSV(&first, tr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadAlibabaCSV(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading the written trace: %v", err)
+		}
+		var second bytes.Buffer
+		if err := WriteAlibabaCSV(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write-read-write is not a fixed point:\nfirst  %q\nsecond %q", first.Bytes(), second.Bytes())
 		}
 	})
 }

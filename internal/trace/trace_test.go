@@ -374,6 +374,42 @@ func TestReadAlibabaCSVErrors(t *testing.T) {
 	}
 }
 
+// alibabaGoodHead is a header and one good container (line 2); each
+// alibabaBadRows entry appended to it is line 3 and holds one sample
+// that is not a finite non-negative number.
+const alibabaGoodHead = "id,cpu,mem,membw,disk,net\nok,10,90,0.1,4,5\n"
+
+var alibabaBadRows = []struct{ name, row, want string }{
+	{"NaN mem", "c,10,90;NaN,0.1,4,5", "col mem: sample 1"},
+	{"+Inf net", "c,10,90,0.1,4,5;5;+Inf", "col net: sample 2"},
+	{"-Inf cpu", "c,-Inf,90,0.1,4,5", "col cpu: sample 0"},
+	{"negative disk", "c,10,90,0.1,4;-0.5,5", "col disk: sample 1"},
+	{"NaN membw", "c,10,90,nan,4,5", "col membw: sample 0"},
+}
+
+// TestReadAlibabaCSVRejectsBadSamples: a sample that is not a finite
+// non-negative number is an error naming its line, column and sample
+// index. Figs 9–12 would otherwise fold it silently: a NaN memory sample
+// drops out of Fig 9's percentiles, a +Inf network sample shifts Fig
+// 12's under-allocation medians.
+func TestReadAlibabaCSVRejectsBadSamples(t *testing.T) {
+	for _, tc := range alibabaBadRows {
+		tr, err := ReadAlibabaCSV(strings.NewReader(alibabaGoodHead + tc.row + "\n"))
+		if err == nil {
+			t.Errorf("%s: read a %d-container trace, want an error", tc.name, len(tr.Containers))
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "line 3") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q does not name line 3 and %q", tc.name, msg, tc.want)
+		}
+	}
+	// Zero samples and empty series stay legal.
+	tr, err := ReadAlibabaCSV(strings.NewReader(alibabaGoodHead + "z,0,0;0,,0,0\n"))
+	if err != nil || len(tr.Containers) != 2 {
+		t.Fatalf("zero samples: trace %v, err %v", tr, err)
+	}
+}
+
 func TestEmptySeriesRoundTrip(t *testing.T) {
 	tr := &AzureTrace{VMs: []*VMRecord{{ID: "vm-0", Class: Unknown, Cores: 1, MemoryMB: 1024}}}
 	var buf bytes.Buffer

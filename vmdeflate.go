@@ -20,7 +20,8 @@
 //   - a simulated KVM/cgroups/guest-OS substrate the above run against,
 //     plus a trace-driven cluster simulator and synthetic Azure-like and
 //     Alibaba-like datasets that reproduce the paper's evaluation
-//     (Figures 3-22; see bench_test.go and EXPERIMENTS.md).
+//     (Figures 3-22; see bench_test.go and the claim tests in
+//     figures_test.go).
 //
 // This root package is a facade over the implementation packages in
 // internal/; it exposes everything a downstream user needs to build and
