@@ -29,12 +29,13 @@ race:
 # events built from the view and the capacity index's in-place re-key
 # and payload-reading surplus probe — and what concurrent engines
 # share: the trace's build-once P95 column, the lock-free notify.Bus
-# publish and the sample pass's scheme billing over the metering table
-# — plus every engine run under the cluster package's test-side
+# publish and the sample pass's scheme billing over the metering table,
+# its allocation cache against the host's epoch included — plus every
+# engine run under the cluster package's test-side
 # placement oracles (the oracle hook is read by concurrent sweep
 # workers) — a fast, explicit signal beside the full `race` run.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -43,10 +44,12 @@ bench-smoke:
 
 # Zero-allocation gate: the steady-state deflate/reinflate policy pass,
 # the placement decision (risk-blind AND hazard-banded with the headroom
-# gate active), the pruned pressure scan, the SLO-metered sample pass
-# (closed-form queueing math included), the calendar event queue's
-# steady-state churn, a host's load writes followed by a deflatable-view read, a
-# host's refresh walk after a limit write, the capacity index's re-key
+# gate active), the pruned pressure scan, the sample pass on both sides
+# of its allocation cache (a limit write between passes), the
+# SLO-metered sample pass (closed-form queueing math included), the
+# calendar event queue's steady-state churn, a host's load writes
+# followed by a deflatable-view read, a host's refresh walk after a limit
+# write, the capacity index's re-key
 # and its surplus probe AND notify.Bus.Publish must all report 0
 # allocs/op, or the build fails. The awk gate names each required
 # benchmark explicitly (matching on the name with its -GOMAXPROCS suffix
@@ -55,13 +58,14 @@ bench-smoke:
 # BENCH_allocs.txt for CI to archive.
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|RiskDecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
-	$(GO) test -run '^$$' -bench 'SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|CalendarQueueSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
 			want["BenchmarkRiskDecideSteadyState"]; want["BenchmarkPressureScan"]; \
-			want["BenchmarkSamplePassSLOSteadyState"]; want["BenchmarkCalendarQueueSteadyState"]; \
+			want["BenchmarkSamplePassSteadyState"]; want["BenchmarkSamplePassSLOSteadyState"]; \
+			want["BenchmarkCalendarQueueSteadyState"]; \
 			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkRefreshWalkSteadyState"]; \
 			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkSurplusProbeSteadyState"]; \
 			want["BenchmarkPublishSteadyState"] } \
@@ -70,7 +74,7 @@ bench-allocs:
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision (risk-blind + risk-aware) + pressure scan + SLO sample + calendar queue + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision (risk-blind + risk-aware) + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager, on one goroutine, reported to

@@ -7,11 +7,11 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// sloSteadyEngine stands up a populated deflation-mode engine with SLO
-// metering on: a bursty trace's VMs are all admitted in one batch, so
-// subsequent samplePass calls meter a steady running set — the per-VM
-// queueing math exactly as the event loop runs it, without the loop.
-func sloSteadyEngine(tb testing.TB, nVMs int) *Engine {
+// steadyEngine stands up a populated deflation-mode engine over cfg: a
+// bursty trace's VMs are all admitted in one batch, so subsequent
+// samplePass calls meter a steady running set — the per-VM metering
+// exactly as the event loop runs it, without the loop.
+func steadyEngine(tb testing.TB, nVMs int, cfg Config) *Engine {
 	tb.Helper()
 	tr, err := trace.GenerateScenario(trace.ScenarioConfig{
 		Kind: trace.ScenarioBursty, NumVMs: nVMs, Duration: 86400, Seed: 1,
@@ -19,12 +19,8 @@ func sloSteadyEngine(tb testing.TB, nVMs int) *Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := NewEngine(Config{
-		Trace:      tr,
-		Policy:     policy.LatencyAware{},
-		Overcommit: 0.5,
-		SLO:        &SLOConfig{MaxSlowdown: 2},
-	})
+	cfg.Trace = tr
+	e, err := NewEngine(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,12 +38,69 @@ func sloSteadyEngine(tb testing.TB, nVMs int) *Engine {
 	return e
 }
 
+// sloSteadyEngine is steadyEngine with SLO metering on: the closed-form
+// queueing math and load publication run in every sample.
+func sloSteadyEngine(tb testing.TB, nVMs int) *Engine {
+	return steadyEngine(tb, nVMs, Config{
+		Policy:     policy.LatencyAware{},
+		Overcommit: 0.5,
+		SLO:        &SLOConfig{MaxSlowdown: 2},
+	})
+}
+
 // samplePassCycle runs one metered sample at a rotating trace offset so
 // utilisations (and hence published loads) actually change between
 // passes — the dirty-marking edge, not just the unchanged-load fast
 // path, is inside the measurement.
 func samplePassCycle(e *Engine, i int) {
 	e.samplePass(float64(1+i%100) * trace.SampleInterval)
+}
+
+// limitSampleCycle writes a new limit on one resident, alternating
+// between two sizes, then runs samplePassCycle: the rows on that
+// resident's host take the locked read and re-ask every pricing scheme
+// (the miss path), every other row holds its cached allocation and rates
+// (the hit path).
+func limitSampleCycle(tb testing.TB, e *Engine, i int) {
+	d := e.tbl[0].domain
+	if _, err := d.SetLimits(d.MaxSize().Scale(0.5+0.25*float64(i%2)), "transparent"); err != nil {
+		tb.Fatal(err)
+	}
+	samplePassCycle(e, i)
+}
+
+// TestSamplePassZeroAllocs is the allocation-regression guard for the
+// non-SLO sample pass with the three default pricing schemes, on both
+// sides of the allocation cache: the locked re-read with its Rate calls
+// and the cached hold must both be allocation-free once warm.
+func TestSamplePassZeroAllocs(t *testing.T) {
+	e := steadyEngine(t, 600, Config{Policy: policy.Proportional{}, Overcommit: 0.5})
+	limitSampleCycle(t, e, 0) // warm, and fill every row's cache
+	reads := e.allocReads
+	limitSampleCycle(t, e, 1)
+	if n := e.allocReads - reads; n == 0 || n >= len(e.tbl) {
+		t.Fatalf("one pass after a limit write took %d locked reads over %d rows, want some but not all", n, len(e.tbl))
+	}
+	i := 2
+	got := testing.AllocsPerRun(100, func() {
+		limitSampleCycle(t, e, i)
+		i++
+	})
+	if got != 0 {
+		t.Errorf("sample pass allocates %.1f allocs/op, want 0", got)
+	}
+}
+
+// BenchmarkSamplePassSteadyState is TestSamplePassZeroAllocs as the
+// `make bench-allocs` gate: `-benchmem` must report 0 allocs/op.
+func BenchmarkSamplePassSteadyState(b *testing.B) {
+	e := steadyEngine(b, 600, Config{Policy: policy.Proportional{}, Overcommit: 0.5})
+	limitSampleCycle(b, e, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		limitSampleCycle(b, e, i)
+	}
 }
 
 // TestSamplePassSLOZeroAllocs is the allocation-regression guard for

@@ -31,6 +31,13 @@ type vmTracking struct {
 	rec    trace.VMRecord
 	size   resources.Vector // == domain.MaxSize()
 	domain *hypervisor.Domain
+	// host, epoch and alloc cache the domain's allocation as read at its
+	// host's allocation epoch (host == nil: nothing cached). Admission
+	// and relocation leave it empty: they bill Placement.Initial, which
+	// may differ from the allocation the next sample finds.
+	host  *hypervisor.Host
+	epoch uint64
+	alloc resources.Vector
 	// cur reads this VM's utilisation incrementally on streamed runs
 	// (nil on eager runs, where rec.CPUUtil is materialised). The row
 	// source binds it at admission and takes it back when the VM closes.
@@ -114,6 +121,10 @@ type Engine struct {
 	sloHist        []uint64
 	sloViolByLevel []uint64
 	sloSampleCount uint64
+
+	// allocReads counts the sample pass's locked allocation reads (a row
+	// whose cache missed): a plain work count, read only by tests.
+	allocReads int
 
 	// Batch scratch, reused across handleArrivals calls (and, for names,
 	// the departure and revocation batches).
@@ -630,7 +641,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 			continue // on-demand: the manager holds its new domain
 		}
 		vt := &e.tbl[slot]
-		vt.domain = pl.Domain
+		vt.domain, vt.host = pl.Domain, nil
 		meters := e.metersOf(slot)
 		for j := range meters {
 			meters[j].Observe(at/3600, e.cfg.PricingSchemes[j].Rate(vt.size, vt.prio, pl.Initial))
@@ -780,16 +791,25 @@ func errLiveTwice(id string, row int) error {
 
 // sampleVM accumulates demand/loss, SLO state and allocation-based
 // billing at one 5-minute boundary. Its float writes go only to vt's own
-// row and meters (it reads the domain's allocation under the host's
-// lock). With cfg.SLO set it additionally maps the offered load and
-// current allocation to a request slowdown through the closed-form PS
-// model — pure float math, so the pass stays allocation-free — counts
-// the sample into the run's integer SLO accumulators, and publishes the
-// load to the domain for the latency-aware policy's next pass.
+// row and meters. The allocation comes from the row's cache while the
+// host's allocation epoch still matches it — each meter then holds the
+// rate it already bills, the same bits a Scheme.Rate call would return —
+// and is otherwise re-read, with the epoch, under the host's lock. With
+// cfg.SLO set it additionally maps the offered load and current
+// allocation to a request slowdown through the closed-form PS model —
+// pure float math, so the pass stays allocation-free — counts the sample
+// into the run's integer SLO accumulators, and publishes the load to the
+// domain for the latency-aware policy's next pass.
 func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 	cfg := &e.cfg
 	util := vmUtil(&vt.rec, vt.cur, at)
-	size, alloc := vt.size, vt.domain.Allocation()
+	hit := vt.host != nil && vt.host.AllocEpoch() == vt.epoch
+	if !hit {
+		vt.alloc, vt.epoch = vt.domain.AllocationEpoch()
+		vt.host = vt.domain.Host()
+		e.allocReads++
+	}
+	size, alloc := vt.size, vt.alloc
 	maxCores := size.Get(resources.CPU)
 	allocCores := alloc.Get(resources.CPU)
 	demand := util / 100 * maxCores * trace.SampleInterval
@@ -813,6 +833,12 @@ func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 			idx = sloHistBuckets - 1
 		}
 		e.sloHist[idx]++
+	}
+	if hit {
+		for i := range meters {
+			meters[i].Hold(at / 3600)
+		}
+		return
 	}
 	for i := range meters {
 		meters[i].Observe(at/3600, cfg.PricingSchemes[i].Rate(size, vt.prio, alloc))

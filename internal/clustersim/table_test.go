@@ -15,10 +15,11 @@ import (
 // checkTable audits the metering table against the manager it shadows,
 // between two events: every row's slotOf back-pointer, that the row is
 // what its domain says it is (deflatable, same name, same size, tagged
-// with the row's trace row), the meter column's length, and the other
-// direction — every deflatable resident of the manager has exactly its
-// row, every on-demand resident sits at the on-demand sentinel, and no
-// other trace row claims to be running.
+// with the row's trace row), that a cached allocation is the domain's
+// own while its host's allocation epoch has not moved, the meter
+// column's length, and the other direction — every deflatable resident
+// of the manager has exactly its row, every on-demand resident sits at
+// the on-demand sentinel, and no other trace row claims to be running.
 func checkTable(t *testing.T, e *Engine) {
 	t.Helper()
 	if k := len(e.cfg.PricingSchemes); len(e.meters) != len(e.tbl)*k {
@@ -39,6 +40,11 @@ func checkTable(t *testing.T, e *Engine) {
 			t.Fatalf("tbl[%d] (%s) is trace row %d, its domain is tagged %d", i, vt.rec.ID, vt.row, vt.domain.Config().Tag)
 		case (vt.cur != nil) != (e.cfg.Stream != nil):
 			t.Fatalf("tbl[%d] (%s): cursor bound = %v on a run with stream = %v", i, vt.rec.ID, vt.cur != nil, e.cfg.Stream != nil)
+		case vt.host != nil && vt.host != vt.domain.Host():
+			t.Fatalf("tbl[%d] (%s) caches host %s, its domain is on %s", i, vt.rec.ID, vt.host.Name(), vt.domain.Host().Name())
+		case vt.host != nil && vt.epoch == vt.host.AllocEpoch() && vt.alloc != vt.domain.Allocation():
+			t.Fatalf("tbl[%d] (%s) caches allocation %v at its host's current epoch %d, the domain holds %v",
+				i, vt.rec.ID, vt.alloc, vt.epoch, vt.domain.Allocation())
 		}
 	}
 	deflatable, onDemand := 0, 0
@@ -96,12 +102,10 @@ func runChecked(t *testing.T, cfg Config) (*Result, int) {
 	return res, audits
 }
 
-// TestMeteringTableInvariants audits the table mid-run on the
-// configurations the differential, revocation, SLO, risk and stream
-// suites drive — built by those suites' own helpers — on the calendar
-// queue and on the binary-heap oracle, and holds each audited run to the
-// unaudited one.
-func TestMeteringTableInvariants(t *testing.T) {
+// meteringCases are the configurations the differential, revocation,
+// SLO, risk and stream suites drive, built by those suites' own helpers.
+func meteringCases(t *testing.T) map[string]Config {
+	t.Helper()
 	tr := testTrace(400)
 	bursty, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 1200, Duration: 86400, Seed: 3})
 	if err != nil {
@@ -112,7 +116,7 @@ func TestMeteringTableInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := tr.Duration()
-	cases := map[string]Config{
+	return map[string]Config{
 		"differential": {Trace: tr, Policy: policy.Proportional{}, Overcommit: 0.6},
 		"partitioned":  {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Partitioned: true},
 		"revocation":   {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)},
@@ -131,26 +135,104 @@ func TestMeteringTableInvariants(t *testing.T) {
 		"stream":         {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.5},
 		"stream shocked": {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.4, Partitioned: true, SLO: &SLOConfig{}, ShockConfig: testShockConfig(11)},
 	}
-	for name, base := range cases {
+}
+
+// forEachMeteringCase runs fn on every metering case, on the calendar
+// queue and on the binary-heap oracle.
+func forEachMeteringCase(t *testing.T, fn func(t *testing.T, cfg Config)) {
+	for name, cfg := range meteringCases(t) {
 		for _, queue := range []string{"calendar", "heapqueue"} {
 			t.Run(name+"/"+queue, func(t *testing.T) {
 				if queue == "heapqueue" {
 					useHeapQueue(t)
 				}
-				cfg := base
-				want, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, audits := runChecked(t, cfg)
-				if audits == 0 || got.DeflatableAdmitted == 0 || got.Admitted == got.DeflatableAdmitted {
-					t.Fatalf("vacuous run: %d audits, %d admitted, %d of them deflatable", audits, got.Admitted, got.DeflatableAdmitted)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("audited run diverged:\ngot  %+v\nwant %+v", *got, *want)
-				}
+				fn(t, cfg)
 			})
 		}
+	}
+}
+
+// TestMeteringTableInvariants audits the table mid-run on the metering
+// cases and holds each audited run to the unaudited one.
+func TestMeteringTableInvariants(t *testing.T) {
+	forEachMeteringCase(t, func(t *testing.T, cfg Config) {
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, audits := runChecked(t, cfg)
+		if audits == 0 || got.DeflatableAdmitted == 0 || got.Admitted == got.DeflatableAdmitted {
+			t.Fatalf("vacuous run: %d audits, %d admitted, %d of them deflatable", audits, got.Admitted, got.DeflatableAdmitted)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("audited run diverged:\ngot  %+v\nwant %+v", *got, *want)
+		}
+	})
+}
+
+// TestCachedAllocationMatchesLockedReads holds the sample pass's
+// allocation cache to the path it replaced: dropping every row's cache
+// after each pass makes every sample take the locked read and re-ask
+// every pricing scheme, and the Result must not change by a bit.
+func TestCachedAllocationMatchesLockedReads(t *testing.T) {
+	forEachMeteringCase(t, func(t *testing.T, cfg Config) {
+		cached, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cached.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visits := 0
+		e.afterSample = func() {
+			visits += len(e.tbl)
+			for i := range e.tbl {
+				e.tbl[i].host = nil
+			}
+		}
+		got, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.allocReads != visits || cached.allocReads >= visits {
+			t.Fatalf("locked reads: %d uncached, %d cached, over %d metered rows; want all, then fewer",
+				e.allocReads, cached.allocReads, visits)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("uncached run diverged:\ngot  %+v\nwant %+v", *got, *want)
+		}
+	})
+}
+
+// TestSamplePassAllocReads pins the work the allocation cache saves: on
+// a shocked run that deflates at admission and relocates evacuees, the
+// sample pass takes the host lock for a small share of the rows it
+// meters. Without the cache every metered row was a locked read.
+func TestSamplePassAllocReads(t *testing.T) {
+	e, err := NewEngine(Config{Trace: testTrace(400), Policy: policy.Proportional{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits := 0
+	e.afterSample = func() { visits += len(e.tbl) }
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReclamationAttempts == 0 || res.Evacuations == 0 {
+		t.Fatalf("premise broken: %d reclamation attempts, %d evacuations (want both > 0)", res.ReclamationAttempts, res.Evacuations)
+	}
+	if 100*e.allocReads >= 15*visits {
+		t.Errorf("%d locked reads over %d metered rows, want under 15 %%", e.allocReads, visits)
+	}
+	const wantReads, wantVisits = 1701, 16800
+	if e.allocReads != wantReads || visits != wantVisits {
+		t.Errorf("%d locked reads over %d metered rows, want %d over %d", e.allocReads, visits, wantReads, wantVisits)
 	}
 }
 

@@ -43,6 +43,9 @@ func checkAggregates(t *testing.T, h *Host, op string) {
 // hostChurn drives one host through a long randomized define / start /
 // limit / hotplug / clear / shutdown / undefine / resize sequence, with
 // offered-load writes throughout, and calls check after every operation.
+// Around each operation it holds the allocation epoch to checkEpoch, and
+// check, checkRows and their Aggregates / AppendDeflatableView reads must
+// leave the epoch where they found it.
 // It exercises what the host's row table adds over a plain sorted list:
 // names are drawn out of order, so most defines insert mid-order; a
 // share of defines re-use a previously undefined name, so freed row
@@ -61,6 +64,10 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 
 	for op := 0; op < 3000; op++ {
 		var opName string
+		// allocWrite marks the ops that may move an allocation: the only
+		// ones allowed to move the host's allocation epoch.
+		allocWrite := false
+		epoch, before := h.AllocEpoch(), allocations(h)
 		switch k := rng.Intn(13); {
 		case k >= 11 && len(live) > 0: // offered-load write, any lifecycle state
 			name := live[rng.Intn(len(live))]
@@ -116,6 +123,7 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 				t.Fatal(err)
 			}
 			frac := 0.3 + 0.7*rng.Float64()
+			allocWrite = true
 			switch rng.Intn(5) {
 			case 0:
 				d.ClearTransparentLimits()
@@ -136,6 +144,7 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 			if err != nil {
 				t.Fatal(err)
 			}
+			allocWrite = true
 			if rng.Intn(2) == 0 {
 				d.HotUnplugVCPUs(1 + rng.Intn(4))
 				d.HotUnplugMemory(float64(512 * (1 + rng.Intn(4))))
@@ -174,8 +183,13 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 			retired = append(retired, name)
 			opName = "undefine " + name
 		}
+		checkEpoch(t, h, opName, allocWrite, epoch, before)
+		epoch = h.AllocEpoch()
 		check(t, h, opName)
 		checkRows(t, h, opName)
+		if h.AllocEpoch() != epoch {
+			t.Fatalf("after %s: a read moved the allocation epoch %d -> %d", opName, epoch, h.AllocEpoch())
+		}
 	}
 	// A slot is appended only when the free list is empty, so the table is
 	// as long as the largest population ever resident, not as the number
@@ -185,6 +199,35 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 	}
 	if defines <= maxLive {
 		t.Errorf("churn recycled no row slot: %d defines, peak population %d", defines, maxLive)
+	}
+}
+
+// allocations snapshots every resident's allocation.
+func allocations(h *Host) map[*Domain]resources.Vector {
+	out := map[*Domain]resources.Vector{}
+	for _, d := range h.Domains() {
+		out[d] = d.Allocation()
+	}
+	return out
+}
+
+// checkEpoch is the allocation-epoch property behind every cache keyed
+// on it: an op that moved any resident's allocation moved the host's
+// epoch, and an op that writes no allocation (an offered-load write, a
+// resize, a lifecycle change, a define or undefine) left it alone.
+func checkEpoch(t *testing.T, h *Host, op string, allocWrite bool, epoch uint64, before map[*Domain]resources.Vector) {
+	t.Helper()
+	now := h.AllocEpoch()
+	if !allocWrite && now != epoch {
+		t.Fatalf("after %s: the allocation epoch moved %d -> %d, but no allocation was written", op, epoch, now)
+	}
+	if now != epoch {
+		return
+	}
+	for d, a := range before {
+		if got := d.Allocation(); got != a {
+			t.Fatalf("after %s: %s allocation moved %v -> %v at an unmoved epoch %d", op, d.Name(), a, got, epoch)
+		}
 	}
 }
 

@@ -22,9 +22,10 @@
 // its host's lock, write the resident's row at mutation time and
 // invalidate the cached aggregates, and OnAggregateChange callbacks
 // always run under that lock. The lock order is Host.mu -> Group.mu (the
-// cgroup's own leaf lock). Two things stay outside it: Capacity(), an
-// atomic load, and the offered load, a per-domain atomic that moves no
-// aggregate.
+// cgroup's own leaf lock). Three things are read outside it: Capacity(),
+// an atomic load; the offered load, a per-domain atomic that moves no
+// aggregate; and AllocEpoch(), the host's allocation epoch, written only
+// under the lock by the allocation writes it counts.
 package hypervisor
 
 import (
@@ -238,6 +239,10 @@ type Host struct {
 	// host in a dirty list) and never call back into Host or Domain
 	// methods.
 	onChange func()
+
+	// epoch is the allocation epoch (see AllocEpoch), bumped under mu by
+	// Domain.reallocLocked.
+	epoch atomic.Uint64
 }
 
 // NewHost boots a hypervisor on a server with the given capacity.
@@ -283,6 +288,12 @@ func (h *Host) Capacity() resources.Vector { return *h.capacity.Load() }
 // BaseCapacity returns the capacity the host was provisioned with,
 // independent of any SetCapacity resize since.
 func (h *Host) BaseCapacity() resources.Vector { return h.cfg.Capacity }
+
+// AllocEpoch returns the host's allocation epoch, a lock-free load. It
+// moves on every limit write, limit clear and hotplug on the host and on
+// nothing else, so an allocation read with it (Domain.AllocationEpoch)
+// is current for as long as the epoch is unchanged.
+func (h *Host) AllocEpoch() uint64 { return h.epoch.Load() }
 
 // SetCapacity resizes the host's physical capacity in place — the
 // transient-server shrink/restore of a provider reclaiming (or
@@ -608,13 +619,15 @@ func (d *Domain) derive() resources.Vector {
 }
 
 // reallocLocked re-derives the allocation after a limit or hotplug
-// change, writes it to the domain's row and invalidates the host's
-// aggregate cache. Called with the host's mu held.
+// change, writes it to the domain's row, bumps the host's allocation
+// epoch and invalidates the host's aggregate cache. It is the one place
+// an allocation is written after Define. Called with the host's mu held.
 func (d *Domain) reallocLocked() resources.Vector {
 	a := d.derive()
 	if d.slot >= 0 {
 		d.host.rows[d.slot].setAlloc(a)
 	}
+	d.host.epoch.Add(1)
 	d.host.invalidateLocked()
 	return a
 }
@@ -708,6 +721,14 @@ func (d *Domain) Allocation() resources.Vector {
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
 	return d.allocLocked()
+}
+
+// AllocationEpoch returns the domain's allocation and its host's
+// allocation epoch, read under one hold of the host's lock.
+func (d *Domain) AllocationEpoch() (resources.Vector, uint64) {
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
+	return d.allocLocked(), d.host.epoch.Load()
 }
 
 // OfferedLoad returns the domain's current offered request load (cores).

@@ -18,7 +18,8 @@ import (
 // lifecycle flips, define/undefine churn (so row slots are recycled and
 // the name order shifts under the readers), capacity resizes and load
 // writes, against Aggregates / AppendDeflatableView / Allocation /
-// State / Domains readers. The aggregate-change callback bumps a plain
+// AllocationEpoch / AllocEpoch / State / Domains readers (the epoch never
+// runs backwards). The aggregate-change callback bumps a plain
 // int: callbacks always run under the host's lock, so the detector
 // flags it if one ever does not. When the dust settles the cached
 // aggregates and the view must equal the fresh walks.
@@ -115,6 +116,7 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 	})
 	for w := 0; w < 2; w++ { // readers
 		spawn(func(rng *rand.Rand, r int) {
+			epoch := h.AllocEpoch()
 			agg := h.Aggregates()
 			if agg.Running < residents-1 || agg.Deflated > agg.Running {
 				t.Errorf("aggregates: running %d (want >= %d), deflated %d", agg.Running, residents-1, agg.Deflated)
@@ -131,6 +133,9 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 			d := pick(rng)
 			if a := d.Allocation(); !a.FitsIn(d.MaxSize()) {
 				t.Errorf("%s allocation %v exceeds size", d.Name(), a)
+			}
+			if a, at := d.AllocationEpoch(); !a.FitsIn(d.MaxSize()) || at < epoch || h.AllocEpoch() < at {
+				t.Errorf("%s allocation %v at epoch %d, read between epochs %d and %d", d.Name(), a, at, epoch, h.AllocEpoch())
 			}
 			d.State()
 			d.DeflatedBy()
@@ -149,6 +154,9 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 	}
 	if edges == 0 {
 		t.Error("no aggregate-change edge fired")
+	}
+	if h.AllocEpoch() == 0 {
+		t.Error("no allocation write moved the allocation epoch")
 	}
 }
 

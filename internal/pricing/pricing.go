@@ -14,7 +14,10 @@ import (
 
 // Scheme computes the instantaneous billing rate of a deflatable VM.
 // Rates are in on-demand-core-hours per hour: an on-demand VM of c cores
-// bills at rate c.
+// bills at rate c. Rate must be a pure function of (size, priority,
+// alloc): a meter whose VM's three inputs have not changed since its last
+// Observe may Hold its rate instead of asking the scheme again, and the
+// result must be the same bits.
 type Scheme interface {
 	// Name identifies the scheme ("static", "priority", "allocation").
 	Name() string
@@ -104,6 +107,12 @@ func (m *Meter) Observe(t, rate float64) {
 		return
 	}
 	m.tw.Observe(t, rate)
+}
+
+// Hold records that the VM still bills at time t at the rate it last
+// observed: Observe(t, last rate), integrated in the same order.
+func (m *Meter) Hold(t float64) {
+	m.Observe(t, m.tw.Last())
 }
 
 // Close finalises the meter at departure time t and returns accumulated

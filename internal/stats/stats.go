@@ -429,6 +429,10 @@ func (tw *TimeWeighted) Mean() float64 {
 	return tw.area / tw.duration
 }
 
+// Last returns the value held since the last observation (0 before the
+// first).
+func (tw *TimeWeighted) Last() float64 { return tw.lastV }
+
 // Area returns the accumulated integral so far.
 func (tw *TimeWeighted) Area() float64 { return tw.area }
 

@@ -147,8 +147,10 @@ func checkLiveIDs(vms []*VMRecord) error {
 // non-finite or negative time, a lifetime that ends before it starts, a
 // VM smaller than one core or without memory, or a utilisation sample
 // that is not a finite non-negative number would produce a wrong answer
-// or a panic instead of an error. A zero-lifetime VM (end == start) is
-// legal.
+// or a panic instead of an error. So would a sample above 100: the
+// series is a percentage of the VM's allocation, and an undeflated VM
+// would bill lost throughput and carry an SLO load above its size. A
+// zero-lifetime VM (end == start) is legal.
 func (r *VMRecord) validate() error {
 	switch {
 	case !finiteNonNeg(r.Start):
@@ -164,6 +166,11 @@ func (r *VMRecord) validate() error {
 	}
 	if err := checkSamples(r.CPUUtil); err != nil {
 		return fmt.Errorf("util %w", err)
+	}
+	for i, u := range r.CPUUtil {
+		if u > 100 {
+			return fmt.Errorf("util sample %d is %g, above 100 %%", i, u)
+		}
 	}
 	return nil
 }

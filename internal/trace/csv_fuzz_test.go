@@ -21,6 +21,9 @@ func FuzzReadAzureCSV(f *testing.F) {
 	for _, row := range unholdableRows {
 		f.Add([]byte(unholdableHead + row + "\n"))
 	}
+	// The edge of the 0–100 range: 100 loads, 100.5 does not.
+	f.Add([]byte(unholdableHead + "v,interactive,1,1024,0,600,10;100\n"))
+	f.Add([]byte(unholdableHead + "v,interactive,1,1024,0,600,10;100.5\n"))
 	for _, kind := range Scenarios() {
 		tr, err := GenerateScenario(ScenarioConfig{Kind: kind, NumVMs: 12, Duration: 86400, Seed: 1})
 		if err != nil {

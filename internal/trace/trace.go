@@ -69,7 +69,8 @@ func ParseVMClass(s string) (VMClass, error) {
 
 // VMRecord is one VM's row in an Azure-style trace: metadata plus a CPU
 // utilisation time series. Utilisation is the maximum CPU usage in each
-// 5-minute interval, as a percentage of the VM's allocation (0-100).
+// 5-minute interval, as a percentage of the VM's allocation (0-100;
+// ReadAzureCSV rejects a sample outside that range).
 type VMRecord struct {
 	ID       string
 	Class    VMClass

@@ -448,6 +448,7 @@ var unholdableRows = map[string]string{
 	"NaN sample":       "v,interactive,1,1024,0,600,10;NaN",
 	"Inf sample":       "v,interactive,1,1024,0,600,Inf;10",
 	"negative sample":  "v,interactive,1,1024,0,600,10;-0.5",
+	"sample above 100": "v,interactive,1,1024,0,600,10;150",
 	// The name-keyed manager would count the second "ok" as a
 	// rejection while the first still runs.
 	"ID live twice": "ok,delay-insensitive,2,2048,100,400,10",
@@ -468,10 +469,16 @@ func TestReadAzureCSVRejectsUnholdableRows(t *testing.T) {
 			t.Errorf("%s: error %q does not name line 3", name, err)
 		}
 	}
-	// What stays legal: a zero-lifetime VM and an empty series.
-	tr, err := ReadAzureCSV(strings.NewReader(unholdableHead + "z,unknown,2,512.5,300,300,\n"))
-	if err != nil || len(tr.VMs) != 2 {
-		t.Fatalf("zero-lifetime row: trace %v, err %v", tr, err)
+	// A sample above 100 % is named by its index.
+	if _, err := ReadAzureCSV(strings.NewReader(unholdableHead + unholdableRows["sample above 100"] + "\n")); err == nil ||
+		!strings.Contains(err.Error(), "sample 1 is 150") {
+		t.Errorf("sample above 100: err %v, want one naming sample 1", err)
+	}
+	// What stays legal: a zero-lifetime VM, an empty series and a sample
+	// of exactly 100.
+	tr, err := ReadAzureCSV(strings.NewReader(unholdableHead + "z,unknown,2,512.5,300,300,\n" + "f,interactive,1,1024,0,600,100;100\n"))
+	if err != nil || len(tr.VMs) != 3 {
+		t.Fatalf("zero-lifetime row and full-utilisation row: trace %v, err %v", tr, err)
 	}
 	// An ID live twice is named by both of its lines, whichever comes
 	// first in the file; reuse after a departure (lifetimes that touch)
