@@ -33,9 +33,12 @@ race:
 # its allocation cache against the host's epoch included — plus every
 # engine run under the cluster package's test-side
 # placement oracles (the oracle hook is read by concurrent sweep
-# workers) — a fast, explicit signal beside the full `race` run.
+# workers) — plus the outcome-record folds: the per-op placement record
+# differentials, the concurrent churn folded per worker and the
+# pinned scan counters — a fast, explicit signal beside the full
+# `race` run.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.

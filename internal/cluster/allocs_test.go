@@ -46,7 +46,7 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, *Config) {
 // initial state, so the cycle can repeat indefinitely.
 func policyPassCycle(tb testing.TB, s *Server, cfg *Config) {
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
-	if _, _, err := deflateFor(s, cfg, od); err != nil {
+	if _, err := deflateFor(s, cfg, od); err != nil {
 		tb.Fatal(err)
 	}
 	if err := reinflate(s, cfg); err != nil {
@@ -82,7 +82,7 @@ func TestPolicyPassSteadyStateZeroAllocs(t *testing.T) {
 func TestReinflateAloneZeroAllocs(t *testing.T) {
 	s, cfg := steadyStateServer(t, policy.Proportional{})
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
-	if _, _, err := deflateFor(s, cfg, od); err != nil {
+	if _, err := deflateFor(s, cfg, od); err != nil {
 		t.Fatal(err)
 	}
 	// First reinflation returns everyone to full; subsequent calls hit
@@ -142,11 +142,13 @@ func TestPlaceRemovePairAllocatesOneDomain(t *testing.T) {
 		}
 	}
 	pair() // warm the arenas, the placement map and the host's row table
-	before := m.DeflationEvents()
 	if got := testing.AllocsPerRun(200, pair); got > 1 {
 		t.Errorf("PlaceVM + RemoveVM allocates %.1f objects per pair, want at most 1 (the Domain)", got)
 	}
-	if m.DeflationEvents() == before {
-		t.Error("the pair never deflated a resident: the policy-pass path was not exercised")
+	// Placed once more, the VM must take the pressure path and deflate a
+	// resident beside itself, or the policy-pass path was not exercised.
+	pl := m.PlaceVMs([]hypervisor.DomainConfig{dc}, nil)[0]
+	if pl.Err != nil || pl.Path != PathPressure || pl.Server.Host.Aggregates().Deflated < 2 {
+		t.Errorf("the pair never deflated a resident: path %d, err %v", pl.Path, pl.Err)
 	}
 }

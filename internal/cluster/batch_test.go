@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
@@ -11,20 +12,34 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// describePlacements renders a batch result comparably.
+// describePlacements renders a batch result comparably: each VM's path,
+// then its error class or its server, NeedsReclaim and initial
+// allocation. Scan work is left out: it differs between scan modes by
+// design, and checkScanWork holds it.
 func describePlacements(pls []Placement) string {
 	out := ""
 	for _, pl := range pls {
+		out += fmt.Sprintf("[p%d ", pl.Path)
 		switch {
 		case pl.Err != nil && errors.Is(pl.Err, ErrNoCapacity):
-			out += "[rejected]"
+			out += "rejected]"
 		case pl.Err != nil && errors.Is(pl.Err, ErrExists):
-			out += "[dup]"
+			out += "dup]"
 		case pl.Err != nil:
-			out += "[err " + pl.Err.Error() + "]"
+			out += "err " + pl.Err.Error() + "]"
 		default:
-			out += fmt.Sprintf("[%s reclaim=%v init=%v]", pl.Server.Host.Name(), pl.NeedsReclaim, pl.Initial)
+			out += fmt.Sprintf("%s reclaim=%v init=%v]", pl.Server.Host.Name(), pl.NeedsReclaim, pl.Initial)
 		}
+	}
+	return out
+}
+
+// pathless returns a copy of pls with every Path zeroed: all a PlaceVM
+// caller, who sees no Placement, can be compared on.
+func pathless(pls []Placement) []Placement {
+	out := slices.Clone(pls)
+	for i := range out {
+		out[i].Path = PathNone
 	}
 	return out
 }
@@ -127,13 +142,15 @@ func placeVMsChurn(t *testing.T, seed int64, cfg Config) {
 			}
 			dcs = append(dcs, dc)
 		}
-		want := describePlacements(batch.PlaceVMs(dcs, nil))
-		if got := describePlacements(placeLoop(loop, dcs)); got != want {
+		pls := batch.PlaceVMs(dcs, nil)
+		if got, want := describePlacements(placeLoop(loop, dcs)), describePlacements(pathless(pls)); got != want {
 			t.Fatalf("op %d: PlaceVM loop diverged from the batch:\n got %s\nwant %s", op, got, want)
 		}
-		if got := describePlacements(ref.PlaceVMs(dcs, nil)); got != want {
+		refPls := ref.PlaceVMs(dcs, nil)
+		if got, want := describePlacements(refPls), describePlacements(pls); got != want {
 			t.Fatalf("op %d: reference diverged from the batch:\n got %s\nwant %s", op, got, want)
 		}
+		checkScanWork(t, op, refPls, pls, true, cfg.Risk != nil)
 		for j, dc := range dcs {
 			dup := false
 			for _, prev := range dcs[:j] {

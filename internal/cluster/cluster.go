@@ -37,6 +37,12 @@
 // placer: the per-server steps it runs (the policy pass that makes room,
 // the launch, reinflation) are unexported and run under its lock, on
 // the configuration NewManager normalised once.
+//
+// # Outcomes
+//
+// The manager counts nothing. Each Placement records the path its
+// decision took and its pressure-scan work; admission failures, headroom
+// rejections and scan totals are folds of those records by their reader.
 package cluster
 
 import (
@@ -225,14 +231,15 @@ type serverScratch struct {
 type placementOracle interface {
 	surplus(m *Manager, pool int, size resources.Vector, banded bool) *Server
 	anyFits(m *Manager, size resources.Vector) bool
-	pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool)
+	pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (d *hypervisor.Domain, s *Server, scored int)
 }
 
 var defaultOracle placementOracle
 
 // Manager is the centralized cluster manager. All methods are safe for
-// concurrent use: every mutation and counter read happens under mu
-// (per-Host state is additionally guarded by the Host's own lock).
+// concurrent use: every mutation and read of manager state happens
+// under mu (per-Host state is additionally guarded by the Host's own
+// lock).
 type Manager struct {
 	mu         sync.Mutex
 	cfg        Config
@@ -268,30 +275,20 @@ type Manager struct {
 	totCommitted resources.Vector
 	totAllocated resources.Vector
 
-	// deflationEvents counts how many times an existing VM's allocation
-	// was reduced to admit another VM; rejections counts
-	// admission-control failures. Both are read through the locked
-	// accessors below — they used to be exported fields, which let
-	// callers race against PlaceVM.
-	deflationEvents int
-	rejections      int
-
 	// Revocation-risk state (Config.Risk): nBands is the hazard-band
 	// count the (pool, band) index keys are laid out for — 1 without a
 	// risk config, so the keys degenerate to the historical pure-pool
 	// keys. reserve is the cluster evacuation-headroom reserve (the sum
 	// of in-service servers' contributions, maintained incrementally in
 	// event order so every engine configuration folds the identical
-	// float sequence), and riskRejections counts admissions the
-	// headroom gate refused (a subset of rejections).
-	nBands         int
-	reserve        resources.Vector
-	riskRejections int
+	// float sequence).
+	nBands  int
+	reserve resources.Vector
 
 	// Capacity-shock state (revoke.go): how many servers are currently
 	// revoked, whether the placement engine is running a relocation
-	// batch (whose failures must not count as admission rejections), and
-	// the reusable displaced-VM batch buffer.
+	// batch (which the headroom gate lets through), and the reusable
+	// displaced-VM batch buffer.
 	revokedCount int
 	evacuating   bool
 	evacDCs      []hypervisor.DomainConfig
@@ -309,16 +306,6 @@ type Manager struct {
 	pressHeap  candList
 	pressKeys  []int
 
-	// Pressure-scan observability, maintained on every placement path:
-	// how many arrivals fell through to the under-pressure ranking, how
-	// many servers had their exact fitness computed, and how many the
-	// bound/fit pruning skipped. pressuredArrivals is invariant across
-	// scan modes; scored and pruned differ between the pruned descent
-	// and a test-side oracle's full scan by construction.
-	pressuredArrivals int
-	pressureScored    int
-	pressurePruned    int
-
 	// Placement scratch, reused across calls and touched only under mu:
 	// PlaceVM's one-VM batch, the batch results, and the band-blind
 	// surplus lookup's index and lower-bound lists.
@@ -326,43 +313,6 @@ type Manager struct {
 	results []Placement
 	mfIdx   []*capindex.Index
 	mfLow   []float64
-}
-
-// PressureStats returns the under-pressure scan counters: how many
-// placements fell through to the pressure ranking, how many servers had
-// their exact fitness computed, and how many the bound/fit pruning
-// skipped without scoring. Arrivals is invariant across scan modes;
-// scored and pruned differ between the pruned descent and the
-// test-side full-scan oracles (a full scan scores every pool server and
-// prunes none).
-func (m *Manager) PressureStats() (arrivals, scored, pruned int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pressuredArrivals, m.pressureScored, m.pressurePruned
-}
-
-// DeflationEvents returns how many times an existing VM's allocation
-// was reduced to admit another VM.
-func (m *Manager) DeflationEvents() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deflationEvents
-}
-
-// Rejections returns the number of admission-control failures.
-func (m *Manager) Rejections() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rejections
-}
-
-// RiskRejections returns how many arrivals the shock-aware admission
-// gate refused to protect forecast evacuation headroom — a subset of
-// Rejections. Always zero without Config.Risk.
-func (m *Manager) RiskRejections() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.riskRejections
 }
 
 // HeadroomReserve returns the current evacuation-headroom reserve: the
@@ -593,6 +543,25 @@ func errHeadroom(dc hypervisor.DomainConfig) error {
 	return fmt.Errorf("%w: %w: %s (size %v)", ErrNoCapacity, ErrHeadroom, dc.Name, dc.Size)
 }
 
+// Path is the route a placement decision took: the step that placed the
+// VM or, on a rejection, the gate that refused it.
+type Path uint8
+
+const (
+	// PathNone: nothing was decided — the VM's name was already live.
+	PathNone Path = iota
+	// PathSurplus: a server hosted the VM without deflating anyone.
+	PathSurplus
+	// PathPressure: the VM went through the under-pressure ranking of
+	// Section 5.2. With Err set, no server could make room for it even
+	// by deflation: an admission-control rejection, or a failed
+	// evacuee relocation.
+	PathPressure
+	// PathHeadroom: the shock-aware admission gate refused the VM (Err
+	// wraps ErrHeadroom).
+	PathHeadroom
+)
+
 // Placement is one VM's outcome in a PlaceVMs batch.
 type Placement struct {
 	Domain *hypervisor.Domain
@@ -608,6 +577,14 @@ type Placement struct {
 	// server could host it without deflation — the signal the simulation
 	// engine counts as a reclamation attempt.
 	NeedsReclaim bool
+	// Path is the route the decision took.
+	Path Path
+	// Scored and Pruned are the decision's under-pressure scan work,
+	// zero off PathPressure: how many servers had their exact fitness
+	// computed, and how many indexed servers the bound-pruned descent
+	// skipped without scoring. A test-side full-scan oracle scores every
+	// pool server and prunes none.
+	Scored, Pruned int
 }
 
 // PlaceVM runs the three-step placement of Section 6: pick the fittest
@@ -665,15 +642,13 @@ func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
 // the three-step protocol of PlaceVM at the live state.
 func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 	// A live name is a caller error, not an admission decision: it is
-	// reported before the headroom gate could count it as a rejection.
+	// reported before the headroom gate could refuse it.
 	if _, ok := m.placements[dc.Name]; ok {
 		return Placement{Err: errExists(dc.Name)}
 	}
 	m.syncDirtyLocked()
 	if m.riskRejectLocked(dc) {
-		m.rejections++
-		m.riskRejections++
-		return Placement{Err: errHeadroom(dc)}
+		return Placement{Path: PathHeadroom, Err: errHeadroom(dc)}
 	}
 	best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size, m.banded(dc))
 	// A surplus candidate in the VM's own pool already proves some
@@ -682,20 +657,16 @@ func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 	out := Placement{NeedsReclaim: best == nil && !m.anyFitsLocked(dc.Size)}
 	if best != nil {
 		if d, err := m.placeOnLocked(best, dc); err == nil {
-			out.Domain, out.Server = d, best
+			out.Path, out.Domain, out.Server = PathSurplus, d, best
 			out.Initial = d.Allocation()
 			return out
 		}
 	}
-	if d, s, ok := m.pressureLiveLocked(dc, best); ok {
-		out.Domain, out.Server = d, s
-		out.Initial = d.Allocation()
+	if !m.pressureLiveLocked(dc, best, &out) {
+		out.Err = errNoCapacity(dc)
 		return out
 	}
-	if !m.evacuating { // relocation failures are not admission rejections
-		m.rejections++
-	}
-	out.Err = errNoCapacity(dc)
+	out.Initial = out.Domain.Allocation()
 	return out
 }
 
@@ -733,23 +704,23 @@ func newcomerRange(dc hypervisor.DomainConfig) resources.Vector {
 	return dc.Size.Sub(dc.Floor()).ClampNonNegative()
 }
 
-// tryPlaceLocked attempts one under-pressure placement, recording the
-// bookkeeping on success. Infeasible servers — where even deflating
+// tryPlaceLocked attempts one under-pressure placement on s and returns
+// the new domain, or nil. Infeasible servers — where even deflating
 // every resident to its floor plus the newcomer's own range cannot
 // cover the shortfall — are skipped from the cached aggregates without
 // running the policy pass, which turns an admission-control rejection
 // from O(servers × policy pass) into O(servers) vector compares.
 // Called with m.mu held; the cached free/reserve vectors are valid
 // because failed placement attempts never mutate host state.
-func (m *Manager) tryPlaceLocked(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vector) (*hypervisor.Domain, *Server, bool) {
+func (m *Manager) tryPlaceLocked(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vector) *hypervisor.Domain {
 	if cannotReclaim(s, dc, ncRange) {
-		return nil, nil, false
+		return nil
 	}
 	d, err := m.placeOnLocked(s, dc)
 	if err != nil {
-		return nil, nil, false
+		return nil
 	}
-	return d, s, true
+	return d
 }
 
 // cand is one under-pressure placement candidate. idx is the server's
@@ -878,10 +849,9 @@ func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
 // placeOnLocked attempts placement on one server, implementing steps 2
 // and 3 of the placement protocol: the server computes the deflation
 // needed to host dc and, if feasible, applies it and launches the VM. On
-// success it records the placement and the deflation count and returns
-// the new domain.
+// success it records the placement and returns the new domain.
 func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervisor.Domain, error) {
-	initial, deflations, err := deflateFor(s, &m.cfg, dc)
+	initial, err := deflateFor(s, &m.cfg, dc)
 	if err != nil {
 		return nil, err // insufficient: caller tries the next server
 	}
@@ -889,7 +859,6 @@ func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervi
 	if err != nil {
 		return nil, err
 	}
-	m.deflationEvents += deflations
 	m.placements[dc.Name] = s
 	return d, nil
 }
@@ -901,17 +870,16 @@ const newcomerName = "\x00newcomer"
 
 // deflateFor is placeOnLocked's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
-// initial allocation and how many residents it deflated. The pass reads
-// the host's deflatable VM-state view and runs the policy through the
-// server's scratch arena, then applies targets in the view's name order
-// — so steady-state calls perform zero heap allocations and
-// notification delivery is deterministic.
-func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.Vector, int, error) {
+// initial allocation. The pass reads the host's deflatable VM-state view
+// and runs the policy through the server's scratch arena, then applies
+// targets in the view's name order — so steady-state calls perform zero
+// heap allocations and notification delivery is deterministic.
+func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.Vector, error) {
 	free := s.Host.Capacity().Sub(s.Host.Allocated())
 	need := dc.Size.Sub(free).ClampNonNegative()
 	if need.IsZero() {
 		// Room available without any deflation.
-		return dc.Size, 0, nil
+		return dc.Size, nil
 	}
 
 	// Collect deflatable VMs from the host's view; the newcomer
@@ -934,25 +902,20 @@ func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.V
 
 	res, err := cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
 	if err != nil {
-		return resources.Vector{}, 0, err
+		return resources.Vector{}, err
 	}
 
 	// Apply deflation to resident VMs, in the view's name order.
-	deflations := 0
 	for i := 0; i < nResident; i++ {
-		cur := sc.vms[i].Current
-		if res.Targets[i].DeflationFraction(cur) > 1e-9 {
-			deflations++
-		}
-		if err := applyAndNotify(s, cfg, sc.doms[i], cur, res.Targets[i]); err != nil {
-			return resources.Vector{}, deflations, err
+		if err := applyAndNotify(s, cfg, sc.doms[i], sc.vms[i].Current, res.Targets[i]); err != nil {
+			return resources.Vector{}, err
 		}
 	}
 	initial := dc.Size
 	if dc.Deflatable {
 		initial = res.Targets[nResident]
 	}
-	return initial, deflations, nil
+	return initial, nil
 }
 
 // launch defines, starts and initially sizes the new domain.

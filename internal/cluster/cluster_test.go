@@ -72,8 +72,8 @@ func TestPlaceWithoutDeflation(t *testing.T) {
 	if s == nil {
 		t.Fatal("nil server")
 	}
-	if m.DeflationEvents() != 0 {
-		t.Errorf("deflation events = %d", m.DeflationEvents())
+	if n := s.Host.Aggregates().Deflated; n != 0 {
+		t.Errorf("%d VMs deflated", n)
 	}
 }
 
@@ -152,11 +152,11 @@ func TestPlaceTriggersDeflation(t *testing.T) {
 	if got := low.Allocation().Get(resources.CPU); got > 32.001 {
 		t.Errorf("deflatable VM allocation = %v, want <= 32", got)
 	}
-	if m.DeflationEvents() == 0 {
-		t.Error("expected a deflation event")
-	}
-	// Server never over-allocated.
+	// Server never over-allocated, and low-1 is its one deflated VM.
 	srv := m.Servers()[0]
+	if n := srv.Host.Aggregates().Deflated; n != 1 {
+		t.Errorf("%d VMs deflated, want low-1 alone", n)
+	}
 	if !srv.Host.Allocated().FitsIn(srv.Host.Capacity()) {
 		t.Errorf("allocated %v exceeds capacity", srv.Host.Allocated())
 	}
@@ -186,13 +186,15 @@ func TestAdmissionControlRejects(t *testing.T) {
 	if _, _, err := m.PlaceVM(onDemandVM("od-1", 40, 65536)); err != nil {
 		t.Fatal(err)
 	}
-	// A 16-core on-demand VM cannot fit: nothing is deflatable.
-	_, _, err := m.PlaceVM(onDemandVM("od-2", 16, 32768))
-	if !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("want ErrNoCapacity, got %v", err)
+	// A 16-core on-demand VM cannot fit: nothing is deflatable, so the
+	// pressure ranking is the gate that refuses it.
+	pl := m.PlaceVMs([]hypervisor.DomainConfig{onDemandVM("od-2", 16, 32768)}, nil)[0]
+	if !errors.Is(pl.Err, ErrNoCapacity) {
+		t.Fatalf("want ErrNoCapacity, got %v", pl.Err)
 	}
-	if m.Rejections() != 1 {
-		t.Errorf("rejections = %d", m.Rejections())
+	// The feasibility pre-filter skips the one server unscored.
+	if pl.Path != PathPressure || pl.Scored != 0 || pl.Pruned != 1 {
+		t.Errorf("rejection path %d, scored %d, pruned %d; want the pressure path, 0 scored, 1 pruned", pl.Path, pl.Scored, pl.Pruned)
 	}
 }
 

@@ -17,8 +17,10 @@ type churnStep func(m *Manager) string
 
 // runDifferentialChurn feeds the same randomized place/remove/query
 // sequence to an indexed and a reference manager and fails on the first
-// divergence: server choice, error class, counters or stats. This is
-// the bit-for-bit placement-identity guarantee of the capacity index.
+// divergence: each placement's outcome record (path, server, error
+// class, NeedsReclaim, and its scan work held to the full scan's), or
+// the stats. This is the bit-for-bit placement-identity guarantee of the
+// capacity index.
 func runDifferentialChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int) {
 	t.Helper()
 	runDifferentialChurnSpecs(t, seed, cfg, "", nServers, nOps, nil)
@@ -86,23 +88,18 @@ func runDifferentialChurnSpecs(t *testing.T, seed int64, cfg Config, oracle stri
 			if !dc.Deflatable {
 				dc.Priority = 0
 			}
-			admitted := false
-			step = func(m *Manager) string {
-				_, s, err := m.PlaceVM(dc)
-				if err != nil {
-					if !errors.Is(err, ErrNoCapacity) {
-						t.Fatalf("op %d: unexpected error %v", op, err)
-					}
-					return "rejected"
+			var pls [2][]Placement
+			for i, m := range managers {
+				pls[i] = m.PlaceVMs([]hypervisor.DomainConfig{dc}, nil)
+				if err := pls[i][0].Err; err != nil && !errors.Is(err, ErrNoCapacity) {
+					t.Fatalf("op %d: unexpected error %v", op, err)
 				}
-				admitted = true
-				return "on " + s.Host.Name()
 			}
-			got := []string{step(managers[0]), step(managers[1])}
-			if got[0] != got[1] {
-				t.Fatalf("op %d (place %s): indexed %q != reference %q", op, name, got[0], got[1])
+			if got, want := describePlacements(pls[0]), describePlacements(pls[1]); got != want {
+				t.Fatalf("op %d (place %s): indexed %s != reference %s", op, name, got, want)
 			}
-			if admitted {
+			checkScanWork(t, op, pls[1], pls[0], oracle == "", cfg.Risk != nil)
+			if pls[0][0].Err == nil {
 				placed = append(placed, name)
 			}
 			compareManagers(t, op, managers[0], managers[1])
@@ -134,21 +131,40 @@ func runDifferentialChurnSpecs(t *testing.T, seed int64, cfg Config, oracle stri
 	}
 }
 
-// compareManagers asserts the externally observable state of the two
-// managers is identical.
+// compareManagers asserts the cluster-wide stats of the two managers are
+// identical.
 func compareManagers(t *testing.T, op int, a, b *Manager) {
 	t.Helper()
-	if a.DeflationEvents() != b.DeflationEvents() || a.Rejections() != b.Rejections() {
-		t.Fatalf("op %d: counters diverged: indexed (%d defl, %d rej) vs reference (%d defl, %d rej)",
-			op, a.DeflationEvents(), a.Rejections(), b.DeflationEvents(), b.Rejections())
-	}
-	if a.RiskRejections() != b.RiskRejections() {
-		t.Fatalf("op %d: risk rejections diverged: indexed %d vs reference %d",
-			op, a.RiskRejections(), b.RiskRejections())
-	}
 	sa, sb := a.Stats(), b.Stats()
 	if sa != sb {
 		t.Fatalf("op %d: stats diverged:\nindexed   %+v\nreference %+v", op, sa, sb)
+	}
+}
+
+// checkScanWork holds one op's outcome records, from two managers that
+// ran it in lockstep, to the scan-work invariants record by record. full
+// comes from a full-scan oracle, which scores every pool server and
+// prunes none, so a second full scan (indexed false) agrees with it
+// exactly. The indexed descent scores or prunes each of those servers at
+// most once — exactly once unless hazard bands (risk) let a banded VM's
+// descent stop at the first band that places it.
+func checkScanWork(t *testing.T, op int, full, got []Placement, indexed, risk bool) {
+	t.Helper()
+	for i, f := range full {
+		g := got[i]
+		if f.Pruned != 0 {
+			t.Fatalf("op %d, record %d: the full scan pruned %d servers", op, i, f.Pruned)
+		}
+		if !indexed {
+			if g.Scored != f.Scored || g.Pruned != 0 {
+				t.Fatalf("op %d, record %d: full scans scored %d/%d, pruned %d", op, i, g.Scored, f.Scored, g.Pruned)
+			}
+			continue
+		}
+		if n := g.Scored + g.Pruned; n > f.Scored || (!risk && n != f.Scored) {
+			t.Fatalf("op %d, record %d: descent scored %d + pruned %d against the full scan's %d",
+				op, i, g.Scored, g.Pruned, f.Scored)
+		}
 	}
 }
 

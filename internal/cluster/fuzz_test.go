@@ -34,7 +34,9 @@ func (r *opReader) next(n int) int {
 // batch or already live included), RemoveVMs, RevokeServers,
 // RestoreServer, ResizeServer and SetOfferedLoad — and runs it against
 // an indexed manager and the "fullscan" and "reference" oracles. Every
-// step's outcome must read the same on all three, and compareManagers
+// step's outcome must read the same on all three — each placement
+// record's path, server, error class and NeedsReclaim — its scan work
+// must pass checkScanWork against the full scans, and compareManagers
 // must hold after it. The seeds are the churn suites' seeds, so
 // `go test` runs them; `go test -fuzz FuzzPlacementOps` searches on.
 // The decoder's first three bytes pick the policy, priority pools and
@@ -100,8 +102,15 @@ func runPlacementOps(t *testing.T, r *opReader) {
 		return live[r.next(len(live))]
 	}
 	next := 0
+	// pls holds each manager's outcome records of the current op.
+	var pls [3][]Placement
+	evacuation := func(i int, ev Evacuation, err error) string {
+		pls[i] = ev.Placements
+		return describeEvacuation(ev, err)
+	}
 	for op := 0; op < 64 && !r.done(); op++ {
-		var step func(m *Manager) string
+		pls = [3][]Placement{}
+		var step func(i int, m *Manager) string
 		var born []string // fresh names this op introduces
 		switch r.next(8) {
 		case 0, 1, 2: // arrival batch
@@ -131,28 +140,37 @@ func runPlacementOps(t *testing.T, r *opReader) {
 				}
 				dcs[j] = dc
 			}
-			step = func(m *Manager) string { return describePlacements(m.PlaceVMs(dcs, nil)) }
+			step = func(i int, m *Manager) string {
+				pls[i] = m.PlaceVMs(dcs, nil)
+				return describePlacements(pls[i])
+			}
 		case 3: // departures, sometimes naming a VM that is gone
 			names := make([]string, 1+r.next(3))
 			for i := range names {
 				names[i] = pick()
 			}
-			step = func(m *Manager) string { return fmt.Sprint(m.RemoveVMs(names...)) }
+			step = func(_ int, m *Manager) string { return fmt.Sprint(m.RemoveVMs(names...)) }
 		case 4: // a revocation, sometimes of a revoked or repeated server
 			names := make([]string, 1+r.next(2))
 			for i := range names {
 				names[i] = server()
 			}
-			step = func(m *Manager) string { return describeEvacuation(m.RevokeServers(names...)) }
+			step = func(i int, m *Manager) string {
+				ev, err := m.RevokeServers(names...)
+				return evacuation(i, ev, err)
+			}
 		case 5:
 			name := server()
-			step = func(m *Manager) string { return fmt.Sprint(m.RestoreServer(name)) }
+			step = func(_ int, m *Manager) string { return fmt.Sprint(m.RestoreServer(name)) }
 		case 6:
 			name, scale := server(), float64(4+r.next(9))/10 // 40%..120%
-			step = func(m *Manager) string { return describeEvacuation(m.ResizeServer(name, serverCap().Scale(scale))) }
+			step = func(i int, m *Manager) string {
+				ev, err := m.ResizeServer(name, serverCap().Scale(scale))
+				return evacuation(i, ev, err)
+			}
 		case 7: // a sample pass's load write
 			name, load := pick(), float64(r.next(16))/2
-			step = func(m *Manager) string {
+			step = func(_ int, m *Manager) string {
 				d, _, err := m.LookupVM(name)
 				if err != nil {
 					return err.Error()
@@ -161,13 +179,15 @@ func runPlacementOps(t *testing.T, r *opReader) {
 				return "load"
 			}
 		}
-		want := step(ms[0])
+		want := step(0, ms[0])
 		for i, m := range ms[1:] {
-			if got := step(m); got != want {
+			if got := step(i+1, m); got != want {
 				t.Fatalf("op %d: %s diverged from indexed:\n got %s\nwant %s", op, labels[i+1], got, want)
 			}
 			compareManagers(t, op, ms[0], m)
 		}
+		checkScanWork(t, op, pls[1], pls[2], false, riskOn)
+		checkScanWork(t, op, pls[1], pls[0], true, riskOn)
 		live = slices.DeleteFunc(append(live, born...), func(name string) bool {
 			_, _, err := ms[0].LookupVM(name)
 			return err != nil

@@ -85,8 +85,8 @@ func (o scanOracle) anyFits(m *Manager, size resources.Vector) bool {
 // pressure is the linear under-pressure ranking: score every pool server
 // (from cached availability, or fresh reads for the reference oracle),
 // argmax-first with the sort deferred until the argmax cannot absorb the
-// VM.
-func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool) {
+// VM. The full scan scores everyone and prunes no one.
+func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, int) {
 	pool := m.PartitionOf(dc)
 	banded := m.banded(dc)
 	var cands candList
@@ -104,7 +104,6 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		}
 		cands = append(cands, cand{s, Fitness(dc.Size, avail), s.gidx, b})
 	}
-	m.pressureScored += len(cands) // the full scan scores everyone, prunes none
 
 	ncRange := newcomerRange(dc)
 	first := -1
@@ -114,11 +113,11 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		}
 	}
 	if first < 0 {
-		return nil, nil, false
+		return nil, nil, 0
 	}
-	if cands[first].s != best {
-		if d, s, ok := m.tryPlaceLocked(cands[first].s, dc, ncRange); ok {
-			return d, s, true
+	if c := cands[first]; c.s != best {
+		if d := m.tryPlaceLocked(c.s, dc, ncRange); d != nil {
+			return d, c.s, len(cands)
 		}
 	}
 	sort.Sort(cands)
@@ -126,11 +125,11 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		if c.s == best || rank == 0 {
 			continue // already tried above (argmax == rank 0)
 		}
-		if d, s, ok := m.tryPlaceLocked(c.s, dc, ncRange); ok {
-			return d, s, true
+		if d := m.tryPlaceLocked(c.s, dc, ncRange); d != nil {
+			return d, c.s, len(cands)
 		}
 	}
-	return nil, nil, false
+	return nil, nil, len(cands)
 }
 
 // availability is the availability vector from the host's aggregates

@@ -79,32 +79,34 @@ func boundKey(avail resources.Vector) float64 {
 // when non-nil, is the surplus candidate that already failed and is
 // skipped. Routes to the bound-pruned descent, or to the test-side
 // oracle's linear scan when one is set — both realizing the identical
-// strict candidate order. Also the one place the pressured-arrival
-// counter lives, so every mode meters identically.
-func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool) {
-	m.pressuredArrivals++
+// strict candidate order. Records the path and the scan's work in pl
+// and, when it places the VM, the domain and server; reports whether it
+// did.
+func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server, pl *Placement) bool {
+	pl.Path = PathPressure
 	if m.oracle != nil {
-		return m.oracle.pressure(m, dc, best)
+		pl.Domain, pl.Server, pl.Scored = m.oracle.pressure(m, dc, best)
+		return pl.Domain != nil
 	}
-	return m.pressurePrunedLocked(dc, best)
+	return m.pressurePrunedLocked(dc, best, pl)
 }
 
 // pressurePrunedLocked is the bound-pruned descent: band groups in
 // ascending band order for banded VMs, one merged group otherwise, each
 // scanned best-first until a candidate absorbs the newcomer or the
 // group is exhausted.
-func (m *Manager) pressurePrunedLocked(dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, bool) {
+func (m *Manager) pressurePrunedLocked(dc hypervisor.DomainConfig, best *Server, pl *Placement) bool {
 	pool := m.PartitionOf(dc)
 	ncRange := newcomerRange(dc)
 	if m.banded(dc) {
 		for band := 0; band < m.nBands; band++ {
 			keys := append(m.pressKeys[:0], m.poolKey(pool, band))
 			m.pressKeys = keys
-			if d, s, ok := m.pressureScanGroupLocked(dc, best, ncRange, keys, band); ok {
-				return d, s, true
+			if m.pressureScanGroupLocked(dc, best, ncRange, keys, band, pl) {
+				return true
 			}
 		}
-		return nil, nil, false
+		return false
 	}
 	// Band-blind: all of the pool's band indexes join one group and
 	// every candidate carries band 0, so candBefore degenerates to the
@@ -114,17 +116,17 @@ func (m *Manager) pressurePrunedLocked(dc hypervisor.DomainConfig, best *Server)
 		keys = append(keys, m.poolKey(pool, band))
 	}
 	m.pressKeys = keys
-	return m.pressureScanGroupLocked(dc, best, ncRange, keys, 0)
+	return m.pressureScanGroupLocked(dc, best, ncRange, keys, 0, pl)
 }
 
 // pressureScanGroupLocked runs one group's best-first descent, trying
-// placement on each yielded candidate in exact candBefore order. The
-// group is the bound index of every given key; all its candidates carry
-// candBand. Also settles the group's metering:
-// every indexed server that never had its fitness computed — excluded
-// by the bound, the feasibility pre-filter, or an earlier candidate
-// succeeding — counts as pruned.
-func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Server, ncRange resources.Vector, keys []int, candBand int) (*hypervisor.Domain, *Server, bool) {
+// placement on each yielded candidate in exact candBefore order, and
+// records a hit's domain and server in pl. The group is the bound index
+// of every given key; all its candidates carry candBand. Also adds the
+// group's work to pl: every indexed server that never had its fitness
+// computed — excluded by the bound, the feasibility pre-filter, or an
+// earlier candidate succeeding — counts as pruned.
+func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Server, ncRange resources.Vector, keys []int, candBand int, pl *Placement) bool {
 	// Point one reusable iterator at each non-empty index of the group.
 	// Indexing (not re-slicing through grow) preserves the iterators'
 	// inner stacks, so steady-state scans never allocate.
@@ -143,14 +145,10 @@ func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Serv
 		n++
 	}
 	iters := m.pressIters[:n]
-	scored0 := m.pressureScored
 
 	heap := m.pressHeap[:0]
-	var (
-		rd  *hypervisor.Domain
-		rs  *Server
-		hit bool
-	)
+	scored := 0
+	hit := false
 	for {
 		// The loosest remaining bound — and, on bound ties, the largest
 		// name: the (key, name)-descending head a single merged index
@@ -176,8 +174,8 @@ func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Serv
 			if c.s == best {
 				continue // the failed surplus candidate is skipped
 			}
-			if d, s, ok := m.tryPlaceLocked(c.s, dc, ncRange); ok {
-				rd, rs, hit = d, s, true
+			if d := m.tryPlaceLocked(c.s, dc, ncRange); d != nil {
+				pl.Domain, pl.Server, hit = d, c.s, true
 				break
 			}
 		}
@@ -189,12 +187,13 @@ func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Serv
 		if cannotReclaim(s, dc, ncRange) {
 			continue // fit-skip: counted as pruned, never scored
 		}
-		m.pressureScored++
+		scored++
 		heapPushCand(&heap, cand{s, Fitness(dc.Size, s.avail), s.gidx, candBand})
 	}
 	m.pressHeap = heap[:0]
-	m.pressurePruned += eligible - (m.pressureScored - scored0)
-	return rd, rs, hit
+	pl.Scored += scored
+	pl.Pruned += eligible - scored
+	return hit
 }
 
 // heapPushCand pushes c onto the candBefore-ordered min-heap (the heap

@@ -55,15 +55,18 @@ func pressureScanSteadyState(tb testing.TB) (*Manager, hypervisor.DomainConfig) 
 }
 
 // pressureScanOnce is one steady-state scan: the dirty sync a placement
-// would run (a no-op here) plus the full bound-pruned descent.
-func pressureScanOnce(tb testing.TB, m *Manager, probe hypervisor.DomainConfig) {
+// would run (a no-op here) plus the full bound-pruned descent. It
+// returns the probe's outcome record.
+func pressureScanOnce(tb testing.TB, m *Manager, probe hypervisor.DomainConfig) Placement {
+	var pl Placement
 	m.mu.Lock()
 	m.syncDirtyLocked()
-	_, _, ok := m.pressureLiveLocked(probe, nil)
+	ok := m.pressureLiveLocked(probe, nil, &pl)
 	m.mu.Unlock()
 	if ok {
 		tb.Fatal("probe was placed — the scan mutated state and is not steady-state")
 	}
+	return pl
 }
 
 // TestPressureScanZeroAllocs is the allocation-regression guard for the
@@ -72,11 +75,10 @@ func pressureScanOnce(tb testing.TB, m *Manager, probe hypervisor.DomainConfig) 
 // expanded, scored and tried — must perform zero heap allocations.
 func TestPressureScanZeroAllocs(t *testing.T) {
 	m, probe := pressureScanSteadyState(t)
-	pressureScanOnce(t, m, probe) // warm the iterator and heap arenas
-	arr0, scored0, _ := m.PressureStats()
-	if arr0 == 0 || scored0 != len(m.Servers()) {
-		t.Fatalf("warmup scored %d servers over %d scans, want a full %d-server descent",
-			scored0, arr0, len(m.Servers()))
+	// The warmup fills the iterator and heap arenas.
+	if pl := pressureScanOnce(t, m, probe); pl.Path != PathPressure || pl.Scored != len(m.Servers()) || pl.Pruned != 0 {
+		t.Fatalf("warmup scored %d and pruned %d servers, want a full %d-server descent",
+			pl.Scored, pl.Pruned, len(m.Servers()))
 	}
 	got := testing.AllocsPerRun(200, func() {
 		pressureScanOnce(t, m, probe)

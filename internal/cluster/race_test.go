@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vmdeflate/internal/notify"
@@ -26,6 +27,7 @@ func TestManagerConcurrentPlaceRemove(t *testing.T) {
 		workers   = 8
 		perWorker = 24
 	)
+	var kept atomic.Int64 // VMs placed and never removed, folded per worker
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -52,11 +54,13 @@ func TestManagerConcurrentPlaceRemove(t *testing.T) {
 				// Interleave cluster-wide reads with the churn.
 				_ = m.Stats()
 				_ = m.Servers()
-				if i%2 == 1 {
-					if err := m.RemoveVM(name); err != nil {
-						t.Errorf("remove %s: %v", name, err)
-						return
-					}
+				if i%2 == 0 {
+					kept.Add(1)
+					continue
+				}
+				if err := m.RemoveVM(name); err != nil {
+					t.Errorf("remove %s: %v", name, err)
+					return
 				}
 			}
 		}(w)
@@ -67,12 +71,9 @@ func TestManagerConcurrentPlaceRemove(t *testing.T) {
 	if st.Servers != 8 {
 		t.Errorf("servers = %d", st.Servers)
 	}
-	// Counters must be coherent after the dust settles: every placement
-	// either stuck, was removed, or was rejected.
-	if st.VMs < 0 || st.VMs > workers*perWorker {
-		t.Errorf("placed VMs = %d", st.VMs)
-	}
-	if m.Rejections() < 0 || m.DeflationEvents() < 0 {
-		t.Errorf("counters = %d rejections, %d deflations", m.Rejections(), m.DeflationEvents())
+	// The outcomes fold to the manager's state after the dust settles:
+	// every placement either stuck, was removed, or was rejected.
+	if int64(st.VMs) != kept.Load() {
+		t.Errorf("placed VMs = %d, the workers' outcomes fold to %d", st.VMs, kept.Load())
 	}
 }

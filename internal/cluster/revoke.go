@@ -60,9 +60,6 @@ type Evacuation struct {
 	// Placements is the relocation outcome per displaced VM, in the
 	// same order.
 	Placements []Placement
-	// Evacuated counts successful relocations; Killed counts displaced
-	// VMs that could not be placed anywhere.
-	Evacuated, Killed int
 }
 
 // Revoked reports whether the server is currently revoked. Like every
@@ -85,8 +82,9 @@ func (m *Manager) RevokeServer(name string) (Evacuation, error) {
 // placement total orders) but leave the capacity indexes and every
 // candidate scan until RestoreServer returns them.
 //
-// Relocation failures do not count as admission-control rejections —
-// Rejections() keeps measuring arrival admission only.
+// Relocation failures are not admission-control rejections: the
+// headroom gate lets relocations through, and a caller folding
+// admission failures folds them over its arrivals' placements only.
 func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -300,8 +298,8 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 }
 
 // evacuateLocked relocates the queued displaced VMs as one batch,
-// placed in evacuation order, and assembles the Evacuation outcome.
-// Rejections inside the batch are not counted as admission failures.
+// placed in evacuation order past the headroom gate, and assembles the
+// Evacuation outcome.
 func (m *Manager) evacuateLocked() Evacuation {
 	var out Evacuation
 	if len(m.evacDCs) == 0 {
@@ -312,12 +310,5 @@ func (m *Manager) evacuateLocked() Evacuation {
 	m.placeAllLocked(m.evacDCs)
 	m.evacuating = false
 	out.Placements = append([]Placement(nil), m.results[:len(out.VMs)]...)
-	for _, pl := range out.Placements {
-		if pl.Err != nil {
-			out.Killed++
-		} else {
-			out.Evacuated++
-		}
-	}
 	return out
 }

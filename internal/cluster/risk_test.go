@@ -131,35 +131,28 @@ func TestHeadroomGateWithholdsLowPriority(t *testing.T) {
 			// 8-core VMs pass the gate while 8 + 48 <= 96 - 8k, so exactly
 			// six are admitted and the seventh is withheld — with 40 cores
 			// still free, so this is headroom, not capacity.
-			admitted := 0
-			var rejErr error
+			var lows []hypervisor.DomainConfig
 			for i := 0; i < 7; i++ {
-				_, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("low-%d", i), 8, 1024, 0.25))
-				if err == nil {
-					admitted++
-					continue
+				lows = append(lows, deflatableVM(fmt.Sprintf("low-%d", i), 8, 1024, 0.25))
+			}
+			pls := m.PlaceVMs(lows, nil)
+			for i, pl := range pls[:6] {
+				if pl.Err != nil || pl.Path != PathSurplus {
+					t.Fatalf("low-%d before the gate: path %d, err %v; want a surplus admission", i, pl.Path, pl.Err)
 				}
-				rejErr = err
-				break
 			}
-			if admitted != 6 {
-				t.Fatalf("admitted %d low-priority VMs before the gate, want 6", admitted)
+			rej := pls[6]
+			if !errors.Is(rej.Err, ErrHeadroom) || !errors.Is(rej.Err, ErrNoCapacity) {
+				t.Fatalf("gate rejection = %v, want ErrHeadroom wrapping ErrNoCapacity", rej.Err)
 			}
-			if !errors.Is(rejErr, ErrHeadroom) || !errors.Is(rejErr, ErrNoCapacity) {
-				t.Fatalf("gate rejection = %v, want ErrHeadroom wrapping ErrNoCapacity", rejErr)
-			}
-			if m.RiskRejections() != 1 || m.Rejections() != 1 {
-				t.Fatalf("counters = (%d risk, %d total), want (1, 1)", m.RiskRejections(), m.Rejections())
+			if rej.Path != PathHeadroom || rej.Scored+rej.Pruned != 0 {
+				t.Fatalf("gate rejection took path %d with scan work %d/%d, want the headroom gate and no scan", rej.Path, rej.Scored, rej.Pruned)
 			}
 			// The classes the reserve protects sail through the gate.
-			if _, _, err := m.PlaceVM(deflatableVM("high", 8, 1024, 0.9)); err != nil {
-				t.Fatalf("high-priority VM gated: %v", err)
-			}
-			if _, _, err := m.PlaceVM(onDemandVM("ondemand", 8, 1024)); err != nil {
-				t.Fatalf("on-demand VM gated: %v", err)
-			}
-			if m.RiskRejections() != 1 {
-				t.Fatalf("bypass classes bumped RiskRejections to %d", m.RiskRejections())
+			for _, pl := range m.PlaceVMs([]hypervisor.DomainConfig{deflatableVM("high", 8, 1024, 0.9), onDemandVM("ondemand", 8, 1024)}, nil) {
+				if pl.Err != nil || pl.Path == PathHeadroom {
+					t.Fatalf("protected VM gated: path %d, err %v", pl.Path, pl.Err)
+				}
 			}
 		})
 	}
@@ -194,12 +187,9 @@ func TestHeadroomGateLiftsDuringEvacuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pl := range out.Placements {
-		if pl.Err != nil {
-			t.Fatalf("evacuation gated or failed: %v", pl.Err)
+		if pl.Err != nil || pl.Path == PathHeadroom {
+			t.Fatalf("evacuation gated or failed: path %d, err %v", pl.Path, pl.Err)
 		}
-	}
-	if m.RiskRejections() != 0 {
-		t.Fatalf("evacuation counted %d risk rejections", m.RiskRejections())
 	}
 }
 

@@ -109,7 +109,8 @@ type SLOConfig struct {
 	Curve perfmodel.Curve
 	// MaxSlowdown is the violation threshold: a sample violates the SLO
 	// when its modelled sojourn-time ratio versus the undeflated VM
-	// exceeds this. Values below 1 select policy.DefaultMaxSlowdown.
+	// exceeds this. Values below 1 select policy.DefaultMaxSlowdown;
+	// NaN and ±Inf are errors.
 	MaxSlowdown float64
 }
 
@@ -141,15 +142,16 @@ type ServerType struct {
 type RiskOptions struct {
 	// HighPriority is the priority threshold at or above which VMs get
 	// hazard-banded placement (cluster.RiskConfig.HighPriority);
-	// non-positive selects the cluster default (0.75).
+	// non-positive selects the cluster default (0.75). NaN and ±Inf are
+	// errors.
 	HighPriority float64
 	// Bands is the number of hazard bands (cluster.RiskConfig.MaxBands);
 	// non-positive selects the cluster default (4).
 	Bands int
 	// HeadroomScale multiplies each server's forecast outage fraction to
-	// set its admission-headroom reserve; 0 defaults to 1, and the
-	// product is clamped to 1. Larger values trade admitted revenue for
-	// fewer shock kills.
+	// set its admission-headroom reserve; 0 defaults to 1, NaN, +Inf and
+	// negative values are errors, and the product is clamped to 1.
+	// Larger values trade admitted revenue for fewer shock kills.
 	HeadroomScale float64
 }
 
@@ -312,6 +314,9 @@ func (c *Config) applyDefaults() error {
 		if slo.Curve == (perfmodel.Curve{}) {
 			slo.Curve = perfmodel.WorstCaseLinear
 		}
+		if !finite(slo.MaxSlowdown) {
+			return fmt.Errorf("clustersim: SLO max slowdown %v is not finite", slo.MaxSlowdown)
+		}
 		if slo.MaxSlowdown < 1 {
 			slo.MaxSlowdown = policy.DefaultMaxSlowdown
 		}
@@ -322,6 +327,14 @@ func (c *Config) applyDefaults() error {
 			if !finiteNonNegative(v) {
 				return fmt.Errorf("clustersim: portfolio type %q has field value %v, want finite and non-negative", t.Name, v)
 			}
+		}
+	}
+	if r := c.Risk; r != nil {
+		if !finite(r.HighPriority) {
+			return fmt.Errorf("clustersim: risk high priority %v is not finite", r.HighPriority)
+		}
+		if !finiteNonNegative(r.HeadroomScale) {
+			return fmt.Errorf("clustersim: risk headroom scale %v is not a finite non-negative factor", r.HeadroomScale)
 		}
 	}
 	for i, sh := range c.Shocks {
@@ -347,6 +360,11 @@ func finiteNonNegative(v float64) bool {
 	return v >= 0 && !math.IsInf(v, 1)
 }
 
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
 // Result summarises one run.
 type Result struct {
 	// Servers actually provisioned.
@@ -363,17 +381,18 @@ type Result struct {
 	ReclamationAttempts int
 	// ReclamationFailures counts attempts that could not free enough.
 	ReclamationFailures int
-	// Pressure-scan accounting (deflation mode). PressuredArrivals
-	// counts placements that fell through to the under-pressure scan
-	// (identical in every placement mode). PressureScored counts servers
-	// whose exact fitness was computed across those scans and
-	// PressurePruned counts indexed servers the bound-pruned descent
-	// excluded without scoring — by the fitness bound, the feasibility
-	// pre-filter, or an earlier candidate succeeding. The cluster
-	// package's test-side placement oracles scan linearly — they score
-	// every pool server and prune none — so differential suites
-	// comparing against them zero Scored/Pruned before
-	// reflect.DeepEqual.
+	// Pressure-scan accounting (deflation mode), folded from the
+	// manager's Placement records of arrivals and evacuee relocations
+	// alike. PressuredArrivals counts placements that went through the
+	// under-pressure scan (identical in every placement mode).
+	// PressureScored counts servers whose exact fitness was computed
+	// across those scans and PressurePruned counts indexed servers the
+	// bound-pruned descent excluded without scoring — by the fitness
+	// bound, the feasibility pre-filter, or an earlier candidate
+	// succeeding. The cluster package's test-side placement oracles scan
+	// linearly — they score every pool server and prune none — so
+	// differential suites comparing against them zero Scored/Pruned
+	// before reflect.DeepEqual.
 	PressuredArrivals int
 	PressureScored    int
 	PressurePruned    int

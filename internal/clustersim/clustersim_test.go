@@ -76,7 +76,11 @@ func TestBaselineServerCount(t *testing.T) {
 // capacity index, a revocation at +Inf was popped first and at NaN at
 // an undefined instant, one at a negative time billed a negative
 // outage, a non-positive scale failed deep in the run, and an unknown
-// kind was dropped silently. Every case fails in both modes.
+// kind was dropped silently. A NaN or ±Inf SLO threshold metered no
+// violations (a slowdown is never above NaN or +Inf), a NaN or +Inf risk
+// priority threshold put every deflatable VM behind the headroom gate
+// and out of the hazard bands, and a NaN, ±Inf or negative headroom
+// scale quietly became 1. Every case fails in both modes.
 func TestRunValidation(t *testing.T) {
 	tr := testTrace(200)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -115,6 +119,16 @@ func TestRunValidation(t *testing.T) {
 		{"shock at NaN", shocks(trace.CapacityShock{At: nan, Kind: trace.ShockRevoke}), "shock 1"},
 		{"shock at a negative time", shocks(trace.CapacityShock{At: -5000, Kind: trace.ShockRevoke}), "shock 1"},
 		{"unknown shock kind", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockKind(7)}), "shock 1"},
+		{"NaN SLO max slowdown", Config{Trace: tr, SLO: &SLOConfig{MaxSlowdown: nan}}, "slowdown"},
+		{"+Inf SLO max slowdown", Config{Trace: tr, SLO: &SLOConfig{MaxSlowdown: inf}}, "slowdown"},
+		{"-Inf SLO max slowdown", Config{Trace: tr, SLO: &SLOConfig{MaxSlowdown: -inf}}, "slowdown"},
+		{"NaN risk high priority", Config{Trace: tr, Risk: &RiskOptions{HighPriority: nan}}, "high priority"},
+		{"+Inf risk high priority", Config{Trace: tr, Risk: &RiskOptions{HighPriority: inf}}, "high priority"},
+		{"-Inf risk high priority", Config{Trace: tr, Risk: &RiskOptions{HighPriority: -inf}}, "high priority"},
+		{"NaN risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: nan}}, "headroom"},
+		{"+Inf risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: inf}}, "headroom"},
+		{"-Inf risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: -inf}}, "headroom"},
+		{"negative risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: -0.5}}, "headroom"},
 	}
 	for _, c := range cases {
 		for _, mode := range []Mode{ModeDeflation, ModePreemption} {

@@ -240,10 +240,7 @@ func (e *Engine) setupDeflation() error {
 		sc := *cfg.ShockConfig
 		sc.RateScale = e.rateScale
 		model = risk.New(sc, e.nServers)
-		bands = cfg.Risk.Bands
-		if bands <= 0 {
-			bands = 4 // keep in sync with cluster.RiskConfig's default
-		}
+		bands = e.mgr.Config().Risk.MaxBands // the manager's defaulted count
 		if cfg.Risk.HeadroomScale > 0 {
 			headroom = cfg.Risk.HeadroomScale
 		}
@@ -484,12 +481,11 @@ func (e *Engine) handleDepartures(evs []simEvent) error {
 	return e.mgr.RemoveVMs(names...)
 }
 
-// foldResult converts the run's accumulators into the Result.
+// foldResult converts the run's accumulators into the Result. Every
+// admission failure of a deflation run is a failure to reclaim enough.
 func (e *Engine) foldResult() *Result {
 	cfg := &e.cfg
-	e.res.ReclamationFailures = e.mgr.Rejections()
-	e.res.RiskRejections = e.mgr.RiskRejections()
-	e.res.PressuredArrivals, e.res.PressureScored, e.res.PressurePruned = e.mgr.PressureStats()
+	e.res.ReclamationFailures = e.res.Rejected
 	// FleetCost: bill each server's in-service core-hours at its type's
 	// price factor, in server index order. Outage intervals accumulated
 	// in event order; still-revoked servers charge out to the horizon.
@@ -516,6 +512,15 @@ func (e *Engine) foldResult() *Result {
 		e.finishSLO()
 	}
 	return e.res
+}
+
+// foldScan adds one placement's under-pressure scan to the run's meters.
+func (r *Result) foldScan(pl cluster.Placement) {
+	if pl.Path == cluster.PathPressure {
+		r.PressuredArrivals++
+	}
+	r.PressureScored += pl.Scored
+	r.PressurePruned += pl.Pruned
 }
 
 // sloHistBuckets and sloHistScale shape the slowdown histogram: bucket i
@@ -616,12 +621,13 @@ func remainingDemand(rec *trace.VMRecord, cur *trace.UtilCursor, t float64) floa
 // two modes' ThroughputLoss stays comparable under shocks.
 func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 	for i := range out.VMs {
+		pl := out.Placements[i]
+		e.res.foldScan(pl) // every relocation is scan work, whoever it moved
 		row := out.VMs[i].Tag
 		slot := e.slotOf[row]
 		if slot == slotNone {
 			continue
 		}
-		pl := out.Placements[i]
 		if pl.Err != nil {
 			e.res.ShockKills++
 			if slot >= 0 {
@@ -752,6 +758,7 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 	for i, ev := range evs {
 		e.res.Arrivals++
 		pl := placements[i]
+		e.res.foldScan(pl)
 		// Count reclamation attempts: did this placement need deflation?
 		// The batch evaluates the check against the same state the
 		// placement decision saw.
@@ -763,6 +770,9 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 				return errLiveTwice(ev.vm.ID, ev.seq)
 			}
 			e.res.Rejected++
+			if pl.Path == cluster.PathHeadroom {
+				e.res.RiskRejections++
+			}
 			continue
 		}
 		e.res.Admitted++
