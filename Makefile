@@ -155,7 +155,10 @@ bench-e2e:
 bench-compare:
 	$(GO) run ./bench -compare bench/baseline.json BENCH_e2e.json
 
-# The full reproduction benchmark suite (all figures).
+# The root package's perf and ablation benchmarks (sweep engine, single
+# runs at 10k and 100k VMs, scenario generation, mechanism / policy /
+# partitioning ablations). The figures are claim tests, run by `make
+# test` (figures_test.go, FIGURES.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 

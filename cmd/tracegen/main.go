@@ -29,6 +29,10 @@ func main() {
 	out := flag.String("o", "-", "output file (- for stdout)")
 	flag.Parse()
 
+	write, summary, err := build(*kind, *n, *days, *samples, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var w io.Writer = os.Stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
@@ -38,29 +42,37 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-
-	switch *kind {
-	case "azure":
-		cfg := trace.DefaultAzureConfig()
-		cfg.NumVMs = *n
-		cfg.Duration = *days * 86400
-		cfg.Seed = *seed
-		tr := trace.GenerateAzure(cfg)
-		if err := trace.WriteAzureCSV(w, tr); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "tracegen: wrote %d VMs over %.1f days\n", len(tr.VMs), *days)
-	case "alibaba":
-		cfg := trace.DefaultAlibabaConfig()
-		cfg.NumContainers = *n
-		cfg.Samples = *samples
-		cfg.Seed = *seed
-		tr := trace.GenerateAlibaba(cfg)
-		if err := trace.WriteAlibabaCSV(w, tr); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "tracegen: wrote %d containers x %d samples\n", len(tr.Containers), *samples)
-	default:
-		log.Fatalf("unknown kind %q (want azure or alibaba)", *kind)
+	if err := write(w); err != nil {
+		log.Fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "tracegen: %s\n", summary)
+}
+
+// build synthesises the requested trace and returns its CSV writer and
+// a one-line summary. Bad parameters fail here, before any output file
+// is created.
+func build(kind string, n int, days float64, samples int, seed int64) (func(io.Writer) error, string, error) {
+	switch kind {
+	case "azure":
+		tr, err := trace.GenerateScenario(trace.ScenarioConfig{
+			Kind: trace.ScenarioAzure, NumVMs: n, Duration: days * 86400, Seed: seed,
+		})
+		if err != nil {
+			return nil, "", err
+		}
+		write := func(w io.Writer) error { return trace.WriteAzureCSV(w, tr) }
+		return write, fmt.Sprintf("wrote %d VMs over %.1f days", len(tr.VMs), days), nil
+	case "alibaba":
+		if samples < 1 {
+			return nil, "", fmt.Errorf("-samples %d: want at least 1 sample per container", samples)
+		}
+		cfg := trace.DefaultAlibabaConfig()
+		cfg.NumContainers = n
+		cfg.Samples = samples
+		cfg.Seed = seed
+		tr := trace.GenerateAlibaba(cfg)
+		write := func(w io.Writer) error { return trace.WriteAlibabaCSV(w, tr) }
+		return write, fmt.Sprintf("wrote %d containers x %d samples", len(tr.Containers), samples), nil
+	}
+	return nil, "", fmt.Errorf("unknown kind %q (want azure or alibaba)", kind)
 }

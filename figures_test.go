@@ -1,8 +1,17 @@
 package vmdeflate
 
-// Claim tests for the cluster-scale figures (Section 7.4). Each pins the
-// ordering a figure's conclusion rests on, not its absolute values, on a
-// 2,000-VM azure trace at seeds 1-3 swept over overcommitment 10-70 %:
+// Claim tests, one per figure of the paper's evaluation. Each pins the
+// ordering or threshold a figure's conclusion rests on, not its absolute
+// values, at seeds 1-3 (Figs 3 and 14 are deterministic and run once).
+// The margins were set from the first measurement of each fixture, with
+// the value measured then in brackets (the least favourable of the three
+// seeds), and are pinned: a change that erodes one is a change in what
+// the simulator says about the paper. Where the paper states a number,
+// the test logs it beside the measured value; a gap between the two is
+// recorded in the test's comment and pinned only as a gap, never tuned.
+//
+// The cluster-scale figures (Section 7.4) share one fixture, a 2,000-VM
+// azure trace swept over overcommitment 10-70 %:
 //
 //   - Fig 20: proportional deflation fails to reclaim no more often than
 //     preemption preempts, and strictly less often from 30 % on;
@@ -11,21 +20,22 @@ package vmdeflate
 //   - Fig 22: revenue per server under the static scheme rises at every
 //     overcommitment step.
 //
-// Fig 18 (Section 7.2, the deflated microservice application) has its
-// own fixture below.
-//
-// The margins below were set from the first measurement of this fixture
-// (smallest value over the three seeds in brackets) and are pinned: a
-// change that erodes one is a change in what the simulator says about
-// the paper.
+// The trace figures (Section 3, Figs 5-12) share a 1,500-VM two-day
+// azure trace and a 1,500-container alibaba trace per seed; the
+// application figures (Sections 4 and 7.2-7.3, Figs 3, 14, 16-19) run
+// their experiments at the figures' own deflation levels.
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"vmdeflate/internal/apps"
 	"vmdeflate/internal/clustersim"
+	"vmdeflate/internal/feasibility"
+	"vmdeflate/internal/mechanism"
+	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
 )
 
@@ -168,5 +178,530 @@ func TestFig22StaticRevenueRisesWithOvercommit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// --- The application figures (Sections 4 and 7.2-7.3) ---
+
+// fig03Memcached50 is the least normalised performance memcached keeps
+// at 50 % deflation of all its resources [0.975].
+const fig03Memcached50 = 0.9
+
+// TestFig03MemcachedDegradesLeast pins Figure 3: SpecJBB, kernel-compile
+// and memcached with every resource deflated together, 0-90 %. No curve
+// rises as deflation deepens, memcached performs at least as well as
+// both others at every level, and it keeps fig03Memcached50 of its
+// undeflated performance at 50 %.
+func TestFig03MemcachedDegradesLeast(t *testing.T) {
+	pcts := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
+	curves := map[string][]apps.Figure3Point{}
+	for _, m := range []apps.ResourceModel{apps.SpecJBB{}, apps.Kcompile{}, apps.Memcached{}} {
+		pts, err := apps.DeflationCurve(m, mechanism.Transparent{}, pcts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curves[m.Name()] = pts
+		for i := 1; i < len(pts); i++ {
+			if pts[i].Performance > pts[i-1].Performance {
+				t.Errorf("%s: performance rose from %.3f to %.3f between %.0f%% and %.0f%% deflation",
+					m.Name(), pts[i-1].Performance, pts[i].Performance, pcts[i-1], pcts[i])
+			}
+		}
+	}
+	for i, pct := range pcts {
+		mc, kc, sj := curves["memcached"][i].Performance, curves["kcompile"][i].Performance, curves["specjbb"][i].Performance
+		t.Logf("deflation %2.0f%%: memcached %.3f kcompile %.3f specjbb %.3f", pct, mc, kc, sj)
+		if mc < kc || mc < sj {
+			t.Errorf("deflation %.0f%%: memcached %.3f below kcompile %.3f or specjbb %.3f", pct, mc, kc, sj)
+		}
+		if pct == 50 && mc < fig03Memcached50 {
+			t.Errorf("memcached keeps %.3f at 50%% deflation, want >= %.2f", mc, fig03Memcached50)
+		}
+	}
+}
+
+const (
+	// At 45 % memory deflation transparent (swapping) SpecJBB's
+	// normalised mean response time exceeds hybrid's by at least this
+	// [0.220].
+	fig14Advantage45 = 0.1
+	// Hybrid's normalised mean response time stays at or below this
+	// through 45 % [1.001].
+	fig14HybridMax = 1.05
+)
+
+// TestFig14HybridAvoidsSwap pins Figure 14: SpecJBB under memory-only
+// deflation, 0-45 %. Hybrid deflation (hotplug down to the guest's
+// resident set, then multiplexing) is never slower than transparent
+// deflation, stays near its undeflated response time throughout, and at
+// 45 %, where transparent deflation swaps, is faster by
+// fig14Advantage45.
+func TestFig14HybridAvoidsSwap(t *testing.T) {
+	pcts := []float64{0, 5, 10, 15, 20, 25, 30, 35, 40, 45}
+	tr, err := apps.SpecJBBMemoryCurve(mechanism.Transparent{}, pcts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hy, err := apps.SpecJBBMemoryCurve(mechanism.Hybrid{}, pcts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pct := range pcts {
+		a, b := tr[i].MeanRTNormalized, hy[i].MeanRTNormalized
+		t.Logf("deflation %2.0f%%: mean RT transparent %.3f hybrid %.3f", pct, a, b)
+		if b > a || b > fig14HybridMax {
+			t.Errorf("deflation %.0f%%: hybrid %.3f, transparent %.3f; want hybrid <= transparent and <= %.2f", pct, b, a, fig14HybridMax)
+		}
+	}
+	if adv := tr[len(pcts)-1].MeanRTNormalized - hy[len(pcts)-1].MeanRTNormalized; adv < fig14Advantage45 {
+		t.Errorf("hybrid beats transparent by %.3f at 45%%, want >= %.2f", adv, fig14Advantage45)
+	}
+}
+
+// wikiLevels is the Figures 16-17 x-axis (CPU deflation, %).
+var wikiLevels = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
+
+var (
+	wikiOnce   sync.Once
+	wikiSweeps [][]apps.WikipediaPoint
+	wikiErr    error
+)
+
+// wikiFixture runs the Wikipedia sweep once per seed 1-3 for Figs 16-17:
+// 30 cores at 800 req/s for 40 s.
+func wikiFixture(t *testing.T) [][]apps.WikipediaPoint {
+	t.Helper()
+	wikiOnce.Do(func() {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := apps.DefaultWikipediaConfig()
+			cfg.Duration, cfg.Seed = 40, seed
+			pts, err := apps.WikipediaSweep(cfg, wikiLevels)
+			if err != nil {
+				wikiErr = err
+				return
+			}
+			wikiSweeps = append(wikiSweeps, pts)
+		}
+	})
+	if wikiErr != nil {
+		t.Fatal(wikiErr)
+	}
+	return wikiSweeps
+}
+
+// fig16Flat is the most Wikipedia's mean response time may rise above
+// the undeflated value at any deflation up to 70 % [1.2 %].
+const fig16Flat = 0.05
+
+// TestFig16WikipediaRTFlatTo70 pins Figure 16: the mean response time is
+// flat, within fig16Flat of the undeflated value, through 70 % CPU
+// deflation, and rises at each step past it. *Not pinned, the gap to
+// the paper:* at 80 % the mean is 6.46-6.53x the undeflated value,
+// against the paper's ≈ 2x; the test logs the ratio.
+func TestFig16WikipediaRTFlatTo70(t *testing.T) {
+	for s, pts := range wikiFixture(t) {
+		t.Run(fmt.Sprintf("seed=%d", s+1), func(t *testing.T) {
+			base := pts[0].Mean
+			for i, p := range pts {
+				t.Logf("deflation %2.0f%%: mean %.3fs median %.3fs p90 %.3fs p99 %.3fs", p.DeflationPct, p.Mean, p.Median, p.P90, p.P99)
+				if p.DeflationPct <= 70 && p.Mean > base*(1+fig16Flat) {
+					t.Errorf("deflation %.0f%%: mean %.4fs is %.1f%% above the undeflated %.4fs, want <= %.0f%%",
+						p.DeflationPct, p.Mean, (p.Mean/base-1)*100, base, fig16Flat*100)
+				}
+				if p.DeflationPct > 70 && p.Mean <= pts[i-1].Mean {
+					t.Errorf("deflation %.0f%%: mean %.4fs, not above %.4fs at %.0f%%", p.DeflationPct, p.Mean, pts[i-1].Mean, pts[i-1].DeflationPct)
+				}
+				if p.DeflationPct == 80 {
+					t.Logf("gap at 80%%: mean %.2fx the undeflated value, paper ≈ 2x", p.Mean/base)
+				}
+			}
+		})
+	}
+}
+
+// fig17Served90 is the most of its requests Wikipedia may serve at 90 %
+// CPU deflation: past 70 % it must lose some [0.897].
+const fig17Served90 = 0.95
+
+// TestFig17WikipediaServesAllTo70 pins Figure 17: every request is
+// served through 70 % CPU deflation [1.0000 on every seed], the served
+// fraction never rises as deflation deepens, and at 90 % at most
+// fig17Served90 is served. The paper reports the same shape: no loss up
+// to 70 %.
+func TestFig17WikipediaServesAllTo70(t *testing.T) {
+	for s, pts := range wikiFixture(t) {
+		t.Run(fmt.Sprintf("seed=%d", s+1), func(t *testing.T) {
+			for i, p := range pts {
+				t.Logf("deflation %2.0f%%: served %.4f", p.DeflationPct, p.ServedFraction)
+				if p.DeflationPct <= 70 && p.ServedFraction != 1 {
+					t.Errorf("deflation %.0f%%: served %.4f, want 1", p.DeflationPct, p.ServedFraction)
+				}
+				if i > 0 && p.ServedFraction > pts[i-1].ServedFraction {
+					t.Errorf("deflation %.0f%%: served fraction rose from %.4f to %.4f", p.DeflationPct, pts[i-1].ServedFraction, p.ServedFraction)
+				}
+			}
+			if last := pts[len(pts)-1]; last.ServedFraction > fig17Served90 {
+				t.Errorf("deflation 90%%: served %.4f, want <= %.2f", last.ServedFraction, fig17Served90)
+			}
+		})
+	}
+}
+
+const (
+	// The deflation-aware balancer's p90 is at most this multiple of
+	// vanilla round-robin's at any level [1.004x].
+	fig19Slack = 1.01
+	// At 70 % deflation it cuts the p90 by at least this fraction [0.161].
+	fig19Cut70 = 0.1
+)
+
+// TestFig19DeflationAwareLBCutsTail pins Figure 19: three Wikipedia
+// replicas at 200 req/s for 40 s, two of them deflated 0-80 %. The
+// deflation-aware balancer's p90 response time is never worse than
+// vanilla weighted round-robin's beyond fig19Slack, and at 70 % it is
+// lower by fig19Cut70. The paper reports a 15-40 % lower tail; the test
+// logs the cut at 70 % beside it.
+func TestFig19DeflationAwareLBCutsTail(t *testing.T) {
+	pcts := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := apps.DefaultLBConfig()
+			cfg.Duration, cfg.Seed = 40, seed
+			aware, vanilla, err := apps.LBSweep(cfg, pcts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pct := range pcts {
+				a, v := aware[i].P90, vanilla[i].P90
+				t.Logf("deflation %2.0f%%: p90 aware %.3fs vanilla %.3fs (cut %.1f%%)", pct, a, v, (1-a/v)*100)
+				if a > v*fig19Slack {
+					t.Errorf("deflation %.0f%%: aware p90 %.4fs above vanilla %.4fs by more than %.0f%%", pct, a, v, (fig19Slack-1)*100)
+				}
+				if pct == 70 {
+					cut := 1 - a/v
+					t.Logf("cut at 70%%: %.1f%%, paper 15-40%%", cut*100)
+					if cut < fig19Cut70 {
+						t.Errorf("aware balancer cuts the p90 by %.1f%% at 70%%, want >= %.0f%%", cut*100, fig19Cut70*100)
+					}
+				}
+			}
+		})
+	}
+}
+
+// --- Section 3: the trace figures (Figs 5-12) ---
+
+// traceSeed is one seed's pair of Section 3 traces.
+type traceSeed struct {
+	seed    int64
+	azure   *trace.AzureTrace
+	alibaba *trace.AlibabaTrace
+}
+
+var (
+	traceOnce  sync.Once
+	traceSeeds []traceSeed
+)
+
+// forEachTraceSeed runs check as one subtest per seed 1-3, building the
+// traces once for all of Figs 5-12: 1,500 azure VMs over two days and
+// 1,500 alibaba containers.
+func forEachTraceSeed(t *testing.T, check func(t *testing.T, ts traceSeed)) {
+	traceOnce.Do(func() {
+		for seed := int64(1); seed <= 3; seed++ {
+			az := trace.DefaultAzureConfig()
+			az.NumVMs, az.Duration, az.Seed = 1500, 2*86400, seed
+			al := trace.DefaultAlibabaConfig()
+			al.NumContainers, al.Seed = 1500, seed
+			traceSeeds = append(traceSeeds, traceSeed{seed, trace.GenerateAzure(az), trace.GenerateAlibaba(al)})
+		}
+	})
+	for _, ts := range traceSeeds {
+		t.Run(fmt.Sprintf("seed=%d", ts.seed), func(t *testing.T) { check(t, ts) })
+	}
+}
+
+// box returns tab's summary at deflation pct.
+func box(t *testing.T, tab feasibility.Table, pct float64) stats.BoxPlot {
+	t.Helper()
+	for _, r := range tab.Rows {
+		if r.DeflationPct == pct {
+			return r.Box
+		}
+	}
+	t.Fatalf("%s: no row at %g%%", tab.Name, pct)
+	return stats.BoxPlot{}
+}
+
+// checkRises asserts that a table's median and mean never fall as
+// deflation deepens: a sample above a deflated allocation is above every
+// deeper one.
+func checkRises(t *testing.T, tab feasibility.Table) {
+	t.Helper()
+	for i := 1; i < len(tab.Rows); i++ {
+		a, b := tab.Rows[i-1], tab.Rows[i]
+		if b.Box.Median < a.Box.Median || b.Box.Mean < a.Box.Mean {
+			t.Errorf("%s: %.0f%% -> %.0f%%: median %.4f -> %.4f, mean %.4f -> %.4f; want neither to fall",
+				tab.Name, a.DeflationPct, b.DeflationPct, a.Box.Median, b.Box.Median, a.Box.Mean, b.Box.Mean)
+		}
+	}
+}
+
+// means formats a table's per-level means for the log.
+func means(tab feasibility.Table) string {
+	s := ""
+	for _, r := range tab.Rows {
+		s += fmt.Sprintf(" %.4f", r.Box.Mean)
+	}
+	return s
+}
+
+// fig05Median50 is the largest fraction of its lifetime the median VM's
+// CPU usage may spend above a 50 %-deflated allocation [0.043].
+const fig05Median50 = 0.1
+
+// TestFig05MostVMsRarelyExceedHalfTheirCPU pins Figure 5: across all
+// VMs, the fraction of time CPU usage exceeds the deflated allocation
+// never falls as deflation deepens, and at 50 % the median VM is above
+// its allocation at most fig05Median50 of the time. *Not pinned, the gap
+// to the paper:* that median reads 0.037-0.043 against the paper's
+// ≈ 0.2, so the synthetic azure trace is more deflatable than the
+// paper's; the test logs both.
+func TestFig05MostVMsRarelyExceedHalfTheirCPU(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		tab, err := feasibility.CPUFeasibility(ts.azure, feasibility.DefaultDeflationLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRises(t, tab)
+		med := box(t, tab, 50).Median
+		t.Logf("median fraction above at 50%%: %.4f, paper ≈ 0.2", med)
+		if med > fig05Median50 {
+			t.Errorf("median fraction above at 50%% is %.4f, want <= %.2f", med, fig05Median50)
+		}
+	})
+}
+
+const (
+	// The interactive class's mean fraction above at 50 % is at most
+	// this [0.080].
+	fig06Interactive50 = 0.12
+	// Every other class's mean at 50 % is at least this multiple of the
+	// interactive class's [2.7x].
+	fig06Margin = 2
+)
+
+// TestFig06InteractiveVMsDeflateBest pins Figure 6: broken down by
+// workload class, interactive VMs spend the least time above their
+// deflated allocation at every level, by fig06Margin at 50 %, where
+// their mean is at most fig06Interactive50. The paper puts it at
+// <= 0.15; the test logs it beside that.
+func TestFig06InteractiveVMsDeflateBest(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		tabs, err := feasibility.ByClass(ts.azure, feasibility.DefaultDeflationLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inter feasibility.Table
+		for _, tab := range tabs {
+			t.Logf("%-17s mean:%s", tab.Name, means(tab))
+			checkRises(t, tab)
+			if tab.Name == trace.Interactive.String() {
+				inter = tab
+			}
+		}
+		i50 := box(t, inter, 50).Mean
+		t.Logf("interactive mean at 50%%: %.4f, paper <= 0.15", i50)
+		if i50 > fig06Interactive50 {
+			t.Errorf("interactive mean at 50%% is %.4f, want <= %.2f", i50, fig06Interactive50)
+		}
+		for _, tab := range tabs {
+			if tab.Name == inter.Name {
+				continue
+			}
+			for i, r := range tab.Rows {
+				if r.Box.Mean <= inter.Rows[i].Box.Mean {
+					t.Errorf("%.0f%%: %s mean %.4f not above interactive %.4f", r.DeflationPct, tab.Name, r.Box.Mean, inter.Rows[i].Box.Mean)
+				}
+			}
+			if m := box(t, tab, 50).Mean; m < fig06Margin*i50 {
+				t.Errorf("50%%: %s mean %.4f is only %.2fx interactive's %.4f, want >= %dx", tab.Name, m, m/i50, i50, fig06Margin)
+			}
+		}
+	})
+}
+
+// fig07Spread is the widest the size classes' mean fractions above may
+// spread at any deflation level [0.038].
+const fig07Spread = 0.08
+
+// TestFig07SizeDoesNotPredictDeflatability pins Figure 7: broken down by
+// VM memory size, the classes' mean fractions above the deflated
+// allocation lie within fig07Spread of each other at every level. The
+// paper finds no correlation between size and deflatability.
+func TestFig07SizeDoesNotPredictDeflatability(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		tabs, err := feasibility.BySize(ts.azure, feasibility.DefaultDeflationLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range tabs {
+			t.Logf("%-13s mean:%s", tab.Name, means(tab))
+			checkRises(t, tab)
+		}
+		widest := 0.0
+		for i, pct := range feasibility.DefaultDeflationLevels {
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for _, tab := range tabs {
+				lo, hi = math.Min(lo, tab.Rows[i].Box.Mean), math.Max(hi, tab.Rows[i].Box.Mean)
+			}
+			widest = math.Max(widest, hi-lo)
+			if hi-lo > fig07Spread {
+				t.Errorf("%.0f%%: size-class means spread %.4f, want <= %.2f", pct, hi-lo, fig07Spread)
+			}
+		}
+		t.Logf("widest spread of the size-class means: %.4f", widest)
+	})
+}
+
+// fig08LowPeak is the largest mean fraction above the p95 < 33 % class
+// may reach at any deflation up to 60 % [0.005].
+const fig08LowPeak = 0.02
+
+// TestFig08LowPeakVMsDeflateFreely pins Figure 8: broken down by 95th
+// percentile CPU usage, the p95 < 33 % class spends the least time above
+// its deflated allocation at every level, at most fig08LowPeak of it
+// through 60 %, and through 60 % the class means rise with the peak.
+// The paper puts the low-peak class at ≈ 0 at 20 %; the test logs it.
+func TestFig08LowPeakVMsDeflateFreely(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		tabs, err := feasibility.ByPeak(ts.azure, feasibility.DefaultDeflationLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tabs[0].Name != trace.PeakLow.String() {
+			t.Fatalf("first peak class is %s, want %s", tabs[0].Name, trace.PeakLow)
+		}
+		for _, tab := range tabs {
+			t.Logf("%-11s mean:%s", tab.Name, means(tab))
+			checkRises(t, tab)
+		}
+		t.Logf("p95<33 mean at 20%%: %.4f, paper ≈ 0", box(t, tabs[0], 20).Mean)
+		for i, pct := range feasibility.DefaultDeflationLevels {
+			low := tabs[0].Rows[i].Box.Mean
+			if pct <= 60 && low > fig08LowPeak {
+				t.Errorf("%.0f%%: p95<33 mean %.4f, want <= %.2f", pct, low, fig08LowPeak)
+			}
+			for c := 1; c < len(tabs); c++ {
+				m, prev := tabs[c].Rows[i].Box.Mean, tabs[c-1].Rows[i].Box.Mean
+				if m < low || (pct <= 60 && m < prev) {
+					t.Errorf("%.0f%%: %s mean %.4f below %s %.4f", pct, tabs[c].Name, m, tabs[c-1].Name, prev)
+				}
+			}
+		}
+	})
+}
+
+const (
+	// The mean fraction of time memory occupancy exceeds a 10 %-deflated
+	// allocation is at least this [0.701].
+	fig09At10 = 0.6
+	// From 20 % deflation on it is at least this [1.000].
+	fig09From20 = 0.99
+)
+
+// TestFig09MemoryIsNotDeflatable pins Figure 9: container memory
+// occupancy exceeds even a 10 %-deflated allocation fig09At10 of the
+// time, and from 20 % on nearly always. The paper puts the 10 % value
+// above 0.7; the measured 0.701-0.708 clears that by under 0.01, and the
+// test logs it.
+func TestFig09MemoryIsNotDeflatable(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		tab, err := feasibility.MemoryFeasibility(ts.alibaba, feasibility.DefaultDeflationLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("memory mean:%s", means(tab))
+		checkRises(t, tab)
+		at10 := box(t, tab, 10).Mean
+		t.Logf("mean fraction above at 10%%: %.4f, paper > 0.7", at10)
+		if at10 < fig09At10 {
+			t.Errorf("mean fraction above at 10%% is %.4f, want >= %.2f", at10, fig09At10)
+		}
+		for _, r := range tab.Rows[1:] {
+			if r.Box.Mean < fig09From20 {
+				t.Errorf("%.0f%%: mean fraction above %.4f, want >= %.2f", r.DeflationPct, r.Box.Mean, fig09From20)
+			}
+		}
+	})
+}
+
+// fig10MeanPct is the highest mean memory-bus utilisation, in percent of
+// the machine's bandwidth, the containers may average [0.083].
+const fig10MeanPct = 0.1
+
+// TestFig10MemoryBusIsIdle pins Figure 10: containers use at most
+// fig10MeanPct of the memory bus on average, the paper's "< 0.1 %", so
+// memory deflation would not be throttled by bandwidth.
+func TestFig10MemoryBusIsIdle(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		s, err := feasibility.MemoryBandwidthUsage(ts.alibaba)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("mean-of-means %.4f%%, max %.4f%%, paper < 0.1%%", s.MeanOfMeans, s.MaxOfMax)
+		if s.MeanOfMeans > fig10MeanPct {
+			t.Errorf("mean memory-bus utilisation %.4f%%, want <= %.2f%%", s.MeanOfMeans, fig10MeanPct)
+		}
+	})
+}
+
+// fig11Through80 is the highest mean fraction of time disk bandwidth may
+// exceed its deflated allocation at any level up to 80 % [0.0048].
+const fig11Through80 = 0.01
+
+// TestFig11DiskDeflatesTo80 pins Figure 11: disk bandwidth exceeds its
+// deflated allocation at most fig11Through80 of the time at any
+// deflation up to 80 %. The paper puts it under 0.01 at 50 %; the test
+// logs that value.
+func TestFig11DiskDeflatesTo80(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		tab, err := feasibility.DiskFeasibility(ts.alibaba, feasibility.DefaultDeflationLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIOTable(t, tab, fig11Through80, 50, "< 0.01")
+	})
+}
+
+// fig12Through80 is the highest mean fraction of time network bandwidth
+// may exceed its deflated allocation at any level up to 80 % [0.0084].
+const fig12Through80 = 0.02
+
+// TestFig12NetworkDeflatesTo80 pins Figure 12: network bandwidth exceeds
+// its deflated allocation at most fig12Through80 of the time at any
+// deflation up to 80 %. The paper puts it at ≈ 0.01 at 70 %; the test
+// logs that value.
+func TestFig12NetworkDeflatesTo80(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		tab, err := feasibility.NetworkFeasibility(ts.alibaba, feasibility.DefaultDeflationLevels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIOTable(t, tab, fig12Through80, 70, "≈ 0.01")
+	})
+}
+
+// checkIOTable holds an I/O table's means to max through 80 % deflation
+// and logs the mean at the level the paper quotes.
+func checkIOTable(t *testing.T, tab feasibility.Table, max, paperPct float64, paper string) {
+	t.Helper()
+	t.Logf("%s mean:%s", tab.Name, means(tab))
+	checkRises(t, tab)
+	t.Logf("mean fraction above at %.0f%%: %.4f, paper %s", paperPct, box(t, tab, paperPct).Mean, paper)
+	for _, r := range tab.Rows {
+		if r.DeflationPct <= 80 && r.Box.Mean > max {
+			t.Errorf("%.0f%%: mean fraction above %.4f, want <= %.2f", r.DeflationPct, r.Box.Mean, max)
+		}
 	}
 }

@@ -129,20 +129,6 @@ func (sn *SocialNetwork) Services() int {
 	return len(sn.frontend) + len(sn.logic) + len(sn.cache) + len(sn.db)
 }
 
-// SetDeflatableCapacity deflates the 22 deflatable services (frontend,
-// logic, memcached) to the given per-container core capacities.
-func (sn *SocialNetwork) SetDeflatableCapacity(feCap, logicCap, cacheCap float64) {
-	for _, s := range sn.frontend {
-		s.SetCapacity(feCap)
-	}
-	for _, s := range sn.logic {
-		s.SetCapacity(logicCap)
-	}
-	for _, s := range sn.cache {
-		s.SetCapacity(cacheCap)
-	}
-}
-
 // Metrics returns collected request metrics.
 func (sn *SocialNetwork) Metrics() *Metrics { return &sn.metrics }
 

@@ -46,9 +46,6 @@ func NewWebApp(eng *sim.Engine, capacityCores float64, seed int64) *WebApp {
 // SetCapacity applies a deflation/reinflation event to the app's CPU.
 func (w *WebApp) SetCapacity(cores float64) { w.station.SetCapacity(cores) }
 
-// Station exposes the underlying PS station (for load-balancer tests).
-func (w *WebApp) Station() *queueing.PSStation { return w.station }
-
 // Metrics returns the collected request metrics.
 func (w *WebApp) Metrics() *Metrics { return &w.metrics }
 

@@ -383,10 +383,7 @@ func TestRunRejectsTraceChangedAfterFirstRun(t *testing.T) {
 
 func TestSweepAndRevenueIncrease(t *testing.T) {
 	tr := testTrace(250)
-	sr, err := Sweep(tr, StrategyProportional, []float64{0, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := sweepOne(t, tr, StrategyProportional, []float64{0, 40})
 	if sr.Strategy != StrategyProportional || len(sr.Points) != 2 {
 		t.Fatalf("sweep = %+v", sr)
 	}
@@ -407,11 +404,7 @@ func TestSweepAndRevenueIncrease(t *testing.T) {
 func TestSweepStrategies(t *testing.T) {
 	tr := testTrace(150)
 	for _, s := range []string{StrategyPriority, StrategyDeterministic, StrategyPartitioned, StrategyPreemption} {
-		sr, err := Sweep(tr, s, []float64{30})
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if len(sr.Points) != 1 {
+		if sr := sweepOne(t, tr, s, []float64{30}); len(sr.Points) != 1 {
 			t.Fatalf("%s: points = %d", s, len(sr.Points))
 		}
 	}

@@ -137,8 +137,8 @@ func (a *streamRows) size(row int) resources.Vector {
 }
 
 // util synthesizes the series once into the reused buffer, reads its
-// first sample and selects the P95 in place (bit-equal to the
-// sort-based percentile the eager column also matches).
+// first sample and selects the P95 in place (the selection the eager
+// column makes over the same samples, so the two agree bit for bit).
 func (a *streamRows) util(row int) (float64, float64) {
 	a.buf = a.synth.Append(*a.params(row), a.buf[:0])
 	atStart := a.buf[0]

@@ -19,13 +19,6 @@ func BaselineServerCount(tr *trace.AzureTrace, serverCap resources.Vector) (int,
 	return n, err
 }
 
-// BaselineServerCountStream is BaselineServerCount for a streamed
-// trace: same event order, same result, without materialising it.
-func BaselineServerCountStream(s *trace.Stream, serverCap resources.Vector) (int, error) {
-	n, _, err := sizeFleet(newRowSource(nil, s), serverCap)
-	return n, err
-}
-
 // PeakServerLowerBound returns the aggregate-demand lower bound on the
 // cluster size: the peak concurrent committed demand divided by the
 // server capacity, per dimension. It is the first of BaselineServerCount's

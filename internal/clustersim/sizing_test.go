@@ -123,7 +123,7 @@ func TestSizingOnePassMatchesCandidateSearch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					streamed, err := BaselineServerCountStream(s, capacity)
+					streamed, _, err := sizeFleet(newRowSource(nil, s), capacity)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -71,10 +71,13 @@ var Strategies = []string{
 	StrategyPreemption,
 }
 
-// validateStrategies rejects unknown strategy names up front: before
-// this check an unrecognised name fell through strategyConfig's switch
-// and silently simulated proportional deflation.
-func validateStrategies(strategies []string) error {
+// validateGrid rejects an empty grid and unknown strategy names up
+// front: before this check an unrecognised name fell through
+// strategyConfig and silently simulated proportional deflation.
+func validateGrid(strategies []string, overcommitPcts []float64) error {
+	if len(strategies) == 0 || len(overcommitPcts) == 0 {
+		return fmt.Errorf("clustersim: empty sweep grid")
+	}
 	for _, s := range strategies {
 		ok := false
 		for _, known := range Strategies {
@@ -90,7 +93,8 @@ func validateStrategies(strategies []string) error {
 	return nil
 }
 
-// strategyConfig builds the Config for one named strategy.
+// strategyConfig builds the Config for one validated strategy name. The
+// four single-policy strategies are named after their policy.
 func strategyConfig(tr *trace.AzureTrace, strategy string, baseline int, oc float64) Config {
 	cfg := Config{
 		Trace:           tr,
@@ -99,19 +103,14 @@ func strategyConfig(tr *trace.AzureTrace, strategy string, baseline int, oc floa
 		BaselineServers: baseline,
 	}
 	switch strategy {
-	case StrategyProportional:
-		cfg.Policy = policy.Proportional{}
-	case StrategyPriority:
-		cfg.Policy = policy.Priority{}
-	case StrategyDeterministic:
-		cfg.Policy = policy.Deterministic{}
-	case StrategyLatency:
-		cfg.Policy = policy.LatencyAware{}
 	case StrategyPartitioned:
 		cfg.Policy = policy.Priority{}
 		cfg.Partitioned = true
 	case StrategyPreemption:
 		cfg.Mode = ModePreemption
+	default:
+		// validateGrid admitted the name, so ByName cannot fail.
+		cfg.Policy, _ = policy.ByName(strategy)
 	}
 	return cfg
 }
@@ -264,28 +263,49 @@ func SweepGridStream(s *trace.Stream, strategies []string, overcommitPcts []floa
 }
 
 func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overcommitPcts []float64, opts Options) ([]*SweepResult, error) {
-	if len(strategies) == 0 || len(overcommitPcts) == 0 {
-		return nil, fmt.Errorf("clustersim: empty sweep grid")
-	}
-	if err := validateStrategies(strategies); err != nil {
+	if err := validateGrid(strategies, overcommitPcts); err != nil {
 		return nil, err
 	}
-	baseline := opts.BaselineServers
-	if baseline <= 0 {
+	rep := replicate{tr: tr, s: s, baseline: opts.BaselineServers}
+	if rep.baseline <= 0 {
 		var err error
-		if baseline, _, err = sizeFleet(newRowSource(tr, s), DefaultServerCapacity()); err != nil {
+		if rep.baseline, _, err = sizeFleet(newRowSource(tr, s), DefaultServerCapacity()); err != nil {
 			return nil, err
 		}
 	}
+	out, err := runGrid([]replicate{rep}, strategies, overcommitPcts, opts)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
 
+// replicate is one trace a grid runs over: eager or streamed, with the
+// baseline fleet size every point on it shares. label prefixes its
+// points' errors.
+type replicate struct {
+	tr       *trace.AzureTrace
+	s        *trace.Stream
+	baseline int
+	label    string
+}
+
+// runGrid is the one grid-point runner behind SweepGrid, SweepGridStream
+// and ReplicatedSweep: it runs every replicate × strategy ×
+// overcommitment point on the worker pool, each in its own Engine with
+// its result in a position-indexed slot, and returns the points indexed
+// [replicate][strategy].
+func runGrid(reps []replicate, strategies []string, overcommitPcts []float64, opts Options) ([][]*SweepResult, error) {
 	nOC := len(overcommitPcts)
-	jobs := len(strategies) * nOC
+	perRep := len(strategies) * nOC
+	jobs := len(reps) * perRep
 	points := make([]SweepPoint, jobs)
 	errs := make([]error, jobs)
 	runJobs(jobs, opts.workers(jobs), func(i int) {
-		strategy, pct := strategies[i/nOC], overcommitPcts[i%nOC]
-		cfg := strategyConfig(tr, strategy, baseline, pct/100)
-		cfg.Stream = s
+		rep, rest := &reps[i/perRep], i%perRep
+		strategy, pct := strategies[rest/nOC], overcommitPcts[rest%nOC]
+		cfg := strategyConfig(rep.tr, strategy, rep.baseline, pct/100)
+		cfg.Stream = rep.s
 		cfg.Notify = opts.Notify
 		cfg.ShockConfig = opts.ShockConfig
 		cfg.Portfolio = opts.Portfolio
@@ -293,7 +313,7 @@ func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overc
 		applySLO(&cfg, opts.SLO)
 		res, err := Run(cfg)
 		if err != nil {
-			errs[i] = fmt.Errorf("clustersim: %s @ %g%% OC: %w", strategy, pct, err)
+			errs[i] = fmt.Errorf("clustersim: %s%s @ %g%% OC: %w", rep.label, strategy, pct, err)
 			return
 		}
 		points[i] = sweepPoint(pct, res)
@@ -302,24 +322,17 @@ func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overc
 		return nil, err
 	}
 
-	out := make([]*SweepResult, len(strategies))
-	for si, strategy := range strategies {
-		// Full slice expression: capping capacity keeps a caller's
-		// append from bleeding into the next strategy's points.
-		out[si] = &SweepResult{Strategy: strategy, Points: points[si*nOC : (si+1)*nOC : (si+1)*nOC]}
+	out := make([][]*SweepResult, len(reps))
+	for r := range reps {
+		out[r] = make([]*SweepResult, len(strategies))
+		for si, strategy := range strategies {
+			// Full slice expression: capping capacity keeps a caller's
+			// append from bleeding into the next strategy's points.
+			lo := r*perRep + si*nOC
+			out[r][si] = &SweepResult{Strategy: strategy, Points: points[lo : lo+nOC : lo+nOC]}
+		}
 	}
 	return out, nil
-}
-
-// Sweep runs one strategy across the given overcommitment percentages
-// (Figure 20/21/22 x-axis, e.g. 0-70%) strictly sequentially. It is the
-// single-strategy, Workers=1 special case of SweepGrid.
-func Sweep(tr *trace.AzureTrace, strategy string, overcommitPcts []float64) (*SweepResult, error) {
-	out, err := SweepGrid(tr, []string{strategy}, overcommitPcts, Options{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 // ReplicatedSweep fans a strategy × overcommitment grid out over
@@ -334,66 +347,29 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 	if gen == nil || len(seeds) == 0 {
 		return nil, fmt.Errorf("clustersim: replicated sweep needs a generator and seeds")
 	}
-	if len(strategies) == 0 || len(overcommitPcts) == 0 {
-		return nil, fmt.Errorf("clustersim: empty sweep grid")
-	}
-	if err := validateStrategies(strategies); err != nil {
+	if err := validateGrid(strategies, overcommitPcts); err != nil {
 		return nil, err
 	}
 
 	// Phase 1 (parallel over replicates): per-run RNG trace generation
 	// plus the expensive baseline bound, both deterministic per seed.
-	traces := make([]*trace.AzureTrace, len(seeds))
-	baselines := make([]int, len(seeds))
+	reps := make([]replicate, len(seeds))
 	errs := make([]error, len(seeds))
 	runJobs(len(seeds), opts.workers(len(seeds)), func(r int) {
-		traces[r] = gen(seeds[r])
-		base, err := BaselineServerCount(traces[r], DefaultServerCapacity())
+		tr := gen(seeds[r])
+		base, err := BaselineServerCount(tr, DefaultServerCapacity())
 		if err != nil {
 			errs[r] = fmt.Errorf("clustersim: replicate seed %d: %w", seeds[r], err)
 			return
 		}
-		baselines[r] = base
+		reps[r] = replicate{tr: tr, baseline: base, label: fmt.Sprintf("seed %d ", seeds[r])}
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
 
 	// Phase 2 (parallel over everything): the full point grid.
-	nOC := len(overcommitPcts)
-	perRep := len(strategies) * nOC
-	jobs := len(seeds) * perRep
-	points := make([]SweepPoint, jobs)
-	errs = make([]error, jobs)
-	runJobs(jobs, opts.workers(jobs), func(i int) {
-		r, rest := i/perRep, i%perRep
-		strategy, pct := strategies[rest/nOC], overcommitPcts[rest%nOC]
-		cfg := strategyConfig(traces[r], strategy, baselines[r], pct/100)
-		cfg.Notify = opts.Notify
-		cfg.ShockConfig = opts.ShockConfig
-		cfg.Portfolio = opts.Portfolio
-		cfg.Risk = opts.Risk
-		applySLO(&cfg, opts.SLO)
-		res, err := Run(cfg)
-		if err != nil {
-			errs[i] = fmt.Errorf("clustersim: seed %d %s @ %g%% OC: %w", seeds[r], strategy, pct, err)
-			return
-		}
-		points[i] = sweepPoint(pct, res)
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	out := make([][]*SweepResult, len(seeds))
-	for r := range seeds {
-		out[r] = make([]*SweepResult, len(strategies))
-		for si, strategy := range strategies {
-			lo := r*perRep + si*nOC
-			out[r][si] = &SweepResult{Strategy: strategy, Points: points[lo : lo+nOC : lo+nOC]}
-		}
-	}
-	return out, nil
+	return runGrid(reps, strategies, overcommitPcts, opts)
 }
 
 // AverageSweeps reduces per-replicate sweeps (as returned by

@@ -81,21 +81,39 @@ func dump(rs []*SweepResult) []SweepResult {
 	return out
 }
 
-// TestSweepMatchesGrid keeps the legacy single-strategy entry point and
-// the grid runner in lockstep.
+// sweepOne runs one strategy over ocs strictly sequentially.
+func sweepOne(t *testing.T, tr *trace.AzureTrace, strategy string, ocs []float64) *SweepResult {
+	t.Helper()
+	out, err := SweepGrid(tr, []string{strategy}, ocs, Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("%s: %v", strategy, err)
+	}
+	return out[0]
+}
+
+// TestSweepMatchesGrid keeps the two sweep entry points on the one
+// grid-point runner in lockstep: each replicate of a ReplicatedSweep
+// equals a SweepGrid over that replicate's trace.
 func TestSweepMatchesGrid(t *testing.T) {
-	tr := testTrace(200)
+	gen, err := trace.ScenarioGenerator("azure", 150, 86400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{3, 4}
+	strategies := []string{StrategyDeterministic, StrategyPartitioned, StrategyPreemption}
 	ocs := []float64{0, 40}
-	single, err := Sweep(tr, StrategyDeterministic, ocs)
+	reps, err := ReplicatedSweep(gen, seeds, strategies, ocs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := SweepGrid(tr, []string{StrategyDeterministic}, ocs, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(single, grid[0]) {
-		t.Fatalf("Sweep and SweepGrid disagree:\n%+v\n%+v", *single, *grid[0])
+	for r, seed := range seeds {
+		grid, err := SweepGrid(gen(seed), strategies, ocs, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reps[r], grid) {
+			t.Errorf("seed %d: ReplicatedSweep and SweepGrid disagree:\n%+v\n%+v", seed, dump(reps[r]), dump(grid))
+		}
 	}
 }
 

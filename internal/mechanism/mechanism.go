@@ -182,19 +182,6 @@ func (Hybrid) Apply(d *hypervisor.Domain, target resources.Vector) (resources.Ve
 	return d.SetLimits(t, "hybrid")
 }
 
-// ByName returns the mechanism with the given name.
-func ByName(name string) (Mechanism, error) {
-	switch name {
-	case "transparent":
-		return Transparent{}, nil
-	case "explicit":
-		return Explicit{}, nil
-	case "hybrid":
-		return Hybrid{}, nil
-	}
-	return nil, fmt.Errorf("mechanism: unknown mechanism %q", name)
-}
-
 // DeflateByFraction is a convenience that deflates every dimension of the
 // domain's nominal size by frac (0 = undeflated, 0.5 = half) using m.
 func DeflateByFraction(m Mechanism, d *hypervisor.Domain, frac float64) (resources.Vector, error) {

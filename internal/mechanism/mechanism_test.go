@@ -35,18 +35,6 @@ func newDomain(t *testing.T, cores, memMB float64) *hypervisor.Domain {
 	return d
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"transparent", "explicit", "hybrid"} {
-		m, err := ByName(name)
-		if err != nil || m.Name() != name {
-			t.Errorf("ByName(%q) = %v, %v", name, m, err)
-		}
-	}
-	if _, err := ByName("magic"); err == nil {
-		t.Error("unknown mechanism should fail")
-	}
-}
-
 func TestTransparentDeflate(t *testing.T) {
 	d := newDomain(t, 8, 16384)
 	got, err := Transparent{}.Apply(d, resources.New(4, 8192, 50, 500))

@@ -6,8 +6,6 @@
 package pricing
 
 import (
-	"fmt"
-
 	"vmdeflate/internal/resources"
 	"vmdeflate/internal/stats"
 )
@@ -78,19 +76,6 @@ func (Allocation) Name() string { return "allocation" }
 // Rate implements Scheme.
 func (a Allocation) Rate(size resources.Vector, _ float64, alloc resources.Vector) float64 {
 	return a.Discount * billingCores(alloc)
-}
-
-// ByName returns a scheme with the paper's default parameters.
-func ByName(name string) (Scheme, error) {
-	switch name {
-	case "static":
-		return Static{Discount: 0.2}, nil
-	case "priority":
-		return Priority{}, nil
-	case "allocation":
-		return Allocation{Discount: 0.2}, nil
-	}
-	return nil, fmt.Errorf("pricing: unknown scheme %q", name)
 }
 
 // Meter integrates one VM's revenue over time. Observe the rate at every

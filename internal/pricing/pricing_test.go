@@ -45,18 +45,6 @@ func TestAllocationRate(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, n := range []string{"static", "priority", "allocation"} {
-		s, err := ByName(n)
-		if err != nil || s.Name() != n {
-			t.Errorf("ByName(%q) = %v, %v", n, s, err)
-		}
-	}
-	if _, err := ByName("surge"); err == nil {
-		t.Error("unknown scheme should fail")
-	}
-}
-
 func TestMeterIntegration(t *testing.T) {
 	var m Meter
 	m.Observe(0, 2.0)  // 2.0/hr for 10h

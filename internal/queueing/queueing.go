@@ -26,14 +26,10 @@ type Job struct {
 	id      uint64
 	work    float64 // seconds of CPU demand at rate 1
 	vFinish float64 // virtual time at which service completes
-	arrived float64
 	onDone  func(now float64)
 	dead    bool
 	index   int // heap index, -1 when not queued
 }
-
-// Arrived returns the job's arrival time.
-func (j *Job) Arrived() float64 { return j.arrived }
 
 // Work returns the job's total service demand in core-seconds.
 func (j *Job) Work() float64 { return j.work }
@@ -148,7 +144,6 @@ func (s *PSStation) Submit(work float64, onDone func(now float64)) *Job {
 		id:      s.nextID,
 		work:    work,
 		vFinish: s.vclock + work,
-		arrived: now,
 		onDone:  onDone,
 		index:   -1,
 	}

@@ -191,12 +191,6 @@ func (m *Model) ForecastMass(t, window float64) float64 {
 	return mass
 }
 
-// RevokeProbability returns the probability server s is revoked at
-// least once in [t, t+window), under the model's Poisson approximation.
-func (m *Model) RevokeProbability(s int, t, window float64) float64 {
-	return 1 - math.Exp(-m.ServerMass(s, t, window))
-}
-
 // OutageFraction returns the long-run fraction of time server s spends
 // revoked — steady hazard times expected outage. Summed against server
 // capacities this is the expected simultaneously-revoked capacity, the

@@ -52,11 +52,13 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// PercentileSelect returns Percentile(xs, p), bit for bit, without the
-// copy and without the full sort: the interpolation reads two adjacent
-// order statistics, so it selects the lower one in place (quickselect)
-// and takes the minimum of what the partition left above it for the
-// upper. xs is reordered. A sample holding a NaN is sorted instead:
+// PercentileSelect returns Percentile(xs, p) without the copy and
+// without the full sort: the interpolation reads two adjacent order
+// statistics, so it selects the lower one in place (quickselect) and
+// takes the minimum of what the partition left above it for the upper.
+// xs is reordered. The result has Percentile's bits, except that a zero
+// result may carry the other sign: neither algorithm orders -0 and +0
+// (FuzzPercentileSelect). A sample holding a NaN is sorted instead:
 // selection's comparisons do not reproduce where sort.Float64s puts one.
 func PercentileSelect(xs []float64, p float64) float64 {
 	n := len(xs)

@@ -55,17 +55,20 @@ func GenerateNamed(name string, numVMs int, duration float64, seed int64) (*Azur
 	return GenerateScenario(ScenarioConfig{Kind: kind, NumVMs: numVMs, Duration: duration, Seed: seed})
 }
 
-// ScenarioGenerator validates a scenario name once and returns the pure
-// seed → trace generator replicated sweeps fan out over (each worker
-// synthesises its own independently seeded replicate).
+// ScenarioGenerator validates a scenario name and duration once and
+// returns the pure seed → trace generator replicated sweeps fan out over
+// (each worker synthesises its own independently seeded replicate).
 func ScenarioGenerator(name string, numVMs int, duration float64) (func(seed int64) *AzureTrace, error) {
 	kind, err := ParseScenario(name)
 	if err != nil {
 		return nil, err
 	}
+	if _, err := NewStream(ScenarioConfig{Kind: kind, Duration: duration}); err != nil {
+		return nil, err
+	}
 	return func(seed int64) *AzureTrace {
-		// The kind is pre-validated and GenerateScenario has no other
-		// error path, so the error is statically nil here.
+		// NewStream above is GenerateScenario's only error path and the
+		// seed cannot fail it, so the error is statically nil here.
 		tr, _ := GenerateScenario(ScenarioConfig{Kind: kind, NumVMs: numVMs, Duration: duration, Seed: seed})
 		return tr
 	}, nil
@@ -92,12 +95,12 @@ func DefaultScenarioConfig(kind Scenario) ScenarioConfig {
 // materialised form of NewStream(cfg), bit-for-bit identical to reading
 // the same VMs through the stream.
 func GenerateScenario(cfg ScenarioConfig) (*AzureTrace, error) {
-	if cfg.NumVMs <= 0 {
-		return &AzureTrace{}, nil
-	}
 	s, err := NewStream(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.NumVMs <= 0 {
+		return &AzureTrace{}, nil
 	}
 	return s.Materialize(), nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -15,6 +16,50 @@ func TestParseScenario(t *testing.T) {
 	}
 	if _, err := ParseScenario("nope"); err == nil {
 		t.Error("unknown scenario should fail")
+	}
+}
+
+// TestNonFiniteDurationFails: a NaN or ±Inf horizon used to slip past
+// the clamp to one sample interval and come out as NaN start, end and
+// utilisation columns, or as an index-out-of-range panic in UtilAt. Every
+// scenario entry point that builds a stream now returns an error naming
+// it instead, with or without VMs to generate.
+func TestNonFiniteDurationFails(t *testing.T) {
+	entries := map[string]func(d float64, n int) error{
+		"NewStream": func(d float64, n int) error {
+			_, err := NewStream(ScenarioConfig{Kind: ScenarioBursty, NumVMs: n, Duration: d, Seed: 1})
+			return err
+		},
+		"GenerateScenario": func(d float64, n int) error {
+			_, err := GenerateScenario(ScenarioConfig{NumVMs: n, Duration: d, Seed: 1})
+			return err
+		},
+		"GenerateNamed": func(d float64, n int) error {
+			_, err := GenerateNamed("heavytail", n, d, 1)
+			return err
+		},
+		"NewNamedStream": func(d float64, n int) error {
+			_, err := NewNamedStream("diurnal", n, d, 1)
+			return err
+		},
+		"ScenarioGenerator": func(d float64, n int) error {
+			_, err := ScenarioGenerator("azure", n, d)
+			return err
+		},
+	}
+	for name, build := range entries {
+		for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, n := range []int{0, 20} {
+				err := build(d, n)
+				if err == nil || !strings.Contains(err.Error(), "not finite") {
+					t.Errorf("%s(duration %g, %d VMs): err = %v, want one naming the non-finite duration", name, d, n, err)
+				}
+			}
+		}
+		// A finite horizon below one interval is still raised to one.
+		if err := build(-86400, 20); err != nil {
+			t.Errorf("%s(duration -86400): %v", name, err)
+		}
 	}
 }
 

@@ -308,8 +308,14 @@ func NewAzureStream(cfg AzureConfig) *Stream {
 	return &Stream{kind: ScenarioAzure, n: cfg.NumVMs, seed: cfg.Seed, horizon: cfg.Duration, az: cfg}
 }
 
-// NewStream builds the streaming form of GenerateScenario(cfg).
+// NewStream builds the streaming form of GenerateScenario(cfg). A
+// finite duration below one sample interval is raised to one; a NaN or
+// ±Inf duration is an error, since every lifetime and sample index is
+// derived from it.
 func NewStream(cfg ScenarioConfig) (*Stream, error) {
+	if math.IsNaN(cfg.Duration) || math.IsInf(cfg.Duration, 0) {
+		return nil, fmt.Errorf("trace: duration %g is not finite", cfg.Duration)
+	}
 	if cfg.NumVMs < 0 {
 		cfg.NumVMs = 0
 	}
@@ -384,11 +390,6 @@ func (s *Stream) Seed() int64 { return s.seed }
 
 // Kind returns the stream's scenario.
 func (s *Stream) Kind() Scenario { return s.kind }
-
-// Horizon returns the nominal trace horizon (config duration). The
-// actual last departure may precede it; simulation engines derive their
-// sampling horizon from the max End over Params.
-func (s *Stream) Horizon() float64 { return s.horizon }
 
 // Params generates VM i's parameter record. Pure: same (stream, i) →
 // same record, any call order, safe for concurrent use.

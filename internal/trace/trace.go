@@ -260,7 +260,8 @@ func (t *AzureTrace) Duration() float64 {
 }
 
 // P95Column returns every record's P95, indexed by trace row: the value
-// VMRecord.P95 computes, bit for bit (NaN for an empty series). The
+// VMRecord.P95 computes, bit for bit up to the sign of a zero P95, which
+// quantises to the same priority level (NaN for an empty series). The
 // column is built once — one selection per record through a single
 // reused buffer (stats.PercentileSelect: the two order statistics the
 // percentile reads, not a full sort) — and cached like Duration, so
