@@ -28,9 +28,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -96,20 +98,15 @@ func main() {
 	strats := splitStrategies(*strategies)
 	ocs := parseFloats(*ocList)
 	opts := clustersim.Options{Workers: *workers}
-	sloOn := *sloMax > 0
-	if sloOn {
-		slo := &clustersim.SLOConfig{MaxSlowdown: *sloMax}
-		if *sloCurve != "" {
-			curve, err := perfmodel.ByName(*sloCurve)
-			if err != nil {
-				log.Fatal(err)
-			}
-			slo.Curve = curve
-		}
-		opts.SLO = slo
-	} else if *sloCurve != "" {
-		log.Fatal("-slocurve requires -slo > 0")
+	if err := checkReplicates(*replicates); err != nil {
+		log.Fatal(err)
 	}
+	slo, err := sloOptions(*sloMax, *sloCurve)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opts.SLO = slo
+	sloOn := slo != nil
 	shocked := false
 	if kind, err := trace.ParseShockScenario(*shocks); err != nil {
 		log.Fatal(err)
@@ -203,6 +200,37 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// checkReplicates rejects a -replicates that asks for no trace.
+func checkReplicates(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-replicates %d: want 1 or more traces", n)
+	}
+	return nil
+}
+
+// sloOptions turns -slo and -slocurve into the sweep's SLO metering:
+// none for -slo 0, and an error for a threshold that is not a finite
+// non-negative number or for a curve without a threshold.
+func sloOptions(max float64, curve string) (*clustersim.SLOConfig, error) {
+	switch {
+	case math.IsNaN(max) || math.IsInf(max, 0) || max < 0:
+		return nil, fmt.Errorf("-slo %v: want 0 (off) or a finite slowdown threshold above 0", max)
+	case max == 0 && curve != "":
+		return nil, errors.New("-slocurve requires -slo > 0")
+	case max == 0:
+		return nil, nil
+	}
+	slo := &clustersim.SLOConfig{MaxSlowdown: max}
+	if curve != "" {
+		c, err := perfmodel.ByName(curve)
+		if err != nil {
+			return nil, err
+		}
+		slo.Curve = c
+	}
+	return slo, nil
 }
 
 func at(xs []float64, i int) float64 {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"vmdeflate/internal/feasibility"
 	"vmdeflate/internal/trace"
@@ -29,6 +30,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "synthetic trace seed")
 	fig := flag.Int("fig", 0, "only this figure (5-12); 0 = all")
 	flag.Parse()
+	check(checkFig(*fig))
 
 	azure := loadAzure(*azurePath, *nVMs, *seed)
 	alibaba := loadAlibaba(*alibabaPath, *nContainers, *seed)
@@ -121,6 +123,17 @@ func loadAlibaba(path string, n int, seed int64) *trace.AlibabaTrace {
 	tr, err := trace.ReadAlibabaCSV(f)
 	check(err)
 	return tr
+}
+
+// figures lists the figures -fig selects.
+var figures = []int{5, 6, 7, 8, 9, 10, 11, 12}
+
+// checkFig rejects a -fig that would select no figure.
+func checkFig(fig int) error {
+	if fig == 0 || slices.Contains(figures, fig) {
+		return nil
+	}
+	return fmt.Errorf("-fig %d: want 0 for all, or one of %v", fig, figures)
 }
 
 func check(err error) {

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"vmdeflate/internal/apps"
 	"vmdeflate/internal/mechanism"
@@ -24,6 +25,7 @@ func main() {
 	fig := flag.Int("fig", 0, "only this figure (3, 14, 16, 17, 18, 19); 0 = all")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+	check(checkFig(*fig))
 
 	show := func(n int) bool { return *fig == 0 || *fig == n }
 
@@ -104,6 +106,17 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// figures lists the figures -fig selects.
+var figures = []int{3, 14, 16, 17, 18, 19}
+
+// checkFig rejects a -fig that would select no figure.
+func checkFig(fig int) error {
+	if fig == 0 || slices.Contains(figures, fig) {
+		return nil
+	}
+	return fmt.Errorf("-fig %d: want 0 for all, or one of %v", fig, figures)
 }
 
 func check(err error) {

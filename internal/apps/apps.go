@@ -48,11 +48,6 @@ func (m *Metrics) ServedFraction() float64 {
 // Mean returns the mean response time of served requests.
 func (m *Metrics) Mean() float64 { return stats.Mean(m.ResponseTimes) }
 
-// Percentile returns the p-th percentile response time of served requests.
-func (m *Metrics) Percentile(p float64) float64 {
-	return stats.Percentile(m.ResponseTimes, p)
-}
-
 // Summary returns (mean, median, p90, p99) response times.
 func (m *Metrics) Summary() (mean, median, p90, p99 float64) {
 	s := make([]float64, len(m.ResponseTimes))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmdeflate/internal/mechanism"
+	"vmdeflate/internal/stats"
 )
 
 func TestMetrics(t *testing.T) {
@@ -32,7 +33,7 @@ func TestMetrics(t *testing.T) {
 	if p90 < median || p99 < p90 {
 		t.Errorf("percentile ordering: %v %v", p90, p99)
 	}
-	if got := m.Percentile(100); got != 0.4 {
+	if got := stats.Percentile(m.ResponseTimes, 100); got != 0.4 {
 		t.Errorf("P100 = %v", got)
 	}
 }
@@ -249,8 +250,8 @@ func TestSocialNetworkValidation(t *testing.T) {
 	}
 	eng := simEngineForTest()
 	sn := NewSocialNetwork(eng, 1, 2, 2, 2, 2)
-	if sn.Services() != 30 {
-		t.Errorf("services = %d, want 30", sn.Services())
+	if n := len(sn.frontend) + len(sn.logic) + len(sn.cache) + len(sn.db); n != 30 {
+		t.Errorf("services = %d, want 30", n)
 	}
 }
 

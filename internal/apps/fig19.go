@@ -94,7 +94,7 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 		}
 	}
 
-	eng := sim.NewEngine(cfg.Seed)
+	eng := sim.NewEngine()
 	apps := make([]*WebApp, 3)
 	backends := make([]*loadbalancer.Backend, 3)
 	for i := range apps {
@@ -130,10 +130,9 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 		app := byName[b.Name]
 		if now < warmupEnd {
 			app.warmRequest(now)
-			loadbalancer.Release(b)
 			return
 		}
-		serveVia(app, now, &agg, b)
+		serveVia(app, now, &agg)
 	})
 	src.Start()
 	eng.At(cfg.Duration, func(float64) { src.Stop() })
@@ -148,21 +147,19 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 	}, nil
 }
 
-// serveVia routes one measured request into app, recording into agg and
-// releasing the backend on completion or timeout.
-func serveVia(app *WebApp, now float64, agg *Metrics, b *loadbalancer.Backend) {
+// serveVia routes one measured request into app, recording into agg on
+// completion or timeout.
+func serveVia(app *WebApp, now float64, agg *Metrics) {
 	work := app.mix.Draw()
 	start := now
 	var timeoutH sim.Handle
 	j := app.station.Submit(work, func(done float64) {
 		timeoutH.Cancel()
 		agg.Record(done - start + app.FixedLatency)
-		loadbalancer.Release(b)
 	})
 	if h, err := app.eng.After(app.Timeout, func(float64) {
 		if app.station.Cancel(j) {
 			agg.Drop()
-			loadbalancer.Release(b)
 		}
 	}); err == nil {
 		timeoutH = h

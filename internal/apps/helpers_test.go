@@ -2,4 +2,4 @@ package apps
 
 import "vmdeflate/internal/sim"
 
-func simEngineForTest() *sim.Engine { return sim.NewEngine(1) }
+func simEngineForTest() *sim.Engine { return sim.NewEngine() }

@@ -124,11 +124,6 @@ func NewSocialNetwork(eng *sim.Engine, seed int64, feCap, logicCap, cacheCap, db
 	return sn
 }
 
-// Services returns the total number of microservices (30).
-func (sn *SocialNetwork) Services() int {
-	return len(sn.frontend) + len(sn.logic) + len(sn.cache) + len(sn.db)
-}
-
 // Metrics returns collected request metrics.
 func (sn *SocialNetwork) Metrics() *Metrics { return &sn.metrics }
 
@@ -255,7 +250,7 @@ func RunSocialNetwork(cfg SocialNetConfig, deflPct float64) (SocialNetPoint, err
 	}
 	deflatedCap := container.Effective().Get(resources.CPU)
 
-	eng := sim.NewEngine(cfg.Seed)
+	eng := sim.NewEngine()
 	sn := NewSocialNetwork(eng, cfg.Seed+1, deflatedCap, deflatedCap, deflatedCap, 2)
 
 	warmupEnd := cfg.Duration * cfg.WarmupFrac

@@ -143,7 +143,7 @@ func RunWikipedia(cfg WikipediaConfig, deflPct float64) (WikipediaPoint, error) 
 	}
 	cores := d.Effective().Get(resources.CPU)
 
-	eng := sim.NewEngine(cfg.Seed)
+	eng := sim.NewEngine()
 	app := NewWebApp(eng, cores, cfg.Seed+1)
 
 	warmupEnd := cfg.Duration * cfg.WarmupFrac

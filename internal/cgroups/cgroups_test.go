@@ -26,10 +26,6 @@ func TestLimits(t *testing.T) {
 	if err := g.SetLimit(resources.Memory, -1); !errors.Is(err, ErrInvalid) {
 		t.Errorf("negative limit err = %v", err)
 	}
-	g.ClearLimit(resources.CPU)
-	if _, ok := g.Limit(resources.CPU); ok {
-		t.Error("ClearLimit did not disengage")
-	}
 }
 
 // TestSetLimitsBatched: the batched write engages exactly the
@@ -104,26 +100,6 @@ func TestEffective(t *testing.T) {
 	}
 }
 
-func TestUsageAndThrottled(t *testing.T) {
-	g := &Group{}
-	g.SetLimit(resources.CPU, 4)
-	g.ReportUsage(resources.New(3.96, 1000, 0, 0))
-	th := g.Throttled()
-	if !th[resources.CPU] {
-		t.Error("usage at 99% of limit should be throttled")
-	}
-	if th[resources.Memory] {
-		t.Error("memory has no engaged limit")
-	}
-	if got := g.Usage(); got.Get(resources.CPU) != 3.96 {
-		t.Errorf("Usage = %v", got)
-	}
-	g.ReportUsage(resources.New(1, 1000, 0, 0))
-	if g.Throttled()[resources.CPU] {
-		t.Error("low usage should not be throttled")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	g := &Group{}
 	var wg sync.WaitGroup
@@ -134,7 +110,6 @@ func TestConcurrentAccess(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				g.SetLimit(resources.CPU, float64(i+1))
 				g.Effective(resources.New(8, 8192, 0, 0))
-				g.ReportUsage(resources.New(float64(j), 0, 0, 0))
 				g.Limits()
 				g.SetLimits(resources.New(float64(i+1), 4096, 0, 0))
 			}

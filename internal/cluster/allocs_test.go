@@ -132,19 +132,25 @@ func TestPlaceRemovePairAllocatesOneDomain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dc := deflatableVM("churn", 8, 16384, 0.5) // fits nowhere without deflation
+	// The engine's calling convention: one-element batches through
+	// caller-owned buffers that are reused across calls.
+	dcs := []hypervisor.DomainConfig{deflatableVM("churn", 8, 16384, 0.5)} // fits nowhere without deflation
+	names := []string{dcs[0].Name}
+	var buf []Placement
 	pair := func() {
-		if _, _, err := m.PlaceVM(dc); err != nil {
-			t.Fatal(err)
+		buf = m.PlaceVMs(dcs, buf[:0])
+		if buf[0].Err != nil {
+			t.Fatal(buf[0].Err)
 		}
-		if err := m.RemoveVM(dc.Name); err != nil {
+		if err := m.RemoveVMs(names...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pair() // warm the arenas, the placement map and the host's row table
-	if got := testing.AllocsPerRun(200, pair); got > 1 {
-		t.Errorf("PlaceVM + RemoveVM allocates %.1f objects per pair, want at most 1 (the Domain)", got)
+	pair() // warm the arenas, the buffers, the placement map and the host's row table
+	if got := testing.AllocsPerRun(200, pair); got != 1 {
+		t.Errorf("PlaceVMs + RemoveVMs allocates %.1f objects per pair, want exactly 1 (the Domain)", got)
 	}
+	dc := dcs[0]
 	// Placed once more, the VM must take the pressure path and deflate a
 	// resident beside itself, or the policy-pass path was not exercised.
 	pl := m.PlaceVMs([]hypervisor.DomainConfig{dc}, nil)[0]

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
@@ -34,38 +33,21 @@ func describePlacements(pls []Placement) string {
 	return out
 }
 
-// pathless returns a copy of pls with every Path zeroed: all a PlaceVM
-// caller, who sees no Placement, can be compared on.
-func pathless(pls []Placement) []Placement {
-	out := slices.Clone(pls)
-	for i := range out {
-		out[i].Path = PathNone
-	}
-	return out
-}
-
-// placeLoop places dcs through the one-VM API, reading back what a
-// caller placing VMs one at a time sees: the existence check just before
-// each call (FitsWithoutDeflation) and the new domain's allocation just
-// after it.
+// placeLoop places dcs as a loop of one-element PlaceVMs batches, one
+// result buffer reused across the calls.
 func placeLoop(m *Manager, dcs []hypervisor.DomainConfig) []Placement {
-	var out []Placement
-	for _, dc := range dcs {
-		reclaim := !m.FitsWithoutDeflation(dc.Size)
-		d, s, err := m.PlaceVM(dc)
-		pl := Placement{Domain: d, Server: s, Err: err, NeedsReclaim: reclaim}
-		if err == nil {
-			pl.Initial = d.Allocation()
-		}
-		out = append(out, pl)
+	var out, buf []Placement
+	for i := range dcs {
+		buf = m.PlaceVMs(dcs[i:i+1], buf[:0])
+		out = append(out, buf[0])
 	}
 	return out
 }
 
 // TestPlaceVMsMatchesPlaceVMLoopAndReference is the "commit order is
 // trace order" invariant: a PlaceVMs batch places exactly as a loop of
-// PlaceVM calls over the same VMs in the same order, and both exactly
-// as the brute-force reference. Identical randomized batch-place /
+// one-element PlaceVMs batches over the same VMs in the same order, and
+// both exactly as the brute-force reference. Identical randomized batch-place /
 // batch-remove churn — batches of up to 16 VMs, some repeating a name
 // already in the batch, against 6 servers, so later VMs of a batch
 // constantly land on what earlier ones consumed — goes through all
@@ -143,8 +125,15 @@ func placeVMsChurn(t *testing.T, seed int64, cfg Config) {
 			dcs = append(dcs, dc)
 		}
 		pls := batch.PlaceVMs(dcs, nil)
-		if got, want := describePlacements(placeLoop(loop, dcs)), describePlacements(pathless(pls)); got != want {
-			t.Fatalf("op %d: PlaceVM loop diverged from the batch:\n got %s\nwant %s", op, got, want)
+		loopPls := placeLoop(loop, dcs)
+		if got, want := describePlacements(loopPls), describePlacements(pls); got != want {
+			t.Fatalf("op %d: one-element loop diverged from the batch:\n got %s\nwant %s", op, got, want)
+		}
+		for j := range pls {
+			if loopPls[j].Scored != pls[j].Scored || loopPls[j].Pruned != pls[j].Pruned {
+				t.Fatalf("op %d: %s scan work %d/%d in the loop, %d/%d in the batch", op, dcs[j].Name,
+					loopPls[j].Scored, loopPls[j].Pruned, pls[j].Scored, pls[j].Pruned)
+			}
 		}
 		refPls := ref.PlaceVMs(dcs, nil)
 		if got, want := describePlacements(refPls), describePlacements(pls); got != want {

@@ -89,15 +89,6 @@ func New() *Index {
 // Len returns the number of entries.
 func (ix *Index) Len() int { return len(ix.nodes) }
 
-// Key returns the entry's current key and whether it is present.
-func (ix *Index) Key(name string) (float64, bool) {
-	nd, ok := ix.nodes[name]
-	if !ok {
-		return 0, false
-	}
-	return nd.key, true
-}
-
 // Upsert inserts the entry or moves it to a new key, leaving its
 // payload as it was. A same-key upsert is a no-op. Moving an existing
 // entry re-keys in place: its node is detached and re-inserted under the
@@ -139,13 +130,6 @@ func (ix *Index) Delete(name string) {
 	}
 	delete(ix.nodes, name)
 	ix.root = remove(ix.root, nd.key, name)
-}
-
-// AscendFrom visits entries with key >= lower in ascending (key, name)
-// order until visit returns false. Subtrees entirely below the bound are
-// pruned, so a query that stops after k visits costs O(log n + k).
-func (ix *Index) AscendFrom(lower float64, visit func(name string, key float64) bool) {
-	ascend(ix.root, lower, visit)
 }
 
 // FirstFitting returns the first entry in ascending (key, name) order
@@ -311,28 +295,8 @@ func rotateLeft(n *node) *node {
 	return r
 }
 
-// ascend reports false once visit asked to stop.
-func ascend(n *node, lower float64, visit func(string, float64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.key >= lower {
-		// The left subtree may straddle the bound; the node itself is in
-		// range.
-		if !ascend(n.left, lower, visit) {
-			return false
-		}
-		if !visit(n.name, n.key) {
-			return false
-		}
-	}
-	// Everything in the left subtree is <= this node, so when the node is
-	// below the bound only the right subtree can still qualify.
-	return ascend(n.right, lower, visit)
-}
-
-// firstFitting is ascend specialised to the surplus probe: the same
-// in-order walk with the same pruning, stopping at the first in-range
+// firstFitting is the surplus probe: an in-order walk from lower that
+// prunes every subtree below the bound, stopping at the first in-range
 // node whose payload holds size. The probe visits every near-miss ahead
 // of the fit (about a hundred per lookup on a packed fleet), which is
 // why it reads the node it stands on instead of calling out.

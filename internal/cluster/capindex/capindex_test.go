@@ -152,14 +152,14 @@ func TestFirstFitting(t *testing.T) {
 			var free resources.Vector
 			for _, a := range allowed {
 				if e.name == a {
-					free = resources.Uniform(1)
+					free = resources.New(1, 1, 1, 1)
 				}
 			}
 			ix.UpsertFree(e.name, e.key, free)
 		}
 		return ix
 	}
-	size := resources.Uniform(1)
+	size := resources.New(1, 1, 1, 1)
 	if n, k, ok := fits("b", "c", "d").FirstFitting(0, size); !ok || n != "b" || k != 0.4 {
 		t.Fatalf("FirstFitting = %q %v %v, want b 0.4 true", n, k, ok)
 	}
@@ -188,10 +188,10 @@ func TestMinFitting(t *testing.T) {
 		name := fmt.Sprintf("node-%03d", i)
 		key := float64(rng.Intn(20)) / 20 // deliberate cross-partition ties
 		// The payload holds the unit demand exactly where key >= 0.3.
-		ixs[i%parts].UpsertFree(name, key, resources.Uniform(key+0.7))
-		combined.UpsertFree(name, key, resources.Uniform(key+0.7))
+		ixs[i%parts].UpsertFree(name, key, resources.New(key+0.7, key+0.7, key+0.7, key+0.7))
+		combined.UpsertFree(name, key, resources.New(key+0.7, key+0.7, key+0.7, key+0.7))
 	}
-	fits := resources.Uniform(1)
+	fits := resources.New(1, 1, 1, 1)
 	for trial := 0; trial < 50; trial++ {
 		lower := rng.Float64()
 		for i := range lowers {
@@ -361,7 +361,7 @@ func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 				t.Fatalf("op %d: Key(%s) = %v %v, want %v", op, n, got, ok, k)
 			}
 		}
-		fits := resources.Uniform(1)
+		fits := resources.New(1, 1, 1, 1)
 		for _, lower := range []float64{0, 0.25, 0.5, 0.9} {
 			gn, gk, gok := ix.FirstFitting(lower, fits)
 			wn, wk, wok := rebuilt.FirstFitting(lower, fits)
@@ -395,7 +395,7 @@ func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 // three, chosen by the name's last byte.
 func suffixFree(name string) resources.Vector {
 	if name[len(name)-1]%3 != 0 {
-		return resources.Uniform(1)
+		return resources.New(1, 1, 1, 1)
 	}
 	return resources.Vector{}
 }

@@ -267,12 +267,12 @@ type Manager struct {
 	dirty   []*Server
 	drained []*Server
 
-	// Cluster-wide totals for O(1) Stats: capacity is exact (updated on
-	// AddServer); committed and allocated are delta-maintained from the
-	// per-server aggregate refreshes, applied in the dirty list's sorted
-	// drain order so they stay deterministic.
+	// Cluster-wide totals the headroom gate reads: capacity is exact
+	// (updated as servers are added, revoked, restored and resized);
+	// allocation is delta-maintained from the per-server aggregate
+	// refreshes, applied in the dirty list's sorted drain order so it
+	// stays deterministic.
 	totCapacity  resources.Vector
-	totCommitted resources.Vector
 	totAllocated resources.Vector
 
 	// Revocation-risk state (Config.Risk): nBands is the hazard-band
@@ -285,13 +285,11 @@ type Manager struct {
 	nBands  int
 	reserve resources.Vector
 
-	// Capacity-shock state (revoke.go): how many servers are currently
-	// revoked, whether the placement engine is running a relocation
-	// batch (which the headroom gate lets through), and the reusable
-	// displaced-VM batch buffer.
-	revokedCount int
-	evacuating   bool
-	evacDCs      []hypervisor.DomainConfig
+	// Capacity-shock state (revoke.go): whether the placement engine is
+	// running a relocation batch (which the headroom gate lets through),
+	// and the reusable displaced-VM batch buffer.
+	evacuating bool
+	evacDCs    []hypervisor.DomainConfig
 
 	// affected is the RemoveVMs batch buffer, used only under mu, so
 	// reusing it keeps removals allocation-free in steady state.
@@ -307,20 +305,11 @@ type Manager struct {
 	pressKeys  []int
 
 	// Placement scratch, reused across calls and touched only under mu:
-	// PlaceVM's one-VM batch, the batch results, and the band-blind
-	// surplus lookup's index and lower-bound lists.
-	one     [1]hypervisor.DomainConfig
+	// the batch results, and the band-blind surplus lookup's index and
+	// lower-bound lists.
 	results []Placement
 	mfIdx   []*capindex.Index
 	mfLow   []float64
-}
-
-// HeadroomReserve returns the current evacuation-headroom reserve: the
-// sum of the in-service servers' reserve contributions.
-func (m *Manager) HeadroomReserve() resources.Vector {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reserve
 }
 
 // NewManager creates a manager with the given configuration.
@@ -350,12 +339,6 @@ func (m *Manager) Config() Config { return m.cfg }
 // package's replay driver) still build.
 func (m *Manager) Close() {}
 
-// AddServer registers a new physical server. When partitioning is
-// enabled, partition assigns its pool; pass 0..PriorityLevels-1.
-func (m *Manager) AddServer(name string, capacity resources.Vector, partition int) (*Server, error) {
-	return m.AddServerSpec(ServerSpec{Name: name, Capacity: capacity, Partition: partition})
-}
-
 // ServerSpec describes one server for AddServerSpec: name, capacity and
 // priority pool, plus the server's revocation-risk attributes.
 type ServerSpec struct {
@@ -375,8 +358,8 @@ type ServerSpec struct {
 	ReserveFraction float64
 }
 
-// AddServerSpec registers a new physical server with explicit risk
-// attributes. AddServer is the spec with zero band and reserve.
+// AddServerSpec registers a new physical server with its priority pool
+// and revocation-risk attributes.
 func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -587,10 +570,14 @@ type Placement struct {
 	Scored, Pruned int
 }
 
-// PlaceVM runs the three-step placement of Section 6: pick the fittest
-// server, have it compute the deflation required to make room (possibly
-// deflating the newcomer itself), then perform the deflation and launch.
-// It returns the running domain and its server, or ErrNoCapacity.
+// PlaceVMs runs the three-step placement of Section 6 for each VM of a
+// batch, one at a time in input order, under one acquisition of the
+// manager's lock: pick the fittest server, have it compute the deflation
+// required to make room (possibly deflating the newcomer itself), then
+// perform the deflation and launch. A batch places exactly as the same
+// VMs in one-element batches would. The simulation engine feeds it the
+// same-timestamp arrival batches of a trace, and evacuations their
+// relocation batches.
 //
 // Surplus-first: "when there is surplus capacity in the cluster, the
 // cloud manager allocates these resources ... without deflating"
@@ -599,20 +586,7 @@ type Placement struct {
 // large contiguous capacity for future big VMs. Under pressure, servers
 // are ranked by the deflation-aware availability fitness of Section 5.2
 // and residents are deflated on the best server that can absorb the
-// newcomer.
-func (m *Manager) PlaceVM(dc hypervisor.DomainConfig) (*hypervisor.Domain, *Server, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.one[0] = dc
-	m.placeAllLocked(m.one[:1])
-	out := m.results[0]
-	return out.Domain, out.Server, out.Err
-}
-
-// PlaceVMs places a batch of VMs exactly as if PlaceVM had been called
-// for each in order, under one acquisition of the manager's lock. The
-// simulation engine feeds it the same-timestamp arrival batches of a
-// trace, and evacuations their relocation batches.
+// newcomer; a VM no server can host fails with ErrNoCapacity.
 //
 // Results are appended to out (which may be nil) and the extended slice
 // is returned, so a caller owns its results — the Manager stays safe
@@ -639,7 +613,7 @@ func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
 }
 
 // placeOneLocked is the placement decision and its commit for one VM:
-// the three-step protocol of PlaceVM at the live state.
+// the three-step protocol of PlaceVMs at the live state.
 func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 	// A live name is a caller error, not an admission decision: it is
 	// reported before the headroom gate could refuse it.
@@ -834,18 +808,6 @@ func (m *Manager) anyFitsIndexedLocked(size resources.Vector) bool {
 	return false
 }
 
-// FitsWithoutDeflation reports whether any server in the cluster
-// (regardless of priority pool) can host size with no deflation. With
-// the capacity indexes the check is O(pools × bands × log S) instead of
-// a full scan. Batch placements report the same signal per VM through
-// Placement.NeedsReclaim.
-func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.syncDirtyLocked()
-	return m.anyFitsLocked(size)
-}
-
 // placeOnLocked attempts placement on one server, implementing steps 2
 // and 3 of the placement protocol: the server computes the deflation
 // needed to host dc and, if feasible, applies it and launches the VM. On
@@ -936,27 +898,6 @@ func launch(s *Server, cfg *Config, dc hypervisor.DomainConfig, initial resource
 		}
 	}
 	return d, nil
-}
-
-// LookupVM finds a placed VM's domain and server.
-func (m *Manager) LookupVM(name string) (*hypervisor.Domain, *Server, error) {
-	m.mu.Lock()
-	s, ok := m.placements[name]
-	m.mu.Unlock()
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: VM %s", ErrNotFound, name)
-	}
-	d, err := s.Host.Lookup(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, s, nil
-}
-
-// RemoveVM stops and removes a VM, then reinflates the survivors on its
-// server with the freed resources (R = -R_free, Section 5.1.3).
-func (m *Manager) RemoveVM(name string) error {
-	return m.RemoveVMs(name)
 }
 
 // RemoveVMs removes a batch of VMs and then reinflates each affected
@@ -1068,44 +1009,4 @@ func reinflate(s *Server, cfg *Config) error {
 		}
 	}
 	return nil
-}
-
-// Stats summarises the cluster's resource state.
-type Stats struct {
-	Servers int
-	// Revoked counts registered servers currently out of service;
-	// Capacity covers only the in-service remainder.
-	Revoked   int
-	VMs       int
-	Capacity  resources.Vector
-	Committed resources.Vector
-	Allocated resources.Vector
-	// Overcommit is committed/capacity - 1 on the dominant dimension
-	// (0 when under-committed).
-	Overcommit float64
-}
-
-// Stats returns the current cluster-wide statistics. The vectors come
-// from the delta-maintained totals, so the call is O(dirty servers)
-// amortised — effectively O(1) between churn — instead of a walk over
-// every domain in the cluster. Committed/Allocated can differ from a
-// from-scratch summation by accumulated float round-off on the order of
-// 1e-12 relative; the per-server aggregates themselves are always exact.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.syncDirtyLocked()
-	st := Stats{
-		Servers:   len(m.servers),
-		Revoked:   m.revokedCount,
-		VMs:       len(m.placements),
-		Capacity:  m.totCapacity,
-		Committed: m.totCommitted,
-		Allocated: m.totAllocated,
-	}
-	oc := st.Committed.DominantShare(st.Capacity)
-	if oc > 1 {
-		st.Overcommit = oc - 1
-	}
-	return st
 }

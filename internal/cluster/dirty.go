@@ -59,7 +59,6 @@ func (m *Manager) syncDirtyLocked() {
 	for _, s := range m.drained {
 		name := s.Host.Name()
 		agg := s.Host.Aggregates()
-		m.totCommitted = m.totCommitted.Add(agg.Committed.Sub(s.agg.Committed))
 		m.totAllocated = m.totAllocated.Add(agg.Allocated.Sub(s.agg.Allocated))
 		s.agg = agg
 		total := s.Host.Capacity()

@@ -133,9 +133,10 @@ func TestBusDrivesWeights(t *testing.T) {
 // resizes and revocations the subscriber re-derives every field the old
 // way: Old is the allocation the domain had going in (tracked from a
 // snapshot of every live domain taken before each manager call, then
-// event to event), New, DeflationFraction and Mechanism are read back
-// from the domain while the event is being delivered, Kind is Classify
-// of the two, Server is the host the domain lives on. Each published
+// event to event), New and DeflationFraction are read back from the
+// domain while the event is being delivered, Mechanism is the manager's
+// configured one, Kind is Classify of the two, Server is the host the
+// domain lives on. Each published
 // event must equal that one field for field.
 func TestEventsMatchLockedDomainReads(t *testing.T) {
 	configs := []Config{
@@ -169,7 +170,7 @@ func TestEventsMatchLockedDomainReads(t *testing.T) {
 				want := notify.Event{
 					VM: d.Name(), Server: d.Host().Name(),
 					Old: ev.Old, New: d.Allocation(),
-					DeflationFraction: d.DeflationFraction(), Mechanism: d.DeflatedBy(),
+					DeflationFraction: d.DeflationFraction(), Mechanism: m.Config().Mechanism.Name(),
 				}
 				if old, ok := cur[d]; ok { // launched before this manager call, or seen since
 					want.Old = old

@@ -62,15 +62,6 @@ type Evacuation struct {
 	Placements []Placement
 }
 
-// Revoked reports whether the server is currently revoked. Like every
-// other Server field it is maintained under its Manager's lock.
-func (s *Server) Revoked() bool { return s.revoked }
-
-// RevokeServer revokes one server; see RevokeServers.
-func (m *Manager) RevokeServer(name string) (Evacuation, error) {
-	return m.RevokeServers(name)
-}
-
 // RevokeServers removes a batch of servers from service at one instant —
 // the provider revoked them — and relocates every resident VM through
 // the batch placement engine. Residents are displaced in (input server
@@ -116,7 +107,6 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 			}
 		}
 		s.revoked = true
-		m.revokedCount++
 		key := m.poolKey(s.Partition, s.band)
 		m.indexes[key].Delete(name)
 		m.bounds[key].Delete(name)
@@ -143,7 +133,6 @@ func (m *Manager) RestoreServer(name string) error {
 		return fmt.Errorf("%w: %s not revoked", ErrRevoked, name)
 	}
 	s.revoked = false
-	m.revokedCount--
 	m.totCapacity = m.totCapacity.Add(s.Host.Capacity())
 	m.reserve = m.reserve.Add(s.reserve)
 	m.markDirty(s)

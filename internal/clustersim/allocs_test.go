@@ -63,7 +63,7 @@ func samplePassCycle(e *Engine, i int) {
 // (the hit path).
 func limitSampleCycle(tb testing.TB, e *Engine, i int) {
 	d := e.tbl[0].domain
-	if _, err := d.SetLimits(d.MaxSize().Scale(0.5+0.25*float64(i%2)), "transparent"); err != nil {
+	if _, err := d.SetLimits(d.MaxSize().Scale(0.5 + 0.25*float64(i%2))); err != nil {
 		tb.Fatal(err)
 	}
 	samplePassCycle(e, i)

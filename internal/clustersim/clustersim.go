@@ -337,6 +337,39 @@ func (c *Config) applyDefaults() error {
 			return fmt.Errorf("clustersim: risk headroom scale %v is not a finite non-negative factor", r.HeadroomScale)
 		}
 	}
+	if sc := c.ShockConfig; sc != nil {
+		// Zero keeps meaning "the generator's default"; anything else the
+		// generator would silently swap for its default is an error here.
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{
+			{"rate per day", sc.RatePerDay},
+			{"outage mean", sc.OutageMean},
+			{"max out fraction", sc.MaxOutFraction},
+			{"duration", sc.Duration},
+		} {
+			if !finiteNonNegative(f.v) {
+				return fmt.Errorf("clustersim: shock config %s %v, want finite and non-negative", f.name, f.v)
+			}
+		}
+		if sc.MaxOutFraction > 1 {
+			return fmt.Errorf("clustersim: shock config max out fraction %v is above 1", sc.MaxOutFraction)
+		}
+		if sc.RackSize < 0 {
+			return fmt.Errorf("clustersim: shock config rack size %d is negative", sc.RackSize)
+		}
+		for s, v := range sc.RateScale {
+			if !finiteNonNegative(v) {
+				return fmt.Errorf("clustersim: shock config rate scale %v for server %d, want finite and non-negative", v, s)
+			}
+		}
+		if sc.Kind != "" {
+			if _, err := trace.ParseShockScenario(string(sc.Kind)); err != nil {
+				return fmt.Errorf("clustersim: shock config: %w", err)
+			}
+		}
+	}
 	for i, sh := range c.Shocks {
 		if !finiteNonNegative(sh.At) {
 			return fmt.Errorf("clustersim: shock %d at %v, want a finite non-negative time", i, sh.At)

@@ -299,7 +299,7 @@ func TestSampleBillingUsesConfiguredSchemes(t *testing.T) {
 	var hours float64
 	for _, vm := range tr.VMs {
 		if vm.Class == trace.Interactive {
-			hours += vm.Lifetime() / 3600
+			hours += (vm.End - vm.Start) / 3600
 		}
 	}
 	cases := map[string][]pricing.Scheme{

@@ -57,7 +57,7 @@ func TestPreemptionRepeatableOnFractionalSizes(t *testing.T) {
 		if i%2 == 1 {
 			vm.Class = trace.DelayInsensitive // on-demand: may preempt
 		}
-		for n := int(vm.Lifetime() / trace.SampleInterval); n > 0; n-- {
+		for n := int((vm.End - vm.Start) / trace.SampleInterval); n > 0; n-- {
 			vm.CPUUtil = append(vm.CPUUtil, rng.Float64()*100)
 		}
 	}

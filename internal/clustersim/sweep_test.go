@@ -196,7 +196,4 @@ func TestConcurrentEnginesSharedBus(t *testing.T) {
 	if events.Load() == 0 {
 		t.Error("no allocation-change events reached the shared bus")
 	}
-	if bus.Delivered() != int(events.Load()) {
-		t.Errorf("bus delivered %d, subscriber saw %d", bus.Delivered(), events.Load())
-	}
 }

@@ -69,20 +69,11 @@ type GuestOS struct {
 	swappedMB float64
 }
 
-// New boots a guest with all configured resources online. RSS starts at a
-// minimal kernel footprint; applications grow it via Touch/SetRSS.
-func New(cfg Config) (*GuestOS, error) {
-	g := new(GuestOS)
-	if err := g.Boot(cfg); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Boot is New in place: it (re)initialises g as a freshly booted guest of
-// the given configuration, so an owner that embeds the GuestOS by value
-// — the hypervisor's Domain — pays no separate allocation for it. On
-// error g is left untouched.
+// Boot (re)initialises g as a freshly booted guest of the given
+// configuration, with all configured resources online. RSS starts at a
+// minimal kernel footprint; applications grow it via SetWorkload. An
+// owner embeds the GuestOS by value — the hypervisor's Domain — and pays
+// no separate allocation for it. On error g is left untouched.
 func (g *GuestOS) Boot(cfg Config) error {
 	cfg.applyDefaults()
 	if cfg.VCPUs < cfg.MinVCPUs {
@@ -112,21 +103,6 @@ func (g *GuestOS) PluggedMemoryMB() float64 { return g.pluggedMB }
 // RSSMB returns the guest's resident set size: the paper's hot-unplug
 // safety threshold for memory (Section 4.4).
 func (g *GuestOS) RSSMB() float64 { return g.rssMB }
-
-// PageCacheMB returns reclaimable page-cache size.
-func (g *GuestOS) PageCacheMB() float64 { return g.cacheMB }
-
-// SwappedMB returns how much of the working set is currently swapped out.
-func (g *GuestOS) SwappedMB() float64 { return g.swappedMB }
-
-// FreeMB returns plugged memory not used by RSS or cache.
-func (g *GuestOS) FreeMB() float64 {
-	f := g.pluggedMB - g.rssMB - g.cacheMB
-	if f < 0 {
-		return 0
-	}
-	return f
-}
 
 // SetWorkload installs an application memory footprint: rss of anonymous
 // memory and cache of page cache. The cache is truncated to available

@@ -8,8 +8,8 @@ import (
 
 func mustNew(t *testing.T, cfg Config) *GuestOS {
 	t.Helper()
-	g, err := New(cfg)
-	if err != nil {
+	g := new(GuestOS)
+	if err := g.Boot(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -32,11 +32,15 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestNewInvalid(t *testing.T) {
-	if _, err := New(Config{VCPUs: 0, MemoryMB: 8192}); err == nil {
+	var g GuestOS
+	if err := g.Boot(Config{VCPUs: 0, MemoryMB: 8192}); err == nil {
 		t.Error("0 vCPUs should fail")
 	}
-	if _, err := New(Config{VCPUs: 1, MemoryMB: 100}); err == nil {
+	if err := g.Boot(Config{VCPUs: 1, MemoryMB: 100}); err == nil {
 		t.Error("memory below reserve should fail")
+	}
+	if g != (GuestOS{}) {
+		t.Errorf("a failed Boot moved the guest: %+v", g)
 	}
 }
 
@@ -48,10 +52,10 @@ func TestSetWorkload(t *testing.T) {
 	if g.RSSMB() != 4256 { // workload + kernel reserve
 		t.Errorf("RSS = %v", g.RSSMB())
 	}
-	if g.PageCacheMB() != 2000 {
-		t.Errorf("cache = %v", g.PageCacheMB())
+	if g.cacheMB != 2000 {
+		t.Errorf("cache = %v", g.cacheMB)
 	}
-	if got := g.FreeMB(); math.Abs(got-(8192-4256-2000)) > 1e-9 {
+	if got := g.pluggedMB - g.rssMB - g.cacheMB; math.Abs(got-(8192-4256-2000)) > 1e-9 {
 		t.Errorf("free = %v", got)
 	}
 	if err := g.SetWorkload(-1, 0); err == nil {
@@ -67,11 +71,11 @@ func TestSetWorkloadOversized(t *testing.T) {
 	if g.RSSMB() != 1024 {
 		t.Errorf("RSS should be capped at plugged: %v", g.RSSMB())
 	}
-	if g.SwappedMB() != 2256-1024 {
-		t.Errorf("swapped = %v", g.SwappedMB())
+	if g.swappedMB != 2256-1024 {
+		t.Errorf("swapped = %v", g.swappedMB)
 	}
-	if g.PageCacheMB() != 0 {
-		t.Errorf("no room for cache: %v", g.PageCacheMB())
+	if g.cacheMB != 0 {
+		t.Errorf("no room for cache: %v", g.cacheMB)
 	}
 }
 
@@ -134,10 +138,10 @@ func TestUnplugMemorySafety(t *testing.T) {
 	if g.RSSMB() != 4256 {
 		t.Errorf("RSS changed: %v", g.RSSMB())
 	}
-	if g.PageCacheMB() > g.PluggedMemoryMB()-g.RSSMB()+1e-9 {
-		t.Errorf("cache %v exceeds available", g.PageCacheMB())
+	if g.cacheMB > g.PluggedMemoryMB()-g.RSSMB()+1e-9 {
+		t.Errorf("cache %v exceeds available", g.cacheMB)
 	}
-	if g.SwappedMB() != 0 {
+	if g.swappedMB != 0 {
 		t.Error("safe unplug must not swap")
 	}
 }
@@ -176,7 +180,7 @@ func TestPlugMemory(t *testing.T) {
 func TestPlugMemorySwapsIn(t *testing.T) {
 	g := mustNew(t, Config{VCPUs: 1, MemoryMB: 2048})
 	g.SetWorkload(3000, 0) // oversubscribed: swaps
-	if g.SwappedMB() == 0 {
+	if g.swappedMB == 0 {
 		t.Fatal("expected swap")
 	}
 	// Memory can't be plugged beyond config, so enlarge via a new guest:
@@ -187,13 +191,13 @@ func TestPlugMemorySwapsIn(t *testing.T) {
 	g2.UnplugMemory(8192) // leaves RSS intact
 	pluggedAfter := g2.PluggedMemoryMB()
 	g2.SetWorkload(pluggedAfter+500, 0) // force 500+ MB swapped
-	swapped := g2.SwappedMB()
+	swapped := g2.swappedMB
 	if swapped <= 0 {
 		t.Fatal("setup: expected swap")
 	}
 	g2.PlugMemory(1024)
-	if g2.SwappedMB() >= swapped {
-		t.Errorf("plugging memory should swap in: before %v after %v", swapped, g2.SwappedMB())
+	if g2.swappedMB >= swapped {
+		t.Errorf("plugging memory should swap in: before %v after %v", swapped, g2.swappedMB)
 	}
 }
 
@@ -238,7 +242,8 @@ func TestCacheLoss(t *testing.T) {
 // plugged, and safe unplug never induces swap.
 func TestQuickHotplugInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
-		g, err := New(Config{VCPUs: 16, MemoryMB: 16384})
+		g := new(GuestOS)
+		err := g.Boot(Config{VCPUs: 16, MemoryMB: 16384})
 		if err != nil {
 			return false
 		}
@@ -265,7 +270,7 @@ func TestQuickHotplugInvariants(t *testing.T) {
 			if g.RSSMB() > g.PluggedMemoryMB()+1e-9 {
 				return false
 			}
-			if g.RSSMB()+g.PageCacheMB() > g.PluggedMemoryMB()+1e-9 {
+			if g.RSSMB()+g.cacheMB > g.PluggedMemoryMB()+1e-9 {
 				return false
 			}
 		}

@@ -129,7 +129,7 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 				d.ClearTransparentLimits()
 				opName = "clear " + name
 			case 1, 2:
-				if _, err := d.SetLimits(d.MaxSize().Scale(frac), "transparent"); err != nil {
+				if _, err := d.SetLimits(d.MaxSize().Scale(frac)); err != nil {
 					t.Fatal(err)
 				}
 				opName = "limits " + name

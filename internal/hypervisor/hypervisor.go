@@ -5,17 +5,18 @@
 // QEMU-agent-style CPU/memory hotplug that is forwarded to the guest OS.
 //
 // The exported API mirrors the slice of libvirt the paper uses:
-// define/start/shutdown/undefine, SetCPUShares / SetMemoryLimit /
-// SetDiskLimit / SetNetLimit for transparent deflation, and
-// HotplugVCPUs / HotplugMemory for explicit deflation. A Domain's
-// Effective() vector — the resources the applications inside actually
-// get — is the single point of truth consumed by the performance models.
+// define/start/shutdown/undefine, SetCPUShares and the batched SetLimits
+// (cgroup limits on CPU, memory, disk and network) for transparent
+// deflation, and HotplugVCPUs / HotplugMemory for explicit deflation. A
+// Domain's Effective() vector — the resources the applications inside
+// actually get — is the single point of truth consumed by the
+// performance models.
 //
 // # Lock model
 //
 // One mutex per Host, Host.mu, guards the host and every mutable field
 // of every domain resident on it: lifecycle state, guest and cgroup
-// state, the mechanism label, and the host's row table — the per-resident
+// state, and the host's row table — the per-resident
 // accounting columns (size, floor, priority, allocation, running,
 // deflatable) that the aggregate and view walks read as contiguous
 // host-owned memory. A Domain has no lock of its own; its mutators take
@@ -285,10 +286,6 @@ func (h *Host) Name() string { return h.cfg.Name }
 // capacity, unless SetCapacity resized the server).
 func (h *Host) Capacity() resources.Vector { return *h.capacity.Load() }
 
-// BaseCapacity returns the capacity the host was provisioned with,
-// independent of any SetCapacity resize since.
-func (h *Host) BaseCapacity() resources.Vector { return h.cfg.Capacity }
-
 // AllocEpoch returns the host's allocation epoch, a lock-free load. It
 // moves on every limit write, limit clear and hotplug on the host and on
 // nothing else, so an allocation read with it (Domain.AllocationEpoch)
@@ -538,34 +535,12 @@ func (h *Host) Undefine(name string) error {
 	return nil
 }
 
-// Committed returns the sum of the nominal sizes of all defined domains:
-// the numerator of the cluster overcommitment ratio (Section 1). Served
-// from the aggregate cache.
-func (h *Host) Committed() resources.Vector {
-	return h.Aggregates().Committed
-}
-
 // Allocated returns the sum of the current (possibly deflated) allocations
 // of running domains: physical resources actually promised right now.
 // Served from the aggregate cache; the underlying summation is always in
 // name order so the low bits are reproducible.
 func (h *Host) Allocated() resources.Vector {
 	return h.Aggregates().Allocated
-}
-
-// Available returns Capacity - Allocated, clamped at zero.
-func (h *Host) Available() resources.Vector {
-	return h.Capacity().Sub(h.Allocated()).ClampNonNegative()
-}
-
-// Overcommit returns Committed/Capacity - 1 as the dominant-share
-// overcommitment fraction (0 = fully packed, 0.5 = 50% overcommitted).
-func (h *Host) Overcommit() float64 {
-	oc := h.Committed().DominantShare(h.Capacity())
-	if oc < 1 {
-		return 0
-	}
-	return oc - 1
 }
 
 // Domain is one VM resident on a Host. It is a single allocation — the
@@ -594,10 +569,6 @@ type Domain struct {
 	// Float64bits so the sample pass's writes and the view's read-through
 	// need no lock.
 	load atomic.Uint64
-
-	// deflatedBy records the most recent mechanism label ("transparent",
-	// "explicit", "hybrid") for observability.
-	deflatedBy string
 }
 
 // setAlloc writes the row's allocation column and the Deflated predicate
@@ -776,20 +747,18 @@ func (d *Domain) setLimit(k resources.Kind, v float64) error {
 	return nil
 }
 
-// SetLimits is the batched form of the four setters below that a
-// deflation mechanism issues per target, in one critical section: every
-// positive component of limits engages its cgroup controller at that
-// value (zero components leave their controller as it is; a negative one
-// rejects the whole write), label is recorded as by SetDeflatedBy, and
-// the allocation the domain ends up with is returned — derived, like
+// SetLimits is the write a deflation mechanism issues per target, in
+// one critical section: every positive component of limits engages its
+// cgroup controller at that value (zero components leave their
+// controller as it is; a negative one rejects the whole write), and the
+// allocation the domain ends up with is returned — derived, like
 // Allocation, from the plugged resources capped by every engaged limit.
-func (d *Domain) SetLimits(limits resources.Vector, label string) (resources.Vector, error) {
+func (d *Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
 	if err := d.cg.SetLimits(limits); err != nil {
 		return resources.Vector{}, err
 	}
-	d.deflatedBy = label
 	if limits.IsZero() { // nothing engaged: nothing moved, nothing to invalidate
 		return d.allocLocked(), nil
 	}
@@ -801,35 +770,6 @@ func (d *Domain) SetLimits(limits resources.Vector, label string) (resources.Vec
 // vCPUs; they just run slower.
 func (d *Domain) SetCPUShares(cores float64) error {
 	return d.setLimit(resources.CPU, cores)
-}
-
-// SetMemoryLimit caps the domain's physical memory at mb via the memory
-// cgroup (mem.limit_in_bytes). If the limit is below the guest's resident
-// set, the hypervisor swaps: the guest is unaware and performance
-// suffers (see SwapPressure).
-func (d *Domain) SetMemoryLimit(mb float64) error {
-	return d.setLimit(resources.Memory, mb)
-}
-
-// SetDiskLimit throttles disk bandwidth (blkio cgroup).
-func (d *Domain) SetDiskLimit(mbps float64) error {
-	return d.setLimit(resources.DiskBW, mbps)
-}
-
-// SetNetLimit throttles network bandwidth.
-func (d *Domain) SetNetLimit(mbps float64) error {
-	return d.setLimit(resources.NetBW, mbps)
-}
-
-// ClearTransparentLimits removes all cgroup caps (full reinflation of the
-// transparent dimension).
-func (d *Domain) ClearTransparentLimits() {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	for _, k := range resources.Kinds {
-		d.cg.ClearLimit(k)
-	}
-	d.reallocLocked()
 }
 
 // --- Explicit deflation knobs (agent-based hotplug, Section 4.3) ---
@@ -894,18 +834,4 @@ func (d *Domain) CacheLoss() float64 {
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
 	return d.guest.CacheLoss(d.allocLocked().Get(resources.Memory))
-}
-
-// SetDeflatedBy records which mechanism last acted on the domain.
-func (d *Domain) SetDeflatedBy(mechanism string) {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	d.deflatedBy = mechanism
-}
-
-// DeflatedBy returns the mechanism label recorded by SetDeflatedBy.
-func (d *Domain) DeflatedBy() string {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	return d.deflatedBy
 }

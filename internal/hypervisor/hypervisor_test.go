@@ -47,7 +47,7 @@ var badCapacities = map[string]resources.Vector{
 	"+Inf memory":     resources.New(8, math.Inf(1), 0, 0),
 	"NaN network":     resources.New(8, 1024, 0, math.NaN()),
 	"-Inf disk":       resources.New(8, 1024, math.Inf(-1), 0),
-	"+Inf everywhere": resources.Uniform(math.Inf(1)),
+	"+Inf everywhere": resources.New(math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)),
 }
 
 func TestNewHostValidation(t *testing.T) {
@@ -322,18 +322,6 @@ func TestSwapPressureAndCacheLoss(t *testing.T) {
 	d.SetMemoryLimit(5256) // RSS + half cache
 	if got := d.CacheLoss(); got < 0.49 || got > 0.51 {
 		t.Errorf("cache loss = %v, want ~0.5", got)
-	}
-}
-
-func TestDeflatedByLabel(t *testing.T) {
-	h := testHost(t)
-	d := defineRunning(t, h, "vm", 4, 8192)
-	if d.DeflatedBy() != "" {
-		t.Error("fresh domain should have empty label")
-	}
-	d.SetDeflatedBy("hybrid")
-	if d.DeflatedBy() != "hybrid" {
-		t.Errorf("label = %q", d.DeflatedBy())
 	}
 }
 

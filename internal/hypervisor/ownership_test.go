@@ -53,7 +53,7 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 	spawn(func(rng *rand.Rand, r int) { // limit writes, single and batched
 		d, frac := pick(rng), 0.3+0.7*rng.Float64()
 		if r%2 == 0 {
-			if _, err := d.SetLimits(d.MaxSize().Scale(frac), "transparent"); err != nil {
+			if _, err := d.SetLimits(d.MaxSize().Scale(frac)); err != nil {
 				t.Error(err)
 			}
 		} else if err := d.SetCPUShares(8 * frac); err != nil {
@@ -109,7 +109,7 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 	spawn(func(rng *rand.Rand, r int) { // load writes and capacity resizes
 		pick(rng).SetOfferedLoad(float64(r % 9))
 		if r%5 == 0 {
-			if err := h.SetCapacity(h.BaseCapacity().Scale(0.5 + rng.Float64())); err != nil {
+			if err := h.SetCapacity(h.cfg.Capacity.Scale(0.5 + rng.Float64())); err != nil {
 				t.Error(err)
 			}
 		}
@@ -138,7 +138,6 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 				t.Errorf("%s allocation %v at epoch %d, read between epochs %d and %d", d.Name(), a, at, epoch, h.AllocEpoch())
 			}
 			d.State()
-			d.DeflatedBy()
 			if n := len(h.Domains()); n < residents {
 				t.Errorf("Domains() lists %d, want >= %d", n, residents)
 			}
@@ -200,24 +199,22 @@ func checkRows(t *testing.T, h *Host, op string) {
 // limitState is everything a limit write may move on a domain, cgroup
 // controller state included.
 type limitState struct {
-	limits resources.Vector // cgroups.Unlimited where disengaged
+	limits resources.Vector // -1 where disengaged
 	alloc  resources.Vector
-	label  string
 	agg    Aggregates
 }
 
 func limitStateOf(d *Domain) limitState {
-	return limitState{d.cg.Limits(), d.Allocation(), d.DeflatedBy(), d.Host().Aggregates()}
+	return limitState{cgLimits(d), d.Allocation(), d.Host().Aggregates()}
 }
 
 // TestSetLimitsMatchesSingleSetters holds the batched write to the path
 // it replaced in the mechanisms: for random targets — zero disk and
 // network components included, on domains with and without I/O
-// dimensions, with hotplug state in between — SetLimits(target, label)
-// must leave the same cgroup limits, engaged controllers, label,
-// allocation and host aggregates as SetCPUShares + SetMemoryLimit + the
-// I/O setters for positive components + SetDeflatedBy, and return that
-// allocation.
+// dimensions, with hotplug state in between — SetLimits(target)
+// must leave the same cgroup limits, engaged controllers, allocation and
+// host aggregates as SetCPUShares + SetMemoryLimit + the I/O setters for
+// positive components, and return that allocation.
 func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	hb, hs := testHost(t), testHost(t)
@@ -252,9 +249,8 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				target = target.With(resources.NetBW, 0)
 			}
-			label := []string{"transparent", "hybrid"}[round%2]
 
-			got, err := batched.SetLimits(target, label)
+			got, err := batched.SetLimits(target)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +270,6 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			single.SetDeflatedBy(label)
 
 			b, s := limitStateOf(batched), limitStateOf(single)
 			if b != s {
@@ -286,21 +281,21 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 		}
 	}
 
-	// An all-zero vector engages nothing and only moves the label; a
-	// negative component rejects the write whole.
+	// An all-zero vector engages nothing; a negative component rejects
+	// the write whole.
 	d := defineRunning(t, testHost(t), "vm", 4, 8192)
 	d.Host().Aggregates() // clean cache: a mutation would fire the edge
 	fires := 0
 	d.Host().OnAggregateChange(func() { fires++ })
-	got, err := d.SetLimits(resources.Vector{}, "explicit")
-	if err != nil || got != d.MaxSize() || d.DeflatedBy() != "explicit" || fires != 0 {
-		t.Errorf("zero limits: alloc %v, err %v, label %q, %d edges", got, err, d.DeflatedBy(), fires)
+	got, err := d.SetLimits(resources.Vector{})
+	if err != nil || got != d.MaxSize() || fires != 0 {
+		t.Errorf("zero limits: alloc %v, err %v, %d edges", got, err, fires)
 	}
-	if d.cg.Limits() != resources.New(cgroups.Unlimited, cgroups.Unlimited, cgroups.Unlimited, cgroups.Unlimited) {
-		t.Errorf("zero limits engaged a controller: %v", d.cg.Limits())
+	if l := cgLimits(d); l != resources.New(-1, -1, -1, -1) {
+		t.Errorf("zero limits engaged a controller: %v", l)
 	}
 	before := limitStateOf(d)
-	if _, err := d.SetLimits(resources.New(2, -1, 0, 0), "hybrid"); !errors.Is(err, cgroups.ErrInvalid) {
+	if _, err := d.SetLimits(resources.New(2, -1, 0, 0)); !errors.Is(err, cgroups.ErrInvalid) {
 		t.Errorf("negative limit err = %v", err)
 	}
 	if after := limitStateOf(d); after != before {

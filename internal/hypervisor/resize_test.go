@@ -11,8 +11,8 @@ import (
 func TestSetCapacityResize(t *testing.T) {
 	h := testHost(t)
 	base := h.Capacity()
-	if h.BaseCapacity() != base {
-		t.Fatalf("BaseCapacity %v != initial Capacity %v", h.BaseCapacity(), base)
+	if h.cfg.Capacity != base {
+		t.Fatalf("configured capacity %v != initial Capacity %v", h.cfg.Capacity, base)
 	}
 	defineRunning(t, h, "vm1", 4, 8192)
 
@@ -30,8 +30,8 @@ func TestSetCapacityResize(t *testing.T) {
 	if h.Capacity() != shrunk {
 		t.Fatalf("Capacity = %v after shrink, want %v", h.Capacity(), shrunk)
 	}
-	if h.BaseCapacity() != base {
-		t.Fatalf("BaseCapacity changed to %v on resize", h.BaseCapacity())
+	if h.cfg.Capacity != base {
+		t.Fatalf("configured capacity changed to %v on resize", h.cfg.Capacity)
 	}
 	// Available derives from the new capacity.
 	wantAvail := shrunk.Sub(h.Allocated()).ClampNonNegative()

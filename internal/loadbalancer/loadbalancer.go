@@ -1,9 +1,8 @@
 // Package loadbalancer implements the HAProxy-style load balancing of
 // Section 7.3: smooth weighted round robin (the algorithm HAProxy and
-// nginx use), plain round robin, least-connections, and the paper's
-// deflation-aware variant that re-weights backends by their current
-// effective capacity so deflated replicas receive proportionally fewer
-// requests.
+// nginx use) and the paper's deflation-aware variant that re-weights
+// backends by their current effective capacity so deflated replicas
+// receive proportionally fewer requests.
 package loadbalancer
 
 import (
@@ -20,8 +19,6 @@ type Backend struct {
 
 	// current is smooth-WRR state.
 	current int
-	// inflight tracks outstanding requests (least-connections).
-	inflight int
 	// capacity is the dynamic effective capacity reported by the
 	// deflation system (deflation-aware re-weighting).
 	capacity float64
@@ -52,39 +49,6 @@ type Balancer interface {
 	Name() string
 	// Pick selects a backend for the next request.
 	Pick() (*Backend, error)
-}
-
-// Release informs the balancer a request to b completed (used by
-// least-connections; others ignore it).
-func Release(b *Backend) {
-	if b != nil && b.inflight > 0 {
-		b.inflight--
-	}
-}
-
-// RoundRobin cycles through backends.
-type RoundRobin struct {
-	backends []*Backend
-	next     int
-}
-
-// NewRoundRobin creates a plain round-robin balancer.
-func NewRoundRobin(backends []*Backend) *RoundRobin {
-	return &RoundRobin{backends: backends}
-}
-
-// Name implements Balancer.
-func (*RoundRobin) Name() string { return "round-robin" }
-
-// Pick implements Balancer.
-func (r *RoundRobin) Pick() (*Backend, error) {
-	if len(r.backends) == 0 {
-		return nil, ErrNoBackends
-	}
-	b := r.backends[r.next%len(r.backends)]
-	r.next++
-	b.inflight++
-	return b, nil
 }
 
 // WeightedRoundRobin implements smooth weighted round robin: each pick
@@ -125,39 +89,6 @@ func (w *WeightedRoundRobin) Pick() (*Backend, error) {
 		return nil, ErrNoBackends
 	}
 	best.current -= total
-	best.inflight++
-	return best, nil
-}
-
-// LeastConnections picks the backend with the fewest in-flight requests,
-// breaking ties by configured weight, then by name — a strict total
-// order, so the pick sequence cannot depend on slice position.
-type LeastConnections struct {
-	backends []*Backend
-}
-
-// NewLeastConnections creates a least-connections balancer.
-func NewLeastConnections(backends []*Backend) *LeastConnections {
-	return &LeastConnections{backends: backends}
-}
-
-// Name implements Balancer.
-func (*LeastConnections) Name() string { return "least-connections" }
-
-// Pick implements Balancer.
-func (l *LeastConnections) Pick() (*Backend, error) {
-	var best *Backend
-	for _, b := range l.backends {
-		if best == nil || b.inflight < best.inflight ||
-			(b.inflight == best.inflight && (b.Weight > best.Weight ||
-				(b.Weight == best.Weight && b.Name < best.Name))) {
-			best = b
-		}
-	}
-	if best == nil {
-		return nil, ErrNoBackends
-	}
-	best.inflight++
 	return best, nil
 }
 

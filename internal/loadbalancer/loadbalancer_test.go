@@ -4,14 +4,6 @@ import (
 	"testing"
 )
 
-func names(n int) []*Backend {
-	out := make([]*Backend, n)
-	for i := range out {
-		out[i] = &Backend{Name: string(rune('a' + i)), Weight: 1}
-	}
-	return out
-}
-
 func countPicks(t *testing.T, b Balancer, n int) map[string]int {
 	t.Helper()
 	got := map[string]int{}
@@ -21,30 +13,8 @@ func countPicks(t *testing.T, b Balancer, n int) map[string]int {
 			t.Fatal(err)
 		}
 		got[be.Name]++
-		Release(be)
 	}
 	return got
-}
-
-func TestRoundRobinCycles(t *testing.T) {
-	bs := names(3)
-	rr := NewRoundRobin(bs)
-	if rr.Name() != "round-robin" {
-		t.Errorf("Name = %q", rr.Name())
-	}
-	got := countPicks(t, rr, 9)
-	for _, b := range bs {
-		if got[b.Name] != 3 {
-			t.Errorf("backend %s picked %d times, want 3", b.Name, got[b.Name])
-		}
-	}
-}
-
-func TestRoundRobinEmpty(t *testing.T) {
-	rr := NewRoundRobin(nil)
-	if _, err := rr.Pick(); err != ErrNoBackends {
-		t.Errorf("err = %v", err)
-	}
 }
 
 func TestWRRProportions(t *testing.T) {
@@ -93,35 +63,6 @@ func TestWRRSkipsZeroWeight(t *testing.T) {
 	}
 }
 
-func TestLeastConnections(t *testing.T) {
-	bs := names(2)
-	lc := NewLeastConnections(bs)
-	b1, _ := lc.Pick() // both 0: first with weight tie -> a
-	b2, _ := lc.Pick() // a has 1, b has 0 -> b
-	if b1.Name == b2.Name {
-		t.Errorf("least-connections should alternate on empty backends: %s, %s", b1.Name, b2.Name)
-	}
-	// Without releasing, thirds pick balances again.
-	b3, _ := lc.Pick()
-	Release(b3)
-	if lc.Name() != "least-connections" {
-		t.Errorf("Name = %q", lc.Name())
-	}
-	empty := NewLeastConnections(nil)
-	if _, err := empty.Pick(); err != ErrNoBackends {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestReleaseNilAndUnderflow(t *testing.T) {
-	Release(nil) // no panic
-	b := &Backend{Name: "x"}
-	Release(b) // inflight already 0: no underflow
-	if b.inflight != 0 {
-		t.Errorf("inflight = %d", b.inflight)
-	}
-}
-
 func TestDeflationAwareReweighting(t *testing.T) {
 	bs := []*Backend{
 		{Name: "d1", Weight: 100},
@@ -143,8 +84,8 @@ func TestDeflationAwareReweighting(t *testing.T) {
 	}
 }
 
-// pickSeq records the names of n successive picks without releasing.
-func pickSeq(t *testing.T, b Balancer, n int, release bool) []string {
+// pickSeq records the names of n successive picks.
+func pickSeq(t *testing.T, b Balancer, n int) []string {
 	t.Helper()
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -153,17 +94,15 @@ func pickSeq(t *testing.T, b Balancer, n int, release bool) []string {
 			t.Fatal(err)
 		}
 		out = append(out, be.Name)
-		if release {
-			Release(be)
-		}
 	}
 	return out
 }
 
 // TestPickOrderIndependentOfSlicePosition pins the strict-total-order
-// tie-break: with equal weights (WRR) or equal inflight counts (least
-// connections), the pick sequence must be identical no matter how the
-// backend slice is permuted — ties end in name, never slice position.
+// tie-break: with equal static weights (WRR) or equal reported
+// capacities (deflation-aware), the pick sequence must be identical no
+// matter how the backend slice is permuted — ties end in name, never
+// slice position.
 func TestPickOrderIndependentOfSlicePosition(t *testing.T) {
 	orders := [][]string{
 		{"a", "b", "c"},
@@ -177,14 +116,22 @@ func TestPickOrderIndependentOfSlicePosition(t *testing.T) {
 		}
 		return bs
 	}
-	wrrWant := pickSeq(t, NewWeightedRoundRobin(build(orders[0])), 9, true)
-	lcWant := pickSeq(t, NewLeastConnections(build(orders[0])), 9, false)
+	aware := func(names []string) Balancer {
+		bs := build(names)
+		da := NewDeflationAware(bs)
+		for _, b := range bs {
+			da.ReportCapacity(b, 1.5)
+		}
+		return da
+	}
+	wrrWant := pickSeq(t, NewWeightedRoundRobin(build(orders[0])), 9)
+	daWant := pickSeq(t, aware(orders[0]), 9)
 	for _, names := range orders[1:] {
-		if got := pickSeq(t, NewWeightedRoundRobin(build(names)), 9, true); !equalSeq(got, wrrWant) {
+		if got := pickSeq(t, NewWeightedRoundRobin(build(names)), 9); !equalSeq(got, wrrWant) {
 			t.Errorf("WRR picks depend on slice order %v: got %v, want %v", names, got, wrrWant)
 		}
-		if got := pickSeq(t, NewLeastConnections(build(names)), 9, false); !equalSeq(got, lcWant) {
-			t.Errorf("least-connections picks depend on slice order %v: got %v, want %v", names, got, lcWant)
+		if got := pickSeq(t, aware(names), 9); !equalSeq(got, daWant) {
+			t.Errorf("deflation-aware picks depend on slice order %v: got %v, want %v", names, got, daWant)
 		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package mechanism implements the paper's three VM deflation mechanisms
+// Package mechanism implements the paper's VM deflation mechanisms
 // (Section 4): transparent deflation through hypervisor multiplexing
-// (cgroup limits), explicit deflation through guest-visible hotplug, and
-// the hybrid mechanism of Figure 13 that hot-unplugs down to the guest's
+// (cgroup limits), and the hybrid mechanism of Figure 13 that
+// hot-unplugs through the guest (explicit deflation) down to the guest's
 // safety threshold and multiplexes the rest of the way.
 //
 // A mechanism turns a *target allocation vector* into hypervisor/guest
@@ -25,7 +25,7 @@ var ErrTarget = errors.New("mechanism: invalid deflation target")
 
 // Mechanism applies absolute allocation targets to a domain.
 type Mechanism interface {
-	// Name identifies the mechanism ("transparent", "explicit", "hybrid").
+	// Name identifies the mechanism ("transparent", "hybrid").
 	Name() string
 	// Apply drives the domain's allocation toward target and returns the
 	// allocation actually achieved. Implementations clamp the target into
@@ -68,35 +68,7 @@ func (Transparent) Apply(d *hypervisor.Domain, target resources.Vector) (resourc
 	if err != nil {
 		return resources.Vector{}, err
 	}
-	return d.SetLimits(t, "transparent")
-}
-
-// Explicit implements Section 4.3: deflation via guest-visible hot
-// unplug only. CPU moves in whole vCPUs and memory in guest blocks, both
-// bounded by guest safety (>=1 vCPU, never below RSS), so the achieved
-// allocation may be above the target — the caller must check. NIC and
-// disk unplugging is unsafe (Section 4.3), so I/O dimensions fall back to
-// the transparent throttles.
-type Explicit struct{}
-
-// Name implements Mechanism.
-func (Explicit) Name() string { return "explicit" }
-
-// Apply implements Mechanism.
-func (Explicit) Apply(d *hypervisor.Domain, target resources.Vector) (resources.Vector, error) {
-	t, err := clampTarget(d, target)
-	if err != nil {
-		return resources.Vector{}, err
-	}
-	if err := applyCPUHotplug(d, t.Get(resources.CPU)); err != nil {
-		return resources.Vector{}, err
-	}
-	if err := applyMemoryHotplug(d, t.Get(resources.Memory)); err != nil {
-		return resources.Vector{}, err
-	}
-	// I/O: transparent throttling (explicit unplug is unsafe). Zeroed CPU
-	// and memory components leave those cgroup controllers alone.
-	return d.SetLimits(t.With(resources.CPU, 0).With(resources.Memory, 0), "explicit")
+	return d.SetLimits(t)
 }
 
 // applyCPUHotplug moves the online vCPU count toward ceil(targetCores).
@@ -179,7 +151,7 @@ func (Hybrid) Apply(d *hypervisor.Domain, target resources.Vector) (resources.Ve
 	// the rest of the way and throttles I/O (transparent in all
 	// mechanisms). Hotplug never reads a cgroup limit, so issuing the
 	// limits after both hotplug steps changes nothing.
-	return d.SetLimits(t, "hybrid")
+	return d.SetLimits(t)
 }
 
 // DeflateByFraction is a convenience that deflates every dimension of the

@@ -49,9 +49,6 @@ func TestTransparentDeflate(t *testing.T) {
 	if d.Guest().OnlineVCPUs() != 8 || d.Guest().PluggedMemoryMB() != 16384 {
 		t.Error("transparent deflation must not touch the guest")
 	}
-	if d.DeflatedBy() != "transparent" {
-		t.Errorf("label = %q", d.DeflatedBy())
-	}
 }
 
 func TestTransparentFractional(t *testing.T) {
@@ -62,58 +59,6 @@ func TestTransparentFractional(t *testing.T) {
 	}
 	if got.Get(resources.CPU) != 2.5 {
 		t.Errorf("transparent CPU should be fine-grained: %v", got.Get(resources.CPU))
-	}
-}
-
-func TestExplicitDeflateRoundsUp(t *testing.T) {
-	d := newDomain(t, 8, 16384)
-	d.Guest().SetWorkload(2000, 1000)
-	got, err := Explicit{}.Apply(d, resources.New(2.5, 8192, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2.5 cores rounds up to 3 whole vCPUs.
-	if got.Get(resources.CPU) != 3 {
-		t.Errorf("explicit CPU = %v, want 3 (round up)", got.Get(resources.CPU))
-	}
-	if d.Guest().OnlineVCPUs() != 3 {
-		t.Errorf("guest online = %d", d.Guest().OnlineVCPUs())
-	}
-	// Memory moves in 128 MB blocks: 16384 -> 8192 is block-aligned.
-	if got.Get(resources.Memory) != 8192 {
-		t.Errorf("explicit memory = %v", got.Get(resources.Memory))
-	}
-}
-
-func TestExplicitRespectsRSS(t *testing.T) {
-	d := newDomain(t, 8, 16384)
-	d.Guest().SetWorkload(10000, 1000) // RSS 10256
-	got, err := Explicit{}.Apply(d, resources.New(8, 4096, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cannot unplug below RSS: achieved memory stays near RSS, well above
-	// the 4096 target.
-	if got.Get(resources.Memory) < 10256-128 {
-		t.Errorf("explicit went below RSS: %v", got.Get(resources.Memory))
-	}
-	if d.Guest().SwappedMB() != 0 {
-		t.Error("explicit deflation must never swap")
-	}
-}
-
-func TestExplicitReinflate(t *testing.T) {
-	d := newDomain(t, 8, 16384)
-	d.Guest().SetWorkload(2000, 0)
-	if _, err := (Explicit{}).Apply(d, resources.New(2, 4096, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Explicit{}.Apply(d, d.MaxSize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Get(resources.CPU) != 8 || got.Get(resources.Memory) != 16384 {
-		t.Errorf("reinflated = %v", got)
 	}
 }
 
@@ -144,9 +89,6 @@ func TestHybridFigure13(t *testing.T) {
 	// but bounded by the cgroup gap, not the hotplug gap.
 	if d.SwapPressure() <= 0 {
 		t.Error("hybrid below RSS should show swap pressure")
-	}
-	if d.DeflatedBy() != "hybrid" {
-		t.Errorf("label = %q", d.DeflatedBy())
 	}
 }
 
@@ -209,7 +151,7 @@ func TestClampToMinAllocation(t *testing.T) {
 
 func TestTargetValidation(t *testing.T) {
 	d := newDomain(t, 4, 8192)
-	for _, m := range []Mechanism{Transparent{}, Explicit{}, Hybrid{}} {
+	for _, m := range []Mechanism{Transparent{}, Hybrid{}} {
 		if _, err := m.Apply(d, resources.New(-1, 1024, 0, 0)); !errors.Is(err, ErrTarget) {
 			t.Errorf("%s: negative target err = %v", m.Name(), err)
 		}
@@ -246,7 +188,7 @@ func TestDeflateByFraction(t *testing.T) {
 
 func TestTinyTargetKeepsVMAlive(t *testing.T) {
 	d := newDomain(t, 8, 16384)
-	for _, m := range []Mechanism{Transparent{}, Explicit{}, Hybrid{}} {
+	for _, m := range []Mechanism{Transparent{}, Hybrid{}} {
 		got, err := m.Apply(d, resources.Vector{})
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
@@ -262,10 +204,11 @@ func TestTinyTargetKeepsVMAlive(t *testing.T) {
 }
 
 // Property: for any target fraction, every mechanism achieves an
-// allocation between the floor and the nominal size, and explicit never
-// goes below the target on CPU (round-up semantics).
+// allocation between the floor and the nominal size, and the hybrid's
+// hotplug leg never takes the guest below the target's whole vCPUs
+// (round-up semantics).
 func TestQuickMechanismBounds(t *testing.T) {
-	mechs := []Mechanism{Transparent{}, Explicit{}, Hybrid{}}
+	mechs := []Mechanism{Transparent{}, Hybrid{}}
 	f := func(fracRaw uint8, mi uint8) bool {
 		frac := float64(fracRaw%95) / 100
 		m := mechs[int(mi)%len(mechs)]
@@ -297,10 +240,10 @@ func TestQuickMechanismBounds(t *testing.T) {
 		if got.Get(resources.CPU) < 0.05-1e-9 || got.Get(resources.Memory) < 64-1e-9 {
 			return false
 		}
-		if m.Name() == "explicit" {
-			// Explicit CPU never over-deflates.
-			if got.Get(resources.CPU) < math.Ceil(target.Get(resources.CPU)-1e-9)-1e-9 &&
-				got.Get(resources.CPU) < 1 {
+		if m.Name() == "hybrid" {
+			// Hotplug rounds the vCPU count up, never below one.
+			want := math.Max(1, math.Ceil(got.Get(resources.CPU)-1e-9))
+			if float64(d.Guest().OnlineVCPUs()) != want {
 				return false
 			}
 		}
@@ -313,9 +256,8 @@ func TestQuickMechanismBounds(t *testing.T) {
 
 // applySingleSetters is Apply as it was before the batched
 // Domain.SetLimits: the same clamp and hotplug steps, then one
-// single-controller setter per positive target dimension, the label,
-// and a final allocation read. Kept as the oracle the batched form is
-// held to.
+// single-controller write per positive target dimension and a final
+// allocation read. Kept as the oracle the batched form is held to.
 func applySingleSetters(m Mechanism, d *hypervisor.Domain, target resources.Vector) (resources.Vector, error) {
 	t, err := clampTarget(d, target)
 	if err != nil {
@@ -324,38 +266,38 @@ func applySingleSetters(m Mechanism, d *hypervisor.Domain, target resources.Vect
 	cpu, mem := t.Get(resources.CPU), t.Get(resources.Memory)
 	switch m.Name() {
 	case "transparent":
-		err = errors.Join(d.SetCPUShares(cpu), d.SetMemoryLimit(mem))
-	case "explicit":
-		err = errors.Join(applyCPUHotplug(d, cpu), applyMemoryHotplug(d, mem))
+		err = errors.Join(d.SetCPUShares(cpu), setOne(d, resources.Memory, mem))
 	case "hybrid":
 		err = errors.Join(applyCPUHotplug(d, cpu), d.SetCPUShares(cpu),
-			applyMemoryHotplug(d, math.Max(d.Guest().RSSMB(), mem)), d.SetMemoryLimit(mem))
+			applyMemoryHotplug(d, math.Max(d.Guest().RSSMB(), mem)), setOne(d, resources.Memory, mem))
 	}
 	if err != nil {
 		return resources.Vector{}, err
 	}
-	if v := t.Get(resources.DiskBW); v > 0 {
-		if err := d.SetDiskLimit(v); err != nil {
-			return resources.Vector{}, err
+	for _, k := range []resources.Kind{resources.DiskBW, resources.NetBW} {
+		if v := t.Get(k); v > 0 {
+			if err := setOne(d, k, v); err != nil {
+				return resources.Vector{}, err
+			}
 		}
 	}
-	if v := t.Get(resources.NetBW); v > 0 {
-		if err := d.SetNetLimit(v); err != nil {
-			return resources.Vector{}, err
-		}
-	}
-	d.SetDeflatedBy(m.Name())
 	return d.Effective(), nil
+}
+
+// setOne engages the one cgroup controller k at v.
+func setOne(d *hypervisor.Domain, k resources.Kind, v float64) error {
+	_, err := d.SetLimits(resources.Vector{}.With(k, v))
+	return err
 }
 
 // TestApplyMatchesSingleSetters drives twin domains through the same
 // random deflate / reinflate target sequence — zero disk and network
 // components included, which Apply must leave unthrottled — one through
 // each mechanism's Apply and one through the single-setter oracle, and
-// requires the same achieved allocation, label, guest hotplug state and
+// requires the same achieved allocation, guest hotplug state and
 // memory-limit penalties after every step.
 func TestApplyMatchesSingleSetters(t *testing.T) {
-	for _, m := range []Mechanism{Transparent{}, Explicit{}, Hybrid{}} {
+	for _, m := range []Mechanism{Transparent{}, Hybrid{}} {
 		t.Run(m.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			batched, single := newDomain(t, 8, 16384), newDomain(t, 8, 16384)
@@ -379,8 +321,7 @@ func TestApplyMatchesSingleSetters(t *testing.T) {
 					t.Fatalf("step %d target %v: Apply achieved %v (allocation %v), single setters %v (allocation %v)",
 						step, target, got, batched.Allocation(), want, single.Allocation())
 				}
-				if batched.DeflatedBy() != single.DeflatedBy() ||
-					batched.SwapPressure() != single.SwapPressure() || batched.CacheLoss() != single.CacheLoss() ||
+				if batched.SwapPressure() != single.SwapPressure() || batched.CacheLoss() != single.CacheLoss() ||
 					batched.Guest().OnlineVCPUs() != single.Guest().OnlineVCPUs() ||
 					batched.Guest().PluggedMemoryMB() != single.Guest().PluggedMemoryMB() {
 					t.Fatalf("step %d target %v: domain state diverged from the single-setter path", step, target)

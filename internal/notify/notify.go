@@ -60,9 +60,6 @@ type Bus struct {
 	mu   sync.Mutex // serialises Subscribe and cancel
 	subs atomic.Pointer[[]subscription]
 	next int
-
-	// delivered counts events fanned out (for tests/metrics).
-	delivered atomic.Int64
 }
 
 // subscription is one registered subscriber; id is what its cancel
@@ -105,14 +102,7 @@ func (b *Bus) Publish(ev Event) {
 	for _, s := range subs {
 		s.fn(ev)
 	}
-	b.delivered.Add(int64(len(subs)))
 }
-
-// Delivered returns the number of subscriber deliveries so far.
-func (b *Bus) Delivered() int { return int(b.delivered.Load()) }
-
-// Subscribers returns the current subscriber count.
-func (b *Bus) Subscribers() int { return len(b.snapshot()) }
 
 // Classify derives the event kind from an allocation change: any
 // dimension shrinking means Deflated; otherwise Reinflated.

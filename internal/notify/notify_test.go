@@ -13,8 +13,8 @@ func TestSubscribePublishUnsubscribe(t *testing.T) {
 	var b Bus
 	var got []Event
 	cancel := b.Subscribe(func(ev Event) { got = append(got, ev) })
-	if b.Subscribers() != 1 {
-		t.Errorf("subscribers = %d", b.Subscribers())
+	if len(b.snapshot()) != 1 {
+		t.Errorf("subscribers = %d", len(b.snapshot()))
 	}
 	ev := Event{VM: "vm-1", Server: "n0", Kind: Deflated}
 	b.Publish(ev)
@@ -25,9 +25,6 @@ func TestSubscribePublishUnsubscribe(t *testing.T) {
 	b.Publish(ev)
 	if len(got) != 1 {
 		t.Error("unsubscribed subscriber still received events")
-	}
-	if b.Delivered() != 1 {
-		t.Errorf("delivered = %d", b.Delivered())
 	}
 	cancel() // double-cancel is a no-op
 }
@@ -41,9 +38,6 @@ func TestMultipleSubscribers(t *testing.T) {
 	b.Publish(Event{})
 	if count != 3 {
 		t.Errorf("count = %d", count)
-	}
-	if b.Delivered() != 3 {
-		t.Errorf("delivered = %d", b.Delivered())
 	}
 }
 
@@ -128,18 +122,15 @@ func TestPublishCancelDuringPublish(t *testing.T) {
 		t.Fatalf("in-flight event: first %d, second %d deliveries, want 1 and 1", first, second)
 	}
 	b.Publish(Event{})
-	if first != 1 || second != 1 || b.Subscribers() != 0 {
-		t.Errorf("after cancel: first %d, second %d deliveries, %d subscribers; want 1, 1, 0", first, second, b.Subscribers())
-	}
-	if b.Delivered() != 2 {
-		t.Errorf("delivered = %d, want 2", b.Delivered())
+	if first != 1 || second != 1 || len(b.snapshot()) != 0 {
+		t.Errorf("after cancel: first %d, second %d deliveries, %d subscribers; want 1, 1, 0", first, second, len(b.snapshot()))
 	}
 }
 
 // TestPublishConcurrentWithSubscribeCancel: publishers run lock-free
 // against a churning subscriber list (the -race target). A permanent
-// subscriber must see every event, and the delivery count must equal
-// what the subscribers saw.
+// subscriber must see every event, and the list must end as it
+// started.
 func TestPublishConcurrentWithSubscribeCancel(t *testing.T) {
 	var b Bus
 	var permanent, transient atomic.Int64
@@ -176,11 +167,8 @@ func TestPublishConcurrentWithSubscribeCancel(t *testing.T) {
 	if got := permanent.Load(); got != publishers*events {
 		t.Errorf("permanent subscriber saw %d events, want %d", got, publishers*events)
 	}
-	if got, want := int64(b.Delivered()), permanent.Load()+transient.Load(); got != want {
-		t.Errorf("delivered = %d, subscribers saw %d", got, want)
-	}
-	if b.Subscribers() != 1 {
-		t.Errorf("subscribers = %d after the churn stopped, want 1", b.Subscribers())
+	if len(b.snapshot()) != 1 {
+		t.Errorf("subscribers = %d after the churn stopped, want 1", len(b.snapshot()))
 	}
 }
 

@@ -30,23 +30,6 @@ type Curve struct {
 	CollapseExp float64
 }
 
-// Validate reports configuration errors.
-func (c Curve) Validate() error {
-	if c.Slack < 0 || c.Slack > 1 {
-		return fmt.Errorf("perfmodel: slack %g outside [0,1]", c.Slack)
-	}
-	if c.Knee < c.Slack || c.Knee > 1 {
-		return fmt.Errorf("perfmodel: knee %g outside [slack,1]", c.Knee)
-	}
-	if c.LossAtKnee < 0 || c.LossAtKnee > 1 {
-		return fmt.Errorf("perfmodel: loss at knee %g outside [0,1]", c.LossAtKnee)
-	}
-	if c.CollapseExp < 0 {
-		return fmt.Errorf("perfmodel: negative collapse exponent")
-	}
-	return nil
-}
-
 // Performance returns normalised performance (0..1] at deflation d. d is
 // clamped into [0,1].
 func (c Curve) Performance(d float64) float64 {
@@ -69,16 +52,6 @@ func (c Curve) Performance(d float64) float64 {
 		frac := (1 - d) / (1 - c.Knee)
 		return atKnee * math.Pow(frac, c.CollapseExp)
 	}
-}
-
-// Slowdown returns the response-time multiplier 1/Performance(d),
-// saturating at maxSlowdown to keep overload regions finite.
-func (c Curve) Slowdown(d, maxSlowdown float64) float64 {
-	p := c.Performance(d)
-	if p <= 0 || 1/p > maxSlowdown {
-		return maxSlowdown
-	}
-	return 1 / p
 }
 
 // DeflationFor inverts Performance analytically: the largest deflation
@@ -164,23 +137,4 @@ func ByName(name string) (Curve, error) {
 		return Curve{}, fmt.Errorf("perfmodel: unknown profile %q", name)
 	}
 	return c, nil
-}
-
-// ThroughputLoss converts a utilisation trace and a deflated allocation
-// into the throughput decrease of Section 7.4.2: the loss is the area of
-// the utilisation curve above the deflated allocation (Figure 4),
-// normalised by total demand. util and alloc are percentages of the
-// nominal allocation.
-func ThroughputLoss(util []float64, allocPct float64) float64 {
-	var demand, lost float64
-	for _, u := range util {
-		demand += u
-		if u > allocPct {
-			lost += u - allocPct
-		}
-	}
-	if demand == 0 {
-		return 0
-	}
-	return lost / demand
 }

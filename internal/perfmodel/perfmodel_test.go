@@ -82,21 +82,6 @@ func TestWorstCaseLinear(t *testing.T) {
 	}
 }
 
-func TestSlowdown(t *testing.T) {
-	c := WorstCaseLinear
-	if got := c.Slowdown(0.5, 100); math.Abs(got-2) > 1e-9 {
-		t.Errorf("Slowdown(0.5) = %v, want 2", got)
-	}
-	if got := c.Slowdown(0.999, 10); got != 10 {
-		t.Errorf("Slowdown should saturate: %v", got)
-	}
-	if got := c.Slowdown(1, 10); got != 10 {
-		t.Errorf("Slowdown at zero perf: %v", got)
-	}
-}
-
-// Figure 3's qualitative content: SpecJBB has no slack, memcached has the
-// most; at moderate deflation memcached > kcompile > specjbb.
 func TestFigure3Ordering(t *testing.T) {
 	if SpecJBB.Performance(0.05) >= 1 {
 		t.Error("SpecJBB should degrade immediately (no slack)")
@@ -120,25 +105,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestThroughputLoss(t *testing.T) {
-	util := []float64{20, 40, 60, 80}
-	// alloc 50: excess = 10+30 = 40 of demand 200 -> 0.2.
-	if got := ThroughputLoss(util, 50); math.Abs(got-0.2) > 1e-9 {
-		t.Errorf("ThroughputLoss = %v, want 0.2", got)
-	}
-	if got := ThroughputLoss(util, 100); got != 0 {
-		t.Errorf("no loss expected: %v", got)
-	}
-	if got := ThroughputLoss(nil, 50); got != 0 {
-		t.Errorf("empty trace loss = %v", got)
-	}
-	if got := ThroughputLoss([]float64{0, 0}, 50); got != 0 {
-		t.Errorf("zero demand loss = %v", got)
-	}
-}
-
-// Property: every valid curve is monotone non-increasing in deflation and
-// bounded in [0,1].
 func TestQuickCurveMonotone(t *testing.T) {
 	f := func(sRaw, kRaw, lRaw, eRaw uint8, d1Raw, d2Raw uint8) bool {
 		s := float64(sRaw) / 255 * 0.8

@@ -142,7 +142,7 @@ func FuzzTargetsInto(f *testing.F) {
 			}
 		}
 
-		m, err3 := p.Targets(vms, need)
+		m, err3 := targets(p, vms, need)
 		if errors.Is(err3, ErrInsufficient) != (err != nil) || !sameBits(m.Freed, fresh.Freed) || len(m.Targets) != len(vms) {
 			t.Fatalf("%s: map form freed %v (err %v), slice form %v (err %v)", p.Name(), m.Freed, err3, fresh.Freed, err)
 		}

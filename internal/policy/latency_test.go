@@ -22,7 +22,7 @@ func TestLatencyAwareSparesLoadedVMs(t *testing.T) {
 		loadedVM("idle", 8, 0),
 		loadedVM("warm", 8, 4),
 	}
-	res, err := LatencyAware{}.Targets(vms, resources.New(3, 0, 0, 0))
+	res, err := targets(LatencyAware{}, vms, resources.New(3, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestLatencyAwareSafeTarget(t *testing.T) {
 	vms := []VMState{loadedVM("a", 8, 4), loadedVM("b", 8, 6)}
 	// Need 3 cores: both VMs must give up some, but their safe targets
 	// (5.333 and 6.667 -> 4 cores freed) cover it within phase 1.
-	res, err := LatencyAware{MaxSlowdown: 3}.Targets(vms, resources.New(3, 0, 0, 0))
+	res, err := targets(LatencyAware{MaxSlowdown: 3}, vms, resources.New(3, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestLatencyAwareTwoPhase(t *testing.T) {
 	a, b := loadedVM("a", 8, 4), loadedVM("b", 8, 6)
 	a.Min = resources.New(1, 0, 0, 0)
 	b.Min = resources.New(1, 0, 0, 0)
-	res, err := LatencyAware{MaxSlowdown: 3}.Targets([]VMState{a, b}, resources.New(6, 0, 0, 0))
+	res, err := targets(LatencyAware{MaxSlowdown: 3}, []VMState{a, b}, resources.New(6, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLatencyAwareReinflation(t *testing.T) {
 	vms := []VMState{loadedVM("a", 8, 4), loadedVM("b", 8, 0)}
 	vms[0].Current = resources.New(5, 1024, 0, 0)
 	vms[1].Current = resources.New(1, 1024, 0, 0)
-	res, err := LatencyAware{}.Targets(vms, resources.New(-10, 0, 0, 0))
+	res, err := targets(LatencyAware{}, vms, resources.New(-10, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestLatencyAwareReinflation(t *testing.T) {
 func TestLatencyAwareSlackCurve(t *testing.T) {
 	run := func(c perfmodel.Curve) float64 {
 		vms := []VMState{loadedVM("a", 8, 4)}
-		res, err := LatencyAware{Curve: c, MaxSlowdown: 3}.Targets(vms, resources.New(2, 0, 0, 0))
+		res, err := targets(LatencyAware{Curve: c, MaxSlowdown: 3}, vms, resources.New(2, 0, 0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestLatencyAwareOrderIndependent(t *testing.T) {
 	}
 	need := resources.New(2, 0, 0, 0) // one VM's safe deflation covers it
 	for _, perm := range [][]string{{"a", "b", "c"}, {"c", "a", "b"}, {"b", "c", "a"}} {
-		res, err := LatencyAware{}.Targets(mk(perm...), need)
+		res, err := targets(LatencyAware{}, mk(perm...), need)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestLatencyAwareOrderIndependent(t *testing.T) {
 func TestLatencyAwareInsufficient(t *testing.T) {
 	a := loadedVM("a", 4, 0)
 	a.Min = resources.New(2, 512, 0, 0)
-	res, err := LatencyAware{}.Targets([]VMState{a}, resources.New(3, 0, 0, 0))
+	res, err := targets(LatencyAware{}, []VMState{a}, resources.New(3, 0, 0, 0))
 	if err == nil {
 		t.Fatal("need beyond floors should fail")
 	}

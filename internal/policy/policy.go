@@ -14,13 +14,11 @@
 //
 // # Hot-path API
 //
-// Policies expose two forms of the same decision. TargetsInto is the hot
-// path: it writes position-indexed targets (Targets[i] belongs to vms[i])
-// into buffers owned by a caller-provided Scratch, so a steady-state
-// policy pass performs zero heap allocations — the cluster manager keeps
-// one Scratch per server and runs millions of passes without GC churn.
-// Targets is the convenience wrapper that builds the familiar
-// name-indexed map (and a detailed error) on top of TargetsInto.
+// A policy decision is TargetsInto: it writes position-indexed targets
+// (Targets[i] belongs to vms[i]) into buffers owned by a caller-provided
+// Scratch, so a steady-state policy pass performs zero heap allocations —
+// the cluster manager keeps one Scratch per server and runs millions of
+// passes without GC churn.
 package policy
 
 import (
@@ -35,8 +33,7 @@ import (
 
 // ErrInsufficient reports that even deflating every VM to its floor
 // cannot free the requested amount. TargetsInto returns the bare
-// sentinel (so the hot path never formats); Targets wraps it with the
-// dimension and amounts.
+// sentinel, so the hot path never formats.
 var ErrInsufficient = errors.New("policy: insufficient deflatable resources")
 
 // feasEps is the tolerance used when comparing freed amounts to needs.
@@ -60,15 +57,6 @@ type VMState struct {
 	// latency-aware policies read it; it is zero unless the simulation
 	// meters SLOs.
 	Load float64
-}
-
-// Result is a policy decision in map form.
-type Result struct {
-	// Targets maps VM name to its new target allocation.
-	Targets map[string]resources.Vector
-	// Freed is the decrease of total allocation relative to Current
-	// (negative components mean the policy reinflated).
-	Freed resources.Vector
 }
 
 // SliceResult is a policy decision in position-indexed form: Targets[i]
@@ -108,15 +96,11 @@ func (s *Scratch) grow(n int) []resources.Vector {
 type Policy interface {
 	// Name identifies the policy ("proportional", "priority", "deterministic").
 	Name() string
-	// Targets returns new allocations for vms that free need (per
-	// resource, relative to current allocations). Negative need
+	// TargetsInto returns new allocations for vms that free need (per
+	// resource, relative to current allocations), written into buffers
+	// owned by s (which may be nil for a one-shot call). Negative need
 	// components request reinflation. If the need cannot be fully met the
 	// result holds best-effort targets alongside ErrInsufficient.
-	Targets(vms []VMState, need resources.Vector) (Result, error)
-	// TargetsInto is the allocation-free form of Targets: the same
-	// decision, written into buffers owned by s (which may be nil for a
-	// one-shot call). On ErrInsufficient the returned targets are still
-	// the best-effort decision, exactly as with Targets.
 	TargetsInto(vms []VMState, need resources.Vector, s *Scratch) (SliceResult, error)
 }
 
@@ -147,33 +131,6 @@ func finishSlice(vms []VMState, targets []resources.Vector, need resources.Vecto
 	return res, nil
 }
 
-// mapTargets adapts a TargetsInto decision to the map form, restoring
-// the detailed insufficiency error the slice path elides.
-func mapTargets(p Policy, vms []VMState, need resources.Vector) (Result, error) {
-	var s Scratch
-	sr, err := p.TargetsInto(vms, need, &s)
-	targets := make(map[string]resources.Vector, len(vms))
-	for i := range vms {
-		targets[vms[i].Name] = sr.Targets[i]
-	}
-	if errors.Is(err, ErrInsufficient) {
-		err = describeInsufficient(sr.Freed, need)
-	}
-	return Result{Targets: targets, Freed: sr.Freed}, err
-}
-
-// describeInsufficient formats the first dimension whose need cannot be
-// met — the detailed error of the map API.
-func describeInsufficient(freed, need resources.Vector) error {
-	for _, k := range resources.Kinds {
-		if freed.Get(k)+feasEps < need.Get(k) {
-			return fmt.Errorf("%w: %s freed %.3f of %.3f needed",
-				ErrInsufficient, k, freed.Get(k), need.Get(k))
-		}
-	}
-	return ErrInsufficient
-}
-
 // Proportional implements Equations 1 and 2: each VM is deflated in
 // proportion to its deflatable range (M_i - m_i), independently per
 // resource. With all m_i = 0 this reduces to Equation 1.
@@ -181,11 +138,6 @@ type Proportional struct{}
 
 // Name implements Policy.
 func (Proportional) Name() string { return "proportional" }
-
-// Targets implements Policy.
-func (p Proportional) Targets(vms []VMState, need resources.Vector) (Result, error) {
-	return mapTargets(p, vms, need)
-}
 
 // TargetsInto implements Policy.
 func (Proportional) TargetsInto(vms []VMState, need resources.Vector, s *Scratch) (SliceResult, error) {
@@ -199,11 +151,6 @@ type Priority struct{}
 
 // Name implements Policy.
 func (Priority) Name() string { return "priority" }
-
-// Targets implements Policy.
-func (p Priority) Targets(vms []VMState, need resources.Vector) (Result, error) {
-	return mapTargets(p, vms, need)
-}
 
 // TargetsInto implements Policy.
 func (Priority) TargetsInto(vms []VMState, need resources.Vector, s *Scratch) (SliceResult, error) {
@@ -354,11 +301,6 @@ type Deterministic struct{}
 // Name implements Policy.
 func (Deterministic) Name() string { return "deterministic" }
 
-// Targets implements Policy.
-func (p Deterministic) Targets(vms []VMState, need resources.Vector) (Result, error) {
-	return mapTargets(p, vms, need)
-}
-
 // detSorter orders VM indices by (priority, name) ascending. It lives in
 // the Scratch so sort.Sort receives a pointer that is already on the
 // heap — no per-pass interface or closure allocation (sort.Slice's
@@ -454,11 +396,6 @@ type LatencyAware struct {
 
 // Name implements Policy.
 func (LatencyAware) Name() string { return "latency" }
-
-// Targets implements Policy.
-func (p LatencyAware) Targets(vms []VMState, need resources.Vector) (Result, error) {
-	return mapTargets(p, vms, need)
-}
 
 // latSorter orders VM indices by (safe fraction, name) ascending: the
 // VMs that can deflate deepest without violating their SLO come first.

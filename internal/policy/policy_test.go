@@ -33,7 +33,7 @@ func TestByName(t *testing.T) {
 func TestProportionalEquation1(t *testing.T) {
 	vms := []VMState{vm("a", 8, 8192, 0.5), vm("b", 4, 4096, 0.5)}
 	need := resources.New(6, 6144, 0, 0)
-	res, err := Proportional{}.Targets(vms, need)
+	res, err := targets(Proportional{}, vms, need)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestProportionalEquation2Minimums(t *testing.T) {
 	b.Min = resources.New(2, 2048, 0, 0)
 	vms := []VMState{a, b}
 	// Deflatable range: a: 4, b: 6 => total 10. Reclaim 5 -> alpha2 = 0.5.
-	res, err := Proportional{}.Targets(vms, resources.New(5, 5120, 0, 0))
+	res, err := targets(Proportional{}, vms, resources.New(5, 5120, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestProportionalEquation2Minimums(t *testing.T) {
 func TestProportionalInsufficient(t *testing.T) {
 	a := vm("a", 4, 4096, 0.5)
 	a.Min = resources.New(2, 2048, 0, 0)
-	res, err := Proportional{}.Targets([]VMState{a}, resources.New(3, 0, 0, 0))
+	res, err := targets(Proportional{}, []VMState{a}, resources.New(3, 0, 0, 0))
 	if !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("want ErrInsufficient, got %v", err)
 	}
@@ -102,7 +102,7 @@ func TestProportionalReinflation(t *testing.T) {
 	b := vm("b", 4, 4096, 0.5)
 	b.Current = resources.New(2, 2048, 0, 0)
 	// Free resources appeared: R = -Rfree (Section 5.1.3).
-	res, err := Proportional{}.Targets([]VMState{a, b}, resources.New(-3, -3072, 0, 0))
+	res, err := targets(Proportional{}, []VMState{a, b}, resources.New(-3, -3072, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestProportionalReinflation(t *testing.T) {
 func TestProportionalFullReinflationCapsAtMax(t *testing.T) {
 	a := vm("a", 8, 8192, 0.5)
 	a.Current = resources.New(4, 4096, 0, 0)
-	res, err := Proportional{}.Targets([]VMState{a}, resources.New(-100, -100000, 0, 0))
+	res, err := targets(Proportional{}, []VMState{a}, resources.New(-100, -100000, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestProportionalFullReinflationCapsAtMax(t *testing.T) {
 // Equation 3: lower priority -> more deflation.
 func TestPriorityWeighting(t *testing.T) {
 	vms := []VMState{vm("low", 8, 8192, 0.25), vm("high", 8, 8192, 0.75)}
-	res, err := Priority{}.Targets(vms, resources.New(8, 8192, 0, 0))
+	res, err := targets(Priority{}, vms, resources.New(8, 8192, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPriorityClampAtMax(t *testing.T) {
 	// Tiny reclaim: naive alpha would push the high-priority VM above its
 	// max; water-filling must clamp and shift the burden.
 	vms := []VMState{vm("low", 8, 8192, 0.1), vm("high", 8, 8192, 0.9)}
-	res, err := Priority{}.Targets(vms, resources.New(1, 1024, 0, 0))
+	res, err := targets(Priority{}, vms, resources.New(1, 1024, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPriorityClampAtMax(t *testing.T) {
 
 func TestPriorityZeroPriorityVM(t *testing.T) {
 	vms := []VMState{vm("z", 4, 4096, 0)}
-	if _, err := (Priority{}).Targets(vms, resources.New(1, 0, 0, 0)); err != nil {
+	if _, err := targets((Priority{}), vms, resources.New(1, 0, 0, 0)); err != nil {
 		t.Errorf("zero priority should not break the formula: %v", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestDeterministicBinary(t *testing.T) {
 		vm("c", 8, 8192, 0.75),
 	}
 	// Need 6 cores: deflating "a" (lowest priority) to 0.25*8=2 frees 6.
-	res, err := Deterministic{}.Targets(vms, resources.New(6, 0, 0, 0))
+	res, err := targets(Deterministic{}, vms, resources.New(6, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestDeterministicCascades(t *testing.T) {
 		vm("c", 8, 8192, 0.75),
 	}
 	// Need 9 cores: a frees 6, b frees 4 -> both deflated, c full.
-	res, err := Deterministic{}.Targets(vms, resources.New(9, 0, 0, 0))
+	res, err := targets(Deterministic{}, vms, resources.New(9, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestDeterministicReinflation(t *testing.T) {
 	vms[1].Current = resources.New(4, 4096, 0, 0) // deflated
 	// Pressure mostly gone: only 2 CPU still needed below full. The
 	// higher-priority VM (b) reinflates fully first; a absorbs the rest.
-	res, err := Deterministic{}.Targets(vms, resources.New(-8, -8192, 0, 0))
+	res, err := targets(Deterministic{}, vms, resources.New(-8, -8192, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDeterministicReinflation(t *testing.T) {
 
 func TestDeterministicInsufficient(t *testing.T) {
 	vms := []VMState{vm("a", 4, 4096, 0.5)}
-	_, err := Deterministic{}.Targets(vms, resources.New(3, 0, 0, 0))
+	_, err := targets(Deterministic{}, vms, resources.New(3, 0, 0, 0))
 	if !errors.Is(err, ErrInsufficient) {
 		t.Errorf("want ErrInsufficient, got %v", err)
 	}
@@ -257,7 +257,7 @@ func TestDeterministicInsufficient(t *testing.T) {
 func TestDeterministicRespectsMin(t *testing.T) {
 	a := vm("a", 8, 8192, 0.1)
 	a.Min = resources.New(4, 4096, 0, 0)
-	res, _ := Deterministic{}.Targets([]VMState{a}, resources.New(10, 0, 0, 0))
+	res, _ := targets(Deterministic{}, []VMState{a}, resources.New(10, 0, 0, 0))
 	if got := res.Targets["a"].Get(resources.CPU); !almost(got, 4) {
 		t.Errorf("deflated below floor: %v", got)
 	}
@@ -265,7 +265,7 @@ func TestDeterministicRespectsMin(t *testing.T) {
 
 func TestEmptyVMList(t *testing.T) {
 	for _, p := range []Policy{Proportional{}, Priority{}, Deterministic{}} {
-		res, err := p.Targets(nil, resources.New(1, 0, 0, 0))
+		res, err := targets(p, nil, resources.New(1, 0, 0, 0))
 		if !errors.Is(err, ErrInsufficient) {
 			t.Errorf("%s: empty list should be insufficient, got %v", p.Name(), err)
 		}
@@ -280,7 +280,7 @@ func TestZeroNeedIsNoOpOrReinflate(t *testing.T) {
 	// to full (desired total = current total... but range allows more).
 	a := vm("a", 8, 8192, 0.5)
 	for _, p := range []Policy{Proportional{}, Priority{}, Deterministic{}} {
-		res, err := p.Targets([]VMState{a}, resources.Vector{})
+		res, err := targets(p, []VMState{a}, resources.Vector{})
 		if err != nil {
 			t.Errorf("%s: %v", p.Name(), err)
 		}
@@ -333,7 +333,7 @@ func TestQuickPolicyInvariants(t *testing.T) {
 		}
 		need := resources.New(float64(needRaw%64), float64(needRaw%64)*512, 0, 0)
 		p := policies[int(pi)%len(policies)]
-		res, err := p.Targets(vms, need)
+		res, err := targets(p, vms, need)
 		for _, v := range vms {
 			tgt, ok := res.Targets[v.Name]
 			if !ok {
@@ -372,7 +372,7 @@ func TestQuickProportionalMonotone(t *testing.T) {
 		}
 		vms := []VMState{vm("a", a, a*1024, 0.5), vm("b", b, b*1024, 0.5)}
 		need := resources.New(float64(needRaw)/255*(a+b-1), 0, 0, 0)
-		res, err := Proportional{}.Targets(vms, need)
+		res, err := targets(Proportional{}, vms, need)
 		if err != nil {
 			return true
 		}

@@ -10,7 +10,7 @@ import (
 
 // TestTargetsIntoMatchesTargets is the scratch-API differential: for
 // randomized fleets and needs, the slice-backed TargetsInto and the
-// map-backed Targets must produce bit-for-bit identical targets and
+// map-backed targets helper must produce bit-for-bit identical targets and
 // Freed vectors, and agree on feasibility, for every policy.
 func TestTargetsIntoMatchesTargets(t *testing.T) {
 	policies := []Policy{Proportional{}, Priority{}, Deterministic{}}
@@ -36,7 +36,7 @@ func TestTargetsIntoMatchesTargets(t *testing.T) {
 		need := resources.New(float64(needRaw%64)-8, (float64(needRaw%64)-8)*512, 0, 0)
 		p := policies[int(pi)%len(policies)]
 
-		mapRes, mapErr := p.Targets(vms, need)
+		mapRes, mapErr := targets(p, vms, need)
 		sliceRes, sliceErr := p.TargetsInto(vms, need, &scratch)
 
 		if errors.Is(mapErr, ErrInsufficient) != errors.Is(sliceErr, ErrInsufficient) {

@@ -110,11 +110,3 @@ func (m *Meter) Close(t float64) float64 {
 	}
 	return m.total
 }
-
-// Total returns accumulated revenue so far (final after Close).
-func (m *Meter) Total() float64 {
-	if m.closed {
-		return m.total
-	}
-	return m.tw.Area()
-}

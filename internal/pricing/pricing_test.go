@@ -53,13 +53,13 @@ func TestMeterIntegration(t *testing.T) {
 	if math.Abs(got-25) > 1e-9 {
 		t.Errorf("revenue = %v, want 25", got)
 	}
-	if m.Total() != got {
-		t.Errorf("Total after close = %v", m.Total())
+	if m.total != got {
+		t.Errorf("total after close = %v", m.total)
 	}
 	// Close is idempotent; further observes are ignored.
 	m.Observe(20, 100)
-	if math.Abs(m.Close(30)-25) > 1e-9 {
-		t.Errorf("meter mutated after close: %v", m.Total())
+	if again := m.Close(30); math.Abs(again-25) > 1e-9 {
+		t.Errorf("meter mutated after close: %v", again)
 	}
 }
 
@@ -67,7 +67,7 @@ func TestMeterPartialTotal(t *testing.T) {
 	var m Meter
 	m.Observe(0, 1.0)
 	m.Observe(5, 3.0)
-	if got := m.Total(); math.Abs(got-5) > 1e-9 {
+	if got := m.tw.Area(); math.Abs(got-5) > 1e-9 {
 		t.Errorf("running total = %v, want 5 (second segment not yet closed)", got)
 	}
 }

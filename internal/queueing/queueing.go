@@ -13,10 +13,8 @@
 package queueing
 
 import (
-	"fmt"
-	"math"
-
 	"container/heap"
+	"math"
 
 	"vmdeflate/internal/sim"
 )
@@ -30,9 +28,6 @@ type Job struct {
 	dead    bool
 	index   int // heap index, -1 when not queued
 }
-
-// Work returns the job's total service demand in core-seconds.
-func (j *Job) Work() float64 { return j.work }
 
 type jobHeap []*Job
 
@@ -76,21 +71,6 @@ func NewPSStation(eng *sim.Engine, capacity float64) *PSStation {
 	return &PSStation{eng: eng, capacity: capacity, perJobCap: 1, lastT: eng.Now()}
 }
 
-// SetPerJobCap overrides the per-job service rate cap (cores). Useful
-// for modelling multi-threaded request handlers. A cap must be
-// positive: zero or negative caps are configuration errors (the old
-// behaviour silently pinned them to 1e-9, which starved the station
-// while looking healthy).
-func (s *PSStation) SetPerJobCap(c float64) error {
-	if c <= 0 {
-		return fmt.Errorf("queueing: per-job cap %g must be positive", c)
-	}
-	s.advance(s.eng.Now())
-	s.perJobCap = c
-	s.reschedule()
-	return nil
-}
-
 // Capacity returns the station's current capacity.
 func (s *PSStation) Capacity() float64 { return s.capacity }
 
@@ -104,9 +84,6 @@ func (s *PSStation) SetCapacity(c float64) {
 	s.capacity = c
 	s.reschedule()
 }
-
-// InFlight returns the number of jobs currently in service.
-func (s *PSStation) InFlight() int { return s.live }
 
 // rate returns the current per-job service rate.
 func (s *PSStation) rate() float64 {
@@ -216,16 +193,4 @@ func (s *PSStation) depart(now float64) {
 		}
 	}
 	s.reschedule()
-}
-
-// Utilization returns the instantaneous fraction of capacity in use.
-func (s *PSStation) Utilization() float64 {
-	if s.capacity <= 0 {
-		if s.live > 0 {
-			return 1
-		}
-		return 0
-	}
-	used := float64(s.live) * s.perJobCap
-	return math.Min(1, used/s.capacity)
 }

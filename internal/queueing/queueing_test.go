@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"vmdeflate/internal/sim"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestSingleJobRunsAtPerJobCap(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 8)
 	var doneAt float64
 	eng.At(0, func(float64) {
@@ -26,7 +27,7 @@ func TestSingleJobRunsAtPerJobCap(t *testing.T) {
 }
 
 func TestTwoJobsShareWhenCapacityBinds(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 1) // single core
 	var d1, d2 float64
 	eng.At(0, func(float64) {
@@ -41,7 +42,7 @@ func TestTwoJobsShareWhenCapacityBinds(t *testing.T) {
 }
 
 func TestUnequalJobsDepartInWorkOrder(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 1)
 	var dShort, dLong float64
 	eng.At(0, func(float64) {
@@ -61,7 +62,7 @@ func TestUnequalJobsDepartInWorkOrder(t *testing.T) {
 }
 
 func TestAmpleCapacityNoQueueing(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 100)
 	times := make([]float64, 0, 3)
 	eng.At(0, func(float64) {
@@ -78,7 +79,7 @@ func TestAmpleCapacityNoQueueing(t *testing.T) {
 }
 
 func TestLateArrival(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 1)
 	var d1, d2 float64
 	eng.At(0, func(float64) {
@@ -100,7 +101,7 @@ func TestLateArrival(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 1)
 	var d1 float64
 	fired := false
@@ -127,7 +128,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestCancelCompletedIsNoOp(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 1)
 	var j *Job
 	eng.At(0, func(float64) { j = s.Submit(1, nil) })
@@ -141,7 +142,7 @@ func TestCancelCompletedIsNoOp(t *testing.T) {
 }
 
 func TestSetCapacityMidService(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 2)
 	var d1, d2 float64
 	eng.At(0, func(float64) {
@@ -159,7 +160,7 @@ func TestSetCapacityMidService(t *testing.T) {
 }
 
 func TestZeroCapacityStarves(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 1)
 	done := false
 	eng.At(0, func(float64) {
@@ -178,7 +179,7 @@ func TestZeroCapacityStarves(t *testing.T) {
 }
 
 func TestPerJobCap(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 8)
 	if err := s.SetPerJobCap(2); err != nil { // multi-threaded handler can use 2 cores
 		t.Fatal(err)
@@ -193,31 +194,11 @@ func TestPerJobCap(t *testing.T) {
 	}
 }
 
-func TestInFlightAndUtilization(t *testing.T) {
-	eng := sim.NewEngine(1)
-	s := NewPSStation(eng, 4)
-	eng.At(0, func(float64) {
-		for i := 0; i < 2; i++ {
-			s.Submit(10, nil)
-		}
-		if s.InFlight() != 2 {
-			t.Errorf("InFlight = %d", s.InFlight())
-		}
-		if got := s.Utilization(); math.Abs(got-0.5) > 1e-9 {
-			t.Errorf("Utilization = %v, want 0.5", got)
-		}
-	})
-	eng.RunUntil(1)
-	s2 := NewPSStation(eng, 0)
-	if s2.Utilization() != 0 {
-		t.Error("empty zero-capacity station utilization should be 0")
-	}
-}
-
 // M/M/1-PS sanity: mean sojourn time should match S/(1-rho) within
 // simulation noise.
 func TestMM1PSMeanSojourn(t *testing.T) {
-	eng := sim.NewEngine(42)
+	eng := sim.NewEngine()
+	rng := rand.New(rand.NewSource(42))
 	s := NewPSStation(eng, 1)
 	const (
 		lambda = 0.7
@@ -232,11 +213,11 @@ func TestMM1PSMeanSojourn(t *testing.T) {
 		}
 		n++
 		start := now
-		work := eng.Rand().ExpFloat64() * meanS
+		work := rng.ExpFloat64() * meanS
 		s.Submit(work, func(done float64) {
 			sojourns = append(sojourns, done-start)
 		})
-		eng.After(eng.Rand().ExpFloat64()/lambda, arrive)
+		eng.After(rng.ExpFloat64()/lambda, arrive)
 	}
 	eng.At(0, arrive)
 	eng.Run()
@@ -250,7 +231,8 @@ func TestMM1PSMeanSojourn(t *testing.T) {
 // Work conservation: total work submitted equals capacity integrated
 // over busy time for a single saturated station.
 func TestWorkConservation(t *testing.T) {
-	eng := sim.NewEngine(7)
+	eng := sim.NewEngine()
+	rng := rand.New(rand.NewSource(7))
 	s := NewPSStation(eng, 2)
 	if err := s.SetPerJobCap(2); err != nil {
 		t.Fatal(err)
@@ -258,7 +240,7 @@ func TestWorkConservation(t *testing.T) {
 	totalWork := 0.0
 	eng.At(0, func(float64) {
 		for i := 0; i < 50; i++ {
-			w := 0.1 + eng.Rand().Float64()
+			w := 0.1 + rng.Float64()
 			totalWork += w
 			s.Submit(w, nil)
 		}

@@ -14,7 +14,7 @@ import (
 // The clock must clamp: a stale advance is a no-op, and subsequent
 // progress is credited exactly once.
 func TestAdvanceIsMonotone(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 1)
 	s.jobs = append(s.jobs, &Job{work: 100, vFinish: 100})
 	s.live = 1
@@ -40,7 +40,7 @@ func TestAdvanceIsMonotone(t *testing.T) {
 // negative caps are rejected instead of being silently pinned to 1e-9,
 // and the previous cap stays in force.
 func TestSetPerJobCapRejectsInvalid(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	s := NewPSStation(eng, 4)
 	for _, c := range []float64{0, -1} {
 		if err := s.SetPerJobCap(c); err == nil {
@@ -67,7 +67,7 @@ func TestSetPerJobCapRejectsInvalid(t *testing.T) {
 func TestWorkConservationUnderChurn(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		eng := sim.NewEngine(seed)
+		eng := sim.NewEngine()
 		s := NewPSStation(eng, 2)
 
 		var completedWork, capIntegral float64
@@ -87,7 +87,7 @@ func TestWorkConservationUnderChurn(t *testing.T) {
 			case 0, 1: // submit
 				w := 0.2 + 2*rng.Float64()
 				var j *Job
-				j = s.Submit(w, func(float64) { completedWork += j.Work() })
+				j = s.Submit(w, func(float64) { completedWork += j.work })
 				live = append(live, j)
 			case 2: // cancel a random outstanding job
 				if len(live) > 0 {
@@ -132,7 +132,8 @@ func TestClosedFormMatchesStation(t *testing.T) {
 	)
 	load := lambda * meanW
 	meanSojourn := func(cap float64) float64 {
-		eng := sim.NewEngine(11)
+		eng := sim.NewEngine()
+		rng := rand.New(rand.NewSource(11))
 		s := NewPSStation(eng, cap)
 		if err := s.SetPerJobCap(cap); err != nil {
 			t.Fatal(err)
@@ -147,11 +148,11 @@ func TestClosedFormMatchesStation(t *testing.T) {
 			}
 			submitted++
 			start := now
-			s.Submit(eng.Rand().ExpFloat64()*meanW, func(done float64) {
+			s.Submit(rng.ExpFloat64()*meanW, func(done float64) {
 				sum += done - start
 				n++
 			})
-			eng.After(eng.Rand().ExpFloat64()/lambda, arrive)
+			eng.After(rng.ExpFloat64()/lambda, arrive)
 		}
 		eng.At(0, arrive)
 		eng.Run()

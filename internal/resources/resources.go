@@ -49,22 +49,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a short name ("cpu", "memory", "diskbw", "netbw")
-// into a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "cpu":
-		return CPU, nil
-	case "memory", "mem":
-		return Memory, nil
-	case "diskbw", "disk":
-		return DiskBW, nil
-	case "netbw", "net":
-		return NetBW, nil
-	}
-	return 0, fmt.Errorf("resources: unknown kind %q", s)
-}
-
 // Vector is a point in resource space. The zero value is the empty
 // allocation and is ready to use.
 type Vector [NumKinds]float64
@@ -82,15 +66,6 @@ func New(cpu, memMB, diskMBps, netMbps float64) Vector {
 // cores and memory only.
 func CPUMem(cpu, memMB float64) Vector {
 	return Vector{cpu, memMB, 0, 0}
-}
-
-// Uniform returns a vector with the same value in every dimension.
-func Uniform(v float64) Vector {
-	var out Vector
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }
 
 // Get returns the component for kind k.
@@ -123,27 +98,6 @@ func (v Vector) Sub(o Vector) Vector {
 func (v Vector) Scale(f float64) Vector {
 	for i := range v {
 		v[i] *= f
-	}
-	return v
-}
-
-// Mul returns the component-wise product of v and o.
-func (v Vector) Mul(o Vector) Vector {
-	for i := range v {
-		v[i] *= o[i]
-	}
-	return v
-}
-
-// Div returns the component-wise quotient v/o. Components of o that are
-// zero yield zero (not Inf) so that unused dimensions are neutral.
-func (v Vector) Div(o Vector) Vector {
-	for i := range v {
-		if o[i] == 0 {
-			v[i] = 0
-			continue
-		}
-		v[i] /= o[i]
 	}
 	return v
 }
@@ -235,17 +189,6 @@ func (v Vector) Sum() float64 {
 		s += v[i]
 	}
 	return s
-}
-
-// MaxComponent returns the largest component value.
-func (v Vector) MaxComponent() float64 {
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // DominantShare returns the maximum of v[i]/total[i] over all dimensions

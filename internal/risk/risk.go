@@ -144,51 +144,12 @@ func (m *Model) rawRate(s int) float64 {
 
 // SteadyHazard returns server s's long-run revocation rate in
 // revocations per second, outage dead time included. Day-averaged for
-// diurnal shocks; use HazardRate for the time-of-day profile.
+// diurnal shocks, whose hazard concentrates inside the daily window.
 func (m *Model) SteadyHazard(s int) float64 {
 	if s < 0 || s >= len(m.steady) {
 		return 0
 	}
 	return m.steady[s]
-}
-
-// HazardRate returns server s's instantaneous revocation hazard at
-// simulation time t (seconds from trace start), in revocations per
-// second. For diurnal shocks the hazard concentrates inside the daily
-// revocation window and is zero outside it.
-func (m *Model) HazardRate(s int, t float64) float64 {
-	h := m.SteadyHazard(s)
-	if m.cfg.Kind != trace.ShockDiurnal || h == 0 {
-		return h
-	}
-	day := math.Mod(t, 86400)
-	if day < trace.DiurnalWindowStart || day >= trace.DiurnalWindowStart+trace.DiurnalWindowLen {
-		return 0
-	}
-	return h * 86400 / trace.DiurnalWindowLen
-}
-
-// ServerMass returns the expected number of revocations of server s in
-// [t, t+window) — the integral of HazardRate over the window.
-func (m *Model) ServerMass(s int, t, window float64) float64 {
-	h := m.SteadyHazard(s)
-	if h == 0 || window <= 0 {
-		return 0
-	}
-	if m.cfg.Kind == trace.ShockDiurnal {
-		return h * 86400 / trace.DiurnalWindowLen * windowOverlap(t, window)
-	}
-	return h * window
-}
-
-// ForecastMass returns the expected number of revocations fleet-wide in
-// [t, t+window): the sum of ServerMass over servers in index order.
-func (m *Model) ForecastMass(t, window float64) float64 {
-	var mass float64
-	for s := 0; s < len(m.steady); s++ {
-		mass += m.ServerMass(s, t, window)
-	}
-	return mass
 }
 
 // OutageFraction returns the long-run fraction of time server s spends
@@ -197,19 +158,6 @@ func (m *Model) ForecastMass(t, window float64) float64 {
 // quantity admission headroom reserves for.
 func (m *Model) OutageFraction(s int) float64 {
 	return m.SteadyHazard(s) * m.eOut
-}
-
-// BurstSize returns the correlated revocation group size: the effective
-// rack size for rack shocks, 1 otherwise. Headroom sized below
-// BurstSize servers' capacity cannot absorb even a single shock.
-func (m *Model) BurstSize() int {
-	return m.burst
-}
-
-// ExpectedOutageSeconds returns the mean outage duration the model (and
-// the generator) uses.
-func (m *Model) ExpectedOutageSeconds() float64 {
-	return m.eOut
 }
 
 // Band quantises server s's steady hazard into one of nBands bands,
@@ -231,22 +179,4 @@ func (m *Model) Band(s int, nBands int) int {
 		b = 0
 	}
 	return b
-}
-
-// windowOverlap returns the number of seconds of [t, t+window) that
-// fall inside the daily diurnal revocation window.
-func windowOverlap(t, window float64) float64 {
-	end := t + window
-	var total float64
-	// Walk day by day; horizons are tens of days, so the loop is cheap.
-	for day := math.Floor(t / 86400); day*86400 < end; day++ {
-		ws := day*86400 + trace.DiurnalWindowStart
-		we := ws + trace.DiurnalWindowLen
-		lo := math.Max(t, ws)
-		hi := math.Min(end, we)
-		if hi > lo {
-			total += hi - lo
-		}
-	}
-	return total
 }

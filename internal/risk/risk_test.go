@@ -169,16 +169,16 @@ func TestBands(t *testing.T) {
 // group; the outage expectation matches the floored exponential.
 func TestBurstSizeAndOutage(t *testing.T) {
 	m := New(trace.ShockConfig{Kind: trace.ShockRack, Duration: 86400, RackSize: 8, MaxOutFraction: 0.25}, 16)
-	if got := m.BurstSize(); got != 4 {
-		t.Fatalf("BurstSize = %d, want the cap-clamped 4", got)
+	if got := m.burst; got != 4 {
+		t.Fatalf("burst = %d, want the cap-clamped 4", got)
 	}
-	if got := New(trace.ShockConfig{Kind: trace.ShockPoisson, Duration: 86400}, 16).BurstSize(); got != 1 {
-		t.Fatalf("poisson BurstSize = %d, want 1", got)
+	if got := New(trace.ShockConfig{Kind: trace.ShockPoisson, Duration: 86400}, 16).burst; got != 1 {
+		t.Fatalf("poisson burst = %d, want 1", got)
 	}
 	mean := 2 * 3600.0
 	want := trace.MinOutageSeconds + mean*math.Exp(-trace.MinOutageSeconds/mean)
-	if got := m.ExpectedOutageSeconds(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ExpectedOutageSeconds = %g, want %g", got, want)
+	if got := m.eOut; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("expected outage = %g, want %g", got, want)
 	}
 	// OutageFraction sums to the expected simultaneously-out share.
 	frac := m.OutageFraction(0)

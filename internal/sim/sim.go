@@ -3,14 +3,12 @@
 // It backs both the hypervisor substrate (which simulates KVM + cgroups
 // behaviour over virtual time) and the trace-driven cluster simulator that
 // reproduces the paper's Section 7.4 experiments. Events are ordered by
-// virtual time with FIFO tie-breaking, so runs are reproducible given a
-// seed.
+// virtual time with FIFO tie-breaking, so runs are reproducible.
 package sim
 
 import (
 	"container/heap"
 	"errors"
-	"math/rand"
 )
 
 // Event is a callback scheduled at a virtual time.
@@ -62,19 +60,15 @@ type Engine struct {
 	now   float64
 	seq   uint64
 	queue eventQueue
-	rng   *rand.Rand
 }
 
-// NewEngine creates an engine whose random streams derive from seed.
-func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+// NewEngine creates an engine at virtual time zero.
+func NewEngine() *Engine {
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
-
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // At schedules fn to run at absolute virtual time t.
 func (e *Engine) At(t float64, fn Event) (Handle, error) {
@@ -94,10 +88,6 @@ func (e *Engine) After(d float64, fn Event) (Handle, error) {
 	}
 	return e.At(e.now+d, fn)
 }
-
-// Pending returns the number of events still queued (including cancelled
-// events not yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Step runs the single earliest event. It returns false when the queue is
 // empty.
@@ -138,41 +128,4 @@ func (e *Engine) RunUntil(t float64) {
 	if t > e.now {
 		e.now = t
 	}
-}
-
-// Ticker invokes fn every interval until cancelled, starting at now+interval.
-type Ticker struct {
-	e        *Engine
-	interval float64
-	fn       Event
-	stopped  bool
-	handle   Handle
-}
-
-// NewTicker creates and starts a ticker on e.
-func (e *Engine) NewTicker(interval float64, fn Event) *Ticker {
-	t := &Ticker{e: e, interval: interval, fn: fn}
-	t.schedule()
-	return t
-}
-
-func (t *Ticker) schedule() {
-	h, err := t.e.After(t.interval, func(now float64) {
-		if t.stopped {
-			return
-		}
-		t.fn(now)
-		if !t.stopped {
-			t.schedule()
-		}
-	})
-	if err == nil {
-		t.handle = h
-	}
-}
-
-// Stop cancels the ticker.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.handle.Cancel()
 }

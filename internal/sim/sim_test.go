@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestEventOrdering(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var order []int
 	for i, at := range []float64{5, 1, 3, 2, 4} {
 		i := i
@@ -27,7 +28,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestFIFOTieBreak(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -42,7 +43,7 @@ func TestFIFOTieBreak(t *testing.T) {
 }
 
 func TestSchedulingInPast(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	e.At(10, func(float64) {})
 	e.Run()
 	if _, err := e.At(5, func(float64) {}); err != ErrPast {
@@ -54,7 +55,7 @@ func TestSchedulingInPast(t *testing.T) {
 }
 
 func TestAfter(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var at float64
 	e.At(3, func(now float64) {
 		e.After(4, func(now2 float64) { at = now2 })
@@ -66,7 +67,7 @@ func TestAfter(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := false
 	h, _ := e.At(1, func(float64) { fired = true })
 	h.Cancel()
@@ -80,7 +81,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var fired []float64
 	for _, at := range []float64{1, 2, 3, 4, 5} {
 		at := at
@@ -93,8 +94,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 3 {
 		t.Errorf("Now = %v, want 3", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
+	if len(e.queue) != 2 {
+		t.Errorf("queued = %d, want 2", len(e.queue))
 	}
 	e.RunUntil(10)
 	if len(fired) != 5 || e.Now() != 10 {
@@ -103,7 +104,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilSkipsCancelled(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	h, _ := e.At(1, func(float64) { t.Error("cancelled fired") })
 	h.Cancel()
 	var ok bool
@@ -115,60 +116,22 @@ func TestRunUntilSkipsCancelled(t *testing.T) {
 }
 
 func TestStepEmpty(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	if e.Step() {
 		t.Error("Step on empty queue should return false")
 	}
 }
 
-func TestTicker(t *testing.T) {
-	e := NewEngine(1)
-	var ticks []float64
-	tk := e.NewTicker(2, func(now float64) {
-		ticks = append(ticks, now)
-		if now >= 6 {
-			// Stop from inside the callback.
-			return
-		}
-	})
-	e.At(7, func(float64) { tk.Stop() })
-	e.Run()
-	want := []float64{2, 4, 6}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerStopInsideCallback(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	var tk *Ticker
-	tk = e.NewTicker(1, func(now float64) {
-		count++
-		if count == 3 {
-			tk.Stop()
-		}
-	})
-	e.Run()
-	if count != 3 {
-		t.Errorf("count = %d, want 3", count)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
-		e := NewEngine(42)
+		e := NewEngine()
+		rng := rand.New(rand.NewSource(42))
 		var out []float64
 		var spawn func(now float64)
 		spawn = func(now float64) {
 			out = append(out, now)
 			if now < 100 {
-				e.After(e.Rand().Float64()*10, spawn)
+				e.After(rng.Float64()*10, spawn)
 			}
 		}
 		e.At(0, spawn)
@@ -189,7 +152,7 @@ func TestDeterminism(t *testing.T) {
 // Property: any multiset of event times is executed in sorted order.
 func TestQuickSortedExecution(t *testing.T) {
 	f := func(raw []uint16) bool {
-		e := NewEngine(1)
+		e := NewEngine()
 		var fired []float64
 		for _, r := range raw {
 			at := float64(r)

@@ -1,7 +1,8 @@
 // Package stats provides the small statistical toolkit used by the
 // feasibility analysis (Section 3) and the experimental harness (Section 7):
-// percentiles, five-number box-plot summaries, CDFs, histograms, and
-// streaming moments.
+// percentiles, five-number box-plot summaries, time-weighted means, and
+// the fraction of samples above a threshold (the empirical survival
+// function the feasibility figures plot).
 package stats
 
 import (
@@ -162,35 +163,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator), or NaN
-// for samples of fewer than two points.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Min returns the minimum, or NaN for an empty sample.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum, or NaN for an empty sample.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -240,157 +212,6 @@ func NewBoxPlot(xs []float64) (BoxPlot, error) {
 func (b BoxPlot) String() string {
 	return fmt.Sprintf("n=%d min=%.4f q1=%.4f med=%.4f q3=%.4f max=%.4f mean=%.4f",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean)
-}
-
-// CDF is an empirical cumulative distribution function.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs (copied, then sorted).
-func NewCDF(xs []float64) *CDF {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// P returns the empirical P(X <= x).
-func (c *CDF) P(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	// Move past duplicates equal to x.
-	for i < len(c.sorted) && c.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	return PercentileSorted(c.sorted, q*100)
-}
-
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// Histogram counts samples into uniform-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	N       int
-	OutLow  int // samples below Lo
-	OutHigh int // samples at or above Hi
-}
-
-// NewHistogram creates a histogram with nbins uniform bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		nbins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.N++
-	if x < h.Lo {
-		h.OutLow++
-		return
-	}
-	if x >= h.Hi {
-		h.OutHigh++
-		return
-	}
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-}
-
-// Fraction returns the fraction of all samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
-// BinCenter returns the centre value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Welford implements numerically stable streaming mean/variance.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (NaN if empty).
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Var returns the running sample variance (NaN if n < 2).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation (NaN if empty).
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.min
-}
-
-// Max returns the largest observation (NaN if empty).
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.max
 }
 
 // TimeWeighted accumulates a time-weighted average of a piecewise-constant
@@ -455,20 +276,4 @@ func FractionAbove(xs []float64, threshold float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// AreaAbove returns the mean excess of xs over threshold (zero where
-// xs <= threshold). Per Section 3.2 / Figure 4 this "total
-// under-allocation" is proportional to the throughput loss.
-func AreaAbove(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var a float64
-	for _, x := range xs {
-		if x > threshold {
-			a += x - threshold
-		}
-	}
-	return a / float64(len(xs))
 }

@@ -54,11 +54,11 @@ func TestMeanStdDev(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2.138089935) > 1e-6 {
-		t.Errorf("StdDev = %v", got)
+	if got := Mean([]float64{-1.5}); got != -1.5 {
+		t.Errorf("Mean of one sample = %v", got)
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev([]float64{1})) {
-		t.Error("degenerate samples should give NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("an empty sample should give NaN")
 	}
 }
 
@@ -92,90 +92,23 @@ func TestBoxPlot(t *testing.T) {
 	}
 }
 
+// TestCDF reads the empirical CDF the feasibility figures plot,
+// P(X <= x) = 1 - FractionAbove(xs, x), at and between the samples.
 func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
+	xs := []float64{1, 2, 2, 3}
 	cases := []struct{ x, want float64 }{
 		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
 	}
 	for _, tc := range cases {
-		if got := c.P(tc.x); got != tc.want {
+		if got := 1 - FractionAbove(xs, tc.x); got != tc.want {
 			t.Errorf("P(%v) = %v, want %v", tc.x, got, tc.want)
 		}
 	}
-	if got := c.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %v", got)
+	if got := Percentile(xs, 50); got != 2 {
+		t.Errorf("median = %v", got)
 	}
-	if c.N() != 4 {
-		t.Errorf("N = %d", c.N())
-	}
-	if !math.IsNaN(NewCDF(nil).P(1)) {
-		t.Error("empty CDF P should be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.N != 8 {
-		t.Errorf("N = %d", h.N)
-	}
-	if h.OutLow != 1 || h.OutHigh != 2 {
-		t.Errorf("out of range = %d/%d", h.OutLow, h.OutHigh)
-	}
-	// bins: [0,2) has {0, 1.9}; [2,4) has {2}; [4,6) has {5}; [8,10) has {9.99}
-	want := []int{2, 1, 1, 0, 1}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if got := h.Fraction(0); got != 0.25 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid params are repaired
-	h.Add(5)
-	if h.N != 1 || len(h.Counts) != 1 {
-		t.Errorf("degenerate histogram: %+v", h)
-	}
-	if (&Histogram{Counts: make([]int, 1)}).Fraction(0) != 0 {
-		t.Error("empty histogram Fraction should be 0")
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-		w.Add(xs[i])
-	}
-	if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
-		t.Errorf("Welford mean %v != batch %v", w.Mean(), Mean(xs))
-	}
-	if math.Abs(w.StdDev()-StdDev(xs)) > 1e-9 {
-		t.Errorf("Welford stddev %v != batch %v", w.StdDev(), StdDev(xs))
-	}
-	if w.Min() != Min(xs) || w.Max() != Max(xs) {
-		t.Error("Welford min/max mismatch")
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Var()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) {
-		t.Error("empty Welford should return NaN")
+	if !math.IsNaN(FractionAbove(nil, 1)) {
+		t.Error("an empty sample's CDF should be NaN")
 	}
 }
 
@@ -215,19 +148,6 @@ func TestFractionAbove(t *testing.T) {
 	}
 }
 
-func TestAreaAbove(t *testing.T) {
-	xs := []float64{0.2, 0.6, 1.0}
-	// excesses over 0.5: 0, 0.1, 0.5 -> mean 0.2
-	if got := AreaAbove(xs, 0.5); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("AreaAbove = %v", got)
-	}
-	if !math.IsNaN(AreaAbove(nil, 0)) {
-		t.Error("empty should give NaN")
-	}
-}
-
-// Property: for any sample, percentiles are monotone in p and bounded by
-// min/max.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {
 		xs := raw[:0]
@@ -252,7 +172,8 @@ func TestQuickPercentileMonotone(t *testing.T) {
 	}
 }
 
-// Property: CDF.P is monotone non-decreasing.
+// Property: the empirical CDF, 1 - FractionAbove, is monotone
+// non-decreasing.
 func TestQuickCDFMonotone(t *testing.T) {
 	f := func(raw []float64, x, y float64) bool {
 		xs := raw[:0]
@@ -267,8 +188,7 @@ func TestQuickCDFMonotone(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		c := NewCDF(xs)
-		return c.P(x) <= c.P(y)
+		return 1-FractionAbove(xs, x) <= 1-FractionAbove(xs, y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -85,12 +85,6 @@ type ScenarioConfig struct {
 	Seed     int64
 }
 
-// DefaultScenarioConfig returns kind with the generator defaults (1000
-// VMs over three days, seed 1).
-func DefaultScenarioConfig(kind Scenario) ScenarioConfig {
-	return ScenarioConfig{Kind: kind, NumVMs: 1000, Duration: 3 * 86400, Seed: 1}
-}
-
 // GenerateScenario builds the synthetic trace for cfg: the eagerly
 // materialised form of NewStream(cfg), bit-for-bit identical to reading
 // the same VMs through the stream.

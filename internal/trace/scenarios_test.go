@@ -136,7 +136,7 @@ func TestScenarioShapes(t *testing.T) {
 	}
 	short := 0
 	for _, vm := range tr.VMs {
-		if vm.Class == Interactive && vm.Lifetime() <= 2*3600 {
+		if vm.Class == Interactive && (vm.End-vm.Start) <= 2*3600 {
 			short++
 		}
 	}
@@ -154,9 +154,9 @@ func TestScenarioShapes(t *testing.T) {
 	var under1h, over1d int
 	for _, vm := range tr.VMs {
 		switch {
-		case vm.Lifetime() <= 3600:
+		case (vm.End - vm.Start) <= 3600:
 			under1h++
-		case vm.Lifetime() > day:
+		case (vm.End - vm.Start) > day:
 			over1d++
 		}
 	}

@@ -385,12 +385,6 @@ func NewNamedStream(name string, numVMs int, duration float64, seed int64) (*Str
 // Len returns the number of VMs in the stream.
 func (s *Stream) Len() int { return s.n }
 
-// Seed returns the trace seed the stream was built with.
-func (s *Stream) Seed() int64 { return s.seed }
-
-// Kind returns the stream's scenario.
-func (s *Stream) Kind() Scenario { return s.kind }
-
 // Params generates VM i's parameter record. Pure: same (stream, i) →
 // same record, any call order, safe for concurrent use.
 func (s *Stream) Params(i int) VMParams {

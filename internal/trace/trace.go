@@ -37,9 +37,6 @@ const (
 	numClasses
 )
 
-// Classes lists all workload classes in canonical order.
-var Classes = [...]VMClass{Interactive, DelayInsensitive, Unknown}
-
 // String returns the dataset's label for the class.
 func (c VMClass) String() string {
 	switch c {
@@ -82,12 +79,6 @@ type VMRecord struct {
 	CPUUtil []float64
 }
 
-// Lifetime returns the VM's lifetime in seconds.
-func (r *VMRecord) Lifetime() float64 { return r.End - r.Start }
-
-// MeanUtil returns the mean CPU utilisation percentage.
-func (r *VMRecord) MeanUtil() float64 { return stats.Mean(r.CPUUtil) }
-
 // P95 returns the 95th-percentile CPU utilisation, the statistic the
 // paper uses to derive deflation priorities (Sections 3.2 and 7.1.2).
 func (r *VMRecord) P95() float64 { return stats.Percentile(r.CPUUtil, 95) }
@@ -103,14 +94,6 @@ func (r *VMRecord) UtilAt(t float64) float64 {
 		i = len(r.CPUUtil) - 1
 	}
 	return r.CPUUtil[i]
-}
-
-// FractionAboveDeflation returns the fraction of the VM's lifetime during
-// which its CPU utilisation exceeds the allocation remaining after
-// deflating by deflatePct percent — the core feasibility metric of
-// Figures 5-8 ("fraction of time spent above the deflated allocation").
-func (r *VMRecord) FractionAboveDeflation(deflatePct float64) float64 {
-	return stats.FractionAbove(r.CPUUtil, 100-deflatePct)
 }
 
 // SizeClass buckets a VM by memory, matching Figure 7's breakdown.

@@ -43,9 +43,6 @@ func NewConstantSource(eng *sim.Engine, rate float64, h Handler) *Source {
 // SetLimit stops the source after n requests (0 = unlimited).
 func (s *Source) SetLimit(n int) { s.limit = n }
 
-// Sent returns how many requests have been generated so far.
-func (s *Source) Sent() int { return s.seq }
-
 // Start schedules the first arrival.
 func (s *Source) Start() {
 	if s.rate <= 0 {
@@ -118,9 +115,4 @@ func (p *PageMix) Draw() float64 {
 	sizeFactor := (0.5 + p.rng.Float64()*1.7) / 1.35
 	jitter := 0.7 + 0.6*p.rng.Float64()
 	return mean * sizeFactor * jitter
-}
-
-// MeanCost returns the analytic mean CPU demand of the mix.
-func (p *PageMix) MeanCost() float64 {
-	return p.HitRatio*p.HitCost + (1-p.HitRatio)*p.MissCost
 }

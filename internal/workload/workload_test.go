@@ -8,7 +8,7 @@ import (
 )
 
 func TestConstantSourceTiming(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	var times []float64
 	src := NewConstantSource(eng, 10, func(now float64, seq int) {
 		times = append(times, now)
@@ -25,13 +25,13 @@ func TestConstantSourceTiming(t *testing.T) {
 			t.Errorf("request %d at %v, want %v", i, at, want)
 		}
 	}
-	if src.Sent() != 5 {
-		t.Errorf("Sent = %d", src.Sent())
+	if src.seq != 5 {
+		t.Errorf("Sent = %d", src.seq)
 	}
 }
 
 func TestPoissonSourceRate(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	count := 0
 	src := NewPoissonSource(eng, 100, 42, func(now float64, seq int) { count++ })
 	src.Start()
@@ -46,7 +46,7 @@ func TestPoissonSourceRate(t *testing.T) {
 
 func TestPoissonDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []float64 {
-		eng := sim.NewEngine(1)
+		eng := sim.NewEngine()
 		var times []float64
 		src := NewPoissonSource(eng, 50, seed, func(now float64, _ int) { times = append(times, now) })
 		src.SetLimit(100)
@@ -76,7 +76,7 @@ func TestPoissonDeterministicPerSeed(t *testing.T) {
 }
 
 func TestSourceStop(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	count := 0
 	var src *Source
 	src = NewConstantSource(eng, 10, func(now float64, _ int) {
@@ -93,7 +93,7 @@ func TestSourceStop(t *testing.T) {
 }
 
 func TestZeroRateSource(t *testing.T) {
-	eng := sim.NewEngine(1)
+	eng := sim.NewEngine()
 	src := NewConstantSource(eng, 0, func(float64, int) { t.Error("should never fire") })
 	src.Start()
 	eng.Run()

@@ -1,11 +1,19 @@
 package vmdeflate
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
 	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -162,4 +170,356 @@ func TestFiguresReachEveryPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d rows, %d in-module packages reached", len(rows), len(reached))
+}
+
+// listedPackage is the part of `go list -json` the declaration walk reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Standard   bool
+}
+
+// declaration is one package-level func, method, type, var or const of
+// the module.
+type declaration struct {
+	obj   types.Object
+	node  ast.Node     // what to walk for uses: the FuncDecl or the Spec
+	block *ast.GenDecl // a const's block, nil otherwise
+	pos   token.Position
+}
+
+// alwaysSelected are method names the standard library calls through
+// an interface (fmt, errors, sort, container/heap): a live type keeps
+// them without any module code selecting them.
+var alwaysSelected = map[string]bool{
+	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// reachAllowed names internal declarations that stay unreached, each
+// with the figure or invariant it serves.
+var reachAllowed = map[string]string{
+	// A test in another package cannot see a _test.go method, and no
+	// shipped path lists the fleet: the engine keeps only server names.
+	"cluster.Manager.Servers": "the metering-table invariant (every deflatable resident has its row, " +
+		"no on-demand one does): clustersim's checkTable walks every server's residents through it",
+}
+
+// module is the type-checked module, tests left out.
+type module struct {
+	decls []*declaration
+	uses  map[*types.Package]map[*ast.Ident]types.Object
+	fset  *token.FileSet
+}
+
+// loadModule type-checks every package of the module, leaving tests
+// out, in `go list -deps` order.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", "-json", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	mod := &module{uses: map[*types.Package]map[*ast.Ident]types.Object{}, fset: token.NewFileSet()}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			t.Fatal(err)
+		}
+		if lp.Standard {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(mod.fset, filepath.Join(lp.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, mod.fset, files, info)
+		if err != nil {
+			t.Fatalf("%s: %v", lp.ImportPath, err)
+		}
+		checked[lp.ImportPath] = pkg
+		for _, f := range files {
+			mod.decls = append(mod.decls, fileDecls(f, info, mod.fset)...)
+		}
+		mod.uses[pkg] = info.Uses
+	}
+	return mod
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// fileDecls returns the package-level declarations of one file.
+func fileDecls(f *ast.File, info *types.Info, fset *token.FileSet) []*declaration {
+	var out []*declaration
+	add := func(id *ast.Ident, node ast.Node, block *ast.GenDecl) {
+		if id.Name == "_" {
+			return
+		}
+		out = append(out, &declaration{obj: info.Defs[id], node: node, block: block, pos: fset.Position(id.Pos())})
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			add(d.Name, d, nil)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					add(s.Name, s, nil)
+				case *ast.ValueSpec:
+					var block *ast.GenDecl
+					if d.Tok == token.CONST {
+						block = d
+					}
+					for _, n := range s.Names {
+						add(n, s, block)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// receiverName returns the TypeName a method is declared on, or nil for
+// a plain func.
+func receiverName(obj types.Object) *types.TypeName {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	if n, ok := typ.(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// liveWalk is the state of one reachability walk over the module.
+type liveWalk struct {
+	mod      *module
+	byObj    map[types.Object]*declaration
+	methods  map[*types.TypeName][]*declaration
+	blockOf  map[*ast.GenDecl][]*declaration
+	live     map[*declaration]bool
+	selected map[string]bool           // method names live code selects
+	ifaces   map[*types.Interface]bool // interfaces live code names or passes values to
+	work     []*declaration
+}
+
+func (w *liveWalk) mark(d *declaration) {
+	if d != nil && !w.live[d] {
+		w.live[d] = true
+		w.work = append(w.work, d)
+	}
+}
+
+// markMethods marks every method called name on a live receiver type.
+func (w *liveWalk) markMethods(name string) {
+	for r, ms := range w.methods {
+		if w.live[w.byObj[r]] {
+			for _, m := range ms {
+				if m.obj.Name() == name {
+					w.mark(m)
+				}
+			}
+		}
+	}
+}
+
+// addIface records an interface live code converts values to.
+func (w *liveWalk) addIface(t types.Type) {
+	if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+		w.ifaces[it] = true
+	}
+}
+
+// visit marks what one live declaration uses.
+func (w *liveWalk) visit(d *declaration) {
+	for _, sib := range w.blockOf[d.block] {
+		w.mark(sib)
+	}
+	if tn, ok := d.obj.(*types.TypeName); ok {
+		for _, m := range w.methods[tn] {
+			if w.selected[m.obj.Name()] {
+				w.mark(m)
+			}
+		}
+	}
+	uses := w.mod.uses[d.obj.Pkg()]
+	ast.Inspect(d.node, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || uses[id] == nil {
+			return true
+		}
+		obj := uses[id]
+		switch o := obj.(type) {
+		case *types.TypeName:
+			w.addIface(o.Type())
+		case *types.Func:
+			obj = o.Origin()
+			sig := o.Type().(*types.Signature)
+			for i := 0; i < sig.Params().Len(); i++ {
+				pt := sig.Params().At(i).Type()
+				if sl, ok := pt.(*types.Slice); ok && sig.Variadic() && i == sig.Params().Len()-1 {
+					pt = sl.Elem()
+				}
+				w.addIface(pt)
+			}
+			if sig.Recv() != nil && !w.selected[o.Name()] {
+				// A method selection, concrete or through an interface.
+				w.selected[o.Name()] = true
+				w.markMethods(o.Name())
+			}
+		}
+		w.mark(w.byObj[obj])
+		if r := receiverName(obj); r != nil {
+			w.mark(w.byObj[r])
+		}
+		return true
+	})
+}
+
+// implied marks the methods that a live type needs to satisfy a live
+// interface (rand.Source's Seed, say, which only the standard library
+// calls) and reports whether it marked any.
+func (w *liveWalk) implied() bool {
+	before := len(w.live)
+	for r, ms := range w.methods {
+		if !w.live[w.byObj[r]] {
+			continue
+		}
+		for it := range w.ifaces {
+			if !types.Implements(r.Type(), it) && !types.Implements(types.NewPointer(r.Type()), it) {
+				continue
+			}
+			for _, m := range ms {
+				if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, m.obj.Name()); obj != nil {
+					w.mark(m)
+				}
+			}
+		}
+	}
+	return len(w.live) > before
+}
+
+// unreached walks from every declaration outside internal/ and returns
+// the internal declarations no such walk reaches. A func, type, var or
+// const is live when live code uses it. A method is live when its
+// receiver type is live and live code selects its name anywhere (that
+// covers interface dispatch), or when the type needs it to satisfy an
+// interface live code converts to. A const is live when a sibling in its
+// block is. The method of a live internal interface is unreached when
+// live code never selects its name.
+func unreached(mod *module) []*declaration {
+	decls := mod.decls
+	w := &liveWalk{
+		mod:      mod,
+		byObj:    map[types.Object]*declaration{},
+		methods:  map[*types.TypeName][]*declaration{},
+		blockOf:  map[*ast.GenDecl][]*declaration{},
+		live:     map[*declaration]bool{},
+		selected: map[string]bool{},
+		ifaces:   map[*types.Interface]bool{},
+	}
+	for _, d := range decls {
+		w.byObj[d.obj] = d
+		if r := receiverName(d.obj); r != nil {
+			w.methods[r] = append(w.methods[r], d)
+		}
+		if d.block != nil {
+			w.blockOf[d.block] = append(w.blockOf[d.block], d)
+		}
+	}
+	for name := range alwaysSelected {
+		w.selected[name] = true
+	}
+	for _, d := range decls {
+		if !strings.HasPrefix(d.obj.Pkg().Path(), modulePath+"/internal/") || d.obj.Name() == "init" {
+			w.mark(d)
+		}
+	}
+	for {
+		for len(w.work) > 0 {
+			d := w.work[len(w.work)-1]
+			w.work = w.work[:len(w.work)-1]
+			w.visit(d)
+		}
+		if !w.implied() {
+			break
+		}
+	}
+	var dead []*declaration
+	for _, d := range decls {
+		if !w.live[d] {
+			dead = append(dead, d)
+			continue
+		}
+		it, ok := d.obj.Type().Underlying().(*types.Interface)
+		if _, named := d.obj.(*types.TypeName); !ok || !named || !strings.HasPrefix(d.obj.Pkg().Path(), modulePath+"/internal/") {
+			continue
+		}
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			if m := it.ExplicitMethod(i); !w.selected[m.Name()] {
+				dead = append(dead, &declaration{obj: m, pos: mod.fset.Position(m.Pos())})
+			}
+		}
+	}
+	return dead
+}
+
+// declName is a declaration's allowlist key: pkg.Name or pkg.Type.Method.
+func declName(d *declaration) string {
+	name := d.obj.Name()
+	if r := receiverName(d.obj); r != nil {
+		name = r.Name() + "." + name
+	}
+	return strings.TrimPrefix(d.obj.Pkg().Path(), modulePath+"/internal/") + "." + name
+}
+
+// TestEveryInternalDeclarationIsReached holds internal/ to what the
+// commands and bench use: a func, method, type, var or const of an
+// internal package that no command, no bench code and no root-package
+// code reaches, even transitively, fails here with its position. A
+// helper only tests use belongs in a _test.go file.
+func TestEveryInternalDeclarationIsReached(t *testing.T) {
+	mod := loadModule(t)
+	dead := unreached(mod)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dead {
+		if _, ok := reachAllowed[declName(d)]; ok {
+			continue
+		}
+		rel, err := filepath.Rel(wd, d.pos.Filename)
+		if err != nil {
+			rel = d.pos.Filename
+		}
+		t.Errorf("%s:%d: %s is reached by no command or bench", rel, d.pos.Line, declName(d))
+	}
+	t.Logf("%d declarations, %d unreached", len(mod.decls), len(dead))
 }
