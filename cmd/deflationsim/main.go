@@ -63,7 +63,7 @@ func main() {
 	outage := flag.Float64("outage", 7200, "mean revocation outage (seconds)")
 	rackSize := flag.Int("racksize", 8, "correlated group size for -shocks rack")
 	shockSeed := flag.Int64("shockseed", 1, "shock-schedule seed")
-	stream := flag.Bool("stream", false, "drive the sweep from a streaming trace: O(live VMs) resident memory, identical results (synthetic single-trace runs only; excludes the preemption strategy)")
+	stream := flag.Bool("stream", false, "drive the sweep from a streaming trace: O(live VMs) resident memory, identical results, every strategy (synthetic single-trace runs only)")
 	sloMax := flag.Float64("slo", 0, "SLO slowdown threshold (e.g. 2 = 2x); >0 turns on per-VM queueing-model SLO metering")
 	sloCurve := flag.String("slocurve", "", "perfmodel curve for SLO metering: specjbb, kcompile or memcached (default: worst-case linear)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")

@@ -24,12 +24,16 @@
 //   - engine.go — the Engine: one self-contained run. It owns every
 //     piece of mutable state (cluster manager, metering table, queue,
 //     metric accumulators), which makes independent runs share-nothing
-//     and therefore safe to execute concurrently. The trace row is its
-//     only VM handle: events carry it, evacuation outcomes return it,
-//     and one int32 per row maps it to the VM's row of a dense by-value
-//     table that holds the running deflatable VMs (on-demand VMs are
-//     metered for nothing and get no row). Placements flow through the
-//     manager's incremental capacity index
+//     and therefore safe to execute concurrently. Its one event loop
+//     serves both modes: it batches same-instant events and hands each
+//     batch to the mode, deflation through the manager or the
+//     preemption baseline (preemption.go), which places by tightest fit
+//     over sizing.go's fleet order and kills instead of deflating. The
+//     trace row is its only VM handle: events carry it, evacuation
+//     outcomes return it, and one int32 per row maps it to the VM's row
+//     of a dense by-value table that holds the running deflatable VMs
+//     (on-demand VMs are metered for nothing and get no row). Placements
+//     flow through the manager's incremental capacity index
 //     (internal/cluster/capindex), and runs of same-timestamp
 //     departures are coalesced into one batched removal so each
 //     affected server reinflates once per instant instead of once per
@@ -183,12 +187,12 @@ type Config struct {
 	// arrival queue and admission read both the same way, so results
 	// are bit-for-bit identical to running the materialised form of the
 	// same stream through Trace (guarded by the adapter-agreement test
-	// and the streamed differential suite). A Stream is immutable:
-	// concurrent engines may share one. Streamed runs support deflation
-	// mode only: the preemption baseline reads each VM's utilisation
-	// off its materialised series.
+	// and the streamed differential suite), in either mode. A Stream is
+	// immutable: concurrent engines may share one.
 	Stream *trace.Stream
-	// Mode selects deflation or the preemption baseline.
+	// Mode selects deflation or the preemption baseline. Both run on the
+	// engine's one event loop, with the same queue, batching and shock
+	// bookkeeping; only what a batch does differs.
 	Mode Mode
 	// Policy and Mechanism configure deflation (ignored for preemption).
 	Policy    policy.Policy
@@ -267,9 +271,6 @@ func (c *Config) applyDefaults() error {
 	case c.Stream != nil:
 		if c.Stream.Len() == 0 {
 			return fmt.Errorf("clustersim: empty trace")
-		}
-		if c.Mode == ModePreemption {
-			return fmt.Errorf("clustersim: preemption mode requires an eager Trace (it reads utilisation off each record's series)")
 		}
 	case c.Trace == nil || len(c.Trace.VMs) == 0:
 		return fmt.Errorf("clustersim: empty trace")

@@ -70,11 +70,15 @@ type Engine struct {
 	cfg      Config
 	nServers int
 
-	// Deflation-mode state.
-	mgr     *cluster.Manager
+	// rec is the mode the event loop hands each batch to: the engine
+	// itself in deflation mode, the baseline in preemption mode.
+	rec     reclaimer
 	queue   eventQueue
 	res     *Result
 	horizon float64
+
+	// Deflation-mode state.
+	mgr *cluster.Manager
 
 	// The metering table. The trace row is the engine's only VM handle:
 	// arrival and departure events carry it (simEvent.seq), evacuation
@@ -92,11 +96,11 @@ type Engine struct {
 	// about a VM it reads here or in the record the queue delivers.
 	src *rowSource
 
-	// Capacity-shock state: the provisioned servers' names (shock
-	// events address servers by index) and which of them are currently
-	// revoked.
-	serverNames []string
+	// Capacity-shock state: which servers are currently revoked (shock
+	// events address servers by index), and, in deflation mode, their
+	// names.
 	revoked     []bool
+	serverNames []string
 
 	// Portfolio / risk provisioning state (deflation mode). baseCap and
 	// rateScale are nil on homogeneous fleets: per-server provisioned
@@ -126,12 +130,13 @@ type Engine struct {
 	// whose cache missed): a plain work count, read only by tests.
 	allocReads int
 
-	// Batch scratch, reused across handleArrivals calls (and, for names,
-	// the departure and revocation batches).
+	// Batch scratch, reused across handleArrivals calls (and, for names
+	// and servers, the departure and revocation batches).
 	dcBuf   []hypervisor.DomainConfig
 	prioBuf []float64
 	plBuf   []cluster.Placement
 	names   []string
+	servers []int
 
 	// afterSample, when set, runs after every sample pass, once its load
 	// writes are done. Nothing outside the tests sets it: the SLO
@@ -167,10 +172,32 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Run executes the simulation and returns its metrics.
 func (e *Engine) Run() (*Result, error) {
+	setup := e.setupDeflation
 	if e.cfg.Mode == ModePreemption {
-		return e.runPreemption()
+		setup = e.setupPreemption
 	}
-	return e.runDeflation()
+	if err := setup(); err != nil {
+		return nil, err
+	}
+	if err := e.eventLoop(); err != nil {
+		return nil, err
+	}
+	return e.rec.foldResult(), nil
+}
+
+// reclaimer is a mode: what the event loop hands each batch to. The
+// engine itself reclaims by deflation through its cluster manager;
+// preemption (preemption.go) is the baseline that kills. Before a shock
+// reaches it, the loop has done the bookkeeping both modes share: the
+// revoked flags, the shock counters and a resize's new capacity; a
+// revocation batch arrives as the servers it newly revoked.
+type reclaimer interface {
+	handleArrivals(evs []simEvent) error
+	handleDepartures(evs []simEvent) error
+	handleRevocations(servers []int, at float64) error
+	handleRestore(server int, at float64) error
+	handleResize(server int, capacity resources.Vector, at float64) error
+	foldResult() *Result
 }
 
 // newOracleQueue, when set, builds every run's event queue in place of
@@ -207,6 +234,7 @@ func (e *Engine) setupDeflation() error {
 	if err := e.src.open(); err != nil {
 		return err
 	}
+	e.rec = e
 	mgrCfg := cluster.Config{
 		Policy:              cfg.Policy,
 		Mechanism:           cfg.Mechanism,
@@ -290,25 +318,19 @@ func (e *Engine) setupDeflation() error {
 	return nil
 }
 
-// runDeflation drives the deflation-mode event loop: arrivals are
-// placed (deflating residents when needed), departures reinflate
-// survivors, and self-rescheduling sample events meter demand, loss and
-// revenue every trace.SampleInterval. At equal timestamps the queue
-// delivers samples, then departures, then arrivals (see eventKind).
-func (e *Engine) runDeflation() (*Result, error) {
-	if err := e.setupDeflation(); err != nil {
-		return nil, err
-	}
-	if err := e.eventLoop(); err != nil {
-		return nil, err
-	}
-	return e.foldResult(), nil
-}
-
-// eventLoop drains the queue setupDeflation seeded. Split from setup and
-// from the result fold so white-box tests can stand between them.
+// eventLoop drains the queue a setup seeded, the one loop of both
+// modes. It coalesces same-instant arrivals, departures and revocations
+// into batches and hands each to the mode (e.rec). In deflation mode
+// arrivals are placed (deflating residents when needed), departures
+// reinflate survivors, and self-rescheduling sample events meter demand,
+// loss and revenue every trace.SampleInterval; the preemption baseline
+// schedules no samples. At equal timestamps the queue delivers samples,
+// then departures, shocks and arrivals (see eventKind). Split from
+// setup and from the result fold so white-box tests can stand between
+// them.
 func (e *Engine) eventLoop() error {
 	cfg := &e.cfg
+	r := e.rec
 	// Reusable scratch for event batching, so the hot loop does not
 	// allocate per event.
 	var batch []simEvent
@@ -352,15 +374,14 @@ func (e *Engine) eventLoop() error {
 					}
 				}
 			}
-			if err := e.handleArrivals(batch); err != nil {
+			if err := r.handleArrivals(batch); err != nil {
 				return err
 			}
 		case evRevoke:
 			// Coalesce the run of revocations sharing this timestamp —
 			// a rack-sized correlated shock — into ONE multi-server
-			// revocation, so every displaced VM across the whole shock
-			// relocates through a single placement batch, in (server
-			// order, VM name) evacuation order.
+			// revocation: the servers it newly revokes, in event order,
+			// a second revoke of one server dropped.
 			batch = batch[:0]
 			batch = append(batch, ev)
 			for !e.queue.empty() {
@@ -370,35 +391,27 @@ func (e *Engine) eventLoop() error {
 				}
 				batch = append(batch, e.queue.pop())
 			}
-			names := e.names[:0]
+			servers := e.servers[:0]
 			for _, rev := range batch {
 				i := rev.shock.Server
 				if e.revoked[i] {
 					continue // generator guards double revokes; stay safe
 				}
 				e.revoked[i] = true
-				e.outStart[i] = rev.at
-				names = append(names, e.serverNames[i])
+				servers = append(servers, i)
 			}
-			e.names = names
-			if len(names) > 0 {
-				e.res.Revocations += len(names)
-				out, err := e.mgr.RevokeServers(names...)
-				if err != nil {
+			e.servers = servers
+			if len(servers) > 0 {
+				e.res.Revocations += len(servers)
+				if err := r.handleRevocations(servers, ev.at); err != nil {
 					return err
 				}
-				e.applyEvacuation(out, ev.at)
 			}
 		case evRestore:
 			i := ev.shock.Server
 			if e.revoked[i] {
 				e.revoked[i] = false
-				// Restores can land past the horizon (a late shock's outage
-				// overruns it); clamp so FleetCost never bills beyond the run.
-				if end := math.Min(ev.at, e.horizon); end > e.outStart[i] {
-					e.outAccum[i] += end - e.outStart[i]
-				}
-				if err := e.mgr.RestoreServer(e.serverNames[i]); err != nil {
+				if err := r.handleRestore(i, ev.at); err != nil {
 					return err
 				}
 				e.res.Restorations++
@@ -410,12 +423,10 @@ func (e *Engine) eventLoop() error {
 				if e.baseCap != nil {
 					capacity = e.baseCap[i] // resize scales the type's own size
 				}
-				out, err := e.mgr.ResizeServer(e.serverNames[i], capacity.Scale(ev.shock.Scale))
-				if err != nil {
+				if err := r.handleResize(i, capacity.Scale(ev.shock.Scale), ev.at); err != nil {
 					return err
 				}
 				e.res.Resizes++
-				e.applyEvacuation(out, ev.at)
 			}
 		case evDeparture:
 			// Coalesce the run of departures sharing this timestamp into
@@ -432,7 +443,7 @@ func (e *Engine) eventLoop() error {
 				}
 				batch = append(batch, e.queue.pop())
 			}
-			if err := e.handleDepartures(batch); err != nil {
+			if err := r.handleDepartures(batch); err != nil {
 				return err
 			}
 		}
@@ -452,6 +463,44 @@ func (e *Engine) eventLoop() error {
 			e.closeVM(slot, e.horizon)
 		}
 	}
+	return nil
+}
+
+// handleRevocations revokes one same-instant batch of servers through
+// the manager in one call, so every VM displaced across the whole shock
+// relocates through a single placement batch, and starts their outage
+// clocks for FleetCost.
+func (e *Engine) handleRevocations(servers []int, at float64) error {
+	names := e.names[:0]
+	for _, i := range servers {
+		e.outStart[i] = at
+		names = append(names, e.serverNames[i])
+	}
+	e.names = names
+	out, err := e.mgr.RevokeServers(names...)
+	if err != nil {
+		return err
+	}
+	e.applyEvacuation(out, at)
+	return nil
+}
+
+// handleRestore returns a server to the manager and stops its outage
+// clock, clamped to the horizon: a late shock's outage can overrun it.
+func (e *Engine) handleRestore(i int, at float64) error {
+	if end := math.Min(at, e.horizon); end > e.outStart[i] {
+		e.outAccum[i] += end - e.outStart[i]
+	}
+	return e.mgr.RestoreServer(e.serverNames[i])
+}
+
+// handleResize resizes a server and settles the VMs a shrink displaced.
+func (e *Engine) handleResize(i int, capacity resources.Vector, at float64) error {
+	out, err := e.mgr.ResizeServer(e.serverNames[i], capacity)
+	if err != nil {
+		return err
+	}
+	e.applyEvacuation(out, at)
 	return nil
 }
 

@@ -9,203 +9,177 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// pVM is one VM in the preemption baseline.
+// pVM is one VM in the preemption baseline, packed into 64 bytes.
 type pVM struct {
-	rec    *trace.VMRecord
-	size   resources.Vector
+	rec  *trace.VMRecord
+	size resources.Vector
+	prio float64
+	// cur reads a low-priority VM's utilisation on streamed runs (nil
+	// otherwise), for the demand a kill destroys; leave releases it.
+	cur    *trace.UtilCursor
+	server int32
 	lowPri bool
-	prio   float64
-	server int
 }
 
-// runPreemption simulates today's transient servers: VMs always get
-// their full allocation; when an on-demand VM arrives and no server has
-// room, low-priority VMs are preempted — killed — lowest priority first
-// until it fits. Low-priority arrivals that do not fit are rejected. The
-// Figure 20 baseline metric is the probability that an admitted
-// low-priority VM is preempted before its natural departure.
+// preemption is the baseline reclaimer, today's transient servers: VMs
+// always get their full allocation; when an on-demand VM arrives and no
+// server has room, low-priority VMs are preempted — killed — lowest
+// priority first until it fits. Low-priority arrivals that do not fit
+// are rejected. The Figure 20 baseline metric is the probability that an
+// admitted low-priority VM is preempted before its natural departure.
 //
 // Capacity shocks are where the baseline diverges hardest from
 // deflation: a revoked server kills every resident outright (there is
 // no migration on today's transient servers), and a shrink kills
-// lowest-priority residents until the rest fits. The same shock
-// schedule drives both modes, which is what makes the
-// deflation-saves-the-shock-victims comparison an apples-to-apples one.
+// lowest-priority residents until the rest fits. The engine's one event
+// loop drives both modes through the same queue, batching and shock
+// bookkeeping, which is what makes the deflation-saves-the-shock-victims
+// comparison an apples-to-apples one.
 //
-// The baseline drives the same lazily scheduled event queue as the
-// deflation engine: departures enter the queue only for admitted VMs,
-// and a preempted or shock-killed VM's stale departure event is ignored
-// because the VM is no longer in the running set.
-//
-// Residents are also kept per server, in admission order, so the
-// eviction search and the kill lists read only the server they concern
-// and every float fold over them is ordered by simulation state.
-func (e *Engine) runPreemption() (*Result, error) {
-	cfg := e.cfg
+// Departures enter the queue only for admitted VMs, and a preempted or
+// shock-killed VM's stale departure event is ignored because the VM is
+// no longer in the running set. Residents are also kept per server, in
+// admission order, so the eviction search and the kill lists read only
+// the server they concern and every float fold over them is ordered by
+// simulation state.
+type preemption struct {
+	e        *Engine
+	fleet    *fleet             // free capacity, in the tightest-fit scan's order
+	curCap   []resources.Vector // each server's capacity, as resized
+	running  map[string]*pVM
+	resident [][]*pVM
+}
+
+// setupPreemption builds the baseline's run state: every server empty at
+// ServerCapacity, and the queue seeded with the trace and the shock
+// schedule.
+func (e *Engine) setupPreemption() error {
 	if err := e.src.open(); err != nil {
-		return nil, err
+		return err
 	}
-	free := make([]resources.Vector, e.nServers)
-	curCap := make([]resources.Vector, e.nServers)
-	revoked := make([]bool, e.nServers)
-	for i := range free {
-		free[i] = cfg.ServerCapacity
-		curCap[i] = cfg.ServerCapacity
+	capacity := e.cfg.ServerCapacity
+	e.rec = &preemption{
+		e:        e,
+		fleet:    newFleet(e.nServers, capacity),
+		curCap:   slices.Repeat([]resources.Vector{capacity}, e.nServers),
+		running:  map[string]*pVM{},
+		resident: make([][]*pVM, e.nServers),
 	}
-	running := map[string]*pVM{}
-	resident := make([][]*pVM, e.nServers)
-	res := &Result{Servers: e.nServers, Revenue: map[string]float64{}}
-	var demandTotal, lostTotal float64
+	e.revoked = make([]bool, e.nServers)
+	e.res = &Result{Servers: e.nServers, Revenue: map[string]float64{}}
+	e.queue = e.openQueue()
+	e.pushShocks(e.queue)
+	return nil
+}
 
-	place := func(vm *pVM) bool {
-		// Conventional bin-packing: tightest fit, as used by
-		// non-deflatable cluster managers (Section 5.2).
-		best := tightestFit(free, vm.size, cfg.ServerCapacity)
-		if best < 0 {
-			return false
-		}
-		vm.server = best
-		free[best] = free[best].Sub(vm.size)
-		return true
+// place puts vm on the tightest-fitting server — conventional
+// bin-packing, as used by non-deflatable cluster managers (Section
+// 5.2) — and reports whether any server fits it.
+func (p *preemption) place(vm *pVM) bool {
+	best := p.fleet.fit(vm.size)
+	if best < 0 {
+		return false
 	}
+	vm.server = int32(best)
+	p.fleet.set(best, p.fleet.free[best].Sub(vm.size))
+	return true
+}
 
-	// leave takes vm off its server: capacity returns, and it drops out
-	// of the running set and (order-preserving) the resident list.
-	leave := func(vm *pVM) {
-		free[vm.server] = free[vm.server].Add(vm.size)
-		delete(running, vm.rec.ID)
-		r := resident[vm.server]
-		i := slices.Index(r, vm)
-		resident[vm.server] = slices.Delete(r, i, i+1)
+// leave takes vm off its server: capacity returns, and it drops out of
+// the running set and (order-preserving) the resident list.
+func (p *preemption) leave(vm *pVM) {
+	p.fleet.set(int(vm.server), p.fleet.free[vm.server].Add(vm.size))
+	delete(p.running, vm.rec.ID)
+	r := p.resident[vm.server]
+	i := slices.Index(r, vm)
+	p.resident[vm.server] = slices.Delete(r, i, i+1)
+	if vm.cur != nil {
+		p.e.src.release(vm.cur)
+		vm.cur = nil
 	}
+}
 
-	// victimsOn lists server i's residents — only the low-priority ones
-	// when lowPriOnly — lowest (priority, ID) first: the deterministic
-	// kill order of evictions and shocks. The list is a copy, so callers
-	// may kill as they walk it.
-	victimsOn := func(i int, lowPriOnly bool) []*pVM {
-		var v []*pVM
-		for _, vm := range resident[i] {
-			if vm.lowPri || !lowPriOnly {
-				v = append(v, vm)
-			}
-		}
-		sort.Slice(v, func(a, b int) bool {
-			if v[a].prio != v[b].prio {
-				return v[a].prio < v[b].prio
-			}
-			return v[a].rec.ID < v[b].rec.ID
-		})
-		return v
-	}
-
-	evict := func(need resources.Vector, server int, now float64) bool {
-		for _, v := range victimsOn(server, true) {
-			if need.FitsIn(free[server]) {
-				break
-			}
-			leave(v)
-			res.Preemptions++
-			lostTotal += remainingDemand(v.rec, nil, now)
-		}
-		return need.FitsIn(free[server])
-	}
-
-	// shockKill removes one VM the provider's capacity shock destroyed:
-	// unlike evict it is not an admission preemption, so it counts in
-	// ShockKills, and only low-priority demand feeds the loss ratio
-	// (the deflation engine charges its shock kills the same remaining
-	// demand, so the cross-engine loss comparison is apples to apples).
-	shockKill := func(vm *pVM, now float64) {
-		leave(vm)
-		res.ShockKills++
-		if vm.lowPri {
-			lostTotal += remainingDemand(vm.rec, nil, now)
+// victimsOn lists server i's residents — only the low-priority ones when
+// lowPriOnly — lowest (priority, ID) first: the deterministic kill order
+// of evictions and shocks. The list is a copy, so callers may kill as
+// they walk it.
+func (p *preemption) victimsOn(i int, lowPriOnly bool) []*pVM {
+	var v []*pVM
+	for _, vm := range p.resident[i] {
+		if vm.lowPri || !lowPriOnly {
+			v = append(v, vm)
 		}
 	}
-
-	// bestEvictionServer picks the server where free space plus
-	// evictable low-priority allocation best covers `need`.
-	bestEvictionServer := func(need resources.Vector) int {
-		best, bestFit := -1, -1.0
-		for i := range free {
-			if revoked[i] {
-				continue
-			}
-			avail := free[i]
-			for _, vm := range resident[i] {
-				if vm.lowPri {
-					avail = avail.Add(vm.size)
-				}
-			}
-			if !need.FitsIn(avail) {
-				continue
-			}
-			fit := resources.CosineFitness(need, avail)
-			if fit > bestFit {
-				best, bestFit = i, fit
-			}
+	sort.Slice(v, func(a, b int) bool {
+		if v[a].prio != v[b].prio {
+			return v[a].prio < v[b].prio
 		}
-		return best
-	}
+		return v[a].rec.ID < v[b].rec.ID
+	})
+	return v
+}
 
-	queue := e.openQueue() // and the horizon, which pushShocks defaults a generated schedule to
-	e.pushShocks(queue)
-	for !queue.empty() {
-		ev := queue.pop()
-		switch ev.kind {
-		case evDeparture:
-			vm, ok := running[ev.vm.ID]
-			if !ok || vm.rec != ev.vm {
-				continue // already preempted or shock-killed, its ID maybe reused
-			}
-			leave(vm)
-			continue
-		case evRevoke:
-			// Today's transient server disappearing: every resident
-			// dies. Lowest (priority, ID) first only fixes the float
-			// fold order; everyone goes.
-			i := ev.shock.Server
-			if revoked[i] {
-				continue
-			}
-			revoked[i] = true
-			res.Revocations++
-			for _, vm := range victimsOn(i, false) {
-				shockKill(vm, ev.at)
-			}
-			free[i] = resources.Vector{} // nothing fits a revoked server
-			continue
-		case evRestore:
-			i := ev.shock.Server
-			if !revoked[i] {
-				continue
-			}
-			revoked[i] = false
-			res.Restorations++
-			free[i] = curCap[i] // the revocation emptied it
-			continue
-		case evResize:
-			// A shrink kills lowest-priority residents until the rest
-			// fits — no deflation exists in this world.
-			i := ev.shock.Server
-			if revoked[i] {
-				continue
-			}
-			newCap := cfg.ServerCapacity.Scale(ev.shock.Scale)
-			free[i] = free[i].Add(newCap.Sub(curCap[i]))
-			curCap[i] = newCap
-			res.Resizes++
-			for _, vm := range victimsOn(i, false) {
-				if free[i].CheckNonNegative() == nil {
-					break
-				}
-				shockKill(vm, ev.at)
-			}
+// evict preempts server's low-priority residents, lowest first, until
+// need fits, and reports whether it does.
+func (p *preemption) evict(need resources.Vector, server int, now float64) bool {
+	free := p.fleet.free
+	for _, v := range p.victimsOn(server, true) {
+		if need.FitsIn(free[server]) {
+			break
+		}
+		p.e.lostTotal += remainingDemand(v.rec, v.cur, now)
+		p.e.res.Preemptions++
+		p.leave(v)
+	}
+	return need.FitsIn(free[server])
+}
+
+// shockKill removes one VM the provider's capacity shock destroyed:
+// unlike evict it is not an admission preemption, so it counts in
+// ShockKills, and only low-priority demand feeds the loss ratio (the
+// deflation engine charges its shock kills the same remaining demand, so
+// the cross-mode loss comparison is apples to apples).
+func (p *preemption) shockKill(vm *pVM, now float64) {
+	if vm.lowPri {
+		p.e.lostTotal += remainingDemand(vm.rec, vm.cur, now)
+	}
+	p.e.res.ShockKills++
+	p.leave(vm)
+}
+
+// bestEvictionServer picks the server where free space plus evictable
+// low-priority allocation best covers need.
+func (p *preemption) bestEvictionServer(need resources.Vector) int {
+	best, bestFit := -1, -1.0
+	for i, free := range p.fleet.free {
+		if p.e.revoked[i] {
 			continue
 		}
-		if _, ok := running[ev.vm.ID]; ok {
-			return nil, errLiveTwice(ev.vm.ID, ev.seq)
+		avail := free
+		for _, vm := range p.resident[i] {
+			if vm.lowPri {
+				avail = avail.Add(vm.size)
+			}
+		}
+		if !need.FitsIn(avail) {
+			continue
+		}
+		if fit := resources.CosineFitness(need, avail); fit > bestFit {
+			best, bestFit = i, fit
+		}
+	}
+	return best
+}
+
+// handleArrivals admits one same-timestamp batch in trace order: each VM
+// on the tightest fit, an on-demand VM that fits nowhere by preempting
+// low-priority residents of the best eviction server.
+func (p *preemption) handleArrivals(evs []simEvent) error {
+	e := p.e
+	res := e.res
+	for _, ev := range evs {
+		if _, ok := p.running[ev.vm.ID]; ok {
+			return errLiveTwice(ev.vm.ID, ev.seq)
 		}
 		res.Arrivals++
 		p95, _ := e.src.util(ev.seq)
@@ -213,45 +187,94 @@ func (e *Engine) runPreemption() (*Result, error) {
 			rec:    ev.vm,
 			size:   vmSize(ev.vm),
 			lowPri: ev.vm.Class == trace.Interactive,
-			prio:   policy.PriorityFromP95(p95, cfg.PriorityLevels),
+			prio:   policy.PriorityFromP95(p95, e.cfg.PriorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.
-			demandTotal += remainingDemand(ev.vm, nil, ev.vm.Start)
+			vm.cur = e.src.cursor(ev.seq)
+			e.demandTotal += remainingDemand(ev.vm, vm.cur, ev.vm.Start)
 		}
-		admit := func() {
-			running[ev.vm.ID] = vm
-			resident[vm.server] = append(resident[vm.server], vm)
-			queue.push(simEvent{at: ev.vm.End, kind: evDeparture, vm: ev.vm, seq: ev.seq})
-		}
-		if place(vm) {
-			res.Admitted++
-			if vm.lowPri {
-				res.DeflatableAdmitted++
-			}
-			admit()
-			continue
-		}
-		if !vm.lowPri {
+		admitted := p.place(vm)
+		if admitted && vm.lowPri {
+			res.DeflatableAdmitted++
+		} else if !admitted && !vm.lowPri {
 			// On-demand pressure: reclaim by preemption.
 			res.ReclamationAttempts++
-			if s := bestEvictionServer(vm.size); s >= 0 && evict(vm.size, s, ev.at) && place(vm) {
-				res.Admitted++
-				admit()
-				continue
+			s := p.bestEvictionServer(vm.size)
+			if admitted = s >= 0 && p.evict(vm.size, s, ev.at) && p.place(vm); !admitted {
+				res.ReclamationFailures++
 			}
-			res.ReclamationFailures++
 		}
-		res.Rejected++
+		if !admitted {
+			res.Rejected++
+			if vm.cur != nil {
+				e.src.release(vm.cur)
+			}
+			continue
+		}
+		res.Admitted++
+		p.running[ev.vm.ID] = vm
+		p.resident[vm.server] = append(p.resident[vm.server], vm)
+		e.queue.push(simEvent{at: ev.vm.End, kind: evDeparture, vm: ev.vm, seq: ev.seq})
 	}
+	return nil
+}
 
-	// Figure 20 baseline metric: preemption probability for admitted
-	// low-priority VMs.
-	if res.DeflatableAdmitted > 0 {
-		res.FailureProbability = float64(res.Preemptions) / float64(res.DeflatableAdmitted)
+// handleDepartures takes each departing VM off its server, unless it
+// was preempted or shock-killed first (its ID maybe reused since).
+func (p *preemption) handleDepartures(evs []simEvent) error {
+	for _, ev := range evs {
+		if vm, ok := p.running[ev.vm.ID]; ok && vm.rec == ev.vm {
+			p.leave(vm)
+		}
 	}
-	if demandTotal > 0 {
-		res.ThroughputLoss = lostTotal / demandTotal
+	return nil
+}
+
+// handleRevocations is today's transient servers disappearing: every
+// resident dies. Lowest (priority, ID) first only fixes the float fold
+// order; everyone goes.
+func (p *preemption) handleRevocations(servers []int, at float64) error {
+	for _, i := range servers {
+		for _, vm := range p.victimsOn(i, false) {
+			p.shockKill(vm, at)
+		}
+		p.fleet.set(i, resources.Vector{}) // nothing fits a revoked server
 	}
-	return res, nil
+	return nil
+}
+
+// handleRestore returns a server at its current capacity: the
+// revocation emptied it.
+func (p *preemption) handleRestore(i int, _ float64) error {
+	p.fleet.set(i, p.curCap[i])
+	return nil
+}
+
+// handleResize changes a server's capacity. A shrink kills
+// lowest-priority residents until the rest fits — no deflation exists
+// in this world.
+func (p *preemption) handleResize(i int, capacity resources.Vector, at float64) error {
+	p.fleet.set(i, p.fleet.free[i].Add(capacity.Sub(p.curCap[i])))
+	p.curCap[i] = capacity
+	for _, vm := range p.victimsOn(i, false) {
+		if p.fleet.free[i].CheckNonNegative() == nil {
+			break
+		}
+		p.shockKill(vm, at)
+	}
+	return nil
+}
+
+// foldResult folds the Figure 20 baseline metric, the preemption
+// probability of admitted low-priority VMs, and the throughput loss.
+func (p *preemption) foldResult() *Result {
+	e := p.e
+	if e.res.DeflatableAdmitted > 0 {
+		e.res.FailureProbability = float64(e.res.Preemptions) / float64(e.res.DeflatableAdmitted)
+	}
+	if e.demandTotal > 0 {
+		e.res.ThroughputLoss = e.lostTotal / e.demandTotal
+	}
+	return e.res
 }

@@ -151,9 +151,10 @@ func packFleet(src *rowSource, start, limit int, serverCap resources.Vector) (in
 	return len(f.free), work, nil
 }
 
-// fleet is the packing replay's servers: each one's free vector and
-// dominant free share by index, and the indices in (share, index) order,
-// which fit walks. A change to one server re-sorts only that server.
+// fleet is the servers of a tightest-fit placer, the packing replay's
+// and the preemption baseline's: each one's free vector and dominant
+// free share by index, and the indices in (share, index) order, which
+// fit walks. A change to one server re-sorts only that server.
 type fleet struct {
 	capacity resources.Vector
 	free     []resources.Vector
@@ -171,7 +172,8 @@ type fleet struct {
 // tol = FitTolerance / (smallest positive capacity component) as a
 // share. No share a sizing computes exceeds 1 + tol (a VM is checked
 // against the capacity first), so 32 units of round-off at that scale
-// bound the few roundings between a share and the bound it is held to.
+// bound the few roundings between a share and the bound it is held to;
+// fit scales them for larger shares.
 func newFleet(n int, capacity resources.Vector) *fleet {
 	cmin := math.Inf(1)
 	for _, c := range capacity {
@@ -239,10 +241,10 @@ func (f *fleet) less(a, b int32) bool {
 	return sa < sb || sa == sb && a < b
 }
 
-// fit returns what tightestFit(f.free, size, f.capacity) returns — the
-// fitting server with the least (leftover share, index), or -1 — while
-// examining only the servers that can win. Let d be size's dominant
-// share and s a server's free share.
+// fit returns what the linear tightest-fit scan returns — the fitting
+// server with the least (leftover share, index), or -1 — while examining
+// only the servers that can win. Let d be size's dominant share and s a
+// server's free share.
 //
 //   - Start. A server that passes FitsIn holds size's dominant component
 //     less at most FitTolerance, so s >= d - tol (newFleet defines tol).
@@ -256,15 +258,28 @@ func (f *fleet) less(a, b int32) bool {
 //   - Ties. Among equal leftovers the lower index wins. That is the
 //     linear scan's choice: it keeps the first of equal leftovers
 //     (strict "<") and breaks on the first perfect fit, and no leftover
-//     is below zero.
+//     is below zero (DominantShare is at least 0).
 //
-// Both bounds assume finite shares, which checkCapacity guarantees.
+// Round-off grows with the magnitudes compared, so the start slack is
+// scaled by max(1, d) and the stop slack by max(1, s). Sizing's shares
+// never exceed 1 + tol, but the preemption baseline's can: an explicit
+// resize scales a server's capacity, and its free share with it, by any
+// finite factor, and a VM is not checked against the capacity there.
+// Both bounds assume finite shares, that is finite capacities.
 func (f *fleet) fit(size resources.Vector) int {
 	d := size.DominantShare(f.capacity)
-	lo := sort.Search(len(f.order), func(p int) bool { return f.share[f.order[p]] >= d-f.eps })
+	start, slack := d-f.eps, f.delta
+	if d > 1 {
+		start = d - f.eps*d
+	}
+	lo := sort.Search(len(f.order), func(p int) bool { return f.share[f.order[p]] >= start })
 	best, bestLeft := -1, math.Inf(1)
 	for _, i := range f.order[lo:] {
-		if f.share[i]-d > bestLeft+f.delta {
+		s := f.share[i]
+		if s > 1 {
+			slack = f.delta * s // s only grows along the order
+		}
+		if s-d > bestLeft+slack {
 			break
 		}
 		f.examined++
@@ -273,26 +288,6 @@ func (f *fleet) fit(size resources.Vector) int {
 		}
 		if left := f.free[i].Sub(size).DominantShare(f.capacity); left < bestLeft || left == bestLeft && int(i) < best {
 			best, bestLeft = int(i), left
-		}
-	}
-	return best
-}
-
-// tightestFit returns the index of the fitting server whose leftover
-// dominant share would be smallest, or -1 if none fits: the linear scan
-// fleet.fit is held to, and the preemption baseline's placement.
-func tightestFit(free []resources.Vector, size, serverCap resources.Vector) int {
-	best, bestLeft := -1, math.Inf(1)
-	for i := range free {
-		if !size.FitsIn(free[i]) {
-			continue
-		}
-		left := free[i].Sub(size).DominantShare(serverCap)
-		if left < bestLeft {
-			best, bestLeft = i, left
-			if left == 0 {
-				break // nothing is strictly tighter than a perfect fit
-			}
 		}
 	}
 	return best

@@ -146,8 +146,8 @@ func TestCalendarQueueMatchesHeapFullRuns(t *testing.T) {
 
 // TestSweepGridStreamMatchesEager: the sweep layer over a stream — the
 // deflationsim -stream path — equals SweepGrid over the materialised
-// trace at every strategy × overcommitment point, including the
-// self-derived baseline cluster size.
+// trace at every strategy × overcommitment point, the preemption
+// baseline's included, with the self-derived baseline cluster size.
 func TestSweepGridStreamMatchesEager(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{
 		Kind: trace.ScenarioAzure, NumVMs: 300, Duration: 86400, Seed: 4,
@@ -155,7 +155,7 @@ func TestSweepGridStreamMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strategies := []string{StrategyProportional, StrategyLatency}
+	strategies := []string{StrategyProportional, StrategyLatency, StrategyPreemption}
 	ocs := []float64{0, 30, 50}
 	eager, err := SweepGrid(s.Materialize(), strategies, ocs, Options{})
 	if err != nil {
@@ -168,14 +168,14 @@ func TestSweepGridStreamMatchesEager(t *testing.T) {
 	if !reflect.DeepEqual(streamed, eager) {
 		t.Fatalf("streamed sweep diverged:\nstreamed %+v\neager    %+v", streamed, eager)
 	}
-	if _, err := SweepGridStream(s, []string{StrategyPreemption}, ocs, Options{}); err == nil {
-		t.Error("preemption over a streamed sweep: want error")
+	if p := eager[2].Points[2]; p.FailureProbability == 0 {
+		t.Fatalf("preemption at %v%% overcommit preempted nothing; the pair is vacuous", p.OvercommitPct)
 	}
 }
 
 // TestStreamConfigValidation pins the Config surface: Trace and Stream
-// are mutually exclusive, a stream is required to be non-empty, and the
-// preemption baseline rejects streams (it needs whole-trace lookahead).
+// are mutually exclusive, one of them is required, and the preemption
+// baseline runs on a stream as on its materialised trace.
 func TestStreamConfigValidation(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{
 		Kind: trace.ScenarioAzure, NumVMs: 10, Duration: 86400, Seed: 1,
@@ -186,8 +186,16 @@ func TestStreamConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Stream: s, Trace: s.Materialize()}); err == nil {
 		t.Error("Trace+Stream together: want error")
 	}
-	if _, err := Run(Config{Stream: s, Mode: ModePreemption}); err == nil {
-		t.Error("preemption over a stream: want error")
+	streamed, err := Run(Config{Stream: s, Mode: ModePreemption, Overcommit: 1})
+	if err != nil {
+		t.Fatalf("preemption over a stream: %v", err)
+	}
+	eager, err := Run(Config{Trace: s.Materialize(), Mode: ModePreemption, Overcommit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, eager) {
+		t.Errorf("preemption over a stream diverged:\nstreamed %+v\neager    %+v", *streamed, *eager)
 	}
 	if _, err := Run(Config{}); err == nil {
 		t.Error("neither Trace nor Stream: want error")

@@ -256,8 +256,8 @@ func SweepGrid(tr *trace.AzureTrace, strategies []string, overcommitPcts []float
 // runs with Config.Stream set, so the sweep never materialises the
 // trace — each concurrent engine synthesises its own arrivals from the
 // shared read-only stream. Results are bit-for-bit those of SweepGrid
-// over s.Materialize() (the streamed differential suite's guarantee).
-// The preemption baseline needs whole-trace lookahead and is rejected.
+// over s.Materialize() (the streamed differential suite's guarantee),
+// the preemption baseline's points included.
 func SweepGridStream(s *trace.Stream, strategies []string, overcommitPcts []float64, opts Options) ([]*SweepResult, error) {
 	return sweepGrid(nil, s, strategies, overcommitPcts, opts)
 }
