@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -47,159 +48,189 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("deflationsim: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	azurePath := flag.String("azure", "", "Azure-format CSV (default: synthetic)")
-	scenario := flag.String("scenario", "azure", "synthetic scenario: azure, diurnal, bursty or heavytail")
-	nVMs := flag.Int("vms", 2000, "synthetic trace size")
-	days := flag.Float64("days", 3, "synthetic trace horizon (days)")
-	seed := flag.Int64("seed", 1, "synthetic trace seed")
-	replicates := flag.Int("replicates", 1, "independently seeded traces to average over (synthetic only)")
-	workers := flag.Int("workers", 0, "sweep worker-pool size (0 = all cores)")
-	ocList := flag.String("oc", "0,10,20,30,40,50,60,70", "overcommitment percentages")
-	strategies := flag.String("strategies", strings.Join(clustersim.Strategies, ","),
+// run parses args and prints the sweep to w.
+func run(args []string, w io.Writer) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	azurePath := fs.String("azure", "", "Azure-format CSV (default: synthetic)")
+	scenario := fs.String("scenario", "azure", "synthetic scenario: azure, diurnal, bursty or heavytail")
+	nVMs := fs.Int("vms", 2000, "synthetic trace size")
+	days := fs.Float64("days", 3, "synthetic trace horizon (days)")
+	seed := fs.Int64("seed", 1, "synthetic trace seed")
+	replicates := fs.Int("replicates", 1, "independently seeded traces to average over (synthetic only)")
+	workers := fs.Int("workers", 0, "sweep worker-pool size (0 = all cores)")
+	ocList := fs.String("oc", "0,10,20,30,40,50,60,70", "overcommitment percentages")
+	strategies := fs.String("strategies", strings.Join(clustersim.Strategies, ","),
 		"comma-separated strategies")
-	shocks := flag.String("shocks", "none", "capacity-shock scenario: none, poisson, diurnal or rack")
-	shockRate := flag.Float64("shockrate", 0.5, "expected revocations per server per day")
-	outage := flag.Float64("outage", 7200, "mean revocation outage (seconds)")
-	rackSize := flag.Int("racksize", 8, "correlated group size for -shocks rack")
-	shockSeed := flag.Int64("shockseed", 1, "shock-schedule seed")
-	stream := flag.Bool("stream", false, "drive the sweep from a streaming trace: O(live VMs) resident memory, identical results, every strategy (synthetic single-trace runs only)")
-	sloMax := flag.Float64("slo", 0, "SLO slowdown threshold (e.g. 2 = 2x); >0 turns on per-VM queueing-model SLO metering")
-	sloCurve := flag.String("slocurve", "", "perfmodel curve for SLO metering: specjbb, kcompile or memcached (default: worst-case linear)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (post-sweep) to this file")
-	flag.Parse()
+	shocks := fs.String("shocks", "none", "capacity-shock scenario: none, poisson, diurnal or rack")
+	shockRate := fs.Float64("shockrate", 0.5, "expected revocations per server per day")
+	outage := fs.Float64("outage", 7200, "mean revocation outage (seconds)")
+	rackSize := fs.Int("racksize", 8, "correlated group size for -shocks rack")
+	shockSeed := fs.Int64("shockseed", 1, "shock-schedule seed")
+	stream := fs.Bool("stream", false, "drive the sweep from a streaming trace: O(live VMs) resident memory, identical results, every strategy (synthetic single-trace runs only)")
+	sloMax := fs.Float64("slo", 0, "SLO slowdown threshold (e.g. 2 = 2x); >0 turns on per-VM queueing-model SLO metering")
+	sloCurve := fs.String("slocurve", "", "perfmodel curve for SLO metering: specjbb, kcompile or memcached (default: worst-case linear)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (post-sweep) to this file")
+	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse did
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
 			if err != nil {
-				log.Fatal(err)
+				return
+			}
+			f, ferr := os.Create(*memprofile)
+			if ferr != nil {
+				err = ferr
+				return
 			}
 			defer f.Close()
 			runtime.GC() // up-to-date live-object statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
+			err = pprof.WriteHeapProfile(f)
 		}()
 	}
 
 	strats := splitStrategies(*strategies)
-	ocs := parseFloats(*ocList)
+	ocs, err := parseFloats(*ocList)
+	if err != nil {
+		return err
+	}
 	opts := clustersim.Options{Workers: *workers}
 	if err := checkReplicates(*replicates); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	slo, err := sloOptions(*sloMax, *sloCurve)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts.SLO = slo
 	sloOn := slo != nil
-	shocked := false
-	if kind, err := trace.ParseShockScenario(*shocks); err != nil {
-		log.Fatal(err)
-	} else if kind != trace.ShockNone {
-		shocked = true
-		opts.ShockConfig = &trace.ShockConfig{
-			Kind:       kind,
-			RatePerDay: *shockRate,
-			OutageMean: *outage,
-			RackSize:   *rackSize,
-			Seed:       *shockSeed,
-		}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	opts.ShockConfig, err = shockConfig(*shocks, set, *shockRate, *outage, *rackSize, *shockSeed)
+	if err != nil {
+		return err
 	}
+	shocked := opts.ShockConfig != nil
 
 	var results []*clustersim.SweepResult
 	switch {
 	case *stream:
 		if *azurePath != "" || *replicates > 1 {
-			log.Fatal("-stream applies to synthetic single-trace runs only (not -azure or -replicates)")
+			return errors.New("-stream applies to synthetic single-trace runs only (not -azure or -replicates)")
 		}
 		s, err := trace.NewNamedStream(*scenario, *nVMs, *days*86400, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("scenario %s (streamed): %d VMs, horizon %.1f days\n\n", *scenario, s.Len(), *days)
-		results, err = clustersim.SweepGridStream(s, strats, ocs, opts)
-		if err != nil {
-			log.Fatal(err)
+		fmt.Fprintf(w, "scenario %s (streamed): %d VMs, horizon %.1f days\n\n", *scenario, s.Len(), *days)
+		if results, err = clustersim.SweepGridStream(s, strats, ocs, opts); err != nil {
+			return err
 		}
 	case *azurePath != "":
-		tr := loadCSV(*azurePath)
-		fmt.Printf("trace: %d VMs, horizon %.1f days\n\n", len(tr.VMs), tr.Duration()/86400)
-		var err error
-		results, err = clustersim.SweepGrid(tr, strats, ocs, opts)
+		tr, err := loadCSV(*azurePath)
 		if err != nil {
-			log.Fatal(err)
+			return err
+		}
+		fmt.Fprintf(w, "trace: %d VMs, horizon %.1f days\n\n", len(tr.VMs), tr.Duration()/86400)
+		if results, err = clustersim.SweepGrid(tr, strats, ocs, opts); err != nil {
+			return err
 		}
 	case *replicates > 1:
 		gen, err := trace.ScenarioGenerator(*scenario, *nVMs, *days*86400)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		seeds := make([]int64, *replicates)
 		for i := range seeds {
 			seeds[i] = *seed + int64(i)
 		}
-		fmt.Printf("scenario %s: %d VMs x %d replicates, horizon %.1f days (mean shown)\n\n",
+		fmt.Fprintf(w, "scenario %s: %d VMs x %d replicates, horizon %.1f days (mean shown)\n\n",
 			*scenario, *nVMs, *replicates, *days)
 		reps, err := clustersim.ReplicatedSweep(gen, seeds, strats, ocs, opts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		results = clustersim.AverageSweeps(reps)
 	default:
 		tr, err := trace.GenerateNamed(*scenario, *nVMs, *days*86400, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("scenario %s: %d VMs, horizon %.1f days\n\n", *scenario, len(tr.VMs), tr.Duration()/86400)
-		results, err = clustersim.SweepGrid(tr, strats, ocs, opts)
-		if err != nil {
-			log.Fatal(err)
+		fmt.Fprintf(w, "scenario %s: %d VMs, horizon %.1f days\n\n", *scenario, len(tr.VMs), tr.Duration()/86400)
+		if results, err = clustersim.SweepGrid(tr, strats, ocs, opts); err != nil {
+			return err
 		}
 	}
 
 	for _, sr := range results {
-		fmt.Printf("== strategy: %s\n", sr.Strategy)
-		fmt.Printf("%8s %12s %12s %12s %12s %12s",
+		fmt.Fprintf(w, "== strategy: %s\n", sr.Strategy)
+		fmt.Fprintf(w, "%8s %12s %12s %12s %12s %12s",
 			"oc%", "failure", "tput-loss%", "rev-static%", "rev-prio%", "rev-alloc%")
 		if shocked {
-			fmt.Printf(" %8s %8s %8s", "revoc", "evac", "kills")
+			fmt.Fprintf(w, " %8s %8s %8s", "revoc", "evac", "kills")
 		}
 		if sloOn {
-			fmt.Printf(" %12s %10s %8s", "slo-viol-sec", "viol-rate", "p99-slow")
+			fmt.Fprintf(w, " %12s %10s %8s", "slo-viol-sec", "viol-rate", "p99-slow")
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		incS := clustersim.RevenueIncrease(sr, "static")
 		incP := clustersim.RevenueIncrease(sr, "priority")
 		incA := clustersim.RevenueIncrease(sr, "allocation")
 		for i, p := range sr.Points {
-			fmt.Printf("%8.0f %12.4f %12.2f %12.1f %12.1f %12.1f",
+			fmt.Fprintf(w, "%8.0f %12.4f %12.2f %12.1f %12.1f %12.1f",
 				p.OvercommitPct, p.FailureProbability, p.ThroughputLossPct,
 				at(incS, i), at(incP, i), at(incA, i))
 			if shocked {
-				fmt.Printf(" %8d %8d %8d", p.Revocations, p.Evacuations, p.ShockKills)
+				fmt.Fprintf(w, " %8d %8d %8d", p.Revocations, p.Evacuations, p.ShockKills)
 			}
 			if sloOn {
-				fmt.Printf(" %12.0f %10.4f %8.2f", p.SLOViolationSeconds, p.SLOViolationRate, p.SLOLatencyP99)
+				fmt.Fprintf(w, " %12.0f %10.4f %8.2f", p.SLOViolationSeconds, p.SLOViolationRate, p.SLOLatencyP99)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
+}
+
+// shockConfig turns -shocks and its parameter flags into the sweep's
+// shock schedule: none for -shocks none, and an error for a parameter
+// flag set (per set, the flags given on the command line) where it
+// shapes nothing — any of them without shocks, -racksize without
+// -shocks rack.
+func shockConfig(scenario string, set map[string]bool, rate, outage float64, rackSize int, seed int64) (*trace.ShockConfig, error) {
+	kind, err := trace.ParseShockScenario(scenario)
+	if err != nil {
+		return nil, err
+	}
+	if kind == trace.ShockNone {
+		for _, name := range []string{"shockrate", "outage", "racksize", "shockseed"} {
+			if set[name] {
+				return nil, fmt.Errorf("-%s applies only with -shocks poisson, diurnal or rack", name)
+			}
+		}
+		return nil, nil
+	}
+	if set["racksize"] && kind != trace.ShockRack {
+		return nil, fmt.Errorf("-racksize applies only with -shocks rack, not %s", kind)
+	}
+	return &trace.ShockConfig{Kind: kind, RatePerDay: rate, OutageMean: outage, RackSize: rackSize, Seed: seed}, nil
 }
 
 // checkReplicates rejects a -replicates that asks for no trace.
@@ -250,27 +281,23 @@ func splitStrategies(s string) []string {
 	return out
 }
 
-func loadCSV(path string) *trace.AzureTrace {
+func loadCSV(path string) (*trace.AzureTrace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.ReadAzureCSV(f)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return tr
+	return trace.ReadAzureCSV(f)
 }
 
-func parseFloats(s string) []float64 {
+func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, p := range strings.Split(s, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
-			log.Fatalf("bad number %q", p)
+			return nil, fmt.Errorf("bad number %q", p)
 		}
 		out = append(out, f)
 	}
-	return out
+	return out, nil
 }

@@ -1,13 +1,22 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"vmdeflate/internal/trace"
 )
 
 // TestFlagsThatAskForNothingFail: -replicates 0 used to run one trace
-// and -slo NaN to turn SLO metering off, both silently.
+// and -slo NaN to turn SLO metering off, both silently. A shock
+// parameter flag that shapes no schedule was ignored too — all four of
+// them under -shocks none, -racksize under poisson and diurnal shocks —
+// and the sweep ran without the shocks or rack size it was given. A
+// flag given at its default value counts as given.
 func TestFlagsThatAskForNothingFail(t *testing.T) {
 	for _, n := range []int{0, -3} {
 		if err := checkReplicates(n); err == nil || !strings.Contains(err.Error(), "want 1 or more") {
@@ -30,10 +39,28 @@ func TestFlagsThatAskForNothingFail(t *testing.T) {
 			t.Errorf("-slo %v -slocurve %q: err = %v, want one containing %q", c.max, c.curve, err, c.want)
 		}
 	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shocks", "none", "-shockrate", "4"}, "-shockrate applies only with"},
+		{[]string{"-shockrate", "4"}, "-shockrate applies only with"},
+		{[]string{"-outage", "600"}, "-outage applies only with"},
+		{[]string{"-shocks", "none", "-racksize", "8"}, "-racksize applies only with"},
+		{[]string{"-shockseed", "7"}, "-shockseed applies only with"},
+		{[]string{"-shocks", "poisson", "-racksize", "4"}, "-racksize applies only with -shocks rack, not poisson"},
+		{[]string{"-shocks", "diurnal", "-racksize", "8"}, "-racksize applies only with -shocks rack, not diurnal"},
+	} {
+		args := append([]string{"-vms", "20", "-days", "1", "-oc", "0"}, c.args...)
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want one containing %q", c.args, err, c.want)
+		}
+	}
 }
 
 // TestValidFlagsStillRun: one trace and more are fine, -slo 0 is off,
-// and a positive threshold meters with the named curve.
+// a positive threshold meters with the named curve, and each shock
+// parameter flag is taken where it shapes the schedule.
 func TestValidFlagsStillRun(t *testing.T) {
 	for _, n := range []int{1, 5} {
 		if err := checkReplicates(n); err != nil {
@@ -47,4 +74,36 @@ func TestValidFlagsStillRun(t *testing.T) {
 	if err != nil || slo == nil || slo.MaxSlowdown != 2 || slo.Curve.Knee == 0 {
 		t.Errorf("-slo 2 -slocurve kcompile: %+v, %v", slo, err)
 	}
+	for _, c := range []struct {
+		scenario string
+		set      []string
+		want     *trace.ShockConfig
+	}{
+		{"rack", []string{"shocks", "racksize", "shockrate"},
+			&trace.ShockConfig{Kind: trace.ShockRack, RatePerDay: 2, OutageMean: 600, RackSize: 4, Seed: 9}},
+		{"poisson", []string{"shocks", "outage", "shockseed", "shockrate"},
+			&trace.ShockConfig{Kind: trace.ShockPoisson, RatePerDay: 2, OutageMean: 600, RackSize: 4, Seed: 9}},
+		{"none", []string{"shocks"}, nil},
+		{"none", nil, nil},
+	} {
+		set := map[string]bool{}
+		for _, name := range c.set {
+			set[name] = true
+		}
+		sc, err := shockConfig(c.scenario, set, 2, 600, 4, 9)
+		if err != nil || !reflect.DeepEqual(sc, c.want) {
+			t.Errorf("-shocks %s with %v set: %+v, %v; want %+v", c.scenario, c.set, sc, err, c.want)
+		}
+	}
+}
+
+// TestSeriesMatchGolden regenerates the default sweep behind Figures
+// 20-22 (every strategy, 2,000 synthetic VMs over 3 days, 0-70 %
+// overcommitment) and holds it to its golden.
+func TestSeriesMatchGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "sweep.txt", out.Bytes())
 }

@@ -1,0 +1,39 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
+
+// checkGolden holds got to testdata/name byte for byte, or rewrites the
+// file under -update. A mismatch names the first line that differs.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	g, w = append(g, "<end of output>"), append(w, "<end of output>")
+	t.Fatalf("%s: line %d differs (rerun with -update to accept)\n got: %q\nwant: %q", path, i+1, g[i], w[i])
+}

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"slices"
@@ -22,107 +23,139 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("feasibility: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	azurePath := flag.String("azure", "", "Azure-format CSV (default: synthetic)")
-	alibabaPath := flag.String("alibaba", "", "Alibaba-format CSV (default: synthetic)")
-	nVMs := flag.Int("vms", 2000, "synthetic Azure trace size")
-	nContainers := flag.Int("containers", 2000, "synthetic Alibaba trace size")
-	seed := flag.Int64("seed", 1, "synthetic trace seed")
-	fig := flag.Int("fig", 0, "only this figure (5-12); 0 = all")
-	flag.Parse()
-	check(checkFig(*fig))
+// run parses args and prints the selected figures' tables to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	azurePath := fs.String("azure", "", "Azure-format CSV (default: synthetic)")
+	alibabaPath := fs.String("alibaba", "", "Alibaba-format CSV (default: synthetic)")
+	nVMs := fs.Int("vms", 2000, "synthetic Azure trace size")
+	nContainers := fs.Int("containers", 2000, "synthetic Alibaba trace size")
+	seed := fs.Int64("seed", 1, "synthetic trace seed")
+	fig := fs.Int("fig", 0, "only this figure (5-12); 0 = all")
+	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse did
+	if err := checkFig(*fig); err != nil {
+		return err
+	}
 
-	azure := loadAzure(*azurePath, *nVMs, *seed)
-	alibaba := loadAlibaba(*alibabaPath, *nContainers, *seed)
+	azure, err := loadAzure(*azurePath, *nVMs, *seed)
+	if err != nil {
+		return err
+	}
+	alibaba, err := loadAlibaba(*alibabaPath, *nContainers, *seed)
+	if err != nil {
+		return err
+	}
 	levels := feasibility.DefaultDeflationLevels
 
 	show := func(n int) bool { return *fig == 0 || *fig == n }
 
 	if show(5) {
 		t, err := feasibility.CPUFeasibility(azure, levels)
-		check(err)
-		fmt.Println("== Figure 5: fraction of time CPU usage exceeds deflated allocation (all VMs)")
-		fmt.Print(feasibility.FormatTable(t))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 5: fraction of time CPU usage exceeds deflated allocation (all VMs)")
+		fmt.Fprint(w, feasibility.FormatTable(t))
 	}
 	if show(6) {
 		ts, err := feasibility.ByClass(azure, levels)
-		check(err)
-		fmt.Println("== Figure 6: deflatability by workload class")
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 6: deflatability by workload class")
 		for _, t := range ts {
-			fmt.Print(feasibility.FormatTable(t))
+			fmt.Fprint(w, feasibility.FormatTable(t))
 		}
 	}
 	if show(7) {
 		ts, err := feasibility.BySize(azure, levels)
-		check(err)
-		fmt.Println("== Figure 7: deflatability by VM memory size")
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 7: deflatability by VM memory size")
 		for _, t := range ts {
-			fmt.Print(feasibility.FormatTable(t))
+			fmt.Fprint(w, feasibility.FormatTable(t))
 		}
 	}
 	if show(8) {
 		ts, err := feasibility.ByPeak(azure, levels)
-		check(err)
-		fmt.Println("== Figure 8: deflatability by 95th-percentile CPU usage")
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 8: deflatability by 95th-percentile CPU usage")
 		for _, t := range ts {
-			fmt.Print(feasibility.FormatTable(t))
+			fmt.Fprint(w, feasibility.FormatTable(t))
 		}
 	}
 	if show(9) {
 		t, err := feasibility.MemoryFeasibility(alibaba, levels)
-		check(err)
-		fmt.Println("== Figure 9: container memory occupancy vs deflated allocation")
-		fmt.Print(feasibility.FormatTable(t))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 9: container memory occupancy vs deflated allocation")
+		fmt.Fprint(w, feasibility.FormatTable(t))
 	}
 	if show(10) {
 		s, err := feasibility.MemoryBandwidthUsage(alibaba)
-		check(err)
-		fmt.Println("== Figure 10: memory-bus bandwidth utilisation")
-		fmt.Printf("mean-of-means = %.4f%%  max = %.4f%%\nper-container means: %s\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 10: memory-bus bandwidth utilisation")
+		fmt.Fprintf(w, "mean-of-means = %.4f%%  max = %.4f%%\nper-container means: %s\n",
 			s.MeanOfMeans, s.MaxOfMax, s.Box)
 	}
 	if show(11) {
 		t, err := feasibility.DiskFeasibility(alibaba, levels)
-		check(err)
-		fmt.Println("== Figure 11: disk bandwidth deflation feasibility")
-		fmt.Print(feasibility.FormatTable(t))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 11: disk bandwidth deflation feasibility")
+		fmt.Fprint(w, feasibility.FormatTable(t))
 	}
 	if show(12) {
 		t, err := feasibility.NetworkFeasibility(alibaba, levels)
-		check(err)
-		fmt.Println("== Figure 12: network bandwidth deflation feasibility")
-		fmt.Print(feasibility.FormatTable(t))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "== Figure 12: network bandwidth deflation feasibility")
+		fmt.Fprint(w, feasibility.FormatTable(t))
 	}
+	return nil
 }
 
-func loadAzure(path string, n int, seed int64) *trace.AzureTrace {
+func loadAzure(path string, n int, seed int64) (*trace.AzureTrace, error) {
 	if path == "" {
 		cfg := trace.DefaultAzureConfig()
 		cfg.NumVMs = n
 		cfg.Seed = seed
-		return trace.GenerateAzure(cfg)
+		return trace.GenerateAzure(cfg), nil
 	}
 	f, err := os.Open(path)
-	check(err)
+	if err != nil {
+		return nil, err
+	}
 	defer f.Close()
-	tr, err := trace.ReadAzureCSV(f)
-	check(err)
-	return tr
+	return trace.ReadAzureCSV(f)
 }
 
-func loadAlibaba(path string, n int, seed int64) *trace.AlibabaTrace {
+func loadAlibaba(path string, n int, seed int64) (*trace.AlibabaTrace, error) {
 	if path == "" {
 		cfg := trace.DefaultAlibabaConfig()
 		cfg.NumContainers = n
 		cfg.Seed = seed
-		return trace.GenerateAlibaba(cfg)
+		return trace.GenerateAlibaba(cfg), nil
 	}
 	f, err := os.Open(path)
-	check(err)
+	if err != nil {
+		return nil, err
+	}
 	defer f.Close()
-	tr, err := trace.ReadAlibabaCSV(f)
-	check(err)
-	return tr
+	return trace.ReadAlibabaCSV(f)
 }
 
 // figures lists the figures -fig selects.
@@ -134,10 +167,4 @@ func checkFig(fig int) error {
 		return nil
 	}
 	return fmt.Errorf("-fig %d: want 0 for all, or one of %v", fig, figures)
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

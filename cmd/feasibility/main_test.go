@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,5 +20,21 @@ func TestFigFlag(t *testing.T) {
 		if err := checkFig(fig); err == nil || !strings.Contains(err.Error(), "want 0 for all") {
 			t.Errorf("-fig %d: err = %v, want one naming the valid figures", fig, err)
 		}
+	}
+}
+
+// TestSeriesMatchGolden regenerates each figure FIGURES.md lists for
+// this command, on the default synthetic traces, and holds it to its
+// golden.
+func TestSeriesMatchGolden(t *testing.T) {
+	for _, fig := range figures {
+		file := fmt.Sprintf("fig%02d.txt", fig)
+		t.Run(file, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run([]string{"-fig", strconv.Itoa(fig)}, &out); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, file, out.Bytes())
+		})
 	}
 }

@@ -20,32 +20,41 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	kind := flag.String("kind", "azure", "trace kind: azure or alibaba")
-	n := flag.Int("n", 1000, "number of VMs / containers")
-	days := flag.Float64("days", 3, "trace horizon in days (azure)")
-	samples := flag.Int("samples", 288, "samples per container (alibaba)")
-	seed := flag.Int64("seed", 1, "random seed")
-	out := flag.String("o", "-", "output file (- for stdout)")
-	flag.Parse()
+// run parses args and writes the trace to the -o file, or to stdout
+// for "-", and its summary to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	kind := fs.String("kind", "azure", "trace kind: azure or alibaba")
+	n := fs.Int("n", 1000, "number of VMs / containers")
+	days := fs.Float64("days", 3, "trace horizon in days (azure)")
+	samples := fs.Int("samples", 288, "samples per container (alibaba)")
+	seed := fs.Int64("seed", 1, "random seed")
+	out := fs.String("o", "-", "output file (- for stdout)")
+	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse did
 
 	write, summary, err := build(*kind, *n, *days, *samples, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := write(w); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: %s\n", summary)
+	return nil
 }
 
 // build synthesises the requested trace and returns its CSV writer and

@@ -56,3 +56,24 @@ func TestBuildWritesWhatItReports(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesMatchGolden regenerates a cut-size trace of each kind, the
+// invocations FIGURES.md's Traces row lists, and holds the CSV to its
+// golden.
+func TestSeriesMatchGolden(t *testing.T) {
+	for _, g := range []struct {
+		args []string
+		file string
+	}{
+		{[]string{"-kind", "azure", "-n", "20", "-days", "1"}, "azure.csv"},
+		{[]string{"-kind", "alibaba", "-n", "20", "-samples", "12"}, "alibaba.csv"},
+	} {
+		t.Run(g.file, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(g.args, &out); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, g.file, out.Bytes())
+		})
+	}
+}

@@ -11,7 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"slices"
 
 	"vmdeflate/internal/apps"
@@ -21,91 +23,113 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("webbench: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	fig := flag.Int("fig", 0, "only this figure (3, 14, 16, 17, 18, 19); 0 = all")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
-	check(checkFig(*fig))
+// run parses args and prints the selected figures' series to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fig := fs.Int("fig", 0, "only this figure (3, 14, 16, 17, 18, 19); 0 = all")
+	seed := fs.Int64("seed", 1, "random seed")
+	fs.Parse(args) // ExitOnError: a bad flag exits here, as flag.Parse did
+	if err := checkFig(*fig); err != nil {
+		return err
+	}
 
 	show := func(n int) bool { return *fig == 0 || *fig == n }
 
 	if show(3) {
-		fmt.Println("== Figure 3: normalised performance, all resources deflated together")
+		fmt.Fprintln(w, "== Figure 3: normalised performance, all resources deflated together")
 		pcts := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-		fmt.Printf("%8s %10s %10s %10s\n", "defl%", "specjbb", "kcompile", "memcached")
+		fmt.Fprintf(w, "%8s %10s %10s %10s\n", "defl%", "specjbb", "kcompile", "memcached")
 		curves := map[string][]apps.Figure3Point{}
 		for _, m := range []apps.ResourceModel{apps.SpecJBB{}, apps.Kcompile{}, apps.Memcached{}} {
 			pts, err := apps.DeflationCurve(m, mechanism.Transparent{}, pcts)
-			check(err)
+			if err != nil {
+				return err
+			}
 			curves[m.Name()] = pts
 		}
 		for i, pct := range pcts {
-			fmt.Printf("%8.0f %10.3f %10.3f %10.3f\n", pct,
+			fmt.Fprintf(w, "%8.0f %10.3f %10.3f %10.3f\n", pct,
 				curves["specjbb"][i].Performance,
 				curves["kcompile"][i].Performance,
 				curves["memcached"][i].Performance)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if show(14) {
-		fmt.Println("== Figure 14: SpecJBB mean RT (normalised), memory-only deflation")
+		fmt.Fprintln(w, "== Figure 14: SpecJBB mean RT (normalised), memory-only deflation")
 		pcts := []float64{0, 5, 10, 15, 20, 25, 30, 35, 40, 45}
 		tr, err := apps.SpecJBBMemoryCurve(mechanism.Transparent{}, pcts)
-		check(err)
-		hy, err := apps.SpecJBBMemoryCurve(mechanism.Hybrid{}, pcts)
-		check(err)
-		fmt.Printf("%8s %12s %12s\n", "defl%", "transparent", "hybrid")
-		for i, pct := range pcts {
-			fmt.Printf("%8.0f %12.3f %12.3f\n", pct, tr[i].MeanRTNormalized, hy[i].MeanRTNormalized)
+		if err != nil {
+			return err
 		}
-		fmt.Println()
+		hy, err := apps.SpecJBBMemoryCurve(mechanism.Hybrid{}, pcts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%8s %12s %12s\n", "defl%", "transparent", "hybrid")
+		for i, pct := range pcts {
+			fmt.Fprintf(w, "%8.0f %12.3f %12.3f\n", pct, tr[i].MeanRTNormalized, hy[i].MeanRTNormalized)
+		}
+		fmt.Fprintln(w)
 	}
 
 	if show(16) || show(17) {
-		fmt.Println("== Figures 16+17: Wikipedia (30 cores, 800 req/s), CPU deflation")
+		fmt.Fprintln(w, "== Figures 16+17: Wikipedia (30 cores, 800 req/s), CPU deflation")
 		cfg := apps.DefaultWikipediaConfig()
 		cfg.Seed = *seed
 		pts, err := apps.WikipediaSweep(cfg, []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 97})
-		check(err)
-		fmt.Printf("%8s %6s %10s %10s %10s %10s %10s\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%8s %6s %10s %10s %10s %10s %10s\n",
 			"defl%", "cores", "mean(s)", "median(s)", "p90(s)", "p99(s)", "served%")
 		for _, p := range pts {
-			fmt.Printf("%8.0f %6.1f %10.3f %10.3f %10.3f %10.3f %10.1f\n",
+			fmt.Fprintf(w, "%8.0f %6.1f %10.3f %10.3f %10.3f %10.3f %10.1f\n",
 				p.DeflationPct, p.Cores, p.Mean, p.Median, p.P90, p.P99, p.ServedFraction*100)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if show(18) {
-		fmt.Println("== Figure 18: social network (30 microservices, 500 req/s), 22/30 deflated")
+		fmt.Fprintln(w, "== Figure 18: social network (30 microservices, 500 req/s), 22/30 deflated")
 		cfg := apps.DefaultSocialNetConfig()
 		cfg.Seed = *seed
 		pts, err := apps.SocialNetworkSweep(cfg, []float64{0, 30, 50, 60, 65})
-		check(err)
-		fmt.Printf("%8s %12s %12s %12s %10s\n", "defl%", "median(ms)", "p90(ms)", "p99(ms)", "served%")
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%8s %12s %12s %12s %10s\n", "defl%", "median(ms)", "p90(ms)", "p99(ms)", "served%")
 		for _, p := range pts {
-			fmt.Printf("%8.0f %12.1f %12.1f %12.1f %10.1f\n",
+			fmt.Fprintf(w, "%8.0f %12.1f %12.1f %12.1f %10.1f\n",
 				p.DeflationPct, p.Median*1000, p.P90*1000, p.P99*1000, p.ServedFraction*100)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if show(19) {
-		fmt.Println("== Figure 19: deflation-aware load balancing (3 Wikipedia replicas, 200 req/s)")
+		fmt.Fprintln(w, "== Figure 19: deflation-aware load balancing (3 Wikipedia replicas, 200 req/s)")
 		cfg := apps.DefaultLBConfig()
 		cfg.Seed = *seed
 		pcts := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80}
 		aware, vanilla, err := apps.LBSweep(cfg, pcts)
-		check(err)
-		fmt.Printf("%8s %12s %12s %12s %12s\n",
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%8s %12s %12s %12s %12s\n",
 			"defl%", "aware-mean", "vanilla-mean", "aware-p90", "vanilla-p90")
 		for i := range pcts {
-			fmt.Printf("%8.0f %12.3f %12.3f %12.3f %12.3f\n", pcts[i],
+			fmt.Fprintf(w, "%8.0f %12.3f %12.3f %12.3f %12.3f\n", pcts[i],
 				aware[i].Mean, vanilla[i].Mean, aware[i].P90, vanilla[i].P90)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // figures lists the figures -fig selects.
@@ -117,10 +141,4 @@ func checkFig(fig int) error {
 		return nil
 	}
 	return fmt.Errorf("-fig %d: want 0 for all, or one of %v", fig, figures)
-}
-
-func check(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
 )
@@ -16,7 +15,7 @@ import (
 // normalised config, which the passes read.
 func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, *Config) {
 	tb.Helper()
-	m := NewManager(Config{Policy: pol, Mechanism: mechanism.Transparent{}})
+	m := NewManager(Config{Policy: pol})
 	s, err := m.AddServer("node-0", resources.CPUMem(48, 131072), 0)
 	if err != nil {
 		tb.Fatal(err)

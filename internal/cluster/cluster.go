@@ -58,14 +58,15 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// applyAndNotify applies target to d via cfg.Mechanism and publishes an
+// applyAndNotify applies target to d through the transparent mechanism
+// (Section 7.4's cluster evaluation runs no other) and publishes an
 // allocation-change event when a bus is configured. old is d's
 // allocation before the write: the Current column of the deflatable view
 // the pass read, which nothing but this call moves within the pass — so
 // the event is built from the view and from what Apply returns, with no
 // further locked read of the domain.
 func applyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, target resources.Vector) error {
-	got, err := cfg.Mechanism.Apply(d, target)
+	got, err := mechanism.Transparent{}.Apply(d, target)
 	if err != nil {
 		return err
 	}
@@ -77,7 +78,6 @@ func applyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, target re
 			Old:               old,
 			New:               got,
 			DeflationFraction: got.DeflationFraction(d.MaxSize()),
-			Mechanism:         cfg.Mechanism.Name(),
 		})
 	}
 	return nil
@@ -108,8 +108,6 @@ var (
 type Config struct {
 	// Policy is the server-level deflation policy.
 	Policy policy.Policy
-	// Mechanism applies deflation targets to domains.
-	Mechanism mechanism.Mechanism
 	// PartitionByPriority places VMs only on servers of their priority
 	// pool (Section 5.2.1). Non-deflatable VMs use pool 0.
 	PartitionByPriority bool
@@ -144,9 +142,6 @@ type RiskConfig struct {
 func (c *Config) applyDefaults() {
 	if c.Policy == nil {
 		c.Policy = policy.Proportional{}
-	}
-	if c.Mechanism == nil {
-		c.Mechanism = mechanism.Transparent{}
 	}
 	if c.PriorityLevels <= 0 {
 		c.PriorityLevels = 4
@@ -817,7 +812,7 @@ func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervi
 	if err != nil {
 		return nil, err // insufficient: caller tries the next server
 	}
-	d, err := launch(s, &m.cfg, dc, initial)
+	d, err := launch(s, dc, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -881,7 +876,7 @@ func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.V
 }
 
 // launch defines, starts and initially sizes the new domain.
-func launch(s *Server, cfg *Config, dc hypervisor.DomainConfig, initial resources.Vector) (*hypervisor.Domain, error) {
+func launch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector) (*hypervisor.Domain, error) {
 	d, err := s.Host.Define(dc)
 	if err != nil {
 		return nil, err
@@ -891,7 +886,7 @@ func launch(s *Server, cfg *Config, dc hypervisor.DomainConfig, initial resource
 		return nil, err
 	}
 	if initial != dc.Size {
-		if _, err := cfg.Mechanism.Apply(d, initial); err != nil {
+		if _, err := (mechanism.Transparent{}).Apply(d, initial); err != nil {
 			d.Shutdown()
 			s.Host.Undefine(dc.Name)
 			return nil, err

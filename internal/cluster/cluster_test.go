@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
 )
@@ -132,7 +131,7 @@ func TestPlacementPrefersDeflationOverRejection(t *testing.T) {
 }
 
 func TestPlaceTriggersDeflation(t *testing.T) {
-	m := newTestManager(t, 1, Config{Policy: policy.Proportional{}, Mechanism: mechanism.Transparent{}})
+	m := newTestManager(t, 1, Config{Policy: policy.Proportional{}})
 	// Fill the server: 40 cores of deflatable + on-demand needing 16.
 	if _, _, err := m.PlaceVM(deflatableVM("low-1", 40, 65536, 0.5)); err != nil {
 		t.Fatal(err)
@@ -346,7 +345,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestDeterministicPolicyIntegration(t *testing.T) {
-	m := newTestManager(t, 1, Config{Policy: policy.Deterministic{}, Mechanism: mechanism.Hybrid{}})
+	m := newTestManager(t, 1, Config{Policy: policy.Deterministic{}})
 	if _, _, err := m.PlaceVM(deflatableVM("low", 40, 65536, 0.25)); err != nil {
 		t.Fatal(err)
 	}

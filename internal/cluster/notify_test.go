@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/notify"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
@@ -134,14 +133,13 @@ func TestBusDrivesWeights(t *testing.T) {
 // way: Old is the allocation the domain had going in (tracked from a
 // snapshot of every live domain taken before each manager call, then
 // event to event), New and DeflationFraction are read back from the
-// domain while the event is being delivered, Mechanism is the manager's
-// configured one, Kind is Classify of the two, Server is the host the
-// domain lives on. Each published
+// domain while the event is being delivered, Kind is Classify of the
+// two, Server is the host the domain lives on. Each published
 // event must equal that one field for field.
 func TestEventsMatchLockedDomainReads(t *testing.T) {
 	configs := []Config{
 		{},
-		{Mechanism: mechanism.Hybrid{}, Policy: policy.Priority{}},
+		{Policy: policy.Priority{}},
 	}
 	for ci, cfg := range configs {
 		t.Run(fmt.Sprintf("config=%d", ci), func(t *testing.T) {
@@ -170,7 +168,7 @@ func TestEventsMatchLockedDomainReads(t *testing.T) {
 				want := notify.Event{
 					VM: d.Name(), Server: d.Host().Name(),
 					Old: ev.Old, New: d.Allocation(),
-					DeflationFraction: d.DeflationFraction(), Mechanism: m.Config().Mechanism.Name(),
+					DeflationFraction: d.DeflationFraction(),
 				}
 				if old, ok := cur[d]; ok { // launched before this manager call, or seen since
 					want.Old = old

@@ -62,9 +62,9 @@
 // scenario generators in internal/trace: diurnal, bursty/flash-crowd,
 // heavy-tail) arrive and depart on their trace timestamps, are placed
 // by the cluster manager (cosine-fitness placement, Section 5.2),
-// deflated by the configured server-level policy and mechanism, and
-// reinflate as capacity frees. The simulator measures the three
-// cluster-level outcomes of Section 7.4:
+// deflated by the configured server-level policy through the
+// transparent mechanism, and reinflate as capacity frees. The simulator
+// measures the three cluster-level outcomes of Section 7.4:
 //
 //   - failure probability (Figure 20): for deflation policies, the
 //     probability that a reclamation attempt cannot free enough
@@ -85,7 +85,6 @@ import (
 	"fmt"
 	"math"
 
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/notify"
 	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/policy"
@@ -119,10 +118,10 @@ type SLOConfig struct {
 }
 
 // ServerType describes one slice of a portfolio fleet (Config.Portfolio):
-// a transient-server market segment with its own price, size and
-// revocation behaviour. Zero-valued numeric fields default to 1, so the
-// zero ServerType is an ordinary on-demand-priced, base-capacity,
-// base-hazard server; use a small positive ShockRateScale (not 0) for a
+// a transient-server market segment with its own price and revocation
+// behaviour on the paper's server. Zero-valued numeric fields default to
+// 1, so the zero ServerType is an ordinary on-demand-priced, base-hazard
+// server; use a small positive ShockRateScale (not 0) for a
 // near-revocation-immune type.
 type ServerType struct {
 	// Name labels the type in reports.
@@ -131,8 +130,6 @@ type ServerType struct {
 	// are normalised across the portfolio; servers are apportioned by
 	// largest-remainder rounding, so counts are exact to ±1.
 	Fraction float64
-	// CapacityScale multiplies Config.ServerCapacity for this type.
-	CapacityScale float64
 	// PriceFactor multiplies the per-core-hour fleet cost rate
 	// (Result.FleetCost) — cheap transient capacity has PriceFactor < 1.
 	PriceFactor float64
@@ -194,24 +191,18 @@ type Config struct {
 	// engine's one event loop, with the same queue, batching and shock
 	// bookkeeping; only what a batch does differs.
 	Mode Mode
-	// Policy and Mechanism configure deflation (ignored for preemption).
-	Policy    policy.Policy
-	Mechanism mechanism.Mechanism
+	// Policy configures deflation (ignored for preemption). Deflation
+	// targets are applied by the transparent mechanism, the one Section
+	// 7.4's cluster evaluation runs.
+	Policy policy.Policy
 	// Partitioned enables priority-partitioned pools (Section 5.2.1).
 	Partitioned bool
-	// PriorityLevels quantises p95-derived priorities (4 in the paper).
-	PriorityLevels int
 	// Overcommit is the target cluster overcommitment fraction: the
 	// cluster is sized to BaselineServers/(1+Overcommit).
 	Overcommit float64
 	// BaselineServers overrides the no-overcommitment cluster size; when
 	// zero it is derived from the trace's peak committed demand.
 	BaselineServers int
-	// ServerCapacity is each server's size (48 CPUs / 128 GB in the
-	// paper).
-	ServerCapacity resources.Vector
-	// PricingSchemes to meter (all three when nil).
-	PricingSchemes []pricing.Scheme
 	// Notify, when set, receives an event for every allocation change
 	// the cluster manager makes during the run. The bus is safe to
 	// share between concurrently running engines.
@@ -230,11 +221,6 @@ type Config struct {
 	// sweeps use, since every grid point provisions a different cluster
 	// size. A zero Duration defaults to the trace horizon.
 	ShockConfig *trace.ShockConfig
-	// EvacuationDowntime is the modelled downtime in seconds charged to
-	// each successfully evacuated VM (Result.DisplacedDowntime). It is
-	// accounting only — it does not feed back into placement — and
-	// defaults to 30 s.
-	EvacuationDowntime float64
 	// SLO, when set, meters request-latency SLO violations every sample
 	// (deflation mode only) and feeds each VM's offered load to its
 	// domain so latency-aware policies can read it. Nil disables both:
@@ -243,8 +229,8 @@ type Config struct {
 	// Portfolio provisions the fleet as a mix of server types instead of
 	// a homogeneous one (deflation mode only): each type takes its
 	// largest-remainder share of the servers as a contiguous run of
-	// provisioning indexes, scales ServerCapacity and the per-core fleet
-	// cost by its factors, and shapes the generated shock schedule
+	// provisioning indexes, scales the per-core fleet cost by its
+	// PriceFactor, and shapes the generated shock schedule
 	// through ShockConfig.RateScale. Nil keeps the homogeneous fleet and
 	// bit-identical legacy runs.
 	Portfolio []ServerType
@@ -260,8 +246,29 @@ type Config struct {
 }
 
 // DefaultServerCapacity is the paper's server: 48 CPUs, 128 GB RAM.
+// Every run provisions it (a portfolio type changes price and hazard,
+// not size); the sizing entry points take a capacity argument.
 func DefaultServerCapacity() resources.Vector {
 	return resources.CPUMem(48, 131072)
+}
+
+// The constants of Section 7.4's cluster evaluation, which every run
+// uses.
+const (
+	// priorityLevels quantises p95-derived priorities.
+	priorityLevels = 4
+	// evacuationDowntime is the modelled downtime in seconds charged to
+	// each successfully evacuated VM (Result.DisplacedDowntime): it is
+	// accounting only and does not feed back into placement.
+	evacuationDowntime = 30.0
+)
+
+// pricingSchemes are the three schemes of Section 5.2.2 every run
+// meters, in Revenue's and the meter column's order.
+var pricingSchemes = []pricing.Scheme{
+	pricing.Static{Discount: 0.2},
+	pricing.Priority{},
+	pricing.Allocation{Discount: 0.2},
 }
 
 func (c *Config) applyDefaults() error {
@@ -278,33 +285,8 @@ func (c *Config) applyDefaults() error {
 	if c.Policy == nil {
 		c.Policy = policy.Proportional{}
 	}
-	if c.Mechanism == nil {
-		c.Mechanism = mechanism.Transparent{}
-	}
-	if c.PriorityLevels <= 0 {
-		c.PriorityLevels = 4
-	}
-	if c.ServerCapacity.IsZero() {
-		c.ServerCapacity = DefaultServerCapacity()
-	}
-	if err := checkCapacity(c.ServerCapacity); err != nil {
-		return err
-	}
-	if c.PricingSchemes == nil {
-		c.PricingSchemes = []pricing.Scheme{
-			pricing.Static{Discount: 0.2},
-			pricing.Priority{},
-			pricing.Allocation{Discount: 0.2},
-		}
-	}
 	if !finiteNonNegative(c.Overcommit) {
 		return fmt.Errorf("clustersim: overcommit %v is not a finite non-negative fraction", c.Overcommit)
-	}
-	if !finiteNonNegative(c.EvacuationDowntime) {
-		return fmt.Errorf("clustersim: evacuation downtime %v is not a finite non-negative duration", c.EvacuationDowntime)
-	}
-	if c.EvacuationDowntime == 0 {
-		c.EvacuationDowntime = 30
 	}
 	if c.SLO != nil {
 		// Copy before defaulting so a caller-shared SLOConfig (sweeps
@@ -322,7 +304,7 @@ func (c *Config) applyDefaults() error {
 		c.SLO = &slo
 	}
 	for _, t := range c.Portfolio {
-		for _, v := range []float64{t.Fraction, t.CapacityScale, t.PriceFactor, t.ShockRateScale} {
+		for _, v := range []float64{t.Fraction, t.PriceFactor, t.ShockRateScale} {
 			if !finiteNonNegative(v) {
 				return fmt.Errorf("clustersim: portfolio type %q has field value %v, want finite and non-negative", t.Name, v)
 			}
@@ -386,9 +368,9 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// checkCapacity is the rule a server capacity must meet, in a run and
-// in the sizing entry points alike: every component finite and
-// non-negative, and not all of them zero.
+// checkCapacity is the rule the sizing entry points hold a server
+// capacity to: every component finite and non-negative, and not all of
+// them zero.
 func checkCapacity(c resources.Vector) error {
 	for _, k := range resources.Kinds {
 		if v := c.Get(k); !finiteNonNegative(v) {
@@ -529,7 +511,7 @@ func poolPlan(cfg *Config, src *rowSource, nServers int) []int {
 	if !cfg.Partitioned {
 		return out // all zeros; ignored when partitioning is off
 	}
-	levels := cfg.PriorityLevels
+	const levels = priorityLevels
 	lvlOf := make([]int32, src.len())
 	for row := range lvlOf {
 		lvl := levels - 1 // on-demand pool

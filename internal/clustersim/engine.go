@@ -86,7 +86,7 @@ type Engine struct {
 	// trace row — maps it to the VM's row of tbl, or to a sentinel. tbl
 	// holds the running deflatable VMs by value, dense (a close
 	// swap-removes), and meters is its billing column: tbl[i]'s meters
-	// are meters[i*k:(i+1)*k], k = len(cfg.PricingSchemes), in scheme
+	// are meters[i*k:(i+1)*k], k = len(pricingSchemes), in scheme
 	// order.
 	tbl    []vmTracking
 	meters []pricing.Meter
@@ -102,13 +102,11 @@ type Engine struct {
 	revoked     []bool
 	serverNames []string
 
-	// Portfolio / risk provisioning state (deflation mode). baseCap and
-	// rateScale are nil on homogeneous fleets: per-server provisioned
-	// capacity (resize events scale it) and the per-server shock-rate
-	// multipliers handed to the schedule generator. costRate is each
-	// server's PriceFactor-weighted core count; outStart/outAccum meter
-	// its out-of-service seconds so FleetCost bills in-service time only.
-	baseCap   []resources.Vector
+	// Portfolio / risk provisioning state (deflation mode). rateScale is
+	// nil on homogeneous fleets: the per-server shock-rate multipliers
+	// handed to the schedule generator. costRate is each server's
+	// PriceFactor-weighted core count; outStart/outAccum meter its
+	// out-of-service seconds so FleetCost bills in-service time only.
 	rateScale []float64
 	costRate  []float64
 	outStart  []float64
@@ -159,7 +157,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if base <= 0 {
 		// Sizing is the geometry's first need; the run reuses it.
 		var err error
-		if base, _, err = sizeFleet(e.src, cfg.ServerCapacity); err != nil {
+		if base, _, err = sizeFleet(e.src, DefaultServerCapacity()); err != nil {
 			return nil, err
 		}
 	}
@@ -237,9 +235,8 @@ func (e *Engine) setupDeflation() error {
 	e.rec = e
 	mgrCfg := cluster.Config{
 		Policy:              cfg.Policy,
-		Mechanism:           cfg.Mechanism,
 		PartitionByPriority: cfg.Partitioned,
-		PriorityLevels:      cfg.PriorityLevels,
+		PriorityLevels:      priorityLevels,
 		Notify:              cfg.Notify,
 	}
 	if cfg.Risk != nil {
@@ -250,15 +247,13 @@ func (e *Engine) setupDeflation() error {
 
 	// Portfolio typing and the analytic hazard model. Both are pure
 	// functions of config and server count, so every engine over the
-	// same config provisions an identical fleet. Baseline sizing above
-	// stays on the base ServerCapacity: the portfolio redistributes the
-	// same nominal fleet, it does not resize it.
+	// same config provisions an identical fleet. Every type is the
+	// paper's server: the portfolio prices and shocks the same nominal
+	// fleet, it does not resize it.
 	typeOf := portfolioAssign(cfg.Portfolio, e.nServers)
 	if typeOf != nil {
-		e.baseCap = make([]resources.Vector, e.nServers)
 		e.rateScale = make([]float64, e.nServers)
 		for i, t := range typeOf {
-			e.baseCap[i] = cfg.ServerCapacity.Scale(orOne(cfg.Portfolio[t].CapacityScale))
 			e.rateScale[i] = orOne(cfg.Portfolio[t].ShockRateScale)
 		}
 	}
@@ -279,11 +274,11 @@ func (e *Engine) setupDeflation() error {
 	e.costRate = make([]float64, e.nServers)
 	e.outStart = make([]float64, e.nServers)
 	e.outAccum = make([]float64, e.nServers)
+	capacity := DefaultServerCapacity()
 	for i := 0; i < e.nServers; i++ {
 		e.serverNames[i] = fmt.Sprintf("node-%03d", i)
-		capacity, price := cfg.ServerCapacity, 1.0
+		price := 1.0
 		if typeOf != nil {
-			capacity = e.baseCap[i]
 			price = orOne(cfg.Portfolio[typeOf[i]].PriceFactor)
 		}
 		e.costRate[i] = price * capacity.Get(resources.CPU)
@@ -302,7 +297,7 @@ func (e *Engine) setupDeflation() error {
 	e.res = &Result{Servers: e.nServers, Revenue: map[string]float64{}, RevenueByPriority: map[int]float64{}}
 	if cfg.SLO != nil {
 		e.sloHist = make([]uint64, sloHistBuckets)
-		e.sloViolByLevel = make([]uint64, cfg.PriorityLevels)
+		e.sloViolByLevel = make([]uint64, priorityLevels)
 	}
 	e.queue = e.openQueue()
 	// 4 bytes per trace row, allocated only now that the geometry is
@@ -329,7 +324,6 @@ func (e *Engine) setupDeflation() error {
 // setup and from the result fold so white-box tests can stand between
 // them.
 func (e *Engine) eventLoop() error {
-	cfg := &e.cfg
 	r := e.rec
 	// Reusable scratch for event batching, so the hot loop does not
 	// allocate per event.
@@ -419,11 +413,7 @@ func (e *Engine) eventLoop() error {
 		case evResize:
 			i := ev.shock.Server
 			if !e.revoked[i] {
-				capacity := cfg.ServerCapacity
-				if e.baseCap != nil {
-					capacity = e.baseCap[i] // resize scales the type's own size
-				}
-				if err := r.handleResize(i, capacity.Scale(ev.shock.Scale), ev.at); err != nil {
+				if err := r.handleResize(i, DefaultServerCapacity().Scale(ev.shock.Scale), ev.at); err != nil {
 					return err
 				}
 				e.res.Resizes++
@@ -533,7 +523,6 @@ func (e *Engine) handleDepartures(evs []simEvent) error {
 // foldResult converts the run's accumulators into the Result. Every
 // admission failure of a deflation run is a failure to reclaim enough.
 func (e *Engine) foldResult() *Result {
-	cfg := &e.cfg
 	e.res.ReclamationFailures = e.res.Rejected
 	// FleetCost: bill each server's in-service core-hours at its type's
 	// price factor, in server index order. Outage intervals accumulated
@@ -552,12 +541,12 @@ func (e *Engine) foldResult() *Result {
 		e.res.ThroughputLoss = e.lostTotal / e.demandTotal
 	}
 	if e.res.OnDemandRevenue > 0 {
-		e.res.CostSavings = make(map[string]float64, len(cfg.PricingSchemes))
-		for _, s := range cfg.PricingSchemes {
+		e.res.CostSavings = make(map[string]float64, len(pricingSchemes))
+		for _, s := range pricingSchemes {
 			e.res.CostSavings[s.Name()] = 1 - e.res.Revenue[s.Name()]/e.res.OnDemandRevenue
 		}
 	}
-	if cfg.SLO != nil {
+	if e.cfg.SLO != nil {
 		e.finishSLO()
 	}
 	return e.res
@@ -691,7 +680,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 			continue
 		}
 		e.res.Evacuations++
-		e.res.DisplacedDowntime += e.cfg.EvacuationDowntime
+		e.res.DisplacedDowntime += evacuationDowntime
 		if slot < 0 {
 			continue // on-demand: the manager holds its new domain
 		}
@@ -699,7 +688,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 		vt.domain, vt.host = pl.Domain, nil
 		meters := e.metersOf(slot)
 		for j := range meters {
-			meters[j].Observe(at/3600, e.cfg.PricingSchemes[j].Rate(vt.size, vt.prio, pl.Initial))
+			meters[j].Observe(at/3600, pricingSchemes[j].Rate(vt.size, vt.prio, pl.Initial))
 		}
 	}
 }
@@ -710,7 +699,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 // so the order swap-removes have left the table in cannot change any
 // result.
 func (e *Engine) samplePass(at float64) {
-	k := len(e.cfg.PricingSchemes)
+	k := len(pricingSchemes)
 	for i := range e.tbl {
 		e.sampleVM(&e.tbl[i], e.meters[i*k:(i+1)*k], at)
 	}
@@ -718,7 +707,7 @@ func (e *Engine) samplePass(at float64) {
 
 // metersOf returns table row slot's slice of the meter column.
 func (e *Engine) metersOf(slot int32) []pricing.Meter {
-	k := len(e.cfg.PricingSchemes)
+	k := len(pricingSchemes)
 	return e.meters[int(slot)*k : (int(slot)+1)*k]
 }
 
@@ -730,7 +719,7 @@ func (e *Engine) metersOf(slot int32) []pricing.Meter {
 func (e *Engine) addRow(vt vmTracking) int32 {
 	slot := int32(len(e.tbl))
 	e.tbl = append(e.tbl, vt)
-	for range e.cfg.PricingSchemes {
+	for range pricingSchemes {
 		e.meters = append(e.meters, pricing.Meter{})
 	}
 	e.slotOf[vt.row] = slot
@@ -747,14 +736,14 @@ func (e *Engine) dropRow(slot int32) {
 	}
 	e.tbl[last] = vmTracking{} // drop the domain/cursor/series pointers for the GC
 	e.tbl = e.tbl[:last]
-	e.meters = e.meters[:int(last)*len(e.cfg.PricingSchemes)]
+	e.meters = e.meters[:int(last)*len(pricingSchemes)]
 }
 
 // closeVM settles table row slot's meters and folds its demand
 // integrals into the run accumulators. The row stays until dropRow.
 func (e *Engine) closeVM(slot int32, at float64) {
 	vt := &e.tbl[slot]
-	finishVM(vt, e.metersOf(slot), at, e.res, &e.cfg)
+	finishVM(vt, e.metersOf(slot), at, e.res)
 	e.demandTotal += vt.demand
 	e.lostTotal += vt.lost
 	if vt.cur != nil {
@@ -789,7 +778,7 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 		// P95-derived priority for it (no meters, no SLO samples).
 		if deflatable {
 			p95, atStart := e.src.util(ev.seq)
-			prio = policy.PriorityFromP95(p95, cfg.PriorityLevels)
+			prio = policy.PriorityFromP95(p95, priorityLevels)
 			dc.Priority = prio
 			if cfg.SLO != nil {
 				// Seed the admission-time offered load so the VM's own
@@ -835,7 +824,7 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 		vt := vmTracking{rec: *vm, size: dcs[i].Size, domain: pl.Domain, cur: e.src.cursor(ev.seq),
 			admitT: ev.at, prio: prios[i], row: int32(ev.seq)}
 		meters := e.metersOf(e.addRow(vt))
-		for j, s := range cfg.PricingSchemes {
+		for j, s := range pricingSchemes {
 			meters[j].Observe(ev.at/3600, s.Rate(dcs[i].Size, prios[i], pl.Initial))
 		}
 	}
@@ -883,7 +872,7 @@ func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 		s := queueing.PSSlowdownRatio(load, maxCores, effCap, sloSlowdownCap)
 		e.sloSampleCount++
 		if s > cfg.SLO.MaxSlowdown+1e-9 {
-			e.sloViolByLevel[priorityLevel(vt.prio, cfg.PriorityLevels)]++
+			e.sloViolByLevel[priorityLevel(vt.prio)]++
 		}
 		idx := int((s - 1) * sloHistScale)
 		if idx < 0 {
@@ -900,7 +889,7 @@ func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 		return
 	}
 	for i := range meters {
-		meters[i].Observe(at/3600, cfg.PricingSchemes[i].Rate(size, vt.prio, alloc))
+		meters[i].Observe(at/3600, pricingSchemes[i].Rate(size, vt.prio, alloc))
 	}
 }
 
@@ -921,27 +910,20 @@ func vmUtil(rec *trace.VMRecord, cur *trace.UtilCursor, at float64) float64 {
 // scheme is additionally split by quantised priority level, and the VM's
 // on-demand-equivalent bill (cores × hours at rate 1) accumulates so
 // the run can report the paper's customer cost-savings fraction.
-func finishVM(vt *vmTracking, meters []pricing.Meter, at float64, res *Result, cfg *Config) {
+func finishVM(vt *vmTracking, meters []pricing.Meter, at float64, res *Result) {
 	for i := range meters {
-		name := cfg.PricingSchemes[i].Name()
+		name := pricingSchemes[i].Name()
 		rev := meters[i].Close(at / 3600)
 		res.Revenue[name] += rev
 		if name == "priority" {
-			res.RevenueByPriority[priorityLevel(vt.prio, cfg.PriorityLevels)] += rev
+			res.RevenueByPriority[priorityLevel(vt.prio)] += rev
 		}
 	}
 	res.OnDemandRevenue += float64(vt.rec.Cores) * (at - vt.admitT) / 3600
 }
 
-// priorityLevel maps a quantised priority pi = (level+1)/n back to its
-// zero-based level index.
-func priorityLevel(prio float64, levels int) int {
-	lvl := int(prio*float64(levels)+0.5) - 1
-	if lvl < 0 {
-		lvl = 0
-	}
-	if lvl >= levels {
-		lvl = levels - 1
-	}
-	return lvl
+// priorityLevel maps a quantised priority pi = (level+1)/priorityLevels
+// back to its zero-based level index.
+func priorityLevel(prio float64) int {
+	return min(max(int(prio*priorityLevels+0.5)-1, 0), priorityLevels-1)
 }

@@ -51,13 +51,13 @@ type preemption struct {
 }
 
 // setupPreemption builds the baseline's run state: every server empty at
-// ServerCapacity, and the queue seeded with the trace and the shock
+// DefaultServerCapacity, and the queue seeded with the trace and the shock
 // schedule.
 func (e *Engine) setupPreemption() error {
 	if err := e.src.open(); err != nil {
 		return err
 	}
-	capacity := e.cfg.ServerCapacity
+	capacity := DefaultServerCapacity()
 	e.rec = &preemption{
 		e:        e,
 		fleet:    newFleet(e.nServers, capacity),
@@ -187,7 +187,7 @@ func (p *preemption) handleArrivals(evs []simEvent) error {
 			rec:    ev.vm,
 			size:   vmSize(ev.vm),
 			lowPri: ev.vm.Class == trace.Interactive,
-			prio:   policy.PriorityFromP95(p95, e.cfg.PriorityLevels),
+			prio:   policy.PriorityFromP95(p95, priorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.

@@ -79,7 +79,7 @@ func runParentPreemption(cfg Config) (*Result, error) {
 // eviction search and the kill lists read only the server they concern
 // and every float fold over them is ordered by simulation state.
 func (e *Engine) runPreemption() (*Result, error) {
-	cfg := e.cfg
+	capacity := DefaultServerCapacity()
 	if err := e.src.open(); err != nil {
 		return nil, err
 	}
@@ -87,8 +87,8 @@ func (e *Engine) runPreemption() (*Result, error) {
 	curCap := make([]resources.Vector, e.nServers)
 	revoked := make([]bool, e.nServers)
 	for i := range free {
-		free[i] = cfg.ServerCapacity
-		curCap[i] = cfg.ServerCapacity
+		free[i] = capacity
+		curCap[i] = capacity
 	}
 	running := map[string]*parentVM{}
 	resident := make([][]*parentVM, e.nServers)
@@ -98,7 +98,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 	place := func(vm *parentVM) bool {
 		// Conventional bin-packing: tightest fit, as used by
 		// non-deflatable cluster managers (Section 5.2).
-		best := tightestFit(free, vm.size, cfg.ServerCapacity)
+		best := tightestFit(free, vm.size, capacity)
 		if best < 0 {
 			return false
 		}
@@ -230,7 +230,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			if revoked[i] {
 				continue
 			}
-			newCap := cfg.ServerCapacity.Scale(ev.shock.Scale)
+			newCap := capacity.Scale(ev.shock.Scale)
 			free[i] = free[i].Add(newCap.Sub(curCap[i]))
 			curCap[i] = newCap
 			res.Resizes++
@@ -251,7 +251,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			rec:    ev.vm,
 			size:   vmSize(ev.vm),
 			lowPri: ev.vm.Class == trace.Interactive,
-			prio:   policy.PriorityFromP95(p95, cfg.PriorityLevels),
+			prio:   policy.PriorityFromP95(p95, priorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.

@@ -51,16 +51,14 @@ func TestAdaptersAgree(t *testing.T) {
 					t.Fatalf("geometries differ (horizons %v and %v, trace %v)", ge.maxEnd, gs.maxEnd, tr.Duration())
 				}
 				checkGeometrySizes(t, ge, tr)
-				for _, levels := range []int{2, 4} {
-					cfg := &Config{Partitioned: true, PriorityLevels: levels}
-					for _, n := range []int{1, 7, 40} {
-						pe, ps := poolPlan(cfg, eager, n), poolPlan(cfg, streamed, n)
-						if !slices.Equal(pe, ps) {
-							t.Fatalf("%d levels, %d servers: eager plans %v, streamed %v", levels, n, pe, ps)
-						}
-						if n == 40 && slices.Max(pe) == 0 {
-							t.Fatalf("%d levels: vacuous plan %v", levels, pe)
-						}
+				cfg := &Config{Partitioned: true}
+				for _, n := range []int{1, 7, 40} {
+					pe, ps := poolPlan(cfg, eager, n), poolPlan(cfg, streamed, n)
+					if !slices.Equal(pe, ps) {
+						t.Fatalf("%d servers: eager plans %v, streamed %v", n, pe, ps)
+					}
+					if n == 40 && slices.Max(pe) == 0 {
+						t.Fatalf("vacuous plan %v", pe)
 					}
 				}
 				if ge.walks == 0 || gs.walks != ge.walks {

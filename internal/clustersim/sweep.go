@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/notify"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/trace"
@@ -98,7 +97,6 @@ func validateGrid(strategies []string, overcommitPcts []float64) error {
 func strategyConfig(tr *trace.AzureTrace, strategy string, baseline int, oc float64) Config {
 	cfg := Config{
 		Trace:           tr,
-		Mechanism:       mechanism.Transparent{},
 		Overcommit:      oc,
 		BaselineServers: baseline,
 	}

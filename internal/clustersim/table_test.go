@@ -22,7 +22,7 @@ import (
 // the on-demand sentinel, and no other trace row claims to be running.
 func checkTable(t *testing.T, e *Engine) {
 	t.Helper()
-	if k := len(e.cfg.PricingSchemes); len(e.meters) != len(e.tbl)*k {
+	if k := len(pricingSchemes); len(e.meters) != len(e.tbl)*k {
 		t.Fatalf("meter column holds %d meters for %d rows of %d schemes", len(e.meters), len(e.tbl), k)
 	}
 	for i := range e.tbl {
@@ -130,11 +130,21 @@ func meteringCases(t *testing.T) map[string]Config {
 		"slo":         sloTestConfig(bursty, 0.5),
 		"slo shocked": {Trace: bursty, Policy: policy.Proportional{}, Overcommit: 0.5, SLO: &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}, ShockConfig: testShockConfig(4)},
 		"risk":        riskConfig(tr),
-		"zero schemes": {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, PricingSchemes: []pricing.Scheme{},
-			ShockConfig: testShockConfig(11)},
+		// Metered through no scheme at all (forEachMeteringCase swaps
+		// the list): a meter column of width zero.
+		"zero schemes":   {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)},
 		"stream":         {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.5},
 		"stream shocked": {Stream: stream, Policy: policy.Priority{}, Overcommit: 0.4, Partitioned: true, SLO: &SLOConfig{}, ShockConfig: testShockConfig(11)},
 	}
+}
+
+// withSchemes meters every run for the rest of the test through schemes
+// in place of the paper's three: the meter column is len(schemes) wide.
+func withSchemes(t testing.TB, schemes []pricing.Scheme) {
+	t.Helper()
+	prev := pricingSchemes
+	pricingSchemes = schemes
+	t.Cleanup(func() { pricingSchemes = prev })
 }
 
 // forEachMeteringCase runs fn on every metering case, on the calendar
@@ -145,6 +155,9 @@ func forEachMeteringCase(t *testing.T, fn func(t *testing.T, cfg Config)) {
 			t.Run(name+"/"+queue, func(t *testing.T) {
 				if queue == "heapqueue" {
 					useHeapQueue(t)
+				}
+				if name == "zero schemes" {
+					withSchemes(t, nil)
 				}
 				fn(t, cfg)
 			})

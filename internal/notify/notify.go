@@ -42,8 +42,6 @@ type Event struct {
 	// DeflationFraction is the VM's overall deflation after the change
 	// (0 = full size).
 	DeflationFraction float64
-	// Mechanism is the mechanism label ("transparent", "hybrid", ...).
-	Mechanism string
 }
 
 // Subscriber receives events. Implementations must not block for long;

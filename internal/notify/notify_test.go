@@ -181,7 +181,7 @@ func BenchmarkPublishSteadyState(b *testing.B) {
 	for i := 0; i < 3; i++ {
 		bus.Subscribe(func(ev Event) { n += len(ev.VM) })
 	}
-	ev := Event{VM: "vm-1", Server: "node-000", Kind: Deflated, Mechanism: "transparent"}
+	ev := Event{VM: "vm-1", Server: "node-000", Kind: Deflated}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -16,7 +16,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,13 +30,14 @@ var (
 	entryRE = regexp.MustCompile("`(cmd/[a-z]+|bench)\\b")
 	pkgRE   = regexp.MustCompile("`(internal/[a-z/]+)`")
 	testRE  = regexp.MustCompile("`((?:Test|Fuzz)\\w+)`")
+	fileRE  = regexp.MustCompile("`((?:cmd|bench)/[\\w./-]+)`")
 	funcRE  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 )
 
 // figureRow is one row of FIGURES.md's table.
 type figureRow struct {
-	name                 string
-	entries, pkgs, tests []string
+	name                          string
+	entries, pkgs, tests, goldens []string
 }
 
 // matches returns the first group of every match of re in s.
@@ -47,7 +50,7 @@ func matches(re *regexp.Regexp, s string) []string {
 }
 
 // readFigures parses FIGURES.md's table: figure, what it shows, entry
-// points, packages, pinning tests.
+// points, packages, pinning tests, golden files.
 func readFigures(t *testing.T) []figureRow {
 	t.Helper()
 	data, err := os.ReadFile("FIGURES.md")
@@ -57,7 +60,7 @@ func readFigures(t *testing.T) []figureRow {
 	var rows []figureRow
 	for _, line := range strings.Split(string(data), "\n") {
 		cells := strings.Split(line, "|")
-		if len(cells) != 7 || strings.HasPrefix(strings.TrimSpace(cells[1]), "-") || strings.TrimSpace(cells[1]) == "Figure" {
+		if len(cells) != 8 || strings.HasPrefix(strings.TrimSpace(cells[1]), "-") || strings.TrimSpace(cells[1]) == "Figure" {
 			continue
 		}
 		rows = append(rows, figureRow{
@@ -65,6 +68,7 @@ func readFigures(t *testing.T) []figureRow {
 			entries: matches(entryRE, cells[3]),
 			pkgs:    matches(pkgRE, cells[4]),
 			tests:   matches(testRE, cells[5]),
+			goldens: matches(fileRE, cells[6]),
 		})
 	}
 	return rows
@@ -111,8 +115,9 @@ func repoTests(t *testing.T) map[string]bool {
 }
 
 // TestFiguresReachEveryPackage holds FIGURES.md to the code: every
-// figure from 3 to 22 has a row; every row names a test that exists; an
-// entry point reaches the packages its row names; and the entry points
+// figure from 3 to 22 has a row; every row names a test that exists; a
+// row with an entry point names a golden file that exists; an entry
+// point reaches the packages its row names; and the entry points
 // together reach every package under internal/, so a package that no
 // figure, trace or scale run needs fails here.
 func TestFiguresReachEveryPackage(t *testing.T) {
@@ -128,6 +133,14 @@ func TestFiguresReachEveryPackage(t *testing.T) {
 		for _, name := range r.tests {
 			if !tests[name] {
 				t.Errorf("%s: test %s does not exist", r.name, name)
+			}
+		}
+		if len(r.entries) > 0 && len(r.goldens) == 0 {
+			t.Errorf("%s: prints a series but names no golden", r.name)
+		}
+		for _, g := range r.goldens {
+			if _, err := os.Stat(g); err != nil {
+				t.Errorf("%s: golden %v", r.name, err)
 			}
 		}
 		rowReach := map[string]bool{}
@@ -209,22 +222,44 @@ var reachAllowed = map[string]string{
 type module struct {
 	decls []*declaration
 	uses  map[*types.Package]map[*ast.Ident]types.Object
+	files map[*types.Package][]*ast.File
+	pkgs  map[string]*types.Package // by import path
 	fset  *token.FileSet
 }
 
-// loadModule type-checks every package of the module, leaving tests
-// out, in `go list -deps` order.
+var (
+	moduleOnce sync.Once
+	moduleVal  *module
+	moduleErr  error
+)
+
+// loadModule returns the type-checked module, loading it on first use:
+// both walks over it read the same load.
 func loadModule(t *testing.T) *module {
 	t.Helper()
+	moduleOnce.Do(func() { moduleVal, moduleErr = typeCheckModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleVal
+}
+
+// typeCheckModule type-checks every package of the module, leaving tests
+// out, in `go list -deps` order.
+func typeCheckModule() (*module, error) {
 	out, err := exec.Command("go", "list", "-deps", "-json", "./...").Output()
 	if err != nil {
-		t.Fatalf("go list: %v", err)
+		return nil, fmt.Errorf("go list: %v", err)
 	}
-	mod := &module{uses: map[*types.Package]map[*ast.Ident]types.Object{}, fset: token.NewFileSet()}
+	mod := &module{
+		uses:  map[*types.Package]map[*ast.Ident]types.Object{},
+		files: map[*types.Package][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		fset:  token.NewFileSet(),
+	}
 	std := importer.Default()
-	checked := map[string]*types.Package{}
 	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
+		if p, ok := mod.pkgs[path]; ok {
 			return p, nil
 		}
 		return std.Import(path)
@@ -232,7 +267,7 @@ func loadModule(t *testing.T) *module {
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var lp listedPackage
 		if err := dec.Decode(&lp); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		if lp.Standard {
 			continue
@@ -241,22 +276,23 @@ func loadModule(t *testing.T) *module {
 		for _, name := range lp.GoFiles {
 			f, err := parser.ParseFile(mod.fset, filepath.Join(lp.Dir, name), nil, 0)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			files = append(files, f)
 		}
 		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 		pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, mod.fset, files, info)
 		if err != nil {
-			t.Fatalf("%s: %v", lp.ImportPath, err)
+			return nil, fmt.Errorf("%s: %v", lp.ImportPath, err)
 		}
-		checked[lp.ImportPath] = pkg
+		mod.pkgs[lp.ImportPath] = pkg
 		for _, f := range files {
 			mod.decls = append(mod.decls, fileDecls(f, info, mod.fset)...)
 		}
 		mod.uses[pkg] = info.Uses
+		mod.files[pkg] = files
 	}
-	return mod
+	return mod, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -522,4 +558,148 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 		t.Errorf("%s:%d: %s is reached by no command or bench", rel, d.pos.Line, declName(d))
 	}
 	t.Logf("%d declarations, %d unreached", len(mod.decls), len(dead))
+}
+
+// knobStructs are the run-configuration structs whose exported fields
+// TestEveryKnobIsSet holds to what shipped code sets, by package under
+// internal/.
+var knobStructs = map[string][]string{
+	"clustersim": {"Config", "Options", "SLOConfig", "RiskOptions", "ServerType"},
+	"cluster":    {"Config", "RiskConfig"},
+	"trace":      {"ShockConfig"},
+}
+
+// knobAllowed names knobs that no non-test code sets, each with the
+// test that needs to vary it.
+var knobAllowed = map[string]string{
+	"clustersim.Options.Portfolio": "TestRiskFrontier (make bench-risk): the portfolio's hazard spread is what " +
+		"the risk-aware frontier beats risk-blind placement on; removing it flips rack and poisson mixes",
+	"clustersim.Options.Risk":              "TestRiskFrontier: the risk-aware side of the frontier",
+	"clustersim.ServerType.Name":           "TestRiskFrontier's portfolio: labels its server types",
+	"clustersim.ServerType.Fraction":       "TestRiskFrontier's portfolio: the fleet mix",
+	"clustersim.ServerType.PriceFactor":    "TestRiskFrontier's portfolio: prices FleetCost per type",
+	"clustersim.ServerType.ShockRateScale": "TestRiskFrontier's portfolio: the per-type hazard the risk model bands on",
+	"clustersim.RiskOptions.HighPriority":  "TestRiskFrontier and the risk validation rows: the banded-order threshold",
+	"clustersim.RiskOptions.Bands":         "TestRiskFrontier and the risk suites: the hazard band count",
+	"clustersim.RiskOptions.HeadroomScale": "TestRiskFrontier: the headroom reserve the frontier trades revenue for kills on",
+	"clustersim.Config.Shocks": "the only route to the resize path (GenerateShocks emits no ShockResize), " +
+		"which bench's replay drives through cluster.Manager.ResizeServer",
+	"trace.ShockConfig.MaxOutFraction": "the risk model's exactness tests set it to 1 (every server may be out at once)",
+}
+
+// knobWrites returns, for every field of the knob structs, whether some
+// non-test code outside its own package's applyDefaults or WithDefaults
+// writes it: as a composite-literal key, or as the selector on the left
+// of an assignment or an increment.
+func knobWrites(mod *module, fields map[*types.Var]string) map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	note := func(uses map[*ast.Ident]types.Object, id *ast.Ident, skipPkg *types.Package) {
+		if v, ok := uses[id].(*types.Var); ok && v.IsField() {
+			if _, knob := fields[v]; knob && v.Pkg() != skipPkg {
+				written[v] = true
+			}
+		}
+	}
+	noteLHS := func(uses map[*ast.Ident]types.Object, e ast.Expr, skipPkg *types.Package) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			note(uses, sel.Sel, skipPkg)
+		}
+	}
+	for pkg, files := range mod.files {
+		uses := mod.uses[pkg]
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				var skipPkg *types.Package // writes to this package's fields are defaulting
+				if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "applyDefaults" || fd.Name.Name == "WithDefaults") {
+					skipPkg = pkg
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									note(uses, id, skipPkg)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							noteLHS(uses, lhs, skipPkg)
+						}
+					case *ast.IncDecStmt:
+						noteLHS(uses, n.X, skipPkg)
+					}
+					return true
+				})
+			}
+		}
+	}
+	return written
+}
+
+// TestEveryKnobIsSet holds the run-configuration structs to what the
+// commands, bench and the code between them set: an exported field that
+// no non-test code writes, other than its own package's defaulting,
+// takes its default in every run a binary can make, so it is a constant
+// that pretends to be a choice. It fails with the field's position.
+// Counting any non-test write is enough: a write in a function no binary
+// reaches already fails TestEveryInternalDeclarationIsReached. What it does not catch is a field
+// written only with its default value (a sweep that set Mechanism to
+// the transparent mechanism it defaulted to anyway passed it); reading
+// the code found that class, and this test keeps the never-written
+// class from coming back.
+func TestEveryKnobIsSet(t *testing.T) {
+	mod := loadModule(t)
+	fields := map[*types.Var]string{}
+	for pkgName, structs := range knobStructs {
+		pkg := mod.pkgs[modulePath+"/internal/"+pkgName]
+		if pkg == nil {
+			t.Fatalf("package internal/%s is not in the module", pkgName)
+		}
+		for _, name := range structs {
+			obj := pkg.Scope().Lookup(name)
+			if obj == nil {
+				t.Fatalf("%s.%s does not exist", pkgName, name)
+			}
+			st := obj.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = pkgName + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	written := knobWrites(mod, fields)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unset []string
+	exists := map[string]bool{}
+	for f, name := range fields {
+		exists[name] = true
+		_, allowed := knobAllowed[name]
+		switch {
+		case written[f] && allowed:
+			t.Errorf("%s is set outside tests now: take it off the allowlist", name)
+		case !written[f] && !allowed:
+			pos := mod.fset.Position(f.Pos())
+			rel, err := filepath.Rel(wd, pos.Filename)
+			if err != nil {
+				rel = pos.Filename
+			}
+			unset = append(unset, fmt.Sprintf("%s:%d: %s is set by no command, bench or library code", rel, pos.Line, name))
+		}
+	}
+	for name := range knobAllowed {
+		if !exists[name] {
+			t.Errorf("allowlisted knob %s does not exist", name)
+		}
+	}
+	slices.Sort(unset)
+	for _, msg := range unset {
+		t.Error(msg)
+	}
+	t.Logf("%d knobs, %d allowlisted", len(fields), len(knobAllowed))
 }
