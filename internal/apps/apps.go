@@ -45,9 +45,6 @@ func (m *Metrics) ServedFraction() float64 {
 	return float64(m.Served) / float64(total)
 }
 
-// Mean returns the mean response time of served requests.
-func (m *Metrics) Mean() float64 { return stats.Mean(m.ResponseTimes) }
-
 // Summary returns (mean, median, p90, p99) response times.
 func (m *Metrics) Summary() (mean, median, p90, p99 float64) {
 	s := make([]float64, len(m.ResponseTimes))

@@ -43,9 +43,6 @@ func NewWebApp(eng *sim.Engine, capacityCores float64, seed int64) *WebApp {
 	}
 }
 
-// SetCapacity applies a deflation/reinflation event to the app's CPU.
-func (w *WebApp) SetCapacity(cores float64) { w.station.SetCapacity(cores) }
-
 // Metrics returns the collected request metrics.
 func (w *WebApp) Metrics() *Metrics { return &w.metrics }
 

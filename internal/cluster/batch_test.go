@@ -172,6 +172,46 @@ func TestPlaceVMsDuplicateNames(t *testing.T) {
 	}
 }
 
+// TestPlaceVMsInvalidConfigTouchesNothing: a VM no hypervisor accepts
+// (128 MB, below the guest kernel's 256 MB reserve) fails with
+// hypervisor.ErrInvalid before the placement decision, so the residents
+// a policy pass would have deflated to make room for it keep their
+// allocations and their server stays clean.
+func TestPlaceVMsInvalidConfigTouchesNothing(t *testing.T) {
+	m := NewManager(Config{})
+	s, err := m.AddServer("node-000", resources.CPUMem(8, 16384), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pls := m.PlaceVMs([]hypervisor.DomainConfig{
+		deflatableVM("res-a", 4, 4096, 0.5),
+		deflatableVM("res-b", 4, 4096, 0.5),
+	}, nil)
+	for _, pl := range pls {
+		if pl.Err != nil {
+			t.Fatal(pl.Err)
+		}
+	}
+	agg := s.Host.Aggregates()
+	fires := 0
+	s.Host.OnAggregateChange(func() { fires++ })
+	pl := m.PlaceVMs([]hypervisor.DomainConfig{deflatableVM("tiny", 2, 128, 0.5)}, nil)[0]
+	if !errors.Is(pl.Err, hypervisor.ErrInvalid) || pl.Path != PathNone || pl.NeedsReclaim || pl.Domain != nil {
+		t.Fatalf("128 MB VM: %+v, want a PathNone hypervisor.ErrInvalid", pl)
+	}
+	for _, res := range pls {
+		if got := res.Domain.Allocation(); got != res.Domain.MaxSize() {
+			t.Errorf("%s deflated to %v for a VM that never launched", res.Domain.Name(), got)
+		}
+	}
+	if fires != 0 || s.Host.Aggregates() != agg {
+		t.Errorf("the rejected VM moved the server: %d change edges", fires)
+	}
+	if _, ok := m.placements["tiny"]; ok {
+		t.Error("the rejected VM holds a placement")
+	}
+}
+
 // TestPlaceVMsEmptyBatch pins the trivial cases.
 func TestPlaceVMsEmptyBatch(t *testing.T) {
 	m := NewManager(Config{})

@@ -220,18 +220,6 @@ func (it *DescIter) Next() {
 	}
 }
 
-// Min returns the smallest (key, name) entry.
-func (ix *Index) Min() (name string, key float64, ok bool) {
-	n := ix.root
-	if n == nil {
-		return "", 0, false
-	}
-	for n.left != nil {
-		n = n.left
-	}
-	return n.name, n.key, true
-}
-
 // insert adds nd below root, rotating to restore the heap property.
 func insert(root, nd *node) *node {
 	if root == nil {

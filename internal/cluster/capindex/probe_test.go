@@ -38,3 +38,15 @@ func ascend(n *node, lower float64, visit func(string, float64) bool) bool {
 	// below the bound only the right subtree can still qualify.
 	return ascend(n.right, lower, visit)
 }
+
+// Min returns the smallest (key, name) entry.
+func (ix *Index) Min() (name string, key float64, ok bool) {
+	n := ix.root
+	if n == nil {
+		return "", 0, false
+	}
+	for n.left != nil {
+		n = n.left
+	}
+	return n.name, n.key, true
+}

@@ -400,9 +400,6 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	return s, nil
 }
 
-// Band returns the server's hazard band (0 without Config.Risk).
-func (s *Server) Band() int { return s.band }
-
 // poolKey maps a (priority pool, hazard band) pair onto one capacity
 // index key. Without Config.Risk nBands is 1 and the key equals the
 // pool — the historical keying, so risk-off managers exercise exactly
@@ -526,7 +523,9 @@ func errHeadroom(dc hypervisor.DomainConfig) error {
 type Path uint8
 
 const (
-	// PathNone: nothing was decided — the VM's name was already live.
+	// PathNone: nothing was decided — the VM's configuration was
+	// invalid (Err wraps hypervisor.ErrInvalid) or its name was already
+	// live (Err wraps ErrExists).
 	PathNone Path = iota
 	// PathSurplus: a server hosted the VM without deflating anyone.
 	PathSurplus
@@ -581,7 +580,9 @@ type Placement struct {
 // large contiguous capacity for future big VMs. Under pressure, servers
 // are ranked by the deflation-aware availability fitness of Section 5.2
 // and residents are deflated on the best server that can absorb the
-// newcomer; a VM no server can host fails with ErrNoCapacity.
+// newcomer; a VM no server can host fails with ErrNoCapacity. A
+// configuration hypervisor.Define would refuse fails with
+// hypervisor.ErrInvalid before any server is examined or deflated.
 //
 // Results are appended to out (which may be nil) and the extended slice
 // is returned, so a caller owns its results — the Manager stays safe
@@ -610,8 +611,12 @@ func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
 // placeOneLocked is the placement decision and its commit for one VM:
 // the three-step protocol of PlaceVMs at the live state.
 func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
-	// A live name is a caller error, not an admission decision: it is
-	// reported before the headroom gate could refuse it.
+	// An invalid configuration and a live name are caller errors, not
+	// admission decisions: they are reported before the headroom gate
+	// could refuse the VM or a policy pass deflate a resident for it.
+	if err := dc.Validate(); err != nil {
+		return Placement{Err: err}
+	}
 	if _, ok := m.placements[dc.Name]; ok {
 		return Placement{Err: errExists(dc.Name)}
 	}

@@ -168,7 +168,7 @@ func TestEventsMatchLockedDomainReads(t *testing.T) {
 				want := notify.Event{
 					VM: d.Name(), Server: d.Host().Name(),
 					Old: ev.Old, New: d.Allocation(),
-					DeflationFraction: d.DeflationFraction(),
+					DeflationFraction: d.Allocation().DeflationFraction(d.MaxSize()),
 				}
 				if old, ok := cur[d]; ok { // launched before this manager call, or seen since
 					want.Old = old

@@ -759,7 +759,9 @@ func (e *Engine) closeVM(slot int32, at float64) {
 // Placement.Initial — the allocation the VM launched with, before any
 // later VM of the same batch deflated it. An arrival whose ID is still
 // running fails the run: the manager is keyed by name and cannot hold
-// both.
+// both. So does one whose configuration no hypervisor accepts (memory
+// below the guest kernel's reserve): it is a bad trace row, not an
+// admission decision.
 func (e *Engine) handleArrivals(evs []simEvent) error {
 	cfg := &e.cfg
 	dcs := e.dcBuf[:0]
@@ -806,6 +808,9 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 		if pl.Err != nil {
 			if errors.Is(pl.Err, cluster.ErrExists) {
 				return errLiveTwice(ev.vm.ID, ev.seq)
+			}
+			if errors.Is(pl.Err, hypervisor.ErrInvalid) {
+				return fmt.Errorf("clustersim: trace row %d: VM ID %q: %w", ev.seq, ev.vm.ID, pl.Err)
 			}
 			e.res.Rejected++
 			if pl.Path == cluster.PathHeadroom {

@@ -1,11 +1,13 @@
 package clustersim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/pricing"
@@ -333,6 +335,31 @@ func TestIDLiveTwiceFailsRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestInvalidVMFailsRun: ReadAzureCSV accepts a 128 MB VM, which no
+// hypervisor defines (memory below the guest kernel's 256 MB reserve).
+// The run fails naming the VM and its trace row, instead of counting it
+// as an admission rejection after deflating residents to make room for
+// it.
+func TestInvalidVMFailsRun(t *testing.T) {
+	tr, err := trace.ReadAzureCSV(strings.NewReader(`id,class,cores,memory_mb,start,end,cpu_util
+a,interactive,4,4096,0,1200,50;50;50;50
+b,interactive,4,4096,0,1200,50;50;50;50
+tiny,interactive,2,128,300,1200,50;50;50
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{Trace: tr, BaselineServers: 1})
+	if !errors.Is(err, hypervisor.ErrInvalid) {
+		t.Fatalf("run: %+v, err = %v, want hypervisor.ErrInvalid", res, err)
+	}
+	for _, want := range []string{`"tiny"`, "trace row 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 

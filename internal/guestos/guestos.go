@@ -22,6 +22,11 @@ var (
 	ErrInvalid = errors.New("guestos: invalid argument")
 )
 
+// ReserveMB is the kernel-reserved memory of a guest that configures no
+// ReserveMB of its own: it can never be unplugged, and a guest with less
+// memory does not boot.
+const ReserveMB = 256
+
 // Config sizes a guest.
 type Config struct {
 	// VCPUs is the configured (maximum) number of virtual CPUs.
@@ -35,7 +40,7 @@ type Config struct {
 	// plus any IRQ-pinned CPUs). Default 1.
 	MinVCPUs int
 	// ReserveMB is kernel-reserved memory that can never be unplugged.
-	// Default 256 MB.
+	// Default ReserveMB (256 MB).
 	ReserveMB float64
 }
 
@@ -47,7 +52,7 @@ func (c *Config) applyDefaults() {
 		c.MinVCPUs = 1
 	}
 	if c.ReserveMB <= 0 {
-		c.ReserveMB = 256
+		c.ReserveMB = ReserveMB
 	}
 }
 
@@ -71,9 +76,8 @@ type GuestOS struct {
 
 // Boot (re)initialises g as a freshly booted guest of the given
 // configuration, with all configured resources online. RSS starts at a
-// minimal kernel footprint; applications grow it via SetWorkload. An
-// owner embeds the GuestOS by value — the hypervisor's Domain — and pays
-// no separate allocation for it. On error g is left untouched.
+// minimal kernel footprint; applications grow it via SetWorkload. On
+// error g is left untouched.
 func (g *GuestOS) Boot(cfg Config) error {
 	cfg.applyDefaults()
 	if cfg.VCPUs < cfg.MinVCPUs {
@@ -90,9 +94,6 @@ func (g *GuestOS) Boot(cfg Config) error {
 	}
 	return nil
 }
-
-// Config returns the guest's configuration.
-func (g *GuestOS) Config() Config { return g.cfg }
 
 // OnlineVCPUs returns the number of currently online vCPUs.
 func (g *GuestOS) OnlineVCPUs() int { return g.onlineVCPUs }

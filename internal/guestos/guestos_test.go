@@ -280,3 +280,6 @@ func TestQuickHotplugInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Config returns the guest's configuration, defaults applied.
+func (g *GuestOS) Config() Config { return g.cfg }

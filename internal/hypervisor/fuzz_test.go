@@ -1,0 +1,289 @@
+package hypervisor
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"vmdeflate/internal/resources"
+)
+
+// fuzzCores and fuzzMemMB are the sizes a fuzzed Define draws: integer
+// and fractional cores, and memory below, at and above the guest
+// kernel's reserve, so some Defines are invalid.
+var (
+	fuzzCores = [...]float64{0.5, 1, 2, 2.4, 2.6, 7.5}
+	fuzzMemMB = [...]float64{128, 256, 1000, 4096}
+)
+
+// fuzzLimits are the components a limit write draws: zero (disengaged,
+// or "leave as is"), negative, and positive values below and above the
+// sizes.
+var fuzzLimits = [...]float64{0, -1, 0.3, 1.5, 2, 3.7, 64, 700, 2048, 1e4}
+
+// domainModel is the fuzz target's naive model of one domain: what the
+// op sequence engaged and what the guest reported doing, nothing read
+// back from the domain.
+type domainModel struct {
+	d       *Domain
+	size    resources.Vector
+	state   DomainState
+	limits  resources.Vector // positive where a write engaged a controller
+	booted  bool
+	online  float64 // vCPUs, once booted
+	plugged float64 // MB, once booted
+}
+
+// alloc is the model's allocation: the size capped by the guest's
+// hotplug state, once booted, and by every engaged limit.
+func (m *domainModel) alloc() resources.Vector {
+	caps := []resources.Vector{m.size}
+	if m.booted {
+		caps = append(caps, m.size.With(resources.CPU, m.online).With(resources.Memory, m.plugged))
+	}
+	for k, l := range m.limits {
+		if l > 0 {
+			caps = append(caps, m.size.With(resources.Kind(k), l))
+		}
+	}
+	a := m.size
+	for _, c := range caps {
+		for k := range a {
+			a[k] = math.Min(a[k], c[k])
+		}
+	}
+	return a
+}
+
+// boot records the guest's first use.
+func (m *domainModel) boot() {
+	if !m.booted {
+		m.booted = true
+		m.online = math.Ceil(m.size.Get(resources.CPU))
+		m.plugged = m.size.Get(resources.Memory)
+	}
+}
+
+// fuzzBytes hands out a fuzz input one byte at a time, zeros past its end.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// FuzzDomainOps drives one host through byte-decoded sequences of
+// Define (invalid sizes included), Start, Shutdown, Undefine, SetLimits
+// (zero and negative components included), SetCPUShares, vCPU and
+// memory hot(un)plug, a domain's first Guest() and SetCapacity over a
+// small name pool, against a naive model. After every op: each
+// domain's allocation is min(size, plugged, positive limits); every row
+// column equals a fresh derivation; Aggregates() equals a name-order
+// recomputation; the allocation epoch moved by exactly one on an
+// allocation write and not at all otherwise; and a rejected write moved
+// nothing, not even an aggregate-change edge.
+//
+//	go test -run '^$' -fuzz FuzzDomainOps -fuzztime 15s -fuzzminimizetime 200x ./internal/hypervisor
+func FuzzDomainOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 3, 2, 1, 0, 2, 0, 4, 3, 0, 5, 0, 7, 0, 2, 8, 0, 1})
+	f.Add([]byte{0, 1, 4, 3, 1, 1, 9, 1, 3, 4, 0, 6, 1, 2, 10, 1, 1, 5, 1, 1, 9, 2, 2, 3, 1})
+	f.Add([]byte{0, 2, 0, 0, 0, 2, 5, 1, 1, 2, 3, 2, 6, 7, 8, 9, 4, 2, 1, 11, 3, 2, 3, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		h := testHost(t)
+		base := h.Capacity()
+		edges := 0
+		h.OnAggregateChange(func() { edges++ })
+		models := map[string]*domainModel{}
+		for op := 0; len(in) > 0; op++ {
+			kind, name := in.next()%12, fmt.Sprintf("vm-%d", in.next()%3)
+			m := models[name]
+			h.Aggregates() // re-arm the change edge
+			epoch, fired := h.AllocEpoch(), edges
+			var before limitState
+			if m != nil {
+				before = limitStateOf(m.d)
+			}
+			allocWrite, rejected := false, false
+			var opName string
+			var err error
+			switch kind {
+			case 0: // define
+				size := resources.New(fuzzCores[in.next()%byte(len(fuzzCores))], fuzzMemMB[in.next()%byte(len(fuzzMemMB))], 0, 0)
+				opName = fmt.Sprintf("define %s %v", name, size)
+				var d *Domain
+				d, err = h.Define(DomainConfig{Name: name, Size: size, Deflatable: op%2 == 0, Priority: 0.5})
+				switch {
+				case size.Get(resources.CPU) < 1 || size.Get(resources.Memory) < 256:
+					if !errors.Is(err, ErrInvalid) {
+						t.Fatalf("%s: err = %v, want ErrInvalid", opName, err)
+					}
+					rejected = true
+				case m != nil:
+					if !errors.Is(err, ErrExists) {
+						t.Fatalf("%s: err = %v, want ErrExists", opName, err)
+					}
+					rejected = true
+				case err != nil:
+					t.Fatalf("%s: %v", opName, err)
+				default:
+					models[name] = &domainModel{d: d, size: size, state: Defined}
+				}
+			case 1, 2: // start, shutdown
+				if m == nil {
+					continue
+				}
+				opName = "start " + name
+				if kind == 2 {
+					opName = "shutdown " + name
+					err = m.d.Shutdown()
+				} else {
+					err = m.d.Start()
+				}
+				if wantErr := (kind == 1) == (m.state == Running); wantErr != errors.Is(err, ErrState) {
+					t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
+				}
+				if err == nil && kind == 1 {
+					m.state = Running
+				} else if err == nil {
+					m.state = Shutoff
+				}
+			case 3: // undefine
+				if m == nil {
+					continue
+				}
+				opName = "undefine " + name
+				err = h.Undefine(name)
+				if (m.state == Running) != errors.Is(err, ErrState) {
+					t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
+				}
+				if err == nil {
+					delete(models, name)
+				}
+			case 4, 5: // batched limits, one CPU share
+				if m == nil {
+					continue
+				}
+				var v resources.Vector
+				if kind == 4 {
+					for k := range v {
+						v[k] = fuzzLimits[in.next()%byte(len(fuzzLimits))]
+					}
+					opName = fmt.Sprintf("limits %s %v", name, v)
+					_, err = m.d.SetLimits(v)
+				} else {
+					v[resources.CPU] = fuzzLimits[in.next()%byte(len(fuzzLimits))]
+					opName = fmt.Sprintf("shares %s %g", name, v[resources.CPU])
+					err = m.d.SetCPUShares(v[resources.CPU])
+				}
+				invalid := false
+				for _, x := range v {
+					invalid = invalid || x < 0
+				}
+				if kind == 5 {
+					invalid = v[resources.CPU] <= 0
+				}
+				if invalid != errors.Is(err, ErrInvalid) {
+					t.Fatalf("%s: err = %v, want ErrInvalid: %v", opName, err, invalid)
+				}
+				if invalid {
+					rejected = true
+					break
+				}
+				for k, x := range v {
+					if x > 0 {
+						m.limits[k] = x
+						allocWrite = true
+					}
+				}
+			case 6, 7, 8, 9: // hot(un)plug
+				if m == nil {
+					continue
+				}
+				n := in.next() % 6
+				var got float64
+				switch kind {
+				case 6:
+					opName = fmt.Sprintf("unplug %s %d vCPUs", name, n)
+					var k int
+					k, err = m.d.HotUnplugVCPUs(int(n))
+					got = -float64(k)
+				case 7:
+					opName = fmt.Sprintf("plug %s %d vCPUs", name, n)
+					var k int
+					k, err = m.d.HotPlugVCPUs(int(n))
+					got = float64(k)
+				case 8:
+					opName = fmt.Sprintf("unplug %s %d MB", name, 256*int(n))
+					got, err = m.d.HotUnplugMemory(256 * float64(n))
+					got = -got
+				case 9:
+					opName = fmt.Sprintf("plug %s %d MB", name, 256*int(n))
+					got, err = m.d.HotPlugMemory(256 * float64(n))
+				}
+				if m.state != Running {
+					if !errors.Is(err, ErrState) {
+						t.Fatalf("%s in state %v: err = %v, want ErrState", opName, m.state, err)
+					}
+					rejected = true
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", opName, err)
+				}
+				m.boot()
+				if kind <= 7 {
+					m.online += got
+				} else {
+					m.plugged += got
+				}
+				allocWrite = true
+			case 10: // first (or later) use of the guest
+				if m == nil {
+					continue
+				}
+				opName = "guest " + name
+				m.d.Guest()
+				m.boot()
+			case 11: // the provider resizes the server
+				opName = "resize"
+				if err := h.SetCapacity(base.Scale(0.5 + float64(in.next()%4)/4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			switch now := h.AllocEpoch(); {
+			case allocWrite && now != epoch+1:
+				t.Fatalf("after %s: allocation write moved the epoch %d -> %d, want +1", opName, epoch, now)
+			case !allocWrite && now != epoch:
+				t.Fatalf("after %s: the epoch moved %d -> %d without an allocation write", opName, epoch, now)
+			}
+			if rejected {
+				if m != nil {
+					if after := limitStateOf(m.d); after != before {
+						t.Fatalf("after rejected %s: state moved %+v -> %+v", opName, before, after)
+					}
+				}
+				if edges != fired {
+					t.Fatalf("after rejected %s: %d aggregate-change edges fired", opName, edges-fired)
+				}
+			}
+			for n, m := range models {
+				if got, want := m.d.Allocation(), m.alloc(); got != want {
+					t.Fatalf("after %s: %s allocates %v, the model %v", opName, n, got, want)
+				}
+				if got := m.d.State(); got != m.state {
+					t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
+				}
+			}
+			checkRows(t, h, opName)
+			checkAggregates(t, h, opName)
+		}
+	})
+}

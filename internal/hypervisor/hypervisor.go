@@ -12,21 +12,27 @@
 // actually get — is the single point of truth consumed by the
 // performance models.
 //
+// A cluster VM is deflated transparently (Section 4.2): it is its row in
+// the host's table and its engaged cgroup limits, nothing more. The
+// guest OS is booted only on first use — by Guest, a hotplug, or the
+// swap and cache-loss reads — which only the single-VM experiments of
+// Figures 3, 13, 14 and 19 make.
+//
 // # Lock model
 //
 // One mutex per Host, Host.mu, guards the host and every mutable field
-// of every domain resident on it: lifecycle state, guest and cgroup
-// state, and the host's row table — the per-resident
+// of every domain resident on it: lifecycle state, cgroup limits, the
+// guest, and the host's row table — the per-resident
 // accounting columns (size, floor, priority, allocation, running,
 // deflatable) that the aggregate and view walks read as contiguous
 // host-owned memory. A Domain has no lock of its own; its mutators take
 // its host's lock, write the resident's row at mutation time and
 // invalidate the cached aggregates, and OnAggregateChange callbacks
-// always run under that lock. The lock order is Host.mu -> Group.mu (the
-// cgroup's own leaf lock). Three things are read outside it: Capacity(),
-// an atomic load; the offered load, a per-domain atomic that moves no
-// aggregate; and AllocEpoch(), the host's allocation epoch, written only
-// under the lock by the allocation writes it counts.
+// always run under that lock. Host.mu is a leaf: nothing in this package
+// takes another lock under it. Three things are read outside it:
+// Capacity(), an atomic load; the offered load, a per-domain atomic that
+// moves no aggregate; and AllocEpoch(), the host's allocation epoch,
+// written only under the lock by the allocation writes it counts.
 package hypervisor
 
 import (
@@ -37,7 +43,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vmdeflate/internal/cgroups"
 	"vmdeflate/internal/guestos"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
@@ -123,18 +128,28 @@ type DomainConfig struct {
 	Load float64
 }
 
-func (c *DomainConfig) validate() error {
+// Validate reports, wrapping ErrInvalid, a configuration Define would
+// refuse: an empty name; a CPU size below one core or not finite; a
+// memory size below the guest kernel's reserve (guestos.ReserveMB) or
+// not finite; a negative size or floor component; a floor above the
+// size; a deflatable priority outside [0, 1]; or a negative or
+// non-finite load. A valid configuration's guest always boots.
+func (c *DomainConfig) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("%w: empty domain name", ErrInvalid)
 	}
-	if c.Size.Get(resources.CPU) < 1 || c.Size.Get(resources.Memory) <= 0 {
-		return fmt.Errorf("%w: domain %s needs at least 1 CPU and some memory", ErrInvalid, c.Name)
+	if cpu := c.Size.Get(resources.CPU); !(cpu >= 1) || math.IsInf(cpu, 1) {
+		return fmt.Errorf("%w: domain %s CPU size %g is not a finite count of at least 1 core", ErrInvalid, c.Name, cpu)
+	}
+	if mem := c.Size.Get(resources.Memory); !(mem >= guestos.ReserveMB) || math.IsInf(mem, 1) {
+		return fmt.Errorf("%w: domain %s memory size %g MB is not finite or below the guest kernel's %d MB reserve",
+			ErrInvalid, c.Name, mem, guestos.ReserveMB)
 	}
 	if err := c.Size.CheckNonNegative(); err != nil {
-		return err
+		return fmt.Errorf("%w: domain %s size: %w", ErrInvalid, c.Name, err)
 	}
 	if err := c.MinAllocation.CheckNonNegative(); err != nil {
-		return err
+		return fmt.Errorf("%w: domain %s min allocation: %w", ErrInvalid, c.Name, err)
 	}
 	if !c.MinAllocation.FitsIn(c.Size) {
 		return fmt.Errorf("%w: domain %s min allocation exceeds size", ErrInvalid, c.Name)
@@ -441,11 +456,11 @@ func (h *Host) searchLocked(name string) int {
 
 // Define creates a domain. Defining does not reserve physical resources:
 // like a real IaaS hypervisor, the host permits overcommitment, which is
-// exactly what deflation exists to manage. The domain is one allocation:
-// its guest OS and cgroup are initialised in place inside it, and its
-// accounting row takes a recycled slot of the host's row table.
+// exactly what deflation exists to manage. The domain is one allocation
+// with no controller engaged and no guest booted, and its accounting row
+// takes a recycled slot of the host's row table.
 func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	h.mu.Lock()
@@ -458,12 +473,6 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 		cfg:   cfg,
 		floor: cfg.Floor(),
 		state: Defined,
-	}
-	if err := d.guest.Boot(guestos.Config{
-		VCPUs:    int(math.Round(cfg.Size.Get(resources.CPU))),
-		MemoryMB: cfg.Size.Get(resources.Memory),
-	}); err != nil {
-		return nil, err
 	}
 	d.load.Store(math.Float64bits(cfg.Load))
 	if n := len(h.free); n > 0 {
@@ -514,7 +523,7 @@ func (h *Host) Domains() []*Domain {
 
 // Undefine removes a stopped domain from the host. Its row slot returns
 // to the free list; the Domain value stays readable (it answers from its
-// own guest and cgroup state) but no longer belongs to any host walk.
+// own limits and guest) but no longer belongs to any host walk.
 func (h *Host) Undefine(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -543,13 +552,13 @@ func (h *Host) Allocated() resources.Vector {
 	return h.Aggregates().Allocated
 }
 
-// Domain is one VM resident on a Host. It is a single allocation — the
-// guest OS and the cgroup live inside it — and it has no lock of its
-// own: every mutable field below is guarded by the host's mu, and every
-// mutation that can move the allocation goes through a Domain method,
-// which writes the resident's row in the host's table at mutation time
-// (the cgroup and the guest's hotplug state are never driven from
-// outside).
+// Domain is one VM resident on a Host: its configuration, its row slot,
+// its lifecycle state, its engaged cgroup limits and its offered load,
+// in a single allocation. It has no lock of its own: every mutable field
+// below is guarded by the host's mu, and every mutation that can move
+// the allocation goes through a Domain method, which writes the
+// resident's row in the host's table at mutation time (the limits and
+// the guest's hotplug state are never driven from outside).
 type Domain struct {
 	host *Host
 	cfg  DomainConfig
@@ -561,8 +570,13 @@ type Domain struct {
 	// slot indexes the domain's row in host.rows; -1 once undefined.
 	slot  int32
 	state DomainState
-	guest guestos.GuestOS
-	cg    cgroups.Group
+	// limits holds the engaged cgroup controllers, one per resource kind:
+	// a positive component is the controller's limit, zero means the
+	// controller is not engaged (no write engages one at zero or below).
+	limits resources.Vector
+	// guest is nil until something asks for it (see guestLocked): a
+	// cluster VM, deflated only through its limits, never boots one.
+	guest *guestos.GuestOS
 
 	// load is the offered request load (cores) last reported through
 	// SetOfferedLoad, seeded from DomainConfig.Load, stored as its
@@ -579,14 +593,42 @@ func (r *row) setAlloc(v resources.Vector) {
 }
 
 // derive computes the domain's allocation from first principles: the
-// nominal size capped by explicit hotplug state (online vCPUs, plugged
-// memory) and then by every engaged cgroup limit. Called with the
-// host's mu held.
+// nominal size capped, once a guest is booted, by its hotplug state
+// (online vCPUs, plugged memory), and then by every engaged cgroup limit.
+// Called with the host's mu held.
 func (d *Domain) derive() resources.Vector {
-	plugged := d.cfg.Size.
-		With(resources.CPU, float64(d.guest.OnlineVCPUs())).
-		With(resources.Memory, d.guest.PluggedMemoryMB())
-	return d.cg.Effective(plugged)
+	a := d.cfg.Size
+	if g := d.guest; g != nil {
+		if on := float64(g.OnlineVCPUs()); on < a[resources.CPU] {
+			a[resources.CPU] = on
+		}
+		a[resources.Memory] = g.PluggedMemoryMB()
+	}
+	for k, l := range d.limits {
+		if l > 0 && l < a[k] {
+			a[k] = l
+		}
+	}
+	return a
+}
+
+// guestLocked returns the domain's guest, booting it on first use with
+// ceil(size) vCPUs and all of its memory plugged. derive caps the online
+// vCPUs at the size, so the boot moves no allocation and writes no row;
+// Validate has refused every configuration whose guest would not boot.
+// Called with the host's mu held.
+func (d *Domain) guestLocked() *guestos.GuestOS {
+	if d.guest == nil {
+		g := new(guestos.GuestOS)
+		if err := g.Boot(guestos.Config{
+			VCPUs:    int(math.Ceil(d.cfg.Size.Get(resources.CPU))),
+			MemoryMB: d.cfg.Size.Get(resources.Memory),
+		}); err != nil {
+			panic(fmt.Sprintf("hypervisor: the guest of validated domain %s failed to boot: %v", d.cfg.Name, err))
+		}
+		d.guest = g
+	}
+	return d.guest
 }
 
 // reallocLocked re-derives the allocation after a limit or hotplug
@@ -632,8 +674,13 @@ func (d *Domain) Config() DomainConfig { return d.cfg }
 func (d *Domain) Host() *Host { return d.host }
 
 // Guest exposes the simulated guest OS (used by mechanisms and by the
-// application models to install memory footprints).
-func (d *Domain) Guest() *guestos.GuestOS { return &d.guest }
+// application models to install memory footprints), booting it on first
+// use.
+func (d *Domain) Guest() *guestos.GuestOS {
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
+	return d.guestLocked()
+}
 
 // State returns the domain's lifecycle state.
 func (d *Domain) State() DomainState {
@@ -726,23 +773,19 @@ func (d *Domain) SetOfferedLoad(v float64) {
 // guest's applications can actually consume.
 func (d *Domain) Effective() resources.Vector { return d.Allocation() }
 
-// DeflationFraction returns how deflated the domain currently is,
-// averaged over the dimensions of its nominal size.
-func (d *Domain) DeflationFraction() float64 {
-	return d.Allocation().DeflationFraction(d.cfg.Size)
-}
-
 // --- Transparent deflation knobs (cgroup-backed, Section 4.2) ---
 
 // setLimit engages one cgroup controller, re-derives the domain's
 // allocation and invalidates the host's aggregate cache (a limit change
-// can move the effective allocation).
+// can move the effective allocation). A zero or negative limit is
+// rejected: freezing a VM entirely is preemption, not deflation.
 func (d *Domain) setLimit(k resources.Kind, v float64) error {
+	if !(v > 0) {
+		return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.cfg.Name, k, v)
+	}
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
-	if err := d.cg.SetLimit(k, v); err != nil {
-		return err
-	}
+	d.limits[k] = v
 	d.reallocLocked()
 	return nil
 }
@@ -750,17 +793,25 @@ func (d *Domain) setLimit(k resources.Kind, v float64) error {
 // SetLimits is the write a deflation mechanism issues per target, in
 // one critical section: every positive component of limits engages its
 // cgroup controller at that value (zero components leave their
-// controller as it is; a negative one rejects the whole write), and the
-// allocation the domain ends up with is returned — derived, like
-// Allocation, from the plugged resources capped by every engaged limit.
+// controller as it is; a negative one rejects the whole write, wrapping
+// ErrInvalid), and the allocation the domain ends up with is returned —
+// derived, like Allocation, from the plugged resources capped by every
+// engaged limit.
 func (d *Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
+	for k, x := range limits {
+		if x < 0 {
+			return resources.Vector{}, fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.cfg.Name, resources.Kind(k), x)
+		}
+	}
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
-	if err := d.cg.SetLimits(limits); err != nil {
-		return resources.Vector{}, err
-	}
 	if limits.IsZero() { // nothing engaged: nothing moved, nothing to invalidate
 		return d.allocLocked(), nil
+	}
+	for k, x := range limits {
+		if x > 0 {
+			d.limits[k] = x
+		}
 	}
 	return d.reallocLocked(), nil
 }
@@ -782,7 +833,7 @@ func hotplug[T int | float64](d *Domain, n T, op func(*guestos.GuestOS, T) (T, e
 	if d.state != Running {
 		return 0, fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
 	}
-	n, err := op(&d.guest, n)
+	n, err := op(d.guestLocked(), n)
 	d.reallocLocked()
 	return n, err
 }
@@ -821,11 +872,11 @@ func (d *Domain) HotPlugMemory(mb float64) (float64, error) {
 func (d *Domain) SwapPressure() float64 {
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
-	limit, ok := d.cg.Limit(resources.Memory)
-	if !ok {
+	limit := d.limits[resources.Memory]
+	if limit == 0 {
 		return 0
 	}
-	return d.guest.SwapPressure(limit)
+	return d.guestLocked().SwapPressure(limit)
 }
 
 // CacheLoss returns the fraction of guest page cache sacrificed to the
@@ -833,5 +884,5 @@ func (d *Domain) SwapPressure() float64 {
 func (d *Domain) CacheLoss() float64 {
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
-	return d.guest.CacheLoss(d.allocLocked().Get(resources.Memory))
+	return d.guestLocked().CacheLoss(d.allocLocked().Get(resources.Memory))
 }

@@ -233,7 +233,7 @@ func TestTransparentDeflation(t *testing.T) {
 	if d.Guest().OnlineVCPUs() != 8 {
 		t.Errorf("guest sees %d vCPUs, want 8", d.Guest().OnlineVCPUs())
 	}
-	if f := d.DeflationFraction(); f < 0.49 || f > 0.51 {
+	if f := d.Allocation().DeflationFraction(d.MaxSize()); f < 0.49 || f > 0.51 {
 		t.Errorf("deflation fraction = %v, want 0.5", f)
 	}
 	d.ClearTransparentLimits()

@@ -1,0 +1,193 @@
+package hypervisor
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"vmdeflate/internal/resources"
+)
+
+// The cgroup controllers of a domain: its limits vector, guarded by the
+// host's lock. A positive component is an engaged controller, zero is
+// none.
+
+func TestDomainLimits(t *testing.T) {
+	d := defineRunning(t, testHost(t), "vm", 8, 16384)
+	if l := limitsOf(d); l != (resources.Vector{}) {
+		t.Errorf("a fresh domain engages %v", l)
+	}
+	if err := d.SetCPUShares(2.5); err != nil {
+		t.Fatal(err)
+	}
+	if l := limitsOf(d); l != resources.New(2.5, 0, 0, 0) {
+		t.Errorf("limits = %v, want only CPU at 2.5", l)
+	}
+	before := limitStateOf(d)
+	for _, v := range []float64{0, -1, math.NaN()} {
+		if err := d.SetMemoryLimit(v); !errors.Is(err, ErrInvalid) {
+			t.Errorf("memory limit %g: err = %v, want ErrInvalid", v, err)
+		}
+	}
+	if after := limitStateOf(d); after != before {
+		t.Errorf("rejected limits moved state: %+v -> %+v", before, after)
+	}
+}
+
+// TestDomainSetLimitsBatched: the batched write engages exactly the
+// controllers the single setters would for each positive component,
+// leaves zero components' controllers as they were, and a negative
+// component rejects the whole vector without touching any controller.
+func TestDomainSetLimitsBatched(t *testing.T) {
+	h := testHost(t)
+	batched, single := defineRunning(t, h, "batched", 8, 16384), defineRunning(t, h, "single", 8, 16384)
+	for _, d := range []*Domain{batched, single} {
+		if err := d.SetNetLimit(700); err != nil { // survives a zero component
+			t.Fatal(err)
+		}
+	}
+	v := resources.New(2.5, 4096, 50, 0)
+	if _, err := batched.SetLimits(v); err != nil {
+		t.Fatal(err)
+	}
+	single.SetCPUShares(2.5)
+	single.SetMemoryLimit(4096)
+	single.SetDiskLimit(50)
+	if got, want := limitsOf(batched), limitsOf(single); got != want {
+		t.Errorf("batched limits = %v, single setters = %v", got, want)
+	}
+	if got := limitsOf(batched); got != resources.New(2.5, 4096, 50, 700) {
+		t.Errorf("limits = %v", got)
+	}
+	before := limitStateOf(batched)
+	if _, err := batched.SetLimits(resources.New(1, -1, 10, 10)); !errors.Is(err, ErrInvalid) {
+		t.Errorf("negative component err = %v", err)
+	}
+	if after := limitStateOf(batched); after != before {
+		t.Errorf("rejected write moved state: %+v -> %+v", before, after)
+	}
+	if _, err := defineRunning(t, h, "fresh", 2, 4096).SetLimits(resources.Vector{}); err != nil {
+		t.Errorf("all-zero vector err = %v", err)
+	}
+}
+
+// TestDomainLimitsVector: one engaged controller leaves the other three
+// disengaged, and clearing disengages all four.
+func TestDomainLimitsVector(t *testing.T) {
+	d := defineRunning(t, testHost(t), "vm", 4, 8192)
+	d.SetCPUShares(2)
+	l := limitsOf(d)
+	if l[resources.CPU] != 2 {
+		t.Errorf("cpu limit = %v", l[resources.CPU])
+	}
+	for _, k := range []resources.Kind{resources.Memory, resources.DiskBW, resources.NetBW} {
+		if l[k] != 0 {
+			t.Errorf("%v should be disengaged, got %v", k, l[k])
+		}
+	}
+	d.ClearTransparentLimits()
+	if l := limitsOf(d); l != (resources.Vector{}) {
+		t.Errorf("after clear, limits = %v", l)
+	}
+}
+
+// TestDomainEffective: the allocation is the size capped by every
+// engaged limit, and a limit above the size does not inflate it.
+func TestDomainEffective(t *testing.T) {
+	size := resources.New(8, 16384, 100, 1000)
+	d, err := testHost(t).Define(DomainConfig{Name: "vm", Size: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Effective(); got != size {
+		t.Errorf("unengaged effective = %v", got)
+	}
+	d.SetCPUShares(4)
+	d.SetMemoryLimit(8192)
+	if got, want := d.Effective(), resources.New(4, 8192, 100, 1000); got != want {
+		t.Errorf("effective = %v, want %v", got, want)
+	}
+	d.SetCPUShares(100)
+	if got := d.Effective().Get(resources.CPU); got != 8 {
+		t.Errorf("limit above size should not inflate: CPU %v", got)
+	}
+}
+
+// TestDomainLimitsConcurrentAccess writes and reads one domain's limits
+// from eight goroutines (run it under -race): every access goes through
+// the host's lock, the only lock a domain has.
+func TestDomainLimitsConcurrentAccess(t *testing.T) {
+	d := defineRunning(t, testHost(t), "vm", 8, 8192)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				d.SetCPUShares(float64(i + 1))
+				d.Effective()
+				limitsOf(d)
+				d.SetLimits(resources.New(float64(i+1), 4096, 0, 0))
+			}
+		}(i)
+	}
+	wg.Wait()
+	if v := limitsOf(d)[resources.CPU]; v < 1 || v > 8 {
+		t.Errorf("final CPU limit = %v", v)
+	}
+	checkRows(t, d.Host(), "concurrent limit writes")
+}
+
+// TestGuestBootMovesNoAllocation: a domain with a fractional CPU size
+// allocates exactly its size from Define on, and booting its guest —
+// ceil(size) vCPUs, capped at the size — moves neither the allocation,
+// nor the Deflated count, nor the allocation epoch.
+func TestGuestBootMovesNoAllocation(t *testing.T) {
+	for _, cores := range []float64{2, 2.4, 2.6} {
+		t.Run(fmt.Sprint(cores), func(t *testing.T) {
+			h := testHost(t)
+			size := resources.New(cores, 4096, 0, 0)
+			d, err := h.Define(DomainConfig{Name: "vm", Size: size, Deflatable: true, Priority: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Start(); err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				if got := d.Allocation(); got != size {
+					t.Errorf("%s: allocation %v, want the size %v", when, got, size)
+				}
+				if n := h.Aggregates().Deflated; n != 0 {
+					t.Errorf("%s: %d deflated domains, want 0", when, n)
+				}
+				checkRows(t, h, when)
+			}
+			check("Define")
+			epoch := h.AllocEpoch()
+			if g := d.Guest(); g.OnlineVCPUs() != int(math.Ceil(cores)) {
+				t.Errorf("guest boots %d vCPUs, want %g rounded up", g.OnlineVCPUs(), cores)
+			}
+			check("first Guest()")
+			if h.AllocEpoch() != epoch {
+				t.Errorf("booting the guest moved the allocation epoch %d -> %d", epoch, h.AllocEpoch())
+			}
+		})
+	}
+}
+
+// TestDomainSize pins what a cluster VM costs: no guest by value, no
+// lock, nothing but its configuration, floor, slot, state, limits, guest
+// pointer and load.
+func TestDomainSize(t *testing.T) {
+	var d Domain
+	got := unsafe.Sizeof(d)
+	if got > 208 {
+		t.Errorf("Domain is %d B, want at most 208", got)
+	}
+	t.Logf("Domain is %d B", got)
+}

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"vmdeflate/internal/cgroups"
-	"vmdeflate/internal/guestos"
 	"vmdeflate/internal/resources"
 )
 
@@ -199,13 +197,13 @@ func checkRows(t *testing.T, h *Host, op string) {
 // limitState is everything a limit write may move on a domain, cgroup
 // controller state included.
 type limitState struct {
-	limits resources.Vector // -1 where disengaged
+	limits resources.Vector // zero where disengaged
 	alloc  resources.Vector
 	agg    Aggregates
 }
 
 func limitStateOf(d *Domain) limitState {
-	return limitState{cgLimits(d), d.Allocation(), d.Host().Aggregates()}
+	return limitState{limitsOf(d), d.Allocation(), d.Host().Aggregates()}
 }
 
 // TestSetLimitsMatchesSingleSetters holds the batched write to the path
@@ -291,11 +289,11 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 	if err != nil || got != d.MaxSize() || fires != 0 {
 		t.Errorf("zero limits: alloc %v, err %v, %d edges", got, err, fires)
 	}
-	if l := cgLimits(d); l != resources.New(-1, -1, -1, -1) {
+	if l := limitsOf(d); l != (resources.Vector{}) {
 		t.Errorf("zero limits engaged a controller: %v", l)
 	}
 	before := limitStateOf(d)
-	if _, err := d.SetLimits(resources.New(2, -1, 0, 0)); !errors.Is(err, cgroups.ErrInvalid) {
+	if _, err := d.SetLimits(resources.New(2, -1, 0, 0)); !errors.Is(err, ErrInvalid) {
 		t.Errorf("negative limit err = %v", err)
 	}
 	if after := limitStateOf(d); after != before {
@@ -303,9 +301,9 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 	}
 }
 
-// TestDefineSurfacesGuestError: the guest boots in place inside the
-// Domain, and its validation error — memory below the 256 MB kernel
-// reserve — still comes back from Define, which leaves no trace on the
+// TestDefineSurfacesGuestError: memory below the guest kernel's 256 MB
+// reserve, on which a guest would fail to boot, is refused by Define
+// before any guest is asked for, and the refusal leaves no trace on the
 // host: no row, no name, no invalidation.
 func TestDefineSurfacesGuestError(t *testing.T) {
 	h := testHost(t)
@@ -315,8 +313,8 @@ func TestDefineSurfacesGuestError(t *testing.T) {
 	h.OnAggregateChange(func() { fires++ })
 
 	tiny := DomainConfig{Name: "tiny", Size: resources.New(1, 128, 0, 0)}
-	if _, err := h.Define(tiny); !errors.Is(err, guestos.ErrInvalid) {
-		t.Fatalf("Define with 128 MB: err = %v, want guestos.ErrInvalid", err)
+	if _, err := h.Define(tiny); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Define with 128 MB: err = %v, want ErrInvalid", err)
 	}
 	if fires != 0 || h.Aggregates() != before || len(h.Domains()) != 1 || len(h.rows) != 1 {
 		t.Errorf("failed Define left a trace: %d edges, %d domains, %d rows", fires, len(h.Domains()), len(h.rows))
@@ -330,9 +328,10 @@ func TestDefineSurfacesGuestError(t *testing.T) {
 	}
 }
 
-// TestDefineAllocatesOnce pins the in-place layout: in steady state a
+// TestDefineAllocatesOnce pins the layout: in steady state a
 // define / start / shutdown / undefine cycle allocates the Domain and
-// nothing else (its guest, cgroup and row cost no object of their own).
+// nothing else (its limits and row cost no object of their own, and no
+// guest is booted).
 func TestDefineAllocatesOnce(t *testing.T) {
 	h := testHost(t)
 	for i := 0; i < 8; i++ {

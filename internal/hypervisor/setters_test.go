@@ -1,9 +1,6 @@
 package hypervisor
 
-import (
-	"vmdeflate/internal/cgroups"
-	"vmdeflate/internal/resources"
-)
+import "vmdeflate/internal/resources"
 
 // The single-controller setters and the aggregate shorthands the tests
 // drive and read a host with. The mechanisms write limits only through
@@ -52,22 +49,17 @@ func (d *Domain) SetNetLimit(mbps float64) error {
 }
 
 // ClearTransparentLimits removes all cgroup caps (full reinflation of the
-// transparent dimension): a zero group engages no controller.
+// transparent dimension): a zero vector engages no controller.
 func (d *Domain) ClearTransparentLimits() {
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
-	d.cg = cgroups.Group{}
+	d.limits = resources.Vector{}
 	d.reallocLocked()
 }
 
-// cgLimits reads every cgroup controller of d, -1 where disengaged.
-func cgLimits(d *Domain) resources.Vector {
-	var v resources.Vector
-	for _, k := range resources.Kinds {
-		v[k] = -1
-		if x, ok := d.cg.Limit(k); ok {
-			v[k] = x
-		}
-	}
-	return v
+// limitsOf reads d's engaged cgroup limits, zero where disengaged.
+func limitsOf(d *Domain) resources.Vector {
+	d.host.mu.Lock()
+	defer d.host.mu.Unlock()
+	return d.limits
 }

@@ -71,20 +71,6 @@ func NewPSStation(eng *sim.Engine, capacity float64) *PSStation {
 	return &PSStation{eng: eng, capacity: capacity, perJobCap: 1, lastT: eng.Now()}
 }
 
-// Capacity returns the station's current capacity.
-func (s *PSStation) Capacity() float64 { return s.capacity }
-
-// SetCapacity changes the station's capacity (a deflation or reinflation
-// event) effective immediately.
-func (s *PSStation) SetCapacity(c float64) {
-	s.advance(s.eng.Now())
-	if c < 0 {
-		c = 0
-	}
-	s.capacity = c
-	s.reschedule()
-}
-
 // rate returns the current per-job service rate.
 func (s *PSStation) rate() float64 {
 	if s.live == 0 {

@@ -16,7 +16,7 @@ func TestSingleJobRunsAtPerJobCap(t *testing.T) {
 	eng.At(0, func(float64) {
 		s.Submit(2.0, func(now float64) { doneAt = now })
 	})
-	eng.Run()
+	drain(eng)
 	// One job capped at 1 core: 2 core-seconds takes 2 seconds.
 	if math.Abs(doneAt-2) > 1e-9 {
 		t.Errorf("doneAt = %v, want 2", doneAt)
@@ -34,7 +34,7 @@ func TestTwoJobsShareWhenCapacityBinds(t *testing.T) {
 		s.Submit(1.0, func(now float64) { d1 = now })
 		s.Submit(1.0, func(now float64) { d2 = now })
 	})
-	eng.Run()
+	drain(eng)
 	// Equal sharing of 1 core: both finish at t=2.
 	if math.Abs(d1-2) > 1e-9 || math.Abs(d2-2) > 1e-9 {
 		t.Errorf("departures = %v, %v; want 2, 2", d1, d2)
@@ -49,7 +49,7 @@ func TestUnequalJobsDepartInWorkOrder(t *testing.T) {
 		s.Submit(1.0, func(now float64) { dShort = now })
 		s.Submit(3.0, func(now float64) { dLong = now })
 	})
-	eng.Run()
+	drain(eng)
 	// Shared until short departs: short gets 1 unit of service at rate
 	// 1/2 -> departs at t=2. Long then has 2 units left at rate 1 ->
 	// departs at t=4.
@@ -70,7 +70,7 @@ func TestAmpleCapacityNoQueueing(t *testing.T) {
 			s.Submit(1.5, func(now float64) { times = append(times, now) })
 		}
 	})
-	eng.Run()
+	drain(eng)
 	for _, d := range times {
 		if math.Abs(d-1.5) > 1e-9 {
 			t.Errorf("with ample capacity every job takes its own work time: %v", times)
@@ -88,7 +88,7 @@ func TestLateArrival(t *testing.T) {
 	eng.At(1, func(float64) {
 		s.Submit(0.5, func(now float64) { d2 = now })
 	})
-	eng.Run()
+	drain(eng)
 	// Job1 alone until t=1 (1 unit done). Then shared: job2 needs 0.5 at
 	// rate 0.5 -> departs t=2; job1 has 0.5 left after sharing (0.5 done
 	// in [1,2]), runs alone at rate 1 -> departs t=2.5.
@@ -114,7 +114,7 @@ func TestCancel(t *testing.T) {
 			}
 		})
 	})
-	eng.Run()
+	drain(eng)
 	if fired {
 		t.Error("cancelled job must not complete")
 	}
@@ -132,7 +132,7 @@ func TestCancelCompletedIsNoOp(t *testing.T) {
 	s := NewPSStation(eng, 1)
 	var j *Job
 	eng.At(0, func(float64) { j = s.Submit(1, nil) })
-	eng.Run()
+	drain(eng)
 	if s.Cancel(j) {
 		t.Error("cancelling a completed job should return false")
 	}
@@ -151,7 +151,7 @@ func TestSetCapacityMidService(t *testing.T) {
 	})
 	// Deflate to half capacity at t=1.
 	eng.At(1, func(float64) { s.SetCapacity(1) })
-	eng.Run()
+	drain(eng)
 	// [0,1]: each at rate 1 (capacity 2, 2 jobs): 1 unit done each.
 	// After: each at rate 0.5, 1 unit left -> 2 more seconds -> t=3.
 	if math.Abs(d1-3) > 1e-9 || math.Abs(d2-3) > 1e-9 {
@@ -168,7 +168,7 @@ func TestZeroCapacityStarves(t *testing.T) {
 	})
 	eng.At(0.5, func(float64) { s.SetCapacity(0) })
 	eng.At(10, func(float64) { s.SetCapacity(1) })
-	eng.Run()
+	drain(eng)
 	if !done {
 		t.Fatal("job should complete after capacity returns")
 	}
@@ -188,7 +188,7 @@ func TestPerJobCap(t *testing.T) {
 	eng.At(0, func(float64) {
 		s.Submit(4.0, func(now float64) { d = now })
 	})
-	eng.Run()
+	drain(eng)
 	if math.Abs(d-2) > 1e-9 {
 		t.Errorf("departed at %v, want 2 (4 core-sec at 2 cores)", d)
 	}
@@ -220,7 +220,7 @@ func TestMM1PSMeanSojourn(t *testing.T) {
 		eng.After(rng.ExpFloat64()/lambda, arrive)
 	}
 	eng.At(0, arrive)
-	eng.Run()
+	drain(eng)
 	mean := stats.Mean(sojourns)
 	want := meanS / (1 - lambda) // PS: insensitive to service distribution
 	if math.Abs(mean-want)/want > 0.08 {
@@ -245,7 +245,7 @@ func TestWorkConservation(t *testing.T) {
 			s.Submit(w, nil)
 		}
 	})
-	eng.Run()
+	drain(eng)
 	// Saturated the whole run at capacity 2: finish time = work/2.
 	want := totalWork / 2
 	if math.Abs(eng.Now()-want)/want > 1e-6 {
@@ -253,5 +253,23 @@ func TestWorkConservation(t *testing.T) {
 	}
 	if s.Completed != 50 {
 		t.Errorf("Completed = %d", s.Completed)
+	}
+}
+
+// SetCapacity changes the station's capacity (a deflation or reinflation
+// event) effective immediately. The figures size a station once, at
+// NewPSStation; the tests resize one mid-run.
+func (s *PSStation) SetCapacity(c float64) {
+	s.advance(s.eng.Now())
+	if c < 0 {
+		c = 0
+	}
+	s.capacity = c
+	s.reschedule()
+}
+
+// drain runs eng's events until its queue is empty.
+func drain(eng *sim.Engine) {
+	for eng.Step() {
 	}
 }

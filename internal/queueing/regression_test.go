@@ -52,7 +52,7 @@ func TestSetPerJobCapRejectsInvalid(t *testing.T) {
 	}
 	var d float64
 	eng.At(0, func(float64) { s.Submit(2, func(now float64) { d = now }) })
-	eng.Run()
+	drain(eng)
 	if math.Abs(d-2) > 1e-9 {
 		t.Errorf("station broken after rejected cap: departed %v, want 2", d)
 	}
@@ -102,7 +102,7 @@ func TestWorkConservationUnderChurn(t *testing.T) {
 			eng.After(0.1+rng.Float64(), step)
 		}
 		eng.At(0, step)
-		eng.Run()
+		drain(eng)
 		capIntegral += (eng.Now() - lastCapT) * curCap
 
 		// tol: each of the up-to-400 departures may snap the virtual
@@ -155,7 +155,7 @@ func TestClosedFormMatchesStation(t *testing.T) {
 			eng.After(rng.ExpFloat64()/lambda, arrive)
 		}
 		eng.At(0, arrive)
-		eng.Run()
+		drain(eng)
 		return sum / float64(n)
 	}
 	got := meanSojourn(effCap) / meanSojourn(fullCap)

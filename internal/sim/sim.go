@@ -104,12 +104,6 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue is empty.
-func (e *Engine) Run() {
-	for e.Step() {
-	}
-}
-
 // RunUntil executes events with time <= t, then advances the clock to t.
 // Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t float64) {

@@ -170,3 +170,10 @@ func TestQuickSortedExecution(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Run executes events until the queue is empty. The models run to a
+// horizon (RunUntil); the tests drain the queue.
+func (e *Engine) Run() {
+	for e.Step() {
+	}
+}

@@ -259,9 +259,6 @@ func (tw *TimeWeighted) Last() float64 { return tw.lastV }
 // Area returns the accumulated integral so far.
 func (tw *TimeWeighted) Area() float64 { return tw.area }
 
-// Duration returns the total observed time span.
-func (tw *TimeWeighted) Duration() float64 { return tw.duration }
-
 // FractionAbove returns the fraction of samples xs strictly greater than
 // threshold. It backs the paper's core feasibility metric: "fraction of
 // time the usage is higher than the deflated allocation".

@@ -330,3 +330,6 @@ func TestSelectKthPartitions(t *testing.T) {
 		}
 	}
 }
+
+// Duration returns the total observed time span.
+func (tw *TimeWeighted) Duration() float64 { return tw.duration }

@@ -20,3 +20,19 @@ func DefaultScenarioConfig(kind Scenario) ScenarioConfig {
 func (r *VMRecord) FractionAboveDeflation(deflatePct float64) float64 {
 	return stats.FractionAbove(r.CPUUtil, 100-deflatePct)
 }
+
+// Record materialises VM i alone as an eager VMRecord, utilisation
+// included: the per-VM probe the tests hold Materialize to.
+func (s *Stream) Record(i int) *VMRecord {
+	p := s.Params(i)
+	vm := &VMRecord{
+		ID:       p.ID(),
+		Class:    p.Class,
+		Cores:    p.Cores,
+		MemoryMB: p.MemoryMB,
+		Start:    p.Start,
+		End:      p.End,
+	}
+	vm.CPUUtil = NewSeriesSynth().Append(p, make([]float64, 0, p.Samples()))
+	return vm
+}

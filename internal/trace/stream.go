@@ -496,28 +496,6 @@ func (s *Stream) heavyTailVM(src *vmSource, p *VMParams) {
 	}
 }
 
-// AppendUtil appends VM p's full utilisation series to buf. For bulk
-// use, prefer a reusable SeriesSynth (this allocates a synthesizer per
-// call).
-func (s *Stream) AppendUtil(p VMParams, buf []float64) []float64 {
-	return NewSeriesSynth().Append(p, buf)
-}
-
-// Record materialises VM i as an eager VMRecord, utilisation included.
-func (s *Stream) Record(i int) *VMRecord {
-	p := s.Params(i)
-	vm := &VMRecord{
-		ID:       p.ID(),
-		Class:    p.Class,
-		Cores:    p.Cores,
-		MemoryMB: p.MemoryMB,
-		Start:    p.Start,
-		End:      p.End,
-	}
-	vm.CPUUtil = s.AppendUtil(p, make([]float64, 0, p.Samples()))
-	return vm
-}
-
 // Materialize builds the full eager trace. The eager generators
 // delegate here, so eager == streamed bit-for-bit by construction.
 func (s *Stream) Materialize() *AzureTrace {

@@ -40,9 +40,6 @@ func NewConstantSource(eng *sim.Engine, rate float64, h Handler) *Source {
 	return &Source{eng: eng, rate: rate, handler: h}
 }
 
-// SetLimit stops the source after n requests (0 = unlimited).
-func (s *Source) SetLimit(n int) { s.limit = n }
-
 // Start schedules the first arrival.
 func (s *Source) Start() {
 	if s.rate <= 0 {

@@ -15,7 +15,7 @@ func TestConstantSourceTiming(t *testing.T) {
 	})
 	src.SetLimit(5)
 	src.Start()
-	eng.Run()
+	drain(eng)
 	if len(times) != 5 {
 		t.Fatalf("got %d requests, want 5", len(times))
 	}
@@ -51,7 +51,7 @@ func TestPoissonDeterministicPerSeed(t *testing.T) {
 		src := NewPoissonSource(eng, 50, seed, func(now float64, _ int) { times = append(times, now) })
 		src.SetLimit(100)
 		src.Start()
-		eng.Run()
+		drain(eng)
 		return times
 	}
 	a, b := run(7), run(7)
@@ -86,7 +86,7 @@ func TestSourceStop(t *testing.T) {
 		}
 	})
 	src.Start()
-	eng.Run()
+	drain(eng)
 	if count != 3 {
 		t.Errorf("count = %d, want 3", count)
 	}
@@ -96,7 +96,7 @@ func TestZeroRateSource(t *testing.T) {
 	eng := sim.NewEngine()
 	src := NewConstantSource(eng, 0, func(float64, int) { t.Error("should never fire") })
 	src.Start()
-	eng.Run()
+	drain(eng)
 }
 
 func TestPageMixStatistics(t *testing.T) {
@@ -133,5 +133,15 @@ func TestPageMixMeanCost(t *testing.T) {
 	want := 0.88*0.003 + 0.12*0.056
 	if math.Abs(mix.MeanCost()-want) > 1e-12 {
 		t.Errorf("MeanCost = %v, want %v", mix.MeanCost(), want)
+	}
+}
+
+// SetLimit stops the source after n requests (0 = unlimited). The
+// figures stop their sources at a horizon instead.
+func (s *Source) SetLimit(n int) { s.limit = n }
+
+// drain runs eng's events until its queue is empty.
+func drain(eng *sim.Engine) {
+	for eng.Step() {
 	}
 }

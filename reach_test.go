@@ -360,7 +360,7 @@ type liveWalk struct {
 	methods  map[*types.TypeName][]*declaration
 	blockOf  map[*ast.GenDecl][]*declaration
 	live     map[*declaration]bool
-	selected map[string]bool           // method names live code selects
+	selected map[string]bool           // method names live code selects through an interface or type parameter
 	ifaces   map[*types.Interface]bool // interfaces live code names or passes values to
 	work     []*declaration
 }
@@ -424,8 +424,11 @@ func (w *liveWalk) visit(d *declaration) {
 				}
 				w.addIface(pt)
 			}
-			if sig.Recv() != nil && !w.selected[o.Name()] {
-				// A method selection, concrete or through an interface.
+			if sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) && !w.selected[o.Name()] {
+				// A selection through an interface, or through a type
+				// parameter (its method is its constraint's): the method
+				// of that name on any live type may run. A concrete
+				// selection marks just its method, below.
 				w.selected[o.Name()] = true
 				w.markMethods(o.Name())
 			}
@@ -463,12 +466,14 @@ func (w *liveWalk) implied() bool {
 
 // unreached walks from every declaration outside internal/ and returns
 // the internal declarations no such walk reaches. A func, type, var or
-// const is live when live code uses it. A method is live when its
-// receiver type is live and live code selects its name anywhere (that
-// covers interface dispatch), or when the type needs it to satisfy an
+// const is live when live code uses it. A method is live when live code
+// selects it on its own receiver; when its receiver type is live and
+// live code selects its name through an interface or a type parameter
+// (or it is alwaysSelected); or when the type needs it to satisfy an
 // interface live code converts to. A const is live when a sibling in its
 // block is. The method of a live internal interface is unreached when
-// live code never selects its name.
+// live code never selects its name through an interface or a type
+// parameter.
 func unreached(mod *module) []*declaration {
 	decls := mod.decls
 	w := &liveWalk{
