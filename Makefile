@@ -50,7 +50,9 @@ bench-smoke:
 # gate active), the pruned pressure scan, the sample pass on both sides
 # of its allocation cache (a limit write between passes), the
 # SLO-metered sample pass (closed-form queueing math included), the
-# calendar event queue's steady-state churn, a host's load writes
+# calendar event queue's steady-state churn and its fill-drain cycles
+# across ring resizes (recycled node storage), the streamed trace's
+# per-VM parameter draw, a host's load writes
 # followed by a deflatable-view read, a host's refresh walk after a limit
 # write, the capacity index's re-key
 # and its surplus probe, fleet sizing's pruned tightest-fit scan with its
@@ -62,14 +64,16 @@ bench-smoke:
 # BENCH_allocs.txt for CI to archive.
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|RiskDecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
-	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|CalendarQueueSteadyState|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|CalendarQueueSteadyState|CalendarQueueResizeChurn|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'StreamParams' -benchmem ./internal/trace | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
 			want["BenchmarkRiskDecideSteadyState"]; want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSteadyState"]; want["BenchmarkSamplePassSLOSteadyState"]; \
-			want["BenchmarkCalendarQueueSteadyState"]; want["BenchmarkFleetFitSteadyState"]; \
+			want["BenchmarkCalendarQueueSteadyState"]; want["BenchmarkCalendarQueueResizeChurn"]; \
+			want["BenchmarkFleetFitSteadyState"]; want["BenchmarkStreamParams"]; \
 			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkRefreshWalkSteadyState"]; \
 			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkSurplusProbeSteadyState"]; \
 			want["BenchmarkPublishSteadyState"] } \
@@ -78,7 +82,7 @@ bench-allocs:
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision (risk-blind + risk-aware) + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue + sizing scan + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision (risk-blind + risk-aware) + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue (churn + resize-crossing fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager, on one goroutine, reported to

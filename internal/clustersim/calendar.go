@@ -1,5 +1,7 @@
 package clustersim
 
+import "slices"
+
 // calendarQueue is a calendar queue (Brown, CACM 1988): the pending
 // events hash into a power-of-two ring of time buckets of fixed width,
 // and the dequeue scan walks buckets from the current position, so both
@@ -20,23 +22,40 @@ package clustersim
 // until the scan's year reaches them. If a whole ring revolution finds
 // nothing, the remaining events are more than a year ahead and a direct
 // min-scan repositions the calendar in one pass.
+//
+// Storage: every event sits in a node of one pool, and a bucket is a
+// doubly linked list of node indices. A popped node joins a free list
+// that the next push takes from, and a resize relinks the nodes into a
+// ring that reuses the old slot array whenever it is large enough. So
+// once the pool has reached the live set's high-water mark, neither
+// push nor pop nor resize allocates, and event storage never exceeds
+// the pool's append growth over that mark.
+//
+// Mass collisions: many events at one instant (every VM clipped to the
+// trace horizon departs at it) share one bucket, and finding each next
+// one by walking the bucket would cost O(k^2) node visits. So findMin
+// sorts a bucket in which it finds more than calendarSortMin
+// current-year events; a sorted bucket keeps its order (pushes insert
+// in place) until it empties, and findMin reads only its head.
 type calendarQueue struct {
-	buckets [][]simEvent
-	mask    int64 // len(buckets)-1
-	size    int
-	width   float64
-	curAbs  int64 // events below this absolute bucket index are gone
+	slots []calSlot
+	nodes []calNode
+	free  int32 // free-list head, chained through next
+	mask  int64 // len(slots)-1
+	size  int
+	width float64
+	// curAbs: events below this absolute bucket index are gone.
+	curAbs  int64
+	sortBuf []int32 // sortSlot's scratch
 
 	// Width calibration. A size-triggered resize never fires at steady
 	// state (departures replace arrivals one for one), so a width picked
 	// during warm-up can stay wrong forever: too wide and the live
-	// population concentrates in a few fat buckets — every findMin scans
-	// tens of events, and the scan's sliding window strands bucket
-	// capacity behind it that no revolution ever revisits. scanWork
-	// accumulates findMin effort (buckets stepped + events examined);
-	// when it exceeds calendarScanFactor per pop over a calibration
-	// window, the ring rebuilds with the width re-derived from the live
-	// population's actual time span.
+	// population concentrates in a few fat buckets, and every findMin
+	// scans tens of events. scanWork accumulates findMin effort (buckets
+	// stepped + events examined); when it exceeds calendarScanFactor per
+	// pop over a calibration window, the ring rebuilds with the width
+	// re-derived from the live population's actual time span.
 	scanWork int
 	popCount int
 
@@ -44,9 +63,31 @@ type calendarQueue struct {
 	// engine's batch coalescing scans at most once per event.
 	hasPeek bool
 	peekEv  simEvent
-	peekB   int // ring slot holding peekEv
-	peekPos int // position within that slot
+	peekN   int32 // node holding peekEv
 }
+
+// calNode is one pool slot: an event and its bucket-list links (or,
+// on the free list, the next free node). int32 links keep a node at
+// 48 bytes; 2^31 pending events would be 100 GB of nodes, far past any
+// run's live set.
+type calNode struct {
+	ev         simEvent
+	next, prev int32
+}
+
+// calSlot is one ring slot: the first node of its bucket list, and
+// whether the list is in eventLess order. A sorted slot is never empty.
+type calSlot struct {
+	head   int32
+	sorted bool
+}
+
+// nilNode ends a bucket list and the free list.
+const nilNode int32 = -1
+
+// calendarSortMin is the number of current-year events in one bucket
+// above which findMin sorts the bucket rather than walk it per pop.
+const calendarSortMin = 8
 
 // calendarMinBuckets floors the ring size; 16 keeps the direct-scan
 // fallback trivial for tiny queues while letting the ring shrink hard
@@ -73,8 +114,13 @@ func newCalendarQueue(sizeHint int, span float64) *calendarQueue {
 		nb <<= 1
 	}
 	q := &calendarQueue{
-		buckets: make([][]simEvent, nb),
-		mask:    int64(nb - 1),
+		slots: make([]calSlot, nb),
+		nodes: make([]calNode, 0, sizeHint),
+		free:  nilNode,
+		mask:  int64(nb - 1),
+	}
+	for i := range q.slots {
+		q.slots[i].head = nilNode
 	}
 	q.width = calendarWidth(span, sizeHint)
 	return q
@@ -100,13 +146,44 @@ func calendarWidth(span float64, n int) float64 {
 
 func (q *calendarQueue) empty() bool { return q.size == 0 }
 
+// linkAfter links node n into slot s after node prev, or first when
+// prev is nilNode.
+func (q *calendarQueue) linkAfter(s *calSlot, prev, n int32) {
+	next := s.head
+	if prev == nilNode {
+		s.head = n
+	} else {
+		next = q.nodes[prev].next
+		q.nodes[prev].next = n
+	}
+	q.nodes[n].next, q.nodes[n].prev = next, prev
+	if next != nilNode {
+		q.nodes[next].prev = n
+	}
+}
+
 func (q *calendarQueue) push(e simEvent) {
-	if q.size+1 > 2*len(q.buckets) {
+	if q.size+1 > 2*len(q.slots) {
 		q.resize()
 	}
+	n := q.free
+	if n != nilNode {
+		q.free = q.nodes[n].next
+	} else {
+		n = int32(len(q.nodes))
+		q.nodes = append(q.nodes, calNode{})
+	}
+	q.nodes[n].ev = e
 	abs := int64(e.at / q.width)
-	slot := abs & q.mask
-	q.buckets[slot] = append(q.buckets[slot], e)
+	s := &q.slots[abs&q.mask]
+	prev := nilNode
+	if s.sorted {
+		for m := s.head; m != nilNode && !eventLess(e, q.nodes[m].ev); m = q.nodes[m].next {
+			prev = m
+			q.scanWork++
+		}
+	}
+	q.linkAfter(s, prev, n)
 	q.size++
 	if abs < q.curAbs {
 		// The engine never schedules into the past, but the queue stays
@@ -129,18 +206,27 @@ func (q *calendarQueue) pop() simEvent {
 	if !q.hasPeek {
 		q.findMin()
 	}
-	e := q.peekEv
-	b := q.buckets[q.peekB]
-	last := len(b) - 1
-	// Swap-remove: (at, kind, seq) is unique per event, so in-bucket
-	// order carries no information.
-	b[q.peekPos] = b[last]
-	b[last] = simEvent{} // drop the vm/shock pointers for the GC
-	q.buckets[q.peekB] = b[:last]
+	e, n := q.peekEv, q.peekN
+	s := &q.slots[int64(e.at/q.width)&q.mask]
+	nd := &q.nodes[n]
+	if nd.prev != nilNode {
+		q.nodes[nd.prev].next = nd.next
+	} else {
+		s.head = nd.next
+	}
+	if nd.next != nilNode {
+		q.nodes[nd.next].prev = nd.prev
+	}
+	if s.head == nilNode {
+		s.sorted = false
+	}
+	// Drop the vm/shock pointers for the GC and recycle the node.
+	nd.ev, nd.next = simEvent{}, q.free
+	q.free = n
 	q.size--
 	q.hasPeek = false
 	switch {
-	case q.size < len(q.buckets)/4 && len(q.buckets) > calendarMinBuckets:
+	case q.size < len(q.slots)/4 && len(q.slots) > calendarMinBuckets:
 		q.resize()
 	default:
 		q.popCount++
@@ -157,29 +243,42 @@ func (q *calendarQueue) pop() simEvent {
 // findMin locates the next event in eventLess order and caches it for
 // peek/pop. Callers guarantee size > 0.
 func (q *calendarQueue) findMin() {
-	nb := int64(len(q.buckets))
+	nb := int64(len(q.slots))
 	// Invariant: no pending event maps below curAbs (pop never advances
 	// past a bucket with current-year events; push rewinds). So the
 	// first year-matching occupant found while scanning forward is in
 	// the earliest non-empty year-bucket, and the eventLess-min of that
-	// bucket's matches is the global min.
+	// bucket's matches is the global min. In a sorted bucket that is the
+	// head, if the head is of this year at all.
 	for step := int64(0); step < nb; step++ {
 		a := q.curAbs + step
-		slot := int(a & q.mask)
-		b := q.buckets[slot]
-		q.scanWork += 1 + len(b)
-		best := -1
-		for i := range b {
-			if int64(b[i].at/q.width) != a {
-				continue // a different year shares this slot
+		s := &q.slots[a&q.mask]
+		best := nilNode
+		q.scanWork++
+		if s.sorted {
+			if int64(q.nodes[s.head].ev.at/q.width) == a {
+				best = s.head
 			}
-			if best < 0 || eventLess(b[i], b[best]) {
-				best = i
+		} else {
+			matches := 0
+			for n := s.head; n != nilNode; n = q.nodes[n].next {
+				q.scanWork++
+				ev := &q.nodes[n].ev
+				if int64(ev.at/q.width) != a {
+					continue // a different year shares this slot
+				}
+				matches++
+				if best == nilNode || eventLess(*ev, q.nodes[best].ev) {
+					best = n
+				}
+			}
+			if matches > calendarSortMin {
+				q.sortSlot(s)
 			}
 		}
-		if best >= 0 {
+		if best != nilNode {
 			q.curAbs = a
-			q.hasPeek, q.peekEv, q.peekB, q.peekPos = true, b[best], slot, best
+			q.hasPeek, q.peekEv, q.peekN = true, q.nodes[best].ev, best
 			return
 		}
 	}
@@ -193,12 +292,11 @@ func (q *calendarQueue) findMin() {
 // bounds its amortized contribution.
 func (q *calendarQueue) directMin() {
 	found := false
-	for slot := range q.buckets {
-		for i := range q.buckets[slot] {
-			e := q.buckets[slot][i]
-			if !found || eventLess(e, q.peekEv) {
+	for _, s := range q.slots {
+		for n := s.head; n != nilNode; n = q.nodes[n].next {
+			if e := q.nodes[n].ev; !found || eventLess(e, q.peekEv) {
 				found = true
-				q.peekEv, q.peekB, q.peekPos = e, slot, i
+				q.peekEv, q.peekN = e, n
 			}
 		}
 	}
@@ -217,15 +315,20 @@ func (q *calendarQueue) directMin() {
 // churn the pending departures cluster a mean-lifetime ahead of now,
 // a tiny slice of the horizon. Amortized O(1) per push/pop by the
 // usual doubling argument plus the calibration window.
+//
+// The pending nodes are first unlinked into one chain, so the new ring
+// can take over the old slot array in place.
 func (q *calendarQueue) resize() {
 	nb := calendarMinBuckets
 	for nb < q.size {
 		nb <<= 1
 	}
+	chain := nilNode
 	minAt, maxAt, first := 0.0, 0.0, true
-	for _, b := range q.buckets {
-		for i := range b {
-			at := b[i].at
+	for _, s := range q.slots {
+		for n := s.head; n != nilNode; {
+			nd := &q.nodes[n]
+			at := nd.ev.at
 			if first || at < minAt {
 				minAt = at
 			}
@@ -233,22 +336,54 @@ func (q *calendarQueue) resize() {
 				maxAt = at
 			}
 			first = false
+			next := nd.next
+			nd.next, chain = chain, n
+			n = next
 		}
 	}
-	old := q.buckets
-	q.buckets = make([][]simEvent, nb)
+	if nb <= cap(q.slots) {
+		q.slots = q.slots[:nb]
+	} else {
+		q.slots = make([]calSlot, nb)
+	}
+	for i := range q.slots {
+		q.slots[i] = calSlot{head: nilNode}
+	}
 	q.mask = int64(nb - 1)
 	q.width = calendarWidth(maxAt-minAt, q.size)
 	q.hasPeek = false
 	q.curAbs = int64(minAt / q.width)
-	for _, b := range old {
-		for _, e := range b {
-			abs := int64(e.at / q.width)
-			q.buckets[abs&q.mask] = append(q.buckets[abs&q.mask], e)
-			if abs < q.curAbs {
-				q.curAbs = abs
-			}
+	for n := chain; n != nilNode; {
+		next := q.nodes[n].next
+		abs := int64(q.nodes[n].ev.at / q.width)
+		q.linkAfter(&q.slots[abs&q.mask], nilNode, n)
+		if abs < q.curAbs {
+			q.curAbs = abs
 		}
+		n = next
 	}
 	q.popCount, q.scanWork = 0, 0
+}
+
+// sortSlot puts s's bucket list in eventLess order and marks it sorted.
+func (q *calendarQueue) sortSlot(s *calSlot) {
+	buf := q.sortBuf[:0]
+	for n := s.head; n != nilNode; n = q.nodes[n].next {
+		buf = append(buf, n)
+	}
+	slices.SortFunc(buf, func(a, b int32) int {
+		switch ea, eb := &q.nodes[a].ev, &q.nodes[b].ev; {
+		case eventLess(*ea, *eb):
+			return -1
+		case eventLess(*eb, *ea):
+			return 1
+		}
+		return 0
+	})
+	s.head = nilNode
+	for i := len(buf) - 1; i >= 0; i-- {
+		q.linkAfter(s, nilNode, buf[i])
+	}
+	s.sorted = true
+	q.sortBuf = buf
 }

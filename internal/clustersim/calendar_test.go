@@ -203,3 +203,56 @@ func BenchmarkCalendarQueueSteadyState(b *testing.B) {
 		q.push(e)
 	}
 }
+
+// calendarFillDrain is one resize-crossing churn cycle: fill an empty
+// queue to live events spread over a day, so the ring doubles from its
+// floor several times, then drain it, so it shrinks back. A quarter of
+// the events share the day's last instant, as the VMs clipped to a
+// trace's horizon all depart at it, so the drain sorts their bucket.
+func calendarFillDrain(q *calendarQueue, rng *rand.Rand, live int) {
+	for i := 0; i < live; i++ {
+		at := rng.Float64() * 86400
+		if i%4 == 0 {
+			at = 86400
+		}
+		q.push(simEvent{at: at, kind: evDeparture, seq: i})
+	}
+	for !q.empty() {
+		q.pop()
+	}
+}
+
+// TestCalendarQueueRecyclesStorage: once the node pool has reached the
+// live set's high-water mark, fill-and-drain cycles whose resizes
+// double and shrink the ring, and whose drain sorts a mass collision's
+// bucket, allocate nothing, and the pool holds no more than twice that
+// mark.
+func TestCalendarQueueRecyclesStorage(t *testing.T) {
+	const live = 3000
+	q := newCalendarQueue(calendarMinBuckets, 86400)
+	rng := rand.New(rand.NewSource(3))
+	calendarFillDrain(q, rng, live)
+	if got := testing.AllocsPerRun(20, func() { calendarFillDrain(q, rng, live) }); got != 0 {
+		t.Errorf("fill-drain cycle allocates %v objects after warm-up, want 0", got)
+	}
+	if len(q.nodes) != live || cap(q.nodes) > 2*live {
+		t.Errorf("pool holds %d nodes (cap %d) for a high-water mark of %d, want %d (cap <= %d)",
+			len(q.nodes), cap(q.nodes), live, live, 2*live)
+	}
+}
+
+// BenchmarkCalendarQueueResizeChurn gates the calendar's storage
+// recycling: each op is a fill-drain cycle whose window crosses every
+// grow and shrink resize between the ring's floor and 1024 events.
+// `make bench-allocs` requires 0 allocs/op after the warm-up cycle.
+func BenchmarkCalendarQueueResizeChurn(b *testing.B) {
+	const live = 1024
+	q := newCalendarQueue(calendarMinBuckets, 86400)
+	rng := rand.New(rand.NewSource(1))
+	calendarFillDrain(q, rng, live)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		calendarFillDrain(q, rng, live)
+	}
+}

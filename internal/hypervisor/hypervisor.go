@@ -115,7 +115,8 @@ type DomainConfig struct {
 	// Deflatable: a Domain is no larger for it.
 	Tag int32
 	// Priority pi in (0,1] — higher priority means lower deflation
-	// tolerance (Section 5.1.2). Ignored for non-deflatable VMs.
+	// tolerance (Section 5.1.2). Validate admits [0, 1] and rejects NaN.
+	// Ignored for non-deflatable VMs.
 	Priority float64
 	// MinAllocation m_i is an optional QoS floor per Section 5.1.1
 	// equation (2). Zero means no floor.
@@ -154,8 +155,8 @@ func (c *DomainConfig) Validate() error {
 	if !c.MinAllocation.FitsIn(c.Size) {
 		return fmt.Errorf("%w: domain %s min allocation exceeds size", ErrInvalid, c.Name)
 	}
-	if c.Deflatable && (c.Priority < 0 || c.Priority > 1) {
-		return fmt.Errorf("%w: domain %s priority %g outside (0,1]", ErrInvalid, c.Name, c.Priority)
+	if c.Deflatable && !(c.Priority >= 0 && c.Priority <= 1) { // also catches NaN
+		return fmt.Errorf("%w: domain %s priority %g outside [0, 1]", ErrInvalid, c.Name, c.Priority)
 	}
 	if c.Load < 0 || math.IsNaN(c.Load) || math.IsInf(c.Load, 0) {
 		return fmt.Errorf("%w: domain %s offered load %g is negative or not finite", ErrInvalid, c.Name, c.Load)

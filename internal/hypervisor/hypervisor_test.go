@@ -69,6 +69,7 @@ func TestDefineValidation(t *testing.T) {
 		{Name: "v", Size: resources.New(1, 0, 0, 0)},
 		{Name: "v", Size: resources.New(1, 1024, -1, 0)},
 		{Name: "v", Size: resources.New(1, 1024, 0, 0), Deflatable: true, Priority: 2},
+		{Name: "v", Size: resources.New(1, 1024, 0, 0), Deflatable: true, Priority: math.NaN()},
 		{Name: "v", Size: resources.New(1, 1024, 0, 0), MinAllocation: resources.New(2, 0, 0, 0)},
 	}
 	for i, cfg := range cases {

@@ -96,7 +96,7 @@ var memPerCoreOptions = []struct {
 	{0.75, 0.15}, {1.75, 0.25}, {2, 0.20}, {4, 0.28}, {8, 0.12},
 }
 
-func pickWeightedCores(rng floatSource) int {
+func pickWeightedCores(rng *vmSource) int {
 	r := rng.Float64()
 	var c float64
 	for _, o := range coreOptions {
@@ -108,7 +108,7 @@ func pickWeightedCores(rng floatSource) int {
 	return coreOptions[len(coreOptions)-1].cores
 }
 
-func pickWeightedMemPerCore(rng floatSource) float64 {
+func pickWeightedMemPerCore(rng *vmSource) float64 {
 	r := rng.Float64()
 	var c float64
 	for _, o := range memPerCoreOptions {
@@ -120,7 +120,7 @@ func pickWeightedMemPerCore(rng floatSource) float64 {
 	return memPerCoreOptions[len(memPerCoreOptions)-1].gb
 }
 
-func pickClass(rng floatSource, mix [3]float64) VMClass {
+func pickClass(rng *vmSource, mix [3]float64) VMClass {
 	total := mix[0] + mix[1] + mix[2]
 	if total <= 0 {
 		return Unknown
@@ -137,7 +137,7 @@ func pickClass(rng floatSource, mix [3]float64) VMClass {
 
 // pickLifetime draws a VM lifetime (seconds): a mixture of short-lived,
 // day-scale, and trace-long VMs, echoing the Azure lifetime distribution.
-func pickLifetime(rng floatSource, horizon float64) float64 {
+func pickLifetime(rng *vmSource, horizon float64) float64 {
 	r := rng.Float64()
 	var lt float64
 	switch {

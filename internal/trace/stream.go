@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // This file implements the streaming trace generator: every VM of a
@@ -79,10 +80,6 @@ func (s *vmSource) Float64() float64 {
 	}
 }
 
-// floatSource is the single-method surface the weighted-pick helpers
-// need; both *rand.Rand and *vmSource provide it.
-type floatSource interface{ Float64() float64 }
-
 // VMParams is the compact per-VM record a Stream generates: everything
 // needed to materialise the VM — metadata plus the utilisation-series
 // seed and class parameters — in a few hundred bytes, with the samples
@@ -103,8 +100,22 @@ type VMParams struct {
 }
 
 // ID returns the VM's trace identifier, identical to the eager
-// generators' naming.
-func (p VMParams) ID() string { return fmt.Sprintf("vm-%06d", p.Index) }
+// generators' naming. It allocates the string and nothing else: the
+// streamed intake pays it once per arrival.
+func (p VMParams) ID() string {
+	var b [24]byte
+	return string(appendID(b[:0], p.Index))
+}
+
+// appendID appends index's trace identifier, "vm-" and the index
+// zero-padded to six digits, to b.
+func appendID(b []byte, index int) []byte {
+	b = append(b, "vm-"...)
+	for d := 100000; d > 1 && index < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(index), 10)
+}
 
 // Samples returns the utilisation series length.
 func (p VMParams) Samples() int {
@@ -406,7 +417,7 @@ func (s *Stream) Params(i int) VMParams {
 
 // pickSize draws the VM's core count and memory, shared by every
 // scenario (draw order: cores, then memory per core).
-func pickSize(src floatSource, p *VMParams) {
+func pickSize(src *vmSource, p *VMParams) {
 	p.Cores = pickWeightedCores(src)
 	memMB := float64(p.Cores) * pickWeightedMemPerCore(src) * 1024
 	// Cap at 96 GB: the dataset's VM sizes all fit the paper's
@@ -420,7 +431,7 @@ func pickSize(src floatSource, p *VMParams) {
 // diurnalArrival draws a near-stationary arrival offset in
 // [-life, horizon] accept-rejected against 1 + amp*sin so short- and
 // medium-lived VMs concentrate in daytime hours.
-func diurnalArrival(src floatSource, life, horizon, amp float64) float64 {
+func diurnalArrival(src *vmSource, life, horizon, amp float64) float64 {
 	start0 := -life + src.Float64()*(horizon+life)
 	for src.Float64() > (1+amp*math.Sin(2*math.Pi*start0/86400))/(1+amp) {
 		start0 = -life + src.Float64()*(horizon+life)
@@ -496,38 +507,75 @@ func (s *Stream) heavyTailVM(src *vmSource, p *VMParams) {
 	}
 }
 
+// materializeBlock is how many VMs Materialize lays out together. A
+// block's records share one []VMRecord, its series one []float64 and
+// its IDs one string, so the eager trace costs three allocations per
+// block instead of three per VM.
+const materializeBlock = 1024
+
 // Materialize builds the full eager trace. The eager generators
 // delegate here, so eager == streamed bit-for-bit by construction.
+// Each record's CPUUtil is capped at its own length, so an append to
+// one series reallocates rather than writing into its neighbour's.
 func (s *Stream) Materialize() *AzureTrace {
 	t := &AzureTrace{VMs: make([]*VMRecord, 0, s.n)}
 	sy := NewSeriesSynth()
-	for i := 0; i < s.n; i++ {
-		p := s.Params(i)
-		vm := &VMRecord{
-			ID:       p.ID(),
-			Class:    p.Class,
-			Cores:    p.Cores,
-			MemoryMB: p.MemoryMB,
-			Start:    p.Start,
-			End:      p.End,
+	params := make([]VMParams, 0, min(s.n, materializeBlock))
+	ids := make([]byte, 0, cap(params)*idLen(max(s.n-1, 0)))
+	for lo := 0; lo < s.n; lo += materializeBlock {
+		hi := min(lo+materializeBlock, s.n)
+		params, ids = params[:0], ids[:0]
+		samples := 0
+		for i := lo; i < hi; i++ {
+			p := s.Params(i)
+			params = append(params, p)
+			samples += p.Samples()
+			ids = appendID(ids, i)
 		}
-		vm.CPUUtil = sy.Append(p, make([]float64, 0, p.Samples()))
-		t.VMs = append(t.VMs, vm)
+		recs := make([]VMRecord, len(params))
+		util := make([]float64, 0, samples)
+		idStr := string(ids)
+		for j, p := range params {
+			from := len(util)
+			util = sy.Append(p, util)
+			id := idStr[:idLen(p.Index)]
+			idStr = idStr[len(id):]
+			recs[j] = VMRecord{
+				ID:       id,
+				Class:    p.Class,
+				Cores:    p.Cores,
+				MemoryMB: p.MemoryMB,
+				Start:    p.Start,
+				End:      p.End,
+				CPUUtil:  util[from:len(util):len(util)],
+			}
+			t.VMs = append(t.VMs, &recs[j])
+		}
 	}
 	return t
 }
 
+// idLen is the length of index's trace identifier.
+func idLen(index int) int {
+	n := 1
+	for ; index >= 10; index /= 10 {
+		n++
+	}
+	return len("vm-") + max(n, 6)
+}
+
 // EagerBytesEstimate returns the approximate resident bytes a fully
 // materialised form of this stream would occupy: the utilisation
-// samples plus per-record fixed overhead (struct, ID string, slice
-// pointer). It is the denominator of the streamed-memory win reported
-// by the scale benchmarks.
+// samples plus per-record fixed overhead in Materialize's block layout
+// (the record in its block, the ID's bytes in its block's string, the
+// trace's *VMRecord slot). It is the denominator of the streamed-memory
+// win reported by the scale benchmarks.
 func (s *Stream) EagerBytesEstimate() uint64 {
-	// VMRecord struct 96 B + ID string backing 16 B + *VMRecord slot 8 B.
-	const perVM = 120
+	// VMRecord 80 B + *VMRecord slot 8 B; the ID adds its length.
+	const perVM = 88
 	var total uint64
 	for i := 0; i < s.n; i++ {
-		total += perVM + 8*uint64(s.Params(i).Samples())
+		total += perVM + uint64(idLen(i)) + 8*uint64(s.Params(i).Samples())
 	}
 	return total
 }

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func testStreams(t *testing.T, n int) map[string]*Stream {
@@ -128,15 +131,25 @@ func TestMaxEndMatchesEagerDuration(t *testing.T) {
 }
 
 // TestEagerBytesEstimateSane: the estimate is at least the raw sample
-// bytes — the floor of what a materialised trace must hold.
+// bytes — the floor of what a materialised trace must hold — and is
+// exactly what Materialize's block layout holds per record: the
+// VMRecord, its pointer slot, its ID's bytes and its samples.
 func TestEagerBytesEstimateSane(t *testing.T) {
 	s := testStreams(t, 200)["azure"]
 	var samples uint64
 	for i := 0; i < s.Len(); i++ {
 		samples += uint64(s.Params(i).Samples())
 	}
-	if est := s.EagerBytesEstimate(); est < 8*samples {
+	est := s.EagerBytesEstimate()
+	if est < 8*samples {
 		t.Fatalf("EagerBytesEstimate %d below raw sample bytes %d", est, 8*samples)
+	}
+	var layout uint64
+	for _, vm := range s.Materialize().VMs {
+		layout += uint64(unsafe.Sizeof(*vm)+unsafe.Sizeof(vm)) + uint64(len(vm.ID)) + 8*uint64(len(vm.CPUUtil))
+	}
+	if est != layout {
+		t.Errorf("EagerBytesEstimate %d, block layout holds %d", est, layout)
 	}
 }
 
@@ -230,5 +243,64 @@ func TestP95ColumnBuiltOnce(t *testing.T) {
 		if &col[0] != &cols[0][0] {
 			t.Errorf("goroutine %d read a different backing array", g)
 		}
+	}
+}
+
+var sinkID string
+
+// TestVMParamsID: the identifier is "vm-" and the index zero-padded to
+// six digits, and formatting it allocates the string alone — the one
+// allocation the streamed intake pays per arrival for it.
+func TestVMParamsID(t *testing.T) {
+	for _, i := range []int{0, 7, 10, 99999, 123456, 999999, 1000000, 123456789} {
+		p := VMParams{Index: i}
+		if got, want := p.ID(), fmt.Sprintf("vm-%06d", i); got != want {
+			t.Errorf("ID(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := idLen(i), len(p.ID()); got != want {
+			t.Errorf("idLen(%d) = %d, want %d", i, got, want)
+		}
+		if got := testing.AllocsPerRun(100, func() { sinkID = p.ID() }); got != 1 {
+			t.Errorf("ID(%d) allocates %v objects, want 1", i, got)
+		}
+	}
+}
+
+// TestMaterializeAllocsPerBlock pins Materialize's allocation count:
+// three per block (records, series, IDs) plus a constant for the trace,
+// its record-pointer slice, the synthesizer and the per-block scratch —
+// none per VM.
+func TestMaterializeAllocsPerBlock(t *testing.T) {
+	const constant = 6
+	// The first collection starts the runtime's mark workers, which
+	// allocate; run it outside the measurement.
+	runtime.GC()
+	for _, n := range []int{1, materializeBlock, 3*materializeBlock + 5} {
+		s, err := NewStream(ScenarioConfig{Kind: ScenarioAzure, NumVMs: n, Duration: 86400, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := (n + materializeBlock - 1) / materializeBlock
+		got := testing.AllocsPerRun(2, func() { s.Materialize() })
+		if want := float64(3*blocks + constant); got != want {
+			t.Errorf("%d VMs: Materialize allocates %v objects, want %v (3 per block x %d + %d)", n, got, want, blocks, constant)
+		}
+	}
+}
+
+var sinkParams VMParams
+
+// BenchmarkStreamParams is the per-arrival parameter draw of the
+// streamed intake. Gated at 0 allocs/op by `make bench-allocs`: the
+// draws run on a stack-held source.
+func BenchmarkStreamParams(b *testing.B) {
+	s, err := NewStream(DefaultScenarioConfig(ScenarioHeavyTail))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkParams = s.Params(i % s.Len())
 	}
 }
