@@ -511,11 +511,40 @@ func errExists(name string) error {
 }
 
 func errNoCapacity(dc hypervisor.DomainConfig) error {
-	return fmt.Errorf("%w: %s (size %v)", ErrNoCapacity, dc.Name, dc.Size)
+	return &rejection{name: dc.Name, size: dc.Size}
 }
 
 func errHeadroom(dc hypervisor.DomainConfig) error {
-	return fmt.Errorf("%w: %w: %s (size %v)", ErrNoCapacity, ErrHeadroom, dc.Name, dc.Size)
+	return &rejection{name: dc.Name, size: dc.Size, headroom: true}
+}
+
+// rejection is an admission-control refusal: one allocation per refused
+// arrival, its text formatted only when asked. It unwraps to
+// ErrNoCapacity, and a headroom rejection to ErrHeadroom as well.
+type rejection struct {
+	name     string
+	size     resources.Vector
+	headroom bool
+}
+
+// The sentinel chains rejections unwrap to: errors.Is only reads them.
+var (
+	noCapacityChain = []error{ErrNoCapacity}
+	headroomChain   = []error{ErrNoCapacity, ErrHeadroom}
+)
+
+func (r *rejection) Error() string {
+	if r.headroom {
+		return fmt.Sprintf("%v: %v: %s (size %v)", ErrNoCapacity, ErrHeadroom, r.name, r.size)
+	}
+	return fmt.Sprintf("%v: %s (size %v)", ErrNoCapacity, r.name, r.size)
+}
+
+func (r *rejection) Unwrap() []error {
+	if r.headroom {
+		return headroomChain
+	}
+	return noCapacityChain
 }
 
 // Path is the route a placement decision took: the step that placed the

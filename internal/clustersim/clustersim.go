@@ -285,6 +285,11 @@ func (c *Config) applyDefaults() error {
 	if c.Policy == nil {
 		c.Policy = policy.Proportional{}
 	}
+	if la, ok := c.Policy.(policy.LatencyAware); ok && la.Curve != (perfmodel.Curve{}) {
+		if err := la.Curve.Validate(); err != nil {
+			return fmt.Errorf("clustersim: latency-aware policy curve: %w", err)
+		}
+	}
 	if !finiteNonNegative(c.Overcommit) {
 		return fmt.Errorf("clustersim: overcommit %v is not a finite non-negative fraction", c.Overcommit)
 	}
@@ -294,6 +299,8 @@ func (c *Config) applyDefaults() error {
 		slo := *c.SLO
 		if slo.Curve == (perfmodel.Curve{}) {
 			slo.Curve = perfmodel.WorstCaseLinear
+		} else if err := slo.Curve.Validate(); err != nil {
+			return fmt.Errorf("clustersim: SLO curve: %w", err)
 		}
 		if !finite(slo.MaxSlowdown) {
 			return fmt.Errorf("clustersim: SLO max slowdown %v is not finite", slo.MaxSlowdown)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/pricing"
 	"vmdeflate/internal/resources"
@@ -138,6 +139,62 @@ func TestRunValidation(t *testing.T) {
 	// The schedule around each bad entry is valid on its own.
 	if _, err := Run(shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Server: 2, Scale: 0.5})); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunRejectsMalformedCurve: a deflation-response curve outside its
+// ranges is an error naming the curve and the field, whether it shapes
+// SLO metering or the latency-aware policy. These curves used to run:
+// a NaN slack metered no SLO violations at all, and the others reported
+// numbers from a curve the model does not define. A zero curve still
+// means the worst-case linear one, and every shipped profile runs.
+func TestRunRejectsMalformedCurve(t *testing.T) {
+	tr := testTrace(200)
+	nan := math.NaN()
+	slo := func(c perfmodel.Curve) Config {
+		return Config{Trace: tr, Overcommit: 0.5, Policy: policy.LatencyAware{}, SLO: &SLOConfig{Curve: c}}
+	}
+	latency := func(c perfmodel.Curve) Config {
+		return Config{Trace: tr, Overcommit: 0.5, Policy: policy.LatencyAware{Curve: c}}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // in the error text
+	}{
+		{"SLO NaN slack", slo(perfmodel.Curve{Slack: nan, Knee: 0.5, LossAtKnee: 0.2, CollapseExp: 2}), "SLO curve: perfmodel: slack"},
+		{"SLO knee below slack", slo(perfmodel.Curve{Slack: 0.5, Knee: 0.3, LossAtKnee: 0.2, CollapseExp: 2}), "SLO curve: perfmodel: knee"},
+		{"SLO NaN collapse exponent", slo(perfmodel.Curve{Slack: 0.1, Knee: 0.5, LossAtKnee: 0.2, CollapseExp: nan}), "SLO curve: perfmodel: collapse exponent"},
+		{"SLO negative loss at knee", slo(perfmodel.Curve{Slack: 0.1, Knee: 0.5, LossAtKnee: -3, CollapseExp: 2}), "SLO curve: perfmodel: loss at knee"},
+		{"SLO +Inf collapse exponent", slo(perfmodel.Curve{Slack: 0.1, Knee: 0.5, LossAtKnee: 0.2, CollapseExp: math.Inf(1)}), "SLO curve: perfmodel: collapse exponent"},
+		{"policy NaN slack", latency(perfmodel.Curve{Slack: nan, Knee: 0.5}), "latency-aware policy curve: perfmodel: slack"},
+		{"policy NaN knee", latency(perfmodel.Curve{Slack: 0.1, Knee: nan}), "latency-aware policy curve: perfmodel: knee"},
+		{"policy loss at knee above 1", latency(perfmodel.Curve{Slack: 0.1, Knee: 0.5, LossAtKnee: 2}), "latency-aware policy curve: perfmodel: loss at knee"},
+	}
+	for _, c := range cases {
+		for _, mode := range []Mode{ModeDeflation, ModePreemption} {
+			t.Run(fmt.Sprintf("%s/mode=%d", c.name, mode), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Mode = mode
+				res, err := Run(cfg)
+				if err == nil {
+					t.Fatalf("want an error, got a run (%d admitted, SLO violation-seconds %v)", res.Admitted, res.SLOViolationSeconds)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("err = %v, want one containing %q", err, c.want)
+				}
+			})
+		}
+	}
+	for name, c := range perfmodel.Profiles {
+		for _, cfg := range []Config{slo(c), latency(c)} {
+			if _, err := Run(cfg); err != nil {
+				t.Errorf("profile %s: %v", name, err)
+			}
+		}
+	}
+	if _, err := Run(slo(perfmodel.Curve{})); err != nil {
+		t.Errorf("zero SLO curve: %v", err)
 	}
 }
 

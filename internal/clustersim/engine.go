@@ -25,9 +25,11 @@ import (
 // no row: nothing is metered for them (no demand, no billing, no SLO
 // samples), so all the engine keeps is their slotOf sentinel.
 type vmTracking struct {
-	// rec is the row's own copy of the trace record — series header,
-	// start, end, cores — so vmUtil is VMRecord.UtilAt over memory the
-	// row owns. On streamed runs the series is nil and cur reads it.
+	// rec is the row's own copy of the trace record, read through the
+	// row source at admission — series header, start, end, cores — so
+	// vmUtil is VMRecord.UtilAt over memory the row owns. On streamed
+	// runs the series is nil and cur reads it, and the ID is the one
+	// name string the admission allocated, shared with the Domain.
 	rec    trace.VMRecord
 	size   resources.Vector // == domain.MaxSize()
 	domain *hypervisor.Domain
@@ -93,12 +95,13 @@ type Engine struct {
 	slotOf []int32
 
 	// src is the run's trace, addressed by row: everything the run reads
-	// about a VM it reads here or in the record the queue delivers.
+	// about a VM that its table row does not hold, it reads here.
 	src *rowSource
 
-	// Capacity-shock state: which servers are currently revoked (shock
-	// events address servers by index), and, in deflation mode, their
-	// names.
+	// Capacity-shock state: the run's schedule, which a shock event's
+	// seq indexes; which servers are currently revoked (shocks address
+	// servers by index); and, in deflation mode, their names.
+	shocks      []trace.CapacityShock
 	revoked     []bool
 	serverNames []string
 
@@ -355,7 +358,7 @@ func (e *Engine) eventLoop() error {
 			// and the loop resumes batching after processing it.
 			batch = batch[:0]
 			batch = append(batch, ev)
-			if ev.vm.End > ev.at { // a zero-lifetime first VM is a singleton batch
+			if e.src.end(ev.seq) > ev.at { // a zero-lifetime first VM is a singleton batch
 				for !e.queue.empty() {
 					next := e.queue.peek()
 					if next.at != ev.at || next.kind != evArrival {
@@ -363,7 +366,7 @@ func (e *Engine) eventLoop() error {
 					}
 					nb := e.queue.pop()
 					batch = append(batch, nb)
-					if nb.vm.End <= nb.at {
+					if e.src.end(nb.seq) <= nb.at {
 						break // zero-lifetime VM closes the batch (see above)
 					}
 				}
@@ -387,7 +390,7 @@ func (e *Engine) eventLoop() error {
 			}
 			servers := e.servers[:0]
 			for _, rev := range batch {
-				i := rev.shock.Server
+				i := e.shocks[rev.seq].Server
 				if e.revoked[i] {
 					continue // generator guards double revokes; stay safe
 				}
@@ -402,7 +405,7 @@ func (e *Engine) eventLoop() error {
 				}
 			}
 		case evRestore:
-			i := ev.shock.Server
+			i := e.shocks[ev.seq].Server
 			if e.revoked[i] {
 				e.revoked[i] = false
 				if err := r.handleRestore(i, ev.at); err != nil {
@@ -411,9 +414,10 @@ func (e *Engine) eventLoop() error {
 				e.res.Restorations++
 			}
 		case evResize:
-			i := ev.shock.Server
+			sh := &e.shocks[ev.seq]
+			i := sh.Server
 			if !e.revoked[i] {
-				if err := r.handleResize(i, DefaultServerCapacity().Scale(ev.shock.Scale), ev.at); err != nil {
+				if err := r.handleResize(i, DefaultServerCapacity().Scale(sh.Scale), ev.at); err != nil {
 					return err
 				}
 				e.res.Resizes++
@@ -511,7 +515,7 @@ func (e *Engine) handleDepartures(evs []simEvent) error {
 			e.dropRow(slot)
 		}
 		e.slotOf[dev.seq] = slotNone
-		names = append(names, dev.vm.ID)
+		names = append(names, dev.name)
 	}
 	e.names = names
 	if len(names) == 0 {
@@ -624,12 +628,12 @@ func (e *Engine) pushShocks(q eventQueue) {
 		}
 		shocks = trace.GenerateShocks(sc, e.nServers)
 	}
-	for i := range shocks {
-		sh := &shocks[i]
+	e.shocks = shocks
+	for i, sh := range shocks {
 		if sh.Server < 0 || sh.Server >= e.nServers {
 			continue
 		}
-		q.push(simEvent{at: sh.At, kind: kindOf[sh.Kind], shock: sh, seq: i})
+		q.push(simEvent{at: sh.At, kind: kindOf[sh.Kind], seq: i})
 	}
 }
 
@@ -767,12 +771,12 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 	dcs := e.dcBuf[:0]
 	prios := e.prioBuf[:0]
 	for _, ev := range evs {
-		vm := ev.vm
+		vm := e.src.vm(ev.seq, e.src.id(ev.seq))
 		deflatable := vm.Class == trace.Interactive
 		var prio float64
 		dc := hypervisor.DomainConfig{
 			Name:       vm.ID,
-			Size:       vmSize(vm),
+			Size:       vmSize(&vm),
 			Deflatable: deflatable,
 			Tag:        int32(ev.seq), // the trace row, back in evacuation outcomes
 		}
@@ -807,10 +811,10 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 		}
 		if pl.Err != nil {
 			if errors.Is(pl.Err, cluster.ErrExists) {
-				return errLiveTwice(ev.vm.ID, ev.seq)
+				return errLiveTwice(dcs[i].Name, ev.seq)
 			}
 			if errors.Is(pl.Err, hypervisor.ErrInvalid) {
-				return fmt.Errorf("clustersim: trace row %d: VM ID %q: %w", ev.seq, ev.vm.ID, pl.Err)
+				return fmt.Errorf("clustersim: trace row %d: VM ID %q: %w", ev.seq, dcs[i].Name, pl.Err)
 			}
 			e.res.Rejected++
 			if pl.Path == cluster.PathHeadroom {
@@ -819,14 +823,14 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 			continue
 		}
 		e.res.Admitted++
-		vm := ev.vm
-		e.queue.push(simEvent{at: vm.End, kind: evDeparture, vm: vm, seq: ev.seq})
+		vm := e.src.vm(ev.seq, dcs[i].Name)
+		e.queue.push(simEvent{at: vm.End, kind: evDeparture, name: vm.ID, seq: ev.seq})
 		if !dcs[i].Deflatable {
 			e.slotOf[ev.seq] = slotOnDemand
 			continue
 		}
 		e.res.DeflatableAdmitted++
-		vt := vmTracking{rec: *vm, size: dcs[i].Size, domain: pl.Domain, cur: e.src.cursor(ev.seq),
+		vt := vmTracking{rec: vm, size: dcs[i].Size, domain: pl.Domain, cur: e.src.cursor(ev.seq),
 			admitT: ev.at, prio: prios[i], row: int32(ev.seq)}
 		meters := e.metersOf(e.addRow(vt))
 		for j, s := range pricingSchemes {

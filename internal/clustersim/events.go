@@ -1,7 +1,5 @@
 package clustersim
 
-import "vmdeflate/internal/trace"
-
 // eventKind orders simultaneous events. Samples fire first so metering
 // observes the population as it stood through the preceding interval;
 // departures precede capacity shocks so a VM that leaves at the shock
@@ -48,21 +46,22 @@ func (k eventKind) String() string {
 	}
 }
 
-// simEvent is one scheduled simulation event. vm is nil for samples and
-// capacity shocks; shock is nil for everything else.
+// simEvent is one scheduled simulation event, 40 bytes. An arrival is
+// its trace row alone (seq): everything else about the VM is read
+// through the row source. A departure adds the VM's name, the string its
+// Domain already holds, which the manager removes it by; name is empty
+// for every other kind. A capacity shock is its schedule index.
 type simEvent struct {
 	at   float64
 	kind eventKind
-	vm   *trace.VMRecord
-	// shock carries the capacity-shock payload of
-	// evRevoke/evRestore/evResize events.
-	shock *trace.CapacityShock
+	name string
 	// seq breaks ties among equal (at, kind) pairs. Arrival and
 	// departure events carry the VM's trace index, shock events their
-	// schedule index, so simultaneous events replay in trace order — the
-	// same total order the previous implementation obtained from a
-	// stable sort over the trace slice, which keeps refactored runs
-	// bit-for-bit comparable.
+	// index in the run's shock schedule (Engine.shocks), which is also
+	// how a shock resolves. So simultaneous events replay in trace
+	// order — the same total order the previous implementation obtained
+	// from a stable sort over the trace slice, which keeps refactored
+	// runs bit-for-bit comparable.
 	seq int
 }
 
@@ -117,7 +116,7 @@ const liveSetHint = 1024
 
 // streamQueue is the one arrival intake: arrivals stay latent in the
 // trace and are delivered from a pre-sorted arrival-order column (rows
-// by (Start, row) — eventLess restricted to arrivals), one record at a
+// by (Start, row) — eventLess restricted to arrivals), one row at a
 // time as the simulation reaches them, while departures, samples and
 // shocks live in a conventional inner queue sized to the live set. The
 // arrival order is held in chunks whose consumed prefix is freed
@@ -125,12 +124,12 @@ const liveSetHint = 1024
 // plus O(live events) — never the N-deep event set a pre-pushed seed
 // would build.
 type streamQueue struct {
-	src    rowAdapter // resolves a row to the record delivered
+	src    rowAdapter // resolves a row to its arrival time
 	chunks [][]int32  // arrival order; consumed chunks are nilled
 	next   int        // next undelivered absolute position
 	total  int
 	headOK bool
-	head   simEvent // the next arrival, record resolved
+	head   simEvent // the next arrival, its time resolved
 	inner  eventQueue
 }
 
@@ -164,8 +163,8 @@ func (q *streamQueue) ensureHead() {
 	if q.next&mask == 0 || q.next >= q.total {
 		q.chunks[c] = nil
 	}
-	vm := q.src.record(int(idx))
-	q.head = simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: int(idx)}
+	start, _, _, _ := q.src.span(int(idx))
+	q.head = simEvent{at: start, kind: evArrival, seq: int(idx)}
 	q.headOK = true
 }
 

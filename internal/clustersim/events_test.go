@@ -27,7 +27,6 @@ func queueImpls() map[string]func() eventQueue {
 }
 
 func TestEventQueueOrdering(t *testing.T) {
-	vm := func(id string) *trace.VMRecord { return &trace.VMRecord{ID: id} }
 	cases := []struct {
 		name string
 		push []simEvent
@@ -36,70 +35,70 @@ func TestEventQueueOrdering(t *testing.T) {
 		{
 			name: "time ordering regardless of push order",
 			push: []simEvent{
-				{at: 300, kind: evArrival, vm: vm("c"), seq: 2},
-				{at: 100, kind: evArrival, vm: vm("a"), seq: 0},
-				{at: 200, kind: evDeparture, vm: vm("a"), seq: 0},
+				{at: 300, kind: evArrival, seq: 2},
+				{at: 100, kind: evArrival, seq: 0},
+				{at: 200, kind: evDeparture, name: "a", seq: 0},
 				{at: 150, kind: evSample},
 			},
 			want: []simEvent{
-				{at: 100, kind: evArrival, vm: vm("a"), seq: 0},
+				{at: 100, kind: evArrival, seq: 0},
 				{at: 150, kind: evSample},
-				{at: 200, kind: evDeparture, vm: vm("a"), seq: 0},
-				{at: 300, kind: evArrival, vm: vm("c"), seq: 2},
+				{at: 200, kind: evDeparture, name: "a", seq: 0},
+				{at: 300, kind: evArrival, seq: 2},
 			},
 		},
 		{
 			name: "departure before arrival at equal timestamps",
 			push: []simEvent{
-				{at: 500, kind: evArrival, vm: vm("new"), seq: 7},
-				{at: 500, kind: evDeparture, vm: vm("old"), seq: 3},
+				{at: 500, kind: evArrival, seq: 7},
+				{at: 500, kind: evDeparture, name: "old", seq: 3},
 			},
 			want: []simEvent{
-				{at: 500, kind: evDeparture, vm: vm("old"), seq: 3},
-				{at: 500, kind: evArrival, vm: vm("new"), seq: 7},
+				{at: 500, kind: evDeparture, name: "old", seq: 3},
+				{at: 500, kind: evArrival, seq: 7},
 			},
 		},
 		{
 			name: "sample precedes departure and arrival at equal timestamps",
 			push: []simEvent{
-				{at: 600, kind: evArrival, vm: vm("n"), seq: 4},
+				{at: 600, kind: evArrival, seq: 4},
 				{at: 600, kind: evSample},
-				{at: 600, kind: evDeparture, vm: vm("o"), seq: 1},
+				{at: 600, kind: evDeparture, name: "o", seq: 1},
 			},
 			want: []simEvent{
 				{at: 600, kind: evSample},
-				{at: 600, kind: evDeparture, vm: vm("o"), seq: 1},
-				{at: 600, kind: evArrival, vm: vm("n"), seq: 4},
+				{at: 600, kind: evDeparture, name: "o", seq: 1},
+				{at: 600, kind: evArrival, seq: 4},
 			},
 		},
 		{
 			name: "trace-index tie-break within one kind",
 			push: []simEvent{
-				{at: 900, kind: evArrival, vm: vm("later"), seq: 9},
-				{at: 900, kind: evArrival, vm: vm("earlier"), seq: 2},
-				{at: 900, kind: evArrival, vm: vm("middle"), seq: 5},
+				{at: 900, kind: evArrival, seq: 9},
+				{at: 900, kind: evArrival, seq: 2},
+				{at: 900, kind: evArrival, seq: 5},
 			},
 			want: []simEvent{
-				{at: 900, kind: evArrival, vm: vm("earlier"), seq: 2},
-				{at: 900, kind: evArrival, vm: vm("middle"), seq: 5},
-				{at: 900, kind: evArrival, vm: vm("later"), seq: 9},
+				{at: 900, kind: evArrival, seq: 2},
+				{at: 900, kind: evArrival, seq: 5},
+				{at: 900, kind: evArrival, seq: 9},
 			},
 		},
 		{
 			name: "sample interleaving across event times",
 			push: []simEvent{
 				{at: 300, kind: evSample},
-				{at: 250, kind: evArrival, vm: vm("a"), seq: 0},
-				{at: 350, kind: evDeparture, vm: vm("a"), seq: 0},
+				{at: 250, kind: evArrival, seq: 0},
+				{at: 350, kind: evDeparture, name: "a", seq: 0},
 				{at: 600, kind: evSample},
-				{at: 600, kind: evArrival, vm: vm("b"), seq: 1},
+				{at: 600, kind: evArrival, seq: 1},
 			},
 			want: []simEvent{
-				{at: 250, kind: evArrival, vm: vm("a"), seq: 0},
+				{at: 250, kind: evArrival, seq: 0},
 				{at: 300, kind: evSample},
-				{at: 350, kind: evDeparture, vm: vm("a"), seq: 0},
+				{at: 350, kind: evDeparture, name: "a", seq: 0},
 				{at: 600, kind: evSample},
-				{at: 600, kind: evArrival, vm: vm("b"), seq: 1},
+				{at: 600, kind: evArrival, seq: 1},
 			},
 		},
 	}
@@ -120,8 +119,8 @@ func TestEventQueueOrdering(t *testing.T) {
 						t.Errorf("event[%d] = (t=%g %v seq=%d), want (t=%g %v seq=%d)",
 							i, g.at, g.kind, g.seq, w.at, w.kind, w.seq)
 					}
-					if (g.vm == nil) != (w.vm == nil) || (g.vm != nil && g.vm.ID != w.vm.ID) {
-						t.Errorf("event[%d] vm mismatch", i)
+					if g.name != w.name {
+						t.Errorf("event[%d] name = %q, want %q", i, g.name, w.name)
 					}
 				}
 			})
@@ -156,8 +155,8 @@ func TestArrivalQueue(t *testing.T) {
 			if e.kind != evArrival {
 				t.Errorf("useHeap=%v: event[%d] kind = %v, want arrival", useHeap, i, e.kind)
 			}
-			if e.vm.ID != wantIDs[i] {
-				t.Errorf("useHeap=%v: event[%d] = %s, want %s", useHeap, i, e.vm.ID, wantIDs[i])
+			if id := tr.VMs[e.seq].ID; id != wantIDs[i] {
+				t.Errorf("useHeap=%v: event[%d] = %s, want %s", useHeap, i, id, wantIDs[i])
 			}
 		}
 		// seq must be the trace index so equal-time events replay in trace
@@ -224,7 +223,8 @@ func TestArrivalOverlayMatchesHeap(t *testing.T) {
 				ev := q.pop()
 				out = append(out, ev)
 				if ev.kind == evArrival {
-					q.push(simEvent{at: ev.vm.End, kind: evDeparture, vm: ev.vm, seq: ev.seq})
+					vm := tr.VMs[ev.seq]
+					q.push(simEvent{at: vm.End, kind: evDeparture, name: vm.ID, seq: ev.seq})
 				}
 			}
 			return out

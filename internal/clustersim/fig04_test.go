@@ -35,7 +35,7 @@ func TestFig04LossIsAreaAboveAllocation(t *testing.T) {
 		if err := e.setupDeflation(); err != nil {
 			t.Fatal(err)
 		}
-		e.handleArrivals([]simEvent{{at: 0, kind: evArrival, vm: tr.VMs[0]}})
+		e.handleArrivals([]simEvent{{at: 0, kind: evArrival}})
 		if len(e.tbl) != 1 {
 			t.Fatalf("seed %d: %d metered rows, want the one VM", seed, len(e.tbl))
 		}

@@ -45,8 +45,8 @@ func (q *heapQueue) empty() bool { return len(q.evs) == 0 }
 func newHeapQueue(src *rowSource) eventQueue {
 	q := &heapQueue{evs: make([]simEvent, 0, src.len())}
 	for row := range src.len() {
-		vm := src.record(row)
-		q.evs = append(q.evs, simEvent{at: vm.Start, kind: evArrival, vm: vm, seq: row})
+		start, _, _, _ := src.span(row)
+		q.evs = append(q.evs, simEvent{at: start, kind: evArrival, seq: row})
 	}
 	heap.Init(q)
 	return q

@@ -9,14 +9,17 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// pVM is one VM in the preemption baseline, packed into 64 bytes.
+// pVM is one VM in the preemption baseline: its record, read by value
+// through the row source, and its trace row, which tells a departure of
+// this VM from a stale one of an earlier VM with the same ID.
 type pVM struct {
-	rec  *trace.VMRecord
+	rec  trace.VMRecord
 	size resources.Vector
 	prio float64
 	// cur reads a low-priority VM's utilisation on streamed runs (nil
 	// otherwise), for the demand a kill destroys; leave releases it.
 	cur    *trace.UtilCursor
+	row    int32
 	server int32
 	lowPri bool
 }
@@ -48,6 +51,7 @@ type preemption struct {
 	curCap   []resources.Vector // each server's capacity, as resized
 	running  map[string]*pVM
 	resident [][]*pVM
+	spare    []*pVM // VMs gone from the run, reused by later arrivals
 }
 
 // setupPreemption builds the baseline's run state: every server empty at
@@ -93,10 +97,18 @@ func (p *preemption) leave(vm *pVM) {
 	r := p.resident[vm.server]
 	i := slices.Index(r, vm)
 	p.resident[vm.server] = slices.Delete(r, i, i+1)
+	p.recycle(vm)
+}
+
+// recycle returns a VM that is no longer in the run, and its cursor, for
+// reuse. Nothing reads it again: it is out of the running set and its
+// resident list, and a kill list that holds it has walked past it.
+func (p *preemption) recycle(vm *pVM) {
 	if vm.cur != nil {
 		p.e.src.release(vm.cur)
-		vm.cur = nil
 	}
+	*vm = pVM{}
+	p.spare = append(p.spare, vm)
 }
 
 // victimsOn lists server i's residents — only the low-priority ones when
@@ -127,7 +139,7 @@ func (p *preemption) evict(need resources.Vector, server int, now float64) bool 
 		if need.FitsIn(free[server]) {
 			break
 		}
-		p.e.lostTotal += remainingDemand(v.rec, v.cur, now)
+		p.e.lostTotal += remainingDemand(&v.rec, v.cur, now)
 		p.e.res.Preemptions++
 		p.leave(v)
 	}
@@ -141,7 +153,7 @@ func (p *preemption) evict(need resources.Vector, server int, now float64) bool 
 // the cross-mode loss comparison is apples to apples).
 func (p *preemption) shockKill(vm *pVM, now float64) {
 	if vm.lowPri {
-		p.e.lostTotal += remainingDemand(vm.rec, vm.cur, now)
+		p.e.lostTotal += remainingDemand(&vm.rec, vm.cur, now)
 	}
 	p.e.res.ShockKills++
 	p.leave(vm)
@@ -178,21 +190,29 @@ func (p *preemption) handleArrivals(evs []simEvent) error {
 	e := p.e
 	res := e.res
 	for _, ev := range evs {
-		if _, ok := p.running[ev.vm.ID]; ok {
-			return errLiveTwice(ev.vm.ID, ev.seq)
+		rec := e.src.vm(ev.seq, e.src.id(ev.seq))
+		if _, ok := p.running[rec.ID]; ok {
+			return errLiveTwice(rec.ID, ev.seq)
 		}
 		res.Arrivals++
 		p95, _ := e.src.util(ev.seq)
-		vm := &pVM{
-			rec:    ev.vm,
-			size:   vmSize(ev.vm),
-			lowPri: ev.vm.Class == trace.Interactive,
+		var vm *pVM
+		if n := len(p.spare); n > 0 {
+			vm, p.spare = p.spare[n-1], p.spare[:n-1]
+		} else {
+			vm = new(pVM)
+		}
+		*vm = pVM{
+			rec:    rec,
+			size:   vmSize(&rec),
+			row:    int32(ev.seq),
+			lowPri: rec.Class == trace.Interactive,
 			prio:   policy.PriorityFromP95(p95, priorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.
 			vm.cur = e.src.cursor(ev.seq)
-			e.demandTotal += remainingDemand(ev.vm, vm.cur, ev.vm.Start)
+			e.demandTotal += remainingDemand(&vm.rec, vm.cur, rec.Start)
 		}
 		admitted := p.place(vm)
 		if admitted && vm.lowPri {
@@ -207,24 +227,23 @@ func (p *preemption) handleArrivals(evs []simEvent) error {
 		}
 		if !admitted {
 			res.Rejected++
-			if vm.cur != nil {
-				e.src.release(vm.cur)
-			}
+			p.recycle(vm)
 			continue
 		}
 		res.Admitted++
-		p.running[ev.vm.ID] = vm
+		p.running[rec.ID] = vm
 		p.resident[vm.server] = append(p.resident[vm.server], vm)
-		e.queue.push(simEvent{at: ev.vm.End, kind: evDeparture, vm: ev.vm, seq: ev.seq})
+		e.queue.push(simEvent{at: rec.End, kind: evDeparture, name: rec.ID, seq: ev.seq})
 	}
 	return nil
 }
 
 // handleDepartures takes each departing VM off its server, unless it
-// was preempted or shock-killed first (its ID maybe reused since).
+// was preempted or shock-killed first: the VM running under its name is
+// then another row's, or none.
 func (p *preemption) handleDepartures(evs []simEvent) error {
 	for _, ev := range evs {
-		if vm, ok := p.running[ev.vm.ID]; ok && vm.rec == ev.vm {
+		if vm, ok := p.running[ev.name]; ok && vm.row == int32(ev.seq) {
 			p.leave(vm)
 		}
 	}

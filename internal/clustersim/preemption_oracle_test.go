@@ -12,7 +12,9 @@ import (
 
 // This file keeps the preemption baseline's own event loop as it stood
 // before the baseline became a mode of the engine's one loop, verbatim
-// but for its VM type's name: the oracle TestPreemptionMatchesParentLoop
+// but for its VM type's name and for resolving each event's record
+// (off the trace) and shock (off the schedule) by its seq, now that
+// events carry no pointers: the oracle TestPreemptionMatchesParentLoop
 // and FuzzPreemptionMatchesParentLoop hold the shared loop to, Result
 // for Result. It places through the linear tightestFit, which is also
 // fleet.fit's oracle.
@@ -191,10 +193,14 @@ func (e *Engine) runPreemption() (*Result, error) {
 	e.pushShocks(queue)
 	for !queue.empty() {
 		ev := queue.pop()
+		var evVM *trace.VMRecord // the arrival's or departure's record
+		if ev.kind == evArrival || ev.kind == evDeparture {
+			evVM = e.cfg.Trace.VMs[ev.seq]
+		}
 		switch ev.kind {
 		case evDeparture:
-			vm, ok := running[ev.vm.ID]
-			if !ok || vm.rec != ev.vm {
+			vm, ok := running[evVM.ID]
+			if !ok || vm.rec != evVM {
 				continue // already preempted or shock-killed, its ID maybe reused
 			}
 			leave(vm)
@@ -203,7 +209,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			// Today's transient server disappearing: every resident
 			// dies. Lowest (priority, ID) first only fixes the float
 			// fold order; everyone goes.
-			i := ev.shock.Server
+			i := e.shocks[ev.seq].Server
 			if revoked[i] {
 				continue
 			}
@@ -215,7 +221,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			free[i] = resources.Vector{} // nothing fits a revoked server
 			continue
 		case evRestore:
-			i := ev.shock.Server
+			i := e.shocks[ev.seq].Server
 			if !revoked[i] {
 				continue
 			}
@@ -226,11 +232,11 @@ func (e *Engine) runPreemption() (*Result, error) {
 		case evResize:
 			// A shrink kills lowest-priority residents until the rest
 			// fits — no deflation exists in this world.
-			i := ev.shock.Server
+			i := e.shocks[ev.seq].Server
 			if revoked[i] {
 				continue
 			}
-			newCap := capacity.Scale(ev.shock.Scale)
+			newCap := capacity.Scale(e.shocks[ev.seq].Scale)
 			free[i] = free[i].Add(newCap.Sub(curCap[i]))
 			curCap[i] = newCap
 			res.Resizes++
@@ -242,25 +248,25 @@ func (e *Engine) runPreemption() (*Result, error) {
 			}
 			continue
 		}
-		if _, ok := running[ev.vm.ID]; ok {
-			return nil, errLiveTwice(ev.vm.ID, ev.seq)
+		if _, ok := running[evVM.ID]; ok {
+			return nil, errLiveTwice(evVM.ID, ev.seq)
 		}
 		res.Arrivals++
 		p95, _ := e.src.util(ev.seq)
 		vm := &parentVM{
-			rec:    ev.vm,
-			size:   vmSize(ev.vm),
-			lowPri: ev.vm.Class == trace.Interactive,
+			rec:    evVM,
+			size:   vmSize(evVM),
+			lowPri: evVM.Class == trace.Interactive,
 			prio:   policy.PriorityFromP95(p95, priorityLevels),
 		}
 		if vm.lowPri {
 			// Total low-priority demand, for the throughput-loss ratio.
-			demandTotal += remainingDemand(ev.vm, nil, ev.vm.Start)
+			demandTotal += remainingDemand(evVM, nil, evVM.Start)
 		}
 		admit := func() {
-			running[ev.vm.ID] = vm
+			running[evVM.ID] = vm
 			resident[vm.server] = append(resident[vm.server], vm)
-			queue.push(simEvent{at: ev.vm.End, kind: evDeparture, vm: ev.vm, seq: ev.seq})
+			queue.push(simEvent{at: evVM.End, kind: evDeparture, name: evVM.ID, seq: ev.seq})
 		}
 		if place(vm) {
 			res.Admitted++

@@ -26,10 +26,11 @@ type rowAdapter interface {
 	// quantised from, and the utilisation at the VM's start, which is
 	// its offered load at admission.
 	util(row int) (p95, atStart float64)
-	// record is what the arrival queue delivers.
-	record(row int) *trace.VMRecord
+	// series returns the row's materialised utilisation series, or nil
+	// when a cursor reads it instead.
+	series(row int) []float64
 	// cursor binds a utilisation cursor for the VM's lifetime, or returns
-	// nil when the record carries its own series; release takes a bound
+	// nil when the row has a materialised series; release takes a bound
 	// cursor back once its VM closes.
 	cursor(row int) *trace.UtilCursor
 	release(*trace.UtilCursor)
@@ -51,6 +52,28 @@ func newRowSource(tr *trace.AzureTrace, s *trace.Stream) *rowSource {
 		return &rowSource{rowAdapter: newStreamRows(s)}
 	}
 	return &rowSource{rowAdapter: &eagerRows{tr: tr}}
+}
+
+// vm reads row's record by value, the copy a VM's table row holds, with
+// id as its ID. A stream allocates a new string per id call, so a run
+// reads a VM's id once, at its arrival, and passes that name on.
+func (s *rowSource) vm(row int, id string) trace.VMRecord {
+	start, end, cores, mem := s.span(row)
+	return trace.VMRecord{
+		ID:       id,
+		Class:    s.class(row),
+		Cores:    int(cores),
+		MemoryMB: mem,
+		Start:    start,
+		End:      end,
+		CPUUtil:  s.series(row),
+	}
+}
+
+// end is row's departure time.
+func (s *rowSource) end(row int) float64 {
+	_, end, _, _ := s.span(row)
+	return end
 }
 
 // geometry returns the source's geometry, building it on first need.
@@ -90,38 +113,48 @@ func (a *eagerRows) util(row int) (float64, float64) {
 	return a.p95col[row], vm.UtilAt(vm.Start)
 }
 
-func (a *eagerRows) len() int                       { return len(a.tr.VMs) }
-func (a *eagerRows) id(row int) string              { return a.tr.VMs[row].ID }
-func (a *eagerRows) class(row int) trace.VMClass    { return a.tr.VMs[row].Class }
-func (a *eagerRows) record(row int) *trace.VMRecord { return a.tr.VMs[row] }
-func (*eagerRows) cursor(int) *trace.UtilCursor     { return nil }
-func (*eagerRows) release(*trace.UtilCursor)        {}
+func (a *eagerRows) len() int                    { return len(a.tr.VMs) }
+func (a *eagerRows) id(row int) string           { return a.tr.VMs[row].ID }
+func (a *eagerRows) class(row int) trace.VMClass { return a.tr.VMs[row].Class }
+func (a *eagerRows) series(row int) []float64    { return a.tr.VMs[row].CPUUtil }
+func (*eagerRows) cursor(int) *trace.UtilCursor  { return nil }
+func (*eagerRows) release(*trace.UtilCursor)     {}
 
 // streamRows adapts a trace.Stream: every answer is regenerated from the
 // row's parameters, so nothing per VM outlives the question. It belongs
-// to one engine. A run asks about one row several times in a row
-// (record, utilisation and cursor at an arrival; class then utilisation
-// in the pool planner), so the adapter keeps the last row's parameters,
-// and it recycles utilisation cursors, with their embedded RNG state,
-// across VM lifetimes.
+// to one engine. A run asks about one row several times in a row (its
+// start when the arrival queue resolves it, its end when the batcher
+// pops it, its record, utilisation and cursor at admission; class then
+// utilisation in the pool planner), and the queue resolves the next
+// arrival in between, so the adapter keeps the last two rows'
+// parameters. It recycles utilisation cursors, with their embedded RNG
+// state, across VM lifetimes.
 type streamRows struct {
 	s     *trace.Stream
-	pRow  int // the row p holds, or -1
-	p     trace.VMParams
+	pRow  [2]int // the rows p holds, or -1
+	p     [2]trace.VMParams
+	last  int // the p slot read last
 	synth *trace.SeriesSynth
 	buf   []float64
 	idle  []*trace.UtilCursor // released cursors, for the next bind
 }
 
 func newStreamRows(s *trace.Stream) *streamRows {
-	return &streamRows{s: s, pRow: -1, synth: trace.NewSeriesSynth()}
+	return &streamRows{s: s, pRow: [2]int{-1, -1}, synth: trace.NewSeriesSynth()}
 }
 
+// params returns row's parameters, regenerated into the slot read less
+// recently unless either slot holds them.
 func (a *streamRows) params(row int) *trace.VMParams {
-	if row != a.pRow {
-		a.p, a.pRow = a.s.Params(row), row
+	i := a.last
+	if a.pRow[i] != row {
+		i ^= 1
+		if a.pRow[i] != row {
+			a.p[i], a.pRow[i] = a.s.Params(row), row
+		}
+		a.last = i
 	}
-	return &a.p
+	return &a.p[i]
 }
 
 func (a *streamRows) span(row int) (float64, float64, float64, float64) {
@@ -138,20 +171,6 @@ func (a *streamRows) util(row int) (float64, float64) {
 	return stats.PercentileSelect(a.buf, 95), atStart
 }
 
-// record builds the streamed form of a VMRecord: metadata only, CPUUtil
-// left nil. The engine reads utilisation through the cursor instead.
-func (a *streamRows) record(row int) *trace.VMRecord {
-	p := a.params(row)
-	return &trace.VMRecord{
-		ID:       p.ID(),
-		Class:    p.Class,
-		Cores:    p.Cores,
-		MemoryMB: p.MemoryMB,
-		Start:    p.Start,
-		End:      p.End,
-	}
-}
-
 func (a *streamRows) cursor(row int) *trace.UtilCursor {
 	var c *trace.UtilCursor
 	if n := len(a.idle); n > 0 {
@@ -166,6 +185,7 @@ func (a *streamRows) cursor(row int) *trace.UtilCursor {
 func (a *streamRows) len() int                    { return a.s.Len() }
 func (a *streamRows) id(row int) string           { return a.params(row).ID() }
 func (a *streamRows) class(row int) trace.VMClass { return a.params(row).Class }
+func (*streamRows) series(int) []float64          { return nil }
 func (a *streamRows) release(c *trace.UtilCursor) { a.idle = append(a.idle, c) }
 func (*streamRows) open() error                   { return nil }
 

@@ -3,6 +3,7 @@ package clustersim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -86,10 +87,13 @@ func checkRowsAgree(t *testing.T, eager, streamed *rowSource, row int) {
 	if math.Float64bits(p0) != math.Float64bits(p1) || math.Float64bits(l0) != math.Float64bits(l1) {
 		t.Fatalf("row %d util: eager (p95 %v, at start %v), streamed (%v, %v)", row, p0, l0, p1, l1)
 	}
-	re, rs := eager.record(row), streamed.record(row)
+	re, rs := eager.vm(row, eager.id(row)), streamed.vm(row, streamed.id(row))
 	if re.ID != rs.ID || re.Class != rs.Class || re.Cores != rs.Cores || re.MemoryMB != rs.MemoryMB ||
 		re.Start != rs.Start || re.End != rs.End || rs.CPUUtil != nil {
-		t.Fatalf("row %d record: eager %+v, streamed %+v", row, *re, *rs)
+		t.Fatalf("row %d record: eager %+v, streamed %+v", row, re, rs)
+	}
+	if want := eager.rowAdapter.(*eagerRows).tr.VMs[row]; !reflect.DeepEqual(re, *want) {
+		t.Fatalf("row %d: the eager source reads %+v, the trace holds %+v", row, re, *want)
 	}
 	if c0 != float64(re.Cores) || m0 != re.MemoryMB {
 		t.Fatalf("row %d span: cores %v and memory %v, record %d and %v", row, c0, m0, re.Cores, re.MemoryMB)

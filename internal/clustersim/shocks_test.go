@@ -25,14 +25,12 @@ func testShockConfig(seed int64) *trace.ShockConfig {
 // and a back-to-back outage of one server (restore then re-revoke at
 // one instant) must replay as two outages, not be silently dropped.
 func TestShockEventOrdering(t *testing.T) {
-	vm := &trace.VMRecord{ID: "vm"}
-	sh := &trace.CapacityShock{Server: 0}
 	push := []simEvent{
-		{at: 100, kind: evArrival, vm: vm},
-		{at: 100, kind: evResize, shock: sh},
-		{at: 100, kind: evRevoke, shock: sh},
-		{at: 100, kind: evRestore, shock: sh},
-		{at: 100, kind: evDeparture, vm: vm},
+		{at: 100, kind: evArrival},
+		{at: 100, kind: evResize},
+		{at: 100, kind: evRevoke},
+		{at: 100, kind: evRestore},
+		{at: 100, kind: evDeparture, name: "vm"},
 		{at: 100, kind: evSample},
 	}
 	want := []eventKind{evSample, evDeparture, evRestore, evRevoke, evResize, evArrival}

@@ -427,8 +427,27 @@ func TestSamplePassVisitsOnlyMeteredVMs(t *testing.T) {
 // growth — whether the VM gets a table row (deflatable) or only a
 // sentinel (on-demand).
 func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
-	tr := testTrace(300)
-	e, err := NewEngine(Config{Trace: tr})
+	checkPairAllocs(t, Config{Trace: testTrace(300)}, 1)
+}
+
+// TestStreamedArrivalDeparturePairAllocatesDomainAndName is the same
+// pair on a streamed engine, which regenerates the VM from its row: the
+// pair allocates the Domain and the VM's name, which the Domain, the
+// table row and the departure event share, and nothing else. The
+// utilisation cursor a deflatable VM binds is recycled from the last
+// one released.
+func TestStreamedArrivalDeparturePairAllocatesDomainAndName(t *testing.T) {
+	cfg := trace.DefaultAzureConfig()
+	cfg.NumVMs, cfg.Duration = 300, 2*86400
+	checkPairAllocs(t, Config{Stream: trace.NewAzureStream(cfg)}, 2)
+}
+
+// checkPairAllocs warms a deflation engine over cfg with every fourth
+// trace row resident, then requires an arrival + departure pair of a
+// spare row of each class to allocate exactly want objects.
+func checkPairAllocs(t *testing.T, cfg Config, want float64) {
+	t.Helper()
+	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,11 +458,11 @@ func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
 	// pairs below push.
 	var resident []simEvent
 	rowOf := map[trace.VMClass]int{}
-	for i, vm := range tr.VMs {
+	for i := range e.src.len() {
 		if i%4 == 0 {
-			resident = append(resident, simEvent{at: 0, kind: evArrival, vm: vm, seq: i})
+			resident = append(resident, simEvent{at: 0, kind: evArrival, seq: i})
 		} else {
-			rowOf[vm.Class] = i
+			rowOf[e.src.class(i)] = i
 		}
 	}
 	if err := e.handleArrivals(resident); err != nil {
@@ -458,7 +477,7 @@ func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
 		if !ok {
 			t.Fatalf("trace has no spare %v VM", class)
 		}
-		arrival := []simEvent{{at: 0, kind: evArrival, vm: tr.VMs[row], seq: row}}
+		arrival := []simEvent{{at: 0, kind: evArrival, seq: row}}
 		departure := make([]simEvent, 1)
 		pair := func() {
 			if err := e.handleArrivals(arrival); err != nil {
@@ -469,10 +488,10 @@ func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pair() // warm the table, meter column and scratch capacity
+		pair() // warm the table, meter column, scratch capacity and cursor pool
 		rows, admitted := len(e.tbl), e.res.Admitted
-		if got := testing.AllocsPerRun(200, pair); got > 1 {
-			t.Errorf("%v arrival + departure allocates %.1f objects, want at most the Domain", class, got)
+		if got := testing.AllocsPerRun(200, pair); got != want {
+			t.Errorf("%v arrival + departure allocates %.1f objects, want %v", class, got, want)
 		}
 		if len(e.tbl) != rows || e.res.Admitted != admitted+201 || !e.queue.empty() {
 			t.Fatalf("%v pairs left %d rows (want %d), %d admissions (want %d), queue empty = %v",

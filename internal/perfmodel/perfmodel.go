@@ -30,6 +30,26 @@ type Curve struct {
 	CollapseExp float64
 }
 
+// Validate reports a curve whose fields leave their ranges, naming the
+// field: slack, knee and loss at the knee are fractions with
+// slack <= knee, and the collapse exponent is finite and non-negative.
+// Every comparison is written so that NaN fails it.
+func (c Curve) Validate() error {
+	if !(c.Slack >= 0 && c.Slack <= 1) {
+		return fmt.Errorf("perfmodel: slack %g outside [0,1]", c.Slack)
+	}
+	if !(c.Knee >= c.Slack && c.Knee <= 1) {
+		return fmt.Errorf("perfmodel: knee %g outside [slack,1]", c.Knee)
+	}
+	if !(c.LossAtKnee >= 0 && c.LossAtKnee <= 1) {
+		return fmt.Errorf("perfmodel: loss at knee %g outside [0,1]", c.LossAtKnee)
+	}
+	if !(c.CollapseExp >= 0 && !math.IsInf(c.CollapseExp, 1)) {
+		return fmt.Errorf("perfmodel: collapse exponent %g is not finite and non-negative", c.CollapseExp)
+	}
+	return nil
+}
+
 // Performance returns normalised performance (0..1] at deflation d. d is
 // clamped into [0,1].
 func (c Curve) Performance(d float64) float64 {

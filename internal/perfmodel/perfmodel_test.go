@@ -58,6 +58,12 @@ func TestValidate(t *testing.T) {
 		{Slack: 0.1, Knee: 1.1},
 		{Slack: 0.1, Knee: 0.5, LossAtKnee: 1.5},
 		{Slack: 0.1, Knee: 0.5, LossAtKnee: 0.5, CollapseExp: -1},
+		{Slack: math.NaN(), Knee: 0.5},
+		{Slack: 0.1, Knee: math.NaN()},
+		{Slack: 0.1, Knee: 0.5, LossAtKnee: math.NaN()},
+		{Slack: 0.1, Knee: 0.5, LossAtKnee: -3},
+		{Slack: 0.1, Knee: 0.5, CollapseExp: math.NaN()},
+		{Slack: 0.1, Knee: 0.5, CollapseExp: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -206,7 +206,7 @@ type declaration struct {
 // an interface (fmt, errors, sort, container/heap): a live type keeps
 // them without any module code selecting them.
 var alwaysSelected = map[string]bool{
-	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"String": true, "Error": true, "Unwrap": true, "Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 }
 
 // reachAllowed names internal declarations that stay unreached, each
