@@ -21,10 +21,7 @@ var (
 
 func ablationFixture() *trace.AzureTrace {
 	ablationOnce.Do(func() {
-		cfg := trace.DefaultAzureConfig()
-		cfg.NumVMs = 1500
-		cfg.Duration = 2 * 86400
-		ablationTr = trace.GenerateAzure(cfg)
+		ablationTr = azureTrace(1500, 2*86400, 1)
 	})
 	return ablationTr
 }
@@ -54,10 +51,7 @@ var (
 func sweepFixture(b *testing.B) (*trace.AzureTrace, int) {
 	b.Helper()
 	sweepOnce.Do(func() {
-		cfg := trace.DefaultAzureConfig()
-		cfg.NumVMs = 10000
-		cfg.Duration = 2 * 86400
-		sweepTr = trace.GenerateAzure(cfg)
+		sweepTr = azureTrace(10000, 2*86400, 1)
 		n, err := clustersim.BaselineServerCount(sweepTr, clustersim.DefaultServerCapacity())
 		if err != nil {
 			panic(err)

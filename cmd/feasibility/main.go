@@ -128,12 +128,14 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
+// loadAzure reads the Azure-format CSV at path, or synthesises n VMs
+// over three days when path is empty.
 func loadAzure(path string, n int, seed int64) (*trace.AzureTrace, error) {
 	if path == "" {
-		cfg := trace.DefaultAzureConfig()
-		cfg.NumVMs = n
-		cfg.Seed = seed
-		return trace.GenerateAzure(cfg), nil
+		if n < 1 {
+			return nil, fmt.Errorf("-vms %d: want at least 1 VM in the synthetic trace", n)
+		}
+		return trace.GenerateNamed("azure", n, 3*86400, seed)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -143,8 +145,13 @@ func loadAzure(path string, n int, seed int64) (*trace.AzureTrace, error) {
 	return trace.ReadAzureCSV(f)
 }
 
+// loadAlibaba reads the Alibaba-format CSV at path, or synthesises n
+// containers when path is empty.
 func loadAlibaba(path string, n int, seed int64) (*trace.AlibabaTrace, error) {
 	if path == "" {
+		if n < 1 {
+			return nil, fmt.Errorf("-containers %d: want at least 1 container in the synthetic trace", n)
+		}
 		cfg := trace.DefaultAlibabaConfig()
 		cfg.NumContainers = n
 		cfg.Seed = seed

@@ -23,6 +23,33 @@ func TestFigFlag(t *testing.T) {
 	}
 }
 
+// TestSizeFlags: a synthetic trace of no VMs or no containers used to
+// print empty tables and exit 0, or fail with a bare "stats: empty
+// sample"; now it fails naming the flag, before any output.
+func TestSizeFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-vms", "-3", "-fig", "6"}, "-vms -3"},
+		{[]string{"-vms", "0", "-fig", "5"}, "-vms 0"},
+		{[]string{"-vms", "0", "-fig", "7"}, "-vms 0"},
+		{[]string{"-vms", "0", "-fig", "8"}, "-vms 0"},
+		{[]string{"-containers", "0", "-fig", "9"}, "-containers 0"},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(c.args, &out)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want one containing %q", err, c.want)
+			}
+			if out.Len() > 0 {
+				t.Errorf("printed %q before failing", out.String())
+			}
+		})
+	}
+}
+
 // TestSeriesMatchGolden regenerates each figure FIGURES.md lists for
 // this command, on the default synthetic traces, and holds it to its
 // golden.

@@ -61,6 +61,9 @@ func run(args []string, stdout io.Writer) error {
 // a one-line summary. Bad parameters fail here, before any output file
 // is created.
 func build(kind string, n int, days float64, samples int, seed int64) (func(io.Writer) error, string, error) {
+	if n < 1 {
+		return nil, "", fmt.Errorf("-n %d: want at least 1 VM or container", n)
+	}
 	switch kind {
 	case "azure":
 		tr, err := trace.GenerateScenario(trace.ScenarioConfig{

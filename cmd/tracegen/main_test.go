@@ -8,24 +8,29 @@ import (
 )
 
 // TestBuildRejectsBadParameters: a non-finite horizon used to come out
-// as NaN start, end and cpu_util columns, and a sample count below one
-// was reported as requested while default-length series were written.
+// as NaN start, end and cpu_util columns, a sample count below one was
+// reported as requested while default-length series were written, and
+// a count below one wrote a header-only CSV.
 func TestBuildRejectsBadParameters(t *testing.T) {
 	cases := []struct {
 		name, kind string
+		n          int
 		days       float64
 		samples    int
 		want       string
 	}{
-		{"nan-days", "azure", math.NaN(), 288, "not finite"},
-		{"inf-days", "azure", math.Inf(1), 288, "not finite"},
-		{"negative-samples", "alibaba", 3, -2, "-samples -2"},
-		{"zero-samples", "alibaba", 3, 0, "-samples 0"},
-		{"unknown-kind", "gcp", 3, 288, "unknown kind"},
+		{"nan-days", "azure", 5, math.NaN(), 288, "not finite"},
+		{"inf-days", "azure", 5, math.Inf(1), 288, "not finite"},
+		{"negative-samples", "alibaba", 5, 3, -2, "-samples -2"},
+		{"zero-samples", "alibaba", 5, 3, 0, "-samples 0"},
+		{"unknown-kind", "gcp", 5, 3, 288, "unknown kind"},
+		{"zero-vms", "azure", 0, 3, 288, "-n 0"},
+		{"negative-vms", "azure", -3, 3, 288, "-n -3"},
+		{"zero-containers", "alibaba", 0, 3, 288, "-n 0"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, _, err := build(c.kind, 5, c.days, c.samples, 1)
+			_, _, err := build(c.kind, c.n, c.days, c.samples, 1)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("err = %v, want one containing %q", err, c.want)
 			}

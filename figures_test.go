@@ -35,6 +35,7 @@ import (
 	"vmdeflate/internal/clustersim"
 	"vmdeflate/internal/feasibility"
 	"vmdeflate/internal/mechanism"
+	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
 )
@@ -71,10 +72,7 @@ func claimFixture(t *testing.T) []claimSweep {
 	t.Helper()
 	claimOnce.Do(func() {
 		for seed := int64(1); seed <= 3; seed++ {
-			cfg := trace.DefaultAzureConfig()
-			cfg.NumVMs = 2000
-			cfg.Seed = seed
-			out, err := clustersim.SweepGrid(trace.GenerateAzure(cfg),
+			out, err := clustersim.SweepGrid(azureTrace(2000, 3*86400, seed),
 				[]string{clustersim.StrategyProportional, clustersim.StrategyPreemption}, claimOvercommit, clustersim.Options{})
 			if err != nil {
 				claimErr = err
@@ -161,6 +159,44 @@ func TestFig18MicroservicesServeThroughTheKnee(t *testing.T) {
 					knee.P99, knee.P99/half.P99, half.P99, fig18Knee)
 			}
 		})
+	}
+}
+
+// fig18HalfSlowdown is the least M/G/1-PS slowdown at 50 % deflation
+// of any base utilisation that puts the knee at 60-65 % [4.33x].
+const fig18HalfSlowdown = 4.3
+
+// TestFig18Consistency explains Figure 18's gap to the paper: in
+// the M/G/1-PS model the paper's two claims, a knee at 60-65 % CPU
+// deflation and negligible impact at 50 %, cannot both hold. A
+// processor-sharing station at base utilisation rho0 runs at
+// rho0/(1-d) when deflated by d, so saturating at 65 % while still
+// serving at 60 % puts rho0 in [0.35, 0.40]. At 50 % the sojourn then
+// grows by (1-rho0)/(0.5-rho0), between 4.33x and 6x: the same order
+// as TestFig18MicroservicesServeThroughTheKnee's measured median of
+// 2.7x and p99 of 4.3-4.8x, nowhere near negligible. A flat response to
+// 50 % needs one of two levers: a lower rho0, which moves the knee
+// later than the paper's, or a per-job core cap (a request uses at
+// most one core, so a lightly loaded container loses nothing while its
+// capacity stays above the requests in service), which the model's
+// uncapped sharing does not have.
+func TestFig18Consistency(t *testing.T) {
+	minHalf, maxHalf := math.Inf(1), 0.0
+	for i := 0; i <= 10; i++ {
+		rho0 := 0.35 + float64(i)*0.005
+		if knee := queueing.PSSlowdownRatio(rho0, 1, 0.35, math.Inf(1)); !math.IsInf(knee, 1) {
+			t.Errorf("rho0 %.3f: slowdown %.2fx at 65 %%, want saturation", rho0, knee)
+		}
+		if at60 := queueing.PSSlowdownRatio(rho0, 1, 0.4, math.Inf(1)); rho0 < 0.4 && math.IsInf(at60, 1) {
+			t.Errorf("rho0 %.3f: saturated already at 60 %%", rho0)
+		}
+		half := queueing.PSSlowdownRatio(rho0, 1, 0.5, math.Inf(1))
+		minHalf, maxHalf = min(minHalf, half), max(maxHalf, half)
+	}
+	t.Logf("M/G/1-PS slowdown at 50 %% deflation, knee at 60-65 %%: %.2fx-%.2fx; "+
+		"Fig 18 measured median 2.7x, p99 4.3-4.8x", minHalf, maxHalf)
+	if minHalf < fig18HalfSlowdown {
+		t.Errorf("least slowdown at 50 %% is %.2fx, want >= %.1fx", minHalf, fig18HalfSlowdown)
 	}
 }
 
@@ -403,17 +439,26 @@ var (
 	traceSeeds []traceSeed
 )
 
+// azureTrace is the azure scenario's eager trace: n VMs over duration
+// seconds. It runs inside sync.Once fixtures, which have no t to fail;
+// the name and a finite duration leave GenerateNamed no error to return.
+func azureTrace(n int, duration float64, seed int64) *trace.AzureTrace {
+	tr, err := trace.GenerateNamed("azure", n, duration, seed)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
 // forEachTraceSeed runs check as one subtest per seed 1-3, building the
 // traces once for all of Figs 5-12: 1,500 azure VMs over two days and
 // 1,500 alibaba containers.
 func forEachTraceSeed(t *testing.T, check func(t *testing.T, ts traceSeed)) {
 	traceOnce.Do(func() {
 		for seed := int64(1); seed <= 3; seed++ {
-			az := trace.DefaultAzureConfig()
-			az.NumVMs, az.Duration, az.Seed = 1500, 2*86400, seed
 			al := trace.DefaultAlibabaConfig()
 			al.NumContainers, al.Seed = 1500, seed
-			traceSeeds = append(traceSeeds, traceSeed{seed, trace.GenerateAzure(az), trace.GenerateAlibaba(al)})
+			traceSeeds = append(traceSeeds, traceSeed{seed, azureTrace(1500, 2*86400, seed), trace.GenerateAlibaba(al)})
 		}
 	})
 	for _, ts := range traceSeeds {

@@ -41,7 +41,7 @@ func (Kcompile) InstallWorkload(d *hypervisor.Domain) {
 
 // Performance implements ResourceModel.
 func (k Kcompile) Performance(d *hypervisor.Domain) float64 {
-	eff := d.Effective()
+	eff := d.Allocation()
 	max := d.MaxSize()
 
 	// Amdahl decomposition of an undeflated build.
@@ -85,7 +85,7 @@ func (Memcached) InstallWorkload(d *hypervisor.Domain) {
 
 // Performance implements ResourceModel.
 func (m Memcached) Performance(d *hypervisor.Domain) float64 {
-	eff := d.Effective()
+	eff := d.Allocation()
 	max := d.MaxSize()
 
 	// CPU and network need only ~30% / ~40% of the allocation.
@@ -126,7 +126,7 @@ func (SpecJBB) InstallWorkload(d *hypervisor.Domain) {
 
 // Performance implements ResourceModel.
 func (s SpecJBB) Performance(d *hypervisor.Domain) float64 {
-	eff := d.Effective()
+	eff := d.Allocation()
 	max := d.MaxSize()
 
 	// Fully CPU-bound: throughput scales with cores from the first

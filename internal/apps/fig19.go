@@ -15,31 +15,26 @@ import (
 // replicas behind a load balancer; two replicas run on deflatable VMs
 // and are deflated equally, the third is non-deflatable (Section 7.3).
 type LBConfig struct {
-	// CoresPerReplica is each replica VM's CPU (10 in the paper).
-	CoresPerReplica float64
-	// RatePerSec is the total offered load (200 req/s in the paper).
-	RatePerSec float64
-	// Duration and WarmupFrac as in the other experiments.
-	Duration   float64
-	WarmupFrac float64
+	// Duration is the measured interval in seconds.
+	Duration float64
 	// Seed drives all randomness.
 	Seed int64
-	// MeanCPUCost is the mean per-request CPU demand in core-seconds.
+}
+
+const (
+	// lbCoresPerReplica is each replica VM's CPU (10 in the paper).
+	lbCoresPerReplica = 10
+	// lbRatePerSec is the total offered load (200 req/s in the paper).
+	lbRatePerSec = 200
+	// lbMeanCPUCost is the mean per-request CPU demand in core-seconds.
 	// The Figure 19 replica stack is heavier per request than the big
 	// Figure 16 VM (smaller instances, full render path).
-	MeanCPUCost float64
-}
+	lbMeanCPUCost = 0.045
+)
 
 // DefaultLBConfig mirrors Section 7.3's setup.
 func DefaultLBConfig() LBConfig {
-	return LBConfig{
-		CoresPerReplica: 10,
-		RatePerSec:      200,
-		Duration:        120,
-		WarmupFrac:      0.15,
-		Seed:            1,
-		MeanCPUCost:     0.045,
-	}
+	return LBConfig{Duration: 120, Seed: 1}
 }
 
 // LBPoint is one deflation level of the Figure 19 sweep, for one
@@ -72,7 +67,7 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 	for i := range domains {
 		d, err := host.Define(hypervisor.DomainConfig{
 			Name:       fmt.Sprintf("wiki-replica-%d", i),
-			Size:       resources.New(cfg.CoresPerReplica, 10240, 100, 1000),
+			Size:       resources.New(lbCoresPerReplica, 10240, 100, 1000),
 			Deflatable: i < 2,
 			Priority:   0.5,
 		})
@@ -87,7 +82,7 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 	if deflPct > 0 {
 		for i := 0; i < 2; i++ {
 			target := domains[i].MaxSize().
-				With(resources.CPU, cfg.CoresPerReplica*(1-deflPct/100))
+				With(resources.CPU, lbCoresPerReplica*(1-deflPct/100))
 			if _, err := (mechanism.Transparent{}).Apply(domains[i], target); err != nil {
 				return LBPoint{}, err
 			}
@@ -98,10 +93,10 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 	apps := make([]*WebApp, 3)
 	backends := make([]*loadbalancer.Backend, 3)
 	for i := range apps {
-		apps[i] = NewWebApp(eng, domains[i].Effective().Get(resources.CPU), cfg.Seed+int64(i)+1)
+		apps[i] = NewWebApp(eng, domains[i].Allocation().Get(resources.CPU), cfg.Seed+int64(i)+1)
 		// Heavier per-request cost for the replica stack.
-		apps[i].mix.HitCost = cfg.MeanCPUCost * 0.3
-		apps[i].mix.MissCost = cfg.MeanCPUCost * 6.13
+		apps[i].mix.HitCost = lbMeanCPUCost * 0.3
+		apps[i].mix.MissCost = lbMeanCPUCost * 6.13
 		backends[i] = &loadbalancer.Backend{Name: domains[i].Name(), Weight: 100}
 	}
 
@@ -109,7 +104,7 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 	if deflationAware {
 		da := loadbalancer.NewDeflationAware(backends)
 		for i, b := range backends {
-			da.ReportCapacity(b, domains[i].Effective().Get(resources.CPU))
+			da.ReportCapacity(b, domains[i].Allocation().Get(resources.CPU))
 		}
 		lb = da
 	} else {
@@ -121,8 +116,8 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 		byName[b.Name] = apps[i]
 	}
 	var agg Metrics
-	warmupEnd := cfg.Duration * cfg.WarmupFrac
-	src := workload.NewPoissonSource(eng, cfg.RatePerSec, cfg.Seed+10, func(now float64, _ int) {
+	warmupEnd := cfg.Duration * warmupFrac
+	src := workload.NewPoissonSource(eng, lbRatePerSec, cfg.Seed+10, func(now float64, _ int) {
 		b, err := lb.Pick()
 		if err != nil {
 			return
@@ -136,7 +131,7 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 	})
 	src.Start()
 	eng.At(cfg.Duration, func(float64) { src.Stop() })
-	eng.RunUntil(cfg.Duration + apps[0].Timeout + 1)
+	eng.RunUntil(cfg.Duration + webTimeout + 1)
 
 	mean, _, p90, _ := agg.Summary()
 	return LBPoint{
@@ -155,9 +150,9 @@ func serveVia(app *WebApp, now float64, agg *Metrics) {
 	var timeoutH sim.Handle
 	j := app.station.Submit(work, func(done float64) {
 		timeoutH.Cancel()
-		agg.Record(done - start + app.FixedLatency)
+		agg.Record(done - start + webFixedLatency)
 	})
-	if h, err := app.eng.After(app.Timeout, func(float64) {
+	if h, err := app.eng.After(webTimeout, func(float64) {
 		if app.station.Cancel(j) {
 			agg.Drop()
 		}

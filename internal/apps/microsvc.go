@@ -32,27 +32,36 @@ type SocialNetwork struct {
 	cache    []*queueing.PSStation
 	db       []*queueing.PSStation
 
-	// Per-tier mean CPU cost (seconds) per visit.
-	FrontendCost, LogicCost, CacheCost, DBCost float64
-	// LogicFanout parallel logic calls and CacheLookups+DBLookups
-	// parallel backend calls per request.
-	LogicFanout, CacheLookups, DBLookups int
-	// HopLatency is fixed network latency per tier crossing.
-	HopLatency float64
-	// Timeout drops requests exceeding it.
-	Timeout float64
-
 	metrics Metrics
 }
 
+// Per-visit CPU costs are calibrated so that at the paper's 500 req/s
+// the deflatable tiers run near 38% utilisation undeflated, cross ~95%
+// at 60% deflation and saturate (rho > 1) at 65% — producing the
+// flat-then-abrupt shape of Figure 18.
+const (
+	// Per-tier mean CPU cost (seconds) per visit.
+	snFrontendCost = 0.0045
+	snLogicCost    = 0.0057
+	snCacheCost    = 0.0012
+	snDBCost       = 0.004
+	// snLogicFanout parallel logic calls and snCacheLookups+snDBLookups
+	// parallel backend calls per request.
+	snLogicFanout  = 4
+	snCacheLookups = 2
+	snDBLookups    = 1
+	// snHopLatency is fixed network latency per tier crossing.
+	snHopLatency = 0.002
+	// snTimeout drops requests exceeding it.
+	snTimeout = 60
+	// snRatePerSec is the offered load (500 req/s in the paper).
+	snRatePerSec = 500
+)
+
 // SocialNetConfig parameterises the Figure 18 experiment.
 type SocialNetConfig struct {
-	// RatePerSec is the offered load (500 req/s in the paper).
-	RatePerSec float64
 	// Duration is the measured interval (seconds).
 	Duration float64
-	// WarmupFrac discards the first fraction of the run.
-	WarmupFrac float64
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -60,7 +69,7 @@ type SocialNetConfig struct {
 // DefaultSocialNetConfig mirrors Section 7.2: 500 req/s with wrk2-style
 // constant throughput.
 func DefaultSocialNetConfig() SocialNetConfig {
-	return SocialNetConfig{RatePerSec: 500, Duration: 60, WarmupFrac: 0.15, Seed: 1}
+	return SocialNetConfig{Duration: 60, Seed: 1}
 }
 
 // SocialNetPoint is one deflation level of the Figure 18 sweep.
@@ -92,23 +101,7 @@ type pendingJob struct {
 // NewSocialNetwork builds the 30-service application with per-tier
 // capacities (cores per container instance).
 func NewSocialNetwork(eng *sim.Engine, seed int64, feCap, logicCap, cacheCap, dbCap float64) *SocialNetwork {
-	// Per-visit CPU costs are calibrated so that at the paper's 500 req/s
-	// the deflatable tiers run near 38% utilisation undeflated, cross
-	// ~95% at 60% deflation and saturate (rho > 1) at 65% — producing the
-	// flat-then-abrupt shape of Figure 18.
-	sn := &SocialNetwork{
-		eng:          eng,
-		rng:          rand.New(rand.NewSource(seed)),
-		FrontendCost: 0.0045,
-		LogicCost:    0.0057,
-		CacheCost:    0.0012,
-		DBCost:       0.004,
-		LogicFanout:  4,
-		CacheLookups: 2,
-		DBLookups:    1,
-		HopLatency:   0.002,
-		Timeout:      60,
-	}
+	sn := &SocialNetwork{eng: eng, rng: rand.New(rand.NewSource(seed))}
 	for i := 0; i < 3; i++ {
 		sn.frontend = append(sn.frontend, queueing.NewPSStation(eng, feCap))
 	}
@@ -138,7 +131,7 @@ func (sn *SocialNetwork) pick(tier []*queueing.PSStation) *queueing.PSStation {
 // HandleRequest admits one request; record=false during warmup.
 func (sn *SocialNetwork) HandleRequest(now float64, record bool) {
 	r := &snRequest{app: sn, start: now}
-	if h, err := sn.eng.After(sn.Timeout, func(float64) { r.abort(record) }); err == nil {
+	if h, err := sn.eng.After(snTimeout, func(float64) { r.abort(record) }); err == nil {
 		r.timeoutH = h
 	}
 
@@ -146,28 +139,27 @@ func (sn *SocialNetwork) HandleRequest(now float64, record bool) {
 	finish := func(done float64) {
 		r.timeoutH.Cancel()
 		if record {
-			sn.metrics.Record(done - r.start + 3*sn.HopLatency)
+			sn.metrics.Record(done - r.start + 3*snHopLatency)
 		}
 	}
 	// Tier 2 -> tier 3 (backend fan-out).
 	backends := func(now2 float64) {
-		n := sn.CacheLookups + sn.DBLookups
-		r.fanOut(now2, n, finish, func(i int) (*queueing.PSStation, float64) {
-			if i < sn.CacheLookups {
-				return sn.pick(sn.cache), sn.cost(sn.CacheCost)
+		r.fanOut(now2, snCacheLookups+snDBLookups, finish, func(i int) (*queueing.PSStation, float64) {
+			if i < snCacheLookups {
+				return sn.pick(sn.cache), sn.cost(snCacheCost)
 			}
-			return sn.pick(sn.db), sn.cost(sn.DBCost)
+			return sn.pick(sn.db), sn.cost(snDBCost)
 		})
 	}
 	// Tier 1 -> tier 2 (logic fan-out).
 	logic := func(now1 float64) {
-		r.fanOut(now1, sn.LogicFanout, backends, func(int) (*queueing.PSStation, float64) {
-			return sn.pick(sn.logic), sn.cost(sn.LogicCost)
+		r.fanOut(now1, snLogicFanout, backends, func(int) (*queueing.PSStation, float64) {
+			return sn.pick(sn.logic), sn.cost(snLogicCost)
 		})
 	}
 	// Tier 0: one frontend visit.
 	r.fanOut(now, 1, logic, func(int) (*queueing.PSStation, float64) {
-		return sn.pick(sn.frontend), sn.cost(sn.FrontendCost)
+		return sn.pick(sn.frontend), sn.cost(snFrontendCost)
 	})
 }
 
@@ -248,18 +240,18 @@ func RunSocialNetwork(cfg SocialNetConfig, deflPct float64) (SocialNetPoint, err
 			return SocialNetPoint{}, err
 		}
 	}
-	deflatedCap := container.Effective().Get(resources.CPU)
+	deflatedCap := container.Allocation().Get(resources.CPU)
 
 	eng := sim.NewEngine()
 	sn := NewSocialNetwork(eng, cfg.Seed+1, deflatedCap, deflatedCap, deflatedCap, 2)
 
-	warmupEnd := cfg.Duration * cfg.WarmupFrac
-	src := workload.NewConstantSource(eng, cfg.RatePerSec, func(now float64, _ int) {
+	warmupEnd := cfg.Duration * warmupFrac
+	src := workload.NewConstantSource(eng, snRatePerSec, func(now float64, _ int) {
 		sn.HandleRequest(now, now >= warmupEnd)
 	})
 	src.Start()
 	eng.At(cfg.Duration, func(float64) { src.Stop() })
-	eng.RunUntil(cfg.Duration + sn.Timeout + 1)
+	eng.RunUntil(cfg.Duration + snTimeout + 1)
 
 	m := sn.Metrics()
 	_, median, p90, p99 := m.Summary()

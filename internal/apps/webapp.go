@@ -23,23 +23,23 @@ type WebApp struct {
 	station *queueing.PSStation
 	mix     *workload.PageMix
 
-	// FixedLatency is the CPU-independent response-time component.
-	FixedLatency float64
-	// Timeout drops requests that exceed it (15 s in the paper).
-	Timeout float64
-
 	metrics Metrics
 }
+
+const (
+	// webFixedLatency is the CPU-independent response-time component.
+	webFixedLatency = 0.25
+	// webTimeout drops requests that exceed it (15 s in the paper).
+	webTimeout = 15
+)
 
 // NewWebApp creates a Wikipedia-like application on a station with the
 // given effective CPU capacity (cores).
 func NewWebApp(eng *sim.Engine, capacityCores float64, seed int64) *WebApp {
 	return &WebApp{
-		eng:          eng,
-		station:      queueing.NewPSStation(eng, capacityCores),
-		mix:          workload.NewPageMix(seed),
-		FixedLatency: 0.25,
-		Timeout:      15,
+		eng:     eng,
+		station: queueing.NewPSStation(eng, capacityCores),
+		mix:     workload.NewPageMix(seed),
 	}
 }
 
@@ -54,9 +54,9 @@ func (w *WebApp) HandleRequest(now float64, _ int) {
 	var timeoutH sim.Handle
 	job = w.station.Submit(work, func(done float64) {
 		timeoutH.Cancel()
-		w.metrics.Record(done - start + w.FixedLatency)
+		w.metrics.Record(done - start + webFixedLatency)
 	})
-	h, err := w.eng.After(w.Timeout, func(float64) {
+	h, err := w.eng.After(webTimeout, func(float64) {
 		if w.station.Cancel(job) {
 			w.metrics.Drop()
 		}
@@ -66,33 +66,32 @@ func (w *WebApp) HandleRequest(now float64, _ int) {
 	}
 }
 
-// WikipediaConfig parameterises the Figure 16/17 experiment.
+// WikipediaConfig parameterises the Figure 16/17 experiment. The VM
+// and its load are Section 7.2's: wikiCores, wikiMemoryMB and
+// wikiRatePerSec.
 type WikipediaConfig struct {
-	// Cores is the VM's nominal CPU allocation (30 in the paper).
-	Cores float64
-	// MemoryMB is the VM's memory (16 GB in the paper).
-	MemoryMB float64
-	// RatePerSec is the offered load (800 req/s in the paper).
-	RatePerSec float64
 	// Duration is the measured interval in seconds.
 	Duration float64
-	// WarmupFrac discards the first fraction of the run.
-	WarmupFrac float64
 	// Seed drives all randomness.
 	Seed int64
 }
 
+const (
+	// wikiCores is the VM's nominal CPU allocation (30 in the paper).
+	wikiCores = 30
+	// wikiMemoryMB is the VM's memory (16 GB in the paper).
+	wikiMemoryMB = 16384
+	// wikiRatePerSec is the offered load (800 req/s in the paper).
+	wikiRatePerSec = 800
+	// warmupFrac is the first fraction of every interactive run, which
+	// warms the queues and is not measured.
+	warmupFrac = 0.15
+)
+
 // DefaultWikipediaConfig mirrors Section 7.2's setup with a simulation
 // length that keeps percentile estimates stable.
 func DefaultWikipediaConfig() WikipediaConfig {
-	return WikipediaConfig{
-		Cores:      30,
-		MemoryMB:   16384,
-		RatePerSec: 800,
-		Duration:   120,
-		WarmupFrac: 0.15,
-		Seed:       1,
-	}
+	return WikipediaConfig{Duration: 120, Seed: 1}
 }
 
 // WikipediaPoint is one deflation level of the Figure 16/17 sweep.
@@ -122,7 +121,7 @@ func RunWikipedia(cfg WikipediaConfig, deflPct float64) (WikipediaPoint, error) 
 	}
 	d, err := host.Define(hypervisor.DomainConfig{
 		Name:       "wiki-vm",
-		Size:       resources.New(cfg.Cores, cfg.MemoryMB, 200, 2000),
+		Size:       resources.New(wikiCores, wikiMemoryMB, 200, 2000),
 		Deflatable: true,
 		Priority:   0.5,
 	})
@@ -133,18 +132,18 @@ func RunWikipedia(cfg WikipediaConfig, deflPct float64) (WikipediaPoint, error) 
 		return WikipediaPoint{}, err
 	}
 	if deflPct > 0 {
-		target := d.MaxSize().With(resources.CPU, cfg.Cores*(1-deflPct/100))
+		target := d.MaxSize().With(resources.CPU, wikiCores*(1-deflPct/100))
 		if _, err := (mechanism.Transparent{}).Apply(d, target); err != nil {
 			return WikipediaPoint{}, err
 		}
 	}
-	cores := d.Effective().Get(resources.CPU)
+	cores := d.Allocation().Get(resources.CPU)
 
 	eng := sim.NewEngine()
 	app := NewWebApp(eng, cores, cfg.Seed+1)
 
-	warmupEnd := cfg.Duration * cfg.WarmupFrac
-	src := workload.NewPoissonSource(eng, cfg.RatePerSec, cfg.Seed+2, func(now float64, seq int) {
+	warmupEnd := cfg.Duration * warmupFrac
+	src := workload.NewPoissonSource(eng, wikiRatePerSec, cfg.Seed+2, func(now float64, seq int) {
 		if now < warmupEnd {
 			// Warm the queue without recording.
 			app.warmRequest(now)
@@ -154,7 +153,7 @@ func RunWikipedia(cfg WikipediaConfig, deflPct float64) (WikipediaPoint, error) 
 	})
 	src.Start()
 	eng.At(cfg.Duration, func(float64) { src.Stop() })
-	eng.RunUntil(cfg.Duration + app.Timeout + 1)
+	eng.RunUntil(cfg.Duration + webTimeout + 1)
 
 	m := app.Metrics()
 	mean, median, p90, p99 := m.Summary()
@@ -174,7 +173,7 @@ func (w *WebApp) warmRequest(now float64) {
 	work := w.mix.Draw()
 	var job *queueing.Job
 	job = w.station.Submit(work, nil)
-	w.eng.After(w.Timeout, func(float64) { w.station.Cancel(job) })
+	w.eng.After(webTimeout, func(float64) { w.station.Cancel(job) })
 }
 
 // WikipediaSweep runs RunWikipedia across the paper's deflation levels

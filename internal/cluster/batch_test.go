@@ -62,7 +62,7 @@ func TestPlaceVMsMatchesPlaceVMLoopAndReference(t *testing.T) {
 		cfg    Config
 	}{
 		{"", Config{Policy: policy.Priority{}}},
-		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true, PriorityLevels: 4}},
+		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true}},
 		{"risk/", Config{Policy: policy.Priority{}, Risk: &RiskConfig{HighPriority: 0.75, MaxBands: 4}}},
 	}
 	for _, tc := range cases {

@@ -104,16 +104,19 @@ var (
 	ErrHeadroom = errors.New("cluster: admission withheld for forecast evacuation headroom")
 )
 
+// PriorityLevels is the number of discrete priority levels, and so of
+// priority pools under Config.PartitionByPriority (4 in the paper's
+// simulation).
+const PriorityLevels = 4
+
 // Config parameterises a Manager.
 type Config struct {
 	// Policy is the server-level deflation policy.
 	Policy policy.Policy
 	// PartitionByPriority places VMs only on servers of their priority
-	// pool (Section 5.2.1). Non-deflatable VMs use pool 0.
+	// pool (Section 5.2.1), one of PriorityLevels. Non-deflatable VMs
+	// use the highest pool.
 	PartitionByPriority bool
-	// PriorityLevels is the number of discrete priority levels (4 in the
-	// paper's simulation).
-	PriorityLevels int
 	// Notify, when set, receives an event for every allocation change
 	// (Figure 1's notification to the application manager / load
 	// balancer).
@@ -142,9 +145,6 @@ type RiskConfig struct {
 func (c *Config) applyDefaults() {
 	if c.Policy == nil {
 		c.Policy = policy.Proportional{}
-	}
-	if c.PriorityLevels <= 0 {
-		c.PriorityLevels = 4
 	}
 	// Clone Risk before defaulting so a caller-shared RiskConfig is never
 	// mutated.
@@ -453,11 +453,11 @@ func (m *Manager) PartitionOf(dc hypervisor.DomainConfig) int {
 		return -1
 	}
 	if !dc.Deflatable {
-		return m.cfg.PriorityLevels - 1 // on-demand VMs share the highest pool
+		return PriorityLevels - 1 // on-demand VMs share the highest pool
 	}
-	level := int(dc.Priority * float64(m.cfg.PriorityLevels))
-	if level >= m.cfg.PriorityLevels {
-		level = m.cfg.PriorityLevels - 1
+	level := int(dc.Priority * PriorityLevels)
+	if level >= PriorityLevels {
+		level = PriorityLevels - 1
 	}
 	if level < 0 {
 		level = 0

@@ -16,18 +16,11 @@ func newTestManager(t *testing.T, nServers int, cfg Config) *Manager {
 	t.Helper()
 	m := NewManager(cfg)
 	for i := 0; i < nServers; i++ {
-		if _, err := m.AddServer(fmt.Sprintf("node-%d", i), serverCap(), i%max(1, cfg.PriorityLevels)); err != nil {
+		if _, err := m.AddServer(fmt.Sprintf("node-%d", i), serverCap(), i%PriorityLevels); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return m
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func deflatableVM(name string, cores, memMB, prio float64) hypervisor.DomainConfig {
@@ -255,7 +248,7 @@ func TestRemoveVMErrors(t *testing.T) {
 }
 
 func TestPartitionedPlacement(t *testing.T) {
-	cfg := Config{PartitionByPriority: true, PriorityLevels: 4}
+	cfg := Config{PartitionByPriority: true}
 	m := NewManager(cfg)
 	for i := 0; i < 4; i++ {
 		if _, err := m.AddServer(fmt.Sprintf("node-%d", i), serverCap(), i); err != nil {
@@ -288,16 +281,18 @@ func TestPartitionedPlacement(t *testing.T) {
 }
 
 func TestPartitionFullRejects(t *testing.T) {
-	cfg := Config{PartitionByPriority: true, PriorityLevels: 2}
-	m := NewManager(cfg)
-	m.AddServer("p0", serverCap(), 0)
-	m.AddServer("p1", serverCap(), 1)
-	// Fill partition 1 with on-demand-style load... (deflatable at floor).
+	m := NewManager(Config{PartitionByPriority: true})
+	for pool := 0; pool < PriorityLevels; pool++ {
+		if _, err := m.AddServer(fmt.Sprintf("p%d", pool), serverCap(), pool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// On-demand VMs share the highest pool: od-a fills its one server.
 	if _, _, err := m.PlaceVM(onDemandVM("od-a", 48, 131072)); err != nil {
 		t.Fatal(err)
 	}
-	// Partition 0 is now full of od-a; a second on-demand VM cannot go to
-	// partition 1 even though it is empty.
+	// A second on-demand VM cannot go to the lower pools even though
+	// they are empty.
 	_, _, err := m.PlaceVM(onDemandVM("od-b", 8, 8192))
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("want partition-full rejection, got %v", err)

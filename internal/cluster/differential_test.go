@@ -40,7 +40,7 @@ func runDifferentialChurnSpecs(t *testing.T, seed int64, cfg Config, oracle stri
 			spec := ServerSpec{
 				Name:      fmt.Sprintf("node-%03d", i),
 				Capacity:  serverCap(),
-				Partition: i % max(1, m.Config().PriorityLevels),
+				Partition: i % PriorityLevels,
 			}
 			if specFor != nil {
 				spec = specFor(i, m)
@@ -184,7 +184,6 @@ func TestIndexedPlacementMatchesReferencePartitioned(t *testing.T) {
 	runDifferentialChurn(t, 21, Config{
 		Policy:              policy.Priority{},
 		PartitionByPriority: true,
-		PriorityLevels:      4,
 	}, 12, 400)
 }
 

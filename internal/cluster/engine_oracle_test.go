@@ -70,10 +70,11 @@ func runAgainstOracles(t *testing.T, prefix string, base clustersim.Config) *clu
 
 // testTrace builds a small but non-trivial Azure-like trace.
 func testTrace(nVMs int) *trace.AzureTrace {
-	cfg := trace.DefaultAzureConfig()
-	cfg.NumVMs = nVMs
-	cfg.Duration = 2 * 86400
-	return trace.GenerateAzure(cfg)
+	tr, err := trace.GenerateNamed("azure", nVMs, 2*86400, 1)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // scenarioTrace generates a one-day synthetic trace.
@@ -395,6 +396,12 @@ func TestSweepMatchesPlacementOraclesAtAnyWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// A point carries its run's whole Result, scan meters included.
+		for _, sr := range rs {
+			for i := range sr.Points {
+				sr.Points[i].Result = *normalizeScanMeters(&sr.Points[i].Result)
+			}
+		}
 		return rs
 	}
 	want := sweep(t, 8)
@@ -413,10 +420,7 @@ func TestSweepMatchesPlacementOraclesAtAnyWorkerCount(t *testing.T) {
 // indexes and under each oracle: the indexed/reference ratio is what the
 // capacity indexes buy, indexed/fullscan what the pruned descent buys.
 func BenchmarkDeflationRunOracles10k(b *testing.B) {
-	cfg := trace.DefaultAzureConfig()
-	cfg.NumVMs = 10000
-	cfg.Duration = 2 * 86400
-	tr := trace.GenerateAzure(cfg)
+	tr := testTrace(10000)
 	base, err := clustersim.BaselineServerCount(tr, clustersim.DefaultServerCapacity())
 	if err != nil {
 		b.Fatal(err)

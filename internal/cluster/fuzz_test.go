@@ -68,7 +68,7 @@ func runPlacementOps(t *testing.T, r *opReader) {
 	policies := []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}}
 	cfg := Config{Policy: policies[r.next(len(policies))]}
 	if r.next(2) == 1 {
-		cfg.PartitionByPriority, cfg.PriorityLevels = true, 4
+		cfg.PartitionByPriority = true
 	}
 	riskOn := r.next(2) == 1
 	if riskOn {

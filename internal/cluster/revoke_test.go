@@ -231,7 +231,7 @@ func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
 	}{
 		{"", Config{Policy: policy.Priority{}}},
 		{"proportional/", Config{Policy: policy.Proportional{}}},
-		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true, PriorityLevels: 4}},
+		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true}},
 		{"risk/", Config{Policy: policy.Priority{}, Risk: &RiskConfig{HighPriority: 0.75, MaxBands: 4}}},
 	}
 	for _, tc := range cases {
@@ -442,7 +442,7 @@ func churnSpec(i int, m *Manager) ServerSpec {
 	return ServerSpec{
 		Name:      fmt.Sprintf("node-%03d", i),
 		Capacity:  serverCap(),
-		Partition: i % max(1, m.Config().PriorityLevels),
+		Partition: i % PriorityLevels,
 	}
 }
 

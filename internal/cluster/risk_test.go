@@ -19,7 +19,7 @@ func riskSpec(i int, m *Manager) ServerSpec {
 	return ServerSpec{
 		Name:            fmt.Sprintf("node-%03d", i),
 		Capacity:        serverCap(),
-		Partition:       i % max(1, m.Config().PriorityLevels),
+		Partition:       i % PriorityLevels,
 		Band:            i % 4,
 		ReserveFraction: 0.05 * float64(i%3),
 	}
@@ -44,7 +44,6 @@ func TestRiskChurnMatchesReference(t *testing.T) {
 			Policy:              policy.Priority{},
 			Risk:                risk,
 			PartitionByPriority: true,
-			PriorityLevels:      4,
 		}, ""},
 	}
 	for _, tc := range cases {

@@ -85,6 +85,7 @@ import (
 	"fmt"
 	"math"
 
+	"vmdeflate/internal/cluster"
 	"vmdeflate/internal/notify"
 	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/policy"
@@ -255,8 +256,9 @@ func DefaultServerCapacity() resources.Vector {
 // The constants of Section 7.4's cluster evaluation, which every run
 // uses.
 const (
-	// priorityLevels quantises p95-derived priorities.
-	priorityLevels = 4
+	// priorityLevels quantises p95-derived priorities: one level per
+	// cluster priority pool.
+	priorityLevels = cluster.PriorityLevels
 	// evacuationDowntime is the modelled downtime in seconds charged to
 	// each successfully evacuated VM (Result.DisplacedDowntime): it is
 	// accounting only and does not feed back into placement.

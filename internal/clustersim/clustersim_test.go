@@ -15,10 +15,11 @@ import (
 
 // testTrace builds a small but non-trivial Azure-like trace.
 func testTrace(nVMs int) *trace.AzureTrace {
-	cfg := trace.DefaultAzureConfig()
-	cfg.NumVMs = nVMs
-	cfg.Duration = 2 * 86400
-	return trace.GenerateAzure(cfg)
+	tr, err := trace.GenerateNamed("azure", nVMs, 2*86400, 1)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // TestZeroLifetimeVMFreesCapacityForSameInstantArrivals pins the

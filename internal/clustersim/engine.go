@@ -239,7 +239,6 @@ func (e *Engine) setupDeflation() error {
 	mgrCfg := cluster.Config{
 		Policy:              cfg.Policy,
 		PartitionByPriority: cfg.Partitioned,
-		PriorityLevels:      priorityLevels,
 		Notify:              cfg.Notify,
 	}
 	if cfg.Risk != nil {

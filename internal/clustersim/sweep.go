@@ -12,36 +12,13 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// SweepPoint is one overcommitment level's outcome for one strategy.
+// SweepPoint is one overcommitment level's outcome for one strategy:
+// its run's Result at the grid coordinate, with Figure 21's loss in
+// percent.
 type SweepPoint struct {
-	OvercommitPct      float64
-	FailureProbability float64
-	ThroughputLossPct  float64
-	Revenue            map[string]float64
-	Servers            int
-	// Admitted counts placed VMs — the denominator that makes SLO
-	// comparisons across strategies meaningful (equal admitted load).
-	Admitted int
-	// Capacity-shock outcomes (zero when the sweep runs without a shock
-	// schedule): revocation events processed, displaced VMs relocated,
-	// displaced VMs killed, and summed modelled downtime seconds across
-	// evacuated VMs.
-	Revocations       int
-	Evacuations       int
-	ShockKills        int
-	DisplacedDowntime float64
-	// Risk / portfolio outcomes (see Result): admissions withheld for
-	// forecast headroom, the deflatable VMs' on-demand-equivalent bill,
-	// and the provider's PriceFactor-weighted in-service core-hours.
-	RiskRejections  int
-	OnDemandRevenue float64
-	FleetCost       float64
-	// SLO outcomes (zero when the sweep runs without Options.SLO): total
-	// violation seconds, the violation fraction of metered VM-time, and
-	// the histogram p99 slowdown proxy.
-	SLOViolationSeconds float64
-	SLOViolationRate    float64
-	SLOLatencyP99       float64
+	OvercommitPct     float64
+	ThroughputLossPct float64
+	Result
 }
 
 // SweepResult holds a full overcommitment sweep for one strategy.
@@ -209,24 +186,7 @@ func applySLO(cfg *Config, slo *SLOConfig) {
 
 // sweepPoint projects one run's Result onto its grid point.
 func sweepPoint(pct float64, res *Result) SweepPoint {
-	return SweepPoint{
-		OvercommitPct:       pct,
-		FailureProbability:  res.FailureProbability,
-		ThroughputLossPct:   res.ThroughputLoss * 100,
-		Revenue:             res.Revenue,
-		Servers:             res.Servers,
-		Admitted:            res.Admitted,
-		Revocations:         res.Revocations,
-		Evacuations:         res.Evacuations,
-		ShockKills:          res.ShockKills,
-		DisplacedDowntime:   res.DisplacedDowntime,
-		RiskRejections:      res.RiskRejections,
-		OnDemandRevenue:     res.OnDemandRevenue,
-		FleetCost:           res.FleetCost,
-		SLOViolationSeconds: res.SLOViolationSeconds,
-		SLOViolationRate:    res.SLOViolationRate,
-		SLOLatencyP99:       res.SLOLatencyP99,
-	}
+	return SweepPoint{OvercommitPct: pct, ThroughputLossPct: res.ThroughputLoss * 100, Result: *res}
 }
 
 // firstError returns the lowest-indexed non-nil error, so the reported
@@ -372,8 +332,10 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 
 // AverageSweeps reduces per-replicate sweeps (as returned by
 // ReplicatedSweep) to their pointwise mean, for plotting a scenario's
-// expected curve with seed noise averaged out. Server counts are
-// rounded to the nearest integer.
+// expected curve with seed noise averaged out. The mean point carries
+// the failure probability, throughput loss, revenue, fleet, shock,
+// risk and SLO figures a sweep plots; counts are rounded to the nearest
+// integer, and the rest of its Result is zero.
 func AverageSweeps(reps [][]*SweepResult) []*SweepResult {
 	if len(reps) == 0 {
 		return nil
@@ -383,7 +345,7 @@ func AverageSweeps(reps [][]*SweepResult) []*SweepResult {
 	for si, first := range reps[0] {
 		avg := &SweepResult{Strategy: first.Strategy, Points: make([]SweepPoint, len(first.Points))}
 		for pi, p := range first.Points {
-			acc := SweepPoint{OvercommitPct: p.OvercommitPct, Revenue: map[string]float64{}}
+			acc := SweepPoint{OvercommitPct: p.OvercommitPct, Result: Result{Revenue: map[string]float64{}}}
 			var servers, admitted, revocations, evacuations, kills, riskRej float64
 			for _, rep := range reps {
 				q := rep[si].Points[pi]

@@ -437,9 +437,11 @@ func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
 // utilisation cursor a deflatable VM binds is recycled from the last
 // one released.
 func TestStreamedArrivalDeparturePairAllocatesDomainAndName(t *testing.T) {
-	cfg := trace.DefaultAzureConfig()
-	cfg.NumVMs, cfg.Duration = 300, 2*86400
-	checkPairAllocs(t, Config{Stream: trace.NewAzureStream(cfg)}, 2)
+	st, err := trace.NewNamedStream("azure", 300, 2*86400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPairAllocs(t, Config{Stream: st}, 2)
 }
 
 // checkPairAllocs warms a deflation engine over cfg with every fourth

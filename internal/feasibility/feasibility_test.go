@@ -9,9 +9,11 @@ import (
 
 func azure(t *testing.T, n int) *trace.AzureTrace {
 	t.Helper()
-	cfg := trace.DefaultAzureConfig()
-	cfg.NumVMs = n
-	return trace.GenerateAzure(cfg)
+	tr, err := trace.GenerateNamed("azure", n, 3*86400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func alibaba(t *testing.T, n int) *trace.AlibabaTrace {

@@ -22,10 +22,17 @@ var (
 	ErrInvalid = errors.New("guestos: invalid argument")
 )
 
-// ReserveMB is the kernel-reserved memory of a guest that configures no
-// ReserveMB of its own: it can never be unplugged, and a guest with less
-// memory does not boot.
+// ReserveMB is the guest kernel's reserved memory: it can never be
+// unplugged, and a guest with less memory does not boot.
 const ReserveMB = 256
+
+const (
+	// memBlockMB is the memory hotplug granularity: the Linux
+	// memory-block size on x86.
+	memBlockMB = 128
+	// minVCPUs is the number of vCPUs that can never be offlined (vCPU0).
+	minVCPUs = 1
+)
 
 // Config sizes a guest.
 type Config struct {
@@ -33,27 +40,6 @@ type Config struct {
 	VCPUs int
 	// MemoryMB is the configured (maximum) memory size.
 	MemoryMB float64
-	// MemBlockMB is the memory hotplug granularity. The default (128 MB)
-	// matches the Linux memory-block size on x86.
-	MemBlockMB float64
-	// MinVCPUs is the number of vCPUs that can never be offlined (vCPU0
-	// plus any IRQ-pinned CPUs). Default 1.
-	MinVCPUs int
-	// ReserveMB is kernel-reserved memory that can never be unplugged.
-	// Default ReserveMB (256 MB).
-	ReserveMB float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.MemBlockMB <= 0 {
-		c.MemBlockMB = 128
-	}
-	if c.MinVCPUs <= 0 {
-		c.MinVCPUs = 1
-	}
-	if c.ReserveMB <= 0 {
-		c.ReserveMB = ReserveMB
-	}
 }
 
 // GuestOS is a simulated guest kernel. It is not safe for concurrent use;
@@ -79,18 +65,17 @@ type GuestOS struct {
 // minimal kernel footprint; applications grow it via SetWorkload. On
 // error g is left untouched.
 func (g *GuestOS) Boot(cfg Config) error {
-	cfg.applyDefaults()
-	if cfg.VCPUs < cfg.MinVCPUs {
-		return fmt.Errorf("%w: %d vCPUs < minimum %d", ErrInvalid, cfg.VCPUs, cfg.MinVCPUs)
+	if cfg.VCPUs < minVCPUs {
+		return fmt.Errorf("%w: %d vCPUs < minimum %d", ErrInvalid, cfg.VCPUs, minVCPUs)
 	}
-	if cfg.MemoryMB < cfg.ReserveMB {
-		return fmt.Errorf("%w: %g MB memory < reserve %g MB", ErrInvalid, cfg.MemoryMB, cfg.ReserveMB)
+	if cfg.MemoryMB < ReserveMB {
+		return fmt.Errorf("%w: %g MB memory < reserve %d MB", ErrInvalid, cfg.MemoryMB, ReserveMB)
 	}
 	*g = GuestOS{
 		cfg:         cfg,
 		onlineVCPUs: cfg.VCPUs,
 		pluggedMB:   cfg.MemoryMB,
-		rssMB:       cfg.ReserveMB,
+		rssMB:       ReserveMB,
 	}
 	return nil
 }
@@ -112,7 +97,7 @@ func (g *GuestOS) SetWorkload(rssMB, cacheMB float64) error {
 	if rssMB < 0 || cacheMB < 0 {
 		return fmt.Errorf("%w: negative workload", ErrInvalid)
 	}
-	rssMB += g.cfg.ReserveMB
+	rssMB += ReserveMB
 	g.rssMB = rssMB
 	g.swappedMB = 0
 	if g.rssMB > g.pluggedMB {
@@ -127,14 +112,14 @@ func (g *GuestOS) SetWorkload(rssMB, cacheMB float64) error {
 	return nil
 }
 
-// UnplugVCPUs offlines up to n vCPUs, never going below MinVCPUs. It
+// UnplugVCPUs offlines up to n vCPUs, never going below minVCPUs. It
 // returns the number actually removed, mirroring the partial-success
 // semantics of agent-based hotplug.
 func (g *GuestOS) UnplugVCPUs(n int) (int, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("%w: negative vCPU count", ErrInvalid)
 	}
-	removable := g.onlineVCPUs - g.cfg.MinVCPUs
+	removable := g.onlineVCPUs - minVCPUs
 	if removable < 0 {
 		removable = 0
 	}
@@ -167,7 +152,7 @@ func (g *GuestOS) SafeUnplugMemoryMB() float64 {
 	if safe < 0 {
 		return 0
 	}
-	return math.Floor(safe/g.cfg.MemBlockMB) * g.cfg.MemBlockMB
+	return math.Floor(safe/memBlockMB) * memBlockMB
 }
 
 // UnplugMemory removes up to mb of memory in whole blocks. Per the safety
@@ -179,7 +164,7 @@ func (g *GuestOS) UnplugMemory(mb float64) (float64, error) {
 	if mb < 0 {
 		return 0, fmt.Errorf("%w: negative memory", ErrInvalid)
 	}
-	req := math.Floor(mb/g.cfg.MemBlockMB) * g.cfg.MemBlockMB
+	req := math.Floor(mb/memBlockMB) * memBlockMB
 	safe := g.SafeUnplugMemoryMB()
 	if req > safe {
 		req = safe
@@ -202,9 +187,9 @@ func (g *GuestOS) PlugMemory(mb float64) (float64, error) {
 	if mb < 0 {
 		return 0, fmt.Errorf("%w: negative memory", ErrInvalid)
 	}
-	req := math.Floor(mb/g.cfg.MemBlockMB) * g.cfg.MemBlockMB
+	req := math.Floor(mb/memBlockMB) * memBlockMB
 	if max := g.cfg.MemoryMB - g.pluggedMB; req > max {
-		req = math.Floor(max/g.cfg.MemBlockMB) * g.cfg.MemBlockMB
+		req = math.Floor(max/memBlockMB) * memBlockMB
 	}
 	g.pluggedMB += req
 	// Swap-in.

@@ -23,9 +23,6 @@ func TestNewDefaults(t *testing.T) {
 	if g.PluggedMemoryMB() != 8192 {
 		t.Errorf("PluggedMemoryMB = %v", g.PluggedMemoryMB())
 	}
-	if g.Config().MemBlockMB != 128 || g.Config().MinVCPUs != 1 || g.Config().ReserveMB != 256 {
-		t.Errorf("defaults not applied: %+v", g.Config())
-	}
 	if g.RSSMB() != 256 {
 		t.Errorf("boot RSS = %v, want kernel reserve", g.RSSMB())
 	}
@@ -85,7 +82,7 @@ func TestUnplugVCPUs(t *testing.T) {
 	if err != nil || n != 3 || g.OnlineVCPUs() != 5 {
 		t.Errorf("UnplugVCPUs(3) = %d, %v; online=%d", n, err, g.OnlineVCPUs())
 	}
-	// Partial success: only 4 more can come out (MinVCPUs=1).
+	// Partial success: only 4 more can come out (minVCPUs=1).
 	n, err = g.UnplugVCPUs(100)
 	if err != nil || n != 4 || g.OnlineVCPUs() != 1 {
 		t.Errorf("UnplugVCPUs(100) = %d, %v; online=%d", n, err, g.OnlineVCPUs())
@@ -280,6 +277,3 @@ func TestQuickHotplugInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Config returns the guest's configuration, defaults applied.
-func (g *GuestOS) Config() Config { return g.cfg }

@@ -8,7 +8,7 @@
 // define/start/shutdown/undefine, SetCPUShares and the batched SetLimits
 // (cgroup limits on CPU, memory, disk and network) for transparent
 // deflation, and HotplugVCPUs / HotplugMemory for explicit deflation. A
-// Domain's Effective() vector — the resources the applications inside
+// Domain's Allocation() vector — the resources the applications inside
 // actually get — is the single point of truth consumed by the
 // performance models.
 //
@@ -769,10 +769,6 @@ func (d *Domain) SetOfferedLoad(v float64) {
 	}
 	d.load.Store(math.Float64bits(v))
 }
-
-// Effective is an alias of Allocation emphasising that this is what the
-// guest's applications can actually consume.
-func (d *Domain) Effective() resources.Vector { return d.Allocation() }
 
 // --- Transparent deflation knobs (cgroup-backed, Section 4.2) ---
 

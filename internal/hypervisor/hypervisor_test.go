@@ -225,7 +225,7 @@ func TestTransparentDeflation(t *testing.T) {
 	if err := d.SetNetLimit(500); err != nil {
 		t.Fatal(err)
 	}
-	got := d.Effective()
+	got := d.Allocation()
 	want := resources.New(4, 8192, 50, 500)
 	if got != want {
 		t.Errorf("effective = %v, want %v", got, want)
@@ -238,8 +238,8 @@ func TestTransparentDeflation(t *testing.T) {
 		t.Errorf("deflation fraction = %v, want 0.5", f)
 	}
 	d.ClearTransparentLimits()
-	if d.Effective() != d.MaxSize() {
-		t.Errorf("after clear, effective = %v", d.Effective())
+	if d.Allocation() != d.MaxSize() {
+		t.Errorf("after clear, effective = %v", d.Allocation())
 	}
 }
 
@@ -252,14 +252,14 @@ func TestExplicitDeflation(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("HotUnplugVCPUs = %d, %v", n, err)
 	}
-	if got := d.Effective().Get(resources.CPU); got != 5 {
+	if got := d.Allocation().Get(resources.CPU); got != 5 {
 		t.Errorf("effective CPU = %v, want 5", got)
 	}
 	mb, err := d.HotUnplugMemory(4096)
 	if err != nil || mb != 4096 {
 		t.Fatalf("HotUnplugMemory = %v, %v", mb, err)
 	}
-	if got := d.Effective().Get(resources.Memory); got != 16384-4096 {
+	if got := d.Allocation().Get(resources.Memory); got != 16384-4096 {
 		t.Errorf("effective memory = %v", got)
 	}
 	// Reinflate.
@@ -271,8 +271,8 @@ func TestExplicitDeflation(t *testing.T) {
 	if err != nil || mb != 4096 {
 		t.Fatalf("HotPlugMemory = %v, %v", mb, err)
 	}
-	if d.Effective() != d.MaxSize() {
-		t.Errorf("after reinflate, effective = %v", d.Effective())
+	if d.Allocation() != d.MaxSize() {
+		t.Errorf("after reinflate, effective = %v", d.Allocation())
 	}
 }
 
@@ -299,12 +299,12 @@ func TestCombinedTransparentAndExplicit(t *testing.T) {
 	// Hotplug away 4 vCPUs, then cap the remaining 4 at 2.5 cores.
 	d.HotUnplugVCPUs(4)
 	d.SetCPUShares(2.5)
-	if got := d.Effective().Get(resources.CPU); got != 2.5 {
+	if got := d.Allocation().Get(resources.CPU); got != 2.5 {
 		t.Errorf("effective CPU = %v, want 2.5", got)
 	}
 	// Raising the cgroup limit above plugged does not inflate.
 	d.SetCPUShares(6)
-	if got := d.Effective().Get(resources.CPU); got != 4 {
+	if got := d.Allocation().Get(resources.CPU); got != 4 {
 		t.Errorf("effective CPU = %v, want 4 (plugged)", got)
 	}
 }

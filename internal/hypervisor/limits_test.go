@@ -102,16 +102,16 @@ func TestDomainEffective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Effective(); got != size {
+	if got := d.Allocation(); got != size {
 		t.Errorf("unengaged effective = %v", got)
 	}
 	d.SetCPUShares(4)
 	d.SetMemoryLimit(8192)
-	if got, want := d.Effective(), resources.New(4, 8192, 100, 1000); got != want {
+	if got, want := d.Allocation(), resources.New(4, 8192, 100, 1000); got != want {
 		t.Errorf("effective = %v, want %v", got, want)
 	}
 	d.SetCPUShares(100)
-	if got := d.Effective().Get(resources.CPU); got != 8 {
+	if got := d.Allocation().Get(resources.CPU); got != 8 {
 		t.Errorf("limit above size should not inflate: CPU %v", got)
 	}
 }
@@ -128,7 +128,7 @@ func TestDomainLimitsConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				d.SetCPUShares(float64(i + 1))
-				d.Effective()
+				d.Allocation()
 				limitsOf(d)
 				d.SetLimits(resources.New(float64(i+1), 4096, 0, 0))
 			}

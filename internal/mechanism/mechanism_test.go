@@ -281,7 +281,7 @@ func applySingleSetters(m Mechanism, d *hypervisor.Domain, target resources.Vect
 			}
 		}
 	}
-	return d.Effective(), nil
+	return d.Allocation(), nil
 }
 
 // setOne engages the one cgroup controller k at v.

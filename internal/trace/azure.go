@@ -26,57 +26,40 @@ type ClassParams struct {
 	BurstLevelMin, BurstLevelMax float64
 }
 
-// AzureConfig configures the synthetic Azure-like trace generator.
-type AzureConfig struct {
-	// NumVMs is the number of VM records to generate.
-	NumVMs int
-	// Duration is the trace horizon in seconds.
-	Duration float64
-	// Seed makes generation reproducible.
-	Seed int64
-	// ClassMix gives the probability of each class, indexed by VMClass.
-	ClassMix [3]float64
-	// Params configures the utilisation process per class.
-	Params [3]ClassParams
-}
-
-// DefaultAzureConfig returns a configuration calibrated against the
-// published statistics of the Azure 2017 dataset as used by the paper:
-// interactive VMs have low median utilisation with diurnal peaks (impact
-// 1-15% for 10-50% deflation, Figure 6), delay-insensitive VMs run hot in
-// bursts (impact 1-30%), and roughly half of all VMs are interactive
-// (Section 7.1.2 derives ~50% deflatable VMs from the class labels).
-func DefaultAzureConfig() AzureConfig {
-	return AzureConfig{
-		NumVMs:   1000,
-		Duration: 3 * 86400, // three days
-		Seed:     1,
-		ClassMix: [3]float64{0.50, 0.27, 0.23}, // interactive, delay-insensitive, unknown
-		Params: [3]ClassParams{
-			Interactive: {
-				BaseLogMean: math.Log(13), BaseLogStd: 0.72,
-				DiurnalAmpMin: 0.3, DiurnalAmpMax: 0.8,
-				NoiseStd: 4, NoiseCorr: 0.7,
-				BurstProb: 0.008, BurstMeanLen: 3,
-				BurstLevelMin: 55, BurstLevelMax: 100,
-			},
-			DelayInsensitive: {
-				BaseLogMean: math.Log(28), BaseLogStd: 0.55,
-				DiurnalAmpMin: 0.0, DiurnalAmpMax: 0.2,
-				NoiseStd: 6, NoiseCorr: 0.6,
-				BurstProb: 0.045, BurstMeanLen: 8,
-				BurstLevelMin: 55, BurstLevelMax: 95,
-			},
-			Unknown: {
-				BaseLogMean: math.Log(20), BaseLogStd: 0.7,
-				DiurnalAmpMin: 0.1, DiurnalAmpMax: 0.5,
-				NoiseStd: 5, NoiseCorr: 0.65,
-				BurstProb: 0.025, BurstMeanLen: 5,
-				BurstLevelMin: 55, BurstLevelMax: 98,
-			},
+// azureClassMix and azureParams are the generators' calibration
+// against the published statistics of the Azure 2017 dataset as used by
+// the paper: interactive VMs have low median utilisation with diurnal
+// peaks (impact 1-15% for 10-50% deflation, Figure 6), delay-insensitive
+// VMs run hot in bursts (impact 1-30%), and roughly half of all VMs are
+// interactive (Section 7.1.2 derives ~50% deflatable VMs from the class
+// labels). azureClassMix gives the probability of each class, indexed by
+// VMClass; azureParams the utilisation process per class.
+var (
+	azureClassMix = [3]float64{0.50, 0.27, 0.23} // interactive, delay-insensitive, unknown
+	azureParams   = [3]ClassParams{
+		Interactive: {
+			BaseLogMean: math.Log(13), BaseLogStd: 0.72,
+			DiurnalAmpMin: 0.3, DiurnalAmpMax: 0.8,
+			NoiseStd: 4, NoiseCorr: 0.7,
+			BurstProb: 0.008, BurstMeanLen: 3,
+			BurstLevelMin: 55, BurstLevelMax: 100,
+		},
+		DelayInsensitive: {
+			BaseLogMean: math.Log(28), BaseLogStd: 0.55,
+			DiurnalAmpMin: 0.0, DiurnalAmpMax: 0.2,
+			NoiseStd: 6, NoiseCorr: 0.6,
+			BurstProb: 0.045, BurstMeanLen: 8,
+			BurstLevelMin: 55, BurstLevelMax: 95,
+		},
+		Unknown: {
+			BaseLogMean: math.Log(20), BaseLogStd: 0.7,
+			DiurnalAmpMin: 0.1, DiurnalAmpMax: 0.5,
+			NoiseStd: 5, NoiseCorr: 0.65,
+			BurstProb: 0.025, BurstMeanLen: 5,
+			BurstLevelMin: 55, BurstLevelMax: 98,
 		},
 	}
-}
+)
 
 // coreOptions and their sampling weights approximate the Azure VM size
 // mix (skewed strongly toward small VMs).
@@ -120,12 +103,9 @@ func pickWeightedMemPerCore(rng *vmSource) float64 {
 	return memPerCoreOptions[len(memPerCoreOptions)-1].gb
 }
 
-func pickClass(rng *vmSource, mix [3]float64) VMClass {
-	total := mix[0] + mix[1] + mix[2]
-	if total <= 0 {
-		return Unknown
-	}
-	r := rng.Float64() * total
+func pickClass(rng *vmSource) VMClass {
+	mix := &azureClassMix
+	r := rng.Float64() * (mix[0] + mix[1] + mix[2])
 	if r < mix[0] {
 		return Interactive
 	}
@@ -155,17 +135,4 @@ func pickLifetime(rng *vmSource, horizon float64) float64 {
 		lt = SampleInterval
 	}
 	return lt
-}
-
-// GenerateAzure builds a synthetic Azure-like trace: the eagerly
-// materialised form of NewAzureStream(cfg). The generation is
-// deterministic for a given configuration, and bit-for-bit identical to
-// reading the same VMs through the stream — the streaming form is the
-// generator; this wrapper exists as the differential oracle and for
-// consumers that want whole-trace slices (sweeps, CSV export, plots).
-func GenerateAzure(cfg AzureConfig) *AzureTrace {
-	if cfg.NumVMs <= 0 {
-		return &AzureTrace{}
-	}
-	return NewAzureStream(cfg).Materialize()
 }

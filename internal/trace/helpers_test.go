@@ -1,6 +1,10 @@
 package trace
 
-import "vmdeflate/internal/stats"
+import (
+	"testing"
+
+	"vmdeflate/internal/stats"
+)
 
 // Test fixtures and probes: the generator defaults the scenario tests
 // run at, and the per-VM feasibility metric of Figures 5-8 the shape
@@ -11,6 +15,17 @@ import "vmdeflate/internal/stats"
 // VMs over three days, seed 1).
 func DefaultScenarioConfig(kind Scenario) ScenarioConfig {
 	return ScenarioConfig{Kind: kind, NumVMs: 1000, Duration: 3 * 86400, Seed: 1}
+}
+
+// generateAzure is the azure scenario's eager trace of n VMs over
+// DefaultScenarioConfig's three days.
+func generateAzure(t *testing.T, n int, seed int64) *AzureTrace {
+	t.Helper()
+	tr, err := GenerateNamed("azure", n, 3*86400, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // FractionAboveDeflation returns the fraction of the VM's lifetime during

@@ -100,8 +100,8 @@ func GenerateScenario(cfg ScenarioConfig) (*AzureTrace, error) {
 }
 
 // clipLifetime bounds a lifetime into [SampleInterval, horizon] and the
-// start/end window into the trace horizon, mirroring GenerateAzure's
-// clipping so every scenario yields well-formed records.
+// start/end window into the trace horizon, so every scenario yields
+// well-formed records.
 func clipWindow(start0, life, horizon float64) (start, end float64) {
 	if life > horizon {
 		life = horizon

@@ -12,8 +12,8 @@ import (
 // out compact per-VM parameter records (VMParams) on demand and
 // synthesizes utilisation samples lazily from a per-VM RNG seed, so a
 // 10M-VM simulation holds O(live VMs) of trace state instead of
-// materialising ~10^9 float64 samples up front. The eager generators
-// (GenerateAzure, GenerateScenario) are thin wrappers over
+// materialising ~10^9 float64 samples up front. The eager generator
+// (GenerateScenario, and GenerateNamed over it) is a thin wrapper over
 // Stream.Materialize, which is what makes streamed and eager runs
 // bit-for-bit identical by construction — and lets the differential
 // suite prove it end-to-end through full simulation results.
@@ -296,9 +296,6 @@ type Stream struct {
 	n       int
 	seed    int64
 	horizon float64
-	// az drives class mix, size mix, lifetime draws and (for the azure
-	// kind) the utilisation class parameters.
-	az AzureConfig
 	// diurnalParams are the widened-amplitude class parameters of the
 	// diurnal scenario.
 	diurnalParams [3]ClassParams
@@ -306,17 +303,6 @@ type Stream struct {
 	crowd   ClassParams
 	windows []float64
 	nCrowd  int
-}
-
-// NewAzureStream builds the streaming form of GenerateAzure(cfg).
-func NewAzureStream(cfg AzureConfig) *Stream {
-	if cfg.NumVMs < 0 {
-		cfg.NumVMs = 0
-	}
-	if cfg.Duration < SampleInterval {
-		cfg.Duration = SampleInterval
-	}
-	return &Stream{kind: ScenarioAzure, n: cfg.NumVMs, seed: cfg.Seed, horizon: cfg.Duration, az: cfg}
 }
 
 // NewStream builds the streaming form of GenerateScenario(cfg). A
@@ -333,17 +319,13 @@ func NewStream(cfg ScenarioConfig) (*Stream, error) {
 	if cfg.Duration < SampleInterval {
 		cfg.Duration = SampleInterval
 	}
-	base := DefaultAzureConfig()
-	base.NumVMs = cfg.NumVMs
-	base.Duration = cfg.Duration
-	base.Seed = cfg.Seed
-	s := &Stream{n: cfg.NumVMs, seed: cfg.Seed, horizon: cfg.Duration, az: base}
+	s := &Stream{n: cfg.NumVMs, seed: cfg.Seed, horizon: cfg.Duration}
 	switch cfg.Kind {
 	case "", ScenarioAzure:
 		s.kind = ScenarioAzure
 	case ScenarioDiurnal:
 		s.kind = ScenarioDiurnal
-		s.diurnalParams = base.Params
+		s.diurnalParams = azureParams
 		for c := range s.diurnalParams {
 			s.diurnalParams[c].DiurnalAmpMin = 0.6
 			s.diurnalParams[c].DiurnalAmpMax = 1.0
@@ -442,19 +424,19 @@ func diurnalArrival(src *vmSource, life, horizon, amp float64) float64 {
 // azureVM draws the calibrated Azure-like default: class, size,
 // lifetime, then a diurnally modulated arrival.
 func (s *Stream) azureVM(src *vmSource, p *VMParams) {
-	p.Class = pickClass(src, s.az.ClassMix)
+	p.Class = pickClass(src)
 	pickSize(src, p)
 	life := pickLifetime(src, s.horizon)
 	const diurnalArrivalAmp = 0.8
 	start0 := diurnalArrival(src, life, s.horizon, diurnalArrivalAmp)
 	p.Start, p.End = clipWindow(start0, life, s.horizon)
-	p.P = s.az.Params[p.Class]
+	p.P = azureParams[p.Class]
 }
 
 // diurnalVM exaggerates the day/night cycle: arrival amplitude near 1
 // and widened per-class diurnal amplitude bands.
 func (s *Stream) diurnalVM(src *vmSource, p *VMParams) {
-	p.Class = pickClass(src, s.az.ClassMix)
+	p.Class = pickClass(src)
 	life := pickLifetime(src, s.horizon)
 	const arrivalAmp = 0.95
 	start0 := diurnalArrival(src, life, s.horizon, arrivalAmp)
@@ -477,12 +459,12 @@ func (s *Stream) burstyVM(src *vmSource, p *VMParams) {
 		p.P = s.crowd
 		return
 	}
-	p.Class = pickClass(src, s.az.ClassMix)
+	p.Class = pickClass(src)
 	life := pickLifetime(src, s.horizon)
 	start0 := -life + src.Float64()*(s.horizon+life)
 	pickSize(src, p)
 	p.Start, p.End = clipWindow(start0, life, s.horizon)
-	p.P = s.az.Params[p.Class]
+	p.P = azureParams[p.Class]
 }
 
 // heavyTailVM draws Pareto(alpha=1.2, scale=15min) lifetimes; the
@@ -492,7 +474,7 @@ func (s *Stream) heavyTailVM(src *vmSource, p *VMParams) {
 		alpha = 1.2
 		scale = 900.0
 	)
-	p.Class = pickClass(src, s.az.ClassMix)
+	p.Class = pickClass(src)
 	life := scale * math.Pow(1-src.Float64(), -1/alpha)
 	if life > s.horizon {
 		life = s.horizon
@@ -500,7 +482,7 @@ func (s *Stream) heavyTailVM(src *vmSource, p *VMParams) {
 	start0 := -life + src.Float64()*(s.horizon+life)
 	pickSize(src, p)
 	p.Start, p.End = clipWindow(start0, life, s.horizon)
-	p.P = s.az.Params[p.Class]
+	p.P = azureParams[p.Class]
 	if life > 86400 {
 		p.P.BurstProb *= 2
 		p.P.BurstMeanLen *= 2

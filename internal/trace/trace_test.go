@@ -94,14 +94,12 @@ func TestPeakClassification(t *testing.T) {
 }
 
 func TestGenerateAzureShape(t *testing.T) {
-	cfg := DefaultAzureConfig()
-	cfg.NumVMs = 400
-	tr := GenerateAzure(cfg)
+	tr := generateAzure(t, 400, 1)
 	if len(tr.VMs) != 400 {
 		t.Fatalf("generated %d VMs", len(tr.VMs))
 	}
 	for _, vm := range tr.VMs {
-		if vm.Start < 0 || vm.End > cfg.Duration+SampleInterval {
+		if vm.Start < 0 || vm.End > 3*86400+SampleInterval {
 			t.Fatalf("VM %s lifetime [%v,%v] outside horizon", vm.ID, vm.Start, vm.End)
 		}
 		if vm.Cores < 1 || vm.MemoryMB <= 0 {
@@ -120,16 +118,13 @@ func TestGenerateAzureShape(t *testing.T) {
 }
 
 func TestGenerateAzureDeterministic(t *testing.T) {
-	cfg := DefaultAzureConfig()
-	cfg.NumVMs = 50
-	a, b := GenerateAzure(cfg), GenerateAzure(cfg)
+	a, b := generateAzure(t, 50, 1), generateAzure(t, 50, 1)
 	for i := range a.VMs {
 		if a.VMs[i].ID != b.VMs[i].ID || stats.Mean(a.VMs[i].CPUUtil) != stats.Mean(b.VMs[i].CPUUtil) {
 			t.Fatal("generation is not deterministic")
 		}
 	}
-	cfg.Seed = 2
-	c := GenerateAzure(cfg)
+	c := generateAzure(t, 50, 2)
 	same := true
 	for i := range a.VMs {
 		if stats.Mean(a.VMs[i].CPUUtil) != stats.Mean(c.VMs[i].CPUUtil) {
@@ -147,9 +142,7 @@ func TestGenerateAzureDeterministic(t *testing.T) {
 // VMs, and the absolute levels must be in the paper's reported bands
 // (interactive ~1-15%, batch up to ~30% over 10-50% deflation).
 func TestGenerateAzureClassSeparation(t *testing.T) {
-	cfg := DefaultAzureConfig()
-	cfg.NumVMs = 1500
-	tr := GenerateAzure(cfg)
+	tr := generateAzure(t, 1500, 1)
 	byClass := tr.ByClass()
 	meanAbove := func(vms []*VMRecord, defl float64) float64 {
 		var xs []float64
@@ -178,9 +171,7 @@ func TestGenerateAzureClassSeparation(t *testing.T) {
 // Figure 5's headline: even at 50% deflation the median VM spends ~80%
 // of its time below the deflated allocation.
 func TestGenerateAzureMedianSlack(t *testing.T) {
-	cfg := DefaultAzureConfig()
-	cfg.NumVMs = 1500
-	tr := GenerateAzure(cfg)
+	tr := generateAzure(t, 1500, 1)
 	var xs []float64
 	for _, vm := range tr.VMs {
 		xs = append(xs, vm.FractionAboveDeflation(50))
@@ -192,9 +183,7 @@ func TestGenerateAzureMedianSlack(t *testing.T) {
 }
 
 func TestGenerateAzurePartitions(t *testing.T) {
-	cfg := DefaultAzureConfig()
-	cfg.NumVMs = 800
-	tr := GenerateAzure(cfg)
+	tr := generateAzure(t, 800, 1)
 	bySize := tr.BySize()
 	if len(bySize[SmallVM]) == 0 || len(bySize[MediumVM]) == 0 || len(bySize[LargeVM]) == 0 {
 		t.Errorf("size buckets should all be populated: %d/%d/%d",
@@ -212,15 +201,15 @@ func TestGenerateAzurePartitions(t *testing.T) {
 	if total != 800 {
 		t.Errorf("class partition loses VMs: %d", total)
 	}
-	if tr.Duration() <= 0 || tr.Duration() > cfg.Duration+SampleInterval {
+	if tr.Duration() <= 0 || tr.Duration() > 3*86400+SampleInterval {
 		t.Errorf("Duration = %v", tr.Duration())
 	}
 }
 
 func TestGenerateAzureEmpty(t *testing.T) {
-	tr := GenerateAzure(AzureConfig{})
+	tr := generateAzure(t, 0, 1)
 	if len(tr.VMs) != 0 {
-		t.Error("zero config should generate empty trace")
+		t.Error("zero VMs should generate an empty trace")
 	}
 }
 
@@ -280,9 +269,7 @@ func TestGenerateAlibabaCharacteristics(t *testing.T) {
 }
 
 func TestAzureCSVRoundTrip(t *testing.T) {
-	cfg := DefaultAzureConfig()
-	cfg.NumVMs = 25
-	orig := GenerateAzure(cfg)
+	orig := generateAzure(t, 25, 1)
 	var buf bytes.Buffer
 	if err := WriteAzureCSV(&buf, orig); err != nil {
 		t.Fatal(err)

@@ -565,13 +565,68 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 	t.Logf("%d declarations, %d unreached", len(mod.decls), len(dead))
 }
 
-// knobStructs are the run-configuration structs whose exported fields
-// TestEveryKnobIsSet holds to what shipped code sets, by package under
-// internal/.
-var knobStructs = map[string][]string{
-	"clustersim": {"Config", "Options", "SLOConfig", "RiskOptions", "ServerType"},
-	"cluster":    {"Config", "RiskConfig"},
-	"trace":      {"ShockConfig"},
+// knobExtras are the structs beyond the *Config / *Options of
+// internal/ whose exported fields are settings a run could be given, by
+// package under internal/. trace.ClassParams is not among them: it is
+// the generators' calibration data, read from package tables, not a
+// setting.
+var knobExtras = map[string][]string{
+	"apps":       {"WebApp", "SocialNetwork"},
+	"cluster":    {"ServerSpec"},
+	"clustersim": {"ServerType"},
+	"perfmodel":  {"Curve"},
+	"policy":     {"LatencyAware"},
+	"pricing":    {"Static", "Allocation"},
+}
+
+// knobFields returns every exported field of the knob structs, named
+// package.Struct.Field: each exported struct of an internal/ package
+// whose name ends in Config or Options, found by walking the package
+// scopes so a new one cannot dodge the test, and the knobExtras.
+func knobFields(t *testing.T, mod *module) map[*types.Var]string {
+	t.Helper()
+	fields := map[*types.Var]string{}
+	add := func(pkgName string, obj types.Object) {
+		st, ok := obj.Type().Underlying().(*types.Struct)
+		if !ok {
+			t.Fatalf("%s.%s is not a struct", pkgName, obj.Name())
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				fields[f] = pkgName + "." + obj.Name() + "." + f.Name()
+			}
+		}
+	}
+	for path, pkg := range mod.pkgs {
+		pkgName, ok := strings.CutPrefix(path, modulePath+"/internal/")
+		if !ok {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if _, isType := obj.(*types.TypeName); !isType || !obj.Exported() {
+				continue
+			}
+			if _, isStruct := obj.Type().Underlying().(*types.Struct); isStruct &&
+				(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				add(pkgName, obj)
+			}
+		}
+	}
+	for pkgName, structs := range knobExtras {
+		pkg := mod.pkgs[modulePath+"/internal/"+pkgName]
+		if pkg == nil {
+			t.Fatalf("package internal/%s is not in the module", pkgName)
+		}
+		for _, name := range structs {
+			obj := pkg.Scope().Lookup(name)
+			if obj == nil {
+				t.Fatalf("%s.%s does not exist", pkgName, name)
+			}
+			add(pkgName, obj)
+		}
+	}
+	return fields
 }
 
 // knobAllowed names knobs that no non-test code sets, each with the
@@ -590,12 +645,18 @@ var knobAllowed = map[string]string{
 	"clustersim.Config.Shocks": "the only route to the resize path (GenerateShocks emits no ShockResize), " +
 		"which bench's replay drives through cluster.Manager.ResizeServer",
 	"trace.ShockConfig.MaxOutFraction": "the risk model's exactness tests set it to 1 (every server may be out at once)",
+	"apps.WikipediaConfig.Duration": "TestFig16WikipediaRTFlatTo70 / TestFig17 (wikiFixture) and the apps tests " +
+		"shorten the 120 s run to 20-40 s",
+	"apps.SocialNetConfig.Duration": "TestFig18MicroservicesServeThroughTheKnee and the apps tests shorten the 60 s run to 40 s",
+	"apps.LBConfig.Duration":        "TestFig19DeflationAwareLBCutsTail and the apps tests shorten the 120 s run to 20-40 s",
 }
 
 // knobWrites returns, for every field of the knob structs, whether some
-// non-test code outside its own package's applyDefaults or WithDefaults
-// writes it: as a composite-literal key, or as the selector on the left
-// of an assignment or an increment.
+// non-test code outside its own package's defaulting writes it: as a
+// composite-literal key, or as the selector on the left of an
+// assignment or an increment. Defaulting is applyDefaults, WithDefaults
+// and every Default* or New* function: a constructor that fills a field
+// with a value of its own has chosen a constant, not taken a setting.
 func knobWrites(mod *module, fields map[*types.Var]string) map[*types.Var]bool {
 	written := map[*types.Var]bool{}
 	note := func(uses map[*ast.Ident]types.Object, id *ast.Ident, skipPkg *types.Package) {
@@ -615,7 +676,7 @@ func knobWrites(mod *module, fields map[*types.Var]string) map[*types.Var]bool {
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				var skipPkg *types.Package // writes to this package's fields are defaulting
-				if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "applyDefaults" || fd.Name.Name == "WithDefaults") {
+				if fd, ok := decl.(*ast.FuncDecl); ok && isDefaulting(fd.Name.Name) {
 					skipPkg = pkg
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
@@ -643,38 +704,30 @@ func knobWrites(mod *module, fields map[*types.Var]string) map[*types.Var]bool {
 	return written
 }
 
-// TestEveryKnobIsSet holds the run-configuration structs to what the
+// isDefaulting reports whether a function of this name fills its own
+// package's structs with their defaults.
+func isDefaulting(name string) bool {
+	return name == "applyDefaults" || name == "WithDefaults" ||
+		strings.HasPrefix(name, "Default") || strings.HasPrefix(name, "New")
+}
+
+// TestEveryKnobIsSet holds the knob structs (knobFields) to what the
 // commands, bench and the code between them set: an exported field that
 // no non-test code writes, other than its own package's defaulting,
 // takes its default in every run a binary can make, so it is a constant
 // that pretends to be a choice. It fails with the field's position.
 // Counting any non-test write is enough: a write in a function no binary
-// reaches already fails TestEveryInternalDeclarationIsReached. What it does not catch is a field
-// written only with its default value (a sweep that set Mechanism to
-// the transparent mechanism it defaulted to anyway passed it); reading
-// the code found that class, and this test keeps the never-written
-// class from coming back.
+// reaches already fails TestEveryInternalDeclarationIsReached. What it
+// does not catch is a field written only with its default value from
+// another package (a sweep that set Mechanism to the transparent
+// mechanism it defaulted to anyway passed it, and so did clustersim's
+// PriorityLevels), nor a constructor that copies an argument into a
+// field, which the New* rule counts as defaulting; reading the code
+// found those, and this test keeps the never-written class from coming
+// back.
 func TestEveryKnobIsSet(t *testing.T) {
 	mod := loadModule(t)
-	fields := map[*types.Var]string{}
-	for pkgName, structs := range knobStructs {
-		pkg := mod.pkgs[modulePath+"/internal/"+pkgName]
-		if pkg == nil {
-			t.Fatalf("package internal/%s is not in the module", pkgName)
-		}
-		for _, name := range structs {
-			obj := pkg.Scope().Lookup(name)
-			if obj == nil {
-				t.Fatalf("%s.%s does not exist", pkgName, name)
-			}
-			st := obj.Type().Underlying().(*types.Struct)
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					fields[f] = pkgName + "." + name + "." + f.Name()
-				}
-			}
-		}
-	}
+	fields := knobFields(t, mod)
 	written := knobWrites(mod, fields)
 	wd, err := os.Getwd()
 	if err != nil {
