@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale bench-scale-1m bench-scale-10m bench-matrix bench-revocation bench-slo bench-risk bench-pressure bench-e2e bench-compare bench ci
+.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale bench-scale-1m bench-scale-10m bench-matrix bench-revocation bench-slo bench-pressure bench-e2e bench-compare bench ci
 
 build:
 	$(GO) build ./...
@@ -21,9 +21,8 @@ race:
 	$(GO) test -race ./...
 
 # Focused race shard over placement batches and the revocation churn
-# suite: capacity-shock evacuations, the risk-aware (hazard-banded +
-# headroom-gated) placement paths and the engines driving them, plus the
-# layers under them — one host's mutators against its readers under the
+# suite: capacity-shock evacuations and the engines driving them, plus
+# the layers under them — one host's mutators against its readers under the
 # single host lock, the batched limit write, the hypervisor's concurrent
 # offered-load writes against view reads, the manager's dirty list, the
 # events built from the view and the capacity index's in-place re-key
@@ -38,7 +37,7 @@ race:
 # pinned scan counters — a fast, explicit signal beside the full
 # `race` run.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Risk|Hazard|Headroom|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -46,8 +45,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Sweep10k' -benchtime 1x .
 
 # Zero-allocation gate: the steady-state deflate/reinflate policy pass,
-# the placement decision (risk-blind AND hazard-banded with the headroom
-# gate active), the pruned pressure scan, the sample pass on both sides
+# the placement decision, the pruned pressure scan, the sample pass on both sides
 # of its allocation cache (a limit write between passes), the
 # SLO-metered sample pass (closed-form queueing math included), the
 # calendar event queue's steady-state churn and its fill-drain cycles
@@ -63,14 +61,14 @@ bench-smoke:
 # instead of shrinking the gate. The benchmark output is kept in
 # BENCH_allocs.txt for CI to archive.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|RiskDecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|CalendarQueueSteadyState|CalendarQueueResizeChurn|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'StreamParams' -benchmem ./internal/trace | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
-			want["BenchmarkRiskDecideSteadyState"]; want["BenchmarkPressureScan"]; \
+			want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSteadyState"]; want["BenchmarkSamplePassSLOSteadyState"]; \
 			want["BenchmarkCalendarQueueSteadyState"]; want["BenchmarkCalendarQueueResizeChurn"]; \
 			want["BenchmarkFleetFitSteadyState"]; want["BenchmarkStreamParams"]; \
@@ -82,7 +80,7 @@ bench-allocs:
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision (risk-blind + risk-aware) + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue (churn + resize-crossing fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue (churn + resize-crossing fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager, on one goroutine, reported to
@@ -127,17 +125,6 @@ bench-revocation:
 bench-slo:
 	$(GO) test -count=1 -run '^TestSLOFrontierLatencyDominates$$' -v ./internal/clustersim
 
-# Revocation-risk frontier test, verbose: portfolio server mixes
-# (sweeping the cheap revocation-heavy spot slice) run risk-blind vs
-# risk-aware — hazard-banded placement plus forecast-headroom admission
-# — under rack shocks on 4k heavy-tail VMs. Fails unless risk-aware
-# strictly cuts displaced downtime and SLO violation-seconds on every
-# mix at near-equal admitted revenue, cuts shock kills fleet-wide, fleet
-# cost is equal blind vs aware at every point and falls as the spot
-# share grows.
-bench-risk:
-	$(GO) test -count=1 -run '^TestRiskFrontier$$' -v ./internal/clustersim
-
 # Pressure-index gate, by work count: a high-overcommit 100k-VM run
 # (pressure scans dominate) executed twice — bound-pruned descent vs
 # the test-side full linear scan — on one trace. Fails unless the two
@@ -167,4 +154,4 @@ bench-compare:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-ci: build vet race bench-smoke bench-allocs bench-scale bench-revocation bench-slo bench-risk bench-pressure
+ci: build vet race bench-smoke bench-allocs bench-scale bench-revocation bench-slo bench-pressure

@@ -3,8 +3,8 @@
 // matrix (-matrix), each as a small JSON file for CI to archive, so the
 // perf trajectory is tracked PR-over-PR. The paper's figures come from
 // cmd/deflationsim, cmd/feasibility and cmd/webbench; the frontier
-// gates (SLO, revocation risk, pressure pruning) are tests behind
-// `make bench-slo`, `make bench-risk` and `make bench-pressure`.
+// gates (SLO, pressure pruning) are tests behind `make bench-slo` and
+// `make bench-pressure`.
 //
 // Usage:
 //

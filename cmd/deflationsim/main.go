@@ -114,6 +114,11 @@ func run(args []string, w io.Writer) (err error) {
 	if err := checkReplicates(*replicates); err != nil {
 		return err
 	}
+	if *azurePath == "" {
+		if err := checkSynthetic(*nVMs, *days); err != nil {
+			return err
+		}
+	}
 	slo, err := sloOptions(*sloMax, *sloCurve)
 	if err != nil {
 		return err
@@ -237,6 +242,19 @@ func shockConfig(scenario string, set map[string]bool, rate, outage float64, rac
 func checkReplicates(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-replicates %d: want 1 or more traces", n)
+	}
+	return nil
+}
+
+// checkSynthetic rejects a synthetic trace that asks for nothing: no
+// VMs, or a horizon of zero or less days (a NaN horizon is left to the
+// generator, which names it).
+func checkSynthetic(vms int, days float64) error {
+	if vms < 1 {
+		return fmt.Errorf("-vms %d: want at least 1 VM", vms)
+	}
+	if days <= 0 {
+		return fmt.Errorf("-days %v: want a horizon above 0 days", days)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -16,7 +15,10 @@ import (
 // parameter flag that shapes no schedule was ignored too — all four of
 // them under -shocks none, -racksize under poisson and diurnal shocks —
 // and the sweep ran without the shocks or rack size it was given. A
-// flag given at its default value counts as given.
+// flag given at its default value counts as given. A synthetic horizon
+// of zero or fewer days ran on one 300 s sample and printed a result
+// table, and -vms 0 printed the header before failing with a bare
+// "empty trace". Each fails naming its flag, before any output.
 func TestFlagsThatAskForNothingFail(t *testing.T) {
 	for _, n := range []int{0, -3} {
 		if err := checkReplicates(n); err == nil || !strings.Contains(err.Error(), "want 1 or more") {
@@ -50,11 +52,23 @@ func TestFlagsThatAskForNothingFail(t *testing.T) {
 		{[]string{"-shockseed", "7"}, "-shockseed applies only with"},
 		{[]string{"-shocks", "poisson", "-racksize", "4"}, "-racksize applies only with -shocks rack, not poisson"},
 		{[]string{"-shocks", "diurnal", "-racksize", "8"}, "-racksize applies only with -shocks rack, not diurnal"},
+		{[]string{"-days", "0"}, "-days 0: want a horizon above 0"},
+		{[]string{"-days", "-1", "-vms", "200"}, "-days -1: want a horizon above 0"},
+		{[]string{"-days", "-1", "-stream"}, "-days -1: want a horizon above 0"},
+		{[]string{"-days", "0", "-replicates", "2"}, "-days 0: want a horizon above 0"},
+		{[]string{"-vms", "0"}, "-vms 0: want at least 1 VM"},
+		{[]string{"-vms", "-5", "-stream"}, "-vms -5: want at least 1 VM"},
 	} {
-		args := append([]string{"-vms", "20", "-days", "1", "-oc", "0"}, c.args...)
-		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v: err = %v, want one containing %q", c.args, err, c.want)
-		}
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			args := append([]string{"-vms", "20", "-days", "1", "-oc", "0"}, c.args...)
+			var out bytes.Buffer
+			if err := run(args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want one containing %q", err, c.want)
+			}
+			if out.Len() > 0 {
+				t.Errorf("printed %q before failing", out.String())
+			}
+		})
 	}
 }
 

@@ -66,6 +66,9 @@ func build(kind string, n int, days float64, samples int, seed int64) (func(io.W
 	}
 	switch kind {
 	case "azure":
+		if days <= 0 {
+			return nil, "", fmt.Errorf("-days %v: want a horizon above 0 days", days)
+		}
 		tr, err := trace.GenerateScenario(trace.ScenarioConfig{
 			Kind: trace.ScenarioAzure, NumVMs: n, Duration: days * 86400, Seed: seed,
 		})

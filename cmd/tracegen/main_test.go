@@ -8,9 +8,10 @@ import (
 )
 
 // TestBuildRejectsBadParameters: a non-finite horizon used to come out
-// as NaN start, end and cpu_util columns, a sample count below one was
-// reported as requested while default-length series were written, and
-// a count below one wrote a header-only CSV.
+// as NaN start, end and cpu_util columns, a horizon of zero or fewer
+// days as a 300 s trace reported "over 0.0 days", a sample count below
+// one was reported as requested while default-length series were
+// written, and a count below one wrote a header-only CSV.
 func TestBuildRejectsBadParameters(t *testing.T) {
 	cases := []struct {
 		name, kind string
@@ -21,6 +22,8 @@ func TestBuildRejectsBadParameters(t *testing.T) {
 	}{
 		{"nan-days", "azure", 5, math.NaN(), 288, "not finite"},
 		{"inf-days", "azure", 5, math.Inf(1), 288, "not finite"},
+		{"zero-days", "azure", 3, 0, 288, "-days 0"},
+		{"negative-days", "azure", 3, -1, 288, "-days -1"},
 		{"negative-samples", "alibaba", 5, 3, -2, "-samples -2"},
 		{"zero-samples", "alibaba", 5, 3, 0, "-samples 0"},
 		{"unknown-kind", "gcp", 5, 3, 288, "unknown kind"},

@@ -161,27 +161,10 @@ func TestPlaceRemovePairAllocatesOneDomain(t *testing.T) {
 
 // TestRejectionAllocatesOneObject pins what a refused arrival costs: one
 // object, the error, whose text and sentinels are those of the
-// fmt.Errorf chains it replaced ("%w: %s (size %v)", and with
-// ErrHeadroom as a second %w). A capacity rejection (a VM larger than
-// any server) and a headroom rejection (the gate of
-// TestHeadroomGateWithholdsLowPriority) are both measured.
+// fmt.Errorf chain it replaced ("%w: %s (size %v)"). A capacity
+// rejection (a VM larger than any server) is measured.
 func TestRejectionAllocatesOneObject(t *testing.T) {
 	capacity := newTestManager(t, 2, Config{})
-	gated := NewManager(Config{Risk: &RiskConfig{}})
-	for i := 0; i < 2; i++ {
-		if _, err := gated.AddServerSpec(ServerSpec{Name: fmt.Sprintf("node-%d", i), Capacity: serverCap(), ReserveFraction: 0.5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var lows []hypervisor.DomainConfig
-	for i := 0; i < 6; i++ {
-		lows = append(lows, deflatableVM(fmt.Sprintf("low-%d", i), 8, 1024, 0.25))
-	}
-	for _, pl := range gated.PlaceVMs(lows, nil) {
-		if pl.Err != nil {
-			t.Fatal(pl.Err)
-		}
-	}
 	for _, tc := range []struct {
 		name     string
 		m        *Manager
@@ -190,7 +173,6 @@ func TestRejectionAllocatesOneObject(t *testing.T) {
 		want     error
 	}{
 		{"capacity", capacity, onDemandVM("huge", 96, 1024), PathPressure, fmt.Errorf("%w: %s (size %v)", ErrNoCapacity, "huge", resources.CPUMem(96, 1024))},
-		{"headroom", gated, deflatableVM("low-6", 8, 1024, 0.25), PathHeadroom, fmt.Errorf("%w: %w: %s (size %v)", ErrNoCapacity, ErrHeadroom, "low-6", resources.CPUMem(8, 1024))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dcs := []hypervisor.DomainConfig{tc.dc}
@@ -204,7 +186,7 @@ func TestRejectionAllocatesOneObject(t *testing.T) {
 			if pl.Err.Error() != tc.want.Error() {
 				t.Errorf("text %q, want %q", pl.Err, tc.want)
 			}
-			for _, sentinel := range []error{ErrNoCapacity, ErrHeadroom, ErrExists} {
+			for _, sentinel := range []error{ErrNoCapacity, ErrExists} {
 				if got, want := errors.Is(pl.Err, sentinel), errors.Is(tc.want, sentinel); got != want {
 					t.Errorf("errors.Is(err, %v) = %v, want %v", sentinel, got, want)
 				}

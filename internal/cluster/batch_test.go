@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
@@ -54,34 +55,37 @@ func placeLoop(m *Manager, dcs []hypervisor.DomainConfig) []Placement {
 // three, and the test fails on the first divergence in placements,
 // per-VM outcomes, counters or stats. It runs on a plain fleet, on
 // priority-partitioned pools (a batch's VMs land in different pools) and
-// on the risk-aware banded fleet (the headroom gate reads what earlier
-// VMs of the batch consumed).
+// on pools whose servers are resized between batches (a shrink's
+// evacuees re-place through the pool filter, and a pool's index bound
+// outgrows its shrunk servers).
 func TestPlaceVMsMatchesPlaceVMLoopAndReference(t *testing.T) {
 	cases := []struct {
 		prefix string
 		cfg    Config
+		resize bool
 	}{
-		{"", Config{Policy: policy.Priority{}}},
-		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true}},
-		{"risk/", Config{Policy: policy.Priority{}, Risk: &RiskConfig{HighPriority: 0.75, MaxBands: 4}}},
+		{"", Config{Policy: policy.Priority{}}, false},
+		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true}, false},
+		{"pools-resize/", Config{Policy: policy.Priority{}, PartitionByPriority: true}, true},
 	}
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%sseed=%d", tc.prefix, seed), func(t *testing.T) {
-				placeVMsChurn(t, seed, tc.cfg)
+				placeVMsChurn(t, seed, tc.cfg, tc.resize)
 			})
 		}
 	}
 }
 
 // placeVMsChurn runs one seed of the batch / loop / reference churn on a
-// six-server fleet provisioned by churnSpec.
-func placeVMsChurn(t *testing.T, seed int64, cfg Config) {
+// six-server fleet provisioned by churnSpec; with resize set, one op in
+// ten resizes a server on all three managers instead.
+func placeVMsChurn(t *testing.T, seed int64, cfg Config, resize bool) {
 	batch, loop, ref := NewManager(cfg), NewManager(cfg), newOracleManager(cfg, "reference")
 	ms := []*Manager{batch, loop, ref}
 	for i := 0; i < 6; i++ {
 		for _, m := range ms {
-			if _, err := m.AddServerSpec(churnSpec(i, m)); err != nil {
+			if _, err := m.AddServerSpec(churnSpec(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -89,7 +93,33 @@ func placeVMsChurn(t *testing.T, seed int64, cfg Config) {
 	rng := rand.New(rand.NewSource(seed))
 	var placed []string
 	next := 0
+	resizes := 0
 	for op := 0; op < 120; op++ {
+		if resize && rng.Intn(10) == 0 {
+			name := churnSpec(rng.Intn(6)).Name
+			capacity := serverCap().Scale([]float64{0.3, 0.6, 1}[rng.Intn(3)])
+			var want string
+			for i, m := range ms {
+				ev, err := m.ResizeServer(name, capacity)
+				got := describeEvacuation(ev, err)
+				if i == 0 {
+					want = got
+				} else if got != want {
+					t.Fatalf("op %d: resize of %s diverged on manager %d:\n got %s\nwant %s", op, name, i, got, want)
+				}
+				if i == 0 {
+					for j, pl := range ev.Placements {
+						if pl.Err != nil {
+							placed = slices.DeleteFunc(placed, func(n string) bool { return n == ev.VMs[j].Name })
+						}
+					}
+				}
+			}
+			resizes++
+			compareManagers(t, op, batch, loop)
+			compareManagers(t, op, batch, ref)
+			continue
+		}
 		if len(placed) > 0 && rng.Intn(10) < 3 {
 			k := 1 + rng.Intn(min(4, len(placed)))
 			names := make([]string, 0, k)
@@ -139,7 +169,7 @@ func placeVMsChurn(t *testing.T, seed int64, cfg Config) {
 		if got, want := describePlacements(refPls), describePlacements(pls); got != want {
 			t.Fatalf("op %d: reference diverged from the batch:\n got %s\nwant %s", op, got, want)
 		}
-		checkScanWork(t, op, refPls, pls, true, cfg.Risk != nil)
+		checkScanWork(t, op, refPls, pls, true)
 		for j, dc := range dcs {
 			dup := false
 			for _, prev := range dcs[:j] {
@@ -151,6 +181,9 @@ func placeVMsChurn(t *testing.T, seed int64, cfg Config) {
 		}
 		compareManagers(t, op, batch, loop)
 		compareManagers(t, op, batch, ref)
+	}
+	if resize && resizes == 0 {
+		t.Fatal("no resizes in the churn — the variant is vacuous")
 	}
 }
 
@@ -256,17 +289,14 @@ func decideSteadyState(tb testing.TB) (*Manager, []hypervisor.DomainConfig) {
 }
 
 // decideOnce runs, for each probe, the decision half of placeOneLocked
-// — dirty sync, risk gate, surplus lookup, cross-pool existence scan and
+// — dirty sync, surplus lookup, cross-pool existence scan and
 // duplicate check — and commits nothing: the steady-state hot path the
 // allocation gate watches.
 func decideOnce(m *Manager, dcs []hypervisor.DomainConfig) {
 	m.mu.Lock()
 	for _, dc := range dcs {
 		m.syncDirtyLocked()
-		if m.riskRejectLocked(dc) {
-			continue
-		}
-		best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size, m.banded(dc))
+		best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size)
 		_ = best == nil && !m.anyFitsLocked(dc.Size)
 		_ = m.placements[dc.Name]
 	}

@@ -19,8 +19,8 @@
 //
 // An entry may carry a payload: one resources.Vector, stored with
 // UpsertFree, which the surplus index uses for its server's free
-// capacity. FirstFitting and MinFitting take the demand and test it
-// against the payload of the node the walk is standing on, so a probe
+// capacity. FirstFitting takes the demand and tests it against the
+// payload of the node the walk is standing on, so a probe
 // costs no callback and no lookup outside the tree. The payload is the
 // only thing the package knows about what it indexes — it is still
 // ignorant of cluster types — and an index that never stores one (the
@@ -134,43 +134,13 @@ func (ix *Index) Delete(name string) {
 
 // FirstFitting returns the first entry in ascending (key, name) order
 // with key >= lower whose payload can hold size (size.FitsIn) — the
-// tightest-fit query one index answers for its own servers. The cluster
-// manager keeps one Index per (priority pool, hazard band); MinFitting
-// merges several of their answers.
+// tightest-fit query the cluster manager asks of each priority pool's
+// index.
 func (ix *Index) FirstFitting(lower float64, size resources.Vector) (name string, key float64, ok bool) {
 	if nd := firstFitting(ix.root, lower, &size); nd != nil {
 		return nd.name, nd.key, true
 	}
 	return "", 0, false
-}
-
-// MinFitting is the merged best-of-indexes query — the band-blind
-// surplus lookup across a pool's hazard-band indexes: each index
-// answers FirstFitting for its own entries (with its own lower bound,
-// so every index prunes by its own largest capacity), and the global
-// winner is the minimum (key, name) across them — exactly the entry a
-// single combined index would have returned, because each index's first
-// fitting entry is its minimum fitting entry and the (key, name) order
-// is a total order over disjoint name sets.
-func MinFitting(indexes []*Index, lowers []float64, size resources.Vector) (string, float64, bool) {
-	var (
-		bestName string
-		bestKey  float64
-		found    bool
-	)
-	for i, ix := range indexes {
-		if ix == nil {
-			continue
-		}
-		nd := firstFitting(ix.root, lowers[i], &size)
-		if nd == nil {
-			continue
-		}
-		if !found || less(nd.key, nd.name, bestKey, bestName) {
-			bestName, bestKey, found = nd.name, nd.key, true
-		}
-	}
-	return bestName, bestKey, found
 }
 
 // DescIter iterates an Index in descending (key, name) order — the

@@ -172,44 +172,6 @@ func TestFirstFitting(t *testing.T) {
 	}
 }
 
-// TestMinFitting pins the merged best-of-indexes query: the global
-// (key, name) minimum across per-index answers, each with its own lower
-// bound, equal to what one combined index would return.
-func TestMinFitting(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const parts = 3
-	ixs := make([]*Index, parts)
-	lowers := make([]float64, parts)
-	for i := range ixs {
-		ixs[i] = New()
-	}
-	combined := New()
-	for i := 0; i < 90; i++ {
-		name := fmt.Sprintf("node-%03d", i)
-		key := float64(rng.Intn(20)) / 20 // deliberate cross-partition ties
-		// The payload holds the unit demand exactly where key >= 0.3.
-		ixs[i%parts].UpsertFree(name, key, resources.New(key+0.7, key+0.7, key+0.7, key+0.7))
-		combined.UpsertFree(name, key, resources.New(key+0.7, key+0.7, key+0.7, key+0.7))
-	}
-	fits := resources.New(1, 1, 1, 1)
-	for trial := 0; trial < 50; trial++ {
-		lower := rng.Float64()
-		for i := range lowers {
-			lowers[i] = lower
-		}
-		gn, gk, gok := MinFitting(ixs, lowers, fits)
-		wn, wk, wok := combined.FirstFitting(lower, fits)
-		if gok != wok || gn != wn || gk != wk {
-			t.Fatalf("bound %v: MinFitting = %q %v %v, combined = %q %v %v",
-				lower, gn, gk, gok, wn, wk, wok)
-		}
-	}
-	// Nil indexes (a pool absent from a partition) are skipped.
-	if _, _, ok := MinFitting([]*Index{nil, nil}, []float64{0, 0}, fits); ok {
-		t.Fatal("MinFitting over nil indexes should miss")
-	}
-}
-
 // TestDescIterMatchesReference drives the descending iterator against
 // the sorted oracle under churn — the bound-pruned pressure scan leans
 // on Peek/Next realizing exactly the reverse (key, name) order.
@@ -322,9 +284,8 @@ func TestDeleteReinsertMatchesRebuilt(t *testing.T) {
 // TestRekeyInPlaceKeepsCanonicalTree pins what Upsert's in-place re-key
 // must not change: the churned index reuses each entry's node across key
 // moves, yet stays node-for-node the tree a fresh Index builds from the
-// final entry set, so every query — ascending first-fit, the merged
-// MinFitting, the descending iterator — answers exactly as the rebuilt
-// index does. The sequence is mostly re-keys, with inserts and deletes
+// final entry set, so every query — ascending first-fit and the
+// descending iterator — answers exactly as the rebuilt index does. The sequence is mostly re-keys, with inserts and deletes
 // mixed in so reused nodes sit next to fresh ones.
 func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -368,10 +329,6 @@ func TestRekeyInPlaceKeepsCanonicalTree(t *testing.T) {
 			wn, wk, wok := rebuilt.FirstFitting(lower, fits)
 			if gn != wn || gk != wk || gok != wok {
 				t.Fatalf("op %d: FirstFitting(%v) = %q %v %v, rebuilt answers %q %v %v", op, lower, gn, gk, gok, wn, wk, wok)
-			}
-			gn, gk, gok = MinFitting([]*Index{ix, nil}, []float64{lower, 0}, fits)
-			if gn != wn || gk != wk || gok != wok {
-				t.Fatalf("op %d: MinFitting(%v) = %q %v %v, rebuilt answers %q %v %v", op, lower, gn, gk, gok, wn, wk, wok)
 			}
 		}
 		var got, want DescIter
@@ -439,8 +396,8 @@ func BenchmarkUpsertRekeySteadyState(b *testing.B) {
 }
 
 // TestFittingProbesMatchLinearScan is the property the surplus path
-// leans on: the size-taking FirstFitting / MinFitting return exactly the
-// entry a linear scan in (key, name) order finds first — over random
+// leans on: the size-taking FirstFitting returns exactly the entry a
+// linear scan in (key, name) order finds first — over random
 // inserts, re-keys, payload-only updates at an unchanged key (a server
 // whose free vector moved while its dominant share did not) and deletes,
 // with payloads and demands drawn so that most probes pass near-misses
@@ -490,9 +447,9 @@ func TestFittingProbesMatchLinearScan(t *testing.T) {
 		for i := range lowers {
 			lowers[i] = float64(rng.Intn(31)) / 30
 		}
-		// The oracle: per partition, and merged, the (key, name) minimum
-		// among in-range entries whose payload holds the demand.
-		var want [parts + 1]struct {
+		// The oracle: per partition, the (key, name) minimum among
+		// in-range entries whose payload holds the demand.
+		var want [parts]struct {
 			name string
 			key  float64
 			ok   bool
@@ -502,10 +459,8 @@ func TestFittingProbesMatchLinearScan(t *testing.T) {
 			if e.key < lowers[p] || !size.FitsIn(e.free) {
 				continue
 			}
-			for _, w := range []int{p, parts} {
-				if !want[w].ok || less(e.key, n, want[w].key, want[w].name) {
-					want[w].name, want[w].key, want[w].ok = n, e.key, true
-				}
+			if !want[p].ok || less(e.key, n, want[p].key, want[p].name) {
+				want[p].name, want[p].key, want[p].ok = n, e.key, true
 			}
 		}
 		for p, ix := range ixs {
@@ -513,10 +468,6 @@ func TestFittingProbesMatchLinearScan(t *testing.T) {
 			if n != want[p].name || k != want[p].key || ok != want[p].ok {
 				t.Fatalf("op %d: partition %d FirstFitting(%v, %v) = %q %v %v, linear scan finds %+v", op, p, lowers[p], size, n, k, ok, want[p])
 			}
-		}
-		n, k, ok := MinFitting(ixs, lowers, size)
-		if n != want[parts].name || k != want[parts].key || ok != want[parts].ok {
-			t.Fatalf("op %d: MinFitting(%v, %v) = %q %v %v, linear scan finds %+v", op, lowers, size, n, k, ok, want[parts])
 		}
 	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // fuzzNames is the name pool: few enough that ops keep hitting the same
-// entries. Names alternate between two indexes, so MinFitting merges.
+// entries. Names alternate between two indexes, as servers do between
+// priority pools.
 var fuzzNames = [...]string{"s0", "s1", "s2", "s3", "s4", "s5", "s6"}
 
 // fuzzKeys are the keys ops draw: finite, heavy in ties, both zeros.
@@ -30,8 +31,7 @@ type fuzzEntry struct {
 // UpsertFree / delete sequences over a small name pool and, after every
 // op, holds each index to a model: its tree must be, node for node, the
 // tree a fresh Index builds from its entry set, and FirstFitting,
-// MinFitting, DescIter and Min must answer what a linear scan of the
-// model answers. Each op is four bytes: kind, name, key, and a payload
+// DescIter and Min must answer what a linear scan of its model answers. Each op is four bytes: kind, name, key, and a payload
 // (UpsertFree) or a probe's demand and lower bound.
 //
 //	go test -run '^$' -fuzz FuzzCapindexOps -fuzztime 15s -fuzzminimizetime 200x ./internal/cluster/capindex
@@ -76,7 +76,6 @@ func checkFuzzIndexes(t *testing.T, op int, ixs []*Index, models []map[string]fu
 		key  float64
 		ok   bool
 	}
-	var merged hit
 	for p, ix := range ixs {
 		model := models[p]
 		rebuilt := New()
@@ -104,13 +103,7 @@ func checkFuzzIndexes(t *testing.T, op int, ixs []*Index, models []map[string]fu
 		if n, k, ok := ix.Min(); (hit{n, k, ok}) != least {
 			t.Fatalf("op %d index %d: Min = %q %v %v, linear scan %+v", op, p, n, k, ok, least)
 		}
-		if want.ok && (!merged.ok || less(want.key, want.name, merged.key, merged.name)) {
-			merged = want
-		}
 		checkDescIter(t, op, p, ix, model)
-	}
-	if n, k, ok := MinFitting(ixs, []float64{lower, lower}, size); (hit{n, k, ok}) != merged {
-		t.Fatalf("op %d: MinFitting(%v, %v) = %q %v %v, linear scan %+v", op, lower, size, n, k, ok, merged)
 	}
 }
 

@@ -7,9 +7,8 @@
 //
 // # Placement at scale
 //
-// The manager keeps two incremental indexes (capindex) per (priority
-// pool, hazard band), maintained together under one dirty-flag
-// discipline (dirty.go):
+// The manager keeps two incremental indexes (capindex) per priority
+// pool, maintained together under one dirty-flag discipline (dirty.go):
 //
 //   - the surplus index, keyed by dominant free share, answering the
 //     tightest-fit "who can host this with no deflation" query in
@@ -41,8 +40,8 @@
 // # Outcomes
 //
 // The manager counts nothing. Each Placement records the path its
-// decision took and its pressure-scan work; admission failures, headroom
-// rejections and scan totals are folds of those records by their reader.
+// decision took and its pressure-scan work; admission failures and scan
+// totals are folds of those records by their reader.
 package cluster
 
 import (
@@ -94,14 +93,6 @@ var (
 	ErrNotFound = errors.New("cluster: not found")
 	// ErrExists reports a duplicate name.
 	ErrExists = errors.New("cluster: already exists")
-	// ErrHeadroom is a shock-aware admission rejection: the cluster has
-	// room for the VM, but placing it would eat into the evacuation
-	// headroom reserved against forecast revocation mass (Config.Risk).
-	// Headroom rejections also satisfy errors.Is(err, ErrNoCapacity) —
-	// they ARE admission-control rejections, and callers that only
-	// classify accept/reject must not need to know about risk — while
-	// ErrHeadroom lets callers attribute the cause.
-	ErrHeadroom = errors.New("cluster: admission withheld for forecast evacuation headroom")
 )
 
 // PriorityLevels is the number of discrete priority levels, and so of
@@ -121,42 +112,11 @@ type Config struct {
 	// (Figure 1's notification to the application manager / load
 	// balancer).
 	Notify *notify.Bus
-	// Risk, when set, turns on the revocation-risk machinery: servers
-	// carry a hazard band and a headroom reserve fraction
-	// (AddServerSpec), admission withholds capacity that forecast
-	// evacuations will need (ErrHeadroom), and high-priority VMs prefer
-	// low-hazard servers through the banded candidate order. Nil keeps
-	// every placement path bit-identical to the risk-unaware manager.
-	Risk *RiskConfig
-}
-
-// RiskConfig parameterises shock-aware admission and placement.
-type RiskConfig struct {
-	// HighPriority is the priority at or above which a deflatable VM
-	// gets the hazard-aware candidate order — and, like non-deflatable
-	// VMs, bypasses the headroom admission gate (it is the revenue the
-	// reserve protects). Default 0.75.
-	HighPriority float64
-	// MaxBands is how many hazard bands servers quantise into; the
-	// banded candidate order prefers lower bands. Default 4.
-	MaxBands int
 }
 
 func (c *Config) applyDefaults() {
 	if c.Policy == nil {
 		c.Policy = policy.Proportional{}
-	}
-	// Clone Risk before defaulting so a caller-shared RiskConfig is never
-	// mutated.
-	if c.Risk != nil {
-		r := *c.Risk
-		if r.HighPriority <= 0 {
-			r.HighPriority = 0.75
-		}
-		if r.MaxBands <= 0 {
-			r.MaxBands = 4
-		}
-		c.Risk = &r
 	}
 }
 
@@ -175,18 +135,6 @@ type Server struct {
 	// scan until RestoreServer clears the flag. Guarded by the Manager's
 	// lock like the cached fields below.
 	revoked bool
-	// band is the server's hazard band (0 = lowest revocation hazard),
-	// set at AddServerSpec from the risk model and immutable after: the
-	// banded candidate order must be a pure function of configuration,
-	// never of anything a run computes. Always 0 without Config.Risk.
-	band int
-	// reserveFrac/reserve is the server's contribution to the cluster's
-	// evacuation-headroom reserve: reserveFrac of its capacity,
-	// recomputed on resize, subtracted while the server is revoked (its
-	// risk is then realised, not forecast). Guarded by the Manager's
-	// lock.
-	reserveFrac float64
-	reserve     resources.Vector
 	// queued says the server already sits in the manager's dirty list;
 	// guarded by Manager.dirtyMu.
 	queued bool
@@ -197,7 +145,7 @@ type Server struct {
 
 	// Cached placement state, refreshed by the owning Manager's dirty
 	// sync (syncDirtyLocked) and read only under the Manager's lock.
-	agg       hypervisor.Aggregates // aggregates at last sync, for delta totals
+	agg       hypervisor.Aggregates // aggregates at last sync
 	free      resources.Vector      // capacity - allocated
 	freeShare float64               // free.DominantShare(capacity): the index key
 	avail     resources.Vector      // the Section 5.2 availability vector
@@ -224,7 +172,7 @@ type serverScratch struct {
 // in the package's tests: defaultOracle, which NewManager copies into
 // every Manager, is nil in every shipped build.
 type placementOracle interface {
-	surplus(m *Manager, pool int, size resources.Vector, banded bool) *Server
+	surplus(m *Manager, pool int, size resources.Vector) *Server
 	anyFits(m *Manager, size resources.Vector) bool
 	pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (d *hypervisor.Domain, s *Server, scored int)
 }
@@ -243,8 +191,8 @@ type Manager struct {
 	byName     map[string]*Server
 	placements map[string]*Server
 
-	// Capacity indexes per (priority pool, hazard band) key (poolKey):
-	// the surplus index keyed by dominant free share, its bound-keyed
+	// Capacity indexes per priority pool (-1 when unpartitioned): the
+	// surplus index keyed by dominant free share, its bound-keyed
 	// pressure twin (pressure.go), and the component-wise max capacity
 	// that gives each index scan its lower bound.
 	indexes map[int]*capindex.Index
@@ -262,29 +210,9 @@ type Manager struct {
 	dirty   []*Server
 	drained []*Server
 
-	// Cluster-wide totals the headroom gate reads: capacity is exact
-	// (updated as servers are added, revoked, restored and resized);
-	// allocation is delta-maintained from the per-server aggregate
-	// refreshes, applied in the dirty list's sorted drain order so it
-	// stays deterministic.
-	totCapacity  resources.Vector
-	totAllocated resources.Vector
-
-	// Revocation-risk state (Config.Risk): nBands is the hazard-band
-	// count the (pool, band) index keys are laid out for — 1 without a
-	// risk config, so the keys degenerate to the historical pure-pool
-	// keys. reserve is the cluster evacuation-headroom reserve (the sum
-	// of in-service servers' contributions, maintained incrementally in
-	// event order so every engine configuration folds the identical
-	// float sequence).
-	nBands  int
-	reserve resources.Vector
-
-	// Capacity-shock state (revoke.go): whether the placement engine is
-	// running a relocation batch (which the headroom gate lets through),
-	// and the reusable displaced-VM batch buffer.
-	evacuating bool
-	evacDCs    []hypervisor.DomainConfig
+	// evacDCs is the reusable displaced-VM batch buffer of a capacity
+	// shock (revoke.go).
+	evacDCs []hypervisor.DomainConfig
 
 	// affected is the RemoveVMs batch buffer, used only under mu, so
 	// reusing it keeps removals allocation-free in steady state.
@@ -292,28 +220,20 @@ type Manager struct {
 	removeEpoch uint64 // RemoveVMs call counter (Server.removeEpoch)
 
 	// Pruned pressure-scan arenas (pressure.go), used only under mu:
-	// the descending bound-index iterators (one per group index, inner
-	// stacks reused across scans), the candBefore-ordered min-heap of
-	// exactly-scored candidates, and the group key scratch.
-	pressIters []capindex.DescIter
-	pressHeap  candList
-	pressKeys  []int
+	// the descending bound-index iterator (its stack reused across
+	// scans) and the candBefore-ordered min-heap of exactly-scored
+	// candidates.
+	pressIter capindex.DescIter
+	pressHeap candList
 
-	// Placement scratch, reused across calls and touched only under mu:
-	// the batch results, and the band-blind surplus lookup's index and
-	// lower-bound lists.
+	// results is the batch placement scratch, reused across calls and
+	// touched only under mu.
 	results []Placement
-	mfIdx   []*capindex.Index
-	mfLow   []float64
 }
 
 // NewManager creates a manager with the given configuration.
 func NewManager(cfg Config) *Manager {
 	cfg.applyDefaults()
-	nBands := 1
-	if cfg.Risk != nil {
-		nBands = cfg.Risk.MaxBands
-	}
 	return &Manager{
 		cfg:        cfg,
 		oracle:     defaultOracle,
@@ -322,12 +242,8 @@ func NewManager(cfg Config) *Manager {
 		indexes:    make(map[int]*capindex.Index),
 		bounds:     make(map[int]*capindex.Index),
 		maxCap:     make(map[int]resources.Vector),
-		nBands:     nBands,
 	}
 }
-
-// Config returns the manager's configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Close does nothing: a Manager holds no goroutine or other resource
 // that outlives a call. It is kept so that existing callers (the bench
@@ -335,26 +251,16 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Close() {}
 
 // ServerSpec describes one server for AddServerSpec: name, capacity and
-// priority pool, plus the server's revocation-risk attributes.
+// priority pool.
 type ServerSpec struct {
 	Name     string
 	Capacity resources.Vector
 	// Partition is the priority pool (0..PriorityLevels-1); ignored
 	// unless Config.PartitionByPriority.
 	Partition int
-	// Band is the server's hazard band, 0 = lowest revocation hazard
-	// (typically risk.Model.Band). Clamped to [0, Risk.MaxBands); only
-	// meaningful with Config.Risk.
-	Band int
-	// ReserveFraction is the fraction of this server's capacity the
-	// admission gate holds back as forecast evacuation headroom
-	// (typically the risk model's OutageFraction). Zero contributes no
-	// reserve.
-	ReserveFraction float64
 }
 
-// AddServerSpec registers a new physical server with its priority pool
-// and revocation-risk attributes.
+// AddServerSpec registers a new physical server with its priority pool.
 func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -372,70 +278,19 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	if !m.cfg.PartitionByPriority {
 		partition = -1
 	}
-	band := spec.Band
-	if band < 0 {
-		band = 0
-	}
-	if band >= m.nBands {
-		band = m.nBands - 1
-	}
-	s := &Server{Host: h, Partition: partition, gidx: len(m.servers), band: band, reserveFrac: spec.ReserveFraction}
+	s := &Server{Host: h, Partition: partition, gidx: len(m.servers)}
 	m.servers = append(m.servers, s)
 	m.byName[name] = s
-	key := m.poolKey(partition, band)
-	if m.indexes[key] == nil {
-		m.indexes[key] = capindex.New()
-		m.bounds[key] = capindex.New()
+	if m.indexes[partition] == nil {
+		m.indexes[partition] = capindex.New()
+		m.bounds[partition] = capindex.New()
 	}
-	m.maxCap[key] = m.maxCap[key].Max(capacity)
-	m.totCapacity = m.totCapacity.Add(capacity)
-	if s.reserveFrac > 0 {
-		s.reserve = capacity.Scale(s.reserveFrac)
-		m.reserve = m.reserve.Add(s.reserve)
-	}
+	m.maxCap[partition] = m.maxCap[partition].Max(capacity)
 	// The callback only records dirtiness; the next query refreshes the
-	// server's index key, cached availability and the cluster totals.
+	// server's index keys and cached availability.
 	h.OnAggregateChange(func() { m.markDirty(s) })
 	m.markDirty(s)
 	return s, nil
-}
-
-// poolKey maps a (priority pool, hazard band) pair onto one capacity
-// index key. Without Config.Risk nBands is 1 and the key equals the
-// pool — the historical keying, so risk-off managers exercise exactly
-// the legacy index layout. Pools are -1 or 0..PriorityLevels-1 and
-// bands 0..nBands-1, so keys never collide across pools.
-func (m *Manager) poolKey(pool, band int) int {
-	return pool*m.nBands + band
-}
-
-// banded reports whether dc gets the hazard-aware candidate order:
-// with Config.Risk set, non-deflatable VMs and deflatable VMs at or
-// above the HighPriority threshold prefer low-hazard servers.
-func (m *Manager) banded(dc hypervisor.DomainConfig) bool {
-	if m.cfg.Risk == nil || m.nBands <= 1 {
-		return false
-	}
-	return !dc.Deflatable || dc.Priority >= m.cfg.Risk.HighPriority
-}
-
-// riskRejectLocked is the shock-aware admission gate: reject an arrival
-// when placing it would eat into the evacuation headroom the forecast
-// revocation mass reserves (cluster free capacity after the placement
-// would drop below the reserve on some dimension). Evacuation batches
-// bypass the gate — the reserve exists precisely so they can land —
-// and so do the high-priority and non-deflatable VMs the reserve
-// protects. Reads only the canonical delta-maintained totals, so the
-// decision is bit-identical on every placement path.
-func (m *Manager) riskRejectLocked(dc hypervisor.DomainConfig) bool {
-	if m.cfg.Risk == nil || m.evacuating || m.reserve.IsZero() {
-		return false
-	}
-	if !dc.Deflatable || dc.Priority >= m.cfg.Risk.HighPriority {
-		return false
-	}
-	free := m.totCapacity.Sub(m.totAllocated)
-	return !dc.Size.Add(m.reserve).FitsIn(free)
 }
 
 // Servers returns the managed servers.
@@ -504,8 +359,7 @@ func availabilityFrom(total resources.Vector, agg hypervisor.Aggregates) resourc
 // eps/capacity, far less than this margin.
 const fitMargin = 1e-7
 
-// errExists, errNoCapacity and errHeadroom build the placement error
-// values.
+// errExists and errNoCapacity build the placement error values.
 func errExists(name string) error {
 	return fmt.Errorf("%w: VM %s", ErrExists, name)
 }
@@ -514,38 +368,19 @@ func errNoCapacity(dc hypervisor.DomainConfig) error {
 	return &rejection{name: dc.Name, size: dc.Size}
 }
 
-func errHeadroom(dc hypervisor.DomainConfig) error {
-	return &rejection{name: dc.Name, size: dc.Size, headroom: true}
-}
-
 // rejection is an admission-control refusal: one allocation per refused
 // arrival, its text formatted only when asked. It unwraps to
-// ErrNoCapacity, and a headroom rejection to ErrHeadroom as well.
+// ErrNoCapacity.
 type rejection struct {
-	name     string
-	size     resources.Vector
-	headroom bool
+	name string
+	size resources.Vector
 }
 
-// The sentinel chains rejections unwrap to: errors.Is only reads them.
-var (
-	noCapacityChain = []error{ErrNoCapacity}
-	headroomChain   = []error{ErrNoCapacity, ErrHeadroom}
-)
-
 func (r *rejection) Error() string {
-	if r.headroom {
-		return fmt.Sprintf("%v: %v: %s (size %v)", ErrNoCapacity, ErrHeadroom, r.name, r.size)
-	}
 	return fmt.Sprintf("%v: %s (size %v)", ErrNoCapacity, r.name, r.size)
 }
 
-func (r *rejection) Unwrap() []error {
-	if r.headroom {
-		return headroomChain
-	}
-	return noCapacityChain
-}
+func (r *rejection) Unwrap() error { return ErrNoCapacity }
 
 // Path is the route a placement decision took: the step that placed the
 // VM or, on a rejection, the gate that refused it.
@@ -563,9 +398,6 @@ const (
 	// by deflation: an admission-control rejection, or a failed
 	// evacuee relocation.
 	PathPressure
-	// PathHeadroom: the shock-aware admission gate refused the VM (Err
-	// wraps ErrHeadroom).
-	PathHeadroom
 )
 
 // Placement is one VM's outcome in a PlaceVMs batch.
@@ -641,8 +473,8 @@ func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
 // the three-step protocol of PlaceVMs at the live state.
 func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 	// An invalid configuration and a live name are caller errors, not
-	// admission decisions: they are reported before the headroom gate
-	// could refuse the VM or a policy pass deflate a resident for it.
+	// admission decisions: they are reported before a policy pass could
+	// deflate a resident for the VM.
 	if err := dc.Validate(); err != nil {
 		return Placement{Err: err}
 	}
@@ -650,10 +482,7 @@ func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 		return Placement{Err: errExists(dc.Name)}
 	}
 	m.syncDirtyLocked()
-	if m.riskRejectLocked(dc) {
-		return Placement{Path: PathHeadroom, Err: errHeadroom(dc)}
-	}
-	best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size, m.banded(dc))
+	best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size)
 	// A surplus candidate in the VM's own pool already proves some
 	// server fits without deflation; only its absence needs the
 	// cross-pool existence scan.
@@ -737,20 +566,11 @@ type cand struct {
 	s       *Server
 	fitness float64
 	idx     int
-	// band is the hazard band the candidate order ranks first — the
-	// server's band for hazard-aware (banded) VMs, always 0 otherwise,
-	// so the legacy (fitness, idx) order is the band-0 special case.
-	band int
 }
 
-// candBefore is the strict total pressure order: hazard band ascending,
-// then fitness descending, then server add-index ascending. Candidates
-// for non-banded VMs always carry band 0, so for them the order is the
-// historical (fitness, idx) pair.
+// candBefore is the strict total pressure order: fitness descending,
+// then server add-index ascending.
 func candBefore(a, b cand) bool {
-	if a.band != b.band {
-		return a.band < b.band
-	}
 	if a.fitness != b.fitness {
 		return a.fitness > b.fitness
 	}
@@ -761,48 +581,24 @@ type candList []cand
 
 // surplusCandidateLocked returns the tightest-fit server that can host
 // size without any deflation — the server with the smallest (dominant
-// free share, name) among those whose free vector fits size, or the
-// smallest (hazard band, free share, name) for banded VMs — or nil.
-func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector, banded bool) *Server {
+// free share, name) among those whose free vector fits size — or nil.
+func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector) *Server {
 	if m.oracle != nil {
-		return m.oracle.surplus(m, pool, size, banded)
+		return m.oracle.surplus(m, pool, size)
 	}
-	return m.surplusIndexedLocked(pool, size, banded)
+	return m.surplusIndexedLocked(pool, size)
 }
 
-// surplusIndexedLocked asks the pool's ordered indexes for their first
+// surplusIndexedLocked asks the pool's ordered index for its first
 // fitting entry, ascending from a demand-share lower bound, so each
 // scan inspects O(log S) plus however many near-full servers fit on the
 // dominant dimension but not the others.
-func (m *Manager) surplusIndexedLocked(pool int, size resources.Vector, banded bool) *Server {
-	if banded {
-		// Bands ascending, first band with any fit wins: the
-		// (band, free share, name) minimum.
-		for band := 0; band < m.nBands; band++ {
-			key := m.poolKey(pool, band)
-			if ix := m.indexes[key]; ix != nil {
-				if name, _, ok := ix.FirstFitting(m.fitLower(key, size), size); ok {
-					return m.byName[name]
-				}
-			}
-		}
+func (m *Manager) surplusIndexedLocked(pool int, size resources.Vector) *Server {
+	ix := m.indexes[pool]
+	if ix == nil {
 		return nil
 	}
-	// Band-blind: all of the pool's band indexes join one MinFitting,
-	// each pruning below its own bound, for the (free share, name)
-	// minimum across them.
-	ixs, lows := m.mfIdx[:0], m.mfLow[:0]
-	for band := 0; band < m.nBands; band++ {
-		key := m.poolKey(pool, band)
-		ix := m.indexes[key]
-		var lower float64
-		if ix != nil {
-			lower = m.fitLower(key, size)
-		}
-		ixs, lows = append(ixs, ix), append(lows, lower)
-	}
-	m.mfIdx, m.mfLow = ixs, lows
-	name, _, ok := capindex.MinFitting(ixs, lows, size)
+	name, _, ok := ix.FirstFitting(m.fitLower(pool, size), size)
 	if !ok {
 		return nil
 	}
@@ -817,7 +613,7 @@ func (m *Manager) fitLower(key int, size resources.Vector) float64 {
 }
 
 // anyFitsLocked reports whether any server in the cluster (regardless
-// of priority pool or hazard band) can host size with no deflation.
+// of priority pool) can host size with no deflation.
 func (m *Manager) anyFitsLocked(size resources.Vector) bool {
 	if m.oracle != nil {
 		return m.oracle.anyFits(m, size)

@@ -23,29 +23,10 @@ type churnStep func(m *Manager) string
 // capacity index.
 func runDifferentialChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int) {
 	t.Helper()
-	runDifferentialChurnSpecs(t, seed, cfg, "", nServers, nOps, nil)
-}
-
-// runDifferentialChurnSpecs is runDifferentialChurn with custom server
-// provisioning: specFor(i) supplies server i's full ServerSpec (bands,
-// reserve fractions), so the risk suites can churn heterogeneous
-// fleets. A nil specFor provisions the legacy homogeneous fleet. The
-// manager held to the reference runs under oracle ("" for the shipped
-// indexed paths).
-func runDifferentialChurnSpecs(t *testing.T, seed int64, cfg Config, oracle string, nServers, nOps int, specFor func(i int, m *Manager) ServerSpec) {
-	t.Helper()
-	managers := []*Manager{newOracleManager(cfg, oracle), newOracleManager(cfg, "reference")}
+	managers := []*Manager{NewManager(cfg), newOracleManager(cfg, "reference")}
 	for i := 0; i < nServers; i++ {
 		for _, m := range managers {
-			spec := ServerSpec{
-				Name:      fmt.Sprintf("node-%03d", i),
-				Capacity:  serverCap(),
-				Partition: i % PriorityLevels,
-			}
-			if specFor != nil {
-				spec = specFor(i, m)
-			}
-			if _, err := m.AddServerSpec(spec); err != nil {
+			if _, err := m.AddServerSpec(churnSpec(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -98,7 +79,7 @@ func runDifferentialChurnSpecs(t *testing.T, seed int64, cfg Config, oracle stri
 			if got, want := describePlacements(pls[0]), describePlacements(pls[1]); got != want {
 				t.Fatalf("op %d (place %s): indexed %s != reference %s", op, name, got, want)
 			}
-			checkScanWork(t, op, pls[1], pls[0], oracle == "", cfg.Risk != nil)
+			checkScanWork(t, op, pls[1], pls[0], true)
 			if pls[0][0].Err == nil {
 				placed = append(placed, name)
 			}
@@ -145,10 +126,9 @@ func compareManagers(t *testing.T, op int, a, b *Manager) {
 // ran it in lockstep, to the scan-work invariants record by record. full
 // comes from a full-scan oracle, which scores every pool server and
 // prunes none, so a second full scan (indexed false) agrees with it
-// exactly. The indexed descent scores or prunes each of those servers at
-// most once — exactly once unless hazard bands (risk) let a banded VM's
-// descent stop at the first band that places it.
-func checkScanWork(t *testing.T, op int, full, got []Placement, indexed, risk bool) {
+// exactly. The indexed descent scores or prunes each of those servers
+// exactly once.
+func checkScanWork(t *testing.T, op int, full, got []Placement, indexed bool) {
 	t.Helper()
 	for i, f := range full {
 		g := got[i]
@@ -161,7 +141,7 @@ func checkScanWork(t *testing.T, op int, full, got []Placement, indexed, risk bo
 			}
 			continue
 		}
-		if n := g.Scored + g.Pruned; n > f.Scored || (!risk && n != f.Scored) {
+		if n := g.Scored + g.Pruned; n != f.Scored {
 			t.Fatalf("op %d, record %d: descent scored %d + pruned %d against the full scan's %d",
 				op, i, g.Scored, g.Pruned, f.Scored)
 		}

@@ -6,13 +6,11 @@
 // the drained servers' cached aggregates, free and availability vectors
 // and index keys (syncDirtyLocked), so between bursts of churn a query
 // touches no server at all, and after one it touches exactly the ones
-// that changed.
+// that changed. The drain keeps the order the servers were marked in:
+// each refresh writes only its own server's state, and an index answers
+// by (key, name) whatever order its entries were upserted in, so no
+// query can tell the orders apart.
 package cluster
-
-import (
-	"slices"
-	"strings"
-)
 
 // markDirty queues s for the next dirty sync. It is what a host's
 // aggregate-change callback does, so it only records. The callback runs
@@ -27,12 +25,10 @@ func (m *Manager) markDirty(s *Server) {
 	m.dirtyMu.Unlock()
 }
 
-// drainDirty moves the queued servers into m.drained, sorted by name so
-// refresh work — and the float arithmetic of the cluster totals — happens
-// in one deterministic order regardless of callback arrival order, and
-// returns how many there are. The two slices swap backing arrays, so
-// steady-state drains allocate nothing; m.drained is valid until the
-// next drain.
+// drainDirty moves the queued servers into m.drained, in the order they
+// were marked, and returns how many there are. The two slices swap
+// backing arrays, so steady-state drains allocate nothing; m.drained is
+// valid until the next drain.
 func (m *Manager) drainDirty() int {
 	m.dirtyMu.Lock()
 	m.drained, m.dirty = m.dirty, m.drained[:0]
@@ -40,18 +36,13 @@ func (m *Manager) drainDirty() int {
 		s.queued = false
 	}
 	m.dirtyMu.Unlock()
-	slices.SortFunc(m.drained, func(a, b *Server) int {
-		return strings.Compare(a.Host.Name(), b.Host.Name())
-	})
 	return len(m.drained)
 }
 
 // syncDirtyLocked refreshes cached placement state (per-server
 // aggregates, free/availability vectors, index keys) for every server
-// the hosts marked dirty since the last query, and applies each one's
-// aggregate delta to the cluster totals in sorted name order, so the
-// totals' float accumulation order is a function of simulation state
-// alone. Between bursts of churn it is a no-op.
+// the hosts marked dirty since the last query. Between bursts of churn
+// it is a no-op.
 func (m *Manager) syncDirtyLocked() {
 	if m.drainDirty() == 0 {
 		return
@@ -59,24 +50,22 @@ func (m *Manager) syncDirtyLocked() {
 	for _, s := range m.drained {
 		name := s.Host.Name()
 		agg := s.Host.Aggregates()
-		m.totAllocated = m.totAllocated.Add(agg.Allocated.Sub(s.agg.Allocated))
 		s.agg = agg
 		total := s.Host.Capacity()
 		s.free = total.Sub(agg.Allocated)
 		s.freeShare = s.free.DominantShare(total)
 		s.avail = availabilityFrom(total, agg)
-		key := m.poolKey(s.Partition, s.band)
+		pool := s.Partition
 		if s.revoked {
 			// A revoked server stays out of the indexes no matter who
-			// marked it dirty; its cached state is still refreshed so the
-			// cluster totals stay exact.
-			m.indexes[key].Delete(name)
-			m.bounds[key].Delete(name)
+			// marked it dirty; its cached state is still refreshed.
+			m.indexes[pool].Delete(name)
+			m.bounds[pool].Delete(name)
 		} else {
 			// The surplus entry carries s.free, the vector its probes
 			// test: this is the one place s.free is written.
-			m.indexes[key].UpsertFree(name, s.freeShare, s.free)
-			m.bounds[key].Upsert(name, boundKey(s.avail))
+			m.indexes[pool].UpsertFree(name, s.freeShare, s.free)
+			m.bounds[pool].Upsert(name, boundKey(s.avail))
 		}
 	}
 }

@@ -19,21 +19,20 @@ func provisioned(tb testing.TB, n int) *Manager {
 	return m
 }
 
-// TestDirtyListDrainsSortedAndDeduplicated pins the dirty list's
-// contract (the assertions capindex.DirtySet's own test used to hold): a
-// server marked twice is queued once, a drain hands the servers back in
-// name order whatever order they were marked in, and leaves the list
-// empty and every server re-markable. Marks arrive the way they do in a
-// run, through the hosts' aggregate-change callbacks.
-func TestDirtyListDrainsSortedAndDeduplicated(t *testing.T) {
+// TestDirtyListDrainsInMarkOrderAndDeduplicated pins the dirty list's
+// contract: a server marked twice is queued once, at its first mark, a
+// drain hands the servers back in the order they were first marked, and
+// leaves the list empty and every server re-markable. Marks arrive the
+// way they do in a run, through the hosts' aggregate-change callbacks.
+func TestDirtyListDrainsInMarkOrderAndDeduplicated(t *testing.T) {
 	m := NewManager(Config{})
 	for _, name := range []string{"b", "c", "a"} {
 		if _, err := m.AddServer(name, serverCap(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := m.drainDirty(); n != 3 || m.drained[0].Host.Name() != "a" || m.drained[1].Host.Name() != "b" || m.drained[2].Host.Name() != "c" {
-		t.Fatalf("provisioning drain = %d servers, want a b c in name order", n)
+	if n := m.drainDirty(); n != 3 || m.drained[0].Host.Name() != "b" || m.drained[1].Host.Name() != "c" || m.drained[2].Host.Name() != "a" {
+		t.Fatalf("provisioning drain = %d servers, want b c a in mark order", n)
 	}
 	if n := m.drainDirty(); n != 0 {
 		t.Fatalf("drain of an empty list = %d", n)
@@ -52,8 +51,8 @@ func TestDirtyListDrainsSortedAndDeduplicated(t *testing.T) {
 	if len(m.dirty) != 2 {
 		t.Fatalf("%d servers queued, want 2 (b marked three times, a once)", len(m.dirty))
 	}
-	if n := m.drainDirty(); n != 2 || m.drained[0].Host.Name() != "a" || m.drained[1].Host.Name() != "b" {
-		t.Fatalf("drain = %d servers, want [a b]", n)
+	if n := m.drainDirty(); n != 2 || m.drained[0].Host.Name() != "b" || m.drained[1].Host.Name() != "a" {
+		t.Fatalf("drain = %d servers, want [b a]", n)
 	}
 	if len(m.dirty) != 0 {
 		t.Fatal("drain should empty the list")

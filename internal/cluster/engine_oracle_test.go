@@ -19,7 +19,7 @@ import (
 // shipped indexed, pruned run. clustersim's own tests cannot reach the
 // oracles, so the configuration tables of its differential suites —
 // synthetic scenarios × seeds × overcommit × policies, pools,
-// preemption, shocks, risk, SLO and the streamed intake — are run here;
+// preemption, shocks, SLO and the streamed intake — are run here;
 // clustersim runs the same tables on its binary-heap event queue.
 
 // normalizeScanMeters returns a copy of r with the two pressure-scan
@@ -91,22 +91,29 @@ func testShockConfig(seed int64) *trace.ShockConfig {
 	return &trace.ShockConfig{Kind: trace.ShockPoisson, RatePerDay: 2, OutageMean: 4 * 3600, Seed: seed}
 }
 
-// riskConfig is a shocked, portfolio-provisioned, risk-aware run: a
-// small slice of stable full-price servers and a larger slice of cheap,
-// revocation-heavy ones under rack shocks.
-func riskConfig(tr *trace.AzureTrace) clustersim.Config {
-	sc := testShockConfig(13)
-	sc.Kind = trace.ShockRack
+// poolsResizeConfig is a run on priority-partitioned pools under an
+// explicit schedule of revocations and resizes (clustersim's test of the
+// same name): servers leave, return, shrink and grow back, so each
+// pool's indexes see entries go, come back and change size.
+func poolsResizeConfig(tr *trace.AzureTrace) clustersim.Config {
+	h := tr.Duration()
 	return clustersim.Config{
 		Trace:       tr,
 		Policy:      policy.Priority{},
+		Partitioned: true,
 		Overcommit:  0.4,
-		ShockConfig: sc,
-		Portfolio: []clustersim.ServerType{
-			{Name: "stable", Fraction: 1, PriceFactor: 1, ShockRateScale: 0.02},
-			{Name: "spot", Fraction: 2, PriceFactor: 0.4, ShockRateScale: 2},
+		Shocks: []trace.CapacityShock{
+			{At: 0.15 * h, Kind: trace.ShockResize, Server: 0, Scale: 0.4},
+			{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 3},
+			{At: 0.3 * h, Kind: trace.ShockResize, Server: 5, Scale: 0.3},
+			{At: 0.4 * h, Kind: trace.ShockRestore, Server: 3},
+			{At: 0.45 * h, Kind: trace.ShockResize, Server: 1, Scale: 0.5},
+			{At: 0.5 * h, Kind: trace.ShockResize, Server: 0, Scale: 1},
+			{At: 0.6 * h, Kind: trace.ShockRevoke, Server: 2},
+			{At: 0.7 * h, Kind: trace.ShockResize, Server: 5, Scale: 1},
+			{At: 0.8 * h, Kind: trace.ShockRestore, Server: 2},
+			{At: 0.85 * h, Kind: trace.ShockResize, Server: 1, Scale: 1},
 		},
-		Risk: &clustersim.RiskOptions{HighPriority: 0.75, Bands: 4, HeadroomScale: 0.5},
 	}
 }
 
@@ -218,23 +225,6 @@ func TestRestoreRevokeRaceUnderPlacementOracles(t *testing.T) {
 	}
 }
 
-// TestRiskUnderPlacementOracles: a portfolio fleet with hazard-banded
-// placement and the headroom admission gate, on one fleet and on
-// priority-partitioned pools, where every band index is split per pool.
-// The runs must revoke and the gate must fire, or the suite is vacuous.
-func TestRiskUnderPlacementOracles(t *testing.T) {
-	tr := testTrace(400)
-	pooled := riskConfig(tr)
-	pooled.Partitioned = true
-	for i, base := range []clustersim.Config{riskConfig(tr), pooled} {
-		prefix := []string{"", "pools/"}[i]
-		want := runAgainstOracles(t, prefix, base)
-		if want.Revocations == 0 || want.RiskRejections == 0 {
-			t.Fatalf("%s%d revocations, %d headroom rejections — the differential is vacuous", prefix, want.Revocations, want.RiskRejections)
-		}
-	}
-}
-
 // TestSLOUnderPlacementOracles: every SLO metric — violation seconds,
 // rate, p99 proxy, the per-priority map — under the latency-aware
 // policy, across the synthetic scenarios.
@@ -293,7 +283,7 @@ func TestPressurePruningMatchesFullScan(t *testing.T) {
 		{"bursty", clustersim.Config{Trace: scenarioTrace(t, trace.ScenarioBursty, 400, 5), Policy: policy.Proportional{}, Overcommit: 0.6}},
 		{"heavytail-pooled", clustersim.Config{Trace: scenarioTrace(t, trace.ScenarioHeavyTail, 400, 8), Policy: policy.Priority{}, Partitioned: true, Overcommit: 0.5}},
 		{"shocked", clustersim.Config{Trace: testTrace(400), Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(7)}},
-		{"risk-portfolio", riskConfig(testTrace(400))},
+		{"pools-resize", poolsResizeConfig(testTrace(400))},
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
@@ -369,8 +359,8 @@ func TestPressureGatePrunesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	pruned, full := runScanPair(t, clustersim.Config{Trace: tr, Overcommit: 0.75, BaselineServers: base})
-	// Without hazard bands every descent covers its whole pool, so it
-	// scores or prunes each server the full scan scores, exactly once.
+	// Every descent covers its whole pool, so it scores or prunes each
+	// server the full scan scores, exactly once.
 	if pruned.PressureScored+pruned.PressurePruned != full.PressureScored {
 		t.Fatalf("meters: pruned descent scored %d + pruned %d != full scan's %d scored",
 			pruned.PressureScored, pruned.PressurePruned, full.PressureScored)

@@ -39,10 +39,10 @@ func (r *opReader) next(n int) int {
 // must pass checkScanWork against the full scans, and compareManagers
 // must hold after it. The seeds are the churn suites' seeds, so
 // `go test` runs them; `go test -fuzz FuzzPlacementOps` searches on.
-// The decoder's first three bytes pick the policy, priority pools and
-// risk, and random seeds leave some of those 16 configurations unvisited;
-// the config-pinned seeds overwrite those bytes so `go test` runs every
-// configuration on two churn streams.
+// The decoder's first two bytes pick the policy and priority pools, and
+// random seeds leave some of those 8 configurations unvisited; the
+// config-pinned seeds overwrite those bytes so `go test` runs every
+// configuration on four churn streams.
 func FuzzPlacementOps(f *testing.F) {
 	churn := func(seed int64) []byte {
 		data := make([]byte, 512)
@@ -52,10 +52,10 @@ func FuzzPlacementOps(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 5, 7, 11, 17, 19, 21} {
 		f.Add(churn(seed))
 	}
-	for config := 0; config < 16; config++ {
-		for _, seed := range []int64{1, 2} {
+	for config := 0; config < 8; config++ {
+		for _, seed := range []int64{1, 2, 3, 4} {
 			data := churn(seed)
-			data[0], data[1], data[2] = byte(config%4), byte(config/4%2), byte(config/8)
+			data[0], data[1] = byte(config%4), byte(config/4)
 			f.Add(data)
 		}
 	}
@@ -70,10 +70,6 @@ func runPlacementOps(t *testing.T, r *opReader) {
 	if r.next(2) == 1 {
 		cfg.PartitionByPriority = true
 	}
-	riskOn := r.next(2) == 1
-	if riskOn {
-		cfg.Risk = &RiskConfig{}
-	}
 	labels := []string{"", "fullscan", "reference"}
 	ms := make([]*Manager, len(labels))
 	for i, oracle := range labels {
@@ -84,9 +80,6 @@ func runPlacementOps(t *testing.T, r *opReader) {
 	server := func() string { return fmt.Sprintf("node-%d", r.next(nServers)) }
 	for i := 0; i < nServers; i++ {
 		spec := ServerSpec{Name: fmt.Sprintf("node-%d", i), Capacity: serverCap(), Partition: i % 4}
-		if riskOn {
-			spec.Band, spec.ReserveFraction = i%4, 0.05*float64(i%3)
-		}
 		for _, m := range ms {
 			if _, err := m.AddServerSpec(spec); err != nil {
 				t.Fatal(err)
@@ -186,8 +179,8 @@ func runPlacementOps(t *testing.T, r *opReader) {
 			}
 			compareManagers(t, op, ms[0], m)
 		}
-		checkScanWork(t, op, pls[1], pls[2], false, riskOn)
-		checkScanWork(t, op, pls[1], pls[0], true, riskOn)
+		checkScanWork(t, op, pls[1], pls[2], false)
+		checkScanWork(t, op, pls[1], pls[0], true)
 		live = slices.DeleteFunc(append(live, born...), func(name string) bool {
 			_, _, err := ms[0].LookupVM(name)
 			return err != nil

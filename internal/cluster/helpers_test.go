@@ -12,14 +12,6 @@ import (
 // in batches (PlaceVMs, RemoveVMs, RevokeServers) and adds servers by
 // spec; each helper here is the batch or spec form with one element.
 
-// HeadroomReserve returns the current evacuation-headroom reserve: the
-// sum of the in-service servers' reserve contributions.
-func (m *Manager) HeadroomReserve() resources.Vector {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reserve
-}
-
 // AddServer registers a new physical server. When partitioning is
 // enabled, partition assigns its pool; pass 0..PriorityLevels-1.
 func (m *Manager) AddServer(name string, capacity resources.Vector, partition int) (*Server, error) {
@@ -35,7 +27,7 @@ func (m *Manager) PlaceVM(dc hypervisor.DomainConfig) (*hypervisor.Domain, *Serv
 
 // FitsWithoutDeflation reports whether any server in the cluster
 // (regardless of priority pool) can host size with no deflation. With
-// the capacity indexes the check is O(pools × bands × log S) instead of
+// the capacity indexes the check is O(pools × log S) instead of
 // a full scan. Batch placements report the same signal per VM through
 // Placement.NeedsReclaim.
 func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
@@ -90,24 +82,20 @@ type Stats struct {
 	Overcommit float64
 }
 
-// Stats returns the current cluster-wide statistics after a dirty sync.
-// Capacity and Allocated are the manager's own delta-maintained totals
-// (the ones the headroom gate reads); Committed and Revoked are folded
-// over the servers' synced aggregates in add order.
+// Stats returns the current cluster-wide statistics after a dirty sync,
+// folded over the servers' synced aggregates in add order.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.syncDirtyLocked()
-	st := Stats{
-		Servers:   len(m.servers),
-		VMs:       len(m.placements),
-		Capacity:  m.totCapacity,
-		Allocated: m.totAllocated,
-	}
+	st := Stats{Servers: len(m.servers), VMs: len(m.placements)}
 	for _, s := range m.servers {
 		st.Committed = st.Committed.Add(s.agg.Committed)
+		st.Allocated = st.Allocated.Add(s.agg.Allocated)
 		if s.revoked {
 			st.Revoked++
+		} else {
+			st.Capacity = st.Capacity.Add(s.Host.Capacity())
 		}
 	}
 	oc := st.Committed.DominantShare(st.Capacity)

@@ -36,15 +36,14 @@ func newOracleManager(cfg Config, oracle string) *Manager {
 // scanOracle is both oracles: fresh selects the reference one.
 type scanOracle struct{ fresh bool }
 
-// surplus is the brute-force tightest fit: the smallest (band, dominant
-// free share, name) among the pool's servers whose free vector fits.
-func (o scanOracle) surplus(m *Manager, pool int, size resources.Vector, banded bool) *Server {
+// surplus is the brute-force tightest fit: the smallest (dominant free
+// share, name) among the pool's servers whose free vector fits.
+func (o scanOracle) surplus(m *Manager, pool int, size resources.Vector) *Server {
 	if !o.fresh {
-		return m.surplusIndexedLocked(pool, size, banded)
+		return m.surplusIndexedLocked(pool, size)
 	}
 	var best *Server
 	bestKey := 0.0
-	bestBand := 0
 	for _, s := range m.servers {
 		if s.revoked || (pool >= 0 && s.Partition != pool) {
 			continue
@@ -55,21 +54,15 @@ func (o scanOracle) surplus(m *Manager, pool int, size resources.Vector, banded 
 			continue
 		}
 		key := free.DominantShare(total)
-		b := 0
-		if banded {
-			b = s.band
-		}
-		better := best == nil || b < bestBand ||
-			(b == bestBand && (key < bestKey || (key == bestKey && s.Host.Name() < best.Host.Name())))
-		if better {
-			best, bestKey, bestBand = s, key, b
+		if best == nil || key < bestKey || (key == bestKey && s.Host.Name() < best.Host.Name()) {
+			best, bestKey = s, key
 		}
 	}
 	return best
 }
 
 // anyFits is the brute-force existence scan over every in-service
-// server, whatever its pool or band.
+// server, whatever its pool.
 func (o scanOracle) anyFits(m *Manager, size resources.Vector) bool {
 	if !o.fresh {
 		return m.anyFitsIndexedLocked(size)
@@ -88,7 +81,6 @@ func (o scanOracle) anyFits(m *Manager, size resources.Vector) bool {
 // VM. The full scan scores everyone and prunes no one.
 func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, int) {
 	pool := m.PartitionOf(dc)
-	banded := m.banded(dc)
 	var cands candList
 	for _, s := range m.servers {
 		if s.revoked || (pool >= 0 && s.Partition != pool) {
@@ -98,11 +90,7 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		if o.fresh {
 			avail = availability(s)
 		}
-		b := 0
-		if banded {
-			b = s.band
-		}
-		cands = append(cands, cand{s, Fitness(dc.Size, avail), s.gidx, b})
+		cands = append(cands, cand{s, Fitness(dc.Size, avail), s.gidx})
 	}
 
 	ncRange := newcomerRange(dc)

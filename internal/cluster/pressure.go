@@ -12,8 +12,7 @@
 // # The bound index
 //
 // Beside each surplus index the manager maintains a pressure index per
-// (priority pool, hazard band): the same treap keyed
-// by boundKey(avail) = |avail|·(1+slack). For non-negative vectors the
+// priority pool: the same treap keyed by boundKey(avail) = |avail|·(1+slack). For non-negative vectors the
 // Cauchy–Schwarz inequality gives
 //
 //	Fitness(D, A) = A·D / max(|D|, 1e-9) <= |A|·|D|/|D| = |A|
@@ -29,9 +28,9 @@
 //
 // # Best-first branch-and-bound
 //
-// The scan walks the group's bound indexes in descending (key, name)
-// order — loosest bound first — through reusable iterators, one per
-// band-key index. Each expanded server is first checked
+// The scan walks the pool's bound index in descending (key, name)
+// order — loosest bound first — through a reusable iterator. Each
+// expanded server is first checked
 // against the shared feasibility pre-filter (cannotReclaim — the exact
 // expressions tryPlaceLocked uses, so skipping is provably safe), then
 // scored exactly and pushed on a min-heap ordered by candBefore. A
@@ -42,20 +41,9 @@
 // forces expansion first, preserving the add-index-ascending tie-break.
 // By induction the yield sequence is exactly the full scan's sorted
 // candidate order, truncated at the first successful placement.
-//
-// Expansion always picks the iterator whose head is the maximum
-// (key, name) across the group — the order a single merged index would
-// produce.
-//
-// Banded VMs exhaust band groups in ascending band order (candBefore
-// ranks band first, so band b's worst candidate precedes band b+1's
-// best); band-blind VMs merge all the pool's band indexes into one
-// group with every candidate carrying band 0, exactly like the full
-// scan does.
 package cluster
 
 import (
-	"vmdeflate/internal/cluster/capindex"
 	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/resources"
 )
@@ -91,85 +79,33 @@ func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server, p
 	return m.pressurePrunedLocked(dc, best, pl)
 }
 
-// pressurePrunedLocked is the bound-pruned descent: band groups in
-// ascending band order for banded VMs, one merged group otherwise, each
-// scanned best-first until a candidate absorbs the newcomer or the
-// group is exhausted.
+// pressurePrunedLocked is the bound-pruned descent over the VM's pool:
+// best-first, trying placement on each yielded candidate in exact
+// candBefore order until one absorbs the newcomer or the pool is
+// exhausted, and recording a hit's domain and server in pl. Also records
+// the scan's work in pl: every indexed server that never had its
+// fitness computed — excluded by the bound, the feasibility pre-filter,
+// or an earlier candidate succeeding — counts as pruned.
 func (m *Manager) pressurePrunedLocked(dc hypervisor.DomainConfig, best *Server, pl *Placement) bool {
-	pool := m.PartitionOf(dc)
-	ncRange := newcomerRange(dc)
-	if m.banded(dc) {
-		for band := 0; band < m.nBands; band++ {
-			keys := append(m.pressKeys[:0], m.poolKey(pool, band))
-			m.pressKeys = keys
-			if m.pressureScanGroupLocked(dc, best, ncRange, keys, band, pl) {
-				return true
-			}
-		}
+	ix := m.bounds[m.PartitionOf(dc)]
+	if ix == nil || ix.Len() == 0 {
 		return false
 	}
-	// Band-blind: all of the pool's band indexes join one group and
-	// every candidate carries band 0, so candBefore degenerates to the
-	// historical (fitness desc, add-index asc) pair.
-	keys := m.pressKeys[:0]
-	for band := 0; band < m.nBands; band++ {
-		keys = append(keys, m.poolKey(pool, band))
-	}
-	m.pressKeys = keys
-	return m.pressureScanGroupLocked(dc, best, ncRange, keys, 0, pl)
-}
-
-// pressureScanGroupLocked runs one group's best-first descent, trying
-// placement on each yielded candidate in exact candBefore order, and
-// records a hit's domain and server in pl. The group is the bound index
-// of every given key; all its candidates carry candBand. Also adds the
-// group's work to pl: every indexed server that never had its fitness
-// computed — excluded by the bound, the feasibility pre-filter, or an
-// earlier candidate succeeding — counts as pruned.
-func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Server, ncRange resources.Vector, keys []int, candBand int, pl *Placement) bool {
-	// Point one reusable iterator at each non-empty index of the group.
-	// Indexing (not re-slicing through grow) preserves the iterators'
-	// inner stacks, so steady-state scans never allocate.
-	n := 0
-	eligible := 0
-	for _, key := range keys {
-		ix := m.bounds[key]
-		if ix == nil || ix.Len() == 0 {
-			continue
-		}
-		if n == len(m.pressIters) {
-			m.pressIters = append(m.pressIters, capindex.DescIter{})
-		}
-		m.pressIters[n].Reset(ix)
-		eligible += ix.Len()
-		n++
-	}
-	iters := m.pressIters[:n]
-
+	eligible, ncRange := ix.Len(), newcomerRange(dc)
+	it := &m.pressIter
+	it.Reset(ix)
 	heap := m.pressHeap[:0]
 	scored := 0
 	hit := false
 	for {
-		// The loosest remaining bound — and, on bound ties, the largest
-		// name: the (key, name)-descending head a single merged index
-		// would expose next.
-		expand := -1
-		var maxKey float64
-		var maxName string
-		for i := range iters {
-			name, key, ok := iters[i].Peek()
-			if !ok {
-				continue
-			}
-			if expand < 0 || key > maxKey || (key == maxKey && name > maxName) {
-				expand, maxKey, maxName = i, key, name
-			}
-		}
+		// The loosest remaining bound; ok is false once every server is
+		// expanded.
+		name, maxKey, ok := it.Peek()
 		// Yield while the heap top STRICTLY beats every unexpanded bound:
 		// strictness preserves the gidx tie-break on fitness ties (an
 		// unexplored server could tie the top's fitness with a smaller
 		// add-index, so ties force expansion first).
-		for len(heap) > 0 && (expand < 0 || heap[0].fitness > maxKey) {
+		for len(heap) > 0 && (!ok || heap[0].fitness > maxKey) {
 			c := heapPopCand(&heap)
 			if c.s == best {
 				continue // the failed surplus candidate is skipped
@@ -179,20 +115,19 @@ func (m *Manager) pressureScanGroupLocked(dc hypervisor.DomainConfig, best *Serv
 				break
 			}
 		}
-		if hit || expand < 0 {
+		if hit || !ok {
 			break
 		}
-		iters[expand].Next()
-		s := m.byName[maxName]
+		it.Next()
+		s := m.byName[name]
 		if cannotReclaim(s, dc, ncRange) {
 			continue // fit-skip: counted as pruned, never scored
 		}
 		scored++
-		heapPushCand(&heap, cand{s, Fitness(dc.Size, s.avail), s.gidx, candBand})
+		heapPushCand(&heap, cand{s, Fitness(dc.Size, s.avail), s.gidx})
 	}
 	m.pressHeap = heap[:0]
-	pl.Scored += scored
-	pl.Pruned += eligible - scored
+	pl.Scored, pl.Pruned = scored, eligible-scored
 	return hit
 }
 

@@ -30,8 +30,8 @@
 //     remaining servers are unchanged.
 //   - Resize-under-dirty-flag: Host.SetCapacity invalidates the host's
 //     aggregate cache like any other mutation, so the server's index
-//     key, cached free/availability vectors and the cluster totals are
-//     re-derived by the ordinary dirty sync — no bespoke refresh path.
+//     keys and cached free/availability vectors are re-derived by the
+//     ordinary dirty sync — no bespoke refresh path.
 package cluster
 
 import (
@@ -73,9 +73,9 @@ type Evacuation struct {
 // placement total orders) but leave the capacity indexes and every
 // candidate scan until RestoreServer returns them.
 //
-// Relocation failures are not admission-control rejections: the
-// headroom gate lets relocations through, and a caller folding
-// admission failures folds them over its arrivals' placements only.
+// Relocation failures are not admission-control rejections: a caller
+// folding admission failures folds them over its arrivals' placements
+// only.
 func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -107,13 +107,8 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 			}
 		}
 		s.revoked = true
-		key := m.poolKey(s.Partition, s.band)
-		m.indexes[key].Delete(name)
-		m.bounds[key].Delete(name)
-		m.totCapacity = m.totCapacity.Sub(s.Host.Capacity())
-		// An out-of-service server's risk is realised, not forecast: its
-		// headroom contribution leaves the reserve with its capacity.
-		m.reserve = m.reserve.Sub(s.reserve)
+		m.indexes[s.Partition].Delete(name)
+		m.bounds[s.Partition].Delete(name)
 	}
 	return m.evacuateLocked(), nil
 }
@@ -133,8 +128,6 @@ func (m *Manager) RestoreServer(name string) error {
 		return fmt.Errorf("%w: %s not revoked", ErrRevoked, name)
 	}
 	s.revoked = false
-	m.totCapacity = m.totCapacity.Add(s.Host.Capacity())
-	m.reserve = m.reserve.Add(s.reserve)
 	m.markDirty(s)
 	return nil
 }
@@ -164,21 +157,11 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 	if err := s.Host.SetCapacity(capacity); err != nil {
 		return Evacuation{}, err
 	}
-	m.totCapacity = m.totCapacity.Add(capacity.Sub(old))
-	// The server's headroom contribution tracks its capacity: swap the
-	// old reserve vector out and the recomputed one in, in event order,
-	// so every engine configuration folds the identical float sequence.
-	if s.reserveFrac > 0 {
-		m.reserve = m.reserve.Sub(s.reserve)
-		s.reserve = capacity.Scale(s.reserveFrac)
-		m.reserve = m.reserve.Add(s.reserve)
-	}
 	// maxCap stays a component-wise upper bound over every capacity the
 	// index has seen: after a shrink it over-estimates, which only
 	// loosens the index scans' lower bound (more entries inspected, same
 	// answer) — correctness never depends on it being tight.
-	key := m.poolKey(s.Partition, s.band)
-	m.maxCap[key] = m.maxCap[key].Max(capacity)
+	m.maxCap[s.Partition] = m.maxCap[s.Partition].Max(capacity)
 
 	if s.Host.Allocated().FitsIn(capacity) {
 		// Grow / slack restore: run the freed capacity back into the
@@ -287,17 +270,14 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 }
 
 // evacuateLocked relocates the queued displaced VMs as one batch,
-// placed in evacuation order past the headroom gate, and assembles the
-// Evacuation outcome.
+// placed in evacuation order, and assembles the Evacuation outcome.
 func (m *Manager) evacuateLocked() Evacuation {
 	var out Evacuation
 	if len(m.evacDCs) == 0 {
 		return out
 	}
 	out.VMs = append([]hypervisor.DomainConfig(nil), m.evacDCs...)
-	m.evacuating = true
 	m.placeAllLocked(m.evacDCs)
-	m.evacuating = false
 	out.Placements = append([]Placement(nil), m.results[:len(out.VMs)]...)
 	return out
 }

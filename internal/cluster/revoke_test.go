@@ -221,9 +221,8 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 // resizes must produce identical placements, evacuation outcomes,
 // counters and stats on the reference manager and on the indexed
 // manager in both pressure-scan modes — under the priority policy, the
-// proportional policy, priority-partitioned pools and the risk-aware
-// banded fleet, whose evacuations re-place through the pool filter and
-// the hazard bands.
+// proportional policy and priority-partitioned pools under both
+// policies, whose evacuations re-place through the pool filter.
 func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
 	cases := []struct {
 		prefix string
@@ -232,7 +231,7 @@ func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
 		{"", Config{Policy: policy.Priority{}}},
 		{"proportional/", Config{Policy: policy.Proportional{}}},
 		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true}},
-		{"risk/", Config{Policy: policy.Priority{}, Risk: &RiskConfig{HighPriority: 0.75, MaxBands: 4}}},
+		{"pools-proportional/", Config{Policy: policy.Proportional{}, PartitionByPriority: true}},
 	}
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 2, 3} {
@@ -294,7 +293,7 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 	}
 	for i := 0; i < nServers; i++ {
 		for _, e := range engines {
-			if _, err := e.m.AddServerSpec(churnSpec(i, e.m)); err != nil {
+			if _, err := e.m.AddServerSpec(churnSpec(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -419,8 +418,8 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 		// Scan work, record by record: the full scan scores exactly what
 		// the reference scores and prunes nothing; the pruned engine's
 		// scored plus pruned covers the reference's eligible total.
-		checkScanWork(t, op, pls[0], pls[2], false, cfg.Risk != nil)
-		checkScanWork(t, op, pls[0], pls[1], true, cfg.Risk != nil)
+		checkScanWork(t, op, pls[0], pls[2], false)
+		checkScanWork(t, op, pls[0], pls[1], true)
 		for _, pl := range pls[1] {
 			if pl.Path == PathPressure {
 				out.arrivals++
@@ -432,13 +431,9 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 	return out
 }
 
-// churnSpec provisions server i of a churn suite's fleet: riskSpec's
-// banded, reserving fleet when risk is on, otherwise a plain server in
-// pool i mod PriorityLevels.
-func churnSpec(i int, m *Manager) ServerSpec {
-	if m.Config().Risk != nil {
-		return riskSpec(i, m)
-	}
+// churnSpec provisions server i of a churn suite's fleet: a plain
+// server in pool i mod PriorityLevels.
+func churnSpec(i int) ServerSpec {
 	return ServerSpec{
 		Name:      fmt.Sprintf("node-%03d", i),
 		Capacity:  serverCap(),

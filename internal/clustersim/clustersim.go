@@ -118,45 +118,6 @@ type SLOConfig struct {
 	MaxSlowdown float64
 }
 
-// ServerType describes one slice of a portfolio fleet (Config.Portfolio):
-// a transient-server market segment with its own price and revocation
-// behaviour on the paper's server. Zero-valued numeric fields default to
-// 1, so the zero ServerType is an ordinary on-demand-priced, base-hazard
-// server; use a small positive ShockRateScale (not 0) for a
-// near-revocation-immune type.
-type ServerType struct {
-	// Name labels the type in reports.
-	Name string
-	// Fraction is the type's relative weight in the fleet mix. Weights
-	// are normalised across the portfolio; servers are apportioned by
-	// largest-remainder rounding, so counts are exact to ±1.
-	Fraction float64
-	// PriceFactor multiplies the per-core-hour fleet cost rate
-	// (Result.FleetCost) — cheap transient capacity has PriceFactor < 1.
-	PriceFactor float64
-	// ShockRateScale multiplies the type's revocation rate in the
-	// generated shock schedule (trace.ShockConfig.RateScale) and,
-	// through the same parameter, in the analytic hazard model.
-	ShockRateScale float64
-}
-
-// RiskOptions configures revocation-risk forecasting (Config.Risk).
-type RiskOptions struct {
-	// HighPriority is the priority threshold at or above which VMs get
-	// hazard-banded placement (cluster.RiskConfig.HighPriority);
-	// non-positive selects the cluster default (0.75). NaN and ±Inf are
-	// errors.
-	HighPriority float64
-	// Bands is the number of hazard bands (cluster.RiskConfig.MaxBands);
-	// non-positive selects the cluster default (4).
-	Bands int
-	// HeadroomScale multiplies each server's forecast outage fraction to
-	// set its admission-headroom reserve; 0 defaults to 1, NaN, +Inf and
-	// negative values are errors, and the product is clamped to 1.
-	// Larger values trade admitted revenue for fewer shock kills.
-	HeadroomScale float64
-}
-
 // Mode selects the resource-reclamation strategy under test.
 type Mode int
 
@@ -227,28 +188,11 @@ type Config struct {
 	// domain so latency-aware policies can read it. Nil disables both:
 	// non-SLO runs carry zero loads and unchanged results.
 	SLO *SLOConfig
-	// Portfolio provisions the fleet as a mix of server types instead of
-	// a homogeneous one (deflation mode only): each type takes its
-	// largest-remainder share of the servers as a contiguous run of
-	// provisioning indexes, scales the per-core fleet cost by its
-	// PriceFactor, and shapes the generated shock schedule
-	// through ShockConfig.RateScale. Nil keeps the homogeneous fleet and
-	// bit-identical legacy runs.
-	Portfolio []ServerType
-	// Risk enables revocation-risk forecasting (deflation mode only):
-	// the run derives an analytic hazard model from its effective shock
-	// configuration (internal/risk), provisions every server with its
-	// hazard band and forecast-headroom reserve fraction, and turns on
-	// the cluster manager's shock-aware admission gate and hazard-banded
-	// candidate order. Requires ShockConfig for the model (an explicit
-	// Shocks list carries no rate parameters, so bands and reserves stay
-	// zero). Nil keeps risk-blind placement.
-	Risk *RiskOptions
 }
 
 // DefaultServerCapacity is the paper's server: 48 CPUs, 128 GB RAM.
-// Every run provisions it (a portfolio type changes price and hazard,
-// not size); the sizing entry points take a capacity argument.
+// Every run provisions it; the sizing entry points take a capacity
+// argument.
 func DefaultServerCapacity() resources.Vector {
 	return resources.CPUMem(48, 131072)
 }
@@ -312,21 +256,6 @@ func (c *Config) applyDefaults() error {
 		}
 		c.SLO = &slo
 	}
-	for _, t := range c.Portfolio {
-		for _, v := range []float64{t.Fraction, t.PriceFactor, t.ShockRateScale} {
-			if !finiteNonNegative(v) {
-				return fmt.Errorf("clustersim: portfolio type %q has field value %v, want finite and non-negative", t.Name, v)
-			}
-		}
-	}
-	if r := c.Risk; r != nil {
-		if !finite(r.HighPriority) {
-			return fmt.Errorf("clustersim: risk high priority %v is not finite", r.HighPriority)
-		}
-		if !finiteNonNegative(r.HeadroomScale) {
-			return fmt.Errorf("clustersim: risk headroom scale %v is not a finite non-negative factor", r.HeadroomScale)
-		}
-	}
 	if sc := c.ShockConfig; sc != nil {
 		// Zero keeps meaning "the generator's default"; anything else the
 		// generator would silently swap for its default is an error here.
@@ -348,11 +277,6 @@ func (c *Config) applyDefaults() error {
 		}
 		if sc.RackSize < 0 {
 			return fmt.Errorf("clustersim: shock config rack size %d is negative", sc.RackSize)
-		}
-		for s, v := range sc.RateScale {
-			if !finiteNonNegative(v) {
-				return fmt.Errorf("clustersim: shock config rate scale %v for server %d, want finite and non-negative", v, s)
-			}
 		}
 		if sc.Kind != "" {
 			if _, err := trace.ParseShockScenario(string(sc.Kind)); err != nil {
@@ -460,15 +384,9 @@ type Result struct {
 	ShockKills        int
 	DisplacedDowntime float64
 
-	// Risk / portfolio accounting (deflation mode). RiskRejections is
-	// the subset of Rejected withheld by the shock-aware admission gate
-	// (forecast evacuation headroom; zero without Config.Risk).
-	// FleetCost is the provider's spend: per-core in-service hours
-	// weighted by each server type's PriceFactor, with revoked intervals
-	// not billed — metered on every deflation run so risk-blind and
-	// risk-aware runs are cost-comparable.
-	RiskRejections int
-	FleetCost      float64
+	// FleetCost is the provider's spend (deflation mode): the fleet's
+	// in-service core-hours, with revoked intervals not billed.
+	FleetCost float64
 
 	// Pricing accounting (deflation mode). OnDemandRevenue is what the
 	// run's deflatable VMs would have billed as on-demand instances
@@ -603,56 +521,6 @@ func allocatePools(out []int, demand []float64, nServers, levels int) []int {
 		for k := 0; k < counts[l] && i < nServers; k++ {
 			out[i] = l
 			i++
-		}
-	}
-	return out
-}
-
-// orOne is the ServerType field default: zero means "base" (factor 1).
-func orOne(v float64) float64 {
-	if v <= 0 {
-		return 1
-	}
-	return v
-}
-
-// portfolioAssign maps each provisioning index to its portfolio type:
-// largest-remainder apportionment of the normalised fractions, each
-// type taking a contiguous run of indexes in declaration order. Racks
-// are contiguous index groups in the shock generator, so contiguous
-// runs keep most racks single-typed; and being a pure function of
-// (portfolio, n), every engine derives the identical fleet. Returns nil
-// for an empty portfolio (homogeneous fleet).
-func portfolioAssign(types []ServerType, n int) []int {
-	if len(types) == 0 || n <= 0 {
-		return nil
-	}
-	var total float64
-	for _, t := range types {
-		total += orOne(t.Fraction)
-	}
-	exact := make([]float64, len(types))
-	counts := make([]int, len(types))
-	assigned := 0
-	for i, t := range types {
-		exact[i] = float64(n) * orOne(t.Fraction) / total
-		counts[i] = int(exact[i])
-		assigned += counts[i]
-	}
-	for ; assigned < n; assigned++ {
-		// Largest fractional remainder; ties to the earliest type.
-		best, bestFrac := 0, -1.0
-		for i := range types {
-			if frac := exact[i] - float64(counts[i]); frac > bestFrac {
-				best, bestFrac = i, frac
-			}
-		}
-		counts[best]++
-	}
-	out := make([]int, 0, n)
-	for i, c := range counts {
-		for k := 0; k < c; k++ {
-			out = append(out, i)
 		}
 	}
 	return out

@@ -69,17 +69,14 @@ func TestBaselineServerCount(t *testing.T) {
 
 // TestRunValidation: configurations a run cannot honour are errors. NaN
 // fails every comparison, so a bare `< 0` check lets it through: a NaN
-// or +Inf overcommit ran on a one-server fleet and a NaN portfolio
-// fraction panicked while the fleet was apportioned. An explicit shock schedule is checked entry
-// by entry, naming the bad one: a NaN or +Inf resize scale crashed the
+// or +Inf overcommit ran on a one-server fleet. An explicit shock
+// schedule is checked entry by entry, naming the bad one: a NaN or +Inf resize scale crashed the
 // capacity index, a revocation at +Inf was popped first and at NaN at
 // an undefined instant, one at a negative time billed a negative
 // outage, a non-positive scale failed deep in the run, and an unknown
 // kind was dropped silently. A NaN or ±Inf SLO threshold metered no
-// violations (a slowdown is never above NaN or +Inf), a NaN or +Inf risk
-// priority threshold put every deflatable VM behind the headroom gate
-// and out of the hazard bands, and a NaN, ±Inf or negative headroom
-// scale quietly became 1. Every case fails in both modes.
+// violations (a slowdown is never above NaN or +Inf). Every case fails
+// in both modes.
 func TestRunValidation(t *testing.T) {
 	tr := testTrace(200)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -100,9 +97,6 @@ func TestRunValidation(t *testing.T) {
 		{"negative overcommit", Config{Trace: tr, Overcommit: -0.5}, ""},
 		{"NaN overcommit", Config{Trace: tr, Overcommit: nan}, ""},
 		{"+Inf overcommit", Config{Trace: tr, Overcommit: inf}, ""},
-		{"NaN portfolio fraction", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", Fraction: nan}, {Name: "b", Fraction: 1}}}, ""},
-		{"NaN portfolio price factor", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", PriceFactor: nan}}}, ""},
-		{"negative portfolio shock rate", Config{Trace: tr, Portfolio: []ServerType{{Name: "a", ShockRateScale: -1}}}, ""},
 		{"NaN resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: nan}), "shock 1"},
 		{"+Inf resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: inf}), "shock 1"},
 		{"negative resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: -0.5}), "shock 1"},
@@ -114,13 +108,6 @@ func TestRunValidation(t *testing.T) {
 		{"NaN SLO max slowdown", Config{Trace: tr, SLO: &SLOConfig{MaxSlowdown: nan}}, "slowdown"},
 		{"+Inf SLO max slowdown", Config{Trace: tr, SLO: &SLOConfig{MaxSlowdown: inf}}, "slowdown"},
 		{"-Inf SLO max slowdown", Config{Trace: tr, SLO: &SLOConfig{MaxSlowdown: -inf}}, "slowdown"},
-		{"NaN risk high priority", Config{Trace: tr, Risk: &RiskOptions{HighPriority: nan}}, "high priority"},
-		{"+Inf risk high priority", Config{Trace: tr, Risk: &RiskOptions{HighPriority: inf}}, "high priority"},
-		{"-Inf risk high priority", Config{Trace: tr, Risk: &RiskOptions{HighPriority: -inf}}, "high priority"},
-		{"NaN risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: nan}}, "headroom"},
-		{"+Inf risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: inf}}, "headroom"},
-		{"-Inf risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: -inf}}, "headroom"},
-		{"negative risk headroom scale", Config{Trace: tr, Risk: &RiskOptions{HeadroomScale: -0.5}}, "headroom"},
 	}
 	for _, c := range cases {
 		for _, mode := range []Mode{ModeDeflation, ModePreemption} {

@@ -73,7 +73,7 @@ func TestPartitionedEngineMatchesOracles(t *testing.T) {
 
 // TestPressurePruningDifferential runs the pressure-heavy workloads —
 // every synthetic scenario plus deterministic-policy, pooled, shocked
-// and risk/portfolio runs — on the binary-heap event queue, after
+// and resized-pools runs — on the binary-heap event queue, after
 // checking that each actually exercises the bound-pruned descent
 // (pressured arrivals AND a nonzero prune count), or the suite is
 // vacuous. The cluster package's TestPressurePruningMatchesFullScan
@@ -114,8 +114,8 @@ func TestPressurePruningDifferential(t *testing.T) {
 			sc.Kind = trace.ShockPoisson
 			return Config{Trace: testTrace(400), Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: sc}
 		}},
-		{"risk-portfolio", func() Config {
-			return riskConfig(testTrace(400))
+		{"pools-resize", func() Config {
+			return poolsResizeConfig(testTrace(400))
 		}},
 	}
 	for _, w := range workloads {

@@ -14,7 +14,6 @@ import (
 	"vmdeflate/internal/pricing"
 	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/resources"
-	"vmdeflate/internal/risk"
 	"vmdeflate/internal/trace"
 )
 
@@ -105,15 +104,10 @@ type Engine struct {
 	revoked     []bool
 	serverNames []string
 
-	// Portfolio / risk provisioning state (deflation mode). rateScale is
-	// nil on homogeneous fleets: the per-server shock-rate multipliers
-	// handed to the schedule generator. costRate is each server's
-	// PriceFactor-weighted core count; outStart/outAccum meter its
-	// out-of-service seconds so FleetCost bills in-service time only.
-	rateScale []float64
-	costRate  []float64
-	outStart  []float64
-	outAccum  []float64
+	// outStart/outAccum meter each server's out-of-service seconds
+	// (deflation mode), so FleetCost bills in-service time only.
+	outStart []float64
+	outAccum []float64
 
 	demandTotal float64
 	lostTotal   float64
@@ -236,61 +230,20 @@ func (e *Engine) setupDeflation() error {
 		return err
 	}
 	e.rec = e
-	mgrCfg := cluster.Config{
+	e.mgr = cluster.NewManager(cluster.Config{
 		Policy:              cfg.Policy,
 		PartitionByPriority: cfg.Partitioned,
 		Notify:              cfg.Notify,
-	}
-	if cfg.Risk != nil {
-		mgrCfg.Risk = &cluster.RiskConfig{HighPriority: cfg.Risk.HighPriority, MaxBands: cfg.Risk.Bands}
-	}
-	e.mgr = cluster.NewManager(mgrCfg)
+	})
 	pools := poolPlan(&cfg, e.src, e.nServers)
-
-	// Portfolio typing and the analytic hazard model. Both are pure
-	// functions of config and server count, so every engine over the
-	// same config provisions an identical fleet. Every type is the
-	// paper's server: the portfolio prices and shocks the same nominal
-	// fleet, it does not resize it.
-	typeOf := portfolioAssign(cfg.Portfolio, e.nServers)
-	if typeOf != nil {
-		e.rateScale = make([]float64, e.nServers)
-		for i, t := range typeOf {
-			e.rateScale[i] = orOne(cfg.Portfolio[t].ShockRateScale)
-		}
-	}
-	var model *risk.Model
-	bands, headroom := 0, 1.0
-	if cfg.Risk != nil && cfg.Shocks == nil && cfg.ShockConfig != nil {
-		sc := *cfg.ShockConfig
-		sc.RateScale = e.rateScale
-		model = risk.New(sc, e.nServers)
-		bands = e.mgr.Config().Risk.MaxBands // the manager's defaulted count
-		if cfg.Risk.HeadroomScale > 0 {
-			headroom = cfg.Risk.HeadroomScale
-		}
-	}
-
 	e.serverNames = make([]string, e.nServers)
 	e.revoked = make([]bool, e.nServers)
-	e.costRate = make([]float64, e.nServers)
 	e.outStart = make([]float64, e.nServers)
 	e.outAccum = make([]float64, e.nServers)
 	capacity := DefaultServerCapacity()
 	for i := 0; i < e.nServers; i++ {
 		e.serverNames[i] = fmt.Sprintf("node-%03d", i)
-		price := 1.0
-		if typeOf != nil {
-			price = orOne(cfg.Portfolio[typeOf[i]].PriceFactor)
-		}
-		e.costRate[i] = price * capacity.Get(resources.CPU)
 		spec := cluster.ServerSpec{Name: e.serverNames[i], Capacity: capacity, Partition: pools[i]}
-		if model != nil {
-			spec.Band = model.Band(i, bands)
-			if f := model.OutageFraction(i) * headroom; f > 0 {
-				spec.ReserveFraction = math.Min(f, 1)
-			}
-		}
 		if _, err := e.mgr.AddServerSpec(spec); err != nil {
 			return err
 		}
@@ -527,10 +480,11 @@ func (e *Engine) handleDepartures(evs []simEvent) error {
 // admission failure of a deflation run is a failure to reclaim enough.
 func (e *Engine) foldResult() *Result {
 	e.res.ReclamationFailures = e.res.Rejected
-	// FleetCost: bill each server's in-service core-hours at its type's
-	// price factor, in server index order. Outage intervals accumulated
-	// in event order; still-revoked servers charge out to the horizon.
-	for i, rate := range e.costRate {
+	// FleetCost: bill each server's in-service core-hours, in server
+	// index order. Outage intervals accumulated in event order;
+	// still-revoked servers charge out to the horizon.
+	rate := DefaultServerCapacity().Get(resources.CPU)
+	for i := range e.outAccum {
 		out := e.outAccum[i]
 		if e.revoked[i] && e.horizon > e.outStart[i] {
 			out += e.horizon - e.outStart[i]
@@ -621,9 +575,6 @@ func (e *Engine) pushShocks(q eventQueue) {
 		sc := *e.cfg.ShockConfig
 		if sc.Duration <= 0 {
 			sc.Duration = e.horizon
-		}
-		if e.rateScale != nil {
-			sc.RateScale = e.rateScale // portfolio types shape per-server rates
 		}
 		shocks = trace.GenerateShocks(sc, e.nServers)
 	}
@@ -816,9 +767,6 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 				return fmt.Errorf("clustersim: trace row %d: VM ID %q: %w", ev.seq, dcs[i].Name, pl.Err)
 			}
 			e.res.Rejected++
-			if pl.Path == cluster.PathHeadroom {
-				e.res.RiskRejections++
-			}
 			continue
 		}
 		e.res.Admitted++

@@ -8,24 +8,25 @@ import (
 )
 
 // scanCounts is the slice of a Result folded from the manager's
-// per-placement outcome records: the pressure-scan work, the headroom
-// gate's refusals and the admission failures. The golden digests do not
-// cover the first four.
+// per-placement outcome records: the pressure-scan work and the
+// admission failures. The golden digests do not cover the first three.
 type scanCounts struct {
 	PressuredArrivals, PressureScored, PressurePruned int
-	RiskRejections, ReclamationFailures               int
+	ReclamationFailures                               int
 }
 
 func scanCountsOf(r *Result) scanCounts {
-	return scanCounts{r.PressuredArrivals, r.PressureScored, r.PressurePruned, r.RiskRejections, r.ReclamationFailures}
+	return scanCounts{r.PressuredArrivals, r.PressureScored, r.PressurePruned, r.ReclamationFailures}
 }
 
 // TestPinnedScanCounters pins the outcome folds to the counts the
 // manager's own counters reported before the manager stopped counting:
-// one risk-aware run behind the headroom gate, one rack-shocked run whose
-// evacuations both relocate and kill (evacuee placements feed the scan
-// meters but never the admission failures), and one SLO-metered run. A
-// fold that drops, doubles or misclassifies a placement moves a count.
+// one rack-shocked run whose evacuations both relocate and kill (evacuee
+// placements feed the scan meters but never the admission failures) and
+// one SLO-metered run. A third run, on partitioned pools under an
+// explicit schedule with resizes, is pinned to the folds as first
+// measured on the single-index pools. A fold that drops, doubles or
+// misclassifies a placement moves a count.
 func TestPinnedScanCounters(t *testing.T) {
 	diurnal, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioDiurnal, NumVMs: 400, Duration: 86400, Seed: 3})
 	if err != nil {
@@ -44,11 +45,11 @@ func TestPinnedScanCounters(t *testing.T) {
 		// vacuous reports a run that does not exercise what it pins.
 		vacuous func(r *Result) bool
 	}{
-		{"risk", riskConfig(testTrace(400)), scanCounts{120, 108, 384, 72, 82},
-			func(r *Result) bool { return r.RiskRejections == 0 || r.Revocations == 0 }},
-		{"shocked", Config{Trace: diurnal, Policy: policy.Priority{}, Overcommit: 0.75, ShockConfig: sc}, scanCounts{192, 176, 959, 0, 9},
+		{"pools-resize", poolsResizeConfig(testTrace(400)), scanCounts{187, 153, 289, 21},
+			func(r *Result) bool { return r.Resizes == 0 || r.Evacuations == 0 }},
+		{"shocked", Config{Trace: diurnal, Policy: policy.Priority{}, Overcommit: 0.75, ShockConfig: sc}, scanCounts{192, 176, 959, 9},
 			func(r *Result) bool { return r.Evacuations == 0 || r.ShockKills == 0 }},
-		{"slo", sloTestConfig(bursty, 0.5), scanCounts{32, 33, 415, 0, 0},
+		{"slo", sloTestConfig(bursty, 0.5), scanCounts{32, 33, 415, 0},
 			func(r *Result) bool { return r.SLOSampleSeconds == 0 }},
 	}
 	for _, c := range cases {

@@ -14,7 +14,7 @@ import (
 // fail the run instead of being swapped for the generator's defaults. A
 // negative rate used to run at the default 0.5/day and a NaN one at no
 // rate at all; an unknown kind generated nothing. Both modes read the
-// same config, and so does the risk model.
+// same config.
 func TestShockConfigValidation(t *testing.T) {
 	tr := testTrace(100)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -35,7 +35,6 @@ func TestShockConfigValidation(t *testing.T) {
 		{"negative duration", trace.ShockConfig{Kind: trace.ShockPoisson, Duration: -86400}},
 		{"NaN duration", trace.ShockConfig{Kind: trace.ShockPoisson, Duration: nan}},
 		{"+Inf duration", trace.ShockConfig{Kind: trace.ShockPoisson, Duration: inf}},
-		{"NaN rate scale", trace.ShockConfig{Kind: trace.ShockPoisson, RateScale: []float64{1, nan}}},
 		{"unknown kind", trace.ShockConfig{Kind: "weekly"}},
 	}
 	for _, tc := range cases {

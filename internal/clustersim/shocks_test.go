@@ -229,3 +229,69 @@ func TestShockedSweepGrid(t *testing.T) {
 		}
 	}
 }
+
+// TestSameInstantRestoreRevokeRace pins the event-order contract under
+// the nastiest schedule: restores and revocations sharing an instant
+// with an in-flight evacuation, plus a restore+re-revoke of the same
+// server at one instant (two back-to-back outages, not a dropped one).
+// The restore must free its capacity before the same-instant
+// revocation's evacuation places into it, identically on the indexed
+// engine and under every retained oracle.
+func TestSameInstantRestoreRevokeRace(t *testing.T) {
+	tr := testTrace(350)
+	h := tr.Duration()
+	shocks := []trace.CapacityShock{
+		{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 0},
+		// One instant: S0 returns, S1 and S2 go — the coalesced two-server
+		// evacuation may land displaced VMs on the just-restored S0.
+		{At: 0.5 * h, Kind: trace.ShockRestore, Server: 0},
+		{At: 0.5 * h, Kind: trace.ShockRevoke, Server: 1},
+		{At: 0.5 * h, Kind: trace.ShockRevoke, Server: 2},
+		// One instant: S1 restores and is immediately revoked again — the
+		// restore-before-revoke order makes this two outages.
+		{At: 0.7 * h, Kind: trace.ShockRestore, Server: 1},
+		{At: 0.7 * h, Kind: trace.ShockRevoke, Server: 1},
+		{At: 0.9 * h, Kind: trace.ShockRestore, Server: 1},
+		{At: 0.9 * h, Kind: trace.ShockRestore, Server: 2},
+	}
+	base := Config{Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Shocks: shocks}
+	want, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Revocations != 4 || want.Restorations != 4 {
+		t.Fatalf("processed %d revocations / %d restorations, want 4 / 4 (re-revoke replayed as a second outage)",
+			want.Revocations, want.Restorations)
+	}
+	if want.Evacuations == 0 {
+		t.Fatal("schedule displaced nobody — the race is vacuous")
+	}
+	runOracleModes(t, "", base, want)
+}
+
+// poolsResizeConfig is a run on priority-partitioned pools under an
+// explicit schedule of revocations and resizes: servers leave, return,
+// shrink and grow back, so each pool's indexes see entries go, come
+// back and change size, and a shrink's evacuees re-place through the
+// pool filter.
+func poolsResizeConfig(tr *trace.AzureTrace) Config {
+	h := tr.Duration()
+	return Config{
+		Trace:       tr,
+		Policy:      policy.Priority{},
+		Partitioned: true,
+		Overcommit:  0.4,
+		Shocks: []trace.CapacityShock{
+			{At: 0.15 * h, Kind: trace.ShockResize, Server: 0, Scale: 0.4},
+			{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 3},
+			{At: 0.3 * h, Kind: trace.ShockResize, Server: 5, Scale: 0.3},
+			{At: 0.4 * h, Kind: trace.ShockRestore, Server: 3},
+			{At: 0.45 * h, Kind: trace.ShockResize, Server: 1, Scale: 0.5},
+			{At: 0.5 * h, Kind: trace.ShockResize, Server: 0, Scale: 1},
+			{At: 0.6 * h, Kind: trace.ShockRevoke, Server: 2},
+			{At: 0.7 * h, Kind: trace.ShockResize, Server: 5, Scale: 1},
+			{At: 0.8 * h, Kind: trace.ShockRestore, Server: 2},
+			{At: 0.85 * h, Kind: trace.ShockResize, Server: 1, Scale: 1},
+		},
+	}
+}

@@ -118,12 +118,6 @@ type Options struct {
 	// the metrics judge it by. The "latency" strategy is meaningful only
 	// with this set (without it every VM's load reads zero).
 	SLO *SLOConfig
-	// Portfolio provisions every grid point's fleet as this server-type
-	// mix (Config.Portfolio); nil keeps homogeneous fleets.
-	Portfolio []ServerType
-	// Risk turns on revocation-risk forecasting for every deflation-mode
-	// grid point (Config.Risk); the preemption baseline ignores it.
-	Risk *RiskOptions
 }
 
 func (o Options) workers(jobs int) int {
@@ -266,8 +260,6 @@ func runGrid(reps []replicate, strategies []string, overcommitPcts []float64, op
 		cfg.Stream = rep.s
 		cfg.Notify = opts.Notify
 		cfg.ShockConfig = opts.ShockConfig
-		cfg.Portfolio = opts.Portfolio
-		cfg.Risk = opts.Risk
 		applySLO(&cfg, opts.SLO)
 		res, err := Run(cfg)
 		if err != nil {
@@ -333,8 +325,8 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 // AverageSweeps reduces per-replicate sweeps (as returned by
 // ReplicatedSweep) to their pointwise mean, for plotting a scenario's
 // expected curve with seed noise averaged out. The mean point carries
-// the failure probability, throughput loss, revenue, fleet, shock,
-// risk and SLO figures a sweep plots; counts are rounded to the nearest
+// the failure probability, throughput loss, revenue, fleet, shock and
+// SLO figures a sweep plots; counts are rounded to the nearest
 // integer, and the rest of its Result is zero.
 func AverageSweeps(reps [][]*SweepResult) []*SweepResult {
 	if len(reps) == 0 {
@@ -346,7 +338,7 @@ func AverageSweeps(reps [][]*SweepResult) []*SweepResult {
 		avg := &SweepResult{Strategy: first.Strategy, Points: make([]SweepPoint, len(first.Points))}
 		for pi, p := range first.Points {
 			acc := SweepPoint{OvercommitPct: p.OvercommitPct, Result: Result{Revenue: map[string]float64{}}}
-			var servers, admitted, revocations, evacuations, kills, riskRej float64
+			var servers, admitted, revocations, evacuations, kills float64
 			for _, rep := range reps {
 				q := rep[si].Points[pi]
 				acc.FailureProbability += q.FailureProbability / n
@@ -362,7 +354,6 @@ func AverageSweeps(reps [][]*SweepResult) []*SweepResult {
 				revocations += float64(q.Revocations) / n
 				evacuations += float64(q.Evacuations) / n
 				kills += float64(q.ShockKills) / n
-				riskRej += float64(q.RiskRejections) / n
 				for name, v := range q.Revenue {
 					acc.Revenue[name] += v / n
 				}
@@ -372,7 +363,6 @@ func AverageSweeps(reps [][]*SweepResult) []*SweepResult {
 			acc.Revocations = int(revocations + 0.5)
 			acc.Evacuations = int(evacuations + 0.5)
 			acc.ShockKills = int(kills + 0.5)
-			acc.RiskRejections = int(riskRej + 0.5)
 			avg.Points[pi] = acc
 		}
 		out[si] = avg

@@ -105,7 +105,7 @@ func runChecked(t *testing.T, cfg Config) (*Result, int) {
 }
 
 // meteringCases are the configurations the differential, revocation,
-// SLO, risk and stream suites drive, built by those suites' own helpers.
+// SLO, pools and stream suites drive, built by those suites' own helpers.
 func meteringCases(t *testing.T) map[string]Config {
 	t.Helper()
 	tr := testTrace(400)
@@ -129,9 +129,9 @@ func meteringCases(t *testing.T) map[string]Config {
 			{At: 0.5 * h, Kind: trace.ShockRevoke, Server: 2},
 			{At: 0.6 * h, Kind: trace.ShockResize, Server: 1, Scale: 1},
 		}},
-		"slo":         sloTestConfig(bursty, 0.5),
-		"slo shocked": {Trace: bursty, Policy: policy.Proportional{}, Overcommit: 0.5, SLO: &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}, ShockConfig: testShockConfig(4)},
-		"risk":        riskConfig(tr),
+		"slo":          sloTestConfig(bursty, 0.5),
+		"slo shocked":  {Trace: bursty, Policy: policy.Proportional{}, Overcommit: 0.5, SLO: &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}, ShockConfig: testShockConfig(4)},
+		"pools resize": poolsResizeConfig(tr),
 		// Metered through no scheme at all (forEachMeteringCase swaps
 		// the list): a meter column of width zero.
 		"zero schemes":   {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)},

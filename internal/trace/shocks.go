@@ -104,12 +104,10 @@ func ParseShockScenario(s string) (ShockScenario, error) {
 }
 
 // Diurnal revocation window: revocations are admitted only between
-// these day-relative offsets (the provider's daily demand peak). The
-// constants are exported so the analytic risk model (internal/risk) can
-// integrate hazard over exactly the window the generator uses.
+// these day-relative offsets (the provider's daily demand peak).
 const (
-	DiurnalWindowStart = 10 * 3600.0
-	DiurnalWindowLen   = 6 * 3600.0
+	diurnalWindowStart = 10 * 3600.0
+	diurnalWindowLen   = 6 * 3600.0
 )
 
 // ShockConfig parameterises GenerateShocks.
@@ -130,32 +128,8 @@ type ShockConfig struct {
 	// revoked; candidate revocations that would exceed it are dropped
 	// (default 0.5, minimum one server).
 	MaxOutFraction float64
-	// RateScale, when non-nil, multiplies RatePerDay per server: server
-	// s revokes at RatePerDay*RateScale[s] per day (servers past the
-	// slice length scale by 1). This is the portfolio-fleet hook — cheap
-	// server types carry higher revocation rates. For rack shocks the
-	// shocked rack is drawn weighted by the rack's summed scale, so
-	// per-server expectations still follow the scales. A nil RateScale
-	// reproduces the historical schedules bit-for-bit.
-	RateScale []float64
 	// Seed drives the schedule's RNG.
 	Seed int64
-}
-
-// WithDefaults returns the config with unset fields replaced by the
-// generator defaults — the exact parameters GenerateShocks runs with,
-// which is what the analytic risk model must read.
-func (c ShockConfig) WithDefaults() ShockConfig {
-	c.applyDefaults()
-	return c
-}
-
-// scale returns server s's rate multiplier.
-func (c *ShockConfig) scale(s int) float64 {
-	if s >= len(c.RateScale) {
-		return 1
-	}
-	return c.RateScale[s]
 }
 
 // MaxOutServers converts MaxOutFraction into the simultaneous-revocation
@@ -171,13 +145,13 @@ func (c ShockConfig) MaxOutServers(nServers int) int {
 	return maxOut
 }
 
-// EffectiveRackSize is the correlated group size rack shocks actually
+// effectiveRackSize is the correlated group size rack shocks actually
 // use for a fleet of nServers: RackSize clamped to the fleet and to the
 // MaxOutServers cap. Without the cap clamp a rack wider than the cap
 // starves its tail — the admission sweep visits same-instant candidates
 // in server order, so servers past the cap inside an oversized rack
 // would never be revoked.
-func (c ShockConfig) EffectiveRackSize(nServers int) int {
+func (c ShockConfig) effectiveRackSize(nServers int) int {
 	c.applyDefaults()
 	rack := c.RackSize
 	if rack > nServers {
@@ -210,11 +184,9 @@ type outage struct {
 	server     int
 }
 
-// MinOutageSeconds floors every outage duration so a revoke and its
-// restore can never collapse onto the same instant. Exported because
-// the floor shifts the outage-duration mean, and the analytic risk
-// model must account for exactly the distribution drawOutage samples.
-const MinOutageSeconds = 60.0
+// minOutageSeconds floors every outage duration so a revoke and its
+// restore can never collapse onto the same instant.
+const minOutageSeconds = 60.0
 
 // GenerateShocks builds the deterministic shock schedule for a cluster
 // of nServers. The returned slice is sorted by (At, Server, Kind); ties
@@ -247,27 +219,22 @@ func GenerateShocks(cfg ShockConfig, nServers int) []CapacityShock {
 
 // drawOutage samples one outage duration (exponential, floored).
 func drawOutage(rng *rand.Rand, cfg ShockConfig) float64 {
-	return math.Max(MinOutageSeconds, rng.ExpFloat64()*cfg.OutageMean)
+	return math.Max(minOutageSeconds, rng.ExpFloat64()*cfg.OutageMean)
 }
 
 // poissonOutages draws each server's revocation timeline independently:
-// exponential gaps at RatePerDay (times the server's RateScale),
-// exponential outages. Servers are visited in index order off one
-// seeded RNG, so the candidate list is a pure function of the config.
+// exponential gaps at RatePerDay, exponential outages. Servers are
+// visited in index order off one seeded RNG, so the candidate list is a
+// pure function of the config.
 func poissonOutages(rng *rand.Rand, cfg ShockConfig, nServers int) []outage {
 	gapMean := 86400 / cfg.RatePerDay
 	var out []outage
 	for s := 0; s < nServers; s++ {
-		sc := cfg.scale(s)
-		if sc <= 0 {
-			continue
-		}
-		gm := gapMean / sc
-		t := rng.ExpFloat64() * gm
+		t := rng.ExpFloat64() * gapMean
 		for t < cfg.Duration {
 			end := t + drawOutage(rng, cfg)
 			out = append(out, outage{start: t, end: end, server: s})
-			t = end + rng.ExpFloat64()*gm
+			t = end + rng.ExpFloat64()*gapMean
 		}
 	}
 	return out
@@ -278,24 +245,19 @@ func poissonOutages(rng *rand.Rand, cfg ShockConfig, nServers int) []outage {
 // kept only when they fall inside [10:00, 16:00) of their day, so the
 // per-day expectation still matches RatePerDay.
 func diurnalOutages(rng *rand.Rand, cfg ShockConfig, nServers int) []outage {
-	gapMean := DiurnalWindowLen / cfg.RatePerDay
+	gapMean := diurnalWindowLen / cfg.RatePerDay
 	var out []outage
 	for s := 0; s < nServers; s++ {
-		sc := cfg.scale(s)
-		if sc <= 0 {
-			continue
-		}
-		gm := gapMean / sc
-		t := rng.ExpFloat64() * gm
+		t := rng.ExpFloat64() * gapMean
 		for t < cfg.Duration {
 			dayOff := math.Mod(t, 86400)
-			if dayOff >= DiurnalWindowStart && dayOff < DiurnalWindowStart+DiurnalWindowLen {
+			if dayOff >= diurnalWindowStart && dayOff < diurnalWindowStart+diurnalWindowLen {
 				end := t + drawOutage(rng, cfg)
 				out = append(out, outage{start: t, end: end, server: s})
-				t = end + rng.ExpFloat64()*gm
+				t = end + rng.ExpFloat64()*gapMean
 				continue
 			}
-			t += rng.ExpFloat64() * gm
+			t += rng.ExpFloat64() * gapMean
 		}
 	}
 	return out
@@ -310,47 +272,16 @@ func rackOutages(rng *rand.Rand, cfg ShockConfig, nServers int) []outage {
 	// oversized rack would otherwise have its tail servers dropped by the
 	// admission sweep on every shock (same-instant candidates admit in
 	// server order), starving them of revocations entirely.
-	rack := cfg.EffectiveRackSize(nServers)
+	rack := cfg.effectiveRackSize(nServers)
 	nRacks := (nServers + rack - 1) / rack
-	// Rack weights follow the per-server rate scales: each shock draws
-	// its rack proportional to the rack's summed scale, so a rack's
-	// revocation rate is RatePerDay * avg(scale in rack) per server per
-	// day. With no RateScale the draw degenerates to rng.Intn(nRacks),
-	// keeping historical schedules bit-identical.
-	var weights []float64
-	totW := float64(nServers)
-	if len(cfg.RateScale) > 0 {
-		weights = make([]float64, nRacks)
-		totW = 0
-		for g := 0; g < nRacks; g++ {
-			for s := g * rack; s < (g+1)*rack && s < nServers; s++ {
-				weights[g] += cfg.scale(s)
-			}
-			totW += weights[g]
-		}
-		if totW <= 0 {
-			return nil
-		}
-	}
 	// Each shock revokes `rack` servers, so the cluster-level rate that
-	// keeps the per-server expectation at RatePerDay*scale is
-	// RatePerDay*totW/rack per day.
-	gapMean := 86400 * float64(rack) / (cfg.RatePerDay * totW)
+	// keeps the per-server expectation at RatePerDay is
+	// RatePerDay*nServers/rack per day.
+	gapMean := 86400 * float64(rack) / (cfg.RatePerDay * float64(nServers))
 	var out []outage
 	t := rng.ExpFloat64() * gapMean
 	for t < cfg.Duration {
-		var g int
-		if weights == nil {
-			g = rng.Intn(nRacks)
-		} else {
-			u := rng.Float64() * totW
-			for g = 0; g < nRacks-1; g++ {
-				if u < weights[g] {
-					break
-				}
-				u -= weights[g]
-			}
-		}
+		g := rng.Intn(nRacks)
 		end := t + drawOutage(rng, cfg)
 		for s := g * rack; s < (g+1)*rack && s < nServers; s++ {
 			out = append(out, outage{start: t, end: end, server: s})

@@ -80,7 +80,7 @@ func TestDiurnalShocksStayInWindow(t *testing.T) {
 			continue
 		}
 		off := math.Mod(sh.At, 86400)
-		if off < DiurnalWindowStart || off >= DiurnalWindowStart+DiurnalWindowLen {
+		if off < diurnalWindowStart || off >= diurnalWindowStart+diurnalWindowLen {
 			t.Fatalf("revocation at %g (day offset %g) outside the [10h,16h) window", sh.At, off)
 		}
 	}
@@ -215,55 +215,6 @@ func TestRackShocksClampedToFleetAndCap(t *testing.T) {
 						t.Errorf("server %d never revoked over 30 days at rate 4/day — rack starvation", s)
 					}
 				}
-			}
-		})
-	}
-}
-
-// TestRateScaleShapesPerServerRates: the portfolio hook. A nil
-// RateScale reproduces historical schedules bit-for-bit; a set one
-// shifts revocation mass toward the scaled-up servers.
-func TestRateScaleShapesPerServerRates(t *testing.T) {
-	for _, kind := range []ShockScenario{ShockPoisson, ShockDiurnal, ShockRack} {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := shockCfg(kind)
-			base := GenerateShocks(cfg, 16)
-			cfg.RateScale = []float64{}
-			if got := GenerateShocks(cfg, 16); !reflect.DeepEqual(base, got) {
-				t.Fatal("empty RateScale changed the schedule vs nil")
-			}
-			// Servers 8..15 revoke 4x as often as 0..7. Over a long
-			// horizon the high-rate half must carry the clear majority of
-			// revocations.
-			cfg = shockCfg(kind)
-			cfg.Duration, cfg.MaxOutFraction = 60*86400, 1
-			cfg.RateScale = make([]float64, 16)
-			for s := range cfg.RateScale {
-				if s < 8 {
-					cfg.RateScale[s] = 0.25
-				} else {
-					cfg.RateScale[s] = 1
-				}
-			}
-			if kind == ShockRack {
-				cfg.RackSize = 4 // racks align with the scale split
-			}
-			var lo, hi int
-			for _, sh := range GenerateShocks(cfg, 16) {
-				if sh.Kind != ShockRevoke {
-					continue
-				}
-				if sh.Server < 8 {
-					lo++
-				} else {
-					hi++
-				}
-			}
-			if lo+hi == 0 {
-				t.Fatal("no revocations generated")
-			}
-			if float64(hi) < 2*float64(lo) {
-				t.Fatalf("rate-scaled servers got %d revocations vs %d for the 4x-slower half — scales not applied", hi, lo)
 			}
 		})
 	}

@@ -571,12 +571,11 @@ func TestEveryInternalDeclarationIsReached(t *testing.T) {
 // the generators' calibration data, read from package tables, not a
 // setting.
 var knobExtras = map[string][]string{
-	"apps":       {"WebApp", "SocialNetwork"},
-	"cluster":    {"ServerSpec"},
-	"clustersim": {"ServerType"},
-	"perfmodel":  {"Curve"},
-	"policy":     {"LatencyAware"},
-	"pricing":    {"Static", "Allocation"},
+	"apps":      {"WebApp", "SocialNetwork"},
+	"cluster":   {"ServerSpec"},
+	"perfmodel": {"Curve"},
+	"policy":    {"LatencyAware"},
+	"pricing":   {"Static", "Allocation"},
 }
 
 // knobFields returns every exported field of the knob structs, named
@@ -632,19 +631,10 @@ func knobFields(t *testing.T, mod *module) map[*types.Var]string {
 // knobAllowed names knobs that no non-test code sets, each with the
 // test that needs to vary it.
 var knobAllowed = map[string]string{
-	"clustersim.Options.Portfolio": "TestRiskFrontier (make bench-risk): the portfolio's hazard spread is what " +
-		"the risk-aware frontier beats risk-blind placement on; removing it flips rack and poisson mixes",
-	"clustersim.Options.Risk":              "TestRiskFrontier: the risk-aware side of the frontier",
-	"clustersim.ServerType.Name":           "TestRiskFrontier's portfolio: labels its server types",
-	"clustersim.ServerType.Fraction":       "TestRiskFrontier's portfolio: the fleet mix",
-	"clustersim.ServerType.PriceFactor":    "TestRiskFrontier's portfolio: prices FleetCost per type",
-	"clustersim.ServerType.ShockRateScale": "TestRiskFrontier's portfolio: the per-type hazard the risk model bands on",
-	"clustersim.RiskOptions.HighPriority":  "TestRiskFrontier and the risk validation rows: the banded-order threshold",
-	"clustersim.RiskOptions.Bands":         "TestRiskFrontier and the risk suites: the hazard band count",
-	"clustersim.RiskOptions.HeadroomScale": "TestRiskFrontier: the headroom reserve the frontier trades revenue for kills on",
 	"clustersim.Config.Shocks": "the only route to the resize path (GenerateShocks emits no ShockResize), " +
 		"which bench's replay drives through cluster.Manager.ResizeServer",
-	"trace.ShockConfig.MaxOutFraction": "the risk model's exactness tests set it to 1 (every server may be out at once)",
+	"trace.ShockConfig.MaxOutFraction": "the generator's cap tests vary it (TestRackShocksAreCorrelated, " +
+		"TestMaxOutServersBoundary, TestRackShocksClampedToFleetAndCap in internal/trace/shocks_test.go) and FuzzShockInputs fuzzes it",
 	"apps.WikipediaConfig.Duration": "TestFig16WikipediaRTFlatTo70 / TestFig17 (wikiFixture) and the apps tests " +
 		"shorten the 120 s run to 20-40 s",
 	"apps.SocialNetConfig.Duration": "TestFig18MicroservicesServeThroughTheKnee and the apps tests shorten the 60 s run to 40 s",
@@ -654,8 +644,8 @@ var knobAllowed = map[string]string{
 // knobWrites returns, for every field of the knob structs, whether some
 // non-test code outside its own package's defaulting writes it: as a
 // composite-literal key, or as the selector on the left of an
-// assignment or an increment. Defaulting is applyDefaults, WithDefaults
-// and every Default* or New* function: a constructor that fills a field
+// assignment or an increment. Defaulting is applyDefaults and every
+// Default* or New* function: a constructor that fills a field
 // with a value of its own has chosen a constant, not taken a setting.
 func knobWrites(mod *module, fields map[*types.Var]string) map[*types.Var]bool {
 	written := map[*types.Var]bool{}
@@ -707,8 +697,7 @@ func knobWrites(mod *module, fields map[*types.Var]string) map[*types.Var]bool {
 // isDefaulting reports whether a function of this name fills its own
 // package's structs with their defaults.
 func isDefaulting(name string) bool {
-	return name == "applyDefaults" || name == "WithDefaults" ||
-		strings.HasPrefix(name, "Default") || strings.HasPrefix(name, "New")
+	return name == "applyDefaults" || strings.HasPrefix(name, "Default") || strings.HasPrefix(name, "New")
 }
 
 // TestEveryKnobIsSet holds the knob structs (knobFields) to what the
