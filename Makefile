@@ -23,7 +23,8 @@ race:
 # Focused race shard over placement batches and the revocation churn
 # suite: capacity-shock evacuations and the engines driving them, plus
 # the layers under them — one host's mutators against its readers under the
-# single host lock, the batched limit write, the hypervisor's concurrent
+# single host lock, the batched limit write (one domain's and one pass's,
+# against the per-VM writes), the hypervisor's concurrent
 # offered-load writes against view reads, the manager's dirty list, the
 # events built from the view and the capacity index's in-place re-key
 # and payload-reading surplus probe — and what concurrent engines
@@ -37,7 +38,7 @@ race:
 # pinned scan counters — a fast, explicit signal beside the full
 # `race` run.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|LimitWrites|PerVMWrites|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -52,7 +53,8 @@ bench-smoke:
 # across ring resizes (recycled node storage), the streamed trace's
 # per-VM parameter draw, a host's load writes
 # followed by a deflatable-view read, a host's refresh walk after a limit
-# write, the capacity index's re-key
+# write, one policy pass's batched limit write over a host's residents,
+# the capacity index's re-key
 # and its surplus probe, fleet sizing's pruned tightest-fit scan with its
 # re-sorts on a sized fleet AND notify.Bus.Publish must all report 0
 # allocs/op, or the build fails. The awk gate names each required
@@ -64,7 +66,7 @@ bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|CalendarQueueSteadyState|CalendarQueueResizeChurn|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'StreamParams' -benchmem ./internal/trace | tee -a BENCH_allocs.txt
-	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState|LimitWriteBatchSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
@@ -73,6 +75,7 @@ bench-allocs:
 			want["BenchmarkCalendarQueueSteadyState"]; want["BenchmarkCalendarQueueResizeChurn"]; \
 			want["BenchmarkFleetFitSteadyState"]; want["BenchmarkStreamParams"]; \
 			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkRefreshWalkSteadyState"]; \
+			want["BenchmarkLimitWriteBatchSteadyState"]; \
 			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkSurplusProbeSteadyState"]; \
 			want["BenchmarkPublishSteadyState"] } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
@@ -80,7 +83,7 @@ bench-allocs:
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue (churn + resize-crossing fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue (churn + resize-crossing fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager, on one goroutine, reported to

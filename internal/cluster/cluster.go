@@ -51,33 +51,45 @@ import (
 
 	"vmdeflate/internal/cluster/capindex"
 	"vmdeflate/internal/hypervisor"
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/notify"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
 )
 
-// applyAndNotify applies target to d through the transparent mechanism
-// (Section 7.4's cluster evaluation runs no other) and publishes an
-// allocation-change event when a bus is configured. old is d's
-// allocation before the write: the Current column of the deflatable view
-// the pass read, which nothing but this call moves within the pass — so
-// the event is built from the view and from what Apply returns, with no
-// further locked read of the domain.
-func applyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, target resources.Vector) error {
-	got, err := mechanism.Transparent{}.Apply(d, target)
-	if err != nil {
+// writeTargets applies a policy pass's targets transparently (Section
+// 7.4's cluster evaluation runs no other mechanism): targets[i] belongs
+// to s.scratch.doms[i], whose allocation going in is
+// s.scratch.vms[i].Current. Each target takes the hypervisor's clamp,
+// the pass is one Host.SetLimits call, which overwrites targets with the
+// achieved allocations, and then each moved domain's event is published
+// in view order, with no further locked read.
+func writeTargets(s *Server, cfg *Config, targets []resources.Vector) error {
+	sc := &s.scratch
+	doms := sc.doms[:len(targets)]
+	for i, d := range doms {
+		t, err := d.ClampTarget(targets[i])
+		if err != nil {
+			return err
+		}
+		targets[i] = t
+	}
+	if err := s.Host.SetLimits(doms, targets); err != nil {
 		return err
 	}
-	if cfg.Notify != nil && got != old {
-		cfg.Notify.Publish(notify.Event{
-			VM:                d.Name(),
-			Server:            s.Host.Name(),
-			Kind:              notify.Classify(old, got),
-			Old:               old,
-			New:               got,
-			DeflationFraction: got.DeflationFraction(d.MaxSize()),
-		})
+	if cfg.Notify == nil {
+		return nil
+	}
+	for i, got := range targets {
+		if old := sc.vms[i].Current; got != old {
+			cfg.Notify.Publish(notify.Event{
+				VM:                doms[i].Name(),
+				Server:            s.Host.Name(),
+				Kind:              notify.Classify(old, got),
+				Old:               old,
+				New:               got,
+				DeflationFraction: got.DeflationFraction(doms[i].MaxSize()),
+			})
+		}
 	}
 	return nil
 }
@@ -658,9 +670,10 @@ const newcomerName = "\x00newcomer"
 // deflateFor is placeOnLocked's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
 // initial allocation. The pass reads the host's deflatable VM-state view
-// and runs the policy through the server's scratch arena, then applies
-// targets in the view's name order — so steady-state calls perform zero
-// heap allocations and notification delivery is deterministic.
+// and runs the policy through the server's scratch arena, then writes
+// the residents' targets in one locked write and notifies in the view's
+// name order — so steady-state calls perform zero heap allocations and
+// notification delivery is deterministic.
 func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.Vector, error) {
 	free := s.Host.Capacity().Sub(s.Host.Allocated())
 	need := dc.Size.Sub(free).ClampNonNegative()
@@ -692,20 +705,19 @@ func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.V
 		return resources.Vector{}, err
 	}
 
-	// Apply deflation to resident VMs, in the view's name order.
-	for i := 0; i < nResident; i++ {
-		if err := applyAndNotify(s, cfg, sc.doms[i], sc.vms[i].Current, res.Targets[i]); err != nil {
-			return resources.Vector{}, err
-		}
-	}
 	initial := dc.Size
 	if dc.Deflatable {
 		initial = res.Targets[nResident]
 	}
+	// Apply deflation to resident VMs, in the view's name order.
+	if err := writeTargets(s, cfg, res.Targets[:nResident]); err != nil {
+		return resources.Vector{}, err
+	}
 	return initial, nil
 }
 
-// launch defines, starts and initially sizes the new domain.
+// launch defines, starts and initially sizes the new domain: a deflated
+// initial allocation takes the transparent clamp and one limit write.
 func launch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector) (*hypervisor.Domain, error) {
 	d, err := s.Host.Define(dc)
 	if err != nil {
@@ -716,7 +728,11 @@ func launch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector) (*h
 		return nil, err
 	}
 	if initial != dc.Size {
-		if _, err := (mechanism.Transparent{}).Apply(d, initial); err != nil {
+		t, err := d.ClampTarget(initial)
+		if err == nil {
+			_, err = d.SetLimits(t)
+		}
+		if err != nil {
 			d.Shutdown()
 			s.Host.Undefine(dc.Name)
 			return nil, err
@@ -807,8 +823,8 @@ func (m *Manager) reinflateAffected(affected []*Server) error {
 // Deflated count short-circuits the common case where nothing on the
 // server is deflated, without walking its domains. Like deflateFor it
 // consumes the host's deflatable VM-state view through the server's
-// scratch arena and applies targets in name order, so steady-state calls
-// are allocation-free.
+// scratch arena and writes the targets in one locked write, notifying
+// in name order, so steady-state calls are allocation-free.
 func reinflate(s *Server, cfg *Config) error {
 	agg := s.Host.Aggregates()
 	if agg.Deflated == 0 {
@@ -828,10 +844,5 @@ func reinflate(s *Server, cfg *Config) error {
 	if err != nil && !errors.Is(err, policy.ErrInsufficient) {
 		return err
 	}
-	for i := range sc.doms {
-		if err := applyAndNotify(s, cfg, sc.doms[i], sc.vms[i].Current, res.Targets[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeTargets(s, cfg, res.Targets)
 }

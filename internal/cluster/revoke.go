@@ -257,16 +257,12 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 	if err != nil && !errors.Is(err, policy.ErrInsufficient) {
 		return err
 	}
-	for i := range sc.doms {
-		target := res.Targets[i]
-		if err != nil {
-			target = sc.doms[i].Floor()
-		}
-		if aerr := applyAndNotify(s, &m.cfg, sc.doms[i], sc.vms[i].Current, target); aerr != nil {
-			return aerr
+	if err != nil {
+		for i, d := range sc.doms {
+			res.Targets[i] = d.Floor()
 		}
 	}
-	return nil
+	return writeTargets(s, &m.cfg, res.Targets)
 }
 
 // evacuateLocked relocates the queued displaced VMs as one batch,

@@ -714,8 +714,9 @@ func (e *Engine) closeVM(slot int32, at float64) {
 // later VM of the same batch deflated it. An arrival whose ID is still
 // running fails the run: the manager is keyed by name and cannot hold
 // both. So does one whose configuration no hypervisor accepts (memory
-// below the guest kernel's reserve): it is a bad trace row, not an
-// admission decision.
+// below the guest kernel's reserve), and an interactive one whose P95,
+// and so its priority, is undefined (errUndefinedP95): each is a bad
+// trace row, not an admission decision.
 func (e *Engine) handleArrivals(evs []simEvent) error {
 	cfg := &e.cfg
 	dcs := e.dcBuf[:0]
@@ -734,6 +735,9 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 		// P95-derived priority for it (no meters, no SLO samples).
 		if deflatable {
 			p95, atStart := e.src.util(ev.seq)
+			if math.IsNaN(p95) {
+				return errUndefinedP95(vm.ID, ev.seq, len(vm.CPUUtil))
+			}
 			prio = policy.PriorityFromP95(p95, priorityLevels)
 			dc.Priority = prio
 			if cfg.SLO != nil {
@@ -791,6 +795,16 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 // earlier trace row.
 func errLiveTwice(id string, row int) error {
 	return fmt.Errorf("clustersim: trace row %d: VM ID %q arrives while an earlier row with that ID is still running", row, id)
+}
+
+// errUndefinedP95 reports an interactive trace row whose CPU P95, and so
+// its deflation priority, is undefined: a row with no samples, which a
+// CSV trace may hold, or, in a trace built in code, a NaN sample.
+func errUndefinedP95(id string, row, samples int) error {
+	if samples == 0 {
+		return fmt.Errorf("clustersim: trace row %d: interactive VM ID %q has no CPU samples to derive its priority from", row, id)
+	}
+	return fmt.Errorf("clustersim: trace row %d: interactive VM ID %q has a NaN CPU sample, so its priority is undefined", row, id)
 }
 
 // sampleVM accumulates demand/loss, SLO state and allocation-based

@@ -50,9 +50,10 @@ func checkAggregates(t *testing.T, h *Host, op string) {
 // names are drawn out of order, so most defines insert mid-order; a
 // share of defines re-use a previously undefined name, so freed row
 // slots are recycled under a name that sorts elsewhere than the slot's
-// last tenant; limit writes go through the single setters and the
-// batched SetLimits alike; and SetCapacity is interleaved, which must
-// invalidate like any other mutation.
+// last tenant; limit writes go through the single setters, the
+// one-domain SetLimits and the host's batched write (which must move the
+// epoch by at most one) alike; and SetCapacity is interleaved, which
+// must invalidate like any other mutation.
 func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op string)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -124,7 +125,7 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 			}
 			frac := 0.3 + 0.7*rng.Float64()
 			allocWrite = true
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0:
 				d.ClearTransparentLimits()
 				opName = "clear " + name
@@ -133,6 +134,26 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 					t.Fatal(err)
 				}
 				opName = "limits " + name
+			case 5: // one pass's write over several residents, repeats allowed
+				doms := []*Domain{d}
+				for len(doms) < 1+rng.Intn(5) {
+					o, err := h.Lookup(live[rng.Intn(len(live))])
+					if err != nil {
+						t.Fatal(err)
+					}
+					doms = append(doms, o)
+				}
+				lims := make([]resources.Vector, len(doms))
+				for i, o := range doms {
+					lims[i] = o.MaxSize().Scale(0.3 + 0.7*rng.Float64())
+				}
+				if err := h.SetLimits(doms, lims); err != nil {
+					t.Fatal(err)
+				}
+				if h.AllocEpoch() > epoch+1 {
+					t.Fatalf("a batched write of %d domains moved the epoch %d -> %d", len(doms), epoch, h.AllocEpoch())
+				}
+				opName = fmt.Sprintf("batched limits %s+%d", name, len(doms)-1)
 			default:
 				d.SetCPUShares(d.MaxSize().Get(resources.CPU) * frac)
 				d.SetMemoryLimit(d.MaxSize().Get(resources.Memory) * frac)

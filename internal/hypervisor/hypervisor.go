@@ -6,8 +6,9 @@
 //
 // The exported API mirrors the slice of libvirt the paper uses:
 // define/start/shutdown/undefine, SetCPUShares and the batched SetLimits
-// (cgroup limits on CPU, memory, disk and network) for transparent
-// deflation, and HotplugVCPUs / HotplugMemory for explicit deflation. A
+// (cgroup limits on CPU, memory, disk and network, for one domain or for
+// a batch of a host's domains) for transparent deflation, and
+// HotplugVCPUs / HotplugMemory for explicit deflation. A
 // Domain's Allocation() vector — the resources the applications inside
 // actually get — is the single point of truth consumed by the
 // performance models.
@@ -33,6 +34,10 @@
 // Capacity(), an atomic load; the offered load, a per-domain atomic that
 // moves no aggregate; and AllocEpoch(), the host's allocation epoch,
 // written only under the lock by the allocation writes it counts.
+//
+// A limit write (Host.SetLimits) is one critical section however many
+// domains it covers, and bumps the epoch and invalidates at most once.
+// Domain.SetLimits and SetCPUShares are its one-element case.
 package hypervisor
 
 import (
@@ -258,7 +263,7 @@ type Host struct {
 	onChange func()
 
 	// epoch is the allocation epoch (see AllocEpoch), bumped under mu by
-	// Domain.reallocLocked.
+	// SetLimits and Domain.reallocLocked.
 	epoch atomic.Uint64
 }
 
@@ -303,9 +308,10 @@ func (h *Host) Name() string { return h.cfg.Name }
 func (h *Host) Capacity() resources.Vector { return *h.capacity.Load() }
 
 // AllocEpoch returns the host's allocation epoch, a lock-free load. It
-// moves on every limit write, limit clear and hotplug on the host and on
-// nothing else, so an allocation read with it (Domain.AllocationEpoch)
-// is current for as long as the epoch is unchanged.
+// moves once per limit write call that moves an allocation (however many
+// domains the call covers) and on every hotplug, and on nothing else, so
+// an allocation read with it (Domain.AllocationEpoch) is current for as
+// long as the epoch is unchanged.
 func (h *Host) AllocEpoch() uint64 { return h.epoch.Load() }
 
 // SetCapacity resizes the host's physical capacity in place — the
@@ -632,10 +638,11 @@ func (d *Domain) guestLocked() *guestos.GuestOS {
 	return d.guest
 }
 
-// reallocLocked re-derives the allocation after a limit or hotplug
-// change, writes it to the domain's row, bumps the host's allocation
-// epoch and invalidates the host's aggregate cache. It is the one place
-// an allocation is written after Define. Called with the host's mu held.
+// reallocLocked re-derives the allocation after a hotplug change, writes
+// it to the domain's row, bumps the host's allocation epoch and
+// invalidates the host's aggregate cache. It and Host.SetLimits are the
+// only places an allocation is written after Define. Called with the
+// host's mu held.
 func (d *Domain) reallocLocked() resources.Vector {
 	a := d.derive()
 	if d.slot >= 0 {
@@ -715,9 +722,6 @@ func (d *Domain) Shutdown() error {
 // MaxSize returns the nominal undeflated allocation M_i.
 func (d *Domain) MaxSize() resources.Vector { return d.cfg.Size }
 
-// MinAllocation returns the QoS floor m_i (zero vector if none).
-func (d *Domain) MinAllocation() resources.Vector { return d.cfg.MinAllocation }
-
 // Floor returns the domain's deflation floor: its configured minimum
 // allocation, or DefaultFloor capped by the nominal size when none is
 // set. This is the single definition shared by the cluster policies and
@@ -772,45 +776,95 @@ func (d *Domain) SetOfferedLoad(v float64) {
 
 // --- Transparent deflation knobs (cgroup-backed, Section 4.2) ---
 
-// setLimit engages one cgroup controller, re-derives the domain's
-// allocation and invalidates the host's aggregate cache (a limit change
-// can move the effective allocation). A zero or negative limit is
-// rejected: freezing a VM entirely is preemption, not deflation.
+// ClampTarget bounds target into [MinAllocation, MaxSize] with at least
+// DefaultFloor's CPU and memory, so the VM never fully stalls
+// (deflation, not preemption), rejecting a negative or NaN component
+// (ErrInvalid). It is the one clamp the mechanisms and the cluster's
+// policy passes apply before a limit write; it takes no lock.
+func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) {
+	for k, x := range target {
+		if !(x >= 0) { // also catches NaN
+			return resources.Vector{}, fmt.Errorf("%w: domain %s target %s=%g is negative or NaN", ErrInvalid, d.cfg.Name, resources.Kind(k), x)
+		}
+	}
+	t := target.Clamp(d.cfg.MinAllocation, d.cfg.Size)
+	floor := DefaultFloor()
+	for _, k := range [...]resources.Kind{resources.CPU, resources.Memory} {
+		if t[k] < floor[k] {
+			t[k] = floor[k]
+		}
+	}
+	return t.Min(d.cfg.Size), nil
+}
+
+// SetLimits writes a policy pass's limits to the host's domains in one
+// critical section. In batch order, every positive component of
+// limits[i] engages doms[i]'s cgroup controller at that value (zero ones
+// leave theirs as they are), and limits[i] is replaced by the allocation
+// doms[i] ends up with. A domain of another host, a length mismatch or a
+// negative or NaN component anywhere refuses the whole batch (ErrInvalid)
+// before anything is written. If any write moved an allocation, the
+// allocation epoch moves by exactly one and the aggregates are
+// invalidated once; otherwise neither is touched.
+func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
+	if len(doms) != len(limits) {
+		return fmt.Errorf("%w: host %s limit write of %d domains with %d limit vectors", ErrInvalid, h.cfg.Name, len(doms), len(limits))
+	}
+	for i, d := range doms {
+		if d.host != h {
+			return fmt.Errorf("%w: domain %s is not on host %s", ErrInvalid, d.cfg.Name, h.cfg.Name)
+		}
+		for k, x := range limits[i] {
+			if !(x >= 0) { // also catches NaN
+				return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.cfg.Name, resources.Kind(k), x)
+			}
+		}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	moved := false
+	for i, d := range doms {
+		old := d.allocLocked()
+		for k, x := range limits[i] {
+			if x > 0 {
+				d.limits[k] = x
+			}
+		}
+		a := d.derive()
+		if a != old {
+			if d.slot >= 0 {
+				h.rows[d.slot].setAlloc(a)
+			}
+			moved = true
+		}
+		limits[i] = a
+	}
+	if moved {
+		h.epoch.Add(1)
+		h.invalidateLocked()
+	}
+	return nil
+}
+
+// SetLimits is Host.SetLimits on this one domain; it returns the
+// allocation the domain ends up with.
+func (d *Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
+	doms, v := [1]*Domain{d}, [1]resources.Vector{limits}
+	if err := d.host.SetLimits(doms[:], v[:]); err != nil {
+		return resources.Vector{}, err
+	}
+	return v[0], nil
+}
+
+// setLimit engages the one cgroup controller k at v through SetLimits.
+// A zero, negative or NaN limit is rejected: freezing a VM entirely is
+// preemption, not deflation.
 func (d *Domain) setLimit(k resources.Kind, v float64) error {
 	if !(v > 0) {
 		return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.cfg.Name, k, v)
 	}
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	d.limits[k] = v
-	d.reallocLocked()
-	return nil
-}
-
-// SetLimits is the write a deflation mechanism issues per target, in
-// one critical section: every positive component of limits engages its
-// cgroup controller at that value (zero components leave their
-// controller as it is; a negative one rejects the whole write, wrapping
-// ErrInvalid), and the allocation the domain ends up with is returned —
-// derived, like Allocation, from the plugged resources capped by every
-// engaged limit.
-func (d *Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
-	for k, x := range limits {
-		if x < 0 {
-			return resources.Vector{}, fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.cfg.Name, resources.Kind(k), x)
-		}
-	}
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	if limits.IsZero() { // nothing engaged: nothing moved, nothing to invalidate
-		return d.allocLocked(), nil
-	}
-	for k, x := range limits {
-		if x > 0 {
-			d.limits[k] = x
-		}
-	}
-	return d.reallocLocked(), nil
+	_, err := d.SetLimits(resources.Vector{}.With(k, v))
+	return err
 }
 
 // SetCPUShares caps the domain's CPU consumption at cores physical cores

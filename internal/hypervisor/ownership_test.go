@@ -356,8 +356,10 @@ func TestDefineAllocatesOnce(t *testing.T) {
 }
 
 // BenchmarkRefreshWalkSteadyState is one dirty episode on a populated
-// host: a limit write invalidates, the next Aggregates() re-derives the
-// host over its 20 residents' rows. `make bench-allocs` requires
+// host: a limit write that moves an allocation (each resident's CPU
+// limit alternates between 1 and 1.5 cores from one round of the
+// residents to the next) invalidates, the next Aggregates() re-derives
+// the host over its 20 residents' rows. `make bench-allocs` requires
 // 0 allocs/op; ns/op is what every mutated server owes the cluster's
 // dirty sync.
 func BenchmarkRefreshWalkSteadyState(b *testing.B) {
@@ -370,13 +372,13 @@ func BenchmarkRefreshWalkSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if err := doms[n%len(doms)].SetCPUShares(1 + float64(n%2)/2); err != nil {
+		if err := doms[n%len(doms)].SetCPUShares(1 + float64(n/len(doms)%2)/2); err != nil {
 			b.Fatal(err)
 		}
 		running += h.Aggregates().Running
 	}
 	b.StopTimer()
-	if running != b.N*len(doms) || h.Aggregates() != freshAggregates(h) {
+	if running != b.N*len(doms) || h.AllocEpoch() != uint64(b.N) || h.Aggregates() != freshAggregates(h) {
 		b.Fatalf("refresh walk lost residents: %d running over %d walks", running, b.N)
 	}
 }

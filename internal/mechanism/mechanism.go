@@ -33,24 +33,15 @@ type Mechanism interface {
 	Apply(d *hypervisor.Domain, target resources.Vector) (resources.Vector, error)
 }
 
-// clampTarget bounds target into the domain's feasible range and keeps at
-// least a sliver of CPU and memory so the VM never fully stalls
-// (deflation, not preemption). It returns an error for negative targets.
+// clampTarget bounds target into the domain's feasible range with the
+// hypervisor's one clamp (Domain.ClampTarget), and wraps its refusal of
+// a negative or NaN target in ErrTarget.
 func clampTarget(d *hypervisor.Domain, target resources.Vector) (resources.Vector, error) {
-	if err := target.CheckNonNegative(); err != nil {
+	t, err := d.ClampTarget(target)
+	if err != nil {
 		return resources.Vector{}, fmt.Errorf("%w: %v", ErrTarget, err)
 	}
-	t := target.Clamp(d.MinAllocation(), d.MaxSize())
-	// Per-dimension safety floor (hypervisor.DefaultFloor): even a
-	// 0.05-CPU / 64 MB microservice container keeps running.
-	floor := hypervisor.DefaultFloor()
-	if cpu := floor.Get(resources.CPU); t.Get(resources.CPU) < cpu {
-		t = t.With(resources.CPU, cpu)
-	}
-	if mem := floor.Get(resources.Memory); t.Get(resources.Memory) < mem {
-		t = t.With(resources.Memory, mem)
-	}
-	return t.Min(d.MaxSize()), nil
+	return t, nil
 }
 
 // Transparent implements Section 4.2: all deflation happens through the

@@ -158,6 +158,34 @@ func TestTargetValidation(t *testing.T) {
 	}
 }
 
+// TestNaNTargetRejected: a target with a NaN component used to pass the
+// clamp (NaN fails every comparison) and the limit write (which read it
+// as "leave this controller as it is"): Transparent returned a nil error
+// with the CPU untouched, and Hybrid, rounding NaN cores, hot-unplugged
+// the guest to one vCPU. Both now refuse the target before any write.
+func TestNaNTargetRejected(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		m      Mechanism
+		target resources.Vector
+	}{
+		{Transparent{}, resources.New(nan, 8192, 50, 500)},
+		{Hybrid{}, resources.New(nan, 8192, 50, 500)},
+		{Transparent{}, resources.New(4, nan, 50, 500)},
+		{Hybrid{}, resources.New(4, 8192, 50, nan)},
+	} {
+		d := newDomain(t, 8, 16384)
+		before, online := d.Allocation(), d.Guest().OnlineVCPUs()
+		if _, err := tc.m.Apply(d, tc.target); !errors.Is(err, ErrTarget) {
+			t.Errorf("%s target %v: err = %v, want ErrTarget", tc.m.Name(), tc.target, err)
+		}
+		if got := d.Allocation(); got != before || d.Guest().OnlineVCPUs() != online {
+			t.Errorf("%s target %v: a refused target moved the allocation %v -> %v, vCPUs %d -> %d",
+				tc.m.Name(), tc.target, before, got, online, d.Guest().OnlineVCPUs())
+		}
+	}
+}
+
 func TestTargetAboveSizeClamps(t *testing.T) {
 	d := newDomain(t, 4, 8192)
 	got, err := Transparent{}.Apply(d, resources.New(100, 1<<20, 1e6, 1e6))

@@ -33,7 +33,11 @@ func (r *fuzzBytes) fraction() float64 { return float64(r.next()%5) / 4 }
 // decodeTargetsCase decodes a byte string into a policy, a fleet of
 // finite VM states with Min <= Current <= Max on every dimension (zero
 // ranges, VMs at their floors and deflated VMs included), and a need
-// whose components take either sign.
+// whose components take either sign. Three trailing bytes, decoded
+// last so that shorter inputs keep their meaning, zero the priority of
+// the VMs a 12-bit mask names (priorityWeight's 1e-3 case) and pin
+// every VM to its floor on the dimensions a 4-bit mask names (a
+// floors-only dimension, which the water-fill skips).
 func decodeTargetsCase(data []byte) (Policy, []VMState, resources.Vector) {
 	r := &fuzzBytes{data: data}
 	var p Policy
@@ -68,6 +72,18 @@ func decodeTargetsCase(data []byte) (Policy, []VMState, resources.Vector) {
 	for _, k := range resources.Kinds {
 		need[k] = float64(r.next()-128) / 4
 	}
+	zeroPri := r.next() | r.next()<<8
+	flat := r.next()
+	for i := range vms {
+		if zeroPri&(1<<i) != 0 {
+			vms[i].Priority = 0
+		}
+		for _, k := range resources.Kinds {
+			if flat&(1<<k) != 0 {
+				vms[i].Min[k], vms[i].Current[k] = vms[i].Max[k], vms[i].Max[k]
+			}
+		}
+	}
 	return p, vms, need
 }
 
@@ -89,13 +105,25 @@ func sameBits(a, b resources.Vector) bool {
 //     need within feasEps;
 //   - a Scratch reused from an earlier pass on another fleet gives the
 //     same bits as a fresh one;
-//   - the decision equals the map-form Targets.
+//   - the decision equals the map-form Targets;
+//   - Proportional and Priority equal the water-fill they replaced
+//     (oracleTargets) bit for bit: every target, Freed and the error.
 func FuzzTargetsInto(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for seed := 0; seed < 16; seed++ {
 		data := make([]byte, 8+seed*16)
 		rng.Read(data)
 		data[0] = byte(seed % 4) // every policy, on fleets of growing size
+		f.Add(data)
+	}
+	// Proportional and Priority fleets with zero priorities and
+	// floors-only dimensions: the trailing masks past the need.
+	for seed := 0; seed < 8; seed++ {
+		n := 1 + seed%12
+		data := make([]byte, 2+n*10+4+3)
+		rng.Read(data)
+		data[0], data[1] = byte(seed%2), byte(n)
+		data[len(data)-1] = byte(seed)
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -139,6 +167,19 @@ func FuzzTargetsInto(f *testing.F) {
 		for i := range vms {
 			if !sameBits(again.Targets[i], want[i]) {
 				t.Fatalf("%s: %s reused Scratch target %v, fresh %v", p.Name(), vms[i].Name, again.Targets[i], want[i])
+			}
+		}
+
+		switch p.(type) {
+		case Proportional, Priority:
+			o, oerr := oracleTargets(p, vms, need)
+			if oerr != err || !sameBits(o.Freed, fresh.Freed) {
+				t.Fatalf("%s: freed %v (err %v), the oracle %v (err %v)", p.Name(), fresh.Freed, err, o.Freed, oerr)
+			}
+			for i := range vms {
+				if !sameBits(o.Targets[i], want[i]) {
+					t.Fatalf("%s: %s target %v, the oracle %v", p.Name(), vms[i].Name, want[i], o.Targets[i])
+				}
 			}
 		}
 

@@ -18,7 +18,9 @@
 // (Targets[i] belongs to vms[i]) into buffers owned by a caller-provided
 // Scratch, so a steady-state policy pass performs zero heap allocations —
 // the cluster manager keeps one Scratch per server and runs millions of
-// passes without GC churn.
+// passes without GC churn. The proportional family reads each weight
+// once per pass and runs no water-fill on a dimension where no VM has a
+// positive range (it would write the floors the targets start at).
 package policy
 
 import (
@@ -104,14 +106,15 @@ type Policy interface {
 	TargetsInto(vms []VMState, need resources.Vector, s *Scratch) (SliceResult, error)
 }
 
-// totals sums Max, Min and Current across vms.
-func totals(vms []VMState) (max, min, cur resources.Vector) {
-	for _, vm := range vms {
-		max = max.Add(vm.Max)
-		min = min.Add(vm.Min)
-		cur = cur.Add(vm.Current)
+// currentTotal sums Current across vms, in input order: Vector.Add's
+// additions, spelled out per component without the by-value copies.
+func currentTotal(vms []VMState) (cur resources.Vector) {
+	for i := range vms {
+		for k, x := range &vms[i].Current {
+			cur[k] += x
+		}
 	}
-	return
+	return cur
 }
 
 // finishSlice computes Freed (in input order, so the float summation is
@@ -120,7 +123,11 @@ func totals(vms []VMState) (max, min, cur resources.Vector) {
 func finishSlice(vms []VMState, targets []resources.Vector, need resources.Vector) (SliceResult, error) {
 	var freed resources.Vector
 	for i := range vms {
-		freed = freed.Add(vms[i].Current).Sub(targets[i])
+		// freed.Add(Current).Sub(target), per component.
+		c, t := &vms[i].Current, &targets[i]
+		for k := range freed {
+			freed[k] = freed[k] + c[k] - t[k]
+		}
 	}
 	res := SliceResult{Targets: targets, Freed: freed}
 	for _, k := range resources.Kinds {
@@ -159,9 +166,9 @@ func (Priority) TargetsInto(vms []VMState, need resources.Vector, s *Scratch) (S
 
 // unitWeight and priorityWeight are package-level functions (not
 // closures) so passing them down the hot path allocates nothing.
-func unitWeight(VMState) float64 { return 1 }
+func unitWeight(*VMState) float64 { return 1 }
 
-func priorityWeight(vm VMState) float64 {
+func priorityWeight(vm *VMState) float64 {
 	p := vm.Priority
 	if p <= 0 {
 		p = 1e-3 // avoid a zero weight freezing the formula
@@ -178,48 +185,60 @@ func priorityWeight(vm VMState) float64 {
 // alpha is recomputed over the rest (water-filling); this degenerates to
 // the paper's closed-form alpha when no clamp binds, and handles
 // reinflation (negative need) with the same code path.
-func weightedTargetsInto(vms []VMState, need resources.Vector, weight func(VMState) float64, s *Scratch) (SliceResult, error) {
+// A dimension on which no VM has a positive range is skipped: its
+// water-fill would write every VM's floor, where the targets start.
+func weightedTargetsInto(vms []VMState, need resources.Vector, weight func(*VMState) float64, s *Scratch) (SliceResult, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
 	targets := s.grow(len(vms))
+	entries := s.entries[:0]
+	var ranged [resources.NumKinds]bool // some VM has a positive range on k
 	for i := range vms {
-		targets[i] = vms[i].Min // start from floors, fill below
+		vm := &vms[i]
+		targets[i] = vm.Min // start from floors, fill below
+		entries = append(entries, wfEntry{w: weight(vm)})
+		for k := range ranged {
+			if vm.Max[k]-vm.Min[k] > 0 {
+				ranged[k] = true
+			}
+		}
 	}
-	_, _, curTotal := totals(vms)
+	s.entries = entries
+	curTotal := currentTotal(vms)
 
 	for _, k := range resources.Kinds {
-		// Desired total allocation after this decision.
-		desired := curTotal.Get(k) - need.Get(k)
-		solveDimension(vms, k, desired, weight, targets, s)
+		if ranged[k] {
+			// Desired total allocation after this decision.
+			solveDimension(vms, k, curTotal[k]-need[k], targets, entries)
+		}
 	}
 	return finishSlice(vms, targets, need)
 }
 
-// wfEntry is one VM's water-filling state for a single dimension.
+// wfEntry is vms[i]'s water-filling state, entries[i]: its weight, set
+// once per pass, and its state on the dimension being solved.
 type wfEntry struct {
-	idx     int
-	w       float64
-	rangeK  float64
-	clamped bool
+	w        float64
+	min, max float64 // the VM's floor and size on the dimension
+	rangeK   float64
+	clamped  bool
 }
 
 // solveDimension performs the per-resource water-filling described on
-// weightedTargetsInto, writing new_i into targets[i][k]. All working
-// state lives in s.entries, reused across dimensions and passes.
-func solveDimension(vms []VMState, k resources.Kind, desired float64, weight func(VMState) float64, targets []resources.Vector, s *Scratch) {
-	entries := s.entries[:0]
+// weightedTargetsInto, writing new_i into targets[i][k]. entries[i]
+// holds vms[i]'s weight; the rest of each entry is set here.
+func solveDimension(vms []VMState, k resources.Kind, desired float64, targets []resources.Vector, entries []wfEntry) {
 	floorSum := 0.0
-	for i := range vms {
-		vm := &vms[i]
-		r := vm.Max.Get(k) - vm.Min.Get(k)
+	for i := range entries {
+		vm, e := &vms[i], &entries[i]
+		r := vm.Max[k] - vm.Min[k]
 		if r < 0 {
 			r = 0
 		}
-		entries = append(entries, wfEntry{idx: i, w: weight(*vm), rangeK: r})
-		floorSum += vm.Min.Get(k)
+		e.min, e.max, e.rangeK, e.clamped = vm.Min[k], vm.Max[k], r, false
+		floorSum += vm.Min[k]
 	}
-	s.entries = entries
 
 	// Clamp the desired total into the feasible band.
 	maxSum := floorSum
@@ -239,21 +258,20 @@ func solveDimension(vms []VMState, k resources.Kind, desired float64, weight fun
 		var wSum, clampedSum, freeFloor float64
 		for _, e := range entries {
 			if e.clamped {
-				clampedSum += vms[e.idx].Max.Get(k)
+				clampedSum += e.max
 				continue
 			}
 			wSum += e.w * e.rangeK
-			freeFloor += vms[e.idx].Min.Get(k)
+			freeFloor += e.min
 		}
 		if wSum <= 0 {
 			// No deflatable range left: everyone at floor or clamped.
-			for i := range entries {
-				e := &entries[i]
-				v := vms[e.idx].Min.Get(k)
+			for i, e := range entries {
+				v := e.min
 				if e.clamped {
-					v = vms[e.idx].Max.Get(k)
+					v = e.max
 				}
-				targets[e.idx][k] = v
+				targets[i][k] = v
 			}
 			return
 		}
@@ -267,20 +285,19 @@ func solveDimension(vms []VMState, k resources.Kind, desired float64, weight fun
 			if e.clamped {
 				continue
 			}
-			v := vms[e.idx].Min.Get(k) + alpha*e.w*e.rangeK
-			if v >= vms[e.idx].Max.Get(k) {
+			v := e.min + alpha*e.w*e.rangeK
+			if v >= e.max {
 				e.clamped = true
 				newClamp = true
 			}
 		}
 		if !newClamp {
-			for i := range entries {
-				e := &entries[i]
-				v := vms[e.idx].Max.Get(k)
+			for i, e := range entries {
+				v := e.max
 				if !e.clamped {
-					v = vms[e.idx].Min.Get(k) + alpha*e.w*e.rangeK
+					v = e.min + alpha*e.w*e.rangeK
 				}
-				targets[e.idx][k] = v
+				targets[i][k] = v
 			}
 			return
 		}
@@ -343,7 +360,7 @@ func (Deterministic) TargetsInto(vms []VMState, need resources.Vector, s *Scratc
 	// desired level in every dimension. VMs not needed stay (or return)
 	// at full size — this single pass implements both deflation and
 	// reinflation deterministically.
-	_, _, curTotal := totals(vms)
+	curTotal := currentTotal(vms)
 	desired := curTotal.Sub(need)
 
 	var total resources.Vector
@@ -464,7 +481,7 @@ func (p LatencyAware) TargetsInto(vms []VMState, need resources.Vector, s *Scrat
 	sort.Sort(&s.lsort)
 	s.lsort.vms = nil // do not retain the caller's slice
 
-	_, _, curTotal := totals(vms)
+	curTotal := currentTotal(vms)
 	desired := curTotal.Sub(need)
 
 	var total resources.Vector
