@@ -8,15 +8,27 @@
 //
 // All models consume a hypervisor.Domain's *effective* resource vector,
 // so every experiment exercises the real deflation mechanisms rather
-// than shortcutting to an analytic formula.
+// than shortcutting to an analytic formula. The models of Figures 3 and
+// 14 also read the guest booted beside their domain (testbedVM).
 package apps
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
 	"vmdeflate/internal/stats"
 )
+
+// checkPct refuses a deflation percentage outside [0, 100), NaN
+// included: NaN fails every comparison, so only the negated range test
+// catches it.
+func checkPct(pct float64) error {
+	if !(pct >= 0 && pct < 100) {
+		return fmt.Errorf("apps: deflation %g%% out of range", pct)
+	}
+	return nil
+}
 
 // Metrics collects per-request outcomes from an interactive experiment.
 type Metrics struct {

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math"
 
+	"vmdeflate/internal/guestos"
 	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/resources"
 )
 
 // ResourceModel is a steady-state application whose normalised
-// performance is a function of the resources its domain actually has.
+// performance is a function of the resources its domain actually has
+// and of the state of the guest g booted beside it.
 // Performance(undeflated domain) = 1.
 type ResourceModel interface {
 	// Name identifies the application.
@@ -18,10 +20,10 @@ type ResourceModel interface {
 	// InstallWorkload sets the application's memory footprint (RSS and
 	// page cache) inside the guest, so hotplug safety thresholds and swap
 	// penalties reflect this app.
-	InstallWorkload(d *hypervisor.Domain)
+	InstallWorkload(d *hypervisor.Domain, g *guestos.GuestOS)
 	// Performance returns normalised throughput on the domain's current
 	// effective allocation.
-	Performance(d *hypervisor.Domain) float64
+	Performance(d *hypervisor.Domain, g *guestos.GuestOS) float64
 }
 
 // Kcompile models a parallel kernel build: mostly CPU-bound with limited
@@ -34,13 +36,13 @@ func (Kcompile) Name() string { return "kcompile" }
 
 // InstallWorkload implements ResourceModel: a build uses modest anonymous
 // memory but a large page cache of sources and objects.
-func (Kcompile) InstallWorkload(d *hypervisor.Domain) {
+func (Kcompile) InstallWorkload(d *hypervisor.Domain, g *guestos.GuestOS) {
 	mem := d.MaxSize().Get(resources.Memory)
-	d.Guest().SetWorkload(0.20*mem, 0.40*mem)
+	g.SetWorkload(0.20*mem, 0.40*mem)
 }
 
 // Performance implements ResourceModel.
-func (k Kcompile) Performance(d *hypervisor.Domain) float64 {
+func (k Kcompile) Performance(d *hypervisor.Domain, g *guestos.GuestOS) float64 {
 	eff := d.Allocation()
 	max := d.MaxSize()
 
@@ -62,8 +64,8 @@ func (k Kcompile) Performance(d *hypervisor.Domain) float64 {
 
 	// Memory: losing page cache re-reads sources from disk; swapping the
 	// build's working set is much worse.
-	perf *= cachePenalty(d, 0.3)
-	perf *= swapPenalty(d, 6)
+	perf *= cachePenalty(g, eff, 0.3)
+	perf *= swapPenalty(g, eff, 6)
 	return clamp01(perf)
 }
 
@@ -78,13 +80,13 @@ func (Memcached) Name() string { return "memcached" }
 
 // InstallWorkload implements ResourceModel: almost all memory is the
 // item store (anonymous), no meaningful page cache.
-func (Memcached) InstallWorkload(d *hypervisor.Domain) {
+func (Memcached) InstallWorkload(d *hypervisor.Domain, g *guestos.GuestOS) {
 	mem := d.MaxSize().Get(resources.Memory)
-	d.Guest().SetWorkload(0.80*mem, 0.02*mem)
+	g.SetWorkload(0.80*mem, 0.02*mem)
 }
 
 // Performance implements ResourceModel.
-func (m Memcached) Performance(d *hypervisor.Domain) float64 {
+func (m Memcached) Performance(d *hypervisor.Domain, _ *guestos.GuestOS) float64 {
 	eff := d.Allocation()
 	max := d.MaxSize()
 
@@ -119,13 +121,13 @@ func (SpecJBB) Name() string { return "specjbb" }
 
 // InstallWorkload implements ResourceModel: the JVM commits a large heap
 // (RSS ~58% of memory) with a small page cache.
-func (SpecJBB) InstallWorkload(d *hypervisor.Domain) {
+func (SpecJBB) InstallWorkload(d *hypervisor.Domain, g *guestos.GuestOS) {
 	mem := d.MaxSize().Get(resources.Memory)
-	d.Guest().SetWorkload(0.55*mem, 0.05*mem)
+	g.SetWorkload(0.55*mem, 0.05*mem)
 }
 
 // Performance implements ResourceModel.
-func (s SpecJBB) Performance(d *hypervisor.Domain) float64 {
+func (s SpecJBB) Performance(d *hypervisor.Domain, g *guestos.GuestOS) float64 {
 	eff := d.Allocation()
 	max := d.MaxSize()
 
@@ -146,7 +148,7 @@ func (s SpecJBB) Performance(d *hypervisor.Domain) float64 {
 	gc := gcCoeff * live / headroom
 	memPart := (1 + gc0) / (1 + gc)
 
-	perf := cpuPart * memPart * swapPenalty(d, 8)
+	perf := cpuPart * memPart * swapPenalty(g, eff, 8)
 	return clamp01(perf)
 }
 
@@ -163,17 +165,18 @@ func ioScaleOf(eff, max resources.Vector) float64 {
 	return s
 }
 
-// cachePenalty converts lost page cache into a throughput multiplier;
-// weight is the full-cache-loss slowdown fraction.
-func cachePenalty(d *hypervisor.Domain, weight float64) float64 {
-	return 1 / (1 + weight*d.CacheLoss())
+// cachePenalty converts the page cache the guest loses at the
+// allocation's memory into a throughput multiplier; weight is the
+// full-cache-loss slowdown fraction.
+func cachePenalty(g *guestos.GuestOS, alloc resources.Vector, weight float64) float64 {
+	return 1 / (1 + weight*g.CacheLoss(alloc.Get(resources.Memory)))
 }
 
 // swapPenalty converts hypervisor swap pressure (transparent memory
-// deflation below the guest's RSS) into a throughput multiplier; cost is
-// the slowdown factor at full pressure.
-func swapPenalty(d *hypervisor.Domain, cost float64) float64 {
-	return 1 / (1 + cost*d.SwapPressure())
+// deflation below the guest's RSS) at the allocation's memory into a
+// throughput multiplier; cost is the slowdown factor at full pressure.
+func swapPenalty(g *guestos.GuestOS, alloc resources.Vector, cost float64) float64 {
+	return 1 / (1 + cost*g.SwapPressure(alloc.Get(resources.Memory)))
 }
 
 func clamp01(x float64) float64 {
@@ -207,40 +210,48 @@ func DeflationCurve(model ResourceModel, mech mechanism.Mechanism, deflPcts []fl
 	return out, nil
 }
 
-// performanceAt builds a standard 8-core/32GB domain, installs the
-// application, deflates, and reads the model's performance.
-func performanceAt(model ResourceModel, mech mechanism.Mechanism, pct float64) (float64, error) {
-	host, err := hypervisor.NewHost(hypervisor.HostConfig{
-		Name:     "bench-host",
+// testbedVM defines and starts the single testbed VM of Figures 3 and
+// 14 on a host of its own, and boots its guest beside it with ceil(size)
+// vCPUs and all of its memory plugged, which caps no limit write.
+func testbedVM(host, name string, size resources.Vector) (*hypervisor.Domain, *guestos.GuestOS, error) {
+	h, err := hypervisor.NewHost(hypervisor.HostConfig{
+		Name:     host,
 		Capacity: resources.New(64, 262144, 2000, 20000),
 	})
 	if err != nil {
+		return nil, nil, err
+	}
+	d, err := h.Define(hypervisor.DomainConfig{Name: name, Size: size, Deflatable: true, Priority: 0.5})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := d.Start(); err != nil {
+		return nil, nil, err
+	}
+	g := new(guestos.GuestOS)
+	err = g.Boot(guestos.Config{VCPUs: int(math.Ceil(size.Get(resources.CPU))), MemoryMB: size.Get(resources.Memory)})
+	return d, g, err
+}
+
+// performanceAt builds a standard 8-core/32GB domain, installs the
+// application, deflates, and reads the model's performance.
+func performanceAt(model ResourceModel, mech mechanism.Mechanism, pct float64) (float64, error) {
+	if err := checkPct(pct); err != nil {
 		return 0, err
 	}
-	d, err := host.Define(hypervisor.DomainConfig{
-		Name:       "bench-vm",
-		Size:       resources.New(8, 32768, 200, 2000),
-		Deflatable: true,
-		Priority:   0.5,
-	})
+	d, g, err := testbedVM("bench-host", "bench-vm", resources.New(8, 32768, 200, 2000))
 	if err != nil {
 		return 0, err
 	}
-	if err := d.Start(); err != nil {
-		return 0, err
-	}
-	model.InstallWorkload(d)
-	base := model.Performance(d)
+	model.InstallWorkload(d, g)
+	base := model.Performance(d, g)
 	if pct > 0 {
-		if pct >= 100 {
-			return 0, fmt.Errorf("apps: deflation %g%% out of range", pct)
-		}
-		if _, err := mechanism.DeflateByFraction(mech, d, pct/100); err != nil {
+		if _, err := mechanism.DeflateByFraction(mech, d, g, pct/100); err != nil {
 			return 0, err
 		}
 	}
 	if base <= 0 {
 		return 0, fmt.Errorf("apps: %s has non-positive baseline performance", model.Name())
 	}
-	return model.Performance(d) / base, nil
+	return model.Performance(d, g) / base, nil
 }

@@ -1,10 +1,8 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
-	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/resources"
 )
@@ -37,8 +35,8 @@ type SpecJBBMemoryPoint struct {
 func SpecJBBMemoryCurve(mech mechanism.Mechanism, deflPcts []float64) ([]SpecJBBMemoryPoint, error) {
 	out := make([]SpecJBBMemoryPoint, 0, len(deflPcts))
 	for _, pct := range deflPcts {
-		if pct < 0 || pct >= 100 {
-			return nil, fmt.Errorf("apps: memory deflation %g%% out of range", pct)
+		if err := checkPct(pct); err != nil {
+			return nil, err
 		}
 		rt, err := specJBBMemoryRT(mech, pct)
 		if err != nil {
@@ -50,30 +48,16 @@ func SpecJBBMemoryCurve(mech mechanism.Mechanism, deflPcts []float64) ([]SpecJBB
 }
 
 func specJBBMemoryRT(mech mechanism.Mechanism, pct float64) (float64, error) {
-	host, err := hypervisor.NewHost(hypervisor.HostConfig{
-		Name:     "fig14-host",
-		Capacity: resources.New(64, 262144, 2000, 20000),
-	})
+	d, g, err := testbedVM("fig14-host", "specjbb-vm", resources.New(8, 16384, 200, 2000))
 	if err != nil {
 		return 0, err
 	}
-	d, err := host.Define(hypervisor.DomainConfig{
-		Name:       "specjbb-vm",
-		Size:       resources.New(8, 16384, 200, 2000),
-		Deflatable: true,
-		Priority:   0.5,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := d.Start(); err != nil {
-		return 0, err
-	}
-	SpecJBB{}.InstallWorkload(d)
+	SpecJBB{}.InstallWorkload(d, g)
 
 	maxMem := d.MaxSize().Get(resources.Memory)
 	target := d.MaxSize().With(resources.Memory, (1-pct/100)*maxMem)
-	if _, err := mech.Apply(d, target); err != nil {
+	alloc, err := mech.Apply(d, g, target)
+	if err != nil {
 		return 0, err
 	}
 
@@ -83,12 +67,12 @@ func specJBBMemoryRT(mech mechanism.Mechanism, pct float64) (float64, error) {
 	if mech.Name() == (mechanism.Hybrid{}).Name() {
 		swapCost = 4.0
 	}
-	pressure := d.SwapPressure()
+	pressure := g.SwapPressure(alloc.Get(resources.Memory))
 
 	// Hot-unplug benefit, proportional to how much of the unpluggable
 	// range was actually surrendered by the guest.
-	unplugged := maxMem - d.Guest().PluggedMemoryMB()
-	maxUnpluggable := maxMem - d.Guest().RSSMB()
+	unplugged := maxMem - g.PluggedMemoryMB()
+	maxUnpluggable := maxMem - g.RSSMB()
 	benefit := 0.0
 	if maxUnpluggable > 0 && unplugged > 0 {
 		benefit = 0.10 * math.Min(1, unplugged/maxUnpluggable)

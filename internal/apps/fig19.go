@@ -51,8 +51,8 @@ type LBPoint struct {
 // selects the paper's modified HAProxy; false is vanilla WRR with static
 // equal weights.
 func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoint, error) {
-	if deflPct < 0 || deflPct >= 100 {
-		return LBPoint{}, fmt.Errorf("apps: deflation %g%% out of range", deflPct)
+	if err := checkPct(deflPct); err != nil {
+		return LBPoint{}, err
 	}
 
 	// Three replica VMs on one host; replicas 0 and 1 are deflatable.
@@ -83,7 +83,7 @@ func RunLBExperiment(cfg LBConfig, deflPct float64, deflationAware bool) (LBPoin
 		for i := 0; i < 2; i++ {
 			target := domains[i].MaxSize().
 				With(resources.CPU, lbCoresPerReplica*(1-deflPct/100))
-			if _, err := (mechanism.Transparent{}).Apply(domains[i], target); err != nil {
+			if _, err := (mechanism.Transparent{}).Apply(domains[i], nil, target); err != nil {
 				return LBPoint{}, err
 			}
 		}

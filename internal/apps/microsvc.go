@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math/rand"
 
 	"vmdeflate/internal/hypervisor"
@@ -210,8 +209,8 @@ func (r *snRequest) abort(record bool) {
 // deflated by deflPct using the real transparent mechanism on
 // cgroup-limited container domains (Figure 18).
 func RunSocialNetwork(cfg SocialNetConfig, deflPct float64) (SocialNetPoint, error) {
-	if deflPct < 0 || deflPct >= 100 {
-		return SocialNetPoint{}, fmt.Errorf("apps: deflation %g%% out of range", deflPct)
+	if err := checkPct(deflPct); err != nil {
+		return SocialNetPoint{}, err
 	}
 	// Containers: 2 cores max, 0.05 min, 800 MB each (Section 7.2).
 	host, err := hypervisor.NewHost(hypervisor.HostConfig{
@@ -236,7 +235,7 @@ func RunSocialNetwork(cfg SocialNetConfig, deflPct float64) (SocialNetPoint, err
 	}
 	if deflPct > 0 {
 		target := container.MaxSize().With(resources.CPU, 2*(1-deflPct/100))
-		if _, err := (mechanism.Transparent{}).Apply(container, target); err != nil {
+		if _, err := (mechanism.Transparent{}).Apply(container, nil, target); err != nil {
 			return SocialNetPoint{}, err
 		}
 	}

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/queueing"
@@ -109,8 +107,8 @@ type WikipediaPoint struct {
 // level, exercising the real transparent mechanism on a real domain to
 // derive the effective capacity (Figures 16 and 17).
 func RunWikipedia(cfg WikipediaConfig, deflPct float64) (WikipediaPoint, error) {
-	if deflPct < 0 || deflPct >= 100 {
-		return WikipediaPoint{}, fmt.Errorf("apps: deflation %g%% out of range", deflPct)
+	if err := checkPct(deflPct); err != nil {
+		return WikipediaPoint{}, err
 	}
 	host, err := hypervisor.NewHost(hypervisor.HostConfig{
 		Name:     "wiki-host",
@@ -133,7 +131,7 @@ func RunWikipedia(cfg WikipediaConfig, deflPct float64) (WikipediaPoint, error) 
 	}
 	if deflPct > 0 {
 		target := d.MaxSize().With(resources.CPU, wikiCores*(1-deflPct/100))
-		if _, err := (mechanism.Transparent{}).Apply(d, target); err != nil {
+		if _, err := (mechanism.Transparent{}).Apply(d, nil, target); err != nil {
 			return WikipediaPoint{}, err
 		}
 	}

@@ -123,7 +123,7 @@ func BenchmarkPolicyPassSteadyState(b *testing.B) {
 // state, admitting a VM under pressure (dirty sync, pressure descent,
 // policy pass, launch) and removing it again (teardown, reinflation
 // pass) allocates one object — the hypervisor.Domain, which carries its
-// guest, cgroup and accounting row — and nothing per call on either
+// cgroup limits and accounting row — and nothing per call on either
 // path.
 func TestPlaceRemovePairAllocatesOneDomain(t *testing.T) {
 	m := newTestManager(t, 4, Config{})

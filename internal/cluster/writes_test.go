@@ -29,7 +29,7 @@ import (
 // the event is built from the view and from what Apply returns, with no
 // further locked read of the domain.
 func perVMApplyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, target resources.Vector) error {
-	got, err := mechanism.Transparent{}.Apply(d, target)
+	got, err := mechanism.Transparent{}.Apply(d, nil, target)
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func perVMLaunch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector
 		return nil, err
 	}
 	if initial != dc.Size {
-		if _, err := (mechanism.Transparent{}).Apply(d, initial); err != nil {
+		if _, err := (mechanism.Transparent{}).Apply(d, nil, initial); err != nil {
 			d.Shutdown()
 			s.Host.Undefine(dc.Name)
 			return nil, err

@@ -42,8 +42,10 @@ type Config struct {
 	MemoryMB float64
 }
 
-// GuestOS is a simulated guest kernel. It is not safe for concurrent use;
-// the owning hypervisor domain serialises access.
+// GuestOS is a simulated guest kernel, booted beside a hypervisor
+// domain by the single-VM experiment that runs it; the domain itself
+// holds no guest. It is not safe for concurrent use: its caller
+// serialises access.
 type GuestOS struct {
 	cfg Config
 

@@ -41,7 +41,7 @@ func checkAggregates(t *testing.T, h *Host, op string) {
 }
 
 // hostChurn drives one host through a long randomized define / start /
-// limit / hotplug / clear / shutdown / undefine / resize sequence, with
+// limit / clear / shutdown / undefine / resize sequence, with
 // offered-load writes throughout, and calls check after every operation.
 // Around each operation it holds the allocation epoch to checkEpoch, and
 // check, checkRows and their Aggregates / AppendDeflatableView reads must
@@ -117,7 +117,7 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 			defines++
 			maxLive = max(maxLive, len(live))
 			opName = "define " + name
-		case k <= 5: // transparent limit change / clear
+		case k <= 7: // transparent limit change / clear
 			name := live[rng.Intn(len(live))]
 			d, err := h.Lookup(name)
 			if err != nil {
@@ -159,21 +159,6 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 				d.SetMemoryLimit(d.MaxSize().Get(resources.Memory) * frac)
 				opName = "limit " + name
 			}
-		case k <= 7: // hotplug churn (only running domains accept it)
-			name := live[rng.Intn(len(live))]
-			d, err := h.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allocWrite = true
-			if rng.Intn(2) == 0 {
-				d.HotUnplugVCPUs(1 + rng.Intn(4))
-				d.HotUnplugMemory(float64(512 * (1 + rng.Intn(4))))
-			} else {
-				d.HotPlugVCPUs(1 + rng.Intn(4))
-				d.HotPlugMemory(float64(512 * (1 + rng.Intn(4))))
-			}
-			opName = "hotplug " + name
 		case k == 8: // lifecycle flip
 			name := live[rng.Intn(len(live))]
 			d, err := h.Lookup(name)
@@ -301,10 +286,6 @@ func TestOnAggregateChange(t *testing.T) {
 		{"start", func() { d.Start() }},
 		{"setlimit", func() { d.SetCPUShares(2) }},
 		{"clear", func() { d.ClearTransparentLimits() }},
-		{"unplug", func() { d.HotUnplugVCPUs(1) }},
-		{"plug", func() { d.HotPlugVCPUs(1) }},
-		{"unplugmem", func() { d.HotUnplugMemory(1024) }},
-		{"plugmem", func() { d.HotPlugMemory(1024) }},
 		{"shutdown", func() { d.Shutdown() }},
 		{"undefine", func() { h.Undefine("vm") }},
 	}

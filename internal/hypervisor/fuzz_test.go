@@ -23,46 +23,24 @@ var (
 var fuzzLimits = [...]float64{0, -1, 0.3, 1.5, 2, 3.7, 64, 700, 2048, 1e4, math.NaN()}
 
 // domainModel is the fuzz target's naive model of one domain: what the
-// op sequence engaged and what the guest reported doing, nothing read
-// back from the domain.
+// op sequence engaged, nothing read back from the domain.
 type domainModel struct {
-	d       *Domain
-	size    resources.Vector
-	state   DomainState
-	limits  resources.Vector // positive where a write engaged a controller
-	booted  bool
-	online  float64 // vCPUs, once booted
-	plugged float64 // MB, once booted
+	d      *Domain
+	size   resources.Vector
+	state  DomainState
+	limits resources.Vector // positive where a write engaged a controller
 }
 
-// alloc is the model's allocation: the size capped by the guest's
-// hotplug state, once booted, and by every engaged limit.
+// alloc is the model's allocation: the size capped by every engaged
+// limit.
 func (m *domainModel) alloc() resources.Vector {
-	caps := []resources.Vector{m.size}
-	if m.booted {
-		caps = append(caps, m.size.With(resources.CPU, m.online).With(resources.Memory, m.plugged))
-	}
+	a := m.size
 	for k, l := range m.limits {
 		if l > 0 {
-			caps = append(caps, m.size.With(resources.Kind(k), l))
-		}
-	}
-	a := m.size
-	for _, c := range caps {
-		for k := range a {
-			a[k] = math.Min(a[k], c[k])
+			a[k] = math.Min(a[k], l)
 		}
 	}
 	return a
-}
-
-// boot records the guest's first use.
-func (m *domainModel) boot() {
-	if !m.booted {
-		m.booted = true
-		m.online = math.Ceil(m.size.Get(resources.CPU))
-		m.plugged = m.size.Get(resources.Memory)
-	}
 }
 
 // fuzzBytes hands out a fuzz input one byte at a time, zeros past its end.
@@ -79,14 +57,13 @@ func (b *fuzzBytes) next() byte {
 
 // FuzzDomainOps drives one host through byte-decoded sequences of
 // Define (invalid sizes included), Start, Shutdown, Undefine, SetLimits
-// (zero, negative and NaN components included), SetCPUShares, vCPU and
-// memory hot(un)plug, a domain's first Guest() and SetCapacity over a
-// small name pool, against a naive model. After every op: each
-// domain's allocation is min(size, plugged, positive limits); every row
+// (zero, negative and NaN components included), SetCPUShares and
+// SetCapacity over a small name pool, against a naive model. After every
+// op: each domain's allocation is min(size, positive limits); every row
 // column equals a fresh derivation; Aggregates() equals a name-order
-// recomputation; the allocation epoch moved by exactly one on an
-// allocation write (a hotplug, or a limit write that moved the
-// allocation) and not at all otherwise; and a rejected write, or a limit
+// recomputation; the allocation epoch moved by exactly one on a limit
+// write that moved an allocation and not at all otherwise; and a
+// rejected write, or a limit
 // write that moved no allocation, moved nothing, not even an
 // aggregate-change edge.
 //
@@ -104,7 +81,7 @@ func FuzzDomainOps(f *testing.F) {
 		h.OnAggregateChange(func() { edges++ })
 		models := map[string]*domainModel{}
 		for op := 0; len(in) > 0; op++ {
-			kind, name := in.next()%12, fmt.Sprintf("vm-%d", in.next()%3)
+			kind, name := in.next()%7, fmt.Sprintf("vm-%d", in.next()%3)
 			m := models[name]
 			h.Aggregates() // re-arm the change edge
 			epoch, fired := h.AllocEpoch(), edges
@@ -210,56 +187,7 @@ func FuzzDomainOps(f *testing.F) {
 				// allocation.
 				allocWrite = m.alloc() != prev
 				quiet = !allocWrite
-			case 6, 7, 8, 9: // hot(un)plug
-				if m == nil {
-					continue
-				}
-				n := in.next() % 6
-				var got float64
-				switch kind {
-				case 6:
-					opName = fmt.Sprintf("unplug %s %d vCPUs", name, n)
-					var k int
-					k, err = m.d.HotUnplugVCPUs(int(n))
-					got = -float64(k)
-				case 7:
-					opName = fmt.Sprintf("plug %s %d vCPUs", name, n)
-					var k int
-					k, err = m.d.HotPlugVCPUs(int(n))
-					got = float64(k)
-				case 8:
-					opName = fmt.Sprintf("unplug %s %d MB", name, 256*int(n))
-					got, err = m.d.HotUnplugMemory(256 * float64(n))
-					got = -got
-				case 9:
-					opName = fmt.Sprintf("plug %s %d MB", name, 256*int(n))
-					got, err = m.d.HotPlugMemory(256 * float64(n))
-				}
-				if m.state != Running {
-					if !errors.Is(err, ErrState) {
-						t.Fatalf("%s in state %v: err = %v, want ErrState", opName, m.state, err)
-					}
-					rejected = true
-					break
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", opName, err)
-				}
-				m.boot()
-				if kind <= 7 {
-					m.online += got
-				} else {
-					m.plugged += got
-				}
-				allocWrite = true
-			case 10: // first (or later) use of the guest
-				if m == nil {
-					continue
-				}
-				opName = "guest " + name
-				m.d.Guest()
-				m.boot()
-			case 11: // the provider resizes the server
+			case 6: // the provider resizes the server
 				opName = "resize"
 				if err := h.SetCapacity(base.Scale(0.5 + float64(in.next()%4)/4)); err != nil {
 					t.Fatal(err)

@@ -1,29 +1,27 @@
 // Package hypervisor simulates the KVM/libvirt substrate the paper's
 // prototype is built on (Section 6): domains (VMs) with lifecycle
 // management, vCPU-to-pCPU multiplexing through cgroup CPU bandwidth
-// control, dynamic memory limits, disk and network throttles, and
-// QEMU-agent-style CPU/memory hotplug that is forwarded to the guest OS.
+// control, dynamic memory limits, and disk and network throttles.
 //
-// The exported API mirrors the slice of libvirt the paper uses:
-// define/start/shutdown/undefine, SetCPUShares and the batched SetLimits
-// (cgroup limits on CPU, memory, disk and network, for one domain or for
-// a batch of a host's domains) for transparent deflation, and
-// HotplugVCPUs / HotplugMemory for explicit deflation. A
-// Domain's Allocation() vector — the resources the applications inside
-// actually get — is the single point of truth consumed by the
-// performance models.
-//
-// A cluster VM is deflated transparently (Section 4.2): it is its row in
-// the host's table and its engaged cgroup limits, nothing more. The
-// guest OS is booted only on first use — by Guest, a hotplug, or the
-// swap and cache-loss reads — which only the single-VM experiments of
-// Figures 3, 13, 14 and 19 make.
+// The exported API mirrors the slice of libvirt the paper uses for
+// transparent deflation (Section 4.2): define/start/shutdown/undefine,
+// SetCPUShares and the batched SetLimits (cgroup limits on CPU, memory,
+// disk and network, for one domain or for a batch of a host's domains).
+// A Domain's Allocation() vector — its nominal size capped by every
+// engaged limit — is the single point of truth consumed by the policies
+// and the performance models. A domain is its row in the host's table
+// and its engaged limits, nothing more: it carries no guest OS. The
+// explicit (hotplug) deflation of Section 4.3 and the guest's swap and
+// cache-loss reads belong to the single-VM experiments of Figures 3, 13
+// and 14, which boot a guestos.GuestOS beside the domain (package apps)
+// and cap the limits they write by what it has online and plugged
+// (package mechanism).
 //
 // # Lock model
 //
 // One mutex per Host, Host.mu, guards the host and every mutable field
-// of every domain resident on it: lifecycle state, cgroup limits, the
-// guest, and the host's row table — the per-resident
+// of every domain resident on it: lifecycle state, cgroup limits and
+// the host's row table — the per-resident
 // accounting columns (size, floor, priority, allocation, running,
 // deflatable) that the aggregate and view walks read as contiguous
 // host-owned memory. A Domain has no lock of its own; its mutators take
@@ -35,9 +33,10 @@
 // moves no aggregate; and AllocEpoch(), the host's allocation epoch,
 // written only under the lock by the allocation writes it counts.
 //
-// A limit write (Host.SetLimits) is one critical section however many
-// domains it covers, and bumps the epoch and invalidates at most once.
-// Domain.SetLimits and SetCPUShares are its one-element case.
+// A limit write (Host.SetLimits) is the only allocation write after
+// Define. It is one critical section however many domains it covers,
+// and bumps the epoch and invalidates at most once. Domain.SetLimits and
+// SetCPUShares are its one-element case.
 package hypervisor
 
 import (
@@ -48,7 +47,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vmdeflate/internal/guestos"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
 )
@@ -61,8 +59,9 @@ var (
 	ErrInvalid  = errors.New("hypervisor: invalid configuration")
 )
 
-// DomainState is the lifecycle state of a domain.
-type DomainState int
+// DomainState is the lifecycle state of a domain. One byte, so it packs
+// beside the domain's row slot.
+type DomainState uint8
 
 const (
 	// Defined means the domain exists but is not running.
@@ -94,6 +93,11 @@ type HostConfig struct {
 	// Capacity is the host's physical resources.
 	Capacity resources.Vector
 }
+
+// reserveMB is the smallest memory size a domain is defined with: the
+// guest kernel's reserve (guestos.ReserveMB), below which no guest
+// boots, so a single-VM experiment can boot one beside any valid domain.
+const reserveMB = 256
 
 // DefaultFloor is the mechanism-level minimum viable allocation: 1/20th
 // of a core and 64 MB, per the paper's observation that even a 0.05-CPU
@@ -136,10 +140,10 @@ type DomainConfig struct {
 
 // Validate reports, wrapping ErrInvalid, a configuration Define would
 // refuse: an empty name; a CPU size below one core or not finite; a
-// memory size below the guest kernel's reserve (guestos.ReserveMB) or
-// not finite; a negative size or floor component; a floor above the
-// size; a deflatable priority outside [0, 1]; or a negative or
-// non-finite load. A valid configuration's guest always boots.
+// memory size below the guest kernel's reserve (reserveMB) or not
+// finite; a negative size or floor component; a floor above the size; a
+// deflatable priority outside [0, 1]; or a negative or non-finite load.
+// A guest sized like a valid domain always boots.
 func (c *DomainConfig) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("%w: empty domain name", ErrInvalid)
@@ -147,9 +151,9 @@ func (c *DomainConfig) Validate() error {
 	if cpu := c.Size.Get(resources.CPU); !(cpu >= 1) || math.IsInf(cpu, 1) {
 		return fmt.Errorf("%w: domain %s CPU size %g is not a finite count of at least 1 core", ErrInvalid, c.Name, cpu)
 	}
-	if mem := c.Size.Get(resources.Memory); !(mem >= guestos.ReserveMB) || math.IsInf(mem, 1) {
+	if mem := c.Size.Get(resources.Memory); !(mem >= reserveMB) || math.IsInf(mem, 1) {
 		return fmt.Errorf("%w: domain %s memory size %g MB is not finite or below the guest kernel's %d MB reserve",
-			ErrInvalid, c.Name, mem, guestos.ReserveMB)
+			ErrInvalid, c.Name, mem, reserveMB)
 	}
 	if err := c.Size.CheckNonNegative(); err != nil {
 		return fmt.Errorf("%w: domain %s size: %w", ErrInvalid, c.Name, err)
@@ -263,7 +267,7 @@ type Host struct {
 	onChange func()
 
 	// epoch is the allocation epoch (see AllocEpoch), bumped under mu by
-	// SetLimits and Domain.reallocLocked.
+	// SetLimits.
 	epoch atomic.Uint64
 }
 
@@ -309,7 +313,7 @@ func (h *Host) Capacity() resources.Vector { return *h.capacity.Load() }
 
 // AllocEpoch returns the host's allocation epoch, a lock-free load. It
 // moves once per limit write call that moves an allocation (however many
-// domains the call covers) and on every hotplug, and on nothing else, so
+// domains the call covers), and on nothing else, so
 // an allocation read with it (Domain.AllocationEpoch) is current for as
 // long as the epoch is unchanged.
 func (h *Host) AllocEpoch() uint64 { return h.epoch.Load() }
@@ -335,8 +339,8 @@ func (h *Host) SetCapacity(v resources.Vector) error {
 }
 
 // OnAggregateChange registers fn to be called when a mutation (any
-// define/undefine, lifecycle transition, limit change, hotplug or
-// capacity resize — never an offered-load write, which moves no
+// define/undefine, lifecycle transition, limit change or capacity
+// resize — never an offered-load write, which moves no
 // aggregate) invalidates the host's clean aggregate cache.
 // Notifications are edge-triggered: while the cache is already stale
 // further mutations are coalesced into the pending notification, and
@@ -464,7 +468,7 @@ func (h *Host) searchLocked(name string) int {
 // Define creates a domain. Defining does not reserve physical resources:
 // like a real IaaS hypervisor, the host permits overcommitment, which is
 // exactly what deflation exists to manage. The domain is one allocation
-// with no controller engaged and no guest booted, and its accounting row
+// with no controller engaged, and its accounting row
 // takes a recycled slot of the host's row table.
 func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if err := cfg.Validate(); err != nil {
@@ -530,7 +534,7 @@ func (h *Host) Domains() []*Domain {
 
 // Undefine removes a stopped domain from the host. Its row slot returns
 // to the free list; the Domain value stays readable (it answers from its
-// own limits and guest) but no longer belongs to any host walk.
+// own limits) but no longer belongs to any host walk.
 func (h *Host) Undefine(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -562,10 +566,9 @@ func (h *Host) Allocated() resources.Vector {
 // Domain is one VM resident on a Host: its configuration, its row slot,
 // its lifecycle state, its engaged cgroup limits and its offered load,
 // in a single allocation. It has no lock of its own: every mutable field
-// below is guarded by the host's mu, and every mutation that can move
-// the allocation goes through a Domain method, which writes the
-// resident's row in the host's table at mutation time (the limits and
-// the guest's hotplug state are never driven from outside).
+// below is guarded by the host's mu, and the one mutation that can move
+// the allocation, a limit write, writes the resident's row in the host's
+// table at mutation time (the limits are never driven from outside).
 type Domain struct {
 	host *Host
 	cfg  DomainConfig
@@ -581,9 +584,6 @@ type Domain struct {
 	// a positive component is the controller's limit, zero means the
 	// controller is not engaged (no write engages one at zero or below).
 	limits resources.Vector
-	// guest is nil until something asks for it (see guestLocked): a
-	// cluster VM, deflated only through its limits, never boots one.
-	guest *guestos.GuestOS
 
 	// load is the offered request load (cores) last reported through
 	// SetOfferedLoad, seeded from DomainConfig.Load, stored as its
@@ -600,56 +600,15 @@ func (r *row) setAlloc(v resources.Vector) {
 }
 
 // derive computes the domain's allocation from first principles: the
-// nominal size capped, once a guest is booted, by its hotplug state
-// (online vCPUs, plugged memory), and then by every engaged cgroup limit.
-// Called with the host's mu held.
+// nominal size capped by every engaged cgroup limit. Called with the
+// host's mu held.
 func (d *Domain) derive() resources.Vector {
 	a := d.cfg.Size
-	if g := d.guest; g != nil {
-		if on := float64(g.OnlineVCPUs()); on < a[resources.CPU] {
-			a[resources.CPU] = on
-		}
-		a[resources.Memory] = g.PluggedMemoryMB()
-	}
 	for k, l := range d.limits {
 		if l > 0 && l < a[k] {
 			a[k] = l
 		}
 	}
-	return a
-}
-
-// guestLocked returns the domain's guest, booting it on first use with
-// ceil(size) vCPUs and all of its memory plugged. derive caps the online
-// vCPUs at the size, so the boot moves no allocation and writes no row;
-// Validate has refused every configuration whose guest would not boot.
-// Called with the host's mu held.
-func (d *Domain) guestLocked() *guestos.GuestOS {
-	if d.guest == nil {
-		g := new(guestos.GuestOS)
-		if err := g.Boot(guestos.Config{
-			VCPUs:    int(math.Ceil(d.cfg.Size.Get(resources.CPU))),
-			MemoryMB: d.cfg.Size.Get(resources.Memory),
-		}); err != nil {
-			panic(fmt.Sprintf("hypervisor: the guest of validated domain %s failed to boot: %v", d.cfg.Name, err))
-		}
-		d.guest = g
-	}
-	return d.guest
-}
-
-// reallocLocked re-derives the allocation after a hotplug change, writes
-// it to the domain's row, bumps the host's allocation epoch and
-// invalidates the host's aggregate cache. It and Host.SetLimits are the
-// only places an allocation is written after Define. Called with the
-// host's mu held.
-func (d *Domain) reallocLocked() resources.Vector {
-	a := d.derive()
-	if d.slot >= 0 {
-		d.host.rows[d.slot].setAlloc(a)
-	}
-	d.host.epoch.Add(1)
-	d.host.invalidateLocked()
 	return a
 }
 
@@ -680,15 +639,6 @@ func (d *Domain) Config() DomainConfig { return d.cfg }
 
 // Host returns the host the domain resides on.
 func (d *Domain) Host() *Host { return d.host }
-
-// Guest exposes the simulated guest OS (used by mechanisms and by the
-// application models to install memory footprints), booting it on first
-// use.
-func (d *Domain) Guest() *guestos.GuestOS {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	return d.guestLocked()
-}
 
 // State returns the domain's lifecycle state.
 func (d *Domain) State() DomainState {
@@ -736,10 +686,10 @@ func (d *Domain) Deflatable() bool { return d.cfg.Deflatable }
 func (d *Domain) Priority() float64 { return d.cfg.Priority }
 
 // Allocation returns the domain's current allocation: the nominal size
-// capped by both explicit hotplug state and transparent cgroup limits.
-// This is the vector the cluster policies account against. It is a read
-// of the domain's row under the host's lock; the row is written by
-// whichever mutation last moved the allocation.
+// capped by its engaged cgroup limits. This is the vector the cluster
+// policies account against. It is a read of the domain's row under the
+// host's lock; the row is written by the limit write that last moved the
+// allocation.
 func (d *Domain) Allocation() resources.Vector {
 	d.host.mu.Lock()
 	defer d.host.mu.Unlock()
@@ -872,68 +822,4 @@ func (d *Domain) setLimit(k resources.Kind, v float64) error {
 // vCPUs; they just run slower.
 func (d *Domain) SetCPUShares(cores float64) error {
 	return d.setLimit(resources.CPU, cores)
-}
-
-// --- Explicit deflation knobs (agent-based hotplug, Section 4.3) ---
-
-// hotplug runs one guest hotplug operation on a running domain and
-// re-derives the allocation from what the guest actually did.
-func hotplug[T int | float64](d *Domain, n T, op func(*guestos.GuestOS, T) (T, error)) (T, error) {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	if d.state != Running {
-		return 0, fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
-	}
-	n, err := op(d.guestLocked(), n)
-	d.reallocLocked()
-	return n, err
-}
-
-// HotUnplugVCPUs asks the guest to offline n vCPUs. Partial success is
-// normal; the returned count is what the guest actually released.
-func (d *Domain) HotUnplugVCPUs(n int) (int, error) {
-	return hotplug(d, n, (*guestos.GuestOS).UnplugVCPUs)
-}
-
-// HotPlugVCPUs asks the guest to online n vCPUs (bounded by the domain's
-// configured vCPU count).
-func (d *Domain) HotPlugVCPUs(n int) (int, error) {
-	return hotplug(d, n, (*guestos.GuestOS).PlugVCPUs)
-}
-
-// HotUnplugMemory asks the guest to release up to mb of memory. The guest
-// enforces its safety threshold (never below RSS) and block granularity;
-// the returned amount is what was actually unplugged.
-func (d *Domain) HotUnplugMemory(mb float64) (float64, error) {
-	return hotplug(d, mb, (*guestos.GuestOS).UnplugMemory)
-}
-
-// HotPlugMemory returns memory to the guest (bounded by the domain's
-// configured size).
-func (d *Domain) HotPlugMemory(mb float64) (float64, error) {
-	return hotplug(d, mb, (*guestos.GuestOS).PlugMemory)
-}
-
-// --- Performance-relevant introspection ---
-
-// SwapPressure returns the fraction of the guest's resident set that the
-// current *transparent* memory limit pushes out to hypervisor swap. This
-// is the penalty transparent deflation pays that explicit deflation
-// avoids (Section 4.4, Figure 14).
-func (d *Domain) SwapPressure() float64 {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	limit := d.limits[resources.Memory]
-	if limit == 0 {
-		return 0
-	}
-	return d.guestLocked().SwapPressure(limit)
-}
-
-// CacheLoss returns the fraction of guest page cache sacrificed to the
-// current effective memory allocation.
-func (d *Domain) CacheLoss() float64 {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	return d.guestLocked().CacheLoss(d.allocLocked().Get(resources.Memory))
 }

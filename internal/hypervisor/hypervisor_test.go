@@ -230,99 +230,12 @@ func TestTransparentDeflation(t *testing.T) {
 	if got != want {
 		t.Errorf("effective = %v, want %v", got, want)
 	}
-	// Guest still sees all 8 vCPUs — deflation is transparent.
-	if d.Guest().OnlineVCPUs() != 8 {
-		t.Errorf("guest sees %d vCPUs, want 8", d.Guest().OnlineVCPUs())
-	}
 	if f := d.Allocation().DeflationFraction(d.MaxSize()); f < 0.49 || f > 0.51 {
 		t.Errorf("deflation fraction = %v, want 0.5", f)
 	}
 	d.ClearTransparentLimits()
 	if d.Allocation() != d.MaxSize() {
 		t.Errorf("after clear, effective = %v", d.Allocation())
-	}
-}
-
-func TestExplicitDeflation(t *testing.T) {
-	h := testHost(t)
-	d := defineRunning(t, h, "vm", 8, 16384)
-	d.Guest().SetWorkload(4000, 2000)
-
-	n, err := d.HotUnplugVCPUs(3)
-	if err != nil || n != 3 {
-		t.Fatalf("HotUnplugVCPUs = %d, %v", n, err)
-	}
-	if got := d.Allocation().Get(resources.CPU); got != 5 {
-		t.Errorf("effective CPU = %v, want 5", got)
-	}
-	mb, err := d.HotUnplugMemory(4096)
-	if err != nil || mb != 4096 {
-		t.Fatalf("HotUnplugMemory = %v, %v", mb, err)
-	}
-	if got := d.Allocation().Get(resources.Memory); got != 16384-4096 {
-		t.Errorf("effective memory = %v", got)
-	}
-	// Reinflate.
-	n, err = d.HotPlugVCPUs(3)
-	if err != nil || n != 3 {
-		t.Fatalf("HotPlugVCPUs = %d, %v", n, err)
-	}
-	mb, err = d.HotPlugMemory(4096)
-	if err != nil || mb != 4096 {
-		t.Fatalf("HotPlugMemory = %v, %v", mb, err)
-	}
-	if d.Allocation() != d.MaxSize() {
-		t.Errorf("after reinflate, effective = %v", d.Allocation())
-	}
-}
-
-func TestHotplugRequiresRunning(t *testing.T) {
-	h := testHost(t)
-	d, _ := h.Define(DomainConfig{Name: "vm", Size: resources.New(4, 8192, 0, 0)})
-	if _, err := d.HotUnplugVCPUs(1); !errors.Is(err, ErrState) {
-		t.Errorf("unplug on defined domain = %v", err)
-	}
-	if _, err := d.HotPlugVCPUs(1); !errors.Is(err, ErrState) {
-		t.Errorf("plug on defined domain = %v", err)
-	}
-	if _, err := d.HotUnplugMemory(128); !errors.Is(err, ErrState) {
-		t.Errorf("mem unplug on defined domain = %v", err)
-	}
-	if _, err := d.HotPlugMemory(128); !errors.Is(err, ErrState) {
-		t.Errorf("mem plug on defined domain = %v", err)
-	}
-}
-
-func TestCombinedTransparentAndExplicit(t *testing.T) {
-	h := testHost(t)
-	d := defineRunning(t, h, "vm", 8, 16384)
-	// Hotplug away 4 vCPUs, then cap the remaining 4 at 2.5 cores.
-	d.HotUnplugVCPUs(4)
-	d.SetCPUShares(2.5)
-	if got := d.Allocation().Get(resources.CPU); got != 2.5 {
-		t.Errorf("effective CPU = %v, want 2.5", got)
-	}
-	// Raising the cgroup limit above plugged does not inflate.
-	d.SetCPUShares(6)
-	if got := d.Allocation().Get(resources.CPU); got != 4 {
-		t.Errorf("effective CPU = %v, want 4 (plugged)", got)
-	}
-}
-
-func TestSwapPressureAndCacheLoss(t *testing.T) {
-	h := testHost(t)
-	d := defineRunning(t, h, "vm", 4, 8192)
-	d.Guest().SetWorkload(4000, 2000) // RSS 4256, cache 2000
-	if got := d.SwapPressure(); got != 0 {
-		t.Errorf("no limit: swap pressure = %v", got)
-	}
-	d.SetMemoryLimit(2128) // half of RSS
-	if got := d.SwapPressure(); got < 0.49 || got > 0.51 {
-		t.Errorf("swap pressure = %v, want ~0.5", got)
-	}
-	d.SetMemoryLimit(5256) // RSS + half cache
-	if got := d.CacheLoss(); got < 0.49 || got > 0.51 {
-		t.Errorf("cache loss = %v, want ~0.5", got)
 	}
 }
 

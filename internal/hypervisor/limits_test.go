@@ -2,12 +2,12 @@ package hypervisor
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"vmdeflate/internal/guestos"
 	"vmdeflate/internal/resources"
 )
 
@@ -141,53 +141,27 @@ func TestDomainLimitsConcurrentAccess(t *testing.T) {
 	checkRows(t, d.Host(), "concurrent limit writes")
 }
 
-// TestGuestBootMovesNoAllocation: a domain with a fractional CPU size
-// allocates exactly its size from Define on, and booting its guest —
-// ceil(size) vCPUs, capped at the size — moves neither the allocation,
-// nor the Deflated count, nor the allocation epoch.
-func TestGuestBootMovesNoAllocation(t *testing.T) {
-	for _, cores := range []float64{2, 2.4, 2.6} {
-		t.Run(fmt.Sprint(cores), func(t *testing.T) {
-			h := testHost(t)
-			size := resources.New(cores, 4096, 0, 0)
-			d, err := h.Define(DomainConfig{Name: "vm", Size: size, Deflatable: true, Priority: 0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			check := func(when string) {
-				t.Helper()
-				if got := d.Allocation(); got != size {
-					t.Errorf("%s: allocation %v, want the size %v", when, got, size)
-				}
-				if n := h.Aggregates().Deflated; n != 0 {
-					t.Errorf("%s: %d deflated domains, want 0", when, n)
-				}
-				checkRows(t, h, when)
-			}
-			check("Define")
-			epoch := h.AllocEpoch()
-			if g := d.Guest(); g.OnlineVCPUs() != int(math.Ceil(cores)) {
-				t.Errorf("guest boots %d vCPUs, want %g rounded up", g.OnlineVCPUs(), cores)
-			}
-			check("first Guest()")
-			if h.AllocEpoch() != epoch {
-				t.Errorf("booting the guest moved the allocation epoch %d -> %d", epoch, h.AllocEpoch())
-			}
-		})
-	}
-}
-
-// TestDomainSize pins what a cluster VM costs: no guest by value, no
-// lock, nothing but its configuration, floor, slot, state, limits, guest
-// pointer and load.
+// TestDomainSize pins what a cluster VM costs: no guest, no lock,
+// nothing but its configuration, floor, slot, one-byte state, limits and
+// load — the 192 B size class.
 func TestDomainSize(t *testing.T) {
 	var d Domain
 	got := unsafe.Sizeof(d)
-	if got > 208 {
-		t.Errorf("Domain is %d B, want at most 208", got)
+	if got > 192 {
+		t.Errorf("Domain is %d B, want at most 192", got)
 	}
 	t.Logf("Domain is %d B", got)
+}
+
+// TestReserveIsTheGuestKernels: Validate's memory floor is the guest
+// kernel's reserve, so a single-VM experiment can boot a guest beside
+// any domain Define accepts.
+func TestReserveIsTheGuestKernels(t *testing.T) {
+	if reserveMB != guestos.ReserveMB {
+		t.Fatalf("hypervisor reserve %d MB, guest kernel reserve %d MB", reserveMB, guestos.ReserveMB)
+	}
+	var g guestos.GuestOS
+	if err := g.Boot(guestos.Config{VCPUs: 1, MemoryMB: reserveMB}); err != nil {
+		t.Errorf("a guest of the smallest valid domain does not boot: %v", err)
+	}
 }

@@ -12,8 +12,8 @@ import (
 
 // TestHostConcurrentMutatorsAndReaders hammers ONE host — one lock —
 // from every kind of mutator and reader at once, for the race detector
-// (`-race -count=10`): limit writes (single and batched), hotplug,
-// lifecycle flips, define/undefine churn (so row slots are recycled and
+// (`-race -count=10`): limit writes (single and batched), lifecycle
+// flips, define/undefine churn (so row slots are recycled and
 // the name order shifts under the readers), capacity resizes and load
 // writes, against Aggregates / AppendDeflatableView / Allocation /
 // AllocationEpoch / AllocEpoch / State / Domains readers (the epoch never
@@ -59,16 +59,6 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 		}
 		if r%17 == 0 {
 			d.ClearTransparentLimits()
-		}
-	})
-	spawn(func(rng *rand.Rand, r int) { // hotplug (ErrState while flipped off is fine)
-		d := pick(rng)
-		if r%2 == 0 {
-			d.HotUnplugVCPUs(1 + rng.Intn(3))
-			d.HotUnplugMemory(1024)
-		} else {
-			d.HotPlugVCPUs(1 + rng.Intn(3))
-			d.HotPlugMemory(1024)
 		}
 	})
 	spawn(func(rng *rand.Rand, r int) { // lifecycle flips on the last resident
@@ -209,7 +199,7 @@ func limitStateOf(d *Domain) limitState {
 // TestSetLimitsMatchesSingleSetters holds the batched write to the path
 // it replaced in the mechanisms: for random targets — zero disk and
 // network components included, on domains with and without I/O
-// dimensions, with hotplug state in between — SetLimits(target)
+// dimensions — SetLimits(target)
 // must leave the same cgroup limits, engaged controllers, allocation and
 // host aggregates as SetCPUShares + SetMemoryLimit + the I/O setters for
 // positive components, and return that allocation.
@@ -231,10 +221,6 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 			}
 			if err := d.Start(); err != nil {
 				t.Fatal(err)
-			}
-			if i%3 == 0 {
-				d.HotUnplugVCPUs(2)
-				d.HotUnplugMemory(2048)
 			}
 			pair[j] = d
 		}
@@ -302,9 +288,9 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 }
 
 // TestDefineSurfacesGuestError: memory below the guest kernel's 256 MB
-// reserve, on which a guest would fail to boot, is refused by Define
-// before any guest is asked for, and the refusal leaves no trace on the
-// host: no row, no name, no invalidation.
+// reserve, on which a guest would fail to boot, is refused by Define,
+// and the refusal leaves no trace on the host: no row, no name, no
+// invalidation.
 func TestDefineSurfacesGuestError(t *testing.T) {
 	h := testHost(t)
 	defineRunning(t, h, "a", 4, 8192)
@@ -330,8 +316,7 @@ func TestDefineSurfacesGuestError(t *testing.T) {
 
 // TestDefineAllocatesOnce pins the layout: in steady state a
 // define / start / shutdown / undefine cycle allocates the Domain and
-// nothing else (its limits and row cost no object of their own, and no
-// guest is booted).
+// nothing else (its limits and row cost no object of their own).
 func TestDefineAllocatesOnce(t *testing.T) {
 	h := testHost(t)
 	for i := 0; i < 8; i++ {

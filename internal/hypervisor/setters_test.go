@@ -36,7 +36,7 @@ func (d *Domain) MinAllocation() resources.Vector { return d.cfg.MinAllocation }
 // SetMemoryLimit caps the domain's physical memory at mb via the memory
 // cgroup (mem.limit_in_bytes). If the limit is below the guest's resident
 // set, the hypervisor swaps: the guest is unaware and performance
-// suffers (see SwapPressure).
+// suffers (see guestos.GuestOS.SwapPressure).
 func (d *Domain) SetMemoryLimit(mb float64) error {
 	return d.setLimit(resources.Memory, mb)
 }
@@ -52,12 +52,19 @@ func (d *Domain) SetNetLimit(mbps float64) error {
 }
 
 // ClearTransparentLimits removes all cgroup caps (full reinflation of the
-// transparent dimension): a zero vector engages no controller.
+// transparent dimension). SetLimits cannot: a zero component leaves its
+// controller as it is. So this test-only write does SetLimits' work by
+// hand, and bumps the epoch like any allocation write.
 func (d *Domain) ClearTransparentLimits() {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
+	h := d.host
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	d.limits = resources.Vector{}
-	d.reallocLocked()
+	if d.slot >= 0 {
+		h.rows[d.slot].setAlloc(d.derive())
+	}
+	h.epoch.Add(1)
+	h.invalidateLocked()
 }
 
 // limitsOf reads d's engaged cgroup limits, zero where disengaged.
