@@ -49,8 +49,8 @@ bench-smoke:
 # the placement decision, the pruned pressure scan, the sample pass on both sides
 # of its allocation cache (a limit write between passes), the
 # SLO-metered sample pass (closed-form queueing math included), the
-# calendar event queue's steady-state churn and its fill-drain cycles
-# across ring resizes (recycled node storage), the streamed trace's
+# live-set event heap's steady-state churn and its fill-drain cycles
+# (one array reused past its high-water mark), the streamed trace's
 # per-VM parameter draw, a host's load writes
 # followed by a deflatable-view read, a host's refresh walk after a limit
 # write, one policy pass's batched limit write over a host's residents,
@@ -64,7 +64,7 @@ bench-smoke:
 # BENCH_allocs.txt for CI to archive.
 bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
-	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|CalendarQueueSteadyState|CalendarQueueResizeChurn|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|EventHeapSteadyState|EventHeapFillDrain|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'StreamParams' -benchmem ./internal/trace | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState|LimitWriteBatchSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
@@ -72,7 +72,7 @@ bench-allocs:
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
 			want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSteadyState"]; want["BenchmarkSamplePassSLOSteadyState"]; \
-			want["BenchmarkCalendarQueueSteadyState"]; want["BenchmarkCalendarQueueResizeChurn"]; \
+			want["BenchmarkEventHeapSteadyState"]; want["BenchmarkEventHeapFillDrain"]; \
 			want["BenchmarkFleetFitSteadyState"]; want["BenchmarkStreamParams"]; \
 			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkRefreshWalkSteadyState"]; \
 			want["BenchmarkLimitWriteBatchSteadyState"]; \
@@ -83,7 +83,7 @@ bench-allocs:
 				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + calendar queue (churn + resize-crossing fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
 # Cloud-scale single-run smoke: one 50k-VM deflation run through the
 # capacity-indexed manager, on one goroutine, reported to

@@ -114,10 +114,14 @@ func run(args []string, w io.Writer) (err error) {
 	if err := checkReplicates(*replicates); err != nil {
 		return err
 	}
-	if *azurePath == "" {
-		if err := checkSynthetic(*nVMs, *days); err != nil {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *azurePath != "" {
+		if err := checkAzure(set); err != nil {
 			return err
 		}
+	} else if err := checkSynthetic(*nVMs, *days); err != nil {
+		return err
 	}
 	slo, err := sloOptions(*sloMax, *sloCurve)
 	if err != nil {
@@ -125,8 +129,6 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	opts.SLO = slo
 	sloOn := slo != nil
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	opts.ShockConfig, err = shockConfig(*shocks, set, *shockRate, *outage, *rackSize, *shockSeed)
 	if err != nil {
 		return err
@@ -242,6 +244,18 @@ func shockConfig(scenario string, set map[string]bool, rate, outage float64, rac
 func checkReplicates(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-replicates %d: want 1 or more traces", n)
+	}
+	return nil
+}
+
+// checkAzure rejects, under -azure (per set, the flags given on the
+// command line), a flag that shapes only a synthetic trace: the CSV
+// fixes the trace, so each would be ignored.
+func checkAzure(set map[string]bool) error {
+	for _, name := range []string{"replicates", "vms", "days", "scenario", "seed"} {
+		if set[name] {
+			return fmt.Errorf("-%s applies only to synthetic traces, not -azure", name)
+		}
 	}
 	return nil
 }

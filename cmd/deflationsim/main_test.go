@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +20,9 @@ import (
 // flag given at its default value counts as given. A synthetic horizon
 // of zero or fewer days ran on one 300 s sample and printed a result
 // table, and -vms 0 printed the header before failing with a bare
-// "empty trace". Each fails naming its flag, before any output.
+// "empty trace". Under -azure the synthetic-only flags were ignored:
+// -azure F -replicates 3 printed one trace's sweep. Each fails naming
+// its flag, before any output.
 func TestFlagsThatAskForNothingFail(t *testing.T) {
 	for _, n := range []int{0, -3} {
 		if err := checkReplicates(n); err == nil || !strings.Contains(err.Error(), "want 1 or more") {
@@ -70,12 +74,58 @@ func TestFlagsThatAskForNothingFail(t *testing.T) {
 			}
 		})
 	}
+	csv := writeAzureCSV(t)
+	for _, flagArgs := range [][]string{
+		{"-replicates", "3"},
+		{"-vms", "2000"}, // the default counts as given
+		{"-days", "1"},
+		{"-scenario", "azure"},
+		{"-seed", "1"},
+	} {
+		t.Run("-azure F "+strings.Join(flagArgs, " "), func(t *testing.T) {
+			args := append([]string{"-azure", csv, "-oc", "0", "-strategies", "proportional"}, flagArgs...)
+			want := flagArgs[0] + " applies only to synthetic traces"
+			var out bytes.Buffer
+			if err := run(args, &out); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want one containing %q", err, want)
+			}
+			if out.Len() > 0 {
+				t.Errorf("printed %q before failing", out.String())
+			}
+		})
+	}
+}
+
+// writeAzureCSV writes a 20-VM synthetic trace in the Azure CSV format
+// to a temporary file and returns its path.
+func writeAzureCSV(t *testing.T) string {
+	t.Helper()
+	tr, err := trace.GenerateNamed("azure", 20, 86400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteAzureCSV(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "azure.csv")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestValidFlagsStillRun: one trace and more are fine, -slo 0 is off,
-// a positive threshold meters with the named curve, and each shock
-// parameter flag is taken where it shapes the schedule.
+// a positive threshold meters with the named curve, each shock
+// parameter flag is taken where it shapes the schedule, and -azure runs
+// its CSV with the flags that shape a sweep.
 func TestValidFlagsStillRun(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-azure", writeAzureCSV(t), "-oc", "0,30", "-strategies", "proportional", "-slo", "2"}, &out); err != nil {
+		t.Errorf("-azure: %v", err)
+	} else if !strings.HasPrefix(out.String(), "trace: 20 VMs") {
+		t.Errorf("-azure printed %q, want the CSV's 20 VMs", out.String())
+	}
 	for _, n := range []int{1, 5} {
 		if err := checkReplicates(n); err != nil {
 			t.Errorf("-replicates %d: %v", n, err)

@@ -38,6 +38,7 @@ import (
 	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
+	"vmdeflate/internal/workload"
 )
 
 var claimOvercommit = []float64{10, 20, 30, 40, 50, 60, 70}
@@ -349,6 +350,79 @@ func TestFig16WikipediaRTFlatTo70(t *testing.T) {
 				}
 				if p.DeflationPct == 80 {
 					t.Logf("gap at 80%%: mean %.2fx the undeflated value, paper ≈ 2x", p.Mean/base)
+				}
+			}
+		})
+	}
+}
+
+// Figure 16's setup as internal/apps runs it (Section 7.2): 800 req/s
+// of the Wikipedia page mix offered to a 30-core VM, every response
+// adding 0.25 s outside the CPU. TestFig16Consistency holds the cores
+// and the undeflated mean to the measured points.
+const (
+	fig16Rate         = 800
+	fig16FixedLatency = 0.25
+)
+
+// fig16Explained is the least share of Figure 16's gap at 80 % (the
+// measured mean-response ratio above the paper's ≈ 2x) that the
+// M/G/1-PS model accounts for [1.00 on every seed: it saturates].
+const fig16Explained = 1.0
+
+// TestFig16Consistency explains Figure 16's gap to the paper. The page
+// mix costs 9.36 ms of CPU per request on average (the page-size and
+// jitter factors average 1), so 800 req/s offer 7.49 cores, a quarter
+// of the 30-core VM. A processor-sharing CPU then saturates once
+// deflation leaves fewer cores than that, at 75.0 %: up to 70 % the
+// M/G/1-PS mean response (0.25 s plus the CPU sojourn) stays within
+// fig16Flat of the undeflated one, as measured, and at 80 % (6 cores)
+// the model's stationary mean is unbounded. So the whole gap between the
+// measured 6.46-6.53x and the paper's ≈ 2x is the offered load crossing
+// capacity between the two levels; the measured ratio is finite only
+// because the run is 40 s long and drops requests after 15 s. The
+// paper's ≈ 2x at 80 % needs the knee past 80 %, i.e. an offered load
+// below 6 cores (under 7.5 ms per request at 800 req/s), or a mix
+// the page-cost calibration does not have.
+func TestFig16Consistency(t *testing.T) {
+	mix := workload.NewPageMix(1)
+	cost := mix.HitRatio*mix.HitCost + (1-mix.HitRatio)*mix.MissCost
+	load := fig16Rate * cost
+	for s, pts := range wikiFixture(t) {
+		t.Run(fmt.Sprintf("seed=%d", s+1), func(t *testing.T) {
+			base := pts[0]
+			full := base.Cores
+			// The undeflated PS sojourn, and the model's mean response at
+			// cores effective cores relative to it.
+			sojourn := cost / (full - load)
+			ratio := func(cores float64) float64 {
+				r := queueing.PSSlowdownRatio(load, full, cores, math.Inf(1))
+				return (fig16FixedLatency + sojourn*r) / (fig16FixedLatency + sojourn)
+			}
+			// A lone request runs on one core (the station's per-job
+			// cap), so the undeflated mean is the fixed latency plus the
+			// mean cost: the check that these are the setup's own numbers.
+			if want := fig16FixedLatency + cost; math.Abs(base.Mean-want) > 0.02*want {
+				t.Errorf("undeflated mean %.4fs, the setup's fixed latency + mean cost give %.4fs", base.Mean, want)
+			}
+			knee := 100 * (1 - load/full)
+			t.Logf("offered load %.3f of %.0f cores: the M/G/1-PS knee is at %.2f %% deflation", load, full, knee)
+			if knee <= 70 || knee >= 80 {
+				t.Errorf("model knee at %.2f %%, want between the flat 70 %% and the 80 %% point", knee)
+			}
+			for _, p := range pts {
+				model, measured := ratio(p.Cores), p.Mean/base.Mean
+				switch {
+				case p.DeflationPct <= 70 && model > 1+fig16Flat:
+					t.Errorf("deflation %.0f%%: model mean %.3fx the undeflated one, measured %.3fx; want both within %.0f %%",
+						p.DeflationPct, model, measured, fig16Flat*100)
+				case p.DeflationPct == 80:
+					share := min(1, (model-2)/(measured-2))
+					t.Logf("deflation 80%%: M/G/1-PS mean %.2fx the undeflated one, measured %.2fx, paper ≈ 2x: the model explains %.0f %% of the gap",
+						model, measured, share*100)
+					if share < fig16Explained {
+						t.Errorf("the model explains %.2f of the gap at 80 %%, want >= %.2f", share, fig16Explained)
+					}
 				}
 			}
 		})

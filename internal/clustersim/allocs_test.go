@@ -153,7 +153,7 @@ func heapObjects() uint64 {
 // queue or the manager without waiting for a benchmark session. The
 // bound is the first measurement (1.77 per VM, of which Host.Define's
 // Domain is 1.23) with a little headroom; the per-VM trace layout and
-// bucket-slice calendar it replaced read 7.47.
+// bucket-slice calendar queue it replaced read 7.47.
 func TestAllocsPerVMEndToEnd(t *testing.T) {
 	const (
 		nVMs  = 4000

@@ -13,14 +13,14 @@
 //     rows sorted by start and by end — whose merge walk drives fleet
 //     sizing (sizing.go) and the pool planner. Nothing outside the
 //     adapter choice asks which kind of trace a run has.
-//   - events.go — the event core: a pending-event queue with typed
-//     sample/departure/shock/arrival events and a stable (time, kind,
-//     trace-row) total order. Arrivals stay latent in the trace — one
-//     intake (streamQueue) delivers them from the geometry's
-//     arrival-order column as the run reaches them — departures are
-//     scheduled lazily when a VM is admitted and sample events
-//     reschedule themselves, so the queue holds what is live, never the
-//     whole trace's event list.
+//   - events.go — the event core: typed sample/departure/shock/arrival
+//     events in a stable (time, kind, trace-row) total order. Arrivals
+//     stay latent in the trace — one intake (streamQueue) delivers them
+//     from the geometry's arrival-order column as the run reaches them
+//     — departures are scheduled lazily when a VM is admitted and sample
+//     events reschedule themselves, so the binary heap under the intake
+//     (eventHeap) holds what is live, never the whole trace's event
+//     list.
 //   - engine.go — the Engine: one self-contained run. It owns every
 //     piece of mutable state (cluster manager, metering table, queue,
 //     metric accumulators), which makes independent runs share-nothing
@@ -99,9 +99,14 @@ import (
 // utilisation trace) and current allocation to a request-slowdown ratio
 // through the closed-form processor-sharing model
 // (queueing.PSSlowdownRatio) composed with the application's
-// deflation-response curve — the same model the latency-aware policy
-// plans against — and accumulates violation time, a slowdown histogram
-// and per-priority violation seconds into the Result. The engine also
+// deflation-response curve — the model the latency-aware policy plans
+// against — and accumulates violation time, a slowdown histogram and
+// per-priority violation seconds into the Result. Only a sweep keeps the
+// two in step: SweepGrid and its stream and replicated forms copy Curve
+// and MaxSlowdown into a policy.LatencyAware (applySLO). A single Run
+// does not, so a LatencyAware in Config.Policy plans with its own fields
+// whatever this config meters: bench's slo-bursty workload plans at
+// policy.DefaultMaxSlowdown (3x) against a 2x meter. The engine also
 // publishes each VM's sampled load to its domain
 // (Domain.SetOfferedLoad: one atomic store that dirties no server), which
 // is what makes the latency-aware policy load-sensitive; without an

@@ -11,7 +11,8 @@ import (
 
 // runOracleModes runs base on the binary-heap event queue, as the
 // subtest prefix+"heapqueue", and holds the run to want — the default
-// calendar-queue run of base — bit for bit. The placement oracles (the
+// run of base, on the streamed intake over the live-set heap — bit for
+// bit. The placement oracles (the
 // brute-force reference and the full pressure scan) are test-side in the
 // cluster package, so its engine_oracle_test.go runs the same
 // configuration tables under them.

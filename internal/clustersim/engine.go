@@ -196,16 +196,16 @@ type reclaimer interface {
 }
 
 // newOracleQueue, when set, builds every run's event queue in place of
-// the streamed intake over a calendar: the test-side binary-heap oracle
-// the differential suites hold the calendar to. Nil in every shipped
-// build.
+// the streamed intake: the test-side binary-heap oracle, every arrival
+// pushed up front, that the differential suites hold the intake to.
+// Nil in every shipped build.
 var newOracleQueue func(src *rowSource) eventQueue
 
 // openQueue builds the run's event queue over the row source's arrival
 // order and sets the horizon, the trace's last departure. Arrivals stay
 // latent in the trace: a streamQueue delivers them from the
-// arrival-order column over a live-set calendar, so the ring holds what
-// is live, not N pre-pushed events. Departure events are scheduled when
+// arrival-order column over a live-set heap, so the heap holds what is
+// live, not N pre-pushed events. Departure events are scheduled when
 // (and only when) a VM is admitted, samples by the run loop. Either way
 // the geometry is released: the queue owns what it needs of it.
 func (e *Engine) openQueue() eventQueue {
@@ -216,7 +216,7 @@ func (e *Engine) openQueue() eventQueue {
 	if newOracleQueue != nil {
 		return newOracleQueue(src)
 	}
-	return newStreamQueue(src.rowAdapter, g.byStart, newCalendarQueue(liveSetHint, g.maxEnd))
+	return newStreamQueue(src.rowAdapter, g.byStart)
 }
 
 // setupDeflation builds the deflation-mode run state: the cluster

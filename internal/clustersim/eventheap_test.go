@@ -8,23 +8,22 @@ import (
 	"vmdeflate/internal/trace"
 )
 
-// TestCalendarQueueMatchesHeapRandomized is the randomized differential
+// TestEventHeapMatchesOracleRandomized is the randomized differential
 // property: any interleaving of pushes and pops drains in exactly the
-// same (time, kind, seq) order from the calendar and the heap. The
-// workload deliberately includes same-instant collisions across every
-// kind and adjacent seq values — the tie cases the total order exists
-// for — plus time-warped pushes below the current scan position.
-func TestCalendarQueueMatchesHeapRandomized(t *testing.T) {
+// same (time, kind, seq) order from the live-set heap and the
+// container/heap oracle. The workload deliberately includes same-instant
+// collisions across every kind and adjacent seq values — the tie cases
+// the total order exists for — plus pushes below the last popped time.
+func TestEventHeapMatchesOracleRandomized(t *testing.T) {
 	kinds := []eventKind{evSample, evDeparture, evRestore, evRevoke, evResize, evArrival}
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
-		cal := newCalendarQueue(8, 1000)
+		var h eventHeap
 		hp := &heapQueue{}
 		seq := 0
 		mk := func() simEvent {
 			// Quantised times force heavy same-instant collisions; a few
-			// scattered huge times exercise the year filter and the
-			// direct-scan fallback.
+			// scattered huge times spread the heap's levels.
 			at := float64(rng.Intn(50)) * 100
 			if rng.Intn(20) == 0 {
 				at = float64(rng.Intn(1000000)) + rng.Float64()
@@ -36,45 +35,39 @@ func TestCalendarQueueMatchesHeapRandomized(t *testing.T) {
 			seq++
 			return e
 		}
-		live := 0
 		for op := 0; op < 20000; op++ {
-			if live == 0 || rng.Intn(3) != 0 {
+			if len(h) == 0 || rng.Intn(3) != 0 {
 				e := mk()
-				cal.push(e)
+				h.push(e)
 				hp.push(e)
-				live++
 				continue
 			}
-			if cal.empty() != hp.empty() {
-				t.Fatalf("seed %d op %d: empty() diverges", seed, op)
+			if hp.empty() {
+				t.Fatalf("seed %d op %d: oracle empty, heap holds %d", seed, op, len(h))
 			}
-			cp, hpk := cal.peek(), hp.peek()
-			if cp != hpk {
-				t.Fatalf("seed %d op %d: peek %+v != %+v", seed, op, cp, hpk)
+			if hk := hp.peek(); h[0] != hk {
+				t.Fatalf("seed %d op %d: peek %+v != %+v", seed, op, h[0], hk)
 			}
-			ce, he := cal.pop(), hp.pop()
-			if ce != he {
-				t.Fatalf("seed %d op %d: pop %+v != %+v", seed, op, ce, he)
+			if ge, he := h.pop(), hp.pop(); ge != he {
+				t.Fatalf("seed %d op %d: pop %+v != %+v", seed, op, ge, he)
 			}
-			live--
 		}
 		for !hp.empty() {
-			if cal.empty() {
-				t.Fatalf("seed %d: calendar drained early", seed)
+			if len(h) == 0 {
+				t.Fatalf("seed %d: heap drained early", seed)
 			}
-			ce, he := cal.pop(), hp.pop()
-			if ce != he {
-				t.Fatalf("seed %d: drain pop %+v != %+v", seed, ce, he)
+			if ge, he := h.pop(), hp.pop(); ge != he {
+				t.Fatalf("seed %d: drain pop %+v != %+v", seed, ge, he)
 			}
 		}
-		if !cal.empty() {
-			t.Fatalf("seed %d: calendar not empty after drain", seed)
+		if len(h) != 0 {
+			t.Fatalf("seed %d: heap holds %d events after the oracle drained", seed, len(h))
 		}
 	}
 }
 
-// FuzzCalendarQueue holds the run queue — a trace's latent arrivals
-// overlaid by a streamQueue on a live-set calendarQueue, as openQueue
+// FuzzEventQueue holds the run queue — a trace's latent arrivals
+// overlaid by a streamQueue on the live-set eventHeap, as openQueue
 // builds it — to the heapQueue oracle holding the same arrivals up
 // front. Both take one decoded operation sequence and must agree on
 // every empty, peek and pop, compared by (at, kind, seq). The first
@@ -85,8 +78,8 @@ func TestCalendarQueueMatchesHeapRandomized(t *testing.T) {
 // the horizon, with a seq from a small range, so equal seqs repeat
 // within and across kinds and rows; a pop; or a peek.
 //
-//	go test -run '^$' -fuzz FuzzCalendarQueue -fuzztime 15s -fuzzminimizetime 200x ./internal/clustersim
-func FuzzCalendarQueue(f *testing.F) {
+//	go test -run '^$' -fuzz FuzzEventQueue -fuzztime 15s -fuzzminimizetime 200x ./internal/clustersim
+func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 0, 1, 1, 2, 0, 4, 0, 5, 1, 2, 2, 3, 0, 4, 5, 2, 2, 2, 2, 2, 2})
 	f.Add([]byte{8, 0, 0, 0, 0, 1, 3, 2, 1, 2, 2, 3, 0, 4, 1, 4, 2, 0, 0x80, 5, 7, 1, 0xff, 0, 7, 0, 6, 3, 7, 2, 3, 2, 2, 2, 2})
@@ -151,108 +144,100 @@ func FuzzCalendarQueue(f *testing.F) {
 	})
 }
 
-// TestCalendarQueueResizeCycle drives the population through growth and
-// drain so both resize directions (double and shrink) fire, and the
-// drain order stays fully sorted.
-func TestCalendarQueueResizeCycle(t *testing.T) {
-	q := newCalendarQueue(4, 10)
+// TestEventHeapDrainsSorted fills the heap with random times, then
+// drains it in eventLess order.
+func TestEventHeapDrainsSorted(t *testing.T) {
+	var h eventHeap
 	rng := rand.New(rand.NewSource(9))
 	n := 5000
 	for i := 0; i < n; i++ {
-		q.push(simEvent{at: rng.Float64() * 1e5, kind: evSample, seq: i})
+		h.push(simEvent{at: rng.Float64() * 1e5, kind: evSample, seq: i})
 	}
 	var last simEvent
 	for i := 0; i < n; i++ {
-		e := q.pop()
-		if i > 0 && eventLess(e, last) {
+		e := h.pop()
+		if i > 0 && eventLess(&e, &last) {
 			t.Fatalf("pop %d out of order: %+v after %+v", i, e, last)
 		}
 		last = e
 	}
-	if !q.empty() {
-		t.Fatal("queue not empty after full drain")
+	if len(h) != 0 {
+		t.Fatal("heap not empty after full drain")
 	}
 }
 
-// BenchmarkCalendarQueueSteadyState is the hot-loop shape the engine
-// drives: a warmed queue at constant size, one pop + one push per
+// BenchmarkEventHeapSteadyState is the hot-loop shape the engine
+// drives: a warmed heap at constant size, one pop + one push per
 // iteration (a departure retiring and a new one scheduling). Gated at 0
-// allocs/op by `make bench-allocs` — the buckets are warmed to capacity
-// before timing, so steady-state churn must not grow anything.
-func BenchmarkCalendarQueueSteadyState(b *testing.B) {
+// allocs/op by `make bench-allocs`: the array reached its size before
+// timing, so steady-state churn must not grow anything.
+func BenchmarkEventHeapSteadyState(b *testing.B) {
 	const live = 4096
-	q := newCalendarQueue(live, 86400)
+	var h eventHeap
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < live; i++ {
-		q.push(simEvent{at: rng.Float64() * 86400, kind: evDeparture, seq: i})
+		h.push(simEvent{at: rng.Float64() * 86400, kind: evDeparture, seq: i})
 	}
-	// One full churn cycle warms every bucket's capacity past what the
-	// steady state revisits.
 	for i := 0; i < 4*live; i++ {
-		e := q.pop()
+		e := h.pop()
 		e.at += rng.Float64() * 3600
 		e.seq = live + i
-		q.push(e)
+		h.push(e)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := q.pop()
+		e := h.pop()
 		e.at += 1800
 		e.seq = 5*live + i
-		q.push(e)
+		h.push(e)
 	}
 }
 
-// calendarFillDrain is one resize-crossing churn cycle: fill an empty
-// queue to live events spread over a day, so the ring doubles from its
-// floor several times, then drain it, so it shrinks back. A quarter of
-// the events share the day's last instant, as the VMs clipped to a
-// trace's horizon all depart at it, so the drain sorts their bucket.
-func calendarFillDrain(q *calendarQueue, rng *rand.Rand, live int) {
+// eventHeapFillDrain is one fill-drain cycle: fill an empty heap to
+// live events spread over a day, then drain it. A quarter of the events
+// share the day's last instant, as the VMs clipped to a trace's horizon
+// all depart at it, so the drain breaks a mass tie on seq.
+func eventHeapFillDrain(h *eventHeap, rng *rand.Rand, live int) {
 	for i := 0; i < live; i++ {
 		at := rng.Float64() * 86400
 		if i%4 == 0 {
 			at = 86400
 		}
-		q.push(simEvent{at: at, kind: evDeparture, seq: i})
+		h.push(simEvent{at: at, kind: evDeparture, seq: i})
 	}
-	for !q.empty() {
-		q.pop()
+	for len(*h) > 0 {
+		h.pop()
 	}
 }
 
-// TestCalendarQueueRecyclesStorage: once the node pool has reached the
-// live set's high-water mark, fill-and-drain cycles whose resizes
-// double and shrink the ring, and whose drain sorts a mass collision's
-// bucket, allocate nothing, and the pool holds no more than twice that
-// mark.
-func TestCalendarQueueRecyclesStorage(t *testing.T) {
+// TestEventHeapRecyclesStorage: once the array has reached the live
+// set's high-water mark, fill-and-drain cycles allocate nothing, and the
+// array holds no more than twice that mark.
+func TestEventHeapRecyclesStorage(t *testing.T) {
 	const live = 3000
-	q := newCalendarQueue(calendarMinBuckets, 86400)
+	var h eventHeap
 	rng := rand.New(rand.NewSource(3))
-	calendarFillDrain(q, rng, live)
-	if got := testing.AllocsPerRun(20, func() { calendarFillDrain(q, rng, live) }); got != 0 {
+	eventHeapFillDrain(&h, rng, live)
+	if got := testing.AllocsPerRun(20, func() { eventHeapFillDrain(&h, rng, live) }); got != 0 {
 		t.Errorf("fill-drain cycle allocates %v objects after warm-up, want 0", got)
 	}
-	if len(q.nodes) != live || cap(q.nodes) > 2*live {
-		t.Errorf("pool holds %d nodes (cap %d) for a high-water mark of %d, want %d (cap <= %d)",
-			len(q.nodes), cap(q.nodes), live, live, 2*live)
+	if c := cap(h); c < live || c > 2*live {
+		t.Errorf("array cap %d for a high-water mark of %d, want %d..%d", c, live, live, 2*live)
 	}
 }
 
-// BenchmarkCalendarQueueResizeChurn gates the calendar's storage
-// recycling: each op is a fill-drain cycle whose window crosses every
-// grow and shrink resize between the ring's floor and 1024 events.
-// `make bench-allocs` requires 0 allocs/op after the warm-up cycle.
-func BenchmarkCalendarQueueResizeChurn(b *testing.B) {
+// BenchmarkEventHeapFillDrain gates the heap's storage reuse: each op
+// fills an emptied heap to 1024 events and drains it. `make
+// bench-allocs` requires 0 allocs/op after the warm-up cycle.
+func BenchmarkEventHeapFillDrain(b *testing.B) {
 	const live = 1024
-	q := newCalendarQueue(calendarMinBuckets, 86400)
+	var h eventHeap
 	rng := rand.New(rand.NewSource(1))
-	calendarFillDrain(q, rng, live)
+	eventHeapFillDrain(&h, rng, live)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		calendarFillDrain(q, rng, live)
+		eventHeapFillDrain(&h, rng, live)
 	}
 }

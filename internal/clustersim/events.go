@@ -66,10 +66,10 @@ type simEvent struct {
 }
 
 // eventLess is the strict total event order: (time, kind, seq), with
-// the kind ranking documented on eventKind. Every queue implementation
-// delivers exactly this order, which is what lets them substitute for
-// one another without perturbing a single result bit.
-func eventLess(a, b simEvent) bool {
+// the kind ranking documented on eventKind. It is the one order of the
+// run queue, its arrival intake and the tests' heap oracle; it takes
+// pointers so the heap compares its 40-byte events in place.
+func eventLess(a, b *simEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -80,15 +80,13 @@ func eventLess(a, b simEvent) bool {
 }
 
 // eventQueue is the pending-event set: push schedules, pop/peek deliver
-// in (time, kind, seq) order. calendarQueue (O(1) amortized) is the
-// live-set queue, and streamQueue overlays the trace's latent arrivals
-// on it for both adapters; the binary heap they replaced lives on in the
-// tests as their oracle (heapqueue_test.go). Unlike the pre-queue approach —
-// materialise 2N events in one slice and sort it per run — all of them
-// admit lazily scheduled events (departures are only scheduled for VMs
-// that were actually admitted, samples reschedule themselves), so a
-// run's live set stays proportional to the pending horizon rather than
-// the whole trace.
+// in (time, kind, seq) order. streamQueue is the run queue: it overlays
+// the trace's latent arrivals on an eventHeap that holds the live set.
+// The flat heap of every event, arrivals pushed up front, lives on in
+// the tests as its oracle (heapqueue_test.go). Events are scheduled
+// lazily (departures only for VMs that were actually admitted, samples
+// reschedule themselves), so a run's pending set stays proportional to
+// the running VMs rather than the whole trace.
 type eventQueue interface {
 	// push schedules an event.
 	push(simEvent)
@@ -102,27 +100,72 @@ type eventQueue interface {
 	empty() bool
 }
 
+// eventHeap is the live-set queue: a binary min-heap in eventLess order
+// holding the running VMs' departures, the next sample and the pending
+// shocks. Its array grows by append to the live set's high-water mark
+// and is reused from then on, so neither push nor pop allocates past it.
+type eventHeap []simEvent
+
+func (h *eventHeap) push(e simEvent) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(&e, &s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = e
+}
+
+// pop removes and returns the least event. The heap must not be empty.
+func (h *eventHeap) pop() simEvent {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = simEvent{} // the vacated slot keeps no name alive for the GC
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && eventLess(&s[r], &s[c]) {
+			c = r
+		}
+		if !eventLess(&s[c], &last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
+}
+
 // streamChunkShift sizes the arrival-order chunks: 1<<20 arrivals
 // (4 MB of int32) per chunk, released as soon as the scan moves past
 // them, so the retained arrival column shrinks toward zero as the run
 // progresses instead of pinning 4 bytes per trace VM to the end.
 const streamChunkShift = 20
 
-// liveSetHint is the calendar size hint of a live-set queue. It holds
-// departures, samples and shocks for the currently running VMs only, so
-// a modest ring is right whatever the trace length — it resizes itself
-// as the population moves.
-const liveSetHint = 1024
-
 // streamQueue is the one arrival intake: arrivals stay latent in the
 // trace and are delivered from a pre-sorted arrival-order column (rows
 // by (Start, row) — eventLess restricted to arrivals), one row at a
 // time as the simulation reaches them, while departures, samples and
-// shocks live in a conventional inner queue sized to the live set. The
-// arrival order is held in chunks whose consumed prefix is freed
-// incrementally, so peak queue memory is the unconsumed arrival suffix
-// plus O(live events) — never the N-deep event set a pre-pushed seed
-// would build.
+// shocks live in the eventHeap. The arrival order is held in chunks
+// whose consumed prefix is freed incrementally, so peak queue memory is
+// the unconsumed arrival suffix plus O(live events) — never the N-deep
+// event set a pre-pushed seed would build.
 type streamQueue struct {
 	src    rowAdapter // resolves a row to its arrival time
 	chunks [][]int32  // arrival order; consumed chunks are nilled
@@ -130,13 +173,13 @@ type streamQueue struct {
 	total  int
 	headOK bool
 	head   simEvent // the next arrival, its time resolved
-	inner  eventQueue
+	inner  eventHeap
 }
 
 // newStreamQueue copies byStart (the arrival order column) into
 // releasable chunks; the caller's slice can then be dropped.
-func newStreamQueue(src rowAdapter, byStart []int32, inner eventQueue) *streamQueue {
-	q := &streamQueue{src: src, total: len(byStart), inner: inner}
+func newStreamQueue(src rowAdapter, byStart []int32) *streamQueue {
+	q := &streamQueue{src: src, total: len(byStart)}
 	const chunk = 1 << streamChunkShift
 	for off := 0; off < len(byStart); off += chunk {
 		end := off + chunk
@@ -168,33 +211,32 @@ func (q *streamQueue) ensureHead() {
 	q.headOK = true
 }
 
+// arrivalNext reports whether the next event is the latent arrival at
+// the head of the intake rather than the heap's least event.
+func (q *streamQueue) arrivalNext() bool {
+	q.ensureHead()
+	return q.headOK && (len(q.inner) == 0 || eventLess(&q.head, &q.inner[0]))
+}
+
 func (q *streamQueue) empty() bool {
-	return !q.headOK && q.next >= q.total && q.inner.empty()
+	return !q.headOK && q.next >= q.total && len(q.inner) == 0
 }
 
 func (q *streamQueue) push(e simEvent) {
 	// The engine never schedules arrivals — they exist only in the
-	// trace — so everything pushed belongs to the live-set queue.
+	// trace — so everything pushed belongs to the live set.
 	q.inner.push(e)
 }
 
 func (q *streamQueue) peek() simEvent {
-	q.ensureHead()
-	if !q.headOK {
-		return q.inner.peek()
-	}
-	if q.inner.empty() || eventLess(q.head, q.inner.peek()) {
+	if q.arrivalNext() {
 		return q.head
 	}
-	return q.inner.peek()
+	return q.inner[0]
 }
 
 func (q *streamQueue) pop() simEvent {
-	q.ensureHead()
-	if !q.headOK {
-		return q.inner.pop()
-	}
-	if q.inner.empty() || eventLess(q.head, q.inner.peek()) {
+	if q.arrivalNext() {
 		q.headOK = false
 		return q.head
 	}

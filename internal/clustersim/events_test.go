@@ -18,11 +18,14 @@ func popAll(q eventQueue) []simEvent {
 }
 
 // queueImpls enumerates the interchangeable eventQueue implementations;
-// every ordering test runs against each.
+// every ordering test runs against each: the oracle heap, and the run
+// queue over an empty arrival column, which is its live-set heap alone.
+// The run queue's subtests keep the label "calendar", the queue it
+// replaced, so their names stay stable.
 func queueImpls() map[string]func() eventQueue {
 	return map[string]func() eventQueue{
 		"heap":     func() eventQueue { return &heapQueue{} },
-		"calendar": func() eventQueue { return newCalendarQueue(4, 1000) },
+		"calendar": func() eventQueue { return newStreamQueue(nil, nil) },
 	}
 }
 
@@ -197,7 +200,7 @@ func TestEngineMatchesLegacySliceReplay(t *testing.T) {
 }
 
 // TestArrivalOverlayMatchesHeap holds the eager intake — latent arrivals
-// overlaid on a live-set calendar — to the flat pre-pushed heap, event
+// overlaid on the live-set heap — to the flat pre-pushed heap, event
 // for event, on traces whose rows are shuffled out of start order, tie
 // on start and include zero-lifetime VMs. Both queues are driven the way
 // the engine drives them: every delivered arrival schedules its
@@ -244,28 +247,33 @@ func TestArrivalOverlayMatchesHeap(t *testing.T) {
 	}
 }
 
-// sizedQueue counts what an eventQueue holds and remembers the peak.
-type sizedQueue struct {
+// liveSetCount counts what a run queue's live set holds and remembers
+// the peak: every push joins it, and every pop but an arrival's (which
+// the intake delivers from the trace) leaves it.
+type liveSetCount struct {
 	eventQueue
 	size, peak int
 }
 
-func (q *sizedQueue) push(e simEvent) {
+func (q *liveSetCount) push(e simEvent) {
 	q.eventQueue.push(e)
 	if q.size++; q.size > q.peak {
 		q.peak = q.size
 	}
 }
 
-func (q *sizedQueue) pop() simEvent {
-	q.size--
-	return q.eventQueue.pop()
+func (q *liveSetCount) pop() simEvent {
+	e := q.eventQueue.pop()
+	if e.kind != evArrival {
+		q.size--
+	}
+	return e
 }
 
 // TestLiveSetQueuePeak is the work count of the merged intake: on an
-// eager run the calendar never holds more than the live VMs' departures,
-// the shock schedule and one sample — where pre-pushing the arrivals
-// started it at one event per trace VM.
+// eager run the live-set heap never holds more than the live VMs'
+// departures, the shock schedule and one sample — where pre-pushing the
+// arrivals started it at one event per trace VM.
 func TestLiveSetQueuePeak(t *testing.T) {
 	tr, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioHeavyTail, NumVMs: 20000, Duration: 86400, Seed: 1})
 	if err != nil {
@@ -278,12 +286,12 @@ func TestLiveSetQueuePeak(t *testing.T) {
 	if err := e.setupDeflation(); err != nil {
 		t.Fatal(err)
 	}
-	// The seeded calendar holds the shock schedule and the first sample.
+	// The seeded heap holds the shock schedule and the first sample.
 	overlay := e.queue.(*streamQueue)
-	cal := overlay.inner.(*calendarQueue)
-	shocks := cal.size - 1
-	counted := &sizedQueue{eventQueue: cal, size: cal.size, peak: cal.size}
-	overlay.inner = counted
+	seeded := len(overlay.inner)
+	shocks := seeded - 1
+	counted := &liveSetCount{eventQueue: e.queue, size: seeded, peak: seeded}
+	e.queue = counted
 	if err := e.eventLoop(); err != nil {
 		t.Fatal(err)
 	}
@@ -309,5 +317,8 @@ func TestLiveSetQueuePeak(t *testing.T) {
 	}
 	if counted.size != 0 {
 		t.Errorf("%d events left after the run", counted.size)
+	}
+	if c := cap(overlay.inner); c > 2*counted.peak {
+		t.Errorf("live-set heap array cap %d for a peak of %d events, want <= %d", c, counted.peak, 2*counted.peak)
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // heapQueue is the container/heap-backed eventQueue: O(log n) push/pop,
-// the original queue and the differential reference for calendarQueue
-// and the streamed intake over it — any ordering bug in either shows up
-// as a bit-level divergence against it.
+// the original queue and the differential reference for the live-set
+// eventHeap and the streamed intake over it — any ordering bug in
+// either shows up as a bit-level divergence against it.
 type heapQueue struct {
 	evs []simEvent
 }
@@ -17,7 +17,7 @@ type heapQueue struct {
 // is eventLess.
 func (q *heapQueue) Len() int { return len(q.evs) }
 
-func (q *heapQueue) Less(i, j int) bool { return eventLess(q.evs[i], q.evs[j]) }
+func (q *heapQueue) Less(i, j int) bool { return eventLess(&q.evs[i], &q.evs[j]) }
 
 func (q *heapQueue) Swap(i, j int) { q.evs[i], q.evs[j] = q.evs[j], q.evs[i] }
 
@@ -41,7 +41,8 @@ func (q *heapQueue) empty() bool { return len(q.evs) == 0 }
 
 // newHeapQueue is the oracle's run queue: every arrival of src pushed up
 // front into one flat heap, for both adapters, so a run on it holds the
-// latent-arrival overlay and the calendar together to a single heap.
+// latent-arrival overlay and the live-set heap together to a single
+// heap.
 func newHeapQueue(src *rowSource) eventQueue {
 	q := &heapQueue{evs: make([]simEvent, 0, src.len())}
 	for row := range src.len() {

@@ -14,8 +14,9 @@ import (
 // arrival, utilisation synthesized through cursors, arrivals never
 // materialised into the queue — produces a Result bit-for-bit identical
 // to running the materialised form of the same stream, across all four
-// scenarios, seeds, and both event queues (the calendar queue and the
-// binary-heap oracle, on each side).
+// scenarios, seeds, and both event queues (the run queue, labelled
+// "calendar" after the queue it replaced, and the binary-heap oracle,
+// on each side).
 func TestStreamedEngineMatchesEager(t *testing.T) {
 	for _, kind := range trace.Scenarios() {
 		for _, seed := range []int64{1, 2} {
@@ -118,10 +119,10 @@ func TestStreamedBaselineSizingMatchesEager(t *testing.T) {
 	}
 }
 
-// TestCalendarQueueMatchesHeapFullRuns closes the loop on the calendar
-// queue at the engine level: full runs (eager and streamed) with the
-// heap forced must equal the calendar-backed default bit for bit.
-func TestCalendarQueueMatchesHeapFullRuns(t *testing.T) {
+// TestRunQueueMatchesHeapFullRuns closes the loop on the run queue at
+// the engine level: full runs (eager and streamed) with the flat heap
+// oracle forced must equal the default intake bit for bit.
+func TestRunQueueMatchesHeapFullRuns(t *testing.T) {
 	s, err := trace.NewStream(trace.ScenarioConfig{
 		Kind: trace.ScenarioDiurnal, NumVMs: 400, Duration: 86400, Seed: 2,
 	})
@@ -136,11 +137,11 @@ func TestCalendarQueueMatchesHeapFullRuns(t *testing.T) {
 		} else {
 			cfg.Stream = s
 		}
-		cal, err := Run(cfg)
+		want, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runOracleModes(t, mode+"/", cfg, cal)
+		runOracleModes(t, mode+"/", cfg, want)
 	}
 }
 

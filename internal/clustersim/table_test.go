@@ -150,8 +150,9 @@ func withSchemes(t testing.TB, schemes []pricing.Scheme) {
 	t.Cleanup(func() { pricingSchemes = prev })
 }
 
-// forEachMeteringCase runs fn on every metering case, on the calendar
-// queue and on the binary-heap oracle.
+// forEachMeteringCase runs fn on every metering case, on the run queue
+// (labelled "calendar", the queue it replaced, so the subtest names stay
+// stable) and on the binary-heap oracle.
 func forEachMeteringCase(t *testing.T, fn func(t *testing.T, cfg Config)) {
 	for name, cfg := range meteringCases(t) {
 		for _, queue := range []string{"calendar", "heapqueue"} {
@@ -476,7 +477,7 @@ func checkPairAllocs(t *testing.T, cfg Config, want float64) {
 	if len(e.tbl) == 0 || e.res.Rejected != 0 {
 		t.Fatalf("warm-up admitted %d rows, rejected %d", len(e.tbl), e.res.Rejected)
 	}
-	e.queue = newCalendarQueue(liveSetHint, e.horizon)
+	e.queue = newStreamQueue(nil, nil)
 	for _, class := range []trace.VMClass{trace.Interactive, trace.DelayInsensitive} {
 		row, ok := rowOf[class]
 		if !ok {

@@ -237,15 +237,15 @@ type Host struct {
 	// vector keeps the hot-path Capacity() reads lock-free.
 	capacity atomic.Pointer[resources.Vector]
 
-	mu      sync.Mutex
-	domains map[string]*Domain
+	mu sync.Mutex
 	// rows is the row table: one slot per resident, stable for the
 	// resident's lifetime (Domain.slot), recycled through free after
-	// Undefine. order holds the live slots sorted by resident name.
-	// Keeping it materialised makes the walks below iterate in a fixed
-	// order, which keeps float summations like Allocated() bit-for-bit
-	// reproducible — map iteration order would perturb the low bits run
-	// to run and break the simulator's determinism guarantee.
+	// Undefine. order holds the live slots sorted by resident name; it is
+	// also the name index (findLocked binary-searches it). Keeping it
+	// materialised makes the walks below iterate in a fixed order, which
+	// keeps float summations like Allocated() bit-for-bit reproducible —
+	// map iteration order would perturb the low bits run to run and break
+	// the simulator's determinism guarantee.
 	rows  []row
 	free  []int32
 	order []int32
@@ -280,9 +280,8 @@ func NewHost(cfg HostConfig) (*Host, error) {
 		return nil, err
 	}
 	h := &Host{
-		cfg:     cfg,
-		domains: make(map[string]*Domain),
-		clean:   true,
+		cfg:   cfg,
+		clean: true,
 	}
 	c := cfg.Capacity
 	h.capacity.Store(&c)
@@ -459,10 +458,17 @@ func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) 
 	return states, domains
 }
 
-// searchLocked returns the position in order of the first resident
-// whose name is >= name.
-func (h *Host) searchLocked(name string) int {
-	return sort.Search(len(h.order), func(i int) bool { return h.rows[h.order[i]].name >= name })
+// findLocked returns the position in order of the first resident whose
+// name is >= name, and that resident's domain if it is named name (nil
+// otherwise).
+func (h *Host) findLocked(name string) (int, *Domain) {
+	i := sort.Search(len(h.order), func(i int) bool { return h.rows[h.order[i]].name >= name })
+	if i < len(h.order) {
+		if r := &h.rows[h.order[i]]; r.name == name {
+			return i, r.dom
+		}
+	}
+	return i, nil
 }
 
 // Define creates a domain. Defining does not reserve physical resources:
@@ -476,7 +482,8 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.domains[cfg.Name]; ok {
+	i, dup := h.findLocked(cfg.Name)
+	if dup != nil {
 		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Name)
 	}
 	d := &Domain{
@@ -501,8 +508,6 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 		deflatable: cfg.Deflatable,
 	}
 	h.rows[d.slot].setAlloc(d.derive())
-	h.domains[cfg.Name] = d
-	i := h.searchLocked(cfg.Name)
 	h.order = append(h.order, 0)
 	copy(h.order[i+1:], h.order[i:])
 	h.order[i] = d.slot
@@ -514,11 +519,10 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 func (h *Host) Lookup(name string) (*Domain, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	d, ok := h.domains[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	if _, d := h.findLocked(name); d != nil {
+		return d, nil
 	}
-	return d, nil
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 }
 
 // Domains lists domains sorted by name.
@@ -538,15 +542,13 @@ func (h *Host) Domains() []*Domain {
 func (h *Host) Undefine(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	d, ok := h.domains[name]
-	if !ok {
+	i, d := h.findLocked(name)
+	if d == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	if d.state == Running {
 		return fmt.Errorf("%w: cannot undefine running domain %s", ErrState, name)
 	}
-	delete(h.domains, name)
-	i := h.searchLocked(name)
 	h.order = append(h.order[:i], h.order[i+1:]...)
 	h.rows[d.slot] = row{}
 	h.free = append(h.free, d.slot)

@@ -156,13 +156,13 @@ func checkRows(t *testing.T, h *Host, op string) {
 	t.Helper()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.order) != len(h.domains) {
-		t.Fatalf("after %s: %d ordered slots for %d domains", op, len(h.order), len(h.domains))
+	if len(h.order)+len(h.free) != len(h.rows) {
+		t.Fatalf("after %s: %d ordered + %d free slots in a table of %d", op, len(h.order), len(h.free), len(h.rows))
 	}
 	for i, slot := range h.order {
 		r := &h.rows[slot]
 		d := r.dom
-		if d == nil || d.slot != slot || h.domains[r.name] != d {
+		if pos, found := h.findLocked(r.name); d == nil || d.slot != slot || pos != i || found != d {
 			t.Fatalf("after %s: slot %d (%q) is not owned by the domain it names", op, slot, r.name)
 		}
 		if i > 0 && h.rows[h.order[i-1]].name >= r.name {
@@ -334,7 +334,7 @@ func TestDefineAllocatesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle() // warm the row table and the name map
+	cycle() // warm the row table and the name order
 	if got := testing.AllocsPerRun(200, cycle); got != 1 {
 		t.Errorf("define/undefine cycle allocates %.1f objects, want 1 (the Domain)", got)
 	}

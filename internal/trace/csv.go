@@ -142,9 +142,10 @@ func checkLiveIDs(vms []*VMRecord) error {
 }
 
 // validate rejects a parsed row a run cannot hold: the simulator sorts
-// rows by start, hashes event times into calendar buckets
-// (int64(at/width)) and defines a domain of the row's size, so a
-// non-finite or negative time, a lifetime that ends before it starts, a
+// rows by start, delivers events in (time, kind, seq) order (which a
+// NaN time breaks, comparing false both ways, and an infinite one
+// leaves without a horizon) and defines a domain of the row's size, so
+// a non-finite or negative time, a lifetime that ends before it starts, a
 // VM smaller than one core or without memory, or a utilisation sample
 // that is not a finite non-negative number would produce a wrong answer
 // or a panic instead of an error. So would a sample above 100: the

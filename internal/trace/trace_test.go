@@ -436,8 +436,8 @@ var unholdableRows = map[string]string{
 }
 
 // TestReadAzureCSVRejectsUnholdableRows: every row a run cannot hold —
-// its arrival order is a sort on start and its calendar computes
-// int64(at/width) — is a line-numbered error, not a trace. One case per
+// its arrival order is a sort on start and its events are ordered by
+// (time, kind, seq) — is a line-numbered error, not a trace. One case per
 // rule; the row sits on line 3 behind a good one.
 func TestReadAzureCSVRejectsUnholdableRows(t *testing.T) {
 	for name, row := range unholdableRows {
