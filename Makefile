@@ -1,12 +1,11 @@
 # Developer/CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: vet, race-enabled tests, a one-shot smoke of the
 # parallel sweep benchmark, the zero-allocation gate on the placement
-# policy hot path, and the 50k-VM capacity-index scale smoke (whose
-# BENCH_scale.json report CI archives as a build artifact).
+# policy hot path, and the SLO frontier and pressure-index gates.
 
 GO ?= go
 
-.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale bench-scale-1m bench-scale-10m bench-matrix bench-revocation bench-slo bench-pressure bench-e2e bench-compare bench ci
+.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale-10m bench-slo bench-pressure bench-e2e bench-compare bench ci
 
 build:
 	$(GO) build ./...
@@ -85,38 +84,17 @@ bench-allocs:
 		if (failed) exit 1; \
 		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
 
-# Cloud-scale single-run smoke: one 50k-VM deflation run through the
-# capacity-indexed manager, on one goroutine, reported to
-# BENCH_scale.json so the perf trajectory is tracked PR-over-PR.
-bench-scale:
-	$(GO) run ./cmd/benchreport -scale 50000 -scaleout BENCH_scale.json
-
-# The 1M-VM point: an order of magnitude past the CI smoke, for
-# measuring the zero-alloc engine at full cloud scale.
-bench-scale-1m:
-	$(GO) run ./cmd/benchreport -scale 1000000 -scaleout BENCH_scale_1m.json
-
 # The 10M-VM point, streamed: the trace is never materialised — VM
 # parameters generate at arrival, utilisation synthesizes through
-# per-VM cursors — so resident memory is O(live VMs). The run fails
-# unless peak heap stays >= 3.5x below what the eager generator would
-# allocate (per-lifetime utilisation slices; the report also carries the
-# ~30x larger horizon-resident denominator for context).
+# per-VM cursors — so resident memory is O(live VMs). The benchmark
+# fails unless peak heap stays >= 3.5x below what the eager generator
+# would allocate (streamed_test.go). It takes about 12.5 minutes on a
+# 2-core box, past go test's default 10-minute timeout. Its output goes
+# to BENCH_scale_10m.txt for CI to archive; the exit status is the
+# benchmark's, which a pipe into tee would drop.
 bench-scale-10m:
-	$(GO) run ./cmd/benchreport -scale 10000000 -stream -scaleout BENCH_scale_10m.json
-
-# Measured multi-core matrix: aggregate throughput and peak heap of
-# GOMAXPROCS concurrent share-nothing runs at each GOMAXPROCS up to the
-# core count. Fails on machines with >= 4 cores unless aggregate
-# throughput scales.
-bench-matrix:
-	$(GO) run ./cmd/benchreport -matrix 100000 -matrixout BENCH_matrix.json
-
-# Revocation-churn smoke: the 50k-VM run under Poisson server
-# revocations (2/server/day), measuring deflation-first evacuation
-# throughput (evacuations/sec in BENCH_revocation.json).
-bench-revocation:
-	$(GO) run ./cmd/benchreport -scale 50000 -shocks poisson -scaleout BENCH_revocation.json
+	$(GO) test -run '^$$' -bench '^BenchmarkStreamed10M$$' -benchtime 1x -timeout 40m . > BENCH_scale_10m.txt 2>&1; \
+		status=$$?; cat BENCH_scale_10m.txt; exit $$status
 
 # SLO frontier test, verbose: a 20k-VM bursty trace comparing
 # proportional against latency-aware deflation on SLO violations at
@@ -150,11 +128,11 @@ bench-e2e:
 bench-compare:
 	$(GO) run ./bench -compare bench/baseline.json BENCH_e2e.json
 
-# The root package's perf and ablation benchmarks (sweep engine, single
-# runs at 10k and 100k VMs, scenario generation, mechanism / policy /
-# partitioning ablations). The figures are claim tests, run by `make
-# test` (figures_test.go, FIGURES.md).
+# The root package's sweep and ablation benchmarks (sequential and
+# parallel sweep engine, mechanism / policy / partitioning ablations).
+# The 10M-VM streamed run is left to bench-scale-10m. The figures are
+# claim tests, run by `make test` (figures_test.go, FIGURES.md).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(Sweep|Ablation)' -benchmem .
 
-ci: build vet race bench-smoke bench-allocs bench-scale bench-revocation bench-slo bench-pressure
+ci: build vet race bench-smoke bench-allocs bench-slo bench-pressure

@@ -1,7 +1,9 @@
 package vmdeflate
 
-// The perf and ablation benchmarks. The figures of the paper's
-// evaluation are claim tests in figures_test.go, not benchmarks.
+// The sweep and ablation benchmarks. The figures of the paper's
+// evaluation are claim tests in figures_test.go, not benchmarks; single
+// runs are timed by `go run ./bench`, and the 10M-VM streamed run is in
+// streamed_test.go.
 
 import (
 	"sync"
@@ -89,111 +91,6 @@ func BenchmarkSweep10kSequential(b *testing.B) { sweepGridBench(b, 1) }
 // should drop to roughly the slowest single point, i.e. >= 2x faster
 // than sequential.
 func BenchmarkSweep10kParallel(b *testing.B) { sweepGridBench(b, 0) }
-
-// BenchmarkDeflationRun10k measures ONE deflation-mode run — the unit
-// the capacity index accelerates — at 10k VMs and 50% overcommitment.
-// The PR 1 baseline for this run shape was ~4.3 s; the indexed manager
-// must hold a >= 5x improvement.
-func BenchmarkDeflationRun10k(b *testing.B) {
-	tr, base := sweepFixture(b)
-	b.ResetTimer()
-	var fail float64
-	for i := 0; i < b.N; i++ {
-		res, err := clustersim.Run(clustersim.Config{
-			Trace: tr, Overcommit: 0.5, BaselineServers: base,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fail = res.FailureProbability
-	}
-	b.ReportMetric(fail, "failprob@50%OC")
-}
-
-// 100k fixture: a heavy-tail trace at the cloud-scale target, sized by
-// the peak-demand bound.
-var (
-	hundredKOnce sync.Once
-	hundredKTr   *trace.AzureTrace
-	hundredKBase int
-)
-
-func hundredKFixture(b *testing.B) (*trace.AzureTrace, int) {
-	b.Helper()
-	hundredKOnce.Do(func() {
-		tr, err := trace.GenerateScenario(trace.ScenarioConfig{
-			Kind: trace.ScenarioHeavyTail, NumVMs: 100000, Duration: 3 * 86400, Seed: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		hundredKTr = tr
-		n, err := clustersim.PeakServerLowerBound(tr, clustersim.DefaultServerCapacity())
-		if err != nil {
-			panic(err)
-		}
-		hundredKBase = n
-	})
-	return hundredKTr, hundredKBase
-}
-
-// BenchmarkDeflationRun100k is the cloud-scale single-run target the
-// capacity index and the zero-allocation policy hot path exist for:
-// 100k VMs in one trace, one engine, fully sequential.
-func BenchmarkDeflationRun100k(b *testing.B) {
-	tr, base := hundredKFixture(b)
-	b.ResetTimer()
-	var admitted int
-	for i := 0; i < b.N; i++ {
-		res, err := clustersim.Run(clustersim.Config{
-			Trace: tr, Overcommit: 0.5, BaselineServers: base,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		admitted = res.Admitted
-	}
-	b.ReportMetric(float64(admitted), "admitted")
-}
-
-// BenchmarkScenarioBursty10k exercises the engine on the flash-crowd
-// scenario at 10k-VM scale: one proportional-deflation point at 50%
-// overcommitment, trace generated fresh each iteration from a fixed
-// seed (per-run RNG, as the replicated sweeps use).
-func BenchmarkScenarioBursty10k(b *testing.B) {
-	var fail float64
-	for i := 0; i < b.N; i++ {
-		tr, err := trace.GenerateScenario(trace.ScenarioConfig{
-			Kind: trace.ScenarioBursty, NumVMs: 10000, Duration: 2 * 86400, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := clustersim.Run(clustersim.Config{Trace: tr, Overcommit: 0.5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fail = res.FailureProbability
-	}
-	b.ReportMetric(fail, "failprob@50%OC")
-}
-
-// BenchmarkScenarioGen100k measures trace synthesis alone at 100k-VM
-// scale — the generator must never be the bottleneck of a cloud-scale
-// sweep.
-func BenchmarkScenarioGen100k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tr, err := trace.GenerateScenario(trace.ScenarioConfig{
-			Kind: trace.ScenarioHeavyTail, NumVMs: 100000, Duration: 3 * 86400, Seed: int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tr.VMs) != 100000 {
-			b.Fatalf("generated %d VMs", len(tr.VMs))
-		}
-	}
-}
 
 // BenchmarkAblationHybridThreshold ablates the hybrid mechanism's
 // switchover point: swap pressure paid when deflating a memory-heavy VM

@@ -135,7 +135,10 @@ func run(args []string, w io.Writer) (err error) {
 	}
 	shocked := opts.ShockConfig != nil
 
+	// The header is printed once the sweep has run, so an input the sweep
+	// rejects prints nothing.
 	var results []*clustersim.SweepResult
+	var header string
 	switch {
 	case *stream:
 		if *azurePath != "" || *replicates > 1 {
@@ -145,7 +148,7 @@ func run(args []string, w io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "scenario %s (streamed): %d VMs, horizon %.1f days\n\n", *scenario, s.Len(), *days)
+		header = fmt.Sprintf("scenario %s (streamed): %d VMs, horizon %.1f days\n\n", *scenario, s.Len(), *days)
 		if results, err = clustersim.SweepGridStream(s, strats, ocs, opts); err != nil {
 			return err
 		}
@@ -154,7 +157,7 @@ func run(args []string, w io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "trace: %d VMs, horizon %.1f days\n\n", len(tr.VMs), tr.Duration()/86400)
+		header = fmt.Sprintf("trace: %d VMs, horizon %.1f days\n\n", len(tr.VMs), tr.Duration()/86400)
 		if results, err = clustersim.SweepGrid(tr, strats, ocs, opts); err != nil {
 			return err
 		}
@@ -167,7 +170,7 @@ func run(args []string, w io.Writer) (err error) {
 		for i := range seeds {
 			seeds[i] = *seed + int64(i)
 		}
-		fmt.Fprintf(w, "scenario %s: %d VMs x %d replicates, horizon %.1f days (mean shown)\n\n",
+		header = fmt.Sprintf("scenario %s: %d VMs x %d replicates, horizon %.1f days (mean shown)\n\n",
 			*scenario, *nVMs, *replicates, *days)
 		reps, err := clustersim.ReplicatedSweep(gen, seeds, strats, ocs, opts)
 		if err != nil {
@@ -179,12 +182,13 @@ func run(args []string, w io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "scenario %s: %d VMs, horizon %.1f days\n\n", *scenario, len(tr.VMs), tr.Duration()/86400)
+		header = fmt.Sprintf("scenario %s: %d VMs, horizon %.1f days\n\n", *scenario, len(tr.VMs), tr.Duration()/86400)
 		if results, err = clustersim.SweepGrid(tr, strats, ocs, opts); err != nil {
 			return err
 		}
 	}
 
+	fmt.Fprint(w, header)
 	for _, sr := range results {
 		fmt.Fprintf(w, "== strategy: %s\n", sr.Strategy)
 		fmt.Fprintf(w, "%8s %12s %12s %12s %12s %12s",

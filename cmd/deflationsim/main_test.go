@@ -21,8 +21,9 @@ import (
 // of zero or fewer days ran on one 300 s sample and printed a result
 // table, and -vms 0 printed the header before failing with a bare
 // "empty trace". Under -azure the synthetic-only flags were ignored:
-// -azure F -replicates 3 printed one trace's sweep. Each fails naming
-// its flag, before any output.
+// -azure F -replicates 3 printed one trace's sweep. A negative -workers
+// ran on every core. Each fails naming its flag (-workers through the
+// sweep's Options.Workers), before any output.
 func TestFlagsThatAskForNothingFail(t *testing.T) {
 	for _, n := range []int{0, -3} {
 		if err := checkReplicates(n); err == nil || !strings.Contains(err.Error(), "want 1 or more") {
@@ -62,6 +63,9 @@ func TestFlagsThatAskForNothingFail(t *testing.T) {
 		{[]string{"-days", "0", "-replicates", "2"}, "-days 0: want a horizon above 0"},
 		{[]string{"-vms", "0"}, "-vms 0: want at least 1 VM"},
 		{[]string{"-vms", "-5", "-stream"}, "-vms -5: want at least 1 VM"},
+		{[]string{"-workers", "-1"}, "Options.Workers -1 is negative"},
+		{[]string{"-workers", "-1", "-stream"}, "Options.Workers -1 is negative"},
+		{[]string{"-workers", "-2", "-replicates", "2"}, "Options.Workers -2 is negative"},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
 			args := append([]string{"-vms", "20", "-days", "1", "-oc", "0"}, c.args...)

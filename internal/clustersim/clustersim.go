@@ -154,9 +154,10 @@ type Config struct {
 	// and the streamed differential suite), in either mode. A Stream is
 	// immutable: concurrent engines may share one.
 	Stream *trace.Stream
-	// Mode selects deflation or the preemption baseline. Both run on the
-	// engine's one event loop, with the same queue, batching and shock
-	// bookkeeping; only what a batch does differs.
+	// Mode selects deflation or the preemption baseline; any other value
+	// is an error. Both run on the engine's one event loop, with the same
+	// queue, batching and shock bookkeeping; only what a batch does
+	// differs.
 	Mode Mode
 	// Policy configures deflation (ignored for preemption). Deflation
 	// targets are applied by the transparent mechanism, the one Section
@@ -168,7 +169,8 @@ type Config struct {
 	// cluster is sized to BaselineServers/(1+Overcommit).
 	Overcommit float64
 	// BaselineServers overrides the no-overcommitment cluster size; when
-	// zero it is derived from the trace's peak committed demand.
+	// zero it is derived from the trace's peak committed demand. A
+	// negative size is an error.
 	BaselineServers int
 	// Notify, when set, receives an event for every allocation change
 	// the cluster manager makes during the run. The bus is safe to
@@ -232,6 +234,12 @@ func (c *Config) applyDefaults() error {
 		}
 	case c.Trace == nil || len(c.Trace.VMs) == 0:
 		return fmt.Errorf("clustersim: empty trace")
+	}
+	if c.Mode != ModeDeflation && c.Mode != ModePreemption {
+		return fmt.Errorf("clustersim: Config.Mode %d is neither ModeDeflation nor ModePreemption", c.Mode)
+	}
+	if c.BaselineServers < 0 {
+		return fmt.Errorf("clustersim: Config.BaselineServers %d is negative (0 derives it from the trace)", c.BaselineServers)
 	}
 	if c.Policy == nil {
 		c.Policy = policy.Proportional{}

@@ -130,6 +130,53 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownModeAndNegativeBaseline: a Mode that names
+// neither reclamation strategy and a negative BaselineServers used to
+// run deflation on a fleet sized from the trace, as if each were its
+// default. Each is an error naming its field, eager or streamed, and
+// the valid values still run.
+func TestRunRejectsUnknownModeAndNegativeBaseline(t *testing.T) {
+	tr := testTrace(60)
+	s, err := trace.NewNamedStream("azure", 60, 86400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // in the error text; "" for a valid config
+	}{
+		{"mode 7", Config{Mode: Mode(7)}, "Config.Mode 7"},
+		{"mode -1", Config{Mode: Mode(-1)}, "Config.Mode -1"},
+		{"baseline -3", Config{BaselineServers: -3}, "Config.BaselineServers -3"},
+		{"preemption baseline -1", Config{Mode: ModePreemption, BaselineServers: -1}, "Config.BaselineServers -1"},
+		{"deflation derived", Config{}, ""},
+		{"preemption pinned", Config{Mode: ModePreemption, BaselineServers: 4}, ""},
+	}
+	for _, c := range cases {
+		for _, streamed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/streamed=%v", c.name, streamed), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Overcommit = 0.3
+				if streamed {
+					cfg.Stream = s
+				} else {
+					cfg.Trace = tr
+				}
+				res, err := Run(cfg)
+				switch {
+				case c.want == "" && err != nil:
+					t.Fatalf("valid config: %v", err)
+				case c.want != "" && err == nil:
+					t.Fatalf("want an error, got a run on %d servers", res.Servers)
+				case c.want != "" && !strings.Contains(err.Error(), c.want):
+					t.Fatalf("err = %v, want one containing %q", err, c.want)
+				}
+			})
+		}
+	}
+}
+
 // TestRunRejectsMalformedCurve: a deflation-response curve outside its
 // ranges is an error naming the curve and the field, whether it shapes
 // SLO metering or the latency-aware policy. These curves used to run:

@@ -151,7 +151,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{cfg: cfg, src: newRowSource(cfg.Trace, cfg.Stream)}
 	base := cfg.BaselineServers
-	if base <= 0 {
+	if base == 0 {
 		// Sizing is the geometry's first need; the run reuses it.
 		var err error
 		if base, _, err = sizeFleet(e.src, DefaultServerCapacity()); err != nil {

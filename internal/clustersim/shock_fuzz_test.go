@@ -81,37 +81,45 @@ func validShockConfig(sc trace.ShockConfig) bool {
 }
 
 // FuzzShockInputs drives explicit shock schedules and generator
-// parameters through Run, in both modes, on a tiny trace. Run must
-// accept exactly the valid inputs — an error, never a panic, a hang or a
-// silent default for the rest — and an accepted run never counts more
-// revocations, restorations or resizes than its schedule holds entries
-// of each kind for servers it provisioned.
+// parameters through Run on a tiny trace, with a raw mode and a raw
+// signed baseline fleet size. Run must accept exactly the valid inputs
+// — an error, never a panic, a hang or a silent default for the rest —
+// and an accepted run never counts more revocations, restorations or
+// resizes than its schedule holds entries of each kind for servers it
+// provisioned.
 //
 //	go test -run '^$' -fuzz FuzzShockInputs -fuzztime 15s -fuzzminimizetime 200x ./internal/clustersim
 func FuzzShockInputs(f *testing.F) {
-	f.Add(uint8(0), "poisson", 2.0, 3600.0, 0.5, 0.0, 4, int64(1), []byte{}, 0.0, 0.0)
-	f.Add(uint8(1), "rack", 3.0, 0.0, 0.0, 86400.0, 2, int64(2), []byte{}, 0.0, 0.0)
-	f.Add(uint8(0), "diurnal", 6.0, 7200.0, 1.0, 0.0, 0, int64(3), []byte{}, 0.0, 0.0)
-	f.Add(uint8(0), "", 0.0, 0.0, 0.0, 0.0, 0, int64(0), []byte{4, 0, 0, 0, 40, 1, 0, 0, 8, 2, 1, 64, 60, 2, 1, 128}, 0.0, 0.0)
-	f.Add(uint8(1), "", 0.0, 0.0, 0.0, 0.0, 0, int64(0), []byte{4, 0, 1, 0, 4, 0, 1, 0, 9}, 7000.0, 0.25)
-	f.Add(uint8(0), "", 0.0, 0.0, 0.0, 0.0, 0, int64(0), []byte{2, 2, 0, 0, 5}, 3600.0, math.NaN())
+	f.Add(0, 0, "poisson", 2.0, 3600.0, 0.5, 0.0, 4, int64(1), []byte{}, 0.0, 0.0)
+	f.Add(1, 0, "rack", 3.0, 0.0, 0.0, 86400.0, 2, int64(2), []byte{}, 0.0, 0.0)
+	f.Add(0, 0, "diurnal", 6.0, 7200.0, 1.0, 0.0, 0, int64(3), []byte{}, 0.0, 0.0)
+	f.Add(0, 0, "", 0.0, 0.0, 0.0, 0.0, 0, int64(0), []byte{4, 0, 0, 0, 40, 1, 0, 0, 8, 2, 1, 64, 60, 2, 1, 128}, 0.0, 0.0)
+	f.Add(1, 0, "", 0.0, 0.0, 0.0, 0.0, 0, int64(0), []byte{4, 0, 1, 0, 4, 0, 1, 0, 9}, 7000.0, 0.25)
+	f.Add(0, 0, "", 0.0, 0.0, 0.0, 0.0, 0, int64(0), []byte{2, 2, 0, 0, 5}, 3600.0, math.NaN())
+	f.Add(1, 5, "poisson", 2.0, 3600.0, 0.5, 0.0, 0, int64(1), []byte{}, 0.0, 0.0)
+	f.Add(7, 0, "poisson", 2.0, 3600.0, 0.5, 0.0, 0, int64(1), []byte{}, 0.0, 0.0)
+	f.Add(-1, 0, "", 0.0, 0.0, 0.0, 0.0, 0, int64(0), []byte{4, 0, 1, 0}, 0.0, 0.0)
+	f.Add(0, -3, "rack", 3.0, 0.0, 0.0, 86400.0, 2, int64(2), []byte{}, 0.0, 0.0)
 	tr := shockFuzzTrace()
 	var horizon float64
 	for _, vm := range tr.VMs {
 		horizon = math.Max(horizon, vm.End)
 	}
-	f.Fuzz(func(t *testing.T, mode uint8, kind string, rate, outage, maxOut, duration float64, rack int, seed int64, list []byte, at, scale float64) {
-		cfg := Config{Trace: tr, Mode: Mode(mode % 2), Overcommit: 0.3}
+	f.Fuzz(func(t *testing.T, mode, baseline int, kind string, rate, outage, maxOut, duration float64, rack int, seed int64, list []byte, at, scale float64) {
+		cfg := Config{Trace: tr, Mode: Mode(mode), BaselineServers: baseline, Overcommit: 0.3}
+		valid := (cfg.Mode == ModeDeflation || cfg.Mode == ModePreemption) && baseline >= 0
+		if valid && baseline > 64 {
+			t.Skip("valid but too many servers for one fuzz execution")
+		}
 		var shocks []trace.CapacityShock
-		valid := true
 		if len(list) > 0 {
 			shocks = decodeShocks(list, at, scale)
 			cfg.Shocks = shocks
-			valid = validShocks(shocks)
+			valid = valid && validShocks(shocks)
 		} else {
 			sc := trace.ShockConfig{Kind: trace.ShockScenario(kind), RatePerDay: rate, OutageMean: outage,
 				MaxOutFraction: maxOut, Duration: duration, RackSize: rack, Seed: seed}
-			valid = validShockConfig(sc)
+			valid = valid && validShockConfig(sc)
 			if valid && (rate > 48 || duration > 4*86400) {
 				t.Skip("valid but too many shocks for one fuzz execution")
 			}

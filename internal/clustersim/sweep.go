@@ -47,12 +47,19 @@ var Strategies = []string{
 	StrategyPreemption,
 }
 
-// validateGrid rejects an empty grid and unknown strategy names up
-// front: before this check an unrecognised name fell through
-// strategyConfig and silently simulated proportional deflation.
-func validateGrid(strategies []string, overcommitPcts []float64) error {
+// validateGrid rejects an empty grid, unknown strategy names and
+// negative options up front: before this check an unrecognised name
+// fell through strategyConfig and silently simulated proportional
+// deflation.
+func validateGrid(strategies []string, overcommitPcts []float64, opts Options) error {
 	if len(strategies) == 0 || len(overcommitPcts) == 0 {
 		return fmt.Errorf("clustersim: empty sweep grid")
+	}
+	if opts.Workers < 0 {
+		return fmt.Errorf("clustersim: Options.Workers %d is negative (0 means GOMAXPROCS)", opts.Workers)
+	}
+	if opts.BaselineServers < 0 {
+		return fmt.Errorf("clustersim: Options.BaselineServers %d is negative (0 derives it from the trace)", opts.BaselineServers)
 	}
 	for _, s := range strategies {
 		ok := false
@@ -94,14 +101,14 @@ func strategyConfig(tr *trace.AzureTrace, strategy string, baseline int, oc floa
 // with everything derived from the trace.
 type Options struct {
 	// Workers bounds worker-pool concurrency: 0 means GOMAXPROCS, 1
-	// forces a strictly sequential sweep. Because every grid point runs
-	// in its own share-nothing Engine and results land in
-	// position-indexed slots, the worker count never changes the
-	// output — only the wall clock.
+	// forces a strictly sequential sweep, and a negative count is an
+	// error. Because every grid point runs in its own share-nothing
+	// Engine and results land in position-indexed slots, the worker
+	// count never changes the output — only the wall clock.
 	Workers int
 	// BaselineServers pins the no-overcommitment cluster size; when 0
 	// it is computed once from the trace so that every grid point sees
-	// an identically sized cluster.
+	// an identically sized cluster. A negative size is an error.
 	BaselineServers int
 	// Notify, when set, is attached to every run's cluster manager. The
 	// bus fans out concurrently from all workers; subscribers must be
@@ -122,7 +129,7 @@ type Options struct {
 
 func (o Options) workers(jobs int) int {
 	w := o.Workers
-	if w <= 0 {
+	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if w > jobs {
@@ -215,11 +222,11 @@ func SweepGridStream(s *trace.Stream, strategies []string, overcommitPcts []floa
 }
 
 func sweepGrid(tr *trace.AzureTrace, s *trace.Stream, strategies []string, overcommitPcts []float64, opts Options) ([]*SweepResult, error) {
-	if err := validateGrid(strategies, overcommitPcts); err != nil {
+	if err := validateGrid(strategies, overcommitPcts, opts); err != nil {
 		return nil, err
 	}
 	rep := replicate{tr: tr, s: s, baseline: opts.BaselineServers}
-	if rep.baseline <= 0 {
+	if rep.baseline == 0 {
 		var err error
 		if rep.baseline, _, err = sizeFleet(newRowSource(tr, s), DefaultServerCapacity()); err != nil {
 			return nil, err
@@ -297,7 +304,7 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 	if gen == nil || len(seeds) == 0 {
 		return nil, fmt.Errorf("clustersim: replicated sweep needs a generator and seeds")
 	}
-	if err := validateGrid(strategies, overcommitPcts); err != nil {
+	if err := validateGrid(strategies, overcommitPcts, opts); err != nil {
 		return nil, err
 	}
 

@@ -1,7 +1,9 @@
 package clustersim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -127,6 +129,48 @@ func TestSweepGridValidation(t *testing.T) {
 	}
 	if _, err := SweepGrid(tr, []string{"bogus"}, []float64{0}, Options{}); err == nil {
 		t.Error("unknown strategy should fail instead of silently simulating proportional")
+	}
+}
+
+// TestSweepsRejectNegativeOptions: a negative Workers used to mean
+// GOMAXPROCS and a negative BaselineServers a fleet sized from the
+// trace, silently. Every sweep entry point rejects each, naming the
+// field, before it runs a point.
+func TestSweepsRejectNegativeOptions(t *testing.T) {
+	tr := testTrace(50)
+	s, err := trace.NewNamedStream("azure", 50, 86400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategies, ocs := []string{StrategyProportional}, []float64{0}
+	gen := func(int64) *trace.AzureTrace {
+		t.Error("a replicate was generated for rejected options")
+		return tr
+	}
+	sweeps := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"SweepGrid", func(o Options) error { _, err := SweepGrid(tr, strategies, ocs, o); return err }},
+		{"SweepGridStream", func(o Options) error { _, err := SweepGridStream(s, strategies, ocs, o); return err }},
+		{"ReplicatedSweep", func(o Options) error { _, err := ReplicatedSweep(gen, []int64{1}, strategies, ocs, o); return err }},
+	}
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Workers: -4}, "Options.Workers -4"},
+		{Options{Workers: -1}, "Options.Workers -1"},
+		{Options{BaselineServers: -2}, "Options.BaselineServers -2"},
+		{Options{BaselineServers: -2, Workers: -4}, "Options.Workers -4"},
+	} {
+		for _, sw := range sweeps {
+			t.Run(fmt.Sprintf("%s/workers=%d,baseline=%d", sw.name, c.opts.Workers, c.opts.BaselineServers), func(t *testing.T) {
+				if err := sw.run(c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("err = %v, want one containing %q", err, c.want)
+				}
+			})
+		}
 	}
 }
 

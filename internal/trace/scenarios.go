@@ -45,8 +45,8 @@ func ParseScenario(s string) (Scenario, error) {
 }
 
 // GenerateNamed parses a scenario name and generates its trace in one
-// step — the name → generator lookup shared by the simulation CLIs
-// (deflationsim, benchreport), which used to duplicate it.
+// step — the name → generator lookup the figure commands
+// (deflationsim, feasibility) share.
 func GenerateNamed(name string, numVMs int, duration float64, seed int64) (*AzureTrace, error) {
 	kind, err := ParseScenario(name)
 	if err != nil {

@@ -545,31 +545,3 @@ func idLen(index int) int {
 	}
 	return len("vm-") + max(n, 6)
 }
-
-// EagerBytesEstimate returns the approximate resident bytes a fully
-// materialised form of this stream would occupy: the utilisation
-// samples plus per-record fixed overhead in Materialize's block layout
-// (the record in its block, the ID's bytes in its block's string, the
-// trace's *VMRecord slot). It is the denominator of the streamed-memory
-// win reported by the scale benchmarks.
-func (s *Stream) EagerBytesEstimate() uint64 {
-	// VMRecord 80 B + *VMRecord slot 8 B; the ID adds its length.
-	const perVM = 88
-	var total uint64
-	for i := 0; i < s.n; i++ {
-		total += perVM + uint64(idLen(i)) + 8*uint64(s.Params(i).Samples())
-	}
-	return total
-}
-
-// MaxEnd returns the latest departure time across the stream — the
-// simulation horizon, equal to Materialize().Duration().
-func (s *Stream) MaxEnd() float64 {
-	var d float64
-	for i := 0; i < s.n; i++ {
-		if p := s.Params(i); p.End > d {
-			d = p.End
-		}
-	}
-	return d
-}

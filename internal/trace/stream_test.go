@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 func testStreams(t *testing.T, n int) map[string]*Stream {
@@ -117,39 +116,6 @@ func TestSeriesSynthReuse(t *testing.T) {
 		if !reflect.DeepEqual(buf, fresh) {
 			t.Fatalf("vm %d: reused synth diverges from fresh", i)
 		}
-	}
-}
-
-// TestMaxEndMatchesEagerDuration: the streamed horizon equals the eager
-// trace's Duration — the engine substitutes one for the other.
-func TestMaxEndMatchesEagerDuration(t *testing.T) {
-	for name, s := range testStreams(t, 400) {
-		if got, want := s.MaxEnd(), s.Materialize().Duration(); got != want {
-			t.Fatalf("%s: MaxEnd %v != eager Duration %v", name, got, want)
-		}
-	}
-}
-
-// TestEagerBytesEstimateSane: the estimate is at least the raw sample
-// bytes — the floor of what a materialised trace must hold — and is
-// exactly what Materialize's block layout holds per record: the
-// VMRecord, its pointer slot, its ID's bytes and its samples.
-func TestEagerBytesEstimateSane(t *testing.T) {
-	s := testStreams(t, 200)["azure"]
-	var samples uint64
-	for i := 0; i < s.Len(); i++ {
-		samples += uint64(s.Params(i).Samples())
-	}
-	est := s.EagerBytesEstimate()
-	if est < 8*samples {
-		t.Fatalf("EagerBytesEstimate %d below raw sample bytes %d", est, 8*samples)
-	}
-	var layout uint64
-	for _, vm := range s.Materialize().VMs {
-		layout += uint64(unsafe.Sizeof(*vm)+unsafe.Sizeof(vm)) + uint64(len(vm.ID)) + 8*uint64(len(vm.CPUUtil))
-	}
-	if est != layout {
-		t.Errorf("EagerBytesEstimate %d, block layout holds %d", est, layout)
 	}
 }
 
