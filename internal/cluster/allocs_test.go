@@ -12,9 +12,9 @@ import (
 
 // steadyStateServer builds a one-server manager filled to capacity with
 // deflatable residents, so that every deflateFor/reinflate cycle
-// exercises a full policy pass. It returns the server and the manager's
-// normalised config, which the passes read.
-func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, *Config) {
+// exercises a full policy pass. It returns the manager, whose arena and
+// normalised config the passes use, and the server.
+func steadyStateServer(tb testing.TB, pol policy.Policy) (*Manager, *Server) {
 	tb.Helper()
 	m := NewManager(Config{Policy: pol})
 	s, err := m.AddServer("node-0", resources.CPUMem(48, 131072), 0)
@@ -35,7 +35,7 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, *Config) {
 			tb.Fatal(err)
 		}
 	}
-	return s, &m.cfg
+	return m, s
 }
 
 // policyPassCycle is one steady-state hot-path iteration: the deflation
@@ -44,19 +44,19 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Server, *Config) {
 // defining the domain, which inherently allocates), followed by the
 // reinflation pass a departure would trigger. The server returns to its
 // initial state, so the cycle can repeat indefinitely.
-func policyPassCycle(tb testing.TB, s *Server, cfg *Config) {
+func policyPassCycle(tb testing.TB, m *Manager, s *Server) {
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
-	if _, err := deflateFor(s, cfg, od); err != nil {
+	if _, err := m.deflateFor(s, od); err != nil {
 		tb.Fatal(err)
 	}
-	if err := reinflate(s, cfg); err != nil {
+	if err := m.reinflate(s); err != nil {
 		tb.Fatal(err)
 	}
 }
 
 // TestPolicyPassSteadyStateZeroAllocs is the allocation-regression
-// guard for the placement hot path: once the per-server scratch arena
-// is warm, the deflation pass and reinflate must perform zero heap
+// guard for the placement hot path: once the manager's pass arena is
+// warm, the deflation pass and reinflate must perform zero heap
 // allocations, for every policy. (A full placement additionally defines
 // and starts a domain, which allocates by nature; the policy pass is
 // the part that runs once per pressured arrival and departure at cloud
@@ -64,13 +64,65 @@ func policyPassCycle(tb testing.TB, s *Server, cfg *Config) {
 func TestPolicyPassSteadyStateZeroAllocs(t *testing.T) {
 	for _, pol := range []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}} {
 		t.Run(pol.Name(), func(t *testing.T) {
-			s, cfg := steadyStateServer(t, pol)
-			policyPassCycle(t, s, cfg) // warm the arenas
+			m, s := steadyStateServer(t, pol)
+			policyPassCycle(t, m, s) // warm the arenas
 			got := testing.AllocsPerRun(200, func() {
-				policyPassCycle(t, s, cfg)
+				policyPassCycle(t, m, s)
 			})
 			if got != 0 {
 				t.Errorf("steady-state deflate/reinflate policy pass allocates %.1f allocs/op, want 0", got)
+			}
+		})
+	}
+}
+
+// TestPolicyPassOnAnotherServerAllocatesNothing: the policy-pass arena
+// is the manager's, not a server's. Once one server has run a deflation
+// and a reinflation pass over its six residents, the same two passes on
+// every other server — each run on a server that has never run a pass,
+// holding six, four or three residents — allocate nothing. With an arena
+// per server, each server's first pass grew its own.
+func TestPolicyPassOnAnotherServerAllocatesNothing(t *testing.T) {
+	const runs = 8
+	for _, pol := range []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			m := NewManager(Config{Policy: pol})
+			var servers []*Server
+			for i := 0; i <= runs+1; i++ {
+				s, err := m.AddServer(fmt.Sprintf("node-%d", i), resources.CPUMem(48, 131072), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Each server is filled before the next is added, so the
+				// surplus placement lands every resident on it.
+				k := []int{6, 4, 3}[i%3]
+				for j := 0; j < k; j++ {
+					cores := 48 / float64(k)
+					dc := deflatableVM(fmt.Sprintf("vm-%d-%d", i, j), cores, 2048*cores, []float64{0.25, 0.5, 0.75, 1.0}[j%4])
+					dc.Load = []float64{0, 2, 5, 7}[j%4]
+					if _, got, err := m.PlaceVM(dc); err != nil || got != s {
+						t.Fatalf("%s landed on %v (err %v), want %s", dc.Name, got, err, s.Host.Name())
+					}
+				}
+				servers = append(servers, s)
+			}
+			policyPassCycle(t, m, servers[0]) // six residents: the arena's high-water mark
+			next := 1
+			got := testing.AllocsPerRun(runs, func() {
+				s := servers[next]
+				next++
+				epoch := s.Host.AllocEpoch()
+				policyPassCycle(t, m, s)
+				if moved := s.Host.AllocEpoch() - epoch; moved != 2 || s.Host.Aggregates().Deflated != 0 {
+					t.Fatalf("%s: %d of the two passes moved an allocation, %d residents left deflated",
+						s.Host.Name(), moved, s.Host.Aggregates().Deflated)
+				}
+			})
+			if next != runs+2 {
+				t.Fatalf("ran the passes on %d servers, want %d", next-1, runs+1)
+			}
+			if got != 0 {
+				t.Errorf("the first passes on a server allocate %.2f objects, want 0", got)
 			}
 		})
 	}
@@ -80,22 +132,22 @@ func TestPolicyPassSteadyStateZeroAllocs(t *testing.T) {
 // residents deflated, a single reinflate (including its early-exit
 // aggregate read) must not allocate.
 func TestReinflateAloneZeroAllocs(t *testing.T) {
-	s, cfg := steadyStateServer(t, policy.Proportional{})
+	m, s := steadyStateServer(t, policy.Proportional{})
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
-	if _, err := deflateFor(s, cfg, od); err != nil {
+	if _, err := m.deflateFor(s, od); err != nil {
 		t.Fatal(err)
 	}
 	// First reinflation returns everyone to full; subsequent calls hit
 	// the Deflated==0 early exit. Both must be allocation-free.
 	if got := testing.AllocsPerRun(1, func() {
-		if err := reinflate(s, cfg); err != nil {
+		if err := m.reinflate(s); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
 		t.Errorf("full reinflation pass allocates %.1f allocs/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		if err := reinflate(s, cfg); err != nil {
+		if err := m.reinflate(s); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -109,12 +161,12 @@ func TestReinflateAloneZeroAllocs(t *testing.T) {
 // AllocsPerRun tests, so ns/op here is the per-pass latency the 1M-VM
 // runs pay on every pressured arrival and departure.
 func BenchmarkPolicyPassSteadyState(b *testing.B) {
-	s, cfg := steadyStateServer(b, policy.Proportional{})
-	policyPassCycle(b, s, cfg)
+	m, s := steadyStateServer(b, policy.Proportional{})
+	policyPassCycle(b, m, s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		policyPassCycle(b, s, cfg)
+		policyPassCycle(b, m, s)
 	}
 }
 

@@ -58,13 +58,13 @@ import (
 
 // writeTargets applies a policy pass's targets transparently (Section
 // 7.4's cluster evaluation runs no other mechanism): targets[i] belongs
-// to s.scratch.doms[i], whose allocation going in is
-// s.scratch.vms[i].Current. Each target takes the hypervisor's clamp,
-// the pass is one Host.SetLimits call, which overwrites targets with the
-// achieved allocations, and then each moved domain's event is published
-// in view order, with no further locked read.
-func writeTargets(s *Server, cfg *Config, targets []resources.Vector) error {
-	sc := &s.scratch
+// to m.pass.doms[i], whose allocation going in is m.pass.vms[i].Current.
+// Each target takes the hypervisor's clamp, the pass is one
+// Host.SetLimits call, which overwrites targets with the achieved
+// allocations, and then each moved domain's event is published in view
+// order, with no further locked read.
+func (m *Manager) writeTargets(s *Server, targets []resources.Vector) error {
+	sc := &m.pass
 	doms := sc.doms[:len(targets)]
 	for i, d := range doms {
 		t, err := d.ClampTarget(targets[i])
@@ -76,12 +76,12 @@ func writeTargets(s *Server, cfg *Config, targets []resources.Vector) error {
 	if err := s.Host.SetLimits(doms, targets); err != nil {
 		return err
 	}
-	if cfg.Notify == nil {
+	if m.cfg.Notify == nil {
 		return nil
 	}
 	for i, got := range targets {
 		if old := sc.vms[i].Current; got != old {
-			cfg.Notify.Publish(notify.Event{
+			m.cfg.Notify.Publish(notify.Event{
 				VM:                doms[i].Name(),
 				Server:            s.Host.Name(),
 				Kind:              notify.Classify(old, got),
@@ -132,7 +132,8 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Server is one managed physical server.
+// Server is one managed physical server. It owns no policy-pass buffers:
+// a pass on any server runs in the manager's one arena (Manager.pass).
 type Server struct {
 	Host *hypervisor.Host
 	// Partition is the server's priority pool (0-based); -1 when
@@ -161,20 +162,6 @@ type Server struct {
 	free      resources.Vector      // capacity - allocated
 	freeShare float64               // free.DominantShare(capacity): the index key
 	avail     resources.Vector      // the Section 5.2 availability vector
-
-	// scratch is the server's policy-pass arena: the VM-state/domain
-	// buffers deflateFor and reinflate fill from the host's deflatable
-	// view, plus the policy.Scratch the water-filling solvers run in, so
-	// steady-state passes never allocate. Guarded by the Manager's lock.
-	scratch serverScratch
-}
-
-// serverScratch holds the reusable buffers for one server's policy
-// passes.
-type serverScratch struct {
-	vms  []policy.VMState
-	doms []*hypervisor.Domain
-	ps   policy.Scratch
 }
 
 // placementOracle answers a Manager's three placement queries — the
@@ -238,6 +225,16 @@ type Manager struct {
 	pressIter capindex.DescIter
 	pressHeap candList
 
+	// pass is the policy-pass arena of every server: the buffers a pass
+	// fills from a host's deflatable view and the policy.Scratch it
+	// solves in. mu serialises the passes, and each one fills, solves
+	// and writes before the next begins.
+	pass struct {
+		vms  []policy.VMState
+		doms []*hypervisor.Domain
+		ps   policy.Scratch
+	}
+
 	// results is the batch placement scratch, reused across calls and
 	// touched only under mu.
 	results []Placement
@@ -277,10 +274,8 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name, capacity := spec.Name, spec.Capacity
-	for _, s := range m.servers {
-		if s.Host.Name() == name {
-			return nil, fmt.Errorf("%w: server %s", ErrExists, name)
-		}
+	if _, ok := m.byName[name]; ok {
+		return nil, fmt.Errorf("%w: server %s", ErrExists, name)
 	}
 	h, err := hypervisor.NewHost(hypervisor.HostConfig{Name: name, Capacity: capacity})
 	if err != nil {
@@ -650,7 +645,7 @@ func (m *Manager) anyFitsIndexedLocked(size resources.Vector) bool {
 // needed to host dc and, if feasible, applies it and launches the VM. On
 // success it records the placement and returns the new domain.
 func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervisor.Domain, error) {
-	initial, err := deflateFor(s, &m.cfg, dc)
+	initial, err := m.deflateFor(s, dc)
 	if err != nil {
 		return nil, err // insufficient: caller tries the next server
 	}
@@ -670,11 +665,11 @@ const newcomerName = "\x00newcomer"
 // deflateFor is placeOnLocked's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
 // initial allocation. The pass reads the host's deflatable VM-state view
-// and runs the policy through the server's scratch arena, then writes
-// the residents' targets in one locked write and notifies in the view's
-// name order — so steady-state calls perform zero heap allocations and
+// and runs the policy through the manager's pass arena, then writes the
+// residents' targets in one locked write and notifies in the view's name
+// order — so steady-state calls perform zero heap allocations and
 // notification delivery is deterministic.
-func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.Vector, error) {
+func (m *Manager) deflateFor(s *Server, dc hypervisor.DomainConfig) (resources.Vector, error) {
 	free := s.Host.Capacity().Sub(s.Host.Allocated())
 	need := dc.Size.Sub(free).ClampNonNegative()
 	if need.IsZero() {
@@ -685,9 +680,8 @@ func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.V
 	// Collect deflatable VMs from the host's view; the newcomer
 	// joins the pool if it is itself deflatable ("a new incoming VM ...
 	// can thus start its execution in a deflated mode", Section 5.1.1).
-	sc := &s.scratch
-	sc.vms, sc.doms = sc.vms[:0], sc.doms[:0]
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms, sc.doms)
+	sc := &m.pass
+	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
 	nResident := len(sc.vms)
 	if dc.Deflatable {
 		sc.vms = append(sc.vms, policy.VMState{
@@ -700,7 +694,7 @@ func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.V
 		})
 	}
 
-	res, err := cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
+	res, err := m.cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
 	if err != nil {
 		return resources.Vector{}, err
 	}
@@ -710,7 +704,7 @@ func deflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.V
 		initial = res.Targets[nResident]
 	}
 	// Apply deflation to resident VMs, in the view's name order.
-	if err := writeTargets(s, cfg, res.Targets[:nResident]); err != nil {
+	if err := m.writeTargets(s, res.Targets[:nResident]); err != nil {
 		return resources.Vector{}, err
 	}
 	return initial, nil
@@ -811,7 +805,7 @@ func (m *Manager) teardownLocked(s *Server, d *hypervisor.Domain) error {
 func (m *Manager) reinflateAffected(affected []*Server) error {
 	var firstErr error
 	for _, s := range affected {
-		if err := reinflate(s, &m.cfg); err != nil && firstErr == nil {
+		if err := m.reinflate(s); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -822,10 +816,10 @@ func (m *Manager) reinflateAffected(affected []*Server) error {
 // proportional deflation backwards", Section 5.1.3). The host's cached
 // Deflated count short-circuits the common case where nothing on the
 // server is deflated, without walking its domains. Like deflateFor it
-// consumes the host's deflatable VM-state view through the server's
-// scratch arena and writes the targets in one locked write, notifying
-// in name order, so steady-state calls are allocation-free.
-func reinflate(s *Server, cfg *Config) error {
+// consumes the host's deflatable VM-state view through the manager's
+// pass arena and writes the targets in one locked write, notifying in
+// name order, so steady-state calls are allocation-free.
+func (m *Manager) reinflate(s *Server) error {
 	agg := s.Host.Aggregates()
 	if agg.Deflated == 0 {
 		return nil
@@ -834,15 +828,14 @@ func reinflate(s *Server, cfg *Config) error {
 	if free.IsZero() {
 		return nil
 	}
-	sc := &s.scratch
-	sc.vms, sc.doms = sc.vms[:0], sc.doms[:0]
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms, sc.doms)
+	sc := &m.pass
+	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
 	if len(sc.vms) == 0 {
 		return nil
 	}
-	res, err := cfg.Policy.TargetsInto(sc.vms, free.Scale(-1), &sc.ps)
+	res, err := m.cfg.Policy.TargetsInto(sc.vms, free.Scale(-1), &sc.ps)
 	if err != nil && !errors.Is(err, policy.ErrInsufficient) {
 		return err
 	}
-	return writeTargets(s, cfg, res.Targets)
+	return m.writeTargets(s, res.Targets)
 }

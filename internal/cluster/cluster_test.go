@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
@@ -36,16 +38,28 @@ func onDemandVM(name string, cores, memMB float64) hypervisor.DomainConfig {
 	return hypervisor.DomainConfig{Name: name, Size: resources.CPUMem(cores, memMB)}
 }
 
+// TestAddServerDuplicate: re-adding any registered server name — first,
+// middle or last, at another capacity and pool — fails with ErrExists
+// and leaves the fleet as it was: the same servers in the same order,
+// the name still mapped to its first server and no pool's capacity
+// bound widened.
 func TestAddServerDuplicate(t *testing.T) {
-	m := NewManager(Config{})
-	if _, err := m.AddServer("a", serverCap(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddServer("a", serverCap(), 0); !errors.Is(err, ErrExists) {
-		t.Errorf("duplicate server err = %v", err)
-	}
-	if len(m.Servers()) != 1 {
-		t.Errorf("servers = %d", len(m.Servers()))
+	m := newTestManager(t, 5, Config{PartitionByPriority: true})
+	before := m.Servers()
+	maxCap := maps.Clone(m.maxCap)
+	for _, name := range []string{"node-0", "node-2", "node-4"} {
+		if _, err := m.AddServerSpec(ServerSpec{Name: name, Capacity: serverCap().Scale(2), Partition: 3}); !errors.Is(err, ErrExists) {
+			t.Errorf("duplicate server %s: err = %v, want ErrExists", name, err)
+		}
+		if got := m.Servers(); !slices.Equal(got, before) {
+			t.Errorf("after duplicate %s: servers %v, want %v", name, got, before)
+		}
+		if s := m.byName[name]; s != before[s.gidx] || s.Host.Name() != name {
+			t.Errorf("after duplicate %s: the name maps to %v", name, s)
+		}
+		if !maps.Equal(m.maxCap, maxCap) {
+			t.Errorf("after duplicate %s: pool capacity bounds %v, want %v", name, m.maxCap, maxCap)
+		}
 	}
 }
 

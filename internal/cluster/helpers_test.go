@@ -37,11 +37,13 @@ func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
 	return m.anyFitsLocked(size)
 }
 
-// LookupVM finds a placed VM's domain and server.
+// LookupVM finds a placed VM's domain and server. Both reads are under
+// the manager's lock, so a concurrent evacuation cannot move the VM
+// between them.
 func (m *Manager) LookupVM(name string) (*hypervisor.Domain, *Server, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	s, ok := m.placements[name]
-	m.mu.Unlock()
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: VM %s", ErrNotFound, name)
 	}

@@ -166,7 +166,7 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 	if s.Host.Allocated().FitsIn(capacity) {
 		// Grow / slack restore: run the freed capacity back into the
 		// residents ("run the proportional deflation backwards").
-		return Evacuation{}, reinflate(s, &m.cfg)
+		return Evacuation{}, m.reinflate(s)
 	}
 	m.evacDCs = m.evacDCs[:0]
 	if err := m.displaceForShrinkLocked(s, capacity); err != nil {
@@ -244,15 +244,15 @@ func (m *Manager) displaceForShrinkLocked(s *Server, capacity resources.Vector) 
 // the allocation fits the shrunk capacity: the ordinary policy pass
 // frees (allocated - capacity), and when even its best effort falls
 // short (quantised policies) every deflatable resident is pinned to its
-// floor — which the displacement pass guaranteed to fit.
+// floor — which the displacement pass guaranteed to fit. It is written
+// before evacuateLocked places any evacuee through the same arena.
 func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) error {
 	need := s.Host.Allocated().Sub(capacity).ClampNonNegative()
 	if need.IsZero() {
 		return nil
 	}
-	sc := &s.scratch
-	sc.vms, sc.doms = sc.vms[:0], sc.doms[:0]
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms, sc.doms)
+	sc := &m.pass
+	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
 	res, err := m.cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
 	if err != nil && !errors.Is(err, policy.ErrInsufficient) {
 		return err
@@ -262,7 +262,7 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 			res.Targets[i] = d.Floor()
 		}
 	}
-	return writeTargets(s, &m.cfg, res.Targets)
+	return m.writeTargets(s, res.Targets)
 }
 
 // evacuateLocked relocates the queued displaced VMs as one batch,

@@ -49,10 +49,11 @@ func perVMApplyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, targ
 // perVMDeflateFor is placeOnLocked's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
 // initial allocation. The pass reads the host's deflatable VM-state view
-// and runs the policy through the server's scratch arena, then applies
+// and runs the policy through the manager's pass arena, then applies
 // targets in the view's name order — so steady-state calls perform zero
 // heap allocations and notification delivery is deterministic.
-func perVMDeflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resources.Vector, error) {
+func (m *Manager) perVMDeflateFor(s *Server, dc hypervisor.DomainConfig) (resources.Vector, error) {
+	cfg := &m.cfg
 	free := s.Host.Capacity().Sub(s.Host.Allocated())
 	need := dc.Size.Sub(free).ClampNonNegative()
 	if need.IsZero() {
@@ -63,9 +64,8 @@ func perVMDeflateFor(s *Server, cfg *Config, dc hypervisor.DomainConfig) (resour
 	// Collect deflatable VMs from the host's view; the newcomer
 	// joins the pool if it is itself deflatable ("a new incoming VM ...
 	// can thus start its execution in a deflated mode", Section 5.1.1).
-	sc := &s.scratch
-	sc.vms, sc.doms = sc.vms[:0], sc.doms[:0]
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms, sc.doms)
+	sc := &m.pass
+	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
 	nResident := len(sc.vms)
 	if dc.Deflatable {
 		sc.vms = append(sc.vms, policy.VMState{
@@ -120,10 +120,11 @@ func perVMLaunch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector
 // proportional deflation backwards", Section 5.1.3). The host's cached
 // Deflated count short-circuits the common case where nothing on the
 // server is deflated, without walking its domains. Like perVMDeflateFor it
-// consumes the host's deflatable VM-state view through the server's
-// scratch arena and applies targets in name order, so steady-state calls
+// consumes the host's deflatable VM-state view through the manager's
+// pass arena and applies targets in name order, so steady-state calls
 // are allocation-free.
-func perVMReinflate(s *Server, cfg *Config) error {
+func (m *Manager) perVMReinflate(s *Server) error {
+	cfg := &m.cfg
 	agg := s.Host.Aggregates()
 	if agg.Deflated == 0 {
 		return nil
@@ -132,9 +133,8 @@ func perVMReinflate(s *Server, cfg *Config) error {
 	if free.IsZero() {
 		return nil
 	}
-	sc := &s.scratch
-	sc.vms, sc.doms = sc.vms[:0], sc.doms[:0]
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms, sc.doms)
+	sc := &m.pass
+	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
 	if len(sc.vms) == 0 {
 		return nil
 	}
@@ -160,9 +160,8 @@ func (m *Manager) perVMDeflateToCapacityLocked(s *Server, capacity resources.Vec
 	if need.IsZero() {
 		return nil
 	}
-	sc := &s.scratch
-	sc.vms, sc.doms = sc.vms[:0], sc.doms[:0]
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms, sc.doms)
+	sc := &m.pass
+	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
 	res, err := m.cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
 	if err != nil && !errors.Is(err, policy.ErrInsufficient) {
 		return err
@@ -187,14 +186,14 @@ func (m *Manager) perVMDeflateToCapacityLocked(s *Server, capacity resources.Vec
 func TestPolicyPassBumpsEpochOnce(t *testing.T) {
 	for _, pol := range []policy.Policy{policy.Proportional{}, policy.Priority{}} {
 		t.Run(pol.Name(), func(t *testing.T) {
-			s, cfg := steadyStateServer(t, pol)
-			twin, twinCfg := steadyStateServer(t, pol)
+			m, s := steadyStateServer(t, pol)
+			twinM, twin := steadyStateServer(t, pol)
 			od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
 			epoch, twinEpoch := s.Host.AllocEpoch(), twin.Host.AllocEpoch()
-			if _, err := deflateFor(s, cfg, od); err != nil {
+			if _, err := m.deflateFor(s, od); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := perVMDeflateFor(twin, twinCfg, od); err != nil {
+			if _, err := twinM.perVMDeflateFor(twin, od); err != nil {
 				t.Fatal(err)
 			}
 			n := s.Host.Aggregates().Deflated
@@ -205,7 +204,7 @@ func TestPolicyPassBumpsEpochOnce(t *testing.T) {
 				t.Errorf("deflating %d residents moved the epoch by %d (per-VM writes: %d), want 1 (%d)", n, got, perVM, n)
 			}
 			epoch = s.Host.AllocEpoch()
-			if err := reinflate(s, cfg); err != nil {
+			if err := m.reinflate(s); err != nil {
 				t.Fatal(err)
 			}
 			if got := s.Host.AllocEpoch() - epoch; got != 1 || s.Host.Aggregates().Deflated != 0 {
@@ -267,8 +266,8 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						dc = onDemandVM(name, float64(2+rng.Intn(6)), 8192)
 					}
 					opName = "arrive " + name
-					ia, erra := deflateFor(a.s, &a.m.cfg, dc)
-					ib, errb := perVMDeflateFor(b.s, &b.m.cfg, dc)
+					ia, erra := a.m.deflateFor(a.s, dc)
+					ib, errb := b.m.perVMDeflateFor(b.s, dc)
 					if errText(erra) != errText(errb) || !sameBits(ia, ib) {
 						t.Fatalf("%s: batched pass gave %v (err %v), per-VM %v (err %v)", opName, ia, erra, ib, errb)
 					}
@@ -297,7 +296,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					erra, errb := reinflate(a.s, &a.m.cfg), perVMReinflate(b.s, &b.m.cfg)
+					erra, errb := a.m.reinflate(a.s), b.m.perVMReinflate(b.s)
 					if errText(erra) != errText(errb) {
 						t.Fatalf("%s: reinflate err %v, per-VM %v", opName, erra, errb)
 					}

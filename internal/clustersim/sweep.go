@@ -296,7 +296,8 @@ func runGrid(reps []replicate, strategies []string, overcommitPcts []float64, op
 // independently generated traces, one per seed: each replicate's trace
 // is synthesised inside the worker with its own seeded RNG (gen must be
 // a pure function of the seed, e.g. a trace.Scenario generator), its
-// baseline cluster size is derived from its own trace, and then all
+// baseline cluster size is Options.BaselineServers or, when that is 0,
+// derived from its own trace, and then all
 // replicate × strategy × overcommitment points run on the pool. The
 // result is indexed [replicate][strategy] and is bit-for-bit
 // reproducible for a given seed list regardless of worker count.
@@ -309,12 +310,15 @@ func ReplicatedSweep(gen func(seed int64) *trace.AzureTrace, seeds []int64, stra
 	}
 
 	// Phase 1 (parallel over replicates): per-run RNG trace generation
-	// plus the expensive baseline bound, both deterministic per seed.
+	// plus the baseline bound unless pinned, both deterministic per seed.
 	reps := make([]replicate, len(seeds))
 	errs := make([]error, len(seeds))
 	runJobs(len(seeds), opts.workers(len(seeds)), func(r int) {
 		tr := gen(seeds[r])
-		base, err := BaselineServerCount(tr, DefaultServerCapacity())
+		base, err := opts.BaselineServers, error(nil)
+		if base == 0 {
+			base, err = BaselineServerCount(tr, DefaultServerCapacity())
+		}
 		if err != nil {
 			errs[r] = fmt.Errorf("clustersim: replicate seed %d: %w", seeds[r], err)
 			return

@@ -2,6 +2,7 @@ package clustersim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -220,6 +221,53 @@ func TestReplicatedSweepDeterministic(t *testing.T) {
 		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("point %d mean failure prob = %v, want %v", pi, got, want)
 		}
+	}
+}
+
+// TestReplicatedSweepHonoursBaselineServers: a pinned
+// Options.BaselineServers sizes every replicate's points the way it
+// sizes SweepGrid's, and zero still derives the size from each
+// replicate's own trace. The sweep used to size every replicate itself,
+// dropping a pinned size without an error.
+func TestReplicatedSweepHonoursBaselineServers(t *testing.T) {
+	gen := func(seed int64) *trace.AzureTrace {
+		tr, err := trace.GenerateNamed("azure", 150, 86400, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	seeds := []int64{1, 2}
+	const oc = 30
+	for _, tc := range []struct {
+		name     string
+		baseline int
+		want     func(seed int64) int // servers every point of the replicate runs on
+	}{
+		{"derived", 0, func(seed int64) int {
+			base, err := BaselineServerCount(gen(seed), DefaultServerCapacity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int(math.Ceil(float64(base) / (1 + oc/100.0)))
+		}},
+		{"pinned-1", 1, func(int64) int { return 1 }},
+		{"pinned-7", 7, func(int64) int { return 6 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reps, err := ReplicatedSweep(gen, seeds, []string{StrategyProportional}, []float64{oc}, Options{Workers: 1, BaselineServers: tc.baseline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, seed := range seeds {
+				want := tc.want(seed)
+				for _, p := range reps[r][0].Points {
+					if p.Result.Servers != want {
+						t.Errorf("seed %d @ %g%% OC ran on %d servers, want %d", seed, p.OvercommitPct, p.Result.Servers, want)
+					}
+				}
+			}
+		})
 	}
 }
 

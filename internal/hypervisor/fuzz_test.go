@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"vmdeflate/internal/resources"
@@ -58,14 +59,18 @@ func (b *fuzzBytes) next() byte {
 // FuzzDomainOps drives one host through byte-decoded sequences of
 // Define (invalid sizes included), Start, Shutdown, Undefine, SetLimits
 // (zero, negative and NaN components included), SetCPUShares and
-// SetCapacity over a small name pool, against a naive model. After every
-// op: each domain's allocation is min(size, positive limits); every row
-// column equals a fresh derivation; Aggregates() equals a name-order
-// recomputation; the allocation epoch moved by exactly one on a limit
-// write that moved an allocation and not at all otherwise; and a
-// rejected write, or a limit
+// SetCapacity over a pool of eight names, against a naive model. Every
+// op is a kind byte and a name byte; a name byte with its top bit set
+// aims a Start, Shutdown or limit write at the name's last undefined
+// handle instead of its live domain. After every op: each domain's
+// allocation, live or undefined, is min(size, positive limits); every
+// row column equals a fresh derivation and the table is dense;
+// Aggregates() equals a name-order recomputation; the allocation epoch
+// moved by exactly one on a limit write that moved a resident's
+// allocation and not at all otherwise; a rejected write, or a limit
 // write that moved no allocation, moved nothing, not even an
-// aggregate-change edge.
+// aggregate-change edge; and an op on an undefined handle moved no row,
+// aggregate, edge or epoch.
 //
 //	go test -run '^$' -fuzz FuzzDomainOps -fuzztime 15s -fuzzminimizetime 200x ./internal/hypervisor
 func FuzzDomainOps(f *testing.F) {
@@ -73,25 +78,57 @@ func FuzzDomainOps(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 2, 1, 0, 2, 0, 4, 3, 0, 5, 0, 7, 0, 2, 8, 0, 1})
 	f.Add([]byte{0, 1, 4, 3, 1, 1, 9, 1, 3, 4, 0, 6, 1, 2, 10, 1, 1, 5, 1, 1, 9, 2, 2, 3, 1})
 	f.Add([]byte{0, 2, 0, 0, 0, 2, 5, 1, 1, 2, 3, 2, 6, 7, 8, 9, 4, 2, 1, 11, 3, 2, 3, 2})
+	// Undefine the middle resident of three while the last-defined one
+	// holds the table's last row, then write the moved domain's limits
+	// and flip it, drive the undefined handle, redefine its name and
+	// drive the old handle once more.
+	f.Add([]byte{
+		0, 0, 2, 2, 0, 1, 2, 2, 0, 2, 2, 2, // define vm-0, vm-1, vm-2
+		1, 0, 1, 1, 1, 2, 4, 2, 3, 7, 0, 0, // start all three; limits on vm-2
+		2, 1, 3, 1, // shut vm-1 down and undefine it: vm-2 moves into its slot
+		4, 2, 2, 6, 0, 0, 5, 2, 4, 2, 2, 1, 2, // vm-2: limits, shares, shutdown, start
+		1, 129, 4, 129, 3, 7, 0, 0, 5, 129, 2, 2, 129, // the undefined vm-1 handle
+		0, 1, 2, 3, 1, 1, 4, 129, 5, 6, 0, 0, // redefine vm-1; the old handle again
+	})
+	// Name order is not row order: vm-1, defined last, sorts first. Undefine
+	// vm-6 (row 0) and then vm-3 (row 1): vm-1 and then vm-7 move, each
+	// re-pointed at a different position of the name order, and each is
+	// written after its move.
+	f.Add([]byte{
+		0, 6, 2, 2, 0, 3, 2, 2, 0, 7, 2, 2, 0, 1, 2, 2, // define vm-6, vm-3, vm-7, vm-1
+		3, 6, 4, 1, 3, 7, 0, 0, 1, 1, // undefine vm-6; limits on vm-1 and start it
+		3, 3, 4, 7, 2, 6, 0, 0, 1, 7, 2, 7, 1, 7, // undefine vm-3; vm-7: limits, start, shutdown, start
+		4, 134, 3, 7, 0, 0, 1, 131, 2, 131, 5, 134, 4, // the undefined vm-6 and vm-3 handles
+		2, 1, 3, 1, 2, 7, 3, 7, // shut down and undefine vm-1, then vm-7: the table empties
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		h := testHost(t)
 		base := h.Capacity()
 		edges := 0
 		h.OnAggregateChange(func() { edges++ })
-		models := map[string]*domainModel{}
+		// models holds the live domains by name; retired holds each name's
+		// last undefined handle, which stays in the op stream.
+		models, retired := map[string]*domainModel{}, map[string]*domainModel{}
 		for op := 0; len(in) > 0; op++ {
-			kind, name := in.next()%7, fmt.Sprintf("vm-%d", in.next()%3)
+			kind, nb := in.next()%7, in.next()
+			name := fmt.Sprintf("vm-%d", nb%8)
 			m := models[name]
-			h.Aggregates() // re-arm the change edge
+			stale := nb >= 128 && retired[name] != nil && (kind == 1 || kind == 2 || kind == 4 || kind == 5)
+			var rowsBefore []row
+			if stale {
+				m = retired[name]
+				rowsBefore = slices.Clone(h.rows)
+			}
+			aggBefore := h.Aggregates() // also re-arms the change edge
 			epoch, fired := h.AllocEpoch(), edges
 			var before limitState
 			if m != nil {
 				before = limitStateOf(m.d)
 			}
-			// quiet marks an accepted limit write that moved no
-			// allocation: it may fire no aggregate-change edge.
-			allocWrite, rejected, quiet := false, false, false
+			// quiet marks an accepted op that may move no allocation of a
+			// resident: it may fire no aggregate-change edge.
+			allocWrite, rejected, quiet := false, false, stale
 			var opName string
 			var err error
 			switch kind {
@@ -136,16 +173,19 @@ func FuzzDomainOps(f *testing.F) {
 					m.state = Shutoff
 				}
 			case 3: // undefine
-				if m == nil {
-					continue
-				}
 				opName = "undefine " + name
 				err = h.Undefine(name)
-				if (m.state == Running) != errors.Is(err, ErrState) {
+				switch {
+				case m == nil:
+					if !errors.Is(err, ErrNotFound) {
+						t.Fatalf("%s with no live domain: err = %v, want ErrNotFound", opName, err)
+					}
+					rejected = true
+				case (m.state == Running) != errors.Is(err, ErrState):
 					t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
-				}
-				if err == nil {
+				case err == nil:
 					delete(models, name)
+					retired[name] = m
 				}
 			case 4, 5: // batched limits, one CPU share
 				if m == nil {
@@ -183,15 +223,18 @@ func FuzzDomainOps(f *testing.F) {
 						m.limits[k] = x
 					}
 				}
-				// One limit write moves the epoch only if it moved the
-				// allocation.
-				allocWrite = m.alloc() != prev
+				// One limit write moves the epoch only if it moved a
+				// resident's allocation.
+				allocWrite = !stale && m.alloc() != prev
 				quiet = !allocWrite
 			case 6: // the provider resizes the server
 				opName = "resize"
 				if err := h.SetCapacity(base.Scale(0.5 + float64(in.next()%4)/4)); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if stale {
+				opName += " (undefined handle)"
 			}
 
 			switch now := h.AllocEpoch(); {
@@ -200,22 +243,30 @@ func FuzzDomainOps(f *testing.F) {
 			case !allocWrite && now != epoch:
 				t.Fatalf("after %s: the epoch moved %d -> %d without an allocation write", opName, epoch, now)
 			}
-			if rejected {
-				if m != nil {
-					if after := limitStateOf(m.d); after != before {
-						t.Fatalf("after rejected %s: state moved %+v -> %+v", opName, before, after)
-					}
+			if rejected && m != nil {
+				if after := limitStateOf(m.d); after != before {
+					t.Fatalf("after rejected %s: state moved %+v -> %+v", opName, before, after)
 				}
 			}
 			if (rejected || quiet) && edges != fired {
 				t.Fatalf("after %s (rejected %v): %d aggregate-change edges fired, but no allocation moved", opName, rejected, edges-fired)
 			}
-			for n, m := range models {
-				if got, want := m.d.Allocation(), m.alloc(); got != want {
-					t.Fatalf("after %s: %s allocates %v, the model %v", opName, n, got, want)
+			if stale {
+				if !slices.Equal(h.rows, rowsBefore) {
+					t.Fatalf("after %s: the row table moved", opName)
 				}
-				if got := m.d.State(); got != m.state {
-					t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
+				if agg := h.Aggregates(); agg != aggBefore {
+					t.Fatalf("after %s: aggregates moved %+v -> %+v", opName, aggBefore, agg)
+				}
+			}
+			for _, set := range []map[string]*domainModel{models, retired} {
+				for n, m := range set {
+					if got, want := m.d.Allocation(), m.alloc(); got != want {
+						t.Fatalf("after %s: %s allocates %v, the model %v", opName, n, got, want)
+					}
+					if got := m.d.State(); got != m.state {
+						t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
+					}
 				}
 			}
 			checkRows(t, h, opName)

@@ -238,16 +238,15 @@ type Host struct {
 	capacity atomic.Pointer[resources.Vector]
 
 	mu sync.Mutex
-	// rows is the row table: one slot per resident, stable for the
-	// resident's lifetime (Domain.slot), recycled through free after
-	// Undefine. order holds the live slots sorted by resident name; it is
-	// also the name index (findLocked binary-searches it). Keeping it
+	// rows is the row table, one row per resident with no holes: Define
+	// appends, and Undefine moves the last row into the freed slot and
+	// re-points its Domain.slot and order entry. order holds the slots
+	// sorted by name; it is also the name index (findLocked). Keeping it
 	// materialised makes the walks below iterate in a fixed order, which
 	// keeps float summations like Allocated() bit-for-bit reproducible —
 	// map iteration order would perturb the low bits run to run and break
 	// the simulator's determinism guarantee.
 	rows  []row
-	free  []int32
 	order []int32
 
 	// agg caches the aggregates; clean says the cache is current.
@@ -311,10 +310,10 @@ func (h *Host) Name() string { return h.cfg.Name }
 func (h *Host) Capacity() resources.Vector { return *h.capacity.Load() }
 
 // AllocEpoch returns the host's allocation epoch, a lock-free load. It
-// moves once per limit write call that moves an allocation (however many
-// domains the call covers), and on nothing else, so
-// an allocation read with it (Domain.AllocationEpoch) is current for as
-// long as the epoch is unchanged.
+// moves once per limit write call that moves a resident's allocation
+// (however many domains the call covers), and on nothing else, so a
+// resident's allocation read with it (Domain.AllocationEpoch) is current
+// for as long as the epoch is unchanged.
 func (h *Host) AllocEpoch() uint64 { return h.epoch.Load() }
 
 // SetCapacity resizes the host's physical capacity in place — the
@@ -474,8 +473,8 @@ func (h *Host) findLocked(name string) (int, *Domain) {
 // Define creates a domain. Defining does not reserve physical resources:
 // like a real IaaS hypervisor, the host permits overcommitment, which is
 // exactly what deflation exists to manage. The domain is one allocation
-// with no controller engaged, and its accounting row
-// takes a recycled slot of the host's row table.
+// with no controller engaged, and its accounting row is appended to the
+// host's row table.
 func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -493,20 +492,15 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 		state: Defined,
 	}
 	d.load.Store(math.Float64bits(cfg.Load))
-	if n := len(h.free); n > 0 {
-		d.slot, h.free = h.free[n-1], h.free[:n-1]
-	} else {
-		d.slot = int32(len(h.rows))
-		h.rows = append(h.rows, row{})
-	}
-	h.rows[d.slot] = row{
+	d.slot = int32(len(h.rows))
+	h.rows = append(h.rows, row{
 		name:       cfg.Name,
 		size:       cfg.Size,
 		floor:      d.floor,
 		priority:   cfg.Priority,
 		dom:        d,
 		deflatable: cfg.Deflatable,
-	}
+	})
 	h.rows[d.slot].setAlloc(d.derive())
 	h.order = append(h.order, 0)
 	copy(h.order[i+1:], h.order[i:])
@@ -536,9 +530,9 @@ func (h *Host) Domains() []*Domain {
 	return out
 }
 
-// Undefine removes a stopped domain from the host. Its row slot returns
-// to the free list; the Domain value stays readable (it answers from its
-// own limits) but no longer belongs to any host walk.
+// Undefine removes a stopped domain from the host; the table's last row
+// moves into its slot. The Domain value stays readable (it answers from
+// its own state) but no longer belongs to any host walk.
 func (h *Host) Undefine(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -550,8 +544,15 @@ func (h *Host) Undefine(name string) error {
 		return fmt.Errorf("%w: cannot undefine running domain %s", ErrState, name)
 	}
 	h.order = append(h.order[:i], h.order[i+1:]...)
-	h.rows[d.slot] = row{}
-	h.free = append(h.free, d.slot)
+	last := int32(len(h.rows) - 1)
+	if hole := d.slot; hole != last {
+		moved := h.rows[last]
+		j, _ := h.findLocked(moved.name)
+		h.order[j], moved.dom.slot = hole, hole
+		h.rows[hole] = moved
+	}
+	h.rows[last] = row{}
+	h.rows = h.rows[:last]
 	d.slot = -1
 	h.invalidateLocked()
 	return nil
@@ -623,14 +624,15 @@ func (d *Domain) allocLocked() resources.Vector {
 	return d.host.rows[d.slot].alloc
 }
 
-// setStateLocked moves the lifecycle state, mirrors it into the row's
-// running column and invalidates. Called with the host's mu held.
+// setStateLocked moves the lifecycle state and, for a resident (an
+// undefined domain has no row), mirrors it into the row's running column
+// and invalidates. Called with the host's mu held.
 func (d *Domain) setStateLocked(s DomainState) {
 	d.state = s
 	if d.slot >= 0 {
 		d.host.rows[d.slot].running = s == Running
+		d.host.invalidateLocked()
 	}
-	d.host.invalidateLocked()
 }
 
 // Name returns the domain name.
@@ -755,9 +757,10 @@ func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) 
 // leave theirs as they are), and limits[i] is replaced by the allocation
 // doms[i] ends up with. A domain of another host, a length mismatch or a
 // negative or NaN component anywhere refuses the whole batch (ErrInvalid)
-// before anything is written. If any write moved an allocation, the
-// allocation epoch moves by exactly one and the aggregates are
-// invalidated once; otherwise neither is touched.
+// before anything is written. If any write moved a resident's
+// allocation, the allocation epoch moves by exactly one and the
+// aggregates are invalidated once; otherwise neither is touched. An
+// undefined domain takes the write into its own limits only.
 func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 	if len(doms) != len(limits) {
 		return fmt.Errorf("%w: host %s limit write of %d domains with %d limit vectors", ErrInvalid, h.cfg.Name, len(doms), len(limits))
@@ -783,10 +786,8 @@ func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 			}
 		}
 		a := d.derive()
-		if a != old {
-			if d.slot >= 0 {
-				h.rows[d.slot].setAlloc(a)
-			}
+		if a != old && d.slot >= 0 {
+			h.rows[d.slot].setAlloc(a)
 			moved = true
 		}
 		limits[i] = a

@@ -13,8 +13,8 @@ import (
 // TestHostConcurrentMutatorsAndReaders hammers ONE host — one lock —
 // from every kind of mutator and reader at once, for the race detector
 // (`-race -count=10`): limit writes (single and batched), lifecycle
-// flips, define/undefine churn (so row slots are recycled and
-// the name order shifts under the readers), capacity resizes and load
+// flips, define/undefine churn (so undefines move the last row into
+// the freed slot and the name order shifts under the readers), capacity resizes and load
 // writes, against Aggregates / AppendDeflatableView / Allocation /
 // AllocationEpoch / AllocEpoch / State / Domains readers (the epoch never
 // runs backwards). The aggregate-change callback bumps a plain
@@ -147,17 +147,19 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 	}
 }
 
-// checkRows audits the row table against the domains it describes: every
-// live slot is owned by exactly the domain that points at it, and each
-// column equals what the domain's own state derives — so a write that
-// reached the wrong row (a stale handle into a recycled slot) or missed
-// its own cannot hide behind accessors that read the same row.
+// checkRows audits the row table against the domains it describes: the
+// table is dense, every slot is owned by exactly the domain that points
+// at it, each column equals what the domain's own state derives — so a
+// write that reached the wrong row (a moved row whose domain was not
+// re-pointed, or a stale handle) or missed its own cannot hide behind
+// accessors that read the same row — and the spare capacity past the
+// last row holds no row a departed resident left behind.
 func checkRows(t *testing.T, h *Host, op string) {
 	t.Helper()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.order)+len(h.free) != len(h.rows) {
-		t.Fatalf("after %s: %d ordered + %d free slots in a table of %d", op, len(h.order), len(h.free), len(h.rows))
+	if len(h.order) != len(h.rows) {
+		t.Fatalf("after %s: %d ordered slots in a table of %d", op, len(h.order), len(h.rows))
 	}
 	for i, slot := range h.order {
 		r := &h.rows[slot]
@@ -177,9 +179,9 @@ func checkRows(t *testing.T, h *Host, op string) {
 			t.Fatalf("after %s: row of %s = %+v, domain state derives %+v", op, r.name, *r, want)
 		}
 	}
-	for _, slot := range h.free {
-		if h.rows[slot] != (row{}) {
-			t.Fatalf("after %s: free slot %d still holds %+v", op, slot, h.rows[slot])
+	for i, r := range h.rows[len(h.rows):cap(h.rows)] {
+		if r != (row{}) {
+			t.Fatalf("after %s: spare slot %d still holds %+v", op, len(h.rows)+i, r)
 		}
 	}
 }
