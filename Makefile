@@ -24,7 +24,9 @@ race:
 # the layers under them — one host's mutators against its readers under the
 # single host lock, the batched limit write (one domain's and one pass's,
 # against the per-VM writes), the hypervisor's concurrent
-# offered-load writes against view reads, the manager's dirty list, the
+# offered-load writes against view reads, the manager's marks of the
+# servers it writes and its dirty sync (TestEveryMutatorMarksItsServer,
+# the dirty-list tests and checkServerCache in the churn suites), the
 # events built from the view and the capacity index's in-place re-key
 # and payload-reading surplus probe — and what concurrent engines
 # share: the trace's build-once P95 column, the lock-free notify.Bus
@@ -37,7 +39,7 @@ race:
 # pinned scan counters — a fast, explicit signal beside the full
 # `race` run.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|LimitWrites|PerVMWrites|Dirty|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|LimitWrites|PerVMWrites|Dirty|EveryMutatorMarks|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.

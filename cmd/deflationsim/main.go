@@ -72,7 +72,7 @@ func run(args []string, w io.Writer) (err error) {
 	rackSize := fs.Int("racksize", 8, "correlated group size for -shocks rack")
 	shockSeed := fs.Int64("shockseed", 1, "shock-schedule seed")
 	stream := fs.Bool("stream", false, "drive the sweep from a streaming trace: O(live VMs) resident memory, identical results, every strategy (synthetic single-trace runs only)")
-	sloMax := fs.Float64("slo", 0, "SLO slowdown threshold (e.g. 2 = 2x); >0 turns on per-VM queueing-model SLO metering")
+	sloMax := fs.Float64("slo", 0, "SLO slowdown threshold, at least 1 (e.g. 2 = 2x); turns on per-VM queueing-model SLO metering (0: off)")
 	sloCurve := fs.String("slocurve", "", "perfmodel curve for SLO metering: specjbb, kcompile or memcached (default: worst-case linear)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (post-sweep) to this file")
@@ -278,12 +278,14 @@ func checkSynthetic(vms int, days float64) error {
 }
 
 // sloOptions turns -slo and -slocurve into the sweep's SLO metering:
-// none for -slo 0, and an error for a threshold that is not a finite
-// non-negative number or for a curve without a threshold.
+// none for -slo 0, and an error for a threshold that is neither 0 nor a
+// finite number of at least 1 (a slowdown ratio below 1 cannot be
+// exceeded by less, and the sweep would swap it for the policy's
+// default) or for a curve without a threshold.
 func sloOptions(max float64, curve string) (*clustersim.SLOConfig, error) {
 	switch {
-	case math.IsNaN(max) || math.IsInf(max, 0) || max < 0:
-		return nil, fmt.Errorf("-slo %v: want 0 (off) or a finite slowdown threshold above 0", max)
+	case math.IsNaN(max) || math.IsInf(max, 0) || max < 0 || (max > 0 && max < 1):
+		return nil, fmt.Errorf("-slo %v: want 0 (off) or a finite slowdown threshold of at least 1", max)
 	case max == 0 && curve != "":
 		return nil, errors.New("-slocurve requires -slo > 0")
 	case max == 0:

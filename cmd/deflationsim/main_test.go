@@ -13,7 +13,8 @@ import (
 )
 
 // TestFlagsThatAskForNothingFail: -replicates 0 used to run one trace
-// and -slo NaN to turn SLO metering off, both silently. A shock
+// and -slo NaN to turn SLO metering off, both silently, and -slo 0.5
+// metered at the policy's default 3x, printing what -slo 3 prints. A shock
 // parameter flag that shapes no schedule was ignored too — all four of
 // them under -shocks none, -racksize under poisson and diurnal shocks —
 // and the sweep ran without the shocks or rack size it was given. A
@@ -39,6 +40,7 @@ func TestFlagsThatAskForNothingFail(t *testing.T) {
 		{math.Inf(1), "", "want 0 (off)"},
 		{math.Inf(-1), "kcompile", "want 0 (off)"},
 		{-2, "", "want 0 (off)"},
+		{0.5, "kcompile", "threshold of at least 1"},
 		{0, "kcompile", "requires -slo > 0"},
 		{2, "nosuchcurve", "unknown profile"},
 	} {
@@ -50,6 +52,7 @@ func TestFlagsThatAskForNothingFail(t *testing.T) {
 		args []string
 		want string
 	}{
+		{[]string{"-slo", "0.5"}, "-slo 0.5: want 0 (off) or a finite slowdown threshold of at least 1"},
 		{[]string{"-shocks", "none", "-shockrate", "4"}, "-shockrate applies only with"},
 		{[]string{"-shockrate", "4"}, "-shockrate applies only with"},
 		{[]string{"-outage", "600"}, "-outage applies only with"},

@@ -14,13 +14,15 @@ var (
 	vmScaleCore = []string{"resources", "hypervisor", "cluster/capindex", "cluster", "notify"}
 	// requestLevel are the packages no core package may reach: the
 	// testbed applications, the guest OS, the load balancer, the hotplug
-	// mechanisms and the request generators.
-	requestLevel = []string{"apps", "guestos", "loadbalancer", "mechanism", "workload"}
+	// mechanisms, the request generators, the PS station and the event
+	// engine it runs on.
+	requestLevel = []string{"apps", "guestos", "loadbalancer", "mechanism", "workload", "queueing", "sim"}
 	// pendingRequestLevel are request-level models the core still
 	// reaches, through policy.VMState in the hypervisor's deflatable
-	// view: policy imports perfmodel and queueing, and queueing imports
-	// sim. They join requestLevel once VMState moves below hypervisor.
-	pendingRequestLevel = []string{"perfmodel", "queueing", "sim"}
+	// view: policy imports perfmodel for its deflation curves and the
+	// closed-form PS slowdown. It joins requestLevel once VMState moves
+	// below hypervisor.
+	pendingRequestLevel = []string{"perfmodel"}
 )
 
 // TestCoreReachesNoRequestLevelModel pins the DAG with `go list -deps`

@@ -35,7 +35,7 @@ import (
 	"vmdeflate/internal/clustersim"
 	"vmdeflate/internal/feasibility"
 	"vmdeflate/internal/mechanism"
-	"vmdeflate/internal/queueing"
+	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
 	"vmdeflate/internal/workload"
@@ -185,13 +185,13 @@ func TestFig18Consistency(t *testing.T) {
 	minHalf, maxHalf := math.Inf(1), 0.0
 	for i := 0; i <= 10; i++ {
 		rho0 := 0.35 + float64(i)*0.005
-		if knee := queueing.PSSlowdownRatio(rho0, 1, 0.35, math.Inf(1)); !math.IsInf(knee, 1) {
+		if knee := perfmodel.PSSlowdownRatio(rho0, 1, 0.35, math.Inf(1)); !math.IsInf(knee, 1) {
 			t.Errorf("rho0 %.3f: slowdown %.2fx at 65 %%, want saturation", rho0, knee)
 		}
-		if at60 := queueing.PSSlowdownRatio(rho0, 1, 0.4, math.Inf(1)); rho0 < 0.4 && math.IsInf(at60, 1) {
+		if at60 := perfmodel.PSSlowdownRatio(rho0, 1, 0.4, math.Inf(1)); rho0 < 0.4 && math.IsInf(at60, 1) {
 			t.Errorf("rho0 %.3f: saturated already at 60 %%", rho0)
 		}
-		half := queueing.PSSlowdownRatio(rho0, 1, 0.5, math.Inf(1))
+		half := perfmodel.PSSlowdownRatio(rho0, 1, 0.5, math.Inf(1))
 		minHalf, maxHalf = min(minHalf, half), max(maxHalf, half)
 	}
 	t.Logf("M/G/1-PS slowdown at 50 %% deflation, knee at 60-65 %%: %.2fx-%.2fx; "+
@@ -396,7 +396,7 @@ func TestFig16Consistency(t *testing.T) {
 			// cores effective cores relative to it.
 			sojourn := cost / (full - load)
 			ratio := func(cores float64) float64 {
-				r := queueing.PSSlowdownRatio(load, full, cores, math.Inf(1))
+				r := perfmodel.PSSlowdownRatio(load, full, cores, math.Inf(1))
 				return (fig16FixedLatency + sojourn*r) / (fig16FixedLatency + sojourn)
 			}
 			// A lone request runs on one core (the station's per-job

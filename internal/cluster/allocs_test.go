@@ -13,7 +13,8 @@ import (
 // steadyStateServer builds a one-server manager filled to capacity with
 // deflatable residents, so that every deflateFor/reinflate cycle
 // exercises a full policy pass. It returns the manager, whose arena and
-// normalised config the passes use, and the server.
+// normalised config the passes use, and the server, synced as a
+// placement decision leaves it for deflateFor.
 func steadyStateServer(tb testing.TB, pol policy.Policy) (*Manager, *Server) {
 	tb.Helper()
 	m := NewManager(Config{Policy: pol})
@@ -35,6 +36,7 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Manager, *Server) {
 			tb.Fatal(err)
 		}
 	}
+	m.Stats()
 	return m, s
 }
 
@@ -43,9 +45,11 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Manager, *Server) {
 // (deflateFor — everything a placement does on its server except
 // defining the domain, which inherently allocates), followed by the
 // reinflation pass a departure would trigger. The server returns to its
-// initial state, so the cycle can repeat indefinitely.
+// initial state, so the cycle can repeat indefinitely. It syncs first,
+// as placeOneLocked does: deflateFor reads the synced free vector.
 func policyPassCycle(tb testing.TB, m *Manager, s *Server) {
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
+	m.syncDirtyLocked()
 	if _, err := m.deflateFor(s, od); err != nil {
 		tb.Fatal(err)
 	}

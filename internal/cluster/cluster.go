@@ -20,15 +20,16 @@
 //     (pressure.go) that computes exact fitness only until the running
 //     best provably beats the bound of every unexplored server.
 //
-// Hypervisor aggregate-change callbacks mark servers dirty; each query
-// first refreshes only the dirty servers, so neither pass ever re-walks
-// a clean server's domains. Both keys depend on lifecycle, allocation
-// and capacity only — an offered-load write (Domain.SetOfferedLoad)
-// fires no callback and dirties no server; policy passes read loads
-// through the host's deflatable view. The brute-force linear scans the
-// indexes replace live on in the package's tests as oracles
-// (placementOracle): they implement the identical selection rule, and
-// the differential suites assert both place bit-for-bit identically.
+// The manager is its hosts' only writer, and every method that writes a
+// host marks that server dirty; each query first refreshes only the
+// dirty servers, so neither pass ever re-walks a clean server's
+// domains. Both keys depend on lifecycle, allocation and capacity only —
+// an offered-load write (Domain.SetOfferedLoad) dirties no server;
+// policy passes read loads through the host's deflatable view. The
+// brute-force linear scans the indexes replace live on in the package's
+// tests as oracles (placementOracle): they implement the identical
+// selection rule, and the differential suites assert both place
+// bit-for-bit identically.
 //
 // Placement is sequential, as in the paper's centralized controller:
 // PlaceVMs decides and commits one VM at a time, in input order, each
@@ -62,7 +63,8 @@ import (
 // Each target takes the hypervisor's clamp, the pass is one
 // Host.SetLimits call, which overwrites targets with the achieved
 // allocations, and then each moved domain's event is published in view
-// order, with no further locked read.
+// order, with no further locked read. The server is marked dirty only if
+// an allocation moved.
 func (m *Manager) writeTargets(s *Server, targets []resources.Vector) error {
 	sc := &m.pass
 	doms := sc.doms[:len(targets)]
@@ -76,11 +78,13 @@ func (m *Manager) writeTargets(s *Server, targets []resources.Vector) error {
 	if err := s.Host.SetLimits(doms, targets); err != nil {
 		return err
 	}
-	if m.cfg.Notify == nil {
-		return nil
-	}
 	for i, got := range targets {
-		if old := sc.vms[i].Current; got != old {
+		old := sc.vms[i].Current
+		if got == old {
+			continue
+		}
+		m.markDirty(s)
+		if m.cfg.Notify != nil {
 			m.cfg.Notify.Publish(notify.Event{
 				VM:                doms[i].Name(),
 				Server:            s.Host.Name(),
@@ -135,6 +139,9 @@ func (c *Config) applyDefaults() {
 // Server is one managed physical server. It owns no policy-pass buffers:
 // a pass on any server runs in the manager's one arena (Manager.pass).
 type Server struct {
+	// Host is the server's hypervisor. A managed host is written only
+	// through its Manager, which marks the server for its next dirty
+	// sync; a write from outside leaves the cached fields below stale.
 	Host *hypervisor.Host
 	// Partition is the server's priority pool (0-based); -1 when
 	// partitioning is disabled.
@@ -148,8 +155,7 @@ type Server struct {
 	// scan until RestoreServer clears the flag. Guarded by the Manager's
 	// lock like the cached fields below.
 	revoked bool
-	// queued says the server already sits in the manager's dirty list;
-	// guarded by Manager.dirtyMu.
+	// queued says the server already sits in the manager's dirty list.
 	queued bool
 	// removeEpoch is the Manager.removeEpoch of the last RemoveVMs call
 	// that took a VM off this server — that call's "already in the
@@ -199,15 +205,10 @@ type Manager struct {
 	maxCap  map[int]resources.Vector
 
 	// dirty lists the servers whose cached placement state is stale, each
-	// at most once (Server.queued), and drained is what the last sync
-	// took off it (dirty.go). Host aggregate-change callbacks append
-	// under dirtyMu — a leaf lock, safe to take with a host's lock held
-	// and with or without mu — and the dirty sync drains. Dirtiness is
-	// tracked by handle, so a drain costs O(servers dirty now), whatever
-	// the largest burst the list ever held.
-	dirtyMu sync.Mutex
-	dirty   []*Server
-	drained []*Server
+	// at most once (Server.queued), in the order the manager wrote them
+	// (dirty.go). Dirtiness is tracked by handle, so a sync costs
+	// O(servers dirty now), whatever the largest burst the list ever held.
+	dirty []*Server
 
 	// evacDCs is the reusable displaced-VM batch buffer of a capacity
 	// shock (revoke.go).
@@ -293,9 +294,6 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 		m.bounds[partition] = capindex.New()
 	}
 	m.maxCap[partition] = m.maxCap[partition].Max(capacity)
-	// The callback only records dirtiness; the next query refreshes the
-	// server's index keys and cached availability.
-	h.OnAggregateChange(func() { m.markDirty(s) })
 	m.markDirty(s)
 	return s, nil
 }
@@ -643,7 +641,8 @@ func (m *Manager) anyFitsIndexedLocked(size resources.Vector) bool {
 // placeOnLocked attempts placement on one server, implementing steps 2
 // and 3 of the placement protocol: the server computes the deflation
 // needed to host dc and, if feasible, applies it and launches the VM. On
-// success it records the placement and returns the new domain.
+// success it marks the server, records the placement and returns the
+// new domain.
 func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervisor.Domain, error) {
 	initial, err := m.deflateFor(s, dc)
 	if err != nil {
@@ -653,6 +652,7 @@ func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervi
 	if err != nil {
 		return nil, err
 	}
+	m.markDirty(s)
 	m.placements[dc.Name] = s
 	return d, nil
 }
@@ -669,9 +669,13 @@ const newcomerName = "\x00newcomer"
 // residents' targets in one locked write and notifies in the view's name
 // order — so steady-state calls perform zero heap allocations and
 // notification delivery is deterministic.
+//
+// The free vector is the synced s.free: the caller synced before the
+// decision, and nothing has written s since (a failed attempt writes
+// nothing). deflateFor must not sync itself: a sync re-keys the bound
+// index the pressure descent is iterating.
 func (m *Manager) deflateFor(s *Server, dc hypervisor.DomainConfig) (resources.Vector, error) {
-	free := s.Host.Capacity().Sub(s.Host.Allocated())
-	need := dc.Size.Sub(free).ClampNonNegative()
+	need := dc.Size.Sub(s.free).ClampNonNegative()
 	if need.IsZero() {
 		// Room available without any deflation.
 		return dc.Size, nil
@@ -786,13 +790,14 @@ func (m *Manager) removeOneLocked(name string) (*Server, error) {
 
 // teardownLocked stops and undefines d on s and forgets its placement —
 // the departure half shared by RemoveVMs and the displacement of a
-// capacity shock's evacuees.
+// capacity shock's evacuees — and marks s.
 func (m *Manager) teardownLocked(s *Server, d *hypervisor.Domain) error {
 	if d.State() == hypervisor.Running {
 		if err := d.Shutdown(); err != nil {
 			return err
 		}
 	}
+	m.markDirty(s)
 	if err := s.Host.Undefine(d.Name()); err != nil {
 		return err
 	}
@@ -813,9 +818,10 @@ func (m *Manager) reinflateAffected(affected []*Server) error {
 }
 
 // reinflate redistributes free capacity to deflated VMs on s ("run the
-// proportional deflation backwards", Section 5.1.3). The host's cached
-// Deflated count short-circuits the common case where nothing on the
-// server is deflated, without walking its domains. Like deflateFor it
+// proportional deflation backwards", Section 5.1.3). It reads the host
+// (one walk) rather than the cached state: its callers have just written
+// s. The Deflated count short-circuits the common case where nothing on
+// the server is deflated, before the view is read. Like deflateFor it
 // consumes the host's deflatable VM-state view through the manager's
 // pass arena and writes the targets in one locked write, notifying in
 // name order, so steady-state calls are allocation-free.

@@ -19,7 +19,8 @@ type churnStep func(m *Manager) string
 // sequence to an indexed and a reference manager and fails on the first
 // divergence: each placement's outcome record (path, server, error
 // class, NeedsReclaim, and its scan work held to the full scan's), or
-// the stats. This is the bit-for-bit placement-identity guarantee of the
+// the stats; and it holds both managers' cached server state to fresh
+// derivations after every op (checkServerCache). This is the bit-for-bit placement-identity guarantee of the
 // capacity index.
 func runDifferentialChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int) {
 	t.Helper()
@@ -84,6 +85,7 @@ func runDifferentialChurn(t *testing.T, seed int64, cfg Config, nServers, nOps i
 				placed = append(placed, name)
 			}
 			compareManagers(t, op, managers[0], managers[1])
+			checkServerCaches(t, managers)
 			continue
 		}
 		got := []string{step(managers[0]), step(managers[1])}
@@ -91,24 +93,15 @@ func runDifferentialChurn(t *testing.T, seed int64, cfg Config, nServers, nOps i
 			t.Fatalf("op %d: indexed %q != reference %q", op, got[0], got[1])
 		}
 		compareManagers(t, op, managers[0], managers[1])
+		checkServerCaches(t, managers)
 	}
+}
 
-	// The cached per-server aggregates must equal a fresh name-order
-	// recompute at the end of the churn (the Manager relies on the
-	// hypervisor cache-coherence property; spot-check it end to end).
+// checkServerCaches runs checkServerCache on each manager.
+func checkServerCaches(t *testing.T, managers []*Manager) {
+	t.Helper()
 	for _, m := range managers {
-		for _, s := range m.Servers() {
-			agg := s.Host.Aggregates()
-			var alloc resources.Vector
-			for _, d := range s.Host.Domains() {
-				if d.State() == hypervisor.Running {
-					alloc = alloc.Add(d.Allocation())
-				}
-			}
-			if agg.Allocated != alloc {
-				t.Fatalf("server %s: cached allocated %v != fresh %v", s.Host.Name(), agg.Allocated, alloc)
-			}
-		}
+		checkServerCache(t, m)
 	}
 }
 

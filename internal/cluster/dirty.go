@@ -1,53 +1,34 @@
 // The dirty-flag sync: how the manager's cached placement state follows
 // the hosts.
 //
-// A host's aggregate-change callback only records that its server is
-// stale (markDirty). Every query first drains that list and re-derives
-// the drained servers' cached aggregates, free and availability vectors
-// and index keys (syncDirtyLocked), so between bursts of churn a query
-// touches no server at all, and after one it touches exactly the ones
-// that changed. The drain keeps the order the servers were marked in:
-// each refresh writes only its own server's state, and an index answers
-// by (key, name) whatever order its entries were upserted in, so no
-// query can tell the orders apart.
+// The manager is its hosts' only writer, so it knows which servers it
+// changed: every method that writes a host marks the server
+// (markDirty), under the manager's lock like the write itself. Every
+// query first re-derives the marked servers' cached aggregates, free
+// and availability vectors and index keys (syncDirtyLocked), so between
+// bursts of churn a query touches no server at all, and after one it
+// touches exactly the ones that changed. The sync keeps the order the
+// servers were marked in: each refresh writes only its own server's
+// state, and an index answers by (key, name) whatever order its entries
+// were upserted in, so no query can tell the orders apart.
 package cluster
 
-// markDirty queues s for the next dirty sync. It is what a host's
-// aggregate-change callback does, so it only records. The callback runs
-// under the host's lock, and not always under the manager's, which is
-// why the list has its own leaf lock.
+// markDirty queues s for the next dirty sync, once however often it is
+// marked before then. Called with the manager's lock held.
 func (m *Manager) markDirty(s *Server) {
-	m.dirtyMu.Lock()
 	if !s.queued {
 		s.queued = true
 		m.dirty = append(m.dirty, s)
 	}
-	m.dirtyMu.Unlock()
-}
-
-// drainDirty moves the queued servers into m.drained, in the order they
-// were marked, and returns how many there are. The two slices swap
-// backing arrays, so steady-state drains allocate nothing; m.drained is
-// valid until the next drain.
-func (m *Manager) drainDirty() int {
-	m.dirtyMu.Lock()
-	m.drained, m.dirty = m.dirty, m.drained[:0]
-	for _, s := range m.drained {
-		s.queued = false
-	}
-	m.dirtyMu.Unlock()
-	return len(m.drained)
 }
 
 // syncDirtyLocked refreshes cached placement state (per-server
 // aggregates, free/availability vectors, index keys) for every server
-// the hosts marked dirty since the last query. Between bursts of churn
-// it is a no-op.
+// the manager marked since the last query, in mark order, and empties
+// the list. Between bursts of churn it is a no-op.
 func (m *Manager) syncDirtyLocked() {
-	if m.drainDirty() == 0 {
-		return
-	}
-	for _, s := range m.drained {
+	for _, s := range m.dirty {
+		s.queued = false
 		name := s.Host.Name()
 		agg := s.Host.Aggregates()
 		s.agg = agg
@@ -57,8 +38,8 @@ func (m *Manager) syncDirtyLocked() {
 		s.avail = availabilityFrom(total, agg)
 		pool := s.Partition
 		if s.revoked {
-			// A revoked server stays out of the indexes no matter who
-			// marked it dirty; its cached state is still refreshed.
+			// A revoked server stays out of the indexes no matter what
+			// marked it; its cached state is still refreshed.
 			m.indexes[pool].Delete(name)
 			m.bounds[pool].Delete(name)
 		} else {
@@ -68,4 +49,5 @@ func (m *Manager) syncDirtyLocked() {
 			m.bounds[pool].Upsert(name, boundKey(s.avail))
 		}
 	}
+	m.dirty = m.dirty[:0]
 }

@@ -37,7 +37,7 @@ func (r *opReader) next(n int) int {
 // step's outcome must read the same on all three — each placement
 // record's path, server, error class and NeedsReclaim — its scan work
 // must pass checkScanWork against the full scans, and compareManagers
-// must hold after it. The seeds are the churn suites' seeds, so
+// and checkServerCache must hold after it. The seeds are the churn suites' seeds, so
 // `go test` runs them; `go test -fuzz FuzzPlacementOps` searches on.
 // The decoder's first two bytes pick the policy and priority pools, and
 // random seeds leave some of those 8 configurations unvisited; the
@@ -181,6 +181,7 @@ func runPlacementOps(t *testing.T, r *opReader) {
 		}
 		checkScanWork(t, op, pls[1], pls[2], false)
 		checkScanWork(t, op, pls[1], pls[0], true)
+		checkServerCaches(t, ms)
 		live = slices.DeleteFunc(append(live, born...), func(name string) bool {
 			_, _, err := ms[0].LookupVM(name)
 			return err != nil

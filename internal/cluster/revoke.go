@@ -28,10 +28,10 @@
 //     capacity indexes and skipped by every candidate scan, so the
 //     (fitness, add-index) and (free share, name) total orders over the
 //     remaining servers are unchanged.
-//   - Resize-under-dirty-flag: Host.SetCapacity invalidates the host's
-//     aggregate cache like any other mutation, so the server's index
-//     keys and cached free/availability vectors are re-derived by the
-//     ordinary dirty sync — no bespoke refresh path.
+//   - Resize-under-dirty-flag: ResizeServer marks the server after
+//     Host.SetCapacity like any other host write, so its index keys and
+//     cached free/availability vectors are re-derived by the ordinary
+//     dirty sync — no bespoke refresh path.
 package cluster
 
 import (
@@ -157,6 +157,7 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 	if err := s.Host.SetCapacity(capacity); err != nil {
 		return Evacuation{}, err
 	}
+	m.markDirty(s)
 	// maxCap stays a component-wise upper bound over every capacity the
 	// index has seen: after a shrink it over-estimates, which only
 	// loosens the index scans' lower bound (more entries inspected, same

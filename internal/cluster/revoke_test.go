@@ -427,6 +427,9 @@ func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int
 			out.pruned += pl.Pruned
 		}
 		compareEngineStats(t, op, engines[0].m, engines[1:])
+		for _, e := range engines {
+			checkServerCache(t, e.m)
+		}
 	}
 	return out
 }

@@ -266,6 +266,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						dc = onDemandVM(name, float64(2+rng.Intn(6)), 8192)
 					}
 					opName = "arrive " + name
+					a.m.syncDirtyLocked() // deflateFor reads the synced free vector
 					ia, erra := a.m.deflateFor(a.s, dc)
 					ib, errb := b.m.perVMDeflateFor(b.s, dc)
 					if errText(erra) != errText(errb) || !sameBits(ia, ib) {
@@ -273,6 +274,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 					}
 					if erra == nil {
 						_, erra = launch(a.s, dc, ia)
+						a.m.markDirty(a.s) // as placeOnLocked does
 						_, errb = perVMLaunch(b.s, dc, ib)
 						if erra != nil || errb != nil {
 							t.Fatalf("%s: launch: %v, per-VM %v", opName, erra, errb)
@@ -307,6 +309,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						if err := sd.s.Host.SetCapacity(capacity); err != nil {
 							t.Fatal(err)
 						}
+						sd.m.markDirty(sd.s) // as ResizeServer does
 					}
 					epoch = a.s.Host.AllocEpoch()
 					erra := a.m.deflateToCapacityLocked(a.s, capacity)

@@ -98,7 +98,7 @@ import (
 // sample the engine maps each deflatable VM's offered load (from its
 // utilisation trace) and current allocation to a request-slowdown ratio
 // through the closed-form processor-sharing model
-// (queueing.PSSlowdownRatio) composed with the application's
+// (perfmodel.PSSlowdownRatio) composed with the application's
 // deflation-response curve — the model the latency-aware policy plans
 // against — and accumulates violation time, a slowdown histogram and
 // per-priority violation seconds into the Result. Only a sweep keeps the

@@ -10,9 +10,9 @@ import (
 
 	"vmdeflate/internal/cluster"
 	"vmdeflate/internal/hypervisor"
+	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/pricing"
-	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/resources"
 	"vmdeflate/internal/trace"
 )
@@ -135,9 +135,9 @@ type Engine struct {
 
 	// afterSample, when set, runs after every sample pass, once its load
 	// writes are done. Nothing outside the tests sets it: the SLO
-	// differential suite uses it to put back the rule the engine ran
-	// under before offered loads became read-through (every load write
-	// invalidates its host), and proves results identical without it.
+	// differential suite uses it to re-store each metered host's
+	// capacity, a write that re-derives nothing now that only the
+	// manager's own writes mark a server.
 	afterSample func()
 }
 
@@ -839,7 +839,7 @@ func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 		load := util / 100 * maxCores
 		vt.domain.SetOfferedLoad(load)
 		effCap := cfg.SLO.Curve.EffectiveCapacity(maxCores, allocCores)
-		s := queueing.PSSlowdownRatio(load, maxCores, effCap, sloSlowdownCap)
+		s := perfmodel.PSSlowdownRatio(load, maxCores, effCap, sloSlowdownCap)
 		e.sloSampleCount++
 		if s > cfg.SLO.MaxSlowdown+1e-9 {
 			e.sloViolByLevel[priorityLevel(vt.prio)]++

@@ -53,8 +53,11 @@ func TestSLOEngineMatchesOracles(t *testing.T) {
 // read-through column of the deflatable view — every load write
 // invalidates the written domain's host, so the next arrival re-derives
 // the aggregates, view and index keys of every server the sample pass
-// touched. Re-storing a host's own capacity is the exported mutation
-// that invalidates and changes nothing.
+// touched. It re-stores each host's own capacity, which changes
+// nothing. That write no longer re-derives anything either: a host
+// caches nothing, and only the manager's own writes mark a server, so
+// both runs below take the same path: the oracle no longer differs from
+// the run it checks and is due to be retired or replaced.
 func invalidateOnLoadWrite(t *testing.T, e *Engine) {
 	e.afterSample = func() {
 		for _, vt := range e.tbl {

@@ -8,9 +8,10 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// freshAggregates recomputes the host's aggregates from scratch, walking
-// domains in name order — the oracle the cached value must match
-// bit-for-bit after any operation sequence.
+// freshAggregates recomputes the host's aggregates through the public
+// accessors and Vector arithmetic, walking domains in name order — the
+// oracle the row-table walk must match bit-for-bit after any operation
+// sequence.
 func freshAggregates(h *Host) Aggregates {
 	var a Aggregates
 	for _, d := range h.Domains() { // Domains() is sorted by name
@@ -36,7 +37,7 @@ func checkAggregates(t *testing.T, h *Host, op string) {
 	t.Helper()
 	got, want := h.Aggregates(), freshAggregates(h)
 	if got != want {
-		t.Fatalf("after %s: cached aggregates diverged from fresh recompute:\n got %+v\nwant %+v", op, got, want)
+		t.Fatalf("after %s: row-table aggregates diverged from fresh recompute:\n got %+v\nwant %+v", op, got, want)
 	}
 }
 
@@ -52,8 +53,7 @@ func checkAggregates(t *testing.T, h *Host, op string) {
 // survivor whose name sorts anywhere; a share of defines re-use a
 // previously undefined name; limit writes go through the single setters, the
 // one-domain SetLimits and the host's batched write (which must move the
-// epoch by at most one) alike; and SetCapacity is interleaved, which
-// must invalidate like any other mutation.
+// epoch by at most one) alike; and SetCapacity is interleaved.
 func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op string)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -236,11 +236,11 @@ func checkEpoch(t *testing.T, h *Host, op string, allocWrite bool, epoch uint64,
 	}
 }
 
-// TestAggregatesMatchFreshRecompute is the cache-coherence property
-// test: after every operation of the hostChurn sequence, the cached
-// aggregates must equal a fresh name-order recomputation exactly — the
-// invariant that lets the cluster layer treat cached reads and fresh
-// walks as interchangeable, bit for bit.
+// TestAggregatesMatchFreshRecompute: after every operation of the
+// hostChurn sequence, the row-table walk's aggregates must equal a fresh
+// name-order recomputation through the public accessors exactly — the
+// invariant that lets the cluster layer's cached sync and the oracles'
+// fresh reads agree bit for bit.
 func TestAggregatesMatchFreshRecompute(t *testing.T) {
 	hostChurn(t, 7, checkAggregates)
 }
@@ -262,69 +262,6 @@ func TestAggregatesConvenienceAccessors(t *testing.T) {
 	}
 	if got := h.Available(); got != h.Capacity().Sub(agg.Allocated).ClampNonNegative() {
 		t.Errorf("Available = %v", got)
-	}
-}
-
-// TestOnAggregateChange checks the callback fires for every mutation
-// class the cluster layer relies on for dirty tracking. Notifications
-// are edge-triggered — one per clean-to-stale transition — so the test
-// re-arms the edge with an Aggregates() read before every mutation.
-func TestOnAggregateChange(t *testing.T) {
-	h := testHost(t)
-	fires := 0
-	h.OnAggregateChange(func() { fires++ })
-
-	d, err := h.Define(DomainConfig{Name: "vm", Size: resources.New(4, 8192, 0, 0), Deflatable: true, Priority: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := []struct {
-		name string
-		op   func()
-	}{
-		{"start", func() { d.Start() }},
-		{"setlimit", func() { d.SetCPUShares(2) }},
-		{"clear", func() { d.ClearTransparentLimits() }},
-		{"shutdown", func() { d.Shutdown() }},
-		{"undefine", func() { h.Undefine("vm") }},
-	}
-	if fires == 0 {
-		t.Error("define did not fire the callback")
-	}
-	for _, s := range steps {
-		h.Aggregates() // refresh the cache, re-arming the edge
-		before := fires
-		s.op()
-		if fires == before {
-			t.Errorf("%s did not fire the callback", s.name)
-		}
-	}
-
-	// While the cache is already stale, further mutations coalesce into
-	// the pending notification.
-	h.Aggregates()
-	d2, err := h.Define(DomainConfig{Name: "vm2", Size: resources.New(4, 8192, 0, 0), Deflatable: true, Priority: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := fires
-	if err := d2.Start(); err != nil { // cache still stale from Define
-		t.Fatal(err)
-	}
-	d2.SetCPUShares(2)
-	if fires != before {
-		t.Errorf("stale-cache mutations should coalesce: %d extra fires", fires-before)
-	}
-
-	// Unregistering stops delivery.
-	h.Aggregates()
-	h.OnAggregateChange(nil)
-	before = fires
-	if _, err := h.Define(DomainConfig{Name: "vm3", Size: resources.New(1, 1024, 0, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if fires != before {
-		t.Error("callback fired after unregistering")
 	}
 }
 

@@ -68,9 +68,9 @@ func (b *fuzzBytes) next() byte {
 // Aggregates() equals a name-order recomputation; the allocation epoch
 // moved by exactly one on a limit write that moved a resident's
 // allocation and not at all otherwise; a rejected write, or a limit
-// write that moved no allocation, moved nothing, not even an
-// aggregate-change edge; and an op on an undefined handle moved no row,
-// aggregate, edge or epoch.
+// write that moved no allocation, moved nothing, not even the
+// aggregates; and an op on an undefined handle moved no row, aggregate
+// or epoch.
 //
 //	go test -run '^$' -fuzz FuzzDomainOps -fuzztime 15s -fuzzminimizetime 200x ./internal/hypervisor
 func FuzzDomainOps(f *testing.F) {
@@ -105,8 +105,6 @@ func FuzzDomainOps(f *testing.F) {
 		in := fuzzBytes(data)
 		h := testHost(t)
 		base := h.Capacity()
-		edges := 0
-		h.OnAggregateChange(func() { edges++ })
 		// models holds the live domains by name; retired holds each name's
 		// last undefined handle, which stays in the op stream.
 		models, retired := map[string]*domainModel{}, map[string]*domainModel{}
@@ -120,14 +118,14 @@ func FuzzDomainOps(f *testing.F) {
 				m = retired[name]
 				rowsBefore = slices.Clone(h.rows)
 			}
-			aggBefore := h.Aggregates() // also re-arms the change edge
-			epoch, fired := h.AllocEpoch(), edges
+			aggBefore := h.Aggregates()
+			epoch := h.AllocEpoch()
 			var before limitState
 			if m != nil {
 				before = limitStateOf(m.d)
 			}
 			// quiet marks an accepted op that may move no allocation of a
-			// resident: it may fire no aggregate-change edge.
+			// resident: it may move no aggregate.
 			allocWrite, rejected, quiet := false, false, stale
 			var opName string
 			var err error
@@ -248,8 +246,8 @@ func FuzzDomainOps(f *testing.F) {
 					t.Fatalf("after rejected %s: state moved %+v -> %+v", opName, before, after)
 				}
 			}
-			if (rejected || quiet) && edges != fired {
-				t.Fatalf("after %s (rejected %v): %d aggregate-change edges fired, but no allocation moved", opName, rejected, edges-fired)
+			if agg := h.Aggregates(); (rejected || quiet) && agg != aggBefore {
+				t.Fatalf("after %s (rejected %v): aggregates moved %+v -> %+v, but no allocation moved", opName, rejected, aggBefore, agg)
 			}
 			if stale {
 				if !slices.Equal(h.rows, rowsBefore) {

@@ -25,18 +25,20 @@
 // accounting columns (size, floor, priority, allocation, running,
 // deflatable) that the aggregate and view walks read as contiguous
 // host-owned memory. A Domain has no lock of its own; its mutators take
-// its host's lock, write the resident's row at mutation time and
-// invalidate the cached aggregates, and OnAggregateChange callbacks
-// always run under that lock. Host.mu is a leaf: nothing in this package
-// takes another lock under it. Three things are read outside it:
-// Capacity(), an atomic load; the offered load, a per-domain atomic that
-// moves no aggregate; and AllocEpoch(), the host's allocation epoch,
-// written only under the lock by the allocation writes it counts.
+// its host's lock and write the resident's row at mutation time. The
+// host caches nothing derived from its rows: Aggregates() is one walk
+// under the lock, and a caller that wants it cached (the cluster
+// manager) keeps the cache and tracks its own writes. Host.mu is a leaf:
+// nothing in this package takes another lock under it. Three things are
+// read outside it: Capacity(), an atomic load (SetCapacity is an atomic
+// store); the offered load, a per-domain atomic that moves no aggregate;
+// and AllocEpoch(), the host's allocation epoch, written only under the
+// lock by the allocation writes it counts.
 //
 // A limit write (Host.SetLimits) is the only allocation write after
 // Define. It is one critical section however many domains it covers,
-// and bumps the epoch and invalidates at most once. Domain.SetLimits and
-// SetCPUShares are its one-element case.
+// and bumps the epoch at most once. Domain.SetLimits and SetCPUShares
+// are its one-element case.
 package hypervisor
 
 import (
@@ -183,12 +185,9 @@ func (c DomainConfig) Floor() resources.Vector {
 	return DefaultFloor().Min(c.Size)
 }
 
-// Aggregates is the host's resource accounting, maintained as a cache so
-// that reading it is O(1) between mutations instead of a walk over every
-// domain. The cached value is always bit-for-bit identical to a fresh
-// name-order recomputation (the recompute itself iterates domains sorted
-// by name), so consumers that depend on PR 1's float-summation
-// determinism invariant can use it freely.
+// Aggregates is the host's resource accounting, summed by one walk over
+// the residents in name order, so its float sums are reproducible bit
+// for bit whatever order the domains were defined in.
 type Aggregates struct {
 	// Committed is the sum of nominal sizes of all defined domains: the
 	// numerator of the cluster overcommitment ratio (Section 1).
@@ -249,22 +248,6 @@ type Host struct {
 	rows  []row
 	order []int32
 
-	// agg caches the aggregates; clean says the cache is current.
-	// Aggregates, free share and the index keys the cluster layer derives
-	// from them depend on lifecycle, allocation and capacity only: every
-	// mutation that can move one of those three clears clean
-	// (invalidateLocked), and the next Aggregates() read re-derives agg
-	// by one name-order walk over the rows. A fresh host is clean: the
-	// zero Aggregates is what an empty host has.
-	clean bool
-	agg   Aggregates
-
-	// onChange, when set, is called on every clean-to-stale edge, with mu
-	// held: implementations must only record dirtiness (e.g. queue the
-	// host in a dirty list) and never call back into Host or Domain
-	// methods.
-	onChange func()
-
 	// epoch is the allocation epoch (see AllocEpoch), bumped under mu by
 	// SetLimits.
 	epoch atomic.Uint64
@@ -278,10 +261,7 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if err := checkCapacity(cfg.Name, cfg.Capacity); err != nil {
 		return nil, err
 	}
-	h := &Host{
-		cfg:   cfg,
-		clean: true,
-	}
+	h := &Host{cfg: cfg}
 	c := cfg.Capacity
 	h.capacity.Store(&c)
 	return h, nil
@@ -318,80 +298,27 @@ func (h *Host) AllocEpoch() uint64 { return h.epoch.Load() }
 
 // SetCapacity resizes the host's physical capacity in place — the
 // transient-server shrink/restore of a provider reclaiming (or
-// returning) part of the machine. It follows the same dirty-flag
-// discipline as every other mutation: the aggregate cache is
-// invalidated and the registered aggregate-change callback fires, so a
-// cluster manager's capacity index re-keys the server on its next
-// query. The hypervisor itself does not shrink domains; fitting the
-// residents into the new capacity is the cluster layer's job
-// (deflation-first, then evacuation).
+// returning) part of the machine. The hypervisor itself does not shrink
+// domains; fitting the residents into the new capacity is the cluster
+// layer's job (deflation-first, then evacuation).
 func (h *Host) SetCapacity(v resources.Vector) error {
 	if err := checkCapacity(h.cfg.Name, v); err != nil {
 		return err
 	}
-	h.mu.Lock()
 	h.capacity.Store(&v)
-	h.invalidateLocked()
-	h.mu.Unlock()
 	return nil
 }
 
-// OnAggregateChange registers fn to be called when a mutation (any
-// define/undefine, lifecycle transition, limit change or capacity
-// resize — never an offered-load write, which moves no
-// aggregate) invalidates the host's clean aggregate cache.
-// Notifications are edge-triggered: while the cache is already stale
-// further mutations are coalesced into the pending notification, and
-// the next Aggregates() read re-arms the edge — exactly the contract a
-// dirty-set consumer needs, at one callback per dirty episode instead of
-// one per mutation. The callback always runs with the host's lock held,
-// so it must only record dirtiness — typically queueing the host in a
-// cluster-level dirty list — and must not call back into Host or Domain
-// methods. Passing nil unregisters.
-func (h *Host) OnAggregateChange(fn func()) {
-	h.mu.Lock()
-	h.onChange = fn
-	h.mu.Unlock()
-}
-
-// invalidateLocked flags the aggregate cache stale and, on the
-// clean-to-stale edge, notifies the registered callback. The edge
-// trigger is sound for dirty-set consumers: a skipped notification means
-// the cache has been continuously stale since the last notification, so
-// the consumer's dirty mark is still pending (the mark is only consumed
-// together with the Aggregates() read that re-arms the edge). Called
-// with mu held.
-func (h *Host) invalidateLocked() {
-	if !h.clean {
-		return // already stale: notification still pending downstream
-	}
-	h.clean = false
-	if h.onChange != nil {
-		h.onChange()
-	}
-}
-
-// Aggregates returns the host's cached resource aggregates, recomputing
-// them (one name-order walk) only if a mutation happened since the last
-// read. Between mutations this is O(1), which is what makes per-arrival
-// cluster scans affordable at scale.
+// Aggregates returns the host's resource aggregates: one walk over the
+// row table in name order, under the host's lock — the fixed iteration
+// order that keeps the float summations reproducible. The sums are
+// spelled out per dimension: the same float operations in the same order
+// as Vector.Add and Add(Sub(floor).ClampNonNegative()), without the
+// by-value vector copies, which cost more than the arithmetic.
 func (h *Host) Aggregates() Aggregates {
+	var a Aggregates
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.clean {
-		h.refreshLocked()
-	}
-	return h.agg
-}
-
-// refreshLocked re-derives the aggregates by one name-order walk over
-// the row table — the fixed iteration order that keeps the float
-// summations reproducible. The sums are spelled out per dimension: the
-// same float operations in the same order as Vector.Add and
-// Add(Sub(floor).ClampNonNegative()), without the by-value vector
-// copies, which cost more than the arithmetic. Called with mu held.
-func (h *Host) refreshLocked() {
-	var a Aggregates
 	rows := h.rows
 	for _, slot := range h.order {
 		r := &rows[slot]
@@ -419,8 +346,7 @@ func (h *Host) refreshLocked() {
 			a.Deflated++
 		}
 	}
-	h.agg = a
-	h.clean = true
+	return a
 }
 
 // AppendDeflatableView appends the host's policy view of its running
@@ -428,10 +354,9 @@ func (h *Host) refreshLocked() {
 // VM, in name order — to states and domains, and returns the extended
 // slices. It is one walk over the row table under the host's lock
 // followed by one lock-free load read per appended domain: the Load
-// column is read through from the domains' live offered loads, which is
-// why SetOfferedLoad invalidates nothing. Callers own the destination
-// slices; passing buffers they reuse across passes makes the whole read
-// allocation-free.
+// column is read through from the domains' live offered loads. Callers
+// own the destination slices; passing buffers they reuse across passes
+// makes the whole read allocation-free.
 //
 // The appended states are a snapshot: a subsequent mutation or load
 // write shows in the next read, but touches no slice already handed out,
@@ -505,7 +430,6 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	h.order = append(h.order, 0)
 	copy(h.order[i+1:], h.order[i:])
 	h.order[i] = d.slot
-	h.invalidateLocked()
 	return d, nil
 }
 
@@ -554,14 +478,12 @@ func (h *Host) Undefine(name string) error {
 	h.rows[last] = row{}
 	h.rows = h.rows[:last]
 	d.slot = -1
-	h.invalidateLocked()
 	return nil
 }
 
 // Allocated returns the sum of the current (possibly deflated) allocations
-// of running domains: physical resources actually promised right now.
-// Served from the aggregate cache; the underlying summation is always in
-// name order so the low bits are reproducible.
+// of running domains: physical resources actually promised right now —
+// Aggregates().Allocated, one walk.
 func (h *Host) Allocated() resources.Vector {
 	return h.Aggregates().Allocated
 }
@@ -625,13 +547,12 @@ func (d *Domain) allocLocked() resources.Vector {
 }
 
 // setStateLocked moves the lifecycle state and, for a resident (an
-// undefined domain has no row), mirrors it into the row's running column
-// and invalidates. Called with the host's mu held.
+// undefined domain has no row), mirrors it into the row's running column.
+// Called with the host's mu held.
 func (d *Domain) setStateLocked(s DomainState) {
 	d.state = s
 	if d.slot >= 0 {
 		d.host.rows[d.slot].running = s == Running
-		d.host.invalidateLocked()
 	}
 }
 
@@ -718,9 +639,8 @@ func (d *Domain) OfferedLoad() float64 {
 // watching the VM's request stream. Latency-aware policies read it from
 // the host's deflatable view. Negative and non-finite (NaN, ±Inf) values
 // clamp to zero. A load moves no aggregate, no free share and no index
-// key, so the write is one atomic store: it takes no lock, does not
-// invalidate the host's cache, fires no OnAggregateChange edge, and the
-// next AppendDeflatableView reads the new value through.
+// key, so the write is one atomic store: it takes no lock, and the next
+// AppendDeflatableView reads the new value through.
 func (d *Domain) SetOfferedLoad(v float64) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
@@ -758,9 +678,9 @@ func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) 
 // doms[i] ends up with. A domain of another host, a length mismatch or a
 // negative or NaN component anywhere refuses the whole batch (ErrInvalid)
 // before anything is written. If any write moved a resident's
-// allocation, the allocation epoch moves by exactly one and the
-// aggregates are invalidated once; otherwise neither is touched. An
-// undefined domain takes the write into its own limits only.
+// allocation, the allocation epoch moves by exactly one; otherwise it is
+// not touched. An undefined domain takes the write into its own limits
+// only.
 func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 	if len(doms) != len(limits) {
 		return fmt.Errorf("%w: host %s limit write of %d domains with %d limit vectors", ErrInvalid, h.cfg.Name, len(doms), len(limits))
@@ -794,7 +714,6 @@ func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 	}
 	if moved {
 		h.epoch.Add(1)
-		h.invalidateLocked()
 	}
 	return nil
 }

@@ -17,14 +17,10 @@ import (
 // the freed slot and the name order shifts under the readers), capacity resizes and load
 // writes, against Aggregates / AppendDeflatableView / Allocation /
 // AllocationEpoch / AllocEpoch / State / Domains readers (the epoch never
-// runs backwards). The aggregate-change callback bumps a plain
-// int: callbacks always run under the host's lock, so the detector
-// flags it if one ever does not. When the dust settles the cached
-// aggregates and the view must equal the fresh walks.
+// runs backwards). When the dust settles the aggregates and the view
+// must equal the fresh walks.
 func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 	h := testHost(t)
-	edges := 0
-	h.OnAggregateChange(func() { edges++ })
 
 	const residents, rounds = 12, 300
 	doms := make([]*Domain, residents)
@@ -138,9 +134,6 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 	checkRows(t, h, "concurrent churn")
 	if n := len(h.Domains()); n != residents {
 		t.Errorf("%d domains left, want the %d residents", n, residents)
-	}
-	if edges == 0 {
-		t.Error("no aggregate-change edge fired")
 	}
 	if h.AllocEpoch() == 0 {
 		t.Error("no allocation write moved the allocation epoch")
@@ -270,12 +263,10 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 	// An all-zero vector engages nothing; a negative component rejects
 	// the write whole.
 	d := defineRunning(t, testHost(t), "vm", 4, 8192)
-	d.Host().Aggregates() // clean cache: a mutation would fire the edge
-	fires := 0
-	d.Host().OnAggregateChange(func() { fires++ })
+	epoch := d.Host().AllocEpoch()
 	got, err := d.SetLimits(resources.Vector{})
-	if err != nil || got != d.MaxSize() || fires != 0 {
-		t.Errorf("zero limits: alloc %v, err %v, %d edges", got, err, fires)
+	if err != nil || got != d.MaxSize() || d.Host().AllocEpoch() != epoch {
+		t.Errorf("zero limits: alloc %v, err %v, epoch %d -> %d", got, err, epoch, d.Host().AllocEpoch())
 	}
 	if l := limitsOf(d); l != (resources.Vector{}) {
 		t.Errorf("zero limits engaged a controller: %v", l)
@@ -292,20 +283,18 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 // TestDefineSurfacesGuestError: memory below the guest kernel's 256 MB
 // reserve, on which a guest would fail to boot, is refused by Define,
 // and the refusal leaves no trace on the host: no row, no name, no
-// invalidation.
+// aggregate moved.
 func TestDefineSurfacesGuestError(t *testing.T) {
 	h := testHost(t)
 	defineRunning(t, h, "a", 4, 8192)
 	before := h.Aggregates()
-	fires := 0
-	h.OnAggregateChange(func() { fires++ })
 
 	tiny := DomainConfig{Name: "tiny", Size: resources.New(1, 128, 0, 0)}
 	if _, err := h.Define(tiny); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Define with 128 MB: err = %v, want ErrInvalid", err)
 	}
-	if fires != 0 || h.Aggregates() != before || len(h.Domains()) != 1 || len(h.rows) != 1 {
-		t.Errorf("failed Define left a trace: %d edges, %d domains, %d rows", fires, len(h.Domains()), len(h.rows))
+	if h.Aggregates() != before || len(h.Domains()) != 1 || len(h.rows) != 1 {
+		t.Errorf("failed Define left a trace: %d domains, %d rows", len(h.Domains()), len(h.rows))
 	}
 	if _, err := h.Lookup("tiny"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Lookup after failed Define: err = %v", err)
@@ -342,13 +331,12 @@ func TestDefineAllocatesOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkRefreshWalkSteadyState is one dirty episode on a populated
+// BenchmarkRefreshWalkSteadyState is one write-then-read on a populated
 // host: a limit write that moves an allocation (each resident's CPU
 // limit alternates between 1 and 1.5 cores from one round of the
-// residents to the next) invalidates, the next Aggregates() re-derives
-// the host over its 20 residents' rows. `make bench-allocs` requires
-// 0 allocs/op; ns/op is what every mutated server owes the cluster's
-// dirty sync.
+// residents to the next), then an Aggregates() walk over its 20
+// residents' rows. `make bench-allocs` requires 0 allocs/op; ns/op is
+// what every server the manager writes owes its dirty sync.
 func BenchmarkRefreshWalkSteadyState(b *testing.B) {
 	h := testHost(b)
 	doms := make([]*Domain, 20)

@@ -9,8 +9,7 @@ import "vmdeflate/internal/resources"
 // TestSetLimitsMatchesSingleSetters holds the batched write to.
 
 // Committed returns the sum of the nominal sizes of all defined domains:
-// the numerator of the cluster overcommitment ratio (Section 1). Served
-// from the aggregate cache.
+// the numerator of the cluster overcommitment ratio (Section 1).
 func (h *Host) Committed() resources.Vector {
 	return h.Aggregates().Committed
 }
@@ -64,7 +63,6 @@ func (d *Domain) ClearTransparentLimits() {
 		h.rows[d.slot].setAlloc(d.derive())
 	}
 	h.epoch.Add(1)
-	h.invalidateLocked()
 }
 
 // limitsOf reads d's engaged cgroup limits, zero where disengaged.

@@ -1,11 +1,12 @@
-package queueing
+package perfmodel
 
 // Closed-form processor-sharing latency model. The cluster simulator's
 // sample pass needs per-VM latency at every 5-minute boundary
 // for up to a million VMs; simulating a PSStation per VM there would
 // blow both the wall clock and the zero-allocation gate, so the hot
 // path uses the steady-state M/G/1-PS sojourn formula the station
-// converges to instead (see TestClosedFormMatchesStation).
+// converges to instead (TestClosedFormMatchesStation, beside the
+// station in package queueing, holds the two together).
 //
 // For an egalitarian PS server with service capacity C (cores) and
 // offered load λw̄ (core-seconds of demand per second), the expected

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"vmdeflate/internal/perfmodel"
-	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/resources"
 )
 
@@ -48,13 +47,13 @@ func TestLatencyAwareSafeTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantA := queueing.PSCapacityForSlowdown(4, 8, 3)
+	wantA := perfmodel.PSCapacityForSlowdown(4, 8, 3)
 	if got := res.Targets["a"].Get(resources.CPU); !almost(got, wantA) {
 		t.Errorf("a deflated to %g cores, want safe target %g", got, wantA)
 	}
 	// b (less headroom) is only deflated because a alone cannot cover the
 	// need; it too stops at its safe target.
-	wantB := queueing.PSCapacityForSlowdown(6, 8, 3)
+	wantB := perfmodel.PSCapacityForSlowdown(6, 8, 3)
 	if got := res.Targets["b"].Get(resources.CPU); !almost(got, wantB) {
 		t.Errorf("b deflated to %g cores, want safe target %g", got, wantB)
 	}
@@ -74,7 +73,7 @@ func TestLatencyAwareTwoPhase(t *testing.T) {
 	if got := res.Targets["a"].Get(resources.CPU); !almost(got, 1) {
 		t.Errorf("a should hit its floor in phase 2: got %g cores, want 1", got)
 	}
-	wantB := queueing.PSCapacityForSlowdown(6, 8, 3)
+	wantB := perfmodel.PSCapacityForSlowdown(6, 8, 3)
 	if got := res.Targets["b"].Get(resources.CPU); !almost(got, wantB) {
 		t.Errorf("b should stay at its safe target %g, got %g", wantB, got)
 	}
@@ -118,7 +117,7 @@ func TestLatencyAwareSlackCurve(t *testing.T) {
 	if mem >= worst {
 		t.Fatalf("memcached target %g cores should be below worst-case %g", mem, worst)
 	}
-	needCap := queueing.PSCapacityForSlowdown(4, 8, 3)
+	needCap := perfmodel.PSCapacityForSlowdown(4, 8, 3)
 	if got := perfmodel.Memcached.EffectiveCapacity(8, mem); got+1e-9 < needCap {
 		t.Errorf("memcached target %g delivers %g effective cores, need %g", mem, got, needCap)
 	}

@@ -17,8 +17,8 @@
 // A policy decision is TargetsInto: it writes position-indexed targets
 // (Targets[i] belongs to vms[i]) into buffers owned by a caller-provided
 // Scratch, so a steady-state policy pass performs zero heap allocations —
-// the cluster manager keeps one Scratch per server and runs millions of
-// passes without GC churn. The proportional family reads each weight
+// the cluster manager keeps one Scratch in its pass arena, shared by
+// every server's passes, and runs millions of them without GC churn. The proportional family reads each weight
 // once per pass and runs no water-fill on a dimension where no VM has a
 // positive range (it would write the floors the targets start at).
 package policy
@@ -29,7 +29,6 @@ import (
 	"sort"
 
 	"vmdeflate/internal/perfmodel"
-	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/resources"
 )
 
@@ -73,8 +72,8 @@ type SliceResult struct {
 // Scratch holds the reusable buffers a policy pass needs. The zero value
 // is ready to use; after a few passes the buffers reach steady-state
 // capacity and TargetsInto stops allocating entirely. A Scratch must not
-// be shared between concurrent passes — the cluster manager owns one per
-// server.
+// be shared between concurrent passes — the cluster manager owns one, in
+// its pass arena, and runs its passes one at a time under its lock.
 type Scratch struct {
 	targets []resources.Vector
 	entries []wfEntry
@@ -444,7 +443,7 @@ func safeFraction(vm *VMState, curve perfmodel.Curve, maxSlowdown float64) float
 	if fullCap <= 0 {
 		return 0
 	}
-	needCap := queueing.PSCapacityForSlowdown(vm.Load, fullCap, maxSlowdown)
+	needCap := perfmodel.PSCapacityForSlowdown(vm.Load, fullCap, maxSlowdown)
 	return 1 - curve.DeflationFor(needCap/fullCap)
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/sim"
 )
 
@@ -121,7 +122,7 @@ func TestWorkConservationUnderChurn(t *testing.T) {
 // TestClosedFormMatchesStation ties the hot-path closed form to the
 // discrete-event station it approximates: for a persistent Poisson
 // stream, the measured sojourn ratio between a deflated and an
-// undeflated station must match PSSlowdownRatio within simulation
+// undeflated station must match perfmodel.PSSlowdownRatio within simulation
 // noise.
 func TestClosedFormMatchesStation(t *testing.T) {
 	const (
@@ -159,7 +160,7 @@ func TestClosedFormMatchesStation(t *testing.T) {
 		return sum / float64(n)
 	}
 	got := meanSojourn(effCap) / meanSojourn(fullCap)
-	want := PSSlowdownRatio(load, fullCap, effCap, 100)
+	want := perfmodel.PSSlowdownRatio(load, fullCap, effCap, 100)
 	if math.Abs(got-want)/want > 0.1 {
 		t.Errorf("measured slowdown ratio %v, closed form %v (±10%%)", got, want)
 	}
@@ -173,12 +174,12 @@ func TestPSCapacityForSlowdownInverts(t *testing.T) {
 	for _, load := range []float64{0, 0.5, 2, 3.9} {
 		for _, s := range []float64{1, 1.5, 3, 10} {
 			const fullCap = 4.0
-			c := PSCapacityForSlowdown(load, fullCap, s)
-			if got := PSSlowdownRatio(load, fullCap, c, 1e9); got > s+1e-9 {
+			c := perfmodel.PSCapacityForSlowdown(load, fullCap, s)
+			if got := perfmodel.PSSlowdownRatio(load, fullCap, c, 1e9); got > s+1e-9 {
 				t.Errorf("load=%g s=%g: capacity %g still violates (ratio %g)", load, s, c, got)
 			}
 			if load > 0 && c > load+1e-6 && s > 1 {
-				if got := PSSlowdownRatio(load, fullCap, c*0.95, 1e9); got <= s {
+				if got := perfmodel.PSSlowdownRatio(load, fullCap, c*0.95, 1e9); got <= s {
 					t.Errorf("load=%g s=%g: capacity %g not minimal (0.95x ratio %g <= %g)", load, s, c, got, s)
 				}
 			}
