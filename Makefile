@@ -46,7 +46,7 @@ race-placement:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Sweep10k' -benchtime 1x .
 
-# Zero-allocation gate: the steady-state deflate/reinflate policy pass,
+# Allocation gate: the steady-state deflate/reinflate policy pass,
 # the placement decision, the pruned pressure scan, the sample pass on both sides
 # of its allocation cache (a limit write between passes), the
 # SLO-metered sample pass (closed-form queueing math included), the
@@ -58,7 +58,9 @@ bench-smoke:
 # the capacity index's re-key
 # and its surplus probe, fleet sizing's pruned tightest-fit scan with its
 # re-sorts on a sized fleet AND notify.Bus.Publish must all report 0
-# allocs/op, or the build fails. The awk gate names each required
+# allocs/op, and a host's define/undefine cycle exactly 1 allocs/op (the
+# Domain) in at most 128 B/op (its size class), or the build fails. The
+# awk gate reads allocs/op and B/op, names each required
 # benchmark explicitly (matching on the name with its -GOMAXPROCS suffix
 # stripped), so a renamed or silently skipped benchmark fails the build
 # instead of shrinking the gate. The benchmark output is kept in
@@ -67,7 +69,7 @@ bench-allocs:
 	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|EventHeapSteadyState|EventHeapFillDrain|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'StreamParams' -benchmem ./internal/trace | tee -a BENCH_allocs.txt
-	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState|LimitWriteBatchSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState|LimitWriteBatchSteadyState|DefineUndefineSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
@@ -78,13 +80,15 @@ bench-allocs:
 			want["BenchmarkLoadWriteViewSteadyState"]; want["BenchmarkRefreshWalkSteadyState"]; \
 			want["BenchmarkLimitWriteBatchSteadyState"]; \
 			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkSurplusProbeSteadyState"]; \
-			want["BenchmarkPublishSteadyState"] } \
+			want["BenchmarkPublishSteadyState"]; \
+			want["BenchmarkDefineUndefineSteadyState"] = 1; maxBytes["BenchmarkDefineUndefineSteadyState"] = 128 } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
-			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; \
-				if (allocs > 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want 0)" } } } \
+			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; bytes = $$(NF-3) + 0; \
+				if (allocs != want[name] + 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want " want[name] + 0 ")" } \
+				if ((name in maxBytes) && bytes > maxBytes[name]) { failed = 1; print "FAIL: " name " allocates " bytes " B/op (want at most " maxBytes[name] ")" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op; define/undefine at 1 allocs/op, <= 128 B/op" }' BENCH_allocs.txt
 
 # The 10M-VM point, streamed: the trace is never materialised — VM
 # parameters generate at arrival, utilisation synthesizes through

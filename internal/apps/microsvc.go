@@ -212,7 +212,8 @@ func RunSocialNetwork(cfg SocialNetConfig, deflPct float64) (SocialNetPoint, err
 	if err := checkPct(deflPct); err != nil {
 		return SocialNetPoint{}, err
 	}
-	// Containers: 2 cores max, 0.05 min, 800 MB each (Section 7.2).
+	// Containers: 2 cores max, 0.05 min (hypervisor.DefaultFloor), 800 MB
+	// each (Section 7.2).
 	host, err := hypervisor.NewHost(hypervisor.HostConfig{
 		Name:     "swarm-node",
 		Capacity: resources.New(64, 262144, 2000, 20000),
@@ -221,11 +222,10 @@ func RunSocialNetwork(cfg SocialNetConfig, deflPct float64) (SocialNetPoint, err
 		return SocialNetPoint{}, err
 	}
 	container, err := host.Define(hypervisor.DomainConfig{
-		Name:          "usvc-container",
-		Size:          resources.New(2, 800, 0, 0),
-		Deflatable:    true,
-		Priority:      0.5,
-		MinAllocation: resources.New(0.05, 64, 0, 0),
+		Name:       "usvc-container",
+		Size:       resources.New(2, 800, 0, 0),
+		Deflatable: true,
+		Priority:   0.5,
 	})
 	if err != nil {
 		return SocialNetPoint{}, err

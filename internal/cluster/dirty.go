@@ -22,11 +22,23 @@ func (m *Manager) markDirty(s *Server) {
 	}
 }
 
+// resyncAll, when set, marks every server before each sync, so every
+// query reads state re-derived from the hosts whatever the manager
+// marked: the full-invalidation oracle its own marks are held to. It is
+// set only by the package's tests (export_test.go); in every shipped
+// build it is false.
+var resyncAll bool
+
 // syncDirtyLocked refreshes cached placement state (per-server
 // aggregates, free/availability vectors, index keys) for every server
 // the manager marked since the last query, in mark order, and empties
 // the list. Between bursts of churn it is a no-op.
 func (m *Manager) syncDirtyLocked() {
+	if resyncAll {
+		for _, s := range m.servers {
+			m.markDirty(s)
+		}
+	}
 	for _, s := range m.dirty {
 		s.queued = false
 		name := s.Host.Name()

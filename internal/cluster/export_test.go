@@ -16,3 +16,15 @@ func UseOracle(t testing.TB, name string) {
 	defaultOracle = o
 	t.Cleanup(func() { defaultOracle = prev })
 }
+
+// ResyncEveryServer makes every Manager re-derive every server's cached
+// placement state before each query until t ends, marked or not
+// (resyncAll), so external tests can hold whole clustersim runs, whose
+// managers sync only the servers they wrote, to full invalidation.
+// Tests that call it must not run in parallel with others.
+func ResyncEveryServer(t testing.TB) {
+	t.Helper()
+	prev := resyncAll
+	resyncAll = true
+	t.Cleanup(func() { resyncAll = prev })
+}

@@ -97,12 +97,7 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 	for _, name := range names {
 		s := m.byName[name]
 		for _, d := range s.Host.Domains() { // name order
-			dc := d.Config()
-			// Carry the live offered load (DomainConfig holds only the
-			// admission-time seed) so the VM re-lands under its current
-			// load, visible to latency-aware policies at the new server.
-			dc.Load = d.OfferedLoad()
-			if err := m.displaceLocked(s, d, dc); err != nil {
+			if err := m.displaceLocked(s, d); err != nil {
 				return Evacuation{}, err
 			}
 		}
@@ -180,8 +175,10 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 }
 
 // displaceLocked tears one resident down from its (about to be revoked
-// or shrunk) server and queues it for the relocation batch.
-func (m *Manager) displaceLocked(s *Server, d *hypervisor.Domain, dc hypervisor.DomainConfig) error {
+// or shrunk) server and queues its configuration, live offered load
+// included (Domain.Config), for the relocation batch.
+func (m *Manager) displaceLocked(s *Server, d *hypervisor.Domain) error {
+	dc := d.Config()
 	if err := m.teardownLocked(s, d); err != nil {
 		return err
 	}
@@ -213,7 +210,7 @@ func (m *Manager) displaceForShrinkLocked(s *Server, capacity resources.Vector) 
 		}
 		minNeed := d.Allocation()
 		if d.Deflatable() {
-			minNeed = d.Floor()
+			minNeed = hypervisor.DefaultFloor()
 		}
 		total = total.Add(minNeed)
 		victims = append(victims, shrinkVictim{d: d, minNeed: minNeed, prio: d.Priority(), name: d.Name()})
@@ -231,9 +228,7 @@ func (m *Manager) displaceForShrinkLocked(s *Server, capacity resources.Vector) 
 		if total.FitsIn(capacity) {
 			break
 		}
-		dc := v.d.Config()
-		dc.Load = v.d.OfferedLoad() // re-land under the live load
-		if err := m.displaceLocked(s, v.d, dc); err != nil {
+		if err := m.displaceLocked(s, v.d); err != nil {
 			return err
 		}
 		total = total.Sub(v.minNeed)
@@ -259,8 +254,8 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 		return err
 	}
 	if err != nil {
-		for i, d := range sc.doms {
-			res.Targets[i] = d.Floor()
+		for i := range sc.doms {
+			res.Targets[i] = hypervisor.DefaultFloor()
 		}
 	}
 	return m.writeTargets(s, res.Targets)

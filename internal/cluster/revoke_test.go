@@ -180,13 +180,14 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 	// displaced VMs must land on the second server, lowest priority
 	// first.
 	m := newTestManager(t, 2, Config{})
-	// Two residents with explicit QoS floors of 8 cores each: the shrunk
-	// capacity (10 cores) can hold one floor but not both, so exactly
-	// one VM must be displaced even at maximal deflation.
+	// Two residents, each deflatable to hypervisor.DefaultFloor: the
+	// shrunk capacity holds one floor but not two, so exactly one VM
+	// must be displaced even at maximal deflation.
+	floor := hypervisor.DefaultFloor()
+	shrunk := floor.Scale(1.5)
 	var target *Server
 	for i := 0; i < 2; i++ {
 		dc := deflatableVM(fmt.Sprintf("vm-%d", i), 20, 49152, 0.25*float64(i+1))
-		dc.MinAllocation = resources.CPUMem(8, 20480)
 		_, s, err := m.PlaceVM(dc)
 		if err != nil {
 			t.Fatal(err)
@@ -197,12 +198,12 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 			t.Fatalf("setup: VMs spread across servers")
 		}
 	}
-	out, err := m.ResizeServer(target.Host.Name(), resources.CPUMem(10, 24576))
+	out, err := m.ResizeServer(target.Host.Name(), shrunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.VMs) == 0 {
-		t.Fatal("deep shrink displaced nothing")
+	if len(out.VMs) != 1 {
+		t.Fatalf("shrink to %v displaced %d VMs, want 1", shrunk, len(out.VMs))
 	}
 	if out.VMs[0].Priority != 0.25 {
 		t.Fatalf("displacement order: first victim priority %g, want the lowest (0.25)", out.VMs[0].Priority)
@@ -210,8 +211,8 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 	if n := kills(out); n != 0 {
 		t.Fatalf("displaced VMs killed (%d) with an empty server available", n)
 	}
-	if alloc := target.Host.Allocated(); !alloc.FitsIn(resources.CPUMem(10, 24576)) {
-		t.Fatalf("allocated %v exceeds shrunk capacity", alloc)
+	if alloc := target.Host.Allocated(); !alloc.FitsIn(shrunk) || !floor.FitsIn(alloc) {
+		t.Fatalf("allocated %v on the shrunk server, want the survivor between its floor %v and the capacity %v", alloc, floor, shrunk)
 	}
 }
 

@@ -169,7 +169,7 @@ func (m *Manager) perVMDeflateToCapacityLocked(s *Server, capacity resources.Vec
 	for i := range sc.doms {
 		target := res.Targets[i]
 		if err != nil {
-			target = sc.doms[i].Floor()
+			target = hypervisor.DefaultFloor()
 		}
 		if aerr := perVMApplyAndNotify(s, &m.cfg, sc.doms[i], sc.vms[i].Current, target); aerr != nil {
 			return aerr

@@ -134,10 +134,7 @@ type Engine struct {
 	servers []int
 
 	// afterSample, when set, runs after every sample pass, once its load
-	// writes are done. Nothing outside the tests sets it: the SLO
-	// differential suite uses it to re-store each metered host's
-	// capacity, a write that re-derives nothing now that only the
-	// manager's own writes mark a server.
+	// writes are done. Nothing outside the tests sets it.
 	afterSample func()
 }
 

@@ -2,7 +2,6 @@ package clustersim
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"vmdeflate/internal/perfmodel"
@@ -45,81 +44,6 @@ func TestSLOEngineMatchesOracles(t *testing.T) {
 			t.Fatalf("%v: degenerate run, no SLO samples metered", kind)
 		}
 		runOracleModes(t, fmt.Sprintf("%v/", kind), base, want)
-	}
-}
-
-// invalidateOnLoadWrite is the load-write oracle: it restores, from the
-// test side, the rule the engine ran under before offered loads became a
-// read-through column of the deflatable view — every load write
-// invalidates the written domain's host, so the next arrival re-derives
-// the aggregates, view and index keys of every server the sample pass
-// touched. It re-stores each host's own capacity, which changes
-// nothing. That write no longer re-derives anything either: a host
-// caches nothing, and only the manager's own writes mark a server, so
-// both runs below take the same path: the oracle no longer differs from
-// the run it checks and is due to be retired or replaced.
-func invalidateOnLoadWrite(t *testing.T, e *Engine) {
-	e.afterSample = func() {
-		for _, vt := range e.tbl {
-			if !vt.domain.Deflatable() {
-				continue // sampleVM writes no load for on-demand VMs
-			}
-			h := vt.domain.Host()
-			if err := h.SetCapacity(h.Capacity()); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-}
-
-// TestLoadWriteSyncMatchesFullInvalidation proves that a load write
-// needs no invalidation: across scenarios, seeds, both policies that a
-// metered run compares, and calm and shocked fleets, the run whose
-// sample pass dirties nothing is byte-identical to the run where every
-// load write invalidates its host.
-func TestLoadWriteSyncMatchesFullInvalidation(t *testing.T) {
-	slo := &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}
-	policies := []policy.Policy{
-		policy.Proportional{},
-		policy.LatencyAware{Curve: slo.Curve, MaxSlowdown: slo.MaxSlowdown},
-	}
-	for _, kind := range []trace.Scenario{trace.ScenarioBursty, trace.ScenarioDiurnal} {
-		for seed := int64(1); seed <= 4; seed++ {
-			tr, err := trace.GenerateScenario(trace.ScenarioConfig{
-				Kind: kind, NumVMs: 1200, Duration: 86400, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pol := range policies {
-				for _, shocked := range []bool{false, true} {
-					cfg := Config{Trace: tr, Policy: pol, Overcommit: 0.5, SLO: slo}
-					if shocked {
-						cfg.ShockConfig = testShockConfig(seed)
-					}
-					name := fmt.Sprintf("%v/seed=%d/%s/shocks=%v", kind, seed, pol.Name(), shocked)
-					got, err := Run(cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if got.SLOSampleSeconds == 0 || (shocked && got.Revocations == 0) {
-						t.Fatalf("%s: degenerate run: %+v", name, *got)
-					}
-					e, err := NewEngine(cfg)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					invalidateOnLoadWrite(t, e)
-					want, err := e.Run()
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: run diverged from the invalidate-on-load-write oracle:\ngot  %+v\nwant %+v", name, *got, *want)
-					}
-				}
-			}
-		}
 	}
 }
 

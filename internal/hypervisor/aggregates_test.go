@@ -25,7 +25,7 @@ func freshAggregates(h *Host) Aggregates {
 		if !d.Deflatable() {
 			continue
 		}
-		a.DeflatableReserve = a.DeflatableReserve.Add(alloc.Sub(d.Floor()).ClampNonNegative())
+		a.DeflatableReserve = a.DeflatableReserve.Add(alloc.Sub(DefaultFloor()).ClampNonNegative())
 		if alloc.DeflationFraction(d.Config().Size) > 0 {
 			a.Deflated++
 		}
@@ -100,8 +100,8 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 				Priority:   0.25 * float64(1+rng.Intn(4)),
 				Load:       float64(rng.Intn(3)),
 			}
-			if rng.Intn(4) == 0 {
-				cfg.MinAllocation = cfg.Size.Scale(0.25)
+			if rng.Intn(4) == 0 { // the smallest domain Validate admits
+				cfg.Size = resources.New(1, reserveMB, 0, 0)
 			}
 			d, err := h.Define(cfg)
 			if err != nil {
@@ -122,6 +122,11 @@ func hostChurn(t *testing.T, seed int64, check func(t *testing.T, h *Host, op st
 				t.Fatal(err)
 			}
 			frac := 0.3 + 0.7*rng.Float64()
+			if rng.Intn(8) == 0 {
+				// Below DefaultFloor on the smallest domains: their
+				// reserve terms clamp at zero.
+				frac = 0.01
+			}
 			allocWrite = true
 			switch rng.Intn(6) {
 			case 0:
@@ -265,32 +270,41 @@ func TestAggregatesConvenienceAccessors(t *testing.T) {
 	}
 }
 
-// TestFloorHelpers pins the floor definitions the cluster policies and
-// host reserve aggregate share.
+// TestFloorHelpers pins the one deflation floor the cluster policies,
+// the host's reserve aggregate and its deflatable view share:
+// DefaultFloor, which fits in the smallest domain Define accepts, so no
+// size caps it.
 func TestFloorHelpers(t *testing.T) {
 	if DefaultFloor() != resources.New(0.05, 64, 0, 0) {
 		t.Errorf("DefaultFloor = %v", DefaultFloor())
 	}
-	small := DomainConfig{Name: "s", Size: resources.New(0.01, 32, 0, 0)}
-	if got := small.Floor(); got != resources.New(0.01, 32, 0, 0) {
-		t.Errorf("floor capped by size = %v", got)
+	smallest := DomainConfig{Name: "s", Size: resources.New(1, reserveMB, 0, 0), Deflatable: true}
+	if err := smallest.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	withMin := DomainConfig{
-		Name:          "m",
-		Size:          resources.New(8, 16384, 0, 0),
-		MinAllocation: resources.New(2, 4096, 0, 0),
-	}
-	if got := withMin.Floor(); got != withMin.MinAllocation {
-		t.Errorf("explicit min floor = %v", got)
+	if !DefaultFloor().FitsIn(smallest.Size) || smallest.Floor() != DefaultFloor() {
+		t.Errorf("smallest valid size %v: floor %v, want DefaultFloor within it", smallest.Size, smallest.Floor())
 	}
 	h := testHost(t)
-	d := defineRunning(t, h, "d", 8, 16384)
-	if d.Floor() != d.Config().Floor() {
-		t.Error("Domain.Floor disagrees with DomainConfig.Floor")
+	d, err := h.Define(smallest)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The floor is derived once, at Define; Domain.Floor only reads it.
-	d.floor = resources.New(3, 3, 3, 3)
-	if d.Floor() != d.floor {
-		t.Error("Domain.Floor re-derived the floor instead of reading the value computed at Define")
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Aggregates().DeflatableReserve; got != resources.New(0.95, reserveMB-64, 0, 0) {
+		t.Errorf("reserve of an undeflated %v domain = %v, want its size less DefaultFloor", smallest.Size, got)
+	}
+	// Limits below the floor leave nothing to reclaim, not a negative
+	// amount; the view still offers the floor as the VM's minimum.
+	if _, err := d.SetLimits(resources.New(0.01, 16, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Aggregates().DeflatableReserve; got != (resources.Vector{}) {
+		t.Errorf("reserve below the floor = %v, want zero", got)
+	}
+	if vms, _ := h.AppendDeflatableView(nil, nil); len(vms) != 1 || vms[0].Min != DefaultFloor() {
+		t.Errorf("view = %+v, want one VM with Min = DefaultFloor", vms)
 	}
 }

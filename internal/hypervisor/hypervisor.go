@@ -21,10 +21,9 @@
 //
 // One mutex per Host, Host.mu, guards the host and every mutable field
 // of every domain resident on it: lifecycle state, cgroup limits and
-// the host's row table — the per-resident
-// accounting columns (size, floor, priority, allocation, running,
-// deflatable) that the aggregate and view walks read as contiguous
-// host-owned memory. A Domain has no lock of its own; its mutators take
+// the host's row table — the per-resident accounting columns (size,
+// priority, allocation, running, deflatable) that the aggregate and view
+// walks read as contiguous host-owned memory. A Domain has no lock of its own; its mutators take
 // its host's lock and write the resident's row at mutation time. The
 // host caches nothing derived from its rows: Aggregates() is one walk
 // under the lock, and a caller that wants it cached (the cluster
@@ -103,9 +102,10 @@ const reserveMB = 256
 
 // DefaultFloor is the mechanism-level minimum viable allocation: 1/20th
 // of a core and 64 MB, per the paper's observation that even a 0.05-CPU
-// microservice container keeps running. It is the deflation floor for
-// domains that configure no explicit MinAllocation, and the per-dimension
-// safety floor the mechanisms enforce on any target.
+// microservice container keeps running. It is every domain's deflation
+// floor, the minimum m_i of Section 5.1.1 equation (2): Validate admits
+// no size below it, so it needs no capping by the size, and no domain
+// carries a floor of its own.
 func DefaultFloor() resources.Vector {
 	return resources.New(0.05, 64, 0, 0)
 }
@@ -129,23 +129,20 @@ type DomainConfig struct {
 	// tolerance (Section 5.1.2). Validate admits [0, 1] and rejects NaN.
 	// Ignored for non-deflatable VMs.
 	Priority float64
-	// MinAllocation m_i is an optional QoS floor per Section 5.1.1
-	// equation (2). Zero means no floor.
-	MinAllocation resources.Vector
-	// Load is the domain's initial offered request load in cores
-	// (core-seconds of CPU demand per second). It seeds the live value
-	// maintained by SetOfferedLoad, so a VM admitted — or evacuated to a
-	// new server — under load is visible to latency-aware policies from
-	// its first policy pass.
+	// Load is the domain's offered request load in cores (core-seconds
+	// of CPU demand per second). At Define it seeds the live value
+	// maintained by SetOfferedLoad, and Domain.Config returns the live
+	// value, so a VM admitted — or evacuated to a new server — under load
+	// is visible to latency-aware policies from its first policy pass.
 	Load float64
 }
 
 // Validate reports, wrapping ErrInvalid, a configuration Define would
 // refuse: an empty name; a CPU size below one core or not finite; a
 // memory size below the guest kernel's reserve (reserveMB) or not
-// finite; a negative size or floor component; a floor above the size; a
-// deflatable priority outside [0, 1]; or a negative or non-finite load.
-// A guest sized like a valid domain always boots.
+// finite; a negative size component; a deflatable priority outside
+// [0, 1]; or a negative or non-finite load. A guest sized like a valid
+// domain always boots, and every valid size is at least DefaultFloor.
 func (c *DomainConfig) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("%w: empty domain name", ErrInvalid)
@@ -160,12 +157,6 @@ func (c *DomainConfig) Validate() error {
 	if err := c.Size.CheckNonNegative(); err != nil {
 		return fmt.Errorf("%w: domain %s size: %w", ErrInvalid, c.Name, err)
 	}
-	if err := c.MinAllocation.CheckNonNegative(); err != nil {
-		return fmt.Errorf("%w: domain %s min allocation: %w", ErrInvalid, c.Name, err)
-	}
-	if !c.MinAllocation.FitsIn(c.Size) {
-		return fmt.Errorf("%w: domain %s min allocation exceeds size", ErrInvalid, c.Name)
-	}
 	if c.Deflatable && !(c.Priority >= 0 && c.Priority <= 1) { // also catches NaN
 		return fmt.Errorf("%w: domain %s priority %g outside [0, 1]", ErrInvalid, c.Name, c.Priority)
 	}
@@ -175,15 +166,9 @@ func (c *DomainConfig) Validate() error {
 	return nil
 }
 
-// Floor returns the configuration's deflation floor: the configured
-// MinAllocation (the QoS floor m_i of equation (2)), or DefaultFloor
-// capped by the nominal size when none is set.
-func (c DomainConfig) Floor() resources.Vector {
-	if !c.MinAllocation.IsZero() {
-		return c.MinAllocation
-	}
-	return DefaultFloor().Min(c.Size)
-}
+// Floor returns the configuration's deflation floor, DefaultFloor: the
+// same for every domain Define accepts.
+func (c DomainConfig) Floor() resources.Vector { return DefaultFloor() }
 
 // Aggregates is the host's resource accounting, summed by one walk over
 // the residents in name order, so its float sums are reproducible bit
@@ -213,7 +198,6 @@ type Aggregates struct {
 type row struct {
 	name     string
 	size     resources.Vector // cfg.Size
-	floor    resources.Vector // cfg.Floor()
 	alloc    resources.Vector // current allocation (see Domain.derive)
 	priority float64
 	dom      *Domain
@@ -313,10 +297,11 @@ func (h *Host) SetCapacity(v resources.Vector) error {
 // row table in name order, under the host's lock — the fixed iteration
 // order that keeps the float summations reproducible. The sums are
 // spelled out per dimension: the same float operations in the same order
-// as Vector.Add and Add(Sub(floor).ClampNonNegative()), without the
-// by-value vector copies, which cost more than the arithmetic.
+// as Vector.Add and Add(Sub(DefaultFloor()).ClampNonNegative()), without
+// the by-value vector copies, which cost more than the arithmetic.
 func (h *Host) Aggregates() Aggregates {
 	var a Aggregates
+	floor := DefaultFloor()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	rows := h.rows
@@ -336,7 +321,7 @@ func (h *Host) Aggregates() Aggregates {
 			continue
 		}
 		for k, v := range r.alloc {
-			v -= r.floor[k]
+			v -= floor[k]
 			if v < 0 {
 				v = 0
 			}
@@ -352,17 +337,19 @@ func (h *Host) Aggregates() Aggregates {
 // AppendDeflatableView appends the host's policy view of its running
 // deflatable domains — one policy.VMState plus the matching *Domain per
 // VM, in name order — to states and domains, and returns the extended
-// slices. It is one walk over the row table under the host's lock
-// followed by one lock-free load read per appended domain: the Load
-// column is read through from the domains' live offered loads. Callers
-// own the destination slices; passing buffers they reuse across passes
-// makes the whole read allocation-free.
+// slices; every state's Min is DefaultFloor. It is one walk over the row
+// table under the host's lock followed by one lock-free load read per
+// appended domain: the Load column is read through from the domains'
+// live offered loads. Callers own the destination slices; passing
+// buffers they reuse across passes makes the whole read
+// allocation-free.
 //
 // The appended states are a snapshot: a subsequent mutation or load
 // write shows in the next read, but touches no slice already handed out,
 // exactly like Aggregates().
 func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) ([]policy.VMState, []*Domain) {
 	sbase, dbase := len(states), len(domains)
+	floor := DefaultFloor()
 	h.mu.Lock()
 	rows := h.rows
 	for _, slot := range h.order {
@@ -372,7 +359,7 @@ func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) 
 		}
 		states = append(states, policy.VMState{})
 		st := &states[len(states)-1]
-		st.Name, st.Max, st.Min, st.Priority, st.Current = r.name, r.size, r.floor, r.priority, r.alloc
+		st.Name, st.Max, st.Min, st.Priority, st.Current = r.name, r.size, floor, r.priority, r.alloc
 		domains = append(domains, r.dom)
 	}
 	h.mu.Unlock()
@@ -410,18 +397,12 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if dup != nil {
 		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Name)
 	}
-	d := &Domain{
-		host:  h,
-		cfg:   cfg,
-		floor: cfg.Floor(),
-		state: Defined,
-	}
+	d := &Domain{host: h, cfg: cfg, state: Defined}
 	d.load.Store(math.Float64bits(cfg.Load))
 	d.slot = int32(len(h.rows))
 	h.rows = append(h.rows, row{
 		name:       cfg.Name,
 		size:       cfg.Size,
-		floor:      d.floor,
 		priority:   cfg.Priority,
 		dom:        d,
 		deflatable: cfg.Deflatable,
@@ -497,10 +478,6 @@ func (h *Host) Allocated() resources.Vector {
 type Domain struct {
 	host *Host
 	cfg  DomainConfig
-	// floor is cfg.Floor(), derived once at Define: the configuration is
-	// immutable, and the policies read the floor of every resident on
-	// every pass.
-	floor resources.Vector
 
 	// slot indexes the domain's row in host.rows; -1 once undefined.
 	slot  int32
@@ -559,8 +536,14 @@ func (d *Domain) setStateLocked(s DomainState) {
 // Name returns the domain name.
 func (d *Domain) Name() string { return d.cfg.Name }
 
-// Config returns the domain's configuration.
-func (d *Domain) Config() DomainConfig { return d.cfg }
+// Config returns the domain's configuration, its Load the live offered
+// load: re-defined elsewhere (an evacuation), the VM lands under the
+// load it carries now, not the one it was admitted with.
+func (d *Domain) Config() DomainConfig {
+	c := d.cfg
+	c.Load = d.OfferedLoad()
+	return c
+}
 
 // Host returns the host the domain resides on.
 func (d *Domain) Host() *Host { return d.host }
@@ -596,13 +579,6 @@ func (d *Domain) Shutdown() error {
 
 // MaxSize returns the nominal undeflated allocation M_i.
 func (d *Domain) MaxSize() resources.Vector { return d.cfg.Size }
-
-// Floor returns the domain's deflation floor: its configured minimum
-// allocation, or DefaultFloor capped by the nominal size when none is
-// set. This is the single definition shared by the cluster policies and
-// the host's deflatable-reserve aggregate; it is computed at Define and
-// only read here.
-func (d *Domain) Floor() resources.Vector { return d.floor }
 
 // Deflatable reports whether the domain may be deflated.
 func (d *Domain) Deflatable() bool { return d.cfg.Deflatable }
@@ -650,25 +626,18 @@ func (d *Domain) SetOfferedLoad(v float64) {
 
 // --- Transparent deflation knobs (cgroup-backed, Section 4.2) ---
 
-// ClampTarget bounds target into [MinAllocation, MaxSize] with at least
-// DefaultFloor's CPU and memory, so the VM never fully stalls
-// (deflation, not preemption), rejecting a negative or NaN component
-// (ErrInvalid). It is the one clamp the mechanisms and the cluster's
-// policy passes apply before a limit write; it takes no lock.
+// ClampTarget bounds target into [DefaultFloor, MaxSize], so the VM
+// never fully stalls (deflation, not preemption), rejecting a negative
+// or NaN component (ErrInvalid). It is the one clamp the mechanisms and
+// the cluster's policy passes apply before a limit write; it takes no
+// lock.
 func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) {
 	for k, x := range target {
 		if !(x >= 0) { // also catches NaN
 			return resources.Vector{}, fmt.Errorf("%w: domain %s target %s=%g is negative or NaN", ErrInvalid, d.cfg.Name, resources.Kind(k), x)
 		}
 	}
-	t := target.Clamp(d.cfg.MinAllocation, d.cfg.Size)
-	floor := DefaultFloor()
-	for _, k := range [...]resources.Kind{resources.CPU, resources.Memory} {
-		if t[k] < floor[k] {
-			t[k] = floor[k]
-		}
-	}
-	return t.Min(d.cfg.Size), nil
+	return target.Clamp(DefaultFloor(), d.cfg.Size), nil
 }
 
 // SetLimits writes a policy pass's limits to the host's domains in one

@@ -70,7 +70,8 @@ func TestDefineValidation(t *testing.T) {
 		{Name: "v", Size: resources.New(1, 1024, -1, 0)},
 		{Name: "v", Size: resources.New(1, 1024, 0, 0), Deflatable: true, Priority: 2},
 		{Name: "v", Size: resources.New(1, 1024, 0, 0), Deflatable: true, Priority: math.NaN()},
-		{Name: "v", Size: resources.New(1, 1024, 0, 0), MinAllocation: resources.New(2, 0, 0, 0)},
+		// A size with no room above the floor every domain deflates to.
+		{Name: "v", Size: DefaultFloor().With(resources.Memory, 1024)},
 	}
 	for i, cfg := range cases {
 		if _, err := h.Define(cfg); err == nil {
@@ -241,10 +242,9 @@ func TestTransparentDeflation(t *testing.T) {
 
 func TestConfigAccessors(t *testing.T) {
 	h := testHost(t)
-	min := resources.New(1, 2048, 0, 0)
 	d, err := h.Define(DomainConfig{
 		Name: "vm", Size: resources.New(4, 8192, 100, 1000),
-		Deflatable: true, Priority: 0.75, MinAllocation: min,
+		Deflatable: true, Priority: 0.75, Load: 1.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +252,17 @@ func TestConfigAccessors(t *testing.T) {
 	if !d.Deflatable() || d.Priority() != 0.75 {
 		t.Error("deflatable/priority accessors wrong")
 	}
-	if d.MinAllocation() != min {
-		t.Errorf("MinAllocation = %v", d.MinAllocation())
+	if got := d.Config().Floor(); got != DefaultFloor() {
+		t.Errorf("Floor = %v, want DefaultFloor", got)
+	}
+	// Config carries the live offered load, so a VM re-defined from it
+	// (an evacuation) lands under its current load, not its admission one.
+	if got := d.Config().Load; got != 1.5 {
+		t.Errorf("Config().Load = %g before any load write, want the admission load 1.5", got)
+	}
+	d.SetOfferedLoad(3)
+	if got := d.Config().Load; got != 3 {
+		t.Errorf("Config().Load = %g after SetOfferedLoad(3), want 3", got)
 	}
 	if d.Host() != h {
 		t.Error("Host accessor wrong")

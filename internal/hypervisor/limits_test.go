@@ -141,16 +141,28 @@ func TestDomainLimitsConcurrentAccess(t *testing.T) {
 	checkRows(t, d.Host(), "concurrent limit writes")
 }
 
-// TestDomainSize pins what a cluster VM costs: no guest, no lock,
-// nothing but its configuration, floor, slot, one-byte state, limits and
-// load — the 192 B size class.
+// TestDomainSize pins what a cluster VM costs: no guest, no lock, no
+// floor of its own, nothing but its configuration, slot, one-byte state,
+// limits and load — the 128 B size class.
 func TestDomainSize(t *testing.T) {
 	var d Domain
 	got := unsafe.Sizeof(d)
-	if got > 192 {
-		t.Errorf("Domain is %d B, want at most 192", got)
+	if got > 128 {
+		t.Errorf("Domain is %d B, want at most 128", got)
 	}
 	t.Logf("Domain is %d B", got)
+}
+
+// TestRowSize pins the bytes a host's walks read per resident: name,
+// size, allocation, priority, domain pointer and three flags, with no
+// floor column (every domain's floor is DefaultFloor).
+func TestRowSize(t *testing.T) {
+	var r row
+	got := unsafe.Sizeof(r)
+	if got > 104 {
+		t.Errorf("row is %d B, want at most 104", got)
+	}
+	t.Logf("row is %d B", got)
 }
 
 // TestReserveIsTheGuestKernels: Validate's memory floor is the guest

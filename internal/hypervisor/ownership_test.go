@@ -164,7 +164,7 @@ func checkRows(t *testing.T, h *Host, op string) {
 			t.Fatalf("after %s: order not sorted at %q", op, r.name)
 		}
 		want := row{
-			name: d.cfg.Name, size: d.cfg.Size, floor: d.cfg.Floor(), alloc: d.derive(),
+			name: d.cfg.Name, size: d.cfg.Size, alloc: d.derive(),
 			priority: d.cfg.Priority, dom: d, running: d.state == Running, deflatable: d.cfg.Deflatable,
 		}
 		want.deflated = want.alloc.DeflationFraction(want.size) > 0
@@ -328,6 +328,40 @@ func TestDefineAllocatesOnce(t *testing.T) {
 	cycle() // warm the row table and the name order
 	if got := testing.AllocsPerRun(200, cycle); got != 1 {
 		t.Errorf("define/undefine cycle allocates %.1f objects, want 1 (the Domain)", got)
+	}
+}
+
+// BenchmarkDefineUndefineSteadyState is one VM's life on a populated
+// host: define, start, shut down, undefine. `make bench-allocs` requires
+// exactly 1 allocs/op, the Domain, and at most 128 B/op, its size class,
+// so a field that pushes the Domain into the next class fails the gate
+// even where TestDomainSize's unsafe.Sizeof pin is not run.
+func BenchmarkDefineUndefineSteadyState(b *testing.B) {
+	h := testHost(b)
+	for i := 0; i < 20; i++ {
+		defineRunning(b, h, fmt.Sprintf("res-%02d", i), 2, 4096)
+	}
+	probe := DomainConfig{Name: "probe", Size: resources.New(2, 4096, 0, 0), Deflatable: true, Priority: 0.5}
+	cycle := func() {
+		d, err := h.Define(probe)
+		if err == nil {
+			err = d.Start()
+		}
+		if err == nil {
+			err = d.Shutdown()
+		}
+		if err == nil {
+			err = h.Undefine(probe.Name)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle() // warm the row table and the name order
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		cycle()
 	}
 }
 

@@ -2,11 +2,11 @@ package hypervisor
 
 import "vmdeflate/internal/resources"
 
-// The single-controller setters, the QoS-floor accessor and the
-// aggregate shorthands the tests drive and read a host with. The
-// mechanisms write limits only through the batched SetLimits, and the
-// cluster layer reads Aggregates; the setters are the oracle
-// TestSetLimitsMatchesSingleSetters holds the batched write to.
+// The single-controller setters and the aggregate shorthands the tests
+// drive and read a host with. The mechanisms write limits only through
+// the batched SetLimits, and the cluster layer reads Aggregates; the
+// setters are the oracle TestSetLimitsMatchesSingleSetters holds the
+// batched write to.
 
 // Committed returns the sum of the nominal sizes of all defined domains:
 // the numerator of the cluster overcommitment ratio (Section 1).
@@ -28,9 +28,6 @@ func (h *Host) Overcommit() float64 {
 	}
 	return oc - 1
 }
-
-// MinAllocation returns the QoS floor m_i (zero vector if none).
-func (d *Domain) MinAllocation() resources.Vector { return d.cfg.MinAllocation }
 
 // SetMemoryLimit caps the domain's physical memory at mb via the memory
 // cgroup (mem.limit_in_bytes). If the limit is below the guest's resident

@@ -23,7 +23,7 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 		states = append(states, policy.VMState{
 			Name:     d.Name(),
 			Max:      d.MaxSize(),
-			Min:      d.Floor(),
+			Min:      DefaultFloor(),
 			Priority: d.Priority(),
 			Current:  d.Allocation(),
 			Load:     d.OfferedLoad(),

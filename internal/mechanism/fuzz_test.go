@@ -112,12 +112,12 @@ func errClass(err error) string {
 
 // mechFuzzSizes are the domains a fuzz input starts from: Fig 3's VM,
 // Fig 14's, the 8-core VM of the hand-written tests, and a fractional
-// one with a QoS floor.
+// one whose CPU draws (mechFuzzCores) reach below DefaultFloor.
 var mechFuzzSizes = [...]hypervisor.DomainConfig{
 	{Size: resources.New(8, 32768, 200, 2000)},
 	{Size: resources.New(8, 16384, 200, 2000)},
 	{Size: resources.New(8, 16384, 100, 1000)},
-	{Size: resources.New(2.6, 1000, 0, 50), MinAllocation: resources.New(0.5, 300, 0, 5)},
+	{Size: resources.New(2.6, 1000, 0, 50)},
 }
 
 // mechFuzzCores are the CPU components an explicit target draws:

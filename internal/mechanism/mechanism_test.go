@@ -150,20 +150,22 @@ func TestHybridReinflate(t *testing.T) {
 	}
 }
 
-func TestClampToMinAllocation(t *testing.T) {
+// TestClampToDefaultFloor: a target below the mechanism floor lands on
+// hypervisor.DefaultFloor's CPU and memory, the floor of every VM, and
+// keeps its own disk and network components, where the floor is zero.
+func TestClampToDefaultFloor(t *testing.T) {
 	d, g, err := defineWithGuest(hypervisor.DomainConfig{
 		Name: "vm", Size: resources.New(8, 16384, 100, 1000),
 		Deflatable: true, Priority: 0.5,
-		MinAllocation: resources.New(2, 4096, 10, 100),
 	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Transparent{}.Apply(d, g, resources.New(0.5, 128, 1, 1))
+	got, err := Transparent{}.Apply(d, g, resources.New(0.01, 16, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := resources.New(2, 4096, 10, 100)
+	want := hypervisor.DefaultFloor().Add(resources.New(0, 0, 1, 1))
 	if got != want {
 		t.Errorf("clamped = %v, want %v", got, want)
 	}

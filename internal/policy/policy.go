@@ -47,6 +47,8 @@ type VMState struct {
 	// Max is the nominal undeflated allocation M_i.
 	Max resources.Vector
 	// Min is the QoS floor m_i (zero vector when the VM has no floor).
+	// A host's deflatable view sets it to hypervisor.DefaultFloor for
+	// every VM; the policies take any per-VM value.
 	Min resources.Vector
 	// Priority is pi in (0,1]; larger values deflate less. Policies that
 	// ignore priority (plain proportional) do not read it.
