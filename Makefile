@@ -19,27 +19,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused race shard over placement batches and the revocation churn
-# suite: capacity-shock evacuations and the engines driving them, plus
-# the layers under them — one host's mutators against its readers under the
-# single host lock, the batched limit write (one domain's and one pass's,
-# against the per-VM writes), the hypervisor's concurrent
-# offered-load writes against view reads, the manager's marks of the
-# servers it writes and its dirty sync (TestEveryMutatorMarksItsServer,
-# the dirty-list tests and checkServerCache in the churn suites), the
-# events built from the view and the capacity index's in-place re-key
-# and payload-reading surplus probe — and what concurrent engines
-# share: the trace's build-once P95 column, the lock-free notify.Bus
-# publish and the sample pass's scheme billing over the metering table,
-# its allocation cache against the host's epoch included — plus every
-# engine run under the cluster package's test-side
-# placement oracles (the oracle hook is read by concurrent sweep
-# workers) — plus the outcome-record folds: the per-op placement record
-# differentials, the concurrent churn folded per worker and the
-# pinned scan counters — a fast, explicit signal beside the full
-# `race` run.
+# Focused race shard over what still runs across goroutines: a sweep's
+# engines on the worker pool (the parallel grid against the sequential
+# one, and every engine run under the cluster package's test-side
+# placement oracles, whose hook concurrent sweep workers read), the
+# notify.Bus that the engines of one sweep share (its publish, and
+# engines publishing at once) and the trace's build-once P95 column. A
+# Manager, its hosts and their domains have one owner and share
+# nothing; the full `race` run checks that. A fast, explicit signal
+# beside it.
 race-placement:
-	$(GO) test -race -run 'PlaceVMs|Preemption|Revo|Shock|Resize|Pressure|PlacementOracles|View|OfferedLoad|HostConcurrent|SetLimits|LimitWrites|PerVMWrites|Dirty|EveryMutatorMarks|EventsMatch|PlaceRemovePair|Rekey|P95Column|Publish|Billing|MeteringTable|IDReuse|IDLiveTwice|LiveSetQueue|ArrivalOverlay|ArrivalDeparturePair|SamplePassVisits|FittingProbes|SurplusProbe|CachedAllocation|SamplePassAllocReads|AggregatesMatchFresh|IndexedPlacementMatchesReference|FuzzPlacementOps|ConcurrentPlaceRemove|PinnedScanCounters' ./internal/cluster ./internal/clustersim ./internal/hypervisor ./internal/cluster/capindex ./internal/trace ./internal/notify
+	$(GO) test -race -run 'SweepGridParallel|SharedBus|PlacementOracles|P95Column|Publish' ./internal/cluster ./internal/clustersim ./internal/trace ./internal/notify
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.
@@ -88,7 +78,7 @@ bench-allocs:
 				if ((name in maxBytes) && bytes > maxBytes[name]) { failed = 1; print "FAIL: " name " allocates " bytes " B/op (want at most " maxBytes[name] ")" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision + pressure scan + sample (cached + locked allocation reads) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op; define/undefine at 1 allocs/op, <= 128 B/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision + pressure scan + sample (cached + re-read allocations) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op; define/undefine at 1 allocs/op, <= 128 B/op" }' BENCH_allocs.txt
 
 # The 10M-VM point, streamed: the trace is never materialised — VM
 # parameters generate at arrival, utilisation synthesizes through

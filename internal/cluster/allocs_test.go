@@ -46,10 +46,10 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Manager, *Server) {
 // defining the domain, which inherently allocates), followed by the
 // reinflation pass a departure would trigger. The server returns to its
 // initial state, so the cycle can repeat indefinitely. It syncs first,
-// as placeOneLocked does: deflateFor reads the synced free vector.
+// as placeOne does: deflateFor reads the synced free vector.
 func policyPassCycle(tb testing.TB, m *Manager, s *Server) {
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
-	m.syncDirtyLocked()
+	m.syncDirty()
 	if _, err := m.deflateFor(s, od); err != nil {
 		tb.Fatal(err)
 	}

@@ -287,19 +287,17 @@ func decideSteadyState(tb testing.TB) (*Manager, []hypervisor.DomainConfig) {
 	return m, dcs
 }
 
-// decideOnce runs, for each probe, the decision half of placeOneLocked
+// decideOnce runs, for each probe, the decision half of placeOne
 // — dirty sync, surplus lookup, cross-pool existence scan and
 // duplicate check — and commits nothing: the steady-state hot path the
 // allocation gate watches.
 func decideOnce(m *Manager, dcs []hypervisor.DomainConfig) {
-	m.mu.Lock()
 	for _, dc := range dcs {
-		m.syncDirtyLocked()
-		best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size)
-		_ = best == nil && !m.anyFitsLocked(dc.Size)
+		m.syncDirty()
+		best := m.surplusCandidate(m.PartitionOf(dc), dc.Size)
+		_ = best == nil && !m.anyFits(dc.Size)
 		_ = m.placements[dc.Name]
 	}
-	m.mu.Unlock()
 }
 
 // TestDecideSteadyStateZeroAllocs is the allocation-regression guard

@@ -71,8 +71,7 @@ func priorityOf(name string) uint64 {
 
 // Index is an ordered set of (name, key) entries supporting O(log n)
 // upsert and ordered iteration from a key lower bound. Not safe for
-// concurrent use; the cluster manager serialises access under its own
-// lock.
+// concurrent use, like the cluster manager that owns it.
 type Index struct {
 	root *node
 	// nodes finds an entry's treap node by name. The node carries the

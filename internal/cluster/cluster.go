@@ -35,8 +35,10 @@
 // PlaceVMs decides and commits one VM at a time, in input order, each
 // against the state every earlier decision left. The Manager is the one
 // placer: the per-server steps it runs (the policy pass that makes room,
-// the launch, reinflation) are unexported and run under its lock, on
-// the configuration NewManager normalised once.
+// the launch, reinflation) are unexported and run on the configuration
+// NewManager normalised once. A Manager has one owner, the goroutine
+// that drives it, and is not safe for concurrent use; neither are the
+// hosts it creates.
 //
 // # Outcomes
 //
@@ -48,7 +50,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"vmdeflate/internal/cluster/capindex"
 	"vmdeflate/internal/hypervisor"
@@ -63,7 +64,7 @@ import (
 // Each target takes the hypervisor's clamp, the pass is one
 // Host.SetLimits call, which overwrites targets with the achieved
 // allocations, and then each moved domain's event is published in view
-// order, with no further locked read. The server is marked dirty only if
+// order, with no further domain read. The server is marked dirty only if
 // an allocation moved.
 func (m *Manager) writeTargets(s *Server, targets []resources.Vector) error {
 	sc := &m.pass
@@ -152,18 +153,17 @@ type Server struct {
 	// revoked marks a server the provider took away (RevokeServers): it
 	// stays registered — keeping gidx and pool membership stable — but
 	// leaves the capacity indexes and is skipped by every candidate
-	// scan until RestoreServer clears the flag. Guarded by the Manager's
-	// lock like the cached fields below.
+	// scan until RestoreServer clears the flag.
 	revoked bool
 	// queued says the server already sits in the manager's dirty list.
 	queued bool
 	// removeEpoch is the Manager.removeEpoch of the last RemoveVMs call
 	// that took a VM off this server — that call's "already in the
-	// affected list" mark. Guarded by the Manager's lock.
+	// affected list" mark.
 	removeEpoch uint64
 
 	// Cached placement state, refreshed by the owning Manager's dirty
-	// sync (syncDirtyLocked) and read only under the Manager's lock.
+	// sync (syncDirty).
 	agg       hypervisor.Aggregates // aggregates at last sync
 	free      resources.Vector      // capacity - allocated
 	freeShare float64               // free.DominantShare(capacity): the index key
@@ -184,12 +184,10 @@ type placementOracle interface {
 
 var defaultOracle placementOracle
 
-// Manager is the centralized cluster manager. All methods are safe for
-// concurrent use: every mutation and read of manager state happens
-// under mu (per-Host state is additionally guarded by the Host's own
-// lock).
+// Manager is the centralized cluster manager. Like a bufio.Writer it is
+// not safe for concurrent use: one goroutine owns a Manager and the
+// hosts it creates.
 type Manager struct {
-	mu         sync.Mutex
 	cfg        Config
 	oracle     placementOracle // nil outside tests: the indexes answer
 	servers    []*Server
@@ -214,13 +212,13 @@ type Manager struct {
 	// shock (revoke.go).
 	evacDCs []hypervisor.DomainConfig
 
-	// affected is the RemoveVMs batch buffer, used only under mu, so
-	// reusing it keeps removals allocation-free in steady state.
+	// affected is the RemoveVMs batch buffer; reusing it keeps removals
+	// allocation-free in steady state.
 	affected    []*Server
 	removeEpoch uint64 // RemoveVMs call counter (Server.removeEpoch)
 
-	// Pruned pressure-scan arenas (pressure.go), used only under mu:
-	// the descending bound-index iterator (its stack reused across
+	// Pruned pressure-scan arenas (pressure.go): the descending
+	// bound-index iterator (its stack reused across
 	// scans) and the candBefore-ordered min-heap of exactly-scored
 	// candidates.
 	pressIter capindex.DescIter
@@ -228,16 +226,15 @@ type Manager struct {
 
 	// pass is the policy-pass arena of every server: the buffers a pass
 	// fills from a host's deflatable view and the policy.Scratch it
-	// solves in. mu serialises the passes, and each one fills, solves
-	// and writes before the next begins.
+	// solves in. Each pass fills, solves and writes before the next
+	// begins.
 	pass struct {
 		vms  []policy.VMState
 		doms []*hypervisor.Domain
 		ps   policy.Scratch
 	}
 
-	// results is the batch placement scratch, reused across calls and
-	// touched only under mu.
+	// results is the batch placement scratch, reused across calls.
 	results []Placement
 }
 
@@ -272,8 +269,6 @@ type ServerSpec struct {
 
 // AddServerSpec registers a new physical server with its priority pool.
 func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	name, capacity := spec.Name, spec.Capacity
 	if _, ok := m.byName[name]; ok {
 		return nil, fmt.Errorf("%w: server %s", ErrExists, name)
@@ -300,8 +295,6 @@ func (m *Manager) AddServerSpec(spec ServerSpec) (*Server, error) {
 
 // Servers returns the managed servers.
 func (m *Manager) Servers() []*Server {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]*Server, len(m.servers))
 	copy(out, m.servers)
 	return out
@@ -431,8 +424,7 @@ type Placement struct {
 }
 
 // PlaceVMs runs the three-step placement of Section 6 for each VM of a
-// batch, one at a time in input order, under one acquisition of the
-// manager's lock: pick the fittest server, have it compute the deflation
+// batch, one at a time in input order: pick the fittest server, have it compute the deflation
 // required to make room (possibly deflating the newcomer itself), then
 // perform the deflation and launch. A batch places exactly as the same
 // VMs in one-element batches would. The simulation engine feeds it the
@@ -451,32 +443,29 @@ type Placement struct {
 // hypervisor.ErrInvalid before any server is examined or deflated.
 //
 // Results are appended to out (which may be nil) and the extended slice
-// is returned, so a caller owns its results — the Manager stays safe
-// for concurrent use — while a loop reusing its buffer
-// (`buf = m.PlaceVMs(dcs, buf[:0])`) stays allocation-free in steady
-// state.
+// is returned, so a caller owns its results, while a loop reusing its
+// buffer (`buf = m.PlaceVMs(dcs, buf[:0])`) stays allocation-free in
+// steady state.
 func (m *Manager) PlaceVMs(dcs []hypervisor.DomainConfig, out []Placement) []Placement {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.placeAllLocked(dcs)
+	m.placeAll(dcs)
 	return append(out, m.results...)
 }
 
-// placeAllLocked fills m.results for dcs, placing them one at a time in
+// placeAll fills m.results for dcs, placing them one at a time in
 // input order.
-func (m *Manager) placeAllLocked(dcs []hypervisor.DomainConfig) {
+func (m *Manager) placeAll(dcs []hypervisor.DomainConfig) {
 	if cap(m.results) < len(dcs) {
 		m.results = make([]Placement, 0, len(dcs))
 	}
 	m.results = m.results[:0]
 	for _, dc := range dcs {
-		m.results = append(m.results, m.placeOneLocked(dc))
+		m.results = append(m.results, m.placeOne(dc))
 	}
 }
 
-// placeOneLocked is the placement decision and its commit for one VM:
+// placeOne is the placement decision and its commit for one VM:
 // the three-step protocol of PlaceVMs at the live state.
-func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
+func (m *Manager) placeOne(dc hypervisor.DomainConfig) Placement {
 	// An invalid configuration and a live name are caller errors, not
 	// admission decisions: they are reported before a policy pass could
 	// deflate a resident for the VM.
@@ -486,20 +475,20 @@ func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 	if _, ok := m.placements[dc.Name]; ok {
 		return Placement{Err: errExists(dc.Name)}
 	}
-	m.syncDirtyLocked()
-	best := m.surplusCandidateLocked(m.PartitionOf(dc), dc.Size)
+	m.syncDirty()
+	best := m.surplusCandidate(m.PartitionOf(dc), dc.Size)
 	// A surplus candidate in the VM's own pool already proves some
 	// server fits without deflation; only its absence needs the
 	// cross-pool existence scan.
-	out := Placement{NeedsReclaim: best == nil && !m.anyFitsLocked(dc.Size)}
+	out := Placement{NeedsReclaim: best == nil && !m.anyFits(dc.Size)}
 	if best != nil {
-		if d, err := m.placeOnLocked(best, dc); err == nil {
+		if d, err := m.placeOn(best, dc); err == nil {
 			out.Path, out.Domain, out.Server = PathSurplus, d, best
 			out.Initial = d.Allocation()
 			return out
 		}
 	}
-	if !m.pressureLiveLocked(dc, best, &out) {
+	if !m.pressureLive(dc, best, &out) {
 		out.Err = errNoCapacity(dc)
 		return out
 	}
@@ -514,14 +503,14 @@ func (m *Manager) placeOneLocked(dc hypervisor.DomainConfig) Placement {
 // magnitude below this margin.
 const reserveMargin = 1e-3
 
-// cannotReclaim is the feasibility pre-filter shared by tryPlaceLocked
+// cannotReclaim is the feasibility pre-filter shared by tryPlace
 // and the bound-pruned pressure descent: it reports that s certainly
 // cannot host dc even after deflating every resident to its floor plus
 // the newcomer's own deflatable range. One definition — the identical
 // float expressions — is what guarantees the pruned scan's fit-skip set
-// equals exactly the set of servers tryPlaceLocked would refuse, so
+// equals exactly the set of servers tryPlace would refuse, so
 // skipping them before scoring can never change a placement. Reads only
-// cached per-server state; called with the manager's lock held.
+// cached per-server state.
 func cannotReclaim(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vector) bool {
 	limit := s.agg.DeflatableReserve.Add(ncRange)
 	for _, k := range resources.Kinds {
@@ -541,19 +530,19 @@ func newcomerRange(dc hypervisor.DomainConfig) resources.Vector {
 	return dc.Size.Sub(dc.Floor()).ClampNonNegative()
 }
 
-// tryPlaceLocked attempts one under-pressure placement on s and returns
+// tryPlace attempts one under-pressure placement on s and returns
 // the new domain, or nil. Infeasible servers — where even deflating
 // every resident to its floor plus the newcomer's own range cannot
 // cover the shortfall — are skipped from the cached aggregates without
 // running the policy pass, which turns an admission-control rejection
-// from O(servers × policy pass) into O(servers) vector compares.
-// Called with m.mu held; the cached free/reserve vectors are valid
-// because failed placement attempts never mutate host state.
-func (m *Manager) tryPlaceLocked(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vector) *hypervisor.Domain {
+// from O(servers × policy pass) into O(servers) vector compares. The
+// cached free/reserve vectors are valid because failed placement
+// attempts never mutate host state.
+func (m *Manager) tryPlace(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vector) *hypervisor.Domain {
 	if cannotReclaim(s, dc, ncRange) {
 		return nil
 	}
-	d, err := m.placeOnLocked(s, dc)
+	d, err := m.placeOn(s, dc)
 	if err != nil {
 		return nil
 	}
@@ -584,21 +573,21 @@ func candBefore(a, b cand) bool {
 
 type candList []cand
 
-// surplusCandidateLocked returns the tightest-fit server that can host
+// surplusCandidate returns the tightest-fit server that can host
 // size without any deflation — the server with the smallest (dominant
 // free share, name) among those whose free vector fits size — or nil.
-func (m *Manager) surplusCandidateLocked(pool int, size resources.Vector) *Server {
+func (m *Manager) surplusCandidate(pool int, size resources.Vector) *Server {
 	if m.oracle != nil {
 		return m.oracle.surplus(m, pool, size)
 	}
-	return m.surplusIndexedLocked(pool, size)
+	return m.surplusIndexed(pool, size)
 }
 
-// surplusIndexedLocked asks the pool's ordered index for its first
+// surplusIndexed asks the pool's ordered index for its first
 // fitting entry, ascending from a demand-share lower bound, so each
 // scan inspects O(log S) plus however many near-full servers fit on the
 // dominant dimension but not the others.
-func (m *Manager) surplusIndexedLocked(pool int, size resources.Vector) *Server {
+func (m *Manager) surplusIndexed(pool int, size resources.Vector) *Server {
 	ix := m.indexes[pool]
 	if ix == nil {
 		return nil
@@ -617,19 +606,19 @@ func (m *Manager) fitLower(key int, size resources.Vector) float64 {
 	return size.DominantShare(m.maxCap[key]) - fitMargin
 }
 
-// anyFitsLocked reports whether any server in the cluster (regardless
+// anyFits reports whether any server in the cluster (regardless
 // of priority pool) can host size with no deflation.
-func (m *Manager) anyFitsLocked(size resources.Vector) bool {
+func (m *Manager) anyFits(size resources.Vector) bool {
 	if m.oracle != nil {
 		return m.oracle.anyFits(m, size)
 	}
-	return m.anyFitsIndexedLocked(size)
+	return m.anyFitsIndexed(size)
 }
 
-// anyFitsIndexedLocked is anyFitsLocked from the live indexes.
+// anyFitsIndexed is anyFits from the live indexes.
 // Order-independent: it is an existence check, so the random map
 // iteration is fine.
-func (m *Manager) anyFitsIndexedLocked(size resources.Vector) bool {
+func (m *Manager) anyFitsIndexed(size resources.Vector) bool {
 	for key, ix := range m.indexes {
 		if _, _, ok := ix.FirstFitting(m.fitLower(key, size), size); ok {
 			return true
@@ -638,12 +627,12 @@ func (m *Manager) anyFitsIndexedLocked(size resources.Vector) bool {
 	return false
 }
 
-// placeOnLocked attempts placement on one server, implementing steps 2
+// placeOn attempts placement on one server, implementing steps 2
 // and 3 of the placement protocol: the server computes the deflation
 // needed to host dc and, if feasible, applies it and launches the VM. On
 // success it marks the server, records the placement and returns the
 // new domain.
-func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervisor.Domain, error) {
+func (m *Manager) placeOn(s *Server, dc hypervisor.DomainConfig) (*hypervisor.Domain, error) {
 	initial, err := m.deflateFor(s, dc)
 	if err != nil {
 		return nil, err // insufficient: caller tries the next server
@@ -662,11 +651,11 @@ func (m *Manager) placeOnLocked(s *Server, dc hypervisor.DomainConfig) (*hypervi
 // with a real domain name.
 const newcomerName = "\x00newcomer"
 
-// deflateFor is placeOnLocked's policy pass: it computes and applies the
+// deflateFor is placeOn's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
 // initial allocation. The pass reads the host's deflatable VM-state view
 // and runs the policy through the manager's pass arena, then writes the
-// residents' targets in one locked write and notifies in the view's name
+// residents' targets in one limit write and notifies in the view's name
 // order — so steady-state calls perform zero heap allocations and
 // notification delivery is deterministic.
 //
@@ -746,15 +735,13 @@ func launch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector) (*h
 // reinflate in the order they are first touched by names, so the result
 // is deterministic for a deterministic name order.
 func (m *Manager) RemoveVMs(names ...string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	// Servers touched by this call carry its epoch: a stamp compare per
 	// name instead of a per-call set.
 	m.removeEpoch++
 	affected := m.affected[:0]
 	var firstErr error
 	for _, name := range names {
-		s, err := m.removeOneLocked(name)
+		s, err := m.removeOne(name)
 		if err != nil {
 			// Stop removing, but fall through to reinflation: servers
 			// whose VMs already left must not keep their survivors
@@ -774,9 +761,9 @@ func (m *Manager) RemoveVMs(names ...string) error {
 	return firstErr
 }
 
-// removeOneLocked tears one placed VM down and returns the server it
+// removeOne tears one placed VM down and returns the server it
 // left.
-func (m *Manager) removeOneLocked(name string) (*Server, error) {
+func (m *Manager) removeOne(name string) (*Server, error) {
 	s, ok := m.placements[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: VM %s", ErrNotFound, name)
@@ -785,13 +772,13 @@ func (m *Manager) removeOneLocked(name string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s, m.teardownLocked(s, d)
+	return s, m.teardown(s, d)
 }
 
-// teardownLocked stops and undefines d on s and forgets its placement —
+// teardown stops and undefines d on s and forgets its placement —
 // the departure half shared by RemoveVMs and the displacement of a
 // capacity shock's evacuees — and marks s.
-func (m *Manager) teardownLocked(s *Server, d *hypervisor.Domain) error {
+func (m *Manager) teardown(s *Server, d *hypervisor.Domain) error {
 	if d.State() == hypervisor.Running {
 		if err := d.Shutdown(); err != nil {
 			return err
@@ -823,7 +810,7 @@ func (m *Manager) reinflateAffected(affected []*Server) error {
 // s. The Deflated count short-circuits the common case where nothing on
 // the server is deflated, before the view is read. Like deflateFor it
 // consumes the host's deflatable VM-state view through the manager's
-// pass arena and writes the targets in one locked write, notifying in
+// pass arena and writes the targets in one limit write, notifying in
 // name order, so steady-state calls are allocation-free.
 func (m *Manager) reinflate(s *Server) error {
 	agg := s.Host.Aggregates()

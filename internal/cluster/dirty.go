@@ -3,9 +3,9 @@
 //
 // The manager is its hosts' only writer, so it knows which servers it
 // changed: every method that writes a host marks the server
-// (markDirty), under the manager's lock like the write itself. Every
+// (markDirty) beside the write itself. Every
 // query first re-derives the marked servers' cached aggregates, free
-// and availability vectors and index keys (syncDirtyLocked), so between
+// and availability vectors and index keys (syncDirty), so between
 // bursts of churn a query touches no server at all, and after one it
 // touches exactly the ones that changed. The sync keeps the order the
 // servers were marked in: each refresh writes only its own server's
@@ -14,7 +14,7 @@
 package cluster
 
 // markDirty queues s for the next dirty sync, once however often it is
-// marked before then. Called with the manager's lock held.
+// marked before then.
 func (m *Manager) markDirty(s *Server) {
 	if !s.queued {
 		s.queued = true
@@ -29,11 +29,11 @@ func (m *Manager) markDirty(s *Server) {
 // build it is false.
 var resyncAll bool
 
-// syncDirtyLocked refreshes cached placement state (per-server
+// syncDirty refreshes cached placement state (per-server
 // aggregates, free/availability vectors, index keys) for every server
 // the manager marked since the last query, in mark order, and empties
 // the list. Between bursts of churn it is a no-op.
-func (m *Manager) syncDirtyLocked() {
+func (m *Manager) syncDirty() {
 	if resyncAll {
 		for _, s := range m.servers {
 			m.markDirty(s)

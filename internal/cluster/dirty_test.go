@@ -69,9 +69,7 @@ func sameAggBits(a, b hypervisor.Aggregates) bool {
 // the manager did not mark leaves its server stale here.
 func checkServerCache(t *testing.T, m *Manager) {
 	t.Helper()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.syncDirtyLocked()
+	m.syncDirty()
 	inService := map[int]int{}
 	for _, s := range m.servers {
 		name := s.Host.Name()
@@ -367,7 +365,7 @@ func TestDirtyDrainAfterBurstZeroAllocs(t *testing.T) {
 		if len(m.dirty) != 1 || m.dirty[0] != s {
 			t.Fatalf("queued %d servers, want the one marked", len(m.dirty))
 		}
-		m.syncDirtyLocked()
+		m.syncDirty()
 		if len(m.dirty) != 0 || s.queued {
 			t.Fatal("the sync left the server queued")
 		}
@@ -391,7 +389,7 @@ func BenchmarkDirtyDrain(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.markDirty(s)
-				m.syncDirtyLocked()
+				m.syncDirty()
 			}
 		})
 	}

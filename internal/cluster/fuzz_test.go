@@ -59,12 +59,135 @@ func FuzzPlacementOps(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	f.Add([]byte(capacityChurn()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runPlacementOps(t, &opReader{data: data})
 	})
 }
 
-func runPlacementOps(t *testing.T, r *opReader) {
+// opFold folds the indexed manager's records over a runPlacementOps
+// stream: the VMs its arrival batches placed, the VMs its departures
+// took off, the evacuees no server could host, and the successful
+// pressure placements whose VM kept its full size, so that the room it
+// needed came from deflating residents. After every op the manager holds
+// exactly placed - removed - killed VMs.
+type opFold struct {
+	placed, removed, killed, squeezed int
+}
+
+// record folds one op's placement records; evacuated marks an
+// evacuation's relocations, whose failures are kills.
+func (f *opFold) record(pls []Placement, evacuated bool) {
+	for _, pl := range pls {
+		if pl.Err != nil {
+			if evacuated {
+				f.killed++
+			}
+			continue
+		}
+		if !evacuated {
+			f.placed++
+		}
+		if pl.Path == PathPressure && pl.Initial == pl.Domain.MaxSize() {
+			f.squeezed++
+		}
+	}
+}
+
+// placementStream encodes a runPlacementOps input op by op, so a named
+// stream reads as the operations it drives. A departure names the
+// oldest live VMs, so the stream must keep at least as many live.
+type placementStream []byte
+
+// newPlacementStream starts a stream on servers servers (3..8) under the
+// policy of runPlacementOps' list at index policy, unpartitioned.
+func newPlacementStream(policy, servers int) placementStream {
+	return placementStream{byte(policy), 0, byte(servers - 3)}
+}
+
+// place appends one arrival batch of n VMs, the stream's VMs first to
+// first+n-1: every fourth is on-demand at 2 cores and 4 GB, the others
+// deflatable at priority 0.5 with 4 cores and 8 GB.
+func (s *placementStream) place(first, n int) {
+	*s = append(*s, 0, byte(n-1))
+	for i := first; i < first+n; i++ {
+		if i%4 == 0 {
+			*s = append(*s, 1, 1, 0, 1, 2)
+		} else {
+			*s = append(*s, 3, 3, 1, 1, 2)
+		}
+	}
+}
+
+// remove appends a departure of the n (1..3) oldest live VMs.
+func (s *placementStream) remove(n int) {
+	*s = append(*s, 3, byte(n-1))
+	for i := 0; i < n; i++ {
+		*s = append(*s, byte(i))
+	}
+}
+
+func (s *placementStream) revoke(server int)  { *s = append(*s, 4, 0, byte(server)) }
+func (s *placementStream) restore(server int) { *s = append(*s, 5, byte(server)) }
+
+// resize appends a resize of server to tenths/10 of its base capacity
+// (4..12).
+func (s *placementStream) resize(server, tenths int) {
+	*s = append(*s, 6, byte(server), byte(tenths-4))
+}
+
+// capacityChurn is the stream TestPlacementOpsCapacityChurn runs: four
+// servers filled to 168 of their 192 cores, then six rounds in which one
+// server shrinks to half, another is revoked and restored and the first
+// grows back, each step after an arrival batch that must take the
+// pressure path, and three departures end each round.
+func capacityChurn() placementStream {
+	s, vms := newPlacementStream(0, 4), 0
+	place := func(n int) {
+		s.place(vms, n)
+		vms += n
+	}
+	for range 3 {
+		place(16)
+	}
+	for r := range 6 {
+		shrunk, revoked := r%4, (r+2)%4
+		place(4)
+		s.resize(shrunk, 5)
+		place(4)
+		s.revoke(revoked)
+		place(4)
+		s.restore(revoked)
+		place(4)
+		s.resize(shrunk, 10)
+		s.remove(3)
+	}
+	return s
+}
+
+// TestPlacementOpsCapacityChurn runs the capacity-churn stream through
+// runPlacementOps: the provider shrinks, revokes, restores and grows
+// servers between placements on a full cluster. Some placement must
+// deflate a resident, or the stream never ran a pressured policy pass
+// beside the capacity shocks, and the records must fold to the
+// manager's VM count after every op (runPlacementOps checks that).
+func TestPlacementOpsCapacityChurn(t *testing.T) {
+	r := &opReader{data: capacityChurn()}
+	fold := runPlacementOps(t, r)
+	if !r.done() {
+		t.Fatalf("the op cap stopped the stream at byte %d of %d", r.pos, len(r.data))
+	}
+	if fold.squeezed == 0 {
+		t.Error("no placement deflated a resident: the capacity shocks never met a pressured pass")
+	}
+	if fold.removed == 0 {
+		t.Error("premise broken: no departure removed a VM")
+	}
+	t.Logf("%d placed, %d removed, %d evacuees found no server, %d placements deflated a resident",
+		fold.placed, fold.removed, fold.killed, fold.squeezed)
+}
+
+func runPlacementOps(t *testing.T, r *opReader) opFold {
 	policies := []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}}
 	cfg := Config{Policy: policies[r.next(len(policies))]}
 	if r.next(2) == 1 {
@@ -101,11 +224,13 @@ func runPlacementOps(t *testing.T, r *opReader) {
 		pls[i] = ev.Placements
 		return describeEvacuation(ev, err)
 	}
+	var fold opFold
 	for op := 0; op < 64 && !r.done(); op++ {
 		pls = [3][]Placement{}
 		var step func(i int, m *Manager) string
 		var born []string // fresh names this op introduces
-		switch r.next(8) {
+		kind, before := r.next(8), len(ms[0].placements)
+		switch kind {
 		case 0, 1, 2: // arrival batch
 			dcs := make([]hypervisor.DomainConfig, 1+r.next(16))
 			for j := range dcs {
@@ -182,9 +307,17 @@ func runPlacementOps(t *testing.T, r *opReader) {
 		checkScanWork(t, op, pls[1], pls[2], false)
 		checkScanWork(t, op, pls[1], pls[0], true)
 		checkServerCaches(t, ms)
+		if kind == 3 {
+			fold.removed += before - len(ms[0].placements)
+		}
+		fold.record(pls[0], kind == 4 || kind == 6)
+		if n, want := len(ms[0].placements), fold.placed-fold.removed-fold.killed; n != want {
+			t.Fatalf("op %d: %d VMs placed, the records fold to %d (%+v)", op, n, want, fold)
+		}
 		live = slices.DeleteFunc(append(live, born...), func(name string) bool {
 			_, _, err := ms[0].LookupVM(name)
 			return err != nil
 		})
 	}
+	return fold
 }

@@ -31,18 +31,12 @@ func (m *Manager) PlaceVM(dc hypervisor.DomainConfig) (*hypervisor.Domain, *Serv
 // a full scan. Batch placements report the same signal per VM through
 // Placement.NeedsReclaim.
 func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.syncDirtyLocked()
-	return m.anyFitsLocked(size)
+	m.syncDirty()
+	return m.anyFits(size)
 }
 
-// LookupVM finds a placed VM's domain and server. Both reads are under
-// the manager's lock, so a concurrent evacuation cannot move the VM
-// between them.
+// LookupVM finds a placed VM's domain and server.
 func (m *Manager) LookupVM(name string) (*hypervisor.Domain, *Server, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s, ok := m.placements[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: VM %s", ErrNotFound, name)
@@ -60,8 +54,7 @@ func (m *Manager) RemoveVM(name string) error {
 	return m.RemoveVMs(name)
 }
 
-// Revoked reports whether the server is currently revoked. Like every
-// other Server field it is maintained under its Manager's lock.
+// Revoked reports whether the server is currently revoked.
 func (s *Server) Revoked() bool { return s.revoked }
 
 // RevokeServer revokes one server; see RevokeServers.
@@ -87,9 +80,7 @@ type Stats struct {
 // Stats returns the current cluster-wide statistics after a dirty sync,
 // folded over the servers' synced aggregates in add order.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.syncDirtyLocked()
+	m.syncDirty()
 	st := Stats{Servers: len(m.servers), VMs: len(m.placements)}
 	for _, s := range m.servers {
 		st.Committed = st.Committed.Add(s.agg.Committed)

@@ -127,8 +127,7 @@ func TestBusDrivesWeights(t *testing.T) {
 
 // TestEventsMatchLockedDomainReads holds the events the policy passes
 // build from the view's Current column and Apply's return value to the
-// path they replaced — three locked reads of the domain around every
-// Apply. Over a churn of placements, departures, batch departures,
+// path they replaced — three reads of the domain around every Apply. Over a churn of placements, departures, batch departures,
 // resizes and revocations the subscriber re-derives every field the old
 // way: Old is the allocation the domain had going in (tracked from a
 // snapshot of every live domain taken before each manager call, then

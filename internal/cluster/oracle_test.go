@@ -40,7 +40,7 @@ type scanOracle struct{ fresh bool }
 // share, name) among the pool's servers whose free vector fits.
 func (o scanOracle) surplus(m *Manager, pool int, size resources.Vector) *Server {
 	if !o.fresh {
-		return m.surplusIndexedLocked(pool, size)
+		return m.surplusIndexed(pool, size)
 	}
 	var best *Server
 	bestKey := 0.0
@@ -65,7 +65,7 @@ func (o scanOracle) surplus(m *Manager, pool int, size resources.Vector) *Server
 // server, whatever its pool.
 func (o scanOracle) anyFits(m *Manager, size resources.Vector) bool {
 	if !o.fresh {
-		return m.anyFitsIndexedLocked(size)
+		return m.anyFitsIndexed(size)
 	}
 	for _, s := range m.servers {
 		if !s.revoked && size.FitsIn(s.Host.Capacity().Sub(s.Host.Aggregates().Allocated)) {
@@ -104,7 +104,7 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		return nil, nil, 0
 	}
 	if c := cands[first]; c.s != best {
-		if d := m.tryPlaceLocked(c.s, dc, ncRange); d != nil {
+		if d := m.tryPlace(c.s, dc, ncRange); d != nil {
 			return d, c.s, len(cands)
 		}
 	}
@@ -113,7 +113,7 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		if c.s == best || rank == 0 {
 			continue // already tried above (argmax == rank 0)
 		}
-		if d := m.tryPlaceLocked(c.s, dc, ncRange); d != nil {
+		if d := m.tryPlace(c.s, dc, ncRange); d != nil {
 			return d, c.s, len(cands)
 		}
 	}

@@ -32,7 +32,7 @@
 // order — loosest bound first — through a reusable iterator. Each
 // expanded server is first checked
 // against the shared feasibility pre-filter (cannotReclaim — the exact
-// expressions tryPlaceLocked uses, so skipping is provably safe), then
+// expressions tryPlace uses, so skipping is provably safe), then
 // scored exactly and pushed on a min-heap ordered by candBefore. A
 // heaped candidate is yielded only while its fitness STRICTLY exceeds
 // the largest bound among unexpanded servers: any unexplored u has
@@ -61,7 +61,7 @@ func boundKey(avail resources.Vector) float64 {
 	return avail.Norm() * (1 + boundSlack)
 }
 
-// pressureLiveLocked is the live under-pressure placement: rank the
+// pressureLive is the live under-pressure placement: rank the
 // pool's servers by the §5.2 deflation-aware fitness and deflate
 // residents on the best server that can absorb the newcomer. best,
 // when non-nil, is the surplus candidate that already failed and is
@@ -70,23 +70,23 @@ func boundKey(avail resources.Vector) float64 {
 // strict candidate order. Records the path and the scan's work in pl
 // and, when it places the VM, the domain and server; reports whether it
 // did.
-func (m *Manager) pressureLiveLocked(dc hypervisor.DomainConfig, best *Server, pl *Placement) bool {
+func (m *Manager) pressureLive(dc hypervisor.DomainConfig, best *Server, pl *Placement) bool {
 	pl.Path = PathPressure
 	if m.oracle != nil {
 		pl.Domain, pl.Server, pl.Scored = m.oracle.pressure(m, dc, best)
 		return pl.Domain != nil
 	}
-	return m.pressurePrunedLocked(dc, best, pl)
+	return m.pressurePruned(dc, best, pl)
 }
 
-// pressurePrunedLocked is the bound-pruned descent over the VM's pool:
+// pressurePruned is the bound-pruned descent over the VM's pool:
 // best-first, trying placement on each yielded candidate in exact
 // candBefore order until one absorbs the newcomer or the pool is
 // exhausted, and recording a hit's domain and server in pl. Also records
 // the scan's work in pl: every indexed server that never had its
 // fitness computed — excluded by the bound, the feasibility pre-filter,
 // or an earlier candidate succeeding — counts as pruned.
-func (m *Manager) pressurePrunedLocked(dc hypervisor.DomainConfig, best *Server, pl *Placement) bool {
+func (m *Manager) pressurePruned(dc hypervisor.DomainConfig, best *Server, pl *Placement) bool {
 	ix := m.bounds[m.PartitionOf(dc)]
 	if ix == nil || ix.Len() == 0 {
 		return false
@@ -110,7 +110,7 @@ func (m *Manager) pressurePrunedLocked(dc hypervisor.DomainConfig, best *Server,
 			if c.s == best {
 				continue // the failed surplus candidate is skipped
 			}
-			if d := m.tryPlaceLocked(c.s, dc, ncRange); d != nil {
+			if d := m.tryPlace(c.s, dc, ncRange); d != nil {
 				pl.Domain, pl.Server, hit = d, c.s, true
 				break
 			}

@@ -41,9 +41,7 @@ func pressureScanSteadyState(tb testing.TB) (*Manager, hypervisor.DomainConfig) 
 	// probe from live server state (every server is identically loaded):
 	// demand = free + reclaimable + 5e-4 sits inside the pre-filter's
 	// reserveMargin (1e-3) yet past what deflation to the floors frees.
-	m.mu.Lock()
-	m.syncDirtyLocked()
-	m.mu.Unlock()
+	m.syncDirty()
 	s := m.Servers()[0]
 	agg := s.Host.Aggregates()
 	free := s.Host.Capacity().Sub(agg.Allocated)
@@ -59,10 +57,8 @@ func pressureScanSteadyState(tb testing.TB) (*Manager, hypervisor.DomainConfig) 
 // returns the probe's outcome record.
 func pressureScanOnce(tb testing.TB, m *Manager, probe hypervisor.DomainConfig) Placement {
 	var pl Placement
-	m.mu.Lock()
-	m.syncDirtyLocked()
-	ok := m.pressureLiveLocked(probe, nil, &pl)
-	m.mu.Unlock()
+	m.syncDirty()
+	ok := m.pressureLive(probe, nil, &pl)
 	if ok {
 		tb.Fatal("probe was placed — the scan mutated state and is not steady-state")
 	}

@@ -77,8 +77,6 @@ type Evacuation struct {
 // folding admission failures folds them over its arrivals' placements
 // only.
 func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for i, name := range names {
 		s, ok := m.byName[name]
 		if !ok {
@@ -97,7 +95,7 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 	for _, name := range names {
 		s := m.byName[name]
 		for _, d := range s.Host.Domains() { // name order
-			if err := m.displaceLocked(s, d); err != nil {
+			if err := m.displace(s, d); err != nil {
 				return Evacuation{}, err
 			}
 		}
@@ -105,7 +103,7 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 		m.indexes[s.Partition].Delete(name)
 		m.bounds[s.Partition].Delete(name)
 	}
-	return m.evacuateLocked(), nil
+	return m.evacuate(), nil
 }
 
 // RestoreServer returns a revoked server to service at its current
@@ -113,8 +111,6 @@ func (m *Manager) RevokeServers(names ...string) (Evacuation, error) {
 // dirty sync, making its capacity visible to subsequent
 // placements; nothing is migrated back proactively.
 func (m *Manager) RestoreServer(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s, ok := m.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: server %s", ErrNotFound, name)
@@ -136,8 +132,6 @@ func (m *Manager) RestoreServer(name string) error {
 // tie-broken — and relocated through the batch placement engine like a
 // revocation's evacuees.
 func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuation, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	s, ok := m.byName[name]
 	if !ok {
 		return Evacuation{}, fmt.Errorf("%w: server %s", ErrNotFound, name)
@@ -165,21 +159,21 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 		return Evacuation{}, m.reinflate(s)
 	}
 	m.evacDCs = m.evacDCs[:0]
-	if err := m.displaceForShrinkLocked(s, capacity); err != nil {
+	if err := m.displaceForShrink(s, capacity); err != nil {
 		return Evacuation{}, err
 	}
-	if err := m.deflateToCapacityLocked(s, capacity); err != nil {
+	if err := m.deflateToCapacity(s, capacity); err != nil {
 		return Evacuation{}, err
 	}
-	return m.evacuateLocked(), nil
+	return m.evacuate(), nil
 }
 
-// displaceLocked tears one resident down from its (about to be revoked
+// displace tears one resident down from its (about to be revoked
 // or shrunk) server and queues its configuration, live offered load
 // included (Domain.Config), for the relocation batch.
-func (m *Manager) displaceLocked(s *Server, d *hypervisor.Domain) error {
+func (m *Manager) displace(s *Server, d *hypervisor.Domain) error {
 	dc := d.Config()
-	if err := m.teardownLocked(s, d); err != nil {
+	if err := m.teardown(s, d); err != nil {
 		return err
 	}
 	m.evacDCs = append(m.evacDCs, dc)
@@ -196,12 +190,12 @@ type shrinkVictim struct {
 	name    string
 }
 
-// displaceForShrinkLocked displaces just enough residents that the
+// displaceForShrink displaces just enough residents that the
 // remainder fits the shrunk capacity at maximal deflation. Victims go
 // lowest priority first (name tie-broken) — the same order the
 // preemption literature reclaims in — so the displaced set is a
 // deterministic function of the server's population.
-func (m *Manager) displaceForShrinkLocked(s *Server, capacity resources.Vector) error {
+func (m *Manager) displaceForShrink(s *Server, capacity resources.Vector) error {
 	var total resources.Vector
 	var victims []shrinkVictim
 	for _, d := range s.Host.Domains() { // name order: deterministic sum
@@ -228,7 +222,7 @@ func (m *Manager) displaceForShrinkLocked(s *Server, capacity resources.Vector) 
 		if total.FitsIn(capacity) {
 			break
 		}
-		if err := m.displaceLocked(s, v.d); err != nil {
+		if err := m.displace(s, v.d); err != nil {
 			return err
 		}
 		total = total.Sub(v.minNeed)
@@ -236,13 +230,13 @@ func (m *Manager) displaceForShrinkLocked(s *Server, capacity resources.Vector) 
 	return nil
 }
 
-// deflateToCapacityLocked deflates the server's surviving residents so
+// deflateToCapacity deflates the server's surviving residents so
 // the allocation fits the shrunk capacity: the ordinary policy pass
 // frees (allocated - capacity), and when even its best effort falls
 // short (quantised policies) every deflatable resident is pinned to its
 // floor — which the displacement pass guaranteed to fit. It is written
-// before evacuateLocked places any evacuee through the same arena.
-func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) error {
+// before evacuate places any evacuee through the same arena.
+func (m *Manager) deflateToCapacity(s *Server, capacity resources.Vector) error {
 	need := s.Host.Allocated().Sub(capacity).ClampNonNegative()
 	if need.IsZero() {
 		return nil
@@ -261,15 +255,15 @@ func (m *Manager) deflateToCapacityLocked(s *Server, capacity resources.Vector) 
 	return m.writeTargets(s, res.Targets)
 }
 
-// evacuateLocked relocates the queued displaced VMs as one batch,
+// evacuate relocates the queued displaced VMs as one batch,
 // placed in evacuation order, and assembles the Evacuation outcome.
-func (m *Manager) evacuateLocked() Evacuation {
+func (m *Manager) evacuate() Evacuation {
 	var out Evacuation
 	if len(m.evacDCs) == 0 {
 		return out
 	}
 	out.VMs = append([]hypervisor.DomainConfig(nil), m.evacDCs...)
-	m.placeAllLocked(m.evacDCs)
+	m.placeAll(m.evacDCs)
 	out.Placements = append([]Placement(nil), m.results[:len(out.VMs)]...)
 	return out
 }

@@ -15,9 +15,9 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// The policy passes' writes as they were before one locked limit write
-// covered a pass: every target through mechanism.Transparent.Apply, one
-// domain (one lock hold, one epoch bump, one invalidation) at a time,
+// The policy passes' writes as they were before one limit write covered
+// a pass: every target through mechanism.Transparent.Apply, one domain
+// (one write call, one epoch bump, one invalidation) at a time,
 // each event published right after its write. Kept, renamed, as the
 // oracle the batched passes are held to.
 
@@ -27,7 +27,7 @@ import (
 // allocation before the write: the Current column of the deflatable view
 // the pass read, which nothing but this call moves within the pass — so
 // the event is built from the view and from what Apply returns, with no
-// further locked read of the domain.
+// further read of the domain.
 func perVMApplyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, target resources.Vector) error {
 	got, err := mechanism.Transparent{}.Apply(d, nil, target)
 	if err != nil {
@@ -46,7 +46,7 @@ func perVMApplyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, targ
 	return nil
 }
 
-// perVMDeflateFor is placeOnLocked's policy pass: it computes and applies the
+// perVMDeflateFor is placeOn's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
 // initial allocation. The pass reads the host's deflatable VM-state view
 // and runs the policy through the manager's pass arena, then applies
@@ -150,12 +150,12 @@ func (m *Manager) perVMReinflate(s *Server) error {
 	return nil
 }
 
-// perVMDeflateToCapacityLocked deflates the server's surviving residents so
+// perVMDeflateToCapacity deflates the server's surviving residents so
 // the allocation fits the shrunk capacity: the ordinary policy pass
 // frees (allocated - capacity), and when even its best effort falls
 // short (quantised policies) every deflatable resident is pinned to its
 // floor — which the displacement pass guaranteed to fit.
-func (m *Manager) perVMDeflateToCapacityLocked(s *Server, capacity resources.Vector) error {
+func (m *Manager) perVMDeflateToCapacity(s *Server, capacity resources.Vector) error {
 	need := s.Host.Allocated().Sub(capacity).ClampNonNegative()
 	if need.IsZero() {
 		return nil
@@ -178,7 +178,7 @@ func (m *Manager) perVMDeflateToCapacityLocked(s *Server, capacity resources.Vec
 	return nil
 }
 
-// TestPolicyPassBumpsEpochOnce pins what one locked write per pass
+// TestPolicyPassBumpsEpochOnce pins what one limit write per pass
 // saves: a deflation pass that deflates n residents, and the
 // reinflation pass that returns them, each move the host's allocation
 // epoch by exactly one. The per-VM writes moved it once per resident
@@ -218,7 +218,7 @@ func TestPolicyPassBumpsEpochOnce(t *testing.T) {
 // writes they replaced, on twin single-server managers driven through
 // the same churn: arrivals (deflateFor, then launch), departures
 // (teardown, then reinflate) and capacity shrinks and restores
-// (deflateToCapacityLocked), under every policy. After every op the two
+// (deflateToCapacity), under every policy. After every op the two
 // buses must have published the same event stream — same events, same
 // order, same fields —, the passes must agree on errors and the
 // newcomer's initial allocation, every domain must hold the same
@@ -266,7 +266,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						dc = onDemandVM(name, float64(2+rng.Intn(6)), 8192)
 					}
 					opName = "arrive " + name
-					a.m.syncDirtyLocked() // deflateFor reads the synced free vector
+					a.m.syncDirty() // deflateFor reads the synced free vector
 					ia, erra := a.m.deflateFor(a.s, dc)
 					ib, errb := b.m.perVMDeflateFor(b.s, dc)
 					if errText(erra) != errText(errb) || !sameBits(ia, ib) {
@@ -274,7 +274,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 					}
 					if erra == nil {
 						_, erra = launch(a.s, dc, ia)
-						a.m.markDirty(a.s) // as placeOnLocked does
+						a.m.markDirty(a.s) // as placeOn does
 						_, errb = perVMLaunch(b.s, dc, ib)
 						if erra != nil || errb != nil {
 							t.Fatalf("%s: launch: %v, per-VM %v", opName, erra, errb)
@@ -294,7 +294,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := sd.m.teardownLocked(sd.s, d); err != nil {
+						if err := sd.m.teardown(sd.s, d); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -312,8 +312,8 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						sd.m.markDirty(sd.s) // as ResizeServer does
 					}
 					epoch = a.s.Host.AllocEpoch()
-					erra := a.m.deflateToCapacityLocked(a.s, capacity)
-					errb := b.m.perVMDeflateToCapacityLocked(b.s, capacity)
+					erra := a.m.deflateToCapacity(a.s, capacity)
+					errb := b.m.perVMDeflateToCapacity(b.s, capacity)
 					if errText(erra) != errText(errb) {
 						t.Fatalf("%s: err %v, per-VM %v", opName, erra, errb)
 					}

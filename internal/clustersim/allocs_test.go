@@ -59,7 +59,7 @@ func samplePassCycle(e *Engine, i int) {
 
 // limitSampleCycle writes a new limit on one resident, alternating
 // between two sizes, then runs samplePassCycle: the rows on that
-// resident's host take the locked read and re-ask every pricing scheme
+// resident's host re-read their allocation and re-ask every pricing scheme
 // (the miss path), every other row holds its cached allocation and rates
 // (the hit path).
 func limitSampleCycle(tb testing.TB, e *Engine, i int) {
@@ -72,15 +72,15 @@ func limitSampleCycle(tb testing.TB, e *Engine, i int) {
 
 // TestSamplePassZeroAllocs is the allocation-regression guard for the
 // non-SLO sample pass with the three default pricing schemes, on both
-// sides of the allocation cache: the locked re-read with its Rate calls
+// sides of the allocation cache: the re-read with its Rate calls
 // and the cached hold must both be allocation-free once warm.
 func TestSamplePassZeroAllocs(t *testing.T) {
 	e := steadyEngine(t, 600, Config{Policy: policy.Proportional{}, Overcommit: 0.5})
 	limitSampleCycle(t, e, 0) // warm, and fill every row's cache
-	reads := e.allocReads
+	reads := e.work.allocReads
 	limitSampleCycle(t, e, 1)
-	if n := e.allocReads - reads; n == 0 || n >= len(e.tbl) {
-		t.Fatalf("one pass after a limit write took %d locked reads over %d rows, want some but not all", n, len(e.tbl))
+	if n := e.work.allocReads - reads; n == 0 || n >= len(e.tbl) {
+		t.Fatalf("one pass after a limit write took %d allocation reads over %d rows, want some but not all", n, len(e.tbl))
 	}
 	i := 2
 	got := testing.AllocsPerRun(100, func() {

@@ -60,6 +60,25 @@ const (
 	slotOnDemand int32 = -2
 )
 
+// work counts what a run did: plain integers beside its Result, never
+// in it and never in a digest, that testdata/work.golden pins.
+type work struct {
+	// hostWalks counts Host.Aggregates walks over the run's servers,
+	// setup included, summed when the run ends.
+	hostWalks int
+	// allocReads counts the sample pass's allocation reads: rows whose
+	// cache missed.
+	allocReads int
+	// rowsMetered counts the sample pass's row visits.
+	rowsMetered int
+	// eventsPopped counts the events the loop took off its queue.
+	eventsPopped int
+}
+
+// observeWork, when set, receives every run's work counts as the run
+// ends. Nil in every shipped build.
+var observeWork func(w work)
+
 // Engine executes one simulation run. It owns every piece of mutable
 // run state — the cluster manager, the pending-event queue, the metering
 // table and all metric accumulators — so concurrently executing engines
@@ -78,8 +97,9 @@ type Engine struct {
 	res     *Result
 	horizon float64
 
-	// Deflation-mode state.
-	mgr *cluster.Manager
+	// Deflation-mode state: the manager and its servers' hypervisors.
+	mgr   *cluster.Manager
+	hosts []*hypervisor.Host
 
 	// The metering table. The trace row is the engine's only VM handle:
 	// arrival and departure events carry it (simEvent.seq), evacuation
@@ -121,9 +141,7 @@ type Engine struct {
 	sloViolByLevel []uint64
 	sloSampleCount uint64
 
-	// allocReads counts the sample pass's locked allocation reads (a row
-	// whose cache missed): a plain work count, read only by tests.
-	allocReads int
+	work work
 
 	// Batch scratch, reused across handleArrivals calls (and, for names
 	// and servers, the departure and revocation batches).
@@ -173,6 +191,12 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	if err := e.eventLoop(); err != nil {
 		return nil, err
+	}
+	for _, h := range e.hosts {
+		e.work.hostWalks += h.AggregateWalks()
+	}
+	if observeWork != nil {
+		observeWork(e.work)
 	}
 	return e.rec.foldResult(), nil
 }
@@ -241,9 +265,11 @@ func (e *Engine) setupDeflation() error {
 	for i := 0; i < e.nServers; i++ {
 		e.serverNames[i] = fmt.Sprintf("node-%03d", i)
 		spec := cluster.ServerSpec{Name: e.serverNames[i], Capacity: capacity, Partition: pools[i]}
-		if _, err := e.mgr.AddServerSpec(spec); err != nil {
+		s, err := e.mgr.AddServerSpec(spec)
+		if err != nil {
 			return err
 		}
+		e.hosts = append(e.hosts, s.Host)
 	}
 
 	e.res = &Result{Servers: e.nServers, Revenue: map[string]float64{}, RevenueByPriority: map[int]float64{}}
@@ -281,7 +307,7 @@ func (e *Engine) eventLoop() error {
 	// allocate per event.
 	var batch []simEvent
 	for !e.queue.empty() {
-		ev := e.queue.pop()
+		ev := e.pop()
 		switch ev.kind {
 		case evSample:
 			e.samplePass(ev.at)
@@ -313,7 +339,7 @@ func (e *Engine) eventLoop() error {
 					if next.at != ev.at || next.kind != evArrival {
 						break
 					}
-					nb := e.queue.pop()
+					nb := e.pop()
 					batch = append(batch, nb)
 					if e.src.end(nb.seq) <= nb.at {
 						break // zero-lifetime VM closes the batch (see above)
@@ -335,7 +361,7 @@ func (e *Engine) eventLoop() error {
 				if next.at != ev.at || next.kind != evRevoke {
 					break
 				}
-				batch = append(batch, e.queue.pop())
+				batch = append(batch, e.pop())
 			}
 			servers := e.servers[:0]
 			for _, rev := range batch {
@@ -384,7 +410,7 @@ func (e *Engine) eventLoop() error {
 				if next.at != ev.at || next.kind != evDeparture {
 					break
 				}
-				batch = append(batch, e.queue.pop())
+				batch = append(batch, e.pop())
 			}
 			if err := r.handleDepartures(batch); err != nil {
 				return err
@@ -407,6 +433,12 @@ func (e *Engine) eventLoop() error {
 		}
 	}
 	return nil
+}
+
+// pop takes the next event off the queue and counts it.
+func (e *Engine) pop() simEvent {
+	e.work.eventsPopped++
+	return e.queue.pop()
 }
 
 // handleRevocations revokes one same-instant batch of servers through
@@ -650,6 +682,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 // so the order swap-removes have left the table in cannot change any
 // result.
 func (e *Engine) samplePass(at float64) {
+	e.work.rowsMetered += len(e.tbl)
 	k := len(pricingSchemes)
 	for i := range e.tbl {
 		e.sampleVM(&e.tbl[i], e.meters[i*k:(i+1)*k], at)
@@ -809,7 +842,7 @@ func errUndefinedP95(id string, row, samples int) error {
 // row and meters. The allocation comes from the row's cache while the
 // host's allocation epoch still matches it — each meter then holds the
 // rate it already bills, the same bits a Scheme.Rate call would return —
-// and is otherwise re-read, with the epoch, under the host's lock. With
+// and is otherwise re-read together with the epoch. With
 // cfg.SLO set it additionally maps the offered load and current
 // allocation to a request slowdown through the closed-form PS model —
 // pure float math, so the pass stays allocation-free — counts the sample
@@ -822,7 +855,7 @@ func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 	if !hit {
 		vt.alloc, vt.epoch = vt.domain.AllocationEpoch()
 		vt.host = vt.domain.Host()
-		e.allocReads++
+		e.work.allocReads++
 	}
 	size, alloc := vt.size, vt.alloc
 	maxCores := size.Get(resources.CPU)

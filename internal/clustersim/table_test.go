@@ -189,7 +189,7 @@ func TestMeteringTableInvariants(t *testing.T) {
 
 // TestCachedAllocationMatchesLockedReads holds the sample pass's
 // allocation cache to the path it replaced: dropping every row's cache
-// after each pass makes every sample take the locked read and re-ask
+// after each pass makes every sample re-read its allocation and re-ask
 // every pricing scheme, and the Result must not change by a bit.
 func TestCachedAllocationMatchesLockedReads(t *testing.T) {
 	forEachMeteringCase(t, func(t *testing.T, cfg Config) {
@@ -216,9 +216,9 @@ func TestCachedAllocationMatchesLockedReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.allocReads != visits || cached.allocReads >= visits {
-			t.Fatalf("locked reads: %d uncached, %d cached, over %d metered rows; want all, then fewer",
-				e.allocReads, cached.allocReads, visits)
+		if e.work.allocReads != visits || cached.work.allocReads >= visits {
+			t.Fatalf("allocation reads: %d uncached, %d cached, over %d metered rows; want all, then fewer",
+				e.work.allocReads, cached.work.allocReads, visits)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("uncached run diverged:\ngot  %+v\nwant %+v", *got, *want)
@@ -228,8 +228,8 @@ func TestCachedAllocationMatchesLockedReads(t *testing.T) {
 
 // TestSamplePassAllocReads pins the work the allocation cache saves: on
 // a shocked run that deflates at admission and relocates evacuees, the
-// sample pass takes the host lock for a small share of the rows it
-// meters. Without the cache every metered row was a locked read.
+// sample pass re-reads an allocation for a small share of the rows it
+// meters. Without the cache every metered row was a read.
 func TestSamplePassAllocReads(t *testing.T) {
 	e, err := NewEngine(Config{Trace: testTrace(400), Policy: policy.Proportional{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)})
 	if err != nil {
@@ -244,14 +244,14 @@ func TestSamplePassAllocReads(t *testing.T) {
 	if res.ReclamationAttempts == 0 || res.Evacuations == 0 {
 		t.Fatalf("premise broken: %d reclamation attempts, %d evacuations (want both > 0)", res.ReclamationAttempts, res.Evacuations)
 	}
-	if 100*e.allocReads >= 15*visits {
-		t.Errorf("%d locked reads over %d metered rows, want under 15 %%", e.allocReads, visits)
+	if 100*e.work.allocReads >= 15*visits {
+		t.Errorf("%d allocation reads over %d metered rows, want under 15 %%", e.work.allocReads, visits)
 	}
 	// 1701 reads while every limit write bumped the epoch; a write that
 	// moves no allocation bumps nothing, and the cache serves 23 more.
 	const wantReads, wantVisits = 1678, 16800
-	if e.allocReads != wantReads || visits != wantVisits {
-		t.Errorf("%d locked reads over %d metered rows, want %d over %d", e.allocReads, visits, wantReads, wantVisits)
+	if e.work.allocReads != wantReads || visits != wantVisits {
+		t.Errorf("%d allocation reads over %d metered rows, want %d over %d", e.work.allocReads, visits, wantReads, wantVisits)
 	}
 }
 

@@ -15,8 +15,6 @@ import (
 // rowsOf copies the host's live rows in name order, without their domain
 // pointers, so twin hosts' tables compare by value.
 func rowsOf(h *Host) []row {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make([]row, len(h.order))
 	for i, slot := range h.order {
 		out[i] = h.rows[slot]
@@ -188,9 +186,9 @@ func FuzzLimitWritesMatchPerVM(f *testing.F) {
 				if a != beforeB[i].alloc && !moved {
 					t.Fatalf("%s moved %v -> %v, yet no per-VM write moved the epoch", d.Name(), beforeB[i].alloc, a)
 				}
-				if !sameVectorBits(a, ds[i].Allocation()) || limitsOf(d) != limitsOf(ds[i]) {
+				if !sameVectorBits(a, ds[i].Allocation()) || d.limits != ds[i].limits {
 					t.Fatalf("%s: batch left allocation %v limits %v, per-VM %v limits %v",
-						d.Name(), a, limitsOf(d), ds[i].Allocation(), limitsOf(ds[i]))
+						d.Name(), a, d.limits, ds[i].Allocation(), ds[i].limits)
 				}
 			}
 			wantEpoch := epochB

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
 )
 
@@ -23,6 +25,11 @@ var (
 // the sizes.
 var fuzzLimits = [...]float64{0, -1, 0.3, 1.5, 2, 3.7, 64, 700, 2048, 1e4, math.NaN()}
 
+// fuzzLoads are the offered loads a load write draws: zero, fractional
+// and whole cores, and the negative and non-finite values SetOfferedLoad
+// clamps to zero.
+var fuzzLoads = [...]float64{0, 0.5, 3, 7.25, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+
 // domainModel is the fuzz target's naive model of one domain: what the
 // op sequence engaged, nothing read back from the domain.
 type domainModel struct {
@@ -30,6 +37,7 @@ type domainModel struct {
 	size   resources.Vector
 	state  DomainState
 	limits resources.Vector // positive where a write engaged a controller
+	load   float64          // the last offered load written, clamped
 }
 
 // alloc is the model's allocation: the size capped by every engaged
@@ -58,26 +66,32 @@ func (b *fuzzBytes) next() byte {
 
 // FuzzDomainOps drives one host through byte-decoded sequences of
 // Define (invalid sizes included), Start, Shutdown, Undefine, SetLimits
-// (zero, negative and NaN components included), SetCPUShares and
-// SetCapacity over a pool of eight names, against a naive model. Every
+// (zero, negative and NaN components included), SetCPUShares,
+// SetCapacity and SetOfferedLoad (negative and non-finite loads
+// included) over a pool of eight names, against a naive model. Every
 // op is a kind byte and a name byte; a name byte with its top bit set
-// aims a Start, Shutdown or limit write at the name's last undefined
-// handle instead of its live domain. After every op: each domain's
-// allocation, live or undefined, is min(size, positive limits); every
-// row column equals a fresh derivation and the table is dense;
-// Aggregates() equals a name-order recomputation; the allocation epoch
+// aims a Start, Shutdown, limit or load write at the name's last
+// undefined handle instead of its live domain. After every op: each
+// domain's allocation, live or undefined, is min(size, positive limits),
+// and its offered load is the last one written (zero for a negative or
+// non-finite one); the deflatable view equals a fresh walk, and its
+// Load column holds each resident's last written load; every row column
+// equals a fresh derivation and the table is dense; Aggregates() equals
+// a name-order recomputation; the allocation epoch
 // moved by exactly one on a limit write that moved a resident's
 // allocation and not at all otherwise; a rejected write, or a limit
-// write that moved no allocation, moved nothing, not even the
-// aggregates; and an op on an undefined handle moved no row, aggregate
-// or epoch.
+// write that moved no allocation, and a load write moved nothing, not
+// even the aggregates; and an op on an undefined handle moved no row,
+// aggregate or epoch. The last three seeds are op mixes written with
+// domainOps: every mutator against one host, limit rewrites on one
+// domain, and load writes read through the view.
 //
 //	go test -run '^$' -fuzz FuzzDomainOps -fuzztime 15s -fuzzminimizetime 200x ./internal/hypervisor
 func FuzzDomainOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 3, 2, 1, 0, 2, 0, 4, 3, 0, 5, 0, 7, 0, 2, 8, 0, 1})
-	f.Add([]byte{0, 1, 4, 3, 1, 1, 9, 1, 3, 4, 0, 6, 1, 2, 10, 1, 1, 5, 1, 1, 9, 2, 2, 3, 1})
-	f.Add([]byte{0, 2, 0, 0, 0, 2, 5, 1, 1, 2, 3, 2, 6, 7, 8, 9, 4, 2, 1, 11, 3, 2, 3, 2})
+	f.Add([]byte{0, 1, 4, 3, 1, 1, 2, 1, 3, 4, 0, 6, 1, 2, 3, 1, 1, 5, 1, 1, 2, 2, 2, 3, 1})
+	f.Add([]byte{0, 2, 0, 0, 0, 2, 5, 1, 1, 2, 3, 2, 6, 7, 8, 2, 4, 2, 1, 4, 3, 2, 3, 2})
 	// Undefine the middle resident of three while the last-defined one
 	// holds the table's last row, then write the moved domain's limits
 	// and flip it, drive the undefined handle, redefine its name and
@@ -101,6 +115,9 @@ func FuzzDomainOps(f *testing.F) {
 		4, 134, 3, 7, 0, 0, 1, 131, 2, 131, 5, 134, 4, // the undefined vm-6 and vm-3 handles
 		2, 1, 3, 1, 2, 7, 3, 7, // shut down and undefine vm-1, then vm-7: the table empties
 	})
+	f.Add(mutatorMix(1, 40))
+	f.Add(limitRewrites(2, 100))
+	f.Add(loadWrites(3, 30))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		h := testHost(t)
@@ -108,11 +125,13 @@ func FuzzDomainOps(f *testing.F) {
 		// models holds the live domains by name; retired holds each name's
 		// last undefined handle, which stays in the op stream.
 		models, retired := map[string]*domainModel{}, map[string]*domainModel{}
+		var states []policy.VMState
+		var view []*Domain
 		for op := 0; len(in) > 0; op++ {
-			kind, nb := in.next()%7, in.next()
+			kind, nb := in.next()%8, in.next()
 			name := fmt.Sprintf("vm-%d", nb%8)
 			m := models[name]
-			stale := nb >= 128 && retired[name] != nil && (kind == 1 || kind == 2 || kind == 4 || kind == 5)
+			stale := nb >= 128 && retired[name] != nil && (kind == 1 || kind == 2 || kind == 4 || kind == 5 || kind == 7)
 			var rowsBefore []row
 			if stale {
 				m = retired[name]
@@ -230,6 +249,18 @@ func FuzzDomainOps(f *testing.F) {
 				if err := h.SetCapacity(base.Scale(0.5 + float64(in.next()%4)/4)); err != nil {
 					t.Fatal(err)
 				}
+			case 7: // a sample pass's load write
+				if m == nil {
+					continue
+				}
+				v := fuzzLoads[in.next()%byte(len(fuzzLoads))]
+				opName = fmt.Sprintf("load %s %g", name, v)
+				m.d.SetOfferedLoad(v)
+				m.load = v
+				if !(v >= 0) || math.IsInf(v, 0) {
+					m.load = 0
+				}
+				quiet = true
 			}
 			if stale {
 				opName += " (undefined handle)"
@@ -265,10 +296,129 @@ func FuzzDomainOps(f *testing.F) {
 					if got := m.d.State(); got != m.state {
 						t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
 					}
+					if got := m.d.load; got != m.load || m.d.Config().Load != m.load {
+						t.Fatalf("after %s: %s offers load %g, the model %g", opName, n, got, m.load)
+					}
 				}
 			}
+			states, view = h.AppendDeflatableView(states[:0], view[:0])
+			for i, st := range states {
+				if m := models[st.Name]; m == nil || m.d != view[i] || st.Load != m.load {
+					t.Fatalf("after %s: the view reads %s at load %g, not its last write", opName, st.Name, st.Load)
+				}
+			}
+			checkView(t, h, opName)
 			checkRows(t, h, opName)
 			checkAggregates(t, h, opName)
 		}
 	})
+}
+
+// domainOps encodes a FuzzDomainOps input op by op: a kind byte, a name
+// byte (vm-0 to vm-7, plus 128 for the name's last undefined handle) and
+// the op's argument bytes, indexes into the fuzz tables.
+type domainOps []byte
+
+const (
+	opDefine = iota
+	opStart
+	opShutdown
+	opUndefine
+	opLimits
+	opShares
+	opResize
+	opLoad
+)
+
+func (o *domainOps) op(kind, name int, args ...int) {
+	*o = append(*o, byte(kind), byte(name))
+	for _, a := range args {
+		*o = append(*o, byte(a))
+	}
+}
+
+// limitIdx draws an index into fuzzLimits; loadIdx one into fuzzLoads.
+func limitIdx(rng *rand.Rand) int { return rng.Intn(len(fuzzLimits)) }
+func loadIdx(rng *rand.Rand) int  { return rng.Intn(len(fuzzLoads)) }
+
+// mutatorMix is every mutator against one host, round after round:
+// running residents on the even names take single and batched limit
+// writes and load writes, the last of them flips between running and
+// shut off, and every fifth round resizes the host. Each round also
+// defines, starts and writes one of the odd names, between the
+// residents in name order, and shuts down and undefines the previous
+// round's, whose row is no longer the table's last, so the undefine
+// moves the newer one into its slot; the undefined handle then takes
+// one more write.
+func mutatorMix(seed int64, rounds int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var o domainOps
+	residents := []int{0, 2, 4, 6}
+	for _, n := range residents {
+		o.op(opDefine, n, 5, 3) // 7.5 cores, 4096 MB
+		o.op(opStart, n)
+	}
+	for r := range rounds {
+		if d := residents[rng.Intn(len(residents))]; r%2 == 0 {
+			o.op(opLimits, d, limitIdx(rng), limitIdx(rng), limitIdx(rng), limitIdx(rng))
+		} else {
+			o.op(opShares, d, limitIdx(rng))
+		}
+		o.op(opLoad, residents[rng.Intn(len(residents))], loadIdx(rng))
+		if r%2 == 0 {
+			o.op(opShutdown, 6)
+		} else {
+			o.op(opStart, 6)
+		}
+		if r%5 == 0 {
+			o.op(opResize, 0, rng.Intn(4))
+		}
+		churn := 1 + 2*(r%4)
+		o.op(opDefine, churn, 2, 3) // 2 cores, 4096 MB
+		o.op(opStart, churn)
+		o.op(opShares, churn, 3)
+		if r > 0 {
+			prev := 1 + 2*((r-1)%4)
+			o.op(opShutdown, prev)
+			o.op(opUndefine, prev)
+			o.op(opShares, prev+128, 3)
+		}
+	}
+	return o
+}
+
+// limitRewrites is one running domain whose limits are rewritten, one
+// controller and then all four at a time, accepted and refused values
+// alike.
+func limitRewrites(seed int64, rounds int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var o domainOps
+	o.op(opDefine, 0, 5, 3)
+	o.op(opStart, 0)
+	for range rounds {
+		o.op(opShares, 0, limitIdx(rng))
+		o.op(opLimits, 0, limitIdx(rng), 8, 0, 0) // memory capped at 2048 MB
+	}
+	return o
+}
+
+// loadWrites is eight running residents, half of them deflatable, whose
+// loads are rewritten every round while a limit write moves one of them:
+// the view must read each load's last write through.
+func loadWrites(seed int64, rounds int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var o domainOps
+	for n := range 8 {
+		o.op(opDefine, n, 2, 3)
+	}
+	for n := range 8 {
+		o.op(opStart, n)
+	}
+	for r := range rounds {
+		for n := range 8 {
+			o.op(opLoad, n, loadIdx(rng))
+		}
+		o.op(opShares, 0, 3+r%2) // 1.5 or 2 cores
+	}
+	return o
 }

@@ -17,27 +17,23 @@
 // and cap the limits they write by what it has online and plugged
 // (package mechanism).
 //
-// # Lock model
+// # Ownership
 //
-// One mutex per Host, Host.mu, guards the host and every mutable field
-// of every domain resident on it: lifecycle state, cgroup limits and
-// the host's row table — the per-resident accounting columns (size,
-// priority, allocation, running, deflatable) that the aggregate and view
-// walks read as contiguous host-owned memory. A Domain has no lock of its own; its mutators take
-// its host's lock and write the resident's row at mutation time. The
-// host caches nothing derived from its rows: Aggregates() is one walk
-// under the lock, and a caller that wants it cached (the cluster
-// manager) keeps the cache and tracks its own writes. Host.mu is a leaf:
-// nothing in this package takes another lock under it. Three things are
-// read outside it: Capacity(), an atomic load (SetCapacity is an atomic
-// store); the offered load, a per-domain atomic that moves no aggregate;
-// and AllocEpoch(), the host's allocation epoch, written only under the
-// lock by the allocation writes it counts.
+// A Host and its domains have one owner and, like a bufio.Writer, are
+// not safe for concurrent use: the cluster manager that created the host
+// (or the single-VM experiment that booted it) is its only caller. The
+// host owns its residents' accounting state in its row table — the
+// per-resident columns (size, priority, allocation, running,
+// deflatable) that the aggregate and view walks read as contiguous
+// host-owned memory — and every Domain mutator writes its resident's row
+// at mutation time. The host caches nothing derived from its rows:
+// Aggregates() is one walk, and a caller that wants it cached (the
+// cluster manager) keeps the cache and tracks its own writes.
 //
 // A limit write (Host.SetLimits) is the only allocation write after
-// Define. It is one critical section however many domains it covers,
-// and bumps the epoch at most once. Domain.SetLimits and SetCPUShares
-// are its one-element case.
+// Define. It bumps the host's allocation epoch at most once, however
+// many domains it covers. Domain.SetLimits and SetCPUShares are its
+// one-element case.
 package hypervisor
 
 import (
@@ -45,8 +41,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
@@ -194,7 +188,8 @@ type Aggregates struct {
 // the immutable columns copied from the configuration at Define, and the
 // mutable ones (allocation, running) written by the Domain mutators at
 // mutation time. Rows live in Host.rows, so a walk touches contiguous
-// host-owned memory, takes no further lock and dereferences no Domain.
+// host-owned memory and dereferences no Domain (the view's one load
+// read aside).
 type row struct {
 	name     string
 	size     resources.Vector // cfg.Size
@@ -209,22 +204,19 @@ type row struct {
 }
 
 // Host is one simulated physical server running a KVM hypervisor. It
-// owns its residents' accounting state: mu guards every field below it
-// and every mutable field of the host's domains (see the package
-// comment for the lock model).
+// owns its residents' accounting state, and it is not safe for
+// concurrent use (see the package comment).
 type Host struct {
 	cfg HostConfig
 	// capacity is the host's current physical capacity. It starts at
 	// cfg.Capacity and moves only through SetCapacity (the transient
-	// server shrank or was restored); an atomic pointer to an immutable
-	// vector keeps the hot-path Capacity() reads lock-free.
-	capacity atomic.Pointer[resources.Vector]
+	// server shrank or was restored).
+	capacity resources.Vector
 
-	mu sync.Mutex
 	// rows is the row table, one row per resident with no holes: Define
 	// appends, and Undefine moves the last row into the freed slot and
 	// re-points its Domain.slot and order entry. order holds the slots
-	// sorted by name; it is also the name index (findLocked). Keeping it
+	// sorted by name; it is also the name index (find). Keeping it
 	// materialised makes the walks below iterate in a fixed order, which
 	// keeps float summations like Allocated() bit-for-bit reproducible —
 	// map iteration order would perturb the low bits run to run and break
@@ -232,9 +224,11 @@ type Host struct {
 	rows  []row
 	order []int32
 
-	// epoch is the allocation epoch (see AllocEpoch), bumped under mu by
+	// epoch is the allocation epoch (see AllocEpoch), bumped by
 	// SetLimits.
-	epoch atomic.Uint64
+	epoch uint64
+	// walks counts Aggregates walks (AggregateWalks).
+	walks int
 }
 
 // NewHost boots a hypervisor on a server with the given capacity.
@@ -245,10 +239,7 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if err := checkCapacity(cfg.Name, cfg.Capacity); err != nil {
 		return nil, err
 	}
-	h := &Host{cfg: cfg}
-	c := cfg.Capacity
-	h.capacity.Store(&c)
-	return h, nil
+	return &Host{cfg: cfg, capacity: cfg.Capacity}, nil
 }
 
 // checkCapacity rejects a host capacity that is empty or has a
@@ -271,14 +262,18 @@ func (h *Host) Name() string { return h.cfg.Name }
 
 // Capacity returns the host's current physical resources (the base
 // capacity, unless SetCapacity resized the server).
-func (h *Host) Capacity() resources.Vector { return *h.capacity.Load() }
+func (h *Host) Capacity() resources.Vector { return h.capacity }
 
-// AllocEpoch returns the host's allocation epoch, a lock-free load. It
-// moves once per limit write call that moves a resident's allocation
-// (however many domains the call covers), and on nothing else, so a
-// resident's allocation read with it (Domain.AllocationEpoch) is current
-// for as long as the epoch is unchanged.
-func (h *Host) AllocEpoch() uint64 { return h.epoch.Load() }
+// AllocEpoch returns the host's allocation epoch. It moves once per
+// limit write call that moves a resident's allocation (however many
+// domains the call covers), and on nothing else, so a resident's
+// allocation read with it (Domain.AllocationEpoch) is current for as
+// long as the epoch is unchanged.
+func (h *Host) AllocEpoch() uint64 { return h.epoch }
+
+// AggregateWalks returns how many times Aggregates has walked the row
+// table: a plain work count.
+func (h *Host) AggregateWalks() int { return h.walks }
 
 // SetCapacity resizes the host's physical capacity in place — the
 // transient-server shrink/restore of a provider reclaiming (or
@@ -289,21 +284,20 @@ func (h *Host) SetCapacity(v resources.Vector) error {
 	if err := checkCapacity(h.cfg.Name, v); err != nil {
 		return err
 	}
-	h.capacity.Store(&v)
+	h.capacity = v
 	return nil
 }
 
 // Aggregates returns the host's resource aggregates: one walk over the
-// row table in name order, under the host's lock — the fixed iteration
-// order that keeps the float summations reproducible. The sums are
-// spelled out per dimension: the same float operations in the same order
-// as Vector.Add and Add(Sub(DefaultFloor()).ClampNonNegative()), without
-// the by-value vector copies, which cost more than the arithmetic.
+// row table in name order — the fixed iteration order that keeps the
+// float summations reproducible. The sums are spelled out per
+// dimension: the same float operations in the same order as Vector.Add
+// and Add(Sub(DefaultFloor()).ClampNonNegative()), without the by-value
+// vector copies, which cost more than the arithmetic.
 func (h *Host) Aggregates() Aggregates {
 	var a Aggregates
 	floor := DefaultFloor()
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.walks++
 	rows := h.rows
 	for _, slot := range h.order {
 		r := &rows[slot]
@@ -337,20 +331,16 @@ func (h *Host) Aggregates() Aggregates {
 // AppendDeflatableView appends the host's policy view of its running
 // deflatable domains — one policy.VMState plus the matching *Domain per
 // VM, in name order — to states and domains, and returns the extended
-// slices; every state's Min is DefaultFloor. It is one walk over the row
-// table under the host's lock followed by one lock-free load read per
-// appended domain: the Load column is read through from the domains'
-// live offered loads. Callers own the destination slices; passing
-// buffers they reuse across passes makes the whole read
-// allocation-free.
+// slices; every state's Min is DefaultFloor and its Load the domain's
+// live offered load. It is one walk over the row table. Callers own the
+// destination slices; passing buffers they reuse across passes makes the
+// whole read allocation-free.
 //
 // The appended states are a snapshot: a subsequent mutation or load
 // write shows in the next read, but touches no slice already handed out,
 // exactly like Aggregates().
 func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) ([]policy.VMState, []*Domain) {
-	sbase, dbase := len(states), len(domains)
 	floor := DefaultFloor()
-	h.mu.Lock()
 	rows := h.rows
 	for _, slot := range h.order {
 		r := &rows[slot]
@@ -359,20 +349,16 @@ func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) 
 		}
 		states = append(states, policy.VMState{})
 		st := &states[len(states)-1]
-		st.Name, st.Max, st.Min, st.Priority, st.Current = r.name, r.size, floor, r.priority, r.alloc
+		st.Name, st.Max, st.Min, st.Priority, st.Current, st.Load = r.name, r.size, floor, r.priority, r.alloc, r.dom.load
 		domains = append(domains, r.dom)
-	}
-	h.mu.Unlock()
-	for i, d := range domains[dbase:] {
-		states[sbase+i].Load = d.OfferedLoad()
 	}
 	return states, domains
 }
 
-// findLocked returns the position in order of the first resident whose
+// find returns the position in order of the first resident whose
 // name is >= name, and that resident's domain if it is named name (nil
 // otherwise).
-func (h *Host) findLocked(name string) (int, *Domain) {
+func (h *Host) find(name string) (int, *Domain) {
 	i := sort.Search(len(h.order), func(i int) bool { return h.rows[h.order[i]].name >= name })
 	if i < len(h.order) {
 		if r := &h.rows[h.order[i]]; r.name == name {
@@ -391,14 +377,11 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i, dup := h.findLocked(cfg.Name)
+	i, dup := h.find(cfg.Name)
 	if dup != nil {
 		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Name)
 	}
-	d := &Domain{host: h, cfg: cfg, state: Defined}
-	d.load.Store(math.Float64bits(cfg.Load))
+	d := &Domain{host: h, cfg: cfg, state: Defined, load: cfg.Load}
 	d.slot = int32(len(h.rows))
 	h.rows = append(h.rows, row{
 		name:       cfg.Name,
@@ -416,9 +399,7 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 
 // Lookup finds a domain by name.
 func (h *Host) Lookup(name string) (*Domain, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, d := h.findLocked(name); d != nil {
+	if _, d := h.find(name); d != nil {
 		return d, nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
@@ -426,8 +407,6 @@ func (h *Host) Lookup(name string) (*Domain, error) {
 
 // Domains lists domains sorted by name.
 func (h *Host) Domains() []*Domain {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make([]*Domain, len(h.order))
 	for i, slot := range h.order {
 		out[i] = h.rows[slot].dom
@@ -439,9 +418,7 @@ func (h *Host) Domains() []*Domain {
 // moves into its slot. The Domain value stays readable (it answers from
 // its own state) but no longer belongs to any host walk.
 func (h *Host) Undefine(name string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i, d := h.findLocked(name)
+	i, d := h.find(name)
 	if d == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
@@ -452,7 +429,7 @@ func (h *Host) Undefine(name string) error {
 	last := int32(len(h.rows) - 1)
 	if hole := d.slot; hole != last {
 		moved := h.rows[last]
-		j, _ := h.findLocked(moved.name)
+		j, _ := h.find(moved.name)
 		h.order[j], moved.dom.slot = hole, hole
 		h.rows[hole] = moved
 	}
@@ -471,10 +448,10 @@ func (h *Host) Allocated() resources.Vector {
 
 // Domain is one VM resident on a Host: its configuration, its row slot,
 // its lifecycle state, its engaged cgroup limits and its offered load,
-// in a single allocation. It has no lock of its own: every mutable field
-// below is guarded by the host's mu, and the one mutation that can move
-// the allocation, a limit write, writes the resident's row in the host's
-// table at mutation time (the limits are never driven from outside).
+// in a single allocation. Like its host it is not safe for concurrent
+// use. The one mutation that can move the allocation, a limit write,
+// writes the resident's row in the host's table at mutation time (the
+// limits are never driven from outside).
 type Domain struct {
 	host *Host
 	cfg  DomainConfig
@@ -488,10 +465,8 @@ type Domain struct {
 	limits resources.Vector
 
 	// load is the offered request load (cores) last reported through
-	// SetOfferedLoad, seeded from DomainConfig.Load, stored as its
-	// Float64bits so the sample pass's writes and the view's read-through
-	// need no lock.
-	load atomic.Uint64
+	// SetOfferedLoad, seeded from DomainConfig.Load.
+	load float64
 }
 
 // setAlloc writes the row's allocation column and the Deflated predicate
@@ -502,8 +477,7 @@ func (r *row) setAlloc(v resources.Vector) {
 }
 
 // derive computes the domain's allocation from first principles: the
-// nominal size capped by every engaged cgroup limit. Called with the
-// host's mu held.
+// nominal size capped by every engaged cgroup limit.
 func (d *Domain) derive() resources.Vector {
 	a := d.cfg.Size
 	for k, l := range d.limits {
@@ -514,19 +488,9 @@ func (d *Domain) derive() resources.Vector {
 	return a
 }
 
-// allocLocked reads the allocation column (an undefined domain has no
-// row and answers from its own state). Called with the host's mu held.
-func (d *Domain) allocLocked() resources.Vector {
-	if d.slot < 0 {
-		return d.derive()
-	}
-	return d.host.rows[d.slot].alloc
-}
-
-// setStateLocked moves the lifecycle state and, for a resident (an
-// undefined domain has no row), mirrors it into the row's running column.
-// Called with the host's mu held.
-func (d *Domain) setStateLocked(s DomainState) {
+// setState moves the lifecycle state and, for a resident (an undefined
+// domain has no row), mirrors it into the row's running column.
+func (d *Domain) setState(s DomainState) {
 	d.state = s
 	if d.slot >= 0 {
 		d.host.rows[d.slot].running = s == Running
@@ -541,7 +505,7 @@ func (d *Domain) Name() string { return d.cfg.Name }
 // load it carries now, not the one it was admitted with.
 func (d *Domain) Config() DomainConfig {
 	c := d.cfg
-	c.Load = d.OfferedLoad()
+	c.Load = d.load
 	return c
 }
 
@@ -549,31 +513,23 @@ func (d *Domain) Config() DomainConfig {
 func (d *Domain) Host() *Host { return d.host }
 
 // State returns the domain's lifecycle state.
-func (d *Domain) State() DomainState {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	return d.state
-}
+func (d *Domain) State() DomainState { return d.state }
 
 // Start transitions Defined/Shutoff -> Running.
 func (d *Domain) Start() error {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
 	if d.state == Running {
 		return fmt.Errorf("%w: %s already running", ErrState, d.cfg.Name)
 	}
-	d.setStateLocked(Running)
+	d.setState(Running)
 	return nil
 }
 
 // Shutdown transitions Running -> Shutoff.
 func (d *Domain) Shutdown() error {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
 	if d.state != Running {
 		return fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
 	}
-	d.setStateLocked(Shutoff)
+	d.setState(Shutoff)
 	return nil
 }
 
@@ -588,26 +544,20 @@ func (d *Domain) Priority() float64 { return d.cfg.Priority }
 
 // Allocation returns the domain's current allocation: the nominal size
 // capped by its engaged cgroup limits. This is the vector the cluster
-// policies account against. It is a read of the domain's row under the
-// host's lock; the row is written by the limit write that last moved the
-// allocation.
+// policies account against. It reads the domain's row, written by the
+// limit write that last moved the allocation; an undefined domain has no
+// row and answers from its own state.
 func (d *Domain) Allocation() resources.Vector {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	return d.allocLocked()
+	if d.slot < 0 {
+		return d.derive()
+	}
+	return d.host.rows[d.slot].alloc
 }
 
 // AllocationEpoch returns the domain's allocation and its host's
-// allocation epoch, read under one hold of the host's lock.
+// allocation epoch, read together.
 func (d *Domain) AllocationEpoch() (resources.Vector, uint64) {
-	d.host.mu.Lock()
-	defer d.host.mu.Unlock()
-	return d.allocLocked(), d.host.epoch.Load()
-}
-
-// OfferedLoad returns the domain's current offered request load (cores).
-func (d *Domain) OfferedLoad() float64 {
-	return math.Float64frombits(d.load.Load())
+	return d.Allocation(), d.host.epoch
 }
 
 // SetOfferedLoad reports the domain's current offered request load in
@@ -615,13 +565,12 @@ func (d *Domain) OfferedLoad() float64 {
 // watching the VM's request stream. Latency-aware policies read it from
 // the host's deflatable view. Negative and non-finite (NaN, ±Inf) values
 // clamp to zero. A load moves no aggregate, no free share and no index
-// key, so the write is one atomic store: it takes no lock, and the next
-// AppendDeflatableView reads the new value through.
+// key: the next AppendDeflatableView reads the new value through.
 func (d *Domain) SetOfferedLoad(v float64) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
 	}
-	d.load.Store(math.Float64bits(v))
+	d.load = v
 }
 
 // --- Transparent deflation knobs (cgroup-backed, Section 4.2) ---
@@ -629,8 +578,7 @@ func (d *Domain) SetOfferedLoad(v float64) {
 // ClampTarget bounds target into [DefaultFloor, MaxSize], so the VM
 // never fully stalls (deflation, not preemption), rejecting a negative
 // or NaN component (ErrInvalid). It is the one clamp the mechanisms and
-// the cluster's policy passes apply before a limit write; it takes no
-// lock.
+// the cluster's policy passes apply before a limit write.
 func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) {
 	for k, x := range target {
 		if !(x >= 0) { // also catches NaN
@@ -641,7 +589,7 @@ func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) 
 }
 
 // SetLimits writes a policy pass's limits to the host's domains in one
-// critical section. In batch order, every positive component of
+// call. In batch order, every positive component of
 // limits[i] engages doms[i]'s cgroup controller at that value (zero ones
 // leave theirs as they are), and limits[i] is replaced by the allocation
 // doms[i] ends up with. A domain of another host, a length mismatch or a
@@ -664,11 +612,9 @@ func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 			}
 		}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	moved := false
 	for i, d := range doms {
-		old := d.allocLocked()
+		old := d.Allocation()
 		for k, x := range limits[i] {
 			if x > 0 {
 				d.limits[k] = x
@@ -682,7 +628,7 @@ func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 		limits[i] = a
 	}
 	if moved {
-		h.epoch.Add(1)
+		h.epoch++
 	}
 	return nil
 }

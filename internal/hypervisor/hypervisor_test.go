@@ -111,7 +111,7 @@ func TestOfferedLoadRejectsNonFinite(t *testing.T) {
 		}
 		d.SetOfferedLoad(1) // so a clamp to zero is visible
 		d.SetOfferedLoad(c.load)
-		if got := d.OfferedLoad(); got != want {
+		if got := d.load; got != want {
 			t.Errorf("SetOfferedLoad(%s): OfferedLoad = %g, want %g", c.name, got, want)
 		}
 	}

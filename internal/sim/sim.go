@@ -1,9 +1,12 @@
 // Package sim is a small deterministic discrete-event simulation kernel.
 //
-// It backs both the hypervisor substrate (which simulates KVM + cgroups
-// behaviour over virtual time) and the trace-driven cluster simulator that
-// reproduces the paper's Section 7.4 experiments. Events are ordered by
-// virtual time with FIFO tie-breaking, so runs are reproducible.
+// It backs the request-level models of the testbed experiments (Section
+// 7): the processor-sharing stations of package queueing, the request
+// generators of package workload and the web applications of package
+// apps (Figures 16-19). The cluster simulator (package clustersim) runs
+// its own typed event heap, and the hypervisor substrate keeps no clock.
+// Events are ordered by virtual time with FIFO tie-breaking, so runs are
+// reproducible.
 package sim
 
 import (
