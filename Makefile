@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-placement bench-smoke bench-allocs bench-scale-10m bench-slo bench-pressure bench-e2e bench-compare bench ci
+.PHONY: build test vet race race-placement mutate bench-smoke bench-allocs bench-scale-10m bench-slo bench-pressure bench-e2e bench-compare bench ci
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,15 @@ race:
 # beside it.
 race-placement:
 	$(GO) test -race -run 'SweepGridParallel|SharedBus|PlacementOracles|P95Column|Publish' ./internal/cluster ./internal/clustersim ./internal/trace ./internal/notify
+
+# Kill matrix (mutation_test.go): each entry applies one source edit to
+# a temp copy of the module (a dropped markDirty, the Undefine slot
+# re-point, the allocation-epoch bump, a dropped on-demand evacuee, the
+# pressure order's tie-break, two streamed-adapter edits) and runs the
+# `go test -run` suites that must fail with it. Skipped without -mutate,
+# so `make test` does not run it.
+mutate:
+	$(GO) test -count=1 -run '^TestMutationsAreKilled$$' -mutate -v -timeout 10m .
 
 # One iteration of the 10k-VM sweep benchmarks: proves the parallel
 # engine end-to-end without the cost of a full benchmark session.

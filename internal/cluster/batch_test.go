@@ -3,8 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"slices"
+	"strings"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
@@ -17,21 +16,21 @@ import (
 // allocation. Scan work is left out: it differs between scan modes by
 // design, and checkScanWork holds it.
 func describePlacements(pls []Placement) string {
-	out := ""
+	var out strings.Builder
 	for _, pl := range pls {
-		out += fmt.Sprintf("[p%d ", pl.Path)
+		fmt.Fprintf(&out, "[p%d ", pl.Path)
 		switch {
 		case pl.Err != nil && errors.Is(pl.Err, ErrNoCapacity):
-			out += "rejected]"
+			out.WriteString("rejected]")
 		case pl.Err != nil && errors.Is(pl.Err, ErrExists):
-			out += "dup]"
+			out.WriteString("dup]")
 		case pl.Err != nil:
-			out += "err " + pl.Err.Error() + "]"
+			out.WriteString("err " + pl.Err.Error() + "]")
 		default:
-			out += fmt.Sprintf("%s reclaim=%v init=%v]", pl.Server.Host.Name(), pl.NeedsReclaim, pl.Initial)
+			fmt.Fprintf(&out, "%s reclaim=%v init=%v]", pl.Server.Host.Name(), pl.NeedsReclaim, pl.Initial)
 		}
 	}
-	return out
+	return out.String()
 }
 
 // placeLoop places dcs as a loop of one-element PlaceVMs batches, one
@@ -43,148 +42,6 @@ func placeLoop(m *Manager, dcs []hypervisor.DomainConfig) []Placement {
 		out = append(out, buf[0])
 	}
 	return out
-}
-
-// TestPlaceVMsMatchesPlaceVMLoopAndReference is the "commit order is
-// trace order" invariant: a PlaceVMs batch places exactly as a loop of
-// one-element PlaceVMs batches over the same VMs in the same order, and
-// both exactly as the brute-force reference. Identical randomized batch-place /
-// batch-remove churn — batches of up to 16 VMs, some repeating a name
-// already in the batch, against 6 servers, so later VMs of a batch
-// constantly land on what earlier ones consumed — goes through all
-// three, and the test fails on the first divergence in placements,
-// per-VM outcomes, counters or stats. It runs on a plain fleet, on
-// priority-partitioned pools (a batch's VMs land in different pools) and
-// on pools whose servers are resized between batches (a shrink's
-// evacuees re-place through the pool filter, and a pool's index bound
-// outgrows its shrunk servers).
-func TestPlaceVMsMatchesPlaceVMLoopAndReference(t *testing.T) {
-	cases := []struct {
-		prefix string
-		cfg    Config
-		resize bool
-	}{
-		{"", Config{Policy: policy.Priority{}}, false},
-		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true}, false},
-		{"pools-resize/", Config{Policy: policy.Priority{}, PartitionByPriority: true}, true},
-	}
-	for _, tc := range cases {
-		for _, seed := range []int64{1, 2, 3} {
-			t.Run(fmt.Sprintf("%sseed=%d", tc.prefix, seed), func(t *testing.T) {
-				placeVMsChurn(t, seed, tc.cfg, tc.resize)
-			})
-		}
-	}
-}
-
-// placeVMsChurn runs one seed of the batch / loop / reference churn on a
-// six-server fleet provisioned by churnSpec; with resize set, one op in
-// ten resizes a server on all three managers instead.
-func placeVMsChurn(t *testing.T, seed int64, cfg Config, resize bool) {
-	batch, loop, ref := NewManager(cfg), NewManager(cfg), newOracleManager(cfg, "reference")
-	ms := []*Manager{batch, loop, ref}
-	for i := 0; i < 6; i++ {
-		for _, m := range ms {
-			if _, err := m.AddServerSpec(churnSpec(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var placed []string
-	next := 0
-	resizes := 0
-	for op := 0; op < 120; op++ {
-		if resize && rng.Intn(10) == 0 {
-			name := churnSpec(rng.Intn(6)).Name
-			capacity := serverCap().Scale([]float64{0.3, 0.6, 1}[rng.Intn(3)])
-			var want string
-			for i, m := range ms {
-				ev, err := m.ResizeServer(name, capacity)
-				got := describeEvacuation(ev, err)
-				if i == 0 {
-					want = got
-				} else if got != want {
-					t.Fatalf("op %d: resize of %s diverged on manager %d:\n got %s\nwant %s", op, name, i, got, want)
-				}
-				if i == 0 {
-					for j, pl := range ev.Placements {
-						if pl.Err != nil {
-							placed = slices.DeleteFunc(placed, func(n string) bool { return n == ev.VMs[j].Name })
-						}
-					}
-				}
-			}
-			resizes++
-			compareManagers(t, op, batch, loop)
-			compareManagers(t, op, batch, ref)
-			continue
-		}
-		if len(placed) > 0 && rng.Intn(10) < 3 {
-			k := 1 + rng.Intn(min(4, len(placed)))
-			names := make([]string, 0, k)
-			for j := 0; j < k; j++ {
-				i := rng.Intn(len(placed))
-				names = append(names, placed[i])
-				placed = append(placed[:i], placed[i+1:]...)
-			}
-			for _, m := range ms {
-				if err := m.RemoveVMs(names...); err != nil {
-					t.Fatalf("op %d: remove: %v", op, err)
-				}
-			}
-			continue
-		}
-		b := 1 + rng.Intn(16)
-		dcs := make([]hypervisor.DomainConfig, 0, b)
-		for j := 0; j < b; j++ {
-			name := fmt.Sprintf("vm-%05d", next)
-			next++
-			if j > 0 && rng.Intn(8) == 0 {
-				name = dcs[rng.Intn(j)].Name // in-batch duplicate
-			}
-			dc := hypervisor.DomainConfig{
-				Name:       name,
-				Size:       resources.CPUMem(float64(1+rng.Intn(24)), float64(2048*(1+rng.Intn(24)))),
-				Deflatable: rng.Intn(3) != 0,
-				Priority:   0.25 * float64(1+rng.Intn(4)),
-			}
-			if !dc.Deflatable {
-				dc.Priority = 0
-			}
-			dcs = append(dcs, dc)
-		}
-		pls := batch.PlaceVMs(dcs, nil)
-		loopPls := placeLoop(loop, dcs)
-		if got, want := describePlacements(loopPls), describePlacements(pls); got != want {
-			t.Fatalf("op %d: one-element loop diverged from the batch:\n got %s\nwant %s", op, got, want)
-		}
-		for j := range pls {
-			if loopPls[j].Scored != pls[j].Scored || loopPls[j].Pruned != pls[j].Pruned {
-				t.Fatalf("op %d: %s scan work %d/%d in the loop, %d/%d in the batch", op, dcs[j].Name,
-					loopPls[j].Scored, loopPls[j].Pruned, pls[j].Scored, pls[j].Pruned)
-			}
-		}
-		refPls := ref.PlaceVMs(dcs, nil)
-		if got, want := describePlacements(refPls), describePlacements(pls); got != want {
-			t.Fatalf("op %d: reference diverged from the batch:\n got %s\nwant %s", op, got, want)
-		}
-		checkScanWork(t, op, refPls, pls, true)
-		for j, dc := range dcs {
-			dup := false
-			for _, prev := range dcs[:j] {
-				dup = dup || prev.Name == dc.Name
-			}
-			if _, _, err := batch.LookupVM(dc.Name); err == nil && !dup {
-				placed = append(placed, dc.Name)
-			}
-		}
-		compareManagers(t, op, batch, loop)
-		compareManagers(t, op, batch, ref)
-	}
-	if resize && resizes == 0 {
-		t.Fatal("no resizes in the churn — the variant is vacuous")
-	}
 }
 
 // TestPlaceVMsDuplicateNames pins the in-batch duplicate semantics: the

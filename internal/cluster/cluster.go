@@ -827,7 +827,13 @@ func (m *Manager) reinflate(s *Server) error {
 		return nil
 	}
 	res, err := m.cfg.Policy.TargetsInto(sc.vms, free.Scale(-1), &sc.ps)
-	if err != nil && !errors.Is(err, policy.ErrInsufficient) {
+	if errors.Is(err, policy.ErrInsufficient) {
+		// The targets need more than the free capacity: a quantised
+		// policy cannot reinflate residents a shrink pinned to their
+		// floors within it. They stay where they are.
+		return nil
+	}
+	if err != nil {
 		return err
 	}
 	return m.writeTargets(s, res.Targets)

@@ -367,36 +367,3 @@ func TestDeterministicPolicyIntegration(t *testing.T) {
 		t.Errorf("deterministic deflation = %v, want 10", got)
 	}
 }
-
-// Invariant: however many VMs are placed and removed, no server is ever
-// allocated beyond its capacity.
-func TestChurnNeverOverAllocates(t *testing.T) {
-	m := newTestManager(t, 3, Config{Policy: policy.Priority{}})
-	placed := []string{}
-	for i := 0; i < 60; i++ {
-		name := fmt.Sprintf("vm-%d", i)
-		prio := []float64{0.25, 0.5, 0.75, 1.0}[i%4]
-		cfg := deflatableVM(name, float64(4+(i%5)*8), float64(8192+(i%4)*16384), prio)
-		if i%5 == 4 {
-			cfg = onDemandVM(name, float64(4+(i%3)*4), 16384)
-		}
-		if _, _, err := m.PlaceVM(cfg); err == nil {
-			placed = append(placed, name)
-		}
-		if i%3 == 2 && len(placed) > 0 {
-			if err := m.RemoveVM(placed[0]); err != nil {
-				t.Fatal(err)
-			}
-			placed = placed[1:]
-		}
-		for _, s := range m.Servers() {
-			if !s.Host.Allocated().FitsIn(s.Host.Capacity()) {
-				t.Fatalf("iteration %d: server %s over-allocated: %v > %v",
-					i, s.Host.Name(), s.Host.Allocated(), s.Host.Capacity())
-			}
-		}
-	}
-	if m.Stats().VMs != len(placed) {
-		t.Errorf("placement bookkeeping drifted: %d vs %d", m.Stats().VMs, len(placed))
-	}
-}

@@ -42,17 +42,28 @@ func dirtyNames(m *Manager) []string {
 // reads the node's fields by reflection, which reads unexported fields
 // but cannot write them.
 func indexEntry(ix *capindex.Index, name string) (key float64, free resources.Vector, ok bool) {
-	nd := reflect.ValueOf(ix).Elem().FieldByName("nodes").MapIndex(reflect.ValueOf(name))
+	nd := reflect.ValueOf(ix).Elem().Field(indexFields.nodes).MapIndex(reflect.ValueOf(name))
 	if !nd.IsValid() {
 		return 0, free, false
 	}
 	nd = nd.Elem()
-	payload := nd.FieldByName("free")
+	payload := nd.Field(indexFields.free)
 	for k := range free {
 		free[k] = payload.Index(k).Float()
 	}
-	return nd.FieldByName("key").Float(), free, true
+	return nd.Field(indexFields.key).Float(), free, true
 }
+
+// indexFields are the positions of the fields indexEntry reads: the
+// index's nodes map, and a node's key and free payload.
+var indexFields = func() (f struct{ nodes, key, free int }) {
+	nodes, _ := reflect.TypeOf(capindex.Index{}).FieldByName("nodes")
+	node := nodes.Type.Elem().Elem()
+	key, _ := node.FieldByName("key")
+	free, _ := node.FieldByName("free")
+	f.nodes, f.key, f.free = nodes.Index[0], key.Index[0], free.Index[0]
+	return f
+}()
 
 // sameAggBits reports whether two aggregate snapshots are bit-for-bit
 // equal.

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
+	"vmdeflate/internal/notify"
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
 )
@@ -33,35 +35,29 @@ func (r *opReader) next(n int) int {
 // operation sequence — PlaceVMs batches of 1–16 (names repeated inside a
 // batch or already live included), RemoveVMs, RevokeServers,
 // RestoreServer, ResizeServer and SetOfferedLoad — and runs it against
-// an indexed manager and the "fullscan" and "reference" oracles. Every
-// step's outcome must read the same on all three — each placement
-// record's path, server, error class and NeedsReclaim — its scan work
-// must pass checkScanWork against the full scans, and compareManagers
-// and checkServerCache must hold after it. The seeds are the churn suites' seeds, so
-// `go test` runs them; `go test -fuzz FuzzPlacementOps` searches on.
-// The decoder's first two bytes pick the policy and priority pools, and
-// random seeds leave some of those 8 configurations unvisited; the
-// config-pinned seeds overwrite those bytes so `go test` runs every
-// configuration on four churn streams.
+// an indexed manager, the "fullscan" and "reference" oracles and an
+// indexed manager that places each batch as a loop of one-element
+// batches (runPlacementOps). `go test` runs the seeds below; `go test
+// -fuzz FuzzPlacementOps` searches on. The decoder's first two bytes
+// pick the policy and priority pools, and random seeds leave some of
+// those 8 configurations unvisited; the config-pinned seeds overwrite
+// those bytes so `go test` runs every configuration on four streams.
+// The longer and wider streams are the named tests below
+// (runNamedStream).
 func FuzzPlacementOps(f *testing.F) {
-	churn := func(seed int64) []byte {
-		data := make([]byte, 512)
-		rand.New(rand.NewSource(seed)).Read(data)
-		return data
-	}
 	for _, seed := range []int64{1, 2, 3, 5, 7, 11, 17, 19, 21} {
-		f.Add(churn(seed))
+		f.Add(seededBytes(seed, 512))
 	}
 	for config := 0; config < 8; config++ {
 		for _, seed := range []int64{1, 2, 3, 4} {
-			data := churn(seed)
+			data := seededBytes(seed, 512)
 			data[0], data[1] = byte(config%4), byte(config/4)
 			f.Add(data)
 		}
 	}
 	f.Add([]byte(capacityChurn()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runPlacementOps(t, &opReader{data: data})
+		runPlacementOps(t, &opReader{data: data}, opsConfig{})
 	})
 }
 
@@ -70,15 +66,22 @@ func FuzzPlacementOps(f *testing.F) {
 // took off, the evacuees no server could host, and the successful
 // pressure placements whose VM kept its full size, so that the room it
 // needed came from deflating residents. After every op the manager holds
-// exactly placed - removed - killed VMs.
+// exactly placed - removed - killed VMs. It also counts what a named
+// stream must reach: the ops run, the peak of live VMs, the revocations
+// and resizes the manager accepted, the arrivals placed on the pressure
+// path, the servers the pressure descent pruned, and the events the
+// manager published, with those whose Old the check knew.
 type opFold struct {
-	placed, removed, killed, squeezed int
+	placed, removed, killed, squeezed  int
+	ops, peak, revokes, resizes        int
+	pressured, pruned, events, oldSeen int
 }
 
 // record folds one op's placement records; evacuated marks an
 // evacuation's relocations, whose failures are kills.
 func (f *opFold) record(pls []Placement, evacuated bool) {
 	for _, pl := range pls {
+		f.pruned += pl.Pruned
 		if pl.Err != nil {
 			if evacuated {
 				f.killed++
@@ -87,6 +90,9 @@ func (f *opFold) record(pls []Placement, evacuated bool) {
 		}
 		if !evacuated {
 			f.placed++
+			if pl.Path == PathPressure {
+				f.pressured++
+			}
 		}
 		if pl.Path == PathPressure && pl.Initial == pl.Domain.MaxSize() {
 			f.squeezed++
@@ -173,7 +179,7 @@ func capacityChurn() placementStream {
 // manager's VM count after every op (runPlacementOps checks that).
 func TestPlacementOpsCapacityChurn(t *testing.T) {
 	r := &opReader{data: capacityChurn()}
-	fold := runPlacementOps(t, r)
+	fold := runPlacementOps(t, r, opsConfig{})
 	if !r.done() {
 		t.Fatalf("the op cap stopped the stream at byte %d of %d", r.pos, len(r.data))
 	}
@@ -187,19 +193,170 @@ func TestPlacementOpsCapacityChurn(t *testing.T) {
 		fold.placed, fold.removed, fold.killed, fold.squeezed)
 }
 
-func runPlacementOps(t *testing.T, r *opReader) opFold {
-	policies := []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}}
-	cfg := Config{Policy: policies[r.next(len(policies))]}
-	if r.next(2) == 1 {
-		cfg.PartitionByPriority = true
+// opsConfig widens a runPlacementOps stream past the fuzz shape: ops
+// caps its length (64 when zero) and servers, when nonzero, replaces
+// the 3..8 servers the stream's third byte picks.
+type opsConfig struct {
+	ops, servers int
+}
+
+// seededBytes returns n random bytes from seed.
+func seededBytes(seed int64, n int) []byte {
+	data := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(data)
+	return data
+}
+
+// runNamedStream runs a churn suite's case through runPlacementOps:
+// random bytes seeded by the test's full name, with the header pinned to
+// policy (an index into runPlacementOps' list) and pools (priority
+// partitioning), for exactly cfg.ops ops on cfg.servers servers. It must
+// revoke, resize, remove, place an arrival on the pressure path and
+// prune a server at least once, and know the Old of half its events,
+// or it drove less than the churn it stands for.
+func runNamedStream(t *testing.T, policy int, pools bool, cfg opsConfig) {
+	h := fnv.New64a()
+	h.Write([]byte(t.Name()))
+	data := seededBytes(int64(h.Sum64()), 64*cfg.ops)
+	data[0], data[1] = byte(policy), 0
+	if pools {
+		data[1] = 1
 	}
-	labels := []string{"", "fullscan", "reference"}
+	f := runPlacementOps(t, &opReader{data: data}, cfg)
+	if f.ops != cfg.ops {
+		t.Fatalf("the stream ran out after %d of %d ops", f.ops, cfg.ops)
+	}
+	if f.revokes == 0 || f.resizes == 0 || f.removed == 0 || f.pressured == 0 || f.pruned == 0 || f.oldSeen < f.events/2 {
+		t.Errorf("vacuous stream: %+v", f)
+	}
+	t.Logf("%d ops on %d servers, at most %d live VMs: %+v", f.ops, cfg.servers, f.peak, f)
+}
+
+// runSeeds runs runNamedStream as the subtests prefix+"seed=N"; each
+// subtest's full name seeds its bytes.
+func runSeeds(t *testing.T, prefix string, policy int, pools bool, cfg opsConfig, seeds ...int) {
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("%sseed=%d", prefix, seed), func(t *testing.T) { runNamedStream(t, policy, pools, cfg) })
+	}
+}
+
+// TestPlaceVMsMatchesPlaceVMLoopAndReference is the "commit order is
+// trace order" invariant on six servers, so later VMs of a batch land
+// on what earlier ones consumed: a batch places as a loop of
+// one-element batches, with the same scan work, and both as the
+// reference; under the priority policy, plain and in priority pools.
+// Every stream resizes, so pools-resize is three more streams of pools.
+func TestPlaceVMsMatchesPlaceVMLoopAndReference(t *testing.T) {
+	cfg := opsConfig{ops: 120, servers: 6}
+	runSeeds(t, "", 1, false, cfg, 1, 2, 3)
+	runSeeds(t, "pools/", 1, true, cfg, 1, 2, 3)
+	runSeeds(t, "pools-resize/", 1, true, cfg, 1, 2, 3)
+}
+
+// TestIndexedPlacementMatchesReference and its two variants hold the
+// capacity index to the reference on longer streams: twelve servers
+// under the proportional policy, eight under the priority policy, and
+// twelve in priority pools.
+func TestIndexedPlacementMatchesReference(t *testing.T) {
+	runSeeds(t, "", 0, false, opsConfig{ops: 150, servers: 12}, 1, 2, 3)
+}
+
+func TestIndexedPlacementMatchesReferencePriorityPolicy(t *testing.T) {
+	runNamedStream(t, 1, false, opsConfig{ops: 120, servers: 8})
+}
+
+func TestIndexedPlacementMatchesReferencePartitioned(t *testing.T) {
+	runNamedStream(t, 1, true, opsConfig{ops: 150, servers: 12})
+}
+
+// TestRevocationChurnMatchesAcrossEngines runs capacity shocks on twelve
+// servers under the priority and the proportional policy, plain and in
+// priority pools, whose evacuations re-place through the pool filter.
+func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
+	cfg := opsConfig{ops: 60, servers: 12}
+	runSeeds(t, "", 1, false, cfg, 1, 2, 3)
+	runSeeds(t, "proportional/", 0, false, cfg, 1, 2, 3)
+	runSeeds(t, "pools/", 1, true, cfg, 1, 2, 3)
+	runSeeds(t, "pools-proportional/", 0, true, cfg, 1, 2, 3)
+}
+
+// TestPressureShockChurnDifferential runs 160 ops on ten servers, so
+// revokes and resizes interleave with placements on a full cluster: the
+// pressure index's bound keys must track servers leaving, returning and
+// changing size mid-stream.
+func TestPressureShockChurnDifferential(t *testing.T) {
+	runSeeds(t, "", 1, false, opsConfig{ops: 160, servers: 10}, 7, 19)
+}
+
+// TestChurnNeverOverAllocates runs the smallest fleet, three servers,
+// where no in-service server may be allocated beyond its capacity after
+// any op (runPlacementOps checks it on every stream).
+func TestChurnNeverOverAllocates(t *testing.T) {
+	runNamedStream(t, 1, false, opsConfig{ops: 60, servers: 3})
+}
+
+// runPlacementOps decodes r into a configuration and at most cfg.ops
+// ops and runs each op on four managers: the indexed one, the
+// "fullscan" and "reference" oracles, and an indexed manager that places
+// each arrival batch as a loop of one-element PlaceVMs calls. Every op's
+// outcome (each placement record's path, server, error class,
+// NeedsReclaim and initial allocation) must read the same on all four;
+// the loop's scan work must equal the batch's record by record, and
+// every record's must pass checkScanWork against the full scan's. After
+// every op the four must agree on Stats, every server's cache must
+// match a fresh derivation (checkServerCache), no in-service server may
+// be allocated beyond its capacity, every event the indexed manager
+// published must equal its domain's own reads, and it must hold
+// exactly the VMs its records fold to.
+func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
+	policies := []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}}
+	mcfg := Config{Policy: policies[r.next(len(policies))]}
+	if r.next(2) == 1 {
+		mcfg.PartitionByPriority = true
+	}
+	labels := []string{"", "fullscan", "reference", "loop"}
 	ms := make([]*Manager, len(labels))
 	for i, oracle := range labels {
-		ms[i] = newOracleManager(cfg, oracle)
+		ms[i] = newOracleManager(mcfg, oracle)
 	}
+	var fold opFold
+	// Each event the indexed manager publishes must read as its domain
+	// does while it is delivered: New and DeflationFraction read back,
+	// Kind classified from Old, and Old the allocation the domain had
+	// going into the op or at its last event, where cur knows it.
+	var bus notify.Bus
+	ms[0].cfg.Notify = &bus
+	cur := map[*hypervisor.Domain]resources.Vector{}
+	bus.Subscribe(func(ev notify.Event) {
+		fold.events++
+		s := ms[0].byName[ev.Server]
+		if s == nil {
+			t.Fatalf("event names unknown server %q", ev.Server)
+		}
+		d, err := s.Host.Lookup(ev.VM)
+		if err != nil {
+			t.Fatalf("event for %s on %s: %v", ev.VM, ev.Server, err)
+		}
+		want := notify.Event{VM: d.Name(), Server: d.Host().Name(), Old: ev.Old, New: d.Allocation(),
+			DeflationFraction: d.Allocation().DeflationFraction(d.MaxSize())}
+		if old, ok := cur[d]; ok {
+			want.Old = old
+			fold.oldSeen++
+		}
+		want.Kind = notify.Classify(want.Old, want.New)
+		if ev != want || ev.Old == ev.New {
+			t.Fatalf("published event\n got %+v\nwant %+v", ev, want)
+		}
+		cur[d] = ev.New
+	})
 
 	nServers := 3 + r.next(6)
+	if cfg.servers > 0 {
+		nServers = cfg.servers
+	}
+	if cfg.ops == 0 {
+		cfg.ops = 64
+	}
 	server := func() string { return fmt.Sprintf("node-%d", r.next(nServers)) }
 	for i := 0; i < nServers; i++ {
 		spec := ServerSpec{Name: fmt.Sprintf("node-%d", i), Capacity: serverCap(), Partition: i % 4}
@@ -218,15 +375,20 @@ func runPlacementOps(t *testing.T, r *opReader) opFold {
 		return live[r.next(len(live))]
 	}
 	next := 0
-	// pls holds each manager's outcome records of the current op.
-	var pls [3][]Placement
+	// pls holds each manager's outcome records of the current op;
+	// shocked reports whether the indexed manager accepted its
+	// revocation or resize.
+	var pls [4][]Placement
+	var shocked bool
 	evacuation := func(i int, ev Evacuation, err error) string {
 		pls[i] = ev.Placements
+		if i == 0 {
+			shocked = err == nil
+		}
 		return describeEvacuation(ev, err)
 	}
-	var fold opFold
-	for op := 0; op < 64 && !r.done(); op++ {
-		pls = [3][]Placement{}
+	for op := 0; op < cfg.ops && !r.done(); op++ {
+		pls, shocked = [4][]Placement{}, false
 		var step func(i int, m *Manager) string
 		var born []string // fresh names this op introduces
 		kind, before := r.next(8), len(ms[0].placements)
@@ -259,7 +421,11 @@ func runPlacementOps(t *testing.T, r *opReader) opFold {
 				dcs[j] = dc
 			}
 			step = func(i int, m *Manager) string {
-				pls[i] = m.PlaceVMs(dcs, nil)
+				if labels[i] == "loop" {
+					pls[i] = placeLoop(m, dcs)
+				} else {
+					pls[i] = m.PlaceVMs(dcs, nil)
+				}
 				return describePlacements(pls[i])
 			}
 		case 3: // departures, sometimes naming a VM that is gone
@@ -306,18 +472,85 @@ func runPlacementOps(t *testing.T, r *opReader) opFold {
 		}
 		checkScanWork(t, op, pls[1], pls[2], false)
 		checkScanWork(t, op, pls[1], pls[0], true)
+		for j, pl := range pls[3] {
+			if b := pls[0][j]; pl.Scored != b.Scored || pl.Pruned != b.Pruned {
+				t.Fatalf("op %d, record %d: scan work %d/%d in the loop, %d/%d in the batch", op, j, pl.Scored, pl.Pruned, b.Scored, b.Pruned)
+			}
+		}
 		checkServerCaches(t, ms)
-		if kind == 3 {
+		for i, m := range ms {
+			for _, s := range m.servers {
+				if !s.revoked && !s.agg.Allocated.FitsIn(s.Host.Capacity()) {
+					t.Fatalf("op %d: %s server %s allocates %v beyond its capacity %v", op, labels[i], s.Host.Name(), s.agg.Allocated, s.Host.Capacity())
+				}
+			}
+		}
+		switch {
+		case kind == 3:
 			fold.removed += before - len(ms[0].placements)
+		case kind == 4 && shocked:
+			fold.revokes++
+		case kind == 6 && shocked:
+			fold.resizes++
 		}
 		fold.record(pls[0], kind == 4 || kind == 6)
+		for _, pl := range pls[0] {
+			if pl.Err == nil {
+				cur[pl.Domain] = pl.Domain.Allocation()
+			}
+		}
 		if n, want := len(ms[0].placements), fold.placed-fold.removed-fold.killed; n != want {
 			t.Fatalf("op %d: %d VMs placed, the records fold to %d (%+v)", op, n, want, fold)
 		}
+		fold.ops, fold.peak = op+1, max(fold.peak, len(ms[0].placements))
 		live = slices.DeleteFunc(append(live, born...), func(name string) bool {
-			_, _, err := ms[0].LookupVM(name)
-			return err != nil
+			_, ok := ms[0].placements[name]
+			return !ok
 		})
 	}
 	return fold
+}
+
+// checkServerCaches runs checkServerCache on each manager.
+func checkServerCaches(t *testing.T, managers []*Manager) {
+	t.Helper()
+	for _, m := range managers {
+		checkServerCache(t, m)
+	}
+}
+
+// compareManagers asserts the cluster-wide stats of the two managers are
+// identical.
+func compareManagers(t *testing.T, op int, a, b *Manager) {
+	t.Helper()
+	sa, sb := a.Stats(), b.Stats()
+	if sa != sb {
+		t.Fatalf("op %d: stats diverged:\nindexed   %+v\nreference %+v", op, sa, sb)
+	}
+}
+
+// checkScanWork holds one op's outcome records, from two managers that
+// ran it in lockstep, to the scan-work invariants record by record. full
+// comes from a full-scan oracle, which scores every pool server and
+// prunes none, so a second full scan (indexed false) agrees with it
+// exactly. The indexed descent scores or prunes each of those servers
+// exactly once.
+func checkScanWork(t *testing.T, op int, full, got []Placement, indexed bool) {
+	t.Helper()
+	for i, f := range full {
+		g := got[i]
+		if f.Pruned != 0 {
+			t.Fatalf("op %d, record %d: the full scan pruned %d servers", op, i, f.Pruned)
+		}
+		if !indexed {
+			if g.Scored != f.Scored || g.Pruned != 0 {
+				t.Fatalf("op %d, record %d: full scans scored %d/%d, pruned %d", op, i, g.Scored, f.Scored, g.Pruned)
+			}
+			continue
+		}
+		if n := g.Scored + g.Pruned; n != f.Scored {
+			t.Fatalf("op %d, record %d: descent scored %d + pruned %d against the full scan's %d",
+				op, i, g.Scored, g.Pruned, f.Scored)
+		}
+	}
 }

@@ -3,12 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"strings"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
-	"vmdeflate/internal/policy"
-	"vmdeflate/internal/resources"
 )
 
 func TestRevokeServerEvacuatesVMs(t *testing.T) {
@@ -216,246 +214,17 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 	}
 }
 
-// TestRevocationChurnMatchesAcrossEngines is the cluster-level
-// differential guarantee under capacity shocks: an identical randomized
-// sequence of placements, removals, revocations, restorations and
-// resizes must produce identical placements, evacuation outcomes,
-// counters and stats on the reference manager and on the indexed
-// manager in both pressure-scan modes — under the priority policy, the
-// proportional policy and priority-partitioned pools under both
-// policies, whose evacuations re-place through the pool filter.
-func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
-	cases := []struct {
-		prefix string
-		cfg    Config
-	}{
-		{"", Config{Policy: policy.Priority{}}},
-		{"proportional/", Config{Policy: policy.Proportional{}}},
-		{"pools/", Config{Policy: policy.Priority{}, PartitionByPriority: true}},
-		{"pools-proportional/", Config{Policy: policy.Proportional{}, PartitionByPriority: true}},
-	}
-	for _, tc := range cases {
-		for _, seed := range []int64{1, 2, 3} {
-			t.Run(fmt.Sprintf("%sseed=%d", tc.prefix, seed), func(t *testing.T) {
-				runRevocationChurn(t, seed, tc.cfg, 12, 160)
-			})
-		}
-	}
-}
-
-// TestPressureShockChurnDifferential saturates the revocation churn so
-// revokes and resizes interleave with under-pressure placements — the
-// adversarial case for the pressure index, whose bound keys must track
-// servers leaving, returning and changing size mid-stream. The longer
-// sequence keeps the cluster full enough that arrivals routinely fall
-// through to the pressure scan right after shock events, and the
-// outcome checks reject a run where the new machinery never fired.
-func TestPressureShockChurnDifferential(t *testing.T) {
-	for _, seed := range []int64{7, 19} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			out := runRevocationChurn(t, seed, Config{Policy: policy.Priority{}}, 10, 500)
-			if out.revokes == 0 || out.resizes == 0 {
-				t.Fatalf("churn produced %d revokes / %d resizes — the interleaving is vacuous",
-					out.revokes, out.resizes)
-			}
-			if out.arrivals == 0 {
-				t.Fatal("no pressured arrivals — the churn never saturated")
-			}
-			if out.pruned == 0 {
-				t.Fatal("bound pruning never fired under shock churn")
-			}
-		})
-	}
-}
-
-// churnEngine pairs one manager configuration with its label for the
-// multi-engine differential churn.
-type churnEngine struct {
-	label string
-	m     *Manager
-}
-
-// churnOutcome summarizes one runRevocationChurn for vacuity checks:
-// how much shock churn the sequence produced and the pruned engine's
-// pressure-scan work, folded from its outcome records.
-type churnOutcome struct {
-	revokes, resizes int
-	arrivals, pruned int
-}
-
-func runRevocationChurn(t *testing.T, seed int64, cfg Config, nServers, nOps int) churnOutcome {
-	t.Helper()
-	// Both scan modes: pruned descent (the shipped path) and the full
-	// linear scan, both against the reference.
-	engines := []churnEngine{
-		{"reference", newOracleManager(cfg, "reference")},
-		{"pruned", NewManager(cfg)},
-		{"fullscan", newOracleManager(cfg, "fullscan")},
-	}
-	for i := 0; i < nServers; i++ {
-		for _, e := range engines {
-			if _, err := e.m.AddServerSpec(churnSpec(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	revoked := make([]bool, nServers)
-	nRevoked := 0
-	placed := map[string]bool{}
-	next := 0
-	var out churnOutcome
-	// pls holds each engine's outcome records of the current op.
-	var pls [3][]Placement
-	evacuation := func(i int, ev Evacuation, err error) string {
-		pls[i] = ev.Placements
-		for j, pl := range ev.Placements {
-			if pl.Err != nil {
-				delete(placed, ev.VMs[j].Name)
-			}
-		}
-		return describeEvacuation(ev, err)
-	}
-	for op := 0; op < nOps; op++ {
-		pls = [3][]Placement{}
-		var step func(i int, m *Manager) string
-		r := rng.Intn(20)
-		switch {
-		case r < 2 && nRevoked < nServers/2: // revoke 1-2 servers
-			k := 1 + rng.Intn(2)
-			var names []string
-			for j := 0; j < k && nRevoked < nServers/2; j++ {
-				i := rng.Intn(nServers)
-				for revoked[i] {
-					i = (i + 1) % nServers
-				}
-				revoked[i] = true
-				nRevoked++
-				out.revokes++
-				names = append(names, fmt.Sprintf("node-%03d", i))
-			}
-			step = func(i int, m *Manager) string {
-				ev, err := m.RevokeServers(names...)
-				return "revoke " + evacuation(i, ev, err)
-			}
-		case r < 4 && nRevoked > 0: // restore one
-			i := rng.Intn(nServers)
-			for !revoked[i] {
-				i = (i + 1) % nServers
-			}
-			revoked[i] = false
-			nRevoked--
-			name := fmt.Sprintf("node-%03d", i)
-			step = func(_ int, m *Manager) string {
-				if err := m.RestoreServer(name); err != nil {
-					return fmt.Sprintf("restore err %v", err)
-				}
-				return "restored " + name
-			}
-		case r < 6: // resize an in-service server
-			i := rng.Intn(nServers)
-			for revoked[i] {
-				i = (i + 1) % nServers
-			}
-			name := fmt.Sprintf("node-%03d", i)
-			scale := 0.4 + 0.6*rng.Float64() // 40%..100%
-			capv := serverCap().Scale(scale)
-			out.resizes++
-			step = func(i int, m *Manager) string {
-				ev, err := m.ResizeServer(name, capv)
-				return fmt.Sprintf("resize %s %.2f ", name, scale) + evacuation(i, ev, err)
-			}
-		case r < 9 && len(placed) > 0: // departure batch
-			k := 1 + rng.Intn(3)
-			var names []string
-			for name := range placed {
-				names = append(names, name)
-				if len(names) == k {
-					break
-				}
-			}
-			// map range order is random but the same list is fed to all
-			// engines, so determinism across engines holds.
-			for _, n := range names {
-				delete(placed, n)
-			}
-			step = func(_ int, m *Manager) string {
-				if err := m.RemoveVMs(names...); err != nil {
-					return fmt.Sprintf("remove err %v", err)
-				}
-				return "removed"
-			}
-		default: // arrival
-			name := fmt.Sprintf("vm-%05d", next)
-			next++
-			dc := hypervisor.DomainConfig{
-				Name:       name,
-				Size:       resources.CPUMem(float64(1+rng.Intn(24)), float64(2048*(1+rng.Intn(24)))),
-				Deflatable: rng.Intn(3) != 0,
-				Priority:   0.25 * float64(1+rng.Intn(4)),
-			}
-			if !dc.Deflatable {
-				dc.Priority = 0
-			}
-			step = func(i int, m *Manager) string {
-				pls[i] = m.PlaceVMs([]hypervisor.DomainConfig{dc}, nil)
-				if err := pls[i][0].Err; err != nil && !errors.Is(err, ErrNoCapacity) {
-					t.Fatalf("op %d: unexpected error %v", op, err)
-				} else if err == nil {
-					placed[name] = true
-				}
-				return describePlacements(pls[i])
-			}
-		}
-		got := make([]string, len(engines))
-		for i, e := range engines {
-			got[i] = step(i, e.m)
-		}
-		for i := 1; i < len(engines); i++ {
-			if got[i] != got[0] {
-				t.Fatalf("op %d: %s %q != %s %q", op, engines[i].label, got[i], engines[0].label, got[0])
-			}
-		}
-		// Scan work, record by record: the full scan scores exactly what
-		// the reference scores and prunes nothing; the pruned engine's
-		// scored plus pruned covers the reference's eligible total.
-		checkScanWork(t, op, pls[0], pls[2], false)
-		checkScanWork(t, op, pls[0], pls[1], true)
-		for _, pl := range pls[1] {
-			if pl.Path == PathPressure {
-				out.arrivals++
-			}
-			out.pruned += pl.Pruned
-		}
-		compareEngineStats(t, op, engines[0].m, engines[1:])
-		for _, e := range engines {
-			checkServerCache(t, e.m)
-		}
-	}
-	return out
-}
-
-// churnSpec provisions server i of a churn suite's fleet: a plain
-// server in pool i mod PriorityLevels.
-func churnSpec(i int) ServerSpec {
-	return ServerSpec{
-		Name:      fmt.Sprintf("node-%03d", i),
-		Capacity:  serverCap(),
-		Partition: i % PriorityLevels,
-	}
-}
-
 // describeEvacuation renders a capacity-shock outcome comparably: the
 // displaced VMs in evacuation order, then their relocation records.
 func describeEvacuation(out Evacuation, err error) string {
 	if err != nil {
 		return fmt.Sprintf("err=%v", err)
 	}
-	s := ""
+	var s strings.Builder
 	for _, dc := range out.VMs {
-		s += dc.Name + " "
+		s.WriteString(dc.Name + " ")
 	}
-	return s + describePlacements(out.Placements)
+	return s.String() + describePlacements(out.Placements)
 }
 
 // kills folds an evacuation's records: how many displaced VMs no server
@@ -468,14 +237,4 @@ func kills(out Evacuation) int {
 		}
 	}
 	return n
-}
-
-func compareEngineStats(t *testing.T, op int, ref *Manager, others []churnEngine) {
-	t.Helper()
-	sr := ref.Stats()
-	for _, o := range others {
-		if so := o.m.Stats(); so != sr {
-			t.Fatalf("op %d: stats diverged (%s):\nref   %+v\ngot   %+v", op, o.label, sr, so)
-		}
-	}
 }

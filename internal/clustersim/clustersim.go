@@ -108,7 +108,7 @@ import (
 // whatever this config meters: bench's slo-bursty workload plans at
 // policy.DefaultMaxSlowdown (3x) against a 2x meter. The engine also
 // publishes each VM's sampled load to its domain
-// (Domain.SetOfferedLoad: one atomic store that dirties no server), which
+// (Domain.SetOfferedLoad: a plain field write that dirties no server), which
 // is what makes the latency-aware policy load-sensitive; without an
 // SLOConfig loads stay zero and runs are bit-for-bit identical to
 // pre-SLO builds.
@@ -244,9 +244,14 @@ func (c *Config) applyDefaults() error {
 	if c.Policy == nil {
 		c.Policy = policy.Proportional{}
 	}
-	if la, ok := c.Policy.(policy.LatencyAware); ok && la.Curve != (perfmodel.Curve{}) {
-		if err := la.Curve.Validate(); err != nil {
-			return fmt.Errorf("clustersim: latency-aware policy curve: %w", err)
+	if la, ok := c.Policy.(policy.LatencyAware); ok {
+		if !finite(la.MaxSlowdown) {
+			return fmt.Errorf("clustersim: latency-aware policy max slowdown %v is not finite", la.MaxSlowdown)
+		}
+		if la.Curve != (perfmodel.Curve{}) {
+			if err := la.Curve.Validate(); err != nil {
+				return fmt.Errorf("clustersim: latency-aware policy curve: %w", err)
+			}
 		}
 	}
 	if !finiteNonNegative(c.Overcommit) {

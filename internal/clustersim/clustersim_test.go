@@ -3,6 +3,7 @@ package clustersim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,6 +193,9 @@ func TestRunRejectsMalformedCurve(t *testing.T) {
 	latency := func(c perfmodel.Curve) Config {
 		return Config{Trace: tr, Overcommit: 0.5, Policy: policy.LatencyAware{Curve: c}}
 	}
+	slowdown := func(s float64) Config {
+		return Config{Trace: tr, Overcommit: 0.5, Policy: policy.LatencyAware{MaxSlowdown: s}}
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -205,6 +209,9 @@ func TestRunRejectsMalformedCurve(t *testing.T) {
 		{"policy NaN slack", latency(perfmodel.Curve{Slack: nan, Knee: 0.5}), "latency-aware policy curve: perfmodel: slack"},
 		{"policy NaN knee", latency(perfmodel.Curve{Slack: 0.1, Knee: nan}), "latency-aware policy curve: perfmodel: knee"},
 		{"policy loss at knee above 1", latency(perfmodel.Curve{Slack: 0.1, Knee: 0.5, LossAtKnee: 2}), "latency-aware policy curve: perfmodel: loss at knee"},
+		{"policy NaN max slowdown", slowdown(nan), "latency-aware policy max slowdown NaN"},
+		{"policy +Inf max slowdown", slowdown(math.Inf(1)), "latency-aware policy max slowdown +Inf"},
+		{"policy -Inf max slowdown", slowdown(math.Inf(-1)), "latency-aware policy max slowdown -Inf"},
 	}
 	for _, c := range cases {
 		for _, mode := range []Mode{ModeDeflation, ModePreemption} {
@@ -562,5 +569,34 @@ func TestGeometryWalkOrdering(t *testing.T) {
 	})
 	if want := "+a -a -z +b +z -b"; strings.Join(got, " ") != want {
 		t.Errorf("walk = %s, want %s", strings.Join(got, " "), want)
+	}
+}
+
+// TestStreamConfigValidation pins the Config surface: Trace and Stream
+// are mutually exclusive, one of them is required, and the preemption
+// baseline runs on a stream as on its materialised trace.
+func TestStreamConfigValidation(t *testing.T) {
+	s, err := trace.NewStream(trace.ScenarioConfig{
+		Kind: trace.ScenarioAzure, NumVMs: 10, Duration: 86400, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Config{Stream: s, Trace: s.Materialize()}); err == nil {
+		t.Error("Trace+Stream together: want error")
+	}
+	streamed, err := Run(Config{Stream: s, Mode: ModePreemption, Overcommit: 1})
+	if err != nil {
+		t.Fatalf("preemption over a stream: %v", err)
+	}
+	eager, err := Run(Config{Trace: s.Materialize(), Mode: ModePreemption, Overcommit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, eager) {
+		t.Errorf("preemption over a stream diverged:\nstreamed %+v\neager    %+v", *streamed, *eager)
+	}
+	if _, err := Run(Config{}); err == nil {
+		t.Error("neither Trace nor Stream: want error")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vmdeflate/internal/policy"
 	"vmdeflate/internal/trace"
 )
 
@@ -239,5 +240,31 @@ func BenchmarkEventHeapFillDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eventHeapFillDrain(&h, rng, live)
+	}
+}
+
+// TestRunQueueMatchesHeapFullRuns closes the loop on the run queue at
+// the engine level: full runs (eager and streamed) with the flat heap
+// oracle forced must equal the default intake bit for bit.
+func TestRunQueueMatchesHeapFullRuns(t *testing.T) {
+	s, err := trace.NewStream(trace.ScenarioConfig{
+		Kind: trace.ScenarioDiurnal, NumVMs: 400, Duration: 86400, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := s.Materialize()
+	for _, mode := range []string{"eager", "streamed"} {
+		cfg := Config{Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(7)}
+		if mode == "eager" {
+			cfg.Trace = tr
+		} else {
+			cfg.Stream = s
+		}
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runOracleModes(t, mode+"/", cfg, want)
 	}
 }

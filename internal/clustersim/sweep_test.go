@@ -289,3 +289,32 @@ func TestConcurrentEnginesSharedBus(t *testing.T) {
 		t.Error("no allocation-change events reached the shared bus")
 	}
 }
+
+// TestSweepGridStreamMatchesEager: the sweep layer over a stream — the
+// deflationsim -stream path — equals SweepGrid over the materialised
+// trace at every strategy × overcommitment point, the preemption
+// baseline's included, with the self-derived baseline cluster size.
+func TestSweepGridStreamMatchesEager(t *testing.T) {
+	s, err := trace.NewStream(trace.ScenarioConfig{
+		Kind: trace.ScenarioAzure, NumVMs: 300, Duration: 86400, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strategies := []string{StrategyProportional, StrategyLatency, StrategyPreemption}
+	ocs := []float64{0, 30, 50}
+	eager, err := SweepGrid(s.Materialize(), strategies, ocs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := SweepGridStream(s, strategies, ocs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, eager) {
+		t.Fatalf("streamed sweep diverged:\nstreamed %+v\neager    %+v", streamed, eager)
+	}
+	if p := eager[2].Points[2]; p.FailureProbability == 0 {
+		t.Fatalf("preemption at %v%% overcommit preempted nothing; the pair is vacuous", p.OvercommitPct)
+	}
+}

@@ -66,25 +66,14 @@ func (b *fuzzBytes) next() byte {
 
 // FuzzDomainOps drives one host through byte-decoded sequences of
 // Define (invalid sizes included), Start, Shutdown, Undefine, SetLimits
-// (zero, negative and NaN components included), SetCPUShares,
-// SetCapacity and SetOfferedLoad (negative and non-finite loads
-// included) over a pool of eight names, against a naive model. Every
-// op is a kind byte and a name byte; a name byte with its top bit set
-// aims a Start, Shutdown, limit or load write at the name's last
-// undefined handle instead of its live domain. After every op: each
-// domain's allocation, live or undefined, is min(size, positive limits),
-// and its offered load is the last one written (zero for a negative or
-// non-finite one); the deflatable view equals a fresh walk, and its
-// Load column holds each resident's last written load; every row column
-// equals a fresh derivation and the table is dense; Aggregates() equals
-// a name-order recomputation; the allocation epoch
-// moved by exactly one on a limit write that moved a resident's
-// allocation and not at all otherwise; a rejected write, or a limit
-// write that moved no allocation, and a load write moved nothing, not
-// even the aggregates; and an op on an undefined handle moved no row,
-// aggregate or epoch. The last three seeds are op mixes written with
-// domainOps: every mutator against one host, limit rewrites on one
-// domain, and load writes read through the view.
+// (zero, negative and NaN components included) on one domain or, as
+// one Host.SetLimits batch, on several, SetCPUShares, SetCapacity and
+// SetOfferedLoad (negative and non-finite loads included) over a pool
+// of eight names, against a naive model (runDomainOps). The last three
+// seeds are op mixes written with domainOps: every mutator against one
+// host, limit rewrites on one domain, and load writes read through the
+// view. The long streams over hundreds of names are the named tests
+// TestAggregatesMatchFreshRecompute and TestDeflatableViewMatchesFreshWalk.
 //
 //	go test -run '^$' -fuzz FuzzDomainOps -fuzztime 15s -fuzzminimizetime 200x ./internal/hypervisor
 func FuzzDomainOps(f *testing.F) {
@@ -118,200 +107,287 @@ func FuzzDomainOps(f *testing.F) {
 	f.Add(mutatorMix(1, 40))
 	f.Add(limitRewrites(2, 100))
 	f.Add(loadWrites(3, 30))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzBytes(data)
-		h := testHost(t)
-		base := h.Capacity()
-		// models holds the live domains by name; retired holds each name's
-		// last undefined handle, which stays in the op stream.
-		models, retired := map[string]*domainModel{}, map[string]*domainModel{}
-		var states []policy.VMState
-		var view []*Domain
-		for op := 0; len(in) > 0; op++ {
-			kind, nb := in.next()%8, in.next()
-			name := fmt.Sprintf("vm-%d", nb%8)
-			m := models[name]
-			stale := nb >= 128 && retired[name] != nil && (kind == 1 || kind == 2 || kind == 4 || kind == 5 || kind == 7)
-			var rowsBefore []row
-			if stale {
-				m = retired[name]
-				rowsBefore = slices.Clone(h.rows)
-			}
-			aggBefore := h.Aggregates()
-			epoch := h.AllocEpoch()
-			var before limitState
-			if m != nil {
-				before = limitStateOf(m.d)
-			}
-			// quiet marks an accepted op that may move no allocation of a
-			// resident: it may move no aggregate.
-			allocWrite, rejected, quiet := false, false, stale
-			var opName string
-			var err error
-			switch kind {
-			case 0: // define
-				size := resources.New(fuzzCores[in.next()%byte(len(fuzzCores))], fuzzMemMB[in.next()%byte(len(fuzzMemMB))], 0, 0)
-				opName = fmt.Sprintf("define %s %v", name, size)
-				var d *Domain
-				d, err = h.Define(DomainConfig{Name: name, Size: size, Deflatable: op%2 == 0, Priority: 0.5})
-				switch {
-				case size.Get(resources.CPU) < 1 || size.Get(resources.Memory) < 256:
-					if !errors.Is(err, ErrInvalid) {
-						t.Fatalf("%s: err = %v, want ErrInvalid", opName, err)
-					}
-					rejected = true
-				case m != nil:
-					if !errors.Is(err, ErrExists) {
-						t.Fatalf("%s: err = %v, want ErrExists", opName, err)
-					}
-					rejected = true
-				case err != nil:
-					t.Fatalf("%s: %v", opName, err)
-				default:
-					models[name] = &domainModel{d: d, size: size, state: Defined}
-				}
-			case 1, 2: // start, shutdown
-				if m == nil {
-					continue
-				}
-				opName = "start " + name
-				if kind == 2 {
-					opName = "shutdown " + name
-					err = m.d.Shutdown()
-				} else {
-					err = m.d.Start()
-				}
-				if wantErr := (kind == 1) == (m.state == Running); wantErr != errors.Is(err, ErrState) {
-					t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
-				}
-				if err == nil && kind == 1 {
-					m.state = Running
-				} else if err == nil {
-					m.state = Shutoff
-				}
-			case 3: // undefine
-				opName = "undefine " + name
-				err = h.Undefine(name)
-				switch {
-				case m == nil:
-					if !errors.Is(err, ErrNotFound) {
-						t.Fatalf("%s with no live domain: err = %v, want ErrNotFound", opName, err)
-					}
-					rejected = true
-				case (m.state == Running) != errors.Is(err, ErrState):
-					t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
-				case err == nil:
-					delete(models, name)
-					retired[name] = m
-				}
-			case 4, 5: // batched limits, one CPU share
-				if m == nil {
-					continue
-				}
-				var v resources.Vector
-				if kind == 4 {
-					for k := range v {
-						v[k] = fuzzLimits[in.next()%byte(len(fuzzLimits))]
-					}
-					opName = fmt.Sprintf("limits %s %v", name, v)
-					_, err = m.d.SetLimits(v)
-				} else {
-					v[resources.CPU] = fuzzLimits[in.next()%byte(len(fuzzLimits))]
-					opName = fmt.Sprintf("shares %s %g", name, v[resources.CPU])
-					err = m.d.SetCPUShares(v[resources.CPU])
-				}
-				invalid := false
-				for _, x := range v {
-					invalid = invalid || !(x >= 0)
-				}
-				if kind == 5 {
-					invalid = !(v[resources.CPU] > 0)
-				}
-				if invalid != errors.Is(err, ErrInvalid) {
-					t.Fatalf("%s: err = %v, want ErrInvalid: %v", opName, err, invalid)
-				}
-				if invalid {
-					rejected = true
-					break
-				}
-				prev := m.alloc()
-				for k, x := range v {
-					if x > 0 {
-						m.limits[k] = x
-					}
-				}
-				// One limit write moves the epoch only if it moved a
-				// resident's allocation.
-				allocWrite = !stale && m.alloc() != prev
-				quiet = !allocWrite
-			case 6: // the provider resizes the server
-				opName = "resize"
-				if err := h.SetCapacity(base.Scale(0.5 + float64(in.next()%4)/4)); err != nil {
-					t.Fatal(err)
-				}
-			case 7: // a sample pass's load write
-				if m == nil {
-					continue
-				}
-				v := fuzzLoads[in.next()%byte(len(fuzzLoads))]
-				opName = fmt.Sprintf("load %s %g", name, v)
-				m.d.SetOfferedLoad(v)
-				m.load = v
-				if !(v >= 0) || math.IsInf(v, 0) {
-					m.load = 0
-				}
-				quiet = true
-			}
-			if stale {
-				opName += " (undefined handle)"
-			}
-
-			switch now := h.AllocEpoch(); {
-			case allocWrite && now != epoch+1:
-				t.Fatalf("after %s: allocation write moved the epoch %d -> %d, want +1", opName, epoch, now)
-			case !allocWrite && now != epoch:
-				t.Fatalf("after %s: the epoch moved %d -> %d without an allocation write", opName, epoch, now)
-			}
-			if rejected && m != nil {
-				if after := limitStateOf(m.d); after != before {
-					t.Fatalf("after rejected %s: state moved %+v -> %+v", opName, before, after)
-				}
-			}
-			if agg := h.Aggregates(); (rejected || quiet) && agg != aggBefore {
-				t.Fatalf("after %s (rejected %v): aggregates moved %+v -> %+v, but no allocation moved", opName, rejected, aggBefore, agg)
-			}
-			if stale {
-				if !slices.Equal(h.rows, rowsBefore) {
-					t.Fatalf("after %s: the row table moved", opName)
-				}
-				if agg := h.Aggregates(); agg != aggBefore {
-					t.Fatalf("after %s: aggregates moved %+v -> %+v", opName, aggBefore, agg)
-				}
-			}
-			for _, set := range []map[string]*domainModel{models, retired} {
-				for n, m := range set {
-					if got, want := m.d.Allocation(), m.alloc(); got != want {
-						t.Fatalf("after %s: %s allocates %v, the model %v", opName, n, got, want)
-					}
-					if got := m.d.State(); got != m.state {
-						t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
-					}
-					if got := m.d.load; got != m.load || m.d.Config().Load != m.load {
-						t.Fatalf("after %s: %s offers load %g, the model %g", opName, n, got, m.load)
-					}
-				}
-			}
-			states, view = h.AppendDeflatableView(states[:0], view[:0])
-			for i, st := range states {
-				if m := models[st.Name]; m == nil || m.d != view[i] || st.Load != m.load {
-					t.Fatalf("after %s: the view reads %s at load %g, not its last write", opName, st.Name, st.Load)
-				}
-			}
-			checkView(t, h, opName)
-			checkRows(t, h, opName)
-			checkAggregates(t, h, opName)
-		}
+	// Batched writes: four residents, one batch over three of them with
+	// a repeat, one refused for a NaN, one that moves nothing, and one led
+	// by vm-3's undefined handle.
+	f.Add([]byte{
+		0, 0, 2, 2, 0, 1, 2, 2, 0, 2, 2, 2, 0, 3, 2, 2, 1, 0, 1, 1, 1, 2, // define vm-0..3, start 0..2
+		opBatch, 0, 3, 3, 8, 0, 0, 1, 4, 7, 0, 0, 2, 2, 0, 0, 0, 0, 2, 8, 0, 0, // vm-0, vm-1, vm-2, vm-0
+		opBatch, 1, 1, 2, 0, 0, 0, 2, 10, 0, 0, 0, // vm-1, vm-2 with a NaN
+		opBatch, 2, 0, 0, 0, 0, 0, // vm-2 with nothing engaged
+		3, 3, opBatch, 131, 1, 5, 0, 0, 0, 0, 4, 0, 0, 0, // undefine vm-3; its handle, then vm-0
 	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runDomainOps(t, data, 8)
+	})
+}
+
+// domainFold counts what a runDomainOps stream reached: ops run, peak
+// residents, undefines that moved a row, accepted multi-domain batches.
+type domainFold struct {
+	ops, peak, moves, batches int
+}
+
+// runDomainOps decodes data into ops on one host over a pool of names
+// names and checks each against a naive model. An op is a kind byte
+// (mod 8) and a name byte, whose top bit aims a Start, Shutdown, limit
+// or load write at the name's last undefined handle; a pool wider than
+// 128 names takes a second name byte. A limit write whose kind byte has
+// bit 3 set is one Host.SetLimits batch: a count byte, the named
+// domain's limits, then up to three more live names with theirs. After
+// every op: each domain, live or undefined, allocates min(size,
+// positive limits) and offers its last written load (zero for a
+// negative or non-finite one); the host has one row per live domain;
+// the view (its Load column included), every row and Aggregates() equal
+// fresh derivations; the epoch moved by exactly one on a limit write
+// that moved a resident's allocation and not at all otherwise; a
+// rejected or allocation-neutral write and a load write moved no
+// aggregate; and an op on an undefined handle moved no row.
+func runDomainOps(t *testing.T, data []byte, names int) domainFold {
+	in := fuzzBytes(data)
+	h := testHost(t)
+	base := h.Capacity()
+	// name decodes a name byte (and its second byte in a wide pool): the
+	// name and whether its top bit is set.
+	readName := func() (string, bool) {
+		nb := int(in.next())
+		id := nb % 128
+		if names > 128 {
+			id = id<<8 | int(in.next())
+		}
+		return fmt.Sprintf("vm-%d", id%names), nb >= 128
+	}
+	limits := func() (v resources.Vector) {
+		for k := range v {
+			v[k] = fuzzLimits[in.next()%byte(len(fuzzLimits))]
+		}
+		return v
+	}
+	// models holds the live domains by name; retired holds each name's
+	// last undefined handle, which stays in the op stream.
+	models, retired := map[string]*domainModel{}, map[string]*domainModel{}
+	var states []policy.VMState
+	var view []*Domain
+	var fold domainFold
+	agg := h.Aggregates() // as of the last op's checks
+	for op := 0; len(in) > 0; op++ {
+		kb := in.next()
+		kind := kb % 8
+		name, top := readName()
+		m := models[name]
+		stale := top && retired[name] != nil && (kind == 1 || kind == 2 || kind == 4 || kind == 5 || kind == 7)
+		var rowsBefore []row
+		if stale {
+			m = retired[name]
+			rowsBefore = slices.Clone(h.rows)
+		}
+		aggBefore := agg
+		epoch := h.AllocEpoch()
+		var before limitState
+		if m != nil {
+			before = limitState{m.d.limits, m.d.Allocation(), aggBefore}
+		}
+		// quiet marks an accepted op that may move no allocation of a
+		// resident: it may move no aggregate.
+		allocWrite, rejected, quiet := false, false, stale
+		var opName string
+		var err error
+		switch kind {
+		case 0: // define
+			size := resources.New(fuzzCores[in.next()%byte(len(fuzzCores))], fuzzMemMB[in.next()%byte(len(fuzzMemMB))], 0, 0)
+			opName = fmt.Sprintf("define %s %v", name, size)
+			var d *Domain
+			d, err = h.Define(DomainConfig{Name: name, Size: size, Deflatable: op%2 == 0, Priority: 0.5})
+			switch {
+			case size.Get(resources.CPU) < 1 || size.Get(resources.Memory) < 256:
+				if !errors.Is(err, ErrInvalid) {
+					t.Fatalf("%s: err = %v, want ErrInvalid", opName, err)
+				}
+				rejected = true
+			case m != nil:
+				if !errors.Is(err, ErrExists) {
+					t.Fatalf("%s: err = %v, want ErrExists", opName, err)
+				}
+				rejected = true
+			case err != nil:
+				t.Fatalf("%s: %v", opName, err)
+			default:
+				models[name] = &domainModel{d: d, size: size, state: Defined}
+			}
+		case 1, 2: // start, shutdown
+			if m == nil {
+				continue
+			}
+			opName = "start " + name
+			if kind == 2 {
+				opName = "shutdown " + name
+				err = m.d.Shutdown()
+			} else {
+				err = m.d.Start()
+			}
+			if wantErr := (kind == 1) == (m.state == Running); wantErr != errors.Is(err, ErrState) {
+				t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
+			}
+			if err == nil && kind == 1 {
+				m.state = Running
+			} else if err == nil {
+				m.state = Shutoff
+			}
+		case 3: // undefine
+			opName = "undefine " + name
+			moved := m != nil && int(m.d.slot) != len(h.rows)-1
+			err = h.Undefine(name)
+			switch {
+			case m == nil:
+				if !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%s with no live domain: err = %v, want ErrNotFound", opName, err)
+				}
+				rejected = true
+			case (m.state == Running) != errors.Is(err, ErrState):
+				t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
+			case err == nil:
+				delete(models, name)
+				retired[name] = m
+				if moved {
+					fold.moves++
+				}
+			}
+		case 4, 5: // limits (one domain, or a batch), one CPU share
+			if m == nil {
+				continue
+			}
+			batch := []*domainModel{m}
+			var lims []resources.Vector
+			switch {
+			case kind == 5:
+				var v resources.Vector
+				v[resources.CPU] = fuzzLimits[in.next()%byte(len(fuzzLimits))]
+				lims = append(lims, v)
+				opName = fmt.Sprintf("shares %s %g", name, v[resources.CPU])
+				err = m.d.SetCPUShares(v[resources.CPU])
+			case kb&8 == 0:
+				lims = append(lims, limits())
+				opName = fmt.Sprintf("limits %s %v", name, lims[0])
+				_, err = m.d.SetLimits(lims[0])
+			default:
+				n := 1 + int(in.next()%4)
+				lims = append(lims, limits())
+				for range n - 1 {
+					other, _ := readName()
+					v := limits()
+					if o := models[other]; o != nil {
+						batch, lims = append(batch, o), append(lims, v)
+						stale = false // a resident's row may move
+					}
+				}
+				doms := make([]*Domain, len(batch))
+				for i, b := range batch {
+					doms[i] = b.d
+				}
+				opName = fmt.Sprintf("batched limits %s+%d %v", name, len(batch)-1, lims)
+				err = h.SetLimits(doms, lims)
+			}
+			invalid := false
+			for _, v := range lims {
+				for k, x := range v {
+					invalid = invalid || !(x >= 0) || kind == 5 && k == int(resources.CPU) && x == 0
+				}
+			}
+			if invalid != errors.Is(err, ErrInvalid) {
+				t.Fatalf("%s: err = %v, want ErrInvalid: %v", opName, err, invalid)
+			}
+			if invalid {
+				rejected = true
+				break
+			}
+			// The write moves the epoch once if it moved a resident's
+			// allocation; a batch returns each entry's allocation after its
+			// write, in batch order.
+			for i, b := range batch {
+				prev := b.alloc()
+				for k, x := range lims[i] {
+					if x > 0 {
+						b.limits[k] = x
+					}
+				}
+				allocWrite = allocWrite || models[b.d.Name()] == b && b.alloc() != prev
+				if len(batch) > 1 && lims[i] != b.alloc() {
+					t.Fatalf("%s: entry %d returned %v, the model %v", opName, i, lims[i], b.alloc())
+				}
+			}
+			if len(batch) > 1 {
+				fold.batches++
+			}
+			quiet = !allocWrite
+		case 6: // the provider resizes the server
+			opName = "resize"
+			if err := h.SetCapacity(base.Scale(0.5 + float64(in.next()%4)/4)); err != nil {
+				t.Fatal(err)
+			}
+		case 7: // a sample pass's load write
+			if m == nil {
+				continue
+			}
+			v := fuzzLoads[in.next()%byte(len(fuzzLoads))]
+			opName = fmt.Sprintf("load %s %g", name, v)
+			m.d.SetOfferedLoad(v)
+			m.load = v
+			if !(v >= 0) || math.IsInf(v, 0) {
+				m.load = 0
+			}
+			quiet = true
+		}
+		if stale {
+			opName += " (undefined handle)"
+		}
+
+		switch now := h.AllocEpoch(); {
+		case allocWrite && now != epoch+1:
+			t.Fatalf("after %s: allocation write moved the epoch %d -> %d, want +1", opName, epoch, now)
+		case !allocWrite && now != epoch:
+			t.Fatalf("after %s: the epoch moved %d -> %d without an allocation write", opName, epoch, now)
+		}
+		if rejected && m != nil {
+			if after := limitStateOf(m.d); after != before {
+				t.Fatalf("after rejected %s: state moved %+v -> %+v", opName, before, after)
+			}
+		}
+		if rejected || quiet {
+			if now := h.Aggregates(); now != aggBefore {
+				t.Fatalf("after %s (rejected %v): aggregates moved %+v -> %+v, but no allocation moved", opName, rejected, aggBefore, now)
+			}
+		}
+		if stale && !slices.Equal(h.rows, rowsBefore) {
+			t.Fatalf("after %s: the row table moved", opName)
+		}
+		for _, set := range []map[string]*domainModel{models, retired} {
+			for n, m := range set {
+				if got, want := m.d.Allocation(), m.alloc(); got != want {
+					t.Fatalf("after %s: %s allocates %v, the model %v", opName, n, got, want)
+				}
+				if got := m.d.State(); got != m.state {
+					t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
+				}
+				if got := m.d.load; got != m.load || m.d.Config().Load != m.load {
+					t.Fatalf("after %s: %s offers load %g, the model %g", opName, n, got, m.load)
+				}
+			}
+		}
+		if len(h.rows) != len(models) {
+			t.Fatalf("after %s: %d rows for %d live domains", opName, len(h.rows), len(models))
+		}
+		states, view = h.AppendDeflatableView(states[:0], view[:0])
+		for i, st := range states {
+			if m := models[st.Name]; m == nil || m.d != view[i] || st.Load != m.load {
+				t.Fatalf("after %s: the view reads %s at load %g, not its last write", opName, st.Name, st.Load)
+			}
+		}
+		checkView(t, h, opName, states, view)
+		checkRows(t, h, opName)
+		agg = checkAggregates(t, h, opName)
+		fold.ops, fold.peak = op+1, max(fold.peak, len(models))
+	}
+	return fold
 }
 
 // domainOps encodes a FuzzDomainOps input op by op: a kind byte, a name
@@ -421,4 +497,108 @@ func loadWrites(seed int64, rounds int) []byte {
 		o.op(opShares, 0, 3+r%2) // 1.5 or 2 cores
 	}
 	return o
+}
+
+// wide appends one op of a stream over a pool wider than 128 names:
+// the kind byte, the name's index in two bytes, then the arguments.
+func (o *domainOps) wide(kind, name int, args ...int) {
+	*o = append(*o, byte(kind), byte(name>>8), byte(name))
+	for _, a := range args {
+		*o = append(*o, byte(a))
+	}
+}
+
+const (
+	opBatch   = opLimits | 8 // a limit write as one Host.SetLimits batch
+	hostNames = 1024         // hostMix's name pool
+)
+
+// hostMix is a long stream over hostNames names: defines (most then
+// started) of fresh names drawn out of order and of undefined ones, so
+// most defines insert mid-order; undefines, each of a shut-off domain,
+// so most move the table's last row into the freed slot; CPU shares,
+// one-domain limit writes and batched writes over up to four residents
+// (repeats allowed); lifecycle flips; load writes; and resizes. Defines
+// outnumber undefines four to one, so the table grows to hundreds of
+// rows.
+func hostMix(seed int64, ops int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	var o domainOps
+	var live, retired []int
+	running := map[int]bool{}
+	// limits draws one write's four components, none negative or NaN.
+	limits := func() []int {
+		var v []int
+		for range 4 {
+			v = append(v, []int{0, 2, 3, 4, 5, 6, 7, 8, 9}[rng.Intn(9)])
+		}
+		return v
+	}
+	for range ops {
+		k, n := 0, 0 // an empty host takes a define
+		if len(live) > 0 {
+			k, n = rng.Intn(13), live[rng.Intn(len(live))]
+		}
+		switch {
+		case k >= 11:
+			o.wide(opLoad, n, loadIdx(rng))
+		case k == 10:
+			o.wide(opResize, 0, rng.Intn(4))
+		case k <= 3: // define, and most often start
+			if i := rng.Intn(3 * (len(retired) + 1)); i < len(retired) {
+				n = retired[i]
+				retired = slices.Delete(retired, i, i+1)
+			} else {
+				for n = rng.Intn(hostNames); slices.Contains(live, n) || slices.Contains(retired, n); n = rng.Intn(hostNames) {
+				}
+			}
+			o.wide(opDefine, n, 1+rng.Intn(5), 1+rng.Intn(3)) // 1 to 7.5 cores, 256 to 4096 MB
+			live = append(live, n)
+			if rng.Intn(5) != 0 {
+				o.wide(opStart, n)
+				running[n] = true
+			}
+		case k <= 7:
+			switch rng.Intn(4) {
+			case 0:
+				o.wide(opShares, n, limitIdx(rng))
+			case 1:
+				o.wide(opLimits, n, limits()...)
+			default:
+				others := rng.Intn(4)
+				args := append([]int{others}, limits()...)
+				for range others {
+					m := live[rng.Intn(len(live))]
+					args = append(append(args, m>>8, m), limits()...)
+				}
+				o.wide(opBatch, n, args...)
+			}
+		case k == 8:
+			if running[n] {
+				o.wide(opShutdown, n)
+			} else {
+				o.wide(opStart, n)
+			}
+			running[n] = !running[n]
+		default: // undefine, shutting down first
+			if running[n] {
+				o.wide(opShutdown, n)
+				running[n] = false
+			}
+			o.wide(opUndefine, n)
+			live = slices.DeleteFunc(live, func(m int) bool { return m == n })
+			retired = append(retired, n)
+		}
+	}
+	return o
+}
+
+// runHostMix runs hostMix(seed, 2200) through runDomainOps, which must
+// move rows on undefine and accept batched writes.
+func runHostMix(t *testing.T, seed int64) {
+	f := runDomainOps(t, hostMix(seed, 2200), hostNames)
+	if f.moves == 0 || f.batches == 0 {
+		t.Errorf("vacuous stream: %+v", f)
+	}
+	t.Logf("%d ops, at most %d live domains: %+v", f.ops, f.peak, f)
 }

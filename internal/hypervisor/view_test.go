@@ -31,9 +31,10 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 	return states, doms
 }
 
-func checkView(t *testing.T, h *Host, op string) {
+// checkView holds a view read from h, gotStates and gotDoms, to a fresh
+// walk.
+func checkView(t *testing.T, h *Host, op string, gotStates []policy.VMState, gotDoms []*Domain) {
 	t.Helper()
-	gotStates, gotDoms := h.AppendDeflatableView(nil, nil)
 	wantStates, wantDoms := freshView(h)
 	if len(gotStates) != len(wantStates) || len(gotDoms) != len(wantDoms) {
 		t.Fatalf("after %s: view sizes diverged: got %d/%d domains, want %d/%d",
@@ -51,16 +52,15 @@ func checkView(t *testing.T, h *Host, op string) {
 }
 
 // TestDeflatableViewMatchesFreshWalk is the view coherence property
-// test: after every operation of the hostChurn sequence, the host's
-// VM-state view — read from its row table — must equal a fresh Domains()
-// walk through the public accessors exactly, the invariant that lets
-// the cluster's deflation and reinflation passes consume the view
-// instead of rebuilding policy.VMState slices per pass. Offered loads
-// are written throughout (seeded at define, rewritten at random): they
-// touch no row, so the view's Load column must come out right by
-// read-through alone.
+// test: after every op of a hostMix stream, the host's VM-state
+// view — read from its row table — must equal a fresh Domains() walk
+// through the public accessors exactly, the invariant that lets the
+// cluster's deflation and reinflation passes consume the view instead of
+// rebuilding policy.VMState slices per pass. Offered loads are written
+// throughout: they touch no row, so the view's Load column must come out
+// right by read-through alone.
 func TestDeflatableViewMatchesFreshWalk(t *testing.T) {
-	hostChurn(t, 11, checkView)
+	runHostMix(t, 11)
 }
 
 // TestDeflatableViewAppendSemantics checks the append contract: the

@@ -75,7 +75,7 @@ type SliceResult struct {
 // is ready to use; after a few passes the buffers reach steady-state
 // capacity and TargetsInto stops allocating entirely. A Scratch must not
 // be shared between concurrent passes — the cluster manager owns one, in
-// its pass arena, and runs its passes one at a time under its lock.
+// its pass arena, and runs its passes one at a time.
 type Scratch struct {
 	targets []resources.Vector
 	entries []wfEntry
@@ -408,7 +408,7 @@ type LatencyAware struct {
 	Curve perfmodel.Curve
 	// MaxSlowdown is the SLO threshold: the largest tolerable sojourn
 	// ratio versus the undeflated VM. Values below 1 (including zero)
-	// select DefaultMaxSlowdown.
+	// select DefaultMaxSlowdown; clustersim rejects NaN and ±Inf.
 	MaxSlowdown float64
 }
 
