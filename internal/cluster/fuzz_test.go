@@ -211,10 +211,11 @@ func seededBytes(seed int64, n int) []byte {
 // random bytes seeded by the test's full name, with the header pinned to
 // policy (an index into runPlacementOps' list) and pools (priority
 // partitioning), for exactly cfg.ops ops on cfg.servers servers. It must
-// revoke, resize, remove, place an arrival on the pressure path and
-// prune a server at least once, and know the Old of half its events,
-// or it drove less than the churn it stands for.
-func runNamedStream(t *testing.T, policy int, pools bool, cfg opsConfig) {
+// revoke, resize, remove, place an arrival on the pressure path, prune
+// a server and publish an event at least once, and know the Old of half
+// its events, or it drove less than the churn it stands for. It returns
+// the stream's fold.
+func runNamedStream(t *testing.T, policy int, pools bool, cfg opsConfig) opFold {
 	h := fnv.New64a()
 	h.Write([]byte(t.Name()))
 	data := seededBytes(int64(h.Sum64()), 64*cfg.ops)
@@ -226,10 +227,11 @@ func runNamedStream(t *testing.T, policy int, pools bool, cfg opsConfig) {
 	if f.ops != cfg.ops {
 		t.Fatalf("the stream ran out after %d of %d ops", f.ops, cfg.ops)
 	}
-	if f.revokes == 0 || f.resizes == 0 || f.removed == 0 || f.pressured == 0 || f.pruned == 0 || f.oldSeen < f.events/2 {
+	if f.revokes == 0 || f.resizes == 0 || f.removed == 0 || f.pressured == 0 || f.pruned == 0 || f.events == 0 || f.oldSeen < f.events/2 {
 		t.Errorf("vacuous stream: %+v", f)
 	}
 	t.Logf("%d ops on %d servers, at most %d live VMs: %+v", f.ops, cfg.servers, f.peak, f)
+	return f
 }
 
 // runSeeds runs runNamedStream as the subtests prefix+"seed=N"; each
@@ -245,12 +247,14 @@ func runSeeds(t *testing.T, prefix string, policy int, pools bool, cfg opsConfig
 // on what earlier ones consumed: a batch places as a loop of
 // one-element batches, with the same scan work, and both as the
 // reference; under the priority policy, plain and in priority pools.
-// Every stream resizes, so pools-resize is three more streams of pools.
+// pools-resize runs the pools on four servers, one per pool, so a
+// resized or revoked server's evacuees have no other server in their
+// pool.
 func TestPlaceVMsMatchesPlaceVMLoopAndReference(t *testing.T) {
 	cfg := opsConfig{ops: 120, servers: 6}
 	runSeeds(t, "", 1, false, cfg, 1, 2, 3)
 	runSeeds(t, "pools/", 1, true, cfg, 1, 2, 3)
-	runSeeds(t, "pools-resize/", 1, true, cfg, 1, 2, 3)
+	runSeeds(t, "pools-resize/", 1, true, opsConfig{ops: 120, servers: 4}, 1, 2, 3)
 }
 
 // TestIndexedPlacementMatchesReference and its two variants hold the

@@ -124,11 +124,14 @@ func TestBusDrivesWeights(t *testing.T) {
 // build from the view's Current column and Apply's return value to the
 // path they replaced, three reads of the domain around every Apply, on
 // six servers under the proportional and the priority policy
-// (runPlacementOps checks every event of every stream).
+// (runPlacementOps checks every event of every stream). Each stream must
+// publish at least 200 events, or it holds the path to too few.
 func TestEventsMatchLockedDomainReads(t *testing.T) {
 	for ci := range 2 {
 		t.Run(fmt.Sprintf("config=%d", ci), func(t *testing.T) {
-			runNamedStream(t, ci, false, opsConfig{ops: 60, servers: 6})
+			if f := runNamedStream(t, ci, false, opsConfig{ops: 60, servers: 6}); f.events < 200 {
+				t.Errorf("the stream published %d events, want at least 200", f.events)
+			}
 		})
 	}
 }

@@ -62,8 +62,8 @@ func FuzzStreamMatchesEager(f *testing.F) {
 // runStreamMatchesEager runs cfg once over the trace.Stream sc describes
 // and once over its Materialize() form. The streamed Result must be
 // reflect.DeepEqual to the eager one, or both runs must fail with the
-// same error. It returns the eager Result, nil after an error.
-func runStreamMatchesEager(t *testing.T, sc trace.ScenarioConfig, cfg Config) *Result {
+// same error. It returns the eager Result, or the error both runs met.
+func runStreamMatchesEager(t *testing.T, sc trace.ScenarioConfig, cfg Config) (*Result, error) {
 	t.Helper()
 	s, err := trace.NewStream(sc)
 	if err != nil {
@@ -77,12 +77,12 @@ func runStreamMatchesEager(t *testing.T, sc trace.ScenarioConfig, cfg Config) *R
 		if eagerErr == nil || streamErr == nil || eagerErr.Error() != streamErr.Error() {
 			t.Fatalf("errors differ: eager %v, streamed %v", eagerErr, streamErr)
 		}
-		return nil
+		return nil, eagerErr
 	}
 	if !reflect.DeepEqual(streamed, eager) {
 		t.Fatalf("streamed run diverged from eager:\nstreamed %+v\neager    %+v", *streamed, *eager)
 	}
-	return eager
+	return eager, nil
 }
 
 // TestStreamedEngineMatchesEager runs every scenario at 400 VMs, two
@@ -98,7 +98,9 @@ func TestStreamedEngineMatchesEager(t *testing.T) {
 						useHeapQueue(t)
 					}
 					sc := trace.ScenarioConfig{Kind: kind, NumVMs: 400, Duration: 86400, Seed: seed}
-					runStreamMatchesEager(t, sc, Config{Policy: policy.Priority{}, Overcommit: 0.5})
+					if _, err := runStreamMatchesEager(t, sc, Config{Policy: policy.Priority{}, Overcommit: 0.5}); err != nil {
+						t.Fatal(err)
+					}
 				})
 			}
 		}
@@ -111,13 +113,16 @@ func TestStreamedEngineMatchesEager(t *testing.T) {
 // remaining-demand kills.
 func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 	sc := trace.ScenarioConfig{Kind: trace.ScenarioBursty, NumVMs: 500, Duration: 2 * 86400, Seed: 3}
-	res := runStreamMatchesEager(t, sc, Config{
+	res, err := runStreamMatchesEager(t, sc, Config{
 		Policy:      policy.Priority{},
 		Partitioned: true,
 		Overcommit:  0.4,
 		SLO:         &SLOConfig{},
 		ShockConfig: testShockConfig(11),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Revocations == 0 || res.SLOSampleSeconds == 0 {
 		t.Fatalf("test premise broken: want shocks and SLO samples, got %+v", *res)
 	}
@@ -129,5 +134,7 @@ func TestStreamedEngineMatchesEagerFullFeatures(t *testing.T) {
 // Result, as the eager bound.
 func TestStreamedBaselineSizingMatchesEager(t *testing.T) {
 	sc := trace.ScenarioConfig{Kind: trace.ScenarioHeavyTail, NumVMs: 300, Duration: 86400, Seed: 5}
-	runStreamMatchesEager(t, sc, Config{Overcommit: 0.3})
+	if _, err := runStreamMatchesEager(t, sc, Config{Overcommit: 0.3}); err != nil {
+		t.Fatal(err)
+	}
 }

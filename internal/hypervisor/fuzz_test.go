@@ -256,8 +256,10 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 			if m == nil {
 				continue
 			}
+			// lims holds the requested limits; got, what a limit write
+			// returned for each entry.
 			batch := []*domainModel{m}
-			var lims []resources.Vector
+			var lims, got []resources.Vector
 			switch {
 			case kind == 5:
 				var v resources.Vector
@@ -268,7 +270,9 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 			case kb&8 == 0:
 				lims = append(lims, limits())
 				opName = fmt.Sprintf("limits %s %v", name, lims[0])
-				_, err = m.d.SetLimits(lims[0])
+				var a resources.Vector
+				a, err = m.d.SetLimits(lims[0])
+				got = []resources.Vector{a}
 			default:
 				n := 1 + int(in.next()%4)
 				lims = append(lims, limits())
@@ -285,7 +289,8 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 					doms[i] = b.d
 				}
 				opName = fmt.Sprintf("batched limits %s+%d %v", name, len(batch)-1, lims)
-				err = h.SetLimits(doms, lims)
+				got = slices.Clone(lims)
+				err = h.SetLimits(doms, got)
 			}
 			invalid := false
 			for _, v := range lims {
@@ -301,8 +306,8 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				break
 			}
 			// The write moves the epoch once if it moved a resident's
-			// allocation; a batch returns each entry's allocation after its
-			// write, in batch order.
+			// allocation; a limit write returns each entry's allocation
+			// after its write, in batch order.
 			for i, b := range batch {
 				prev := b.alloc()
 				for k, x := range lims[i] {
@@ -311,8 +316,8 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 					}
 				}
 				allocWrite = allocWrite || models[b.d.Name()] == b && b.alloc() != prev
-				if len(batch) > 1 && lims[i] != b.alloc() {
-					t.Fatalf("%s: entry %d returned %v, the model %v", opName, i, lims[i], b.alloc())
+				if got != nil && got[i] != b.alloc() {
+					t.Fatalf("%s: entry %d returned %v, the model %v", opName, i, got[i], b.alloc())
 				}
 			}
 			if len(batch) > 1 {
