@@ -32,11 +32,13 @@ race-placement:
 	$(GO) test -race -run 'SweepGridParallel|SharedBus|PlacementOracles|P95Column|Publish' ./internal/cluster ./internal/clustersim ./internal/trace ./internal/notify
 
 # Kill matrix (mutation_test.go): each entry applies one source edit to
-# a temp copy of the module (a dropped markDirty, the Undefine slot
-# re-point, the allocation-epoch bump, a dropped on-demand evacuee, the
-# pressure order's tie-break, two streamed-adapter edits) and runs the
-# `go test -run` suites that must fail with it. Skipped without -mutate,
-# so `make test` does not run it.
+# a temp copy of the module (a dropped markDirty, the departure's dropped
+# sync, the Undefine slot re-point, the allocation-epoch bump, a dropped
+# on-demand evacuee, the pressure and event orders' tie-breaks, fleet
+# sizing's stop bound, a dropped capacity check, two streamed-adapter
+# edits) and runs the `go test -run` suites that must fail with it, and
+# those recorded as missing it. Skipped without -mutate, so `make test`
+# does not run it.
 mutate:
 	$(GO) test -count=1 -run '^TestMutationsAreKilled$$' -mutate -v -timeout 10m .
 
@@ -134,7 +136,7 @@ bench-compare:
 	$(GO) run ./bench -compare bench/baseline.json BENCH_e2e.json
 
 # The root package's sweep and ablation benchmarks (sequential and
-# parallel sweep engine, mechanism / policy / partitioning ablations).
+# parallel sweep engine, policy and partitioning ablations).
 # The 10M-VM streamed run is left to bench-scale-10m. The figures are
 # claim tests, run by `make test` (figures_test.go, FIGURES.md).
 bench:

@@ -3,15 +3,15 @@ package vmdeflate
 // The sweep and ablation benchmarks. The figures of the paper's
 // evaluation are claim tests in figures_test.go, not benchmarks; single
 // runs are timed by `go run ./bench`, and the 10M-VM streamed run is in
-// streamed_test.go.
+// streamed_test.go. An ablation stays here only while no claim test
+// makes its comparison (transparent against hybrid at 45 % is
+// TestFig14HybridAvoidsSwap's).
 
 import (
 	"sync"
 	"testing"
 
-	"vmdeflate/internal/apps"
 	"vmdeflate/internal/clustersim"
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/trace"
 )
 
@@ -91,26 +91,6 @@ func BenchmarkSweep10kSequential(b *testing.B) { sweepGridBench(b, 1) }
 // should drop to roughly the slowest single point, i.e. >= 2x faster
 // than sequential.
 func BenchmarkSweep10kParallel(b *testing.B) { sweepGridBench(b, 0) }
-
-// BenchmarkAblationHybridThreshold ablates the hybrid mechanism's
-// switchover point: swap pressure paid when deflating a memory-heavy VM
-// to 50% with hybrid (hotplug stops at RSS) vs pure transparent.
-func BenchmarkAblationHybridThreshold(b *testing.B) {
-	pcts := []float64{45}
-	var trRT, hyRT float64
-	for i := 0; i < b.N; i++ {
-		tr, err := apps.SpecJBBMemoryCurve(mechanism.Transparent{}, pcts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hy, err := apps.SpecJBBMemoryCurve(mechanism.Hybrid{}, pcts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		trRT, hyRT = tr[0].MeanRTNormalized, hy[0].MeanRTNormalized
-	}
-	b.ReportMetric(trRT/hyRT, "transparent/hybrid_RT@45%")
-}
 
 // BenchmarkAblationPolicies ablates the server-level policy choice at
 // 60% overcommitment: deterministic deflation's throughput loss relative

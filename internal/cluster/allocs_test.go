@@ -45,14 +45,16 @@ func steadyStateServer(tb testing.TB, pol policy.Policy) (*Manager, *Server) {
 // (deflateFor — everything a placement does on its server except
 // defining the domain, which inherently allocates), followed by the
 // reinflation pass a departure would trigger. The server returns to its
-// initial state, so the cycle can repeat indefinitely. It syncs first,
-// as placeOne does: deflateFor reads the synced free vector.
+// initial state, so the cycle can repeat indefinitely. Each pass reads
+// the synced cache, so the cycle syncs before each, as placeOne and
+// RemoveVMs do.
 func policyPassCycle(tb testing.TB, m *Manager, s *Server) {
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
 	m.syncDirty()
 	if _, err := m.deflateFor(s, od); err != nil {
 		tb.Fatal(err)
 	}
+	m.syncDirty()
 	if err := m.reinflate(s); err != nil {
 		tb.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestPolicyPassOnAnotherServerAllocatesNothing(t *testing.T) {
 
 // TestReinflateAloneZeroAllocs pins the departure path by itself: with
 // residents deflated, a single reinflate (including its early-exit
-// aggregate read) must not allocate.
+// read of the synced aggregates) must not allocate.
 func TestReinflateAloneZeroAllocs(t *testing.T) {
 	m, s := steadyStateServer(t, policy.Proportional{})
 	od := hypervisor.DomainConfig{Name: "od", Size: resources.CPUMem(16, 32768)}
@@ -142,8 +144,10 @@ func TestReinflateAloneZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First reinflation returns everyone to full; subsequent calls hit
-	// the Deflated==0 early exit. Both must be allocation-free.
+	// the Deflated==0 early exit. Both must be allocation-free, and each
+	// syncs first, as RemoveVMs does.
 	if got := testing.AllocsPerRun(1, func() {
+		m.syncDirty()
 		if err := m.reinflate(s); err != nil {
 			t.Fatal(err)
 		}
@@ -151,6 +155,7 @@ func TestReinflateAloneZeroAllocs(t *testing.T) {
 		t.Errorf("full reinflation pass allocates %.1f allocs/op, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
+		m.syncDirty()
 		if err := m.reinflate(s); err != nil {
 			t.Fatal(err)
 		}

@@ -21,10 +21,11 @@
 //     best provably beats the bound of every unexplored server.
 //
 // The manager is its hosts' only writer, and every method that writes a
-// host marks that server dirty; each query first refreshes only the
-// dirty servers, so neither pass ever re-walks a clean server's
-// domains. Both keys depend on lifecycle, allocation and capacity only —
-// an offered-load write (Domain.SetOfferedLoad) dirties no server;
+// host marks that server dirty; each query, and each policy pass over a
+// server the manager has just written, first refreshes only the dirty
+// servers, so neither index query re-walks a clean server's domains.
+// Both keys depend on lifecycle, allocation and capacity only — an
+// offered-load write (Domain.SetOfferedLoad) dirties no server;
 // policy passes read loads through the host's deflatable view. The
 // brute-force linear scans the indexes replace live on in the package's
 // tests as oracles (placementOracle): they implement the identical
@@ -653,11 +654,10 @@ const newcomerName = "\x00newcomer"
 
 // deflateFor is placeOn's policy pass: it computes and applies the
 // deflation that makes room for dc on s, and returns the newcomer's
-// initial allocation. The pass reads the host's deflatable VM-state view
-// and runs the policy through the manager's pass arena, then writes the
-// residents' targets in one limit write and notifies in the view's name
-// order — so steady-state calls perform zero heap allocations and
-// notification delivery is deterministic.
+// initial allocation. The pass solves in the manager's arena (solve),
+// then writes the residents' targets in one limit write and notifies in
+// the view's name order — so steady-state calls perform zero heap
+// allocations and notification delivery is deterministic.
 //
 // The free vector is the synced s.free: the caller synced before the
 // decision, and nothing has written s since (a failed attempt writes
@@ -669,29 +669,25 @@ func (m *Manager) deflateFor(s *Server, dc hypervisor.DomainConfig) (resources.V
 		// Room available without any deflation.
 		return dc.Size, nil
 	}
-
-	// Collect deflatable VMs from the host's view; the newcomer
-	// joins the pool if it is itself deflatable ("a new incoming VM ...
-	// can thus start its execution in a deflated mode", Section 5.1.1).
-	sc := &m.pass
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
-	nResident := len(sc.vms)
+	// The newcomer joins the pass if it is itself deflatable ("a new
+	// incoming VM ... can thus start its execution in a deflated mode",
+	// Section 5.1.1).
+	var newcomer *policy.VMState
 	if dc.Deflatable {
-		sc.vms = append(sc.vms, policy.VMState{
+		newcomer = &policy.VMState{
 			Name:     newcomerName,
 			Max:      dc.Size,
 			Min:      dc.Floor(),
 			Priority: dc.Priority,
 			Current:  dc.Size, // joins at full size; policy shrinks it
 			Load:     dc.Load,
-		})
+		}
 	}
-
-	res, err := m.cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
+	res, err := m.solve(s, newcomer, need)
 	if err != nil {
 		return resources.Vector{}, err
 	}
-
+	nResident := len(m.pass.doms)
 	initial := dc.Size
 	if dc.Deflatable {
 		initial = res.Targets[nResident]
@@ -701,6 +697,21 @@ func (m *Manager) deflateFor(s *Server, dc hypervisor.DomainConfig) (resources.V
 		return resources.Vector{}, err
 	}
 	return initial, nil
+}
+
+// solve is the one solve step of every policy pass (deflateFor,
+// reinflate, deflateToCapacity): it fills the pass arena from s's
+// deflatable view, appends the newcomer if there is one and runs the
+// policy for need (negative to hand capacity back). Targets[i] belongs
+// to m.pass.doms[i], the newcomer's follows; each pass handles
+// policy.ErrInsufficient itself.
+func (m *Manager) solve(s *Server, newcomer *policy.VMState, need resources.Vector) (policy.SliceResult, error) {
+	sc := &m.pass
+	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
+	if newcomer != nil {
+		sc.vms = append(sc.vms, *newcomer)
+	}
+	return m.cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
 }
 
 // launch defines, starts and initially sizes the new domain: a deflated
@@ -755,8 +766,13 @@ func (m *Manager) RemoveVMs(names ...string) error {
 		}
 	}
 	m.affected = affected
-	if err := m.reinflateAffected(affected); err != nil && firstErr == nil {
-		firstErr = err
+	// One sync after the teardowns: each pass below reads its server's
+	// refreshed cache, and writes no other server.
+	m.syncDirty()
+	for _, s := range affected {
+		if err := m.reinflate(s); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	return firstErr
 }
@@ -792,41 +808,22 @@ func (m *Manager) teardown(s *Server, d *hypervisor.Domain) error {
 	return nil
 }
 
-// reinflateAffected runs one reinflation pass per affected server, in
-// first-touched order, and reports the first error.
-func (m *Manager) reinflateAffected(affected []*Server) error {
-	var firstErr error
-	for _, s := range affected {
-		if err := m.reinflate(s); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // reinflate redistributes free capacity to deflated VMs on s ("run the
-// proportional deflation backwards", Section 5.1.3). It reads the host
-// (one walk) rather than the cached state: its callers have just written
-// s. The Deflated count short-circuits the common case where nothing on
-// the server is deflated, before the view is read. Like deflateFor it
-// consumes the host's deflatable VM-state view through the manager's
-// pass arena and writes the targets in one limit write, notifying in
-// name order, so steady-state calls are allocation-free.
+// proportional deflation backwards", Section 5.1.3): the solve step with
+// the free capacity as a negative need, written in one limit write and
+// notified in name order, so steady-state calls are allocation-free. It
+// reads the synced cache (s.agg, s.free), so a caller that has just
+// written s syncs first. The Deflated count short-circuits the common
+// case where nothing on the server is deflated, before the view is read.
 func (m *Manager) reinflate(s *Server) error {
-	agg := s.Host.Aggregates()
-	if agg.Deflated == 0 {
+	if s.agg.Deflated == 0 {
 		return nil
 	}
-	free := s.Host.Capacity().Sub(agg.Allocated).ClampNonNegative()
+	free := s.free.ClampNonNegative()
 	if free.IsZero() {
 		return nil
 	}
-	sc := &m.pass
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
-	if len(sc.vms) == 0 {
-		return nil
-	}
-	res, err := m.cfg.Policy.TargetsInto(sc.vms, free.Scale(-1), &sc.ps)
+	res, err := m.solve(s, nil, free.Scale(-1))
 	if errors.Is(err, policy.ErrInsufficient) {
 		// The targets need more than the free capacity: a quantised
 		// policy cannot reinflate residents a shrink pinned to their

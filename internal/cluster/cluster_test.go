@@ -163,8 +163,8 @@ func TestPlaceTriggersDeflation(t *testing.T) {
 	if n := srv.Host.Aggregates().Deflated; n != 1 {
 		t.Errorf("%d VMs deflated, want low-1 alone", n)
 	}
-	if !srv.Host.Allocated().FitsIn(srv.Host.Capacity()) {
-		t.Errorf("allocated %v exceeds capacity", srv.Host.Allocated())
+	if !srv.Host.Aggregates().Allocated.FitsIn(srv.Host.Capacity()) {
+		t.Errorf("allocated %v exceeds capacity", srv.Host.Aggregates().Allocated)
 	}
 }
 
@@ -182,8 +182,8 @@ func TestNewcomerStartsDeflated(t *testing.T) {
 		t.Errorf("newcomer should start deflated: %v", got)
 	}
 	srv := m.Servers()[0]
-	if !srv.Host.Allocated().FitsIn(srv.Host.Capacity()) {
-		t.Errorf("allocated %v exceeds capacity", srv.Host.Allocated())
+	if !srv.Host.Aggregates().Allocated.FitsIn(srv.Host.Capacity()) {
+		t.Errorf("allocated %v exceeds capacity", srv.Host.Aggregates().Allocated)
 	}
 }
 

@@ -4,10 +4,12 @@
 // The manager is its hosts' only writer, so it knows which servers it
 // changed: every method that writes a host marks the server
 // (markDirty) beside the write itself. Every
-// query first re-derives the marked servers' cached aggregates, free
+// query, and every policy pass over a server its method has just
+// written, first re-derives the marked servers' cached aggregates, free
 // and availability vectors and index keys (syncDirty), so between
 // bursts of churn a query touches no server at all, and after one it
-// touches exactly the ones that changed. The sync keeps the order the
+// touches exactly the ones that changed. The sync is the only reader of
+// Host.Aggregates. The sync keeps the order the
 // servers were marked in: each refresh writes only its own server's
 // state, and an index answers by (key, name) whatever order its entries
 // were upserted in, so no query can tell the orders apart.
@@ -31,7 +33,7 @@ var resyncAll bool
 
 // syncDirty refreshes cached placement state (per-server
 // aggregates, free/availability vectors, index keys) for every server
-// the manager marked since the last query, in mark order, and empties
+// the manager marked since the last sync, in mark order, and empties
 // the list. Between bursts of churn it is a no-op.
 func (m *Manager) syncDirty() {
 	if resyncAll {

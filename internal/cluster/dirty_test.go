@@ -119,7 +119,10 @@ func checkServerCache(t *testing.T, m *Manager) {
 // TestDirtyListDrainsInMarkOrderAndDeduplicated pins the dirty list's
 // contract through the manager's own writes: a server written twice is
 // queued once, at its first mark, the list keeps mark order, and a sync
-// empties it and leaves every server re-markable.
+// empties it and leaves every server re-markable. The writes that queue
+// without a sync are provisioning and a server's round trip out of
+// service (revoking an empty server writes no host; the restore marks
+// it); a method that passes over a server it wrote syncs first.
 func TestDirtyListDrainsInMarkOrderAndDeduplicated(t *testing.T) {
 	m := NewManager(Config{})
 	for _, name := range []string{"b", "c", "a"} {
@@ -127,31 +130,31 @@ func TestDirtyListDrainsInMarkOrderAndDeduplicated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	roundTrip := func(server string) {
+		t.Helper()
+		if _, err := m.RevokeServers(server); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RestoreServer(server); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip("c") // c's second mark: still queued once, at its first
 	if got := dirtyNames(m); !slices.Equal(got, []string{"b", "c", "a"}) {
-		t.Fatalf("provisioning queued %v, want [b c a] in mark order", got)
+		t.Fatalf("provisioning and a restore queued %v, want [b c a] in first-mark order", got)
 	}
 	m.Stats() // sync
 	if len(m.dirty) != 0 {
 		t.Fatalf("a sync left %v queued", dirtyNames(m))
 	}
 
-	resize := func(server string, scale float64) {
-		t.Helper()
-		if _, err := m.ResizeServer(server, serverCap().Scale(scale)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Equal free shares: the tightest fit is the first name, a.
 	if _, s, err := m.PlaceVM(onDemandVM("vm-1", 1, 1024)); err != nil || s.Host.Name() != "a" {
 		t.Fatalf("vm-1 landed on %v (err %v), want a", s, err)
 	}
-	resize("b", 1.5)
-	if err := m.RemoveVM("vm-1"); err != nil { // a again: still queued once
-		t.Fatal(err)
-	}
-	resize("b", 2)
+	roundTrip("b")
 	if got := dirtyNames(m); !slices.Equal(got, []string{"a", "b"}) {
-		t.Fatalf("queued %v, want [a b] (a written twice, b twice)", got)
+		t.Fatalf("queued %v, want [a b] in mark order", got)
 	}
 	checkServerCache(t, m)
 	if len(m.dirty) != 0 {
@@ -162,7 +165,18 @@ func TestDirtyListDrainsInMarkOrderAndDeduplicated(t *testing.T) {
 			t.Errorf("%s still flagged queued after the sync", s.Host.Name())
 		}
 	}
-	resize("b", 2.5)
+	// A resize and a departure each sync after writing their server, and
+	// neither pass moves an allocation here: nothing stays queued.
+	if _, err := m.ResizeServer("b", serverCap().Scale(1.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RemoveVM("vm-1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirtyNames(m); len(got) != 0 {
+		t.Fatalf("a resize and a departure left %v queued, want none", got)
+	}
+	roundTrip("b")
 	if got := dirtyNames(m); !slices.Equal(got, []string{"b"}) {
 		t.Fatalf("re-mark after a sync queued %v, want [b]", got)
 	}
@@ -171,9 +185,10 @@ func TestDirtyListDrainsInMarkOrderAndDeduplicated(t *testing.T) {
 
 // TestEveryMutatorMarksItsServer holds each manager entry point to the
 // marking contract: after it, exactly the servers it wrote since its
-// last sync are queued, and a sync brings every cached field back to a
-// fresh derivation (checkServerCache). An entry point that writes no
-// host queues nothing.
+// last sync are queued (RemoveVMs and ResizeServer sync before their
+// passes, so only a pass's writes stay queued), and a sync brings every
+// cached field back to a fresh derivation (checkServerCache). An entry
+// point that writes no host queues nothing.
 func TestEveryMutatorMarksItsServer(t *testing.T) {
 	// fill places on-demand or deflatable VMs that take node's whole
 	// capacity, in k slices.
@@ -233,7 +248,8 @@ func TestEveryMutatorMarksItsServer(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			want: []string{"node-0"},
+			// The sync after the teardown drained node-0, and no pass
+			// moved an allocation.
 		},
 		{
 			name: "RemoveVMs, reinflation moves",
@@ -255,7 +271,9 @@ func TestEveryMutatorMarksItsServer(t *testing.T) {
 					t.Fatalf("%d residents of node-0 still deflated", n)
 				}
 			},
-			want: []string{"node-1", "node-0"},
+			// Both teardowns were synced before the passes; only node-0's
+			// pass moved an allocation.
+			want: []string{"node-0"},
 		},
 		{
 			name:  "RevokeServers",
@@ -291,7 +309,7 @@ func TestEveryMutatorMarksItsServer(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			want: []string{"node-1"},
+			// Synced after the mark; node-1 has nothing to reinflate.
 		},
 		{
 			name:  "ResizeServer shrink",

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vmdeflate/internal/hypervisor"
 	"vmdeflate/internal/resources"
@@ -78,10 +79,11 @@ func (o scanOracle) anyFits(m *Manager, size resources.Vector) bool {
 // pressure is the linear under-pressure ranking: score every pool server
 // (from cached availability, or fresh reads for the reference oracle),
 // argmax-first with the sort deferred until the argmax cannot absorb the
-// VM. The full scan scores everyone and prunes no one.
+// VM, both in the oracle's own order (oracleOrder). The full scan scores
+// everyone and prunes no one.
 func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, int) {
 	pool := m.PartitionOf(dc)
-	var cands candList
+	var cands []cand
 	for _, s := range m.servers {
 		if s.revoked || (pool >= 0 && s.Partition != pool) {
 			continue
@@ -96,7 +98,7 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 	ncRange := newcomerRange(dc)
 	first := -1
 	for i := range cands {
-		if first < 0 || candBefore(cands[i], cands[first]) {
+		if first < 0 || oracleOrder(cands[i], cands[first]) < 0 {
 			first = i
 		}
 	}
@@ -108,7 +110,7 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 			return d, c.s, len(cands)
 		}
 	}
-	sort.Sort(cands)
+	slices.SortFunc(cands, oracleOrder)
 	for rank, c := range cands {
 		if c.s == best || rank == 0 {
 			continue // already tried above (argmax == rank 0)
@@ -126,8 +128,13 @@ func availability(s *Server) resources.Vector {
 	return availabilityFrom(s.Host.Capacity(), s.Host.Aggregates())
 }
 
-// candList's sort.Interface delegates to candBefore, so the full scan's
-// sort and the pruned descent's heap share one order definition.
-func (c candList) Len() int           { return len(c) }
-func (c candList) Swap(i, j int)      { c[i], c[j] = c[j], c[i] }
-func (c candList) Less(i, j int) bool { return candBefore(c[i], c[j]) }
+// oracleOrder is the oracles' pressure ranking, written apart from the
+// shipped candBefore so that a change to the descent's order shows as a
+// divergence: fitness descending, then the server's add order
+// (Server.gidx) ascending.
+func oracleOrder(a, b cand) int {
+	if c := cmp.Compare(b.fitness, a.fitness); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.s.gidx, b.s.gidx)
+}

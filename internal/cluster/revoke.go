@@ -29,9 +29,10 @@
 //     (fitness, add-index) and (free share, name) total orders over the
 //     remaining servers are unchanged.
 //   - Resize-under-dirty-flag: ResizeServer marks the server after
-//     Host.SetCapacity like any other host write, so its index keys and
-//     cached free/availability vectors are re-derived by the ordinary
-//     dirty sync — no bespoke refresh path.
+//     Host.SetCapacity like any other host write and syncs before its
+//     policy pass reads the cache, so its index keys and cached
+//     free/availability vectors are re-derived by the ordinary dirty
+//     sync — no bespoke refresh path.
 package cluster
 
 import (
@@ -152,8 +153,11 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 	// loosens the index scans' lower bound (more entries inspected, same
 	// answer) — correctness never depends on it being tight.
 	m.maxCap[s.Partition] = m.maxCap[s.Partition].Max(capacity)
+	// The passes below read the synced cache: sync after the mark, and
+	// again after a shrink's displacements.
+	m.syncDirty()
 
-	if s.Host.Allocated().FitsIn(capacity) {
+	if s.agg.Allocated.FitsIn(capacity) {
 		// Grow / slack restore: run the freed capacity back into the
 		// residents ("run the proportional deflation backwards").
 		return Evacuation{}, m.reinflate(s)
@@ -162,6 +166,7 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 	if err := m.displaceForShrink(s, capacity); err != nil {
 		return Evacuation{}, err
 	}
+	m.syncDirty()
 	if err := m.deflateToCapacity(s, capacity); err != nil {
 		return Evacuation{}, err
 	}
@@ -231,26 +236,24 @@ func (m *Manager) displaceForShrink(s *Server, capacity resources.Vector) error 
 }
 
 // deflateToCapacity deflates the server's surviving residents so
-// the allocation fits the shrunk capacity: the ordinary policy pass
-// frees (allocated - capacity), and when even its best effort falls
-// short (quantised policies) every deflatable resident is pinned to its
-// floor — which the displacement pass guaranteed to fit. It is written
-// before evacuate places any evacuee through the same arena.
+// the allocation fits the shrunk capacity: the solve step frees
+// (allocated - capacity), and when even its best effort falls short
+// (quantised policies) every deflatable resident is pinned to its
+// floor — which the displacement pass guaranteed to fit. It reads the
+// synced s.agg, so ResizeServer syncs after its displacements, and it
+// is written before evacuate places any evacuee through the same arena.
 func (m *Manager) deflateToCapacity(s *Server, capacity resources.Vector) error {
-	need := s.Host.Allocated().Sub(capacity).ClampNonNegative()
+	need := s.agg.Allocated.Sub(capacity).ClampNonNegative()
 	if need.IsZero() {
 		return nil
 	}
-	sc := &m.pass
-	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
-	res, err := m.cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
-	if err != nil && !errors.Is(err, policy.ErrInsufficient) {
-		return err
-	}
-	if err != nil {
-		for i := range sc.doms {
+	res, err := m.solve(s, nil, need)
+	if errors.Is(err, policy.ErrInsufficient) {
+		for i := range m.pass.doms {
 			res.Targets[i] = hypervisor.DefaultFloor()
 		}
+	} else if err != nil {
+		return err
 	}
 	return m.writeTargets(s, res.Targets)
 }

@@ -155,7 +155,7 @@ func TestResizeServerShrinkDeflates(t *testing.T) {
 		t.Fatalf("moderate shrink displaced %d VMs", len(out.VMs))
 	}
 	s := m.Servers()[0]
-	if alloc := s.Host.Allocated(); !alloc.FitsIn(newCap) {
+	if alloc := s.Host.Aggregates().Allocated; !alloc.FitsIn(newCap) {
 		t.Fatalf("allocated %v exceeds shrunk capacity %v", alloc, newCap)
 	}
 	if m.Stats().VMs != 3 {
@@ -209,7 +209,7 @@ func TestResizeServerShrinkDisplaces(t *testing.T) {
 	if n := kills(out); n != 0 {
 		t.Fatalf("displaced VMs killed (%d) with an empty server available", n)
 	}
-	if alloc := target.Host.Allocated(); !alloc.FitsIn(shrunk) || !floor.FitsIn(alloc) {
+	if alloc := target.Host.Aggregates().Allocated; !alloc.FitsIn(shrunk) || !floor.FitsIn(alloc) {
 		t.Fatalf("allocated %v on the shrunk server, want the survivor between its floor %v and the capacity %v", alloc, floor, shrunk)
 	}
 }

@@ -54,7 +54,7 @@ func perVMApplyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, targ
 // heap allocations and notification delivery is deterministic.
 func (m *Manager) perVMDeflateFor(s *Server, dc hypervisor.DomainConfig) (resources.Vector, error) {
 	cfg := &m.cfg
-	free := s.Host.Capacity().Sub(s.Host.Allocated())
+	free := s.Host.Capacity().Sub(s.Host.Aggregates().Allocated)
 	need := dc.Size.Sub(free).ClampNonNegative()
 	if need.IsZero() {
 		// Room available without any deflation.
@@ -162,7 +162,7 @@ func (m *Manager) perVMReinflate(s *Server) error {
 // short (quantised policies) every deflatable resident is pinned to its
 // floor — which the displacement pass guaranteed to fit.
 func (m *Manager) perVMDeflateToCapacity(s *Server, capacity resources.Vector) error {
-	need := s.Host.Allocated().Sub(capacity).ClampNonNegative()
+	need := s.Host.Aggregates().Allocated.Sub(capacity).ClampNonNegative()
 	if need.IsZero() {
 		return nil
 	}
@@ -210,6 +210,7 @@ func TestPolicyPassBumpsEpochOnce(t *testing.T) {
 				t.Errorf("deflating %d residents moved the epoch by %d (per-VM writes: %d), want 1 (%d)", n, got, perVM, n)
 			}
 			epoch = s.Host.AllocEpoch()
+			m.syncDirty() // reinflate reads the synced cache
 			if err := m.reinflate(s); err != nil {
 				t.Fatal(err)
 			}
@@ -304,6 +305,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					a.m.syncDirty() // as RemoveVMs does after its teardowns
 					erra, errb := a.m.reinflate(a.s), b.m.perVMReinflate(b.s)
 					if errText(erra) != errText(errb) {
 						t.Fatalf("%s: reinflate err %v, per-VM %v", opName, erra, errb)
@@ -318,6 +320,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						sd.m.markDirty(sd.s) // as ResizeServer does
 					}
 					epoch = a.s.Host.AllocEpoch()
+					a.m.syncDirty() // as ResizeServer does after its mark
 					erra := a.m.deflateToCapacity(a.s, capacity)
 					errb := b.m.perVMDeflateToCapacity(b.s, capacity)
 					if errText(erra) != errText(errb) {

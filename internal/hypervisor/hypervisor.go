@@ -218,7 +218,7 @@ type Host struct {
 	// re-points its Domain.slot and order entry. order holds the slots
 	// sorted by name; it is also the name index (find). Keeping it
 	// materialised makes the walks below iterate in a fixed order, which
-	// keeps float summations like Allocated() bit-for-bit reproducible —
+	// keeps the float sums of Aggregates() bit-for-bit reproducible —
 	// map iteration order would perturb the low bits run to run and break
 	// the simulator's determinism guarantee.
 	rows  []row
@@ -437,13 +437,6 @@ func (h *Host) Undefine(name string) error {
 	h.rows = h.rows[:last]
 	d.slot = -1
 	return nil
-}
-
-// Allocated returns the sum of the current (possibly deflated) allocations
-// of running domains: physical resources actually promised right now —
-// Aggregates().Allocated, one walk.
-func (h *Host) Allocated() resources.Vector {
-	return h.Aggregates().Allocated
 }
 
 // Domain is one VM resident on a Host: its configuration, its row slot,

@@ -14,6 +14,13 @@ func (h *Host) Committed() resources.Vector {
 	return h.Aggregates().Committed
 }
 
+// Allocated returns the sum of the current (possibly deflated)
+// allocations of running domains: physical resources actually promised
+// right now.
+func (h *Host) Allocated() resources.Vector {
+	return h.Aggregates().Allocated
+}
+
 // Available returns Capacity - Allocated, clamped at zero.
 func (h *Host) Available() resources.Vector {
 	return h.Capacity().Sub(h.Allocated()).ClampNonNegative()
