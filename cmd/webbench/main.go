@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,20 +44,18 @@ func run(args []string, w io.Writer) error {
 	if show(3) {
 		fmt.Fprintln(w, "== Figure 3: normalised performance, all resources deflated together")
 		pcts := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
+		transparent := func(model apps.ResourceModel) func(float64) (float64, error) {
+			return func(pct float64) (float64, error) { return apps.PerformanceAt(model, mechanism.Transparent{}, pct) }
+		}
 		fmt.Fprintf(w, "%8s %10s %10s %10s\n", "defl%", "specjbb", "kcompile", "memcached")
-		curves := map[string][]apps.Figure3Point{}
-		for _, m := range []apps.ResourceModel{apps.SpecJBB{}, apps.Kcompile{}, apps.Memcached{}} {
-			pts, err := apps.DeflationCurve(m, mechanism.Transparent{}, pcts)
-			if err != nil {
-				return err
-			}
-			curves[m.Name()] = pts
+		sj, err1 := apps.Sweep(pcts, transparent(apps.SpecJBB{}))
+		kc, err2 := apps.Sweep(pcts, transparent(apps.Kcompile{}))
+		mc, err3 := apps.Sweep(pcts, transparent(apps.Memcached{}))
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return err
 		}
 		for i, pct := range pcts {
-			fmt.Fprintf(w, "%8.0f %10.3f %10.3f %10.3f\n", pct,
-				curves["specjbb"][i].Performance,
-				curves["kcompile"][i].Performance,
-				curves["memcached"][i].Performance)
+			fmt.Fprintf(w, "%8.0f %10.3f %10.3f %10.3f\n", pct, sj[i], kc[i], mc[i])
 		}
 		fmt.Fprintln(w)
 	}
@@ -64,17 +63,17 @@ func run(args []string, w io.Writer) error {
 	if show(14) {
 		fmt.Fprintln(w, "== Figure 14: SpecJBB mean RT (normalised), memory-only deflation")
 		pcts := []float64{0, 5, 10, 15, 20, 25, 30, 35, 40, 45}
-		tr, err := apps.SpecJBBMemoryCurve(mechanism.Transparent{}, pcts)
-		if err != nil {
-			return err
+		specJBB := func(mech mechanism.Mechanism) func(float64) (float64, error) {
+			return func(pct float64) (float64, error) { return apps.SpecJBBMemoryRT(mech, pct) }
 		}
-		hy, err := apps.SpecJBBMemoryCurve(mechanism.Hybrid{}, pcts)
-		if err != nil {
+		tr, err1 := apps.Sweep(pcts, specJBB(mechanism.Transparent{}))
+		hy, err2 := apps.Sweep(pcts, specJBB(mechanism.Hybrid{}))
+		if err := errors.Join(err1, err2); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%8s %12s %12s\n", "defl%", "transparent", "hybrid")
 		for i, pct := range pcts {
-			fmt.Fprintf(w, "%8.0f %12.3f %12.3f\n", pct, tr[i].MeanRTNormalized, hy[i].MeanRTNormalized)
+			fmt.Fprintf(w, "%8.0f %12.3f %12.3f\n", pct, tr[i], hy[i])
 		}
 		fmt.Fprintln(w)
 	}
@@ -83,7 +82,8 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w, "== Figures 16+17: Wikipedia (30 cores, 800 req/s), CPU deflation")
 		cfg := apps.DefaultWikipediaConfig()
 		cfg.Seed = *seed
-		pts, err := apps.WikipediaSweep(cfg, []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 97})
+		pts, err := apps.Sweep([]float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 97},
+			func(pct float64) (apps.Point, error) { return apps.RunWikipedia(cfg, pct) })
 		if err != nil {
 			return err
 		}
@@ -100,7 +100,8 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w, "== Figure 18: social network (30 microservices, 500 req/s), 22/30 deflated")
 		cfg := apps.DefaultSocialNetConfig()
 		cfg.Seed = *seed
-		pts, err := apps.SocialNetworkSweep(cfg, []float64{0, 30, 50, 60, 65})
+		pts, err := apps.Sweep([]float64{0, 30, 50, 60, 65},
+			func(pct float64) (apps.Point, error) { return apps.RunSocialNetwork(cfg, pct) })
 		if err != nil {
 			return err
 		}
@@ -117,8 +118,12 @@ func run(args []string, w io.Writer) error {
 		cfg := apps.DefaultLBConfig()
 		cfg.Seed = *seed
 		pcts := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80}
-		aware, vanilla, err := apps.LBSweep(cfg, pcts)
-		if err != nil {
+		balance := func(aware bool) func(float64) (apps.Point, error) {
+			return func(pct float64) (apps.Point, error) { return apps.RunLBExperiment(cfg, pct, aware) }
+		}
+		aware, err1 := apps.Sweep(pcts, balance(true))
+		vanilla, err2 := apps.Sweep(pcts, balance(false))
+		if err := errors.Join(err1, err2); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%8s %12s %12s %12s %12s\n",

@@ -138,7 +138,7 @@ func TestFig18MicroservicesServeThroughTheKnee(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := apps.DefaultSocialNetConfig()
 			cfg.Duration, cfg.Seed = 40, seed
-			pts, err := apps.SocialNetworkSweep(cfg, levels)
+			pts, err := apps.Sweep(levels, func(pct float64) (apps.Point, error) { return apps.RunSocialNetwork(cfg, pct) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,22 +231,24 @@ const fig03Memcached50 = 0.9
 // undeflated performance at 50 %.
 func TestFig03MemcachedDegradesLeast(t *testing.T) {
 	pcts := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-	curves := map[string][]apps.Figure3Point{}
+	curves := map[string][]float64{}
 	for _, m := range []apps.ResourceModel{apps.SpecJBB{}, apps.Kcompile{}, apps.Memcached{}} {
-		pts, err := apps.DeflationCurve(m, mechanism.Transparent{}, pcts)
+		pts, err := apps.Sweep(pcts, func(pct float64) (float64, error) {
+			return apps.PerformanceAt(m, mechanism.Transparent{}, pct)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		curves[m.Name()] = pts
 		for i := 1; i < len(pts); i++ {
-			if pts[i].Performance > pts[i-1].Performance {
+			if pts[i] > pts[i-1] {
 				t.Errorf("%s: performance rose from %.3f to %.3f between %.0f%% and %.0f%% deflation",
-					m.Name(), pts[i-1].Performance, pts[i].Performance, pcts[i-1], pcts[i])
+					m.Name(), pts[i-1], pts[i], pcts[i-1], pcts[i])
 			}
 		}
 	}
 	for i, pct := range pcts {
-		mc, kc, sj := curves["memcached"][i].Performance, curves["kcompile"][i].Performance, curves["specjbb"][i].Performance
+		mc, kc, sj := curves["memcached"][i], curves["kcompile"][i], curves["specjbb"][i]
 		t.Logf("deflation %2.0f%%: memcached %.3f kcompile %.3f specjbb %.3f", pct, mc, kc, sj)
 		if mc < kc || mc < sj {
 			t.Errorf("deflation %.0f%%: memcached %.3f below kcompile %.3f or specjbb %.3f", pct, mc, kc, sj)
@@ -275,22 +277,22 @@ const (
 // fig14Advantage45.
 func TestFig14HybridAvoidsSwap(t *testing.T) {
 	pcts := []float64{0, 5, 10, 15, 20, 25, 30, 35, 40, 45}
-	tr, err := apps.SpecJBBMemoryCurve(mechanism.Transparent{}, pcts)
-	if err != nil {
-		t.Fatal(err)
+	rt := func(mech mechanism.Mechanism) []float64 {
+		pts, err := apps.Sweep(pcts, func(pct float64) (float64, error) { return apps.SpecJBBMemoryRT(mech, pct) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
 	}
-	hy, err := apps.SpecJBBMemoryCurve(mechanism.Hybrid{}, pcts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, hy := rt(mechanism.Transparent{}), rt(mechanism.Hybrid{})
 	for i, pct := range pcts {
-		a, b := tr[i].MeanRTNormalized, hy[i].MeanRTNormalized
+		a, b := tr[i], hy[i]
 		t.Logf("deflation %2.0f%%: mean RT transparent %.3f hybrid %.3f", pct, a, b)
 		if b > a || b > fig14HybridMax {
 			t.Errorf("deflation %.0f%%: hybrid %.3f, transparent %.3f; want hybrid <= transparent and <= %.2f", pct, b, a, fig14HybridMax)
 		}
 	}
-	if adv := tr[len(pcts)-1].MeanRTNormalized - hy[len(pcts)-1].MeanRTNormalized; adv < fig14Advantage45 {
+	if adv := tr[len(pcts)-1] - hy[len(pcts)-1]; adv < fig14Advantage45 {
 		t.Errorf("hybrid beats transparent by %.3f at 45%%, want >= %.2f", adv, fig14Advantage45)
 	}
 }
@@ -300,19 +302,19 @@ var wikiLevels = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
 
 var (
 	wikiOnce   sync.Once
-	wikiSweeps [][]apps.WikipediaPoint
+	wikiSweeps [][]apps.Point
 	wikiErr    error
 )
 
 // wikiFixture runs the Wikipedia sweep once per seed 1-3 for Figs 16-17:
 // 30 cores at 800 req/s for 40 s.
-func wikiFixture(t *testing.T) [][]apps.WikipediaPoint {
+func wikiFixture(t *testing.T) [][]apps.Point {
 	t.Helper()
 	wikiOnce.Do(func() {
 		for seed := int64(1); seed <= 3; seed++ {
 			cfg := apps.DefaultWikipediaConfig()
 			cfg.Duration, cfg.Seed = 40, seed
-			pts, err := apps.WikipediaSweep(cfg, wikiLevels)
+			pts, err := apps.Sweep(wikiLevels, func(pct float64) (apps.Point, error) { return apps.RunWikipedia(cfg, pct) })
 			if err != nil {
 				wikiErr = err
 				return
@@ -477,10 +479,14 @@ func TestFig19DeflationAwareLBCutsTail(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := apps.DefaultLBConfig()
 			cfg.Duration, cfg.Seed = 40, seed
-			aware, vanilla, err := apps.LBSweep(cfg, pcts)
-			if err != nil {
-				t.Fatal(err)
+			balance := func(aware bool) []apps.Point {
+				pts, err := apps.Sweep(pcts, func(pct float64) (apps.Point, error) { return apps.RunLBExperiment(cfg, pct, aware) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return pts
 			}
+			aware, vanilla := balance(true), balance(false)
 			for i, pct := range pcts {
 				a, v := aware[i].P90, vanilla[i].P90
 				t.Logf("deflation %2.0f%%: p90 aware %.3fs vanilla %.3fs (cut %.1f%%)", pct, a, v, (1-a/v)*100)

@@ -5,36 +5,64 @@ import (
 	"testing"
 
 	"vmdeflate/internal/mechanism"
+	"vmdeflate/internal/sim"
 	"vmdeflate/internal/stats"
+	"vmdeflate/internal/workload"
 )
 
 func TestMetrics(t *testing.T) {
 	var m Metrics
-	if !math.IsNaN(m.ServedFraction()) {
-		t.Error("empty metrics served fraction should be NaN")
+	if p := m.point(0, 1); !math.IsNaN(p.ServedFraction) || !math.IsNaN(p.Mean) {
+		t.Errorf("empty metrics: served fraction %v, mean %v, want NaN", p.ServedFraction, p.Mean)
 	}
-	for _, rt := range []float64{0.1, 0.2, 0.3, 0.4} {
+	for _, rt := range []float64{0.4, 0.1, 0.3, 0.2} {
 		m.Record(rt)
 	}
 	m.Drop()
-	if m.Served != 4 || m.Dropped != 1 {
-		t.Errorf("counters = %d/%d", m.Served, m.Dropped)
+	var warm *Metrics // a warm-up request's: records nothing
+	warm.Record(1)
+	warm.Drop()
+	if len(m.ResponseTimes) != 4 || m.Dropped != 1 {
+		t.Errorf("counters = %d/%d", len(m.ResponseTimes), m.Dropped)
 	}
-	if got := m.ServedFraction(); got != 0.8 {
-		t.Errorf("ServedFraction = %v", got)
+	p := m.point(30, 21)
+	if p.DeflationPct != 30 || p.Cores != 21 || p.ServedFraction != 0.8 {
+		t.Errorf("point = %+v", p)
 	}
-	if got := m.Mean(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Mean = %v", got)
+	if p.Mean != 0.25 || p.Median != 0.25 {
+		t.Errorf("point mean/median = %v/%v", p.Mean, p.Median)
 	}
-	mean, median, p90, p99 := m.Summary()
-	if mean != 0.25 || median != 0.25 {
-		t.Errorf("summary mean/median = %v/%v", mean, median)
-	}
-	if p90 < median || p99 < p90 {
-		t.Errorf("percentile ordering: %v %v", p90, p99)
+	if p.P90 < p.Median || p.P99 < p.P90 {
+		t.Errorf("percentile ordering: %v %v", p.P90, p.P99)
 	}
 	if got := stats.Percentile(m.ResponseTimes, 100); got != 0.4 {
 		t.Errorf("P100 = %v", got)
+	}
+}
+
+// TestMeasureSkipsWarmUp: the open-loop runner hands serve a nil
+// *Metrics for every arrival before warmupFrac of the run and its own
+// Metrics for every later one, stops the source at Duration and returns
+// what the measured requests recorded.
+func TestMeasureSkipsWarmUp(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := Config{Duration: 20, Seed: 1}
+	var warm, measured int
+	m := measure(eng, cfg, 1, func(h workload.Handler) *workload.Source {
+		return workload.NewConstantSource(eng, 10, h)
+	}, func(now float64, m *Metrics) {
+		if (m == nil) != (now < cfg.Duration*warmupFrac) || now > cfg.Duration {
+			t.Errorf("arrival at %g s of a %g s run: measured %v", now, cfg.Duration, m != nil)
+		}
+		if m == nil {
+			warm++
+		} else {
+			measured++
+		}
+		m.Record(now)
+	})
+	if warm == 0 || measured == 0 || len(m.ResponseTimes) != measured {
+		t.Errorf("%d warm-up and %d measured arrivals, %d recorded", warm, measured, len(m.ResponseTimes))
 	}
 }
 
@@ -43,9 +71,11 @@ var fig3Pcts = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
 // Figure 3: per-application deflation-response curves from the real
 // resource models on real deflated domains.
 func TestFigure3Curves(t *testing.T) {
-	curves := map[string][]Figure3Point{}
+	curves := map[string][]float64{}
 	for _, model := range []ResourceModel{SpecJBB{}, Kcompile{}, Memcached{}} {
-		pts, err := DeflationCurve(model, mechanism.Transparent{}, fig3Pcts)
+		pts, err := Sweep(fig3Pcts, func(pct float64) (float64, error) {
+			return PerformanceAt(model, mechanism.Transparent{}, pct)
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", model.Name(), err)
 		}
@@ -54,33 +84,33 @@ func TestFigure3Curves(t *testing.T) {
 		}
 		// Performance at zero deflation is 1 and the curve is monotone
 		// non-increasing.
-		if pts[0].Performance != 1 {
-			t.Errorf("%s: perf(0) = %v", model.Name(), pts[0].Performance)
+		if pts[0] != 1 {
+			t.Errorf("%s: perf(0) = %v", model.Name(), pts[0])
 		}
 		for i := 1; i < len(pts); i++ {
-			if pts[i].Performance > pts[i-1].Performance+1e-9 {
-				t.Errorf("%s: performance increased at %v%%", model.Name(), pts[i].DeflationPct)
+			if pts[i] > pts[i-1]+1e-9 {
+				t.Errorf("%s: performance increased at %v%%", model.Name(), fig3Pcts[i])
 			}
 		}
 		curves[model.Name()] = pts
 	}
 	// SpecJBB has no slack: visible degradation by 10%.
-	if curves["specjbb"][1].Performance >= 0.999 {
-		t.Errorf("specjbb should degrade immediately: %v", curves["specjbb"][1].Performance)
+	if curves["specjbb"][1] >= 0.999 {
+		t.Errorf("specjbb should degrade immediately: %v", curves["specjbb"][1])
 	}
 	// Memcached holds ~1 through 30% deflation (its slack region).
-	if curves["memcached"][3].Performance < 0.97 {
-		t.Errorf("memcached at 30%% = %v, want ~1", curves["memcached"][3].Performance)
+	if curves["memcached"][3] < 0.97 {
+		t.Errorf("memcached at 30%% = %v, want ~1", curves["memcached"][3])
 	}
 	// At 50%: memcached > kcompile > specjbb (Figure 3's ordering).
-	mc, kc, sj := curves["memcached"][5].Performance, curves["kcompile"][5].Performance, curves["specjbb"][5].Performance
+	mc, kc, sj := curves["memcached"][5], curves["kcompile"][5], curves["specjbb"][5]
 	if !(mc > kc && kc > sj) {
 		t.Errorf("ordering at 50%%: memcached=%v kcompile=%v specjbb=%v", mc, kc, sj)
 	}
 }
 
 func TestDeflationCurveRejectsBadPct(t *testing.T) {
-	if _, err := DeflationCurve(SpecJBB{}, mechanism.Transparent{}, []float64{100}); err == nil {
+	if _, err := PerformanceAt(SpecJBB{}, mechanism.Transparent{}, 100); err == nil {
 		t.Error("100% deflation should fail")
 	}
 }
@@ -90,47 +120,47 @@ func TestDeflationCurveRejectsBadPct(t *testing.T) {
 // better than baseline in the mid-range.
 func TestFigure14SpecJBBMemory(t *testing.T) {
 	pcts := []float64{0, 10, 20, 30, 40, 45}
-	tr, err := SpecJBBMemoryCurve(mechanism.Transparent{}, pcts)
-	if err != nil {
-		t.Fatal(err)
+	rt := func(mech mechanism.Mechanism) []float64 {
+		pts, err := Sweep(pcts, func(pct float64) (float64, error) { return SpecJBBMemoryRT(mech, pct) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
 	}
-	hy, err := SpecJBBMemoryCurve(mechanism.Hybrid{}, pcts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, hy := rt(mechanism.Transparent{}), rt(mechanism.Hybrid{})
 	// Transparent: flat (1.0) while the limit stays above the JVM's RSS.
 	for i, p := range tr {
-		if p.DeflationPct <= 40 && math.Abs(p.MeanRTNormalized-1) > 0.02 {
-			t.Errorf("transparent at %v%% = %v, want ~1", pcts[i], p.MeanRTNormalized)
+		if pcts[i] <= 40 && math.Abs(p-1) > 0.02 {
+			t.Errorf("transparent at %v%% = %v, want ~1", pcts[i], p)
 		}
 	}
 	// Transparent at 45% pays for swapping.
-	if tr[5].MeanRTNormalized < 1.15 {
-		t.Errorf("transparent at 45%% = %v, want > 1.15", tr[5].MeanRTNormalized)
+	if tr[5] < 1.15 {
+		t.Errorf("transparent at 45%% = %v, want > 1.15", tr[5])
 	}
 	// Hybrid never worse than transparent, and better than baseline
 	// (~0.9) in the 20-40% range.
 	for i := range pcts {
-		if hy[i].MeanRTNormalized > tr[i].MeanRTNormalized+1e-9 {
+		if hy[i] > tr[i]+1e-9 {
 			t.Errorf("hybrid worse than transparent at %v%%: %v > %v",
-				pcts[i], hy[i].MeanRTNormalized, tr[i].MeanRTNormalized)
+				pcts[i], hy[i], tr[i])
 		}
 	}
 	for _, i := range []int{2, 3, 4} {
-		if hy[i].MeanRTNormalized > 0.97 {
+		if hy[i] > 0.97 {
 			t.Errorf("hybrid at %v%% = %v, want ~0.90 (hot-unplug benefit)",
-				pcts[i], hy[i].MeanRTNormalized)
+				pcts[i], hy[i])
 		}
 	}
 }
 
 func TestSpecJBBMemoryCurveRejectsBadPct(t *testing.T) {
-	if _, err := SpecJBBMemoryCurve(mechanism.Hybrid{}, []float64{-1}); err == nil {
+	if _, err := SpecJBBMemoryRT(mechanism.Hybrid{}, -1); err == nil {
 		t.Error("negative deflation should fail")
 	}
 }
 
-func shortWikiConfig() WikipediaConfig {
+func shortWikiConfig() Config {
 	cfg := DefaultWikipediaConfig()
 	cfg.Duration = 40
 	return cfg
@@ -191,7 +221,7 @@ func TestWikipediaDeflationShape(t *testing.T) {
 func TestWikipediaSweepAndValidation(t *testing.T) {
 	cfg := shortWikiConfig()
 	cfg.Duration = 20
-	pts, err := WikipediaSweep(cfg, []float64{0, 50})
+	pts, err := Sweep([]float64{0, 50}, func(pct float64) (Point, error) { return RunWikipedia(cfg, pct) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,10 +329,14 @@ func TestLBUndeflatedEquivalent(t *testing.T) {
 func TestLBSweep(t *testing.T) {
 	cfg := DefaultLBConfig()
 	cfg.Duration = 20
-	aware, vanilla, err := LBSweep(cfg, []float64{0, 40})
-	if err != nil {
-		t.Fatal(err)
+	balance := func(aware bool) []Point {
+		pts, err := Sweep([]float64{0, 40}, func(pct float64) (Point, error) { return RunLBExperiment(cfg, pct, aware) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
 	}
+	aware, vanilla := balance(true), balance(false)
 	if len(aware) != 2 || len(vanilla) != 2 {
 		t.Fatalf("lengths = %d/%d", len(aware), len(vanilla))
 	}

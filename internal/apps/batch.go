@@ -189,57 +189,15 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Figure3Point is one sample of an all-resource deflation sweep.
-type Figure3Point struct {
-	DeflationPct float64
-	Performance  float64
-}
-
-// DeflationCurve reproduces one application's Figure 3 series: deflate
-// *all* resources of a fresh domain by each percentage using the given
-// mechanism and measure normalised performance.
-func DeflationCurve(model ResourceModel, mech mechanism.Mechanism, deflPcts []float64) ([]Figure3Point, error) {
-	out := make([]Figure3Point, 0, len(deflPcts))
-	for _, pct := range deflPcts {
-		perf, err := performanceAt(model, mech, pct)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Figure3Point{DeflationPct: pct, Performance: perf})
-	}
-	return out, nil
-}
-
-// testbedVM defines and starts the single testbed VM of Figures 3 and
-// 14 on a host of its own, and boots its guest beside it with ceil(size)
-// vCPUs and all of its memory plugged, which caps no limit write.
-func testbedVM(host, name string, size resources.Vector) (*hypervisor.Domain, *guestos.GuestOS, error) {
-	h, err := hypervisor.NewHost(hypervisor.HostConfig{
-		Name:     host,
-		Capacity: resources.New(64, 262144, 2000, 20000),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := h.Define(hypervisor.DomainConfig{Name: name, Size: size, Deflatable: true, Priority: 0.5})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := d.Start(); err != nil {
-		return nil, nil, err
-	}
-	g := new(guestos.GuestOS)
-	err = g.Boot(guestos.Config{VCPUs: int(math.Ceil(size.Get(resources.CPU))), MemoryMB: size.Get(resources.Memory)})
-	return d, g, err
-}
-
-// performanceAt builds a standard 8-core/32GB domain, installs the
-// application, deflates, and reads the model's performance.
-func performanceAt(model ResourceModel, mech mechanism.Mechanism, pct float64) (float64, error) {
+// PerformanceAt is one point of an application's Figure 3 series: it
+// boots a standard 8-core/32GB testbed VM, installs the application,
+// deflates *all* of its resources by pct percent with the given mechanism
+// and reads the model's performance, normalised to the undeflated VM's.
+func PerformanceAt(model ResourceModel, mech mechanism.Mechanism, pct float64) (float64, error) {
 	if err := checkPct(pct); err != nil {
 		return 0, err
 	}
-	d, g, err := testbedVM("bench-host", "bench-vm", resources.New(8, 32768, 200, 2000))
+	d, g, err := testbedVM("bench-vm", resources.New(8, 32768, 200, 2000))
 	if err != nil {
 		return 0, err
 	}

@@ -7,17 +7,10 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// SpecJBBMemoryPoint is one sample of the Figure 14 sweep: SpecJBB mean
-// response time (normalised to no deflation) under memory-only deflation.
-type SpecJBBMemoryPoint struct {
-	DeflationPct     float64
-	MeanRTNormalized float64
-}
-
-// SpecJBBMemoryCurve reproduces Figure 14 for the given mechanism
+// SpecJBBMemoryRT is one point of Figure 14 for the given mechanism
 // (Transparent or Hybrid): a 16 GB SpecJBB VM has only its *memory*
-// deflated by each percentage; the reported value is the normalised mean
-// response time.
+// deflated by pct percent; the value is its mean response time,
+// normalised to the undeflated VM's.
 //
 // The response-time model is driven entirely by domain state produced by
 // the real mechanism:
@@ -32,23 +25,11 @@ type SpecJBBMemoryPoint struct {
 //     (up to ~10%): the guest kernel manages fewer pages and the JVM
 //     triggers compaction, per the paper's Figure 14 observation that
 //     "hybrid deflation improves performance by about 10%".
-func SpecJBBMemoryCurve(mech mechanism.Mechanism, deflPcts []float64) ([]SpecJBBMemoryPoint, error) {
-	out := make([]SpecJBBMemoryPoint, 0, len(deflPcts))
-	for _, pct := range deflPcts {
-		if err := checkPct(pct); err != nil {
-			return nil, err
-		}
-		rt, err := specJBBMemoryRT(mech, pct)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SpecJBBMemoryPoint{DeflationPct: pct, MeanRTNormalized: rt})
+func SpecJBBMemoryRT(mech mechanism.Mechanism, pct float64) (float64, error) {
+	if err := checkPct(pct); err != nil {
+		return 0, err
 	}
-	return out, nil
-}
-
-func specJBBMemoryRT(mech mechanism.Mechanism, pct float64) (float64, error) {
-	d, g, err := testbedVM("fig14-host", "specjbb-vm", resources.New(8, 16384, 200, 2000))
+	d, g, err := testbedVM("specjbb-vm", resources.New(8, 16384, 200, 2000))
 	if err != nil {
 		return 0, err
 	}

@@ -3,8 +3,6 @@ package apps
 import (
 	"math/rand"
 
-	"vmdeflate/internal/hypervisor"
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/resources"
 	"vmdeflate/internal/sim"
@@ -30,8 +28,6 @@ type SocialNetwork struct {
 	logic    []*queueing.PSStation
 	cache    []*queueing.PSStation
 	db       []*queueing.PSStation
-
-	metrics Metrics
 }
 
 // Per-visit CPU costs are calibrated so that at the paper's 500 req/s
@@ -57,33 +53,16 @@ const (
 	snRatePerSec = 500
 )
 
-// SocialNetConfig parameterises the Figure 18 experiment.
-type SocialNetConfig struct {
-	// Duration is the measured interval (seconds).
-	Duration float64
-	// Seed drives all randomness.
-	Seed int64
-}
-
 // DefaultSocialNetConfig mirrors Section 7.2: 500 req/s with wrk2-style
 // constant throughput.
-func DefaultSocialNetConfig() SocialNetConfig {
-	return SocialNetConfig{Duration: 60, Seed: 1}
+func DefaultSocialNetConfig() Config {
+	return Config{Duration: 60, Seed: 1}
 }
 
-// SocialNetPoint is one deflation level of the Figure 18 sweep.
-type SocialNetPoint struct {
-	DeflationPct   float64
-	Median         float64
-	P90            float64
-	P99            float64
-	ServedFraction float64
-}
-
-// request tracks one in-flight request across tiers for timeout
+// snRequest tracks one in-flight request across tiers for timeout
 // cancellation.
 type snRequest struct {
-	app      *SocialNetwork
+	m        *Metrics
 	start    float64
 	pending  []*pendingJob
 	timedOut bool
@@ -116,9 +95,6 @@ func NewSocialNetwork(eng *sim.Engine, seed int64, feCap, logicCap, cacheCap, db
 	return sn
 }
 
-// Metrics returns collected request metrics.
-func (sn *SocialNetwork) Metrics() *Metrics { return &sn.metrics }
-
 func (sn *SocialNetwork) cost(mean float64) float64 {
 	return mean * (0.5 + sn.rng.Float64())
 }
@@ -127,19 +103,18 @@ func (sn *SocialNetwork) pick(tier []*queueing.PSStation) *queueing.PSStation {
 	return tier[sn.rng.Intn(len(tier))]
 }
 
-// HandleRequest admits one request; record=false during warmup.
-func (sn *SocialNetwork) HandleRequest(now float64, record bool) {
-	r := &snRequest{app: sn, start: now}
-	if h, err := sn.eng.After(snTimeout, func(float64) { r.abort(record) }); err == nil {
+// HandleRequest admits one request at virtual time now and records its
+// outcome into m; a warm-up request carries a nil m.
+func (sn *SocialNetwork) HandleRequest(now float64, m *Metrics) {
+	r := &snRequest{m: m, start: now}
+	if h, err := sn.eng.After(snTimeout, func(float64) { r.abort() }); err == nil {
 		r.timeoutH = h
 	}
 
 	// Tier 3 -> completion.
 	finish := func(done float64) {
 		r.timeoutH.Cancel()
-		if record {
-			sn.metrics.Record(done - r.start + 3*snHopLatency)
-		}
+		m.Record(done - r.start + 3*snHopLatency)
 	}
 	// Tier 2 -> tier 3 (backend fan-out).
 	backends := func(now2 float64) {
@@ -189,7 +164,7 @@ func (r *snRequest) fanOut(now float64, n int, next func(float64), pick func(i i
 }
 
 // abort cancels all outstanding sub-jobs on timeout.
-func (r *snRequest) abort(record bool) {
+func (r *snRequest) abort() {
 	if r.timedOut {
 		return
 	}
@@ -199,80 +174,26 @@ func (r *snRequest) abort(record bool) {
 			pj.st.Cancel(pj.job)
 		}
 	}
-	if record {
-		r.app.metrics.Drop()
-	}
+	r.m.Drop()
 }
 
 // RunSocialNetwork measures the social network at one deflation level:
 // 22 of 30 microservice containers (everything except the databases) are
-// deflated by deflPct using the real transparent mechanism on
-// cgroup-limited container domains (Figure 18).
-func RunSocialNetwork(cfg SocialNetConfig, deflPct float64) (SocialNetPoint, error) {
-	if err := checkPct(deflPct); err != nil {
-		return SocialNetPoint{}, err
+// deflated by deflPct using the real transparent mechanism on a
+// cgroup-limited container domain (Figure 18): 2 cores max, 0.05 min
+// (hypervisor.DefaultFloor), 800 MB each (Section 7.2).
+func RunSocialNetwork(cfg Config, deflPct float64) (Point, error) {
+	if err := cfg.check(deflPct); err != nil {
+		return Point{}, err
 	}
-	// Containers: 2 cores max, 0.05 min (hypervisor.DefaultFloor), 800 MB
-	// each (Section 7.2).
-	host, err := hypervisor.NewHost(hypervisor.HostConfig{
-		Name:     "swarm-node",
-		Capacity: resources.New(64, 262144, 2000, 20000),
-	})
+	cores, err := deflatedCores("usvc-container", resources.New(2, 800, 0, 0), deflPct)
 	if err != nil {
-		return SocialNetPoint{}, err
+		return Point{}, err
 	}
-	container, err := host.Define(hypervisor.DomainConfig{
-		Name:       "usvc-container",
-		Size:       resources.New(2, 800, 0, 0),
-		Deflatable: true,
-		Priority:   0.5,
-	})
-	if err != nil {
-		return SocialNetPoint{}, err
-	}
-	if err := container.Start(); err != nil {
-		return SocialNetPoint{}, err
-	}
-	if deflPct > 0 {
-		target := container.MaxSize().With(resources.CPU, 2*(1-deflPct/100))
-		if _, err := (mechanism.Transparent{}).Apply(container, nil, target); err != nil {
-			return SocialNetPoint{}, err
-		}
-	}
-	deflatedCap := container.Allocation().Get(resources.CPU)
-
 	eng := sim.NewEngine()
-	sn := NewSocialNetwork(eng, cfg.Seed+1, deflatedCap, deflatedCap, deflatedCap, 2)
-
-	warmupEnd := cfg.Duration * warmupFrac
-	src := workload.NewConstantSource(eng, snRatePerSec, func(now float64, _ int) {
-		sn.HandleRequest(now, now >= warmupEnd)
-	})
-	src.Start()
-	eng.At(cfg.Duration, func(float64) { src.Stop() })
-	eng.RunUntil(cfg.Duration + snTimeout + 1)
-
-	m := sn.Metrics()
-	_, median, p90, p99 := m.Summary()
-	return SocialNetPoint{
-		DeflationPct:   deflPct,
-		Median:         median,
-		P90:            p90,
-		P99:            p99,
-		ServedFraction: m.ServedFraction(),
-	}, nil
-}
-
-// SocialNetworkSweep runs RunSocialNetwork at the paper's levels
-// (0, 30, 50, 60, 65 in Figure 18).
-func SocialNetworkSweep(cfg SocialNetConfig, deflPcts []float64) ([]SocialNetPoint, error) {
-	out := make([]SocialNetPoint, 0, len(deflPcts))
-	for _, pct := range deflPcts {
-		p, err := RunSocialNetwork(cfg, pct)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	sn := NewSocialNetwork(eng, cfg.Seed+1, cores, cores, cores, 2)
+	m := measure(eng, cfg, snTimeout, func(h workload.Handler) *workload.Source {
+		return workload.NewConstantSource(eng, snRatePerSec, h)
+	}, sn.HandleRequest)
+	return m.point(deflPct, cores), nil
 }

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"vmdeflate/internal/hypervisor"
-	"vmdeflate/internal/mechanism"
 	"vmdeflate/internal/queueing"
 	"vmdeflate/internal/resources"
 	"vmdeflate/internal/sim"
@@ -20,8 +18,6 @@ type WebApp struct {
 	eng     *sim.Engine
 	station *queueing.PSStation
 	mix     *workload.PageMix
-
-	metrics Metrics
 }
 
 const (
@@ -41,39 +37,26 @@ func NewWebApp(eng *sim.Engine, capacityCores float64, seed int64) *WebApp {
 	}
 }
 
-// Metrics returns the collected request metrics.
-func (w *WebApp) Metrics() *Metrics { return &w.metrics }
-
-// HandleRequest admits one request at virtual time now.
-func (w *WebApp) HandleRequest(now float64, _ int) {
-	work := w.mix.Draw()
-	start := now
+// serve admits one request at virtual time now and records its outcome
+// into m: a response time on completion, a drop on timeout. A warm-up
+// request carries a nil m.
+func (w *WebApp) serve(now float64, m *Metrics) {
 	var job *queueing.Job
 	var timeoutH sim.Handle
-	job = w.station.Submit(work, func(done float64) {
+	job = w.station.Submit(w.mix.Draw(), func(done float64) {
 		timeoutH.Cancel()
-		w.metrics.Record(done - start + webFixedLatency)
+		m.Record(done - now + webFixedLatency)
 	})
-	h, err := w.eng.After(webTimeout, func(float64) {
+	if h, err := w.eng.After(webTimeout, func(float64) {
 		if w.station.Cancel(job) {
-			w.metrics.Drop()
+			m.Drop()
 		}
-	})
-	if err == nil {
+	}); err == nil {
 		timeoutH = h
 	}
 }
 
-// WikipediaConfig parameterises the Figure 16/17 experiment. The VM
-// and its load are Section 7.2's: wikiCores, wikiMemoryMB and
-// wikiRatePerSec.
-type WikipediaConfig struct {
-	// Duration is the measured interval in seconds.
-	Duration float64
-	// Seed drives all randomness.
-	Seed int64
-}
-
+// The Figure 16/17 VM and its load are Section 7.2's.
 const (
 	// wikiCores is the VM's nominal CPU allocation (30 in the paper).
 	wikiCores = 30
@@ -81,109 +64,29 @@ const (
 	wikiMemoryMB = 16384
 	// wikiRatePerSec is the offered load (800 req/s in the paper).
 	wikiRatePerSec = 800
-	// warmupFrac is the first fraction of every interactive run, which
-	// warms the queues and is not measured.
-	warmupFrac = 0.15
 )
 
 // DefaultWikipediaConfig mirrors Section 7.2's setup with a simulation
 // length that keeps percentile estimates stable.
-func DefaultWikipediaConfig() WikipediaConfig {
-	return WikipediaConfig{Duration: 120, Seed: 1}
-}
-
-// WikipediaPoint is one deflation level of the Figure 16/17 sweep.
-type WikipediaPoint struct {
-	DeflationPct   float64
-	Cores          float64 // effective cores after deflation
-	Mean           float64
-	Median         float64
-	P90            float64
-	P99            float64
-	ServedFraction float64
+func DefaultWikipediaConfig() Config {
+	return Config{Duration: 120, Seed: 1}
 }
 
 // RunWikipedia measures the Wikipedia application at one CPU deflation
 // level, exercising the real transparent mechanism on a real domain to
 // derive the effective capacity (Figures 16 and 17).
-func RunWikipedia(cfg WikipediaConfig, deflPct float64) (WikipediaPoint, error) {
-	if err := checkPct(deflPct); err != nil {
-		return WikipediaPoint{}, err
+func RunWikipedia(cfg Config, deflPct float64) (Point, error) {
+	if err := cfg.check(deflPct); err != nil {
+		return Point{}, err
 	}
-	host, err := hypervisor.NewHost(hypervisor.HostConfig{
-		Name:     "wiki-host",
-		Capacity: resources.New(48, 131072, 1000, 10000),
-	})
+	cores, err := deflatedCores("wiki-vm", resources.New(wikiCores, wikiMemoryMB, 200, 2000), deflPct)
 	if err != nil {
-		return WikipediaPoint{}, err
+		return Point{}, err
 	}
-	d, err := host.Define(hypervisor.DomainConfig{
-		Name:       "wiki-vm",
-		Size:       resources.New(wikiCores, wikiMemoryMB, 200, 2000),
-		Deflatable: true,
-		Priority:   0.5,
-	})
-	if err != nil {
-		return WikipediaPoint{}, err
-	}
-	if err := d.Start(); err != nil {
-		return WikipediaPoint{}, err
-	}
-	if deflPct > 0 {
-		target := d.MaxSize().With(resources.CPU, wikiCores*(1-deflPct/100))
-		if _, err := (mechanism.Transparent{}).Apply(d, nil, target); err != nil {
-			return WikipediaPoint{}, err
-		}
-	}
-	cores := d.Allocation().Get(resources.CPU)
-
 	eng := sim.NewEngine()
 	app := NewWebApp(eng, cores, cfg.Seed+1)
-
-	warmupEnd := cfg.Duration * warmupFrac
-	src := workload.NewPoissonSource(eng, wikiRatePerSec, cfg.Seed+2, func(now float64, seq int) {
-		if now < warmupEnd {
-			// Warm the queue without recording.
-			app.warmRequest(now)
-			return
-		}
-		app.HandleRequest(now, seq)
-	})
-	src.Start()
-	eng.At(cfg.Duration, func(float64) { src.Stop() })
-	eng.RunUntil(cfg.Duration + webTimeout + 1)
-
-	m := app.Metrics()
-	mean, median, p90, p99 := m.Summary()
-	return WikipediaPoint{
-		DeflationPct:   deflPct,
-		Cores:          cores,
-		Mean:           mean,
-		Median:         median,
-		P90:            p90,
-		P99:            p99,
-		ServedFraction: m.ServedFraction(),
-	}, nil
-}
-
-// warmRequest submits load without recording metrics.
-func (w *WebApp) warmRequest(now float64) {
-	work := w.mix.Draw()
-	var job *queueing.Job
-	job = w.station.Submit(work, nil)
-	w.eng.After(webTimeout, func(float64) { w.station.Cancel(job) })
-}
-
-// WikipediaSweep runs RunWikipedia across the paper's deflation levels
-// (0-97%, Figure 16's x-axis).
-func WikipediaSweep(cfg WikipediaConfig, deflPcts []float64) ([]WikipediaPoint, error) {
-	out := make([]WikipediaPoint, 0, len(deflPcts))
-	for _, pct := range deflPcts {
-		p, err := RunWikipedia(cfg, pct)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	m := measure(eng, cfg, webTimeout, func(h workload.Handler) *workload.Source {
+		return workload.NewPoissonSource(eng, wikiRatePerSec, cfg.Seed+2, h)
+	}, app.serve)
+	return m.point(deflPct, cores), nil
 }

@@ -311,10 +311,13 @@ func TestChurnNeverOverAllocates(t *testing.T) {
 // match a fresh derivation (checkServerCache), no in-service server may
 // be allocated beyond its capacity, every event the indexed manager
 // published must equal its domain's own reads, and it must hold
-// exactly the VMs its records fold to.
+// exactly the VMs its records fold to. Under the proportional policy,
+// every server a departure batch took a VM from must sit at the
+// water-fill fixed point of reinflation (checkReinflated).
 func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 	policies := []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}}
 	mcfg := Config{Policy: policies[r.next(len(policies))]}
+	_, proportional := mcfg.Policy.(policy.Proportional)
 	if r.next(2) == 1 {
 		mcfg.PartitionByPriority = true
 	}
@@ -394,7 +397,8 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 	for op := 0; op < cfg.ops && !r.done(); op++ {
 		pls, shocked = [4][]Placement{}, false
 		var step func(i int, m *Manager) string
-		var born []string // fresh names this op introduces
+		var born []string             // fresh names this op introduces
+		var leaving map[string]string // a departure batch's placed VMs and their servers
 		kind, before := r.next(8), len(ms[0].placements)
 		switch kind {
 		case 0, 1, 2: // arrival batch
@@ -434,8 +438,12 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 			}
 		case 3: // departures, sometimes naming a VM that is gone
 			names := make([]string, 1+r.next(3))
+			leaving = map[string]string{}
 			for i := range names {
 				names[i] = pick()
+				if s, ok := ms[0].placements[names[i]]; ok {
+					leaving[names[i]] = s.Host.Name()
+				}
 			}
 			step = func(_ int, m *Manager) string { return fmt.Sprint(m.RemoveVMs(names...)) }
 		case 4: // a revocation, sometimes of a revoked or repeated server
@@ -489,6 +497,13 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 				}
 			}
 		}
+		for vm, server := range leaving {
+			if _, stayed := ms[0].placements[vm]; !stayed && proportional {
+				for i, m := range ms {
+					checkReinflated(t, op, labels[i], m.byName[server])
+				}
+			}
+		}
 		switch {
 		case kind == 3:
 			fold.removed += before - len(ms[0].placements)
@@ -513,6 +528,29 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 		})
 	}
 	return fold
+}
+
+// checkReinflated holds a server a departure batch took a VM from to
+// the proportional policy's water-fill fixed point: on every dimension,
+// either each running deflatable resident is at its size, or the host's
+// fresh free capacity is zero. Both hold within a relative 1e-9: the
+// water-fill's min + alpha*(max - min) can land an ulp below max (a
+// 13-core VM at 12.999999999999998 with a core free).
+func checkReinflated(t *testing.T, op int, label string, s *Server) {
+	t.Helper()
+	capacity := s.Host.Capacity()
+	free := capacity.Sub(s.Host.Aggregates().Allocated)
+	for _, k := range resources.Kinds {
+		if free[k] <= 1e-9*capacity[k] {
+			continue
+		}
+		for _, d := range s.Host.Domains() {
+			if size := d.MaxSize()[k]; d.State() == hypervisor.Running && d.Deflatable() && d.Allocation()[k] < size-1e-9*size {
+				t.Fatalf("op %d: %s server %s keeps %g of %v free, and its resident %s holds %g of its %g after a departure",
+					op, label, s.Host.Name(), free[k], k, d.Name(), d.Allocation()[k], d.MaxSize()[k])
+			}
+		}
+	}
 }
 
 // checkServerCaches runs checkServerCache on each manager.

@@ -3,10 +3,12 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"vmdeflate/internal/hypervisor"
+	"vmdeflate/internal/resources"
 )
 
 func TestRevokeServerEvacuatesVMs(t *testing.T) {
@@ -170,6 +172,54 @@ func TestResizeServerShrinkDeflates(t *testing.T) {
 		if d.Allocation() != d.MaxSize() {
 			t.Fatalf("VM %s not reinflated after grow: %v of %v", d.Name(), d.Allocation(), d.MaxSize())
 		}
+	}
+}
+
+// TestResizeServerRejectsInvalidCapacity: a resize to a NaN or an
+// all-zero capacity fails with hypervisor.ErrInvalid and leaves the
+// server as it was: its host's capacity, its cached state and both of
+// its index entries, bit for bit.
+func TestResizeServerRejectsInvalidCapacity(t *testing.T) {
+	nan := serverCap()
+	nan[resources.CPU] = math.NaN()
+	for name, capacity := range map[string]resources.Vector{"nan": nan, "zero": {}} {
+		t.Run(name, func(t *testing.T) {
+			m := newTestManager(t, 1, Config{})
+			for i := 0; i < 5; i++ {
+				if _, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%d", i), 12, 32768, 0.5)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.syncDirty()
+			s := m.Servers()[0]
+			type state struct {
+				capacity, free, avail, surplus resources.Vector
+				agg                            hypervisor.Aggregates
+				share, key, bound              float64
+			}
+			read := func() state {
+				st := state{capacity: s.Host.Capacity(), free: s.free, avail: s.avail, agg: s.agg, share: s.freeShare}
+				st.key, st.surplus, _ = indexEntry(m.indexes[s.Partition], "node-0")
+				st.bound, _, _ = indexEntry(m.bounds[s.Partition], "node-0")
+				return st
+			}
+			before := read()
+			if s.agg.Deflated == 0 {
+				t.Fatal("setup: no resident is deflated")
+			}
+			if _, err := m.ResizeServer("node-0", capacity); !errors.Is(err, hypervisor.ErrInvalid) {
+				t.Fatalf("resize to %v: err = %v, want hypervisor.ErrInvalid", capacity, err)
+			}
+			m.syncDirty()
+			after := read()
+			if !sameBits(after.capacity, before.capacity) || !sameBits(after.free, before.free) ||
+				!sameBits(after.avail, before.avail) || !sameBits(after.surplus, before.surplus) ||
+				!sameAggBits(after.agg, before.agg) || math.Float64bits(after.share) != math.Float64bits(before.share) ||
+				math.Float64bits(after.key) != math.Float64bits(before.key) || math.Float64bits(after.bound) != math.Float64bits(before.bound) {
+				t.Fatalf("a refused resize moved the server:\nbefore %+v\n after %+v", before, after)
+			}
+			checkServerCache(t, m)
+		})
 	}
 }
 

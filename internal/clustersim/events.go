@@ -67,8 +67,9 @@ type simEvent struct {
 
 // eventLess is the strict total event order: (time, kind, seq), with
 // the kind ranking documented on eventKind. It is the one order of the
-// run queue, its arrival intake and the tests' heap oracle; it takes
-// pointers so the heap compares its 40-byte events in place.
+// run queue and its arrival intake (the tests' heap oracle writes its
+// own); it takes pointers so the heap compares its 40-byte events in
+// place.
 func eventLess(a, b *simEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at

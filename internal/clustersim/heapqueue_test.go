@@ -1,6 +1,7 @@
 package clustersim
 
 import (
+	"cmp"
 	"container/heap"
 	"testing"
 )
@@ -14,10 +15,17 @@ type heapQueue struct {
 }
 
 // Len, Less, Swap, Push and Pop implement heap.Interface; the ordering
-// is eventLess.
+// is oracleEventOrder.
 func (q *heapQueue) Len() int { return len(q.evs) }
 
-func (q *heapQueue) Less(i, j int) bool { return eventLess(&q.evs[i], &q.evs[j]) }
+func (q *heapQueue) Less(i, j int) bool { return oracleEventOrder(q.evs[i], q.evs[j]) < 0 }
+
+// oracleEventOrder is the oracle's own (time, kind, seq) order, written
+// apart from eventLess so that a change to the run queue's order shows
+// up as a divergence from the oracle.
+func oracleEventOrder(a, b simEvent) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.kind, b.kind), cmp.Compare(a.seq, b.seq))
+}
 
 func (q *heapQueue) Swap(i, j int) { q.evs[i], q.evs[j] = q.evs[j], q.evs[i] }
 

@@ -635,10 +635,8 @@ var knobAllowed = map[string]string{
 		"which bench's replay drives through cluster.Manager.ResizeServer",
 	"trace.ShockConfig.MaxOutFraction": "the generator's cap tests vary it (TestRackShocksAreCorrelated, " +
 		"TestMaxOutServersBoundary, TestRackShocksClampedToFleetAndCap in internal/trace/shocks_test.go) and FuzzShockInputs fuzzes it",
-	"apps.WikipediaConfig.Duration": "TestFig16WikipediaRTFlatTo70 / TestFig17 (wikiFixture) and the apps tests " +
-		"shorten the 120 s run to 20-40 s",
-	"apps.SocialNetConfig.Duration": "TestFig18MicroservicesServeThroughTheKnee and the apps tests shorten the 60 s run to 40 s",
-	"apps.LBConfig.Duration":        "TestFig19DeflationAwareLBCutsTail and the apps tests shorten the 120 s run to 20-40 s",
+	"apps.Config.Duration": "the Figs 16-19 claim tests (wikiFixture, TestFig18MicroservicesServeThroughTheKnee, " +
+		"TestFig19DeflationAwareLBCutsTail) and the apps tests shorten the 60-120 s runs to 20-40 s",
 }
 
 // knobWrites returns, for every field of the knob structs, whether some
