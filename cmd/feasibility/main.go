@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 	"slices"
+	"strings"
 
 	"vmdeflate/internal/feasibility"
 	"vmdeflate/internal/trace"
@@ -42,88 +43,33 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	azure, err := loadAzure(*azurePath, *nVMs, *seed)
-	if err != nil {
-		return err
+	var shown []figure
+	for _, f := range figures {
+		if *fig == 0 || *fig == f.n {
+			shown = append(shown, f)
+		}
 	}
-	alibaba, err := loadAlibaba(*alibabaPath, *nContainers, *seed)
-	if err != nil {
-		return err
-	}
-	levels := feasibility.DefaultDeflationLevels
-
-	show := func(n int) bool { return *fig == 0 || *fig == n }
-
-	if show(5) {
-		t, err := feasibility.CPUFeasibility(azure, levels)
+	// Load what the shown figures read, all of it before the first line
+	// of output, so a bad flag fails with nothing printed.
+	var tr traces
+	for _, f := range shown {
+		var err error
+		switch {
+		case f.containers && tr.alibaba == nil:
+			tr.alibaba, err = loadAlibaba(*alibabaPath, *nContainers, *seed)
+		case !f.containers && tr.azure == nil:
+			tr.azure, err = loadAzure(*azurePath, *nVMs, *seed)
+		}
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, "== Figure 5: fraction of time CPU usage exceeds deflated allocation (all VMs)")
-		fmt.Fprint(w, feasibility.FormatTable(t))
 	}
-	if show(6) {
-		ts, err := feasibility.ByClass(azure, levels)
+	for _, f := range shown {
+		body, err := f.render(tr)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, "== Figure 6: deflatability by workload class")
-		for _, t := range ts {
-			fmt.Fprint(w, feasibility.FormatTable(t))
-		}
-	}
-	if show(7) {
-		ts, err := feasibility.BySize(azure, levels)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 7: deflatability by VM memory size")
-		for _, t := range ts {
-			fmt.Fprint(w, feasibility.FormatTable(t))
-		}
-	}
-	if show(8) {
-		ts, err := feasibility.ByPeak(azure, levels)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 8: deflatability by 95th-percentile CPU usage")
-		for _, t := range ts {
-			fmt.Fprint(w, feasibility.FormatTable(t))
-		}
-	}
-	if show(9) {
-		t, err := feasibility.MemoryFeasibility(alibaba, levels)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 9: container memory occupancy vs deflated allocation")
-		fmt.Fprint(w, feasibility.FormatTable(t))
-	}
-	if show(10) {
-		s, err := feasibility.MemoryBandwidthUsage(alibaba)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 10: memory-bus bandwidth utilisation")
-		fmt.Fprintf(w, "mean-of-means = %.4f%%  max = %.4f%%\nper-container means: %s\n",
-			s.MeanOfMeans, s.MaxOfMax, s.Box)
-	}
-	if show(11) {
-		t, err := feasibility.DiskFeasibility(alibaba, levels)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 11: disk bandwidth deflation feasibility")
-		fmt.Fprint(w, feasibility.FormatTable(t))
-	}
-	if show(12) {
-		t, err := feasibility.NetworkFeasibility(alibaba, levels)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "== Figure 12: network bandwidth deflation feasibility")
-		fmt.Fprint(w, feasibility.FormatTable(t))
+		fmt.Fprintf(w, "== Figure %d: %s\n%s", f.n, f.title, body)
 	}
 	return nil
 }
@@ -165,13 +111,75 @@ func loadAlibaba(path string, n int, seed int64) (*trace.AlibabaTrace, error) {
 	return trace.ReadAlibabaCSV(f)
 }
 
-// figures lists the figures -fig selects.
-var figures = []int{5, 6, 7, 8, 9, 10, 11, 12}
+// traces holds the two traces; a figure reads one of them.
+type traces struct {
+	azure   *trace.AzureTrace
+	alibaba *trace.AlibabaTrace
+}
+
+// figure is one figure -fig selects: its number and title, the trace it
+// reads (the Alibaba containers, else the Azure VMs) and what it prints.
+type figure struct {
+	n          int
+	title      string
+	containers bool
+	render     func(traces) (string, error)
+}
+
+var levels = feasibility.DefaultDeflationLevels
+
+// figures lists the figures -fig selects, in print order.
+var figures = []figure{
+	{5, "fraction of time CPU usage exceeds deflated allocation (all VMs)", false, func(tr traces) (string, error) {
+		return table(feasibility.CPUFeasibility(tr.azure, levels))
+	}},
+	{6, "deflatability by workload class", false, func(tr traces) (string, error) {
+		return tables(feasibility.ByClass(tr.azure, levels))
+	}},
+	{7, "deflatability by VM memory size", false, func(tr traces) (string, error) {
+		return tables(feasibility.BySize(tr.azure, levels))
+	}},
+	{8, "deflatability by 95th-percentile CPU usage", false, func(tr traces) (string, error) {
+		return tables(feasibility.ByPeak(tr.azure, levels))
+	}},
+	{9, "container memory occupancy vs deflated allocation", true, func(tr traces) (string, error) {
+		return table(feasibility.MemoryFeasibility(tr.alibaba, levels))
+	}},
+	{10, "memory-bus bandwidth utilisation", true, func(tr traces) (string, error) {
+		s, err := feasibility.MemoryBandwidthUsage(tr.alibaba)
+		return fmt.Sprintf("mean-of-means = %.4f%%  max = %.4f%%\nper-container means: %s\n",
+			s.MeanOfMeans, s.MaxOfMax, s.Box), err
+	}},
+	{11, "disk bandwidth deflation feasibility", true, func(tr traces) (string, error) {
+		return table(feasibility.DiskFeasibility(tr.alibaba, levels))
+	}},
+	{12, "network bandwidth deflation feasibility", true, func(tr traces) (string, error) {
+		return table(feasibility.NetworkFeasibility(tr.alibaba, levels))
+	}},
+}
+
+// table formats a one-table analysis and passes its error on.
+func table(t feasibility.Table, err error) (string, error) {
+	return tables([]feasibility.Table{t}, err)
+}
+
+// tables formats a many-table analysis and passes its error on.
+func tables(ts []feasibility.Table, err error) (string, error) {
+	var b strings.Builder
+	for _, t := range ts {
+		b.WriteString(feasibility.FormatTable(t))
+	}
+	return b.String(), err
+}
 
 // checkFig rejects a -fig that would select no figure.
 func checkFig(fig int) error {
-	if fig == 0 || slices.Contains(figures, fig) {
+	var ns []int
+	for _, f := range figures {
+		ns = append(ns, f.n)
+	}
+	if fig == 0 || slices.Contains(ns, fig) {
 		return nil
 	}
-	return fmt.Errorf("-fig %d: want 0 for all, or one of %v", fig, figures)
+	return fmt.Errorf("-fig %d: want 0 for all, or one of %v", fig, ns)
 }

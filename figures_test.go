@@ -704,8 +704,8 @@ func TestFig08LowPeakVMsDeflateFreely(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tabs[0].Name != trace.PeakLow.String() {
-			t.Fatalf("first peak class is %s, want %s", tabs[0].Name, trace.PeakLow)
+		if tabs[0].Name != "p95<33" {
+			t.Fatalf("first peak class is %s, want p95<33", tabs[0].Name)
 		}
 		for _, tab := range tabs {
 			t.Logf("%-11s mean:%s", tab.Name, means(tab))

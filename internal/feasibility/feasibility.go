@@ -7,7 +7,6 @@ package feasibility
 
 import (
 	"fmt"
-	"sort"
 
 	"vmdeflate/internal/stats"
 	"vmdeflate/internal/trace"
@@ -50,6 +49,39 @@ func fractionTable(name string, series [][]float64, levels []float64) (Table, er
 	return t, nil
 }
 
+// grouped is Figures 6-8's breakdown: it puts every VM with samples in
+// the bucket bucket(row) names, an index into names, and builds one
+// table per non-empty bucket, in the order of names. A VM with no
+// samples (a zero-lifetime row) is in no bucket.
+func grouped(tr *trace.AzureTrace, levels []float64, names []string, bucket func(row int) int) ([]Table, error) {
+	series := make([][][]float64, len(names))
+	for row, vm := range tr.VMs {
+		if len(vm.CPUUtil) == 0 {
+			continue
+		}
+		b := bucket(row)
+		if b < 0 || b >= len(names) {
+			return nil, fmt.Errorf("feasibility: VM %q (row %d) is in no bucket of %v", vm.ID, row, names)
+		}
+		series[b] = append(series[b], vm.CPUUtil)
+	}
+	var out []Table
+	for b, s := range series {
+		if len(s) == 0 {
+			continue
+		}
+		t, err := fractionTable(names[b], s, levels)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("feasibility: no VM has samples: %w", stats.ErrEmpty)
+	}
+	return out, nil
+}
+
 // CPUFeasibility reproduces Figure 5: the distribution across all VMs of
 // the fraction of time CPU usage exceeds each deflated allocation.
 func CPUFeasibility(tr *trace.AzureTrace, levels []float64) (Table, error) {
@@ -62,71 +94,38 @@ func CPUFeasibility(tr *trace.AzureTrace, levels []float64) (Table, error) {
 
 // ByClass reproduces Figure 6: Figure 5 broken down by workload class.
 func ByClass(tr *trace.AzureTrace, levels []float64) ([]Table, error) {
-	byClass := tr.ByClass()
-	classes := make([]trace.VMClass, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	var out []Table
-	for _, c := range classes {
-		series := make([][]float64, 0, len(byClass[c]))
-		for _, vm := range byClass[c] {
-			series = append(series, vm.CPUUtil)
-		}
-		t, err := fractionTable(c.String(), series, levels)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	// A class is its bucket's index.
+	names := []string{trace.Interactive.String(), trace.DelayInsensitive.String(), trace.Unknown.String()}
+	return grouped(tr, levels, names, func(row int) int { return int(tr.VMs[row].Class) })
 }
 
 // BySize reproduces Figure 7: deflatability by VM memory size.
 func BySize(tr *trace.AzureTrace, levels []float64) ([]Table, error) {
-	bySize := tr.BySize()
-	sizes := make([]trace.SizeClass, 0, len(bySize))
-	for s := range bySize {
-		sizes = append(sizes, s)
-	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	var out []Table
-	for _, s := range sizes {
-		series := make([][]float64, 0, len(bySize[s]))
-		for _, vm := range bySize[s] {
-			series = append(series, vm.CPUUtil)
+	return grouped(tr, levels, []string{"small(<=2GB)", "medium(<=8GB)", "large(>8GB)"}, func(row int) int {
+		switch mb := tr.VMs[row].MemoryMB; {
+		case mb <= 2048:
+			return 0
+		case mb <= 8192:
+			return 1
 		}
-		t, err := fractionTable(s.String(), series, levels)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+		return 2
+	})
 }
 
 // ByPeak reproduces Figure 8: deflatability by 95th-percentile CPU usage.
 func ByPeak(tr *trace.AzureTrace, levels []float64) ([]Table, error) {
-	byPeak := tr.ByPeak()
-	peaks := make([]trace.PeakClass, 0, len(byPeak))
-	for p := range byPeak {
-		peaks = append(peaks, p)
-	}
-	sort.Slice(peaks, func(i, j int) bool { return peaks[i] < peaks[j] })
-	var out []Table
-	for _, p := range peaks {
-		series := make([][]float64, 0, len(byPeak[p]))
-		for _, vm := range byPeak[p] {
-			series = append(series, vm.CPUUtil)
+	p95 := tr.P95Column()
+	return grouped(tr, levels, []string{"p95<33", "33<=p95<66", "66<=p95<80", "p95>=80"}, func(row int) int {
+		switch p := p95[row]; {
+		case p < 33:
+			return 0
+		case p < 66:
+			return 1
+		case p < 80:
+			return 2
 		}
-		t, err := fractionTable(p.String(), series, levels)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+		return 3
+	})
 }
 
 // containerSeries extracts one utilisation dimension from a container
@@ -145,7 +144,7 @@ func MemoryFeasibility(tr *trace.AlibabaTrace, levels []float64) (Table, error) 
 	return fractionTable("memory", containerSeries(tr, func(c *trace.ContainerRecord) []float64 { return c.MemUtil }), levels)
 }
 
-// MemoryBandwidth reproduces Figure 10: the distribution of per-container
+// MemoryBandwidthSummary is Figure 10: the distribution of per-container
 // mean and max memory-bus bandwidth utilisation (percent).
 type MemoryBandwidthSummary struct {
 	MeanOfMeans float64
@@ -153,11 +152,16 @@ type MemoryBandwidthSummary struct {
 	Box         stats.BoxPlot
 }
 
-// MemoryBandwidthUsage summarises memory-bus utilisation (Figure 10).
+// MemoryBandwidthUsage summarises memory-bus utilisation (Figure 10) over
+// the containers with a bandwidth series; it returns stats.ErrEmpty when
+// none has one.
 func MemoryBandwidthUsage(tr *trace.AlibabaTrace) (MemoryBandwidthSummary, error) {
 	var means []float64
 	maxOfMax := 0.0
 	for _, c := range tr.Containers {
+		if len(c.MemBWUtil) == 0 {
+			continue
+		}
 		means = append(means, stats.Mean(c.MemBWUtil))
 		if m := stats.Max(c.MemBWUtil); m > maxOfMax {
 			maxOfMax = m

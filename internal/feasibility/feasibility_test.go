@@ -1,8 +1,12 @@
 package feasibility
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"vmdeflate/internal/stats"
 
 	"vmdeflate/internal/trace"
 )
@@ -117,7 +121,7 @@ func TestByPeakOrdering(t *testing.T) {
 	low, ok1 := byName["p95<33"]
 	high, ok2 := byName["p95>=80"]
 	if !ok1 || !ok2 {
-		t.Skip("peak buckets not both populated")
+		t.Fatalf("peak buckets not both populated: %d tables", len(tabs))
 	}
 	// Figure 8: higher peak load -> greater impact when deflated.
 	for i := range low.Rows {
@@ -203,5 +207,112 @@ func TestFormatTable(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(s), "\n")) != 3 {
 		t.Errorf("unexpected line count in %q", s)
+	}
+}
+
+// vm is a one-row test record: util is its whole series (none for a
+// zero-lifetime row).
+func vm(id string, class trace.VMClass, memMB float64, util ...float64) *trace.VMRecord {
+	end := float64(len(util)) * trace.SampleInterval
+	return &trace.VMRecord{ID: id, Class: class, Cores: 1, MemoryMB: memMB, End: end, CPUUtil: util}
+}
+
+// bucketOf is the name of the one table groupBy builds for a one-VM trace.
+func bucketOf(t *testing.T, groupBy func(*trace.AzureTrace, []float64) ([]Table, error), r *trace.VMRecord) string {
+	t.Helper()
+	tabs, err := groupBy(&trace.AzureTrace{VMs: []*trace.VMRecord{r}}, []float64{50})
+	if err != nil || len(tabs) != 1 {
+		t.Fatalf("%d tables, err %v; want one", len(tabs), err)
+	}
+	return tabs[0].Name
+}
+
+// TestSizeClassification pins Figure 7's bucket edges: at most 2 GB is
+// small, at most 8 GB medium, and anything larger large.
+func TestSizeClassification(t *testing.T) {
+	for _, c := range []struct {
+		memMB float64
+		want  string
+	}{
+		{1024, "small(<=2GB)"}, {2048, "small(<=2GB)"}, {2049, "medium(<=8GB)"},
+		{8192, "medium(<=8GB)"}, {8193, "large(>8GB)"}, {65536, "large(>8GB)"},
+	} {
+		if got := bucketOf(t, BySize, vm("vm-1", trace.Interactive, c.memMB, 50)); got != c.want {
+			t.Errorf("%v MB is in %s, want %s", c.memMB, got, c.want)
+		}
+	}
+}
+
+// TestPeakClassification pins Figure 8's bucket edges on the P95: each
+// lower edge belongs to the bucket above it.
+func TestPeakClassification(t *testing.T) {
+	for _, c := range []struct {
+		p95  float64
+		want string
+	}{
+		{10, "p95<33"}, {32.9, "p95<33"}, {33, "33<=p95<66"},
+		{65.9, "33<=p95<66"}, {66, "66<=p95<80"}, {79.9, "66<=p95<80"},
+		{80, "p95>=80"}, {100, "p95>=80"},
+	} {
+		if got := bucketOf(t, ByPeak, vm("vm-1", trace.Interactive, 1024, c.p95, c.p95)); got != c.want {
+			t.Errorf("P95 %v is in %s, want %s", c.p95, got, c.want)
+		}
+	}
+}
+
+// TestBreakdownSkipsSampleLessRows: a zero-lifetime row (legal in an
+// Azure CSV) has no samples and a NaN P95. Alone in its class, or put in
+// the top peak bucket by its NaN, it used to fail Figure 6 or 8 with
+// "stats: empty sample"; now it is in no bucket.
+func TestBreakdownSkipsSampleLessRows(t *testing.T) {
+	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{
+		vm("vm-1", trace.Interactive, 1024, 10, 20, 30),
+		vm("vm-2", trace.DelayInsensitive, 1024),
+	}}
+	for name, groupBy := range map[string]func(*trace.AzureTrace, []float64) ([]Table, error){
+		"ByClass": ByClass, "BySize": BySize, "ByPeak": ByPeak,
+	} {
+		tabs, err := groupBy(tr, DefaultDeflationLevels)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(tabs) != 1 {
+			t.Errorf("%s: %d tables, want the sampled VM's one", name, len(tabs))
+		}
+	}
+	tr.VMs = tr.VMs[1:]
+	if _, err := ByClass(tr, DefaultDeflationLevels); !errors.Is(err, stats.ErrEmpty) {
+		t.Errorf("ByClass with no sampled VM: err = %v, want stats.ErrEmpty", err)
+	}
+}
+
+// TestByClassRejectsUnknownClass: a class outside the three labels is an
+// error naming the row, not an index panic.
+func TestByClassRejectsUnknownClass(t *testing.T) {
+	tr := &trace.AzureTrace{VMs: []*trace.VMRecord{vm("vm-1", trace.Interactive, 1024, 50), vm("vm-odd", trace.VMClass(7), 1024, 50)}}
+	_, err := ByClass(tr, DefaultDeflationLevels)
+	if err == nil || !strings.Contains(err.Error(), `"vm-odd" (row 1)`) {
+		t.Errorf("err = %v, want one naming vm-odd's row", err)
+	}
+}
+
+// TestMemoryBandwidthSkipsEmptySeries: a container with no bandwidth
+// samples used to turn Figure 10 into NaN; now it is skipped, and only a
+// trace with no series left is an error.
+func TestMemoryBandwidthSkipsEmptySeries(t *testing.T) {
+	tr := &trace.AlibabaTrace{Containers: []*trace.ContainerRecord{
+		{ID: "c-1", MemBWUtil: []float64{0.1, 0.3}},
+		{ID: "c-2"},
+	}}
+	s, err := MemoryBandwidthUsage(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.MeanOfMeans != 0.2 || s.MaxOfMax != 0.3 || math.IsNaN(s.Box.Mean) {
+		t.Errorf("summary %+v, want the one series' mean 0.2 and max 0.3", s)
+	}
+	tr.Containers = tr.Containers[1:]
+	if _, err := MemoryBandwidthUsage(tr); !errors.Is(err, stats.ErrEmpty) {
+		t.Errorf("err = %v, want stats.ErrEmpty", err)
 	}
 }

@@ -34,7 +34,6 @@ const (
 	DelayInsensitive
 	// Unknown VMs carry no label.
 	Unknown
-	numClasses
 )
 
 // String returns the dataset's label for the class.
@@ -96,89 +95,6 @@ func (r *VMRecord) UtilAt(t float64) float64 {
 	return r.CPUUtil[i]
 }
 
-// SizeClass buckets a VM by memory, matching Figure 7's breakdown.
-type SizeClass int
-
-const (
-	// SmallVM has at most 2 GB of memory.
-	SmallVM SizeClass = iota
-	// MediumVM has more than 2 GB and up to 8 GB.
-	MediumVM
-	// LargeVM has more than 8 GB.
-	LargeVM
-)
-
-// String names the bucket as in Figure 7.
-func (s SizeClass) String() string {
-	switch s {
-	case SmallVM:
-		return "small(<=2GB)"
-	case MediumVM:
-		return "medium(<=8GB)"
-	case LargeVM:
-		return "large(>8GB)"
-	default:
-		return fmt.Sprintf("SizeClass(%d)", int(s))
-	}
-}
-
-// Size returns the VM's size class.
-func (r *VMRecord) Size() SizeClass {
-	switch {
-	case r.MemoryMB <= 2048:
-		return SmallVM
-	case r.MemoryMB <= 8192:
-		return MediumVM
-	default:
-		return LargeVM
-	}
-}
-
-// PeakClass buckets a VM by 95th-percentile CPU utilisation, matching
-// Figure 8's breakdown.
-type PeakClass int
-
-const (
-	// PeakLow is p95 < 33%.
-	PeakLow PeakClass = iota
-	// PeakModerate is 33% <= p95 < 66%.
-	PeakModerate
-	// PeakHigher is 66% <= p95 < 80%.
-	PeakHigher
-	// PeakHigh is p95 >= 80%.
-	PeakHigh
-)
-
-// String names the bucket as in Figure 8.
-func (p PeakClass) String() string {
-	switch p {
-	case PeakLow:
-		return "p95<33"
-	case PeakModerate:
-		return "33<=p95<66"
-	case PeakHigher:
-		return "66<=p95<80"
-	case PeakHigh:
-		return "p95>=80"
-	default:
-		return fmt.Sprintf("PeakClass(%d)", int(p))
-	}
-}
-
-// Peak classifies p95 into the paper's four peak-utilisation buckets.
-func Peak(p95 float64) PeakClass {
-	switch {
-	case p95 < 33:
-		return PeakLow
-	case p95 < 66:
-		return PeakModerate
-	case p95 < 80:
-		return PeakHigher
-	default:
-		return PeakHigh
-	}
-}
-
 // AzureTrace is a collection of VM records. Traces are treated as
 // immutable once built: what depends on the trace alone — the horizon
 // (Duration) and the row-indexed P95 column (P95Column) — is derived on
@@ -196,35 +112,6 @@ type AzureTrace struct {
 	// p95Sorts counts the series ordered while building p95; the tests pin
 	// it to len(VMs) however many readers asked.
 	p95Sorts int
-}
-
-// ByClass partitions the trace's VMs by workload class.
-func (t *AzureTrace) ByClass() map[VMClass][]*VMRecord {
-	m := make(map[VMClass][]*VMRecord)
-	for _, vm := range t.VMs {
-		m[vm.Class] = append(m[vm.Class], vm)
-	}
-	return m
-}
-
-// BySize partitions the trace's VMs by size class.
-func (t *AzureTrace) BySize() map[SizeClass][]*VMRecord {
-	m := make(map[SizeClass][]*VMRecord)
-	for _, vm := range t.VMs {
-		m[vm.Size()] = append(m[vm.Size()], vm)
-	}
-	return m
-}
-
-// ByPeak partitions the trace's VMs by p95 utilisation bucket.
-func (t *AzureTrace) ByPeak() map[PeakClass][]*VMRecord {
-	m := make(map[PeakClass][]*VMRecord)
-	p95 := t.P95Column()
-	for i, vm := range t.VMs {
-		c := Peak(p95[i])
-		m[c] = append(m[c], vm)
-	}
-	return m
 }
 
 // Duration returns the time at which the last VM in the trace ends.

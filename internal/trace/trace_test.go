@@ -56,43 +56,6 @@ func TestFractionAboveDeflation(t *testing.T) {
 	}
 }
 
-func TestSizeClassification(t *testing.T) {
-	cases := []struct {
-		memMB float64
-		want  SizeClass
-	}{
-		{1024, SmallVM}, {2048, SmallVM}, {2049, MediumVM},
-		{8192, MediumVM}, {8193, LargeVM}, {65536, LargeVM},
-	}
-	for _, c := range cases {
-		vm := &VMRecord{MemoryMB: c.memMB}
-		if got := vm.Size(); got != c.want {
-			t.Errorf("Size(%v MB) = %v, want %v", c.memMB, got, c.want)
-		}
-	}
-	for _, s := range []SizeClass{SmallVM, MediumVM, LargeVM} {
-		if s.String() == "" || strings.HasPrefix(s.String(), "SizeClass") {
-			t.Errorf("SizeClass %d has bad name %q", s, s.String())
-		}
-	}
-}
-
-func TestPeakClassification(t *testing.T) {
-	cases := []struct {
-		p95  float64
-		want PeakClass
-	}{
-		{10, PeakLow}, {32.9, PeakLow}, {33, PeakModerate},
-		{65.9, PeakModerate}, {66, PeakHigher}, {79.9, PeakHigher},
-		{80, PeakHigh}, {100, PeakHigh},
-	}
-	for _, c := range cases {
-		if got := Peak(c.p95); got != c.want {
-			t.Errorf("Peak(%v) = %v, want %v", c.p95, got, c.want)
-		}
-	}
-}
-
 func TestGenerateAzureShape(t *testing.T) {
 	tr := generateAzure(t, 400, 1)
 	if len(tr.VMs) != 400 {
@@ -143,17 +106,18 @@ func TestGenerateAzureDeterministic(t *testing.T) {
 // (interactive ~1-15%, batch up to ~30% over 10-50% deflation).
 func TestGenerateAzureClassSeparation(t *testing.T) {
 	tr := generateAzure(t, 1500, 1)
-	byClass := tr.ByClass()
-	meanAbove := func(vms []*VMRecord, defl float64) float64 {
+	meanAbove := func(class VMClass, defl float64) float64 {
 		var xs []float64
-		for _, vm := range vms {
-			xs = append(xs, vm.FractionAboveDeflation(defl))
+		for _, vm := range tr.VMs {
+			if vm.Class == class {
+				xs = append(xs, vm.FractionAboveDeflation(defl))
+			}
 		}
 		return stats.Mean(xs)
 	}
-	i50 := meanAbove(byClass[Interactive], 50)
-	b50 := meanAbove(byClass[DelayInsensitive], 50)
-	i10 := meanAbove(byClass[Interactive], 10)
+	i50 := meanAbove(Interactive, 50)
+	b50 := meanAbove(DelayInsensitive, 50)
+	i10 := meanAbove(Interactive, 10)
 	if i50 >= b50 {
 		t.Errorf("interactive impact (%.3f) should be below batch (%.3f) at 50%% deflation", i50, b50)
 	}
@@ -184,21 +148,34 @@ func TestGenerateAzureMedianSlack(t *testing.T) {
 
 func TestGenerateAzurePartitions(t *testing.T) {
 	tr := generateAzure(t, 800, 1)
-	bySize := tr.BySize()
-	if len(bySize[SmallVM]) == 0 || len(bySize[MediumVM]) == 0 || len(bySize[LargeVM]) == 0 {
-		t.Errorf("size buckets should all be populated: %d/%d/%d",
-			len(bySize[SmallVM]), len(bySize[MediumVM]), len(bySize[LargeVM]))
+	// Figure 7's memory buckets (<= 2 GB, <= 8 GB, larger), Figure 8's
+	// low and high P95 buckets (< 33 %, >= 80 %) and Figure 6's classes.
+	var sizes [3]int
+	var low, high int
+	classes := map[VMClass]int{}
+	for i, vm := range tr.VMs {
+		switch {
+		case vm.MemoryMB <= 2048:
+			sizes[0]++
+		case vm.MemoryMB <= 8192:
+			sizes[1]++
+		default:
+			sizes[2]++
+		}
+		if p := tr.P95Column()[i]; p < 33 {
+			low++
+		} else if p >= 80 {
+			high++
+		}
+		classes[vm.Class]++
 	}
-	byPeak := tr.ByPeak()
-	if len(byPeak[PeakLow]) == 0 || len(byPeak[PeakHigh]) == 0 {
-		t.Errorf("peak buckets should include low and high: low=%d high=%d",
-			len(byPeak[PeakLow]), len(byPeak[PeakHigh]))
+	if sizes[0] == 0 || sizes[1] == 0 || sizes[2] == 0 {
+		t.Errorf("size buckets should all be populated: %d/%d/%d", sizes[0], sizes[1], sizes[2])
 	}
-	total := 0
-	for _, vms := range tr.ByClass() {
-		total += len(vms)
+	if low == 0 || high == 0 {
+		t.Errorf("peak buckets should include low and high: low=%d high=%d", low, high)
 	}
-	if total != 800 {
+	if total := classes[Interactive] + classes[DelayInsensitive] + classes[Unknown]; total != 800 {
 		t.Errorf("class partition loses VMs: %d", total)
 	}
 	if tr.Duration() <= 0 || tr.Duration() > 3*86400+SampleInterval {

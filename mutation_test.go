@@ -212,6 +212,40 @@ var mutations = []mutation{
 			{".", "^TestFig19DeflationAwareLBCutsTail$"},
 		},
 	},
+	// Figure 7's small-VM edge. The default Azure trace has VMs of
+	// exactly 2 GB, so Fig 7's series see the move; its claim test's
+	// spread margin does not.
+	{
+		name: "BySize/boundary", file: "internal/feasibility/feasibility.go",
+		from: "case mb <= 2048:", to: "case mb < 2048:",
+		kills: []suite{
+			{"cmd/feasibility", "^TestSeriesMatchGolden$"},
+			{"internal/feasibility", "^TestSizeClassification$"},
+		},
+		misses: []suite{{".", "^TestFig07SizeDoesNotPredictDeflatability$"}},
+	},
+	// Figure 8's low-peak edge. No default-trace VM has a P95 of exactly
+	// 33 %, so only the boundary table sees it.
+	{
+		name: "ByPeak/boundary", file: "internal/feasibility/feasibility.go",
+		from: "case p < 33:", to: "case p <= 33:",
+		kills: []suite{{"internal/feasibility", "^TestPeakClassification$"}},
+		misses: []suite{
+			{"cmd/feasibility", "^TestSeriesMatchGolden$"},
+			{".", "^TestFig08LowPeakVMsDeflateFreely$"},
+		},
+	},
+	// Without the skip a zero-lifetime row is bucketed: alone in its
+	// class, or in the top peak bucket by its NaN P95, it leaves a bucket
+	// of empty series that fails Figures 6 and 8.
+	{
+		name: "grouped/sample-less", file: "internal/feasibility/feasibility.go",
+		from: "\t\tif len(vm.CPUUtil) == 0 {\n\t\t\tcontinue\n\t\t}\n", to: "",
+		kills: []suite{
+			{"internal/feasibility", "^TestBreakdownSkipsSampleLessRows$"},
+			{"cmd/feasibility", "^TestCSVRowsWithoutSamples$"},
+		},
+	},
 	{
 		name: "streamRows/p95", file: "internal/clustersim/rows.go",
 		from: "stats.PercentileSelect(a.buf, 95)", to: "stats.PercentileSelect(a.buf, 90)",
