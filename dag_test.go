@@ -18,10 +18,13 @@ var (
 	// engine it runs on.
 	requestLevel = []string{"apps", "guestos", "loadbalancer", "mechanism", "workload", "queueing", "sim"}
 	// pendingRequestLevel are request-level models the core still
-	// reaches, through policy.VMState in the hypervisor's deflatable
-	// view: policy imports perfmodel for its deflation curves and the
-	// closed-form PS slowdown. It joins requestLevel once VMState moves
-	// below hypervisor.
+	// reaches through policy. Two core packages import policy:
+	// hypervisor for policy.VMState, the row of its deflatable view, and
+	// cluster for the policy passes it runs. policy.LatencyAware reads
+	// perfmodel's deflation curves and closed-form PS slowdown, so
+	// cluster reaches perfmodel whatever package VMState lives in.
+	// perfmodel joins requestLevel only once the latency-aware policy's
+	// model leaves policy.
 	pendingRequestLevel = []string{"perfmodel"}
 )
 
@@ -53,5 +56,5 @@ func TestCoreReachesNoRequestLevelModel(t *testing.T) {
 			t.Errorf("no core package reaches %s any more: move it to requestLevel", name)
 		}
 	}
-	t.Logf("reached through policy.VMState, pending its move: %v", pendingRequestLevel)
+	t.Logf("reached through policy (its latency-aware model): %v", pendingRequestLevel)
 }

@@ -218,6 +218,65 @@ func TestFig22StaticRevenueRisesWithOvercommit(t *testing.T) {
 	}
 }
 
+const (
+	// At 60 % overcommitment proportional deflation loses at least this
+	// multiple of deterministic deflation's throughput [2.93x].
+	fig21DeterministicMargin = 2
+	// At 50 % overcommitment priority-partitioned pools lose at least
+	// this multiple of mixed placement's throughput [3.48x].
+	fig21PartitionedGap = 2
+)
+
+// ablationPoints runs strategies a and b at one overcommitment point on
+// the 1,500-VM two-day azure trace of one seed.
+func ablationPoints(t *testing.T, ts traceSeed, pct float64, a, b string) (clustersim.SweepPoint, clustersim.SweepPoint) {
+	t.Helper()
+	rs, err := clustersim.SweepGrid(ts.azure, []string{a, b}, []float64{pct}, clustersim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := rs[0].Points[0], rs[1].Points[0]
+	t.Logf("oc %.0f%%: %s loses %.3f%% and fails %.4f, %s loses %.3f%% and fails %.4f",
+		pct, a, pa.ThroughputLossPct, pa.FailureProbability, b, pb.ThroughputLossPct, pb.FailureProbability)
+	return pa, pb
+}
+
+// TestFig21DeterministicLosesLessThroughput pins the server-level policy
+// ablation of Section 7.4.2: deterministic deflation, which takes
+// capacity from a fixed order of VMs, loses less throughput than
+// proportional deflation at 60 % overcommitment. It fails to reclaim
+// more often (0.20-0.24 against 0.006-0.014), which is logged and not
+// pinned.
+func TestFig21DeterministicLosesLessThroughput(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		prop, det := ablationPoints(t, ts, 60, clustersim.StrategyProportional, clustersim.StrategyDeterministic)
+		if prop.ThroughputLossPct < fig21DeterministicMargin*det.ThroughputLossPct {
+			t.Errorf("proportional loses %.3f%%, deterministic %.3f%%; want at least %dx", prop.ThroughputLossPct, det.ThroughputLossPct, fig21DeterministicMargin)
+		}
+	})
+}
+
+// TestFig21PartitionedPoolsFailNoMoreOften pins the placement ablation
+// of Section 5.2.1 at 50 % overcommitment: priority-partitioned pools
+// fail to reclaim no more often than mixed placement under the same
+// priority policy. *Pinned as a gap:* the pools lose 3.5-4.6x mixed
+// placement's throughput, where partitioning is meant to cut what
+// low-priority deflation costs the fleet. ROADMAP item 14's quantiser
+// disagreement (pool 0 sized for VMs it never receives) is one known
+// cause; the fix moves this test, which reports it.
+func TestFig21PartitionedPoolsFailNoMoreOften(t *testing.T) {
+	forEachTraceSeed(t, func(t *testing.T, ts traceSeed) {
+		mixed, parted := ablationPoints(t, ts, 50, clustersim.StrategyPriority, clustersim.StrategyPartitioned)
+		if parted.FailureProbability > mixed.FailureProbability {
+			t.Errorf("partitioned pools fail %.4f, mixed placement %.4f; want no more", parted.FailureProbability, mixed.FailureProbability)
+		}
+		if parted.ThroughputLossPct < fig21PartitionedGap*mixed.ThroughputLossPct {
+			t.Errorf("gap moved: partitioned pools lose %.3f%%, mixed placement %.3f%%; pinned at >= %dx",
+				parted.ThroughputLossPct, mixed.ThroughputLossPct, fig21PartitionedGap)
+		}
+	})
+}
+
 // --- The application figures (Sections 4 and 7.2-7.3) ---
 
 // fig03Memcached50 is the least normalised performance memcached keeps

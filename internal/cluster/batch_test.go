@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -98,6 +99,14 @@ func TestPlaceVMsInvalidConfigTouchesNothing(t *testing.T) {
 	}
 	if _, ok := m.placements["tiny"]; ok {
 		t.Error("the rejected VM holds a placement")
+	}
+	// A launch whose initial limit write is refused leaves no domain.
+	nan := resources.CPUMem(math.NaN(), 1024)
+	if _, err := launch(s, deflatableVM("refused", 2, 2048, 0.5), nan); !errors.Is(err, hypervisor.ErrInvalid) {
+		t.Errorf("launch at %v: err = %v, want hypervisor.ErrInvalid", nan, err)
+	}
+	if _, err := s.Host.Lookup("refused"); !errors.Is(err, hypervisor.ErrNotFound) {
+		t.Errorf("the refused launch left its domain: %v", err)
 	}
 }
 

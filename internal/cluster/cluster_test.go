@@ -93,48 +93,35 @@ func TestPlaceDuplicateVM(t *testing.T) {
 	}
 }
 
+// TestPlacementPacksSurplusTightly is a named stream of
+// runPlacementOps: two batches of sixteen VMs on four empty servers,
+// each placement held to the reference's tightest fit.
 func TestPlacementPacksSurplusTightly(t *testing.T) {
-	m := newTestManager(t, 4, Config{})
-	counts := map[string]int{}
-	for i := 0; i < 8; i++ {
-		_, s, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%d", i), 12, 32768, 0.5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[s.Host.Name()]++
-	}
-	// Surplus-first placement is tightest-fit: 8 x 12-core VMs fill two
-	// 48-core servers completely before touching the others, keeping the
-	// remaining servers whole for large future arrivals.
-	used := 0
-	for _, c := range counts {
-		used++
-		if c != 4 {
-			t.Errorf("expected full packing (4 VMs/server), got %v", counts)
-			break
-		}
-	}
-	if used != 2 {
-		t.Errorf("expected exactly 2 servers used, got %v", counts)
+	s := newPlacementStream(0, 4)
+	s.place(0, 16)
+	s.place(16, 16)
+	if f := runPlacementOps(t, &opReader{data: s}, opsConfig{}); f.placed != 32 || f.pressured != 0 {
+		t.Errorf("want 32 surplus placements: %+v", f)
 	}
 }
 
+// TestPlacementPrefersDeflationOverRejection is a named stream of
+// runPlacementOps: three servers overfilled by three batches of sixteen
+// VMs (168 cores on 144), so later VMs are admitted by deflating
+// residents rather than rejected.
 func TestPlacementPrefersDeflationOverRejection(t *testing.T) {
-	m := newTestManager(t, 2, Config{})
-	// Fill both servers with deflatable load.
-	for i := 0; i < 2; i++ {
-		if _, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("low-%d", i), 48, 98304, 0.5)); err != nil {
-			t.Fatal(err)
-		}
+	if f := runPlacementOps(t, &opReader{data: overfilled()}, opsConfig{}); f.squeezed == 0 {
+		t.Errorf("no placement deflated a resident: %+v", f)
 	}
-	// A new on-demand VM must still be admitted by deflating residents.
-	d, _, err := m.PlaceVM(onDemandVM("od", 16, 16384))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// overfilled is three servers given 168 cores of VMs on 144 cores.
+func overfilled() placementStream {
+	s := newPlacementStream(0, 3)
+	for b := range 3 {
+		s.place(16*b, 16)
 	}
-	if d.Allocation() != d.MaxSize() {
-		t.Errorf("on-demand allocation = %v", d.Allocation())
-	}
+	return s
 }
 
 func TestPlaceTriggersDeflation(t *testing.T) {
@@ -143,11 +130,11 @@ func TestPlaceTriggersDeflation(t *testing.T) {
 	if _, _, err := m.PlaceVM(deflatableVM("low-1", 40, 65536, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := m.PlaceVM(onDemandVM("od-1", 16, 32768))
-	if err != nil {
-		t.Fatal(err)
+	pl := m.PlaceVMs([]hypervisor.DomainConfig{onDemandVM("od-1", 16, 32768)}, nil)[0]
+	if pl.Err != nil || !pl.NeedsReclaim {
+		t.Fatalf("od-1: %+v, want a placement that needed a reclaim", pl)
 	}
-	if d.Allocation() != d.MaxSize() {
+	if d := pl.Domain; d.Allocation() != d.MaxSize() {
 		t.Errorf("on-demand VM must get full size: %v", d.Allocation())
 	}
 	low, _, err := m.LookupVM("low-1")
@@ -204,24 +191,17 @@ func TestAdmissionControlRejects(t *testing.T) {
 	}
 }
 
+// TestRemoveVMReinflates is a named stream of runPlacementOps under the
+// proportional policy: departures from overfilled servers, each of
+// which must leave its server at the water-fill fixed point of
+// reinflation (checkReinflated).
 func TestRemoveVMReinflates(t *testing.T) {
-	m := newTestManager(t, 1, Config{})
-	if _, _, err := m.PlaceVM(deflatableVM("low", 40, 65536, 0.5)); err != nil {
-		t.Fatal(err)
+	s := overfilled()
+	for range 4 {
+		s.remove(3)
 	}
-	if _, _, err := m.PlaceVM(onDemandVM("od", 16, 32768)); err != nil {
-		t.Fatal(err)
-	}
-	low, _, _ := m.LookupVM("low")
-	if got := low.Allocation().Get(resources.CPU); got > 32.001 {
-		t.Fatalf("setup: low = %v", got)
-	}
-	if err := m.RemoveVM("od"); err != nil {
-		t.Fatal(err)
-	}
-	// Freed capacity flows back: low reinflates to full.
-	if got := low.Allocation().Get(resources.CPU); got < 39.999 {
-		t.Errorf("after departure low = %v, want reinflated to 40", got)
+	if f := runPlacementOps(t, &opReader{data: s}, opsConfig{}); f.squeezed == 0 || f.removed != 12 {
+		t.Errorf("want departures from a squeezed cluster: %+v", f)
 	}
 }
 
@@ -292,6 +272,15 @@ func TestPartitionedPlacement(t *testing.T) {
 	if sOD.Partition != 3 {
 		t.Errorf("on-demand VM on partition %d, want 3", sOD.Partition)
 	}
+	if p := m.PartitionOf(deflatableVM("top", 1, 1024, 1)); p != PriorityLevels-1 {
+		t.Errorf("priority 1 maps to partition %d, want %d", p, PriorityLevels-1)
+	}
+	// Pool 0 has no room left, but another pool's server does: the VM
+	// deflates in its own pool, and no reclaim was needed cluster-wide.
+	pl := m.PlaceVMs([]hypervisor.DomainConfig{deflatableVM("low-2", 46, 8192, 0.1)}, nil)[0]
+	if pl.Err != nil || pl.Server != sLow || pl.NeedsReclaim {
+		t.Errorf("low-2: %+v, want a placement on %s with no reclaim needed", pl, sLow.Host.Name())
+	}
 }
 
 func TestPartitionFullRejects(t *testing.T) {
@@ -330,6 +319,16 @@ func TestAvailabilityVector(t *testing.T) {
 	}
 	if got.Get(resources.CPU) > 48 {
 		t.Errorf("availability cannot exceed capacity here: %v", got)
+	}
+	// 72 of 48 cores committed overcommit the server by 0.5: its
+	// deflatable reserve counts at 1/1.5.
+	if _, _, err := m.PlaceVM(deflatableVM("b", 48, 65536, 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	agg := s.Host.Aggregates()
+	want := serverCap().Sub(agg.Allocated).Add(agg.DeflatableReserve.Scale(1 / 1.5)).ClampNonNegative()
+	if got := availability(s); got != want {
+		t.Errorf("overcommitted availability = %v, want %v", got, want)
 	}
 }
 

@@ -50,15 +50,11 @@ func (m *Manager) syncDirty() {
 		s.free = total.Sub(agg.Allocated)
 		s.freeShare = s.free.DominantShare(total)
 		s.avail = availabilityFrom(total, agg)
-		pool := s.Partition
-		if s.revoked {
-			// A revoked server stays out of the indexes no matter what
-			// marked it; its cached state is still refreshed.
-			m.indexes[pool].Delete(name)
-			m.bounds[pool].Delete(name)
-		} else {
-			// The surplus entry carries s.free, the vector its probes
-			// test: this is the one place s.free is written.
+		// RevokeServers takes a server out of the indexes, and it stays
+		// out whatever marks it until RestoreServer; its cached state is
+		// still refreshed. The surplus entry carries s.free, the vector
+		// its probes test: this is the one place s.free is written.
+		if pool := s.Partition; !s.revoked {
 			m.indexes[pool].UpsertFree(name, s.freeShare, s.free)
 			m.bounds[pool].Upsert(name, boundKey(s.avail))
 		}

@@ -312,8 +312,9 @@ func TestChurnNeverOverAllocates(t *testing.T) {
 // be allocated beyond its capacity, every event the indexed manager
 // published must equal its domain's own reads, and it must hold
 // exactly the VMs its records fold to. Under the proportional policy,
-// every server a departure batch took a VM from must sit at the
-// water-fill fixed point of reinflation (checkReinflated).
+// every server a departure batch took a VM from, and every server
+// resized to a capacity its residents fit, must sit at the water-fill
+// fixed point of reinflation (checkReinflated).
 func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 	policies := []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}}
 	mcfg := Config{Policy: policies[r.next(len(policies))]}
@@ -399,6 +400,7 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 		var step func(i int, m *Manager) string
 		var born []string             // fresh names this op introduces
 		var leaving map[string]string // a departure batch's placed VMs and their servers
+		var regrown string            // a resized server whose residents fit the new capacity
 		kind, before := r.next(8), len(ms[0].placements)
 		switch kind {
 		case 0, 1, 2: // arrival batch
@@ -460,6 +462,9 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 			step = func(_ int, m *Manager) string { return fmt.Sprint(m.RestoreServer(name)) }
 		case 6:
 			name, scale := server(), float64(4+r.next(9))/10 // 40%..120%
+			if h := ms[0].byName[name].Host; h.Capacity() != serverCap().Scale(scale) && h.Aggregates().Allocated.FitsIn(serverCap().Scale(scale)) {
+				regrown = name // ResizeServer reinflates it in place
+			}
 			step = func(i int, m *Manager) string {
 				ev, err := m.ResizeServer(name, serverCap().Scale(scale))
 				return evacuation(i, ev, err)
@@ -504,6 +509,11 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 				}
 			}
 		}
+		if regrown != "" && shocked && proportional {
+			for i, m := range ms {
+				checkReinflated(t, op, labels[i], m.byName[regrown])
+			}
+		}
 		switch {
 		case kind == 3:
 			fold.removed += before - len(ms[0].placements)
@@ -530,10 +540,11 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 	return fold
 }
 
-// checkReinflated holds a server a departure batch took a VM from to
-// the proportional policy's water-fill fixed point: on every dimension,
-// either each running deflatable resident is at its size, or the host's
-// fresh free capacity is zero. Both hold within a relative 1e-9: the
+// checkReinflated holds a server that just ran a reinflation pass (a
+// departure took a VM from it, or it was resized to a capacity its
+// residents fit) to the proportional policy's water-fill fixed point:
+// on every dimension, either each running deflatable resident is at
+// its size, or the host's fresh free capacity is zero. Both hold within a relative 1e-9: the
 // water-fill's min + alpha*(max - min) can land an ulp below max (a
 // 13-core VM at 12.999999999999998 with a core free).
 func checkReinflated(t *testing.T, op int, label string, s *Server) {
@@ -546,7 +557,7 @@ func checkReinflated(t *testing.T, op int, label string, s *Server) {
 		}
 		for _, d := range s.Host.Domains() {
 			if size := d.MaxSize()[k]; d.State() == hypervisor.Running && d.Deflatable() && d.Allocation()[k] < size-1e-9*size {
-				t.Fatalf("op %d: %s server %s keeps %g of %v free, and its resident %s holds %g of its %g after a departure",
+				t.Fatalf("op %d: %s server %s keeps %g of %v free, and its resident %s holds %g of its %g after reinflation",
 					op, label, s.Host.Name(), free[k], k, d.Name(), d.Allocation()[k], d.MaxSize()[k])
 			}
 		}

@@ -9,6 +9,24 @@ import (
 	"vmdeflate/internal/resources"
 )
 
+// TestCannotReclaimAtTheMargin: the pre-filter skips a server only when
+// a VM's shortfall exceeds what deflating its residents frees by more
+// than reserveMargin; a shortfall of exactly that much is left to the
+// policy pass.
+func TestCannotReclaimAtTheMargin(t *testing.T) {
+	s := &Server{}
+	s.agg.DeflatableReserve = resources.CPUMem(1, 0)
+	for _, c := range []struct {
+		cores float64
+		skip  bool
+	}{{1 + reserveMargin, false}, {1 + 2*reserveMargin, true}} {
+		dc := onDemandVM("vm", c.cores, 0)
+		if got := cannotReclaim(s, dc, newcomerRange(dc)); got != c.skip {
+			t.Errorf("%g cores on a server that frees 1: skipped %v, want %v", c.cores, got, c.skip)
+		}
+	}
+}
+
 // pressureScanSteadyState builds a manager whose every server is
 // CPU-full with deflatable residents, plus a probe engineered to drive
 // the under-pressure scan through its worst case without mutating

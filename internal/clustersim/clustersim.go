@@ -319,21 +319,6 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// checkCapacity is the rule the sizing entry points hold a server
-// capacity to: every component finite and non-negative, and not all of
-// them zero.
-func checkCapacity(c resources.Vector) error {
-	for _, k := range resources.Kinds {
-		if v := c.Get(k); !finiteNonNegative(v) {
-			return fmt.Errorf("clustersim: server capacity %v on %v is not a finite non-negative amount", v, k)
-		}
-	}
-	if c.IsZero() {
-		return fmt.Errorf("clustersim: server capacity is zero on every resource")
-	}
-	return nil
-}
-
 // finiteNonNegative reports whether v is a finite number >= 0. NaN
 // fails every comparison, so a bare `v < 0` check lets it through.
 func finiteNonNegative(v float64) bool {

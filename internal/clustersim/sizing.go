@@ -41,8 +41,8 @@ func PeakServerLowerBoundStream(s *trace.Stream, serverCap resources.Vector) (in
 // checked: a NaN or +Inf component would otherwise drop out of the
 // per-dimension bound and the scan's share order alike.
 func peakLowerBound(src *rowSource, serverCap resources.Vector) (int, error) {
-	if err := checkCapacity(serverCap); err != nil {
-		return 0, err
+	if err := serverCap.CheckCapacity(); err != nil {
+		return 0, fmt.Errorf("clustersim: server %w", err)
 	}
 	var cur, peak resources.Vector
 	var err error
@@ -167,7 +167,7 @@ type fleet struct {
 }
 
 // newFleet returns n empty servers of the given capacity, which must
-// pass checkCapacity. The slacks come from the capacity: FitsIn lets a
+// pass CheckCapacity. The slacks come from the capacity: FitsIn lets a
 // component exceed its free amount by FitTolerance, which is at most
 // tol = FitTolerance / (smallest positive capacity component) as a
 // share. No share a sizing computes exceeds 1 + tol (a VM is checked

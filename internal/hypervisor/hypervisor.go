@@ -236,25 +236,10 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("%w: empty host name", ErrInvalid)
 	}
-	if err := checkCapacity(cfg.Name, cfg.Capacity); err != nil {
-		return nil, err
+	if err := cfg.Capacity.CheckCapacity(); err != nil {
+		return nil, fmt.Errorf("%w: host %s %v", ErrInvalid, cfg.Name, err)
 	}
 	return &Host{cfg: cfg, capacity: cfg.Capacity}, nil
-}
-
-// checkCapacity rejects a host capacity that is empty or has a
-// negative, NaN or +Inf component. NaN fails every comparison, so a bare
-// `< 0` check lets it through into the aggregates and index keys.
-func checkCapacity(host string, v resources.Vector) error {
-	for _, k := range resources.Kinds {
-		if x := v.Get(k); !(x >= 0) || math.IsInf(x, 1) {
-			return fmt.Errorf("%w: host %s capacity %v=%g is not a finite non-negative amount", ErrInvalid, host, k, x)
-		}
-	}
-	if v.IsZero() {
-		return fmt.Errorf("%w: host %s has no capacity", ErrInvalid, host)
-	}
-	return nil
 }
 
 // Name returns the host's name.
@@ -281,8 +266,8 @@ func (h *Host) AggregateWalks() int { return h.walks }
 // domains; fitting the residents into the new capacity is the cluster
 // layer's job (deflation-first, then evacuation).
 func (h *Host) SetCapacity(v resources.Vector) error {
-	if err := checkCapacity(h.cfg.Name, v); err != nil {
-		return err
+	if err := v.CheckCapacity(); err != nil {
+		return fmt.Errorf("%w: host %s %v", ErrInvalid, h.cfg.Name, err)
 	}
 	h.capacity = v
 	return nil

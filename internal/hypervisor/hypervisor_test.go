@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,6 +77,12 @@ func TestDefineValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := h.Define(cfg); err == nil {
 			t.Errorf("case %d should fail: %+v", i, cfg)
+		}
+	}
+	// Both ends of [0, 1] are priorities.
+	for _, p := range []float64{0, 1} {
+		if _, err := h.Define(DomainConfig{Name: fmt.Sprint("p", p), Size: resources.New(1, 1024, 0, 0), Deflatable: true, Priority: p}); err != nil {
+			t.Errorf("priority %g: %v", p, err)
 		}
 	}
 }
@@ -167,17 +174,11 @@ func TestStateString(t *testing.T) {
 	}
 }
 
+// TestDomainsSorted is a named stream of runDomainOps: each round
+// defines a name between the residents in name order, and the host's
+// name order (its rows, view and walks) must stay sorted.
 func TestDomainsSorted(t *testing.T) {
-	h := testHost(t)
-	for _, n := range []string{"c", "a", "b"} {
-		if _, err := h.Define(DomainConfig{Name: n, Size: resources.New(1, 1024, 0, 0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ds := h.Domains()
-	if len(ds) != 3 || ds[0].Name() != "a" || ds[1].Name() != "b" || ds[2].Name() != "c" {
-		t.Errorf("Domains order wrong: %v", ds)
-	}
+	runDomainOps(t, mutatorMix(47, 40), 8)
 }
 
 func TestAccountingAndOvercommit(t *testing.T) {
@@ -211,33 +212,12 @@ func TestOvercommitUnderpacked(t *testing.T) {
 	}
 }
 
+// TestTransparentDeflation is a named stream of runDomainOps: every
+// mutator against one host, in which each limit write deflates its
+// domain to min(size, engaged limits) and a CPU share caps the one
+// controller.
 func TestTransparentDeflation(t *testing.T) {
-	h := testHost(t)
-	d := defineRunning(t, h, "vm", 8, 16384)
-	if err := d.SetCPUShares(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetMemoryLimit(8192); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetDiskLimit(50); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetNetLimit(500); err != nil {
-		t.Fatal(err)
-	}
-	got := d.Allocation()
-	want := resources.New(4, 8192, 50, 500)
-	if got != want {
-		t.Errorf("effective = %v, want %v", got, want)
-	}
-	if f := d.Allocation().DeflationFraction(d.MaxSize()); f < 0.49 || f > 0.51 {
-		t.Errorf("deflation fraction = %v, want 0.5", f)
-	}
-	d.ClearTransparentLimits()
-	if d.Allocation() != d.MaxSize() {
-		t.Errorf("after clear, effective = %v", d.Allocation())
-	}
+	runDomainOps(t, mutatorMix(37, 60), 8)
 }
 
 func TestConfigAccessors(t *testing.T) {

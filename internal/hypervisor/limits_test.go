@@ -1,8 +1,6 @@
 package hypervisor
 
 import (
-	"errors"
-	"math"
 	"testing"
 	"unsafe"
 
@@ -13,83 +11,29 @@ import (
 // The cgroup controllers of a domain: its limits vector. A positive
 // component is an engaged controller, zero is none.
 
+// TestDomainLimits is a named stream of runDomainOps: one domain's CPU
+// share and limit vector rewritten in turn, in which a fresh domain
+// engages nothing, a write engages only the controllers it names, and a
+// zero CPU share or a negative or NaN component is refused with
+// nothing moved.
 func TestDomainLimits(t *testing.T) {
-	d := defineRunning(t, testHost(t), "vm", 8, 16384)
-	if l := d.limits; l != (resources.Vector{}) {
-		t.Errorf("a fresh domain engages %v", l)
-	}
-	if err := d.SetCPUShares(2.5); err != nil {
-		t.Fatal(err)
-	}
-	if l := d.limits; l != resources.New(2.5, 0, 0, 0) {
-		t.Errorf("limits = %v, want only CPU at 2.5", l)
-	}
-	before := limitStateOf(d)
-	for _, v := range []float64{0, -1, math.NaN()} {
-		if err := d.SetMemoryLimit(v); !errors.Is(err, ErrInvalid) {
-			t.Errorf("memory limit %g: err = %v, want ErrInvalid", v, err)
-		}
-	}
-	if after := limitStateOf(d); after != before {
-		t.Errorf("rejected limits moved state: %+v -> %+v", before, after)
-	}
+	runDomainOps(t, limitRewrites(43, 100), 8)
 }
 
-// TestDomainSetLimitsBatched: the batched write engages exactly the
-// controllers the single setters would for each positive component,
-// leaves zero components' controllers as they were, and a negative
-// component rejects the whole vector without touching any controller.
+// TestDomainSetLimitsBatched is a named stream of runDomainOps: every
+// mutator against one host, with writes of all four controllers in one
+// vector, in which a zero component leaves its controller as it was and
+// a negative or NaN one refuses the whole vector.
 func TestDomainSetLimitsBatched(t *testing.T) {
-	h := testHost(t)
-	batched, single := defineRunning(t, h, "batched", 8, 16384), defineRunning(t, h, "single", 8, 16384)
-	for _, d := range []*Domain{batched, single} {
-		if err := d.SetNetLimit(700); err != nil { // survives a zero component
-			t.Fatal(err)
-		}
-	}
-	v := resources.New(2.5, 4096, 50, 0)
-	if _, err := batched.SetLimits(v); err != nil {
-		t.Fatal(err)
-	}
-	single.SetCPUShares(2.5)
-	single.SetMemoryLimit(4096)
-	single.SetDiskLimit(50)
-	if got, want := batched.limits, single.limits; got != want {
-		t.Errorf("batched limits = %v, single setters = %v", got, want)
-	}
-	if got := batched.limits; got != resources.New(2.5, 4096, 50, 700) {
-		t.Errorf("limits = %v", got)
-	}
-	before := limitStateOf(batched)
-	if _, err := batched.SetLimits(resources.New(1, -1, 10, 10)); !errors.Is(err, ErrInvalid) {
-		t.Errorf("negative component err = %v", err)
-	}
-	if after := limitStateOf(batched); after != before {
-		t.Errorf("rejected write moved state: %+v -> %+v", before, after)
-	}
-	if _, err := defineRunning(t, h, "fresh", 2, 4096).SetLimits(resources.Vector{}); err != nil {
-		t.Errorf("all-zero vector err = %v", err)
-	}
+	runDomainOps(t, mutatorMix(29, 80), 8)
 }
 
-// TestDomainLimitsVector: one engaged controller leaves the other three
-// disengaged, and clearing disengages all four.
+// TestDomainLimitsVector is a named stream of runDomainOps: one
+// domain's single CPU controller (SetCPUShares) and its four-controller
+// writes in turn, each leaving every controller it does not name as it
+// was.
 func TestDomainLimitsVector(t *testing.T) {
-	d := defineRunning(t, testHost(t), "vm", 4, 8192)
-	d.SetCPUShares(2)
-	l := d.limits
-	if l[resources.CPU] != 2 {
-		t.Errorf("cpu limit = %v", l[resources.CPU])
-	}
-	for _, k := range []resources.Kind{resources.Memory, resources.DiskBW, resources.NetBW} {
-		if l[k] != 0 {
-			t.Errorf("%v should be disengaged, got %v", k, l[k])
-		}
-	}
-	d.ClearTransparentLimits()
-	if l := d.limits; l != (resources.Vector{}) {
-		t.Errorf("after clear, limits = %v", l)
-	}
+	runDomainOps(t, limitRewrites(41, 100), 8)
 }
 
 // TestDomainEffective: the allocation is the size capped by every
@@ -111,6 +55,10 @@ func TestDomainEffective(t *testing.T) {
 	d.SetCPUShares(100)
 	if got := d.Allocation().Get(resources.CPU); got != 8 {
 		t.Errorf("limit above size should not inflate: CPU %v", got)
+	}
+	// A zero target is a valid one: it clamps to the floor.
+	if got, err := d.ClampTarget(resources.Vector{}); err != nil || got != DefaultFloor() {
+		t.Errorf("ClampTarget(0) = %v, %v; want the floor %v", got, err, DefaultFloor())
 	}
 }
 

@@ -3,7 +3,6 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"vmdeflate/internal/resources"
@@ -58,93 +57,14 @@ func limitStateOf(d *Domain) limitState {
 	return limitState{d.limits, d.Allocation(), d.Host().Aggregates()}
 }
 
-// TestSetLimitsMatchesSingleSetters holds the batched write to the path
-// it replaced in the mechanisms: for random targets — zero disk and
-// network components included, on domains with and without I/O
-// dimensions — SetLimits(target)
-// must leave the same cgroup limits, engaged controllers, allocation and
-// host aggregates as SetCPUShares + SetMemoryLimit + the I/O setters for
-// positive components, and return that allocation.
+// TestSetLimitsMatchesSingleSetters is a named stream of runDomainOps:
+// one running domain whose limits SetLimits (all four controllers) and
+// the single setter SetCPUShares rewrite in turn, 300 rounds of
+// accepted, zero, negative and NaN components, each write held to the
+// model's min(size, engaged limits), its epoch and the host's rows and
+// aggregates.
 func TestSetLimitsMatchesSingleSetters(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	hb, hs := testHost(t), testHost(t)
-	for i := 0; i < 300; i++ {
-		name := fmt.Sprintf("vm-%03d", i)
-		size := resources.New(float64(1+rng.Intn(8)), float64(1024*(1+rng.Intn(8))), 0, 0)
-		if i%2 == 0 {
-			size = size.With(resources.DiskBW, 100).With(resources.NetBW, 1000)
-		}
-		cfg := DomainConfig{Name: name, Size: size, Deflatable: true, Priority: 0.5}
-		var pair [2]*Domain
-		for j, h := range []*Host{hb, hs} {
-			d, err := h.Define(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			pair[j] = d
-		}
-		batched, single := pair[0], pair[1]
-		for round := 0; round < 3; round++ {
-			target := size.Scale(0.2 + 0.8*rng.Float64())
-			if rng.Intn(2) == 0 {
-				target = target.With(resources.DiskBW, 0)
-			}
-			if rng.Intn(2) == 0 {
-				target = target.With(resources.NetBW, 0)
-			}
-
-			got, err := batched.SetLimits(target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := single.SetCPUShares(target.Get(resources.CPU)); err != nil {
-				t.Fatal(err)
-			}
-			if err := single.SetMemoryLimit(target.Get(resources.Memory)); err != nil {
-				t.Fatal(err)
-			}
-			if v := target.Get(resources.DiskBW); v > 0 {
-				if err := single.SetDiskLimit(v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if v := target.Get(resources.NetBW); v > 0 {
-				if err := single.SetNetLimit(v); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			b, s := limitStateOf(batched), limitStateOf(single)
-			if b != s {
-				t.Fatalf("%s target %v: batched left %+v, single setters %+v", name, target, b, s)
-			}
-			if got != s.alloc {
-				t.Fatalf("%s target %v: SetLimits returned %v, allocation is %v", name, target, got, s.alloc)
-			}
-		}
-	}
-
-	// An all-zero vector engages nothing; a negative component rejects
-	// the write whole.
-	d := defineRunning(t, testHost(t), "vm", 4, 8192)
-	epoch := d.Host().AllocEpoch()
-	got, err := d.SetLimits(resources.Vector{})
-	if err != nil || got != d.MaxSize() || d.Host().AllocEpoch() != epoch {
-		t.Errorf("zero limits: alloc %v, err %v, epoch %d -> %d", got, err, epoch, d.Host().AllocEpoch())
-	}
-	if l := d.limits; l != (resources.Vector{}) {
-		t.Errorf("zero limits engaged a controller: %v", l)
-	}
-	before := limitStateOf(d)
-	if _, err := d.SetLimits(resources.New(2, -1, 0, 0)); !errors.Is(err, ErrInvalid) {
-		t.Errorf("negative limit err = %v", err)
-	}
-	if after := limitStateOf(d); after != before {
-		t.Errorf("rejected write moved state: %+v -> %+v", before, after)
-	}
+	runDomainOps(t, limitRewrites(23, 300), 8)
 }
 
 // TestDefineSurfacesGuestError: memory below the guest kernel's 256 MB

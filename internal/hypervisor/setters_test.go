@@ -2,11 +2,9 @@ package hypervisor
 
 import "vmdeflate/internal/resources"
 
-// The single-controller setters and the aggregate shorthands the tests
-// drive and read a host with. The mechanisms write limits only through
-// the batched SetLimits, and the cluster layer reads Aggregates; the
-// setters are the oracle TestSetLimitsMatchesSingleSetters holds the
-// batched write to.
+// The memory setter and the aggregate shorthands the tests drive and
+// read a host with. The mechanisms write limits only through the
+// batched SetLimits, and the cluster layer reads Aggregates.
 
 // Committed returns the sum of the nominal sizes of all defined domains:
 // the numerator of the cluster overcommitment ratio (Section 1).
@@ -42,27 +40,4 @@ func (h *Host) Overcommit() float64 {
 // suffers (see guestos.GuestOS.SwapPressure).
 func (d *Domain) SetMemoryLimit(mb float64) error {
 	return d.setLimit(resources.Memory, mb)
-}
-
-// SetDiskLimit throttles disk bandwidth (blkio cgroup).
-func (d *Domain) SetDiskLimit(mbps float64) error {
-	return d.setLimit(resources.DiskBW, mbps)
-}
-
-// SetNetLimit throttles network bandwidth.
-func (d *Domain) SetNetLimit(mbps float64) error {
-	return d.setLimit(resources.NetBW, mbps)
-}
-
-// ClearTransparentLimits removes all cgroup caps (full reinflation of the
-// transparent dimension). SetLimits cannot: a zero component leaves its
-// controller as it is. So this test-only write does SetLimits' work by
-// hand, and bumps the epoch like any allocation write.
-func (d *Domain) ClearTransparentLimits() {
-	h := d.host
-	d.limits = resources.Vector{}
-	if d.slot >= 0 {
-		h.rows[d.slot].setAlloc(d.derive())
-	}
-	h.epoch++
 }

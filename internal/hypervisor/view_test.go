@@ -102,38 +102,12 @@ func TestDeflatableViewAppendSemantics(t *testing.T) {
 	}
 }
 
-// TestLoadWriteFiresNoAggregateChange pins the read-through rule: an
-// offered load moves no aggregate, so writing one to every resident
-// leaves the aggregates bit-equal, and the very next view read returns
-// the new loads.
+// TestLoadWriteFiresNoAggregateChange is a named stream of
+// runDomainOps: eight residents' offered loads rewritten every round
+// while a limit write moves one of them. A load write must move no
+// aggregate, and the very next view read must return it.
 func TestLoadWriteFiresNoAggregateChange(t *testing.T) {
-	h := testHost(t)
-	var doms []*Domain
-	for i := 0; i < 8; i++ {
-		doms = append(doms, defineRunning(t, h, fmt.Sprintf("vm-%d", i), 4, 8192))
-	}
-	before := h.Aggregates()
-	for round := 1; round <= 3; round++ {
-		for i, d := range doms {
-			d.SetOfferedLoad(float64(round) + float64(i)/8)
-		}
-		if h.Aggregates() != before {
-			t.Fatalf("round %d: load writes moved the aggregates", round)
-		}
-		states, got := h.AppendDeflatableView(nil, nil)
-		if len(states) != len(doms) {
-			t.Fatalf("view has %d domains, want %d", len(states), len(doms))
-		}
-		for i, d := range doms { // names vm-0..vm-7 are already in name order
-			if want := float64(round) + float64(i)/8; got[i] != d || states[i].Load != want {
-				t.Errorf("round %d: view[%d] = %s load %g, want %s load %g",
-					round, i, states[i].Name, states[i].Load, d.Name(), want)
-			}
-		}
-	}
-	if h.Aggregates() != before {
-		t.Error("load writes moved the aggregates")
-	}
+	runDomainOps(t, loadWrites(5, 60), 8)
 }
 
 // BenchmarkLoadWriteViewSteadyState is one server's share of an SLO

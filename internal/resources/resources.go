@@ -147,6 +147,21 @@ func (v Vector) CheckNonNegative() error {
 	return nil
 }
 
+// CheckCapacity rejects a server capacity with a negative, NaN or +Inf
+// component, or with every component zero. NaN fails every comparison,
+// so a bare `< 0` check lets it through.
+func (v Vector) CheckCapacity() error {
+	for i, x := range v {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("capacity %g on %s is not a finite non-negative amount", x, Kind(i))
+		}
+	}
+	if v.IsZero() {
+		return errors.New("capacity is zero on every resource")
+	}
+	return nil
+}
+
 // IsZero reports whether every component is zero.
 func (v Vector) IsZero() bool {
 	for i := range v {

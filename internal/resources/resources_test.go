@@ -89,6 +89,24 @@ func TestCheckNonNegative(t *testing.T) {
 	}
 }
 
+// TestCheckCapacity: a capacity may lack a resource, but not every one,
+// and no component may be negative, NaN or +Inf.
+func TestCheckCapacity(t *testing.T) {
+	for v, ok := range map[Vector]bool{
+		CPUMem(48, 131072):         true,
+		New(0, 0, 0, 1):            true,
+		{}:                         false,
+		CPUMem(-1, 1):              false,
+		CPUMem(math.NaN(), 1):      false,
+		CPUMem(1, math.Inf(1)):     false,
+		New(1, 1, math.Inf(-1), 1): false,
+	} {
+		if err := v.CheckCapacity(); (err == nil) != ok {
+			t.Errorf("CheckCapacity(%v) = %v, want ok %v", v, err, ok)
+		}
+	}
+}
+
 func TestFitsIn(t *testing.T) {
 	a := New(2, 1024, 10, 10)
 	b := New(4, 2048, 20, 20)

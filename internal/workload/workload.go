@@ -23,7 +23,6 @@ type Source struct {
 	rng     *rand.Rand
 	handler Handler
 	seq     int
-	limit   int
 	stopped bool
 }
 
@@ -62,15 +61,9 @@ func (s *Source) tick(now float64) {
 	if s.stopped {
 		return
 	}
-	if s.limit > 0 && s.seq >= s.limit {
-		return
-	}
 	seq := s.seq
 	s.seq++
 	s.handler(now, seq)
-	if s.limit > 0 && s.seq >= s.limit {
-		return
-	}
 	s.eng.After(s.nextGap(), s.tick)
 }
 

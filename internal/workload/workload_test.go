@@ -10,10 +10,12 @@ import (
 func TestConstantSourceTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	var times []float64
-	src := NewConstantSource(eng, 10, func(now float64, seq int) {
-		times = append(times, now)
+	var src *Source
+	src = NewConstantSource(eng, 10, func(now float64, seq int) {
+		if times = append(times, now); len(times) == 5 {
+			src.Stop()
+		}
 	})
-	src.SetLimit(5)
 	src.Start()
 	drain(eng)
 	if len(times) != 5 {
@@ -48,8 +50,12 @@ func TestPoissonDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []float64 {
 		eng := sim.NewEngine()
 		var times []float64
-		src := NewPoissonSource(eng, 50, seed, func(now float64, _ int) { times = append(times, now) })
-		src.SetLimit(100)
+		var src *Source
+		src = NewPoissonSource(eng, 50, seed, func(now float64, _ int) {
+			if times = append(times, now); len(times) == 100 {
+				src.Stop()
+			}
+		})
 		src.Start()
 		drain(eng)
 		return times
@@ -135,10 +141,6 @@ func TestPageMixMeanCost(t *testing.T) {
 		t.Errorf("MeanCost = %v, want %v", mix.MeanCost(), want)
 	}
 }
-
-// SetLimit stops the source after n requests (0 = unlimited). The
-// figures stop their sources at a horizon instead.
-func (s *Source) SetLimit(n int) { s.limit = n }
 
 // drain runs eng's events until its queue is empty.
 func drain(eng *sim.Engine) {

@@ -1,18 +1,23 @@
 package vmdeflate
 
 import (
+	"encoding/json"
 	"flag"
-	"io/fs"
+	"fmt"
+	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 )
 
-var mutateFlag = flag.Bool("mutate", false, "run TestMutationsAreKilled: each entry of the kill matrix in a temp copy of the module (minutes)")
+var mutateFlag = flag.Bool("mutate", false, "run TestMutationsAreKilled: each entry of the kill matrix laid over the module (minutes)")
 
 // suite is one `go test -run` selection in one package.
 type suite struct{ pkg, run string }
@@ -169,8 +174,8 @@ var mutations = []mutation{
 	// Only the host's validation test and the manager's invalid-resize
 	// test resize to a bad capacity.
 	{
-		name: "checkCapacity/SetCapacity", file: "internal/hypervisor/hypervisor.go",
-		from: "\tif err := checkCapacity(h.cfg.Name, v); err != nil {\n\t\treturn err\n\t}\n", to: "",
+		name: "CheckCapacity/SetCapacity", file: "internal/hypervisor/hypervisor.go",
+		from: "\tif err := v.CheckCapacity(); err != nil {\n\t\treturn fmt.Errorf(\"%w: host %s %v\", ErrInvalid, h.cfg.Name, err)\n\t}\n", to: "",
 		kills: []suite{
 			{"internal/hypervisor", "^TestSetCapacityValidation$"},
 			{"internal/cluster", "^TestResizeServerRejectsInvalidCapacity$"},
@@ -260,54 +265,40 @@ var mutations = []mutation{
 	},
 }
 
-// TestMutationsAreKilled is the kill matrix: each entry's edit is
-// applied to a temp copy of the module, and each of its suites runs
-// there with `go test`. A suite kills the mutation by failing; a build
-// failure or a suite that selects no test fails the entry instead.
+// TestMutationsAreKilled is the kill matrix: each entry's edit is laid
+// over the module through `go test -overlay`, and each of its suites
+// runs with it (runMutant). A suite kills the mutation by failing; a
+// build failure or a suite that selects no test fails the entry instead.
 //
 //	go test -count=1 -run TestMutationsAreKilled -mutate -v -timeout 10m .
 func TestMutationsAreKilled(t *testing.T) {
 	if !*mutateFlag {
 		t.Skip("the kill matrix runs with -mutate")
 	}
-	root, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	failed := regexp.MustCompile(`(?m)^--- FAIL: (\S+)`)
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
-			dir := t.TempDir()
-			copyModule(t, root, dir)
-			path := filepath.Join(dir, m.file)
-			src, err := os.ReadFile(path)
+			src, err := os.ReadFile(m.file)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n := strings.Count(string(src), m.from); n != 1 {
 				t.Fatalf("%s holds the snippet %d times, want once:\n%s", m.file, n, m.from)
 			}
-			if err := os.WriteFile(path, []byte(strings.Replace(string(src), m.from, m.to, 1)), 0o644); err != nil {
+			overlay, err := writeOverlay(t.TempDir(), m.file, []byte(strings.Replace(string(src), m.from, m.to, 1)))
+			if err != nil {
 				t.Fatal(err)
 			}
 			for i, s := range slices.Concat(m.kills, m.misses) {
-				cmd := exec.Command("go", "test", "-count=1", "-vet=off", "-run", s.run, "./"+s.pkg)
-				cmd.Dir = dir
-				out, err := cmd.CombinedOutput()
-				switch text, mustKill := string(out), i < len(m.kills); {
-				case strings.Contains(text, "[build failed]") || strings.Contains(text, "[setup failed]"):
-					t.Fatalf("%s does not build:\n%s", s.pkg, text)
-				case strings.Contains(text, "no tests to run"):
-					t.Fatalf("%s %s selects no test", s.pkg, s.run)
+				r, err := runMutant(s.pkg, s.run, overlay)
+				switch mustKill := i < len(m.kills); {
 				case err != nil:
-					var names []string
-					for _, f := range failed.FindAllStringSubmatch(text, -1) {
-						names = append(names, f[1])
-					}
-					if len(names) == 0 {
-						names = []string{"(panic)"}
-					}
-					t.Logf("killed   %s %s by %s", s.pkg, s.run, strings.Join(names, " "))
+					t.Fatal(err)
+				case r.buildFailed:
+					t.Fatalf("%s does not build", s.pkg)
+				case r.noTests:
+					t.Fatalf("%s %s selects no test", s.pkg, s.run)
+				case len(r.killers) > 0:
+					t.Logf("killed   %s %s by %s", s.pkg, s.run, strings.Join(r.killers, " "))
 					if !mustKill {
 						t.Errorf("recorded as a miss, %s %s now kills it: move it to kills", s.pkg, s.run)
 					}
@@ -322,33 +313,172 @@ func TestMutationsAreKilled(t *testing.T) {
 	}
 }
 
-// copyModule copies the module at root, less its .git directory, to dir.
-func copyModule(t *testing.T, root, dir string) {
-	t.Helper()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// writeOverlay writes src, the mutated text of the module file at path
+// (relative to the module root), into dir, and returns the `go test
+// -overlay` file that lays it over the original.
+func writeOverlay(dir, path string, src []byte) (string, error) {
+	abs, err := filepath.Abs(path)
+	if err != nil {
+		return "", err
+	}
+	mutated, overlay := filepath.Join(dir, "mutant.go"), filepath.Join(dir, "overlay.json")
+	ov, err := json.Marshal(map[string]map[string]string{"Replace": {abs: mutated}})
+	if err != nil {
+		return "", err
+	}
+	if err := os.WriteFile(mutated, src, 0o644); err != nil {
+		return "", err
+	}
+	return overlay, os.WriteFile(overlay, ov, 0o644)
+}
+
+// mutantRun is what one package's tests did with a mutant laid over the
+// module: the top-level tests that failed, or that the package does not
+// build, or that the selection ran no test.
+type mutantRun struct {
+	killers              []string
+	buildFailed, noTests bool
+}
+
+// runMutant runs the tests of pkg (a module-relative directory) that
+// run selects ("" for all) with overlay laid over the module. A
+// top-level test kills the mutant by failing. A test that crashes the
+// binary, or that runs past 5 s plus ten times what it took on the
+// unmutated module (a hang), kills it too; the binary is then rerun
+// with every test that has its verdict skipped, so a crash or a hang in
+// one test hides no later test's verdict.
+func runMutant(pkg, run, overlay string) (mutantRun, error) {
+	times, err := unmutatedTimes(pkg, run)
+	if err != nil {
+		return mutantRun{}, err
+	}
+	limit := func(test string) time.Duration { return 5*time.Second + 10*times[test] }
+	r := mutantRun{noTests: true}
+	done, killed := map[string]bool{}, map[string]bool{} // top-level tests with a verdict, and those that failed
+	for {
+		args := []string{"-overlay", overlay, "-run", run}
+		if len(done) > 0 {
+			args = append(args, "-skip", "^("+strings.Join(slices.Sorted(maps.Keys(done)), "|")+")$")
 		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == ".git" {
-				return filepath.SkipDir
+		started, before := map[string]bool{}, len(done)
+		finished, buildFailed, err := goTest(pkg, args, limit, func(ev testEvent) {
+			switch ev.Action {
+			case "run":
+				started[ev.Test], r.noTests = true, false
+			case "fail":
+				killed[ev.Test] = true
+				fallthrough
+			case "pass", "skip":
+				done[ev.Test] = true
 			}
-			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		})
+		switch {
+		case err != nil:
+			return r, err
+		case buildFailed:
+			return mutantRun{buildFailed: true}, nil
+		case finished:
+			r.killers = slices.Sorted(maps.Keys(killed))
+			return r, nil
 		}
-		if !d.Type().IsRegular() {
-			return nil
+		for name := range started { // a crash or the hang limit stopped these
+			if !done[name] {
+				killed[name], done[name] = true, true
+			}
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
+		if len(done) == before {
+			return r, fmt.Errorf("%s: the test binary stopped before any test ended", pkg)
 		}
-		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	}
+}
+
+// unmutated caches what each top-level test of a selection took on the
+// unmutated module, by package and run pattern.
+var unmutated = struct {
+	sync.Mutex
+	times map[[2]string]map[string]time.Duration
+}{times: map[[2]string]map[string]time.Duration{}}
+
+// unmutatedTimes runs pkg's tests that run selects on the unmutated
+// module once, and returns each top-level test's time. They must pass.
+func unmutatedTimes(pkg, run string) (map[string]time.Duration, error) {
+	unmutated.Lock()
+	defer unmutated.Unlock()
+	if times, ok := unmutated.times[[2]string{pkg, run}]; ok {
+		return times, nil
+	}
+	// The time from a test's start to its verdict, as the hang limit
+	// counts it: a test's Elapsed leaves out its parallel subtests.
+	times, started, failed := map[string]time.Duration{}, map[string]time.Time{}, false
+	finished, _, err := goTest(pkg, []string{"-run", run}, nil, func(ev testEvent) {
+		if ev.Action == "run" {
+			started[ev.Test] = ev.Time
+		}
+		times[ev.Test] = ev.Time.Sub(started[ev.Test])
+		failed = failed || ev.Action == "fail"
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	if !finished || failed {
+		return nil, fmt.Errorf("%s -run %q fails on the unmutated module", pkg, run)
+	}
+	unmutated.times[[2]string{pkg, run}] = times
+	return times, nil
+}
+
+// testEvent is one top-level test's event in `go test -json` output.
+type testEvent struct {
+	Time                 time.Time
+	Action, Test, Output string
+}
+
+// goTest runs `go test -json` on pkg with args and hands each top-level
+// test's event to f as it arrives. A mutant can make a loop allocate
+// without bound: an address-space cap (3 GB) stops the test process
+// before it takes the machine's memory. A top-level test that runs past
+// limit(test) (no limit when limit is nil) has the whole process group
+// killed. goTest reports whether the binary ran to its end (the
+// testing package's last "PASS" or "FAIL" line) and whether the package
+// failed to build.
+func goTest(pkg string, args []string, limit func(string) time.Duration, f func(testEvent)) (finished, buildFailed bool, err error) {
+	cmd := exec.Command("sh", slices.Concat([]string{"-c", `ulimit -v 3000000 && exec go "$@"`, "go", "test", "-json", "-count=1", "-vet=off"}, args, []string{"./" + pkg})...)
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return false, false, err
+	}
+	if err := cmd.Start(); err != nil {
+		return false, false, err
+	}
+	hang := time.AfterFunc(time.Hour, func() {
+		_ = syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) // it fails only once the group has exited
+	})
+	hang.Stop()
+	// A decode error is output cut off by the kill: the binary did not
+	// run to its end.
+	for dec := json.NewDecoder(stdout); dec.More(); {
+		var ev testEvent
+		if dec.Decode(&ev) != nil {
+			break
+		}
+		switch {
+		case ev.Action == "build-fail":
+			buildFailed = true
+		case ev.Test == "":
+			finished = finished || ev.Output == "PASS\n" || ev.Output == "FAIL\n"
+		case strings.Contains(ev.Test, "/"):
+		case ev.Action == "run" || ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip":
+			if ev.Action == "run" && limit != nil {
+				hang.Reset(limit(ev.Test))
+			} else {
+				hang.Stop()
+			}
+			f(ev)
+		}
+	}
+	hang.Stop()
+	_, _ = io.Copy(io.Discard, stdout) // lets the process exit; what is left tells nothing
+	_ = cmd.Wait()                     // a failing package exits non-zero; its events say how
+	return finished, buildFailed, nil
 }

@@ -221,7 +221,7 @@ var reachAllowed = map[string]string{
 // module is the type-checked module, tests left out.
 type module struct {
 	decls []*declaration
-	uses  map[*types.Package]map[*ast.Ident]types.Object
+	infos map[*types.Package]*types.Info
 	files map[*types.Package][]*ast.File
 	pkgs  map[string]*types.Package // by import path
 	fset  *token.FileSet
@@ -252,7 +252,7 @@ func typeCheckModule() (*module, error) {
 		return nil, fmt.Errorf("go list: %v", err)
 	}
 	mod := &module{
-		uses:  map[*types.Package]map[*ast.Ident]types.Object{},
+		infos: map[*types.Package]*types.Info{},
 		files: map[*types.Package][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
 		fset:  token.NewFileSet(),
@@ -280,7 +280,11 @@ func typeCheckModule() (*module, error) {
 			}
 			files = append(files, f)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
 		pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, mod.fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", lp.ImportPath, err)
@@ -289,7 +293,7 @@ func typeCheckModule() (*module, error) {
 		for _, f := range files {
 			mod.decls = append(mod.decls, fileDecls(f, info, mod.fset)...)
 		}
-		mod.uses[pkg] = info.Uses
+		mod.infos[pkg] = info
 		mod.files[pkg] = files
 	}
 	return mod, nil
@@ -404,7 +408,7 @@ func (w *liveWalk) visit(d *declaration) {
 			}
 		}
 	}
-	uses := w.mod.uses[d.obj.Pkg()]
+	uses := w.mod.infos[d.obj.Pkg()].Uses
 	ast.Inspect(d.node, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok || uses[id] == nil {
@@ -660,7 +664,7 @@ func knobWrites(mod *module, fields map[*types.Var]string) map[*types.Var]bool {
 		}
 	}
 	for pkg, files := range mod.files {
-		uses := mod.uses[pkg]
+		uses := mod.infos[pkg].Uses
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				var skipPkg *types.Package // writes to this package's fields are defaulting
