@@ -33,7 +33,8 @@ race-placement:
 
 # Kill matrix (mutation_test.go): each entry lays one source edit over
 # the module with `go test -overlay` (a dropped markDirty, the departure's dropped
-# sync, the Undefine slot re-point, the allocation-epoch bump, a dropped
+# sync, the Undefine slot re-point, the teardown's name read before
+# Undefine, the allocation-epoch bump, a dropped
 # on-demand evacuee, the pressure and event orders' tie-breaks, fleet
 # sizing's stop bound, a dropped capacity check, two streamed-adapter
 # edits, and the testbed request path's uncounted timeout and measured
@@ -78,7 +79,7 @@ bench-smoke:
 # and its surplus probe, fleet sizing's pruned tightest-fit scan with its
 # re-sorts on a sized fleet AND notify.Bus.Publish must all report 0
 # allocs/op, and a host's define/undefine cycle exactly 1 allocs/op (the
-# Domain) in at most 128 B/op (its size class), or the build fails. The
+# Domain handle) in at most 16 B/op (its size class), or the build fails. The
 # awk gate reads allocs/op and B/op, names each required
 # benchmark explicitly (matching on the name with its -GOMAXPROCS suffix
 # stripped), so a renamed or silently skipped benchmark fails the build
@@ -100,14 +101,14 @@ bench-allocs:
 			want["BenchmarkLimitWriteBatchSteadyState"]; \
 			want["BenchmarkUpsertRekeySteadyState"]; want["BenchmarkSurplusProbeSteadyState"]; \
 			want["BenchmarkPublishSteadyState"]; \
-			want["BenchmarkDefineUndefineSteadyState"] = 1; maxBytes["BenchmarkDefineUndefineSteadyState"] = 128 } \
+			want["BenchmarkDefineUndefineSteadyState"] = 1; maxBytes["BenchmarkDefineUndefineSteadyState"] = 16 } \
 		/^Benchmark/ && $$(NF) == "allocs/op" { name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (name in want) { seen[name] = 1; allocs = $$(NF-1) + 0; bytes = $$(NF-3) + 0; \
 				if (allocs != want[name] + 0) { failed = 1; print "FAIL: " name " allocates " allocs " allocs/op (want " want[name] + 0 ")" } \
 				if ((name in maxBytes) && bytes > maxBytes[name]) { failed = 1; print "FAIL: " name " allocates " bytes " B/op (want at most " maxBytes[name] ")" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision + pressure scan + sample (cached + re-read allocations) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op; define/undefine at 1 allocs/op, <= 128 B/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision + pressure scan + sample (cached + re-read allocations) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op; define/undefine at 1 allocs/op, <= 16 B/op" }' BENCH_allocs.txt
 
 # The 10M-VM point, streamed: the trace is never materialised — VM
 # parameters generate at arrival, utilisation synthesizes through

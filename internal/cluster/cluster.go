@@ -793,7 +793,8 @@ func (m *Manager) removeOne(name string) (*Server, error) {
 
 // teardown stops and undefines d on s and forgets its placement —
 // the departure half shared by RemoveVMs and the displacement of a
-// capacity shock's evacuees — and marks s.
+// capacity shock's evacuees — and marks s. The name is read first:
+// an undefined handle reads zero values.
 func (m *Manager) teardown(s *Server, d *hypervisor.Domain) error {
 	if d.State() == hypervisor.Running {
 		if err := d.Shutdown(); err != nil {
@@ -801,10 +802,11 @@ func (m *Manager) teardown(s *Server, d *hypervisor.Domain) error {
 		}
 	}
 	m.markDirty(s)
-	if err := s.Host.Undefine(d.Name()); err != nil {
+	name := d.Name()
+	if err := s.Host.Undefine(name); err != nil {
 		return err
 	}
-	delete(m.placements, d.Name())
+	delete(m.placements, name)
 	return nil
 }
 

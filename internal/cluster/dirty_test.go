@@ -77,12 +77,16 @@ func sameAggBits(a, b hypervisor.Aggregates) bool {
 // freeShare and avail; every in-service server's surplus entry keyed by
 // freeShare with payload free, and its bound entry keyed by
 // boundKey(avail); and no revoked server in either index. A host write
-// the manager did not mark leaves its server stale here.
+// the manager did not mark leaves its server stale here. It also audits
+// the placement index: every entry resolves on its server, and the
+// entries number the servers' residents, so a teardown that deleted a
+// placement under the wrong name shows after the op that did it.
 func checkServerCache(t *testing.T, m *Manager) {
 	t.Helper()
 	m.syncDirty()
-	inService := map[int]int{}
+	inService, resident := map[int]int{}, 0
 	for _, s := range m.servers {
+		resident += len(s.Host.Domains())
 		name := s.Host.Name()
 		agg, total := s.Host.Aggregates(), s.Host.Capacity()
 		free := total.Sub(agg.Allocated)
@@ -113,6 +117,14 @@ func checkServerCache(t *testing.T, m *Manager) {
 		if ix.Len() != inService[pool] || m.bounds[pool].Len() != inService[pool] {
 			t.Fatalf("pool %d indexes hold %d and %d entries, want its %d in-service servers", pool, ix.Len(), m.bounds[pool].Len(), inService[pool])
 		}
+	}
+	for vm, s := range m.placements {
+		if _, err := s.Host.Lookup(vm); err != nil {
+			t.Fatalf("placement of %s on %s does not resolve: %v", vm, s.Host.Name(), err)
+		}
+	}
+	if len(m.placements) != resident {
+		t.Fatalf("%d placements for %d residents", len(m.placements), resident)
 	}
 }
 

@@ -136,13 +136,14 @@ func BenchmarkSamplePassSLOSteadyState(b *testing.B) {
 	}
 }
 
-// heapObjects reads the process's cumulative heap allocation count.
-// ReadMemStats flushes every P's allocation cache first, so the count
-// is exact (runtime/metrics lags by the objects still in those caches).
-func heapObjects() uint64 {
+// heapAllocs reads the process's cumulative heap allocation count and
+// bytes. ReadMemStats flushes every P's allocation cache first, so the
+// counts are exact (runtime/metrics lags by the objects still in those
+// caches).
+func heapAllocs() (objects, bytes uint64) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
+	return ms.Mallocs, ms.TotalAlloc
 }
 
 // TestAllocsPerVMEndToEnd pins the end-to-end allocation count of one
@@ -155,14 +156,17 @@ func heapObjects() uint64 {
 // arena and a host's row table has no free list (1.333 per VM) with the
 // 7 % headroom the first pin had (1.77, bound 1.9, with an arena and a
 // free list per server); the per-VM trace layout and bucket-slice
-// calendar queue before that read 7.47.
+// calendar queue before that read 7.47. Heap bytes per VM are bounded
+// the same way: 1,338.5 since a Domain is a 16 B handle on its host's
+// row (1,424.6 with the 128 B Domain), plus 7 %.
 func TestAllocsPerVMEndToEnd(t *testing.T) {
 	const (
-		nVMs  = 4000
-		bound = 1.43
+		nVMs       = 4000
+		bound      = 1.43
+		bytesBound = 1430
 	)
 	runtime.GC() // the first collection's mark workers allocate
-	before := heapObjects()
+	objects, bytes := heapAllocs()
 	e, err := NewEngine(Config{Trace: testTrace(nVMs), Policy: policy.Proportional{}, Overcommit: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -171,10 +175,14 @@ func TestAllocsPerVMEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perVM := float64(heapObjects()-before) / nVMs
-	t.Logf("%.3f heap objects per VM (%d admitted)", perVM, res.Admitted)
+	objectsAfter, bytesAfter := heapAllocs()
+	perVM, bytesPerVM := float64(objectsAfter-objects)/nVMs, float64(bytesAfter-bytes)/nVMs
+	t.Logf("%.3f heap objects, %.1f heap bytes per VM (%d admitted)", perVM, bytesPerVM, res.Admitted)
 	if perVM > bound {
 		t.Errorf("%.3f heap objects per VM, want <= %.2f", perVM, bound)
+	}
+	if bytesPerVM > bytesBound {
+		t.Errorf("%.1f heap bytes per VM, want <= %d", bytesPerVM, bytesBound)
 	}
 }
 
@@ -186,14 +194,17 @@ func TestAllocsPerVMEndToEnd(t *testing.T) {
 // evacuees' new Domains and the error of each refused arrival. The bound
 // is the measurement since policy passes share the manager's one arena
 // (2.190 per VM) with the 7 % headroom the first pin had (2.25, bound
-// 2.4); the per-arrival VMRecord before that read 3.32.
+// 2.4); the per-arrival VMRecord before that read 3.32. Heap bytes per
+// VM are bounded the same way: 160.0 since a Domain is a 16 B handle on
+// its host's row (273.5 with the 128 B Domain), plus 7 %.
 func TestStreamedAllocsPerVMEndToEnd(t *testing.T) {
 	const (
-		nVMs  = 4000
-		bound = 2.34
+		nVMs       = 4000
+		bound      = 2.34
+		bytesBound = 171
 	)
 	runtime.GC() // the first collection's mark workers allocate
-	before := heapObjects()
+	objects, bytes := heapAllocs()
 	s, err := trace.NewNamedStream("heavytail", nVMs, 3*86400, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -211,12 +222,17 @@ func TestStreamedAllocsPerVMEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perVM := float64(heapObjects()-before) / nVMs
-	t.Logf("%.3f heap objects per VM (%d admitted, %d rejected, %d evacuations)", perVM, res.Admitted, res.Rejected, res.Evacuations)
+	objectsAfter, bytesAfter := heapAllocs()
+	perVM, bytesPerVM := float64(objectsAfter-objects)/nVMs, float64(bytesAfter-bytes)/nVMs
+	t.Logf("%.3f heap objects, %.1f heap bytes per VM (%d admitted, %d rejected, %d evacuations)",
+		perVM, bytesPerVM, res.Admitted, res.Rejected, res.Evacuations)
 	if res.Rejected == 0 || res.Evacuations == 0 {
 		t.Fatalf("vacuous run: %d rejected, %d evacuations", res.Rejected, res.Evacuations)
 	}
 	if perVM > bound {
 		t.Errorf("%.3f heap objects per VM, want <= %.2f", perVM, bound)
+	}
+	if bytesPerVM > bytesBound {
+		t.Errorf("%.1f heap bytes per VM, want <= %d", bytesPerVM, bytesBound)
 	}
 }

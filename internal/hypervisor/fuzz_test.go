@@ -31,7 +31,8 @@ var fuzzLimits = [...]float64{0, -1, 0.3, 1.5, 2, 3.7, 64, 700, 2048, 1e4, math.
 var fuzzLoads = [...]float64{0, 0.5, 3, 7.25, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
 
 // domainModel is the fuzz target's naive model of one domain: what the
-// op sequence engaged, nothing read back from the domain.
+// op sequence engaged, nothing read back from the domain. An undefined
+// handle's model is all zeros but d: it reads zero values.
 type domainModel struct {
 	d      *Domain
 	size   resources.Vector
@@ -69,10 +70,10 @@ func (b *fuzzBytes) next() byte {
 // (zero, negative and NaN components included) on one domain or, as
 // one Host.SetLimits batch, on several, SetCPUShares, SetCapacity and
 // SetOfferedLoad (negative and non-finite loads included) over a pool
-// of eight names, against a naive model (runDomainOps). The last three
-// seeds are op mixes written with domainOps: every mutator against one
-// host, limit rewrites on one domain, and load writes read through the
-// view. The long streams over hundreds of names are the named tests
+// of eight names, against a naive model (runDomainOps). Three seeds
+// are op mixes written with domainOps: every mutator against one host,
+// limit rewrites on one domain, and load writes read through the view.
+// The long streams over hundreds of names are the named tests
 // TestAggregatesMatchFreshRecompute and TestDeflatableViewMatchesFreshWalk.
 //
 //	go test -run '^$' -fuzz FuzzDomainOps -fuzztime 15s -fuzzminimizetime 200x ./internal/hypervisor
@@ -117,6 +118,14 @@ func FuzzDomainOps(f *testing.F) {
 		opBatch, 2, 0, 0, 0, 0, 0, // vm-2 with nothing engaged
 		3, 3, opBatch, 131, 1, 5, 0, 0, 0, 0, 4, 0, 0, 0, // undefine vm-3; its handle, then vm-0
 	})
+	// A batch holding one undefined handle behind two live domains is
+	// refused before any write: vm-0 and vm-1 keep their limits and rows.
+	f.Add([]byte{
+		0, 0, 2, 2, 0, 1, 2, 2, 0, 2, 2, 2, 1, 0, 1, 1, 1, 2, // define vm-0..2, start all three
+		2, 2, 3, 2, // shut vm-2 down and undefine it
+		opBatch, 0, 2, 3, 0, 0, 0, 1, 4, 4, 0, 0, 130, 2, 0, 0, 0, // vm-0, vm-1, then vm-2's handle
+		opBatch, 1, 1, 3, 3, 0, 0, 130, 10, 0, 0, 0, // vm-1, then vm-2's handle with a NaN
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runDomainOps(t, data, 8)
 	})
@@ -134,15 +143,18 @@ type domainFold struct {
 // or load write at the name's last undefined handle; a pool wider than
 // 128 names takes a second name byte. A limit write whose kind byte has
 // bit 3 set is one Host.SetLimits batch: a count byte, the named
-// domain's limits, then up to three more live names with theirs. After
-// every op: each domain, live or undefined, allocates min(size,
-// positive limits) and offers its last written load (zero for a
-// negative or non-finite one); the host has one row per live domain;
-// the view (its Load column included), every row and Aggregates() equal
-// fresh derivations; the epoch moved by exactly one on a limit write
-// that moved a resident's allocation and not at all otherwise; a
-// rejected or allocation-neutral write and a load write moved no
-// aggregate; and an op on an undefined handle moved no row.
+// domain's limits, then up to three more names with theirs (live ones,
+// or undefined handles by the top bit). After every op: each live
+// domain allocates min(size, positive limits), has its size and offers
+// its last written load (zero for a negative or non-finite one); each
+// undefined handle reads zero values; the host has one row per live
+// domain; the view (its Load column included), every row and
+// Aggregates() equal fresh derivations; the epoch moved by exactly one
+// on a limit write that moved a resident's allocation and not at all
+// otherwise; a rejected or allocation-neutral write and a load write
+// moved no aggregate; a lifecycle call or limit write through an
+// undefined handle failed with ErrNotFound; and a rejected op or an op
+// on an undefined handle moved no row and no limit.
 func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 	in := fuzzBytes(data)
 	h := testHost(t)
@@ -176,16 +188,15 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 		name, top := readName()
 		m := models[name]
 		stale := top && retired[name] != nil && (kind == 1 || kind == 2 || kind == 4 || kind == 5 || kind == 7)
-		var rowsBefore []row
 		if stale {
 			m = retired[name]
-			rowsBefore = slices.Clone(h.rows)
 		}
+		rowsBefore := slices.Clone(h.rows)
 		aggBefore := agg
 		epoch := h.AllocEpoch()
 		var before limitState
 		if m != nil {
-			before = limitState{m.d.limits, m.d.Allocation(), aggBefore}
+			before = limitStateOf(m.d)
 		}
 		// quiet marks an accepted op that may move no allocation of a
 		// resident: it may move no aggregate.
@@ -225,7 +236,13 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 			} else {
 				err = m.d.Start()
 			}
-			if wantErr := (kind == 1) == (m.state == Running); wantErr != errors.Is(err, ErrState) {
+			switch {
+			case stale:
+				if !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%s through an undefined handle: err = %v, want ErrNotFound", opName, err)
+				}
+				rejected = true
+			case ((kind == 1) == (m.state == Running)) != errors.Is(err, ErrState):
 				t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
 			}
 			if err == nil && kind == 1 {
@@ -247,7 +264,7 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				t.Fatalf("%s in state %v: err = %v", opName, m.state, err)
 			case err == nil:
 				delete(models, name)
-				retired[name] = m
+				retired[name] = &domainModel{d: m.d}
 				if moved {
 					fold.moves++
 				}
@@ -257,8 +274,9 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				continue
 			}
 			// lims holds the requested limits; got, what a limit write
-			// returned for each entry.
-			batch := []*domainModel{m}
+			// returned for each entry; undef, which entries are undefined
+			// handles.
+			batch, undef := []*domainModel{m}, []bool{stale}
 			var lims, got []resources.Vector
 			switch {
 			case kind == 5:
@@ -277,11 +295,15 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				n := 1 + int(in.next()%4)
 				lims = append(lims, limits())
 				for range n - 1 {
-					other, _ := readName()
+					other, top := readName()
 					v := limits()
-					if o := models[other]; o != nil {
-						batch, lims = append(batch, o), append(lims, v)
-						stale = false // a resident's row may move
+					o, u := models[other], top && retired[other] != nil
+					if u {
+						o = retired[other]
+					}
+					if o != nil {
+						batch, lims, undef = append(batch, o), append(lims, v), append(undef, u)
+						stale = stale || u
 					}
 				}
 				doms := make([]*Domain, len(batch))
@@ -292,16 +314,27 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				got = slices.Clone(lims)
 				err = h.SetLimits(doms, got)
 			}
-			invalid := false
-			for _, v := range lims {
+			// The first bad entry in batch order refuses the whole write:
+			// an undefined handle with ErrNotFound, a negative or NaN
+			// component (or a zero CPU share) with ErrInvalid.
+			var want error
+			for i, v := range lims {
+				if undef[i] {
+					want = ErrNotFound
+				}
 				for k, x := range v {
-					invalid = invalid || !(x >= 0) || kind == 5 && k == int(resources.CPU) && x == 0
+					if want == nil && (!(x >= 0) || kind == 5 && k == int(resources.CPU) && x == 0) {
+						want = ErrInvalid
+					}
+				}
+				if want != nil {
+					break
 				}
 			}
-			if invalid != errors.Is(err, ErrInvalid) {
-				t.Fatalf("%s: err = %v, want ErrInvalid: %v", opName, err, invalid)
+			if (want == nil) != (err == nil) || want != nil && !errors.Is(err, want) {
+				t.Fatalf("%s: err = %v, want %v", opName, err, want)
 			}
-			if invalid {
+			if want != nil {
 				rejected = true
 				break
 			}
@@ -315,7 +348,7 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 						b.limits[k] = x
 					}
 				}
-				allocWrite = allocWrite || models[b.d.Name()] == b && b.alloc() != prev
+				allocWrite = allocWrite || b.alloc() != prev
 				if got != nil && got[i] != b.alloc() {
 					t.Fatalf("%s: entry %d returned %v, the model %v", opName, i, got[i], b.alloc())
 				}
@@ -336,9 +369,11 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 			v := fuzzLoads[in.next()%byte(len(fuzzLoads))]
 			opName = fmt.Sprintf("load %s %g", name, v)
 			m.d.SetOfferedLoad(v)
-			m.load = v
-			if !(v >= 0) || math.IsInf(v, 0) {
-				m.load = 0
+			if !stale {
+				m.load = v
+				if !(v >= 0) || math.IsInf(v, 0) {
+					m.load = 0
+				}
 			}
 			quiet = true
 		}
@@ -362,20 +397,24 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				t.Fatalf("after %s (rejected %v): aggregates moved %+v -> %+v, but no allocation moved", opName, rejected, aggBefore, now)
 			}
 		}
-		if stale && !slices.Equal(h.rows, rowsBefore) {
-			t.Fatalf("after %s: the row table moved", opName)
+		if (rejected || stale) && !slices.Equal(h.rows, rowsBefore) {
+			t.Fatalf("after %s (rejected %v): the row table moved", opName, rejected)
 		}
-		for _, set := range []map[string]*domainModel{models, retired} {
-			for n, m := range set {
-				if got, want := m.d.Allocation(), m.alloc(); got != want {
-					t.Fatalf("after %s: %s allocates %v, the model %v", opName, n, got, want)
-				}
-				if got := m.d.State(); got != m.state {
-					t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
-				}
-				if got := m.d.load; got != m.load || m.d.Config().Load != m.load {
-					t.Fatalf("after %s: %s offers load %g, the model %g", opName, n, got, m.load)
-				}
+		for _, m := range retired {
+			if m.d.Config() != (DomainConfig{}) || m.d.Allocation() != (resources.Vector{}) || m.d.State() != Defined {
+				t.Fatalf("after %s: an undefined handle reads %+v allocating %v in state %v, want zero values",
+					opName, m.d.Config(), m.d.Allocation(), m.d.State())
+			}
+		}
+		for n, m := range models {
+			if got, want := m.d.Allocation(), m.alloc(); got != want || m.d.MaxSize() != m.size {
+				t.Fatalf("after %s: %s of size %v allocates %v, the model %v of size %v", opName, n, m.d.MaxSize(), got, want, m.size)
+			}
+			if got := m.d.State(); got != m.state {
+				t.Fatalf("after %s: %s is %v, the model %v", opName, n, got, m.state)
+			}
+			if got := m.d.Config().Load; got != m.load {
+				t.Fatalf("after %s: %s offers load %g, the model %g", opName, n, got, m.load)
 			}
 		}
 		if len(h.rows) != len(models) {

@@ -9,8 +9,10 @@
 // disk and network, for one domain or for a batch of a host's domains).
 // A Domain's Allocation() vector — its nominal size capped by every
 // engaged limit — is the single point of truth consumed by the policies
-// and the performance models. A domain is its row in the host's table
-// and its engaged limits, nothing more: it carries no guest OS. The
+// and the performance models. A Domain is a 16-byte handle, its host and
+// its slot in the host's row table, like a libvirt domain pointer: the
+// host owns everything the handle names (configuration, lifecycle state,
+// engaged limits, offered load), and the domain carries no guest OS. The
 // explicit (hotplug) deflation of Section 4.3 and the guest's swap and
 // cache-loss reads belong to the single-VM experiments of Figures 3, 13
 // and 14, which boot a guestos.GuestOS beside the domain (package apps)
@@ -22,18 +24,23 @@
 // A Host and its domains have one owner and, like a bufio.Writer, are
 // not safe for concurrent use: the cluster manager that created the host
 // (or the single-VM experiment that booted it) is its only caller. The
-// host owns its residents' accounting state in its row table — the
-// per-resident columns (size, priority, allocation, running,
-// deflatable) that the aggregate and view walks read as contiguous
-// host-owned memory — and every Domain mutator writes its resident's row
-// at mutation time. The host caches nothing derived from its rows:
-// Aggregates() is one walk, and a caller that wants it cached (the
-// cluster manager) keeps the cache and tracks its own writes.
+// host owns all of its residents' state in its row table, which the
+// aggregate and view walks read as contiguous host-owned memory: name,
+// size, allocation, priority, offered load, lifecycle state and engaged
+// limits. Every Domain method reads or writes its resident's row. The
+// host caches nothing derived from its rows: Aggregates() is one walk,
+// and a caller that wants it cached (the cluster manager) keeps the
+// cache and tracks its own writes.
 //
 // A limit write (Host.SetLimits) is the only allocation write after
 // Define. It bumps the host's allocation epoch at most once, however
 // many domains it covers. Domain.SetLimits and SetCPUShares are its
 // one-element case.
+//
+// Undefine invalidates the handle. Its reads then return zero values
+// (Host aside), and its lifecycle calls and limit writes fail with
+// ErrNotFound, as libvirt's do on an undefined domain, moving no row,
+// aggregate or epoch.
 package hypervisor
 
 import (
@@ -55,7 +62,7 @@ var (
 )
 
 // DomainState is the lifecycle state of a domain. One byte, so it packs
-// beside the domain's row slot.
+// into its row's padding.
 type DomainState uint8
 
 const (
@@ -116,8 +123,8 @@ type DomainConfig struct {
 	// cluster manager reads it; Config returns it with the rest, so the
 	// displaced configurations of cluster.Evacuation.VMs carry it back
 	// and a caller can resolve an evacuee without hashing its name (the
-	// simulator stores the VM's trace row). It sits in the padding after
-	// Deflatable: a Domain is no larger for it.
+	// simulator stores the VM's trace row). It sits in its row's padding:
+	// a row is no larger for it.
 	Tag int32
 	// Priority pi in (0,1] — higher priority means lower deflation
 	// tolerance (Section 5.1.2). Validate admits [0, 1] and rejects NaN.
@@ -184,27 +191,39 @@ type Aggregates struct {
 	Deflated int
 }
 
-// row is one resident's accounting state as the host's walks read it:
-// the immutable columns copied from the configuration at Define, and the
-// mutable ones (allocation, running) written by the Domain mutators at
-// mutation time. Rows live in Host.rows, so a walk touches contiguous
-// host-owned memory and dereferences no Domain (the view's one load
-// read aside).
+// row is one resident's state: the configuration copied at Define (its
+// Load seeds load) and the mutable columns (allocation, offered load,
+// lifecycle state, engaged limits) that the Domain methods write. Rows
+// live in Host.rows, so a walk touches contiguous host-owned memory and
+// dereferences no Domain.
 type row struct {
 	name     string
-	size     resources.Vector // cfg.Size
-	alloc    resources.Vector // current allocation (see Domain.derive)
+	size     resources.Vector // DomainConfig.Size
+	alloc    resources.Vector // current allocation (see row.derive)
 	priority float64
-	dom      *Domain
+	// load is the offered request load (cores) last reported through
+	// SetOfferedLoad, seeded from DomainConfig.Load.
+	load  float64
+	dom   *Domain
+	tag   int32
+	state DomainState
 	// deflated is alloc.DeflationFraction(size) > 0 — the Aggregates.Deflated
 	// predicate, evaluated when alloc is written instead of at every visit.
 	deflated   bool
-	running    bool
 	deflatable bool
+	// limits holds the engaged cgroup controllers, one per resource kind:
+	// a positive component is the controller's limit, zero means the
+	// controller is not engaged (no write engages one at zero or below).
+	// Only a limit write reads it, so it comes last.
+	limits resources.Vector
 }
 
+// undefinedRow is what an undefined handle reads: every column zero.
+// Nothing writes it; every writer checks the handle's slot first.
+var undefinedRow row
+
 // Host is one simulated physical server running a KVM hypervisor. It
-// owns its residents' accounting state, and it is not safe for
+// owns its residents' state, and it is not safe for
 // concurrent use (see the package comment).
 type Host struct {
 	cfg HostConfig
@@ -289,7 +308,7 @@ func (h *Host) Aggregates() Aggregates {
 		for k, v := range r.size {
 			a.Committed[k] += v
 		}
-		if !r.running {
+		if r.state != Running {
 			continue
 		}
 		a.Running++
@@ -329,12 +348,12 @@ func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) 
 	rows := h.rows
 	for _, slot := range h.order {
 		r := &rows[slot]
-		if !r.running || !r.deflatable {
+		if r.state != Running || !r.deflatable {
 			continue
 		}
 		states = append(states, policy.VMState{})
 		st := &states[len(states)-1]
-		st.Name, st.Max, st.Min, st.Priority, st.Current, st.Load = r.name, r.size, floor, r.priority, r.alloc, r.dom.load
+		st.Name, st.Max, st.Min, st.Priority, st.Current, st.Load = r.name, r.size, floor, r.priority, r.alloc, r.load
 		domains = append(domains, r.dom)
 	}
 	return states, domains
@@ -355,9 +374,9 @@ func (h *Host) find(name string) (int, *Domain) {
 
 // Define creates a domain. Defining does not reserve physical resources:
 // like a real IaaS hypervisor, the host permits overcommitment, which is
-// exactly what deflation exists to manage. The domain is one allocation
-// with no controller engaged, and its accounting row is appended to the
-// host's row table.
+// exactly what deflation exists to manage. The handle is the one
+// allocation; the domain's row, with no controller engaged, is appended
+// to the host's row table.
 func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -366,16 +385,17 @@ func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
 	if dup != nil {
 		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Name)
 	}
-	d := &Domain{host: h, cfg: cfg, state: Defined, load: cfg.Load}
-	d.slot = int32(len(h.rows))
+	d := &Domain{host: h, slot: int32(len(h.rows))}
 	h.rows = append(h.rows, row{
 		name:       cfg.Name,
 		size:       cfg.Size,
+		alloc:      cfg.Size,
 		priority:   cfg.Priority,
+		load:       cfg.Load,
 		dom:        d,
+		tag:        cfg.Tag,
 		deflatable: cfg.Deflatable,
 	})
-	h.rows[d.slot].setAlloc(d.derive())
 	h.order = append(h.order, 0)
 	copy(h.order[i+1:], h.order[i:])
 	h.order[i] = d.slot
@@ -400,14 +420,14 @@ func (h *Host) Domains() []*Domain {
 }
 
 // Undefine removes a stopped domain from the host; the table's last row
-// moves into its slot. The Domain value stays readable (it answers from
-// its own state) but no longer belongs to any host walk.
+// moves into its slot, and the handle is invalidated (see the package
+// comment).
 func (h *Host) Undefine(name string) error {
 	i, d := h.find(name)
 	if d == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if d.state == Running {
+	if h.rows[d.slot].state == Running {
 		return fmt.Errorf("%w: cannot undefine running domain %s", ErrState, name)
 	}
 	h.order = append(h.order[:i], h.order[i+1:]...)
@@ -424,27 +444,26 @@ func (h *Host) Undefine(name string) error {
 	return nil
 }
 
-// Domain is one VM resident on a Host: its configuration, its row slot,
-// its lifecycle state, its engaged cgroup limits and its offered load,
-// in a single allocation. Like its host it is not safe for concurrent
-// use. The one mutation that can move the allocation, a limit write,
-// writes the resident's row in the host's table at mutation time (the
-// limits are never driven from outside).
+// Domain is a handle on one VM resident on a Host: the host and the
+// slot of the domain's row in its table, which Undefine re-points when
+// it moves the row. The host owns the state the handle names. Like its
+// host it is not safe for concurrent use.
 type Domain struct {
 	host *Host
-	cfg  DomainConfig
-
 	// slot indexes the domain's row in host.rows; -1 once undefined.
-	slot  int32
-	state DomainState
-	// limits holds the engaged cgroup controllers, one per resource kind:
-	// a positive component is the controller's limit, zero means the
-	// controller is not engaged (no write engages one at zero or below).
-	limits resources.Vector
+	slot int32
+}
 
-	// load is the offered request load (cores) last reported through
-	// SetOfferedLoad, seeded from DomainConfig.Load.
-	load float64
+// errUndefined is what a lifecycle call or limit write through an
+// undefined handle returns.
+var errUndefined = fmt.Errorf("%w: undefined domain handle", ErrNotFound)
+
+// row returns the domain's row, undefinedRow once undefined.
+func (d *Domain) row() *row {
+	if d.slot < 0 {
+		return &undefinedRow
+	}
+	return &d.host.rows[d.slot]
 }
 
 // setAlloc writes the row's allocation column and the Deflated predicate
@@ -454,11 +473,11 @@ func (r *row) setAlloc(v resources.Vector) {
 	r.deflated = v.DeflationFraction(r.size) > 0
 }
 
-// derive computes the domain's allocation from first principles: the
+// derive computes the row's allocation from first principles: its
 // nominal size capped by every engaged cgroup limit.
-func (d *Domain) derive() resources.Vector {
-	a := d.cfg.Size
-	for k, l := range d.limits {
+func (r *row) derive() resources.Vector {
+	a := r.size
+	for k, l := range r.limits {
 		if l > 0 && l < a[k] {
 			a[k] = l
 		}
@@ -466,76 +485,69 @@ func (d *Domain) derive() resources.Vector {
 	return a
 }
 
-// setState moves the lifecycle state and, for a resident (an undefined
-// domain has no row), mirrors it into the row's running column.
-func (d *Domain) setState(s DomainState) {
-	d.state = s
-	if d.slot >= 0 {
-		d.host.rows[d.slot].running = s == Running
-	}
-}
-
 // Name returns the domain name.
-func (d *Domain) Name() string { return d.cfg.Name }
+func (d *Domain) Name() string { return d.row().name }
 
 // Config returns the domain's configuration, its Load the live offered
 // load: re-defined elsewhere (an evacuation), the VM lands under the
 // load it carries now, not the one it was admitted with.
 func (d *Domain) Config() DomainConfig {
-	c := d.cfg
-	c.Load = d.load
-	return c
+	r := d.row()
+	return DomainConfig{Name: r.name, Size: r.size, Deflatable: r.deflatable, Tag: r.tag, Priority: r.priority, Load: r.load}
 }
 
-// Host returns the host the domain resides on.
+// Host returns the host the domain was defined on.
 func (d *Domain) Host() *Host { return d.host }
 
 // State returns the domain's lifecycle state.
-func (d *Domain) State() DomainState { return d.state }
+func (d *Domain) State() DomainState { return d.row().state }
 
 // Start transitions Defined/Shutoff -> Running.
 func (d *Domain) Start() error {
-	if d.state == Running {
-		return fmt.Errorf("%w: %s already running", ErrState, d.cfg.Name)
+	if d.slot < 0 {
+		return errUndefined
 	}
-	d.setState(Running)
+	r := d.row()
+	if r.state == Running {
+		return fmt.Errorf("%w: %s already running", ErrState, r.name)
+	}
+	r.state = Running
 	return nil
 }
 
 // Shutdown transitions Running -> Shutoff.
 func (d *Domain) Shutdown() error {
-	if d.state != Running {
-		return fmt.Errorf("%w: %s not running", ErrState, d.cfg.Name)
+	if d.slot < 0 {
+		return errUndefined
 	}
-	d.setState(Shutoff)
+	r := d.row()
+	if r.state != Running {
+		return fmt.Errorf("%w: %s not running", ErrState, r.name)
+	}
+	r.state = Shutoff
 	return nil
 }
 
 // MaxSize returns the nominal undeflated allocation M_i.
-func (d *Domain) MaxSize() resources.Vector { return d.cfg.Size }
+func (d *Domain) MaxSize() resources.Vector { return d.row().size }
 
 // Deflatable reports whether the domain may be deflated.
-func (d *Domain) Deflatable() bool { return d.cfg.Deflatable }
+func (d *Domain) Deflatable() bool { return d.row().deflatable }
 
-// Priority returns pi (0 for non-deflatable domains).
-func (d *Domain) Priority() float64 { return d.cfg.Priority }
+// Priority returns the configured pi (Validate checks it for
+// deflatable domains only).
+func (d *Domain) Priority() float64 { return d.row().priority }
 
 // Allocation returns the domain's current allocation: the nominal size
 // capped by its engaged cgroup limits. This is the vector the cluster
 // policies account against. It reads the domain's row, written by the
-// limit write that last moved the allocation; an undefined domain has no
-// row and answers from its own state.
-func (d *Domain) Allocation() resources.Vector {
-	if d.slot < 0 {
-		return d.derive()
-	}
-	return d.host.rows[d.slot].alloc
-}
+// limit write that last moved the allocation.
+func (d *Domain) Allocation() resources.Vector { return d.row().alloc }
 
 // AllocationEpoch returns the domain's allocation and its host's
 // allocation epoch, read together.
 func (d *Domain) AllocationEpoch() (resources.Vector, uint64) {
-	return d.Allocation(), d.host.epoch
+	return d.row().alloc, d.host.epoch
 }
 
 // SetOfferedLoad reports the domain's current offered request load in
@@ -548,62 +560,71 @@ func (d *Domain) SetOfferedLoad(v float64) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
 	}
-	d.load = v
+	if d.slot >= 0 {
+		d.host.rows[d.slot].load = v
+	}
 }
 
 // --- Transparent deflation knobs (cgroup-backed, Section 4.2) ---
 
 // ClampTarget bounds target into [DefaultFloor, MaxSize], so the VM
 // never fully stalls (deflation, not preemption), rejecting a negative
-// or NaN component (ErrInvalid). It is the one clamp the mechanisms and
-// the cluster's policy passes apply before a limit write.
+// or NaN component (ErrInvalid) and an undefined handle (ErrNotFound).
+// It is the one clamp the mechanisms and the cluster's policy passes
+// apply before a limit write.
 func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) {
+	if d.slot < 0 {
+		return resources.Vector{}, errUndefined
+	}
+	r := d.row()
 	for k, x := range target {
 		if !(x >= 0) { // also catches NaN
-			return resources.Vector{}, fmt.Errorf("%w: domain %s target %s=%g is negative or NaN", ErrInvalid, d.cfg.Name, resources.Kind(k), x)
+			return resources.Vector{}, fmt.Errorf("%w: domain %s target %s=%g is negative or NaN", ErrInvalid, r.name, resources.Kind(k), x)
 		}
 	}
-	return target.Clamp(DefaultFloor(), d.cfg.Size), nil
+	return target.Clamp(DefaultFloor(), r.size), nil
 }
 
 // SetLimits writes a policy pass's limits to the host's domains in one
 // call. In batch order, every positive component of
 // limits[i] engages doms[i]'s cgroup controller at that value (zero ones
 // leave theirs as they are), and limits[i] is replaced by the allocation
-// doms[i] ends up with. A domain of another host, a length mismatch or a
-// negative or NaN component anywhere refuses the whole batch (ErrInvalid)
-// before anything is written. If any write moved a resident's
+// doms[i] ends up with. The first bad entry in batch order refuses the
+// whole batch before anything is written: a domain of another host, a
+// length mismatch or a negative or NaN component with ErrInvalid, an
+// undefined handle with ErrNotFound. If any write moved a resident's
 // allocation, the allocation epoch moves by exactly one; otherwise it is
-// not touched. An undefined domain takes the write into its own limits
-// only.
+// not touched.
 func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 	if len(doms) != len(limits) {
 		return fmt.Errorf("%w: host %s limit write of %d domains with %d limit vectors", ErrInvalid, h.cfg.Name, len(doms), len(limits))
 	}
 	for i, d := range doms {
 		if d.host != h {
-			return fmt.Errorf("%w: domain %s is not on host %s", ErrInvalid, d.cfg.Name, h.cfg.Name)
+			return fmt.Errorf("%w: domain %s is not on host %s", ErrInvalid, d.Name(), h.cfg.Name)
+		}
+		if d.slot < 0 {
+			return errUndefined
 		}
 		for k, x := range limits[i] {
 			if !(x >= 0) { // also catches NaN
-				return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.cfg.Name, resources.Kind(k), x)
+				return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, h.rows[d.slot].name, resources.Kind(k), x)
 			}
 		}
 	}
 	moved := false
 	for i, d := range doms {
-		old := d.Allocation()
+		r := &h.rows[d.slot]
 		for k, x := range limits[i] {
 			if x > 0 {
-				d.limits[k] = x
+				r.limits[k] = x
 			}
 		}
-		a := d.derive()
-		if a != old && d.slot >= 0 {
-			h.rows[d.slot].setAlloc(a)
+		if a := r.derive(); a != r.alloc {
+			r.setAlloc(a)
 			moved = true
 		}
-		limits[i] = a
+		limits[i] = r.alloc
 	}
 	if moved {
 		h.epoch++
@@ -623,10 +644,11 @@ func (d *Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
 
 // setLimit engages the one cgroup controller k at v through SetLimits.
 // A zero, negative or NaN limit is rejected: freezing a VM entirely is
-// preemption, not deflation.
+// preemption, not deflation. Through an undefined handle SetLimits
+// fails first, with ErrNotFound, whatever v is.
 func (d *Domain) setLimit(k resources.Kind, v float64) error {
-	if !(v > 0) {
-		return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.cfg.Name, k, v)
+	if !(v > 0) && d.slot >= 0 {
+		return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.Name(), k, v)
 	}
 	_, err := d.SetLimits(resources.Vector{}.With(k, v))
 	return err

@@ -118,7 +118,7 @@ func TestOfferedLoadRejectsNonFinite(t *testing.T) {
 		}
 		d.SetOfferedLoad(1) // so a clamp to zero is visible
 		d.SetOfferedLoad(c.load)
-		if got := d.load; got != want {
+		if got := d.Config().Load; got != want {
 			t.Errorf("SetOfferedLoad(%s): OfferedLoad = %g, want %g", c.name, got, want)
 		}
 	}
@@ -165,6 +165,14 @@ func TestLifecycle(t *testing.T) {
 	}
 	if err := h.Undefine("vm-1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double undefine = %v", err)
+	}
+	// The undefined handle reads zero values and its lifecycle calls fail
+	// like libvirt's on an undefined domain.
+	if d.Name() != "" || d.State() != Defined || d.Config() != (DomainConfig{}) {
+		t.Errorf("undefined handle reads %q, %v, %+v; want zero values", d.Name(), d.State(), d.Config())
+	}
+	if err := d.Start(); !errors.Is(err, ErrNotFound) {
+		t.Errorf("start through an undefined handle = %v, want ErrNotFound", err)
 	}
 }
 

@@ -62,26 +62,26 @@ func TestDomainEffective(t *testing.T) {
 	}
 }
 
-// TestDomainSize pins what a cluster VM costs: no guest, no lock, no
-// floor of its own, nothing but its configuration, slot, one-byte state,
-// limits and load — the 128 B size class.
+// TestDomainSize pins what a cluster VM's handle costs: its host and
+// its row slot, nothing else — the 16 B size class.
 func TestDomainSize(t *testing.T) {
 	var d Domain
 	got := unsafe.Sizeof(d)
-	if got > 128 {
-		t.Errorf("Domain is %d B, want at most 128", got)
+	if got > 16 {
+		t.Errorf("Domain is %d B, want at most 16", got)
 	}
 	t.Logf("Domain is %d B", got)
 }
 
-// TestRowSize pins the bytes a host's walks read per resident: name,
-// size, allocation, priority, domain pointer and three flags, with no
-// floor column (every domain's floor is DefaultFloor).
+// TestRowSize pins the bytes a host keeps per resident: name, size,
+// allocation, priority, offered load, handle pointer, tag, lifecycle
+// state, two flags and the engaged limits, with no floor column (every
+// domain's floor is DefaultFloor).
 func TestRowSize(t *testing.T) {
 	var r row
 	got := unsafe.Sizeof(r)
-	if got > 104 {
-		t.Errorf("row is %d B, want at most 104", got)
+	if got > 144 {
+		t.Errorf("row is %d B, want at most 144", got)
 	}
 	t.Logf("row is %d B", got)
 }

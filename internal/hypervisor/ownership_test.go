@@ -8,13 +8,14 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// checkRows audits the row table against the domains it describes: the
-// table is dense, every slot is owned by exactly the domain that points
-// at it, each column equals what the domain's own state derives — so a
-// write that reached the wrong row (a moved row whose domain was not
-// re-pointed, or a stale handle) or missed its own cannot hide behind
-// accessors that read the same row — and the spare capacity past the
-// last row holds no row a departed resident left behind.
+// checkRows audits the row table: the table and its name order are
+// dense and of one length, every slot is owned by exactly the handle
+// that points at it (a moved row whose handle was not re-pointed shows
+// here and in the model's reads through the handles), each row's
+// allocation and Deflated predicate equal what its size and engaged
+// limits derive, the spare capacity past the last row holds no row a
+// departed resident left behind, and the row undefined handles read is
+// still all zeros.
 func checkRows(t *testing.T, h *Host, op string) {
 	t.Helper()
 	if len(h.order) != len(h.rows) {
@@ -23,25 +24,23 @@ func checkRows(t *testing.T, h *Host, op string) {
 	for i, slot := range h.order {
 		r := &h.rows[slot]
 		d := r.dom
-		if pos, found := h.find(r.name); d == nil || d.slot != slot || pos != i || found != d {
+		if pos, found := h.find(r.name); d == nil || d.host != h || d.slot != slot || pos != i || found != d {
 			t.Fatalf("after %s: slot %d (%q) is not owned by the domain it names", op, slot, r.name)
 		}
 		if i > 0 && h.rows[h.order[i-1]].name >= r.name {
 			t.Fatalf("after %s: order not sorted at %q", op, r.name)
 		}
-		want := row{
-			name: d.cfg.Name, size: d.cfg.Size, alloc: d.derive(),
-			priority: d.cfg.Priority, dom: d, running: d.state == Running, deflatable: d.cfg.Deflatable,
-		}
-		want.deflated = want.alloc.DeflationFraction(want.size) > 0
-		if *r != want {
-			t.Fatalf("after %s: row of %s = %+v, domain state derives %+v", op, r.name, *r, want)
+		if want := r.derive(); r.alloc != want || r.deflated != (want.DeflationFraction(r.size) > 0) {
+			t.Fatalf("after %s: row of %s allocates %v (deflated %v), its size and limits derive %v", op, r.name, r.alloc, r.deflated, want)
 		}
 	}
 	for i, r := range h.rows[len(h.rows):cap(h.rows)] {
 		if r != (row{}) {
 			t.Fatalf("after %s: spare slot %d still holds %+v", op, len(h.rows)+i, r)
 		}
+	}
+	if undefinedRow != (row{}) {
+		t.Fatalf("after %s: the row undefined handles read holds %+v", op, undefinedRow)
 	}
 }
 
@@ -54,7 +53,7 @@ type limitState struct {
 }
 
 func limitStateOf(d *Domain) limitState {
-	return limitState{d.limits, d.Allocation(), d.Host().Aggregates()}
+	return limitState{d.row().limits, d.Allocation(), d.Host().Aggregates()}
 }
 
 // TestSetLimitsMatchesSingleSetters is a named stream of runDomainOps:
@@ -93,8 +92,8 @@ func TestDefineSurfacesGuestError(t *testing.T) {
 }
 
 // TestDefineAllocatesOnce pins the layout: in steady state a
-// define / start / shutdown / undefine cycle allocates the Domain and
-// nothing else (its limits and row cost no object of their own).
+// define / start / shutdown / undefine cycle allocates the Domain handle
+// and nothing else (its row and limits cost no object of their own).
 func TestDefineAllocatesOnce(t *testing.T) {
 	h := testHost(t)
 	for i := 0; i < 8; i++ {
@@ -120,9 +119,9 @@ func TestDefineAllocatesOnce(t *testing.T) {
 
 // BenchmarkDefineUndefineSteadyState is one VM's life on a populated
 // host: define, start, shut down, undefine. `make bench-allocs` requires
-// exactly 1 allocs/op, the Domain, and at most 128 B/op, its size class,
-// so a field that pushes the Domain into the next class fails the gate
-// even where TestDomainSize's unsafe.Sizeof pin is not run.
+// exactly 1 allocs/op, the Domain handle, and at most 16 B/op, its size
+// class, so a field that pushes the handle into the next class fails the
+// gate even where TestDomainSize's unsafe.Sizeof pin is not run.
 func BenchmarkDefineUndefineSteadyState(b *testing.B) {
 	h := testHost(b)
 	for i := 0; i < 20; i++ {

@@ -24,7 +24,7 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 			Min:      DefaultFloor(),
 			Priority: d.Priority(),
 			Current:  d.Allocation(),
-			Load:     d.load,
+			Load:     d.Config().Load,
 		})
 		doms = append(doms, d)
 	}
@@ -130,7 +130,7 @@ func BenchmarkLoadWriteViewSteadyState(b *testing.B) {
 		}
 		states, view = h.AppendDeflatableView(states[:0], view[:0])
 	}
-	if len(states) != len(doms) || states[0].Load != view[0].load {
+	if len(states) != len(doms) || states[0].Load != view[0].Config().Load {
 		b.Fatalf("view lost the written loads: %d states, load %g", len(states), states[0].Load)
 	}
 }

@@ -71,7 +71,7 @@ var mutations = []mutation{
 	dropMark("AddServerSpec", "internal/cluster/cluster.go",
 		"m.maxCap[partition] = m.maxCap[partition].Max(capacity)\n\t", "\treturn s, nil", placementSuites, nil),
 	dropMark("placeOn", "internal/cluster/cluster.go", "\t", "\tm.placements[dc.Name] = s", placementSuites, nil),
-	dropMark("teardown", "internal/cluster/cluster.go", "\t", "\tif err := s.Host.Undefine(d.Name())", placementSuites, nil),
+	dropMark("teardown", "internal/cluster/cluster.go", "\t", "\tname := d.Name()", placementSuites, nil),
 	dropMark("RestoreServer", "internal/cluster/revoke.go", "s.revoked = false\n\t", "\treturn nil", placementSuites, nil),
 	dropMark("ResizeServer", "internal/cluster/revoke.go", "\t", "\t// maxCap stays", placementSuites, nil),
 	dropMark("writeTargets", "internal/cluster/cluster.go", "\t\t", "\t\tif m.cfg.Notify != nil {", placementSuites, nil),
@@ -113,8 +113,17 @@ var mutations = []mutation{
 	},
 	{
 		name: "SetLimits/first-entry-only", file: "internal/hypervisor/hypervisor.go",
-		from: "\t\t\tif x > 0 {\n\t\t\t\td.limits[k] = x\n", to: "\t\t\tif x > 0 && i == 0 {\n\t\t\t\td.limits[k] = x\n",
+		from: "\t\t\tif x > 0 {\n\t\t\t\tr.limits[k] = x\n", to: "\t\t\tif x > 0 && i == 0 {\n\t\t\t\tr.limits[k] = x\n",
 		kills: domainSuites,
+	},
+	// An undefined handle reads zero values: read after Undefine, the
+	// name is "", and the placement stays behind. checkServerCache's
+	// placement audit sees the stale entry after the op that left it.
+	{
+		name: "teardown/name-after-undefine", file: "internal/cluster/cluster.go",
+		from:  "\tname := d.Name()\n\tif err := s.Host.Undefine(name); err != nil {\n\t\treturn err\n\t}\n\tdelete(m.placements, name)\n",
+		to:    "\tif err := s.Host.Undefine(d.Name()); err != nil {\n\t\treturn err\n\t}\n\tdelete(m.placements, d.Name())\n",
+		kills: placementSuites,
 	},
 	{
 		name: "displace/drop-on-demand-evacuee", file: "internal/cluster/revoke.go",
