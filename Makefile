@@ -36,7 +36,7 @@ race-placement:
 # sync, the Undefine slot re-point, the teardown's name read before
 # Undefine, the allocation-epoch bump, a dropped
 # on-demand evacuee, the pressure and event orders' tie-breaks, fleet
-# sizing's stop bound, a dropped capacity check, two streamed-adapter
+# sizing's stop bound, two streamed-adapter
 # edits, and the testbed request path's uncounted timeout and measured
 # warm-up) and runs the `go test -run` suites that must fail with it, and
 # those recorded as missing it. Skipped without -mutate, so `make test`

@@ -699,10 +699,10 @@ func (m *Manager) deflateFor(s *Server, dc hypervisor.DomainConfig) (resources.V
 	return initial, nil
 }
 
-// solve is the one solve step of every policy pass (deflateFor,
-// reinflate, deflateToCapacity): it fills the pass arena from s's
-// deflatable view, appends the newcomer if there is one and runs the
-// policy for need (negative to hand capacity back). Targets[i] belongs
+// solve is the one solve step of both policy passes (deflateFor and
+// reinflate): it fills the pass arena from s's deflatable view, appends
+// the newcomer if there is one and runs the policy for need (negative
+// to hand capacity back). Targets[i] belongs
 // to m.pass.doms[i], the newcomer's follows; each pass handles
 // policy.ErrInsufficient itself.
 func (m *Manager) solve(s *Server, newcomer *policy.VMState, need resources.Vector) (policy.SliceResult, error) {
@@ -827,9 +827,9 @@ func (m *Manager) reinflate(s *Server) error {
 	}
 	res, err := m.solve(s, nil, free.Scale(-1))
 	if errors.Is(err, policy.ErrInsufficient) {
-		// The targets need more than the free capacity: a quantised
-		// policy cannot reinflate residents a shrink pinned to their
-		// floors within it. They stay where they are.
+		// The targets need more than the free capacity, which the
+		// policy contract allows though no test reaches it: the
+		// residents stay where they are.
 		return nil
 	}
 	if err != nil {

@@ -177,16 +177,13 @@ func TestDirtyListDrainsInMarkOrderAndDeduplicated(t *testing.T) {
 			t.Errorf("%s still flagged queued after the sync", s.Host.Name())
 		}
 	}
-	// A resize and a departure each sync after writing their server, and
-	// neither pass moves an allocation here: nothing stays queued.
-	if _, err := m.ResizeServer("b", serverCap().Scale(1.5)); err != nil {
-		t.Fatal(err)
-	}
+	// A departure syncs after writing its server, and its pass moves no
+	// allocation here: nothing stays queued.
 	if err := m.RemoveVM("vm-1"); err != nil {
 		t.Fatal(err)
 	}
 	if got := dirtyNames(m); len(got) != 0 {
-		t.Fatalf("a resize and a departure left %v queued, want none", got)
+		t.Fatalf("a departure left %v queued, want none", got)
 	}
 	roundTrip("b")
 	if got := dirtyNames(m); !slices.Equal(got, []string{"b"}) {
@@ -197,8 +194,8 @@ func TestDirtyListDrainsInMarkOrderAndDeduplicated(t *testing.T) {
 
 // TestEveryMutatorMarksItsServer holds each manager entry point to the
 // marking contract: after it, exactly the servers it wrote since its
-// last sync are queued (RemoveVMs and ResizeServer sync before their
-// passes, so only a pass's writes stay queued), and a sync brings every
+// last sync are queued (RemoveVMs syncs before its passes, so only a
+// pass's writes stay queued), and a sync brings every
 // cached field back to a fresh derivation (checkServerCache). An entry
 // point that writes no host queues nothing.
 func TestEveryMutatorMarksItsServer(t *testing.T) {
@@ -315,26 +312,6 @@ func TestEveryMutatorMarksItsServer(t *testing.T) {
 			want: []string{"node-2"},
 		},
 		{
-			name: "ResizeServer grow",
-			op: func(t *testing.T, m *Manager) {
-				if _, err := m.ResizeServer("node-1", serverCap().Scale(1.5)); err != nil {
-					t.Fatal(err)
-				}
-			},
-			// Synced after the mark; node-1 has nothing to reinflate.
-		},
-		{
-			name:  "ResizeServer shrink",
-			setup: func(t *testing.T, m *Manager) { fill(t, m, "node-0", 4, true) },
-			op: func(t *testing.T, m *Manager) {
-				ev, err := m.ResizeServer("node-0", serverCap().Scale(0.75))
-				if err != nil || len(ev.VMs) != 0 || m.byName["node-0"].Host.Aggregates().Deflated == 0 {
-					t.Fatalf("shrink: %+v (err %v), want residents deflated in place", ev, err)
-				}
-			},
-			want: []string{"node-0"},
-		},
-		{
 			name:  "PlaceVMs rejected",
 			setup: func(t *testing.T, m *Manager) { fillAll(t, m, 1, false) },
 			op: func(t *testing.T, m *Manager) {
@@ -359,14 +336,6 @@ func TestEveryMutatorMarksItsServer(t *testing.T) {
 			op: func(t *testing.T, m *Manager) {
 				for i, d := range m.byName["node-0"].Host.Domains() {
 					d.SetOfferedLoad(float64(1 + i))
-				}
-			},
-		},
-		{
-			name: "ResizeServer same capacity",
-			op: func(t *testing.T, m *Manager) {
-				if _, err := m.ResizeServer("node-0", serverCap()); err != nil {
-					t.Fatal(err)
 				}
 			},
 		},

@@ -91,39 +91,6 @@ func testShockConfig(seed int64) *trace.ShockConfig {
 	return &trace.ShockConfig{Kind: trace.ShockPoisson, RatePerDay: 2, OutageMean: 4 * 3600, Seed: seed}
 }
 
-// poolsResizeConfig is a run on priority-partitioned pools under an
-// explicit schedule of revocations and resizes (clustersim's test of the
-// same name): servers leave, return, shrink and grow back, so each
-// pool's indexes see entries go, come back and change size.
-func poolsResizeConfig(tr *trace.AzureTrace) clustersim.Config {
-	return clustersim.Config{
-		Trace:       tr,
-		Policy:      policy.Priority{},
-		Partitioned: true,
-		Overcommit:  0.4,
-		Shocks:      resizeSchedule(tr),
-	}
-}
-
-// resizeSchedule is an explicit shock schedule over tr's horizon that
-// shrinks, revokes, restores and regrows servers 0-5. The shock
-// generators emit no resizes, so this is the only route to them.
-func resizeSchedule(tr *trace.AzureTrace) []trace.CapacityShock {
-	h := tr.Duration()
-	return []trace.CapacityShock{
-		{At: 0.15 * h, Kind: trace.ShockResize, Server: 0, Scale: 0.4},
-		{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 3},
-		{At: 0.3 * h, Kind: trace.ShockResize, Server: 5, Scale: 0.3},
-		{At: 0.4 * h, Kind: trace.ShockRestore, Server: 3},
-		{At: 0.45 * h, Kind: trace.ShockResize, Server: 1, Scale: 0.5},
-		{At: 0.5 * h, Kind: trace.ShockResize, Server: 0, Scale: 1},
-		{At: 0.6 * h, Kind: trace.ShockRevoke, Server: 2},
-		{At: 0.7 * h, Kind: trace.ShockResize, Server: 5, Scale: 1},
-		{At: 0.8 * h, Kind: trace.ShockRestore, Server: 2},
-		{At: 0.85 * h, Kind: trace.ShockResize, Server: 1, Scale: 1},
-	}
-}
-
 // sloTestConfig is a latency-policy, SLO-metered run.
 func sloTestConfig(tr *trace.AzureTrace, oc float64) clustersim.Config {
 	slo := &clustersim.SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}
@@ -249,9 +216,9 @@ func TestSLOUnderPlacementOracles(t *testing.T) {
 // manager wrote — the sample pass's offered-load writes mark none — is
 // bit-identical to the run that re-derives every server before every
 // query (cluster.ResyncEveryServer), across scenarios, seeds, both
-// policies a metered run compares, and calm fleets, Poisson revocations
-// and the explicit resize schedule. A write path that forgets to mark
-// its server leaves a stale cache that only the second run refreshes.
+// policies a metered run compares, and calm fleets and Poisson
+// revocations. A write path that forgets to mark its server leaves a
+// stale cache that only the second run refreshes.
 func TestLoadWriteSyncMatchesFullInvalidation(t *testing.T) {
 	slo := &clustersim.SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}
 	policies := []policy.Policy{
@@ -262,20 +229,17 @@ func TestLoadWriteSyncMatchesFullInvalidation(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			tr := scenarioTrace(t, kind, 1200, seed)
 			for _, pol := range policies {
-				for _, shocks := range []string{"none", "poisson", "resize"} {
+				for _, shocks := range []string{"none", "poisson"} {
 					cfg := clustersim.Config{Trace: tr, Policy: pol, Overcommit: 0.5, SLO: slo}
-					switch shocks {
-					case "poisson":
+					if shocks == "poisson" {
 						cfg.ShockConfig = testShockConfig(seed)
-					case "resize":
-						cfg.Shocks = resizeSchedule(tr)
 					}
 					name := fmt.Sprintf("%v/seed=%d/%s/shocks=%s", kind, seed, pol.Name(), shocks)
 					got, err := clustersim.Run(cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if got.SLOSampleSeconds == 0 || (shocks != "none" && got.Revocations == 0) || (shocks == "resize" && got.Resizes == 0) {
+					if got.SLOSampleSeconds == 0 || (shocks != "none" && got.Revocations == 0) {
 						t.Fatalf("%s: degenerate run: %+v", name, *got)
 					}
 					t.Run(name, func(t *testing.T) {
@@ -340,7 +304,6 @@ func TestPressurePruningMatchesFullScan(t *testing.T) {
 		{"bursty", clustersim.Config{Trace: scenarioTrace(t, trace.ScenarioBursty, 400, 5), Policy: policy.Proportional{}, Overcommit: 0.6}},
 		{"heavytail-pooled", clustersim.Config{Trace: scenarioTrace(t, trace.ScenarioHeavyTail, 400, 8), Policy: policy.Priority{}, Partitioned: true, Overcommit: 0.5}},
 		{"shocked", clustersim.Config{Trace: testTrace(400), Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(7)}},
-		{"pools-resize", poolsResizeConfig(testTrace(400))},
 	}
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {

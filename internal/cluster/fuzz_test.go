@@ -34,7 +34,7 @@ func (r *opReader) next(n int) int {
 // FuzzPlacementOps decodes a byte string into a configuration and an
 // operation sequence — PlaceVMs batches of 1–16 (names repeated inside a
 // batch or already live included), RemoveVMs, RevokeServers,
-// RestoreServer, ResizeServer and SetOfferedLoad — and runs it against
+// RestoreServer and SetOfferedLoad — and runs it against
 // an indexed manager, the "fullscan" and "reference" oracles and an
 // indexed manager that places each batch as a loop of one-element
 // batches (runPlacementOps). `go test` runs the seeds below; `go test
@@ -68,12 +68,12 @@ func FuzzPlacementOps(f *testing.F) {
 // needed came from deflating residents. After every op the manager holds
 // exactly placed - removed - killed VMs. It also counts what a named
 // stream must reach: the ops run, the peak of live VMs, the revocations
-// and resizes the manager accepted, the arrivals placed on the pressure
-// path, the servers the pressure descent pruned, and the events the
-// manager published, with those whose Old the check knew.
+// the manager accepted, the arrivals placed on the pressure path, the
+// servers the pressure descent pruned, and the events the manager
+// published, with those whose Old the check knew.
 type opFold struct {
 	placed, removed, killed, squeezed  int
-	ops, peak, revokes, resizes        int
+	ops, peak, revokes                 int
 	pressured, pruned, events, oldSeen int
 }
 
@@ -136,17 +136,10 @@ func (s *placementStream) remove(n int) {
 func (s *placementStream) revoke(server int)  { *s = append(*s, 4, 0, byte(server)) }
 func (s *placementStream) restore(server int) { *s = append(*s, 5, byte(server)) }
 
-// resize appends a resize of server to tenths/10 of its base capacity
-// (4..12).
-func (s *placementStream) resize(server, tenths int) {
-	*s = append(*s, 6, byte(server), byte(tenths-4))
-}
-
 // capacityChurn is the stream TestPlacementOpsCapacityChurn runs: four
 // servers filled to 168 of their 192 cores, then six rounds in which one
-// server shrinks to half, another is revoked and restored and the first
-// grows back, each step after an arrival batch that must take the
-// pressure path, and three departures end each round.
+// server is revoked and restored, each step after an arrival batch that
+// must take the pressure path, and three departures end each round.
 func capacityChurn() placementStream {
 	s, vms := newPlacementStream(0, 4), 0
 	place := func(n int) {
@@ -157,23 +150,20 @@ func capacityChurn() placementStream {
 		place(16)
 	}
 	for r := range 6 {
-		shrunk, revoked := r%4, (r+2)%4
-		place(4)
-		s.resize(shrunk, 5)
+		revoked := (r + 2) % 4
 		place(4)
 		s.revoke(revoked)
 		place(4)
 		s.restore(revoked)
 		place(4)
-		s.resize(shrunk, 10)
 		s.remove(3)
 	}
 	return s
 }
 
 // TestPlacementOpsCapacityChurn runs the capacity-churn stream through
-// runPlacementOps: the provider shrinks, revokes, restores and grows
-// servers between placements on a full cluster. Some placement must
+// runPlacementOps: the provider revokes and restores servers between
+// placements on a full cluster. Some placement must
 // deflate a resident, or the stream never ran a pressured policy pass
 // beside the capacity shocks, and the records must fold to the
 // manager's VM count after every op (runPlacementOps checks that).
@@ -211,7 +201,7 @@ func seededBytes(seed int64, n int) []byte {
 // random bytes seeded by the test's full name, with the header pinned to
 // policy (an index into runPlacementOps' list) and pools (priority
 // partitioning), for exactly cfg.ops ops on cfg.servers servers. It must
-// revoke, resize, remove, place an arrival on the pressure path, prune
+// revoke, remove, place an arrival on the pressure path, prune
 // a server and publish an event at least once, and know the Old of half
 // its events, or it drove less than the churn it stands for. It returns
 // the stream's fold.
@@ -227,7 +217,7 @@ func runNamedStream(t *testing.T, policy int, pools bool, cfg opsConfig) opFold 
 	if f.ops != cfg.ops {
 		t.Fatalf("the stream ran out after %d of %d ops", f.ops, cfg.ops)
 	}
-	if f.revokes == 0 || f.resizes == 0 || f.removed == 0 || f.pressured == 0 || f.pruned == 0 || f.events == 0 || f.oldSeen < f.events/2 {
+	if f.revokes == 0 || f.removed == 0 || f.pressured == 0 || f.pruned == 0 || f.events == 0 || f.oldSeen < f.events/2 {
 		t.Errorf("vacuous stream: %+v", f)
 	}
 	t.Logf("%d ops on %d servers, at most %d live VMs: %+v", f.ops, cfg.servers, f.peak, f)
@@ -248,8 +238,9 @@ func runSeeds(t *testing.T, prefix string, policy int, pools bool, cfg opsConfig
 // one-element batches, with the same scan work, and both as the
 // reference; under the priority policy, plain and in priority pools.
 // pools-resize runs the pools on four servers, one per pool, so a
-// resized or revoked server's evacuees have no other server in their
-// pool.
+// revoked server's evacuees have no other server in their pool. It
+// keeps the name it had while the stream also resized servers: the
+// name seeds the stream's bytes.
 func TestPlaceVMsMatchesPlaceVMLoopAndReference(t *testing.T) {
 	cfg := opsConfig{ops: 120, servers: 6}
 	runSeeds(t, "", 1, false, cfg, 1, 2, 3)
@@ -285,9 +276,9 @@ func TestRevocationChurnMatchesAcrossEngines(t *testing.T) {
 }
 
 // TestPressureShockChurnDifferential runs 160 ops on ten servers, so
-// revokes and resizes interleave with placements on a full cluster: the
-// pressure index's bound keys must track servers leaving, returning and
-// changing size mid-stream.
+// revokes interleave with placements on a full cluster: the pressure
+// index's bound keys must track servers leaving and returning
+// mid-stream.
 func TestPressureShockChurnDifferential(t *testing.T) {
 	runSeeds(t, "", 1, false, opsConfig{ops: 160, servers: 10}, 7, 19)
 }
@@ -312,9 +303,10 @@ func TestChurnNeverOverAllocates(t *testing.T) {
 // be allocated beyond its capacity, every event the indexed manager
 // published must equal its domain's own reads, and it must hold
 // exactly the VMs its records fold to. Under the proportional policy,
-// every server a departure batch took a VM from, and every server
-// resized to a capacity its residents fit, must sit at the water-fill
-// fixed point of reinflation (checkReinflated).
+// every server a departure batch took a VM from must sit at the
+// water-fill fixed point of reinflation (checkReinflated). Op kind 6
+// does nothing: no server is resized, and its two argument bytes are
+// skipped, so older inputs decode alike.
 func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 	policies := []policy.Policy{policy.Proportional{}, policy.Priority{}, policy.Deterministic{}, policy.LatencyAware{}}
 	mcfg := Config{Policy: policies[r.next(len(policies))]}
@@ -385,7 +377,7 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 	next := 0
 	// pls holds each manager's outcome records of the current op;
 	// shocked reports whether the indexed manager accepted its
-	// revocation or resize.
+	// revocation.
 	var pls [4][]Placement
 	var shocked bool
 	evacuation := func(i int, ev Evacuation, err error) string {
@@ -400,7 +392,6 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 		var step func(i int, m *Manager) string
 		var born []string             // fresh names this op introduces
 		var leaving map[string]string // a departure batch's placed VMs and their servers
-		var regrown string            // a resized server whose residents fit the new capacity
 		kind, before := r.next(8), len(ms[0].placements)
 		switch kind {
 		case 0, 1, 2: // arrival batch
@@ -460,15 +451,10 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 		case 5:
 			name := server()
 			step = func(_ int, m *Manager) string { return fmt.Sprint(m.RestoreServer(name)) }
-		case 6:
-			name, scale := server(), float64(4+r.next(9))/10 // 40%..120%
-			if h := ms[0].byName[name].Host; h.Capacity() != serverCap().Scale(scale) && h.Aggregates().Allocated.FitsIn(serverCap().Scale(scale)) {
-				regrown = name // ResizeServer reinflates it in place
-			}
-			step = func(i int, m *Manager) string {
-				ev, err := m.ResizeServer(name, serverCap().Scale(scale))
-				return evacuation(i, ev, err)
-			}
+		case 6: // no op
+			server()
+			r.next(9)
+			step = func(int, *Manager) string { return "" }
 		case 7: // a sample pass's load write
 			name, load := pick(), float64(r.next(16))/2
 			step = func(_ int, m *Manager) string {
@@ -509,20 +495,13 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 				}
 			}
 		}
-		if regrown != "" && shocked && proportional {
-			for i, m := range ms {
-				checkReinflated(t, op, labels[i], m.byName[regrown])
-			}
-		}
 		switch {
 		case kind == 3:
 			fold.removed += before - len(ms[0].placements)
 		case kind == 4 && shocked:
 			fold.revokes++
-		case kind == 6 && shocked:
-			fold.resizes++
 		}
-		fold.record(pls[0], kind == 4 || kind == 6)
+		fold.record(pls[0], kind == 4)
 		for _, pl := range pls[0] {
 			if pl.Err == nil {
 				cur[pl.Domain] = pl.Domain.Allocation()
@@ -541,12 +520,12 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 }
 
 // checkReinflated holds a server that just ran a reinflation pass (a
-// departure took a VM from it, or it was resized to a capacity its
-// residents fit) to the proportional policy's water-fill fixed point:
-// on every dimension, either each running deflatable resident is at
-// its size, or the host's fresh free capacity is zero. Both hold within a relative 1e-9: the
-// water-fill's min + alpha*(max - min) can land an ulp below max (a
-// 13-core VM at 12.999999999999998 with a core free).
+// departure took a VM from it) to the proportional policy's water-fill
+// fixed point: on every dimension, either each running deflatable
+// resident is at its size, or the host's fresh free capacity is zero.
+// Both hold within a relative 1e-9: the water-fill's min + alpha*(max -
+// min) can land an ulp below max (a 13-core VM at 12.999999999999998
+// with a core free).
 func checkReinflated(t *testing.T, op int, label string, s *Server) {
 	t.Helper()
 	capacity := s.Host.Capacity()
@@ -556,7 +535,7 @@ func checkReinflated(t *testing.T, op int, label string, s *Server) {
 			continue
 		}
 		for _, d := range s.Host.Domains() {
-			if size := d.MaxSize()[k]; d.State() == hypervisor.Running && d.Deflatable() && d.Allocation()[k] < size-1e-9*size {
+			if size := d.MaxSize()[k]; d.State() == hypervisor.Running && d.Config().Deflatable && d.Allocation()[k] < size-1e-9*size {
 				t.Fatalf("op %d: %s server %s keeps %g of %v free, and its resident %s holds %g of its %g after reinflation",
 					op, label, s.Host.Name(), free[k], k, d.Name(), d.Allocation()[k], d.MaxSize()[k])
 			}

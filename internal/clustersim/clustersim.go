@@ -176,14 +176,13 @@ type Config struct {
 	// the cluster manager makes during the run. The bus is safe to
 	// share between concurrently running engines.
 	Notify *notify.Bus
-	// Shocks is an explicit capacity-shock schedule: revocations,
-	// restorations and resizes of specific servers by provisioning
-	// index. Shocks addressing servers beyond the run's provisioned
-	// count are ignored, so one schedule can be replayed against
-	// clusters of different sizes. In deflation mode a revoked or shrunk
-	// server's VMs are deflation-first evacuated through the batch
-	// placement engine; in preemption mode they die — today's transient
-	// servers.
+	// Shocks is an explicit capacity-shock schedule: revocations and
+	// restorations of specific servers by provisioning index. Shocks
+	// addressing servers beyond the run's provisioned count are ignored,
+	// so one schedule can be replayed against clusters of different
+	// sizes. In deflation mode a revoked server's VMs are deflation-first
+	// evacuated through the batch placement engine; in preemption mode
+	// they die — today's transient servers.
 	Shocks []trace.CapacityShock
 	// ShockConfig, when set and Shocks is nil, generates the schedule
 	// for the run's own server count (trace.GenerateShocks) — the form
@@ -308,10 +307,6 @@ func (c *Config) applyDefaults() error {
 		}
 		switch sh.Kind {
 		case trace.ShockRevoke, trace.ShockRestore:
-		case trace.ShockResize:
-			if !finiteNonNegative(sh.Scale) || sh.Scale == 0 {
-				return fmt.Errorf("clustersim: shock %d resizes to scale %v, want finite and positive", i, sh.Scale)
-			}
 		default:
 			return fmt.Errorf("clustersim: shock %d has unknown kind %v", i, sh.Kind)
 		}
@@ -374,12 +369,14 @@ type Result struct {
 	// VMs (on-demand-core-hours).
 	Revenue map[string]float64
 
-	// Capacity-shock outcomes. Revocations/Restorations/Resizes count
-	// processed shock events; Evacuations counts displaced VMs
-	// successfully relocated (deflation mode only); ShockKills counts
-	// displaced VMs that died — relocation failed (deflation) or the
-	// server was simply taken away (preemption). DisplacedDowntime is
-	// the summed modelled downtime (seconds) across evacuated VMs.
+	// Capacity-shock outcomes. Revocations/Restorations count processed
+	// shock events; Evacuations counts displaced VMs successfully
+	// relocated (deflation mode only); ShockKills counts displaced VMs
+	// that died — relocation failed (deflation) or the server was simply
+	// taken away (preemption). DisplacedDowntime is the summed modelled
+	// downtime (seconds) across evacuated VMs. Resizes is always 0: no
+	// shock resizes a server. It is kept so that existing readers (the
+	// bench package's result digest) still build.
 	Revocations       int
 	Restorations      int
 	Resizes           int

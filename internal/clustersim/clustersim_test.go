@@ -71,13 +71,12 @@ func TestBaselineServerCount(t *testing.T) {
 // TestRunValidation: configurations a run cannot honour are errors. NaN
 // fails every comparison, so a bare `< 0` check lets it through: a NaN
 // or +Inf overcommit ran on a one-server fleet. An explicit shock
-// schedule is checked entry by entry, naming the bad one: a NaN or +Inf resize scale crashed the
-// capacity index, a revocation at +Inf was popped first and at NaN at
-// an undefined instant, one at a negative time billed a negative
-// outage, a non-positive scale failed deep in the run, and an unknown
-// kind was dropped silently. A NaN or ±Inf SLO threshold metered no
-// violations (a slowdown is never above NaN or +Inf). Every case fails
-// in both modes.
+// schedule is checked entry by entry, naming the bad one: a revocation
+// at +Inf was popped first and at NaN at an undefined instant, one at a
+// negative time billed a negative outage, and an unknown kind was
+// dropped silently. Kind 2 is unknown too: no shock resizes a server.
+// A NaN or ±Inf SLO threshold metered no violations (a slowdown is
+// never above NaN or +Inf). Every case fails in both modes.
 func TestRunValidation(t *testing.T) {
 	tr := testTrace(200)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -98,10 +97,7 @@ func TestRunValidation(t *testing.T) {
 		{"negative overcommit", Config{Trace: tr, Overcommit: -0.5}, ""},
 		{"NaN overcommit", Config{Trace: tr, Overcommit: nan}, ""},
 		{"+Inf overcommit", Config{Trace: tr, Overcommit: inf}, ""},
-		{"NaN resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: nan}), "shock 1"},
-		{"+Inf resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: inf}), "shock 1"},
-		{"negative resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Scale: -0.5}), "shock 1"},
-		{"zero resize scale", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize}), "shock 1"},
+		{"shock kind 2", shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockKind(2), Scale: 0.5}), "shock 1"},
 		{"shock at +Inf", shocks(trace.CapacityShock{At: inf, Kind: trace.ShockRevoke}), "shock 1"},
 		{"shock at NaN", shocks(trace.CapacityShock{At: nan, Kind: trace.ShockRevoke}), "shock 1"},
 		{"shock at a negative time", shocks(trace.CapacityShock{At: -5000, Kind: trace.ShockRevoke}), "shock 1"},
@@ -126,7 +122,7 @@ func TestRunValidation(t *testing.T) {
 		}
 	}
 	// The schedule around each bad entry is valid on its own.
-	if _, err := Run(shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockResize, Server: 2, Scale: 0.5})); err != nil {
+	if _, err := Run(shocks(trace.CapacityShock{At: 5000, Kind: trace.ShockRevoke, Server: 2})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -521,7 +517,7 @@ func TestServersNeverOverAllocated(t *testing.T) {
 			for _, d := range s.Host.Domains() {
 				alloc := d.Allocation()
 				sum = sum.Add(alloc)
-				if d.Deflatable() {
+				if d.Config().Deflatable {
 					live++
 					deflatedSeen = deflatedSeen || alloc != d.MaxSize()
 				}

@@ -205,14 +205,13 @@ func (e *Engine) Run() (*Result, error) {
 // engine itself reclaims by deflation through its cluster manager;
 // preemption (preemption.go) is the baseline that kills. Before a shock
 // reaches it, the loop has done the bookkeeping both modes share: the
-// revoked flags, the shock counters and a resize's new capacity; a
-// revocation batch arrives as the servers it newly revoked.
+// revoked flags and the shock counters; a revocation batch arrives as
+// the servers it newly revoked.
 type reclaimer interface {
 	handleArrivals(evs []simEvent) error
 	handleDepartures(evs []simEvent) error
 	handleRevocations(servers []int, at float64) error
 	handleRestore(server int, at float64) error
-	handleResize(server int, capacity resources.Vector, at float64) error
 	foldResult() *Result
 }
 
@@ -388,15 +387,6 @@ func (e *Engine) eventLoop() error {
 				}
 				e.res.Restorations++
 			}
-		case evResize:
-			sh := &e.shocks[ev.seq]
-			i := sh.Server
-			if !e.revoked[i] {
-				if err := r.handleResize(i, DefaultServerCapacity().Scale(sh.Scale), ev.at); err != nil {
-					return err
-				}
-				e.res.Resizes++
-			}
 		case evDeparture:
 			// Coalesce the run of departures sharing this timestamp into
 			// one batched removal: the manager reinflates each affected
@@ -467,16 +457,6 @@ func (e *Engine) handleRestore(i int, at float64) error {
 		e.outAccum[i] += end - e.outStart[i]
 	}
 	return e.mgr.RestoreServer(e.serverNames[i])
-}
-
-// handleResize resizes a server and settles the VMs a shrink displaced.
-func (e *Engine) handleResize(i int, capacity resources.Vector, at float64) error {
-	out, err := e.mgr.ResizeServer(e.serverNames[i], capacity)
-	if err != nil {
-		return err
-	}
-	e.applyEvacuation(out, at)
-	return nil
 }
 
 // handleDepartures closes one same-timestamp batch of departing VMs and
@@ -598,7 +578,7 @@ func (e *Engine) finishSLO() {
 // schedule replays against any cluster size. Every kind is known:
 // applyDefaults rejects an explicit entry of any other.
 func (e *Engine) pushShocks(q eventQueue) {
-	kindOf := [...]eventKind{trace.ShockRevoke: evRevoke, trace.ShockRestore: evRestore, trace.ShockResize: evResize}
+	kindOf := [...]eventKind{trace.ShockRevoke: evRevoke, trace.ShockRestore: evRestore}
 	shocks := e.cfg.Shocks
 	if shocks == nil && e.cfg.ShockConfig != nil {
 		sc := *e.cfg.ShockConfig

@@ -16,7 +16,7 @@ import (
 // collisions across every kind and adjacent seq values — the tie cases
 // the total order exists for — plus pushes below the last popped time.
 func TestEventHeapMatchesOracleRandomized(t *testing.T) {
-	kinds := []eventKind{evSample, evDeparture, evRestore, evRevoke, evResize, evArrival}
+	kinds := []eventKind{evSample, evDeparture, evRestore, evRevoke, evArrival}
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
 		var h eventHeap
@@ -84,7 +84,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 0, 1, 1, 2, 0, 4, 0, 5, 1, 2, 2, 3, 0, 4, 5, 2, 2, 2, 2, 2, 2})
 	f.Add([]byte{8, 0, 0, 0, 0, 1, 3, 2, 1, 2, 2, 3, 0, 4, 1, 4, 2, 0, 0x80, 5, 7, 1, 0xff, 0, 7, 0, 6, 3, 7, 2, 3, 2, 2, 2, 2})
-	kinds := []eventKind{evSample, evDeparture, evRestore, evRevoke, evResize, evArrival}
+	kinds := []eventKind{evSample, evDeparture, evRestore, evRevoke, evArrival}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {

@@ -9,9 +9,8 @@ package clustersim
 // the evacuation that needs it — and so back-to-back outages of one
 // server (restore and re-revoke at the same instant, which the
 // generators' admission sweep can legally produce) replay as two
-// outages instead of silently dropping the second; resizes follow
-// revocations so their displaced VMs never land on a server revoked at
-// the same instant; and every shock precedes the arrivals so newcomers
+// outages instead of silently dropping the second; and every shock
+// precedes the arrivals so newcomers
 // only ever see post-shock capacity (the invariant the old slice-based
 // replay encoded in its sort comparator, extended to the
 // transient-server events).
@@ -22,7 +21,6 @@ const (
 	evDeparture
 	evRestore
 	evRevoke
-	evResize
 	evArrival
 )
 
@@ -37,8 +35,6 @@ func (k eventKind) String() string {
 		return "revoke"
 	case evRestore:
 		return "restore"
-	case evResize:
-		return "resize"
 	case evArrival:
 		return "arrival"
 	default:

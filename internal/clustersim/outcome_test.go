@@ -23,10 +23,8 @@ func scanCountsOf(r *Result) scanCounts {
 // manager's own counters reported before the manager stopped counting:
 // one rack-shocked run whose evacuations both relocate and kill (evacuee
 // placements feed the scan meters but never the admission failures) and
-// one SLO-metered run. A third run, on partitioned pools under an
-// explicit schedule with resizes, is pinned to the folds as first
-// measured on the single-index pools. A fold that drops, doubles or
-// misclassifies a placement moves a count.
+// one SLO-metered run. A fold that drops, doubles or misclassifies a
+// placement moves a count.
 func TestPinnedScanCounters(t *testing.T) {
 	diurnal, err := trace.GenerateScenario(trace.ScenarioConfig{Kind: trace.ScenarioDiurnal, NumVMs: 400, Duration: 86400, Seed: 3})
 	if err != nil {
@@ -45,8 +43,6 @@ func TestPinnedScanCounters(t *testing.T) {
 		// vacuous reports a run that does not exercise what it pins.
 		vacuous func(r *Result) bool
 	}{
-		{"pools-resize", poolsResizeConfig(testTrace(400)), scanCounts{187, 153, 289, 21},
-			func(r *Result) bool { return r.Resizes == 0 || r.Evacuations == 0 }},
 		{"shocked", Config{Trace: diurnal, Policy: policy.Priority{}, Overcommit: 0.75, ShockConfig: sc}, scanCounts{192, 176, 959, 9},
 			func(r *Result) bool { return r.Evacuations == 0 || r.ShockKills == 0 }},
 		{"slo", sloTestConfig(bursty, 0.5), scanCounts{32, 33, 415, 0},

@@ -33,8 +33,7 @@ type pVM struct {
 //
 // Capacity shocks are where the baseline diverges hardest from
 // deflation: a revoked server kills every resident outright (there is
-// no migration on today's transient servers), and a shrink kills
-// lowest-priority residents until the rest fits. The engine's one event
+// no migration on today's transient servers). The engine's one event
 // loop drives both modes through the same queue, batching and shock
 // bookkeeping, which is what makes the deflation-saves-the-shock-victims
 // comparison an apples-to-apples one.
@@ -47,8 +46,7 @@ type pVM struct {
 // simulation state.
 type preemption struct {
 	e        *Engine
-	fleet    *fleet             // free capacity, in the tightest-fit scan's order
-	curCap   []resources.Vector // each server's capacity, as resized
+	fleet    *fleet // free capacity, in the tightest-fit scan's order
 	running  map[string]*pVM
 	resident [][]*pVM
 	spare    []*pVM // VMs gone from the run, reused by later arrivals
@@ -61,11 +59,9 @@ func (e *Engine) setupPreemption() error {
 	if err := e.src.open(); err != nil {
 		return err
 	}
-	capacity := DefaultServerCapacity()
 	e.rec = &preemption{
 		e:        e,
-		fleet:    newFleet(e.nServers, capacity),
-		curCap:   slices.Repeat([]resources.Vector{capacity}, e.nServers),
+		fleet:    newFleet(e.nServers, DefaultServerCapacity()),
 		running:  map[string]*pVM{},
 		resident: make([][]*pVM, e.nServers),
 	}
@@ -263,25 +259,10 @@ func (p *preemption) handleRevocations(servers []int, at float64) error {
 	return nil
 }
 
-// handleRestore returns a server at its current capacity: the
-// revocation emptied it.
+// handleRestore returns a server at its full capacity: the revocation
+// emptied it.
 func (p *preemption) handleRestore(i int, _ float64) error {
-	p.fleet.set(i, p.curCap[i])
-	return nil
-}
-
-// handleResize changes a server's capacity. A shrink kills
-// lowest-priority residents until the rest fits — no deflation exists
-// in this world.
-func (p *preemption) handleResize(i int, capacity resources.Vector, at float64) error {
-	p.fleet.set(i, p.fleet.free[i].Add(capacity.Sub(p.curCap[i])))
-	p.curCap[i] = capacity
-	for _, vm := range p.victimsOn(i, false) {
-		if p.fleet.free[i].CheckNonNegative() == nil {
-			break
-		}
-		p.shockKill(vm, at)
-	}
+	p.fleet.set(i, p.fleet.capacity)
 	return nil
 }
 

@@ -2,7 +2,6 @@ package clustersim
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"vmdeflate/internal/trace"
@@ -48,19 +47,15 @@ func fuzzPreemptionTrace(data []byte) *trace.AzureTrace {
 // fuzzSchedule decodes fuzz bytes into at most 16 shocks, three bytes
 // each: a time on the trace's 16-slot grid, so shocks tie with arrivals
 // and with one another (two revokes of one server at one instant among
-// them); a kind (revoke, restore or resize) and one of eight servers;
-// and a resize scale from about 10^-2 to 10^6, log-uniform (byte 63 is
-// 1, 159 is 10^3 and 255 is 10^6).
+// them); a kind (revoke, restore, or revoke again) and one of eight
+// servers; and a byte that is skipped. The kind's three values and the
+// skipped byte keep committed inputs decoding as they were written.
 func fuzzSchedule(data []byte) []trace.CapacityShock {
 	var shocks []trace.CapacityShock
-	kinds := [...]trace.ShockKind{trace.ShockRevoke, trace.ShockRestore, trace.ShockResize}
+	kinds := [...]trace.ShockKind{trace.ShockRevoke, trace.ShockRestore, trace.ShockRevoke}
 	for i := 0; i+3 <= len(data) && len(shocks) < 16; i += 3 {
 		b := data[i : i+3]
-		sh := trace.CapacityShock{At: float64(b[0]%16) * 300, Kind: kinds[b[1]%3], Server: int(b[1]/3) % 8}
-		if sh.Kind == trace.ShockResize {
-			sh.Scale = math.Pow(10, float64(int(b[2])-63)/32)
-		}
-		shocks = append(shocks, sh)
+		shocks = append(shocks, trace.CapacityShock{At: float64(b[0]%16) * 300, Kind: kinds[b[1]%3], Server: int(b[1]/3) % 8})
 	}
 	return shocks
 }
@@ -69,9 +64,7 @@ func fuzzSchedule(data []byte) []trace.CapacityShock {
 // schedules through the preemption baseline on the engine's one event
 // loop and on the loop it had of its own (preemption_oracle_test.go):
 // both must return the same Result, or fail with the same error (an ID
-// live twice). The servers byte pins the fleet at one to eight servers,
-// so resizes far above 1 leave some servers with free shares far above
-// the rest, and the tightest-fit scan's slacks are exercised there.
+// live twice). The servers byte pins the fleet at one to eight servers.
 //
 //	go test -run '^$' -fuzz FuzzPreemptionMatchesParentLoop -fuzztime 15s -fuzzminimizetime 200x ./internal/clustersim
 func FuzzPreemptionMatchesParentLoop(f *testing.F) {

@@ -67,8 +67,7 @@ func runParentPreemption(cfg Config) (*Result, error) {
 //
 // Capacity shocks are where the baseline diverges hardest from
 // deflation: a revoked server kills every resident outright (there is
-// no migration on today's transient servers), and a shrink kills
-// lowest-priority residents until the rest fits. The same shock
+// no migration on today's transient servers). The same shock
 // schedule drives both modes, which is what makes the
 // deflation-saves-the-shock-victims comparison an apples-to-apples one.
 //
@@ -86,11 +85,9 @@ func (e *Engine) runPreemption() (*Result, error) {
 		return nil, err
 	}
 	free := make([]resources.Vector, e.nServers)
-	curCap := make([]resources.Vector, e.nServers)
 	revoked := make([]bool, e.nServers)
 	for i := range free {
 		free[i] = capacity
-		curCap[i] = capacity
 	}
 	running := map[string]*parentVM{}
 	resident := make([][]*parentVM, e.nServers)
@@ -227,25 +224,7 @@ func (e *Engine) runPreemption() (*Result, error) {
 			}
 			revoked[i] = false
 			res.Restorations++
-			free[i] = curCap[i] // the revocation emptied it
-			continue
-		case evResize:
-			// A shrink kills lowest-priority residents until the rest
-			// fits — no deflation exists in this world.
-			i := e.shocks[ev.seq].Server
-			if revoked[i] {
-				continue
-			}
-			newCap := capacity.Scale(e.shocks[ev.seq].Scale)
-			free[i] = free[i].Add(newCap.Sub(curCap[i]))
-			curCap[i] = newCap
-			res.Resizes++
-			for _, vm := range victimsOn(i, false) {
-				if free[i].CheckNonNegative() == nil {
-					break
-				}
-				shockKill(vm, ev.at)
-			}
+			free[i] = capacity // the revocation emptied it
 			continue
 		}
 		if _, ok := running[evVM.ID]; ok {

@@ -30,22 +30,19 @@ func shockFuzzTrace() *trace.AzureTrace {
 }
 
 // decodeShocks turns fuzz bytes into an explicit schedule, four bytes
-// per entry: a time on a 15-minute grid, a kind (3 is no kind), a server
-// among six (so some entries address servers the run never provisions)
-// and a resize scale in 1/128ths (0 is an invalid resize). With an odd
-// length one more entry carries the raw at and scale, so NaN, ±Inf and
-// negative values reach the validation.
-func decodeShocks(list []byte, at, scale float64) []trace.CapacityShock {
+// per entry: a time on a 15-minute grid, a kind (2 and 3 are no kind), a
+// server among six (so some entries address servers the run never
+// provisions) and a byte that is skipped, so committed inputs decode as
+// they were written. With an odd length one more entry carries the raw
+// at, so NaN, ±Inf and negative times reach the validation.
+func decodeShocks(list []byte, at float64) []trace.CapacityShock {
 	var out []trace.CapacityShock
 	for i := 0; i+4 <= len(list) && len(out) < 16; i += 4 {
 		b := list[i : i+4]
-		out = append(out, trace.CapacityShock{
-			At: float64(b[0]) * 900, Kind: trace.ShockKind(b[1] % 4),
-			Server: int(b[2] % 6), Scale: float64(b[3]) / 128,
-		})
+		out = append(out, trace.CapacityShock{At: float64(b[0]) * 900, Kind: trace.ShockKind(b[1] % 4), Server: int(b[2] % 6)})
 	}
 	if len(list)%2 == 1 {
-		out = append(out, trace.CapacityShock{At: at, Kind: trace.ShockKind(list[0] % 4), Scale: scale})
+		out = append(out, trace.CapacityShock{At: at, Kind: trace.ShockKind(list[0] % 4)})
 	}
 	return out
 }
@@ -56,9 +53,7 @@ func validShocks(shocks []trace.CapacityShock) bool {
 		switch {
 		case !(sh.At >= 0) || math.IsInf(sh.At, 1):
 			return false
-		case sh.Kind == trace.ShockResize && (!(sh.Scale > 0) || math.IsInf(sh.Scale, 1)):
-			return false
-		case sh.Kind != trace.ShockRevoke && sh.Kind != trace.ShockRestore && sh.Kind != trace.ShockResize:
+		case sh.Kind != trace.ShockRevoke && sh.Kind != trace.ShockRestore:
 			return false
 		}
 	}
@@ -84,9 +79,9 @@ func validShockConfig(sc trace.ShockConfig) bool {
 // parameters through Run on a tiny trace, with a raw mode and a raw
 // signed baseline fleet size. Run must accept exactly the valid inputs
 // — an error, never a panic, a hang or a silent default for the rest —
-// and an accepted run never counts more revocations, restorations or
-// resizes than its schedule holds entries of each kind for servers it
-// provisioned.
+// and an accepted run never counts more revocations or restorations
+// than its schedule holds entries of each kind for servers it
+// provisioned. The last argument is unused; committed inputs carry it.
 //
 //	go test -run '^$' -fuzz FuzzShockInputs -fuzztime 15s -fuzzminimizetime 200x ./internal/clustersim
 func FuzzShockInputs(f *testing.F) {
@@ -105,7 +100,7 @@ func FuzzShockInputs(f *testing.F) {
 	for _, vm := range tr.VMs {
 		horizon = math.Max(horizon, vm.End)
 	}
-	f.Fuzz(func(t *testing.T, mode, baseline int, kind string, rate, outage, maxOut, duration float64, rack int, seed int64, list []byte, at, scale float64) {
+	f.Fuzz(func(t *testing.T, mode, baseline int, kind string, rate, outage, maxOut, duration float64, rack int, seed int64, list []byte, at, _ float64) {
 		cfg := Config{Trace: tr, Mode: Mode(mode), BaselineServers: baseline, Overcommit: 0.3}
 		valid := (cfg.Mode == ModeDeflation || cfg.Mode == ModePreemption) && baseline >= 0
 		if valid && baseline > 64 {
@@ -113,7 +108,7 @@ func FuzzShockInputs(f *testing.F) {
 		}
 		var shocks []trace.CapacityShock
 		if len(list) > 0 {
-			shocks = decodeShocks(list, at, scale)
+			shocks = decodeShocks(list, at)
 			cfg.Shocks = shocks
 			valid = valid && validShocks(shocks)
 		} else {
@@ -141,15 +136,15 @@ func FuzzShockInputs(f *testing.F) {
 			}
 			shocks = trace.GenerateShocks(gen, res.Servers)
 		}
-		var most [3]int
+		var most [2]int
 		for _, sh := range shocks {
 			if sh.Server < res.Servers {
 				most[sh.Kind]++
 			}
 		}
-		if res.Revocations > most[trace.ShockRevoke] || res.Restorations > most[trace.ShockRestore] || res.Resizes > most[trace.ShockResize] {
-			t.Fatalf("counted %d / %d / %d revocations / restorations / resizes from a schedule of %v for %d servers",
-				res.Revocations, res.Restorations, res.Resizes, most, res.Servers)
+		if res.Revocations > most[trace.ShockRevoke] || res.Restorations > most[trace.ShockRestore] {
+			t.Fatalf("counted %d / %d revocations / restorations from a schedule of %v for %d servers",
+				res.Revocations, res.Restorations, most, res.Servers)
 		}
 	})
 }

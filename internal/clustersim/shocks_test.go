@@ -19,7 +19,7 @@ func testShockConfig(seed int64) *trace.ShockConfig {
 }
 
 // TestShockEventOrdering pins the extended same-instant kind order:
-// samples, departures, restorations, revocations, resizes, arrivals.
+// samples, departures, restorations, revocations, arrivals.
 // Restorations MUST precede revocations: a same-instant restore+revoke
 // pair must free the returning capacity before the evacuation needs it,
 // and a back-to-back outage of one server (restore then re-revoke at
@@ -27,13 +27,12 @@ func testShockConfig(seed int64) *trace.ShockConfig {
 func TestShockEventOrdering(t *testing.T) {
 	push := []simEvent{
 		{at: 100, kind: evArrival},
-		{at: 100, kind: evResize},
 		{at: 100, kind: evRevoke},
 		{at: 100, kind: evRestore},
 		{at: 100, kind: evDeparture, name: "vm"},
 		{at: 100, kind: evSample},
 	}
-	want := []eventKind{evSample, evDeparture, evRestore, evRevoke, evResize, evArrival}
+	want := []eventKind{evSample, evDeparture, evRestore, evRevoke, evArrival}
 	for implName, mk := range queueImpls() {
 		q := mk()
 		for _, e := range push {
@@ -138,36 +137,6 @@ func TestDeflationSavesShockVictims(t *testing.T) {
 	}
 }
 
-// TestResizeShocksDeflateInPlace: an explicit shrink/restore schedule
-// drives the in-place resize path — residents deflate instead of dying,
-// and the restore reinflates them.
-func TestResizeShocksDeflateInPlace(t *testing.T) {
-	tr := testTrace(300)
-	horizon := tr.Duration()
-	shocks := []trace.CapacityShock{
-		{At: horizon * 0.25, Kind: trace.ShockResize, Server: 0, Scale: 0.5},
-		{At: horizon * 0.25, Kind: trace.ShockResize, Server: 1, Scale: 0.4},
-		{At: horizon * 0.6, Kind: trace.ShockResize, Server: 0, Scale: 1.0},
-		{At: horizon * 0.6, Kind: trace.ShockResize, Server: 1, Scale: 1.0},
-	}
-	cfg := Config{Trace: tr, Policy: policy.Proportional{}, Overcommit: 0.5, Shocks: shocks}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resizes == 0 {
-		t.Fatal("no resize shocks processed")
-	}
-	if res.Revocations != 0 || res.Restorations != 0 {
-		t.Fatalf("resize-only schedule recorded %d revocations / %d restorations", res.Revocations, res.Restorations)
-	}
-	// Shrinks must not slaughter: with tiny default floors the residents
-	// deflate in place, so kills should be rare or zero.
-	if res.ShockKills > res.Evacuations+2 {
-		t.Fatalf("in-place shrink killed %d VMs (evacuated %d)", res.ShockKills, res.Evacuations)
-	}
-}
-
 // TestPricingWiredIntoResult covers the pricing satellites: the
 // on-demand-equivalent bill, the per-scheme cost-savings fraction and
 // the per-priority revenue split must be populated and consistent.
@@ -267,31 +236,4 @@ func TestSameInstantRestoreRevokeRace(t *testing.T) {
 		t.Fatal("schedule displaced nobody — the race is vacuous")
 	}
 	runOracleModes(t, "", base, want)
-}
-
-// poolsResizeConfig is a run on priority-partitioned pools under an
-// explicit schedule of revocations and resizes: servers leave, return,
-// shrink and grow back, so each pool's indexes see entries go, come
-// back and change size, and a shrink's evacuees re-place through the
-// pool filter.
-func poolsResizeConfig(tr *trace.AzureTrace) Config {
-	h := tr.Duration()
-	return Config{
-		Trace:       tr,
-		Policy:      policy.Priority{},
-		Partitioned: true,
-		Overcommit:  0.4,
-		Shocks: []trace.CapacityShock{
-			{At: 0.15 * h, Kind: trace.ShockResize, Server: 0, Scale: 0.4},
-			{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 3},
-			{At: 0.3 * h, Kind: trace.ShockResize, Server: 5, Scale: 0.3},
-			{At: 0.4 * h, Kind: trace.ShockRestore, Server: 3},
-			{At: 0.45 * h, Kind: trace.ShockResize, Server: 1, Scale: 0.5},
-			{At: 0.5 * h, Kind: trace.ShockResize, Server: 0, Scale: 1},
-			{At: 0.6 * h, Kind: trace.ShockRevoke, Server: 2},
-			{At: 0.7 * h, Kind: trace.ShockResize, Server: 5, Scale: 1},
-			{At: 0.8 * h, Kind: trace.ShockRestore, Server: 2},
-			{At: 0.85 * h, Kind: trace.ShockResize, Server: 1, Scale: 1},
-		},
-	}
 }

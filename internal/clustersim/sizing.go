@@ -173,7 +173,7 @@ type fleet struct {
 // share. No share a sizing computes exceeds 1 + tol (a VM is checked
 // against the capacity first), so 32 units of round-off at that scale
 // bound the few roundings between a share and the bound it is held to;
-// fit scales them for larger shares.
+// fit scales the start slack for larger demands.
 func newFleet(n int, capacity resources.Vector) *fleet {
 	cmin := math.Inf(1)
 	for _, c := range capacity {
@@ -261,14 +261,13 @@ func (f *fleet) less(a, b int32) bool {
 //     is below zero (DominantShare is at least 0).
 //
 // Round-off grows with the magnitudes compared, so the start slack is
-// scaled by max(1, d) and the stop slack by max(1, s). Sizing's shares
-// never exceed 1 + tol, but the preemption baseline's can: an explicit
-// resize scales a server's capacity, and its free share with it, by any
-// finite factor, and a VM is not checked against the capacity there.
-// Both bounds assume finite shares, that is finite capacities.
+// scaled by max(1, d): the preemption baseline does not check a VM
+// against the capacity, so d can exceed 1. No free share exceeds
+// 1 + tol, which delta already covers. Both bounds assume finite
+// shares, that is finite capacities.
 func (f *fleet) fit(size resources.Vector) int {
 	d := size.DominantShare(f.capacity)
-	start, slack := d-f.eps, f.delta
+	start := d - f.eps
 	if d > 1 {
 		start = d - f.eps*d
 	}
@@ -276,10 +275,7 @@ func (f *fleet) fit(size resources.Vector) int {
 	best, bestLeft := -1, math.Inf(1)
 	for _, i := range f.order[lo:] {
 		s := f.share[i]
-		if s > 1 {
-			slack = f.delta * s // s only grows along the order
-		}
-		if s-d > bestLeft+slack {
+		if s-d > bestLeft+f.delta {
 			break
 		}
 		f.examined++

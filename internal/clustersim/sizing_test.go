@@ -322,40 +322,6 @@ func TestFleetFitMatchesLinearScan(t *testing.T) {
 			}
 		}
 	})
-	t.Run("shares-above-1", func(t *testing.T) {
-		// Two servers an explicit resize scaled up, as the preemption
-		// baseline places on them: their cores tied or one or two ulps
-		// apart, server 0 the larger, memory half full. A VM of k cores
-		// plus an odd number of half ulps of the servers' cores makes
-		// both subtractions round half to even, so the two leftovers
-		// often tie exactly while the lower-index server's free share is
-		// an ulp higher: the linear scan takes server 0, and a stop slack
-		// not scaled by the share stops on server 1 an ulp early.
-		t.Parallel()
-		capacity := DefaultServerCapacity()
-		for _, scale := range []float64{3, 1e3, 1e6} {
-			cores := 48 * scale
-			half := (math.Nextafter(cores, math.Inf(1)) - cores) / 2
-			mem := capacity.Get(resources.Memory) * scale / 2
-			for ulps := range 3 {
-				above := cores
-				for range ulps {
-					above = math.Nextafter(above, math.Inf(1))
-				}
-				for k := range 48 {
-					for odd := 1; odd < 8; odd += 2 {
-						f := newFleet(2, capacity)
-						f.set(0, resources.CPUMem(above, mem))
-						f.set(1, resources.CPUMem(cores, mem))
-						size := resources.CPUMem(float64(k)+float64(odd)*half, 1)
-						if got, want := f.fit(size), tightestFit(f.free, size, capacity); got != want {
-							t.Fatalf("scale %v, free %v, VM %v: pruned scan chose %d, linear scan %d", scale, f.free, size, got, want)
-						}
-					}
-				}
-			}
-		}
-	})
 }
 
 // TestFleetFitStartSlack pins the start bound's slack: a server whose

@@ -33,7 +33,7 @@ func checkTable(t *testing.T, e *Engine) {
 		switch {
 		case e.slotOf[vt.row] != int32(i):
 			t.Fatalf("tbl[%d] is trace row %d, but slotOf[%d] = %d", i, vt.row, vt.row, e.slotOf[vt.row])
-		case !vt.domain.Deflatable():
+		case !vt.domain.Config().Deflatable:
 			t.Fatalf("tbl[%d] (%s) holds an on-demand domain", i, vt.rec.ID)
 		case vt.domain.Name() != vt.rec.ID:
 			t.Fatalf("tbl[%d] is %s but its domain is %s", i, vt.rec.ID, vt.domain.Name())
@@ -54,7 +54,7 @@ func checkTable(t *testing.T, e *Engine) {
 	for _, s := range e.mgr.Servers() {
 		for _, d := range s.Host.Domains() {
 			slot := e.slotOf[d.Config().Tag]
-			if !d.Deflatable() {
+			if !d.Config().Deflatable {
 				onDemand++
 				if slot != slotOnDemand {
 					t.Fatalf("on-demand resident %s (row %d) has slot %d, want the on-demand sentinel", d.Name(), d.Config().Tag, slot)
@@ -125,14 +125,11 @@ func meteringCases(t *testing.T) map[string]Config {
 		"revocation":   {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)},
 		"explicit shocks": {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, Shocks: []trace.CapacityShock{
 			{At: 0.2 * h, Kind: trace.ShockRevoke, Server: 0},
-			{At: 0.3 * h, Kind: trace.ShockResize, Server: 1, Scale: 0.4},
 			{At: 0.5 * h, Kind: trace.ShockRestore, Server: 0},
 			{At: 0.5 * h, Kind: trace.ShockRevoke, Server: 2},
-			{At: 0.6 * h, Kind: trace.ShockResize, Server: 1, Scale: 1},
 		}},
-		"slo":          sloTestConfig(bursty, 0.5),
-		"slo shocked":  {Trace: bursty, Policy: policy.Proportional{}, Overcommit: 0.5, SLO: &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}, ShockConfig: testShockConfig(4)},
-		"pools resize": poolsResizeConfig(tr),
+		"slo":         sloTestConfig(bursty, 0.5),
+		"slo shocked": {Trace: bursty, Policy: policy.Proportional{}, Overcommit: 0.5, SLO: &SLOConfig{Curve: perfmodel.Kcompile, MaxSlowdown: 2}, ShockConfig: testShockConfig(4)},
 		// Metered through no scheme at all (forEachMeteringCase swaps
 		// the list): a meter column of width zero.
 		"zero schemes":   {Trace: tr, Policy: policy.Priority{}, Overcommit: 0.5, ShockConfig: testShockConfig(11)},

@@ -20,7 +20,7 @@ func freshAggregates(h *Host) Aggregates {
 		a.Running++
 		alloc := d.Allocation()
 		a.Allocated = a.Allocated.Add(alloc)
-		if !d.Deflatable() {
+		if !d.Config().Deflatable {
 			continue
 		}
 		a.DeflatableReserve = a.DeflatableReserve.Add(alloc.Sub(DefaultFloor()).ClampNonNegative())

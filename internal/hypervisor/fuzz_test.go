@@ -68,7 +68,7 @@ func (b *fuzzBytes) next() byte {
 // FuzzDomainOps drives one host through byte-decoded sequences of
 // Define (invalid sizes included), Start, Shutdown, Undefine, SetLimits
 // (zero, negative and NaN components included) on one domain or, as
-// one Host.SetLimits batch, on several, SetCPUShares, SetCapacity and
+// one Host.SetLimits batch, on several, SetCPUShares and
 // SetOfferedLoad (negative and non-finite loads included) over a pool
 // of eight names, against a naive model (runDomainOps). Three seeds
 // are op mixes written with domainOps: every mutator against one host,
@@ -158,7 +158,6 @@ type domainFold struct {
 func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 	in := fuzzBytes(data)
 	h := testHost(t)
-	base := h.Capacity()
 	// name decodes a name byte (and its second byte in a wide pool): the
 	// name and whether its top bit is set.
 	readName := func() (string, bool) {
@@ -357,11 +356,11 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				fold.batches++
 			}
 			quiet = !allocWrite
-		case 6: // the provider resizes the server
-			opName = "resize"
-			if err := h.SetCapacity(base.Scale(0.5 + float64(in.next()%4)/4)); err != nil {
-				t.Fatal(err)
-			}
+		case 6: // no op: a host has one capacity, and the byte that
+			// once scaled it is skipped, so older inputs decode alike
+			in.next()
+			opName = "no-op"
+			quiet = true
 		case 7: // a sample pass's load write
 			if m == nil {
 				continue
@@ -446,7 +445,7 @@ const (
 	opUndefine
 	opLimits
 	opShares
-	opResize
+	_ // 6 is a no-op kind (runDomainOps)
 	opLoad
 )
 
@@ -464,12 +463,11 @@ func loadIdx(rng *rand.Rand) int  { return rng.Intn(len(fuzzLoads)) }
 // mutatorMix is every mutator against one host, round after round:
 // running residents on the even names take single and batched limit
 // writes and load writes, the last of them flips between running and
-// shut off, and every fifth round resizes the host. Each round also
-// defines, starts and writes one of the odd names, between the
-// residents in name order, and shuts down and undefines the previous
-// round's, whose row is no longer the table's last, so the undefine
-// moves the newer one into its slot; the undefined handle then takes
-// one more write.
+// shut off. Each round also defines, starts and writes one of the odd
+// names, between the residents in name order, and shuts down and
+// undefines the previous round's, whose row is no longer the table's
+// last, so the undefine moves the newer one into its slot; the
+// undefined handle then takes one more write.
 func mutatorMix(seed int64, rounds int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	var o domainOps
@@ -489,9 +487,6 @@ func mutatorMix(seed int64, rounds int) []byte {
 			o.op(opShutdown, 6)
 		} else {
 			o.op(opStart, 6)
-		}
-		if r%5 == 0 {
-			o.op(opResize, 0, rng.Intn(4))
 		}
 		churn := 1 + 2*(r%4)
 		o.op(opDefine, churn, 2, 3) // 2 cores, 4096 MB
@@ -562,7 +557,7 @@ const (
 // most defines insert mid-order; undefines, each of a shut-off domain,
 // so most move the table's last row into the freed slot; CPU shares,
 // one-domain limit writes and batched writes over up to four residents
-// (repeats allowed); lifecycle flips; load writes; and resizes. Defines
+// (repeats allowed); lifecycle flips; and load writes. Defines
 // outnumber undefines four to one, so the table grows to hundreds of
 // rows.
 func hostMix(seed int64, ops int) []byte {
@@ -584,10 +579,8 @@ func hostMix(seed int64, ops int) []byte {
 			k, n = rng.Intn(13), live[rng.Intn(len(live))]
 		}
 		switch {
-		case k >= 11:
+		case k >= 10:
 			o.wide(opLoad, n, loadIdx(rng))
-		case k == 10:
-			o.wide(opResize, 0, rng.Intn(4))
 		case k <= 3: // define, and most often start
 			if i := rng.Intn(3 * (len(retired) + 1)); i < len(retired) {
 				n = retired[i]

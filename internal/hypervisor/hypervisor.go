@@ -227,10 +227,6 @@ var undefinedRow row
 // concurrent use (see the package comment).
 type Host struct {
 	cfg HostConfig
-	// capacity is the host's current physical capacity. It starts at
-	// cfg.Capacity and moves only through SetCapacity (the transient
-	// server shrank or was restored).
-	capacity resources.Vector
 
 	// rows is the row table, one row per resident with no holes: Define
 	// appends, and Undefine moves the last row into the freed slot and
@@ -258,15 +254,14 @@ func NewHost(cfg HostConfig) (*Host, error) {
 	if err := cfg.Capacity.CheckCapacity(); err != nil {
 		return nil, fmt.Errorf("%w: host %s %v", ErrInvalid, cfg.Name, err)
 	}
-	return &Host{cfg: cfg, capacity: cfg.Capacity}, nil
+	return &Host{cfg: cfg}, nil
 }
 
 // Name returns the host's name.
 func (h *Host) Name() string { return h.cfg.Name }
 
-// Capacity returns the host's current physical resources (the base
-// capacity, unless SetCapacity resized the server).
-func (h *Host) Capacity() resources.Vector { return h.capacity }
+// Capacity returns the host's physical resources.
+func (h *Host) Capacity() resources.Vector { return h.cfg.Capacity }
 
 // AllocEpoch returns the host's allocation epoch. It moves once per
 // limit write call that moves a resident's allocation (however many
@@ -278,19 +273,6 @@ func (h *Host) AllocEpoch() uint64 { return h.epoch }
 // AggregateWalks returns how many times Aggregates has walked the row
 // table: a plain work count.
 func (h *Host) AggregateWalks() int { return h.walks }
-
-// SetCapacity resizes the host's physical capacity in place — the
-// transient-server shrink/restore of a provider reclaiming (or
-// returning) part of the machine. The hypervisor itself does not shrink
-// domains; fitting the residents into the new capacity is the cluster
-// layer's job (deflation-first, then evacuation).
-func (h *Host) SetCapacity(v resources.Vector) error {
-	if err := v.CheckCapacity(); err != nil {
-		return fmt.Errorf("%w: host %s %v", ErrInvalid, h.cfg.Name, err)
-	}
-	h.capacity = v
-	return nil
-}
 
 // Aggregates returns the host's resource aggregates: one walk over the
 // row table in name order — the fixed iteration order that keeps the
@@ -530,13 +512,6 @@ func (d *Domain) Shutdown() error {
 
 // MaxSize returns the nominal undeflated allocation M_i.
 func (d *Domain) MaxSize() resources.Vector { return d.row().size }
-
-// Deflatable reports whether the domain may be deflated.
-func (d *Domain) Deflatable() bool { return d.row().deflatable }
-
-// Priority returns the configured pi (Validate checks it for
-// deflatable domains only).
-func (d *Domain) Priority() float64 { return d.row().priority }
 
 // Allocation returns the domain's current allocation: the nominal size
 // capped by its engaged cgroup limits. This is the vector the cluster

@@ -237,7 +237,7 @@ func TestConfigAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Deflatable() || d.Priority() != 0.75 {
+	if !d.Config().Deflatable || d.Config().Priority != 0.75 {
 		t.Error("deflatable/priority accessors wrong")
 	}
 	if got := d.Config().Floor(); got != DefaultFloor() {

@@ -15,14 +15,14 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 	var states []policy.VMState
 	var doms []*Domain
 	for _, d := range h.Domains() { // Domains() is sorted by name
-		if !d.Deflatable() || d.State() != Running {
+		if !d.Config().Deflatable || d.State() != Running {
 			continue
 		}
 		states = append(states, policy.VMState{
 			Name:     d.Name(),
 			Max:      d.MaxSize(),
 			Min:      DefaultFloor(),
-			Priority: d.Priority(),
+			Priority: d.Config().Priority,
 			Current:  d.Allocation(),
 			Load:     d.Config().Load,
 		})

@@ -2,9 +2,9 @@
 //
 // The paper's premise is that the servers hosting deflatable VMs are
 // themselves transient — the provider can unilaterally revoke a server
-// or shrink its capacity, and restore it later. This file provides the
-// shock-schedule generators the cluster simulator replays against the
-// workload trace, modelled on the revocation processes of the related
+// and restore it later. This file provides the shock-schedule
+// generators the cluster simulator replays against the workload trace,
+// modelled on the revocation processes of the related
 // transient-computing literature: memoryless per-server revocations
 // ("Portfolio-driven Resource Management for Transient Cloud Servers",
 // Sharma et al.), temporally constrained revocation windows ("Modeling
@@ -33,10 +33,6 @@ const (
 	ShockRevoke ShockKind = iota
 	// ShockRestore returns a previously revoked server to service.
 	ShockRestore
-	// ShockResize shrinks or restores a server's capacity in place to
-	// Scale times its base capacity; resident VMs deflate (and, if even
-	// maximal deflation cannot fit, are evacuated) rather than die.
-	ShockResize
 )
 
 // String names the kind for logs and test failure messages.
@@ -46,8 +42,6 @@ func (k ShockKind) String() string {
 		return "revoke"
 	case ShockRestore:
 		return "restore"
-	case ShockResize:
-		return "resize"
 	default:
 		return fmt.Sprintf("ShockKind(%d)", int(k))
 	}
@@ -57,14 +51,13 @@ func (k ShockKind) String() string {
 type CapacityShock struct {
 	// At is the event time in seconds from trace start.
 	At float64
-	// Kind selects revoke, restore or resize.
+	// Kind selects revoke or restore.
 	Kind ShockKind
 	// Server is the target server's index in provisioning order. Shocks
 	// addressing servers beyond a run's provisioned count are ignored.
 	Server int
-	// Scale is the capacity fraction for ShockResize (e.g. 0.5 shrinks
-	// the server to half its base capacity; 1.0 restores it). Unused for
-	// revoke/restore.
+	// Scale is unused: no shock kind resizes a server. It is kept so
+	// that existing readers (the bench package's replay) still build.
 	Scale float64
 }
 

@@ -73,7 +73,6 @@ var mutations = []mutation{
 	dropMark("placeOn", "internal/cluster/cluster.go", "\t", "\tm.placements[dc.Name] = s", placementSuites, nil),
 	dropMark("teardown", "internal/cluster/cluster.go", "\t", "\tname := d.Name()", placementSuites, nil),
 	dropMark("RestoreServer", "internal/cluster/revoke.go", "s.revoked = false\n\t", "\treturn nil", placementSuites, nil),
-	dropMark("ResizeServer", "internal/cluster/revoke.go", "\t", "\t// maxCap stays", placementSuites, nil),
 	dropMark("writeTargets", "internal/cluster/cluster.go", "\t\t", "\t\tif m.cfg.Notify != nil {", placementSuites, nil),
 	// Without the sync a departure's pass reads the cache from before its
 	// teardowns: it hands back less than was freed, or nothing. Every
@@ -169,7 +168,7 @@ var mutations = []mutation{
 	// bound, which no suite constructs.
 	{
 		name: "fleet.fit/stop-bound", file: "internal/clustersim/sizing.go",
-		from: "\t\tif s-d > bestLeft+slack {\n", to: "\t\tif s-d >= bestLeft+slack {\n",
+		from: "\t\tif s-d > bestLeft+f.delta {\n", to: "\t\tif s-d >= bestLeft+f.delta {\n",
 		misses: []suite{
 			{"internal/clustersim", "^TestFleetFitMatchesLinearScan$"},
 			{"internal/clustersim", "^TestFleetFitStartSlack$"},
@@ -179,19 +178,6 @@ var mutations = []mutation{
 			{"internal/clustersim", "^TestPreemptionMatchesParentLoop"},
 			{"internal/clustersim", "^TestWorkCountsMatchGolden$"},
 		},
-	},
-	// Only the host's validation test and the manager's invalid-resize
-	// test resize to a bad capacity.
-	{
-		name: "CheckCapacity/SetCapacity", file: "internal/hypervisor/hypervisor.go",
-		from: "\tif err := v.CheckCapacity(); err != nil {\n\t\treturn fmt.Errorf(\"%w: host %s %v\", ErrInvalid, h.cfg.Name, err)\n\t}\n", to: "",
-		kills: []suite{
-			{"internal/hypervisor", "^TestSetCapacityValidation$"},
-			{"internal/cluster", "^TestResizeServerRejectsInvalidCapacity$"},
-		},
-		misses: append([]suite{
-			{"internal/cluster", "^TestResizeServerShrink"},
-		}, slices.Concat(domainSuites, placementSuites)...),
 	},
 	// The testbed experiments' one request path. A timeout that stops
 	// counting its drop serves every request: Figure 17's served

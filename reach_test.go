@@ -635,8 +635,9 @@ func knobFields(t *testing.T, mod *module) map[*types.Var]string {
 // knobAllowed names knobs that no non-test code sets, each with the
 // test that needs to vary it.
 var knobAllowed = map[string]string{
-	"clustersim.Config.Shocks": "the only route to the resize path (GenerateShocks emits no ShockResize), " +
-		"which bench's replay drives through cluster.Manager.ResizeServer",
+	"clustersim.Config.Shocks": "the route to explicit revoke/restore races a generator does not place on demand " +
+		"(a restore and revocations at one instant, a restore and re-revoke of one server): " +
+		"TestSameInstantRestoreRevokeRace (internal/clustersim) and TestRestoreRevokeRaceUnderPlacementOracles (internal/cluster)",
 	"trace.ShockConfig.MaxOutFraction": "the generator's cap tests vary it (TestRackShocksAreCorrelated, " +
 		"TestMaxOutServersBoundary, TestRackShocksClampedToFleetAndCap in internal/trace/shocks_test.go) and FuzzShockInputs fuzzes it",
 	"apps.Config.Duration": "the Figs 16-19 claim tests (wikiFixture, TestFig18MicroservicesServeThroughTheKnee, " +
