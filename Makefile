@@ -33,7 +33,7 @@ race-placement:
 
 # Kill matrix (mutation_test.go): each entry lays one source edit over
 # the module with `go test -overlay` (a dropped markDirty, the departure's dropped
-# sync, the Undefine slot re-point, the teardown's name read before
+# sync, the domain handle's generation check, the teardown's name read before
 # Undefine, the allocation-epoch bump, a dropped
 # on-demand evacuee, the pressure and event orders' tie-breaks, fleet
 # sizing's stop bound, two streamed-adapter
@@ -67,7 +67,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Sweep10k' -benchtime 1x .
 
 # Allocation gate: the steady-state deflate/reinflate policy pass,
-# the placement decision, the pruned pressure scan, the sample pass on both sides
+# the placement decision, a VM placed under pressure and removed again,
+# the pruned pressure scan, the sample pass on both sides
 # of its allocation cache (a limit write between passes), the
 # SLO-metered sample pass (closed-form queueing math included), the
 # live-set event heap's steady-state churn and its fill-drain cycles
@@ -79,21 +80,22 @@ bench-smoke:
 # and its surplus probe, fleet sizing's pruned tightest-fit scan with its
 # re-sorts on a sized fleet AND notify.Bus.Publish must all report 0
 # allocs/op, and a host's define/undefine cycle exactly 1 allocs/op (the
-# Domain handle) in at most 16 B/op (its size class), or the build fails. The
+# *Domain that Define returns) in at most 16 B/op (its size class), or
+# the build fails: 17 gates. The
 # awk gate reads allocs/op and B/op, names each required
 # benchmark explicitly (matching on the name with its -GOMAXPROCS suffix
 # stripped), so a renamed or silently skipped benchmark fails the build
 # instead of shrinking the gate. The benchmark output is kept in
 # BENCH_allocs.txt for CI to archive.
 bench-allocs:
-	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
+	$(GO) test -run '^$$' -bench 'PolicyPassSteadyState|DecideSteadyState|PlaceRemoveSteadyState|PressureScan' -benchmem ./internal/cluster | tee BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'SamplePassSteadyState|SamplePassSLOSteadyState|EventHeapSteadyState|EventHeapFillDrain|FleetFitSteadyState' -benchmem ./internal/clustersim | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'StreamParams' -benchmem ./internal/trace | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'LoadWriteViewSteadyState|RefreshWalkSteadyState|LimitWriteBatchSteadyState|DefineUndefineSteadyState' -benchmem ./internal/hypervisor | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'UpsertRekeySteadyState|SurplusProbeSteadyState' -benchmem ./internal/cluster/capindex | tee -a BENCH_allocs.txt
 	$(GO) test -run '^$$' -bench 'PublishSteadyState' -benchmem ./internal/notify | tee -a BENCH_allocs.txt
 	@awk 'BEGIN { want["BenchmarkPolicyPassSteadyState"]; want["BenchmarkDecideSteadyState"]; \
-			want["BenchmarkPressureScan"]; \
+			want["BenchmarkPlaceRemoveSteadyState"]; want["BenchmarkPressureScan"]; \
 			want["BenchmarkSamplePassSteadyState"]; want["BenchmarkSamplePassSLOSteadyState"]; \
 			want["BenchmarkEventHeapSteadyState"]; want["BenchmarkEventHeapFillDrain"]; \
 			want["BenchmarkFleetFitSteadyState"]; want["BenchmarkStreamParams"]; \
@@ -108,7 +110,7 @@ bench-allocs:
 				if ((name in maxBytes) && bytes > maxBytes[name]) { failed = 1; print "FAIL: " name " allocates " bytes " B/op (want at most " maxBytes[name] ")" } } } \
 		END { for (n in want) if (!(n in seen)) { failed = 1; print "FAIL: benchmark " n " missing from output" } \
 		if (failed) exit 1; \
-		print "OK: policy + placement decision + pressure scan + sample (cached + re-read allocations) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op; define/undefine at 1 allocs/op, <= 16 B/op" }' BENCH_allocs.txt
+		print "OK: policy + placement decision + place/remove pair + pressure scan + sample (cached + re-read allocations) + SLO sample + event heap (churn + fill-drain) + sizing scan + streamed VM parameter draw + load-write view + refresh walk + batched limit write + index re-key + surplus probe + bus publish steady states at 0 allocs/op; define/undefine at 1 allocs/op, <= 16 B/op" }' BENCH_allocs.txt
 
 # The 10M-VM point, streamed: the trace is never materialised — VM
 # parameters generate at arrival, utilisation synthesizes through

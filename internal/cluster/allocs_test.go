@@ -179,44 +179,63 @@ func BenchmarkPolicyPassSteadyState(b *testing.B) {
 	}
 }
 
-// TestPlaceRemovePairAllocatesOneDomain pins the per-VM allocation
+// TestPlaceRemovePairAllocatesNothing pins the per-VM allocation
 // budget of the manager's churn path: on a populated manager in steady
 // state, admitting a VM under pressure (dirty sync, pressure descent,
 // policy pass, launch) and removing it again (teardown, reinflation
-// pass) allocates one object — the hypervisor.Domain, which carries its
-// cgroup limits and accounting row — and nothing per call on either
-// path.
-func TestPlaceRemovePairAllocatesOneDomain(t *testing.T) {
-	m := newTestManager(t, 4, Config{})
+// pass) allocates nothing: the hypervisor.Domain is a value, and its
+// row takes the slot the last removal freed.
+func TestPlaceRemovePairAllocatesNothing(t *testing.T) {
+	m, pair := placeRemoveSteadyState(t)
+	if got := testing.AllocsPerRun(200, pair); got != 0 {
+		t.Errorf("PlaceVMs + RemoveVMs allocates %.1f objects per pair, want 0", got)
+	}
+	// Placed once more, the VM must take the pressure path and deflate a
+	// resident beside itself, or the policy-pass path was not exercised.
+	pl := m.PlaceVMs([]hypervisor.DomainConfig{deflatableVM("churn", 8, 16384, 0.5)}, nil)[0]
+	if pl.Err != nil || pl.Path != PathPressure || pl.Server.Host.Aggregates().Deflated < 2 {
+		t.Errorf("the pair never deflated a resident: path %d, err %v", pl.Path, pl.Err)
+	}
+}
+
+// placeRemoveSteadyState builds a manager of four servers, each filled
+// by four 12-core residents, and returns it with a warm pair: an 8-core
+// VM that fits nowhere without deflation placed and removed again in
+// one-element batches through caller-owned buffers reused across calls,
+// the engine's calling convention.
+func placeRemoveSteadyState(tb testing.TB) (*Manager, func()) {
+	m := newTestManager(tb, 4, Config{})
 	for i := 0; i < 16; i++ { // four 12-core residents fill each 48-core server
 		if _, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("resident-%02d", i), 12, 24576, 0.5)); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	// The engine's calling convention: one-element batches through
-	// caller-owned buffers that are reused across calls.
-	dcs := []hypervisor.DomainConfig{deflatableVM("churn", 8, 16384, 0.5)} // fits nowhere without deflation
+	dcs := []hypervisor.DomainConfig{deflatableVM("churn", 8, 16384, 0.5)}
 	names := []string{dcs[0].Name}
 	var buf []Placement
 	pair := func() {
 		buf = m.PlaceVMs(dcs, buf[:0])
 		if buf[0].Err != nil {
-			t.Fatal(buf[0].Err)
+			tb.Fatal(buf[0].Err)
 		}
 		if err := m.RemoveVMs(names...); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	pair() // warm the arenas, the buffers, the placement map and the host's row table
-	if got := testing.AllocsPerRun(200, pair); got != 1 {
-		t.Errorf("PlaceVMs + RemoveVMs allocates %.1f objects per pair, want exactly 1 (the Domain)", got)
-	}
-	dc := dcs[0]
-	// Placed once more, the VM must take the pressure path and deflate a
-	// resident beside itself, or the policy-pass path was not exercised.
-	pl := m.PlaceVMs([]hypervisor.DomainConfig{dc}, nil)[0]
-	if pl.Err != nil || pl.Path != PathPressure || pl.Server.Host.Aggregates().Deflated < 2 {
-		t.Errorf("the pair never deflated a resident: path %d, err %v", pl.Path, pl.Err)
+	return m, pair
+}
+
+// BenchmarkPlaceRemoveSteadyState is one VM's life on a full cluster:
+// its placement under pressure (dirty sync, pressure descent, policy
+// pass, launch) and its removal (teardown, reinflation pass), each a
+// one-element batch. `make bench-allocs` requires 0 allocs/op.
+func BenchmarkPlaceRemoveSteadyState(b *testing.B) {
+	_, pair := placeRemoveSteadyState(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair()
 	}
 }
 

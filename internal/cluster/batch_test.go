@@ -86,7 +86,7 @@ func TestPlaceVMsInvalidConfigTouchesNothing(t *testing.T) {
 	m.Stats() // sync: nothing queued
 	agg := s.Host.Aggregates()
 	pl := m.PlaceVMs([]hypervisor.DomainConfig{deflatableVM("tiny", 2, 128, 0.5)}, nil)[0]
-	if !errors.Is(pl.Err, hypervisor.ErrInvalid) || pl.Path != PathNone || pl.NeedsReclaim || pl.Domain != nil {
+	if !errors.Is(pl.Err, hypervisor.ErrInvalid) || pl.Path != PathNone || pl.NeedsReclaim || pl.Domain != (hypervisor.Domain{}) {
 		t.Fatalf("128 MB VM: %+v, want a PathNone hypervisor.ErrInvalid", pl)
 	}
 	for _, res := range pls {
@@ -102,7 +102,7 @@ func TestPlaceVMsInvalidConfigTouchesNothing(t *testing.T) {
 	}
 	// A launch whose initial limit write is refused leaves no domain.
 	nan := resources.CPUMem(math.NaN(), 1024)
-	if _, err := launch(s, deflatableVM("refused", 2, 2048, 0.5), nan); !errors.Is(err, hypervisor.ErrInvalid) {
+	if _, err := s.Host.Launch(deflatableVM("refused", 2, 2048, 0.5), nan); !errors.Is(err, hypervisor.ErrInvalid) {
 		t.Errorf("launch at %v: err = %v, want hypervisor.ErrInvalid", nan, err)
 	}
 	if _, err := s.Host.Lookup("refused"); !errors.Is(err, hypervisor.ErrNotFound) {

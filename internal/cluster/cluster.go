@@ -180,7 +180,7 @@ type Server struct {
 type placementOracle interface {
 	surplus(m *Manager, pool int, size resources.Vector) *Server
 	anyFits(m *Manager, size resources.Vector) bool
-	pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (d *hypervisor.Domain, s *Server, scored int)
+	pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (d hypervisor.Domain, s *Server, scored int)
 }
 
 var defaultOracle placementOracle
@@ -231,7 +231,7 @@ type Manager struct {
 	// begins.
 	pass struct {
 		vms  []policy.VMState
-		doms []*hypervisor.Domain
+		doms []hypervisor.Domain
 		ps   policy.Scratch
 	}
 
@@ -401,7 +401,9 @@ const (
 
 // Placement is one VM's outcome in a PlaceVMs batch.
 type Placement struct {
-	Domain *hypervisor.Domain
+	// Domain and Server are the placed VM's handle and server; the zero
+	// Domain and nil when Err is set.
+	Domain hypervisor.Domain
 	Server *Server
 	Err    error
 	// Initial is the domain's allocation right after its own launch,
@@ -528,26 +530,23 @@ func newcomerRange(dc hypervisor.DomainConfig) resources.Vector {
 	if !dc.Deflatable {
 		return resources.Vector{}
 	}
-	return dc.Size.Sub(dc.Floor()).ClampNonNegative()
+	return dc.Size.Sub(hypervisor.DefaultFloor()).ClampNonNegative()
 }
 
-// tryPlace attempts one under-pressure placement on s and returns
-// the new domain, or nil. Infeasible servers — where even deflating
-// every resident to its floor plus the newcomer's own range cannot
-// cover the shortfall — are skipped from the cached aggregates without
+// tryPlace attempts one under-pressure placement on s and returns the
+// new domain and whether it placed the VM. Infeasible servers — where
+// even deflating every resident to its floor plus the newcomer's own
+// range cannot cover the shortfall — are skipped from the cached aggregates without
 // running the policy pass, which turns an admission-control rejection
 // from O(servers × policy pass) into O(servers) vector compares. The
 // cached free/reserve vectors are valid because failed placement
 // attempts never mutate host state.
-func (m *Manager) tryPlace(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vector) *hypervisor.Domain {
+func (m *Manager) tryPlace(s *Server, dc hypervisor.DomainConfig, ncRange resources.Vector) (hypervisor.Domain, bool) {
 	if cannotReclaim(s, dc, ncRange) {
-		return nil
+		return hypervisor.Domain{}, false
 	}
 	d, err := m.placeOn(s, dc)
-	if err != nil {
-		return nil
-	}
-	return d
+	return d, err == nil
 }
 
 // cand is one under-pressure placement candidate. idx is the server's
@@ -630,17 +629,18 @@ func (m *Manager) anyFitsIndexed(size resources.Vector) bool {
 
 // placeOn attempts placement on one server, implementing steps 2
 // and 3 of the placement protocol: the server computes the deflation
-// needed to host dc and, if feasible, applies it and launches the VM. On
+// needed to host dc and, if feasible, applies it and launches the VM
+// (Host.Launch: defined, started and initially sized in one call). On
 // success it marks the server, records the placement and returns the
 // new domain.
-func (m *Manager) placeOn(s *Server, dc hypervisor.DomainConfig) (*hypervisor.Domain, error) {
+func (m *Manager) placeOn(s *Server, dc hypervisor.DomainConfig) (hypervisor.Domain, error) {
 	initial, err := m.deflateFor(s, dc)
 	if err != nil {
-		return nil, err // insufficient: caller tries the next server
+		return hypervisor.Domain{}, err // insufficient: caller tries the next server
 	}
-	d, err := launch(s, dc, initial)
+	d, err := s.Host.Launch(dc, initial)
 	if err != nil {
-		return nil, err
+		return hypervisor.Domain{}, err
 	}
 	m.markDirty(s)
 	m.placements[dc.Name] = s
@@ -677,7 +677,7 @@ func (m *Manager) deflateFor(s *Server, dc hypervisor.DomainConfig) (resources.V
 		newcomer = &policy.VMState{
 			Name:     newcomerName,
 			Max:      dc.Size,
-			Min:      dc.Floor(),
+			Min:      hypervisor.DefaultFloor(),
 			Priority: dc.Priority,
 			Current:  dc.Size, // joins at full size; policy shrinks it
 			Load:     dc.Load,
@@ -703,8 +703,9 @@ func (m *Manager) deflateFor(s *Server, dc hypervisor.DomainConfig) (resources.V
 // reinflate): it fills the pass arena from s's deflatable view, appends
 // the newcomer if there is one and runs the policy for need (negative
 // to hand capacity back). Targets[i] belongs
-// to m.pass.doms[i], the newcomer's follows; each pass handles
-// policy.ErrInsufficient itself.
+// to m.pass.doms[i], the newcomer's follows. policy.ErrInsufficient
+// reaches deflateFor's caller, which tries the next server; reinflate
+// never meets it.
 func (m *Manager) solve(s *Server, newcomer *policy.VMState, need resources.Vector) (policy.SliceResult, error) {
 	sc := &m.pass
 	sc.vms, sc.doms = s.Host.AppendDeflatableView(sc.vms[:0], sc.doms[:0])
@@ -712,31 +713,6 @@ func (m *Manager) solve(s *Server, newcomer *policy.VMState, need resources.Vect
 		sc.vms = append(sc.vms, *newcomer)
 	}
 	return m.cfg.Policy.TargetsInto(sc.vms, need, &sc.ps)
-}
-
-// launch defines, starts and initially sizes the new domain: a deflated
-// initial allocation takes the transparent clamp and one limit write.
-func launch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector) (*hypervisor.Domain, error) {
-	d, err := s.Host.Define(dc)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Start(); err != nil {
-		s.Host.Undefine(dc.Name)
-		return nil, err
-	}
-	if initial != dc.Size {
-		t, err := d.ClampTarget(initial)
-		if err == nil {
-			_, err = d.SetLimits(t)
-		}
-		if err != nil {
-			d.Shutdown()
-			s.Host.Undefine(dc.Name)
-			return nil, err
-		}
-	}
-	return d, nil
 }
 
 // RemoveVMs removes a batch of VMs and then reinflates each affected
@@ -795,7 +771,7 @@ func (m *Manager) removeOne(name string) (*Server, error) {
 // the departure half shared by RemoveVMs and the displacement of a
 // capacity shock's evacuees — and marks s. The name is read first:
 // an undefined handle reads zero values.
-func (m *Manager) teardown(s *Server, d *hypervisor.Domain) error {
+func (m *Manager) teardown(s *Server, d hypervisor.Domain) error {
 	if d.State() == hypervisor.Running {
 		if err := d.Shutdown(); err != nil {
 			return err
@@ -825,13 +801,14 @@ func (m *Manager) reinflate(s *Server) error {
 	if free.IsZero() {
 		return nil
 	}
+	// A reinflation pass never fails with policy.ErrInsufficient: every
+	// policy can put each resident back at the lowest allocation it
+	// writes (the floor; Deterministic's deflated level), which is never
+	// above the resident's allocation, and so always frees at least the
+	// negative need — offered loads that rose since, which lift
+	// LatencyAware's safe sizes, included (policy's
+	// TestReinflationIsNeverInsufficient).
 	res, err := m.solve(s, nil, free.Scale(-1))
-	if errors.Is(err, policy.ErrInsufficient) {
-		// The targets need more than the free capacity, which the
-		// policy contract allows though no test reaches it: the
-		// residents stay where they are.
-		return nil
-	}
 	if err != nil {
 		return err
 	}

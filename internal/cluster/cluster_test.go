@@ -14,7 +14,7 @@ import (
 
 func serverCap() resources.Vector { return resources.New(48, 131072, 0, 0) }
 
-func newTestManager(t *testing.T, nServers int, cfg Config) *Manager {
+func newTestManager(t testing.TB, nServers int, cfg Config) *Manager {
 	t.Helper()
 	m := NewManager(cfg)
 	for i := 0; i < nServers; i++ {
@@ -228,6 +228,45 @@ func TestRemoveVMsPartialBatchStillReinflates(t *testing.T) {
 	}
 	if _, _, err := m.LookupVM("od"); !errors.Is(err, ErrNotFound) {
 		t.Error("od should have been removed despite the batch error")
+	}
+}
+
+// TestLatencyAwareReinflationUnderRisingLoad: residents a latency-aware
+// admission deflated, whose offered loads then rise to nearly their
+// full size, so that their load-derived safe sizes together need more
+// than the capacity a departure frees. The reinflation pass still
+// solves — the policy pushes residents on to their floors, which are
+// never above their allocations — and writes its targets: no error, a
+// resident at its floor, and the server within its capacity.
+func TestLatencyAwareReinflationUnderRisingLoad(t *testing.T) {
+	m := newTestManager(t, 1, Config{Policy: policy.LatencyAware{}})
+	if _, _, err := m.PlaceVM(onDemandVM("od", 8, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	var doms []hypervisor.Domain
+	for i := range 4 { // 64 cores of residents beside 8 on-demand, on 48
+		d, _, err := m.PlaceVM(deflatableVM(fmt.Sprintf("vm-%d", i), 16, 16384, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doms = append(doms, d)
+	}
+	for _, d := range doms {
+		d.SetOfferedLoad(15.5) // four safe sizes of at least 15.5 cores: more than 48
+	}
+	s := m.Servers()[0]
+	epoch := s.Host.AllocEpoch()
+	if err := m.RemoveVMs("od"); err != nil {
+		t.Fatalf("reinflation under rising load: %v", err)
+	}
+	if s.Host.AllocEpoch() == epoch {
+		t.Error("the reinflation pass wrote nothing")
+	}
+	if a := s.Host.Aggregates().Allocated; !a.FitsIn(s.Host.Capacity()) {
+		t.Errorf("allocated %v exceeds capacity %v", a, s.Host.Capacity())
+	}
+	if !slices.ContainsFunc(doms, func(d hypervisor.Domain) bool { return d.Allocation() == hypervisor.DefaultFloor() }) {
+		t.Error("no resident was pushed to its floor: the safe sizes fit, and the case tests nothing")
 	}
 }
 

@@ -302,7 +302,10 @@ func TestChurnNeverOverAllocates(t *testing.T) {
 // match a fresh derivation (checkServerCache), no in-service server may
 // be allocated beyond its capacity, every event the indexed manager
 // published must equal its domain's own reads, and it must hold
-// exactly the VMs its records fold to. Under the proportional policy,
+// exactly the VMs its records fold to, and every handle a placement
+// record ever held must either be the one its host's Lookup hands out
+// for the name it reads or, once its VM has left (even after another
+// VM took its row slot), read no name. Under the proportional policy,
 // every server a departure batch took a VM from must sit at the
 // water-fill fixed point of reinflation (checkReinflated). Op kind 6
 // does nothing: no server is resized, and its two argument bytes are
@@ -326,7 +329,7 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 	// going into the op or at its last event, where cur knows it.
 	var bus notify.Bus
 	ms[0].cfg.Notify = &bus
-	cur := map[*hypervisor.Domain]resources.Vector{}
+	cur := map[hypervisor.Domain]resources.Vector{}
 	bus.Subscribe(func(ev notify.Event) {
 		fold.events++
 		s := ms[0].byName[ev.Server]
@@ -505,6 +508,13 @@ func runPlacementOps(t *testing.T, r *opReader, cfg opsConfig) opFold {
 		for _, pl := range pls[0] {
 			if pl.Err == nil {
 				cur[pl.Domain] = pl.Domain.Allocation()
+			}
+		}
+		for d := range cur {
+			if name := d.Name(); name != "" {
+				if live, err := d.Host().Lookup(name); err != nil || live != d {
+					t.Fatalf("op %d: a handle from a placement record reads %s, which its host holds under %+v (%v)", op, name, live, err)
+				}
 			}
 		}
 		if n, want := len(ms[0].placements), fold.placed-fold.removed-fold.killed; n != want {

@@ -20,7 +20,7 @@ func (m *Manager) AddServer(name string, capacity resources.Vector, partition in
 
 // PlaceVM places one VM as a one-element PlaceVMs batch and returns the
 // running domain and its server, or the placement's error.
-func (m *Manager) PlaceVM(dc hypervisor.DomainConfig) (*hypervisor.Domain, *Server, error) {
+func (m *Manager) PlaceVM(dc hypervisor.DomainConfig) (hypervisor.Domain, *Server, error) {
 	pl := m.PlaceVMs([]hypervisor.DomainConfig{dc}, nil)[0]
 	return pl.Domain, pl.Server, pl.Err
 }
@@ -36,14 +36,14 @@ func (m *Manager) FitsWithoutDeflation(size resources.Vector) bool {
 }
 
 // LookupVM finds a placed VM's domain and server.
-func (m *Manager) LookupVM(name string) (*hypervisor.Domain, *Server, error) {
+func (m *Manager) LookupVM(name string) (hypervisor.Domain, *Server, error) {
 	s, ok := m.placements[name]
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: VM %s", ErrNotFound, name)
+		return hypervisor.Domain{}, nil, fmt.Errorf("%w: VM %s", ErrNotFound, name)
 	}
 	d, err := s.Host.Lookup(name)
 	if err != nil {
-		return nil, nil, err
+		return hypervisor.Domain{}, nil, err
 	}
 	return d, s, nil
 }

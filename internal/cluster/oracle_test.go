@@ -81,7 +81,7 @@ func (o scanOracle) anyFits(m *Manager, size resources.Vector) bool {
 // argmax-first with the sort deferred until the argmax cannot absorb the
 // VM, both in the oracle's own order (oracleOrder). The full scan scores
 // everyone and prunes no one.
-func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (*hypervisor.Domain, *Server, int) {
+func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Server) (hypervisor.Domain, *Server, int) {
 	pool := m.PartitionOf(dc)
 	var cands []cand
 	for _, s := range m.servers {
@@ -103,10 +103,10 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		}
 	}
 	if first < 0 {
-		return nil, nil, 0
+		return hypervisor.Domain{}, nil, 0
 	}
 	if c := cands[first]; c.s != best {
-		if d := m.tryPlace(c.s, dc, ncRange); d != nil {
+		if d, ok := m.tryPlace(c.s, dc, ncRange); ok {
 			return d, c.s, len(cands)
 		}
 	}
@@ -115,11 +115,11 @@ func (o scanOracle) pressure(m *Manager, dc hypervisor.DomainConfig, best *Serve
 		if c.s == best || rank == 0 {
 			continue // already tried above (argmax == rank 0)
 		}
-		if d := m.tryPlace(c.s, dc, ncRange); d != nil {
+		if d, ok := m.tryPlace(c.s, dc, ncRange); ok {
 			return d, c.s, len(cands)
 		}
 	}
-	return nil, nil, len(cands)
+	return hypervisor.Domain{}, nil, len(cands)
 }
 
 // availability is the availability vector from the host's aggregates

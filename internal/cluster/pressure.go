@@ -74,7 +74,7 @@ func (m *Manager) pressureLive(dc hypervisor.DomainConfig, best *Server, pl *Pla
 	pl.Path = PathPressure
 	if m.oracle != nil {
 		pl.Domain, pl.Server, pl.Scored = m.oracle.pressure(m, dc, best)
-		return pl.Domain != nil
+		return pl.Server != nil
 	}
 	return m.pressurePruned(dc, best, pl)
 }
@@ -110,7 +110,7 @@ func (m *Manager) pressurePruned(dc hypervisor.DomainConfig, best *Server, pl *P
 			if c.s == best {
 				continue // the failed surplus candidate is skipped
 			}
-			if d := m.tryPlace(c.s, dc, ncRange); d != nil {
+			if d, ok := m.tryPlace(c.s, dc, ncRange); ok {
 				pl.Domain, pl.Server, hit = d, c.s, true
 				break
 			}

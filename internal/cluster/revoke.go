@@ -125,7 +125,7 @@ func (m *Manager) ResizeServer(name string, capacity resources.Vector) (Evacuati
 // displace tears one resident down from its (about to be revoked)
 // server and queues its configuration, live offered load
 // included (Domain.Config), for the relocation batch.
-func (m *Manager) displace(s *Server, d *hypervisor.Domain) error {
+func (m *Manager) displace(s *Server, d hypervisor.Domain) error {
 	dc := d.Config()
 	if err := m.teardown(s, d); err != nil {
 		return err

@@ -28,8 +28,8 @@ import (
 // the pass read, which nothing but this call moves within the pass — so
 // the event is built from the view and from what Apply returns, with no
 // further read of the domain.
-func perVMApplyAndNotify(s *Server, cfg *Config, d *hypervisor.Domain, old, target resources.Vector) error {
-	got, err := mechanism.Transparent{}.Apply(d, nil, target)
+func perVMApplyAndNotify(s *Server, cfg *Config, d hypervisor.Domain, old, target resources.Vector) error {
+	got, err := mechanism.Transparent{}.Apply(&d, nil, target)
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,7 @@ func (m *Manager) perVMDeflateFor(s *Server, dc hypervisor.DomainConfig) (resour
 		sc.vms = append(sc.vms, policy.VMState{
 			Name:     newcomerName,
 			Max:      dc.Size,
-			Min:      dc.Floor(),
+			Min:      hypervisor.DefaultFloor(),
 			Priority: dc.Priority,
 			Current:  dc.Size, // joins at full size; policy shrinks it
 			Load:     dc.Load,
@@ -96,7 +96,8 @@ func (m *Manager) perVMDeflateFor(s *Server, dc hypervisor.DomainConfig) (resour
 	return initial, nil
 }
 
-// perVMLaunch defines, starts and initially sizes the new domain.
+// perVMLaunch defines, starts and initially sizes the new domain: the
+// three calls Host.Launch makes one.
 func perVMLaunch(s *Server, dc hypervisor.DomainConfig, initial resources.Vector) (*hypervisor.Domain, error) {
 	d, err := s.Host.Define(dc)
 	if err != nil {
@@ -251,7 +252,7 @@ func TestPassesMatchPerVMWrites(t *testing.T) {
 						t.Fatalf("%s: batched pass gave %v (err %v), per-VM %v (err %v)", opName, ia, erra, ib, errb)
 					}
 					if erra == nil {
-						_, erra = launch(a.s, dc, ia)
+						_, erra = a.s.Host.Launch(dc, ia)
 						a.m.markDirty(a.s) // as placeOn does
 						_, errb = perVMLaunch(b.s, dc, ib)
 						if erra != nil || errb != nil {

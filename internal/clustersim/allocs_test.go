@@ -152,18 +152,19 @@ func heapAllocs() (objects, bytes uint64) {
 // policy at 50 % overcommitment. The count is deterministic, so it
 // catches a per-VM allocation creeping back into synthesis, the event
 // queue or the manager without waiting for a benchmark session. The
-// bound is the measurement since policy passes share the manager's one
-// arena and a host's row table has no free list (1.333 per VM) with the
-// 7 % headroom the first pin had (1.77, bound 1.9, with an arena and a
-// free list per server); the per-VM trace layout and bucket-slice
+// bound is the measurement since a domain handle is a value and a
+// host's rows keep their slots under a generation (0.372 per VM) with
+// the 7 % headroom the first pin had (1.77, bound 1.9, with an arena and
+// a free list per server); it read 1.300 while the manager allocated a
+// 16 B handle per domain, and the per-VM trace layout and bucket-slice
 // calendar queue before that read 7.47. Heap bytes per VM are bounded
-// the same way: 1,338.5 since a Domain is a 16 B handle on its host's
-// row (1,424.6 with the 128 B Domain), plus 7 %.
+// the same way: 1,329.7 with value handles (1,338.0 with the 16 B
+// handle, 1,424.6 with the 128 B Domain), plus 7 %.
 func TestAllocsPerVMEndToEnd(t *testing.T) {
 	const (
 		nVMs       = 4000
-		bound      = 1.43
-		bytesBound = 1430
+		bound      = 0.40
+		bytesBound = 1423
 	)
 	runtime.GC() // the first collection's mark workers allocate
 	objects, bytes := heapAllocs()
@@ -190,18 +191,19 @@ func TestAllocsPerVMEndToEnd(t *testing.T) {
 // streamed intake under capacity pressure: heap objects allocated over
 // building the stream, NewEngine (fleet sizing included) and Run, per
 // trace VM, on the priority policy at 75 % overcommitment under rack
-// revocations. A streamed VM's floor is its Domain and its name, plus
-// evacuees' new Domains and the error of each refused arrival. The bound
-// is the measurement since policy passes share the manager's one arena
-// (2.190 per VM) with the 7 % headroom the first pin had (2.25, bound
-// 2.4); the per-arrival VMRecord before that read 3.32. Heap bytes per
-// VM are bounded the same way: 160.0 since a Domain is a 16 B handle on
-// its host's row (273.5 with the 128 B Domain), plus 7 %.
+// revocations. A streamed VM's floor is its name, plus the error of
+// each refused arrival; a domain handle, an evacuee's new one included,
+// is a value. The bound is the measurement since handles became values
+// (1.150 per VM) with the 7 % headroom the first pin had (2.25, bound
+// 2.4); it read 2.187 with a 16 B handle per domain, and the per-arrival
+// VMRecord before that read 3.32. Heap bytes per VM are bounded the same
+// way: 145.1 with value handles (160.0 with the 16 B handle, 273.5 with
+// the 128 B Domain), plus 7 %.
 func TestStreamedAllocsPerVMEndToEnd(t *testing.T) {
 	const (
 		nVMs       = 4000
-		bound      = 2.34
-		bytesBound = 171
+		bound      = 1.23
+		bytesBound = 155
 	)
 	runtime.GC() // the first collection's mark workers allocate
 	objects, bytes := heapAllocs()

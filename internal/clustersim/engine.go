@@ -28,15 +28,16 @@ type vmTracking struct {
 	// row source at admission — series header, start, end, cores — so
 	// vmUtil is VMRecord.UtilAt over memory the row owns. On streamed
 	// runs the series is nil and cur reads it, and the ID is the one
-	// name string the admission allocated, shared with the Domain.
-	rec    trace.VMRecord
-	size   resources.Vector // == domain.MaxSize()
-	domain *hypervisor.Domain
-	// host, epoch and alloc cache the domain's allocation as read at its
-	// host's allocation epoch (host == nil: nothing cached). Admission
-	// and relocation leave it empty: they bill Placement.Initial, which
-	// may differ from the allocation the next sample finds.
-	host  *hypervisor.Host
+	// name string the admission allocated, shared with the domain's row.
+	rec  trace.VMRecord
+	size resources.Vector // == domain.MaxSize()
+	// domain is the VM's handle, held by value: its host, slot and
+	// generation, from Placement.Domain.
+	domain hypervisor.Domain
+	// epoch and alloc cache the domain's allocation as read at its host's
+	// allocation epoch (epoch == noEpoch: nothing cached). Admission and
+	// relocation leave it empty: they bill Placement.Initial, which may
+	// differ from the allocation the next sample finds.
 	epoch uint64
 	alloc resources.Vector
 	// cur reads this VM's utilisation incrementally on streamed runs
@@ -51,6 +52,10 @@ type vmTracking struct {
 	// swap-remove needs to re-point the row it moved.
 	row int32
 }
+
+// noEpoch is vmTracking.epoch with no allocation cached: no host's
+// allocation epoch reaches it.
+const noEpoch = ^uint64(0)
 
 // slotOf sentinels: a trace row that is not running (never admitted,
 // rejected, departed or shock-killed), and one running as an on-demand
@@ -648,7 +653,7 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 			continue // on-demand: the manager holds its new domain
 		}
 		vt := &e.tbl[slot]
-		vt.domain, vt.host = pl.Domain, nil
+		vt.domain, vt.epoch = pl.Domain, noEpoch
 		meters := e.metersOf(slot)
 		for j := range meters {
 			meters[j].Observe(at/3600, pricingSchemes[j].Rate(vt.size, vt.prio, pl.Initial))
@@ -791,7 +796,7 @@ func (e *Engine) handleArrivals(evs []simEvent) error {
 			continue
 		}
 		e.res.DeflatableAdmitted++
-		vt := vmTracking{rec: vm, size: dcs[i].Size, domain: pl.Domain, cur: e.src.cursor(ev.seq),
+		vt := vmTracking{rec: vm, size: dcs[i].Size, domain: pl.Domain, epoch: noEpoch, cur: e.src.cursor(ev.seq),
 			admitT: ev.at, prio: prios[i], row: int32(ev.seq)}
 		meters := e.metersOf(e.addRow(vt))
 		for j, s := range pricingSchemes {
@@ -831,10 +836,9 @@ func errUndefinedP95(id string, row, samples int) error {
 func (e *Engine) sampleVM(vt *vmTracking, meters []pricing.Meter, at float64) {
 	cfg := &e.cfg
 	util := vmUtil(&vt.rec, vt.cur, at)
-	hit := vt.host != nil && vt.host.AllocEpoch() == vt.epoch
+	hit := vt.epoch == vt.domain.Host().AllocEpoch()
 	if !hit {
 		vt.alloc, vt.epoch = vt.domain.AllocationEpoch()
-		vt.host = vt.domain.Host()
 		e.work.allocReads++
 	}
 	size, alloc := vt.size, vt.alloc

@@ -43,9 +43,7 @@ func checkTable(t *testing.T, e *Engine) {
 			t.Fatalf("tbl[%d] (%s) is trace row %d, its domain is tagged %d", i, vt.rec.ID, vt.row, vt.domain.Config().Tag)
 		case (vt.cur != nil) != (e.cfg.Stream != nil):
 			t.Fatalf("tbl[%d] (%s): cursor bound = %v on a run with stream = %v", i, vt.rec.ID, vt.cur != nil, e.cfg.Stream != nil)
-		case vt.host != nil && vt.host != vt.domain.Host():
-			t.Fatalf("tbl[%d] (%s) caches host %s, its domain is on %s", i, vt.rec.ID, vt.host.Name(), vt.domain.Host().Name())
-		case vt.host != nil && vt.epoch == vt.host.AllocEpoch() && vt.alloc != vt.domain.Allocation():
+		case vt.epoch == vt.domain.Host().AllocEpoch() && vt.alloc != vt.domain.Allocation():
 			t.Fatalf("tbl[%d] (%s) caches allocation %v at its host's current epoch %d, the domain holds %v",
 				i, vt.rec.ID, vt.alloc, vt.epoch, vt.domain.Allocation())
 		}
@@ -206,7 +204,7 @@ func TestCachedAllocationMatchesLockedReads(t *testing.T) {
 		e.afterSample = func() {
 			visits += len(e.tbl)
 			for i := range e.tbl {
-				e.tbl[i].host = nil
+				e.tbl[i].epoch = noEpoch
 			}
 		}
 		got, err := e.Run()
@@ -422,27 +420,26 @@ func TestSamplePassVisitsOnlyMeteredVMs(t *testing.T) {
 	}
 }
 
-// TestArrivalDeparturePairAllocatesOneDomain: on a warm eager engine
-// admitting one VM and closing it again allocates the manager's Domain
-// and nothing else — no tracking record, no meter slice, no queue
-// growth — whether the VM gets a table row (deflatable) or only a
-// sentinel (on-demand).
-func TestArrivalDeparturePairAllocatesOneDomain(t *testing.T) {
-	checkPairAllocs(t, Config{Trace: testTrace(300)}, 1)
+// TestArrivalDeparturePairAllocatesNothing: on a warm eager engine
+// admitting one VM and closing it again allocates nothing — no domain
+// handle (a value, in its host's reused row slot), no tracking record,
+// no meter slice, no queue growth — whether the VM gets a table row
+// (deflatable) or only a sentinel (on-demand).
+func TestArrivalDeparturePairAllocatesNothing(t *testing.T) {
+	checkPairAllocs(t, Config{Trace: testTrace(300)}, 0)
 }
 
-// TestStreamedArrivalDeparturePairAllocatesDomainAndName is the same
-// pair on a streamed engine, which regenerates the VM from its row: the
-// pair allocates the Domain and the VM's name, which the Domain, the
-// table row and the departure event share, and nothing else. The
-// utilisation cursor a deflatable VM binds is recycled from the last
-// one released.
-func TestStreamedArrivalDeparturePairAllocatesDomainAndName(t *testing.T) {
+// TestStreamedArrivalDeparturePairAllocatesName is the same pair on a
+// streamed engine, which regenerates the VM from its row: the pair
+// allocates the VM's name, which the domain's row, the table row and
+// the departure event share, and nothing else. The utilisation cursor a
+// deflatable VM binds is recycled from the last one released.
+func TestStreamedArrivalDeparturePairAllocatesName(t *testing.T) {
 	st, err := trace.NewNamedStream("azure", 300, 2*86400, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPairAllocs(t, Config{Stream: st}, 2)
+	checkPairAllocs(t, Config{Stream: st}, 1)
 }
 
 // checkPairAllocs warms a deflation engine over cfg with every fourth

@@ -12,14 +12,12 @@ import (
 // The batched limit write (Host.SetLimits) against the per-VM
 // Domain.SetLimits sequence it replaces in the cluster's policy passes.
 
-// rowsOf copies the host's live rows in name order, without their domain
-// pointers, so twin hosts' tables (engaged limits included) compare by
-// value.
+// rowsOf copies the host's live rows in name order, so twin hosts'
+// tables (engaged limits included) compare by value.
 func rowsOf(h *Host) []row {
 	out := make([]row, len(h.order))
 	for i, slot := range h.order {
 		out[i] = h.rows[slot]
-		out[i].dom = nil
 	}
 	return out
 }
@@ -76,7 +74,7 @@ func FuzzLimitWritesMatchPerVM(f *testing.F) {
 			t.Fatal(err)
 		}
 		n := 1 + int(in.next()%6)
-		db, ds := make([]*Domain, n), make([]*Domain, n)
+		db, ds := make([]Domain, n), make([]Domain, n)
 		for i := range db {
 			size := resources.New(fuzzCores[1+in.next()%5], fuzzMemMB[1+in.next()%3], 0, 0)
 			if in.next()%2 == 1 {
@@ -86,7 +84,7 @@ func FuzzLimitWritesMatchPerVM(f *testing.F) {
 			start, pre := in.next()%3 != 0, limit()
 			for _, p := range []struct {
 				h *Host
-				d **Domain
+				d *Domain
 			}{{hb, &db[i]}, {hs, &ds[i]}} {
 				d, err := p.h.Define(cfg)
 				if err != nil {
@@ -98,16 +96,16 @@ func FuzzLimitWritesMatchPerVM(f *testing.F) {
 					}
 				}
 				d.SetLimits(pre) // an invalid one moves nothing, on both hosts alike
-				*p.d = d
+				*p.d = *d
 			}
 		}
 
 		m := int(in.next() % 9)
 		idx := make([]int, m) // -1 is the foreign domain
-		batch, lims := make([]*Domain, m), make([]resources.Vector, m)
+		batch, lims := make([]Domain, m), make([]resources.Vector, m)
 		for j := range batch {
 			if c := in.next(); c%16 == 15 {
-				idx[j], batch[j] = -1, foreign
+				idx[j], batch[j] = -1, *foreign
 			} else {
 				idx[j] = int(c) % n
 				batch[j] = db[idx[j]]
@@ -234,21 +232,21 @@ func TestLimitWritesRejectNaN(t *testing.T) {
 	nan := math.NaN()
 	for _, tc := range []struct {
 		name  string
-		write func(h *Host, d, peer *Domain) error
+		write func(h *Host, d, peer Domain) error
 	}{
-		{"SetLimits", func(_ *Host, d, _ *Domain) error {
+		{"SetLimits", func(_ *Host, d, _ Domain) error {
 			_, err := d.SetLimits(resources.New(nan, 8192, 50, 500))
 			return err
 		}},
-		{"SetLimits disk", func(_ *Host, d, _ *Domain) error {
+		{"SetLimits disk", func(_ *Host, d, _ Domain) error {
 			_, err := d.SetLimits(resources.New(4, 8192, nan, 500))
 			return err
 		}},
-		{"SetCPUShares", func(_ *Host, d, _ *Domain) error { return d.SetCPUShares(nan) }},
-		{"batch, NaN last", func(h *Host, d, peer *Domain) error {
-			return h.SetLimits([]*Domain{peer, d}, []resources.Vector{resources.New(2, 4096, 50, 500), resources.New(4, nan, 50, 500)})
+		{"SetCPUShares", func(_ *Host, d, _ Domain) error { return d.SetCPUShares(nan) }},
+		{"batch, NaN last", func(h *Host, d, peer Domain) error {
+			return h.SetLimits([]Domain{peer, d}, []resources.Vector{resources.New(2, 4096, 50, 500), resources.New(4, nan, 50, 500)})
 		}},
-		{"ClampTarget", func(_ *Host, d, _ *Domain) error {
+		{"ClampTarget", func(_ *Host, d, _ Domain) error {
 			_, err := d.ClampTarget(resources.New(nan, 8192, 50, 500))
 			return err
 		}},
@@ -276,7 +274,7 @@ func TestLimitWritesRejectNaN(t *testing.T) {
 // cluster's limit writes.
 func BenchmarkLimitWriteBatchSteadyState(b *testing.B) {
 	h := testHost(b)
-	doms := make([]*Domain, 12)
+	doms := make([]Domain, 12)
 	for i := range doms {
 		doms[i] = defineRunning(b, h, fmt.Sprintf("vm-%02d", i), 4, 8192)
 	}

@@ -34,7 +34,7 @@ var fuzzLoads = [...]float64{0, 0.5, 3, 7.25, -1, math.NaN(), math.Inf(1), math.
 // op sequence engaged, nothing read back from the domain. An undefined
 // handle's model is all zeros but d: it reads zero values.
 type domainModel struct {
-	d      *Domain
+	d      Domain
 	size   resources.Vector
 	state  DomainState
 	limits resources.Vector // positive where a write engaged a controller
@@ -66,13 +66,14 @@ func (b *fuzzBytes) next() byte {
 }
 
 // FuzzDomainOps drives one host through byte-decoded sequences of
-// Define (invalid sizes included), Start, Shutdown, Undefine, SetLimits
-// (zero, negative and NaN components included) on one domain or, as
-// one Host.SetLimits batch, on several, SetCPUShares and
-// SetOfferedLoad (negative and non-finite loads included) over a pool
-// of eight names, against a naive model (runDomainOps). Three seeds
-// are op mixes written with domainOps: every mutator against one host,
-// limit rewrites on one domain, and load writes read through the view.
+// Define (invalid sizes included), Launch (invalid initial vectors
+// included), Start, Shutdown, Undefine, SetLimits (zero, negative and
+// NaN components included) on one domain or, as one Host.SetLimits
+// batch, on several, SetCPUShares and SetOfferedLoad (negative and
+// non-finite loads included) over a pool of eight names, against a
+// naive model (runDomainOps). Three seeds are op mixes written with
+// domainOps: every mutator against one host, limit rewrites on one
+// domain, and load writes read through the view.
 // The long streams over hundreds of names are the named tests
 // TestAggregatesMatchFreshRecompute and TestDeflatableViewMatchesFreshWalk.
 //
@@ -83,9 +84,9 @@ func FuzzDomainOps(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 3, 1, 1, 2, 1, 3, 4, 0, 6, 1, 2, 3, 1, 1, 5, 1, 1, 2, 2, 2, 3, 1})
 	f.Add([]byte{0, 2, 0, 0, 0, 2, 5, 1, 1, 2, 3, 2, 6, 7, 8, 2, 4, 2, 1, 4, 3, 2, 3, 2})
 	// Undefine the middle resident of three while the last-defined one
-	// holds the table's last row, then write the moved domain's limits
-	// and flip it, drive the undefined handle, redefine its name and
-	// drive the old handle once more.
+	// holds the table's last row, which keeps its slot, then write that
+	// domain's limits and flip it, drive the undefined handle, redefine
+	// its name into the freed slot and drive the old handle once more.
 	f.Add([]byte{
 		0, 0, 2, 2, 0, 1, 2, 2, 0, 2, 2, 2, // define vm-0, vm-1, vm-2
 		1, 0, 1, 1, 1, 2, 4, 2, 3, 7, 0, 0, // start all three; limits on vm-2
@@ -95,15 +96,31 @@ func FuzzDomainOps(f *testing.F) {
 		0, 1, 2, 3, 1, 1, 4, 129, 5, 6, 0, 0, // redefine vm-1; the old handle again
 	})
 	// Name order is not row order: vm-1, defined last, sorts first. Undefine
-	// vm-6 (row 0) and then vm-3 (row 1): vm-1 and then vm-7 move, each
-	// re-pointed at a different position of the name order, and each is
-	// written after its move.
+	// vm-6 (row 0) and then vm-3 (row 1), which leaves two holes below
+	// vm-7 and vm-1, each written after the undefines beside it.
 	f.Add([]byte{
 		0, 6, 2, 2, 0, 3, 2, 2, 0, 7, 2, 2, 0, 1, 2, 2, // define vm-6, vm-3, vm-7, vm-1
 		3, 6, 4, 1, 3, 7, 0, 0, 1, 1, // undefine vm-6; limits on vm-1 and start it
 		3, 3, 4, 7, 2, 6, 0, 0, 1, 7, 2, 7, 1, 7, // undefine vm-3; vm-7: limits, start, shutdown, start
 		4, 134, 3, 7, 0, 0, 1, 131, 2, 131, 5, 134, 4, // the undefined vm-6 and vm-3 handles
 		2, 1, 3, 1, 2, 7, 3, 7, // shut down and undefine vm-1, then vm-7: the table empties
+	})
+	// Slot reuse: vm-5 takes the slot vm-0 left, then vm-6 is launched
+	// into the slot vm-5 left (its third generation). Both older handles
+	// are driven after each reuse: they read zero, their writes fail and
+	// the new resident does not move. A launch at full size moves no
+	// epoch, one below it moves the epoch once, and a launch with a NaN
+	// initial component or of a live name leaves the host as it was.
+	f.Add([]byte{
+		0, 0, 2, 2, 0, 1, 2, 2, 1, 0, 1, 1, // define vm-0, vm-1, start both
+		2, 0, 3, 0, 0, 5, 2, 2, // undefine vm-0; define vm-5 into its slot
+		1, 128, 4, 128, 3, 7, 0, 0, 5, 128, 2, 7, 128, 3, // vm-0's handle: start, limits, shares, load
+		opLaunch, 1, 2, 2, 3, 4, 0, 0, // launch of the live vm-1
+		opLaunch, 2, 2, 2, 10, 0, 0, 0, // launch of vm-2 with a NaN CPU
+		opLaunch, 2, 2, 2, 0, 0, 0, 0, // vm-2 at its floor
+		opLaunch, 3, 2, 2, 9, 9, 9, 9, // vm-3 above its size: full size
+		3, 5, opLaunch, 6, 2, 3, 3, 7, 0, 0, // undefine vm-5; launch vm-6 into its slot
+		1, 133, 4, 133, 3, 7, 0, 0, 1, 128, 7, 133, 2, // vm-5's and vm-0's handles
 	})
 	f.Add(mutatorMix(1, 40))
 	f.Add(limitRewrites(2, 100))
@@ -132,29 +149,36 @@ func FuzzDomainOps(f *testing.F) {
 }
 
 // domainFold counts what a runDomainOps stream reached: ops run, peak
-// residents, undefines that moved a row, accepted multi-domain batches.
+// residents, defines and launches into a freed slot, launches, and
+// accepted multi-domain batches.
 type domainFold struct {
-	ops, peak, moves, batches int
+	ops, peak, reuses, launches, batches int
 }
 
 // runDomainOps decodes data into ops on one host over a pool of names
 // names and checks each against a naive model. An op is a kind byte
 // (mod 8) and a name byte, whose top bit aims a Start, Shutdown, limit
 // or load write at the name's last undefined handle; a pool wider than
-// 128 names takes a second name byte. A limit write whose kind byte has
-// bit 3 set is one Host.SetLimits batch: a count byte, the named
-// domain's limits, then up to three more names with theirs (live ones,
-// or undefined handles by the top bit). After every op: each live
-// domain allocates min(size, positive limits), has its size and offers
-// its last written load (zero for a negative or non-finite one); each
-// undefined handle reads zero values; the host has one row per live
-// domain; the view (its Load column included), every row and
-// Aggregates() equal fresh derivations; the epoch moved by exactly one
-// on a limit write that moved a resident's allocation and not at all
-// otherwise; a rejected or allocation-neutral write and a load write
-// moved no aggregate; a lifecycle call or limit write through an
+// 128 names takes a second name byte. A define whose kind byte has bit
+// 3 set is a Launch, its size bytes followed by the initial vector's. A
+// limit write whose kind byte has bit 3 set is one Host.SetLimits
+// batch: a count byte, the named domain's limits, then up to three more
+// names with theirs (live ones, or undefined handles by the top bit).
+// After every op: each live domain allocates min(size, positive
+// limits), has its size and offers its last written load (zero for a
+// negative or non-finite one); every handle ever undefined reads zero
+// values; the host has one row per live domain plus its free slots; the
+// view (its Load column included), every row and Aggregates() equal
+// fresh derivations; the epoch moved by exactly one on a limit write or
+// launch that moved a resident's allocation and not at all otherwise —
+// a launch's rule is Define, Start and SetLimits of the clamped initial
+// vector in turn; a rejected or allocation-neutral write and a load
+// write moved no aggregate; a lifecycle call or limit write through an
 // undefined handle failed with ErrNotFound; and a rejected op or an op
-// on an undefined handle moved no row and no limit.
+// on an undefined handle moved no row and no limit. When a define or
+// launch takes a freed slot, every older handle to that slot also fails
+// each lifecycle call, limit write and clamp with ErrNotFound, and its
+// load write moves nothing.
 func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 	in := fuzzBytes(data)
 	h := testHost(t)
@@ -175,10 +199,12 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 		return v
 	}
 	// models holds the live domains by name; retired holds each name's
-	// last undefined handle, which stays in the op stream.
+	// last undefined handle, which stays in the op stream; undefined
+	// holds every handle ever undefined.
 	models, retired := map[string]*domainModel{}, map[string]*domainModel{}
+	var undefined []Domain
 	var states []policy.VMState
-	var view []*Domain
+	var view []Domain
 	var fold domainFold
 	agg := h.Aggregates() // as of the last op's checks
 	for op := 0; len(in) > 0; op++ {
@@ -190,7 +216,7 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 		if stale {
 			m = retired[name]
 		}
-		rowsBefore := slices.Clone(h.rows)
+		rowsBefore, freeBefore := slices.Clone(h.rows), slices.Clone(h.free)
 		aggBefore := agg
 		epoch := h.AllocEpoch()
 		var before limitState
@@ -203,11 +229,23 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 		var opName string
 		var err error
 		switch kind {
-		case 0: // define
+		case 0: // define, or launch
 			size := resources.New(fuzzCores[in.next()%byte(len(fuzzCores))], fuzzMemMB[in.next()%byte(len(fuzzMemMB))], 0, 0)
-			opName = fmt.Sprintf("define %s %v", name, size)
-			var d *Domain
-			d, err = h.Define(DomainConfig{Name: name, Size: size, Deflatable: op%2 == 0, Priority: 0.5})
+			cfg := DomainConfig{Name: name, Size: size, Deflatable: op%2 == 0, Priority: 0.5}
+			launch := kb&8 != 0
+			var initial resources.Vector
+			var d Domain
+			if launch {
+				initial = limits()
+				opName = fmt.Sprintf("launch %s %v at %v", name, size, initial)
+				d, err = h.Launch(cfg, initial)
+			} else {
+				opName = fmt.Sprintf("define %s %v", name, size)
+				var p *Domain
+				if p, err = h.Define(cfg); p != nil {
+					d = *p
+				}
+			}
 			switch {
 			case size.Get(resources.CPU) < 1 || size.Get(resources.Memory) < 256:
 				if !errors.Is(err, ErrInvalid) {
@@ -219,10 +257,27 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 					t.Fatalf("%s: err = %v, want ErrExists", opName, err)
 				}
 				rejected = true
+			case launch && slices.ContainsFunc(initial[:], func(x float64) bool { return !(x >= 0) }):
+				if !errors.Is(err, ErrInvalid) {
+					t.Fatalf("%s: err = %v, want ErrInvalid", opName, err)
+				}
+				rejected = true
 			case err != nil:
 				t.Fatalf("%s: %v", opName, err)
 			default:
-				models[name] = &domainModel{d: d, size: size, state: Defined}
+				m = &domainModel{d: d, size: size, state: Defined}
+				if launch {
+					// Define, Start, then SetLimits of the clamped initial
+					// vector: the epoch moves iff the allocation left the size.
+					m.state, m.limits = Running, initial.Clamp(DefaultFloor(), size)
+					allocWrite = m.alloc() != size
+					fold.launches++
+				}
+				models[name] = m
+				if int(d.slot) < len(rowsBefore) {
+					fold.reuses++
+					checkStaleHandles(t, h, d, undefined, opName)
+				}
 			}
 		case 1, 2: // start, shutdown
 			if m == nil {
@@ -251,7 +306,6 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 			}
 		case 3: // undefine
 			opName = "undefine " + name
-			moved := m != nil && int(m.d.slot) != len(h.rows)-1
 			err = h.Undefine(name)
 			switch {
 			case m == nil:
@@ -264,9 +318,7 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 			case err == nil:
 				delete(models, name)
 				retired[name] = &domainModel{d: m.d}
-				if moved {
-					fold.moves++
-				}
+				undefined = append(undefined, m.d)
 			}
 		case 4, 5: // limits (one domain, or a batch), one CPU share
 			if m == nil {
@@ -305,7 +357,7 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 						stale = stale || u
 					}
 				}
-				doms := make([]*Domain, len(batch))
+				doms := make([]Domain, len(batch))
 				for i, b := range batch {
 					doms[i] = b.d
 				}
@@ -396,14 +448,11 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				t.Fatalf("after %s (rejected %v): aggregates moved %+v -> %+v, but no allocation moved", opName, rejected, aggBefore, now)
 			}
 		}
-		if (rejected || stale) && !slices.Equal(h.rows, rowsBefore) {
+		if (rejected || stale) && (!slices.Equal(h.rows, rowsBefore) || !slices.Equal(h.free, freeBefore)) {
 			t.Fatalf("after %s (rejected %v): the row table moved", opName, rejected)
 		}
-		for _, m := range retired {
-			if m.d.Config() != (DomainConfig{}) || m.d.Allocation() != (resources.Vector{}) || m.d.State() != Defined {
-				t.Fatalf("after %s: an undefined handle reads %+v allocating %v in state %v, want zero values",
-					opName, m.d.Config(), m.d.Allocation(), m.d.State())
-			}
+		for _, d := range undefined {
+			checkReadsZero(t, d, opName)
 		}
 		for n, m := range models {
 			if got, want := m.d.Allocation(), m.alloc(); got != want || m.d.MaxSize() != m.size {
@@ -416,8 +465,8 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 				t.Fatalf("after %s: %s offers load %g, the model %g", opName, n, got, m.load)
 			}
 		}
-		if len(h.rows) != len(models) {
-			t.Fatalf("after %s: %d rows for %d live domains", opName, len(h.rows), len(models))
+		if len(h.rows)-len(h.free) != len(models) {
+			t.Fatalf("after %s: %d rows, %d of them free, for %d live domains", opName, len(h.rows), len(h.free), len(models))
 		}
 		states, view = h.AppendDeflatableView(states[:0], view[:0])
 		for i, st := range states {
@@ -431,6 +480,43 @@ func runDomainOps(t *testing.T, data []byte, names int) domainFold {
 		fold.ops, fold.peak = op+1, max(fold.peak, len(models))
 	}
 	return fold
+}
+
+// checkReadsZero fails unless the undefined handle d reads zero values.
+func checkReadsZero(t *testing.T, d Domain, op string) {
+	t.Helper()
+	if d.Config() != (DomainConfig{}) || d.Allocation() != (resources.Vector{}) || d.State() != Defined {
+		t.Fatalf("after %s: an undefined handle reads %+v allocating %v in state %v, want zero values",
+			op, d.Config(), d.Allocation(), d.State())
+	}
+}
+
+// checkStaleHandles drives every handle in undefined that names fresh's
+// slot, which a define or launch has just handed to fresh: each reads
+// zero values, fails every lifecycle call, limit write and clamp with
+// ErrNotFound, and moves nothing with a load write — not fresh's row,
+// not the epoch.
+func checkStaleHandles(t *testing.T, h *Host, fresh Domain, undefined []Domain, op string) {
+	t.Helper()
+	rowBefore, epoch := h.rows[fresh.slot], h.AllocEpoch()
+	for _, d := range undefined {
+		if d.slot != fresh.slot {
+			continue
+		}
+		checkReadsZero(t, d, op)
+		_, errClamp := d.ClampTarget(resources.New(1, 512, 0, 0))
+		_, errLimits := d.SetLimits(resources.New(1, 512, 0, 0))
+		for i, err := range []error{d.Start(), d.Shutdown(), d.SetCPUShares(1), errLimits, errClamp,
+			h.SetLimits([]Domain{fresh, d}, make([]resources.Vector, 2))} {
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("after %s: write %d through an older handle to slot %d: err = %v, want ErrNotFound", op, i, d.slot, err)
+			}
+		}
+		d.SetOfferedLoad(5)
+	}
+	if h.rows[fresh.slot] != rowBefore || h.AllocEpoch() != epoch {
+		t.Fatalf("after %s: an older handle to slot %d moved its new resident or the epoch", op, fresh.slot)
+	}
 }
 
 // domainOps encodes a FuzzDomainOps input op by op: a kind byte, a name
@@ -463,11 +549,11 @@ func loadIdx(rng *rand.Rand) int  { return rng.Intn(len(fuzzLoads)) }
 // mutatorMix is every mutator against one host, round after round:
 // running residents on the even names take single and batched limit
 // writes and load writes, the last of them flips between running and
-// shut off. Each round also defines, starts and writes one of the odd
-// names, between the residents in name order, and shuts down and
-// undefines the previous round's, whose row is no longer the table's
-// last, so the undefine moves the newer one into its slot; the
-// undefined handle then takes one more write.
+// shut off. Each round also brings up one of the odd names, between the
+// residents in name order — defined, started and written in even
+// rounds, launched below its size in odd ones — and shuts down and
+// undefines the previous round's, whose slot the next round's name
+// takes; the undefined handle then takes one more write.
 func mutatorMix(seed int64, rounds int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	var o domainOps
@@ -489,9 +575,13 @@ func mutatorMix(seed int64, rounds int) []byte {
 			o.op(opStart, 6)
 		}
 		churn := 1 + 2*(r%4)
-		o.op(opDefine, churn, 2, 3) // 2 cores, 4096 MB
-		o.op(opStart, churn)
-		o.op(opShares, churn, 3)
+		if r%2 == 0 {
+			o.op(opDefine, churn, 2, 3) // 2 cores, 4096 MB
+			o.op(opStart, churn)
+			o.op(opShares, churn, 3)
+		} else {
+			o.op(opLaunch, churn, 2, 3, 3, limitIdx(rng), 0, 0) // 1.5 cores
+		}
 		if r > 0 {
 			prev := 1 + 2*((r-1)%4)
 			o.op(opShutdown, prev)
@@ -548,14 +638,15 @@ func (o *domainOps) wide(kind, name int, args ...int) {
 }
 
 const (
+	opLaunch  = opDefine | 8 // a Launch: size bytes, then the initial vector's
 	opBatch   = opLimits | 8 // a limit write as one Host.SetLimits batch
 	hostNames = 1024         // hostMix's name pool
 )
 
 // hostMix is a long stream over hostNames names: defines (most then
-// started) of fresh names drawn out of order and of undefined ones, so
-// most defines insert mid-order; undefines, each of a shut-off domain,
-// so most move the table's last row into the freed slot; CPU shares,
+// started) and launches of fresh names drawn out of order and of
+// undefined ones, so most insert mid-order and, once undefines have
+// begun, into a freed slot; undefines, each of a shut-off domain; CPU shares,
 // one-domain limit writes and batched writes over up to four residents
 // (repeats allowed); lifecycle flips; and load writes. Defines
 // outnumber undefines four to one, so the table grows to hundreds of
@@ -589,9 +680,16 @@ func hostMix(seed int64, ops int) []byte {
 				for n = rng.Intn(hostNames); slices.Contains(live, n) || slices.Contains(retired, n); n = rng.Intn(hostNames) {
 				}
 			}
-			o.wide(opDefine, n, 1+rng.Intn(5), 1+rng.Intn(3)) // 1 to 7.5 cores, 256 to 4096 MB
+			cores, mem := 1+rng.Intn(5), 1+rng.Intn(3) // 1 to 7.5 cores, 256 to 4096 MB
 			live = append(live, n)
-			if rng.Intn(5) != 0 {
+			switch rng.Intn(5) {
+			case 0:
+				o.wide(opDefine, n, cores, mem)
+			case 1:
+				o.wide(opLaunch, n, append([]int{cores, mem}, limits()...)...)
+				running[n] = true
+			default:
+				o.wide(opDefine, n, cores, mem)
 				o.wide(opStart, n)
 				running[n] = true
 			}
@@ -631,10 +729,10 @@ func hostMix(seed int64, ops int) []byte {
 }
 
 // runHostMix runs hostMix(seed, 2200) through runDomainOps, which must
-// move rows on undefine and accept batched writes.
+// reuse freed slots, launch and accept batched writes.
 func runHostMix(t *testing.T, seed int64) {
 	f := runDomainOps(t, hostMix(seed, 2200), hostNames)
-	if f.moves == 0 || f.batches == 0 {
+	if f.reuses == 0 || f.launches == 0 || f.batches == 0 {
 		t.Errorf("vacuous stream: %+v", f)
 	}
 	t.Logf("%d ops, at most %d live domains: %+v", f.ops, f.peak, f)

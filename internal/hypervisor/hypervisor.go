@@ -9,10 +9,11 @@
 // disk and network, for one domain or for a batch of a host's domains).
 // A Domain's Allocation() vector — its nominal size capped by every
 // engaged limit — is the single point of truth consumed by the policies
-// and the performance models. A Domain is a 16-byte handle, its host and
-// its slot in the host's row table, like a libvirt domain pointer: the
-// host owns everything the handle names (configuration, lifecycle state,
-// engaged limits, offered load), and the domain carries no guest OS. The
+// and the performance models. A Domain is a 16-byte value, its host, its
+// slot in the host's row table and that slot's generation, like a libvirt
+// domain pointer that copies freely: the host owns everything the handle
+// names (configuration, lifecycle state, engaged limits, offered load),
+// and the domain carries no guest OS. The
 // explicit (hotplug) deflation of Section 4.3 and the guest's swap and
 // cache-loss reads belong to the single-VM experiments of Figures 3, 13
 // and 14, which boot a guestos.GuestOS beside the domain (package apps)
@@ -35,12 +36,15 @@
 // A limit write (Host.SetLimits) is the only allocation write after
 // Define. It bumps the host's allocation epoch at most once, however
 // many domains it covers. Domain.SetLimits and SetCPUShares are its
-// one-element case.
+// one-element case, and Host.Launch (define, start and initial limits in
+// one call) bumps it as Define, Start and SetLimits would.
 //
-// Undefine invalidates the handle. Its reads then return zero values
-// (Host aside), and its lifecycle calls and limit writes fail with
-// ErrNotFound, as libvirt's do on an undefined domain, moving no row,
-// aggregate or epoch.
+// Undefine invalidates every copy of the handle: the slot's generation
+// moves on, even after Define hands the slot to another domain. A stale
+// handle's reads then return zero values (Host aside), and its
+// lifecycle calls and limit writes fail with ErrNotFound, as libvirt's
+// do on an undefined domain, moving no row, aggregate or epoch. So does
+// the zero Domain.
 package hypervisor
 
 import (
@@ -203,9 +207,12 @@ type row struct {
 	priority float64
 	// load is the offered request load (cores) last reported through
 	// SetOfferedLoad, seeded from DomainConfig.Load.
-	load  float64
-	dom   *Domain
-	tag   int32
+	load float64
+	tag  int32
+	// gen is the slot's generation: Undefine bumps it, and a handle
+	// names the row only while its own gen matches. It survives the
+	// zeroing of a freed row.
+	gen   uint32
 	state DomainState
 	// deflated is alloc.DeflationFraction(size) > 0 — the Aggregates.Deflated
 	// predicate, evaluated when alloc is written instead of at every visit.
@@ -219,7 +226,7 @@ type row struct {
 }
 
 // undefinedRow is what an undefined handle reads: every column zero.
-// Nothing writes it; every writer checks the handle's slot first.
+// Nothing writes it; every writer checks the handle's generation first.
 var undefinedRow row
 
 // Host is one simulated physical server running a KVM hypervisor. It
@@ -228,16 +235,18 @@ var undefinedRow row
 type Host struct {
 	cfg HostConfig
 
-	// rows is the row table, one row per resident with no holes: Define
-	// appends, and Undefine moves the last row into the freed slot and
-	// re-points its Domain.slot and order entry. order holds the slots
-	// sorted by name; it is also the name index (find). Keeping it
-	// materialised makes the walks below iterate in a fixed order, which
-	// keeps the float sums of Aggregates() bit-for-bit reproducible —
-	// map iteration order would perturb the low bits run to run and break
-	// the simulator's determinism guarantee.
+	// rows is the row table. A row keeps its slot for its resident's
+	// whole life: Undefine zeroes it, bumps its gen and pushes the slot
+	// onto free, which Define pops before it appends a new row. order
+	// holds the live slots sorted by name; it is also the name index
+	// (find). Every walk goes through it, so freed slots are never
+	// visited and the walks iterate in a fixed order, which keeps the
+	// float sums of Aggregates() bit-for-bit reproducible — map (or slot)
+	// order would perturb the low bits run to run and break the
+	// simulator's determinism guarantee.
 	rows  []row
 	order []int32
+	free  []int32
 
 	// epoch is the allocation epoch (see AllocEpoch), bumped by
 	// SetLimits.
@@ -315,7 +324,7 @@ func (h *Host) Aggregates() Aggregates {
 }
 
 // AppendDeflatableView appends the host's policy view of its running
-// deflatable domains — one policy.VMState plus the matching *Domain per
+// deflatable domains — one policy.VMState plus the matching Domain per
 // VM, in name order — to states and domains, and returns the extended
 // slices; every state's Min is DefaultFloor and its Load the domain's
 // live offered load. It is one walk over the row table. Callers own the
@@ -325,7 +334,7 @@ func (h *Host) Aggregates() Aggregates {
 // The appended states are a snapshot: a subsequent mutation or load
 // write shows in the next read, but touches no slice already handed out,
 // exactly like Aggregates().
-func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) ([]policy.VMState, []*Domain) {
+func (h *Host) AppendDeflatableView(states []policy.VMState, domains []Domain) ([]policy.VMState, []Domain) {
 	floor := DefaultFloor()
 	rows := h.rows
 	for _, slot := range h.order {
@@ -336,116 +345,174 @@ func (h *Host) AppendDeflatableView(states []policy.VMState, domains []*Domain) 
 		states = append(states, policy.VMState{})
 		st := &states[len(states)-1]
 		st.Name, st.Max, st.Min, st.Priority, st.Current, st.Load = r.name, r.size, floor, r.priority, r.alloc, r.load
-		domains = append(domains, r.dom)
+		domains = append(domains, Domain{host: h, slot: slot, gen: r.gen})
 	}
 	return states, domains
 }
 
 // find returns the position in order of the first resident whose
-// name is >= name, and that resident's domain if it is named name (nil
-// otherwise).
-func (h *Host) find(name string) (int, *Domain) {
+// name is >= name, and whether that resident is named name.
+func (h *Host) find(name string) (int, bool) {
 	i := sort.Search(len(h.order), func(i int) bool { return h.rows[h.order[i]].name >= name })
-	if i < len(h.order) {
-		if r := &h.rows[h.order[i]]; r.name == name {
-			return i, r.dom
-		}
-	}
-	return i, nil
+	return i, i < len(h.order) && h.rows[h.order[i]].name == name
+}
+
+// handle returns the handle on the resident at position i of order.
+func (h *Host) handle(i int) Domain {
+	slot := h.order[i]
+	return Domain{host: h, slot: slot, gen: h.rows[slot].gen}
 }
 
 // Define creates a domain. Defining does not reserve physical resources:
 // like a real IaaS hypervisor, the host permits overcommitment, which is
-// exactly what deflation exists to manage. The handle is the one
-// allocation; the domain's row, with no controller engaged, is appended
-// to the host's row table.
+// exactly what deflation exists to manage. The domain's row, with no
+// controller engaged, takes a freed slot of the host's row table or a
+// new one. The returned pointer is the one allocation; Launch, the
+// cluster manager's path, hands out the handle by value.
 func (h *Host) Define(cfg DomainConfig) (*Domain, error) {
-	if err := cfg.Validate(); err != nil {
+	i, err := h.admit(cfg)
+	if err != nil {
 		return nil, err
 	}
-	i, dup := h.find(cfg.Name)
-	if dup != nil {
-		return nil, fmt.Errorf("%w: %s", ErrExists, cfg.Name)
+	d := h.insert(i, cfg)
+	return &d, nil
+}
+
+// Launch defines a domain, starts it and writes its initial limits —
+// initial clamped as ClampTarget clamps it — in one call, with the
+// effect of Define, Start and SetLimits in turn: the epoch moves once if
+// and only if the initial allocation is below the size. It is all or
+// nothing: it fails with the host as it was on what Define refuses and,
+// after those checks, on an initial vector with a negative or NaN
+// component (ErrInvalid).
+func (h *Host) Launch(cfg DomainConfig, initial resources.Vector) (Domain, error) {
+	i, err := h.admit(cfg)
+	if err == nil {
+		err = checkTarget(cfg.Name, initial)
 	}
-	d := &Domain{host: h, slot: int32(len(h.rows))}
-	h.rows = append(h.rows, row{
+	if err != nil {
+		return Domain{}, err
+	}
+	d := h.insert(i, cfg)
+	r := &h.rows[d.slot]
+	r.state = Running
+	r.limits = initial.Clamp(DefaultFloor(), r.size) // a fresh row engages nothing
+	if a := r.derive(); a != r.alloc {
+		r.setAlloc(a)
+		h.epoch++
+	}
+	return d, nil
+}
+
+// admit is Define's refusals: it validates cfg, rejects a name already
+// defined, and returns the name's position in order.
+func (h *Host) admit(cfg DomainConfig) (int, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	i, dup := h.find(cfg.Name)
+	if dup {
+		return 0, fmt.Errorf("%w: %s", ErrExists, cfg.Name)
+	}
+	return i, nil
+}
+
+// insert adds cfg's row at position i of the name order, in a freed slot
+// if there is one and otherwise a new one, and returns its handle.
+func (h *Host) insert(i int, cfg DomainConfig) Domain {
+	var slot int32
+	if n := len(h.free); n > 0 {
+		slot, h.free = h.free[n-1], h.free[:n-1]
+	} else {
+		slot = int32(len(h.rows))
+		h.rows = append(h.rows, row{})
+	}
+	r := &h.rows[slot]
+	*r = row{
 		name:       cfg.Name,
 		size:       cfg.Size,
 		alloc:      cfg.Size,
 		priority:   cfg.Priority,
 		load:       cfg.Load,
-		dom:        d,
 		tag:        cfg.Tag,
+		gen:        r.gen,
 		deflatable: cfg.Deflatable,
-	})
+	}
 	h.order = append(h.order, 0)
 	copy(h.order[i+1:], h.order[i:])
-	h.order[i] = d.slot
-	return d, nil
+	h.order[i] = slot
+	return h.handle(i)
 }
 
 // Lookup finds a domain by name.
-func (h *Host) Lookup(name string) (*Domain, error) {
-	if _, d := h.find(name); d != nil {
-		return d, nil
+func (h *Host) Lookup(name string) (Domain, error) {
+	if i, ok := h.find(name); ok {
+		return h.handle(i), nil
 	}
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	return Domain{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 }
 
 // Domains lists domains sorted by name.
-func (h *Host) Domains() []*Domain {
-	out := make([]*Domain, len(h.order))
-	for i, slot := range h.order {
-		out[i] = h.rows[slot].dom
+func (h *Host) Domains() []Domain {
+	out := make([]Domain, len(h.order))
+	for i := range h.order {
+		out[i] = h.handle(i)
 	}
 	return out
 }
 
-// Undefine removes a stopped domain from the host; the table's last row
-// moves into its slot, and the handle is invalidated (see the package
-// comment).
+// Undefine removes a stopped domain from the host: its row is zeroed
+// and its slot freed under the next generation, which invalidates every
+// copy of its handle (see the package comment).
 func (h *Host) Undefine(name string) error {
-	i, d := h.find(name)
-	if d == nil {
+	i, ok := h.find(name)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if h.rows[d.slot].state == Running {
+	slot := h.order[i]
+	r := &h.rows[slot]
+	if r.state == Running {
 		return fmt.Errorf("%w: cannot undefine running domain %s", ErrState, name)
 	}
 	h.order = append(h.order[:i], h.order[i+1:]...)
-	last := int32(len(h.rows) - 1)
-	if hole := d.slot; hole != last {
-		moved := h.rows[last]
-		j, _ := h.find(moved.name)
-		h.order[j], moved.dom.slot = hole, hole
-		h.rows[hole] = moved
-	}
-	h.rows[last] = row{}
-	h.rows = h.rows[:last]
-	d.slot = -1
+	*r = row{gen: r.gen + 1}
+	h.free = append(h.free, slot)
 	return nil
 }
 
-// Domain is a handle on one VM resident on a Host: the host and the
-// slot of the domain's row in its table, which Undefine re-points when
-// it moves the row. The host owns the state the handle names. Like its
-// host it is not safe for concurrent use.
+// Domain is a handle on one VM resident on a Host, held and copied by
+// value: the host, the slot of the domain's row in its table, which
+// the row keeps for the domain's whole life, and the slot's generation
+// at Define. The host owns the state the handle names. Like its host it
+// is not safe for concurrent use.
 type Domain struct {
 	host *Host
-	// slot indexes the domain's row in host.rows; -1 once undefined.
 	slot int32
+	gen  uint32
 }
 
 // errUndefined is what a lifecycle call or limit write through an
 // undefined handle returns.
 var errUndefined = fmt.Errorf("%w: undefined domain handle", ErrNotFound)
 
-// row returns the domain's row, undefinedRow once undefined.
-func (d *Domain) row() *row {
-	if d.slot < 0 {
-		return &undefinedRow
+// live returns the domain's row, or nil once it is undefined (or d is
+// the zero Domain).
+func (d Domain) live() *row {
+	if d.host == nil {
+		return nil
 	}
-	return &d.host.rows[d.slot]
+	if r := &d.host.rows[d.slot]; r.gen == d.gen {
+		return r
+	}
+	return nil
+}
+
+// row returns the domain's row, undefinedRow once undefined.
+func (d Domain) row() *row {
+	if r := d.live(); r != nil {
+		return r
+	}
+	return &undefinedRow
 }
 
 // setAlloc writes the row's allocation column and the Deflated predicate
@@ -468,28 +535,28 @@ func (r *row) derive() resources.Vector {
 }
 
 // Name returns the domain name.
-func (d *Domain) Name() string { return d.row().name }
+func (d Domain) Name() string { return d.row().name }
 
 // Config returns the domain's configuration, its Load the live offered
 // load: re-defined elsewhere (an evacuation), the VM lands under the
 // load it carries now, not the one it was admitted with.
-func (d *Domain) Config() DomainConfig {
+func (d Domain) Config() DomainConfig {
 	r := d.row()
 	return DomainConfig{Name: r.name, Size: r.size, Deflatable: r.deflatable, Tag: r.tag, Priority: r.priority, Load: r.load}
 }
 
 // Host returns the host the domain was defined on.
-func (d *Domain) Host() *Host { return d.host }
+func (d Domain) Host() *Host { return d.host }
 
 // State returns the domain's lifecycle state.
-func (d *Domain) State() DomainState { return d.row().state }
+func (d Domain) State() DomainState { return d.row().state }
 
 // Start transitions Defined/Shutoff -> Running.
-func (d *Domain) Start() error {
-	if d.slot < 0 {
+func (d Domain) Start() error {
+	r := d.live()
+	if r == nil {
 		return errUndefined
 	}
-	r := d.row()
 	if r.state == Running {
 		return fmt.Errorf("%w: %s already running", ErrState, r.name)
 	}
@@ -498,11 +565,11 @@ func (d *Domain) Start() error {
 }
 
 // Shutdown transitions Running -> Shutoff.
-func (d *Domain) Shutdown() error {
-	if d.slot < 0 {
+func (d Domain) Shutdown() error {
+	r := d.live()
+	if r == nil {
 		return errUndefined
 	}
-	r := d.row()
 	if r.state != Running {
 		return fmt.Errorf("%w: %s not running", ErrState, r.name)
 	}
@@ -511,17 +578,17 @@ func (d *Domain) Shutdown() error {
 }
 
 // MaxSize returns the nominal undeflated allocation M_i.
-func (d *Domain) MaxSize() resources.Vector { return d.row().size }
+func (d Domain) MaxSize() resources.Vector { return d.row().size }
 
 // Allocation returns the domain's current allocation: the nominal size
 // capped by its engaged cgroup limits. This is the vector the cluster
 // policies account against. It reads the domain's row, written by the
 // limit write that last moved the allocation.
-func (d *Domain) Allocation() resources.Vector { return d.row().alloc }
+func (d Domain) Allocation() resources.Vector { return d.row().alloc }
 
 // AllocationEpoch returns the domain's allocation and its host's
 // allocation epoch, read together.
-func (d *Domain) AllocationEpoch() (resources.Vector, uint64) {
+func (d Domain) AllocationEpoch() (resources.Vector, uint64) {
 	return d.row().alloc, d.host.epoch
 }
 
@@ -531,12 +598,12 @@ func (d *Domain) AllocationEpoch() (resources.Vector, uint64) {
 // the host's deflatable view. Negative and non-finite (NaN, ±Inf) values
 // clamp to zero. A load moves no aggregate, no free share and no index
 // key: the next AppendDeflatableView reads the new value through.
-func (d *Domain) SetOfferedLoad(v float64) {
+func (d Domain) SetOfferedLoad(v float64) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		v = 0
 	}
-	if d.slot >= 0 {
-		d.host.rows[d.slot].load = v
+	if r := d.live(); r != nil {
+		r.load = v
 	}
 }
 
@@ -547,17 +614,26 @@ func (d *Domain) SetOfferedLoad(v float64) {
 // or NaN component (ErrInvalid) and an undefined handle (ErrNotFound).
 // It is the one clamp the mechanisms and the cluster's policy passes
 // apply before a limit write.
-func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) {
-	if d.slot < 0 {
+func (d Domain) ClampTarget(target resources.Vector) (resources.Vector, error) {
+	r := d.live()
+	if r == nil {
 		return resources.Vector{}, errUndefined
 	}
-	r := d.row()
-	for k, x := range target {
-		if !(x >= 0) { // also catches NaN
-			return resources.Vector{}, fmt.Errorf("%w: domain %s target %s=%g is negative or NaN", ErrInvalid, r.name, resources.Kind(k), x)
-		}
+	if err := checkTarget(r.name, target); err != nil {
+		return resources.Vector{}, err
 	}
 	return target.Clamp(DefaultFloor(), r.size), nil
+}
+
+// checkTarget rejects a target for domain name with a negative or NaN
+// component.
+func checkTarget(name string, target resources.Vector) error {
+	for k, x := range target {
+		if !(x >= 0) { // also catches NaN
+			return fmt.Errorf("%w: domain %s target %s=%g is negative or NaN", ErrInvalid, name, resources.Kind(k), x)
+		}
+	}
+	return nil
 }
 
 // SetLimits writes a policy pass's limits to the host's domains in one
@@ -570,7 +646,7 @@ func (d *Domain) ClampTarget(target resources.Vector) (resources.Vector, error) 
 // undefined handle with ErrNotFound. If any write moved a resident's
 // allocation, the allocation epoch moves by exactly one; otherwise it is
 // not touched.
-func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
+func (h *Host) SetLimits(doms []Domain, limits []resources.Vector) error {
 	if len(doms) != len(limits) {
 		return fmt.Errorf("%w: host %s limit write of %d domains with %d limit vectors", ErrInvalid, h.cfg.Name, len(doms), len(limits))
 	}
@@ -578,12 +654,13 @@ func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 		if d.host != h {
 			return fmt.Errorf("%w: domain %s is not on host %s", ErrInvalid, d.Name(), h.cfg.Name)
 		}
-		if d.slot < 0 {
+		r := d.live()
+		if r == nil {
 			return errUndefined
 		}
 		for k, x := range limits[i] {
 			if !(x >= 0) { // also catches NaN
-				return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, h.rows[d.slot].name, resources.Kind(k), x)
+				return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, r.name, resources.Kind(k), x)
 			}
 		}
 	}
@@ -609,8 +686,8 @@ func (h *Host) SetLimits(doms []*Domain, limits []resources.Vector) error {
 
 // SetLimits is Host.SetLimits on this one domain; it returns the
 // allocation the domain ends up with.
-func (d *Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
-	doms, v := [1]*Domain{d}, [1]resources.Vector{limits}
+func (d Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
+	doms, v := [1]Domain{d}, [1]resources.Vector{limits}
 	if err := d.host.SetLimits(doms[:], v[:]); err != nil {
 		return resources.Vector{}, err
 	}
@@ -621,8 +698,8 @@ func (d *Domain) SetLimits(limits resources.Vector) (resources.Vector, error) {
 // A zero, negative or NaN limit is rejected: freezing a VM entirely is
 // preemption, not deflation. Through an undefined handle SetLimits
 // fails first, with ErrNotFound, whatever v is.
-func (d *Domain) setLimit(k resources.Kind, v float64) error {
-	if !(v > 0) && d.slot >= 0 {
+func (d Domain) setLimit(k resources.Kind, v float64) error {
+	if !(v > 0) && d.live() != nil {
 		return fmt.Errorf("%w: domain %s %s limit %g", ErrInvalid, d.Name(), k, v)
 	}
 	_, err := d.SetLimits(resources.Vector{}.With(k, v))
@@ -632,6 +709,6 @@ func (d *Domain) setLimit(k resources.Kind, v float64) error {
 // SetCPUShares caps the domain's CPU consumption at cores physical cores
 // by adjusting its cgroup CPU bandwidth. The guest still sees all its
 // vCPUs; they just run slower.
-func (d *Domain) SetCPUShares(cores float64) error {
+func (d Domain) SetCPUShares(cores float64) error {
 	return d.setLimit(resources.CPU, cores)
 }

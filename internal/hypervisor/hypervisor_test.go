@@ -21,7 +21,7 @@ func testHost(t testing.TB) *Host {
 	return h
 }
 
-func defineRunning(t testing.TB, h *Host, name string, cores, memMB float64) *Domain {
+func defineRunning(t testing.TB, h *Host, name string, cores, memMB float64) Domain {
 	t.Helper()
 	d, err := h.Define(DomainConfig{
 		Name:       name,
@@ -35,7 +35,7 @@ func defineRunning(t testing.TB, h *Host, name string, cores, memMB float64) *Do
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return *d
 }
 
 // badCapacities are host capacities no server can have: empty, or with

@@ -62,8 +62,9 @@ func TestDomainEffective(t *testing.T) {
 	}
 }
 
-// TestDomainSize pins what a cluster VM's handle costs: its host and
-// its row slot, nothing else — the 16 B size class.
+// TestDomainSize pins what a cluster VM's handle costs: its host, its
+// row slot and the slot's generation, nothing else — 16 B, copied by
+// value.
 func TestDomainSize(t *testing.T) {
 	var d Domain
 	got := unsafe.Sizeof(d)
@@ -74,7 +75,7 @@ func TestDomainSize(t *testing.T) {
 }
 
 // TestRowSize pins the bytes a host keeps per resident: name, size,
-// allocation, priority, offered load, handle pointer, tag, lifecycle
+// allocation, priority, offered load, tag, slot generation, lifecycle
 // state, two flags and the engaged limits, with no floor column (every
 // domain's floor is DefaultFloor).
 func TestRowSize(t *testing.T) {

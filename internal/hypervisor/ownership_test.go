@@ -8,24 +8,37 @@ import (
 	"vmdeflate/internal/resources"
 )
 
-// checkRows audits the row table: the table and its name order are
-// dense and of one length, every slot is owned by exactly the handle
-// that points at it (a moved row whose handle was not re-pointed shows
-// here and in the model's reads through the handles), each row's
-// allocation and Deflated predicate equal what its size and engaged
-// limits derive, the spare capacity past the last row holds no row a
-// departed resident left behind, and the row undefined handles read is
-// still all zeros.
+// checkRows audits the row table: every slot is either live, in the
+// name order exactly once, or free, on the free list exactly once and
+// zero but for its generation; each live row is found under its name at
+// its position in the order, which is sorted, and Lookup hands out its
+// slot at its generation; each live row's allocation and Deflated
+// predicate equal what its size and engaged limits derive; the spare
+// capacity past the last row holds no row; and the row undefined
+// handles read is still all zeros.
 func checkRows(t *testing.T, h *Host, op string) {
 	t.Helper()
-	if len(h.order) != len(h.rows) {
-		t.Fatalf("after %s: %d ordered slots in a table of %d", op, len(h.order), len(h.rows))
+	if len(h.order)+len(h.free) != len(h.rows) {
+		t.Fatalf("after %s: %d ordered and %d free slots in a table of %d", op, len(h.order), len(h.free), len(h.rows))
+	}
+	seen := make([]bool, len(h.rows))
+	for _, slot := range h.free {
+		if r := h.rows[slot]; seen[slot] || r != (row{gen: r.gen}) {
+			t.Fatalf("after %s: free slot %d is listed twice or holds %+v", op, slot, r)
+		}
+		seen[slot] = true
 	}
 	for i, slot := range h.order {
 		r := &h.rows[slot]
-		d := r.dom
-		if pos, found := h.find(r.name); d == nil || d.host != h || d.slot != slot || pos != i || found != d {
-			t.Fatalf("after %s: slot %d (%q) is not owned by the domain it names", op, slot, r.name)
+		if seen[slot] {
+			t.Fatalf("after %s: slot %d (%q) is both live and free, or ordered twice", op, slot, r.name)
+		}
+		seen[slot] = true
+		if pos, found := h.find(r.name); !found || pos != i {
+			t.Fatalf("after %s: slot %d (%q) is not found at its position %d", op, slot, r.name, i)
+		}
+		if d, err := h.Lookup(r.name); err != nil || d != (Domain{host: h, slot: slot, gen: r.gen}) {
+			t.Fatalf("after %s: Lookup(%q) = %+v, %v; want slot %d at generation %d", op, r.name, d, err, slot, r.gen)
 		}
 		if i > 0 && h.rows[h.order[i-1]].name >= r.name {
 			t.Fatalf("after %s: order not sorted at %q", op, r.name)
@@ -52,7 +65,7 @@ type limitState struct {
 	agg    Aggregates
 }
 
-func limitStateOf(d *Domain) limitState {
+func limitStateOf(d Domain) limitState {
 	return limitState{d.row().limits, d.Allocation(), d.Host().Aggregates()}
 }
 
@@ -93,7 +106,9 @@ func TestDefineSurfacesGuestError(t *testing.T) {
 
 // TestDefineAllocatesOnce pins the layout: in steady state a
 // define / start / shutdown / undefine cycle allocates the Domain handle
-// and nothing else (its row and limits cost no object of their own).
+// Define returns and nothing else (its row and limits cost no object of
+// their own, and it reuses the slot it freed), and a launch / shutdown /
+// undefine cycle, whose handle is a value, allocates nothing.
 func TestDefineAllocatesOnce(t *testing.T) {
 	h := testHost(t)
 	for i := 0; i < 8; i++ {
@@ -114,6 +129,19 @@ func TestDefineAllocatesOnce(t *testing.T) {
 	cycle() // warm the row table and the name order
 	if got := testing.AllocsPerRun(200, cycle); got != 1 {
 		t.Errorf("define/undefine cycle allocates %.1f objects, want 1 (the Domain)", got)
+	}
+	launch := func() {
+		d, err := h.Launch(probe, probe.Size.Scale(0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Shutdown()
+		if err := h.Undefine(probe.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(200, launch); got != 0 {
+		t.Errorf("launch/undefine cycle allocates %.1f objects, want 0", got)
 	}
 }
 
@@ -159,7 +187,7 @@ func BenchmarkDefineUndefineSteadyState(b *testing.B) {
 // what every server the manager writes owes its dirty sync.
 func BenchmarkRefreshWalkSteadyState(b *testing.B) {
 	h := testHost(b)
-	doms := make([]*Domain, 20)
+	doms := make([]Domain, 20)
 	for i := range doms {
 		doms[i] = defineRunning(b, h, fmt.Sprintf("vm-%02d", i), 2, 4096)
 	}

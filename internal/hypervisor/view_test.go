@@ -11,9 +11,9 @@ import (
 // freshView rebuilds the deflatable VM-state view from scratch through
 // the public Domains() walk — the oracle the host's view must match
 // bit-for-bit after any operation sequence.
-func freshView(h *Host) ([]policy.VMState, []*Domain) {
+func freshView(h *Host) ([]policy.VMState, []Domain) {
 	var states []policy.VMState
-	var doms []*Domain
+	var doms []Domain
 	for _, d := range h.Domains() { // Domains() is sorted by name
 		if !d.Config().Deflatable || d.State() != Running {
 			continue
@@ -33,7 +33,7 @@ func freshView(h *Host) ([]policy.VMState, []*Domain) {
 
 // checkView holds a view read from h, gotStates and gotDoms, to a fresh
 // walk.
-func checkView(t *testing.T, h *Host, op string, gotStates []policy.VMState, gotDoms []*Domain) {
+func checkView(t *testing.T, h *Host, op string, gotStates []policy.VMState, gotDoms []Domain) {
 	t.Helper()
 	wantStates, wantDoms := freshView(h)
 	if len(gotStates) != len(wantStates) || len(gotDoms) != len(wantDoms) {
@@ -46,7 +46,7 @@ func checkView(t *testing.T, h *Host, op string, gotStates []policy.VMState, got
 				op, i, gotStates[i], wantStates[i])
 		}
 		if gotDoms[i] != wantDoms[i] {
-			t.Fatalf("after %s: domain pointer %d diverged", op, i)
+			t.Fatalf("after %s: domain handle %d diverged", op, i)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func TestDeflatableViewAppendSemantics(t *testing.T) {
 	// Steady state: repeated reads into a reused buffer, with a limit
 	// change in between, must not allocate.
 	var sbuf []policy.VMState
-	var dbuf []*Domain
+	var dbuf []Domain
 	sbuf, dbuf = h.AppendDeflatableView(sbuf[:0], dbuf[:0])
 	got := testing.AllocsPerRun(100, func() {
 		d.SetCPUShares(2 + float64(len(sbuf)%2))
@@ -117,7 +117,7 @@ func TestLoadWriteFiresNoAggregateChange(t *testing.T) {
 // `make bench-allocs` requires 0 allocs/op.
 func BenchmarkLoadWriteViewSteadyState(b *testing.B) {
 	h := testHost(b)
-	doms := make([]*Domain, 8)
+	doms := make([]Domain, 8)
 	for i := range doms {
 		doms[i] = defineRunning(b, h, fmt.Sprintf("vm-%d", i), 4, 8192)
 	}

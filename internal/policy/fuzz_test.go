@@ -194,3 +194,34 @@ func FuzzTargetsInto(f *testing.F) {
 		}
 	})
 }
+
+// TestReinflationIsNeverInsufficient holds every policy to what the
+// cluster manager's reinflation pass relies on: handed back free
+// capacity (a need of -free, free >= 0) by VMs whose allocations the
+// policy itself wrote, a pass always succeeds. For the proportional
+// family and LatencyAware that is any Current in [Min, Max], however the
+// offered loads moved since (LatencyAware's load-derived safe sizes
+// give way to the floors); for Deterministic it is a Current at or above
+// the VM's deflated level max(pi*Max, Min), the lowest it writes. The
+// fleets are decodeTargetsCase's, over random bytes.
+func TestReinflationIsNeverInsufficient(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	var s Scratch
+	for c := 0; c < 4000; c++ {
+		data := make([]byte, 2+rng.Intn(200))
+		rng.Read(data)
+		p, vms, _ := decodeTargetsCase(data)
+		if _, ok := p.(Deterministic); ok {
+			for i := range vms {
+				vms[i].Current = vms[i].Current.Max(vms[i].Max.Scale(vms[i].Priority).Max(vms[i].Min))
+			}
+		}
+		var need resources.Vector
+		for _, k := range resources.Kinds {
+			need[k] = -float64(rng.Intn(5)) * rng.Float64() * 16
+		}
+		if _, err := p.TargetsInto(vms, need, &s); err != nil {
+			t.Fatalf("case %d: %s reinflating %d VMs by %v: %v", c, p.Name(), len(vms), need, err)
+		}
+	}
+}
