@@ -44,8 +44,8 @@ race-placement:
 mutate:
 	$(GO) test -count=1 -run '^TestMutationsAreKilled$$' -mutate -v -timeout 10m .
 
-# Mutation census (census_test.go) of one package, PKG=internal/cluster
-# or PKG=internal/hypervisor: every comparison flipped to its
+# Mutation census (census_test.go) of one package, PKG=internal/cluster,
+# internal/hypervisor or internal/policy: every comparison flipped to its
 # neighbour, every numeric + / - and && / || swapped and every call
 # statement dropped, each alone laid over the module, against the
 # package's tier-1 tests. Rewrites testdata/census/<pkg>.txt (each

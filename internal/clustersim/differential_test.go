@@ -3,6 +3,7 @@ package clustersim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vmdeflate/internal/policy"
@@ -12,7 +13,10 @@ import (
 // runOracleModes runs base on the binary-heap event queue, as the
 // subtest prefix+"heapqueue", and holds the run to want — the default
 // run of base, on the streamed intake over the live-set heap — bit for
-// bit. The placement oracles (the
+// bit, and checks that the run closed every VM it admitted: its
+// metering table is empty and no trace row is still running. (Each
+// admitted VM's departure is queued at its End, at most the horizon,
+// and the loop drains the queue.) The placement oracles (the
 // brute-force reference and the full pressure scan) are test-side in the
 // cluster package, so its engine_oracle_test.go runs the same
 // configuration tables under them.
@@ -20,12 +24,22 @@ func runOracleModes(t *testing.T, prefix string, base Config, want *Result) {
 	t.Helper()
 	t.Run(prefix+"heapqueue", func(t *testing.T) {
 		useHeapQueue(t)
-		got, err := Run(base)
+		e, err := NewEngine(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("heap-queue run diverged from the default engine:\ngot  %+v\nwant %+v", *got, *want)
+		}
+		if len(e.tbl) > 0 {
+			t.Fatalf("%d VMs still metered after the run", len(e.tbl))
+		}
+		if row := slices.IndexFunc(e.slotOf, func(s int32) bool { return s != slotNone }); row >= 0 {
+			t.Fatalf("trace row %d still running after the run (slot %d)", row, e.slotOf[row])
 		}
 	})
 }

@@ -1,12 +1,9 @@
 package clustersim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 
 	"vmdeflate/internal/cluster"
 	"vmdeflate/internal/hypervisor"
@@ -322,34 +319,14 @@ func (e *Engine) eventLoop() error {
 				e.queue.push(simEvent{at: next, kind: evSample})
 			}
 		case evArrival:
-			// Coalesce the run of arrivals sharing this timestamp into one
-			// PlaceVMs batch. The queue's (time, kind, seq) order
-			// guarantees the batch is exactly the simultaneous arrivals,
-			// in trace order — the order the manager places them in, one
-			// at a time. One exception preserves the
-			// departures-before-arrivals invariant of eventKind: a
-			// zero-lifetime VM (End == arrival instant,
-			// possible in hand-written CSV traces; the synthetic
-			// generators clip lifetimes to >= SampleInterval) departs at
-			// this same instant, and that departure must free its capacity
-			// for the arrivals still queued behind it — so it closes the
-			// batch, its departure event outranks the remaining arrivals,
-			// and the loop resumes batching after processing it.
-			batch = batch[:0]
-			batch = append(batch, ev)
-			if e.src.end(ev.seq) > ev.at { // a zero-lifetime first VM is a singleton batch
-				for !e.queue.empty() {
-					next := e.queue.peek()
-					if next.at != ev.at || next.kind != evArrival {
-						break
-					}
-					nb := e.pop()
-					batch = append(batch, nb)
-					if e.src.end(nb.seq) <= nb.at {
-						break // zero-lifetime VM closes the batch (see above)
-					}
-				}
-			}
+			// A zero-lifetime VM (End == arrival instant, possible in
+			// hand-written CSV traces; the synthetic generators clip
+			// lifetimes to >= SampleInterval) departs at this same
+			// instant, and that departure must free its capacity for the
+			// arrivals still queued behind it (departures before arrivals,
+			// see eventKind): it closes the batch, first arrival included,
+			// and the loop resumes batching after its departure.
+			batch = e.coalesce(batch, ev, e.zeroLifetime)
 			if err := r.handleArrivals(batch); err != nil {
 				return err
 			}
@@ -358,15 +335,7 @@ func (e *Engine) eventLoop() error {
 			// a rack-sized correlated shock — into ONE multi-server
 			// revocation: the servers it newly revokes, in event order,
 			// a second revoke of one server dropped.
-			batch = batch[:0]
-			batch = append(batch, ev)
-			for !e.queue.empty() {
-				next := e.queue.peek()
-				if next.at != ev.at || next.kind != evRevoke {
-					break
-				}
-				batch = append(batch, e.pop())
-			}
+			batch = e.coalesce(batch, ev, nil)
 			servers := e.servers[:0]
 			for _, rev := range batch {
 				i := e.shocks[rev.seq].Server
@@ -393,42 +362,36 @@ func (e *Engine) eventLoop() error {
 				e.res.Restorations++
 			}
 		case evDeparture:
-			// Coalesce the run of departures sharing this timestamp into
-			// one batched removal: the manager reinflates each affected
-			// server once instead of once per departing VM. The queue's
-			// (time, kind, seq) order guarantees the batch is exactly the
-			// simultaneous departures, in trace order.
-			batch = batch[:0]
-			batch = append(batch, ev)
-			for !e.queue.empty() {
-				next := e.queue.peek()
-				if next.at != ev.at || next.kind != evDeparture {
-					break
-				}
-				batch = append(batch, e.pop())
-			}
+			// One batched removal: the manager reinflates each affected
+			// server once instead of once per departing VM.
+			batch = e.coalesce(batch, ev, nil)
 			if err := r.handleDepartures(batch); err != nil {
 				return err
 			}
 		}
 	}
-	// Defensively close any VM that somehow outlived its departure
-	// event, in (ID, trace row) order so accumulator arithmetic stays
-	// deterministic.
-	if len(e.tbl) > 0 {
-		left := make([]int32, len(e.tbl))
-		for i := range left {
-			left[i] = int32(i)
-		}
-		slices.SortFunc(left, func(a, b int32) int {
-			return cmp.Or(strings.Compare(e.tbl[a].rec.ID, e.tbl[b].rec.ID), cmp.Compare(e.tbl[a].row, e.tbl[b].row))
-		})
-		for _, slot := range left {
-			e.closeVM(slot, e.horizon)
-		}
-	}
 	return nil
 }
+
+// coalesce returns batch refilled with ev and the queued events of its
+// kind at its instant: one same-instant batch, in the queue's (time,
+// kind, seq) order, which is trace order. closes, when set, reports
+// whether an event ends the batch after itself.
+func (e *Engine) coalesce(batch []simEvent, ev simEvent, closes func(simEvent) bool) []simEvent {
+	batch = append(batch[:0], ev)
+	for (closes == nil || !closes(ev)) && !e.queue.empty() {
+		if next := e.queue.peek(); next.at != ev.at || next.kind != ev.kind {
+			break
+		}
+		ev = e.pop()
+		batch = append(batch, ev)
+	}
+	return batch
+}
+
+// zeroLifetime reports whether arrival ev's VM ends at its arrival
+// instant, which closes an arrival batch.
+func (e *Engine) zeroLifetime(ev simEvent) bool { return e.src.end(ev.seq) <= ev.at }
 
 // pop takes the next event off the queue and counts it.
 func (e *Engine) pop() simEvent {
@@ -478,7 +441,6 @@ func (e *Engine) handleDepartures(evs []simEvent) error {
 		}
 		if slot >= 0 {
 			e.closeVM(slot, dev.at)
-			e.dropRow(slot)
 		}
 		e.slotOf[dev.seq] = slotNone
 		names = append(names, dev.name)
@@ -642,7 +604,6 @@ func (e *Engine) applyEvacuation(out cluster.Evacuation, at float64) {
 				vt.demand += rem
 				vt.lost += rem
 				e.closeVM(slot, at)
-				e.dropRow(slot)
 			}
 			e.slotOf[row] = slotNone
 			continue
@@ -681,10 +642,7 @@ func (e *Engine) metersOf(slot int32) []pricing.Meter {
 }
 
 // addRow appends a table row (with k zero meters) for trace row
-// vt.row and returns its slot; dropRow swap-removes one, moving the
-// last row and its meters into the hole and re-pointing that row's
-// slotOf entry. The swap reorders the table, but sampling is per-VM
-// isolated so order never matters.
+// vt.row and returns its slot.
 func (e *Engine) addRow(vt vmTracking) int32 {
 	slot := int32(len(e.tbl))
 	e.tbl = append(e.tbl, vt)
@@ -695,9 +653,21 @@ func (e *Engine) addRow(vt vmTracking) int32 {
 	return slot
 }
 
-func (e *Engine) dropRow(slot int32) {
+// closeVM settles table row slot's meters, folds its demand integrals
+// into the run accumulators and swap-removes the row: the last row and
+// its meters move into the hole and that row's slotOf entry follows.
+// The swap reorders the table, but sampling is per-VM isolated so order
+// never matters.
+func (e *Engine) closeVM(slot int32, at float64) {
+	vt := &e.tbl[slot]
+	finishVM(vt, e.metersOf(slot), at, e.res)
+	e.demandTotal += vt.demand
+	e.lostTotal += vt.lost
+	if vt.cur != nil {
+		e.src.release(vt.cur)
+	}
 	last := int32(len(e.tbl) - 1)
-	e.slotOf[e.tbl[slot].row] = slotNone
+	e.slotOf[vt.row] = slotNone
 	if slot != last {
 		e.tbl[slot] = e.tbl[last]
 		copy(e.metersOf(slot), e.metersOf(last))
@@ -706,19 +676,6 @@ func (e *Engine) dropRow(slot int32) {
 	e.tbl[last] = vmTracking{} // drop the domain/cursor/series pointers for the GC
 	e.tbl = e.tbl[:last]
 	e.meters = e.meters[:int(last)*len(pricingSchemes)]
-}
-
-// closeVM settles table row slot's meters and folds its demand
-// integrals into the run accumulators. The row stays until dropRow.
-func (e *Engine) closeVM(slot int32, at float64) {
-	vt := &e.tbl[slot]
-	finishVM(vt, e.metersOf(slot), at, e.res)
-	e.demandTotal += vt.demand
-	e.lostTotal += vt.lost
-	if vt.cur != nil {
-		e.src.release(vt.cur)
-		vt.cur = nil
-	}
 }
 
 // handleArrivals admits one same-timestamp batch of VMs through the

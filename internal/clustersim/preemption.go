@@ -1,8 +1,9 @@
 package clustersim
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 
 	"vmdeflate/internal/policy"
 	"vmdeflate/internal/resources"
@@ -118,11 +119,8 @@ func (p *preemption) victimsOn(i int, lowPriOnly bool) []*pVM {
 			v = append(v, vm)
 		}
 	}
-	sort.Slice(v, func(a, b int) bool {
-		if v[a].prio != v[b].prio {
-			return v[a].prio < v[b].prio
-		}
-		return v[a].rec.ID < v[b].rec.ID
+	slices.SortFunc(v, func(a, b *pVM) int {
+		return cmp.Or(cmp.Compare(a.prio, b.prio), strings.Compare(a.rec.ID, b.rec.ID))
 	})
 	return v
 }

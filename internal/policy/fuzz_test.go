@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vmdeflate/internal/perfmodel"
@@ -33,11 +34,13 @@ func (r *fuzzBytes) fraction() float64 { return float64(r.next()%5) / 4 }
 // decodeTargetsCase decodes a byte string into a policy, a fleet of
 // finite VM states with Min <= Current <= Max on every dimension (zero
 // ranges, VMs at their floors and deflated VMs included), and a need
-// whose components take either sign. Three trailing bytes, decoded
+// whose components take either sign. Four trailing bytes, decoded
 // last so that shorter inputs keep their meaning, zero the priority of
-// the VMs a 12-bit mask names (priorityWeight's 1e-3 case) and pin
-// every VM to its floor on the dimensions a 4-bit mask names (a
-// floors-only dimension, which the water-fill skips).
+// the VMs a 12-bit mask names (priorityWeight's 1e-3 case), pin every
+// VM to its floor on the dimensions a 4-bit mask names (a floors-only
+// dimension, which the water-fill skips) and, when the last is u > 0,
+// scale every size and the need by 1 + u/10: sizes that are not
+// multiples of 1/4, whose sums round differently in different orders.
 func decodeTargetsCase(data []byte) (Policy, []VMState, resources.Vector) {
 	r := &fuzzBytes{data: data}
 	var p Policy
@@ -74,6 +77,7 @@ func decodeTargetsCase(data []byte) (Policy, []VMState, resources.Vector) {
 	}
 	zeroPri := r.next() | r.next()<<8
 	flat := r.next()
+	scale := 1 + float64(r.next())/10
 	for i := range vms {
 		if zeroPri&(1<<i) != 0 {
 			vms[i].Priority = 0
@@ -83,8 +87,11 @@ func decodeTargetsCase(data []byte) (Policy, []VMState, resources.Vector) {
 				vms[i].Min[k], vms[i].Current[k] = vms[i].Max[k], vms[i].Max[k]
 			}
 		}
+		vms[i].Max = vms[i].Max.Scale(scale)
+		vms[i].Min = vms[i].Min.Scale(scale)
+		vms[i].Current = vms[i].Current.Scale(scale)
 	}
-	return p, vms, need
+	return p, vms, need.Scale(scale)
 }
 
 // sameBits reports whether a and b are bit-for-bit equal.
@@ -106,8 +113,13 @@ func sameBits(a, b resources.Vector) bool {
 //   - a Scratch reused from an earlier pass on another fleet gives the
 //     same bits as a fresh one;
 //   - the decision equals the map-form Targets;
-//   - Proportional and Priority equal the water-fill they replaced
-//     (oracleTargets) bit for bit: every target, Freed and the error.
+//   - every policy equals its oracle (oracleTargets), the code it
+//     replaced, bit for bit: every target, Freed and the error;
+//   - Deterministic's and LatencyAware's targets are a function of the
+//     fleet, not of its order: the fleet reversed gets each VM the same
+//     target, bit for bit. (The decoded fleets are in name order, so
+//     this is the check that sees a walk order without its name
+//     tie-break.)
 func FuzzTargetsInto(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for seed := 0; seed < 16; seed++ {
@@ -125,6 +137,30 @@ func FuzzTargetsInto(f *testing.F) {
 		data[0], data[1] = byte(seed%2), byte(n)
 		data[len(data)-1] = byte(seed)
 		f.Add(data)
+	}
+	// Every policy on fleets whose sizes are not multiples of 1/4: the
+	// last trailing byte scales them by 2.3, 3.3, ....
+	for seed := 0; seed < 8; seed++ {
+		n, hdr := 2+seed%11, 1
+		if seed%4 == 3 {
+			hdr = 3 // LatencyAware's curve and slowdown bytes
+		}
+		data := make([]byte, hdr+1+n*14+4+4)
+		rng.Read(data)
+		data[0], data[hdr] = byte(seed%4), byte(n)
+		data[len(data)-1] = byte(13 + 10*seed)
+		f.Add(data)
+	}
+	// Deterministic and LatencyAware on three VMs of 8, 4 and 2 cores
+	// whose keys tie (priority 1/2; no load), where a 2-core need is
+	// met by lowering the first VM in (key, name) order.
+	for _, hdr := range [][]byte{{2}, {3, 0, 96}} {
+		data := append([]byte(nil), hdr...)
+		data = append(data, 3)
+		for _, cpu := range []byte{32, 16, 8} {
+			data = append(data, cpu, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0)
+		}
+		f.Add(append(data, 136, 128, 128, 128))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, vms, need := decodeTargetsCase(data)
@@ -170,15 +206,24 @@ func FuzzTargetsInto(f *testing.F) {
 			}
 		}
 
-		switch p.(type) {
-		case Proportional, Priority:
-			o, oerr := oracleTargets(p, vms, need)
-			if oerr != err || !sameBits(o.Freed, fresh.Freed) {
-				t.Fatalf("%s: freed %v (err %v), the oracle %v (err %v)", p.Name(), fresh.Freed, err, o.Freed, oerr)
+		o, oerr := oracleTargets(p, vms, need)
+		if oerr != err || !sameBits(o.Freed, fresh.Freed) {
+			t.Fatalf("%s: freed %v (err %v), the oracle %v (err %v)", p.Name(), fresh.Freed, err, o.Freed, oerr)
+		}
+		for i := range vms {
+			if !sameBits(o.Targets[i], want[i]) {
+				t.Fatalf("%s: %s target %v, the oracle %v", p.Name(), vms[i].Name, want[i], o.Targets[i])
 			}
-			for i := range vms {
-				if !sameBits(o.Targets[i], want[i]) {
-					t.Fatalf("%s: %s target %v, the oracle %v", p.Name(), vms[i].Name, want[i], o.Targets[i])
+		}
+
+		switch p.(type) {
+		case Deterministic, LatencyAware:
+			rev := slices.Clone(vms)
+			slices.Reverse(rev)
+			r, _ := p.TargetsInto(rev, need, &reused)
+			for i := range rev {
+				if j := len(vms) - 1 - i; !sameBits(r.Targets[i], want[j]) {
+					t.Fatalf("%s: %s target %v in the reversed fleet, %v in name order", p.Name(), vms[j].Name, r.Targets[i], want[j])
 				}
 			}
 		}

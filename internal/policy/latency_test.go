@@ -57,6 +57,16 @@ func TestLatencyAwareSafeTarget(t *testing.T) {
 	if got := res.Targets["b"].Get(resources.CPU); !almost(got, wantB) {
 		t.Errorf("b deflated to %g cores, want safe target %g", got, wantB)
 	}
+	// At MaxSlowdown 1, the lowest threshold that is not replaced by the
+	// default, a loaded VM has no safe deflation: the need is met at the
+	// floors (0 cores here), a first.
+	res, err = targets(LatencyAware{MaxSlowdown: 1}, vms, resources.New(3, 0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := res.Targets["a"].Get(resources.CPU), res.Targets["b"].Get(resources.CPU); a != 0 || b != 8 {
+		t.Errorf("at MaxSlowdown 1: a, b = %g, %g cores, want 0, 8", a, b)
+	}
 }
 
 // TestLatencyAwareTwoPhase: when the need exceeds what latency-safe

@@ -1,22 +1,44 @@
 package policy
 
-import "vmdeflate/internal/resources"
+import (
+	"sort"
 
-// The proportional family's water-fill as it was before a pass computed
-// weights once, summed only the Current total and skipped floors-only
-// dimensions: the per-dimension solver reads every weight by value, on
-// every dimension. Kept verbatim, renamed (its entries, whose type the
-// Scratch no longer holds, in a slice of their own), as the oracle
-// FuzzTargetsInto holds Proportional and Priority to bit for bit.
+	"vmdeflate/internal/perfmodel"
+	"vmdeflate/internal/resources"
+)
 
-// oracleTargets is the oracle's TargetsInto for Proportional and
-// Priority; any other policy has no oracle here.
+// The policies as they were before they shared their code, the oracles
+// FuzzTargetsInto holds every policy to bit for bit:
+//
+//   - the proportional family's water-fill as it was before a pass
+//     computed weights once, summed only the Current total and skipped
+//     floors-only dimensions: the per-dimension solver reads every
+//     weight by value, on every dimension;
+//   - Deterministic's and LatencyAware's two walks as they were before
+//     they became one ordered walk, each with its own sort.Interface
+//     sorter.
+//
+// Each is kept verbatim, renamed (the water-fill's entries and the
+// walks' sorters, whose types the Scratch no longer holds, in values of
+// their own), with one edit: LatencyAware's ΣMax loop runs after its
+// sort, over the walk order, as Deterministic's did. It summed in input
+// order. On sizes that are multiples of 1/4 both sums are exact. On
+// 100,000 decoded LatencyAware fleets of 2-12 VMs, 90,095 of them scaled
+// to sizes that are not, the two sums differed in their last bits on
+// 59,090, and no target, Freed or error did (FitsIn's 1e-9 slack
+// absorbs the rounding).
+
+// oracleTargets is the oracle's TargetsInto for policy p.
 func oracleTargets(p Policy, vms []VMState, need resources.Vector) (SliceResult, error) {
-	weight := oracleUnitWeight
-	if _, ok := p.(Priority); ok {
-		weight = oraclePriorityWeight
+	switch p := p.(type) {
+	case Deterministic:
+		return oracleDeterministicTargetsInto(vms, need, &Scratch{})
+	case LatencyAware:
+		return oracleLatencyTargetsInto(p, vms, need, &Scratch{})
+	case Priority:
+		return oracleWeightedTargetsInto(vms, need, oraclePriorityWeight, &Scratch{})
 	}
-	return oracleWeightedTargetsInto(vms, need, weight, &Scratch{})
+	return oracleWeightedTargetsInto(vms, need, oracleUnitWeight, &Scratch{})
 }
 
 // oracleTotals sums Max, Min and Current across vms.
@@ -154,4 +176,145 @@ func oracleSolveDimension(vms []VMState, k resources.Kind, desired float64, weig
 			return
 		}
 	}
+}
+
+// oracleDetSorter orders VM indices by (priority, name) ascending.
+type oracleDetSorter struct {
+	vms   []VMState
+	order []int
+}
+
+func (d *oracleDetSorter) Len() int      { return len(d.order) }
+func (d *oracleDetSorter) Swap(i, j int) { d.order[i], d.order[j] = d.order[j], d.order[i] }
+func (d *oracleDetSorter) Less(i, j int) bool {
+	a, b := &d.vms[d.order[i]], &d.vms[d.order[j]]
+	if a.Priority != b.Priority {
+		return a.Priority < b.Priority
+	}
+	return a.Name < b.Name
+}
+
+// oracleDeterministicTargetsInto is Deterministic.TargetsInto.
+func oracleDeterministicTargetsInto(vms []VMState, need resources.Vector, s *Scratch) (SliceResult, error) {
+	if s == nil {
+		s = &Scratch{}
+	}
+	var sorter oracleDetSorter // was s.sorter
+	targets := s.grow(len(vms))
+	if cap(s.order) < len(vms) {
+		s.order = make([]int, len(vms))
+	} else {
+		s.order = s.order[:len(vms)]
+	}
+	for i := range s.order {
+		s.order[i] = i
+	}
+	sorter.vms, sorter.order = vms, s.order
+	sort.Sort(&sorter)
+	sorter.vms = nil // do not retain the caller's slice
+
+	// Recompute the deflation set from scratch: walk VMs lowest priority
+	// first, deflating until the total allocation is at or below the
+	// desired level in every dimension. VMs not needed stay (or return)
+	// at full size — this single pass implements both deflation and
+	// reinflation deterministically.
+	curTotal := currentTotal(vms)
+	desired := curTotal.Sub(need)
+
+	var total resources.Vector
+	for _, i := range s.order {
+		targets[i] = vms[i].Max
+		total = total.Add(vms[i].Max)
+	}
+	for _, i := range s.order {
+		if total.FitsIn(desired) {
+			break
+		}
+		deflated := vms[i].Max.Scale(vms[i].Priority).Max(vms[i].Min)
+		total = total.Sub(vms[i].Max).Add(deflated)
+		targets[i] = deflated
+	}
+	return finishSlice(vms, targets, need)
+}
+
+// oracleLatSorter orders VM indices by (safe fraction, name) ascending: the
+// VMs that can deflate deepest without violating their SLO come first.
+type oracleLatSorter struct {
+	vms   []VMState
+	keys  []float64
+	order []int
+}
+
+func (l *oracleLatSorter) Len() int      { return len(l.order) }
+func (l *oracleLatSorter) Swap(i, j int) { l.order[i], l.order[j] = l.order[j], l.order[i] }
+func (l *oracleLatSorter) Less(i, j int) bool {
+	a, b := l.order[i], l.order[j]
+	if l.keys[a] != l.keys[b] {
+		return l.keys[a] < l.keys[b]
+	}
+	return l.vms[a].Name < l.vms[b].Name
+}
+
+// oracleLatencyTargetsInto is LatencyAware.TargetsInto, with its ΣMax
+// loop over s.order instead of over vms.
+func oracleLatencyTargetsInto(p LatencyAware, vms []VMState, need resources.Vector, s *Scratch) (SliceResult, error) {
+	if s == nil {
+		s = &Scratch{}
+	}
+	curve := p.Curve
+	if curve == (perfmodel.Curve{}) {
+		curve = perfmodel.WorstCaseLinear
+	}
+	maxS := p.MaxSlowdown
+	if maxS < 1 {
+		maxS = DefaultMaxSlowdown
+	}
+
+	var lsort oracleLatSorter // was s.lsort
+	targets := s.grow(len(vms))
+	if cap(s.order) < len(vms) {
+		s.order = make([]int, len(vms))
+	} else {
+		s.order = s.order[:len(vms)]
+	}
+	if cap(s.keys) < len(vms) {
+		s.keys = make([]float64, len(vms))
+	} else {
+		s.keys = s.keys[:len(vms)]
+	}
+	for i := range vms {
+		s.order[i] = i
+		s.keys[i] = safeFraction(&vms[i], curve, maxS)
+	}
+	lsort.vms, lsort.keys, lsort.order = vms, s.keys, s.order
+	sort.Sort(&lsort)
+	lsort.vms = nil // do not retain the caller's slice
+
+	curTotal := currentTotal(vms)
+	desired := curTotal.Sub(need)
+
+	var total resources.Vector
+	for _, i := range s.order { // the edit: was for i := range vms
+		targets[i] = vms[i].Max
+		total = total.Add(vms[i].Max)
+	}
+	// Phase 1: deflate to latency-safe allocations, most headroom first.
+	for _, i := range s.order {
+		if total.FitsIn(desired) {
+			break
+		}
+		safe := vms[i].Max.Scale(s.keys[i]).Max(vms[i].Min)
+		total = total.Sub(targets[i]).Add(safe)
+		targets[i] = safe
+	}
+	// Phase 2: the SLO budget is exhausted — push on to the QoS floors in
+	// the same order, so violations land on the fewest VMs possible.
+	for _, i := range s.order {
+		if total.FitsIn(desired) {
+			break
+		}
+		total = total.Sub(targets[i]).Add(vms[i].Min)
+		targets[i] = vms[i].Min
+	}
+	return finishSlice(vms, targets, need)
 }

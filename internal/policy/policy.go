@@ -2,7 +2,11 @@
 // Section 5.1: proportional deflation (Equations 1-2), priority-weighted
 // proportional deflation (Equations 3-4), and deterministic deflation,
 // plus reinflation for all three ("run the proportional deflation
-// backwards", Section 5.1.3).
+// backwards", Section 5.1.3), and a latency-aware policy. The policies
+// are two algorithms: the proportional family is one water-fill with a
+// per-VM weight, and Deterministic and LatencyAware are one ordered
+// walk (orderedWalk) with a per-VM key — priority, or the latency-safe
+// fraction, after which LatencyAware walks on to the floors.
 //
 // A policy is a pure function: given the deflatable VMs on a server and
 // the amount of each resource that must be freed relative to the current
@@ -24,9 +28,11 @@
 package policy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"vmdeflate/internal/perfmodel"
 	"vmdeflate/internal/resources"
@@ -75,23 +81,19 @@ type SliceResult struct {
 // is ready to use; after a few passes the buffers reach steady-state
 // capacity and TargetsInto stops allocating entirely. A Scratch must not
 // be shared between concurrent passes — the cluster manager owns one, in
-// its pass arena, and runs its passes one at a time.
+// its pass arena, and runs its passes one at a time. Its buffers are
+// plain slices: the targets, the water-fill's entries, and the ordered
+// walk's order and keys.
 type Scratch struct {
 	targets []resources.Vector
 	entries []wfEntry
-	order   []int
-	keys    []float64
-	sorter  detSorter
-	lsort   latSorter
+	order   []int     // the ordered walk's VM indices, in walk order
+	keys    []float64 // keys[i] is vms[i]'s walk key
 }
 
 // grow returns s.targets resized to n, reusing capacity.
 func (s *Scratch) grow(n int) []resources.Vector {
-	if cap(s.targets) < n {
-		s.targets = make([]resources.Vector, n)
-	} else {
-		s.targets = s.targets[:n]
-	}
+	s.targets = slices.Grow(s.targets[:0], n)[:n]
 	return s.targets
 }
 
@@ -313,71 +315,63 @@ func solveDimension(vms []VMState, k resources.Kind, desired float64, targets []
 // order of pi"; we deflate in increasing pi order, which is the ordering
 // consistent with the paper's reinflation rule — "the highest priority
 // VMs are reinflated first" — and with Figure 21's observation that
-// deterministic deflation penalises low-priority VMs most.)
+// deterministic deflation penalises low-priority VMs most.) It is the
+// ordered walk keyed by priority.
 type Deterministic struct{}
 
 // Name implements Policy.
 func (Deterministic) Name() string { return "deterministic" }
-
-// detSorter orders VM indices by (priority, name) ascending. It lives in
-// the Scratch so sort.Sort receives a pointer that is already on the
-// heap — no per-pass interface or closure allocation (sort.Slice's
-// reflect-based swapper is what this avoids).
-type detSorter struct {
-	vms   []VMState
-	order []int
-}
-
-func (d *detSorter) Len() int      { return len(d.order) }
-func (d *detSorter) Swap(i, j int) { d.order[i], d.order[j] = d.order[j], d.order[i] }
-func (d *detSorter) Less(i, j int) bool {
-	a, b := &d.vms[d.order[i]], &d.vms[d.order[j]]
-	if a.Priority != b.Priority {
-		return a.Priority < b.Priority
-	}
-	return a.Name < b.Name
-}
 
 // TargetsInto implements Policy.
 func (Deterministic) TargetsInto(vms []VMState, need resources.Vector, s *Scratch) (SliceResult, error) {
 	if s == nil {
 		s = &Scratch{}
 	}
-	targets := s.grow(len(vms))
-	if cap(s.order) < len(vms) {
-		s.order = make([]int, len(vms))
-	} else {
-		s.order = s.order[:len(vms)]
-	}
-	for i := range s.order {
-		s.order[i] = i
-	}
-	s.sorter.vms, s.sorter.order = vms, s.order
-	sort.Sort(&s.sorter)
-	s.sorter.vms = nil // do not retain the caller's slice
+	targets, _, _ := s.orderedWalk(vms, need, priorityKey)
+	return finishSlice(vms, targets, need)
+}
 
-	// Recompute the deflation set from scratch: walk VMs lowest priority
-	// first, deflating until the total allocation is at or below the
-	// desired level in every dimension. VMs not needed stay (or return)
-	// at full size — this single pass implements both deflation and
-	// reinflation deterministically.
-	curTotal := currentTotal(vms)
-	desired := curTotal.Sub(need)
+// priorityKey is Deterministic's walk key, a package-level function so
+// passing it down the hot path allocates nothing.
+func priorityKey(vm *VMState) float64 { return vm.Priority }
 
-	var total resources.Vector
-	for _, i := range s.order {
+// orderedWalk is the greedy walk of Deterministic and LatencyAware. It
+// sorts s.order by (key, name) ascending, a strict total order because
+// names are unique, with key(&vms[i]) in s.keys[i]. Then it recomputes
+// the deflation set from scratch: every target starts at Max and, in
+// walk order, each VM is lowered to max(key*Max, Min) until the total
+// allocation fits the desired one (the current total less need) in
+// every dimension. VMs not needed stay (or return) at full size, so the
+// one pass implements both deflation and reinflation. It returns the
+// targets and the walk's total and desired allocations, for a caller
+// that walks on.
+func (s *Scratch) orderedWalk(vms []VMState, need resources.Vector, key func(*VMState) float64) (targets []resources.Vector, total, desired resources.Vector) {
+	n := len(vms)
+	targets = s.grow(n)
+	order := slices.Grow(s.order[:0], n)[:n]
+	keys := slices.Grow(s.keys[:0], n)[:n]
+	s.order, s.keys = order, keys
+	for i := range vms {
+		order[i], keys[i] = i, key(&vms[i])
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(keys[a], keys[b]), strings.Compare(vms[a].Name, vms[b].Name))
+	})
+
+	desired = currentTotal(vms).Sub(need)
+	for _, i := range order {
 		targets[i] = vms[i].Max
 		total = total.Add(vms[i].Max)
 	}
-	for _, i := range s.order {
+	for _, i := range order {
 		if total.FitsIn(desired) {
 			break
 		}
-		deflated := vms[i].Max.Scale(vms[i].Priority).Max(vms[i].Min)
-		total = total.Sub(vms[i].Max).Add(deflated)
-		targets[i] = deflated
+		lowered := vms[i].Max.Scale(keys[i]).Max(vms[i].Min)
+		total = total.Sub(vms[i].Max).Add(lowered)
+		targets[i] = lowered
 	}
-	return finishSlice(vms, targets, need)
+	return targets, total, desired
 }
 
 // DefaultMaxSlowdown is the SLO threshold a zero-configured LatencyAware
@@ -385,23 +379,20 @@ func (Deterministic) TargetsInto(vms []VMState, need resources.Vector, s *Scratc
 // to the undeflated VM.
 const DefaultMaxSlowdown = 3.0
 
-// LatencyAware deflates the VMs with the most latency headroom first.
-// For each VM it combines the closed-form processor-sharing model with
-// the application's deflation-response curve to answer "how far can this
-// VM deflate before its offered load pushes request slowdown past the
-// SLO threshold?", then reclaims capacity greedily from the VMs whose
-// answer is deepest. Like Deterministic it recomputes the deflation set
+// LatencyAware deflates the VMs with the most latency headroom first:
+// it is Deterministic's walk with a load-derived key, then a walk to the
+// floors. For each VM it combines the closed-form processor-sharing
+// model with the application's deflation-response curve to answer "how
+// far can this VM deflate before its offered load pushes request
+// slowdown past the SLO threshold?" (safeFraction), and the ordered walk
+// lowers the VMs whose answer is deepest to their latency-safe
+// allocations first, so the SLO holds for all residents. Only if the
+// need still cannot be met does a second walk, in the same order, push
+// VMs on down to their QoS floors, accepting SLO violations on as few
+// VMs as possible. Like Deterministic it recomputes the deflation set
 // from scratch on every pass, so reinflation falls out of the same code
 // path; unlike the proportional family it is load-sensitive — an idle VM
 // absorbs reclamation before a loaded one regardless of priority.
-//
-// The decision is two-phase: first every selected VM is deflated only to
-// its latency-safe allocation (the SLO holds for all residents); only if
-// the need still cannot be met does a second pass push VMs on down to
-// their QoS floors, again most-headroom-first, accepting SLO violations
-// on as few VMs as possible. Both walks follow the same strict total
-// order (safe fraction ascending, then name), so the decision is
-// bit-for-bit reproducible.
 type LatencyAware struct {
 	// Curve maps deflation to retained performance. The zero value means
 	// the conservative worst-case linear assumption of Section 5.
@@ -414,26 +405,6 @@ type LatencyAware struct {
 
 // Name implements Policy.
 func (LatencyAware) Name() string { return "latency" }
-
-// latSorter orders VM indices by (safe fraction, name) ascending: the
-// VMs that can deflate deepest without violating their SLO come first.
-// It lives in the Scratch for the same reason as detSorter — sort.Sort
-// gets an already-heap-allocated pointer, so the pass allocates nothing.
-type latSorter struct {
-	vms   []VMState
-	keys  []float64
-	order []int
-}
-
-func (l *latSorter) Len() int      { return len(l.order) }
-func (l *latSorter) Swap(i, j int) { l.order[i], l.order[j] = l.order[j], l.order[i] }
-func (l *latSorter) Less(i, j int) bool {
-	a, b := l.order[i], l.order[j]
-	if l.keys[a] != l.keys[b] {
-		return l.keys[a] < l.keys[b]
-	}
-	return l.vms[a].Name < l.vms[b].Name
-}
 
 // safeFraction returns the smallest fraction of its nominal size the VM
 // can shrink to while keeping request slowdown within maxSlowdown: the
@@ -462,45 +433,11 @@ func (p LatencyAware) TargetsInto(vms []VMState, need resources.Vector, s *Scrat
 	if maxS < 1 {
 		maxS = DefaultMaxSlowdown
 	}
-
-	targets := s.grow(len(vms))
-	if cap(s.order) < len(vms) {
-		s.order = make([]int, len(vms))
-	} else {
-		s.order = s.order[:len(vms)]
-	}
-	if cap(s.keys) < len(vms) {
-		s.keys = make([]float64, len(vms))
-	} else {
-		s.keys = s.keys[:len(vms)]
-	}
-	for i := range vms {
-		s.order[i] = i
-		s.keys[i] = safeFraction(&vms[i], curve, maxS)
-	}
-	s.lsort.vms, s.lsort.keys, s.lsort.order = vms, s.keys, s.order
-	sort.Sort(&s.lsort)
-	s.lsort.vms = nil // do not retain the caller's slice
-
-	curTotal := currentTotal(vms)
-	desired := curTotal.Sub(need)
-
-	var total resources.Vector
-	for i := range vms {
-		targets[i] = vms[i].Max
-		total = total.Add(vms[i].Max)
-	}
-	// Phase 1: deflate to latency-safe allocations, most headroom first.
-	for _, i := range s.order {
-		if total.FitsIn(desired) {
-			break
-		}
-		safe := vms[i].Max.Scale(s.keys[i]).Max(vms[i].Min)
-		total = total.Sub(targets[i]).Add(safe)
-		targets[i] = safe
-	}
-	// Phase 2: the SLO budget is exhausted — push on to the QoS floors in
-	// the same order, so violations land on the fewest VMs possible.
+	targets, total, desired := s.orderedWalk(vms, need, func(vm *VMState) float64 {
+		return safeFraction(vm, curve, maxS)
+	})
+	// The SLO budget is exhausted: push on to the QoS floors in the same
+	// order, so violations land on the fewest VMs possible.
 	for _, i := range s.order {
 		if total.FitsIn(desired) {
 			break

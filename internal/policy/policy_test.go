@@ -223,6 +223,19 @@ func TestDeterministicCascades(t *testing.T) {
 	if res.Freed.Get(resources.CPU) < 9 {
 		t.Errorf("freed = %v", res.Freed.Get(resources.CPU))
 	}
+	// a and b tie at priority 1/2 and come out of name order: a, first by
+	// name, frees 4 cores, which covers a 3-core need alone; a 5-core
+	// need takes 2 of b's as well.
+	vms = []VMState{vm("b", 4, 4096, 0.5), vm("a", 8, 8192, 0.5)}
+	for need, wantB := range map[float64]float64{3: 4, 5: 2} {
+		res, err := targets(Deterministic{}, vms, resources.New(need, 0, 0, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := res.Targets["a"].Get(resources.CPU), res.Targets["b"].Get(resources.CPU); a != 4 || b != wantB {
+			t.Errorf("need %g: a, b = %g, %g cores, want 4, %g", need, a, b, wantB)
+		}
+	}
 }
 
 func TestDeterministicReinflation(t *testing.T) {
@@ -246,11 +259,16 @@ func TestDeterministicReinflation(t *testing.T) {
 	}
 }
 
+// A need more than feasEps beyond what a can free is insufficient; one
+// exactly feasEps beyond it is met.
 func TestDeterministicInsufficient(t *testing.T) {
 	vms := []VMState{vm("a", 4, 4096, 0.5)}
 	_, err := targets(Deterministic{}, vms, resources.New(3, 0, 0, 0))
 	if !errors.Is(err, ErrInsufficient) {
 		t.Errorf("want ErrInsufficient, got %v", err)
+	}
+	if _, err := targets(Deterministic{}, vms, resources.New(2+feasEps, 0, 0, 0)); err != nil {
+		t.Errorf("a need feasEps beyond the freed 2 cores: %v", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestTargetsIntoMatchesTargets(t *testing.T) {
 
 // TestTargetsIntoZeroAllocs asserts the scratch API's reason to exist:
 // once the Scratch buffers are warm, a policy pass performs zero heap
-// allocations — for all three policies, both deflation and reinflation.
+// allocations — for every policy, both deflation and reinflation.
 func TestTargetsIntoZeroAllocs(t *testing.T) {
 	vms := []VMState{
 		vm("a", 8, 8192, 0.25),
@@ -75,7 +75,7 @@ func TestTargetsIntoZeroAllocs(t *testing.T) {
 	}
 	deflate := resources.New(10, 10240, 0, 0)
 	reinflate := resources.New(-10, -10240, 0, 0)
-	for _, p := range []Policy{Proportional{}, Priority{}, Deterministic{}} {
+	for _, p := range []Policy{Proportional{}, Priority{}, Deterministic{}, LatencyAware{}} {
 		var s Scratch
 		for _, need := range []resources.Vector{deflate, reinflate} {
 			need := need
@@ -96,7 +96,7 @@ func TestTargetsIntoZeroAllocs(t *testing.T) {
 func TestTargetsIntoNilScratch(t *testing.T) {
 	vms := []VMState{vm("a", 8, 8192, 0.5), vm("b", 4, 4096, 0.5)}
 	need := resources.New(6, 6144, 0, 0)
-	for _, p := range []Policy{Proportional{}, Priority{}, Deterministic{}} {
+	for _, p := range []Policy{Proportional{}, Priority{}, Deterministic{}, LatencyAware{}} {
 		var s Scratch
 		withScratch, err1 := p.TargetsInto(vms, need, &s)
 		nilScratch, err2 := p.TargetsInto(vms, need, nil)
